@@ -15,6 +15,7 @@
 #include "src/core/deltazip.h"
 #include "src/tensor/backend.h"
 #include "src/train/finetune.h"
+#include "src/util/json.h"
 #include "src/util/table.h"
 #include "src/util/thread_pool.h"
 
@@ -226,20 +227,22 @@ class BenchJson {
       std::fprintf(stderr, "BenchJson: cannot open %s\n", path.c_str());
       return false;
     }
+    // Strings go through JsonEscape and values through JsonNum (non-finite
+    // values become 0), so every file parses as JSON.
     std::fprintf(f,
                  "{\n  \"bench\": \"%s\",\n  \"isa\": \"%s\",\n"
                  "  \"threads\": %zu,\n  \"metrics\": [\n",
-                 bench_.c_str(), kernels::ActiveBackend().name,
+                 JsonEscape(bench_).c_str(), JsonEscape(kernels::ActiveBackend().name).c_str(),
                  ThreadPool::Global().thread_count());
     for (size_t i = 0; i < items_.size(); ++i) {
       const Item& it = items_[i];
       std::fprintf(f,
-                   "    {\"name\": \"%s\", \"value\": %.6g, \"unit\": \"%s\", "
+                   "    {\"name\": \"%s\", \"value\": %s, \"unit\": \"%s\", "
                    "\"higher_is_better\": %s",
-                   it.name.c_str(), it.value, it.unit.c_str(),
-                   it.higher_is_better ? "true" : "false");
+                   JsonEscape(it.name).c_str(), JsonNum(it.value).c_str(),
+                   JsonEscape(it.unit).c_str(), it.higher_is_better ? "true" : "false");
       if (!it.isa.empty()) {
-        std::fprintf(f, ", \"isa\": \"%s\"", it.isa.c_str());
+        std::fprintf(f, ", \"isa\": \"%s\"", JsonEscape(it.isa).c_str());
       }
       std::fprintf(f, "}%s\n", i + 1 < items_.size() ? "," : "");
     }

@@ -30,12 +30,12 @@ void PrefetchAblation(const Trace& trace, const EngineConfig& base,
   Table t({"metric", "prefetch off", "prefetch on"});
   t.AddRow({"cold-start stall seconds", Table::Num(r_off.TotalLoadingTime(), 3),
             Table::Num(r_on.TotalLoadingTime(), 3)});
-  t.AddRow({"stall hidden by prefetch (s)", Table::Num(r_off.stall_hidden_s, 3),
-            Table::Num(r_on.stall_hidden_s, 3)});
+  t.AddRow({"stall hidden by prefetch (s)", Table::Num(r_off.StallHiddenS(), 3),
+            Table::Num(r_on.StallHiddenS(), 3)});
   t.AddRow({"prefetch issued / hits / wasted", "0/0/0",
-            std::to_string(r_on.prefetch_issued) + "/" +
-                std::to_string(r_on.prefetch_hits) + "/" +
-                std::to_string(r_on.prefetch_wasted)});
+            std::to_string(r_on.PrefetchIssued()) + "/" +
+                std::to_string(r_on.PrefetchHits()) + "/" +
+                std::to_string(r_on.PrefetchWasted())});
   t.AddRow({"mean TTFT (s)", Table::Num(r_off.MeanTtft(), 3),
             Table::Num(r_on.MeanTtft(), 3)});
   for (double slo : slos) {

@@ -20,8 +20,11 @@
 // `--quick` (CI smoke, ASan-friendly) still streams >= 1M requests; the full
 // run is 5M. `--metrics-out <path>` selects the JSONL path, `--json <path>`
 // writes the bench-summary JSON (dz-bench-v1 schema).
+#include <cerrno>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -52,9 +55,25 @@ double RssMb() {
   return rss_kb / 1024.0;
 }
 
+// Value of a positive-integer flag, or `fallback` when the flag is absent.
+// A present flag with a missing, non-numeric or non-positive value exits 2.
 long long ParseCountFlag(int argc, char** argv, const char* flag, long long fallback) {
-  const char* v = ParseStringFlag(argc, argv, flag);
-  return v != nullptr ? std::strtoll(v, nullptr, 10) : fallback;
+  for (int i = 1; i < argc; ++i) {
+    if (std::strcmp(argv[i], flag) != 0) {
+      continue;
+    }
+    const char* v = i + 1 < argc ? argv[i + 1] : "";
+    char* end = nullptr;
+    errno = 0;
+    const long long n = std::strtoll(v, &end, 10);
+    if (end == v || *end != '\0' || errno != 0 || n <= 0 ||
+        n > std::numeric_limits<int>::max()) {
+      std::fprintf(stderr, "bench_soak: %s needs a positive integer, got '%s'\n", flag, v);
+      std::exit(2);
+    }
+    return n;
+  }
+  return fallback;
 }
 
 struct WindowResult {
@@ -68,9 +87,6 @@ struct WindowResult {
 void Run(int argc, char** argv) {
   const bool quick = ParseQuickFlag(argc, argv);
   const uint64_t seed = 909;
-  Banner("Soak — 1M+ requests, 8-GPU cluster, windowed metrics time series",
-         "observability layer", seed);
-
   // Window sizing: each window is an independent Serve() over a fresh trace
   // slice (engines and stores are per-call, so cross-window growth can only
   // come from leaks). 20 x 50k = 1M requests even in --quick; the full soak
@@ -79,6 +95,9 @@ void Run(int argc, char** argv) {
       static_cast<int>(ParseCountFlag(argc, argv, "--windows", quick ? 20 : 40));
   const long long requests_per_window = ParseCountFlag(
       argc, argv, "--requests-per-window", quick ? 50000 : 125000);
+  Banner("Soak — 1M+ requests, 8-GPU cluster, windowed metrics time series",
+         "observability layer", seed);
+
   const char* metrics_path_flag = ParseStringFlag(argc, argv, "--metrics-out");
   const std::string metrics_path =
       metrics_path_flag != nullptr ? metrics_path_flag : "soak_metrics.jsonl";

@@ -94,9 +94,9 @@ bool RunScenario(TenantScenario scenario, bool quick, uint64_t seed) {
               Pct(r.ClassAttainment(SloClass::kStandard)),
               Pct(r.ClassAttainment(SloClass::kBatch)),
               Table::Num(r.JainFairnessIndex(), 3),
-              std::to_string(r.shed_by_class[0]) + "/" +
-                  std::to_string(r.shed_by_class[1]) + "/" +
-                  std::to_string(r.shed_by_class[2]),
+              std::to_string(r.ShedCount(SloClass::kInteractive)) + "/" +
+                  std::to_string(r.ShedCount(SloClass::kStandard)) + "/" +
+                  std::to_string(r.ShedCount(SloClass::kBatch)),
               Table::Num(r.TokenThroughput(), 1),
               Table::Num(ClassP90Ttft(r, SloClass::kInteractive), 3)});
     const double inter = r.ClassAttainment(SloClass::kInteractive);

@@ -21,12 +21,12 @@ std::vector<GpuLoadStats> ClusterReport::PerGpuStats() const {
     }
     s.busy_span_s = r.makespan_s;
     s.utilization = merged.makespan_s > 0.0 ? r.makespan_s / merged.makespan_s : 0.0;
-    s.total_loads = r.total_loads;
-    s.disk_loads = r.disk_loads;
-    s.prefetch_issued = r.prefetch_issued;
-    s.prefetch_hits = r.prefetch_hits;
-    s.prefetch_wasted = r.prefetch_wasted;
-    s.stall_hidden_s = r.stall_hidden_s;
+    s.total_loads = r.TotalLoads();
+    s.disk_loads = r.DiskLoads();
+    s.prefetch_issued = r.PrefetchIssued();
+    s.prefetch_hits = r.PrefetchHits();
+    s.prefetch_wasted = r.PrefetchWasted();
+    s.stall_hidden_s = r.StallHiddenS();
     stats.push_back(s);
   }
   return stats;
@@ -68,21 +68,6 @@ double ClusterReport::LoadImbalance() const { return LoadImbalanceOf(PerGpuStats
 double ClusterReport::MeanUtilization() const {
   return MeanUtilizationOf(PerGpuStats());
 }
-
-// BuildClusterReport merges the per-GPU metrics snapshots into `merged` and
-// materializes its scalar fields from them; these accessors just name that
-// single source of truth.
-int ClusterReport::TotalLoads() const { return merged.total_loads; }
-
-int ClusterReport::TotalDiskLoads() const { return merged.disk_loads; }
-
-int ClusterReport::TotalPrefetchIssued() const { return merged.prefetch_issued; }
-
-int ClusterReport::TotalPrefetchHits() const { return merged.prefetch_hits; }
-
-int ClusterReport::TotalPrefetchWasted() const { return merged.prefetch_wasted; }
-
-double ClusterReport::TotalStallHiddenS() const { return merged.stall_hidden_s; }
 
 std::string ClusterReport::Summary(double slo_e2e_s, double slo_ttft_s) const {
   const std::vector<GpuLoadStats> stats = PerGpuStats();
@@ -202,12 +187,11 @@ ClusterReport BuildClusterReport(std::string cluster_name, PlacementPolicy polic
     report.merged.makespan_s = std::max(report.merged.makespan_s, r.makespan_s);
     report.merged.n_tenants = std::max(report.merged.n_tenants, r.n_tenants);
     // Snapshot-level merge in GPU order: counters add in the same order the old
-    // per-field `+=` loop did, so the materialized scalars below stay
-    // bit-identical (golden-enforced); histograms merge bucket-wise.
+    // per-field `+=` loop did, so the merged totals stay bit-identical
+    // (golden-enforced); histograms merge bucket-wise.
     report.merged.metrics.MergeFrom(r.metrics);
   }
   report.merged.metrics.sim_time_s = report.merged.makespan_s;
-  MaterializeReportFromSnapshot(report.merged);
   report.merged.records.reserve(total);
   for (const ServeReport& r : per_gpu) {
     report.merged.records.insert(report.merged.records.end(), r.records.begin(),

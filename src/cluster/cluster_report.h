@@ -116,13 +116,14 @@ struct ClusterReport {
   // served nothing count toward the mean. 0 when the cluster served nothing.
   double LoadImbalance() const;
   double MeanUtilization() const;
-  int TotalLoads() const;      // PCIe (H2D) artifact transfers, summed over GPUs
-  int TotalDiskLoads() const;  // disk→host artifact reads, summed over GPUs
-  // Prefetch effectiveness summed over GPUs (all 0 when prefetch is disabled).
-  int TotalPrefetchIssued() const;
-  int TotalPrefetchHits() const;
-  int TotalPrefetchWasted() const;
-  double TotalStallHiddenS() const;  // artifact-wait seconds hidden cluster-wide
+  // Artifact traffic summed over GPUs (views of the merged snapshot).
+  int TotalLoads() const { return merged.TotalLoads(); }  // PCIe (H2D) transfers
+  int TotalDiskLoads() const { return merged.DiskLoads(); }  // disk→host reads
+  // Prefetch effectiveness (all 0 when prefetch is disabled).
+  int TotalPrefetchIssued() const { return merged.PrefetchIssued(); }
+  int TotalPrefetchHits() const { return merged.PrefetchHits(); }
+  int TotalPrefetchWasted() const { return merged.PrefetchWasted(); }
+  double TotalStallHiddenS() const { return merged.StallHiddenS(); }
 
   // Aligned ASCII rendering: cluster aggregates plus a per-GPU breakdown
   // (shared by `dzip_cli cluster` and the scaling bench).

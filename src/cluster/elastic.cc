@@ -294,8 +294,8 @@ struct ElasticRun {
         }
         stats.shed += r.TotalShed();
         if (rewarm_epoch) {
-          stats.rewarm_loads += r.prefetch_issued;
-          stats.rewarm_s += r.stall_hidden_s;
+          stats.rewarm_loads += r.PrefetchIssued();
+          stats.rewarm_s += r.StallHiddenS();
         }
         // Typed registry unavailability is terminal: engines only fill this on
         // a natural (final-epoch) run — earlier epochs carry parked requests
@@ -820,7 +820,6 @@ ClusterReport ServeElastic(const ClusterConfig& cfg, const Trace& trace) {
     w.acc.n_tenants = std::max(1, trace.n_tenants);
     w.acc.slo_spec = cfg.engine.scheduler.slo;
     w.acc.metrics.sim_time_s = w.acc.makespan_s;
-    MaterializeReportFromSnapshot(w.acc);
     per_gpu.push_back(std::move(w.acc));
   }
   const char* base = cfg.vllm_baseline ? "vllm-scb" : "deltazip";

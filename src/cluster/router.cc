@@ -17,10 +17,6 @@ std::vector<int> Router::Assign(const Trace& trace) const {
   return AssignTrace(trace, config_);
 }
 
-std::vector<Trace> Router::Split(const Trace& trace) const {
-  return SplitTrace(trace, Assign(trace), config_.n_gpus);
-}
-
 std::vector<std::vector<int>> Router::WarmHints(const Trace& trace) const {
   if (config_.policy == PlacementPolicy::kDeltaAffinity) {
     return WarmHints(trace, {});

@@ -2,7 +2,7 @@
 //
 // A Router splits one incoming Trace across n_gpus worker engines under a
 // pluggable placement policy; each worker replays its shard on the global clock
-// with its own ServingEngine (DeltaZipEngine or VllmScbEngine) and its own
+// with its own ServingEngine (DeltaZip or vLLM-SCB) and its own
 // ArtifactStore, and the per-GPU ServeReports merge into a ClusterReport.
 // Workers are independent simulations, so the cluster result is deterministic
 // regardless of how many threads run them.
@@ -30,9 +30,6 @@ class Router {
 
   // Per-request GPU assignments for the trace (arrival order, online policy state).
   std::vector<int> Assign(const Trace& trace) const;
-  // Assigns and shards in one step: result[g] is GPU g's sub-trace, with ids and
-  // absolute arrival times preserved.
-  std::vector<Trace> Split(const Trace& trace) const;
   // Placement-aware prefetch hints: hints[g] lists the variant ids the router
   // predicts GPU g will serve, most-likely-first, for the workers' artifact
   // warm-up (PrefetchConfig::warm_hints). Delta-affinity predicts from the

@@ -2,11 +2,12 @@
 //
 // Engines execute a Trace in simulated time against an ExecModel (iteration-level GPU
 // cost model) and an ArtifactStore (GPU/CPU/disk placement), producing a ServeReport.
-// Two engines implement the paper's comparison (§6.3):
-//   * DeltaZipEngine — decoupled base+delta serving with SBMM, skip-the-line
+// Two engines implement the paper's comparison (§6.3), both as a ServePolicy on the
+// one shared ServeLoop (src/serving/serve_loop.h):
+//   * MakeDeltaZipEngine — decoupled base+delta serving with SBMM, skip-the-line
 //     continuous batching, and parent-finish preemption (§5). Also serves LoRA
 //     adapters (Punica-style) for the §6.4 experiments.
-//   * VllmScbEngine — the vLLM+SCB baseline: full-model swapping with per-model
+//   * MakeVllmScbEngine — the vLLM+SCB baseline: full-model swapping with per-model
 //     continuous batching.
 // The cluster layer (src/cluster/) composes N such engines behind a router; an
 // EngineConfig therefore describes ONE worker, which may itself span multiple GPUs
@@ -50,7 +51,7 @@ struct PrefetchConfig {
   // Extra ArtifactStore slots reserved for in-flight prefetches, carved out of the
   // KV pool (double-buffering costs real GPU memory). Without headroom a prefetch
   // could never proceed: all N artifact slots are pinned by the running batch.
-  // DeltaZipEngine only — the vLLM baseline's full-model slots are far too large
+  // DeltaZip engine only — the vLLM baseline's full-model slots are far too large
   // to double-buffer, so it prefetches into whatever slots are free or evictable.
   int staging_slots = 1;
   // Placement-aware warm hints, typically injected by the cluster Router (variant

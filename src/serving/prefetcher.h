@@ -1,10 +1,10 @@
-// Shared prefetch driver for the serving engines (the async artifact-prefetch
-// pipeline): warm-hint staging and the per-round lookahead pass both engines run,
-// plus the ServeReport counter hand-off. Header-only so each engine's anonymous
-// PendingReq type can flow through the template without a shared base class.
+// Prefetch driver for the serve loop (the async artifact-prefetch pipeline):
+// warm-hint staging and the per-round lookahead pass. Header-only, templated on
+// the queue so any container whose elements expose `.req.model_id` works.
 #ifndef SRC_SERVING_PREFETCHER_H_
 #define SRC_SERVING_PREFETCHER_H_
 
+#include <algorithm>
 #include <deque>
 #include <set>
 #include <vector>
@@ -35,52 +35,36 @@ inline std::deque<int> PendingWarmHints(const PrefetchConfig& config, int n_mode
 }
 
 // One scheduling round of the lookahead pass (paper §8 / MetaSys-style
-// pipelining): scans the engine's still-waiting `queue` (each element exposes
-// `.req.model_id`) and issues low-priority loads for the next
-// `config.lookahead` distinct variants, then drains leftover warm hints.
-// `active` holds the variants the scheduler already owns (running, claimed, or
-// admitted this round) — they are skipped as targets; `pinned` holds the
-// artifact ids a prefetch must never evict (the running batch's artifacts).
-// Additionally, the variants inside the speculation window (the first
-// `lookahead` distinct waiting variants) are shielded from prefetch eviction:
-// a near-head request can be resident-but-blocked (KV or batch-slot limits),
-// and evicting its artifact for a speculation would re-pay the very load the
-// blocked request was about to skip (priority inversion). The shield is
-// deliberately window-bounded — protecting every queued variant would starve
-// the prefetcher of eviction candidates under contention.
+// pipelining): issues low-priority loads for the first `config.lookahead`
+// distinct variants waiting in `queue` that are not in `active` (the variants
+// the batch owns: running, claimed or admitted this round), then drains
+// leftover warm hints. A prefetch never evicts an `active` variant nor one in
+// that window: a near-head request can be resident-but-blocked (KV or batch
+// slots), and evicting its artifact for a speculation would re-pay the load it
+// was about to skip. The shield stops at the window — protecting every queued
+// variant would starve the prefetcher of eviction candidates.
 template <typename PendingQueue>
 void RunPrefetchPass(ArtifactStore& store, const PrefetchConfig& config, double now,
                      const PendingQueue& queue, const std::set<int>& active,
-                     const std::vector<int>& pinned, std::deque<int>& pending_hints) {
+                     std::deque<int>& pending_hints) {
   if (!config.enabled) {
     return;
   }
-  // The shield window mirrors the issue loop exactly (first `lookahead`
-  // distinct non-active variants), so no prefetch target sits beyond it.
-  std::set<int> protect_set(pinned.begin(), pinned.end());
-  std::set<int> window;
+  // The window (first `lookahead` distinct non-active variants, in queue order)
+  // is both the target list and the shield, so no target sits beyond it.
+  std::vector<int> window;
+  std::set<int> protect_set = active;
   for (const auto& waiting : queue) {
     if (static_cast<int>(window.size()) >= config.lookahead) {
       break;
     }
     const int variant = waiting.req.model_id;
-    if (active.count(variant) > 0) {
-      continue;
-    }
-    if (window.insert(variant).second) {
-      protect_set.insert(variant);
+    if (active.count(variant) == 0 && protect_set.insert(variant).second) {
+      window.push_back(variant);
     }
   }
   const std::vector<int> protect(protect_set.begin(), protect_set.end());
-  std::set<int> considered;
-  for (const auto& waiting : queue) {
-    if (static_cast<int>(considered.size()) >= config.lookahead) {
-      break;
-    }
-    const int variant = waiting.req.model_id;
-    if (active.count(variant) > 0 || !considered.insert(variant).second) {
-      continue;
-    }
+  for (int variant : window) {
     if (!store.IsResident(variant, now) && !store.IsLoading(variant, now)) {
       store.Prefetch(variant, now, protect);
     }
@@ -90,7 +74,7 @@ void RunPrefetchPass(ArtifactStore& store, const PrefetchConfig& config, double 
   while (!pending_hints.empty()) {
     const int hint = pending_hints.front();
     if (store.IsResident(hint, now) || store.IsLoading(hint, now) ||
-        considered.count(hint) > 0) {
+        std::find(window.begin(), window.end(), hint) != window.end()) {
       pending_hints.pop_front();  // already warm (or just attempted)
       continue;
     }

@@ -81,28 +81,10 @@ double ServeReport::SloAttainmentTtft(double slo_s) const {
   return FractionWithin(Ttfts(), slo_s);
 }
 
-int ServeReport::TotalShed() const {
-  int total = 0;
-  for (int c : shed_by_class) {
-    total += c;
-  }
-  return total;
-}
-
-size_t ServeReport::ClassCompleted(SloClass slo) const {
-  size_t count = 0;
-  for (const auto& r : records) {
-    if (r.slo == slo) {
-      ++count;
-    }
-  }
-  return count;
-}
-
 double ServeReport::ClassAttainment(SloClass slo) const {
   const SloSpec& spec = slo_spec.Of(slo);
   size_t met = 0;
-  size_t total = static_cast<size_t>(shed_by_class[static_cast<int>(slo)]);
+  size_t total = static_cast<size_t>(ShedCount(slo));
   for (const auto& r : records) {
     if (r.slo != slo) {
       continue;
@@ -173,27 +155,6 @@ std::vector<RequestPathBreakdown> ComputeCriticalPaths(const ServeReport& report
   return AttributeRequests(times, report.trace_events);
 }
 
-void MaterializeReportFromSnapshot(ServeReport& report) {
-  const MetricsSnapshot& m = report.metrics;
-  report.total_loads = static_cast<int>(m.Value("store.loads.total"));
-  report.disk_loads = static_cast<int>(m.Value("store.loads.disk"));
-  report.prefetch_issued = static_cast<int>(m.Value("store.prefetch.issued"));
-  report.prefetch_hits = static_cast<int>(m.Value("store.prefetch.hits"));
-  report.prefetch_wasted = static_cast<int>(m.Value("store.prefetch.wasted"));
-  report.stall_hidden_s = m.Value("store.prefetch.stall_hidden_s");
-  report.disk_busy_s = m.Value("store.channel.busy_s", {{"channel", "disk"}});
-  report.pcie_busy_s = m.Value("store.channel.busy_s", {{"channel", "pcie"}});
-  for (int c = 0; c < kNumSloClasses; ++c) {
-    report.shed_by_class[static_cast<size_t>(c)] = static_cast<int>(
-        m.Value("sched.shed", {{"class", SloClassName(static_cast<SloClass>(c))}}));
-  }
-}
-
-void FinalizeServeMetrics(MetricsRegistry& registry, ServeReport& report) {
-  report.metrics = registry.Snapshot(report.makespan_s);
-  MaterializeReportFromSnapshot(report);
-}
-
 void AppendTenantRows(Table& table, const ServeReport& report) {
   if (report.n_tenants <= 1 && report.TotalShed() == 0) {
     return;  // single-tenant output matches the pre-tenant rendering
@@ -213,7 +174,7 @@ void AppendTenantRows(Table& table, const ServeReport& report) {
       shed += "/";
       shed_label += "/";
     }
-    shed += std::to_string(report.shed_by_class[static_cast<size_t>(c)]);
+    shed += std::to_string(report.ShedCount(static_cast<SloClass>(c)));
     shed_label += SloClassName(static_cast<SloClass>(c));
   }
   table.AddRow({shed_label + ")", shed});

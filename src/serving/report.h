@@ -3,7 +3,6 @@
 #ifndef SRC_SERVING_REPORT_H_
 #define SRC_SERVING_REPORT_H_
 
-#include <array>
 #include <string>
 #include <vector>
 
@@ -43,10 +42,8 @@ struct RequestRecord {
 };
 
 // One engine run over one trace: per-request records plus the run's metrics
-// registry snapshot. The scalar stat fields below are thin views materialized
-// from that snapshot at the end of Serve (FinalizeServeMetrics) — no engine or
-// store keeps hand-maintained counters anymore — and stay bit-identical to the
-// pre-registry fields (golden-enforced).
+// registry snapshot. Scalar stats (loads, prefetch, channel busy time, sheds)
+// are accessors over that snapshot — it is their only copy.
 struct ServeReport {
   std::string engine_name;
   std::vector<RequestRecord> records;
@@ -59,28 +56,10 @@ struct ServeReport {
   // `dzip_cli --metrics-out` serializes these as a JSONL time series.
   std::vector<MetricsSnapshot> timeline;
   double makespan_s = 0.0;  // time when the last request finished (s)
-  // Artifact-movement totals from the engine's ArtifactStore: every load crosses
-  // PCIe (host → device); `disk_loads` additionally paid the disk → host read.
-  // Prefetched transfers are included (they move real bytes).
-  int total_loads = 0;  // PCIe (H2D) transfers
-  int disk_loads = 0;   // loads that started from disk
-  // Prefetch effectiveness (all 0 when prefetch is disabled): speculative loads
-  // issued, those used by a demand request (hits), those evicted unused (wasted),
-  // and the artifact-wait seconds demand requests skipped thanks to prefetch.
-  int prefetch_issued = 0;
-  int prefetch_hits = 0;
-  int prefetch_wasted = 0;
-  double stall_hidden_s = 0.0;
-  // Cumulative busy seconds per transfer channel (utilization = busy / makespan).
-  double disk_busy_s = 0.0;
-  double pcie_busy_s = 0.0;
   // Multi-tenant context: tenant count of the served trace and the per-class
   // deadlines the scheduler ran with (used by the attainment metrics below).
   int n_tenants = 1;
   SloSpecs slo_spec;
-  // Admission-control sheds per SLO class (all 0 when shedding is disabled).
-  // Shed requests have no RequestRecord; attainment counts them as misses.
-  std::array<int, kNumSloClasses> shed_by_class = {0, 0, 0};
   // Per-request trace events of the run (empty unless EngineConfig::tracing is
   // enabled), timestamp-ordered as TraceRecorder::Drain returns them, plus the
   // events a flight-recorder ring overwrote. Feeds the Chrome-trace exporter
@@ -114,6 +93,22 @@ struct ServeReport {
   // True when the attribution table has content (some request was attributed).
   bool HasPathAttribution() const;
 
+  // --- artifact movement ("store.*" in `metrics`) ----------------------------
+  // Every load crosses PCIe (host → device); DiskLoads() additionally paid the
+  // disk → host read. Prefetched transfers are included (they move real bytes).
+  int TotalLoads() const { return Count("store.loads.total"); }
+  int DiskLoads() const { return Count("store.loads.disk"); }
+  // Prefetch effectiveness (all 0 when prefetch is disabled): speculative loads
+  // issued, those used by a demand request (hits), those evicted unused (wasted),
+  // and the artifact-wait seconds demand requests skipped thanks to prefetch.
+  int PrefetchIssued() const { return Count("store.prefetch.issued"); }
+  int PrefetchHits() const { return Count("store.prefetch.hits"); }
+  int PrefetchWasted() const { return Count("store.prefetch.wasted"); }
+  double StallHiddenS() const { return metrics.Value("store.prefetch.stall_hidden_s"); }
+  // Cumulative busy seconds per transfer channel (utilization = busy / makespan).
+  double DiskBusyS() const { return ChannelBusyS("disk"); }
+  double PcieBusyS() const { return ChannelBusyS("pcie"); }
+
   size_t completed() const { return records.size(); }
   double ThroughputRps() const;    // completed requests / makespan
   double TokenThroughput() const;  // output tokens / s
@@ -134,9 +129,16 @@ struct ServeReport {
   // All are total functions: 0 tenants, 1 tenant, or a class with no requests
   // yield well-defined values (never NaN/inf) — the CompressionRatio lesson.
 
-  int TotalShed() const;
-  // Completed requests of the class (shed ones have no record).
-  size_t ClassCompleted(SloClass slo) const;
+  // Admission-control sheds ("sched.shed" in `metrics`; 0 when shedding is
+  // disabled). Shed requests have no RequestRecord; attainment counts them as
+  // misses.
+  int ShedCount(SloClass slo) const {
+    return Count("sched.shed", {{"class", SloClassName(slo)}});
+  }
+  int TotalShed() const {
+    return ShedCount(SloClass::kInteractive) + ShedCount(SloClass::kStandard) +
+           ShedCount(SloClass::kBatch);
+  }
   // Fraction of the class's requests (completed + shed) that met BOTH their
   // class deadlines (TTFT and E2E from slo_spec). A class that saw no requests
   // at all vacuously attains 1.0.
@@ -147,6 +149,14 @@ struct ServeReport {
   // (Σx)² / (n·Σx²) ∈ [1/n, 1]. Defined as 1.0 (perfectly fair) for a single
   // tenant, zero tenants, or when nothing was served.
   double JainFairnessIndex() const;
+
+ private:
+  int Count(const char* name, const MetricLabels& labels = {}) const {
+    return static_cast<int>(metrics.Value(name, labels));
+  }
+  double ChannelBusyS(const char* channel) const {
+    return metrics.Value("store.channel.busy_s", {{"channel", channel}});
+  }
 };
 
 class Table;
@@ -157,17 +167,6 @@ class Table;
 // so single-tenant renderings stay unchanged. Shared by `dzip_cli simulate`
 // and ClusterReport::Summary.
 void AppendTenantRows(Table& table, const ServeReport& report);
-
-// Takes the run's final registry snapshot (tagged with the report's makespan)
-// and materializes the legacy scalar stat fields from it: artifact/prefetch/
-// channel totals from the "store.*" instruments and shed_by_class from the
-// "sched.shed" counters. Both engines call this once at the end of Serve;
-// BuildClusterReport applies the same materialization to the merged snapshot.
-void FinalizeServeMetrics(MetricsRegistry& registry, ServeReport& report);
-
-// The snapshot → scalar-fields half of FinalizeServeMetrics, reused for merged
-// cluster snapshots (report.metrics must already be populated).
-void MaterializeReportFromSnapshot(ServeReport& report);
 
 // Per-request critical-path breakdowns of the report's records against its
 // trace_events (record-only fallback when events are missing/ring-dropped).

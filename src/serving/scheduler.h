@@ -18,10 +18,9 @@
 // already unmeetable under an optimistic service estimate, instead of letting
 // doomed work consume batch slots and KV memory.
 //
-// Header-only ordering machinery: both engines keep their own anonymous
-// PendingReq types, so the queue-ordering entry point is a template over any
-// element exposing `.req` (TraceRequest) and `.fair_tag` (double, < 0 until the
-// scheduler assigns one), mirroring src/serving/prefetcher.h.
+// Header-only ordering machinery: a template over any element exposing `.req`
+// (TraceRequest) and `.fair_tag` (double, < 0 until assigned) — the serve
+// loop's PendingReq, or scheduler_test's minimal fake.
 #ifndef SRC_SERVING_SCHEDULER_H_
 #define SRC_SERVING_SCHEDULER_H_
 
@@ -55,11 +54,9 @@ struct SchedulerConfig {
   // aggressively). Shed requests complete nothing and are counted per class.
   bool admission_control = false;
   double admission_headroom = 1.0;
-  // Let blocked interactive requests preempt running batch-class skippers,
-  // reusing the parent-finish preemption machinery (DeltaZip engine only — the
-  // vLLM baseline has no skippers to preempt). Honored only under kPriority /
-  // kDwfq: FCFS re-sorts the evicted (earlier-arrival) skipper ahead of the
-  // interactive request it was evicted for, which would livelock admit/evict.
+  // Let blocked interactive requests preempt running batch-class skippers
+  // (DeltaZip engine only — the vLLM baseline has no skippers). Honored only
+  // under kPriority / kDwfq: FCFS would livelock admit/evict.
   bool class_preemption = false;
   // Per-class deadlines used for admission control (and copied into the report
   // for per-class attainment).
@@ -165,36 +162,6 @@ inline bool DeadlineUnmeetable(const SchedulerConfig& config, const TraceRequest
   const SloSpec& spec = config.slo.Of(req.slo);
   return now + config.admission_headroom * optimistic_service_s >
          req.SloArrival() + spec.e2e_s;
-}
-
-// The per-round admission-control pass shared by both engines: sheds every
-// queued request whose deadline is already unmeetable and refunds its tenant's
-// DWFQ virtual time for the unserved tokens. `min_service_s(elem)` returns the
-// engine's optimistic service estimate; `unserved_tokens(elem)` the tokens the
-// request will now never receive (everything for a fresh request, the
-// remaining output for a resumed one). Per-request accounting is the caller's:
-// `on_shed(const TraceRequest&)` fires once per shed request, and the engines
-// route it into their "sched.shed{class=...}" registry counters and (when
-// tracing) an admission.shed trace event — the scheduler keeps no counters of
-// its own. No-op unless `config.admission_control`.
-template <typename Queue, typename Estimator, typename Unserved, typename OnShed>
-void ShedUnmeetable(const SchedulerConfig& config, FairQueue& fair_queue,
-                    Queue& queue, double now, Estimator&& min_service_s,
-                    Unserved&& unserved_tokens, OnShed&& on_shed) {
-  if (!config.admission_control) {
-    return;
-  }
-  for (auto it = queue.begin(); it != queue.end();) {
-    if (DeadlineUnmeetable(config, it->req, now, min_service_s(*it))) {
-      if (config.policy == SchedPolicy::kDwfq && it->fair_tag >= 0.0) {
-        fair_queue.OnShed(it->req, unserved_tokens(*it));
-      }
-      on_shed(it->req);
-      it = queue.erase(it);
-    } else {
-      ++it;
-    }
-  }
 }
 
 }  // namespace dz

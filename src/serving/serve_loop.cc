@@ -1,0 +1,340 @@
+#include "src/serving/serve_loop.h"
+
+#include <algorithm>
+#include <utility>
+
+#include "src/serving/prefetcher.h"
+#include "src/util/check.h"
+
+namespace dz {
+
+namespace {
+constexpr double kInf = std::numeric_limits<double>::infinity();
+}  // namespace
+
+ServeLoop::ServeLoop(const EngineConfig& config, const ExecModel& exec,
+                     const Trace& trace, ServePolicy& policy)
+    : config_(config),
+      exec_(exec),
+      trace_(trace),
+      policy_(policy),
+      recorder_(config.tracing),
+      store_(policy.StoreConfig(), trace.n_models, &registry_, &recorder_),
+      fair_queue_(config.scheduler) {
+  DZ_CHECK_GE(store_.GpuCapacity(), 1);
+  prefetch_ = policy.Setup(store_);
+  // Placement-aware warm-up: the router's predicted variants, drained one
+  // low-priority transfer at a time as channels go idle, starting at t = 0.
+  warm_hints_ = PendingWarmHints(prefetch_, trace.n_models, store_.GpuCapacity());
+  // One registry per run (share-nothing: cluster workers serve on parallel
+  // threads, and snapshots merge at the cluster layer instead).
+  for (int c = 0; c < kNumSloClasses; ++c) {
+    const MetricLabels by_class = {{"class", SloClassName(static_cast<SloClass>(c))}};
+    shed_count_[c] = registry_.GetCounter("sched.shed", by_class);
+    completed_count_[c] = registry_.GetCounter("engine.requests.completed", by_class);
+    e2e_hist_[c] = registry_.GetHistogram("latency.e2e_s", by_class);
+    ttft_hist_[c] = registry_.GetHistogram("latency.ttft_s", by_class);
+  }
+  queue_hist_ = registry_.GetHistogram("latency.queue_s");
+  load_hist_ = registry_.GetHistogram("latency.load_s");
+  tokens_out_ = registry_.GetCounter("engine.tokens.output");
+  tokens_prompt_ = registry_.GetCounter("engine.tokens.prompt");
+  rounds_count_ = registry_.GetCounter("engine.rounds");
+  if (policy.CanPreempt()) {
+    preempt_count_ = registry_.GetCounter("engine.preemptions");
+  }
+}
+
+// Request-attributed trace emission (one branch when tracing is off). kv.swap
+// is the only request event that occupies a channel (KV pages over PCIe).
+void ServeLoop::Emit(TraceEventType type, double ts, const TraceRequest& req,
+                     double dur, int aux) {
+  if (recorder_.enabled()) {
+    const TraceChannel channel =
+        type == TraceEventType::kKvSwap ? TraceChannel::kPcie : TraceChannel::kNone;
+    recorder_.Emit({type, ts, dur, req.id, req.model_id, req.tenant_id, req.slo,
+                    /*gpu=*/-1, channel, /*bytes=*/0.0, aux});
+  }
+}
+
+long long ServeLoop::KvTokensInUse() const {
+  long long total = 0;
+  for (const RunningReq& r : running_) {
+    total += r.state.req.prompt_tokens + r.state.req.output_tokens;
+  }
+  return total;
+}
+
+void ServeLoop::Enqueue(PendingReq p) {
+  queue_unsorted_ = queue_unsorted_ ||
+                    (!queue_.empty() && p.req.arrival_s < queue_.back().req.arrival_s);
+  queue_.push_back(std::move(p));
+}
+
+void ServeLoop::Ingest(double now) {
+  while (next_arrival_ < trace_.requests.size() &&
+         trace_.requests[next_arrival_].arrival_s <= now) {
+    PendingReq p;
+    p.req = trace_.requests[next_arrival_++];
+    Emit(TraceEventType::kRequestQueued, p.req.arrival_s, p.req);
+    Enqueue(std::move(p));
+  }
+  // kFcfs is a stable sort by arrival, the identity on an arrival-sorted queue:
+  // it runs only once an append (a re-queued preemption, an out-of-order input)
+  // landed behind a later arrival — bit-identical, and O(1) per round.
+  if (config_.scheduler.policy != SchedPolicy::kFcfs || queue_unsorted_) {
+    OrderQueueForPolicy(config_.scheduler, fair_queue_, queue_);
+    queue_unsorted_ = false;
+  }
+}
+
+// Optimistic (lower-bound) service time for admission control: immediate
+// prefill plus every decode step at batch-1 iteration latency, so a deadline
+// this cannot meet is truly unmeetable. A resumed (preempted) request restores
+// its KV instead of prefilling and owes only its remaining tokens.
+double ServeLoop::MinServiceS(PendingReq& p) const {
+  if (p.min_service_s < 0.0) {
+    const double ctx = static_cast<double>(p.req.prompt_tokens + p.decoded);
+    const int steps = std::max(0, p.req.output_tokens - std::max(p.decoded, 1));
+    const double decode_s = static_cast<double>(steps) * exec_.DecodeIterTime(1, ctx);
+    p.min_service_s = p.decoded > 0 ? decode_s
+                                    : exec_.PrefillTime(p.req.prompt_tokens) +
+                                          policy_.ArtifactPrefillS(p.req.prompt_tokens) +
+                                          decode_s;
+  }
+  return p.min_service_s;
+}
+
+// Admission control (off by default): sheds every queued request whose class
+// deadline is already unmeetable and refunds its tenant's DWFQ virtual time
+// for the tokens it will never receive.
+void ServeLoop::Shed(double now) {
+  if (!config_.scheduler.admission_control) {
+    return;
+  }
+  for (auto it = queue_.begin(); it != queue_.end();) {
+    if (!DeadlineUnmeetable(config_.scheduler, it->req, now, MinServiceS(*it))) {
+      ++it;
+      continue;
+    }
+    if (config_.scheduler.policy == SchedPolicy::kDwfq && it->fair_tag >= 0.0) {
+      // A resumed request already received prefill + `decoded` tokens.
+      const TraceRequest& r = it->req;
+      fair_queue_.OnShed(r, it->decoded > 0 ? r.output_tokens - it->decoded
+                                            : r.prompt_tokens + r.output_tokens);
+    }
+    shed_count_[static_cast<int>(it->req.slo)]->Inc();
+    ++shed_total_;
+    Emit(TraceEventType::kAdmissionShed, now, it->req);
+    it = queue_.erase(it);
+  }
+}
+
+ServeLoop::QueueIt ServeLoop::Dispatch(QueueIt it, double now) {
+  store_.Touch(it->req.model_id, now);
+  Emit(TraceEventType::kSchedDispatch, now, it->req);
+  if (config_.scheduler.policy == SchedPolicy::kDwfq) {
+    fair_queue_.OnAdmit(it->fair_tag);
+  }
+  RunningReq r;
+  r.state = std::move(*it);
+  r.state.start_s = r.state.start_s < 0.0 ? now : r.state.start_s;
+  r.prefilled = r.state.decoded > 0;  // resumed requests keep their progress
+  r.needs_kv_restore = r.state.decoded > 0;
+  running_.push_back(std::move(r));
+  return queue_.erase(it);
+}
+
+ServeLoop::QueueIt ServeLoop::Park(QueueIt it) {
+  parked_.push_back(it->req);
+  return queue_.erase(it);
+}
+
+ServeLoop::RunIt ServeLoop::Preempt(RunIt it, double now, bool swap_out) {
+  DZ_CHECK(preempt_count_ != nullptr);
+  PendingReq back = it->state;
+  ++back.preemptions;
+  preempt_count_->Inc();
+  Emit(TraceEventType::kKvPreempt, now, back.req);
+  back.min_service_s = -1.0;  // re-estimate from the banked progress
+  if (swap_out) {
+    const double swap_s = exec_.KvSwapTime(back.req.prompt_tokens + back.decoded);
+    pending_swap_s_ += swap_s;
+    Emit(TraceEventType::kKvSwap, now, back.req, swap_s, /*aux=*/0);
+  }
+  Enqueue(std::move(back));  // keeps its fair_tag; re-ordered next ingest
+  return running_.erase(it);
+}
+
+double ServeLoop::Iterate(double now) {
+  long long prefill_tokens = 0;
+  for (RunningReq& r : running_) {
+    if (!r.prefilled &&
+        prefill_tokens + r.state.req.prompt_tokens <= config_.max_prefill_tokens) {
+      prefill_tokens += r.state.req.prompt_tokens;
+      r.prefilling = true;
+    }
+    if (r.needs_kv_restore) {
+      const double swap_s = exec_.KvSwapTime(r.state.req.prompt_tokens + r.state.decoded);
+      pending_swap_s_ += swap_s;
+      Emit(TraceEventType::kKvSwap, now, r.state.req, swap_s, /*aux=*/1);
+      r.needs_kv_restore = false;
+    }
+  }
+  double iter = policy_.IterationCost(*this, prefill_tokens,
+                                      config_.sched_overhead_s + pending_swap_s_);
+  pending_swap_s_ = 0.0;
+  if (config_.speed_factor != 1.0) {
+    iter /= config_.speed_factor;  // slow-node fault: everything stretches
+  }
+  if (recorder_.enabled()) {
+    TraceEvent round;
+    round.type = TraceEventType::kBatchRound;
+    round.ts_s = now;
+    round.dur_s = iter;
+    round.aux = static_cast<int>(running_.size());
+    recorder_.Emit(round);
+  }
+  return iter;
+}
+
+void ServeLoop::Complete(const PendingReq& s, double now) {
+  // Latency/SLO clocks run from the original arrival for re-enqueued
+  // (crash-rerouted) requests; identical to arrival_s on plain traces.
+  const RequestRecord rec = {
+      s.req.id, s.req.model_id, s.req.tenant_id, s.req.slo,
+      s.req.prompt_tokens, s.req.output_tokens, /*arrival_s=*/s.req.SloArrival(),
+      /*sched_attempt_s=*/s.sched_attempt_s < 0 ? s.req.arrival_s : s.sched_attempt_s,
+      s.start_s, s.first_token_s, /*finish_s=*/now, s.preemptions};
+  const int cls = static_cast<int>(rec.slo);
+  completed_count_[cls]->Inc();
+  e2e_hist_[cls]->Record(rec.E2eLatency());
+  ttft_hist_[cls]->Record(rec.Ttft());
+  queue_hist_->Record(rec.QueueingTime());
+  load_hist_->Record(rec.LoadingTime());
+  tokens_out_->Inc(static_cast<double>(rec.output_tokens));
+  tokens_prompt_->Inc(static_cast<double>(rec.prompt_tokens));
+  report_.records.push_back(rec);
+  report_.makespan_s = std::max(report_.makespan_s, now);
+  Emit(TraceEventType::kRequestDone, now, s.req);
+}
+
+ServeReport ServeLoop::Run(const char* engine_name) {
+  report_.engine_name = engine_name;
+  const size_t offered = trace_.requests.size();
+  // Requests with a terminal outcome, or parked on one.
+  const auto retired = [&] {
+    return report_.records.size() + shed_total_ + parked_.size();
+  };
+  double now = config_.start_s;
+  double next_snapshot_s = config_.start_s + config_.metrics.interval_s;
+  while (retired() < offered) {
+    // Hard halt (elastic epoch boundary / crash), checked only here: the
+    // iteration in flight when the clock crossed halt_s has already landed.
+    if (now >= config_.halt_s) {
+      break;
+    }
+    // In-run timeline: pure reads, so any interval stays bit-identical.
+    while (config_.metrics.interval_s > 0.0 && now >= next_snapshot_s) {
+      report_.timeline.push_back(registry_.Snapshot(next_snapshot_s));
+      next_snapshot_s += config_.metrics.interval_s;
+    }
+    rounds_count_->Inc();
+    Ingest(now);
+    Shed(now);
+    if (retired() == offered) {
+      break;  // nothing left: the idle fast-forward would have no event
+    }
+
+    const Admission admission = policy_.Admit(*this, now);
+    // Lookahead prefetch (§8): warm the next W distinct waiting variants while
+    // the batch computes; the batch's own variants are never evicted for it.
+    RunPrefetchPass(store_, prefetch_, now, queue_, admission.active, warm_hints_);
+    if (admission.stall_until_s > now) {
+      now = admission.stall_until_s;
+      continue;
+    }
+    if (running_.empty()) {
+      if (retired() == offered) {
+        break;  // admission parked the last outstanding requests
+      }
+      // Idle: jump to the next arrival or load completion.
+      double next_t = store_.NextLoadReady(now);
+      if (next_arrival_ < offered) {
+        next_t = std::min(next_t, trace_.requests[next_arrival_].arrival_s);
+      }
+      DZ_CHECK(next_t < kInf);
+      now = std::max(now, next_t);
+      continue;
+    }
+
+    now += Iterate(now);
+    for (RunningReq& r : running_) {
+      if (r.prefilling) {
+        r.prefilling = false;
+        r.prefilled = true;
+        r.state.decoded = 1;  // prefill emits the first output token
+        if (!r.state.has_first_token) {
+          r.state.has_first_token = true;
+          r.state.first_token_s = now;
+          Emit(TraceEventType::kRequestFirstToken, now, r.state.req);
+        }
+      } else if (r.prefilled) {
+        r.state.decoded += 1;
+      }
+    }
+    finished_parents_.clear();
+    size_t kept = 0;
+    for (RunningReq& r : running_) {
+      if (r.prefilled && r.state.decoded >= r.state.req.output_tokens) {
+        Complete(r.state, now);
+        if (!r.is_skipper) {
+          finished_parents_.push_back(r.state.req.id);
+        }
+      } else {
+        running_[kept++] = std::move(r);
+      }
+    }
+    running_.resize(kept);
+    policy_.AfterIteration(*this, now, finished_parents_);
+  }
+  return Finish();
+}
+
+ServeReport ServeLoop::Finish() {
+  // Requests the halt cut off: queued, running (the elastic layer re-serves
+  // them from scratch) and never arrived. All are empty on a natural run.
+  for (const PendingReq& p : queue_) {
+    report_.unfinished.push_back(p.req);
+  }
+  for (const RunningReq& r : running_) {
+    report_.unfinished.push_back(r.state.req);
+  }
+  for (size_t i = next_arrival_; i < trace_.requests.size(); ++i) {
+    report_.unfinished.push_back(trace_.requests[i]);
+  }
+  // Parked requests carry to the next epoch of a halted run (holders may
+  // recover or be repaired); a natural run declares them unavailable.
+  std::vector<TraceRequest>& parked_to =
+      config_.halt_s < kInf ? report_.unfinished : report_.unavailable;
+  parked_to.insert(parked_to.end(), parked_.begin(), parked_.end());
+  // The conservation ledger: every offered request ends in exactly one bucket.
+  DZ_CHECK_EQ(report_.records.size() + shed_total_ + report_.unavailable.size() +
+                  report_.unfinished.size(),
+              trace_.requests.size());
+
+  if (config_.registry != nullptr) {
+    report_.cached_artifacts = store_.LocallyCached();
+  }
+  report_.n_tenants = std::max(1, trace_.n_tenants);
+  report_.slo_spec = config_.scheduler.slo;
+  report_.metrics = registry_.Snapshot(report_.makespan_s);
+  if (recorder_.enabled()) {
+    report_.trace_events = recorder_.Drain();
+    report_.trace_events_dropped = recorder_.dropped();
+    report_.path_by_class = BuildClassAttribution(ComputeCriticalPaths(report_));
+  }
+  return std::move(report_);
+}
+
+}  // namespace dz

@@ -1,0 +1,177 @@
+// The one serving loop both engines run (paper §5 vs. the §6.1 vLLM+SCB
+// baseline). It owns everything they share: the per-run registry, recorder and
+// ArtifactStore, ingest, shedding, the halt check, parking, dispatch, prefetch,
+// the idle fast-forward, progress, records, and the report tail, which checks
+// records + shed + unavailable + unfinished == offered on every run. Each
+// engine plugs in a ServePolicy: set-up plus admit, iteration-cost and
+// post-iteration-preemption hooks.
+#ifndef SRC_SERVING_SERVE_LOOP_H_
+#define SRC_SERVING_SERVE_LOOP_H_
+
+#include <deque>
+#include <limits>
+#include <set>
+#include <vector>
+
+#include "src/metrics/metrics.h"
+#include "src/obs/trace_recorder.h"
+#include "src/serving/artifact_store.h"
+#include "src/serving/engine.h"
+#include "src/serving/scheduler.h"
+
+namespace dz {
+
+// A waiting request. Progress survives preemption: a re-queued request keeps
+// its decoded tokens, first-token time, admission time and fair tag.
+struct PendingReq {
+  TraceRequest req;
+  double sched_attempt_s = -1.0;  // first time the scheduler considered it
+  double fair_tag = -1.0;         // DWFQ virtual finish tag
+  double min_service_s = -1.0;    // cached optimistic service estimate (admission)
+  int decoded = 0;                // > 0 for resumed (preempted) requests
+  bool has_first_token = false;
+  double first_token_s = 0.0;
+  double start_s = -1.0;
+  int preemptions = 0;
+};
+
+struct RunningReq {
+  PendingReq state;
+  bool prefilled = false;   // resumed requests skip prefill (KV restored instead)
+  bool prefilling = false;  // prefills in the iteration being simulated
+  bool needs_kv_restore = false;
+  bool is_skipper = false;  // admitted behind a running request of its variant
+  int parent_id = -1;       // request id of the skipper's parent (for preemption)
+};
+
+// What one admission pass hands back to the loop.
+struct Admission {
+  // Variants the batch owns this round (running, loading for it, just
+  // admitted): never prefetch targets, never evicted by a prefetch.
+  std::set<int> active;
+  // The worker generates nothing until then (a synchronous transfer).
+  double stall_until_s = -std::numeric_limits<double>::infinity();
+};
+
+class ServeLoop;
+
+// One engine's policy; a fresh instance serves each run.
+class ServePolicy {
+ public:
+  virtual ~ServePolicy() = default;
+  // Set-up, before the store exists: its geometry (and the policy's KV pool).
+  virtual ArtifactStoreConfig StoreConfig() = 0;
+  // Set-up, once the store exists: the prefetch settings the run uses.
+  virtual PrefetchConfig Setup(const ArtifactStore& store) = 0;
+  // Only a policy that can preempt gets an `engine.preemptions` counter.
+  virtual bool CanPreempt() const { return false; }
+  // Variant-path prefill seconds on top of the base model's.
+  virtual double ArtifactPrefillS(long long /*tokens*/) const { return 0.0; }
+  // Admit: moves queued requests into the batch via ServeLoop::Dispatch.
+  virtual Admission Admit(ServeLoop& loop, double now) = 0;
+  // Iteration cost: adds the iteration's compute to `iter_s` (overhead plus
+  // pending KV swaps) in the engine's own summation order. The requests
+  // marked `prefilling` hold `prefill_tokens` prompt tokens between them.
+  virtual double IterationCost(const ServeLoop& loop, long long prefill_tokens,
+                               double iter_s) = 0;
+  // Post-iteration preemption, given the ids of finished non-skippers.
+  virtual void AfterIteration(ServeLoop& /*loop*/, double /*now*/,
+                              const std::vector<int>& /*finished_parents*/) {}
+};
+
+class ServeLoop {
+ public:
+  using QueueIt = std::deque<PendingReq>::iterator;
+  using RunIt = std::vector<RunningReq>::iterator;
+
+  ServeLoop(const EngineConfig& config, const ExecModel& exec, const Trace& trace,
+            ServePolicy& policy);
+  // Serves the trace (up to config.halt_s). Call once.
+  ServeReport Run(const char* engine_name);
+
+  // ---- what policies read and do ----
+  const Trace& trace() const { return trace_; }
+  ArtifactStore& store() { return store_; }
+  std::deque<PendingReq>& queue() { return queue_; }
+  std::vector<RunningReq>& running() { return running_; }
+  const std::vector<RunningReq>& running() const { return running_; }
+  // KV tokens the running batch reserves (prompt + full output per request).
+  long long KvTokensInUse() const;
+  // Admits *it (Touch, dispatch event, DWFQ OnAdmit) to the back of the
+  // running batch; returns the next queue position.
+  QueueIt Dispatch(QueueIt it, double now);
+  // Parks *it on a typed-unavailable artifact: registry liveness is constant
+  // within a run, so retrying would spin. Parked requests end `unavailable` on
+  // a natural run and `unfinished` on a halted one.
+  QueueIt Park(QueueIt it);
+  // Re-queues *it with its progress banked; `swap_out` charges the KV swap to
+  // host to the next iteration. Returns the next running position.
+  RunIt Preempt(RunIt it, double now, bool swap_out);
+
+ private:
+  void Emit(TraceEventType type, double ts, const TraceRequest& req,
+            double dur = 0.0, int aux = 0);
+  void Enqueue(PendingReq p);
+  void Ingest(double now);
+  double MinServiceS(PendingReq& p) const;
+  void Shed(double now);
+  double Iterate(double now);  // returns the iteration's duration
+  void Complete(const PendingReq& s, double now);
+  ServeReport Finish();
+
+  const EngineConfig& config_;
+  const ExecModel& exec_;
+  const Trace& trace_;
+  ServePolicy& policy_;
+  ServeReport report_;
+  MetricsRegistry registry_;
+  // Recorder before store: the store emits per-channel transfer spans into it.
+  // Pure observation — nothing emitted feeds back into scheduling.
+  TraceRecorder recorder_;
+  ArtifactStore store_;
+  PrefetchConfig prefetch_;
+  std::deque<int> warm_hints_;
+  FairQueue fair_queue_;
+
+  Counter* shed_count_[kNumSloClasses];
+  Counter* completed_count_[kNumSloClasses];
+  LogHistogram* e2e_hist_[kNumSloClasses];
+  LogHistogram* ttft_hist_[kNumSloClasses];
+  LogHistogram* queue_hist_;
+  LogHistogram* load_hist_;
+  Counter* tokens_out_;
+  Counter* tokens_prompt_;
+  Counter* rounds_count_;
+  Counter* preempt_count_ = nullptr;
+
+  std::deque<PendingReq> queue_;
+  bool queue_unsorted_ = false;  // an append landed behind a later arrival
+  std::vector<RunningReq> running_;
+  std::vector<TraceRequest> parked_;
+  std::vector<int> finished_parents_;
+  size_t next_arrival_ = 0;
+  size_t shed_total_ = 0;
+  double pending_swap_s_ = 0.0;  // KV swap work charged to the next iteration
+};
+
+// A ServingEngine that serves each trace with a fresh `Policy` on the loop.
+template <typename Policy>
+class LoopEngine final : public ServingEngine {
+ public:
+  LoopEngine(const EngineConfig& config, const char* name)
+      : config_(config), exec_(config.exec), name_(name) {}
+  const char* name() const override { return name_; }
+  ServeReport Serve(const Trace& trace) override {
+    Policy policy(config_, exec_);
+    return ServeLoop(config_, exec_, trace, policy).Run(name_);
+  }
+
+ private:
+  EngineConfig config_;
+  ExecModel exec_;
+  const char* name_;
+};
+
+}  // namespace dz
+
+#endif  // SRC_SERVING_SERVE_LOOP_H_

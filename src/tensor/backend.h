@@ -1,8 +1,8 @@
 // Runtime-dispatched SIMD kernel backends (ISSUE 10).
 //
-// The kernel layer compiles one translation unit per ISA (scalar always;
-// AVX2/AVX-512 on x86-64, NEON on arm) with that ISA's -m flags, each
-// instantiating the same blocked drivers from kernels_generic.h around its own
+// The kernel layer compiles one translation unit per ISA (scalar always, the
+// portable path on every target; AVX2/AVX-512 on x86-64) with that ISA's -m
+// flags, each instantiating the same blocked drivers from kernels_generic.h around its own
 // vector micro-kernels. At first use the dispatcher probes the CPU
 // (__builtin_cpu_supports on x86) and selects the widest compiled-and-supported
 // backend; every public kernel entry point in kernels.h then forwards through
@@ -11,7 +11,7 @@
 // Selection order (first hit wins):
 //   1. ForceBackend(name)       — programmatic, used by tests/benches/CLI --isa
 //   2. DZ_ISA=<name> env var    — unknown/unsupported values warn and fall through
-//   3. CPU probe, widest first  — avx512 > avx2 > neon > scalar
+//   3. CPU probe, widest first  — avx512 > avx2 > scalar
 //
 // Bit-identity contract: every backend's micro-kernels vectorize ONLY across
 // independent output elements (one accumulator chain per output column); each
@@ -46,7 +46,7 @@ inline constexpr int kBackendAbiVersion = 1;
 // Backend&` from ActiveBackend() and never copy or mutate.
 struct Backend {
   int abi_version;
-  const char* name;  // dispatch key: "scalar" | "avx2" | "avx512" | "neon"
+  const char* name;  // dispatch key: "scalar" | "avx2" | "avx512"
   const char* isa;   // human-readable ISA description for report headers
   int vector_width;  // fp32 lanes per vector register (1 for scalar)
 

@@ -1,5 +1,5 @@
 // Naive reference kernels. The blocked/vectorized implementations moved to
-// per-ISA translation units (kernels_scalar/avx2/avx512/neon.cc, all built
+// per-ISA translation units (kernels_scalar/avx2/avx512.cc, all built
 // from kernels_generic.h) behind the runtime dispatcher in
 // kernels_dispatch.cc; the public free functions in kernels.h are inline
 // forwarders through kernels::ActiveBackend().

@@ -3,7 +3,7 @@
 //
 // Every dense, packed-quant, and 2:4-sparse matmul in the library routes
 // through here. Since ISSUE 10 the actual implementations live in per-ISA
-// translation units (kernels_scalar/avx2/avx512/neon.cc), all instantiating
+// translation units (kernels_scalar/avx2/avx512.cc), all instantiating
 // the same cache-blocked drivers from kernels_generic.h; the free functions
 // below just forward through kernels::ActiveBackend(), so call sites never
 // changed and never name an ISA.

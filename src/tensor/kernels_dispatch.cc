@@ -1,7 +1,7 @@
 // Backend registry + runtime selection (see backend.h for the contract).
 //
 // Which Get*Backend() factories exist is decided at configure time: CMake
-// defines DZ_KERNELS_HAVE_AVX2/AVX512/NEON only when the toolchain can build
+// defines DZ_KERNELS_HAVE_AVX2/AVX512 only when the toolchain can build
 // the matching TU for the target architecture. Whether a compiled backend is
 // *entered* is decided here at runtime via CPU probes, so a binary carrying
 // AVX-512 code still runs (on the next-widest backend) on a CPU without it.
@@ -22,9 +22,6 @@ const Backend* GetAvx2Backend();
 #endif
 #if defined(DZ_KERNELS_HAVE_AVX512)
 const Backend* GetAvx512Backend();
-#endif
-#if defined(DZ_KERNELS_HAVE_NEON)
-const Backend* GetNeonBackend();
 #endif
 
 namespace {
@@ -54,11 +51,6 @@ const std::vector<Entry>& Registry() {
 #endif
 #if defined(DZ_KERNELS_HAVE_AVX2)
     e.push_back({"avx2", &GetAvx2Backend, CpuSupports("avx2")});
-#endif
-#if defined(DZ_KERNELS_HAVE_NEON)
-    // NEON is architecturally baseline on aarch64; the TU is only compiled
-    // when the target has it, so no runtime probe is needed.
-    e.push_back({"neon", &GetNeonBackend, true});
 #endif
     e.push_back({"scalar", &GetScalarBackend, true});
     return e;

@@ -1,7 +1,7 @@
 // Shared blocked-kernel drivers for the per-ISA backend translation units.
 //
 // This header is included ONLY by kernels_scalar.cc / kernels_avx2.cc /
-// kernels_avx512.cc / kernels_neon.cc. Everything lives in an anonymous
+// kernels_avx512.cc. Everything lives in an anonymous
 // namespace on purpose: each backend TU gets its own internal-linkage copy of
 // the drivers, compiled under that TU's -m flags, so no symbol can collide
 // across TUs and no ISA instruction can leak into another backend through a
@@ -58,7 +58,7 @@ constexpr size_t kParallelFlopThreshold = 1u << 22;
 constexpr size_t kTaskFlopTarget = 1u << 21;
 
 // Micro-kernel register blocking: MR output rows x NR output columns. NR=16 is
-// two AVX2 vectors, one AVX-512 vector, four NEON vectors — every backend
+// two AVX2 vectors or one AVX-512 vector — every backend
 // tiles the same 4x16 block, so panel packing is identical across ISAs.
 constexpr size_t kMicroRows = 4;
 constexpr size_t kMicroCols = 16;

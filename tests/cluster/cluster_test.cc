@@ -61,8 +61,8 @@ TEST_P(SingleGpuParityTest, MatchesDirectEngineRunBitIdentically) {
 
   EXPECT_EQ(report.merged.engine_name, direct.engine_name);
   EXPECT_DOUBLE_EQ(report.makespan_s(), direct.makespan_s);
-  EXPECT_EQ(report.TotalLoads(), direct.total_loads);
-  EXPECT_EQ(report.TotalDiskLoads(), direct.disk_loads);
+  EXPECT_EQ(report.TotalLoads(), direct.TotalLoads());
+  EXPECT_EQ(report.TotalDiskLoads(), direct.DiskLoads());
   ExpectRecordsIdentical(report.merged.records, direct.records);
   EXPECT_DOUBLE_EQ(report.LoadImbalance(), 1.0);
   EXPECT_DOUBLE_EQ(report.MeanUtilization(), 1.0);
@@ -128,7 +128,8 @@ TEST(ClusterTest, DeltaAffinityShrinksPerGpuModelSets) {
     PlacerConfig pc;
     pc.n_gpus = 4;
     pc.policy = policy;
-    const std::vector<Trace> shards = Router(pc).Split(trace);
+    const std::vector<Trace> shards =
+        SplitTrace(trace, Router(pc).Assign(trace), pc.n_gpus);
     size_t total_distinct = 0;
     for (const Trace& shard : shards) {
       std::set<int> models;
@@ -162,10 +163,10 @@ TEST(ClusterPrefetchTest, SingleGpuParityHoldsWithPrefetchEnabled) {
   const ServeReport direct = MakeDeltaZipEngine(direct_cfg)->Serve(trace);
 
   EXPECT_DOUBLE_EQ(report.makespan_s(), direct.makespan_s);
-  EXPECT_EQ(report.TotalLoads(), direct.total_loads);
-  EXPECT_EQ(report.TotalPrefetchIssued(), direct.prefetch_issued);
-  EXPECT_EQ(report.TotalPrefetchHits(), direct.prefetch_hits);
-  EXPECT_DOUBLE_EQ(report.TotalStallHiddenS(), direct.stall_hidden_s);
+  EXPECT_EQ(report.TotalLoads(), direct.TotalLoads());
+  EXPECT_EQ(report.TotalPrefetchIssued(), direct.PrefetchIssued());
+  EXPECT_EQ(report.TotalPrefetchHits(), direct.PrefetchHits());
+  EXPECT_DOUBLE_EQ(report.TotalStallHiddenS(), direct.StallHiddenS());
   ExpectRecordsIdentical(report.merged.records, direct.records);
 }
 
@@ -221,7 +222,7 @@ TEST(ClusterPrefetchTest, ShardWarmHintsCoverEachWorkersVariants) {
   pc.policy = PlacementPolicy::kRoundRobin;
   const Router router(pc);
   const std::vector<std::vector<int>> hints = router.WarmHints(trace);
-  const std::vector<Trace> shards = router.Split(trace);
+  const std::vector<Trace> shards = SplitTrace(trace, router.Assign(trace), pc.n_gpus);
   ASSERT_EQ(hints.size(), shards.size());
   for (size_t g = 0; g < shards.size(); ++g) {
     std::set<int> shard_models;

@@ -2,7 +2,7 @@
 // kv.preempt must pair with a later resume dispatch (or nothing after it only
 // if the chain ends at the request's completion), every shed request must emit
 // exactly one admission.shed carrying its SLO class, and the per-class shed
-// event counts must equal the report's shed_by_class registry counters.
+// event counts must equal the report's sched.shed registry counters.
 #include <algorithm>
 #include <array>
 #include <map>
@@ -163,7 +163,7 @@ TEST(PreemptTraceTest, ShedRequestsEmitOneShedEventWithCorrectClass) {
   EXPECT_EQ(shed_event_total, static_cast<long long>(r.TotalShed()));
   for (int c = 0; c < kNumSloClasses; ++c) {
     EXPECT_EQ(shed_events_by_class[static_cast<size_t>(c)],
-              r.shed_by_class[static_cast<size_t>(c)])
+              r.ShedCount(static_cast<SloClass>(c)))
         << "class " << c;
   }
 }
@@ -193,7 +193,7 @@ TEST(PreemptTraceTest, VllmShedEventsMatchRegistryToo) {
   EXPECT_EQ(shed_events, r.TotalShed());
   for (int c = 0; c < kNumSloClasses; ++c) {
     EXPECT_EQ(shed_events_by_class[static_cast<size_t>(c)],
-              r.shed_by_class[static_cast<size_t>(c)]);
+              r.ShedCount(static_cast<SloClass>(c)));
   }
 }
 

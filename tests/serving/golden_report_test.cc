@@ -56,10 +56,10 @@ GoldenSums SumsOf(const ServeReport& r) {
 }
 
 void ExpectNoPrefetchActivity(const ServeReport& r) {
-  EXPECT_EQ(r.prefetch_issued, 0);
-  EXPECT_EQ(r.prefetch_hits, 0);
-  EXPECT_EQ(r.prefetch_wasted, 0);
-  EXPECT_DOUBLE_EQ(r.stall_hidden_s, 0.0);
+  EXPECT_EQ(r.PrefetchIssued(), 0);
+  EXPECT_EQ(r.PrefetchHits(), 0);
+  EXPECT_EQ(r.PrefetchWasted(), 0);
+  EXPECT_DOUBLE_EQ(r.StallHiddenS(), 0.0);
 }
 
 // ISSUE 5 extension: with SchedulerConfig defaults (single tenant, FCFS,
@@ -77,15 +77,15 @@ void ExpectSnapshotBacksReport(const ServeReport& r) {
   const MetricsSnapshot& m = r.metrics;
   ASSERT_FALSE(m.points.empty());
   EXPECT_EQ(m.sim_time_s, r.makespan_s);
-  EXPECT_EQ(m.Value("store.loads.total"), static_cast<double>(r.total_loads));
-  EXPECT_EQ(m.Value("store.loads.disk"), static_cast<double>(r.disk_loads));
+  EXPECT_EQ(m.Value("store.loads.total"), static_cast<double>(r.TotalLoads()));
+  EXPECT_EQ(m.Value("store.loads.disk"), static_cast<double>(r.DiskLoads()));
   EXPECT_EQ(m.Value("store.prefetch.issued"),
-            static_cast<double>(r.prefetch_issued));
-  EXPECT_EQ(m.Value("store.prefetch.stall_hidden_s"), r.stall_hidden_s);
+            static_cast<double>(r.PrefetchIssued()));
+  EXPECT_EQ(m.Value("store.prefetch.stall_hidden_s"), r.StallHiddenS());
   EXPECT_EQ(m.Value("store.channel.busy_s", {{"channel", "disk"}}),
-            r.disk_busy_s);
+            r.DiskBusyS());
   EXPECT_EQ(m.Value("store.channel.busy_s", {{"channel", "pcie"}}),
-            r.pcie_busy_s);
+            r.PcieBusyS());
   double completed = 0.0;
   long long e2e_samples = 0;
   for (int c = 0; c < kNumSloClasses; ++c) {
@@ -93,7 +93,7 @@ void ExpectSnapshotBacksReport(const ServeReport& r) {
         {"class", SloClassName(static_cast<SloClass>(c))}};
     completed += m.Value("engine.requests.completed", by_class);
     EXPECT_EQ(m.Value("sched.shed", by_class),
-              static_cast<double>(r.shed_by_class[static_cast<size_t>(c)]));
+              static_cast<double>(r.ShedCount(static_cast<SloClass>(c))));
     const LogHistogram* h = m.Hist("latency.e2e_s", by_class);
     ASSERT_NE(h, nullptr);
     e2e_samples += h->count();
@@ -151,8 +151,8 @@ TEST(GoldenReportTest, DeltaZipTracingOnStaysGoldenAndSumsExactly) {
   EXPECT_DOUBLE_EQ(s.sum_start, 4434.3527165309852);
   EXPECT_DOUBLE_EQ(s.sum_first, 4435.5281193914107);
   EXPECT_DOUBLE_EQ(s.sum_finish, 4487.3900915944778);
-  EXPECT_EQ(r.total_loads, 10);
-  EXPECT_EQ(r.disk_loads, 10);
+  EXPECT_EQ(r.TotalLoads(), 10);
+  EXPECT_EQ(r.DiskLoads(), 10);
   ExpectSnapshotBacksReport(r);
   ExpectExactAttribution(r);
 }
@@ -248,8 +248,8 @@ TEST(GoldenReportTest, DeltaZipEngineMatchesPrePrefetchBehavior) {
   EXPECT_DOUBLE_EQ(s.sum_start, 4434.3527165309852);
   EXPECT_DOUBLE_EQ(s.sum_first, 4435.5281193914107);
   EXPECT_DOUBLE_EQ(s.sum_finish, 4487.3900915944778);
-  EXPECT_EQ(r.total_loads, 10);
-  EXPECT_EQ(r.disk_loads, 10);
+  EXPECT_EQ(r.TotalLoads(), 10);
+  EXPECT_EQ(r.DiskLoads(), 10);
   ExpectNoPrefetchActivity(r);
   ExpectNoTenantActivity(r);
   ExpectSnapshotBacksReport(r);
@@ -320,8 +320,8 @@ TEST(GoldenReportTest, VllmScbEngineMatchesPrePrefetchBehavior) {
   EXPECT_DOUBLE_EQ(s.sum_start, 17801.296086912476);
   EXPECT_DOUBLE_EQ(s.sum_first, 20102.295867942015);
   EXPECT_DOUBLE_EQ(s.sum_finish, 26333.080092819353);
-  EXPECT_EQ(r.total_loads, 10);
-  EXPECT_EQ(r.disk_loads, 10);
+  EXPECT_EQ(r.TotalLoads(), 10);
+  EXPECT_EQ(r.DiskLoads(), 10);
   ExpectNoPrefetchActivity(r);
   ExpectNoTenantActivity(r);
   ExpectSnapshotBacksReport(r);

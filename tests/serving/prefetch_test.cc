@@ -151,7 +151,7 @@ TEST(EnginePrefetchTest, DisabledPrefetchIgnoresAllOtherKnobs) {
     EXPECT_DOUBLE_EQ(a.records[i].finish_s, b.records[i].finish_s) << i;
     EXPECT_DOUBLE_EQ(a.records[i].start_s, b.records[i].start_s) << i;
   }
-  EXPECT_EQ(b.prefetch_issued, 0);
+  EXPECT_EQ(b.PrefetchIssued(), 0);
 }
 
 TEST(EnginePrefetchTest, WarmHintsCutColdStartStallsWithoutSloRegression) {
@@ -163,8 +163,8 @@ TEST(EnginePrefetchTest, WarmHintsCutColdStartStallsWithoutSloRegression) {
   const ServeReport r_off = MakeDeltaZipEngine(off)->Serve(trace);
   const ServeReport r_on = MakeDeltaZipEngine(on)->Serve(trace);
   EXPECT_LT(r_on.TotalLoadingTime(), r_off.TotalLoadingTime());
-  EXPECT_GT(r_on.prefetch_hits, 0);
-  EXPECT_GT(r_on.stall_hidden_s, 0.0);
+  EXPECT_GT(r_on.PrefetchHits(), 0);
+  EXPECT_GT(r_on.StallHiddenS(), 0.0);
   for (double slo : {1.0, 5.0, 30.0, 120.0}) {
     EXPECT_GE(r_on.SloAttainmentE2e(slo), r_off.SloAttainmentE2e(slo)) << slo;
   }
@@ -179,11 +179,11 @@ TEST(EnginePrefetchTest, LookaheadHelpsUnderVariantContention) {
   const ServeReport r_off = MakeDeltaZipEngine(off)->Serve(trace);
   const ServeReport r_on = MakeDeltaZipEngine(on)->Serve(trace);
   EXPECT_LT(r_on.TotalLoadingTime(), r_off.TotalLoadingTime());
-  EXPECT_GT(r_on.prefetch_hits, 0);
+  EXPECT_GT(r_on.PrefetchHits(), 0);
   EXPECT_LE(r_on.MeanTtft(), r_off.MeanTtft());
   EXPECT_GE(r_on.SloAttainmentTtft(30.0), r_off.SloAttainmentTtft(30.0));
   // The speculation is near-free: wasted prefetches stay rare.
-  EXPECT_LT(r_on.prefetch_wasted, r_on.prefetch_hits / 4 + 5);
+  EXPECT_LT(r_on.PrefetchWasted(), r_on.PrefetchHits() / 4 + 5);
 }
 
 TEST(EnginePrefetchTest, MemoryClampedBudgetKeepsDemandSlots) {
@@ -200,11 +200,11 @@ TEST(EnginePrefetchTest, MemoryClampedBudgetKeepsDemandSlots) {
   on.prefetch.enabled = true;
   const ServeReport r_off = MakeDeltaZipEngine(off)->Serve(trace);
   const ServeReport r_on = MakeDeltaZipEngine(on)->Serve(trace);
-  EXPECT_EQ(r_on.prefetch_issued, 0);
+  EXPECT_EQ(r_on.PrefetchIssued(), 0);
   EXPECT_DOUBLE_EQ(r_on.makespan_s, r_off.makespan_s);
   EXPECT_DOUBLE_EQ(r_on.MeanE2e(), r_off.MeanE2e());
   EXPECT_DOUBLE_EQ(r_on.TotalLoadingTime(), r_off.TotalLoadingTime());
-  EXPECT_EQ(r_on.total_loads, r_off.total_loads);
+  EXPECT_EQ(r_on.TotalLoads(), r_off.TotalLoads());
 }
 
 TEST(EnginePrefetchTest, PrefetchRunsAreDeterministic) {
@@ -218,8 +218,8 @@ TEST(EnginePrefetchTest, PrefetchRunsAreDeterministic) {
   for (size_t i = 0; i < a.records.size(); ++i) {
     EXPECT_DOUBLE_EQ(a.records[i].finish_s, b.records[i].finish_s) << i;
   }
-  EXPECT_EQ(a.prefetch_hits, b.prefetch_hits);
-  EXPECT_DOUBLE_EQ(a.stall_hidden_s, b.stall_hidden_s);
+  EXPECT_EQ(a.PrefetchHits(), b.PrefetchHits());
+  EXPECT_DOUBLE_EQ(a.StallHiddenS(), b.StallHiddenS());
 }
 
 TEST(EnginePrefetchTest, VllmBaselinePrefetchOverlapsSwaps) {
@@ -235,7 +235,7 @@ TEST(EnginePrefetchTest, VllmBaselinePrefetchOverlapsSwaps) {
   const ServeReport r_off = MakeVllmScbEngine(off)->Serve(trace);
   const ServeReport r_on = MakeVllmScbEngine(on)->Serve(trace);
   ASSERT_EQ(r_on.records.size(), trace.requests.size());
-  EXPECT_GT(r_on.prefetch_hits, 0);
+  EXPECT_GT(r_on.PrefetchHits(), 0);
   EXPECT_LT(r_on.MeanE2e(), r_off.MeanE2e());
   EXPECT_LT(r_on.MeanTtft(), r_off.MeanTtft());
 }

@@ -127,12 +127,13 @@ TEST(ServeReportTenantTest, ClassAttainmentUsesClassDeadlines) {
 TEST(ServeReportTenantTest, ShedRequestsCountAsMisses) {
   ServeReport report;
   report.records.push_back(TenantRecord(0, SloClass::kInteractive, 0.0, 1.0, 2.0, 10));
-  report.shed_by_class[static_cast<int>(SloClass::kInteractive)] = 3;
+  report.metrics.SetValue("sched.shed", MetricKind::kCounter, 3,
+                          {{"class", "interactive"}});
   EXPECT_EQ(report.TotalShed(), 3);
   // 1 met out of (1 completed + 3 shed).
   EXPECT_DOUBLE_EQ(report.ClassAttainment(SloClass::kInteractive), 0.25);
   // A class that only shed (nothing completed) attains exactly 0, not NaN.
-  report.shed_by_class[static_cast<int>(SloClass::kBatch)] = 2;
+  report.metrics.SetValue("sched.shed", MetricKind::kCounter, 2, {{"class", "batch"}});
   EXPECT_DOUBLE_EQ(report.ClassAttainment(SloClass::kBatch), 0.0);
 }
 

@@ -4,7 +4,7 @@
 // decoder must invert streams exactly like the per-bit tree decoder.
 //
 // Since ISSUE 10 the whole suite is value-parameterized over every kernel
-// backend compiled into the binary (scalar always; AVX2/AVX-512/NEON when the
+// backend compiled into the binary (scalar always; AVX2/AVX-512 when the
 // target supports them), forced via kernels::ForceBackend. A backend the
 // running CPU cannot execute is skipped, not failed — the binary may carry
 // AVX-512 code onto an AVX2-only machine by design.

@@ -3,16 +3,18 @@
 # job): malformed --metrics-interval / --trace-out values must fail fast with a
 # usage error instead of silently running a misconfigured simulation, and a
 # good --trace-out run must produce a Chrome trace JSON that passes
-# tools/check_trace.sh.
-# Usage: tools/check_cli.sh path/to/dzip_cli [repo-root]
+# tools/check_trace.sh. Given a bench_soak binary too, it checks that bad
+# window counts exit 2 with a message instead of running.
+# Usage: tools/check_cli.sh path/to/dzip_cli [repo-root] [path/to/bench_soak]
 set -u
 
 if [ $# -lt 1 ] || [ ! -x "$1" ]; then
-  echo "usage: tools/check_cli.sh path/to/dzip_cli [repo-root]" >&2
+  echo "usage: tools/check_cli.sh path/to/dzip_cli [repo-root] [path/to/bench_soak]" >&2
   exit 1
 fi
 cli="$1"
 root="${2:-$(cd "$(dirname "$0")/.." && pwd)}"
+soak="${3:-}"
 
 tmp="$(mktemp -d)"
 trap 'rm -rf "$tmp"' EXIT
@@ -119,6 +121,34 @@ if ! "$cli" cluster --trace "$tmp/t.jsonl" --gpus 2 --trace-out "$tmp/clu.json" 
   fail=1
 else
   "$root/tools/check_trace.sh" "$tmp/clu.json" || fail=1
+fi
+
+# bench_soak window sizing: each bad value must exit 2 naming the flag. The
+# other flag is kept tiny so a regression cannot start a long soak.
+expect_soak_reject() {
+  local flag="$1"
+  shift
+  "$soak" "$@" >"$tmp/out" 2>"$tmp/err"
+  local code=$?
+  if [ "$code" -ne 2 ]; then
+    echo "FAIL: bench_soak $* — expected exit 2, got $code"
+    fail=1
+  elif ! grep -q -- "$flag" "$tmp/err"; then
+    echo "FAIL: bench_soak $* — stderr does not mention $flag:"
+    cat "$tmp/err"
+    fail=1
+  else
+    echo "ok: bench_soak $* rejected"
+  fi
+}
+
+if [ -n "$soak" ]; then
+  expect_soak_reject "--windows" --windows 0 --requests-per-window 10
+  expect_soak_reject "--windows" --windows abc --requests-per-window 10
+  expect_soak_reject "--windows" --windows -3 --requests-per-window 10
+  expect_soak_reject "--requests-per-window" --windows 1 --requests-per-window 0
+  expect_soak_reject "--requests-per-window" --windows 1 --requests-per-window 5x
+  expect_soak_reject "--windows" --requests-per-window 10 --windows
 fi
 
 if [ "$fail" -ne 0 ]; then

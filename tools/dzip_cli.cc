@@ -59,7 +59,7 @@ const std::vector<SubcommandSpec>& Subcommands() {
        "                     [--lookahead 4] [--sched fcfs|priority|dwfq]\n"
        "                     [--admission 0|1] [--class-preempt 0|1]\n"
        "                     [--metrics-out m.jsonl] [--metrics-interval 10]\n"
-       "                     [--trace-out trace.json] [--isa scalar|avx2|avx512|neon]\n"
+       "                     [--trace-out trace.json] [--isa scalar|avx2|avx512]\n"
        "  Replays the trace against the serving simulator and prints the report.\n"
        "  --isa forces a compiled-in kernel backend instead of the CPU-probed\n"
        "  one (the report header shows which backend ran); unknown or\n"
@@ -95,7 +95,7 @@ const std::vector<SubcommandSpec>& Subcommands() {
        "                    [--faults spec] [--autoscale 0|1]\n"
        "                    [--min-workers 1] [--max-workers 8]\n"
        "                    [--replication N | --erasure k,m] [--net-gbps 25]\n"
-       "                    [--isa scalar|avx2|avx512|neon]\n"
+       "                    [--isa scalar|avx2|avx512]\n"
        "  Routes the trace across a simulated multi-GPU cluster and prints the\n"
        "  merged cluster report plus the per-GPU breakdown. With --prefetch 1 the\n"
        "  router feeds each worker ring-predicted warm hints. tenant-affinity\n"
@@ -469,14 +469,14 @@ int CmdSimulate(const ArgMap& args) {
   table.AddRow({"P90 E2E (s)", Table::Num(Percentile(report.E2es(), 90), 2)});
   table.AddRow({"mean TTFT (s)", Table::Num(report.MeanTtft(), 3)});
   table.AddRow({"P90 TTFT (s)", Table::Num(Percentile(report.Ttfts(), 90), 3)});
-  table.AddRow({"artifact loads (PCIe/disk)", std::to_string(report.total_loads) + "/" +
-                                                  std::to_string(report.disk_loads)});
+  table.AddRow({"artifact loads (PCIe/disk)", std::to_string(report.TotalLoads()) + "/" +
+                                                  std::to_string(report.DiskLoads())});
   if (cfg.prefetch.enabled) {
     table.AddRow({"prefetch issued/hits/wasted",
-                  std::to_string(report.prefetch_issued) + "/" +
-                      std::to_string(report.prefetch_hits) + "/" +
-                      std::to_string(report.prefetch_wasted)});
-    table.AddRow({"stall hidden by prefetch (s)", Table::Num(report.stall_hidden_s, 3)});
+                  std::to_string(report.PrefetchIssued()) + "/" +
+                      std::to_string(report.PrefetchHits()) + "/" +
+                      std::to_string(report.PrefetchWasted())});
+    table.AddRow({"stall hidden by prefetch (s)", Table::Num(report.StallHiddenS(), 3)});
   }
   // Tenant/class rows only for multi-tenant traffic or actual sheds, matching
   // the pre-tenant rendering otherwise (AppendTenantRows gates internally).
