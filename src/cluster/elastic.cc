@@ -276,6 +276,7 @@ struct ElasticRun {
   // is the committed epoch end (re-stamps unrouted requests so the next
   // epoch's placer sees non-decreasing arrivals).
   void Commit(Attempt& a, double boundary_t, bool rewarm_epoch) {
+    const size_t committed_before = committed_finishes.size();
     for (size_t i = 0; i < workers.size(); ++i) {
       WorkerSlot& w = workers[i];
       ServeReport& r = a.reports[i];
@@ -315,7 +316,11 @@ struct ElasticRun {
       }
       w.carry = std::move(a.carry[i]);
     }
-    std::sort(committed_finishes.begin(), committed_finishes.end());
+    // Sort only this epoch's finishes, then merge them into the sorted rest.
+    const auto fresh =
+        committed_finishes.begin() + static_cast<std::ptrdiff_t>(committed_before);
+    std::sort(fresh, committed_finishes.end());
+    std::inplace_merge(committed_finishes.begin(), fresh, committed_finishes.end());
     if (placer != nullptr && a.routable) {
       *placer = std::move(a.placer);
     }
@@ -596,13 +601,13 @@ struct ElasticRun {
     AutoscalerStats s;
     s.t = t;
     s.active_workers = std::max(1, ActiveCount());
-    long long arrived = 0;
-    for (const TraceRequest& r : trace.requests) {
-      if (r.arrival_s > t) {
-        break;  // arrival-sorted
-      }
-      ++arrived;
-    }
+    const auto arrived_after = [](double x, const TraceRequest& r) {
+      return x < r.arrival_s;
+    };
+    const long long arrived = static_cast<long long>(
+        std::upper_bound(trace.requests.begin(), trace.requests.end(), t,
+                         arrived_after) -
+        trace.requests.begin());  // arrival-sorted
     long long finished = static_cast<long long>(
         std::upper_bound(committed_finishes.begin(), committed_finishes.end(),
                          t) -

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <numeric>
 
 #include "src/util/check.h"
 
@@ -93,6 +94,18 @@ ArtifactRegistry::ArtifactRegistry(const RegistryConfig& config, int n_artifacts
   // Placement must fit the initial node set: a fragment has exactly one
   // primary home.
   DZ_CHECK_LE(config_.redundancy.FragmentCount(), n_nodes);
+  // Rendezvous ranks depend only on the seed and the initial node set, so
+  // they are computed once here; every placement query is then a lookup.
+  ranks_.resize(static_cast<size_t>(n_artifacts) * static_cast<size_t>(n_nodes));
+  for (int artifact = 0; artifact < n_artifacts; ++artifact) {
+    const auto first = ranks_.begin() + static_cast<std::ptrdiff_t>(artifact) * n_nodes;
+    std::iota(first, first + n_nodes, 0);
+    std::sort(first, first + n_nodes, [&](int a, int b) {
+      const uint64_t sa = Score(artifact, a);
+      const uint64_t sb = Score(artifact, b);
+      return sa != sb ? sa > sb : a < b;
+    });
+  }
 }
 
 uint64_t ArtifactRegistry::Score(int artifact, int node) const {
@@ -101,22 +114,19 @@ uint64_t ArtifactRegistry::Score(int artifact, int node) const {
 }
 
 std::vector<int> ArtifactRegistry::RankedNodes(int artifact) const {
-  std::vector<int> nodes(static_cast<size_t>(n_nodes_));
-  for (int i = 0; i < n_nodes_; ++i) {
-    nodes[static_cast<size_t>(i)] = i;
-  }
-  std::sort(nodes.begin(), nodes.end(), [&](int a, int b) {
-    const uint64_t sa = Score(artifact, a);
-    const uint64_t sb = Score(artifact, b);
-    return sa != sb ? sa > sb : a < b;
-  });
-  return nodes;
+  DZ_CHECK_GE(artifact, 0);
+  DZ_CHECK_LT(artifact, n_artifacts_);
+  const auto first = ranks_.begin() + static_cast<std::ptrdiff_t>(artifact) * n_nodes_;
+  return std::vector<int>(first, first + n_nodes_);
 }
 
 int ArtifactRegistry::PrimaryHolder(int artifact, int frag) const {
+  DZ_CHECK_GE(artifact, 0);
+  DZ_CHECK_LT(artifact, n_artifacts_);
   DZ_CHECK_GE(frag, 0);
   DZ_CHECK_LT(frag, config_.redundancy.FragmentCount());
-  return RankedNodes(artifact)[static_cast<size_t>(frag)];
+  return ranks_[static_cast<size_t>(artifact) * static_cast<size_t>(n_nodes_) +
+                static_cast<size_t>(frag)];
 }
 
 bool ArtifactRegistry::NodeHoldsFragment(int artifact, int frag, int node) const {

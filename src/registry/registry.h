@@ -18,7 +18,8 @@
 // Liveness and repair-installed extra holders are the only mutable state.
 // Cluster workers run in parallel share-nothing epochs, so the elastic loop
 // mutates the registry ONLY between epochs (fault boundaries / post-commit
-// repair credit); during a Serve() call every view below is const.
+// repair credit); during a Serve() call every view below is const, which is
+// why an ArtifactStore may plan each artifact's fetch once per run.
 //
 // All sizes are bytes; all times simulated seconds. The module depends only on
 // dz_util so every layer (serving, cluster, bench) can link it freely.
@@ -96,10 +97,12 @@ class ArtifactRegistry {
 
   // All initial nodes ranked by rendezvous score for `artifact` (best first).
   // The first FragmentCount() entries are the primary holders; fragment f
-  // lives on rank f.
+  // lives on rank f. The constructor ranks every artifact once (n_artifacts ×
+  // n_nodes ints); this returns a copy of that row.
   std::vector<int> RankedNodes(int artifact) const;
 
-  // Primary holder of fragment `frag` (rank-frag rendezvous node).
+  // Primary holder of fragment `frag` (rank-frag rendezvous node): a lookup in
+  // the precomputed ranks.
   int PrimaryHolder(int artifact, int frag) const;
 
   // True when `node` holds `frag` (primary placement or repair-installed).
@@ -144,6 +147,8 @@ class ArtifactRegistry {
   RegistryConfig config_;
   int n_artifacts_ = 0;
   int n_nodes_ = 0;
+  // Rendezvous ranks: row `artifact` (n_nodes_ entries) is RankedNodes(artifact).
+  std::vector<int> ranks_;
   std::vector<char> down_;  // indexed by node; absent/false = live
   // Repair-installed extra holders: (artifact, frag) -> sorted node list.
   std::map<std::pair<int, int>, std::vector<int>> extras_;

@@ -12,6 +12,7 @@ ArtifactStore::ArtifactStore(const ArtifactStoreConfig& config, int n_artifacts,
     : config_(config), entries_(static_cast<size_t>(n_artifacts)),
       recorder_(recorder) {
   DZ_CHECK_GT(config_.artifact_bytes, 0u);
+  tier_count_[static_cast<int>(Tier::kDisk)] = n_artifacts;
   // Validate + normalize the outage windows once: inverted windows are caller
   // bugs, zero-length windows cover no instant (the window test is
   // start <= t < end), and overlapping/abutting windows per channel merge so
@@ -67,6 +68,7 @@ ArtifactStore::ArtifactStore(const ArtifactStoreConfig& config, int n_artifacts,
     // The local tier starts with what this node durably holds (full copies it
     // is a registry holder of) plus the carried cache contents.
     local_.assign(static_cast<size_t>(n_artifacts), 0);
+    plans_.resize(static_cast<size_t>(n_artifacts));
     for (int id = 0; id < n_artifacts; ++id) {
       if (config_.registry->NodeHoldsFullCopy(id, config_.registry_node)) {
         local_[static_cast<size_t>(id)] = 1;
@@ -94,14 +96,19 @@ int ArtifactStore::GpuCapacity() const {
   return static_cast<int>(config_.gpu_budget_bytes / config_.artifact_bytes);
 }
 
-int ArtifactStore::GpuCount(double now) const {
-  int n = 0;
-  for (const Entry& e : entries_) {
-    if (e.tier == Tier::kGpu) {
-      ++n;
-    }
+void ArtifactStore::SetTier(Entry& e, Tier tier) {
+  --tier_count_[static_cast<int>(e.tier)];
+  ++tier_count_[static_cast<int>(tier)];
+  e.tier = tier;
+}
+
+const FetchPlan& ArtifactStore::PlanFetch(int id) {
+  std::optional<FetchPlan>& plan = plans_[static_cast<size_t>(id)];
+  if (!plan) {
+    plan = config_.registry->PlanFetch(id, config_.registry_node,
+                                       static_cast<double>(config_.artifact_bytes));
   }
-  return n;
+  return *plan;
 }
 
 bool ArtifactStore::EvictOne(double now, const std::vector<int>& pinned,
@@ -136,15 +143,10 @@ bool ArtifactStore::EvictOne(double now, const std::vector<int>& pinned,
   // Demote to host if the host cache can plausibly hold it, else to disk. Host
   // occupancy is approximated by capacity count (artifacts are uniform-sized).
   const size_t cpu_slots = config_.cpu_budget_bytes / config_.artifact_bytes;
-  size_t on_cpu = 0;
-  for (const Entry& other : entries_) {
-    if (other.tier == Tier::kCpu) {
-      ++on_cpu;
-    }
-  }
-  e.tier = on_cpu < cpu_slots ? Tier::kCpu : Tier::kDisk;
+  const size_t on_cpu = static_cast<size_t>(tier_count_[static_cast<int>(Tier::kCpu)]);
+  SetTier(e, on_cpu < cpu_slots ? Tier::kCpu : Tier::kDisk);
   e.in_flight = false;
-  gpu_resident_->Set(static_cast<double>(GpuCount(now)));
+  gpu_resident_->Set(static_cast<double>(GpuCount()));
   return true;
 }
 
@@ -194,8 +196,7 @@ ArtifactStore::LoadResult ArtifactStore::IssueLoad(int id, double now,
   bool remote = false;
   if (e.tier == Tier::kDisk && config_.registry != nullptr &&
       local_[static_cast<size_t>(id)] == 0) {
-    plan = config_.registry->PlanFetch(id, config_.registry_node,
-                                       static_cast<double>(config_.artifact_bytes));
+    plan = PlanFetch(id);
     if (!plan.available) {
       if (!is_prefetch) {
         unavailable_->Inc();
@@ -230,7 +231,7 @@ ArtifactStore::LoadResult ArtifactStore::IssueLoad(int id, double now,
   // request is more certain than speculative reuse) but never another unused
   // prefetched entry — otherwise a wide lookahead rotates speculations through
   // the staging headroom, re-paying the same transfers every round.
-  while (GpuCount(now) >= GpuCapacity()) {
+  while (GpuCount() >= GpuCapacity()) {
     if (!EvictOne(now, pinned, /*spare_prefetched=*/is_prefetch)) {
       return {false, 0.0};
     }
@@ -311,7 +312,7 @@ ArtifactStore::LoadResult ArtifactStore::IssueLoad(int id, double now,
     recorder_->Emit(ev);
   }
 
-  e.tier = Tier::kGpu;
+  SetTier(e, Tier::kGpu);
   e.in_flight = true;
   e.ready_at = ready;
   e.last_use = now;
@@ -321,7 +322,7 @@ ArtifactStore::LoadResult ArtifactStore::IssueLoad(int id, double now,
   if (is_prefetch) {
     prefetch_issued_->Inc();
   }
-  gpu_resident_->Set(static_cast<double>(GpuCount(now)));
+  gpu_resident_->Set(static_cast<double>(GpuCount()));
   return {true, ready};
 }
 

@@ -16,6 +16,7 @@
 #include <cstddef>
 #include <map>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "src/metrics/metrics.h"
@@ -119,7 +120,7 @@ class ArtifactStore {
   void Touch(int id, double now);
 
   // Number of artifacts currently on the GPU (resident or arriving).
-  int GpuCount(double now) const;
+  int GpuCount() const { return tier_count_[static_cast<int>(Tier::kGpu)]; }
 
   // Maximum artifacts that fit on the GPU at once.
   int GpuCapacity() const;
@@ -179,9 +180,14 @@ class ArtifactStore {
     double prefetch_cost_s = 0.0;  // transfer seconds the pending prefetch paid
   };
 
+  // Moves `e` to `tier`, keeping the per-tier counts.
+  void SetTier(Entry& e, Tier tier);
   // Evicts the LRU idle GPU resident not in `pinned`; with `spare_prefetched`,
   // unused prefetched entries are additionally protected (prefetch callers).
   bool EvictOne(double now, const std::vector<int>& pinned, bool spare_prefetched);
+  // The registry's fetch plan for `id` from this node, computed on first use:
+  // the registry is const during a run, so the answer cannot change.
+  const FetchPlan& PlanFetch(int id);
   // Earliest time >= t at which `channel` is outside every outage window.
   double DeferPastOutages(TraceChannel channel, double t) const;
   LoadResult IssueLoad(int id, double now, const std::vector<int>& pinned,
@@ -190,6 +196,7 @@ class ArtifactStore {
 
   ArtifactStoreConfig config_;
   std::vector<Entry> entries_;
+  int tier_count_[3] = {0, 0, 0};  // entries per Tier
   double disk_free_at_ = 0.0;  // disk channel availability
   double pcie_free_at_ = 0.0;  // PCIe channel availability
   double net_free_at_ = 0.0;   // net (remote-fetch) channel availability
@@ -197,6 +204,8 @@ class ArtifactStore {
   // artifact bytes locally — as a registry holder, via registry_warm carry, or
   // after a completed remote fetch. Local artifacts pay disk/PCIe only.
   std::vector<char> local_;
+  // PlanFetch results per artifact (registry mode), empty until first use.
+  std::vector<std::optional<FetchPlan>> plans_;
   // Registry-backed statistics ("store.*" instruments, resolved once at
   // construction). `owned_registry_` backs the stand-alone (no injection) case.
   std::unique_ptr<MetricsRegistry> owned_registry_;

@@ -6,8 +6,6 @@
 // the policy; the loop around it lives in serve_loop.cc.
 #include <algorithm>
 #include <limits>
-#include <map>
-#include <set>
 
 #include "src/serving/serve_loop.h"
 #include "src/util/check.h"
@@ -85,7 +83,7 @@ class DeltaZipPolicy : public ServePolicy {
                   : exec_.DeltaPrefillTime(tokens);
   }
 
-  Admission Admit(ServeLoop& loop, double now) override;
+  void Admit(ServeLoop& loop, double now, Admission& admission) override;
 
   // Base-model GEMMs shared by the whole batch plus the variant path (SBMM for
   // deltas, SGMV for LoRA), summed as: overhead + swaps, prefill, decode.
@@ -131,41 +129,48 @@ class DeltaZipPolicy : public ServePolicy {
   }
 
  private:
+  static constexpr int kNoParent = std::numeric_limits<int>::min();
+
   bool lora() const { return config_.artifact == ArtifactKind::kLoraAdapter; }
 
   const EngineConfig& config_;
   const ExecModel& exec_;
   std::vector<int> reqs_per_variant_;  // iteration-cost scratch, reused every round
+  // Admission scratch, reused every round: variant → request id of its running
+  // parent (kNoParent between rounds), and the variants no load may evict.
+  std::vector<int> parent_of_variant_;
+  std::vector<int> pinned_;
   long long kv_capacity_tokens_ = 0;
   int granted_staging_ = 0;
   int effective_n_ = 0;
 };
 
 // Policy order + skip-the-line over at most N variants, then class preemption.
-Admission DeltaZipPolicy::Admit(ServeLoop& loop, double now) {
-  Admission admission;
-  std::set<int>& selected = admission.active;
-  std::map<int, int> parent_of_variant;  // variant → running parent request id
+// The batch's variants are `admission`'s active set.
+void DeltaZipPolicy::Admit(ServeLoop& loop, double now, Admission& admission) {
+  parent_of_variant_.resize(static_cast<size_t>(loop.trace().n_models), kNoParent);
+  pinned_.clear();
   std::vector<RunningReq>& running = loop.running();
   for (const RunningReq& r : running) {
-    selected.insert(r.state.req.model_id);
-    if (!r.is_skipper) {
-      parent_of_variant.emplace(r.state.req.model_id, r.state.req.id);
+    const int variant = r.state.req.model_id;
+    if (admission.Activate(variant)) {
+      pinned_.push_back(variant);
+    }
+    int& parent = parent_of_variant_[static_cast<size_t>(variant)];
+    if (!r.is_skipper && parent == kNoParent) {
+      parent = r.state.req.id;
     }
   }
-  std::vector<int> pinned(selected.begin(), selected.end());
   ArtifactStore& store = loop.store();
   std::deque<PendingReq>& queue = loop.queue();
-  long long kv_used = loop.KvTokensInUse();
   for (auto it = queue.begin();
        it != queue.end() && static_cast<int>(running.size()) < config_.max_batch;) {
     const int variant = it->req.model_id;
-    const long long need = it->req.prompt_tokens + it->req.output_tokens;
-    const bool new_variant = selected.count(variant) == 0;
+    const bool new_variant = !admission.IsActive(variant);
     // Blocked by the N-variant cap or by KV space: strict FCFS stops at the
     // head of the line, skip-the-line looks further back.
-    if ((new_variant && static_cast<int>(selected.size()) >= effective_n_) ||
-        kv_used + need > kv_capacity_tokens_) {
+    if ((new_variant && admission.ActiveCount() >= effective_n_) ||
+        loop.KvTokensInUse() + KvTokens(*it) > kv_capacity_tokens_) {
       if (!config_.skip_the_line) {
         break;
       }
@@ -176,28 +181,34 @@ Admission DeltaZipPolicy::Admit(ServeLoop& loop, double now) {
       it->sched_attempt_s = now;
     }
     if (!store.IsResident(variant, now)) {
-      const ArtifactStore::LoadResult load = store.RequestLoad(variant, now, pinned);
+      const ArtifactStore::LoadResult load = store.RequestLoad(variant, now, pinned_);
       if (load.unavailable) {
         it = loop.Park(it);  // no live holder can source this artifact
         continue;
       }
       if (load.ok) {
-        selected.insert(variant);  // the slot is claimed while loading
-        pinned.push_back(variant);
+        admission.Activate(variant);  // the slot is claimed while loading
+        pinned_.push_back(variant);
       }
       ++it;  // admitted once the artifact lands (or a slot frees up)
       continue;
     }
+    // Dispatched variants join the active set but not `pinned_`, so a later
+    // load this round may still evict one.
     it = loop.Dispatch(it, now);
     RunningReq& r = running.back();
-    const auto [parent, first_for_variant] =
-        parent_of_variant.emplace(variant, r.state.req.id);
-    if (!first_for_variant) {
+    int& parent = parent_of_variant_[static_cast<size_t>(variant)];
+    if (parent == kNoParent) {
+      parent = r.state.req.id;
+    } else {
       r.is_skipper = true;
-      r.parent_id = parent->second;
+      r.parent_id = parent;
     }
-    selected.insert(variant);
-    kv_used += need;
+    admission.Activate(variant);
+  }
+  // Every variant with a parent is active: clearing those resets the array.
+  for (int variant : admission.active_ids) {
+    parent_of_variant_[static_cast<size_t>(variant)] = kNoParent;
   }
   // Class preemption: each queued interactive request evicts one running
   // batch-class skipper (KV swap to host, re-queue, resume later); parents stay.
@@ -205,7 +216,7 @@ Admission DeltaZipPolicy::Admit(ServeLoop& loop, double now) {
   // ahead and reclaim the slot next round (an admit/evict livelock).
   if (!config_.scheduler.class_preemption ||
       config_.scheduler.policy == SchedPolicy::kFcfs) {
-    return admission;
+    return;
   }
   // Only interactive requests blocked on KV space or batch slots count: one
   // blocked on the N-variant cap gains nothing from evicting a skipper, whose
@@ -215,7 +226,7 @@ Admission DeltaZipPolicy::Admit(ServeLoop& loop, double now) {
   double min_blocked_tag = std::numeric_limits<double>::infinity();
   for (const PendingReq& p : queue) {
     if (p.req.slo == SloClass::kInteractive &&
-        (batch_full || selected.count(p.req.model_id) > 0)) {
+        (batch_full || admission.IsActive(p.req.model_id))) {
       ++blocked_interactive;
       min_blocked_tag = std::min(min_blocked_tag, p.fair_tag);
     }
@@ -236,7 +247,6 @@ Admission DeltaZipPolicy::Admit(ServeLoop& loop, double now) {
       ++it;
     }
   }
-  return admission;
 }
 
 }  // namespace

@@ -6,11 +6,11 @@
 
 #include <algorithm>
 #include <deque>
-#include <set>
 #include <vector>
 
 #include "src/serving/artifact_store.h"
 #include "src/serving/engine.h"
+#include "src/serving/serve_loop.h"
 
 namespace dz {
 
@@ -36,34 +36,38 @@ inline std::deque<int> PendingWarmHints(const PrefetchConfig& config, int n_mode
 
 // One scheduling round of the lookahead pass (paper §8 / MetaSys-style
 // pipelining): issues low-priority loads for the first `config.lookahead`
-// distinct variants waiting in `queue` that are not in `active` (the variants
-// the batch owns: running, claimed or admitted this round), then drains
-// leftover warm hints. A prefetch never evicts an `active` variant nor one in
-// that window: a near-head request can be resident-but-blocked (KV or batch
+// distinct variants waiting in `queue` that the admission did not mark active
+// (the variants the batch owns: running, claimed or admitted this round), then
+// drains leftover warm hints. A prefetch never evicts an active variant nor one
+// in that window: a near-head request can be resident-but-blocked (KV or batch
 // slots), and evicting its artifact for a speculation would re-pay the load it
 // was about to skip. The shield stops at the window — protecting every queued
 // variant would starve the prefetcher of eviction candidates.
 template <typename PendingQueue>
 void RunPrefetchPass(ArtifactStore& store, const PrefetchConfig& config, double now,
-                     const PendingQueue& queue, const std::set<int>& active,
-                     std::deque<int>& pending_hints) {
+                     const PendingQueue& queue, const Admission& admission,
+                     std::deque<int>& pending_hints, PrefetchScratch& scratch) {
   if (!config.enabled) {
     return;
   }
   // The window (first `lookahead` distinct non-active variants, in queue order)
   // is both the target list and the shield, so no target sits beyond it.
-  std::vector<int> window;
-  std::set<int> protect_set = active;
+  std::vector<int>& window = scratch.window;
+  window.clear();
   for (const auto& waiting : queue) {
     if (static_cast<int>(window.size()) >= config.lookahead) {
       break;
     }
     const int variant = waiting.req.model_id;
-    if (active.count(variant) == 0 && protect_set.insert(variant).second) {
+    if (!admission.IsActive(variant) &&
+        std::find(window.begin(), window.end(), variant) == window.end()) {
       window.push_back(variant);
     }
   }
-  const std::vector<int> protect(protect_set.begin(), protect_set.end());
+  // The store only tests membership, so the shield's order is free.
+  std::vector<int>& protect = scratch.protect;
+  protect.assign(admission.active_ids.begin(), admission.active_ids.end());
+  protect.insert(protect.end(), window.begin(), window.end());
   for (int variant : window) {
     if (!store.IsResident(variant, now) && !store.IsLoading(variant, now)) {
       store.Prefetch(variant, now, protect);

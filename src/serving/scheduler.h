@@ -27,6 +27,7 @@
 #include <algorithm>
 #include <map>
 #include <string>
+#include <utility>
 
 #include "src/workload/trace.h"
 
@@ -109,46 +110,37 @@ class FairQueue {
   std::map<int, double> tenant_vtime_;  // tenant id → virtual time
 };
 
-// Reorders the engine's waiting queue into this round's admission-consideration
-// order. kFcfs is exactly the pre-scheduler stable sort by arrival, so
-// default-config runs are bit-identical (golden-enforced); the other policies
-// stable-sort on their keys, so ties preserve arrival order.
-template <typename Queue>
-void OrderQueueForPolicy(const SchedulerConfig& config, FairQueue& fair_queue,
-                         Queue& queue) {
-  switch (config.policy) {
+// The admission-consideration order: true when `a` goes strictly before `b`.
+// kFcfs orders by arrival, kPriority by SLO class (SloClass values are already
+// priority-ranked, interactive = 0 first) then arrival, kDwfq by virtual finish
+// tag (stamped once, at ingest; a preempted request keeps its tag, since its
+// service was already charged).
+template <typename Pending>
+bool PolicyBefore(SchedPolicy policy, const Pending& a, const Pending& b) {
+  switch (policy) {
     case SchedPolicy::kFcfs:
-      std::stable_sort(queue.begin(), queue.end(),
-                       [](const auto& a, const auto& b) {
-                         return a.req.arrival_s < b.req.arrival_s;
-                       });
       break;
     case SchedPolicy::kPriority:
-      // SloClass values are already priority-ranked (interactive = 0 first).
-      std::stable_sort(queue.begin(), queue.end(),
-                       [](const auto& a, const auto& b) {
-                         if (a.req.slo != b.req.slo) {
-                           return static_cast<int>(a.req.slo) <
-                                  static_cast<int>(b.req.slo);
-                         }
-                         return a.req.arrival_s < b.req.arrival_s;
-                       });
+      if (a.req.slo != b.req.slo) {
+        return static_cast<int>(a.req.slo) < static_cast<int>(b.req.slo);
+      }
       break;
     case SchedPolicy::kDwfq:
-      // New arrivals sit untagged at the back in arrival order; stamp them in
-      // that order, then serve by virtual finish tag. Re-queued (preempted)
-      // requests keep their original tag — their service was already charged.
-      for (auto& pending : queue) {
-        if (pending.fair_tag < 0.0) {
-          pending.fair_tag = fair_queue.TagFor(pending.req);
-        }
-      }
-      std::stable_sort(queue.begin(), queue.end(),
-                       [](const auto& a, const auto& b) {
-                         return a.fair_tag < b.fair_tag;
-                       });
-      break;
+      return a.fair_tag < b.fair_tag;
   }
+  return a.req.arrival_s < b.req.arrival_s;
+}
+
+// Inserts `p` into a queue already in policy order, behind every request with
+// an equal key: inserting a batch one by one gives exactly the stable sort of
+// queue + batch, ties in queue order then batch order (scheduler_test checks
+// this against the sort; the goldens pin the resulting schedules).
+template <typename Queue, typename Pending>
+void InsertInPolicyOrder(SchedPolicy policy, Queue& queue, Pending p) {
+  const auto pos = std::upper_bound(
+      queue.begin(), queue.end(), p,
+      [policy](const Pending& a, const auto& b) { return PolicyBefore(policy, a, b); });
+  queue.insert(pos, std::move(p));
 }
 
 // True when the request's class E2E deadline can no longer be met, even if the

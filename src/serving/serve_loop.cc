@@ -1,6 +1,7 @@
 #include "src/serving/serve_loop.h"
 
 #include <algorithm>
+#include <iterator>
 #include <utility>
 
 #include "src/serving/prefetcher.h"
@@ -57,34 +58,29 @@ void ServeLoop::Emit(TraceEventType type, double ts, const TraceRequest& req,
   }
 }
 
-long long ServeLoop::KvTokensInUse() const {
-  long long total = 0;
-  for (const RunningReq& r : running_) {
-    total += r.state.req.prompt_tokens + r.state.req.output_tokens;
-  }
-  return total;
-}
-
-void ServeLoop::Enqueue(PendingReq p) {
-  queue_unsorted_ = queue_unsorted_ ||
-                    (!queue_.empty() && p.req.arrival_s < queue_.back().req.arrival_s);
-  queue_.push_back(std::move(p));
-}
-
+// The queue stays in policy order between rounds; only the requests preempted
+// since the last ingest wait unsorted at the back. Re-inserting them first,
+// then each arrival (DWFQ-stamped in arrival order), lands every request behind
+// its equal keys: exactly the stable sort of queue + preempted + arrivals.
 void ServeLoop::Ingest(double now) {
+  const SchedPolicy policy = config_.scheduler.policy;
+  const auto tail = queue_.end() - static_cast<std::ptrdiff_t>(requeued_);
+  requeue_scratch_.assign(std::make_move_iterator(tail),
+                          std::make_move_iterator(queue_.end()));
+  queue_.erase(tail, queue_.end());
+  requeued_ = 0;
+  for (PendingReq& p : requeue_scratch_) {
+    InsertInPolicyOrder(policy, queue_, std::move(p));
+  }
   while (next_arrival_ < trace_.requests.size() &&
          trace_.requests[next_arrival_].arrival_s <= now) {
     PendingReq p;
     p.req = trace_.requests[next_arrival_++];
     Emit(TraceEventType::kRequestQueued, p.req.arrival_s, p.req);
-    Enqueue(std::move(p));
-  }
-  // kFcfs is a stable sort by arrival, the identity on an arrival-sorted queue:
-  // it runs only once an append (a re-queued preemption, an out-of-order input)
-  // landed behind a later arrival — bit-identical, and O(1) per round.
-  if (config_.scheduler.policy != SchedPolicy::kFcfs || queue_unsorted_) {
-    OrderQueueForPolicy(config_.scheduler, fair_queue_, queue_);
-    queue_unsorted_ = false;
+    if (policy == SchedPolicy::kDwfq) {
+      p.fair_tag = fair_queue_.TagFor(p.req);
+    }
+    InsertInPolicyOrder(policy, queue_, std::move(p));
   }
 }
 
@@ -141,6 +137,7 @@ ServeLoop::QueueIt ServeLoop::Dispatch(QueueIt it, double now) {
   r.state.start_s = r.state.start_s < 0.0 ? now : r.state.start_s;
   r.prefilled = r.state.decoded > 0;  // resumed requests keep their progress
   r.needs_kv_restore = r.state.decoded > 0;
+  kv_in_use_ += KvTokens(r.state);
   running_.push_back(std::move(r));
   return queue_.erase(it);
 }
@@ -154,6 +151,7 @@ ServeLoop::RunIt ServeLoop::Preempt(RunIt it, double now, bool swap_out) {
   DZ_CHECK(preempt_count_ != nullptr);
   PendingReq back = it->state;
   ++back.preemptions;
+  kv_in_use_ -= KvTokens(back);
   preempt_count_->Inc();
   Emit(TraceEventType::kKvPreempt, now, back.req);
   back.min_service_s = -1.0;  // re-estimate from the banked progress
@@ -162,7 +160,8 @@ ServeLoop::RunIt ServeLoop::Preempt(RunIt it, double now, bool swap_out) {
     pending_swap_s_ += swap_s;
     Emit(TraceEventType::kKvSwap, now, back.req, swap_s, /*aux=*/0);
   }
-  Enqueue(std::move(back));  // keeps its fair_tag; re-ordered next ingest
+  queue_.push_back(std::move(back));  // keeps its fair_tag; re-inserted next ingest
+  ++requeued_;
   return running_.erase(it);
 }
 
@@ -246,12 +245,14 @@ ServeReport ServeLoop::Run(const char* engine_name) {
       break;  // nothing left: the idle fast-forward would have no event
     }
 
-    const Admission admission = policy_.Admit(*this, now);
+    admission_.Reset(trace_.n_models);
+    policy_.Admit(*this, now, admission_);
     // Lookahead prefetch (§8): warm the next W distinct waiting variants while
     // the batch computes; the batch's own variants are never evicted for it.
-    RunPrefetchPass(store_, prefetch_, now, queue_, admission.active, warm_hints_);
-    if (admission.stall_until_s > now) {
-      now = admission.stall_until_s;
+    RunPrefetchPass(store_, prefetch_, now, queue_, admission_, warm_hints_,
+                    prefetch_scratch_);
+    if (admission_.stall_until_s > now) {
+      now = admission_.stall_until_s;
       continue;
     }
     if (running_.empty()) {
@@ -287,6 +288,7 @@ ServeReport ServeLoop::Run(const char* engine_name) {
     size_t kept = 0;
     for (RunningReq& r : running_) {
       if (r.prefilled && r.state.decoded >= r.state.req.output_tokens) {
+        kv_in_use_ -= KvTokens(r.state);
         Complete(r.state, now);
         if (!r.is_skipper) {
           finished_parents_.push_back(r.state.req.id);

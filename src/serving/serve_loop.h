@@ -10,7 +10,6 @@
 
 #include <deque>
 #include <limits>
-#include <set>
 #include <vector>
 
 #include "src/metrics/metrics.h"
@@ -35,6 +34,11 @@ struct PendingReq {
   int preemptions = 0;
 };
 
+// KV tokens a request reserves while it runs: its prompt plus its full output.
+inline long long KvTokens(const PendingReq& p) {
+  return p.req.prompt_tokens + p.req.output_tokens;
+}
+
 struct RunningReq {
   PendingReq state;
   bool prefilled = false;   // resumed requests skip prefill (KV restored instead)
@@ -44,13 +48,47 @@ struct RunningReq {
   int parent_id = -1;       // request id of the skipper's parent (for preemption)
 };
 
-// What one admission pass hands back to the loop.
+// What one admission pass hands back to the loop. The loop owns one and resets
+// it each round, so its per-variant arrays are allocated once per run.
 struct Admission {
-  // Variants the batch owns this round (running, loading for it, just
-  // admitted): never prefetch targets, never evicted by a prefetch.
-  std::set<int> active;
+  // Per-variant mask of the variants the batch owns this round (running,
+  // loading for it, just admitted): never prefetch targets, never evicted by a
+  // prefetch. `active_ids` lists the set entries in the order they were set.
+  std::vector<char> active;
+  std::vector<int> active_ids;
   // The worker generates nothing until then (a synchronous transfer).
   double stall_until_s = -std::numeric_limits<double>::infinity();
+
+  bool IsActive(int variant) const { return active[static_cast<size_t>(variant)] != 0; }
+  int ActiveCount() const { return static_cast<int>(active_ids.size()); }
+  // Marks `variant` active; false when it already was.
+  bool Activate(int variant) {
+    char& bit = active[static_cast<size_t>(variant)];
+    if (bit != 0) {
+      return false;
+    }
+    bit = 1;
+    active_ids.push_back(variant);
+    return true;
+  }
+  // Starts a round over `n_variants` variants with nothing active: O(active).
+  void Reset(int n_variants) {
+    if (active.size() != static_cast<size_t>(n_variants)) {
+      active.assign(static_cast<size_t>(n_variants), 0);
+    }
+    for (int variant : active_ids) {
+      active[static_cast<size_t>(variant)] = 0;
+    }
+    active_ids.clear();
+    stall_until_s = -std::numeric_limits<double>::infinity();
+  }
+};
+
+// The lists RunPrefetchPass (prefetcher.h) rebuilds each round; the loop keeps
+// one instance so they are allocated once per run.
+struct PrefetchScratch {
+  std::vector<int> window;   // the round's prefetch targets
+  std::vector<int> protect;  // active variants + window: a prefetch evicts none
 };
 
 class ServeLoop;
@@ -67,8 +105,9 @@ class ServePolicy {
   virtual bool CanPreempt() const { return false; }
   // Variant-path prefill seconds on top of the base model's.
   virtual double ArtifactPrefillS(long long /*tokens*/) const { return 0.0; }
-  // Admit: moves queued requests into the batch via ServeLoop::Dispatch.
-  virtual Admission Admit(ServeLoop& loop, double now) = 0;
+  // Admit: moves queued requests into the batch via ServeLoop::Dispatch and
+  // fills `admission`, which the loop has reset for this round.
+  virtual void Admit(ServeLoop& loop, double now, Admission& admission) = 0;
   // Iteration cost: adds the iteration's compute to `iter_s` (overhead plus
   // pending KV swaps) in the engine's own summation order. The requests
   // marked `prefilling` hold `prefill_tokens` prompt tokens between them.
@@ -92,11 +131,13 @@ class ServeLoop {
   // ---- what policies read and do ----
   const Trace& trace() const { return trace_; }
   ArtifactStore& store() { return store_; }
+  // The waiting queue, in policy order (see Ingest) except for requests
+  // preempted since the last ingest, which wait at the back.
   std::deque<PendingReq>& queue() { return queue_; }
   std::vector<RunningReq>& running() { return running_; }
   const std::vector<RunningReq>& running() const { return running_; }
   // KV tokens the running batch reserves (prompt + full output per request).
-  long long KvTokensInUse() const;
+  long long KvTokensInUse() const { return kv_in_use_; }
   // Admits *it (Touch, dispatch event, DWFQ OnAdmit) to the back of the
   // running batch; returns the next queue position.
   QueueIt Dispatch(QueueIt it, double now);
@@ -111,7 +152,7 @@ class ServeLoop {
  private:
   void Emit(TraceEventType type, double ts, const TraceRequest& req,
             double dur = 0.0, int aux = 0);
-  void Enqueue(PendingReq p);
+  // Re-inserts the preempted tail, then inserts the arrivals due by `now`.
   void Ingest(double now);
   double MinServiceS(PendingReq& p) const;
   void Shed(double now);
@@ -145,10 +186,14 @@ class ServeLoop {
   Counter* preempt_count_ = nullptr;
 
   std::deque<PendingReq> queue_;
-  bool queue_unsorted_ = false;  // an append landed behind a later arrival
+  size_t requeued_ = 0;  // preempted requests at the back of queue_
+  std::vector<PendingReq> requeue_scratch_;
   std::vector<RunningReq> running_;
+  long long kv_in_use_ = 0;  // KvTokensInUse(), kept as running_ changes
   std::vector<TraceRequest> parked_;
   std::vector<int> finished_parents_;
+  Admission admission_;
+  PrefetchScratch prefetch_scratch_;
   size_t next_arrival_ = 0;
   size_t shed_total_ = 0;
   double pending_swap_s_ = 0.0;  // KV swap work charged to the next iteration

@@ -7,7 +7,6 @@
 // loop around it lives in serve_loop.cc.
 #include <algorithm>
 #include <limits>
-#include <set>
 
 #include "src/serving/serve_loop.h"
 #include "src/util/check.h"
@@ -50,7 +49,7 @@ class VllmScbPolicy : public ServePolicy {
   // path: they never trigger the blocking demand swap.
   PrefetchConfig Setup(const ArtifactStore&) override { return config_.prefetch; }
 
-  Admission Admit(ServeLoop& loop, double now) override;
+  void Admit(ServeLoop& loop, double now, Admission& admission) override;
 
   // One full-precision pass per resident model, in model-id order: per-model
   // prefill terms, then per-model decode terms.
@@ -105,24 +104,21 @@ class VllmScbPolicy : public ServePolicy {
 };
 
 // Policy order; a request runs only once its model is resident, and the head
-// of the line blocks on KV space.
-Admission VllmScbPolicy::Admit(ServeLoop& loop, double now) {
-  Admission admission;
-  std::set<int>& models_in_use = admission.active;
+// of the line blocks on KV space. The models in use are `admission`'s active
+// set, which is also what no demand swap may evict.
+void VllmScbPolicy::Admit(ServeLoop& loop, double now, Admission& admission) {
   const std::vector<RunningReq>& running = loop.running();
   for (const RunningReq& r : running) {
-    models_in_use.insert(r.state.req.model_id);
+    admission.Activate(r.state.req.model_id);
   }
-  std::vector<int> pinned(models_in_use.begin(), models_in_use.end());
+  const std::vector<int>& pinned = admission.active_ids;
   ArtifactStore& store = loop.store();
   std::deque<PendingReq>& queue = loop.queue();
-  long long kv_used = loop.KvTokensInUse();
   bool load_in_flight = demand_ready_ > now;
   for (auto it = queue.begin();
        it != queue.end() && static_cast<int>(running.size()) < config_.max_batch;) {
     const int model = it->req.model_id;
-    const long long need = it->req.prompt_tokens + it->req.output_tokens;
-    if (kv_used + need > kv_capacity_tokens_) {
+    if (loop.KvTokensInUse() + KvTokens(*it) > kv_capacity_tokens_) {
       break;
     }
     if (it->sched_attempt_s < 0.0) {
@@ -136,8 +132,8 @@ Admission VllmScbPolicy::Admit(ServeLoop& loop, double now) {
       if (store.IsLoading(model, now)) {
         store.RequestLoad(model, now, pinned);
       } else if (!load_in_flight) {
-        if (store.GpuCount(now) >= store.GpuCapacity() &&
-            static_cast<int>(models_in_use.size()) >= store.GpuCapacity()) {
+        if (store.GpuCount() >= store.GpuCapacity() &&
+            admission.ActiveCount() >= store.GpuCapacity()) {
           ++it;  // every slot is actively serving; wait for one to drain
           continue;
         }
@@ -155,12 +151,9 @@ Admission VllmScbPolicy::Admit(ServeLoop& loop, double now) {
       continue;
     }
     it = loop.Dispatch(it, now);
-    models_in_use.insert(model);
-    pinned.push_back(model);
-    kv_used += need;
+    admission.Activate(model);
   }
   admission.stall_until_s = demand_ready_;  // the worker waits for the swap
-  return admission;
 }
 
 }  // namespace

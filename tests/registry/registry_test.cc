@@ -5,6 +5,8 @@
 // hooks (AddHolder / BestLiveSource / CanRepair) the elastic loop drives.
 #include "src/registry/registry.h"
 
+#include <algorithm>
+#include <cstdint>
 #include <set>
 #include <string>
 #include <vector>
@@ -81,6 +83,48 @@ TEST(ArtifactRegistryTest, RendezvousPlacementIsDeterministicAndSpread) {
     moved += c.PrimaryHolder(art, 0) != a.PrimaryHolder(art, 0) ? 1 : 0;
   }
   EXPECT_GT(moved, 0);  // the seed actually feeds the hash
+}
+
+// Rendezvous (HRW) ranking computed directly from the hash: every node's
+// seeded splitmix64 score for the artifact, best first, ties by node id.
+uint64_t Mix64(uint64_t x) {
+  x += 0x9e3779b97f4a7c15ull;
+  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
+  x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
+  return x ^ (x >> 31);
+}
+
+std::vector<int> DirectHrwRanking(uint64_t seed, int artifact, int n_nodes) {
+  const auto score = [&](int node) {
+    return Mix64(seed ^ Mix64(static_cast<uint64_t>(artifact) * 0x9e3779b1ull ^
+                              Mix64(static_cast<uint64_t>(node))));
+  };
+  std::vector<int> nodes;
+  for (int n = 0; n < n_nodes; ++n) {
+    nodes.push_back(n);
+  }
+  std::sort(nodes.begin(), nodes.end(), [&](int a, int b) {
+    return score(a) != score(b) ? score(a) > score(b) : a < b;
+  });
+  return nodes;
+}
+
+TEST(ArtifactRegistryTest, PrecomputedRanksEqualDirectHrwSort) {
+  for (const uint64_t seed : {RegistryConfig().seed, uint64_t{1}, uint64_t{0xabcdef}}) {
+    for (const int n_nodes : {1, 2, 5, 8, 13}) {
+      RegistryConfig cfg = Config(n_nodes >= 3 ? "erasure(2,1)" : "none");
+      cfg.seed = seed;
+      const ArtifactRegistry reg(cfg, 40, n_nodes);
+      for (int art = 0; art < reg.n_artifacts(); ++art) {
+        const std::vector<int> direct = DirectHrwRanking(seed, art, n_nodes);
+        ASSERT_EQ(reg.RankedNodes(art), direct)
+            << "seed " << seed << ", " << n_nodes << " nodes, artifact " << art;
+        for (int f = 0; f < cfg.redundancy.FragmentCount(); ++f) {
+          EXPECT_EQ(reg.PrimaryHolder(art, f), direct[static_cast<size_t>(f)]);
+        }
+      }
+    }
+  }
 }
 
 TEST(ArtifactRegistryTest, NonePolicyTierChain) {

@@ -539,5 +539,122 @@ TEST(GoldenReportTest, KernelBackendChoiceCannotMoveGoldens) {
   }
 }
 
+// The non-default serving paths: class-aware queue orders, admission control,
+// class preemption, prefetch and the registry tier chain. These pins were
+// captured before the serve loop kept its queue sorted on insert, so any
+// change to queue order, admission, preemption or fetch planning that shifts
+// a single double breaks them.
+TraceConfig MultiTenantGoldenTrace(TenantScenario scenario) {
+  TraceConfig tc = GoldenTraceConfig();
+  tc.tenants.n_tenants = 8;
+  tc.tenants.scenario = scenario;
+  tc.tenants.interactive_frac = 0.3;
+  tc.tenants.batch_frac = 0.2;
+  return tc;
+}
+
+// Interactive and standard deadlines tight enough that admission control sheds.
+void TightenGoldenSlo(SchedulerConfig& sched) {
+  sched.slo.per_class[static_cast<int>(SloClass::kInteractive)] = {1.0, 20.0};
+  sched.slo.per_class[static_cast<int>(SloClass::kStandard)] = {10.0, 90.0};
+}
+
+TEST(GoldenReportTest, EightGpuPriorityPreemptionPrefetchStaysGolden) {
+  TraceConfig tc = MultiTenantGoldenTrace(TenantScenario::kHeavyTail);
+  tc.n_models = 64;
+  tc.arrival_rate = 150.0;
+  tc.duration_s = 60.0;
+  tc.seed = 909;
+  const Trace trace = GenerateTrace(tc);
+  ClusterConfig cfg;
+  cfg.placer.n_gpus = 8;
+  cfg.placer.policy = PlacementPolicy::kDeltaAffinity;
+  cfg.engine = GoldenEngineConfig();
+  cfg.engine.scheduler.policy = SchedPolicy::kPriority;
+  cfg.engine.scheduler.admission_control = true;
+  cfg.engine.scheduler.class_preemption = true;
+  cfg.engine.prefetch.enabled = true;
+  const ClusterReport r = Cluster(cfg).Serve(trace);
+  ASSERT_EQ(trace.requests.size(), 9076u);
+  ASSERT_EQ(r.merged.records.size(), 9076u);
+  EXPECT_DOUBLE_EQ(r.merged.makespan_s, 71.567599769722932);
+  const GoldenSums s = SumsOf(r.merged);
+  EXPECT_DOUBLE_EQ(s.sum_start, 286064.86785773921);
+  EXPECT_DOUBLE_EQ(s.sum_first, 286406.26958428888);
+  EXPECT_DOUBLE_EQ(s.sum_finish, 296488.3932138696);
+  EXPECT_EQ(r.TotalShed(), 0);
+  EXPECT_EQ(r.merged.metrics.Value("engine.preemptions"), 17721.0);
+  EXPECT_EQ(r.TotalLoads(), 175);
+  EXPECT_EQ(r.TotalPrefetchIssued(), 51);
+  EXPECT_EQ(r.TotalPrefetchHits(), 33);
+  EXPECT_EQ(r.TotalPrefetchWasted(), 17);
+}
+
+TEST(GoldenReportTest, DwfqClassPreemptionMultiTenantStaysGolden) {
+  TraceConfig tc = MultiTenantGoldenTrace(TenantScenario::kFlashCrowd);
+  tc.n_models = 32;
+  tc.arrival_rate = 10.0;
+  tc.duration_s = 150.0;
+  tc.tenants.flash_boost = 25.0;
+  tc.seed = 2121;
+  const Trace trace = GenerateTrace(tc);
+  EngineConfig cfg = GoldenEngineConfig();
+  cfg.scheduler.policy = SchedPolicy::kDwfq;
+  cfg.scheduler.admission_control = true;
+  cfg.scheduler.class_preemption = true;
+  TightenGoldenSlo(cfg.scheduler);
+  const ServeReport r = MakeDeltaZipEngine(cfg)->Serve(trace);
+  ASSERT_EQ(trace.requests.size(), 2672u);
+  ASSERT_EQ(r.records.size(), 2415u);
+  EXPECT_DOUBLE_EQ(r.makespan_s, 151.26074105924539);
+  const GoldenSums s = SumsOf(r);
+  EXPECT_DOUBLE_EQ(s.sum_start, 202727.76986867646);
+  EXPECT_DOUBLE_EQ(s.sum_first, 203092.74284406565);
+  EXPECT_DOUBLE_EQ(s.sum_finish, 206255.14428464175);
+  EXPECT_EQ(r.TotalShed(), 257);
+  EXPECT_EQ(r.metrics.Value("engine.preemptions"), 13856.0);
+  EXPECT_EQ(r.TotalLoads(), 240);
+}
+
+TEST(GoldenReportTest, ElasticErasureCrashAutoscaleStaysGolden) {
+  TraceConfig tc = MultiTenantGoldenTrace(TenantScenario::kDiurnal);
+  tc.n_models = 64;
+  tc.arrival_rate = 10.0;
+  tc.duration_s = 450.0;
+  tc.dist = PopularityDist::kZipf;
+  tc.tenants.diurnal_period_s = tc.duration_s;
+  tc.seed = 1313;
+  const Trace trace = GenerateTrace(tc);
+  ClusterConfig cfg;
+  cfg.placer.n_gpus = 6;
+  cfg.placer.policy = PlacementPolicy::kDeltaAffinity;
+  cfg.engine = GoldenEngineConfig();
+  cfg.engine.scheduler.policy = SchedPolicy::kPriority;
+  cfg.engine.prefetch.enabled = true;
+  cfg.autoscale.enabled = true;
+  cfg.autoscale.min_workers = 4;
+  cfg.autoscale.max_workers = 10;
+  cfg.registry.enabled = true;
+  ASSERT_TRUE(ParseRedundancyPolicy("erasure(4,2)", cfg.registry.redundancy));
+  ASSERT_TRUE(ParseFaultPlan(
+      "crash@100:w2,slow@200-400:w0x0.5,part@300-360:w3,detect=5", cfg.faults));
+  const ClusterReport r = Cluster(cfg).Serve(trace);
+  ASSERT_EQ(trace.requests.size(), 4449u);
+  ASSERT_EQ(r.merged.records.size(), 4449u);
+  EXPECT_DOUBLE_EQ(r.merged.makespan_s, 450.48320709493618);
+  const GoldenSums s = SumsOf(r.merged);
+  EXPECT_DOUBLE_EQ(s.sum_start, 744555.38946756907);
+  EXPECT_DOUBLE_EQ(s.sum_first, 744647.59717461548);
+  EXPECT_DOUBLE_EQ(s.sum_finish, 747729.46278245584);
+  EXPECT_EQ(r.elastic.retried, 8);
+  EXPECT_EQ(r.elastic.scale_ups, 3);
+  EXPECT_EQ(r.elastic.scale_downs, 4);
+  EXPECT_EQ(r.elastic.failed, 0);
+  EXPECT_EQ(r.elastic.repair_jobs, 64);
+  EXPECT_EQ(r.merged.metrics.Value("registry.reads.remote"), 188.0);
+  EXPECT_EQ(r.merged.metrics.Value("registry.reads.degraded"), 17.0);
+  EXPECT_EQ(r.TotalPrefetchIssued(), 253);
+}
+
 }  // namespace
 }  // namespace dz

@@ -180,7 +180,7 @@ TEST(RegistryStoreTest, UnavailableIsTypedAndEvictsNothing) {
   EXPECT_TRUE(r.unavailable);
   EXPECT_EQ(store.unavailable_loads(), 1);
   // The failed plan was resolved before eviction: the resident survived.
-  EXPECT_EQ(store.GpuCount(2.0), 1);
+  EXPECT_EQ(store.GpuCount(), 1);
   EXPECT_TRUE(store.IsResident(local_art, 2.0));
   EXPECT_DOUBLE_EQ(store.NextLoadReady(2.0), kInf);  // nothing left in flight
 
@@ -197,6 +197,43 @@ TEST(RegistryStoreTest, UnavailableIsTypedAndEvictsNothing) {
   const auto full = store.RequestLoad(other_local, 2.0, {local_art});
   EXPECT_FALSE(full.ok);
   EXPECT_FALSE(full.unavailable);
+}
+
+// A store plans each artifact's fetch once per run (the registry is const
+// during a Serve), but the memo lives in the store: the next epoch's fresh
+// store sees the liveness changes and repair-installed holders made between
+// epochs.
+TEST(RegistryStoreTest, FetchPlansAreRememberedPerStoreNotAcrossEpochs) {
+  ArtifactRegistry reg(RegConfig("none"), 8, 3);
+  const int art = FindArtifact(reg, 0, /*held=*/false);
+  ASSERT_GE(art, 0);
+  const int primary = reg.PrimaryHolder(art, 0);
+  const int spare = 3 - primary;  // of nodes 0..2, neither the reader nor the primary
+  ArtifactStoreConfig cfg = SmallConfig();
+  cfg.registry = &reg;
+  cfg.registry_node = 0;
+
+  reg.SetNodeLive(primary, false);
+  ArtifactStore epoch1(cfg, reg.n_artifacts());
+  EXPECT_TRUE(epoch1.RequestLoad(art, 0.0, {}).unavailable);
+  EXPECT_TRUE(epoch1.RequestLoad(art, 1.0, {}).unavailable);
+  EXPECT_EQ(epoch1.unavailable_loads(), 2);
+
+  reg.SetNodeLive(primary, true);  // between epochs: the holder recovers
+  ArtifactStore epoch2(cfg, reg.n_artifacts());
+  const auto recovered = epoch2.RequestLoad(art, 0.0, {});
+  ASSERT_TRUE(recovered.ok);
+  EXPECT_DOUBLE_EQ(recovered.ready_at, 2.1);  // 2.0 s net + 0.1 s H2D
+  EXPECT_EQ(epoch2.remote_reads(), 1);
+
+  reg.SetNodeLive(primary, false);  // lost again, but repair rebuilt a copy
+  reg.AddHolder(art, 0, spare);
+  ArtifactStore epoch3(cfg, reg.n_artifacts());
+  const auto repaired = epoch3.RequestLoad(art, 0.0, {});
+  ASSERT_TRUE(repaired.ok);
+  EXPECT_DOUBLE_EQ(repaired.ready_at, 2.1);
+  EXPECT_EQ(epoch3.remote_reads(), 1);
+  EXPECT_EQ(epoch3.unavailable_loads(), 0);
 }
 
 TEST(RegistryStoreTest, NetOutageDefersRemoteFetches) {

@@ -4,6 +4,7 @@
 // keep a light tenant ahead of a flooding one, and shed accounting must close
 // (completed + shed == offered).
 #include <algorithm>
+#include <deque>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -11,6 +12,7 @@
 #include "src/cluster/router.h"
 #include "src/serving/engine.h"
 #include "src/serving/scheduler.h"
+#include "src/util/rng.h"
 #include "src/workload/trace.h"
 
 namespace dz {
@@ -47,7 +49,7 @@ TEST(TenantScenarioNamesTest, NamesRoundTrip) {
   EXPECT_FALSE(ParseTenantScenario("weekend", out));
 }
 
-// Minimal queue element for the ordering template (mirrors the engines'
+// Minimal queue element for the ordering templates (mirrors the engines'
 // PendingReq surface).
 struct PendingLike {
   TraceRequest req;
@@ -65,34 +67,91 @@ PendingLike Req(int id, int tenant, SloClass slo, double arrival, int tokens = 1
   return p;
 }
 
+using Queue = std::deque<PendingLike>;
+
+// The serve loop's ingest on a queue kept in policy order: the `requeued`
+// requests preempted since the last ingest wait at the back and are re-inserted
+// first, then each arrival is DWFQ-stamped and inserted, in arrival order.
+void Ingest(const SchedulerConfig& cfg, FairQueue& fq, Queue& q, size_t requeued,
+            std::vector<PendingLike> arrivals) {
+  const auto tail = q.end() - static_cast<std::ptrdiff_t>(requeued);
+  const std::vector<PendingLike> preempted(tail, q.end());
+  q.erase(tail, q.end());
+  for (const PendingLike& p : preempted) {
+    InsertInPolicyOrder(cfg.policy, q, p);
+  }
+  for (PendingLike& p : arrivals) {
+    if (cfg.policy == SchedPolicy::kDwfq) {
+      p.fair_tag = fq.TagFor(p.req);
+    }
+    InsertInPolicyOrder(cfg.policy, q, p);
+  }
+}
+
+// The reference order: the engines once appended arrivals and preempted
+// requests to the queue and stable-sorted all of it every round.
+void OrderQueueForPolicy(const SchedulerConfig& config, FairQueue& fair_queue,
+                         Queue& queue) {
+  switch (config.policy) {
+    case SchedPolicy::kFcfs:
+      std::stable_sort(queue.begin(), queue.end(),
+                       [](const PendingLike& a, const PendingLike& b) {
+                         return a.req.arrival_s < b.req.arrival_s;
+                       });
+      break;
+    case SchedPolicy::kPriority:
+      std::stable_sort(queue.begin(), queue.end(),
+                       [](const PendingLike& a, const PendingLike& b) {
+                         if (a.req.slo != b.req.slo) {
+                           return static_cast<int>(a.req.slo) <
+                                  static_cast<int>(b.req.slo);
+                         }
+                         return a.req.arrival_s < b.req.arrival_s;
+                       });
+      break;
+    case SchedPolicy::kDwfq:
+      for (PendingLike& pending : queue) {
+        if (pending.fair_tag < 0.0) {
+          pending.fair_tag = fair_queue.TagFor(pending.req);
+        }
+      }
+      std::stable_sort(queue.begin(), queue.end(),
+                       [](const PendingLike& a, const PendingLike& b) {
+                         return a.fair_tag < b.fair_tag;
+                       });
+      break;
+  }
+}
+
+std::vector<int> Ids(const Queue& q) {
+  std::vector<int> ids;
+  for (const PendingLike& p : q) {
+    ids.push_back(p.req.id);
+  }
+  return ids;
+}
+
 TEST(OrderQueueTest, FcfsKeepsArrivalOrder) {
   SchedulerConfig cfg;
   FairQueue fq(cfg);
-  std::vector<PendingLike> q = {Req(0, 0, SloClass::kBatch, 2.0),
-                                Req(1, 0, SloClass::kInteractive, 1.0),
-                                Req(2, 1, SloClass::kStandard, 3.0)};
-  OrderQueueForPolicy(cfg, fq, q);
-  EXPECT_EQ(q[0].req.id, 1);
-  EXPECT_EQ(q[1].req.id, 0);
-  EXPECT_EQ(q[2].req.id, 2);
+  Queue q;
+  Ingest(cfg, fq, q, 0,
+         {Req(0, 0, SloClass::kBatch, 2.0), Req(1, 0, SloClass::kInteractive, 1.0),
+          Req(2, 1, SloClass::kStandard, 3.0)});
+  EXPECT_EQ(Ids(q), (std::vector<int>{1, 0, 2}));
 }
 
 TEST(OrderQueueTest, PriorityOrdersByClassThenArrival) {
   SchedulerConfig cfg;
   cfg.policy = SchedPolicy::kPriority;
   FairQueue fq(cfg);
-  std::vector<PendingLike> q = {Req(0, 0, SloClass::kBatch, 1.0),
-                                Req(1, 0, SloClass::kStandard, 2.0),
-                                Req(2, 0, SloClass::kInteractive, 3.0),
-                                Req(3, 0, SloClass::kInteractive, 2.5),
-                                Req(4, 0, SloClass::kBatch, 0.5)};
-  OrderQueueForPolicy(cfg, fq, q);
+  Queue q;
+  Ingest(cfg, fq, q, 0,
+         {Req(0, 0, SloClass::kBatch, 1.0), Req(1, 0, SloClass::kStandard, 2.0),
+          Req(2, 0, SloClass::kInteractive, 3.0), Req(3, 0, SloClass::kInteractive, 2.5),
+          Req(4, 0, SloClass::kBatch, 0.5)});
   // Interactive first (by arrival), then standard, then batch (by arrival).
-  EXPECT_EQ(q[0].req.id, 3);
-  EXPECT_EQ(q[1].req.id, 2);
-  EXPECT_EQ(q[2].req.id, 1);
-  EXPECT_EQ(q[3].req.id, 4);
-  EXPECT_EQ(q[4].req.id, 0);
+  EXPECT_EQ(Ids(q), (std::vector<int>{3, 2, 1, 4, 0}));
 }
 
 TEST(OrderQueueTest, DwfqKeepsLightTenantAheadOfFlood) {
@@ -100,12 +159,13 @@ TEST(OrderQueueTest, DwfqKeepsLightTenantAheadOfFlood) {
   cfg.policy = SchedPolicy::kDwfq;
   FairQueue fq(cfg);
   // Tenant 0 floods 8 requests; tenant 1 submits one, last in arrival order.
-  std::vector<PendingLike> q;
+  std::vector<PendingLike> arrivals;
   for (int i = 0; i < 8; ++i) {
-    q.push_back(Req(i, 0, SloClass::kStandard, 0.1 * i));
+    arrivals.push_back(Req(i, 0, SloClass::kStandard, 0.1 * i));
   }
-  q.push_back(Req(100, 1, SloClass::kStandard, 0.9));
-  OrderQueueForPolicy(cfg, fq, q);
+  arrivals.push_back(Req(100, 1, SloClass::kStandard, 0.9));
+  Queue q;
+  Ingest(cfg, fq, q, 0, arrivals);
   size_t pos_light = 0;
   for (size_t i = 0; i < q.size(); ++i) {
     if (q[i].req.id == 100) {
@@ -115,9 +175,12 @@ TEST(OrderQueueTest, DwfqKeepsLightTenantAheadOfFlood) {
   // Under FCFS it would sit at index 8; fair queueing pulls it to the front
   // (the flood tenant's virtual time races ahead after its first request).
   EXPECT_LE(pos_light, 1u);
-  // Tags persist: re-ordering must not re-stamp (idempotent ordering).
+  // Tags persist: re-inserting the whole queue (as if every request had been
+  // preempted) must not re-stamp, and keeps the order.
+  const std::vector<int> order = Ids(q);
   const double tag = q[pos_light].fair_tag;
-  OrderQueueForPolicy(cfg, fq, q);
+  Ingest(cfg, fq, q, q.size(), {});
+  EXPECT_EQ(Ids(q), order);
   EXPECT_DOUBLE_EQ(q[pos_light].fair_tag, tag);
 }
 
@@ -127,10 +190,74 @@ TEST(OrderQueueTest, DwfqClassWeightsFavorInteractive) {
   FairQueue fq(cfg);
   // Same tenant, same arrival, same size: the interactive request's cost is
   // divided by a 4× weight, so its finish tag lands earlier.
-  std::vector<PendingLike> q = {Req(0, 0, SloClass::kBatch, 0.0),
-                                Req(1, 1, SloClass::kInteractive, 0.0)};
-  OrderQueueForPolicy(cfg, fq, q);
+  Queue q;
+  Ingest(cfg, fq, q, 0,
+         {Req(0, 0, SloClass::kBatch, 0.0), Req(1, 1, SloClass::kInteractive, 0.0)});
   EXPECT_EQ(q[0].req.id, 1);
+}
+
+// The property the serve loop's bit-identity rests on: over many rounds of
+// arrivals (with equal keys), admissions from anywhere in the queue and
+// preempted requests re-queued with their tags, inserting in policy order gives
+// exactly the stable-sort order, tag for tag, under every policy.
+TEST(OrderQueueTest, InsertPathEqualsStableSortOnRandomizedQueues) {
+  for (SchedPolicy policy :
+       {SchedPolicy::kFcfs, SchedPolicy::kPriority, SchedPolicy::kDwfq}) {
+    for (uint64_t seed = 1; seed <= 20; ++seed) {
+      SchedulerConfig cfg;
+      cfg.policy = policy;
+      FairQueue fq_sort(cfg);
+      FairQueue fq_insert(cfg);
+      Queue sorted;
+      Queue inserted;
+      std::vector<PendingLike> running;
+      size_t requeued = 0;
+      Rng rng(seed);
+      const auto below = [&rng](size_t n) {
+        return static_cast<size_t>(rng.NextBelow(n));
+      };
+      int next_id = 0;
+      double clock = 0.0;
+      for (int round = 0; round < 60; ++round) {
+        // A batch of arrivals: coarse times, few tenants and sizes, so that
+        // arrival times, classes and DWFQ tags all tie often.
+        std::vector<PendingLike> arrivals;
+        const size_t n_arrivals = below(7);
+        for (size_t i = 0; i < n_arrivals; ++i) {
+          clock += rng.NextDouble() < 0.5 ? 0.0 : 0.5;
+          arrivals.push_back(Req(next_id++, static_cast<int>(below(4)),
+                                 static_cast<SloClass>(below(kNumSloClasses)), clock,
+                                 rng.NextDouble() < 0.5 ? 100 : 200));
+        }
+        sorted.insert(sorted.end(), arrivals.begin(), arrivals.end());
+        OrderQueueForPolicy(cfg, fq_sort, sorted);
+        Ingest(cfg, fq_insert, inserted, requeued, arrivals);
+        requeued = 0;
+        ASSERT_EQ(Ids(inserted), Ids(sorted)) << "seed " << seed << " round " << round;
+        for (size_t i = 0; i < sorted.size(); ++i) {
+          ASSERT_EQ(inserted[i].fair_tag, sorted[i].fair_tag);
+        }
+        // Admit a few requests from anywhere in the queue.
+        const size_t n_admit = below(std::min<size_t>(3, sorted.size()) + 1);
+        for (size_t i = 0; i < n_admit; ++i) {
+          const size_t at = below(sorted.size());
+          running.push_back(sorted[at]);
+          fq_sort.OnAdmit(sorted[at].fair_tag);
+          fq_insert.OnAdmit(inserted[at].fair_tag);
+          sorted.erase(sorted.begin() + static_cast<std::ptrdiff_t>(at));
+          inserted.erase(inserted.begin() + static_cast<std::ptrdiff_t>(at));
+        }
+        // Preempt a few running requests back to the queue tail, tags kept.
+        while (!running.empty() && rng.NextDouble() < 0.4) {
+          const size_t at = below(running.size());
+          sorted.push_back(running[at]);
+          inserted.push_back(running[at]);
+          running.erase(running.begin() + static_cast<std::ptrdiff_t>(at));
+          ++requeued;
+        }
+      }
+    }
+  }
 }
 
 TEST(DeadlineTest, UnmeetableOnlyWhenEstimateOverrunsDeadline) {
