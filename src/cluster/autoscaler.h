@@ -12,7 +12,7 @@
 namespace dz {
 
 struct AutoscalerConfig {
-  // Off by default: Cluster::Serve stays on the fault-free static path,
+  // Off by default: no decision points, so Cluster::Serve stays
   // bit-identical to the pre-autoscaler cluster (golden-enforced).
   bool enabled = false;
   int min_workers = 1;

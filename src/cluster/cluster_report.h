@@ -30,7 +30,8 @@ struct GpuLoadStats {
 
 // Conservation ledger and churn counters of an elastic (faults and/or
 // autoscaling enabled) cluster run. Invariant, DZ_CHECK-enforced at the end of
-// every elastic run and asserted by the chaos tests:
+// every cluster run (published here only for elastic ones) and asserted by
+// the chaos tests:
 //   completed + shed + failed == offered
 // i.e. every offered request is accounted for exactly once — nothing is lost
 // or double-completed, however the membership churned.

@@ -45,11 +45,10 @@ struct WorkerSlot {
   // Scale-down drain bookkeeping.
   double drain_start_t = 0.0;
   double drain_last_finish = -1.0;
-  // Node-local cache tier carried between epochs (registry runs only): the
-  // artifacts this node held locally at its last epoch end. Survives crashes —
-  // it models durable node-local disk, not the process's GPU/host state.
-  std::vector<int> cached;
-  // Committed results accumulated across this worker's epochs.
+  // Committed results accumulated across this worker's epochs. Its
+  // `cached_artifacts` (registry runs only) is the node-local cache tier at
+  // the last committed epoch end, carried into the next epoch; it survives
+  // crashes — it models durable node-local disk, not GPU/host state.
   ServeReport acc;
 };
 
@@ -65,6 +64,53 @@ bool Routable(const WorkerSlot& w, bool reroute) {
          (w.s == WState::kDeadDetected && !reroute);
 }
 
+// Where a prefetching worker's warm hints come from (see elastic.h).
+enum class HintSource {
+  kTrace,       // Router::WarmHints over the whole trace's placements
+  kEpochInput,  // the epoch's own input, most-frequent variant first
+};
+
+std::vector<int> EpochInputHints(const std::vector<TraceRequest>& input) {
+  std::map<int, int> counts;
+  std::vector<int> order;
+  for (const TraceRequest& r : input) {
+    if (counts[r.model_id]++ == 0) {
+      order.push_back(r.model_id);
+    }
+  }
+  std::stable_sort(order.begin(), order.end(),
+                   [&](int x, int y) { return counts[x] > counts[y]; });
+  return order;
+}
+
+std::unique_ptr<ServingEngine> MakeWorkerEngine(const ClusterConfig& cfg,
+                                                const EngineConfig& ec) {
+  return cfg.vllm_baseline ? MakeVllmScbEngine(ec) : MakeDeltaZipEngine(ec);
+}
+
+// Folds one committed epoch report into a worker's accumulated report. The
+// first one moves in whole, so a worker that ran a single epoch reports
+// exactly what its engine returned.
+void Accumulate(ServeReport& acc, ServeReport&& r) {
+  if (acc.engine_name.empty()) {
+    acc = std::move(r);
+    return;
+  }
+  acc.records.insert(acc.records.end(), r.records.begin(), r.records.end());
+  acc.metrics.MergeFrom(r.metrics);
+  acc.makespan_s = std::max(acc.makespan_s, r.makespan_s);
+  acc.trace_events.insert(acc.trace_events.end(), r.trace_events.begin(),
+                          r.trace_events.end());
+  acc.trace_events_dropped += r.trace_events_dropped;
+  acc.unavailable.insert(acc.unavailable.end(), r.unavailable.begin(),
+                         r.unavailable.end());
+  acc.cached_artifacts = std::move(r.cached_artifacts);
+  for (int c = 0; c < kNumSloClasses; ++c) {
+    acc.path_by_class[static_cast<size_t>(c)].Merge(
+        r.path_by_class[static_cast<size_t>(c)]);
+  }
+}
+
 // Result of running one epoch [t0, t1) against a snapshot of the cluster
 // state. Pure: computing an attempt mutates nothing, so the autoscaler can
 // discard an optimistic run and re-run a shorter prefix (see elastic.h).
@@ -75,6 +121,7 @@ struct Attempt {
   std::vector<ServeReport> reports;                  // indexed like workers
   std::vector<std::vector<TraceRequest>> carry;      // post-epoch carry
   std::vector<std::pair<TraceRequest, int>> placed;  // routed (request, worker)
+  std::vector<std::vector<int>> warm_hints;  // per worker; HintSource::kTrace only
   std::vector<TraceRequest> unrouted;  // nobody routable: held for later
   Placer placer;                       // post-routing placer state
   bool routable = false;               // whether `placer` is meaningful
@@ -167,19 +214,22 @@ struct ElasticRun {
   // One epoch [t0, t1) against the current state: route retries + window
   // arrivals, run every serving worker on carry + routed input, collect each
   // engine's unfinished requests as next-epoch carry. Mutates nothing.
-  Attempt RunEpoch(double t0, double t1) const {
+  Attempt RunEpoch(double t0, double t1, HintSource hints) const {
     Attempt a(workers.size(),
               placer != nullptr ? *placer : Placer(cfg.placer));
     a.routable = placer != nullptr;
     a.next_arrival = next_arrival;
-    std::vector<std::vector<TraceRequest>> routed(workers.size());
+    // Each worker's input: its carry, then what is routed to it below.
+    for (size_t i = 0; i < workers.size(); ++i) {
+      a.carry[i] = workers[i].carry;
+    }
     auto route = [&](const TraceRequest& req) {
       if (!a.routable) {
         a.unrouted.push_back(req);
         return;
       }
       const int gpu = a.placer.Assign(req);
-      routed[static_cast<size_t>(gpu)].push_back(req);
+      a.carry[static_cast<size_t>(gpu)].push_back(req);
       a.placed.emplace_back(req, gpu);
     };
     for (const TraceRequest& r : retry_pool) {
@@ -189,16 +239,24 @@ struct ElasticRun {
            trace.requests[a.next_arrival].arrival_s < t1) {
       route(trace.requests[a.next_arrival++]);
     }
+    if (hints == HintSource::kTrace && cfg.engine.prefetch.enabled) {
+      // Only ever the run's single epoch, which placed the trace in order.
+      std::vector<int> shard_of;
+      shard_of.reserve(a.placed.size());
+      for (const auto& pr : a.placed) {
+        shard_of.push_back(pr.second);
+      }
+      a.warm_hints = Router(cfg.placer).WarmHints(trace, shard_of);
+    }
 
-    // Assemble per-worker inputs; non-serving workers just accumulate theirs.
+    // The whole run as one epoch: every serving worker runs, even on an empty
+    // input, and keeps its metrics timeline.
+    const bool whole_run = t0 == 0.0 && t1 == kInf;
     std::vector<size_t> to_run;
     for (size_t i = 0; i < workers.size(); ++i) {
-      const WorkerSlot& w = workers[i];
-      std::vector<TraceRequest> input = w.carry;
-      input.insert(input.end(), routed[i].begin(), routed[i].end());
-      if (!Serving(w) || input.empty()) {
-        a.carry[i] = std::move(input);
-        continue;
+      std::vector<TraceRequest>& input = a.carry[i];
+      if (!Serving(workers[i]) || (input.empty() && !whole_run)) {
+        continue;  // non-serving workers just accumulate their input
       }
       // Engines require arrival order; re-stamped carry and fresh arrivals
       // interleave.
@@ -206,14 +264,13 @@ struct ElasticRun {
                        [](const TraceRequest& x, const TraceRequest& y) {
                          return x.arrival_s < y.arrival_s;
                        });
-      a.carry[i] = std::move(input);  // replaced by `unfinished` after the run
       to_run.push_back(i);
     }
     auto run_one = [&](size_t k) {
       const size_t i = to_run[k];
       const WorkerSlot& w = workers[i];
       Trace shard;
-      shard.requests = a.carry[i];
+      shard.requests = std::move(a.carry[i]);
       shard.n_models = trace.n_models;
       shard.n_tenants = trace.n_tenants;
       shard.duration_s = trace.duration_s;
@@ -221,7 +278,9 @@ struct ElasticRun {
       ec.start_s = t0;
       ec.halt_s = t1;
       ec.speed_factor = w.speed;
-      ec.metrics.interval_s = 0.0;  // per-worker timelines: not in elastic mode
+      if (!whole_run) {
+        ec.metrics.interval_s = 0.0;  // epoch timelines would not stitch
+      }
       if (w.partitioned) {
         ChannelOutage disk;
         disk.channel = TraceChannel::kDisk;
@@ -238,28 +297,15 @@ struct ElasticRun {
       if (registry != nullptr) {
         ec.registry = registry.get();
         ec.registry_node = w.id;
-        ec.registry_warm = w.cached;
+        ec.registry_warm = w.acc.cached_artifacts;
       }
       if (ec.prefetch.enabled) {
-        // Warm hints from this epoch's own input, most-frequent-first — the
-        // re-warm path a re-homed tenant's requests ride after a membership
-        // change (the router's trace-wide prediction is stale by then).
-        std::map<int, int> counts;
-        std::vector<int> order;
-        for (const TraceRequest& r : shard.requests) {
-          if (counts[r.model_id]++ == 0) {
-            order.push_back(r.model_id);
-          }
-        }
-        std::stable_sort(order.begin(), order.end(), [&](int x, int y) {
-          return counts[x] > counts[y];
-        });
-        ec.prefetch.warm_hints = order;
+        ec.prefetch.warm_hints = hints == HintSource::kTrace
+                                     ? a.warm_hints[i]
+                                     : EpochInputHints(shard.requests);
       }
-      std::unique_ptr<ServingEngine> engine =
-          cfg.vllm_baseline ? MakeVllmScbEngine(ec) : MakeDeltaZipEngine(ec);
-      a.reports[i] = engine->Serve(shard);
-      a.carry[i] = a.reports[i].unfinished;
+      a.reports[i] = MakeWorkerEngine(cfg, ec)->Serve(shard);
+      a.carry[i] = std::exchange(a.reports[i].unfinished, {});
     };
     if (cfg.parallel_workers && to_run.size() > 1) {
       ThreadPool::Global().ForEachTask(to_run.size(), run_one);
@@ -272,27 +318,15 @@ struct ElasticRun {
   }
 
   // Applies an epoch's results: accumulate per-worker reports, swap in the
-  // new carries, advance the cursors, emit router.place events. `boundary_t`
-  // is the committed epoch end (re-stamps unrouted requests so the next
-  // epoch's placer sees non-decreasing arrivals).
+  // new carries, advance the cursors, emit router.place (then router.warm_hint)
+  // events. `boundary_t` is the committed epoch end (re-stamps unrouted
+  // requests so the next epoch's placer sees non-decreasing arrivals).
   void Commit(Attempt& a, double boundary_t, bool rewarm_epoch) {
     const size_t committed_before = committed_finishes.size();
     for (size_t i = 0; i < workers.size(); ++i) {
       WorkerSlot& w = workers[i];
       ServeReport& r = a.reports[i];
       if (!r.engine_name.empty()) {  // this worker actually ran
-        w.acc.records.insert(w.acc.records.end(), r.records.begin(),
-                             r.records.end());
-        w.acc.metrics.MergeFrom(r.metrics);
-        w.acc.makespan_s = std::max(w.acc.makespan_s, r.makespan_s);
-        w.acc.trace_events.insert(w.acc.trace_events.end(),
-                                  r.trace_events.begin(),
-                                  r.trace_events.end());
-        w.acc.trace_events_dropped += r.trace_events_dropped;
-        for (int c = 0; c < kNumSloClasses; ++c) {
-          w.acc.path_by_class[static_cast<size_t>(c)].Merge(
-              r.path_by_class[static_cast<size_t>(c)]);
-        }
         stats.shed += r.TotalShed();
         if (rewarm_epoch) {
           stats.rewarm_loads += r.PrefetchIssued();
@@ -303,16 +337,16 @@ struct ElasticRun {
         // forward as `unfinished` so repairs/recoveries can still save them.
         stats.failed += static_cast<long long>(r.unavailable.size());
         stats.unavailable += static_cast<long long>(r.unavailable.size());
-        if (registry != nullptr) {
-          w.cached = std::move(r.cached_artifacts);
-        }
         for (const RequestRecord& rec : r.records) {
-          committed_finishes.push_back(rec.finish_s);
+          if (cfg.autoscale.enabled) {  // only the autoscaler observes these
+            committed_finishes.push_back(rec.finish_s);
+          }
           max_finish = std::max(max_finish, rec.finish_s);
           if (w.s == WState::kDraining) {
             w.drain_last_finish = std::max(w.drain_last_finish, rec.finish_s);
           }
         }
+        Accumulate(w.acc, std::move(r));
       }
       w.carry = std::move(a.carry[i]);
     }
@@ -346,6 +380,16 @@ struct ElasticRun {
         ev.slo = pr.first.slo;
         ev.gpu = pr.second;
         recorder.Emit(ev);
+      }
+      for (size_t gpu = 0; gpu < a.warm_hints.size(); ++gpu) {
+        for (size_t rank = 0; rank < a.warm_hints[gpu].size(); ++rank) {
+          TraceEvent ev;
+          ev.type = TraceEventType::kRouterWarmHint;
+          ev.model_id = a.warm_hints[gpu][rank];
+          ev.gpu = static_cast<int>(gpu);
+          ev.aux = static_cast<int>(rank);
+          recorder.Emit(ev);  // hints are computed before serving: t = 0
+        }
       }
     }
   }
@@ -644,8 +688,12 @@ struct ElasticRun {
 }  // namespace
 
 ClusterReport ServeElastic(const ClusterConfig& cfg, const Trace& trace) {
-  DZ_CHECK(cfg.faults.Enabled() || cfg.autoscale.Enabled());
   DZ_CHECK_GT(cfg.placer.n_gpus, 0);
+  // Without faults or autoscaling the loop runs one epoch [0, inf): the
+  // static cluster. Its warm hints are the router's trace-wide prediction and
+  // its report carries no elastic ledger.
+  const bool elastic = cfg.faults.Enabled() || cfg.autoscale.Enabled();
+  const HintSource hints = elastic ? HintSource::kEpochInput : HintSource::kTrace;
   if (cfg.autoscale.enabled) {
     DZ_CHECK_GE(cfg.autoscale.min_workers, 1);
     DZ_CHECK_GE(cfg.autoscale.max_workers, cfg.autoscale.min_workers);
@@ -703,7 +751,7 @@ ClusterReport ServeElastic(const ClusterConfig& cfg, const Trace& trace) {
       t_fault = std::min(t_fault, d);
     }
 
-    Attempt a = run.RunEpoch(t0, t_fault);
+    Attempt a = run.RunEpoch(t0, t_fault, hints);
     if (cfg.autoscale.enabled) {
       // Replay the decision rule over the optimistic run. The grid extends
       // past the last activity by one cooldown + interval so trailing
@@ -733,7 +781,7 @@ ClusterReport ServeElastic(const ClusterConfig& cfg, const Trace& trace) {
       if (action != ScaleDecision::kHold) {
         // Roll back: re-run the (deterministic) prefix and commit the action
         // as a new boundary at the decision time.
-        a = run.RunEpoch(t0, action_t);
+        a = run.RunEpoch(t0, action_t, hints);
         run.Commit(a, action_t, rewarm_epoch);
         run.FinishDrains();
         run.AdvanceRepairs(t0, action_t, a);
@@ -813,26 +861,25 @@ ClusterReport ServeElastic(const ClusterConfig& cfg, const Trace& trace) {
 
   // Assemble the cluster report: per-worker accumulated reports in global-id
   // order (BuildClusterReport stamps gpu = index, which equals the id here).
-  const char* engine_name =
-      cfg.vllm_baseline
-          ? "vllm-scb"
-          : (cfg.engine.artifact == ArtifactKind::kLoraAdapter ? "deltazip-lora"
-                                                               : "deltazip");
+  // A worker that never ran gets the header fields its engine would have set.
   std::vector<ServeReport> per_gpu;
   per_gpu.reserve(run.workers.size());
   for (WorkerSlot& w : run.workers) {
-    w.acc.engine_name = engine_name;
-    w.acc.n_tenants = std::max(1, trace.n_tenants);
-    w.acc.slo_spec = cfg.engine.scheduler.slo;
-    w.acc.metrics.sim_time_s = w.acc.makespan_s;
+    if (w.acc.engine_name.empty()) {
+      w.acc.engine_name = MakeWorkerEngine(cfg, cfg.engine)->name();
+      w.acc.n_tenants = std::max(1, trace.n_tenants);
+      w.acc.slo_spec = cfg.engine.scheduler.slo;
+    }
     per_gpu.push_back(std::move(w.acc));
   }
-  const char* base = cfg.vllm_baseline ? "vllm-scb" : "deltazip";
-  const std::string name = std::string(base) + " x" +
-                           std::to_string(cfg.placer.n_gpus) + " [" +
-                           PlacementPolicyName(cfg.placer.policy) + "]";
   ClusterReport report =
-      BuildClusterReport(name, cfg.placer.policy, std::move(per_gpu));
+      BuildClusterReport(Cluster(cfg).name(), cfg.placer.policy, std::move(per_gpu));
+  if (run.recorder.enabled()) {
+    report.router_events = run.recorder.Drain();
+  }
+  if (!elastic) {
+    return report;
+  }
   report.elastic = run.stats;
 
   // Cluster-level counters join the merged snapshot so the metrics layer
@@ -865,10 +912,6 @@ ClusterReport ServeElastic(const ClusterConfig& cfg, const Trace& trace) {
   }
   report.merged.metrics.MergeFrom(
       cluster_reg.Snapshot(report.merged.makespan_s));
-
-  if (run.recorder.enabled()) {
-    report.router_events = run.recorder.Drain();
-  }
   return report;
 }
 

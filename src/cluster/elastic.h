@@ -1,6 +1,7 @@
-// Elastic cluster serving: the fault-injection / autoscaling execution path of
-// Cluster::Serve (dispatched when ClusterConfig::faults or ::autoscale is
-// enabled; the default static path never reaches this file).
+// The cluster epoch loop: Cluster::Serve's one execution path. With no fault
+// plan and no autoscaler it runs a single epoch [0, inf) over all n_gpus
+// workers — the static cluster, reproducing the decomposed Router::Assign →
+// SplitTrace → per-worker Serve → BuildClusterReport run exactly.
 //
 // Execution model — epochs between boundaries. The run is cut at every fault
 // event time, every crash-detection time (crash + detection_delay_s), and
@@ -19,11 +20,20 @@
 // commits the action as a new boundary — so decisions take effect exactly
 // when a live controller would have made them, not at epoch granularity.
 //
+// Rules derived from the config, not separate paths:
+//   * Warm hints (prefetch on): without faults or autoscaling, the router's
+//     trace-wide prediction (Router::WarmHints over the epoch's placements,
+//     also emitted as router.warm_hint events); otherwise each epoch's own
+//     input, most-frequent variant first — the re-warm path a re-homed
+//     tenant rides after a membership change.
+//   * Per-worker metrics timelines are collected only when a worker's one run
+//     is the whole-run epoch [0, inf); epoch timelines would not stitch.
+//   * The whole-run epoch runs every serving worker, even on an empty input.
+//
 // Approximations (documented, uniform): completions of the iteration in
 // flight when a boundary lands still count (engines check halt at loop top
 // only); a crashed worker's partial decode progress is lost (re-serving pays
-// the full re-warm, prefill, and decode again); per-worker metrics timelines
-// are not collected in elastic mode.
+// the full re-warm, prefill, and decode again).
 #ifndef SRC_CLUSTER_ELASTIC_H_
 #define SRC_CLUSTER_ELASTIC_H_
 
@@ -33,10 +43,10 @@
 
 namespace dz {
 
-// Runs `trace` through the elastic cluster loop. Requires
-// cfg.faults.Enabled() || cfg.autoscale.Enabled(). The returned report's
-// `elastic` ledger satisfies completed + shed + failed == offered
-// (DZ_CHECK-enforced before returning).
+// Runs `trace` through the cluster epoch loop. Every run DZ_CHECKs the
+// conservation ledger completed + shed + failed == offered before returning;
+// the report's `elastic` ledger and the `cluster.*` counters are published
+// only when faults or autoscaling are enabled.
 ClusterReport ServeElastic(const ClusterConfig& cfg, const Trace& trace);
 
 }  // namespace dz

@@ -5,8 +5,8 @@
 // kills a worker mid-run (its in-flight requests are lost and re-routed after
 // the router's detection delay), a slow window stretches every iteration by
 // the multiplier, and a partition blacks out the worker's transfer channels
-// without killing it. An empty plan (the default) keeps Cluster::Serve on the
-// fault-free code path, bit-identical to the pre-fault cluster
+// without killing it. An empty plan (the default) adds no epoch boundary, so
+// Cluster::Serve stays bit-identical to the pre-fault cluster
 // (golden-enforced).
 #ifndef SRC_CLUSTER_FAULT_MODEL_H_
 #define SRC_CLUSTER_FAULT_MODEL_H_

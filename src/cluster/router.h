@@ -33,13 +33,10 @@ class Router {
   // Placement-aware prefetch hints: hints[g] lists the variant ids the router
   // predicts GPU g will serve, most-likely-first, for the workers' artifact
   // warm-up (PrefetchConfig::warm_hints). Delta-affinity predicts from the
-  // consistent-hash ring homes (where each variant lands absent backlog spill);
-  // the other policies fall back to each shard's variants in first-appearance
-  // order. Purely advisory — routing itself is unchanged.
-  std::vector<std::vector<int>> WarmHints(const Trace& trace) const;
-  // Same, reusing per-request assignments already computed via Assign(trace)
-  // (required — and checked — for the non-affinity policies; ignored under
-  // delta-affinity, where the ring alone decides).
+  // consistent-hash ring homes (where each variant lands absent backlog spill)
+  // and ignores `shard_of`; the other policies take each shard's variants from
+  // `shard_of`, the per-request assignments of Assign(trace) (size-checked).
+  // Purely advisory — routing itself is unchanged.
   std::vector<std::vector<int>> WarmHints(const Trace& trace,
                                           const std::vector<int>& shard_of) const;
 
@@ -56,13 +53,14 @@ struct ClusterConfig {
   // degree *within* one worker (paper Fig. 18); placer.n_gpus counts workers, so
   // the hardware total is n_gpus × tp GPUs. When `engine.prefetch.enabled`, the
   // cluster overwrites each worker's `prefetch.warm_hints` with the router's
-  // placement prediction (Router::WarmHints).
+  // placement prediction (Router::WarmHints) — or, in fault/autoscale runs,
+  // with each epoch's own input (see elastic.h).
   EngineConfig engine;
   bool vllm_baseline = false;    // use the vLLM+SCB engine instead of DeltaZip
   bool parallel_workers = true;  // simulate workers on the global thread pool
   // Fault injection and elastic autoscaling (src/cluster/elastic.cc). Both off
-  // by default, which keeps Serve() on the static path below — byte-identical
-  // behavior to the pre-fault cluster (golden-enforced).
+  // by default: the epoch loop then runs one epoch [0, inf), byte-identical
+  // to the pre-fault static cluster (golden-enforced).
   FaultPlan faults;
   AutoscalerConfig autoscale;
   // Cluster-shared artifact registry (src/registry/): when enabled, artifact
@@ -80,7 +78,8 @@ class Cluster {
  public:
   explicit Cluster(const ClusterConfig& config);
 
-  // Routes the trace, runs every worker engine on its shard, merges the reports.
+  // Routes the trace, runs every worker engine on its shard, merges the
+  // reports — all through the epoch loop (ServeElastic, src/cluster/elastic.h).
   ClusterReport Serve(const Trace& trace) const;
 
   // e.g. "deltazip x4 [delta-affinity]".

@@ -159,7 +159,8 @@ TEST(ClusterPrefetchTest, SingleGpuParityHoldsWithPrefetchEnabled) {
   const ClusterReport report = Cluster(cfg).Serve(trace);
 
   EngineConfig direct_cfg = cfg.engine;
-  direct_cfg.prefetch.warm_hints = Router(cfg.placer).WarmHints(trace)[0];
+  const Router router(cfg.placer);
+  direct_cfg.prefetch.warm_hints = router.WarmHints(trace, router.Assign(trace))[0];
   const ServeReport direct = MakeDeltaZipEngine(direct_cfg)->Serve(trace);
 
   EXPECT_DOUBLE_EQ(report.makespan_s(), direct.makespan_s);
@@ -197,7 +198,7 @@ TEST(ClusterPrefetchTest, AffinityWarmHintsFollowRingHomes) {
   pc.n_gpus = 4;
   pc.policy = PlacementPolicy::kDeltaAffinity;
   const Router router(pc);
-  const std::vector<std::vector<int>> hints = router.WarmHints(trace);
+  const std::vector<std::vector<int>> hints = router.WarmHints(trace, router.Assign(trace));
   ASSERT_EQ(hints.size(), 4u);
   const Placer placer(pc);
   std::set<int> hinted;
@@ -221,8 +222,9 @@ TEST(ClusterPrefetchTest, ShardWarmHintsCoverEachWorkersVariants) {
   pc.n_gpus = 3;
   pc.policy = PlacementPolicy::kRoundRobin;
   const Router router(pc);
-  const std::vector<std::vector<int>> hints = router.WarmHints(trace);
-  const std::vector<Trace> shards = SplitTrace(trace, router.Assign(trace), pc.n_gpus);
+  const std::vector<int> shard_of = router.Assign(trace);
+  const std::vector<std::vector<int>> hints = router.WarmHints(trace, shard_of);
+  const std::vector<Trace> shards = SplitTrace(trace, shard_of, pc.n_gpus);
   ASSERT_EQ(hints.size(), shards.size());
   for (size_t g = 0; g < shards.size(); ++g) {
     std::set<int> shard_models;

@@ -1,8 +1,9 @@
 // Chaos suite for the elastic cluster layer: seeded randomized fault schedules
-// against every placement policy, with the request-conservation ledger
-// (completed + shed + failed == offered) as the master invariant. The elastic
-// loop DZ_CHECKs the same identity internally; these tests re-derive it from
-// the report so a bookkeeping bug on either side trips.
+// (and the empty plan, i.e. the static cluster) against every placement
+// policy, with the request-conservation ledger (completed + shed + failed ==
+// offered) as the master invariant. The epoch loop DZ_CHECKs the same identity
+// internally; these tests re-derive it from the report so a bookkeeping bug on
+// either side trips.
 #include "src/cluster/fault_model.h"
 
 #include <algorithm>
@@ -51,6 +52,25 @@ ClusterConfig ChaosClusterConfig(PlacementPolicy policy) {
   return cfg;
 }
 
+// Tight class deadlines: admission control sheds under load.
+void EnableAdmissionShedding(ClusterConfig& cfg) {
+  cfg.engine.scheduler.admission_control = true;
+  cfg.engine.scheduler.slo.per_class[static_cast<int>(SloClass::kStandard)] = {
+      5.0, 20.0};
+  cfg.engine.scheduler.slo.per_class[static_cast<int>(SloClass::kInteractive)] =
+      {2.0, 10.0};
+}
+
+// No request may complete twice (a re-routed retry that also finished on the
+// dead worker would double-count).
+void ExpectUniqueIds(const ClusterReport& report) {
+  std::set<int> ids;
+  for (const RequestRecord& rec : report.merged.records) {
+    EXPECT_TRUE(ids.insert(rec.id).second) << "request " << rec.id
+                                           << " completed twice";
+  }
+}
+
 // The conservation ledger, re-derived from report internals rather than read
 // back from the elastic struct alone.
 void ExpectConservation(const ClusterReport& report, long long offered) {
@@ -61,13 +81,7 @@ void ExpectConservation(const ClusterReport& report, long long offered) {
   EXPECT_EQ(report.elastic.completed + report.elastic.shed +
                 report.elastic.failed,
             report.elastic.offered);
-  // No request may complete twice (a re-routed retry that also finished on the
-  // dead worker would double-count).
-  std::set<int> ids;
-  for (const RequestRecord& rec : report.merged.records) {
-    EXPECT_TRUE(ids.insert(rec.id).second) << "request " << rec.id
-                                           << " completed twice";
-  }
+  ExpectUniqueIds(report);
 }
 
 class FaultChaosTest : public ::testing::TestWithParam<PlacementPolicy> {};
@@ -77,6 +91,19 @@ TEST_P(FaultChaosTest, RandomFaultSchedulesConserveEveryRequest) {
   const long long offered = static_cast<long long>(trace.requests.size());
   ASSERT_GE(offered, 900);  // the chaos workload really is ~1k requests
 
+  // The empty plan with the autoscaler off is the static cluster: it publishes
+  // no elastic ledger, and without faults nothing can fail, so every request
+  // completes or is shed.
+  {
+    ClusterConfig cfg = ChaosClusterConfig(GetParam());
+    EnableAdmissionShedding(cfg);
+    ASSERT_FALSE(cfg.faults.Enabled() || cfg.autoscale.Enabled());
+    const ClusterReport report = Cluster(cfg).Serve(trace);
+    EXPECT_FALSE(report.elastic.active);
+    EXPECT_EQ(static_cast<long long>(report.completed()) + report.TotalShed(),
+              offered);
+    ExpectUniqueIds(report);
+  }
   for (uint64_t seed : {1ULL, 7ULL}) {
     ClusterConfig cfg = ChaosClusterConfig(GetParam());
     cfg.faults = RandomFaultPlan(seed, cfg.placer.n_gpus, trace.duration_s,
@@ -196,11 +223,7 @@ TEST(FaultInjectionTest, ConservationHoldsWithAdmissionShedding) {
 
   ClusterConfig cfg = ChaosClusterConfig(PlacementPolicy::kRoundRobin);
   cfg.placer.n_gpus = 2;  // overload so the shed path actually fires
-  cfg.engine.scheduler.admission_control = true;
-  cfg.engine.scheduler.slo.per_class[static_cast<int>(SloClass::kStandard)] = {
-      5.0, 20.0};
-  cfg.engine.scheduler.slo.per_class[static_cast<int>(SloClass::kInteractive)] =
-      {2.0, 10.0};
+  EnableAdmissionShedding(cfg);
   ASSERT_TRUE(ParseFaultPlan("crash@30:w0,slow@50-90:w1x0.5", cfg.faults));
 
   const ClusterReport report = Cluster(cfg).Serve(trace);

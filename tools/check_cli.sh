@@ -123,6 +123,35 @@ else
   "$root/tools/check_trace.sh" "$tmp/clu.json" || fail=1
 fi
 
+# A static cluster serves its whole run as one epoch, so every worker keeps its
+# in-run metrics timeline: the JSONL holds timeline lines for each GPU and ends
+# with the merged snapshot. The same run with the autoscaler on must succeed.
+metrics="$tmp/clu_metrics.jsonl"
+if ! "$cli" cluster --trace "$tmp/t.jsonl" --gpus 2 --policy round-robin \
+    --metrics-interval 5 --metrics-out "$metrics" >"$tmp/out" 2>&1; then
+  echo "FAIL: static cluster metrics run"
+  cat "$tmp/out"
+  fail=1
+elif ! grep -q '"gpu":"0","phase":"timeline"' "$metrics" ||
+    ! grep -q '"gpu":"1","phase":"timeline"' "$metrics"; then
+  echo "FAIL: static cluster metrics lack per-GPU timeline lines"
+  fail=1
+elif ! tail -n 1 "$metrics" | grep -q '"gpu":"merged"'; then
+  echo "FAIL: static cluster metrics do not end with the merged snapshot"
+  fail=1
+else
+  echo "ok: static cluster per-GPU metrics timelines"
+fi
+if ! "$cli" cluster --trace "$tmp/t.jsonl" --gpus 2 --policy round-robin \
+    --metrics-interval 5 --metrics-out "$metrics" --autoscale 1 \
+    >"$tmp/out" 2>&1; then
+  echo "FAIL: autoscaled cluster metrics run"
+  cat "$tmp/out"
+  fail=1
+else
+  echo "ok: autoscaled cluster metrics run"
+fi
+
 # bench_soak window sizing: each bad value must exit 2 naming the flag. The
 # other flag is kept tiny so a regression cannot start a long soak.
 expect_soak_reject() {
