@@ -8,69 +8,49 @@
 
 namespace dz {
 
-std::vector<GpuLoadStats> ClusterReport::PerGpuStats() const {
-  std::vector<GpuLoadStats> stats;
-  stats.reserve(per_gpu.size());
-  for (size_t g = 0; g < per_gpu.size(); ++g) {
-    const ServeReport& r = per_gpu[g];
-    GpuLoadStats s;
-    s.gpu = static_cast<int>(g);
-    s.requests = r.records.size();
-    for (const RequestRecord& rec : r.records) {
-      s.output_tokens += rec.output_tokens;
-    }
-    s.busy_span_s = r.makespan_s;
-    s.utilization = merged.makespan_s > 0.0 ? r.makespan_s / merged.makespan_s : 0.0;
-    s.total_loads = r.TotalLoads();
-    s.disk_loads = r.DiskLoads();
-    s.prefetch_issued = r.PrefetchIssued();
-    s.prefetch_hits = r.PrefetchHits();
-    s.prefetch_wasted = r.PrefetchWasted();
-    s.stall_hidden_s = r.StallHiddenS();
-    stats.push_back(s);
-  }
-  return stats;
-}
-
 namespace {
 
-double LoadImbalanceOf(const std::vector<GpuLoadStats>& stats) {
-  if (stats.empty()) {
-    return 0.0;
+long long OutputTokens(const ServeReport& r) {
+  long long tokens = 0;
+  for (const RequestRecord& rec : r.records) {
+    tokens += rec.output_tokens;
   }
-  double max_tokens = 0.0;
-  double total_tokens = 0.0;
-  for (const GpuLoadStats& s : stats) {
-    max_tokens = std::max(max_tokens, static_cast<double>(s.output_tokens));
-    total_tokens += static_cast<double>(s.output_tokens);
-  }
-  if (total_tokens <= 0.0) {
-    return 0.0;
-  }
-  return max_tokens / (total_tokens / static_cast<double>(stats.size()));
+  return tokens;
 }
 
-double MeanUtilizationOf(const std::vector<GpuLoadStats>& stats) {
-  if (stats.empty()) {
-    return 0.0;
-  }
-  double sum = 0.0;
-  for (const GpuLoadStats& s : stats) {
-    sum += s.utilization;
-  }
-  return sum / static_cast<double>(stats.size());
+// When a GPU finished its last request, as a share of the cluster makespan.
+double Utilization(const ServeReport& r, double cluster_makespan_s) {
+  return cluster_makespan_s > 0.0 ? r.makespan_s / cluster_makespan_s : 0.0;
 }
 
 }  // namespace
 
-double ClusterReport::LoadImbalance() const { return LoadImbalanceOf(PerGpuStats()); }
+double ClusterReport::LoadImbalance() const {
+  double max_tokens = 0.0;
+  double total_tokens = 0.0;
+  for (const ServeReport& r : per_gpu) {
+    const double tokens = static_cast<double>(OutputTokens(r));
+    max_tokens = std::max(max_tokens, tokens);
+    total_tokens += tokens;
+  }
+  if (total_tokens <= 0.0) {
+    return 0.0;  // nothing served (or no GPU)
+  }
+  return max_tokens / (total_tokens / static_cast<double>(per_gpu.size()));
+}
 
 double ClusterReport::MeanUtilization() const {
-  return MeanUtilizationOf(PerGpuStats());
+  if (per_gpu.empty()) {
+    return 0.0;
+  }
+  double sum = 0.0;
+  for (const ServeReport& r : per_gpu) {
+    sum += Utilization(r, makespan_s());
+  }
+  return sum / static_cast<double>(per_gpu.size());
 }
 
 std::string ClusterReport::Summary(double slo_e2e_s, double slo_ttft_s) const {
-  const std::vector<GpuLoadStats> stats = PerGpuStats();
   Table agg({"metric", "value"});
   agg.AddRow({"cluster", cluster_name});
   agg.AddRow({"policy", PlacementPolicyName(policy)});
@@ -86,8 +66,8 @@ std::string ClusterReport::Summary(double slo_e2e_s, double slo_ttft_s) const {
               Table::Num(SloAttainmentE2e(slo_e2e_s), 3)});
   agg.AddRow({"SLO attain TTFT<=" + Table::Num(slo_ttft_s, 0) + "s",
               Table::Num(SloAttainmentTtft(slo_ttft_s), 3)});
-  agg.AddRow({"load imbalance (max/mean)", Table::Num(LoadImbalanceOf(stats), 2)});
-  agg.AddRow({"mean GPU utilization", Table::Num(MeanUtilizationOf(stats), 3)});
+  agg.AddRow({"load imbalance (max/mean)", Table::Num(LoadImbalance(), 2)});
+  agg.AddRow({"mean GPU utilization", Table::Num(MeanUtilization(), 3)});
   agg.AddRow({"artifact loads (PCIe)", std::to_string(TotalLoads())});
   agg.AddRow({"artifact loads (disk)", std::to_string(TotalDiskLoads())});
   if (TotalPrefetchIssued() > 0) {
@@ -152,15 +132,16 @@ std::string ClusterReport::Summary(double slo_e2e_s, double slo_ttft_s) const {
     header.push_back("pf wasted");
   }
   Table per(header);
-  for (const GpuLoadStats& s : stats) {
+  for (size_t g = 0; g < per_gpu.size(); ++g) {
+    const ServeReport& r = per_gpu[g];
     std::vector<std::string> row = {
-        std::to_string(s.gpu),          std::to_string(s.requests),
-        std::to_string(s.output_tokens), Table::Num(s.busy_span_s, 1),
-        Table::Num(s.utilization, 3),   std::to_string(s.total_loads),
-        std::to_string(s.disk_loads)};
+        std::to_string(g), std::to_string(r.records.size()),
+        std::to_string(OutputTokens(r)), Table::Num(r.makespan_s, 1),
+        Table::Num(Utilization(r, makespan_s()), 3), std::to_string(r.TotalLoads()),
+        std::to_string(r.DiskLoads())};
     if (show_prefetch) {
-      row.push_back(std::to_string(s.prefetch_hits));
-      row.push_back(std::to_string(s.prefetch_wasted));
+      row.push_back(std::to_string(r.PrefetchHits()));
+      row.push_back(std::to_string(r.PrefetchWasted()));
     }
     per.AddRow(row);
   }

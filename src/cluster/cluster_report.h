@@ -12,22 +12,6 @@
 
 namespace dz {
 
-// Per-GPU load summary derived from that GPU's ServeReport. Times in simulated
-// seconds; loads count artifact transfers.
-struct GpuLoadStats {
-  int gpu = 0;
-  size_t requests = 0;
-  long long output_tokens = 0;
-  double busy_span_s = 0.0;  // when this GPU finished its last request (s)
-  double utilization = 0.0;  // busy_span_s / cluster makespan (0 when idle cluster)
-  int total_loads = 0;       // PCIe (H2D) artifact transfers on this GPU
-  int disk_loads = 0;        // loads that additionally paid the disk read
-  int prefetch_issued = 0;   // speculative transfers issued on this GPU
-  int prefetch_hits = 0;     // prefetched artifacts later used by a demand request
-  int prefetch_wasted = 0;   // prefetched artifacts evicted without any use
-  double stall_hidden_s = 0.0;  // artifact-wait seconds prefetch removed
-};
-
 // Conservation ledger and churn counters of an elastic (faults and/or
 // autoscaling enabled) cluster run. Invariant, DZ_CHECK-enforced at the end of
 // every cluster run (published here only for elastic ones) and asserted by
@@ -112,7 +96,6 @@ struct ClusterReport {
   // Jain fairness over per-tenant served tokens, cluster-wide.
   double JainFairnessIndex() const { return merged.JainFairnessIndex(); }
 
-  std::vector<GpuLoadStats> PerGpuStats() const;
   // max / mean per-GPU served output tokens; 1.0 is perfectly balanced. GPUs that
   // served nothing count toward the mean. 0 when the cluster served nothing.
   double LoadImbalance() const;

@@ -11,6 +11,7 @@
 
 #include "src/metrics/metrics.h"
 #include "src/registry/registry.h"
+#include "src/serving/observer.h"
 #include "src/simgpu/exec_model.h"
 #include "src/util/check.h"
 #include "src/util/stats.h"
@@ -146,7 +147,9 @@ struct ElasticRun {
   std::unique_ptr<Placer> placer;  // routes across the current routable set
   size_t next_arrival = 0;
   std::vector<TraceRequest> retry_pool;  // re-enqueue at the next epoch start
-  TraceRecorder recorder;  // cluster-side events (router.*, fault.*, scale.*)
+  // Router, fault, scale and repair events, and the cluster.* counters they
+  // back (registered only for elastic runs).
+  Observer obs;
   ElasticStats stats;
   std::vector<double> committed_finishes;  // sorted finish_s of all records
   double max_finish = 0.0;
@@ -158,7 +161,7 @@ struct ElasticRun {
   std::vector<RepairJob> repairs;  // FIFO repair queue
 
   ElasticRun(const ClusterConfig& c, const Trace& t)
-      : cfg(c), trace(t), recorder(c.engine.tracing) {}
+      : cfg(c), trace(t), obs(c.engine.tracing) {}
 
   std::vector<int> RoutableIds() const {
     std::vector<int> ids;
@@ -176,20 +179,6 @@ struct ElasticRun {
       n += w.s == WState::kActive ? 1 : 0;
     }
     return n;
-  }
-
-  void EmitCluster(TraceEventType type, double ts, int gpu, double dur = 0.0,
-                   int aux = 0) {
-    if (!recorder.enabled()) {
-      return;
-    }
-    TraceEvent ev;
-    ev.type = type;
-    ev.ts_s = ts;
-    ev.dur_s = dur;
-    ev.gpu = gpu;
-    ev.aux = aux;
-    recorder.Emit(ev);
   }
 
   // Rebuilds the placer iff the routable membership changed. Backlogs reset on
@@ -369,27 +358,17 @@ struct ElasticRun {
       }
       retry_pool.push_back(r);
     }
-    if (recorder.enabled()) {
-      for (const auto& pr : a.placed) {
-        TraceEvent ev;
-        ev.type = TraceEventType::kRouterPlace;
-        ev.ts_s = pr.first.arrival_s;
-        ev.request_id = pr.first.id;
-        ev.model_id = pr.first.model_id;
-        ev.tenant_id = pr.first.tenant_id;
-        ev.slo = pr.first.slo;
-        ev.gpu = pr.second;
-        recorder.Emit(ev);
-      }
-      for (size_t gpu = 0; gpu < a.warm_hints.size(); ++gpu) {
-        for (size_t rank = 0; rank < a.warm_hints[gpu].size(); ++rank) {
-          TraceEvent ev;
-          ev.type = TraceEventType::kRouterWarmHint;
-          ev.model_id = a.warm_hints[gpu][rank];
-          ev.gpu = static_cast<int>(gpu);
-          ev.aux = static_cast<int>(rank);
-          recorder.Emit(ev);  // hints are computed before serving: t = 0
-        }
+    for (const auto& [req, gpu] : a.placed) {
+      obs.On(RequestEvent(TraceEventType::kRouterPlace, req.arrival_s, req,
+                          /*dur=*/0.0, /*aux=*/0, gpu));
+    }
+    for (size_t gpu = 0; gpu < a.warm_hints.size(); ++gpu) {
+      for (size_t rank = 0; rank < a.warm_hints[gpu].size(); ++rank) {
+        // Hints are computed before serving: t = 0.
+        obs.On(ArtifactEvent(TraceEventType::kRouterWarmHint, /*ts=*/0.0, /*dur=*/0.0,
+                             a.warm_hints[gpu][rank], TraceChannel::kNone,
+                             /*bytes=*/0.0, /*aux=*/static_cast<int>(rank),
+                             static_cast<int>(gpu)));
       }
     }
   }
@@ -403,8 +382,8 @@ struct ElasticRun {
         continue;
       }
       const double done_t = std::max(w.drain_start_t, w.drain_last_finish);
-      EmitCluster(TraceEventType::kScaleDrainDone, done_t, w.id);
-      EmitCluster(TraceEventType::kScaleRemove, done_t, w.id);
+      obs.On(WorkerEvent(TraceEventType::kScaleDrainDone, done_t, w.id));
+      obs.On(WorkerEvent(TraceEventType::kScaleRemove, done_t, w.id));
       w.s = WState::kRetired;
     }
   }
@@ -485,7 +464,7 @@ struct ElasticRun {
     }
     double busy_s = 0.0;
     for (const ServeReport& r : a.reports) {
-      busy_s += r.metrics.Value("registry.net.busy_s");
+      busy_s += r.metrics.Value(metric::kNetBusyS);
     }
     const double spare_s =
         std::max(0.0, static_cast<double>(live) * (t_end - t0) - busy_s);
@@ -503,18 +482,10 @@ struct ElasticRun {
         break;  // FIFO: only the queue head makes partial progress
       }
       registry->AddHolder(j.artifact, j.frag, j.target);
-      ++stats.repair_jobs;
       ++done;
-      if (recorder.enabled()) {
-        TraceEvent ev;
-        ev.type = TraceEventType::kRepair;
-        ev.ts_s = t_end;
-        ev.gpu = j.target;
-        ev.model_id = j.artifact;
-        ev.aux = j.frag;
-        ev.bytes = j.bytes_needed;
-        recorder.Emit(ev);
-      }
+      obs.On(ArtifactEvent(TraceEventType::kRepair, t_end, /*dur=*/0.0, j.artifact,
+                           TraceChannel::kNone, j.bytes_needed, /*aux=*/j.frag,
+                           j.target));
     }
     repairs.erase(repairs.begin(),
                   repairs.begin() + static_cast<std::ptrdiff_t>(done));
@@ -537,8 +508,7 @@ struct ElasticRun {
           // (no drain-done; its backlog fails or re-routes like any crash).
           if (w.s == WState::kActive || w.s == WState::kDraining) {
             w.s = WState::kDeadUndetected;
-            ++stats.crashes;
-            EmitCluster(TraceEventType::kFaultCrash, ev.t_s, w.id);
+            obs.On(WorkerEvent(TraceEventType::kFaultCrash, ev.t_s, w.id));
             detections.push_back(ev.t_s + cfg.faults.detection_delay_s);
             detect_worker.push_back(w.id);
           }
@@ -546,8 +516,7 @@ struct ElasticRun {
         case FaultType::kRecover:
           if (w.s == WState::kDeadUndetected || w.s == WState::kDeadDetected) {
             w.s = WState::kActive;
-            ++stats.recoveries;
-            EmitCluster(TraceEventType::kFaultRecover, ev.t_s, w.id);
+            obs.On(WorkerEvent(TraceEventType::kFaultRecover, ev.t_s, w.id));
             // Repair-vs-recovery race: the recovered node still has its chunks
             // (node-local disk survives a process crash), so rebuilds queued
             // against its death are moot — cancel the pending ones. Already
@@ -572,7 +541,7 @@ struct ElasticRun {
               break;
             }
           }
-          EmitCluster(TraceEventType::kFaultSlow, ev.t_s, w.id, end - ev.t_s);
+          obs.On(WorkerEvent(TraceEventType::kFaultSlow, ev.t_s, w.id, end - ev.t_s));
           break;
         }
         case FaultType::kSlowEnd:
@@ -588,8 +557,8 @@ struct ElasticRun {
               break;
             }
           }
-          EmitCluster(TraceEventType::kFaultPartition, ev.t_s, w.id,
-                      end - ev.t_s);
+          obs.On(WorkerEvent(TraceEventType::kFaultPartition, ev.t_s, w.id,
+                             end - ev.t_s));
           break;
         }
         case FaultType::kPartitionEnd:
@@ -615,19 +584,18 @@ struct ElasticRun {
         continue;  // recovered before detection: nothing to do
       }
       w.s = WState::kDeadDetected;
-      EmitCluster(TraceEventType::kFaultDetect, t0, w.id);
+      obs.On(WorkerEvent(TraceEventType::kFaultDetect, t0, w.id));
       // Detection is also when repair planning starts: queue rebuilds for the
       // dead node's fragments (partitions never enqueue — the data is intact
       // behind the partition and comes back with it).
       EnqueueRepairs(w.id);
       if (cfg.faults.reroute) {
-        EmitCluster(TraceEventType::kRouterReroute, t0, w.id, /*dur=*/0.0,
-                    static_cast<int>(w.carry.size()));
+        obs.On(WorkerEvent(TraceEventType::kRouterReroute, t0, w.id, /*dur=*/0.0,
+                           /*aux=*/static_cast<int>(w.carry.size())));
         for (TraceRequest r : w.carry) {
           r.first_arrival_s = r.SloArrival();
           r.arrival_s = t0;
           retry_pool.push_back(r);
-          ++stats.retried;
         }
         w.carry.clear();
       }
@@ -701,6 +669,9 @@ ClusterReport ServeElastic(const ClusterConfig& cfg, const Trace& trace) {
   }
 
   ElasticRun run(cfg, trace);
+  if (elastic) {
+    run.obs.RegisterCluster(cfg.registry.enabled);
+  }
   run.stats.active = true;
   run.stats.offered = static_cast<long long>(trace.requests.size());
   run.workers.resize(static_cast<size_t>(cfg.placer.n_gpus));
@@ -802,11 +773,10 @@ ClusterReport ServeElastic(const ClusterConfig& cfg, const Trace& trace) {
           slot->s = WState::kActive;
           slot->speed = 1.0;
           slot->partitioned = false;
-          ++run.stats.scale_ups;
           run.stats.peak_workers =
               std::max(run.stats.peak_workers, run.ActiveCount());
-          run.EmitCluster(TraceEventType::kScaleUp, action_t, slot->id,
-                          /*dur=*/0.0, run.ActiveCount());
+          run.obs.On(WorkerEvent(TraceEventType::kScaleUp, action_t, slot->id,
+                                 /*dur=*/0.0, /*aux=*/run.ActiveCount()));
         } else {
           WorkerSlot* victim = nullptr;  // highest-id active worker
           for (WorkerSlot& w : run.workers) {
@@ -818,11 +788,9 @@ ClusterReport ServeElastic(const ClusterConfig& cfg, const Trace& trace) {
           victim->s = WState::kDraining;
           victim->drain_start_t = action_t;
           victim->drain_last_finish = -1.0;
-          ++run.stats.scale_downs;
-          run.EmitCluster(TraceEventType::kScaleDown, action_t, victim->id,
-                          /*dur=*/0.0, run.ActiveCount());
-          run.EmitCluster(TraceEventType::kScaleDrainStart, action_t,
-                          victim->id);
+          run.obs.On(WorkerEvent(TraceEventType::kScaleDown, action_t, victim->id,
+                                 /*dur=*/0.0, /*aux=*/run.ActiveCount()));
+          run.obs.On(WorkerEvent(TraceEventType::kScaleDrainStart, action_t, victim->id));
         }
         t0 = action_t;
         continue;
@@ -874,44 +842,36 @@ ClusterReport ServeElastic(const ClusterConfig& cfg, const Trace& trace) {
   }
   ClusterReport report =
       BuildClusterReport(Cluster(cfg).name(), cfg.placer.policy, std::move(per_gpu));
-  if (run.recorder.enabled()) {
-    report.router_events = run.recorder.Drain();
+  if (run.obs.recorder().enabled()) {
+    report.router_events = run.obs.recorder().Drain();
   }
   if (!elastic) {
     return report;
   }
-  report.elastic = run.stats;
 
-  // Cluster-level counters join the merged snapshot so the metrics layer
-  // (JSONL export, bench gates) sees the fault/elasticity ledger.
-  MetricsRegistry cluster_reg;
-  cluster_reg.GetCounter("cluster.retried")
-      ->Inc(static_cast<double>(run.stats.retried));
-  cluster_reg.GetCounter("cluster.failed")
-      ->Inc(static_cast<double>(run.stats.failed));
-  cluster_reg.GetCounter("cluster.crashes")
-      ->Inc(static_cast<double>(run.stats.crashes));
-  cluster_reg.GetCounter("cluster.recoveries")
-      ->Inc(static_cast<double>(run.stats.recoveries));
-  cluster_reg.GetCounter("cluster.scale_ups")
-      ->Inc(static_cast<double>(run.stats.scale_ups));
-  cluster_reg.GetCounter("cluster.scale_downs")
-      ->Inc(static_cast<double>(run.stats.scale_downs));
-  cluster_reg.GetCounter("cluster.rewarm.loads")
-      ->Inc(static_cast<double>(run.stats.rewarm_loads));
-  cluster_reg.GetCounter("cluster.rewarm.stall_hidden_s")
-      ->Inc(run.stats.rewarm_s);
+  // The fault/elasticity ledger joins the merged snapshot so the metrics layer
+  // (JSONL export, bench gates) sees it. Facts without an event are plain
+  // updates here; the event-backed ledger fields are read back from the
+  // Observer's counters.
+  MetricsRegistry& reg = run.obs.metrics();
+  ElasticStats& stats = run.stats;
+  reg.GetCounter("cluster.failed")->Inc(static_cast<double>(stats.failed));
+  reg.GetCounter("cluster.rewarm.loads")->Inc(static_cast<double>(stats.rewarm_loads));
+  reg.GetCounter("cluster.rewarm.stall_hidden_s")->Inc(stats.rewarm_s);
   // Registry-run-only keys: a registry-off elastic snapshot keeps the PR 8
   // key set exactly.
   if (run.registry != nullptr) {
-    cluster_reg.GetCounter("cluster.unavailable")
-        ->Inc(static_cast<double>(run.stats.unavailable));
-    cluster_reg.GetCounter("registry.repair.jobs")
-        ->Inc(static_cast<double>(run.stats.repair_jobs));
-    cluster_reg.GetCounter("registry.repair.bytes")->Inc(run.stats.repair_bytes);
+    reg.GetCounter("cluster.unavailable")->Inc(static_cast<double>(stats.unavailable));
+    reg.GetCounter("registry.repair.bytes")->Inc(stats.repair_bytes);
   }
-  report.merged.metrics.MergeFrom(
-      cluster_reg.Snapshot(report.merged.makespan_s));
+  stats.crashes = static_cast<int>(run.obs.Count(TraceEventType::kFaultCrash));
+  stats.recoveries = static_cast<int>(run.obs.Count(TraceEventType::kFaultRecover));
+  stats.scale_ups = static_cast<int>(run.obs.Count(TraceEventType::kScaleUp));
+  stats.scale_downs = static_cast<int>(run.obs.Count(TraceEventType::kScaleDown));
+  stats.retried = static_cast<long long>(run.obs.Count(TraceEventType::kRouterReroute));
+  stats.repair_jobs = static_cast<long long>(run.obs.Count(TraceEventType::kRepair));
+  report.elastic = stats;
+  report.merged.metrics.MergeFrom(reg.Snapshot(report.merged.makespan_s));
   return report;
 }
 

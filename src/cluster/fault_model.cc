@@ -6,40 +6,26 @@
 #include <cstdlib>
 #include <utility>
 
+#include "src/registry/registry.h"
 #include "src/util/check.h"
 #include "src/util/rng.h"
 
 namespace dz {
 
-const char* FaultTypeName(FaultType type) {
-  switch (type) {
-    case FaultType::kCrash:
-      return "crash";
-    case FaultType::kRecover:
-      return "recover";
-    case FaultType::kSlowStart:
-      return "slow.start";
-    case FaultType::kSlowEnd:
-      return "slow.end";
-    case FaultType::kPartitionStart:
-      return "part.start";
-    case FaultType::kPartitionEnd:
-      return "part.end";
-  }
-  return "?";
-}
-
 namespace {
 
-// Parses a strictly formatted non-negative double, advancing `pos` past it.
+// Parses a strictly formatted non-negative double (digits with at most one
+// '.'), advancing `pos` past it.
 bool ParseNum(const std::string& s, size_t& pos, double& out) {
   size_t end = pos;
+  int dots = 0;
   while (end < s.size() &&
          (std::isdigit(static_cast<unsigned char>(s[end])) || s[end] == '.')) {
+    dots += s[end] == '.' ? 1 : 0;
     ++end;
   }
-  if (end == pos) {
-    return false;
+  if (end - pos == static_cast<size_t>(dots) || dots > 1) {
+    return false;  // no digit, or a second '.' (atof would stop at it)
   }
   out = std::atof(s.substr(pos, end - pos).c_str());
   pos = end;
@@ -83,11 +69,10 @@ bool ParseToken(const std::string& tok, FaultPlan& plan) {
     return false;
   }
   pos += 2;
-  double worker_num = 0.0;
-  if (!ParseNum(tok, pos, worker_num)) {
+  int worker = 0;
+  if (!ParseSpecInt(tok, pos, worker)) {
     return false;
   }
-  const int worker = static_cast<int>(worker_num);
   double mult = 1.0;
   if (pos < tok.size() && tok[pos] == 'x') {
     ++pos;

@@ -26,9 +26,6 @@ enum class FaultType {
   kPartitionEnd,    // ...until the matching end event
 };
 
-// Stable spec/trace name ("crash", "recover", "slow.start", ...).
-const char* FaultTypeName(FaultType type);
-
 struct FaultEvent {
   double t_s = 0.0;
   FaultType type = FaultType::kCrash;

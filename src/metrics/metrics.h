@@ -1,6 +1,8 @@
 // Unified metrics layer (cf. YTsaurus profiling/ + monitoring/): a registry of
-// named, labeled counters, gauges, and log-bucketed histograms shared by every
-// layer of the serving stack (store, engines, scheduler, cluster, benches).
+// named, labeled counters, gauges, and log-bucketed histograms. In a serving
+// run the registry belongs to the run's Observer (src/serving/observer.h),
+// which derives every instrument a trace event backs from that event; the
+// rest (rounds, prefetch hits, residency, ...) are plain updates.
 //
 // Design:
 //   * Share-nothing, merge-at-snapshot: each worker (engine run) owns one
@@ -19,10 +21,9 @@
 //     (MetricsJsonlWriter appends snapshot lines => a JSONL time series).
 //
 // All counter/gauge values are doubles: integer counts stay exact far past any
-// realistic request count (2^53), and time totals (busy seconds) accumulate in
-// the same order as the pre-registry hand-maintained members, so reports
-// materialized from snapshots are bit-identical to the legacy counters
-// (golden-enforced).
+// realistic request count (2^53), and time totals (busy seconds) add the same
+// values in the same order on every run, so reports materialized from
+// snapshots are bit-identical (golden-enforced).
 #ifndef SRC_METRICS_METRICS_H_
 #define SRC_METRICS_METRICS_H_
 

@@ -1,17 +1,19 @@
 // Per-request tracing substrate (dz_obs): typed lifecycle events on the
 // simulated clock, collected by a low-overhead per-worker recorder.
 //
-// The serving engines, the ArtifactStore, and the cluster Router emit
-// TraceEvents at every decision point of a request's life — queued, shed,
-// dispatched, artifact transfers with channel + bytes, batch rounds, KV
+// The serve loop, the ArtifactStore and the cluster epoch loop (elastic.cc)
+// report a TraceEvent at every decision point of a request's life — queued,
+// shed, dispatched, artifact transfers with channel + bytes, batch rounds, KV
 // preemptions/swaps, first token, done — each stamped with request / model /
-// tenant / SLO-class / GPU attribution. Aggregates (src/metrics/) answer "how
-// much"; these events answer "why did THIS request stall", and they feed the
-// Chrome-trace exporter (trace_export.h) and the critical-path analyzer
-// (critical_path.h).
+// tenant / SLO-class / GPU attribution. They report to their run's Observer
+// (src/serving/observer.h), which derives the metrics each event backs and
+// records the event here. Aggregates (src/metrics/) answer "how much"; these
+// events answer "why did THIS request stall", and they feed the Chrome-trace
+// exporter (trace_export.h) and the critical-path analyzer (critical_path.h).
 //
-// Recorders are share-nothing like the PR 6 metrics registries: one per
-// Serve() call, merged at the cluster layer in GPU order. Two modes:
+// Recorders are share-nothing like the metrics registries: one per Serve()
+// call (and one per cluster run), merged at the cluster layer in GPU order.
+// Two modes:
 //   * full trace (ring_capacity == 0): every event is kept, for --trace-out
 //     exports and the critical-path attribution;
 //   * flight recorder (ring_capacity > 0): a fixed-size ring of the most
@@ -64,6 +66,7 @@ enum class TraceEventType {
   kRepair,             // background repair installed a fragment/replica copy
                        // (gpu = target node, model_id = artifact, aux = fragment)
 };
+inline constexpr int kNumTraceEventTypes = static_cast<int>(TraceEventType::kRepair) + 1;
 
 // Stable dotted name of an event type ("request.queued", "store.load", ...).
 const char* TraceEventTypeName(TraceEventType type);

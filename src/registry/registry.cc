@@ -1,7 +1,11 @@
 #include "src/registry/registry.h"
 
 #include <algorithm>
+#include <cctype>
+#include <cerrno>
+#include <climits>
 #include <cstdio>
+#include <cstdlib>
 #include <numeric>
 
 #include "src/util/check.h"
@@ -17,6 +21,22 @@ uint64_t Mix64(uint64_t x) {
   x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
   x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
   return x ^ (x >> 31);
+}
+
+// True when `spec` is exactly "name(n0,n1,...)" with `n_args` counts.
+bool MatchCall(const std::string& spec, const std::string& name, int* args,
+               int n_args) {
+  size_t pos = name.size();
+  if (spec.compare(0, pos, name) != 0) {
+    return false;
+  }
+  for (int i = 0; i < n_args; ++i) {
+    if (pos >= spec.size() || spec[pos++] != (i == 0 ? '(' : ',') ||
+        !ParseSpecInt(spec, pos, args[i])) {
+      return false;
+    }
+  }
+  return pos + 1 == spec.size() && spec[pos] == ')';
 }
 
 }  // namespace
@@ -35,37 +55,36 @@ int RedundancyPolicy::FragmentCount() const {
 
 bool ParseRedundancyPolicy(const std::string& spec, RedundancyPolicy& out) {
   RedundancyPolicy p;
+  int args[2] = {0, 0};
   if (spec == "none") {
     p.mode = RedundancyMode::kNone;
-    out = p;
-    return true;
-  }
-  int a = 0;
-  int b = 0;
-  int used = -1;  // %n: whole-string match required (no trailing garbage)
-  if (std::sscanf(spec.c_str(), "replicate(%d)%n", &a, &used) == 1 &&
-      used == static_cast<int>(spec.size())) {
-    if (a < 1) {
-      return false;
-    }
+  } else if (MatchCall(spec, "replicate", args, 1) && args[0] >= 1) {
     p.mode = RedundancyMode::kReplicate;
-    p.replicas = a;
-    out = p;
-    return true;
-  }
-  used = -1;
-  if (std::sscanf(spec.c_str(), "erasure(%d,%d)%n", &a, &b, &used) == 2 &&
-      used == static_cast<int>(spec.size())) {
-    if (a < 1 || b < 0) {
-      return false;
-    }
+    p.replicas = args[0];
+  } else if (MatchCall(spec, "erasure", args, 2) && args[0] >= 1 &&
+             args[1] <= INT_MAX - args[0]) {  // FragmentCount() = k + m fits
     p.mode = RedundancyMode::kErasure;
-    p.k = a;
-    p.m = b;
-    out = p;
-    return true;
+    p.k = args[0];
+    p.m = args[1];
+  } else {
+    return false;
   }
-  return false;
+  out = p;
+  return true;
+}
+
+bool ParseSpecInt(const std::string& s, size_t& pos, int& out) {
+  const size_t start = pos;
+  while (pos < s.size() && std::isdigit(static_cast<unsigned char>(s[pos]))) {
+    ++pos;
+  }
+  errno = 0;
+  const long v = pos > start ? std::strtol(s.c_str() + start, nullptr, 10) : -1;
+  if (v < 0 || v > INT_MAX || errno == ERANGE) {
+    return false;
+  }
+  out = static_cast<int>(v);
+  return true;
 }
 
 std::string RedundancyPolicyToSpec(const RedundancyPolicy& policy) {

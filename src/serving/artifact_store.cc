@@ -8,9 +8,9 @@
 namespace dz {
 
 ArtifactStore::ArtifactStore(const ArtifactStoreConfig& config, int n_artifacts,
-                             MetricsRegistry* registry, TraceRecorder* recorder)
+                             Observer* observer)
     : config_(config), entries_(static_cast<size_t>(n_artifacts)),
-      recorder_(recorder) {
+      observer_(observer) {
   DZ_CHECK_GT(config_.artifact_bytes, 0u);
   tier_count_[static_cast<int>(Tier::kDisk)] = n_artifacts;
   // Validate + normalize the outage windows once: inverted windows are caller
@@ -43,28 +43,18 @@ ArtifactStore::ArtifactStore(const ArtifactStoreConfig& config, int n_artifacts,
     }
   }
   config_.outages = std::move(merged);
-  if (registry == nullptr) {
-    owned_registry_ = std::make_unique<MetricsRegistry>();
-    registry = owned_registry_.get();
+  if (observer_ == nullptr) {
+    owned_observer_ = std::make_unique<Observer>();
+    observer_ = owned_observer_.get();
   }
-  loads_total_ = registry->GetCounter("store.loads.total");
-  loads_disk_ = registry->GetCounter("store.loads.disk");
-  prefetch_issued_ = registry->GetCounter("store.prefetch.issued");
-  prefetch_hits_ = registry->GetCounter("store.prefetch.hits");
-  prefetch_wasted_ = registry->GetCounter("store.prefetch.wasted");
-  stall_hidden_s_ = registry->GetCounter("store.prefetch.stall_hidden_s");
-  disk_busy_s_ = registry->GetCounter("store.channel.busy_s", {{"channel", "disk"}});
-  pcie_busy_s_ = registry->GetCounter("store.channel.busy_s", {{"channel", "pcie"}});
-  gpu_resident_ = registry->GetGauge("store.gpu.resident");
+  observer_->RegisterStore(config_.registry != nullptr);
+  MetricsRegistry& metrics = observer_->metrics();
+  prefetch_hits_ = metrics.GetCounter("store.prefetch.hits");
+  prefetch_wasted_ = metrics.GetCounter("store.prefetch.wasted");
+  stall_hidden_s_ = metrics.GetCounter("store.prefetch.stall_hidden_s");
+  gpu_resident_ = metrics.GetGauge("store.gpu.resident");
   if (config_.registry != nullptr) {
-    // Registry instruments exist only in registry mode, so registry-off
-    // snapshots (and JSONL exports) carry no new keys.
-    reads_local_ = registry->GetCounter("registry.reads.local");
-    reads_remote_ = registry->GetCounter("registry.reads.remote");
-    reads_degraded_ = registry->GetCounter("registry.reads.degraded");
-    unavailable_ = registry->GetCounter("registry.unavailable");
-    net_busy_s_ = registry->GetCounter("registry.net.busy_s");
-    net_bytes_ = registry->GetCounter("registry.net.bytes");
+    unavailable_ = metrics.GetCounter("registry.unavailable");
     // The local tier starts with what this node durably holds (full copies it
     // is a registry holder of) plus the carried cache contents.
     local_.assign(static_cast<size_t>(n_artifacts), 0);
@@ -241,6 +231,7 @@ ArtifactStore::LoadResult ArtifactStore::IssueLoad(int id, double now,
   // channel may be busy) H2D span.
   const TraceEventType span_type = is_prefetch ? TraceEventType::kStorePrefetch
                                                : TraceEventType::kStoreLoad;
+  const double bytes = static_cast<double>(config_.artifact_bytes);
   double ready = now;
   double cost = 0.0;
   if (remote) {
@@ -254,63 +245,27 @@ ArtifactStore::LoadResult ArtifactStore::IssueLoad(int id, double now,
         DeferPastOutages(TraceChannel::kNet, std::max(now, net_free_at_));
     ready = start + net_s;
     net_free_at_ = ready;
-    net_busy_s_->Inc(net_s);
-    net_bytes_->Inc(plan.remote_bytes);
-    reads_remote_->Inc();
-    if (plan.degraded) {
-      reads_degraded_->Inc();
-    }
     cost += net_s;
     local_[static_cast<size_t>(id)] = 1;
-    if (recorder_ != nullptr) {
-      TraceEvent ev;
-      ev.type = TraceEventType::kStoreRemote;
-      ev.ts_s = start;
-      ev.dur_s = net_s;
-      ev.model_id = id;
-      ev.channel = TraceChannel::kNet;
-      ev.bytes = plan.remote_bytes;
-      ev.aux = plan.degraded ? 1 : 0;
-      recorder_->Emit(ev);
-    }
+    observer_->On(ArtifactEvent(TraceEventType::kStoreRemote, start, net_s, id,
+                                TraceChannel::kNet, plan.remote_bytes,
+                                /*aux=*/plan.degraded ? 1 : 0));
   } else if (e.tier == Tier::kDisk) {
     const double start =
         DeferPastOutages(TraceChannel::kDisk, std::max(now, disk_free_at_));
     ready = start + config_.disk_read_s;
     disk_free_at_ = ready;
-    disk_busy_s_->Inc(config_.disk_read_s);
     cost += config_.disk_read_s;
-    loads_disk_->Inc();
-    if (reads_local_ != nullptr) {
-      reads_local_->Inc();
-    }
-    if (recorder_ != nullptr) {
-      TraceEvent ev;
-      ev.type = span_type;
-      ev.ts_s = start;
-      ev.dur_s = config_.disk_read_s;
-      ev.model_id = id;
-      ev.channel = TraceChannel::kDisk;
-      ev.bytes = static_cast<double>(config_.artifact_bytes);
-      recorder_->Emit(ev);
-    }
+    observer_->On(ArtifactEvent(span_type, start, config_.disk_read_s, id,
+                                TraceChannel::kDisk, bytes));
   }
   const double h2d_start =
       DeferPastOutages(TraceChannel::kPcie, std::max(ready, pcie_free_at_));
   ready = h2d_start + config_.h2d_s;
   pcie_free_at_ = ready;
-  pcie_busy_s_->Inc(config_.h2d_s);
   cost += config_.h2d_s;
-  if (recorder_ != nullptr) {
-    TraceEvent ev;
-    ev.type = span_type;
-    ev.ts_s = h2d_start;
-    ev.dur_s = config_.h2d_s;
-    ev.model_id = id;
-    ev.channel = TraceChannel::kPcie;
-    ev.bytes = static_cast<double>(config_.artifact_bytes);
-    recorder_->Emit(ev);
-  }
+  observer_->On(
+      ArtifactEvent(span_type, h2d_start, config_.h2d_s, id, TraceChannel::kPcie, bytes));
 
   SetTier(e, Tier::kGpu);
   e.in_flight = true;
@@ -318,10 +273,6 @@ ArtifactStore::LoadResult ArtifactStore::IssueLoad(int id, double now,
   e.last_use = now;
   e.prefetched = is_prefetch;
   e.prefetch_cost_s = is_prefetch ? cost : 0.0;
-  loads_total_->Inc();
-  if (is_prefetch) {
-    prefetch_issued_->Inc();
-  }
   gpu_resident_->Set(static_cast<double>(GpuCount()));
   return {true, ready};
 }

@@ -14,14 +14,12 @@
 #define SRC_SERVING_ARTIFACT_STORE_H_
 
 #include <cstddef>
-#include <map>
 #include <memory>
 #include <optional>
 #include <vector>
 
-#include "src/metrics/metrics.h"
-#include "src/obs/trace_recorder.h"
 #include "src/registry/registry.h"
+#include "src/serving/observer.h"
 
 namespace dz {
 
@@ -64,17 +62,13 @@ struct ArtifactStoreConfig {
 class ArtifactStore {
  public:
   // `n_artifacts` is the number of distinct artifact ids (variants) tracked.
-  // All statistics live as "store.*" instruments in `registry` (the unified
-  // metrics layer); when the caller passes none, the store owns a private
-  // registry so the accessors below keep working stand-alone (tests, ad-hoc
-  // use). Engines inject their per-run registry so store counters appear in
-  // ServeReport::metrics snapshots alongside engine and scheduler metrics.
-  // `recorder` (optional, engine-owned, may be disabled) receives one
-  // store.load / store.prefetch span per channel segment of every transfer —
-  // channel occupancy as the trace viewer's disk/pcie tracks.
+  // The store keeps no counters: it reports every transfer segment to
+  // `observer` (the engine run's, observer.h) as a store.load / store.prefetch
+  // / store.remote event, and updates what has no event (prefetch hits and
+  // waste, residency, unavailable loads) on its registry. Without an observer
+  // it owns a private, untraced one.
   ArtifactStore(const ArtifactStoreConfig& config, int n_artifacts,
-                MetricsRegistry* registry = nullptr,
-                TraceRecorder* recorder = nullptr);
+                Observer* observer = nullptr);
 
   // True when artifact is on the GPU and usable now.
   bool IsResident(int id, double now) const;
@@ -98,7 +92,7 @@ class ArtifactStore {
   // success returns {true, t} where t is the time the artifact becomes GPU-resident.
   // Artifacts in `pinned` are never evicted to make room. When the request finds an
   // artifact that a prefetch already warmed, the saved wait is credited to
-  // stall_hidden_s() and the prefetch counts as a hit.
+  // store.prefetch.stall_hidden_s and the prefetch counts as a hit.
   LoadResult RequestLoad(int id, double now, const std::vector<int>& pinned);
 
   // Speculatively warms an artifact on the same transfer channels (paper §8 /
@@ -116,7 +110,7 @@ class ArtifactStore {
   LoadResult Prefetch(int id, double now, const std::vector<int>& pinned);
 
   // Marks demand use for LRU bookkeeping; also resolves a pending prefetch tag into
-  // a hit (crediting the fully hidden transfer to stall_hidden_s()).
+  // a hit (crediting the fully hidden transfer as stall seconds hidden).
   void Touch(int id, double now);
 
   // Number of artifacts currently on the GPU (resident or arriving).
@@ -127,41 +121,6 @@ class ArtifactStore {
 
   // Earliest pending load completion after `now` (or infinity when none).
   double NextLoadReady(double now) const;
-
-  // Statistics — thin views over the registry instruments (the store keeps no
-  // hand-maintained counters). Loads count PCIe (H2D) transfers; disk_loads the
-  // subset that also paid the disk read. Prefetches are included in both (they
-  // move real bytes).
-  int total_loads() const { return static_cast<int>(loads_total_->value()); }
-  int disk_loads() const { return static_cast<int>(loads_disk_->value()); }
-  // Prefetch effectiveness: transfers issued speculatively, those demand-used at
-  // least once (hits), and those evicted without ever being used (wasted).
-  int prefetch_issued() const { return static_cast<int>(prefetch_issued_->value()); }
-  int prefetch_hits() const { return static_cast<int>(prefetch_hits_->value()); }
-  int prefetch_wasted() const { return static_cast<int>(prefetch_wasted_->value()); }
-  // Seconds of artifact wait that demand requests skipped because a prefetch had
-  // already (partially) covered the transfer.
-  double stall_hidden_s() const { return stall_hidden_s_->value(); }
-  // Cumulative busy seconds per transfer channel (for utilization = busy/makespan).
-  double disk_busy_s() const { return disk_busy_s_->value(); }
-  double pcie_busy_s() const { return pcie_busy_s_->value(); }
-  // Registry tier-chain statistics (0 unless a registry is attached).
-  int remote_reads() const {
-    return reads_remote_ == nullptr ? 0 : static_cast<int>(reads_remote_->value());
-  }
-  int degraded_reads() const {
-    return reads_degraded_ == nullptr ? 0
-                                      : static_cast<int>(reads_degraded_->value());
-  }
-  int local_reads() const {
-    return reads_local_ == nullptr ? 0 : static_cast<int>(reads_local_->value());
-  }
-  int unavailable_loads() const {
-    return unavailable_ == nullptr ? 0 : static_cast<int>(unavailable_->value());
-  }
-  double net_busy_s() const {
-    return net_busy_s_ == nullptr ? 0.0 : net_busy_s_->value();
-  }
 
   // Artifact ids currently in this node's local cache tier (registry-attached
   // stores only; empty otherwise). The elastic loop snapshots this at epoch
@@ -206,27 +165,17 @@ class ArtifactStore {
   std::vector<char> local_;
   // PlanFetch results per artifact (registry mode), empty until first use.
   std::vector<std::optional<FetchPlan>> plans_;
-  // Registry-backed statistics ("store.*" instruments, resolved once at
-  // construction). `owned_registry_` backs the stand-alone (no injection) case.
-  std::unique_ptr<MetricsRegistry> owned_registry_;
-  Counter* loads_total_ = nullptr;
-  Counter* loads_disk_ = nullptr;
-  Counter* prefetch_issued_ = nullptr;
+  // `owned_observer_` backs the stand-alone (no injection) case.
+  std::unique_ptr<Observer> owned_observer_;
+  Observer* observer_ = nullptr;
+  // Instruments for facts without an event, resolved once at construction;
+  // `unavailable_` only when a registry is attached, so registry-off
+  // snapshots carry no registry.* keys (default-output bit-identity).
   Counter* prefetch_hits_ = nullptr;
   Counter* prefetch_wasted_ = nullptr;
   Counter* stall_hidden_s_ = nullptr;
-  Counter* disk_busy_s_ = nullptr;
-  Counter* pcie_busy_s_ = nullptr;
   Gauge* gpu_resident_ = nullptr;
-  // Registry instruments — resolved ONLY when a registry is attached, so
-  // registry-off snapshots carry no new keys (default-output bit-identity).
-  Counter* reads_local_ = nullptr;
-  Counter* reads_remote_ = nullptr;
-  Counter* reads_degraded_ = nullptr;
   Counter* unavailable_ = nullptr;
-  Counter* net_busy_s_ = nullptr;
-  Counter* net_bytes_ = nullptr;
-  TraceRecorder* recorder_ = nullptr;  // not owned; may be null
 };
 
 }  // namespace dz

@@ -13,6 +13,17 @@
 
 namespace dz {
 
+// Names of the run-registry instruments that the Observer (observer.h) derives
+// from trace events and that reports read back. Labels in comments.
+namespace metric {
+inline constexpr char kShed[] = "sched.shed";                     // {class}
+inline constexpr char kChannelBusyS[] = "store.channel.busy_s";  // {channel}
+inline constexpr char kLoadsDisk[] = "store.loads.disk";
+inline constexpr char kLoadsTotal[] = "store.loads.total";
+inline constexpr char kPrefetchIssued[] = "store.prefetch.issued";
+inline constexpr char kNetBusyS[] = "registry.net.busy_s";
+}  // namespace metric
+
 // Lifecycle timestamps of one served request (all in simulated seconds on the
 // trace's global clock) plus its token counts.
 struct RequestRecord {
@@ -96,12 +107,12 @@ struct ServeReport {
   // --- artifact movement ("store.*" in `metrics`) ----------------------------
   // Every load crosses PCIe (host → device); DiskLoads() additionally paid the
   // disk → host read. Prefetched transfers are included (they move real bytes).
-  int TotalLoads() const { return Count("store.loads.total"); }
-  int DiskLoads() const { return Count("store.loads.disk"); }
+  int TotalLoads() const { return Count(metric::kLoadsTotal); }
+  int DiskLoads() const { return Count(metric::kLoadsDisk); }
   // Prefetch effectiveness (all 0 when prefetch is disabled): speculative loads
   // issued, those used by a demand request (hits), those evicted unused (wasted),
   // and the artifact-wait seconds demand requests skipped thanks to prefetch.
-  int PrefetchIssued() const { return Count("store.prefetch.issued"); }
+  int PrefetchIssued() const { return Count(metric::kPrefetchIssued); }
   int PrefetchHits() const { return Count("store.prefetch.hits"); }
   int PrefetchWasted() const { return Count("store.prefetch.wasted"); }
   double StallHiddenS() const { return metrics.Value("store.prefetch.stall_hidden_s"); }
@@ -129,11 +140,10 @@ struct ServeReport {
   // All are total functions: 0 tenants, 1 tenant, or a class with no requests
   // yield well-defined values (never NaN/inf) — the CompressionRatio lesson.
 
-  // Admission-control sheds ("sched.shed" in `metrics`; 0 when shedding is
-  // disabled). Shed requests have no RequestRecord; attainment counts them as
-  // misses.
+  // Admission-control sheds (0 when shedding is disabled). Shed requests have
+  // no RequestRecord; attainment counts them as misses.
   int ShedCount(SloClass slo) const {
-    return Count("sched.shed", {{"class", SloClassName(slo)}});
+    return Count(metric::kShed, {{"class", SloClassName(slo)}});
   }
   int TotalShed() const {
     return ShedCount(SloClass::kInteractive) + ShedCount(SloClass::kStandard) +
@@ -155,7 +165,7 @@ struct ServeReport {
     return static_cast<int>(metrics.Value(name, labels));
   }
   double ChannelBusyS(const char* channel) const {
-    return metrics.Value("store.channel.busy_s", {{"channel", channel}});
+    return metrics.Value(metric::kChannelBusyS, {{"channel", channel}});
   }
 };
 

@@ -19,43 +19,18 @@ ServeLoop::ServeLoop(const EngineConfig& config, const ExecModel& exec,
       exec_(exec),
       trace_(trace),
       policy_(policy),
-      recorder_(config.tracing),
-      store_(policy.StoreConfig(), trace.n_models, &registry_, &recorder_),
+      observer_(config.tracing),
+      store_(policy.StoreConfig(), trace.n_models, &observer_),
       fair_queue_(config.scheduler) {
   DZ_CHECK_GE(store_.GpuCapacity(), 1);
   prefetch_ = policy.Setup(store_);
   // Placement-aware warm-up: the router's predicted variants, drained one
   // low-priority transfer at a time as channels go idle, starting at t = 0.
   warm_hints_ = PendingWarmHints(prefetch_, trace.n_models, store_.GpuCapacity());
-  // One registry per run (share-nothing: cluster workers serve on parallel
+  // One observer per run (share-nothing: cluster workers serve on parallel
   // threads, and snapshots merge at the cluster layer instead).
-  for (int c = 0; c < kNumSloClasses; ++c) {
-    const MetricLabels by_class = {{"class", SloClassName(static_cast<SloClass>(c))}};
-    shed_count_[c] = registry_.GetCounter("sched.shed", by_class);
-    completed_count_[c] = registry_.GetCounter("engine.requests.completed", by_class);
-    e2e_hist_[c] = registry_.GetHistogram("latency.e2e_s", by_class);
-    ttft_hist_[c] = registry_.GetHistogram("latency.ttft_s", by_class);
-  }
-  queue_hist_ = registry_.GetHistogram("latency.queue_s");
-  load_hist_ = registry_.GetHistogram("latency.load_s");
-  tokens_out_ = registry_.GetCounter("engine.tokens.output");
-  tokens_prompt_ = registry_.GetCounter("engine.tokens.prompt");
-  rounds_count_ = registry_.GetCounter("engine.rounds");
-  if (policy.CanPreempt()) {
-    preempt_count_ = registry_.GetCounter("engine.preemptions");
-  }
-}
-
-// Request-attributed trace emission (one branch when tracing is off). kv.swap
-// is the only request event that occupies a channel (KV pages over PCIe).
-void ServeLoop::Emit(TraceEventType type, double ts, const TraceRequest& req,
-                     double dur, int aux) {
-  if (recorder_.enabled()) {
-    const TraceChannel channel =
-        type == TraceEventType::kKvSwap ? TraceChannel::kPcie : TraceChannel::kNone;
-    recorder_.Emit({type, ts, dur, req.id, req.model_id, req.tenant_id, req.slo,
-                    /*gpu=*/-1, channel, /*bytes=*/0.0, aux});
-  }
+  observer_.RegisterServe(policy.CanPreempt());
+  rounds_count_ = observer_.metrics().GetCounter("engine.rounds");
 }
 
 // The queue stays in policy order between rounds; only the requests preempted
@@ -76,7 +51,7 @@ void ServeLoop::Ingest(double now) {
          trace_.requests[next_arrival_].arrival_s <= now) {
     PendingReq p;
     p.req = trace_.requests[next_arrival_++];
-    Emit(TraceEventType::kRequestQueued, p.req.arrival_s, p.req);
+    observer_.On(RequestEvent(TraceEventType::kRequestQueued, p.req.arrival_s, p.req));
     if (policy == SchedPolicy::kDwfq) {
       p.fair_tag = fair_queue_.TagFor(p.req);
     }
@@ -119,16 +94,15 @@ void ServeLoop::Shed(double now) {
       fair_queue_.OnShed(r, it->decoded > 0 ? r.output_tokens - it->decoded
                                             : r.prompt_tokens + r.output_tokens);
     }
-    shed_count_[static_cast<int>(it->req.slo)]->Inc();
     ++shed_total_;
-    Emit(TraceEventType::kAdmissionShed, now, it->req);
+    observer_.On(RequestEvent(TraceEventType::kAdmissionShed, now, it->req));
     it = queue_.erase(it);
   }
 }
 
 ServeLoop::QueueIt ServeLoop::Dispatch(QueueIt it, double now) {
   store_.Touch(it->req.model_id, now);
-  Emit(TraceEventType::kSchedDispatch, now, it->req);
+  observer_.On(RequestEvent(TraceEventType::kSchedDispatch, now, it->req));
   if (config_.scheduler.policy == SchedPolicy::kDwfq) {
     fair_queue_.OnAdmit(it->fair_tag);
   }
@@ -148,17 +122,16 @@ ServeLoop::QueueIt ServeLoop::Park(QueueIt it) {
 }
 
 ServeLoop::RunIt ServeLoop::Preempt(RunIt it, double now, bool swap_out) {
-  DZ_CHECK(preempt_count_ != nullptr);
+  DZ_CHECK(policy_.CanPreempt());
   PendingReq back = it->state;
   ++back.preemptions;
   kv_in_use_ -= KvTokens(back);
-  preempt_count_->Inc();
-  Emit(TraceEventType::kKvPreempt, now, back.req);
+  observer_.On(RequestEvent(TraceEventType::kKvPreempt, now, back.req));
   back.min_service_s = -1.0;  // re-estimate from the banked progress
   if (swap_out) {
     const double swap_s = exec_.KvSwapTime(back.req.prompt_tokens + back.decoded);
     pending_swap_s_ += swap_s;
-    Emit(TraceEventType::kKvSwap, now, back.req, swap_s, /*aux=*/0);
+    observer_.On(RequestEvent(TraceEventType::kKvSwap, now, back.req, swap_s, /*aux=*/0));
   }
   queue_.push_back(std::move(back));  // keeps its fair_tag; re-inserted next ingest
   ++requeued_;
@@ -176,7 +149,8 @@ double ServeLoop::Iterate(double now) {
     if (r.needs_kv_restore) {
       const double swap_s = exec_.KvSwapTime(r.state.req.prompt_tokens + r.state.decoded);
       pending_swap_s_ += swap_s;
-      Emit(TraceEventType::kKvSwap, now, r.state.req, swap_s, /*aux=*/1);
+      observer_.On(
+          RequestEvent(TraceEventType::kKvSwap, now, r.state.req, swap_s, /*aux=*/1));
       r.needs_kv_restore = false;
     }
   }
@@ -186,14 +160,8 @@ double ServeLoop::Iterate(double now) {
   if (config_.speed_factor != 1.0) {
     iter /= config_.speed_factor;  // slow-node fault: everything stretches
   }
-  if (recorder_.enabled()) {
-    TraceEvent round;
-    round.type = TraceEventType::kBatchRound;
-    round.ts_s = now;
-    round.dur_s = iter;
-    round.aux = static_cast<int>(running_.size());
-    recorder_.Emit(round);
-  }
+  observer_.On(WorkerEvent(TraceEventType::kBatchRound, now, /*gpu=*/-1, iter,
+                           /*aux=*/static_cast<int>(running_.size())));
   return iter;
 }
 
@@ -205,17 +173,9 @@ void ServeLoop::Complete(const PendingReq& s, double now) {
       s.req.prompt_tokens, s.req.output_tokens, /*arrival_s=*/s.req.SloArrival(),
       /*sched_attempt_s=*/s.sched_attempt_s < 0 ? s.req.arrival_s : s.sched_attempt_s,
       s.start_s, s.first_token_s, /*finish_s=*/now, s.preemptions};
-  const int cls = static_cast<int>(rec.slo);
-  completed_count_[cls]->Inc();
-  e2e_hist_[cls]->Record(rec.E2eLatency());
-  ttft_hist_[cls]->Record(rec.Ttft());
-  queue_hist_->Record(rec.QueueingTime());
-  load_hist_->Record(rec.LoadingTime());
-  tokens_out_->Inc(static_cast<double>(rec.output_tokens));
-  tokens_prompt_->Inc(static_cast<double>(rec.prompt_tokens));
+  observer_.On(rec);
   report_.records.push_back(rec);
   report_.makespan_s = std::max(report_.makespan_s, now);
-  Emit(TraceEventType::kRequestDone, now, s.req);
 }
 
 ServeReport ServeLoop::Run(const char* engine_name) {
@@ -235,7 +195,7 @@ ServeReport ServeLoop::Run(const char* engine_name) {
     }
     // In-run timeline: pure reads, so any interval stays bit-identical.
     while (config_.metrics.interval_s > 0.0 && now >= next_snapshot_s) {
-      report_.timeline.push_back(registry_.Snapshot(next_snapshot_s));
+      report_.timeline.push_back(observer_.metrics().Snapshot(next_snapshot_s));
       next_snapshot_s += config_.metrics.interval_s;
     }
     rounds_count_->Inc();
@@ -278,7 +238,8 @@ ServeReport ServeLoop::Run(const char* engine_name) {
         if (!r.state.has_first_token) {
           r.state.has_first_token = true;
           r.state.first_token_s = now;
-          Emit(TraceEventType::kRequestFirstToken, now, r.state.req);
+          observer_.On(
+              RequestEvent(TraceEventType::kRequestFirstToken, now, r.state.req));
         }
       } else if (r.prefilled) {
         r.state.decoded += 1;
@@ -330,10 +291,10 @@ ServeReport ServeLoop::Finish() {
   }
   report_.n_tenants = std::max(1, trace_.n_tenants);
   report_.slo_spec = config_.scheduler.slo;
-  report_.metrics = registry_.Snapshot(report_.makespan_s);
-  if (recorder_.enabled()) {
-    report_.trace_events = recorder_.Drain();
-    report_.trace_events_dropped = recorder_.dropped();
+  report_.metrics = observer_.metrics().Snapshot(report_.makespan_s);
+  if (observer_.recorder().enabled()) {
+    report_.trace_events = observer_.recorder().Drain();
+    report_.trace_events_dropped = observer_.recorder().dropped();
     report_.path_by_class = BuildClassAttribution(ComputeCriticalPaths(report_));
   }
   return std::move(report_);

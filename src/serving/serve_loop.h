@@ -1,10 +1,10 @@
 // The one serving loop both engines run (paper §5 vs. the §6.1 vLLM+SCB
-// baseline). It owns everything they share: the per-run registry, recorder and
-// ArtifactStore, ingest, shedding, the halt check, parking, dispatch, prefetch,
-// the idle fast-forward, progress, records, and the report tail, which checks
-// records + shed + unavailable + unfinished == offered on every run. Each
-// engine plugs in a ServePolicy: set-up plus admit, iteration-cost and
-// post-iteration-preemption hooks.
+// baseline). It owns everything they share: the per-run Observer (metrics and
+// trace, observer.h) and ArtifactStore, ingest, shedding, the halt check,
+// parking, dispatch, prefetch, the idle fast-forward, progress, records, and
+// the report tail, which checks records + shed + unavailable + unfinished ==
+// offered on every run. Each engine plugs in a ServePolicy: set-up plus
+// admit, iteration-cost and post-iteration-preemption hooks.
 #ifndef SRC_SERVING_SERVE_LOOP_H_
 #define SRC_SERVING_SERVE_LOOP_H_
 
@@ -12,10 +12,9 @@
 #include <limits>
 #include <vector>
 
-#include "src/metrics/metrics.h"
-#include "src/obs/trace_recorder.h"
 #include "src/serving/artifact_store.h"
 #include "src/serving/engine.h"
+#include "src/serving/observer.h"
 #include "src/serving/scheduler.h"
 
 namespace dz {
@@ -101,7 +100,8 @@ class ServePolicy {
   virtual ArtifactStoreConfig StoreConfig() = 0;
   // Set-up, once the store exists: the prefetch settings the run uses.
   virtual PrefetchConfig Setup(const ArtifactStore& store) = 0;
-  // Only a policy that can preempt gets an `engine.preemptions` counter.
+  // Only a policy that can preempt gets a preemption counter (and may call
+  // ServeLoop::Preempt).
   virtual bool CanPreempt() const { return false; }
   // Variant-path prefill seconds on top of the base model's.
   virtual double ArtifactPrefillS(long long /*tokens*/) const { return 0.0; }
@@ -150,8 +150,6 @@ class ServeLoop {
   RunIt Preempt(RunIt it, double now, bool swap_out);
 
  private:
-  void Emit(TraceEventType type, double ts, const TraceRequest& req,
-            double dur = 0.0, int aux = 0);
   // Re-inserts the preempted tail, then inserts the arrivals due by `now`.
   void Ingest(double now);
   double MinServiceS(PendingReq& p) const;
@@ -165,25 +163,15 @@ class ServeLoop {
   const Trace& trace_;
   ServePolicy& policy_;
   ServeReport report_;
-  MetricsRegistry registry_;
-  // Recorder before store: the store emits per-channel transfer spans into it.
-  // Pure observation — nothing emitted feeds back into scheduling.
-  TraceRecorder recorder_;
+  // Observer before store: the store reports its transfer segments to it.
+  // Pure observation — nothing reported feeds back into scheduling.
+  Observer observer_;
   ArtifactStore store_;
   PrefetchConfig prefetch_;
   std::deque<int> warm_hints_;
   FairQueue fair_queue_;
 
-  Counter* shed_count_[kNumSloClasses];
-  Counter* completed_count_[kNumSloClasses];
-  LogHistogram* e2e_hist_[kNumSloClasses];
-  LogHistogram* ttft_hist_[kNumSloClasses];
-  LogHistogram* queue_hist_;
-  LogHistogram* load_hist_;
-  Counter* tokens_out_;
-  Counter* tokens_prompt_;
   Counter* rounds_count_;
-  Counter* preempt_count_ = nullptr;
 
   std::deque<PendingReq> queue_;
   size_t requeued_ = 0;  // preempted requests at the back of queue_

@@ -252,11 +252,19 @@ TEST(FaultPlanTest, RejectsMalformedSpecsUntouched) {
   for (const char* bad :
        {"crash@", "crash@10", "crash@10:x1", "slow@10-5:w0x0.5",
         "slow@1-2:w0x0", "slow@1-2:w0x1.5", "part@7:w0", "bogus@1:w0",
-        "detect=", "reroute=2"}) {
+        "detect=", "reroute=2",
+        // Numbers: at most one '.', at least one digit; worker ids are
+        // integers in [0, INT_MAX].
+        "crash@1.2.3:w1", "crash@.:w1", "detect=1..5", "slow@1-2:w0x0.5.5",
+        "crash@30:w1.9", "crash@30:w99999999999", "crash@30:w2147483648"}) {
     EXPECT_FALSE(ParseFaultPlan(bad, plan)) << bad;
     EXPECT_DOUBLE_EQ(plan.detection_delay_s, 9.0) << bad;
     EXPECT_TRUE(plan.events.empty()) << bad;
   }
+  // The largest worker id still parses exactly.
+  ASSERT_TRUE(ParseFaultPlan("crash@30:w2147483647", plan));
+  ASSERT_EQ(plan.events.size(), 1u);
+  EXPECT_EQ(plan.events[0].worker, 2147483647);
 }
 
 // The spec printer is the parser's inverse: parse → print → parse reproduces

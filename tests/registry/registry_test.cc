@@ -47,7 +47,10 @@ TEST(RedundancyPolicyTest, RejectsMalformedSpecsUntouched) {
   for (const char* bad :
        {"", "replicate", "replicate()", "replicate(0)", "replicate(-1)",
         "replicate(2))", "replicate(2)x", "erasure(4)", "erasure(0,2)",
-        "erasure(4,-1)", "erasure(4,2))", "striping(2)", "NONE", "none "}) {
+        "erasure(4,-1)", "erasure(4,2))", "striping(2)", "NONE", "none ",
+        // Counts are plain decimal ints in range: no overflow, no sign.
+        "replicate(99999999999)", "replicate(2147483648)", "erasure(99999999999,2)",
+        "erasure(4,4294967298)", "erasure(2147483647,1)", "replicate(+2)"}) {
     EXPECT_FALSE(ParseRedundancyPolicy(bad, p)) << bad;
     EXPECT_EQ(p.replicas, 7) << bad;  // out-param untouched on failure
   }

@@ -1,8 +1,11 @@
 #include "src/serving/artifact_store.h"
 
 #include <cmath>
+#include <string>
 
 #include <gtest/gtest.h>
+
+#include "src/serving/observer.h"
 
 namespace dz {
 namespace {
@@ -15,6 +18,11 @@ ArtifactStoreConfig SmallConfig() {
   cfg.disk_read_s = 1.0;
   cfg.h2d_s = 0.1;
   return cfg;
+}
+
+// A store statistic: the instrument `name` in the observer's registry.
+double Stat(Observer& obs, const std::string& name, const MetricLabels& labels = {}) {
+  return obs.metrics().Snapshot().Value(name, labels);
 }
 
 TEST(ArtifactStoreTest, InitiallyNothingResident) {
@@ -153,7 +161,8 @@ TEST(ArtifactStoreTest, LruVictimFollowsInterleavedTouches) {
 }
 
 TEST(ArtifactStoreTest, EvictedToHostReloadsWithoutDisk) {
-  ArtifactStore store(SmallConfig(), 8);
+  Observer obs;
+  ArtifactStore store(SmallConfig(), 8, &obs);
   double t = store.RequestLoad(0, 0.0, {}).ready_at;
   store.Touch(0, t);
   for (int i = 1; i <= 3; ++i) {
@@ -166,7 +175,7 @@ TEST(ArtifactStoreTest, EvictedToHostReloadsWithoutDisk) {
   const ArtifactStore::LoadResult reload = store.RequestLoad(0, start, {});
   ASSERT_TRUE(reload.ok);
   EXPECT_LT(reload.ready_at - start, 0.2);  // no 1 s disk read
-  EXPECT_EQ(store.disk_loads(), 4);
+  EXPECT_EQ(Stat(obs, "store.loads.disk"), 4);
 }
 
 TEST(ArtifactStoreTest, ZeroCpuBudgetDemotesToDisk) {
@@ -174,7 +183,8 @@ TEST(ArtifactStoreTest, ZeroCpuBudgetDemotesToDisk) {
   // full disk + H2D path again (the vLLM-SCB configuration).
   ArtifactStoreConfig cfg = SmallConfig();
   cfg.cpu_budget_bytes = 0;
-  ArtifactStore store(cfg, 8);
+  Observer obs;
+  ArtifactStore store(cfg, 8, &obs);
   double t = store.RequestLoad(0, 0.0, {}).ready_at;
   store.Touch(0, t);
   for (int i = 1; i <= 3; ++i) {
@@ -186,7 +196,7 @@ TEST(ArtifactStoreTest, ZeroCpuBudgetDemotesToDisk) {
   const ArtifactStore::LoadResult reload = store.RequestLoad(0, start, {});
   ASSERT_TRUE(reload.ok);
   EXPECT_GE(reload.ready_at - start, cfg.disk_read_s);
-  EXPECT_EQ(store.disk_loads(), 5);
+  EXPECT_EQ(Stat(obs, "store.loads.disk"), 5);
 }
 
 TEST(ArtifactStoreTest, NextLoadReadyTracksInFlight) {
@@ -199,25 +209,21 @@ TEST(ArtifactStoreTest, NextLoadReadyTracksInFlight) {
 }
 
 TEST(ArtifactStoreTest, InjectedRegistryBacksTheStats) {
-  // The store's stat accessors are views over "store.*" registry instruments:
-  // with a caller-owned registry, the same counts are visible from both sides.
-  MetricsRegistry registry;
-  ArtifactStore store(SmallConfig(), 8, &registry);
-  double t = store.RequestLoad(0, 0.0, {}).ready_at;
-  t = store.RequestLoad(1, t, {}).ready_at;
-  EXPECT_EQ(store.total_loads(), 2);
-  EXPECT_EQ(store.disk_loads(), 2);
-  const MetricsSnapshot snap = registry.Snapshot();
-  EXPECT_DOUBLE_EQ(snap.Value("store.loads.total"), 2.0);
-  EXPECT_DOUBLE_EQ(snap.Value("store.loads.disk"), 2.0);
-  EXPECT_GT(snap.Value("store.channel.busy_s", {{"channel", "disk"}}), 0.0);
-  EXPECT_GT(snap.Value("store.channel.busy_s", {{"channel", "pcie"}}), 0.0);
-  EXPECT_DOUBLE_EQ(snap.Value("store.gpu.resident"), 2.0);
-  // Without an injected registry the store owns a private one, and the
-  // accessors behave identically (every pre-registry test above runs that way).
+  // The store keeps no counters of its own: every statistic is a "store.*"
+  // instrument in the registry of the observer it reports to.
+  Observer obs;
+  ArtifactStore store(SmallConfig(), 8, &obs);
+  const double first = store.RequestLoad(0, 0.0, {}).ready_at;
+  store.RequestLoad(1, first, {});
+  EXPECT_EQ(Stat(obs, "store.loads.total"), 2);
+  EXPECT_EQ(Stat(obs, "store.loads.disk"), 2);
+  EXPECT_GT(Stat(obs, "store.channel.busy_s", {{"channel", "disk"}}), 0.0);
+  EXPECT_GT(Stat(obs, "store.channel.busy_s", {{"channel", "pcie"}}), 0.0);
+  EXPECT_EQ(Stat(obs, "store.gpu.resident"), 2);
+  // Without an injected observer the store reports to a private one and
+  // behaves identically (every test above without an Observer runs that way).
   ArtifactStore standalone(SmallConfig(), 8);
-  standalone.RequestLoad(0, 0.0, {});
-  EXPECT_EQ(standalone.total_loads(), 1);
+  EXPECT_DOUBLE_EQ(standalone.RequestLoad(0, 0.0, {}).ready_at, first);
 }
 
 }  // namespace

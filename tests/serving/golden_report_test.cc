@@ -5,6 +5,8 @@
 // scenarios here; any scheduling, artifact-store, or merge change that shifts a
 // single double breaks this test.
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 
 #include <gtest/gtest.h>
 
@@ -140,6 +142,46 @@ void ExpectExactAttribution(const ServeReport& r) {
   EXPECT_EQ(n, static_cast<long long>(r.records.size()));
 }
 
+// FNV-1a over every field of every event, in stream order: pins each event's
+// fields and timestamp and the order events were emitted in (Drain keeps
+// emission order among same-instant events), as the sums above pin records.
+class EventHash {
+ public:
+  void Add(const std::vector<TraceEvent>& events) {
+    for (const TraceEvent& e : events) {
+      Mix(static_cast<int>(e.type));
+      Mix(e.ts_s);
+      Mix(e.dur_s);
+      Mix(e.request_id);
+      Mix(e.model_id);
+      Mix(e.tenant_id);
+      Mix(static_cast<int>(e.slo));
+      Mix(e.gpu);
+      Mix(static_cast<int>(e.channel));
+      Mix(e.bytes);
+      Mix(e.aux);
+    }
+  }
+  uint64_t value() const { return h_; }
+
+ private:
+  template <typename T>
+  void Mix(T v) {
+    unsigned char b[sizeof(T)];
+    std::memcpy(b, &v, sizeof(T));
+    for (unsigned char c : b) {
+      h_ = (h_ ^ c) * 1099511628211ull;
+    }
+  }
+  uint64_t h_ = 1469598103934665603ull;
+};
+
+uint64_t HashEvents(const std::vector<TraceEvent>& events) {
+  EventHash h;
+  h.Add(events);
+  return h.value();
+}
+
 TEST(GoldenReportTest, DeltaZipTracingOnStaysGoldenAndSumsExactly) {
   const Trace trace = GenerateTrace(GoldenTraceConfig());
   EngineConfig cfg = GoldenEngineConfig();
@@ -155,6 +197,8 @@ TEST(GoldenReportTest, DeltaZipTracingOnStaysGoldenAndSumsExactly) {
   EXPECT_EQ(r.DiskLoads(), 10);
   ExpectSnapshotBacksReport(r);
   ExpectExactAttribution(r);
+  EXPECT_EQ(r.trace_events.size(), 5280u);
+  EXPECT_EQ(HashEvents(r.trace_events), 0xeac2f9470d9c059eull);
 }
 
 TEST(GoldenReportTest, VllmScbTracingOnStaysGoldenAndSumsExactly) {
@@ -171,6 +215,8 @@ TEST(GoldenReportTest, VllmScbTracingOnStaysGoldenAndSumsExactly) {
   EXPECT_DOUBLE_EQ(s.sum_finish, 26333.080092819353);
   ExpectSnapshotBacksReport(r);
   ExpectExactAttribution(r);
+  EXPECT_EQ(r.trace_events.size(), 718u);
+  EXPECT_EQ(HashEvents(r.trace_events), 0xd63117389ad619full);
 }
 
 TEST(GoldenReportTest, EightGpuClusterTracingOnStaysGoldenAndMerges) {
@@ -237,6 +283,14 @@ TEST(GoldenReportTest, EightGpuClusterTracingOnStaysGoldenAndMerges) {
   for (size_t i = 1; i < merged.size(); ++i) {
     EXPECT_LE(merged[i - 1].ts_s, merged[i].ts_s);
   }
+  // The router stream, then each worker's stream in GPU order.
+  EventHash streams;
+  streams.Add(r.router_events);
+  for (const ServeReport& worker : r.per_gpu) {
+    streams.Add(worker.trace_events);
+  }
+  EXPECT_EQ(worker_events, 34513u);
+  EXPECT_EQ(streams.value(), 0x49a943c7335b2455ull);
 }
 
 TEST(GoldenReportTest, DeltaZipEngineMatchesPrePrefetchBehavior) {

@@ -2,11 +2,13 @@
 // priority, hit/waste/stall accounting, the eviction guard, and engine-level
 // lookahead + warm-hint behavior.
 #include <algorithm>
+#include <string>
 
 #include <gtest/gtest.h>
 
 #include "src/serving/artifact_store.h"
 #include "src/serving/engine.h"
+#include "src/serving/observer.h"
 #include "src/util/stats.h"
 
 namespace dz {
@@ -22,8 +24,14 @@ ArtifactStoreConfig SmallStoreConfig() {
   return cfg;
 }
 
+// A store statistic: the instrument `name` in the observer's registry.
+double Stat(Observer& obs, const std::string& name, const MetricLabels& labels = {}) {
+  return obs.metrics().Snapshot().Value(name, labels);
+}
+
 TEST(ArtifactPrefetchTest, PrefetchOnlyClaimsIdleChannels) {
-  ArtifactStore store(SmallStoreConfig(), 8);
+  Observer obs;
+  ArtifactStore store(SmallStoreConfig(), 8, &obs);
   // A demand load occupies disk until 1.0 and PCIe until 1.1.
   ASSERT_TRUE(store.RequestLoad(0, 0.0, {}).ok);
   EXPECT_FALSE(store.Prefetch(1, 0.5, {}).ok);   // disk busy
@@ -31,34 +39,37 @@ TEST(ArtifactPrefetchTest, PrefetchOnlyClaimsIdleChannels) {
   const ArtifactStore::LoadResult p = store.Prefetch(1, 1.2, {});
   ASSERT_TRUE(p.ok);
   EXPECT_DOUBLE_EQ(p.ready_at, 2.3);  // 1.2 + disk 1.0 + h2d 0.1
-  EXPECT_EQ(store.prefetch_issued(), 1);
+  EXPECT_EQ(Stat(obs, "store.prefetch.issued"), 1);
 }
 
 TEST(ArtifactPrefetchTest, DemandUseOfLandedPrefetchIsAFullHit) {
-  ArtifactStore store(SmallStoreConfig(), 8);
+  Observer obs;
+  ArtifactStore store(SmallStoreConfig(), 8, &obs);
   ASSERT_TRUE(store.Prefetch(0, 0.0, {}).ok);  // lands at 1.1, cost 1.1
   store.Touch(0, 2.0);                         // first demand use
-  EXPECT_EQ(store.prefetch_hits(), 1);
-  EXPECT_DOUBLE_EQ(store.stall_hidden_s(), 1.1);
+  EXPECT_EQ(Stat(obs, "store.prefetch.hits"), 1);
+  EXPECT_DOUBLE_EQ(Stat(obs, "store.prefetch.stall_hidden_s"), 1.1);
   // A second use is not a second hit.
   store.Touch(0, 3.0);
-  EXPECT_EQ(store.prefetch_hits(), 1);
+  EXPECT_EQ(Stat(obs, "store.prefetch.hits"), 1);
 }
 
 TEST(ArtifactPrefetchTest, DemandHitMidFlightCreditsOnlyElapsedTransfer) {
-  ArtifactStore store(SmallStoreConfig(), 8);
+  Observer obs;
+  ArtifactStore store(SmallStoreConfig(), 8, &obs);
   ASSERT_TRUE(store.Prefetch(0, 0.0, {}).ok);  // lands at 1.1, cost 1.1
   const ArtifactStore::LoadResult r = store.RequestLoad(0, 0.6, {});
   ASSERT_TRUE(r.ok);
   EXPECT_DOUBLE_EQ(r.ready_at, 1.1);  // no new transfer issued
-  EXPECT_EQ(store.prefetch_hits(), 1);
+  EXPECT_EQ(Stat(obs, "store.prefetch.hits"), 1);
   // 0.5 s of the 1.1 s transfer still remained at the demand request.
-  EXPECT_NEAR(store.stall_hidden_s(), 0.6, 1e-12);
-  EXPECT_EQ(store.total_loads(), 1);
+  EXPECT_NEAR(Stat(obs, "store.prefetch.stall_hidden_s"), 0.6, 1e-12);
+  EXPECT_EQ(Stat(obs, "store.loads.total"), 1);
 }
 
 TEST(ArtifactPrefetchTest, EvictionGuardNeverDropsRunningBatchArtifacts) {
-  ArtifactStore store(SmallStoreConfig(), 8);
+  Observer obs;
+  ArtifactStore store(SmallStoreConfig(), 8, &obs);
   double t = 0.0;
   for (int i = 0; i < 3; ++i) {
     t = store.RequestLoad(i, t, {}).ready_at;
@@ -70,11 +81,12 @@ TEST(ArtifactPrefetchTest, EvictionGuardNeverDropsRunningBatchArtifacts) {
   for (int i = 0; i < 3; ++i) {
     EXPECT_TRUE(store.IsResident(i, t + 5.0));
   }
-  EXPECT_EQ(store.prefetch_issued(), 0);
+  EXPECT_EQ(Stat(obs, "store.prefetch.issued"), 0);
 }
 
 TEST(ArtifactPrefetchTest, PrefetchNeverEvictsAnUnusedPrefetch) {
-  ArtifactStore store(SmallStoreConfig(), 8);
+  Observer obs;
+  ArtifactStore store(SmallStoreConfig(), 8, &obs);
   double t = 0.0;
   for (int i = 0; i < 2; ++i) {
     t = store.RequestLoad(i, t, {}).ready_at;
@@ -88,16 +100,17 @@ TEST(ArtifactPrefetchTest, PrefetchNeverEvictsAnUnusedPrefetch) {
   // ...but a demand load may (and the speculation counts as wasted).
   ASSERT_TRUE(store.RequestLoad(3, t + 1.0, {0, 1}).ok);
   EXPECT_FALSE(store.IsResident(2, t + 2.0));
-  EXPECT_EQ(store.prefetch_wasted(), 1);
-  EXPECT_EQ(store.prefetch_hits(), 0);
+  EXPECT_EQ(Stat(obs, "store.prefetch.wasted"), 1);
+  EXPECT_EQ(Stat(obs, "store.prefetch.hits"), 0);
 }
 
 TEST(ArtifactPrefetchTest, ChannelBusyAccounting) {
-  ArtifactStore store(SmallStoreConfig(), 8);
+  Observer obs;
+  ArtifactStore store(SmallStoreConfig(), 8, &obs);
   double t = store.RequestLoad(0, 0.0, {}).ready_at;  // disk + h2d
   t = store.Prefetch(1, t, {}).ready_at;              // disk + h2d
-  EXPECT_DOUBLE_EQ(store.disk_busy_s(), 2.0);
-  EXPECT_DOUBLE_EQ(store.pcie_busy_s(), 0.2);
+  EXPECT_DOUBLE_EQ(Stat(obs, "store.channel.busy_s", {{"channel", "disk"}}), 2.0);
+  EXPECT_DOUBLE_EQ(Stat(obs, "store.channel.busy_s", {{"channel", "pcie"}}), 0.2);
 }
 
 // ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@
 #include <gtest/gtest.h>
 
 #include "src/registry/registry.h"
+#include "src/serving/observer.h"
 
 namespace dz {
 namespace {
@@ -52,12 +53,18 @@ int FindArtifact(const ArtifactRegistry& reg, int node, bool held) {
   return -1;
 }
 
+// A store statistic: the instrument `name` in the observer's registry.
+double Stat(Observer& obs, const std::string& name, const MetricLabels& labels = {}) {
+  return obs.metrics().Snapshot().Value(name, labels);
+}
+
 TEST(RegistryStoreTest, RemoteFetchPaysNetThenCachesOnLocalDisk) {
   const ArtifactRegistry reg(RegConfig("none"), 8, 2);
   ArtifactStoreConfig cfg = SmallConfig();
   cfg.registry = &reg;
   cfg.registry_node = 0;
-  ArtifactStore store(cfg, reg.n_artifacts());
+  Observer obs;
+  ArtifactStore store(cfg, reg.n_artifacts(), &obs);
   const int remote_art = FindArtifact(reg, 0, /*held=*/false);
   const int local_art = FindArtifact(reg, 0, /*held=*/true);
   ASSERT_GE(remote_art, 0);
@@ -67,10 +74,10 @@ TEST(RegistryStoreTest, RemoteFetchPaysNetThenCachesOnLocalDisk) {
   const auto r1 = store.RequestLoad(remote_art, 0.0, {});
   ASSERT_TRUE(r1.ok);
   EXPECT_DOUBLE_EQ(r1.ready_at, 2.1);
-  EXPECT_EQ(store.remote_reads(), 1);
-  EXPECT_EQ(store.degraded_reads(), 0);
-  EXPECT_EQ(store.disk_loads(), 0);
-  EXPECT_DOUBLE_EQ(store.net_busy_s(), 2.0);
+  EXPECT_EQ(Stat(obs, "registry.reads.remote"), 1);
+  EXPECT_EQ(Stat(obs, "registry.reads.degraded"), 0);
+  EXPECT_EQ(Stat(obs, "store.loads.disk"), 0);
+  EXPECT_DOUBLE_EQ(Stat(obs, "registry.net.busy_s"), 2.0);
   // The fetched bytes joined the local cache tier.
   const std::vector<int> cached = store.LocallyCached();
   EXPECT_NE(std::find(cached.begin(), cached.end(), remote_art), cached.end());
@@ -81,9 +88,9 @@ TEST(RegistryStoreTest, RemoteFetchPaysNetThenCachesOnLocalDisk) {
   const auto r2 = store.RequestLoad(local_art, 3.0, {});
   ASSERT_TRUE(r2.ok);
   EXPECT_DOUBLE_EQ(r2.ready_at, 4.1);
-  EXPECT_EQ(store.remote_reads(), 1);
-  EXPECT_EQ(store.local_reads(), 1);
-  EXPECT_EQ(store.disk_loads(), 1);
+  EXPECT_EQ(Stat(obs, "registry.reads.remote"), 1);
+  EXPECT_EQ(Stat(obs, "registry.reads.local"), 1);
+  EXPECT_EQ(Stat(obs, "store.loads.disk"), 1);
 
   // Re-reading the once-fetched artifact hits the local cache: disk + H2D,
   // not the network again.
@@ -91,9 +98,9 @@ TEST(RegistryStoreTest, RemoteFetchPaysNetThenCachesOnLocalDisk) {
   const auto r3 = store.RequestLoad(remote_art, 5.0, {});
   ASSERT_TRUE(r3.ok);
   EXPECT_DOUBLE_EQ(r3.ready_at, 6.1);
-  EXPECT_EQ(store.remote_reads(), 1);  // unchanged
-  EXPECT_EQ(store.disk_loads(), 2);
-  EXPECT_DOUBLE_EQ(store.net_busy_s(), 2.0);  // unchanged
+  EXPECT_EQ(Stat(obs, "registry.reads.remote"), 1);  // unchanged
+  EXPECT_EQ(Stat(obs, "store.loads.disk"), 2);
+  EXPECT_DOUBLE_EQ(Stat(obs, "registry.net.busy_s"), 2.0);  // unchanged
 }
 
 TEST(RegistryStoreTest, WarmCarryArtifactsSkipTheNetwork) {
@@ -104,13 +111,14 @@ TEST(RegistryStoreTest, WarmCarryArtifactsSkipTheNetwork) {
   const int remote_art = FindArtifact(reg, 0, /*held=*/false);
   ASSERT_GE(remote_art, 0);
   cfg.registry_warm = {remote_art};  // previous epoch already fetched it
-  ArtifactStore store(cfg, reg.n_artifacts());
+  Observer obs;
+  ArtifactStore store(cfg, reg.n_artifacts(), &obs);
 
   const auto r = store.RequestLoad(remote_art, 0.0, {});
   ASSERT_TRUE(r.ok);
   EXPECT_DOUBLE_EQ(r.ready_at, 1.1);  // disk + H2D: the carry made it local
-  EXPECT_EQ(store.remote_reads(), 0);
-  EXPECT_EQ(store.local_reads(), 1);
+  EXPECT_EQ(Stat(obs, "registry.reads.remote"), 0);
+  EXPECT_EQ(Stat(obs, "registry.reads.local"), 1);
 }
 
 TEST(RegistryStoreTest, FailoverReplicaReadCountsAsDegraded) {
@@ -133,12 +141,13 @@ TEST(RegistryStoreTest, FailoverReplicaReadCountsAsDegraded) {
   ArtifactStoreConfig cfg = SmallConfig();
   cfg.registry = &reg;
   cfg.registry_node = reader;
-  ArtifactStore store(cfg, reg.n_artifacts());
+  Observer obs;
+  ArtifactStore store(cfg, reg.n_artifacts(), &obs);
   const auto r = store.RequestLoad(art, 0.0, {});
   ASSERT_TRUE(r.ok);
   EXPECT_DOUBLE_EQ(r.ready_at, 2.1);  // full copy over the wire, no decode
-  EXPECT_EQ(store.remote_reads(), 1);
-  EXPECT_EQ(store.degraded_reads(), 1);
+  EXPECT_EQ(Stat(obs, "registry.reads.remote"), 1);
+  EXPECT_EQ(Stat(obs, "registry.reads.degraded"), 1);
 }
 
 TEST(RegistryStoreTest, ErasureParityReadAddsDecodeTime) {
@@ -150,12 +159,13 @@ TEST(RegistryStoreTest, ErasureParityReadAddsDecodeTime) {
   ArtifactStoreConfig cfg = SmallConfig();
   cfg.registry = &reg;
   cfg.registry_node = ranked[3];  // holds no fragment of `art`
-  ArtifactStore store(cfg, reg.n_artifacts());
+  Observer obs;
+  ArtifactStore store(cfg, reg.n_artifacts(), &obs);
   const auto r = store.RequestLoad(art, 0.0, {});
   ASSERT_TRUE(r.ok);
   // k fragments (B bytes total) over the wire + 1.0 s reconstruct + H2D.
   EXPECT_DOUBLE_EQ(r.ready_at, 3.1);
-  EXPECT_EQ(store.degraded_reads(), 1);
+  EXPECT_EQ(Stat(obs, "registry.reads.degraded"), 1);
 }
 
 TEST(RegistryStoreTest, UnavailableIsTypedAndEvictsNothing) {
@@ -163,7 +173,8 @@ TEST(RegistryStoreTest, UnavailableIsTypedAndEvictsNothing) {
   ArtifactStoreConfig cfg = SmallConfig();
   cfg.registry = &reg;
   cfg.registry_node = 0;
-  ArtifactStore store(cfg, reg.n_artifacts());
+  Observer obs;
+  ArtifactStore store(cfg, reg.n_artifacts(), &obs);
   const int remote_art = FindArtifact(reg, 0, /*held=*/false);
   const int local_art = FindArtifact(reg, 0, /*held=*/true);
   ASSERT_GE(remote_art, 0);
@@ -178,7 +189,7 @@ TEST(RegistryStoreTest, UnavailableIsTypedAndEvictsNothing) {
   const auto r = store.RequestLoad(remote_art, 2.0, {});
   EXPECT_FALSE(r.ok);
   EXPECT_TRUE(r.unavailable);
-  EXPECT_EQ(store.unavailable_loads(), 1);
+  EXPECT_EQ(Stat(obs, "registry.unavailable"), 1);
   // The failed plan was resolved before eviction: the resident survived.
   EXPECT_EQ(store.GpuCount(), 1);
   EXPECT_TRUE(store.IsResident(local_art, 2.0));
@@ -214,26 +225,29 @@ TEST(RegistryStoreTest, FetchPlansAreRememberedPerStoreNotAcrossEpochs) {
   cfg.registry_node = 0;
 
   reg.SetNodeLive(primary, false);
-  ArtifactStore epoch1(cfg, reg.n_artifacts());
+  Observer epoch1_obs;
+  ArtifactStore epoch1(cfg, reg.n_artifacts(), &epoch1_obs);
   EXPECT_TRUE(epoch1.RequestLoad(art, 0.0, {}).unavailable);
   EXPECT_TRUE(epoch1.RequestLoad(art, 1.0, {}).unavailable);
-  EXPECT_EQ(epoch1.unavailable_loads(), 2);
+  EXPECT_EQ(Stat(epoch1_obs, "registry.unavailable"), 2);
 
   reg.SetNodeLive(primary, true);  // between epochs: the holder recovers
-  ArtifactStore epoch2(cfg, reg.n_artifacts());
+  Observer epoch2_obs;
+  ArtifactStore epoch2(cfg, reg.n_artifacts(), &epoch2_obs);
   const auto recovered = epoch2.RequestLoad(art, 0.0, {});
   ASSERT_TRUE(recovered.ok);
   EXPECT_DOUBLE_EQ(recovered.ready_at, 2.1);  // 2.0 s net + 0.1 s H2D
-  EXPECT_EQ(epoch2.remote_reads(), 1);
+  EXPECT_EQ(Stat(epoch2_obs, "registry.reads.remote"), 1);
 
   reg.SetNodeLive(primary, false);  // lost again, but repair rebuilt a copy
   reg.AddHolder(art, 0, spare);
-  ArtifactStore epoch3(cfg, reg.n_artifacts());
+  Observer epoch3_obs;
+  ArtifactStore epoch3(cfg, reg.n_artifacts(), &epoch3_obs);
   const auto repaired = epoch3.RequestLoad(art, 0.0, {});
   ASSERT_TRUE(repaired.ok);
   EXPECT_DOUBLE_EQ(repaired.ready_at, 2.1);
-  EXPECT_EQ(epoch3.remote_reads(), 1);
-  EXPECT_EQ(epoch3.unavailable_loads(), 0);
+  EXPECT_EQ(Stat(epoch3_obs, "registry.reads.remote"), 1);
+  EXPECT_EQ(Stat(epoch3_obs, "registry.unavailable"), 0);
 }
 
 TEST(RegistryStoreTest, NetOutageDefersRemoteFetches) {
@@ -242,7 +256,8 @@ TEST(RegistryStoreTest, NetOutageDefersRemoteFetches) {
   cfg.registry = &reg;
   cfg.registry_node = 0;
   cfg.outages.push_back({TraceChannel::kNet, 1.0, 5.0});
-  ArtifactStore store(cfg, reg.n_artifacts());
+  Observer obs;
+  ArtifactStore store(cfg, reg.n_artifacts(), &obs);
   const int remote_art = FindArtifact(reg, 0, /*held=*/false);
   ASSERT_GE(remote_art, 0);
 
@@ -250,7 +265,7 @@ TEST(RegistryStoreTest, NetOutageDefersRemoteFetches) {
   const auto r = store.RequestLoad(remote_art, 2.0, {});
   ASSERT_TRUE(r.ok);
   EXPECT_DOUBLE_EQ(r.ready_at, 7.1);  // 5.0 + 2.0 net + 0.1 H2D
-  EXPECT_DOUBLE_EQ(store.net_busy_s(), 2.0);  // stall time is not busy time
+  EXPECT_DOUBLE_EQ(Stat(obs, "registry.net.busy_s"), 2.0);  // stall time is not busy time
 }
 
 // --- Outage-window validation/normalization (registry-independent) ---

@@ -85,6 +85,17 @@ expect_reject "replication and erasure together" "mutually exclusive" \
   cluster --trace "$tmp/t.jsonl" --gpus 2 --replication 2 --erasure 2,1
 expect_reject "non-positive net bandwidth" "net-gbps" \
   cluster --trace "$tmp/t.jsonl" --gpus 2 --replication 2 --net-gbps 0
+expect_reject "overflowing replication factor" "replication" \
+  cluster --trace "$tmp/t.jsonl" --gpus 2 --replication 99999999999
+
+# Fault specs: numbers with two dots and non-integer or out-of-range worker
+# ids are rejected, not truncated.
+expect_reject "fault time with two dots" "faults" \
+  cluster --trace "$tmp/t.jsonl" --gpus 2 --faults "crash@1.2.3:w1"
+expect_reject "fractional fault worker id" "faults" \
+  cluster --trace "$tmp/t.jsonl" --gpus 2 --faults "crash@5:w1.9"
+expect_reject "out-of-range fault worker id" "faults" \
+  cluster --trace "$tmp/t.jsonl" --gpus 2 --faults "crash@5:w99999999999"
 
 # A good registry run under a worker crash must complete and echo the
 # normalized fault plan (the FaultPlanToSpec round-trip) in its report.
