@@ -29,8 +29,6 @@ struct AutoscalerConfig {
   // Scale down only when backlog per worker is below this AND p99 is under
   // half the target (comfortably healthy, not merely borderline).
   double scale_down_backlog_per_worker = 2.0;
-  // Workers added/removed per decision.
-  int step = 1;
 
   bool Enabled() const { return enabled; }
 };
@@ -59,8 +57,6 @@ class ClusterAutoscaler {
 
   // Time of the last non-hold decision (-inf before any).
   double last_action_t() const { return last_action_t_; }
-
-  const AutoscalerConfig& config() const { return config_; }
 
  private:
   AutoscalerConfig config_;

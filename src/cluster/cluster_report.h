@@ -37,8 +37,8 @@ struct ElasticStats {
   int peak_workers = 0;
   int final_workers = 0;
   // Re-warm attribution: artifact prefetches issued (and stall seconds hidden)
-  // in epochs that began with a membership change — the cost of re-warming
-  // caches after a crash/reroute/scale event rather than steady-state traffic.
+  // by the engines of workers that joined mid-run (recoveries, scale-ups) —
+  // the cost of warming cold caches rather than steady-state traffic.
   long long rewarm_loads = 0;
   double rewarm_s = 0.0;
   // Requests whose artifact the registry could not source at all (every

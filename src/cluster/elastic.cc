@@ -2,9 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
 #include <limits>
 #include <map>
 #include <memory>
+#include <queue>
 #include <string>
 #include <utility>
 #include <vector>
@@ -12,6 +14,7 @@
 #include "src/metrics/metrics.h"
 #include "src/registry/registry.h"
 #include "src/serving/observer.h"
+#include "src/serving/serve_loop.h"
 #include "src/simgpu/exec_model.h"
 #include "src/util/check.h"
 #include "src/util/stats.h"
@@ -39,17 +42,22 @@ struct WorkerSlot {
   int id = 0;
   WState s = WState::kActive;
   double speed = 1.0;        // slow-node throughput factor (1 = healthy)
-  bool partitioned = false;  // disk+PCIe blackout; serving but not routable
-  // Requests currently homed on this worker and not yet resolved: carried
-  // engine-unfinished work plus arrivals routed while it was not serving.
+  bool partitioned = false;  // disk+PCIe+net blackout; serving but not routable
+  double partition_end_s = 0.0;
+  double detect_at = kInf;   // when the router notices a crash
+  bool joined_mid_run = false;  // the engine started cold after t = 0
+  // The live engine while serving (one per serving lifetime) and how many of
+  // its records the cluster has read.
+  std::unique_ptr<ServeLoop> loop;
+  size_t seen = 0;
+  // Requests homed here that no engine holds yet: a crashed engine's
+  // unfinished ones and arrivals routed while the worker had no engine.
   std::vector<TraceRequest> carry;
-  // Scale-down drain bookkeeping.
-  double drain_start_t = 0.0;
-  double drain_last_finish = -1.0;
-  // Committed results accumulated across this worker's epochs. Its
-  // `cached_artifacts` (registry runs only) is the node-local cache tier at
-  // the last committed epoch end, carried into the next epoch; it survives
-  // crashes — it models durable node-local disk, not GPU/host state.
+  double drain_start_t = 0.0;  // scale-down time
+  // The reports of this worker's ended engines. Its `cached_artifacts`
+  // (registry runs only) is the node-local cache tier when the last engine
+  // ended, carried into the next; it survives crashes — it models durable
+  // node-local disk, not GPU/host state.
   ServeReport acc;
 };
 
@@ -65,13 +73,8 @@ bool Routable(const WorkerSlot& w, bool reroute) {
          (w.s == WState::kDeadDetected && !reroute);
 }
 
-// Where a prefetching worker's warm hints come from (see elastic.h).
-enum class HintSource {
-  kTrace,       // Router::WarmHints over the whole trace's placements
-  kEpochInput,  // the epoch's own input, most-frequent variant first
-};
-
-std::vector<int> EpochInputHints(const std::vector<TraceRequest>& input) {
+// Warm hints from an engine's first input, most-frequent variant first.
+std::vector<int> InputHints(const std::vector<TraceRequest>& input) {
   std::map<int, int> counts;
   std::vector<int> order;
   for (const TraceRequest& r : input) {
@@ -89,8 +92,8 @@ std::unique_ptr<ServingEngine> MakeWorkerEngine(const ClusterConfig& cfg,
   return cfg.vllm_baseline ? MakeVllmScbEngine(ec) : MakeDeltaZipEngine(ec);
 }
 
-// Folds one committed epoch report into a worker's accumulated report. The
-// first one moves in whole, so a worker that ran a single epoch reports
+// Folds an ended engine's report into a worker's accumulated report. The
+// first one moves in whole, so a worker with one engine lifetime reports
 // exactly what its engine returned.
 void Accumulate(ServeReport& acc, ServeReport&& r) {
   if (acc.engine_name.empty()) {
@@ -99,6 +102,7 @@ void Accumulate(ServeReport& acc, ServeReport&& r) {
   }
   acc.records.insert(acc.records.end(), r.records.begin(), r.records.end());
   acc.metrics.MergeFrom(r.metrics);
+  acc.timeline.insert(acc.timeline.end(), r.timeline.begin(), r.timeline.end());
   acc.makespan_s = std::max(acc.makespan_s, r.makespan_s);
   acc.trace_events.insert(acc.trace_events.end(), r.trace_events.begin(),
                           r.trace_events.end());
@@ -112,25 +116,27 @@ void Accumulate(ServeReport& acc, ServeReport&& r) {
   }
 }
 
-// Result of running one epoch [t0, t1) against a snapshot of the cluster
-// state. Pure: computing an attempt mutates nothing, so the autoscaler can
-// discard an optimistic run and re-run a shorter prefix (see elastic.h).
-struct Attempt {
-  Attempt(size_t n_workers, const Placer& placer_copy)
-      : reports(n_workers), carry(n_workers), placer(placer_copy) {}
+// Blacks out a live worker's disk, PCIe and net channels over [start, end).
+void BlackOut(ServeLoop& loop, double start, double end) {
+  for (TraceChannel channel : {TraceChannel::kDisk, TraceChannel::kPcie, TraceChannel::kNet}) {
+    loop.store().AddOutage({channel, start, end});
+  }
+}
 
-  std::vector<ServeReport> reports;                  // indexed like workers
-  std::vector<std::vector<TraceRequest>> carry;      // post-epoch carry
-  std::vector<std::pair<TraceRequest, int>> placed;  // routed (request, worker)
-  std::vector<std::vector<int>> warm_hints;  // per worker; HintSource::kTrace only
-  std::vector<TraceRequest> unrouted;  // nobody routable: held for later
-  Placer placer;                       // post-routing placer state
-  bool routable = false;               // whether `placer` is meaningful
-  size_t next_arrival = 0;             // global trace cursor after the epoch
-};
+// The time of the first `end_type` event of `worker` at or after evs[from]
+// (the end of a slow or partition window); `t` when there is none.
+double WindowEnd(const std::vector<FaultEvent>& evs, size_t from, FaultType end_type,
+                 int worker, double t) {
+  for (size_t j = from; j < evs.size(); ++j) {
+    if (evs[j].type == end_type && evs[j].worker == worker) {
+      return evs[j].t_s;
+    }
+  }
+  return t;
+}
 
 // One queued background rebuild of a fragment/replica lost to a crash. FIFO
-// byte-metered against each epoch's spare net bandwidth (AdvanceRepairs).
+// byte-metered against each step's spare net bandwidth (AdvanceRepairs).
 struct RepairJob {
   int artifact = 0;
   int frag = 0;
@@ -143,35 +149,37 @@ struct RepairJob {
 struct ElasticRun {
   const ClusterConfig& cfg;
   const Trace& trace;
+  // Without faults or autoscaling, prefetch hints are the router's
+  // trace-wide prediction over the one step's placements (`shard_of`).
+  const bool trace_hints;
+  std::vector<int> shard_of;
   std::vector<WorkerSlot> workers;
   std::unique_ptr<Placer> placer;  // routes across the current routable set
   size_t next_arrival = 0;
-  std::vector<TraceRequest> retry_pool;  // re-enqueue at the next epoch start
+  std::vector<TraceRequest> retry_pool;  // routed at the next boundary
   // Router, fault, scale and repair events, and the cluster.* counters they
   // back (registered only for elastic runs).
   Observer obs;
   ElasticStats stats;
-  std::vector<double> committed_finishes;  // sorted finish_s of all records
   double max_finish = 0.0;
-  // Artifact registry (null unless cfg.registry.enabled). Mutated ONLY between
-  // epochs: liveness at boundaries, extra holders after committed repairs —
-  // RunEpoch (and any rollback re-run) sees one constant registry state.
+  // Autoscaler inputs, kept incrementally: trace arrivals and finished records
+  // counted so far, and the records not yet counted as (finish_s, TTFT of an
+  // interactive request or -1), earliest finish on top.
+  size_t arrived = 0;
+  size_t finished = 0;
+  std::priority_queue<std::pair<double, double>, std::vector<std::pair<double, double>>,
+                      std::greater<>>
+      unobserved;
+  // Artifact registry (null unless cfg.registry.enabled). Mutated ONLY
+  // between steps; live stores hear of a change at the next boundary.
   std::unique_ptr<ArtifactRegistry> registry;
+  bool registry_changed = false;
   double artifact_bytes = 0.0;    // per-worker artifact payload (repair meter)
   std::vector<RepairJob> repairs;  // FIFO repair queue
 
-  ElasticRun(const ClusterConfig& c, const Trace& t)
-      : cfg(c), trace(t), obs(c.engine.tracing) {}
-
-  std::vector<int> RoutableIds() const {
-    std::vector<int> ids;
-    for (const WorkerSlot& w : workers) {
-      if (Routable(w, cfg.faults.reroute)) {
-        ids.push_back(w.id);
-      }
-    }
-    return ids;
-  }
+  ElasticRun(const ClusterConfig& c, const Trace& t, bool elastic)
+      : cfg(c), trace(t), trace_hints(!elastic && c.engine.prefetch.enabled),
+        obs(c.engine.tracing) {}
 
   int ActiveCount() const {
     int n = 0;
@@ -184,193 +192,169 @@ struct ElasticRun {
   // Rebuilds the placer iff the routable membership changed. Backlogs reset on
   // a rebuild — accepted: a membership change invalidates the old load picture
   // anyway, and ring arcs (the part that matters for affinity) are keyed by
-  // global id so they survive (bounded churn). Returns true on a rebuild,
-  // which marks the following epoch as a re-warm epoch for the attribution
-  // counters.
-  bool SyncPlacer() {
-    const std::vector<int> ids = RoutableIds();
+  // global id so they survive (bounded churn).
+  void SyncPlacer() {
+    std::vector<int> ids;
+    for (const WorkerSlot& w : workers) {
+      if (Routable(w, cfg.faults.reroute)) {
+        ids.push_back(w.id);
+      }
+    }
     if (ids.empty()) {
       placer.reset();
-      return false;
+    } else if (placer == nullptr || placer->worker_ids() != ids) {
+      placer = std::make_unique<Placer>(cfg.placer, ids);
     }
-    if (placer != nullptr && placer->worker_ids() == ids) {
-      return false;
-    }
-    placer = std::make_unique<Placer>(cfg.placer, ids);
-    return true;
   }
 
-  // One epoch [t0, t1) against the current state: route retries + window
-  // arrivals, run every serving worker on carry + routed input, collect each
-  // engine's unfinished requests as next-epoch carry. Mutates nothing.
-  Attempt RunEpoch(double t0, double t1, HintSource hints) const {
-    Attempt a(workers.size(),
-              placer != nullptr ? *placer : Placer(cfg.placer));
-    a.routable = placer != nullptr;
-    a.next_arrival = next_arrival;
-    // Each worker's input: its carry, then what is routed to it below.
-    for (size_t i = 0; i < workers.size(); ++i) {
-      a.carry[i] = workers[i].carry;
+  // A request waits for routing or an engine, or a live engine can progress.
+  bool Busy() const {
+    bool busy = !retry_pool.empty() && placer != nullptr;
+    for (const WorkerSlot& w : workers) {
+      busy = busy || (w.loop != nullptr ? w.loop->Busy() : Serving(w) && !w.carry.empty());
     }
-    auto route = [&](const TraceRequest& req) {
-      if (!a.routable) {
-        a.unrouted.push_back(req);
+    return busy;
+  }
+
+  // Starts a serving worker's engine, clocked from `t`, and offers it the
+  // carry, which also seeds its warm hints unless `hints` is given.
+  void StartEngine(WorkerSlot& w, double t, const std::vector<int>* hints) {
+    std::stable_sort(w.carry.begin(), w.carry.end(),
+                     [](const TraceRequest& x, const TraceRequest& y) {
+                       return x.arrival_s < y.arrival_s;
+                     });
+    EngineConfig ec = cfg.engine;
+    ec.start_s = t;
+    if (registry != nullptr) {
+      ec.registry = registry.get();
+      ec.registry_node = w.id;
+      ec.registry_warm = w.acc.cached_artifacts;
+    }
+    if (ec.prefetch.enabled) {
+      ec.prefetch.warm_hints = hints != nullptr ? *hints : InputHints(w.carry);
+    }
+    w.loop = MakeWorkerEngine(cfg, ec)->Start(trace.n_models, trace.n_tenants);
+    w.loop->SetSpeed(w.speed);
+    if (w.partitioned) {
+      BlackOut(*w.loop, t, std::max(t, w.partition_end_s));
+    }
+    w.seen = 0;
+    w.joined_mid_run = t > 0.0;
+    for (const TraceRequest& r : std::exchange(w.carry, {})) {
+      w.loop->Offer(r);
+    }
+  }
+
+  // Ends a worker's engine: its report joins the worker's, and what it left
+  // unfinished (a halted finish: the worker crashed) waits in the carry.
+  void EndEngine(WorkerSlot& w) {
+    ServeReport r = w.loop->Finish();
+    w.loop.reset();
+    stats.shed += r.TotalShed();
+    if (w.joined_mid_run) {  // a recovered or scaled-up worker warming from cold
+      stats.rewarm_loads += r.PrefetchIssued();
+      stats.rewarm_s += r.StallHiddenS();
+    }
+    // Typed registry unavailability is terminal: only a natural finish lists
+    // it; a halted one hands parked requests on as unfinished.
+    stats.failed += static_cast<long long>(r.unavailable.size());
+    stats.unavailable += static_cast<long long>(r.unavailable.size());
+    w.carry.insert(w.carry.end(), r.unfinished.begin(), r.unfinished.end());
+    r.unfinished.clear();
+    Accumulate(w.acc, std::move(r));
+  }
+
+  // One step [t, next): route the retries and the trace's arrivals before
+  // `next`, start engines for serving workers without one, and run every
+  // live engine until `next`.
+  void Step(double t, double next) {
+    // A request goes to its worker's engine, or to its carry while it has none.
+    const auto route = [&](TraceRequest r) {
+      if (placer != nullptr) {
+        const int gpu = placer->Assign(r);
+        WorkerSlot& w = workers[static_cast<size_t>(gpu)];
+        if (w.loop != nullptr) {
+          w.loop->Offer(r);
+        } else {
+          w.carry.push_back(r);
+        }
+        obs.On(RequestEvent(TraceEventType::kRouterPlace, r.arrival_s, r,
+                            /*dur=*/0.0, /*aux=*/0, gpu));
+        if (trace_hints) {
+          shard_of.push_back(gpu);
+        }
         return;
       }
-      const int gpu = a.placer.Assign(req);
-      a.carry[static_cast<size_t>(gpu)].push_back(req);
-      a.placed.emplace_back(req, gpu);
+      // Every worker is dead or partitioned: retry at the next boundary, with
+      // the SLO clock still running from the original arrival.
+      r.first_arrival_s = r.SloArrival();
+      if (next < kInf) {
+        r.arrival_s = next;
+      }
+      retry_pool.push_back(r);
     };
-    for (const TraceRequest& r : retry_pool) {
+    for (const TraceRequest& r : std::exchange(retry_pool, {})) {
       route(r);
     }
-    while (a.next_arrival < trace.requests.size() &&
-           trace.requests[a.next_arrival].arrival_s < t1) {
-      route(trace.requests[a.next_arrival++]);
+    while (next_arrival < trace.requests.size() &&
+           trace.requests[next_arrival].arrival_s < next) {
+      route(trace.requests[next_arrival++]);
     }
-    if (hints == HintSource::kTrace && cfg.engine.prefetch.enabled) {
-      // Only ever the run's single epoch, which placed the trace in order.
-      std::vector<int> shard_of;
-      shard_of.reserve(a.placed.size());
-      for (const auto& pr : a.placed) {
-        shard_of.push_back(pr.second);
+    std::vector<std::vector<int>> hints;
+    if (trace_hints) {  // the static run's one step routed the whole trace
+      hints = Router(cfg.placer).WarmHints(trace, shard_of);
+      for (size_t gpu = 0; gpu < hints.size(); ++gpu) {
+        for (size_t rank = 0; rank < hints[gpu].size(); ++rank) {
+          // Hints are computed before serving: t = 0.
+          obs.On(ArtifactEvent(TraceEventType::kRouterWarmHint, /*ts=*/0.0, /*dur=*/0.0,
+                               hints[gpu][rank], TraceChannel::kNone,
+                               /*bytes=*/0.0, /*aux=*/static_cast<int>(rank),
+                               static_cast<int>(gpu)));
+        }
       }
-      a.warm_hints = Router(cfg.placer).WarmHints(trace, shard_of);
+    }
+    std::vector<WorkerSlot*> live;
+    for (WorkerSlot& w : workers) {
+      if (Serving(w) && w.loop == nullptr) {
+        StartEngine(w, t, hints.empty() ? nullptr : &hints[static_cast<size_t>(w.id)]);
+      }
+      if (w.loop != nullptr) {
+        live.push_back(&w);
+      }
     }
 
-    // The whole run as one epoch: every serving worker runs, even on an empty
-    // input, and keeps its metrics timeline.
-    const bool whole_run = t0 == 0.0 && t1 == kInf;
-    std::vector<size_t> to_run;
-    for (size_t i = 0; i < workers.size(); ++i) {
-      std::vector<TraceRequest>& input = a.carry[i];
-      if (!Serving(workers[i]) || (input.empty() && !whole_run)) {
-        continue;  // non-serving workers just accumulate their input
-      }
-      // Engines require arrival order; re-stamped carry and fresh arrivals
-      // interleave.
-      std::stable_sort(input.begin(), input.end(),
-                       [](const TraceRequest& x, const TraceRequest& y) {
-                         return x.arrival_s < y.arrival_s;
-                       });
-      to_run.push_back(i);
-    }
-    auto run_one = [&](size_t k) {
-      const size_t i = to_run[k];
-      const WorkerSlot& w = workers[i];
-      Trace shard;
-      shard.requests = std::move(a.carry[i]);
-      shard.n_models = trace.n_models;
-      shard.n_tenants = trace.n_tenants;
-      shard.duration_s = trace.duration_s;
-      EngineConfig ec = cfg.engine;
-      ec.start_s = t0;
-      ec.halt_s = t1;
-      ec.speed_factor = w.speed;
-      if (!whole_run) {
-        ec.metrics.interval_s = 0.0;  // epoch timelines would not stitch
-      }
-      if (w.partitioned) {
-        ChannelOutage disk;
-        disk.channel = TraceChannel::kDisk;
-        disk.start_s = t0;
-        disk.end_s = t1;
-        ChannelOutage pcie = disk;
-        pcie.channel = TraceChannel::kPcie;
-        ChannelOutage net = disk;
-        net.channel = TraceChannel::kNet;
-        ec.outages.push_back(disk);
-        ec.outages.push_back(pcie);
-        ec.outages.push_back(net);
-      }
-      if (registry != nullptr) {
-        ec.registry = registry.get();
-        ec.registry_node = w.id;
-        ec.registry_warm = w.acc.cached_artifacts;
-      }
-      if (ec.prefetch.enabled) {
-        ec.prefetch.warm_hints = hints == HintSource::kTrace
-                                     ? a.warm_hints[i]
-                                     : EpochInputHints(shard.requests);
-      }
-      a.reports[i] = MakeWorkerEngine(cfg, ec)->Serve(shard);
-      a.carry[i] = std::exchange(a.reports[i].unfinished, {});
+    // The foreground net time over the step, which repairs must leave alone.
+    const bool meter_net = registry != nullptr && !repairs.empty();
+    const auto net_busy = [&](WorkerSlot* w) {
+      return meter_net ? w->loop->observer().metrics().GetCounter(metric::kNetBusyS)->value()
+                       : 0.0;
     };
-    if (cfg.parallel_workers && to_run.size() > 1) {
-      ThreadPool::Global().ForEachTask(to_run.size(), run_one);
+    double net_busy_s = 0.0;
+    for (WorkerSlot* w : live) {
+      net_busy_s -= net_busy(w);
+    }
+    const auto run_one = [&](size_t k) { live[k]->loop->RunUntil(next); };
+    if (cfg.parallel_workers && live.size() > 1) {
+      ThreadPool::Global().ForEachTask(live.size(), run_one);
     } else {
-      for (size_t k = 0; k < to_run.size(); ++k) {
+      for (size_t k = 0; k < live.size(); ++k) {
         run_one(k);
       }
     }
-    return a;
-  }
-
-  // Applies an epoch's results: accumulate per-worker reports, swap in the
-  // new carries, advance the cursors, emit router.place (then router.warm_hint)
-  // events. `boundary_t` is the committed epoch end (re-stamps unrouted
-  // requests so the next epoch's placer sees non-decreasing arrivals).
-  void Commit(Attempt& a, double boundary_t, bool rewarm_epoch) {
-    const size_t committed_before = committed_finishes.size();
-    for (size_t i = 0; i < workers.size(); ++i) {
-      WorkerSlot& w = workers[i];
-      ServeReport& r = a.reports[i];
-      if (!r.engine_name.empty()) {  // this worker actually ran
-        stats.shed += r.TotalShed();
-        if (rewarm_epoch) {
-          stats.rewarm_loads += r.PrefetchIssued();
-          stats.rewarm_s += r.StallHiddenS();
+    for (WorkerSlot* w : live) {
+      net_busy_s += net_busy(w);
+      const std::vector<RequestRecord>& recs = w->loop->records();
+      for (; w->seen < recs.size(); ++w->seen) {
+        const RequestRecord& rec = recs[w->seen];
+        max_finish = std::max(max_finish, rec.finish_s);
+        if (cfg.autoscale.enabled) {
+          unobserved.emplace(rec.finish_s,
+                             rec.slo == SloClass::kInteractive ? rec.Ttft() : -1.0);
         }
-        // Typed registry unavailability is terminal: engines only fill this on
-        // a natural (final-epoch) run — earlier epochs carry parked requests
-        // forward as `unfinished` so repairs/recoveries can still save them.
-        stats.failed += static_cast<long long>(r.unavailable.size());
-        stats.unavailable += static_cast<long long>(r.unavailable.size());
-        for (const RequestRecord& rec : r.records) {
-          if (cfg.autoscale.enabled) {  // only the autoscaler observes these
-            committed_finishes.push_back(rec.finish_s);
-          }
-          max_finish = std::max(max_finish, rec.finish_s);
-          if (w.s == WState::kDraining) {
-            w.drain_last_finish = std::max(w.drain_last_finish, rec.finish_s);
-          }
-        }
-        Accumulate(w.acc, std::move(r));
-      }
-      w.carry = std::move(a.carry[i]);
-    }
-    // Sort only this epoch's finishes, then merge them into the sorted rest.
-    const auto fresh =
-        committed_finishes.begin() + static_cast<std::ptrdiff_t>(committed_before);
-    std::sort(fresh, committed_finishes.end());
-    std::inplace_merge(committed_finishes.begin(), fresh, committed_finishes.end());
-    if (placer != nullptr && a.routable) {
-      *placer = std::move(a.placer);
-    }
-    next_arrival = a.next_arrival;
-    retry_pool.clear();
-    for (TraceRequest r : a.unrouted) {
-      // Never routed this epoch — every worker was dead or partitioned.
-      // Preserve the SLO clock, re-enqueue at the boundary.
-      r.first_arrival_s = r.SloArrival();
-      if (boundary_t < kInf) {
-        r.arrival_s = boundary_t;
-      }
-      retry_pool.push_back(r);
-    }
-    for (const auto& [req, gpu] : a.placed) {
-      obs.On(RequestEvent(TraceEventType::kRouterPlace, req.arrival_s, req,
-                          /*dur=*/0.0, /*aux=*/0, gpu));
-    }
-    for (size_t gpu = 0; gpu < a.warm_hints.size(); ++gpu) {
-      for (size_t rank = 0; rank < a.warm_hints[gpu].size(); ++rank) {
-        // Hints are computed before serving: t = 0.
-        obs.On(ArtifactEvent(TraceEventType::kRouterWarmHint, /*ts=*/0.0, /*dur=*/0.0,
-                             a.warm_hints[gpu][rank], TraceChannel::kNone,
-                             /*bytes=*/0.0, /*aux=*/static_cast<int>(rank),
-                             static_cast<int>(gpu)));
       }
     }
+    FinishDrains();
+    AdvanceRepairs(t, next, net_busy_s);
   }
 
   // Retires every draining worker whose backlog is fully served, emitting the
@@ -378,19 +362,26 @@ struct ElasticRun {
   // ordering the autoscaler property test enforces).
   void FinishDrains() {
     for (WorkerSlot& w : workers) {
-      if (w.s != WState::kDraining || !w.carry.empty()) {
+      if (w.s != WState::kDraining || (w.loop != nullptr && !w.loop->Drained())) {
         continue;
       }
-      const double done_t = std::max(w.drain_start_t, w.drain_last_finish);
+      if (w.loop != nullptr) {
+        EndEngine(w);
+      }
+      // Records come in finish order: the last one is the engine's last finish.
+      const double done_t = std::max(
+          w.drain_start_t, w.acc.records.empty() ? 0.0 : w.acc.records.back().finish_s);
       obs.On(WorkerEvent(TraceEventType::kScaleDrainDone, done_t, w.id));
       obs.On(WorkerEvent(TraceEventType::kScaleRemove, done_t, w.id));
       w.s = WState::kRetired;
     }
   }
 
-  // Pushes worker liveness into the registry: a node is a usable chunk source
-  // iff it is serving and not partitioned. Boundary-only mutation.
-  void SyncRegistryLiveness() {
+  // Pushes worker liveness into the registry at boundary `t` — a node is a
+  // usable chunk source iff it is serving and not partitioned — and, after any
+  // change (repaired holders included), has live stores plan fetches afresh
+  // and retry their parked requests.
+  void SyncRegistry(double t) {
     if (registry == nullptr) {
       return;
     }
@@ -398,8 +389,16 @@ struct ElasticRun {
       if (w.id >= registry->n_nodes()) {
         continue;  // late scale-ups hold no fragments; default-live is right
       }
-      registry->SetNodeLive(w.id, Serving(w) && !w.partitioned);
+      const bool live = Serving(w) && !w.partitioned;
+      registry_changed = registry_changed || registry->IsNodeLive(w.id) != live;
+      registry->SetNodeLive(w.id, live);
     }
+    for (WorkerSlot& w : workers) {
+      if (registry_changed && w.loop != nullptr) {
+        w.loop->OnRegistryChange(t);
+      }
+    }
+    registry_changed = false;
   }
 
   // Queues a rebuild for every fragment the detected-dead node held that is
@@ -414,14 +413,10 @@ struct ElasticRun {
     for (int a = 0; a < registry->n_artifacts(); ++a) {
       for (int f = 0; f < frags; ++f) {
         if (!registry->NodeHoldsFragment(a, f, dead_id) ||
-            !registry->CanRepair(a, f, dead_id)) {
-          continue;
-        }
-        bool pending = false;
-        for (const RepairJob& j : repairs) {
-          pending = pending || (j.artifact == a && j.frag == f);
-        }
-        if (pending) {
+            !registry->CanRepair(a, f, dead_id) ||
+            std::any_of(repairs.begin(), repairs.end(), [&](const RepairJob& j) {
+              return j.artifact == a && j.frag == f;  // already pending
+            })) {
           continue;
         }
         int target = -1;
@@ -435,25 +430,19 @@ struct ElasticRun {
         if (target < 0) {
           continue;  // every live node already holds it: nothing to rebuild
         }
-        RepairJob j;
-        j.artifact = a;
-        j.frag = f;
-        j.target = target;
-        j.dead_node = dead_id;
-        j.bytes_needed = artifact_bytes;
-        repairs.push_back(j);
+        repairs.push_back({a, f, target, dead_id, artifact_bytes, /*bytes_done=*/0.0});
       }
     }
   }
 
-  // Low-priority background repair: spends the committed epoch's spare net
-  // bandwidth (live NIC-seconds minus what foreground remote reads used) on
-  // the FIFO queue, byte-metered with partial progress across epochs. A
-  // finished rebuild installs its extra holder for subsequent epochs and emits
-  // a repair trace event at the epoch boundary (completion times inside the
-  // epoch are not resolved — a documented approximation). The final (t1 = inf)
-  // epoch meters up to the last committed finish.
-  void AdvanceRepairs(double t0, double t1, const Attempt& a) {
+  // Low-priority background repair: spends the step's spare net bandwidth
+  // (live NIC-seconds minus the `busy_s` foreground remote reads used) on the
+  // FIFO queue, byte-metered with partial progress across steps. A finished
+  // rebuild installs its extra holder and emits a repair trace event at the
+  // step's end (completion times inside a step are not resolved — a
+  // documented approximation). The final (t1 = inf) step meters up to the
+  // last finish.
+  void AdvanceRepairs(double t0, double t1, double busy_s) {
     if (registry == nullptr || repairs.empty()) {
       return;
     }
@@ -461,10 +450,6 @@ struct ElasticRun {
     int live = 0;
     for (const WorkerSlot& w : workers) {
       live += (Serving(w) && !w.partitioned) ? 1 : 0;
-    }
-    double busy_s = 0.0;
-    for (const ServeReport& r : a.reports) {
-      busy_s += r.metrics.Value(metric::kNetBusyS);
     }
     const double spare_s =
         std::max(0.0, static_cast<double>(live) * (t_end - t0) - busy_s);
@@ -482,6 +467,7 @@ struct ElasticRun {
         break;  // FIFO: only the queue head makes partial progress
       }
       registry->AddHolder(j.artifact, j.frag, j.target);
+      registry_changed = true;
       ++done;
       obs.On(ArtifactEvent(TraceEventType::kRepair, t_end, /*dur=*/0.0, j.artifact,
                            TraceChannel::kNone, j.bytes_needed, /*aux=*/j.frag,
@@ -491,12 +477,11 @@ struct ElasticRun {
                   repairs.begin() + static_cast<std::ptrdiff_t>(done));
   }
 
-  // Applies every fault event and crash detection due at or before `t0`.
-  void ProcessBoundary(double t0, size_t& fault_idx,
-                       std::vector<double>& detections,
-                       std::vector<int>& detect_worker) {
+  // Applies every fault event and crash detection due at or before `t`, with
+  // every worker already stepped to `t`.
+  void ProcessBoundary(double t, size_t& fault_idx) {
     const std::vector<FaultEvent>& evs = cfg.faults.events;
-    while (fault_idx < evs.size() && evs[fault_idx].t_s <= t0) {
+    while (fault_idx < evs.size() && evs[fault_idx].t_s <= t) {
       const FaultEvent& ev = evs[fault_idx++];
       if (ev.worker < 0 || ev.worker >= static_cast<int>(workers.size())) {
         continue;  // plans may address workers the run never created
@@ -509,8 +494,10 @@ struct ElasticRun {
           if (w.s == WState::kActive || w.s == WState::kDraining) {
             w.s = WState::kDeadUndetected;
             obs.On(WorkerEvent(TraceEventType::kFaultCrash, ev.t_s, w.id));
-            detections.push_back(ev.t_s + cfg.faults.detection_delay_s);
-            detect_worker.push_back(w.id);
+            if (w.loop != nullptr) {  // null when it (re)joined at this very boundary
+              EndEngine(w);
+            }
+            w.detect_at = ev.t_s + cfg.faults.detection_delay_s;
           }
           break;
         case FaultType::kRecover:
@@ -529,36 +516,28 @@ struct ElasticRun {
                 repairs.end());
           }
           break;
-        case FaultType::kSlowStart: {
-          w.speed = ev.multiplier;
-          // The window length is known from the matching end event; emit the
-          // whole span now so the trace viewer shows the degraded region.
-          double end = ev.t_s;
-          for (size_t j = fault_idx; j < evs.size(); ++j) {
-            if (evs[j].type == FaultType::kSlowEnd &&
-                evs[j].worker == ev.worker) {
-              end = evs[j].t_s;
-              break;
-            }
-          }
-          obs.On(WorkerEvent(TraceEventType::kFaultSlow, ev.t_s, w.id, end - ev.t_s));
-          break;
-        }
+        case FaultType::kSlowStart:
         case FaultType::kSlowEnd:
-          w.speed = 1.0;
+          w.speed = ev.type == FaultType::kSlowStart ? ev.multiplier : 1.0;
+          if (w.loop != nullptr) {
+            w.loop->SetSpeed(w.speed);
+          }
+          if (ev.type == FaultType::kSlowStart) {
+            // The whole span is emitted now so the trace viewer shows the
+            // degraded region.
+            const double end = WindowEnd(evs, fault_idx, FaultType::kSlowEnd, w.id, ev.t_s);
+            obs.On(WorkerEvent(TraceEventType::kFaultSlow, ev.t_s, w.id, end - ev.t_s));
+          }
           break;
         case FaultType::kPartitionStart: {
           w.partitioned = true;
-          double end = ev.t_s;
-          for (size_t j = fault_idx; j < evs.size(); ++j) {
-            if (evs[j].type == FaultType::kPartitionEnd &&
-                evs[j].worker == ev.worker) {
-              end = evs[j].t_s;
-              break;
-            }
+          w.partition_end_s =
+              WindowEnd(evs, fault_idx, FaultType::kPartitionEnd, w.id, ev.t_s);
+          if (w.loop != nullptr) {
+            BlackOut(*w.loop, ev.t_s, w.partition_end_s);
           }
           obs.On(WorkerEvent(TraceEventType::kFaultPartition, ev.t_s, w.id,
-                             end - ev.t_s));
+                             w.partition_end_s - ev.t_s));
           break;
         }
         case FaultType::kPartitionEnd:
@@ -570,86 +549,95 @@ struct ElasticRun {
     // rerouting the dead worker's whole backlog is re-enqueued across the
     // survivors (SLO clocks keep the original arrivals — re-served requests
     // still answer for their full wait).
-    for (size_t d = 0; d < detections.size();) {
-      if (detections[d] > t0) {
-        ++d;
+    for (WorkerSlot& w : workers) {
+      if (w.detect_at > t) {
         continue;
       }
-      const int id = detect_worker[d];
-      detections.erase(detections.begin() + static_cast<std::ptrdiff_t>(d));
-      detect_worker.erase(detect_worker.begin() +
-                          static_cast<std::ptrdiff_t>(d));
-      WorkerSlot& w = workers[static_cast<size_t>(id)];
+      w.detect_at = kInf;
       if (w.s != WState::kDeadUndetected) {
         continue;  // recovered before detection: nothing to do
       }
       w.s = WState::kDeadDetected;
-      obs.On(WorkerEvent(TraceEventType::kFaultDetect, t0, w.id));
+      obs.On(WorkerEvent(TraceEventType::kFaultDetect, t, w.id));
       // Detection is also when repair planning starts: queue rebuilds for the
       // dead node's fragments (partitions never enqueue — the data is intact
       // behind the partition and comes back with it).
       EnqueueRepairs(w.id);
       if (cfg.faults.reroute) {
-        obs.On(WorkerEvent(TraceEventType::kRouterReroute, t0, w.id, /*dur=*/0.0,
+        obs.On(WorkerEvent(TraceEventType::kRouterReroute, t, w.id, /*dur=*/0.0,
                            /*aux=*/static_cast<int>(w.carry.size())));
         for (TraceRequest r : w.carry) {
           r.first_arrival_s = r.SloArrival();
-          r.arrival_s = t0;
+          r.arrival_s = t;
           retry_pool.push_back(r);
         }
         w.carry.clear();
       }
     }
-    // Every state change above feeds the registry's source-liveness view
-    // before the next epoch runs.
-    SyncRegistryLiveness();
   }
 
-  // Autoscaler observation at time t over committed state + the optimistic
-  // attempt: offered-but-unfinished backlog per active worker (admission sheds
-  // are invisible here — the backlog reads conservatively high on shedding
+  // Autoscaler observation at grid tick t, every worker stepped to t: the
+  // offered-but-unfinished backlog per active worker (admission sheds are
+  // invisible here — the backlog reads conservatively high on shedding
   // clusters) and the interactive TTFT p99 over the trailing decision window.
-  AutoscalerStats ObserveAt(double t, const Attempt& a) const {
+  AutoscalerStats ObserveAt(double t) {
     AutoscalerStats s;
     s.t = t;
     s.active_workers = std::max(1, ActiveCount());
-    const auto arrived_after = [](double x, const TraceRequest& r) {
-      return x < r.arrival_s;
-    };
-    const long long arrived = static_cast<long long>(
-        std::upper_bound(trace.requests.begin(), trace.requests.end(), t,
-                         arrived_after) -
-        trace.requests.begin());  // arrival-sorted
-    long long finished = static_cast<long long>(
-        std::upper_bound(committed_finishes.begin(), committed_finishes.end(),
-                         t) -
-        committed_finishes.begin());
+    while (arrived < trace.requests.size() && trace.requests[arrived].arrival_s <= t) {
+      ++arrived;
+    }
     std::vector<double> ttfts;
     const double window = cfg.autoscale.decision_interval_s;
-    auto scan_window = [&](const std::vector<RequestRecord>& recs) {
-      for (const RequestRecord& rec : recs) {
-        if (rec.slo == SloClass::kInteractive && rec.finish_s <= t &&
-            rec.finish_s > t - window) {
-          ttfts.push_back(rec.Ttft());
-        }
+    while (!unobserved.empty() && unobserved.top().first <= t) {
+      const auto [finish_s, ttft] = unobserved.top();
+      unobserved.pop();
+      ++finished;
+      if (ttft >= 0.0 && finish_s > t - window) {
+        ttfts.push_back(ttft);
       }
-    };
-    for (const ServeReport& r : a.reports) {
-      for (const RequestRecord& rec : r.records) {
-        if (rec.finish_s <= t) {
-          ++finished;
-        }
-      }
-      scan_window(r.records);
     }
-    for (const WorkerSlot& w : workers) {
-      scan_window(w.acc.records);
-    }
-    const double backlog = static_cast<double>(arrived - finished);
-    s.backlog_per_worker =
-        std::max(0.0, backlog) / static_cast<double>(s.active_workers);
+    const double backlog = static_cast<double>(arrived) - static_cast<double>(finished);
+    s.backlog_per_worker = std::max(0.0, backlog) / static_cast<double>(s.active_workers);
     s.interactive_ttft_p99_s = ttfts.empty() ? 0.0 : Percentile(ttfts, 99);
     return s;
+  }
+
+  // Applies a scale decision at `t`.
+  void Scale(ScaleDecision d, double t) {
+    if (d == ScaleDecision::kUp) {
+      WorkerSlot* slot = nullptr;
+      for (WorkerSlot& w : workers) {  // lowest retired id first
+        if (w.s == WState::kRetired) {
+          slot = &w;
+          break;
+        }
+      }
+      if (slot == nullptr) {
+        workers.emplace_back();
+        slot = &workers.back();
+        slot->id = static_cast<int>(workers.size()) - 1;
+      }
+      slot->s = WState::kActive;
+      slot->speed = 1.0;
+      slot->partitioned = false;
+      stats.peak_workers = std::max(stats.peak_workers, ActiveCount());
+      obs.On(WorkerEvent(TraceEventType::kScaleUp, t, slot->id,
+                         /*dur=*/0.0, /*aux=*/ActiveCount()));
+    } else if (d == ScaleDecision::kDown) {
+      WorkerSlot* victim = nullptr;  // highest-id active worker
+      for (WorkerSlot& w : workers) {
+        if (w.s == WState::kActive) {
+          victim = &w;
+        }
+      }
+      DZ_CHECK(victim != nullptr);
+      victim->s = WState::kDraining;
+      victim->drain_start_t = t;
+      obs.On(WorkerEvent(TraceEventType::kScaleDown, t, victim->id,
+                         /*dur=*/0.0, /*aux=*/ActiveCount()));
+      obs.On(WorkerEvent(TraceEventType::kScaleDrainStart, t, victim->id));
+    }
   }
 };
 
@@ -657,18 +645,17 @@ struct ElasticRun {
 
 ClusterReport ServeElastic(const ClusterConfig& cfg, const Trace& trace) {
   DZ_CHECK_GT(cfg.placer.n_gpus, 0);
-  // Without faults or autoscaling the loop runs one epoch [0, inf): the
-  // static cluster. Its warm hints are the router's trace-wide prediction and
-  // its report carries no elastic ledger.
+  // Without faults or autoscaling the loop runs one step [0, inf): the static
+  // cluster. Its warm hints are the router's trace-wide prediction and its
+  // report carries no elastic ledger.
   const bool elastic = cfg.faults.Enabled() || cfg.autoscale.Enabled();
-  const HintSource hints = elastic ? HintSource::kEpochInput : HintSource::kTrace;
   if (cfg.autoscale.enabled) {
     DZ_CHECK_GE(cfg.autoscale.min_workers, 1);
     DZ_CHECK_GE(cfg.autoscale.max_workers, cfg.autoscale.min_workers);
     DZ_CHECK_GT(cfg.autoscale.decision_interval_s, 0.0);
   }
 
-  ElasticRun run(cfg, trace);
+  ElasticRun run(cfg, trace, elastic);
   if (elastic) {
     run.obs.RegisterCluster(cfg.registry.enabled);
   }
@@ -679,7 +666,6 @@ ClusterReport ServeElastic(const ClusterConfig& cfg, const Trace& trace) {
     run.workers[i].id = static_cast<int>(i);
   }
   run.stats.peak_workers = run.ActiveCount();
-  run.SyncPlacer();  // initial build; not a re-warm epoch
   if (cfg.faults.Enabled()) {
     run.stats.fault_spec = FaultPlanToSpec(cfg.faults);
   }
@@ -705,116 +691,61 @@ ClusterReport ServeElastic(const ClusterConfig& cfg, const Trace& trace) {
       trace.requests.empty() ? 0.0 : trace.requests.back().arrival_s;
 
   size_t fault_idx = 0;
-  std::vector<double> detections;
-  std::vector<int> detect_worker;
-  double t0 = 0.0;
-  bool done = false;
-  while (!done) {
-    run.ProcessBoundary(t0, fault_idx, detections, detect_worker);
-    const bool rewarm_epoch = run.SyncPlacer();
-
-    // Next externally scheduled boundary (fault event or crash detection).
-    double t_fault = kInf;
-    if (fault_idx < cfg.faults.events.size()) {
-      t_fault = cfg.faults.events[fault_idx].t_s;
+  double t = 0.0;
+  double tick = kInf;  // the autoscaler grid point the last step ended at
+  for (;;) {
+    if (t == tick) {
+      run.Scale(autoscaler.Decide(run.ObserveAt(t)), t);
     }
-    for (double d : detections) {
-      t_fault = std::min(t_fault, d);
-    }
+    run.ProcessBoundary(t, fault_idx);
+    // Every state change above feeds the registry before the next step runs.
+    run.SyncRegistry(t);
+    run.SyncPlacer();
 
-    Attempt a = run.RunEpoch(t0, t_fault, hints);
+    // The next boundary: a fault event, a crash detection, or a grid tick
+    // while the autoscaler still has something to watch. The grid extends
+    // past the last activity by one cooldown + interval so trailing
+    // scale-downs can chain all the way back to min_workers.
+    double next = fault_idx < cfg.faults.events.size() ? cfg.faults.events[fault_idx].t_s
+                                                       : kInf;
+    for (const WorkerSlot& w : run.workers) {
+      next = std::min(next, w.detect_at);
+    }
+    tick = kInf;
     if (cfg.autoscale.enabled) {
-      // Replay the decision rule over the optimistic run. The grid extends
-      // past the last activity by one cooldown + interval so trailing
-      // scale-downs can chain all the way back to min_workers.
-      double attempt_max_finish = run.max_finish;
-      for (const ServeReport& r : a.reports) {
-        for (const RequestRecord& rec : r.records) {
-          attempt_max_finish = std::max(attempt_max_finish, rec.finish_s);
-        }
+      double tk = (std::floor(t / interval) + 1.0) * interval;
+      if (tk <= t) {
+        tk += interval;  // rounding put t's own grid point ahead of it
       }
-      const double activity = std::max(last_arrival, attempt_max_finish);
-      const double bound = std::min(
-          t_fault, std::max(activity, autoscaler.last_action_t() +
-                                          cfg.autoscale.cooldown_s) +
-                       interval);
-      double action_t = -1.0;
-      ScaleDecision action = ScaleDecision::kHold;
-      for (double tk = (std::floor(t0 / interval) + 1.0) * interval;
-           tk <= bound; tk += interval) {
-        const ScaleDecision d = autoscaler.Decide(run.ObserveAt(tk, a));
-        if (d != ScaleDecision::kHold) {
-          action = d;
-          action_t = tk;
-          break;
-        }
-      }
-      if (action != ScaleDecision::kHold) {
-        // Roll back: re-run the (deterministic) prefix and commit the action
-        // as a new boundary at the decision time.
-        a = run.RunEpoch(t0, action_t, hints);
-        run.Commit(a, action_t, rewarm_epoch);
-        run.FinishDrains();
-        run.AdvanceRepairs(t0, action_t, a);
-        if (action == ScaleDecision::kUp) {
-          WorkerSlot* slot = nullptr;
-          for (WorkerSlot& w : run.workers) {  // lowest retired id first
-            if (w.s == WState::kRetired) {
-              slot = &w;
-              break;
-            }
-          }
-          if (slot == nullptr) {
-            WorkerSlot fresh;
-            fresh.id = static_cast<int>(run.workers.size());
-            run.workers.push_back(fresh);
-            slot = &run.workers.back();
-          }
-          slot->s = WState::kActive;
-          slot->speed = 1.0;
-          slot->partitioned = false;
-          run.stats.peak_workers =
-              std::max(run.stats.peak_workers, run.ActiveCount());
-          run.obs.On(WorkerEvent(TraceEventType::kScaleUp, action_t, slot->id,
-                                 /*dur=*/0.0, /*aux=*/run.ActiveCount()));
-        } else {
-          WorkerSlot* victim = nullptr;  // highest-id active worker
-          for (WorkerSlot& w : run.workers) {
-            if (w.s == WState::kActive) {
-              victim = &w;
-            }
-          }
-          DZ_CHECK(victim != nullptr);
-          victim->s = WState::kDraining;
-          victim->drain_start_t = action_t;
-          victim->drain_last_finish = -1.0;
-          run.obs.On(WorkerEvent(TraceEventType::kScaleDown, action_t, victim->id,
-                                 /*dur=*/0.0, /*aux=*/run.ActiveCount()));
-          run.obs.On(WorkerEvent(TraceEventType::kScaleDrainStart, action_t, victim->id));
-        }
-        t0 = action_t;
-        continue;
+      const double activity = std::max(
+          {last_arrival, run.max_finish, autoscaler.last_action_t() + cfg.autoscale.cooldown_s});
+      if (tk <= next && (tk <= activity + interval || run.Busy())) {
+        tick = next = tk;
       }
     }
-    run.Commit(a, t_fault, rewarm_epoch);
-    run.FinishDrains();
-    run.AdvanceRepairs(t0, t_fault, a);
-    if (t_fault == kInf) {
-      done = true;
-    } else {
-      t0 = t_fault;
+    run.Step(t, next);
+    if (next == kInf) {
+      break;
     }
+    t = next;
   }
 
-  // Terminal accounting: whatever is still stranded on never-recovered dead
-  // workers (reroute=false) or was unroutable while every worker was down has
-  // failed — it will never be served.
+  // Terminal accounting: every engine still live finished naturally; whatever
+  // is still stranded on never-recovered dead workers (reroute=false) or was
+  // unroutable while every worker was down has failed — it will never be
+  // served.
+  for (WorkerSlot& w : run.workers) {
+    if (w.loop != nullptr) {
+      run.EndEngine(w);
+    }
+  }
+  run.FinishDrains();
   for (WorkerSlot& w : run.workers) {
     if (!Serving(w)) {
       run.stats.failed += static_cast<long long>(w.carry.size());
       w.carry.clear();
     } else {
-      // A serving worker's final epoch ran to halt = inf: nothing may remain.
+      // A serving worker's engine ran to the end: nothing may remain.
       DZ_CHECK_EQ(w.carry.size(), 0u);
     }
   }

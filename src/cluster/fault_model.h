@@ -1,11 +1,11 @@
 // Typed fault injection for the cluster layer: a FaultPlan schedules worker
 // crashes, recoveries, degraded-throughput (slow-node) windows, and transient
 // disk/PCIe partitions on the simulated clock. The elastic serving loop
-// (src/cluster/elastic.cc) consumes the plan as epoch boundaries: a crash
+// (src/cluster/elastic.cc) consumes the plan as step boundaries: a crash
 // kills a worker mid-run (its in-flight requests are lost and re-routed after
 // the router's detection delay), a slow window stretches every iteration by
 // the multiplier, and a partition blacks out the worker's transfer channels
-// without killing it. An empty plan (the default) adds no epoch boundary, so
+// without killing it. An empty plan (the default) adds no boundary, so
 // Cluster::Serve stays bit-identical to the pre-fault cluster
 // (golden-enforced).
 #ifndef SRC_CLUSTER_FAULT_MODEL_H_

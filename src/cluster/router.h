@@ -54,12 +54,12 @@ struct ClusterConfig {
   // the hardware total is n_gpus × tp GPUs. When `engine.prefetch.enabled`, the
   // cluster overwrites each worker's `prefetch.warm_hints` with the router's
   // placement prediction (Router::WarmHints) — or, in fault/autoscale runs,
-  // with each epoch's own input (see elastic.h).
+  // with each worker engine's first input (see elastic.h).
   EngineConfig engine;
   bool vllm_baseline = false;    // use the vLLM+SCB engine instead of DeltaZip
   bool parallel_workers = true;  // simulate workers on the global thread pool
   // Fault injection and elastic autoscaling (src/cluster/elastic.cc). Both off
-  // by default: the epoch loop then runs one epoch [0, inf), byte-identical
+  // by default: the cluster loop then runs one step [0, inf), byte-identical
   // to the pre-fault static cluster (golden-enforced).
   FaultPlan faults;
   AutoscalerConfig autoscale;
@@ -79,7 +79,7 @@ class Cluster {
   explicit Cluster(const ClusterConfig& config);
 
   // Routes the trace, runs every worker engine on its shard, merges the
-  // reports — all through the epoch loop (ServeElastic, src/cluster/elastic.h).
+  // reports — all through the cluster loop (ServeElastic, src/cluster/elastic.h).
   ClusterReport Serve(const Trace& trace) const;
 
   // e.g. "deltazip x4 [delta-affinity]".

@@ -1,7 +1,7 @@
 // Per-request tracing substrate (dz_obs): typed lifecycle events on the
 // simulated clock, collected by a low-overhead per-worker recorder.
 //
-// The serve loop, the ArtifactStore and the cluster epoch loop (elastic.cc)
+// The serve loop, the ArtifactStore and the cluster loop (elastic.cc)
 // report a TraceEvent at every decision point of a request's life — queued,
 // shed, dispatched, artifact transfers with channel + bytes, batch rounds, KV
 // preemptions/swaps, first token, done — each stamped with request / model /

@@ -16,10 +16,10 @@
 //     required sources survive.
 //
 // Liveness and repair-installed extra holders are the only mutable state.
-// Cluster workers run in parallel share-nothing epochs, so the elastic loop
-// mutates the registry ONLY between epochs (fault boundaries / post-commit
-// repair credit); during a Serve() call every view below is const, which is
-// why an ArtifactStore may plan each artifact's fetch once per run.
+// Cluster workers step in parallel share-nothing, so the elastic loop mutates
+// the registry ONLY between steps (fault boundaries / repair credit); while
+// they step every view below is const, so an ArtifactStore may plan each
+// fetch once per registry change (ArtifactStore::OnRegistryChange).
 //
 // All sizes are bytes; all times simulated seconds. The module depends only on
 // dz_util so every layer (serving, cluster, bench) can link it freely.
@@ -117,12 +117,12 @@ class ArtifactRegistry {
   bool NodeHoldsFullCopy(int artifact, int node) const;
 
   // Liveness as a fetch source. Nodes beyond the initial set default to live.
-  // Mutate ONLY between epochs (the elastic boundary) — never mid-Serve.
+  // Mutate ONLY between steps (the elastic boundary) — never mid-step.
   void SetNodeLive(int node, bool live);
   bool IsNodeLive(int node) const;
 
   // Installs a repair-built extra holder for (artifact, frag). Idempotent.
-  // Mutate ONLY between epochs.
+  // Mutate ONLY between steps.
   void AddHolder(int artifact, int frag, int node);
 
   // Best live source for `frag` (primary first, then repair-installed extras
@@ -136,7 +136,7 @@ class ArtifactRegistry {
   bool CanRepair(int artifact, int frag, int exclude) const;
 
   // Resolves the tier chain for node `node` reading `artifact` of
-  // `artifact_bytes` bytes. Pure (const) — every worker in an epoch sees the
+  // `artifact_bytes` bytes. Pure (const) — every worker in a step sees the
   // same answer.
   FetchPlan PlanFetch(int artifact, int node, double artifact_bytes) const;
 

@@ -13,36 +13,6 @@ ArtifactStore::ArtifactStore(const ArtifactStoreConfig& config, int n_artifacts,
       observer_(observer) {
   DZ_CHECK_GT(config_.artifact_bytes, 0u);
   tier_count_[static_cast<int>(Tier::kDisk)] = n_artifacts;
-  // Validate + normalize the outage windows once: inverted windows are caller
-  // bugs, zero-length windows cover no instant (the window test is
-  // start <= t < end), and overlapping/abutting windows per channel merge so
-  // DeferPastOutages walks a minimal deterministic list. Merging is a semantic
-  // no-op (the defer loop already iterates to a fixpoint), so default and
-  // fault-injected runs stay bit-identical.
-  for (const ChannelOutage& o : config_.outages) {
-    DZ_CHECK_LE(o.start_s, o.end_s);
-  }
-  std::stable_sort(config_.outages.begin(), config_.outages.end(),
-                   [](const ChannelOutage& a, const ChannelOutage& b) {
-                     if (a.channel != b.channel) {
-                       return static_cast<int>(a.channel) < static_cast<int>(b.channel);
-                     }
-                     return a.start_s != b.start_s ? a.start_s < b.start_s
-                                                   : a.end_s < b.end_s;
-                   });
-  std::vector<ChannelOutage> merged;
-  for (const ChannelOutage& o : config_.outages) {
-    if (o.end_s <= o.start_s) {
-      continue;  // zero-length window: unsatisfiable, drop
-    }
-    if (!merged.empty() && merged.back().channel == o.channel &&
-        o.start_s <= merged.back().end_s) {
-      merged.back().end_s = std::max(merged.back().end_s, o.end_s);
-    } else {
-      merged.push_back(o);
-    }
-  }
-  config_.outages = std::move(merged);
   if (observer_ == nullptr) {
     owned_observer_ = std::make_unique<Observer>();
     observer_ = owned_observer_.get();
@@ -58,18 +28,32 @@ ArtifactStore::ArtifactStore(const ArtifactStoreConfig& config, int n_artifacts,
     // The local tier starts with what this node durably holds (full copies it
     // is a registry holder of) plus the carried cache contents.
     local_.assign(static_cast<size_t>(n_artifacts), 0);
-    plans_.resize(static_cast<size_t>(n_artifacts));
-    for (int id = 0; id < n_artifacts; ++id) {
-      if (config_.registry->NodeHoldsFullCopy(id, config_.registry_node)) {
-        local_[static_cast<size_t>(id)] = 1;
-      }
-    }
     for (int id : config_.registry_warm) {
       DZ_CHECK_GE(id, 0);
       DZ_CHECK_LT(id, n_artifacts);
       local_[static_cast<size_t>(id)] = 1;
     }
+    OnRegistryChange();
   }
+}
+
+void ArtifactStore::OnRegistryChange() {
+  if (config_.registry == nullptr) {
+    return;
+  }
+  // The local tier gains what this node now durably holds (full copies it is a
+  // holder of, repair-installed ones included); plans are recomputed lazily.
+  for (size_t id = 0; id < local_.size(); ++id) {
+    if (config_.registry->NodeHoldsFullCopy(static_cast<int>(id), config_.registry_node)) {
+      local_[id] = 1;
+    }
+  }
+  plans_.assign(local_.size(), std::nullopt);
+}
+
+void ArtifactStore::AddOutage(const ChannelOutage& outage) {
+  DZ_CHECK_LE(outage.start_s, outage.end_s);  // an inverted window is a caller bug
+  outages_.push_back(outage);
 }
 
 bool ArtifactStore::IsResident(int id, double now) const {
@@ -93,6 +77,7 @@ void ArtifactStore::SetTier(Entry& e, Tier tier) {
 }
 
 const FetchPlan& ArtifactStore::PlanFetch(int id) {
+  // The registry is constant between OnRegistryChange calls, so a plan is too.
   std::optional<FetchPlan>& plan = plans_[static_cast<size_t>(id)];
   if (!plan) {
     plan = config_.registry->PlanFetch(id, config_.registry_node,
@@ -146,7 +131,7 @@ double ArtifactStore::DeferPastOutages(TraceChannel channel, double t) const {
   bool moved = true;
   while (moved) {
     moved = false;
-    for (const ChannelOutage& o : config_.outages) {
+    for (const ChannelOutage& o : outages_) {
       if (o.channel == channel && t >= o.start_s && t < o.end_s) {
         t = o.end_s;
         moved = true;

@@ -41,12 +41,6 @@ struct ArtifactStoreConfig {
   size_t cpu_budget_bytes = 0;    // host-memory cache capacity (bytes)
   double disk_read_s = 0.0;       // disk → host time for one artifact (seconds)
   double h2d_s = 0.0;             // host → device time for one artifact (seconds)
-  // Channel blackout windows (empty, the default, is bit-identical to the
-  // pre-fault store; golden-enforced). Validated and normalized at store
-  // construction: end_s < start_s is rejected (DZ_CHECK), zero-length windows
-  // are dropped, and overlapping/abutting windows merge per channel into a
-  // deterministic sorted list.
-  std::vector<ChannelOutage> outages;
   // Cluster-shared artifact registry (null, the default, keeps the PR 8
   // infinite-local-disk model). When attached, artifacts this node does not
   // hold locally are fetched over a bounded-bandwidth net channel from the
@@ -55,7 +49,7 @@ struct ArtifactStoreConfig {
   const ArtifactRegistry* registry = nullptr;
   int registry_node = 0;  // this store's node id in the registry
   // Artifacts already sitting in this node's local cache tier at t = 0 (the
-  // elastic loop carries the previous epoch's cache contents through here).
+  // elastic loop carries a worker's previous engine's cache through here).
   std::vector<int> registry_warm;
 };
 
@@ -79,9 +73,8 @@ class ArtifactStore {
   // even after evicting every idle artifact (every slot pinned or mid-transfer);
   // `ready_at` is meaningful only when `ok` is true. `unavailable` is the
   // typed registry failure: too few live holders survive to source the bytes
-  // at all — retrying later this epoch cannot succeed (liveness only changes
-  // at epoch boundaries), so callers must park the request instead of
-  // spinning.
+  // at all — retrying cannot succeed until the registry changes
+  // (OnRegistryChange), so callers must park the request instead of spinning.
   struct LoadResult {
     bool ok = false;
     double ready_at = 0.0;  // simulated seconds
@@ -123,9 +116,18 @@ class ArtifactStore {
   double NextLoadReady(double now) const;
 
   // Artifact ids currently in this node's local cache tier (registry-attached
-  // stores only; empty otherwise). The elastic loop snapshots this at epoch
-  // end and replays it into the next epoch's `registry_warm`.
+  // stores only; empty otherwise). The elastic loop snapshots this when a
+  // worker's engine ends and replays it into its next engine's `registry_warm`.
   std::vector<int> LocallyCached() const;
+
+  // Adds a channel blackout window (a partition); transfers already issued keep
+  // their times. Windows may overlap (they act as their union); end_s <
+  // start_s is rejected (DZ_CHECK). A store without any is bit-identical to
+  // the pre-fault store (golden-enforced).
+  void AddOutage(const ChannelOutage& outage);
+  // The registry's liveness or holders changed: drops the memoized fetch
+  // plans and adds newly held full copies to the local tier.
+  void OnRegistryChange();
 
  private:
   enum class Tier { kDisk, kCpu, kGpu };
@@ -144,8 +146,8 @@ class ArtifactStore {
   // Evicts the LRU idle GPU resident not in `pinned`; with `spare_prefetched`,
   // unused prefetched entries are additionally protected (prefetch callers).
   bool EvictOne(double now, const std::vector<int>& pinned, bool spare_prefetched);
-  // The registry's fetch plan for `id` from this node, computed on first use:
-  // the registry is const during a run, so the answer cannot change.
+  // The registry's fetch plan for `id` from this node, computed on first use
+  // after construction or the last OnRegistryChange.
   const FetchPlan& PlanFetch(int id);
   // Earliest time >= t at which `channel` is outside every outage window.
   double DeferPastOutages(TraceChannel channel, double t) const;
@@ -154,6 +156,7 @@ class ArtifactStore {
   void ResolvePrefetchHit(Entry& e, double now);
 
   ArtifactStoreConfig config_;
+  std::vector<ChannelOutage> outages_;
   std::vector<Entry> entries_;
   int tier_count_[3] = {0, 0, 0};  // entries per Tier
   double disk_free_at_ = 0.0;  // disk channel availability

@@ -58,7 +58,6 @@ class DeltaZipPolicy : public ServePolicy {
                                : exec_.LoadDeltaFromDisk();
     store.h2d_s =
         lora() ? exec_.LoadLoraFromHost(config_.lora_rank) : exec_.LoadDeltaFromHost();
-    store.outages = config_.outages;
     store.registry = config_.registry;
     store.registry_node = config_.registry_node;
     store.registry_warm = config_.registry_warm;
@@ -91,7 +90,7 @@ class DeltaZipPolicy : public ServePolicy {
                        double iter_s) override {
     int decode_batch = 0;
     double ctx_sum = 0.0;
-    reqs_per_variant_.assign(static_cast<size_t>(loop.trace().n_models), 0);
+    reqs_per_variant_.assign(static_cast<size_t>(loop.n_models()), 0);
     for (const RunningReq& r : loop.running()) {
       if (r.prefilled) {
         ++decode_batch;
@@ -148,7 +147,7 @@ class DeltaZipPolicy : public ServePolicy {
 // Policy order + skip-the-line over at most N variants, then class preemption.
 // The batch's variants are `admission`'s active set.
 void DeltaZipPolicy::Admit(ServeLoop& loop, double now, Admission& admission) {
-  parent_of_variant_.resize(static_cast<size_t>(loop.trace().n_models), kNoParent);
+  parent_of_variant_.resize(static_cast<size_t>(loop.n_models()), kNoParent);
   pinned_.clear();
   std::vector<RunningReq>& running = loop.running();
   for (const RunningReq& r : running) {
@@ -256,7 +255,7 @@ std::unique_ptr<ServingEngine> MakeDeltaZipEngine(const EngineConfig& config) {
               static_cast<int>(ArtifactKind::kFullModel));
   const char* name =
       config.artifact == ArtifactKind::kLoraAdapter ? "deltazip-lora" : "deltazip";
-  return std::make_unique<LoopEngine<DeltaZipPolicy>>(config, name);
+  return std::make_unique<ServingEngine>(config, name, &MakePolicy<DeltaZipPolicy>);
 }
 
 }  // namespace dz

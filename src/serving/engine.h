@@ -15,7 +15,6 @@
 #ifndef SRC_SERVING_ENGINE_H_
 #define SRC_SERVING_ENGINE_H_
 
-#include <limits>
 #include <memory>
 #include <vector>
 
@@ -103,42 +102,46 @@ struct EngineConfig {
   // shedding, no class preemption) are bit-identical to the pre-scheduler
   // engines (golden-enforced).
   SchedulerConfig scheduler;
-  // --- Fault/elasticity hooks (src/cluster/elastic.cc). Defaults are
-  // bit-identical to the pre-fault engines (golden-enforced). ---
-  // Simulated time the engine's clock starts at. An elastic cluster runs each
-  // worker epoch-by-epoch with start_s = the epoch boundary, so channel
-  // availability, snapshots, and idle-advance all begin at the right instant.
+  // Simulated time the engine's clock starts at (default bit-identical,
+  // golden-enforced). An elastic cluster starts a worker that joins mid-run
+  // (scale-up, recovery) at the join time. The other fault hooks act on a
+  // running loop (serve_loop.h): halting is the RunUntil argument, a slow node
+  // ServeLoop::SetSpeed, a partition ArtifactStore::AddOutage.
   double start_s = 0.0;
-  // Hard stop: once the clock reaches halt_s the engine stops scheduling and
-  // returns, reporting still-queued / running / unarrived requests in
-  // ServeReport::unfinished. Completions of the iteration in flight when the
-  // clock crosses halt_s still land (the halt check runs at loop top only) —
-  // a uniform, documented approximation that keeps registry counters append-only.
-  double halt_s = std::numeric_limits<double>::infinity();
-  // Throughput multiplier for slow-node faults: iteration times are divided by
-  // this, so 0.5 means every iteration takes twice as long. 1.0 = healthy.
-  double speed_factor = 1.0;
-  // Transfer-channel blackout windows forwarded to the ArtifactStore
-  // (transient disk/PCIe/net partition faults).
-  std::vector<ChannelOutage> outages;
   // --- Artifact-registry attachment (src/registry/). Null (the default) keeps
   // the PR 8 infinite-local-disk store and is bit-identical (golden-enforced).
   // When set, the worker's ArtifactStore sources non-local artifacts from the
   // registry's live holders over the net channel; `registry_node` is this
   // worker's node id, `registry_warm` the artifacts already in its local cache
-  // tier at start_s (epoch carry). ---
+  // tier at start_s (carried over from the worker's previous engine). ---
   const ArtifactRegistry* registry = nullptr;
   int registry_node = 0;
   std::vector<int> registry_warm;
 };
 
-// Replays a Trace in simulated time and returns per-request records + aggregates.
+class ServeLoop;
+class ServePolicy;
+// Builds an engine's policy over the config and cost model its loop owns.
+using PolicyFactory = std::unique_ptr<ServePolicy> (*)(const EngineConfig&,
+                                                        const ExecModel&);
+
+// Serves requests in simulated time and returns per-request records + aggregates.
 class ServingEngine {
  public:
-  virtual ~ServingEngine() = default;
-  virtual ServeReport Serve(const Trace& trace) = 0;
+  ServingEngine(const EngineConfig& config, const char* name, PolicyFactory make_policy)
+      : config_(config), name_(name), make_policy_(make_policy) {}
+  // Opens a live run over `n_models` variants and `n_tenants` tenants: a
+  // ServeLoop (serve_loop.h) that is offered requests and stepped over time.
+  std::unique_ptr<ServeLoop> Start(int n_models, int n_tenants) const;
+  // Replays a whole trace: Start, offer every request, run to the end, finish.
+  ServeReport Serve(const Trace& trace) const;
   // Stable engine identifier ("deltazip", "deltazip-lora", "vllm-scb").
-  virtual const char* name() const = 0;
+  const char* name() const { return name_; }
+
+ private:
+  EngineConfig config_;
+  const char* name_;
+  PolicyFactory make_policy_;
 };
 
 std::unique_ptr<ServingEngine> MakeDeltaZipEngine(const EngineConfig& config);

@@ -9,7 +9,7 @@
 //
 // Share-nothing like what it owns: one Observer per engine run (the
 // ServeLoop's, shared with its ArtifactStore) and one per cluster run (the
-// epoch loop's: router, fault, scale and repair events).
+// cluster loop's: router, fault, scale and repair events).
 #ifndef SRC_SERVING_OBSERVER_H_
 #define SRC_SERVING_OBSERVER_H_
 

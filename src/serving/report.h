@@ -78,22 +78,22 @@ struct ServeReport {
   // above (pure observation, golden-enforced).
   std::vector<TraceEvent> trace_events;
   long long trace_events_dropped = 0;
-  // Requests the run did NOT complete because the clock hit
-  // EngineConfig::halt_s first: still-queued, running (their partial progress
-  // is lost — re-serving re-pays prefill and decode, the re-warm cost a crash
-  // really incurs), and not-yet-arrived trace requests. Always empty on a
-  // natural (halt_s = inf) run. The elastic cluster layer re-routes these into
-  // the next epoch; they never appear in `records`.
+  // Requests a halted run did NOT complete (ServeLoop::Finish after a finite
+  // RunUntil, as when a cluster worker crashes): still-queued, running (their
+  // partial progress is lost — re-serving re-pays prefill and decode, the
+  // re-warm cost a crash really incurs), not-yet-arrived and parked requests.
+  // Always empty on a natural (RunUntil(inf)) run. The elastic cluster layer
+  // re-routes these; they never appear in `records`.
   std::vector<TraceRequest> unfinished;
   // Requests whose artifact the registry could not source at all (every
-  // holder dead/partitioned — the store's typed `unavailable` result). On a
-  // halted (epoch) run these land in `unfinished` instead, because the next
-  // epoch may see recovered holders or completed repairs; only a natural
-  // (halt_s = inf) run declares them terminally unavailable here. Always empty
+  // holder dead/partitioned — the store's typed `unavailable` result) when a
+  // natural run ended. A halted run lists them in `unfinished` instead,
+  // because their holders may yet recover or be repaired. Always empty
   // without a registry. The elastic ledger counts them under `failed`.
   std::vector<TraceRequest> unavailable;
   // Artifact ids in the store's node-local cache tier at the end of the run
-  // (registry runs only; empty otherwise). Epoch carry for `registry_warm`.
+  // (registry runs only; empty otherwise). Carried into `registry_warm` of the
+  // worker's next engine.
   std::vector<int> cached_artifacts;
   // Critical-path attribution per SLO class (all zero when tracing is off):
   // each completed request's E2E and TTFT split into queue / load / compute /

@@ -13,30 +13,54 @@ namespace {
 constexpr double kInf = std::numeric_limits<double>::infinity();
 }  // namespace
 
-ServeLoop::ServeLoop(const EngineConfig& config, const ExecModel& exec,
-                     const Trace& trace, ServePolicy& policy)
+std::unique_ptr<ServeLoop> ServingEngine::Start(int n_models, int n_tenants) const {
+  return std::make_unique<ServeLoop>(config_, name_, make_policy_, n_models, n_tenants);
+}
+
+ServeReport ServingEngine::Serve(const Trace& trace) const {
+  const std::unique_ptr<ServeLoop> loop = Start(trace.n_models, trace.n_tenants);
+  for (const TraceRequest& req : trace.requests) {
+    loop->Offer(req);
+  }
+  loop->RunUntil(kInf);
+  return loop->Finish();
+}
+
+ServeLoop::ServeLoop(const EngineConfig& config, const char* engine_name,
+                     PolicyFactory make_policy, int n_models, int n_tenants)
     : config_(config),
-      exec_(exec),
-      trace_(trace),
-      policy_(policy),
+      exec_(config.exec),
+      name_(engine_name),
+      n_models_(n_models),
+      n_tenants_(n_tenants),
+      policy_(make_policy(config_, exec_)),
       observer_(config.tracing),
-      store_(policy.StoreConfig(), trace.n_models, &observer_),
-      fair_queue_(config.scheduler) {
+      store_(policy_->StoreConfig(), n_models, &observer_),
+      fair_queue_(config.scheduler),
+      now_(config.start_s),
+      next_snapshot_s_(config.start_s + config.metrics.interval_s) {
   DZ_CHECK_GE(store_.GpuCapacity(), 1);
-  prefetch_ = policy.Setup(store_);
+  prefetch_ = policy_->Setup(store_);
   // Placement-aware warm-up: the router's predicted variants, drained one
   // low-priority transfer at a time as channels go idle, starting at t = 0.
-  warm_hints_ = PendingWarmHints(prefetch_, trace.n_models, store_.GpuCapacity());
+  warm_hints_ = PendingWarmHints(prefetch_, n_models, store_.GpuCapacity());
   // One observer per run (share-nothing: cluster workers serve on parallel
   // threads, and snapshots merge at the cluster layer instead).
-  observer_.RegisterServe(policy.CanPreempt());
+  observer_.RegisterServe(policy_->CanPreempt());
   rounds_count_ = observer_.metrics().GetCounter("engine.rounds");
 }
 
+void ServeLoop::Offer(const TraceRequest& req) {
+  DZ_CHECK(arrivals_.empty() || arrivals_.back().arrival_s <= req.arrival_s);
+  arrivals_.push_back(req);
+  ++offered_;
+}
+
 // The queue stays in policy order between rounds; only the requests preempted
-// since the last ingest wait unsorted at the back. Re-inserting them first,
-// then each arrival (DWFQ-stamped in arrival order), lands every request behind
-// its equal keys: exactly the stable sort of queue + preempted + arrivals.
+// or unparked since the last ingest wait unsorted at the back. Re-inserting
+// them first, then each arrival (DWFQ-stamped in arrival order), lands every
+// request behind its equal keys: exactly the stable sort of queue + preempted
+// + arrivals.
 void ServeLoop::Ingest(double now) {
   const SchedPolicy policy = config_.scheduler.policy;
   const auto tail = queue_.end() - static_cast<std::ptrdiff_t>(requeued_);
@@ -47,10 +71,10 @@ void ServeLoop::Ingest(double now) {
   for (PendingReq& p : requeue_scratch_) {
     InsertInPolicyOrder(policy, queue_, std::move(p));
   }
-  while (next_arrival_ < trace_.requests.size() &&
-         trace_.requests[next_arrival_].arrival_s <= now) {
+  while (!arrivals_.empty() && arrivals_.front().arrival_s <= now) {
     PendingReq p;
-    p.req = trace_.requests[next_arrival_++];
+    p.req = arrivals_.front();
+    arrivals_.pop_front();
     observer_.On(RequestEvent(TraceEventType::kRequestQueued, p.req.arrival_s, p.req));
     if (policy == SchedPolicy::kDwfq) {
       p.fair_tag = fair_queue_.TagFor(p.req);
@@ -70,7 +94,7 @@ double ServeLoop::MinServiceS(PendingReq& p) const {
     const double decode_s = static_cast<double>(steps) * exec_.DecodeIterTime(1, ctx);
     p.min_service_s = p.decoded > 0 ? decode_s
                                     : exec_.PrefillTime(p.req.prompt_tokens) +
-                                          policy_.ArtifactPrefillS(p.req.prompt_tokens) +
+                                          policy_->ArtifactPrefillS(p.req.prompt_tokens) +
                                           decode_s;
   }
   return p.min_service_s;
@@ -117,12 +141,24 @@ ServeLoop::QueueIt ServeLoop::Dispatch(QueueIt it, double now) {
 }
 
 ServeLoop::QueueIt ServeLoop::Park(QueueIt it) {
-  parked_.push_back(it->req);
+  parked_.push_back(std::move(*it));
   return queue_.erase(it);
 }
 
+void ServeLoop::OnRegistryChange(double now) {
+  store_.OnRegistryChange();
+  for (PendingReq& p : parked_) {
+    queue_.push_back(std::move(p));  // re-inserted in policy order next ingest
+    ++requeued_;
+  }
+  parked_.clear();
+  // Resume with a fresh round at the change, not inside a pause taken before it.
+  now_ = std::max(now_, now);
+  step_ = Step::kTop;
+}
+
 ServeLoop::RunIt ServeLoop::Preempt(RunIt it, double now, bool swap_out) {
-  DZ_CHECK(policy_.CanPreempt());
+  DZ_CHECK(policy_->CanPreempt());
   PendingReq back = it->state;
   ++back.preemptions;
   kv_in_use_ -= KvTokens(back);
@@ -154,11 +190,11 @@ double ServeLoop::Iterate(double now) {
       r.needs_kv_restore = false;
     }
   }
-  double iter = policy_.IterationCost(*this, prefill_tokens,
-                                      config_.sched_overhead_s + pending_swap_s_);
+  double iter = policy_->IterationCost(*this, prefill_tokens,
+                                       config_.sched_overhead_s + pending_swap_s_);
   pending_swap_s_ = 0.0;
-  if (config_.speed_factor != 1.0) {
-    iter /= config_.speed_factor;  // slow-node fault: everything stretches
+  if (speed_ != 1.0) {
+    iter /= speed_;  // slow-node fault: everything stretches
   }
   observer_.On(WorkerEvent(TraceEventType::kBatchRound, now, /*gpu=*/-1, iter,
                            /*aux=*/static_cast<int>(running_.size())));
@@ -178,118 +214,133 @@ void ServeLoop::Complete(const PendingReq& s, double now) {
   report_.makespan_s = std::max(report_.makespan_s, now);
 }
 
-ServeReport ServeLoop::Run(const char* engine_name) {
-  report_.engine_name = engine_name;
-  const size_t offered = trace_.requests.size();
-  // Requests with a terminal outcome, or parked on one.
-  const auto retired = [&] {
-    return report_.records.size() + shed_total_ + parked_.size();
-  };
-  double now = config_.start_s;
-  double next_snapshot_s = config_.start_s + config_.metrics.interval_s;
-  while (retired() < offered) {
-    // Hard halt (elastic epoch boundary / crash), checked only here: the
-    // iteration in flight when the clock crossed halt_s has already landed.
-    if (now >= config_.halt_s) {
-      break;
-    }
-    // In-run timeline: pure reads, so any interval stays bit-identical.
-    while (config_.metrics.interval_s > 0.0 && now >= next_snapshot_s) {
-      report_.timeline.push_back(observer_.metrics().Snapshot(next_snapshot_s));
-      next_snapshot_s += config_.metrics.interval_s;
-    }
-    rounds_count_->Inc();
-    Ingest(now);
-    Shed(now);
-    if (retired() == offered) {
-      break;  // nothing left: the idle fast-forward would have no event
-    }
-
-    admission_.Reset(trace_.n_models);
-    policy_.Admit(*this, now, admission_);
-    // Lookahead prefetch (§8): warm the next W distinct waiting variants while
-    // the batch computes; the batch's own variants are never evicted for it.
-    RunPrefetchPass(store_, prefetch_, now, queue_, admission_, warm_hints_,
-                    prefetch_scratch_);
-    if (admission_.stall_until_s > now) {
-      now = admission_.stall_until_s;
-      continue;
-    }
-    if (running_.empty()) {
-      if (retired() == offered) {
-        break;  // admission parked the last outstanding requests
-      }
-      // Idle: jump to the next arrival or load completion.
-      double next_t = store_.NextLoadReady(now);
-      if (next_arrival_ < offered) {
-        next_t = std::min(next_t, trace_.requests[next_arrival_].arrival_s);
-      }
-      DZ_CHECK(next_t < kInf);
-      now = std::max(now, next_t);
-      continue;
-    }
-
-    now += Iterate(now);
-    for (RunningReq& r : running_) {
-      if (r.prefilling) {
-        r.prefilling = false;
-        r.prefilled = true;
-        r.state.decoded = 1;  // prefill emits the first output token
-        if (!r.state.has_first_token) {
-          r.state.has_first_token = true;
-          r.state.first_token_s = now;
-          observer_.On(
-              RequestEvent(TraceEventType::kRequestFirstToken, now, r.state.req));
-        }
-      } else if (r.prefilled) {
-        r.state.decoded += 1;
-      }
-    }
-    finished_parents_.clear();
-    size_t kept = 0;
-    for (RunningReq& r : running_) {
-      if (r.prefilled && r.state.decoded >= r.state.req.output_tokens) {
-        kv_in_use_ -= KvTokens(r.state);
-        Complete(r.state, now);
-        if (!r.is_skipper) {
-          finished_parents_.push_back(r.state.req.id);
-        }
-      } else {
-        running_[kept++] = std::move(r);
-      }
-    }
-    running_.resize(kept);
-    policy_.AfterIteration(*this, now, finished_parents_);
+double ServeLoop::NextEventS() const {
+  double next_t = store_.NextLoadReady(now_);
+  if (!arrivals_.empty()) {
+    next_t = std::min(next_t, arrivals_.front().arrival_s);
   }
-  return Finish();
+  return next_t;
+}
+
+bool ServeLoop::Busy() const {
+  return Retired() < offered_ && !(step_ == Step::kIdle && NextEventS() == kInf);
+}
+
+void ServeLoop::RunUntil(double t) {
+  until_ = t;
+  for (;;) {
+    switch (step_) {
+      case Step::kTop:
+        // With every offered request resolved the run is over unless more is
+        // offered; no round starts, so a later offer resumes right here.
+        if (Retired() == offered_ || now_ >= t) {
+          return;
+        }
+        // In-run timeline: pure reads, so any interval stays bit-identical.
+        while (config_.metrics.interval_s > 0.0 && now_ >= next_snapshot_s_) {
+          report_.timeline.push_back(observer_.metrics().Snapshot(next_snapshot_s_));
+          next_snapshot_s_ += config_.metrics.interval_s;
+        }
+        rounds_count_->Inc();
+        Ingest(now_);
+        Shed(now_);
+        if (Retired() == offered_) {
+          step_ = Step::kAdmit;  // shedding resolved the rest
+          return;
+        }
+        [[fallthrough]];
+      case Step::kAdmit:
+        step_ = Step::kTop;
+        admission_.Reset(n_models_);
+        policy_->Admit(*this, now_, admission_);
+        // Lookahead prefetch (§8): warm the next W distinct waiting variants
+        // while the batch computes; the batch's own variants are never evicted
+        // for it.
+        RunPrefetchPass(store_, prefetch_, now_, queue_, admission_, warm_hints_,
+                        prefetch_scratch_);
+        if (admission_.stall_until_s > now_) {
+          now_ = admission_.stall_until_s;
+          break;
+        }
+        if (!running_.empty()) {
+          now_ += Iterate(now_);
+          for (RunningReq& r : running_) {
+            if (r.prefilling) {
+              r.prefilling = false;
+              r.prefilled = true;
+              r.state.decoded = 1;  // prefill emits the first output token
+              if (!r.state.has_first_token) {
+                r.state.has_first_token = true;
+                r.state.first_token_s = now_;
+                observer_.On(RequestEvent(TraceEventType::kRequestFirstToken, now_, r.state.req));
+              }
+            } else if (r.prefilled) {
+              r.state.decoded += 1;
+            }
+          }
+          finished_parents_.clear();
+          size_t kept = 0;
+          for (RunningReq& r : running_) {
+            if (r.prefilled && r.state.decoded >= r.state.req.output_tokens) {
+              kv_in_use_ -= KvTokens(r.state);
+              Complete(r.state, now_);
+              if (!r.is_skipper) {
+                finished_parents_.push_back(r.state.req.id);
+              }
+            } else {
+              running_[kept++] = std::move(r);
+            }
+          }
+          running_.resize(kept);
+          policy_->AfterIteration(*this, now_, finished_parents_);
+          break;
+        }
+        [[fallthrough]];
+      case Step::kIdle: {
+        // Idle: jump to the next load completion or arrival, pausing here
+        // instead when it lies at or past t (a later offer may come first).
+        const double next_t = NextEventS();
+        if (next_t >= t) {
+          // Finishing naturally with requests and nothing to wait for: stuck.
+          DZ_CHECK(t < kInf || Retired() == offered_);
+          step_ = Step::kIdle;
+          return;
+        }
+        step_ = Step::kTop;
+        now_ = std::max(now_, next_t);
+        break;
+      }
+    }
+  }
 }
 
 ServeReport ServeLoop::Finish() {
-  // Requests the halt cut off: queued, running (the elastic layer re-serves
-  // them from scratch) and never arrived. All are empty on a natural run.
+  report_.engine_name = name_;
+  // Requests the run did not resolve: queued, running (a crashed worker's are
+  // re-served from scratch) and never arrived. All are empty on a natural run.
   for (const PendingReq& p : queue_) {
     report_.unfinished.push_back(p.req);
   }
   for (const RunningReq& r : running_) {
     report_.unfinished.push_back(r.state.req);
   }
-  for (size_t i = next_arrival_; i < trace_.requests.size(); ++i) {
-    report_.unfinished.push_back(trace_.requests[i]);
-  }
-  // Parked requests carry to the next epoch of a halted run (holders may
-  // recover or be repaired); a natural run declares them unavailable.
+  report_.unfinished.insert(report_.unfinished.end(), arrivals_.begin(), arrivals_.end());
+  // A halted run hands parked requests on (holders may recover or be
+  // repaired); a natural run declares them unavailable.
   std::vector<TraceRequest>& parked_to =
-      config_.halt_s < kInf ? report_.unfinished : report_.unavailable;
-  parked_to.insert(parked_to.end(), parked_.begin(), parked_.end());
+      until_ < kInf ? report_.unfinished : report_.unavailable;
+  for (const PendingReq& p : parked_) {
+    parked_to.push_back(p.req);
+  }
   // The conservation ledger: every offered request ends in exactly one bucket.
   DZ_CHECK_EQ(report_.records.size() + shed_total_ + report_.unavailable.size() +
                   report_.unfinished.size(),
-              trace_.requests.size());
+              offered_);
 
   if (config_.registry != nullptr) {
     report_.cached_artifacts = store_.LocallyCached();
   }
-  report_.n_tenants = std::max(1, trace_.n_tenants);
+  report_.n_tenants = std::max(1, n_tenants_);
   report_.slo_spec = config_.scheduler.slo;
   report_.metrics = observer_.metrics().Snapshot(report_.makespan_s);
   if (observer_.recorder().enabled()) {

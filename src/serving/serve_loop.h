@@ -1,15 +1,18 @@
 // The one serving loop both engines run (paper §5 vs. the §6.1 vLLM+SCB
 // baseline). It owns everything they share: the per-run Observer (metrics and
-// trace, observer.h) and ArtifactStore, ingest, shedding, the halt check,
+// trace, observer.h) and ArtifactStore, ingest, shedding, the pause check,
 // parking, dispatch, prefetch, the idle fast-forward, progress, records, and
 // the report tail, which checks records + shed + unavailable + unfinished ==
 // offered on every run. Each engine plugs in a ServePolicy: set-up plus
-// admit, iteration-cost and post-iteration-preemption hooks.
+// admit, iteration-cost and post-iteration-preemption hooks. A loop is live:
+// requests are offered to it over time and RunUntil steps it, so one loop
+// serves a cluster worker for its whole lifetime (src/cluster/elastic.h).
 #ifndef SRC_SERVING_SERVE_LOOP_H_
 #define SRC_SERVING_SERVE_LOOP_H_
 
 #include <deque>
 #include <limits>
+#include <memory>
 #include <vector>
 
 #include "src/serving/artifact_store.h"
@@ -92,7 +95,7 @@ struct PrefetchScratch {
 
 class ServeLoop;
 
-// One engine's policy; a fresh instance serves each run.
+// One engine's policy; a fresh instance serves each loop.
 class ServePolicy {
  public:
   virtual ~ServePolicy() = default;
@@ -123,16 +126,42 @@ class ServeLoop {
   using QueueIt = std::deque<PendingReq>::iterator;
   using RunIt = std::vector<RunningReq>::iterator;
 
-  ServeLoop(const EngineConfig& config, const ExecModel& exec, const Trace& trace,
-            ServePolicy& policy);
-  // Serves the trace (up to config.halt_s). Call once.
-  ServeReport Run(const char* engine_name);
+  // A loop over `n_models` variants and `n_tenants` tenants whose clock starts
+  // at config.start_s.
+  ServeLoop(const EngineConfig& config, const char* engine_name,
+            PolicyFactory make_policy, int n_models, int n_tenants);
+
+  // Offers come in arrival order; every arrival before t precedes RunUntil(t).
+  void Offer(const TraceRequest& req);
+  // Runs until the clock reaches t at the top of the loop, or pauses sooner,
+  // without starting a round, when nothing offered is outstanding or when the
+  // loop idles and its next known event is at or after t. It resumes where it
+  // paused, so a run cut into RunUntil calls, with arrivals offered only up to
+  // each cut, equals one RunUntil(inf) bit for bit.
+  void RunUntil(double t);
+  // Ends the run: queued, running and unarrived requests are `unfinished`;
+  // parked ones are `unavailable` after RunUntil(inf) (a natural finish) and
+  // `unfinished` after a finite one (a halted finish). Call once.
+  ServeReport Finish();
+
+  // Between RunUntil calls. Slow-node fault: iterations take 1/factor times
+  // as long from now on.
+  void SetSpeed(double factor) { speed_ = factor; }
+  // The registry's liveness or holders changed at `now`: fetches are planned
+  // afresh and parked requests queue again.
+  void OnRegistryChange(double now);
+  const std::vector<RequestRecord>& records() const { return report_.records; }
+  // Some request is outstanding and the loop knows an event that moves it on.
+  bool Busy() const;
+  // Every offered request completed or was shed (none queued or parked).
+  bool Drained() const { return report_.records.size() + shed_total_ == offered_; }
+  Observer& observer() { return observer_; }
 
   // ---- what policies read and do ----
-  const Trace& trace() const { return trace_; }
+  int n_models() const { return n_models_; }
   ArtifactStore& store() { return store_; }
   // The waiting queue, in policy order (see Ingest) except for requests
-  // preempted since the last ingest, which wait at the back.
+  // preempted or unparked since the last ingest, which wait at the back.
   std::deque<PendingReq>& queue() { return queue_; }
   std::vector<RunningReq>& running() { return running_; }
   const std::vector<RunningReq>& running() const { return running_; }
@@ -141,27 +170,37 @@ class ServeLoop {
   // Admits *it (Touch, dispatch event, DWFQ OnAdmit) to the back of the
   // running batch; returns the next queue position.
   QueueIt Dispatch(QueueIt it, double now);
-  // Parks *it on a typed-unavailable artifact: registry liveness is constant
-  // within a run, so retrying would spin. Parked requests end `unavailable` on
-  // a natural run and `unfinished` on a halted one.
+  // Parks *it on a typed-unavailable artifact until the registry changes
+  // (OnRegistryChange): until then retrying would spin.
   QueueIt Park(QueueIt it);
   // Re-queues *it with its progress banked; `swap_out` charges the KV swap to
   // host to the next iteration. Returns the next running position.
   RunIt Preempt(RunIt it, double now, bool swap_out);
 
  private:
+  // Where RunUntil resumes: the loop top, admission (after an ingest that left
+  // nothing outstanding), or the idle fast-forward.
+  enum class Step { kTop, kAdmit, kIdle };
+
+  // Requests with a terminal outcome, or parked on one.
+  size_t Retired() const {
+    return report_.records.size() + shed_total_ + parked_.size();
+  }
+  // The idle fast-forward's target: the next load landing or offered arrival.
+  double NextEventS() const;
   // Re-inserts the preempted tail, then inserts the arrivals due by `now`.
   void Ingest(double now);
   double MinServiceS(PendingReq& p) const;
   void Shed(double now);
   double Iterate(double now);  // returns the iteration's duration
   void Complete(const PendingReq& s, double now);
-  ServeReport Finish();
 
-  const EngineConfig& config_;
-  const ExecModel& exec_;
-  const Trace& trace_;
-  ServePolicy& policy_;
+  const EngineConfig config_;
+  const ExecModel exec_;
+  const char* name_;
+  const int n_models_;
+  const int n_tenants_;
+  std::unique_ptr<ServePolicy> policy_;
   ServeReport report_;
   // Observer before store: the store reports its transfer segments to it.
   // Pure observation — nothing reported feeds back into scheduling.
@@ -174,36 +213,30 @@ class ServeLoop {
   Counter* rounds_count_;
 
   std::deque<PendingReq> queue_;
-  size_t requeued_ = 0;  // preempted requests at the back of queue_
+  size_t requeued_ = 0;  // preempted or unparked requests at the back of queue_
   std::vector<PendingReq> requeue_scratch_;
   std::vector<RunningReq> running_;
   long long kv_in_use_ = 0;  // KvTokensInUse(), kept as running_ changes
-  std::vector<TraceRequest> parked_;
+  std::vector<PendingReq> parked_;
   std::vector<int> finished_parents_;
   Admission admission_;
   PrefetchScratch prefetch_scratch_;
-  size_t next_arrival_ = 0;
+  std::deque<TraceRequest> arrivals_;  // offered, not yet ingested
+  size_t offered_ = 0;
   size_t shed_total_ = 0;
   double pending_swap_s_ = 0.0;  // KV swap work charged to the next iteration
+  double now_;
+  double next_snapshot_s_;
+  double until_ = 0.0;  // the last RunUntil target
+  double speed_ = 1.0;
+  Step step_ = Step::kTop;
 };
 
-// A ServingEngine that serves each trace with a fresh `Policy` on the loop.
+// The PolicyFactory of a policy type.
 template <typename Policy>
-class LoopEngine final : public ServingEngine {
- public:
-  LoopEngine(const EngineConfig& config, const char* name)
-      : config_(config), exec_(config.exec), name_(name) {}
-  const char* name() const override { return name_; }
-  ServeReport Serve(const Trace& trace) override {
-    Policy policy(config_, exec_);
-    return ServeLoop(config_, exec_, trace, policy).Run(name_);
-  }
-
- private:
-  EngineConfig config_;
-  ExecModel exec_;
-  const char* name_;
-};
+std::unique_ptr<ServePolicy> MakePolicy(const EngineConfig& config, const ExecModel& exec) {
+  return std::make_unique<Policy>(config, exec);
+}
 
 }  // namespace dz
 

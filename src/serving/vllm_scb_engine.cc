@@ -38,7 +38,6 @@ class VllmScbPolicy : public ServePolicy {
     store.cpu_budget_bytes = 0;
     store.disk_read_s = exec_.LoadFullModelFromDisk();
     store.h2d_s = exec_.LoadFullModelFromHost();
-    store.outages = config_.outages;
     store.registry = config_.registry;
     store.registry_node = config_.registry_node;
     store.registry_warm = config_.registry_warm;
@@ -159,7 +158,7 @@ void VllmScbPolicy::Admit(ServeLoop& loop, double now, Admission& admission) {
 }  // namespace
 
 std::unique_ptr<ServingEngine> MakeVllmScbEngine(const EngineConfig& config) {
-  return std::make_unique<LoopEngine<VllmScbPolicy>>(config, "vllm-scb");
+  return std::make_unique<ServingEngine>(config, "vllm-scb", &MakePolicy<VllmScbPolicy>);
 }
 
 }  // namespace dz

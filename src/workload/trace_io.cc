@@ -1,6 +1,8 @@
 #include "src/workload/trace_io.h"
 
 #include <algorithm>
+#include <climits>
+#include <cmath>
 #include <cstdio>
 #include <iomanip>
 #include <sstream>
@@ -9,18 +11,38 @@ namespace dz {
 
 namespace {
 
-// Minimal field extractor for our flat one-line JSON objects: finds "key": and parses
-// the number after it. Returns false if the key is absent or malformed.
-bool ExtractNumber(const std::string& line, const std::string& key, double& value) {
+// Minimal field extractor for our flat one-line JSON objects: finds "key": and
+// parses the number after it, which must be finite. An absent key is an error
+// unless `optional` (then `value` keeps its default); a malformed number
+// always is.
+bool ExtractNumber(const std::string& line, const std::string& key, double& value,
+                   bool optional = false) {
   const std::string needle = "\"" + key + "\":";
   const size_t pos = line.find(needle);
   if (pos == std::string::npos) {
-    return false;
+    return optional;
   }
   const char* start = line.c_str() + pos + needle.size();
   char* end = nullptr;
-  value = std::strtod(start, &end);
-  return end != start;
+  const double parsed = std::strtod(start, &end);
+  if (end == start || !std::isfinite(parsed)) {
+    return false;
+  }
+  value = parsed;
+  return true;
+}
+
+// ExtractNumber for the integer fields: the number must also be integral and
+// fit in an int, so the cast is defined.
+bool ExtractInt(const std::string& line, const std::string& key, int& value,
+                bool optional = false) {
+  double parsed = value;
+  if (!ExtractNumber(line, key, parsed, optional) || parsed != std::trunc(parsed) ||
+      parsed < INT_MIN || parsed > INT_MAX) {
+    return false;
+  }
+  value = static_cast<int>(parsed);
+  return true;
 }
 
 }  // namespace
@@ -65,57 +87,35 @@ bool TraceFromJsonl(const std::string& text, Trace& out) {
         return false;
       }
       double version = 0;
-      double n_models = 0;
-      double duration = 0;
+      // The multi-tenant header field is optional (absent in pre-tenant files).
+      out.n_tenants = 1;
       if (!ExtractNumber(line, "version", version) || version != 1.0 ||
-          !ExtractNumber(line, "n_models", n_models) ||
-          !ExtractNumber(line, "duration", duration)) {
+          !ExtractInt(line, "n_models", out.n_models) ||
+          !ExtractNumber(line, "duration", out.duration_s) ||
+          !ExtractInt(line, "n_tenants", out.n_tenants, /*optional=*/true) ||
+          out.n_tenants < 1) {
         return false;
       }
-      out.n_models = static_cast<int>(n_models);
-      out.duration_s = duration;
-      // Optional multi-tenant header field (absent in pre-tenant files).
-      double n_tenants = 1;
-      if (ExtractNumber(line, "n_tenants", n_tenants) && n_tenants < 1) {
-        return false;
-      }
-      out.n_tenants = static_cast<int>(n_tenants);
       have_header = true;
       continue;
     }
-    double id = 0;
-    double model = 0;
-    double arrival = 0;
-    double prompt = 0;
-    double output = 0;
-    if (!ExtractNumber(line, "id", id) || !ExtractNumber(line, "model", model) ||
-        !ExtractNumber(line, "arrival", arrival) ||
-        !ExtractNumber(line, "prompt", prompt) ||
-        !ExtractNumber(line, "output", output)) {
-      return false;
-    }
-    if (model < 0 || model >= out.n_models || prompt < 1 || output < 1 || arrival < 0) {
-      return false;
-    }
-    // Optional per-request tenant/class fields (default: tenant 0, standard).
-    double tenant = 0;
-    double slo_class = static_cast<double>(SloClass::kStandard);
-    if (ExtractNumber(line, "tenant", tenant) &&
-        (tenant < 0 || tenant >= out.n_tenants)) {
-      return false;
-    }
-    if (ExtractNumber(line, "class", slo_class) &&
-        (slo_class < 0 || slo_class >= kNumSloClasses)) {
-      return false;
-    }
     TraceRequest r;
-    r.id = static_cast<int>(id);
-    r.model_id = static_cast<int>(model);
-    r.tenant_id = static_cast<int>(tenant);
-    r.slo = static_cast<SloClass>(static_cast<int>(slo_class));
-    r.arrival_s = arrival;
-    r.prompt_tokens = static_cast<int>(prompt);
-    r.output_tokens = static_cast<int>(output);
+    // Optional per-request tenant/class fields (default: tenant 0, standard).
+    int slo_class = static_cast<int>(SloClass::kStandard);
+    if (!ExtractInt(line, "id", r.id) || !ExtractInt(line, "model", r.model_id) ||
+        !ExtractNumber(line, "arrival", r.arrival_s) ||
+        !ExtractInt(line, "prompt", r.prompt_tokens) ||
+        !ExtractInt(line, "output", r.output_tokens) ||
+        !ExtractInt(line, "tenant", r.tenant_id, /*optional=*/true) ||
+        !ExtractInt(line, "class", slo_class, /*optional=*/true)) {
+      return false;
+    }
+    if (r.model_id < 0 || r.model_id >= out.n_models || r.prompt_tokens < 1 ||
+        r.output_tokens < 1 || r.arrival_s < 0 || r.tenant_id < 0 ||
+        r.tenant_id >= out.n_tenants || slo_class < 0 || slo_class >= kNumSloClasses) {
+      return false;
+    }
+    r.slo = static_cast<SloClass>(slo_class);
     out.requests.push_back(r);
   }
   if (!have_header) {

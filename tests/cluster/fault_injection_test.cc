@@ -1,12 +1,15 @@
 // Chaos suite for the elastic cluster layer: seeded randomized fault schedules
 // (and the empty plan, i.e. the static cluster) against every placement
 // policy, with the request-conservation ledger (completed + shed + failed ==
-// offered) as the master invariant. The epoch loop DZ_CHECKs the same identity
-// internally; these tests re-derive it from the report so a bookkeeping bug on
-// either side trips.
+// offered) as the master invariant. The cluster loop DZ_CHECKs the same
+// identity internally; these tests re-derive it from the report so a
+// bookkeeping bug on either side trips. Workers keep their engines across
+// boundaries: a request the router never moved is dispatched once plus once
+// per preemption, and a boundary that changes nothing changes nothing.
 #include "src/cluster/fault_model.h"
 
 #include <algorithm>
+#include <map>
 #include <set>
 #include <string>
 #include <vector>
@@ -84,6 +87,34 @@ void ExpectConservation(const ClusterReport& report, long long offered) {
   ExpectUniqueIds(report);
 }
 
+// A request whose router.place count is 1 (router.reroute never moved it)
+// stayed on one engine: it was dispatched once, plus once more per kv.preempt
+// it resumed from, never restarted by a boundary.
+void ExpectNoSilentRestarts(const ClusterReport& report, const std::string& where) {
+  std::map<int, int> placed;
+  for (const TraceEvent& e : report.router_events) {
+    placed[e.request_id] += e.type == TraceEventType::kRouterPlace ? 1 : 0;
+  }
+  std::map<int, int> dispatches;
+  std::map<int, int> preempts;
+  for (const ServeReport& worker : report.per_gpu) {
+    for (const TraceEvent& e : worker.trace_events) {
+      dispatches[e.request_id] += e.type == TraceEventType::kSchedDispatch ? 1 : 0;
+      preempts[e.request_id] += e.type == TraceEventType::kKvPreempt ? 1 : 0;
+    }
+  }
+  int checked = 0;
+  for (const RequestRecord& rec : report.merged.records) {
+    if (placed[rec.id] != 1) {
+      continue;
+    }
+    ++checked;
+    EXPECT_EQ(dispatches[rec.id], 1 + preempts[rec.id])
+        << where << ": request " << rec.id << " was restarted";
+  }
+  EXPECT_GT(checked, 0) << where;
+}
+
 class FaultChaosTest : public ::testing::TestWithParam<PlacementPolicy> {};
 
 TEST_P(FaultChaosTest, RandomFaultSchedulesConserveEveryRequest) {
@@ -106,6 +137,7 @@ TEST_P(FaultChaosTest, RandomFaultSchedulesConserveEveryRequest) {
   }
   for (uint64_t seed : {1ULL, 7ULL}) {
     ClusterConfig cfg = ChaosClusterConfig(GetParam());
+    cfg.engine.tracing.enabled = true;
     cfg.faults = RandomFaultPlan(seed, cfg.placer.n_gpus, trace.duration_s,
                                  /*n_events=*/6);
     ASSERT_TRUE(cfg.faults.Enabled());
@@ -118,6 +150,7 @@ TEST_P(FaultChaosTest, RandomFaultSchedulesConserveEveryRequest) {
       plan_crashes += ev.type == FaultType::kCrash ? 1 : 0;
     }
     EXPECT_LE(report.elastic.crashes, plan_crashes);
+    ExpectNoSilentRestarts(report, "seed " + std::to_string(seed));
   }
 }
 
@@ -131,6 +164,118 @@ INSTANTIATE_TEST_SUITE_P(
       std::string name = PlacementPolicyName(info.param);
       std::replace(name.begin(), name.end(), '-', '_');
       return name;
+    });
+
+// A boundary that changes nothing changes nothing: a slow window at full
+// speed cuts every worker at 20 s and 50 s, yet the run must equal the static
+// cluster record for record and per-GPU snapshot for snapshot. Only the
+// elastic ledger (cluster.* keys) and the fault.slow event itself differ.
+struct NoOpLeg {
+  PlacementPolicy policy;
+  bool vllm;
+};
+
+void PrintTo(const NoOpLeg& leg, std::ostream* os) {
+  *os << PlacementPolicyName(leg.policy) << (leg.vllm ? "/vllm-scb" : "/deltazip");
+}
+
+class NoOpBoundaryTest : public ::testing::TestWithParam<NoOpLeg> {};
+
+MetricsSnapshot WithoutClusterKeys(MetricsSnapshot m) {
+  m.points.erase(std::remove_if(m.points.begin(), m.points.end(),
+                                [](const MetricPoint& p) {
+                                  return p.name.rfind("cluster.", 0) == 0;
+                                }),
+                 m.points.end());
+  return m;
+}
+
+void ExpectSameEvents(const std::vector<TraceEvent>& got,
+                      const std::vector<TraceEvent>& want, const std::string& where) {
+  ASSERT_EQ(got.size(), want.size()) << where;
+  for (size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(got[i].type, want[i].type) << where << " event " << i;
+    EXPECT_EQ(got[i].ts_s, want[i].ts_s) << where << " event " << i;
+    EXPECT_EQ(got[i].dur_s, want[i].dur_s) << where << " event " << i;
+    EXPECT_EQ(got[i].request_id, want[i].request_id) << where << " event " << i;
+    EXPECT_EQ(got[i].model_id, want[i].model_id) << where << " event " << i;
+    EXPECT_EQ(got[i].gpu, want[i].gpu) << where << " event " << i;
+    EXPECT_EQ(got[i].bytes, want[i].bytes) << where << " event " << i;
+    EXPECT_EQ(got[i].aux, want[i].aux) << where << " event " << i;
+  }
+}
+
+TEST_P(NoOpBoundaryTest, FullSpeedSlowWindowMatchesStaticCluster) {
+  TraceConfig tcfg = ChaosTraceConfig();
+  tcfg.arrival_rate = GetParam().vllm ? 1.0 : 4.0;  // full-model swaps saturate early
+  tcfg.duration_s = 100.0;
+  const Trace trace = GenerateTrace(tcfg);
+  ClusterConfig base = ChaosClusterConfig(GetParam().policy);
+  base.vllm_baseline = GetParam().vllm;
+  if (GetParam().vllm) {
+    base.engine.artifact = ArtifactKind::kFullModel;
+  }
+  base.engine.tracing.enabled = true;
+  base.engine.metrics.interval_s = 5.0;
+  ASSERT_FALSE(base.engine.prefetch.enabled);  // static and elastic hint differently
+  const ClusterReport want = Cluster(base).Serve(trace);
+
+  ClusterConfig cfg = base;
+  ASSERT_TRUE(ParseFaultPlan("slow@20-50:w1x1", cfg.faults));
+  const ClusterReport got = Cluster(cfg).Serve(trace);
+  ASSERT_TRUE(got.elastic.active);
+  ASSERT_GT(want.merged.makespan_s, 50.0);  // both boundaries land mid-run
+
+  ASSERT_EQ(got.merged.records.size(), want.merged.records.size());
+  for (size_t i = 0; i < want.merged.records.size(); ++i) {
+    const RequestRecord& a = got.merged.records[i];
+    const RequestRecord& b = want.merged.records[i];
+    EXPECT_EQ(a.id, b.id) << "record " << i;
+    EXPECT_EQ(a.sched_attempt_s, b.sched_attempt_s) << "record " << i;
+    EXPECT_EQ(a.start_s, b.start_s) << "record " << i;
+    EXPECT_EQ(a.first_token_s, b.first_token_s) << "record " << i;
+    EXPECT_EQ(a.finish_s, b.finish_s) << "record " << i;
+    EXPECT_EQ(a.preemptions, b.preemptions) << "record " << i;
+  }
+  EXPECT_EQ(WithoutClusterKeys(got.merged.metrics).ToJsonLine(),
+            want.merged.metrics.ToJsonLine());
+  ASSERT_EQ(got.per_gpu.size(), want.per_gpu.size());
+  for (size_t g = 0; g < want.per_gpu.size(); ++g) {
+    const std::string where = "gpu " + std::to_string(g);
+    EXPECT_EQ(got.per_gpu[g].metrics.ToJsonLine(), want.per_gpu[g].metrics.ToJsonLine())
+        << where;
+    ASSERT_EQ(got.per_gpu[g].timeline.size(), want.per_gpu[g].timeline.size()) << where;
+    for (size_t k = 0; k < want.per_gpu[g].timeline.size(); ++k) {
+      EXPECT_EQ(got.per_gpu[g].timeline[k].ToJsonLine(),
+                want.per_gpu[g].timeline[k].ToJsonLine())
+          << where << " snapshot " << k;
+    }
+    ExpectSameEvents(got.per_gpu[g].trace_events, want.per_gpu[g].trace_events, where);
+  }
+  std::vector<TraceEvent> router = got.router_events;
+  router.erase(std::remove_if(router.begin(), router.end(),
+                              [](const TraceEvent& e) {
+                                return e.type == TraceEventType::kFaultSlow;
+                              }),
+               router.end());
+  ASSERT_EQ(router.size() + 1, got.router_events.size());
+  ExpectSameEvents(router, want.router_events, "router");
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Legs, NoOpBoundaryTest,
+    ::testing::Values(NoOpLeg{PlacementPolicy::kRoundRobin, false},
+                      NoOpLeg{PlacementPolicy::kRoundRobin, true},
+                      NoOpLeg{PlacementPolicy::kLeastOutstanding, false},
+                      NoOpLeg{PlacementPolicy::kLeastOutstanding, true},
+                      NoOpLeg{PlacementPolicy::kDeltaAffinity, false},
+                      NoOpLeg{PlacementPolicy::kDeltaAffinity, true},
+                      NoOpLeg{PlacementPolicy::kTenantAffinity, false},
+                      NoOpLeg{PlacementPolicy::kTenantAffinity, true}),
+    [](const ::testing::TestParamInfo<NoOpLeg>& info) {
+      std::string name = PlacementPolicyName(info.param.policy);
+      std::replace(name.begin(), name.end(), '-', '_');
+      return name + (info.param.vllm ? "_vllm_scb" : "_deltazip");
     });
 
 TEST(FaultInjectionTest, CrashWithRerouteCompletesEverythingOnSurvivors) {
@@ -222,9 +367,11 @@ TEST(FaultInjectionTest, ConservationHoldsWithAdmissionShedding) {
   const Trace trace = GenerateTrace(tcfg);
 
   ClusterConfig cfg = ChaosClusterConfig(PlacementPolicy::kRoundRobin);
-  cfg.placer.n_gpus = 2;  // overload so the shed path actually fires
+  cfg.placer.n_gpus = 2;
   EnableAdmissionShedding(cfg);
-  ASSERT_TRUE(ParseFaultPlan("crash@30:w0,slow@50-90:w1x0.5", cfg.faults));
+  // Overload so the shed path actually fires: the lone survivor of the crash
+  // runs at a tenth of its speed for 40 s.
+  ASSERT_TRUE(ParseFaultPlan("crash@30:w0,slow@50-90:w1x0.1", cfg.faults));
 
   const ClusterReport report = Cluster(cfg).Serve(trace);
   ExpectConservation(report, static_cast<long long>(trace.requests.size()));

@@ -416,16 +416,13 @@ TEST(GoldenReportTest, EightGpuClusterMatchesPrePrefetchBehavior) {
 }
 
 // PR 8: the fault/elasticity hooks at their defaults (no fault events, scaler
-// off, start 0 / halt inf / speed 1 / no outages — all set EXPLICITLY here so
-// a changed default breaks loudly) must keep both the engine and the cluster
-// on the pre-fault code paths, reproducing the golden doubles exactly.
+// off, start 0 — all set EXPLICITLY here so a changed default breaks loudly)
+// must keep both the engine and the cluster on the pre-fault code paths,
+// reproducing the golden doubles exactly.
 TEST(GoldenReportTest, ElasticHooksAtDefaultsStayGolden) {
   const Trace trace = GenerateTrace(GoldenTraceConfig());
   EngineConfig ecfg = GoldenEngineConfig();
   ecfg.start_s = 0.0;
-  ecfg.halt_s = std::numeric_limits<double>::infinity();
-  ecfg.speed_factor = 1.0;
-  ecfg.outages.clear();
   const ServeReport r = MakeDeltaZipEngine(ecfg)->Serve(trace);
   ASSERT_EQ(r.records.size(), 89u);
   EXPECT_DOUBLE_EQ(r.makespan_s, 90.574333173805186);
@@ -457,8 +454,9 @@ TEST(GoldenReportTest, ElasticHooksAtDefaultsStayGolden) {
 }
 
 // PR 8: a fixed-seed single-crash elastic run is itself pinned. The expected
-// doubles were captured from the implementation that introduced the elastic
-// loop; any change to epoch cutting, re-routing, carry handling, or the
+// doubles were re-recorded when workers kept one live engine across
+// boundaries (the survivors no longer restart at the crash and at its
+// detection); any change to boundaries, re-routing, carry handling, or the
 // merge order that shifts a single double breaks this test.
 TEST(GoldenReportTest, ElasticOneCrashRunStaysGolden) {
   TraceConfig tc = GoldenTraceConfig();
@@ -482,10 +480,10 @@ TEST(GoldenReportTest, ElasticOneCrashRunStaysGolden) {
 
   ASSERT_EQ(r.merged.records.size(), 551u);
   const GoldenSums s = SumsOf(r.merged);
-  EXPECT_DOUBLE_EQ(r.merged.makespan_s, 90.824038088136462);
-  EXPECT_DOUBLE_EQ(s.sum_start, 24901.857791203565);
-  EXPECT_DOUBLE_EQ(s.sum_first, 24910.131933536355);
-  EXPECT_DOUBLE_EQ(s.sum_finish, 25245.251977350479);
+  EXPECT_DOUBLE_EQ(r.merged.makespan_s, 90.801221883859554);
+  EXPECT_DOUBLE_EQ(s.sum_start, 24793.254589888271);
+  EXPECT_DOUBLE_EQ(s.sum_first, 24800.91258288889);
+  EXPECT_DOUBLE_EQ(s.sum_finish, 25136.329838321919);
   EXPECT_EQ(r.elastic.retried, 1);
 
   // Determinism: the elastic loop is reproducible run-to-run even with the
@@ -554,10 +552,10 @@ TEST(GoldenReportTest, RegistryOffStaysGoldenAndLeavesNoTrace) {
   const ClusterReport fr = Cluster(fcfg).Serve(cluster_trace);
   ASSERT_EQ(fr.merged.records.size(), 551u);
   const GoldenSums fs = SumsOf(fr.merged);
-  EXPECT_DOUBLE_EQ(fr.merged.makespan_s, 90.824038088136462);
-  EXPECT_DOUBLE_EQ(fs.sum_start, 24901.857791203565);
-  EXPECT_DOUBLE_EQ(fs.sum_first, 24910.131933536355);
-  EXPECT_DOUBLE_EQ(fs.sum_finish, 25245.251977350479);
+  EXPECT_DOUBLE_EQ(fr.merged.makespan_s, 90.801221883859554);
+  EXPECT_DOUBLE_EQ(fs.sum_start, 24793.254589888271);
+  EXPECT_DOUBLE_EQ(fs.sum_first, 24800.91258288889);
+  EXPECT_DOUBLE_EQ(fs.sum_finish, 25136.329838321919);
   EXPECT_EQ(fr.elastic.unavailable, 0);
   EXPECT_EQ(fr.elastic.repair_jobs, 0);
   EXPECT_DOUBLE_EQ(fr.elastic.repair_bytes, 0.0);
@@ -697,17 +695,17 @@ TEST(GoldenReportTest, ElasticErasureCrashAutoscaleStaysGolden) {
   ASSERT_EQ(r.merged.records.size(), 4449u);
   EXPECT_DOUBLE_EQ(r.merged.makespan_s, 450.48320709493618);
   const GoldenSums s = SumsOf(r.merged);
-  EXPECT_DOUBLE_EQ(s.sum_start, 744555.38946756907);
-  EXPECT_DOUBLE_EQ(s.sum_first, 744647.59717461548);
-  EXPECT_DOUBLE_EQ(s.sum_finish, 747729.46278245584);
+  EXPECT_DOUBLE_EQ(s.sum_start, 741427.62860650453);
+  EXPECT_DOUBLE_EQ(s.sum_first, 741500.02975190221);
+  EXPECT_DOUBLE_EQ(s.sum_finish, 744510.53794826206);
   EXPECT_EQ(r.elastic.retried, 8);
-  EXPECT_EQ(r.elastic.scale_ups, 3);
-  EXPECT_EQ(r.elastic.scale_downs, 4);
+  EXPECT_EQ(r.elastic.scale_ups, 1);
+  EXPECT_EQ(r.elastic.scale_downs, 2);
   EXPECT_EQ(r.elastic.failed, 0);
   EXPECT_EQ(r.elastic.repair_jobs, 64);
-  EXPECT_EQ(r.merged.metrics.Value("registry.reads.remote"), 188.0);
-  EXPECT_EQ(r.merged.metrics.Value("registry.reads.degraded"), 17.0);
-  EXPECT_EQ(r.TotalPrefetchIssued(), 253);
+  EXPECT_EQ(r.merged.metrics.Value("registry.reads.remote"), 183.0);
+  EXPECT_EQ(r.merged.metrics.Value("registry.reads.degraded"), 40.0);
+  EXPECT_EQ(r.TotalPrefetchIssued(), 27);
 }
 
 }  // namespace

@@ -255,9 +255,9 @@ TEST(RegistryStoreTest, NetOutageDefersRemoteFetches) {
   ArtifactStoreConfig cfg = SmallConfig();
   cfg.registry = &reg;
   cfg.registry_node = 0;
-  cfg.outages.push_back({TraceChannel::kNet, 1.0, 5.0});
   Observer obs;
   ArtifactStore store(cfg, reg.n_artifacts(), &obs);
+  store.AddOutage({TraceChannel::kNet, 1.0, 5.0});
   const int remote_art = FindArtifact(reg, 0, /*held=*/false);
   ASSERT_GE(remote_art, 0);
 
@@ -268,20 +268,17 @@ TEST(RegistryStoreTest, NetOutageDefersRemoteFetches) {
   EXPECT_DOUBLE_EQ(Stat(obs, "registry.net.busy_s"), 2.0);  // stall time is not busy time
 }
 
-// --- Outage-window validation/normalization (registry-independent) ---
+// --- Outage-window validation and overlap (registry-independent) ---
 
 TEST(OutageNormalizationTest, RejectsInvertedWindows) {
-  ArtifactStoreConfig cfg = SmallConfig();
-  cfg.outages.push_back({TraceChannel::kDisk, 5.0, 2.0});
-  EXPECT_DEATH(ArtifactStore(cfg, 2), "DZ_CHECK");
+  ArtifactStore store(SmallConfig(), 2);
+  EXPECT_DEATH(store.AddOutage({TraceChannel::kDisk, 5.0, 2.0}), "DZ_CHECK");
 }
 
 TEST(OutageNormalizationTest, ZeroLengthWindowIsDroppedAsNoOp) {
-  ArtifactStoreConfig plain = SmallConfig();
-  ArtifactStore ref(plain, 2);
-  ArtifactStoreConfig cfg = SmallConfig();
-  cfg.outages.push_back({TraceChannel::kDisk, 5.0, 5.0});
-  ArtifactStore store(cfg, 2);
+  ArtifactStore ref(SmallConfig(), 2);
+  ArtifactStore store(SmallConfig(), 2);
+  store.AddOutage({TraceChannel::kDisk, 5.0, 5.0});
   // A load issued exactly at the empty window's instant is untouched: the
   // window covers start <= t < end, which is no instant at all.
   const auto got = store.RequestLoad(0, 5.0, {});
@@ -291,10 +288,9 @@ TEST(OutageNormalizationTest, ZeroLengthWindowIsDroppedAsNoOp) {
 }
 
 TEST(OutageNormalizationTest, OverlappingWindowsActAsTheirUnion) {
-  ArtifactStoreConfig cfg = SmallConfig();
-  cfg.outages.push_back({TraceChannel::kDisk, 2.0, 6.0});
-  cfg.outages.push_back({TraceChannel::kDisk, 1.0, 3.0});
-  ArtifactStore store(cfg, 2);
+  ArtifactStore store(SmallConfig(), 2);
+  store.AddOutage({TraceChannel::kDisk, 2.0, 6.0});
+  store.AddOutage({TraceChannel::kDisk, 1.0, 3.0});
   const auto r = store.RequestLoad(0, 2.0, {});
   ASSERT_TRUE(r.ok);
   EXPECT_DOUBLE_EQ(r.ready_at, 7.1);  // defers to 6.0, then disk + H2D
@@ -304,20 +300,18 @@ TEST(OutageNormalizationTest, OutageAtDeferredStartDefersAgain) {
   // Regression: a transfer pushed by one window must re-check the list — a
   // second window covering the deferred start (abutting on the same channel,
   // or on the next channel segment) defers it again.
-  ArtifactStoreConfig cfg = SmallConfig();
-  cfg.outages.push_back({TraceChannel::kDisk, 1.0, 3.0});
-  cfg.outages.push_back({TraceChannel::kDisk, 3.0, 4.0});
-  ArtifactStore store(cfg, 2);
+  ArtifactStore store(SmallConfig(), 2);
+  store.AddOutage({TraceChannel::kDisk, 1.0, 3.0});
+  store.AddOutage({TraceChannel::kDisk, 3.0, 4.0});
   const auto r = store.RequestLoad(0, 2.0, {});
   ASSERT_TRUE(r.ok);
   EXPECT_DOUBLE_EQ(r.ready_at, 5.1);  // 2.0 → 3.0 → 4.0, then disk + H2D
 
   // Cross-channel flavor: the disk read lands exactly inside a PCIe window,
   // so the H2D leg (not the disk leg) is the one that defers.
-  ArtifactStoreConfig cfg2 = SmallConfig();
-  cfg2.outages.push_back({TraceChannel::kDisk, 1.0, 3.0});
-  cfg2.outages.push_back({TraceChannel::kPcie, 3.5, 6.0});
-  ArtifactStore store2(cfg2, 2);
+  ArtifactStore store2(SmallConfig(), 2);
+  store2.AddOutage({TraceChannel::kDisk, 1.0, 3.0});
+  store2.AddOutage({TraceChannel::kPcie, 3.5, 6.0});
   const auto r2 = store2.RequestLoad(0, 2.0, {});
   ASSERT_TRUE(r2.ok);
   EXPECT_DOUBLE_EQ(r2.ready_at, 6.1);  // disk 3.0-4.0, H2D deferred to 6.0

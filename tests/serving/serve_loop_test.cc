@@ -3,8 +3,16 @@
 // any halt time with no request counted twice, an infinite halt must be
 // bit-identical to a run that never halts, and requests parked on a dead
 // registry end `unavailable` on a natural run but `unfinished` on a halted
-// one. The per-engine metric key sets stay as they were before the loop was
-// shared: only a preempting policy registers `engine.preemptions`.
+// one — and run once the registry recovers. The executable spec of a live
+// loop: a run cut at random points, with arrivals offered only up to each
+// cut, equals one uncut run bit for bit. The per-engine metric key sets stay
+// as they were before the loop was shared: only a preempting policy registers
+// `engine.preemptions`.
+#include "src/serving/serve_loop.h"
+
+#include <algorithm>
+#include <cstdint>
+#include <cstring>
 #include <limits>
 #include <memory>
 #include <ostream>
@@ -16,6 +24,7 @@
 
 #include "src/registry/registry.h"
 #include "src/serving/engine.h"
+#include "src/util/rng.h"
 #include "src/workload/trace.h"
 
 namespace dz {
@@ -71,6 +80,17 @@ class ServeLoopTest : public ::testing::TestWithParam<EngineCase> {
   ServeReport Serve(const EngineConfig& cfg, const Trace& trace) const {
     return GetParam().make(cfg)->Serve(trace);
   }
+
+  // The whole trace offered to a live loop, run until `halt`, then finished.
+  ServeReport ServeUntil(const EngineConfig& cfg, const Trace& trace, double halt) const {
+    const std::unique_ptr<ServeLoop> loop =
+        GetParam().make(cfg)->Start(trace.n_models, trace.n_tenants);
+    for (const TraceRequest& req : trace.requests) {
+      loop->Offer(req);
+    }
+    loop->RunUntil(halt);
+    return loop->Finish();
+  }
 };
 
 // Every offered request lands in exactly one bucket, and no id appears twice.
@@ -101,10 +121,8 @@ TEST_P(ServeLoopTest, LedgerHoldsAtEveryHaltTime) {
   EXPECT_GT(full.TotalShed(), 0) << "the scenario should exercise shedding";
 
   for (double halt : {0.0, 5.0, 20.0, 45.0, 0.5 * full.makespan_s}) {
-    EngineConfig cfg = MakeConfig();
-    cfg.halt_s = halt;
-    const ServeReport r = Serve(cfg, trace);
-    const std::string where = "halt_s=" + std::to_string(halt);
+    const ServeReport r = ServeUntil(MakeConfig(), trace, halt);
+    const std::string where = "halt " + std::to_string(halt);
     ExpectLedgerCloses(r, trace, where);
     EXPECT_FALSE(r.unfinished.empty()) << where;
     EXPECT_LT(r.records.size(), full.records.size()) << where;
@@ -116,9 +134,7 @@ TEST_P(ServeLoopTest, InfiniteHaltIsBitIdenticalToNoHalt) {
   const ServeReport plain = Serve(MakeConfig(), trace);
   // An explicit infinite halt, and a finite one the run never reaches.
   for (double halt : {kInf, 1e12}) {
-    EngineConfig cfg = MakeConfig();
-    cfg.halt_s = halt;
-    const ServeReport r = Serve(cfg, trace);
+    const ServeReport r = ServeUntil(MakeConfig(), trace, halt);
     ASSERT_EQ(r.records.size(), plain.records.size()) << halt;
     for (size_t i = 0; i < r.records.size(); ++i) {
       const RequestRecord& a = r.records[i];
@@ -155,14 +171,49 @@ TEST_P(ServeLoopTest, DeadRegistryParksUnavailableOrUnfinished) {
   ExpectLedgerCloses(natural, trace, "natural run");
 
   for (double halt : {30.0, 1e12}) {
-    cfg.halt_s = halt;
-    const ServeReport halted = Serve(cfg, trace);
-    const std::string where = "halt_s=" + std::to_string(halt);
+    const ServeReport halted = ServeUntil(cfg, trace, halt);
+    const std::string where = "halt " + std::to_string(halt);
     EXPECT_TRUE(halted.records.empty()) << where;
     EXPECT_TRUE(halted.unavailable.empty()) << where;
     EXPECT_EQ(halted.unfinished.size(), trace.requests.size()) << where;
     ExpectLedgerCloses(halted, trace, where);
   }
+}
+
+// A live engine retries what it parked once the registry tells it that a
+// holder came back.
+TEST_P(ServeLoopTest, ParkedRequestRunsAfterHolderRecovers) {
+  const Trace trace = MakeTrace();
+  RegistryConfig rc;
+  rc.enabled = true;  // one full copy per artifact on its primary node
+  ArtifactRegistry registry(rc, trace.n_models, /*n_nodes=*/2);
+  const TraceRequest& req = trace.requests.front();
+  const int holder = registry.PrimaryHolder(req.model_id, 0);
+  registry.SetNodeLive(holder, false);
+  EngineConfig cfg = MakeConfig();
+  cfg.scheduler.admission_control = false;
+  cfg.registry = &registry;
+  cfg.registry_node = 2;  // a live node that holds nothing
+
+  const std::unique_ptr<ServeLoop> loop =
+      GetParam().make(cfg)->Start(trace.n_models, trace.n_tenants);
+  loop->Offer(req);
+  const double recover_t = req.arrival_s + 10.0;
+  loop->RunUntil(recover_t);
+  EXPECT_TRUE(loop->records().empty());
+  EXPECT_FALSE(loop->Busy()) << "a parked request waits for the registry";
+  EXPECT_FALSE(loop->Drained());
+
+  registry.SetNodeLive(holder, true);
+  loop->OnRegistryChange(recover_t);
+  EXPECT_TRUE(loop->Busy());
+  loop->RunUntil(kInf);
+  const ServeReport r = loop->Finish();
+  ASSERT_EQ(r.records.size(), 1u);
+  EXPECT_EQ(r.records[0].id, req.id);
+  EXPECT_GT(r.records[0].start_s, recover_t);
+  EXPECT_TRUE(r.unavailable.empty());
+  EXPECT_TRUE(r.unfinished.empty());
 }
 
 TEST_P(ServeLoopTest, OnlyPreemptingPoliciesCountPreemptions) {
@@ -172,6 +223,105 @@ TEST_P(ServeLoopTest, OnlyPreemptingPoliciesCountPreemptions) {
     EXPECT_GT(r.metrics.Value("engine.preemptions"), 0.0);
   }
   EXPECT_NE(r.metrics.Find("engine.rounds"), nullptr);
+}
+
+// FNV-1a over every field of every event, in stream order.
+uint64_t HashEvents(const std::vector<TraceEvent>& events) {
+  uint64_t h = 1469598103934665603ull;
+  const auto mix = [&h](const void* p, size_t n) {
+    const unsigned char* b = static_cast<const unsigned char*>(p);
+    for (size_t i = 0; i < n; ++i) {
+      h = (h ^ b[i]) * 1099511628211ull;
+    }
+  };
+  for (const TraceEvent& e : events) {
+    const int ints[] = {static_cast<int>(e.type), e.request_id, e.model_id, e.tenant_id,
+                        static_cast<int>(e.slo),  e.gpu,        static_cast<int>(e.channel),
+                        e.aux};
+    const double doubles[] = {e.ts_s, e.dur_s, e.bytes};
+    mix(ints, sizeof ints);
+    mix(doubles, sizeof doubles);
+  }
+  return h;
+}
+
+void ExpectSameRun(const ServeReport& got, const ServeReport& want, const std::string& where) {
+  ASSERT_EQ(got.records.size(), want.records.size()) << where;
+  for (size_t i = 0; i < want.records.size(); ++i) {
+    const RequestRecord& a = got.records[i];
+    const RequestRecord& b = want.records[i];
+    EXPECT_EQ(a.id, b.id) << where << " record " << i;
+    EXPECT_EQ(a.arrival_s, b.arrival_s) << where << " record " << i;
+    EXPECT_EQ(a.sched_attempt_s, b.sched_attempt_s) << where << " record " << i;
+    EXPECT_EQ(a.start_s, b.start_s) << where << " record " << i;
+    EXPECT_EQ(a.first_token_s, b.first_token_s) << where << " record " << i;
+    EXPECT_EQ(a.finish_s, b.finish_s) << where << " record " << i;
+    EXPECT_EQ(a.preemptions, b.preemptions) << where << " record " << i;
+  }
+  EXPECT_EQ(got.makespan_s, want.makespan_s) << where;
+  EXPECT_EQ(got.metrics.Value("engine.rounds"), want.metrics.Value("engine.rounds"))
+      << where << ": a pause must never add a round";
+  EXPECT_EQ(got.metrics.ToJsonLine(), want.metrics.ToJsonLine()) << where;
+  ASSERT_EQ(got.timeline.size(), want.timeline.size()) << where;
+  for (size_t k = 0; k < want.timeline.size(); ++k) {
+    EXPECT_EQ(got.timeline[k].ToJsonLine(), want.timeline[k].ToJsonLine())
+        << where << " snapshot " << k;
+  }
+  EXPECT_EQ(got.trace_events.size(), want.trace_events.size()) << where;
+  EXPECT_EQ(HashEvents(got.trace_events), HashEvents(want.trace_events)) << where;
+  EXPECT_EQ(got.unavailable.size(), want.unavailable.size()) << where;
+  EXPECT_TRUE(got.unfinished.empty()) << where;
+}
+
+// The executable spec of RunUntil: k ∈ {1..8} seeded cut points (half of them
+// exactly at an arrival, where an idle loop must pause inside its idle step),
+// arrivals offered only up to each cut, then the rest and RunUntil(inf).
+TEST_P(ServeLoopTest, ChunkedRunEqualsUncutRun) {
+  const Trace trace = MakeTrace();
+  RegistryConfig rc;
+  rc.enabled = true;
+  ASSERT_TRUE(ParseRedundancyPolicy("erasure(4,2)", rc.redundancy));
+  ArtifactRegistry registry(rc, trace.n_models, /*n_nodes=*/6);
+  registry.SetNodeLive(1, false);  // degraded reads through parity
+  EngineConfig cfg = MakeConfig();
+  cfg.prefetch.enabled = true;
+  cfg.prefetch.warm_hints = {3, 1, 4};
+  cfg.registry = &registry;
+  cfg.registry_node = 0;
+  cfg.metrics.interval_s = 2.5;
+  cfg.tracing.enabled = true;
+  const std::unique_ptr<ServingEngine> engine = GetParam().make(cfg);
+  const ServeReport uncut = engine->Serve(trace);
+  ASSERT_GT(uncut.TotalShed(), 0);
+  ASSERT_GT(uncut.metrics.Value("registry.reads.degraded"), 0.0);
+  ASSERT_GT(uncut.PrefetchIssued(), 0);
+  if (GetParam().preempts) {
+    ASSERT_GT(uncut.metrics.Value("engine.preemptions"), 0.0);
+  }
+
+  Rng rng(77);
+  for (int k = 1; k <= 8; ++k) {
+    std::vector<double> cuts;
+    for (int c = 0; c < k; ++c) {
+      cuts.push_back(c % 2 == 0 ? rng.Uniform(0.0, uncut.makespan_s)
+                                : trace.requests[rng.NextBelow(trace.requests.size())]
+                                      .arrival_s);
+    }
+    std::sort(cuts.begin(), cuts.end());
+    const std::unique_ptr<ServeLoop> loop = engine->Start(trace.n_models, trace.n_tenants);
+    size_t offered = 0;
+    for (double cut : cuts) {
+      while (offered < trace.requests.size() && trace.requests[offered].arrival_s < cut) {
+        loop->Offer(trace.requests[offered++]);
+      }
+      loop->RunUntil(cut);
+    }
+    while (offered < trace.requests.size()) {
+      loop->Offer(trace.requests[offered++]);
+    }
+    loop->RunUntil(kInf);
+    ExpectSameRun(loop->Finish(), uncut, "k=" + std::to_string(k));
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -79,6 +79,66 @@ TEST(TraceIoTest, RejectsDuplicateIds) {
   EXPECT_FALSE(TraceFromJsonl(text, decoded));
 }
 
+// Every number must be finite, and the integer fields integral and within int
+// range before the cast: NaN would slip past `arrival < 0` into the arrival
+// sort, and casting 1e30 to int is undefined.
+TEST(TraceIoTest, RejectsNonFiniteAndNonIntegralNumbers) {
+  const std::string header =
+      "{\"type\":\"dz-trace\",\"version\":1,\"n_models\":2,\"n_tenants\":2,\"duration\":10}\n";
+  const std::string good =
+      "{\"id\":0,\"model\":1,\"tenant\":1,\"class\":0,\"arrival\":1.5,\"prompt\":10,"
+      "\"output\":10}\n";
+  Trace decoded;
+  ASSERT_TRUE(TraceFromJsonl(header + good, decoded));
+  for (const char* bad_line :
+       {"{\"id\":0,\"model\":1,\"arrival\":nan,\"prompt\":10,\"output\":10}",
+        "{\"id\":0,\"model\":1,\"arrival\":inf,\"prompt\":10,\"output\":10}",
+        "{\"id\":0,\"model\":1,\"arrival\":-nan,\"prompt\":10,\"output\":10}",
+        "{\"id\":1e30,\"model\":1,\"arrival\":1,\"prompt\":10,\"output\":10}",
+        "{\"id\":-3e9,\"model\":1,\"arrival\":1,\"prompt\":10,\"output\":10}",
+        "{\"id\":0.5,\"model\":1,\"arrival\":1,\"prompt\":10,\"output\":10}",
+        "{\"id\":0,\"model\":1e300,\"arrival\":1,\"prompt\":10,\"output\":10}",
+        "{\"id\":0,\"model\":0.5,\"arrival\":1,\"prompt\":10,\"output\":10}",
+        "{\"id\":0,\"model\":1,\"arrival\":1,\"prompt\":1e10,\"output\":10}",
+        "{\"id\":0,\"model\":1,\"arrival\":1,\"prompt\":10,\"output\":inf}",
+        "{\"id\":0,\"model\":1,\"arrival\":1,\"prompt\":10,\"output\":10.5}",
+        "{\"id\":0,\"model\":1,\"tenant\":1e30,\"arrival\":1,\"prompt\":10,\"output\":10}",
+        "{\"id\":0,\"model\":1,\"tenant\":nan,\"arrival\":1,\"prompt\":10,\"output\":10}",
+        "{\"id\":0,\"model\":1,\"class\":1e20,\"arrival\":1,\"prompt\":10,\"output\":10}",
+        "{\"id\":0,\"model\":1,\"class\":0.5,\"arrival\":1,\"prompt\":10,\"output\":10}"}) {
+    EXPECT_FALSE(TraceFromJsonl(header + bad_line + "\n", decoded)) << bad_line;
+  }
+  for (const char* bad_header :
+       {"{\"type\":\"dz-trace\",\"version\":1,\"n_models\":1e30,\"duration\":10}",
+        "{\"type\":\"dz-trace\",\"version\":1,\"n_models\":2.5,\"duration\":10}",
+        "{\"type\":\"dz-trace\",\"version\":1,\"n_models\":nan,\"duration\":10}",
+        "{\"type\":\"dz-trace\",\"version\":1,\"n_models\":2,\"duration\":inf}",
+        "{\"type\":\"dz-trace\",\"version\":nan,\"n_models\":2,\"duration\":10}",
+        "{\"type\":\"dz-trace\",\"version\":1,\"n_models\":2,\"n_tenants\":1e30,\"duration\":10}",
+        "{\"type\":\"dz-trace\",\"version\":1,\"n_models\":2,\"n_tenants\":nan,\"duration\":10}"}) {
+    EXPECT_FALSE(TraceFromJsonl(std::string(bad_header) + "\n" + good, decoded))
+        << bad_header;
+  }
+}
+
+// The strict parser changes nothing for valid files: serializing what it read
+// reproduces the input byte for byte.
+TEST(TraceIoTest, ValidFilesRoundTripByteIdentically) {
+  TraceConfig cfg;
+  cfg.n_models = 8;
+  cfg.arrival_rate = 3.0;
+  cfg.duration_s = 40.0;
+  cfg.seed = 99;
+  cfg.tenants.n_tenants = 4;
+  cfg.tenants.interactive_frac = 0.3;
+  for (const Trace& trace : {SampleTrace(), GenerateTrace(cfg)}) {
+    const std::string text = TraceToJsonl(trace);
+    Trace decoded;
+    ASSERT_TRUE(TraceFromJsonl(text, decoded));
+    EXPECT_EQ(TraceToJsonl(decoded), text);
+  }
+}
+
 TEST(TraceIoTest, SortsByArrival) {
   const std::string text =
       "{\"type\":\"dz-trace\",\"version\":1,\"n_models\":2,\"duration\":10}\n"

@@ -134,9 +134,9 @@ else
   "$root/tools/check_trace.sh" "$tmp/clu.json" || fail=1
 fi
 
-# A static cluster serves its whole run as one epoch, so every worker keeps its
-# in-run metrics timeline: the JSONL holds timeline lines for each GPU and ends
-# with the merged snapshot. The same run with the autoscaler on must succeed.
+# Every worker keeps its in-run metrics timeline: the JSONL holds timeline
+# lines for each GPU and ends with the merged snapshot. The same run with the
+# autoscaler on must succeed.
 metrics="$tmp/clu_metrics.jsonl"
 if ! "$cli" cluster --trace "$tmp/t.jsonl" --gpus 2 --policy round-robin \
     --metrics-interval 5 --metrics-out "$metrics" >"$tmp/out" 2>&1; then
@@ -161,6 +161,26 @@ if ! "$cli" cluster --trace "$tmp/t.jsonl" --gpus 2 --policy round-robin \
   fail=1
 else
   echo "ok: autoscaled cluster metrics run"
+fi
+# Workers keep one engine across fault boundaries, so a crash run keeps every
+# GPU's timeline too.
+if ! "$cli" cluster --trace "$tmp/t.jsonl" --gpus 4 --policy round-robin \
+    --faults "crash@30:w1,detect=1" \
+    --metrics-interval 5 --metrics-out "$metrics" >"$tmp/out" 2>&1; then
+  echo "FAIL: crash cluster metrics run"
+  cat "$tmp/out"
+  fail=1
+else
+  missing=""
+  for g in 0 1 2 3; do
+    grep -q "\"gpu\":\"$g\",\"phase\":\"timeline\"" "$metrics" || missing="$missing $g"
+  done
+  if [ -n "$missing" ]; then
+    echo "FAIL: crash cluster metrics lack timeline lines for GPU(s)$missing"
+    fail=1
+  else
+    echo "ok: crash cluster per-GPU metrics timelines"
+  fi
 fi
 
 # bench_soak window sizing: each bad value must exit 2 naming the flag. The
