@@ -38,6 +38,7 @@ ArtifactStore::ArtifactStore(const ArtifactStoreConfig& config, int n_artifacts,
 }
 
 void ArtifactStore::OnRegistryChange() {
+  ++version_;
   if (config_.registry == nullptr) {
     return;
   }
@@ -54,6 +55,7 @@ void ArtifactStore::OnRegistryChange() {
 void ArtifactStore::AddOutage(const ChannelOutage& outage) {
   DZ_CHECK_LE(outage.start_s, outage.end_s);  // an inverted window is a caller bug
   outages_.push_back(outage);
+  ++version_;
 }
 
 bool ArtifactStore::IsResident(int id, double now) const {
@@ -109,6 +111,7 @@ bool ArtifactStore::EvictOne(double now, const std::vector<int>& pinned,
   if (victim < 0) {
     return false;
   }
+  ++version_;
   Entry& e = entries_[static_cast<size_t>(victim)];
   if (e.prefetched) {
     // Warmed speculatively, evicted before any demand use: the prefetch was wasted.
@@ -148,6 +151,7 @@ void ArtifactStore::ResolvePrefetchHit(Entry& e, double now) {
   stall_hidden_s_->Inc(std::max(0.0, e.prefetch_cost_s - remaining));
   prefetch_hits_->Inc();
   e.prefetched = false;
+  ++version_;
 }
 
 ArtifactStore::LoadResult ArtifactStore::IssueLoad(int id, double now,
@@ -182,6 +186,7 @@ ArtifactStore::LoadResult ArtifactStore::IssueLoad(int id, double now,
       // Enough fragments live here to assemble without the network (e.g. a
       // repair-installed full copy): promote to the local tier outright.
       local_[static_cast<size_t>(id)] = 1;
+      ++version_;
     } else {
       remote = true;
     }
@@ -259,6 +264,7 @@ ArtifactStore::LoadResult ArtifactStore::IssueLoad(int id, double now,
   e.prefetched = is_prefetch;
   e.prefetch_cost_s = is_prefetch ? cost : 0.0;
   gpu_resident_->Set(static_cast<double>(GpuCount()));
+  ++version_;
   return {true, ready};
 }
 
@@ -273,6 +279,7 @@ ArtifactStore::LoadResult ArtifactStore::Prefetch(int id, double now,
 }
 
 void ArtifactStore::Touch(int id, double now) {
+  ++version_;
   Entry& e = entries_[static_cast<size_t>(id)];
   if (e.prefetched && e.tier == Tier::kGpu) {
     ResolvePrefetchHit(e, now);
@@ -301,6 +308,16 @@ double ArtifactStore::NextLoadReady(double now) const {
     }
   }
   return best;
+}
+
+double ArtifactStore::NextChange(double now) const {
+  double next = NextLoadReady(now);
+  for (double free_at : {disk_free_at_, pcie_free_at_, net_free_at_}) {
+    if (free_at > now) {
+      next = std::min(next, free_at);
+    }
+  }
+  return next;
 }
 
 }  // namespace dz

@@ -14,6 +14,7 @@
 #define SRC_SERVING_ARTIFACT_STORE_H_
 
 #include <cstddef>
+#include <cstdint>
 #include <memory>
 #include <optional>
 #include <vector>
@@ -114,6 +115,13 @@ class ArtifactStore {
 
   // Earliest pending load completion after `now` (or infinity when none).
   double NextLoadReady(double now) const;
+  // Earliest time after `now` at which a load lands or a transfer channel
+  // goes idle (infinity when none): until then IsResident, IsLoading and a
+  // prefetch's idle-channel test answer as they do at `now`.
+  double NextChange(double now) const;
+  // Moves on every change to the store's state (loads, evictions, demand
+  // use, prefetch hits, outages, registry changes); queries leave it alone.
+  uint64_t version() const { return version_; }
 
   // Artifact ids currently in this node's local cache tier (registry-attached
   // stores only; empty otherwise). The elastic loop snapshots this when a
@@ -156,6 +164,7 @@ class ArtifactStore {
   void ResolvePrefetchHit(Entry& e, double now);
 
   ArtifactStoreConfig config_;
+  uint64_t version_ = 0;
   std::vector<ChannelOutage> outages_;
   std::vector<Entry> entries_;
   int tier_count_[3] = {0, 0, 0};  // entries per Tier

@@ -51,6 +51,7 @@ void Observer::RegisterCluster(bool registry) {
 }
 
 void Observer::On(const RequestRecord& r) {
+  ++events_;
   const int cls = static_cast<int>(r.slo);
   completed_[cls]->Inc();
   e2e_[cls]->Record(r.E2eLatency());

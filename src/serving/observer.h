@@ -13,6 +13,8 @@
 #ifndef SRC_SERVING_OBSERVER_H_
 #define SRC_SERVING_OBSERVER_H_
 
+#include <cstdint>
+
 #include "src/metrics/metrics.h"
 #include "src/obs/trace_recorder.h"
 #include "src/serving/report.h"
@@ -42,6 +44,10 @@ class Observer {
     return c == nullptr ? 0.0 : c->value();
   }
 
+  // Events reported so far, traced or not. Every event-backed state change
+  // moves it, which is how the serve loop tells a round that changed nothing.
+  uint64_t events() const { return events_; }
+
   MetricsRegistry& metrics() { return metrics_; }
   TraceRecorder& recorder() { return recorder_; }
 
@@ -50,6 +56,7 @@ class Observer {
 
   MetricsRegistry metrics_;
   TraceRecorder recorder_;
+  uint64_t events_ = 0;
   Counter* count_[kNumTraceEventTypes] = {};
   Counter* shed_[kNumSloClasses] = {};
   Counter* completed_[kNumSloClasses] = {};
@@ -72,6 +79,7 @@ class Observer {
 // Inline, so that where the event type is known the switch folds away and an
 // event without instruments costs only the recorder's enabled check.
 inline void Observer::On(const TraceEvent& e) {
+  ++events_;
   switch (e.type) {
     case TraceEventType::kAdmissionShed:
       shed_[static_cast<int>(e.slo)]->Inc();

@@ -25,6 +25,7 @@
 #define SRC_SERVING_SCHEDULER_H_
 
 #include <algorithm>
+#include <cmath>
 #include <map>
 #include <string>
 #include <utility>
@@ -154,6 +155,16 @@ inline bool DeadlineUnmeetable(const SchedulerConfig& config, const TraceRequest
   const SloSpec& spec = config.slo.Of(req.slo);
   return now + config.admission_headroom * optimistic_service_s >
          req.SloArrival() + spec.e2e_s;
+}
+
+// A time before which DeadlineUnmeetable stays false: the crossing point less
+// a margin (1e-9 of the operands' magnitude) far above the rounding error of
+// either side of its comparison.
+inline double MeetableUntil(const SchedulerConfig& config, const TraceRequest& req,
+                            double optimistic_service_s) {
+  const double deadline = req.SloArrival() + config.slo.Of(req.slo).e2e_s;
+  const double service = config.admission_headroom * optimistic_service_s;
+  return deadline - service - 1e-9 * (1.0 + std::abs(deadline) + std::abs(service));
 }
 
 }  // namespace dz

@@ -63,13 +63,15 @@ void ServeLoop::Offer(const TraceRequest& req) {
 // + arrivals.
 void ServeLoop::Ingest(double now) {
   const SchedPolicy policy = config_.scheduler.policy;
-  const auto tail = queue_.end() - static_cast<std::ptrdiff_t>(requeued_);
-  requeue_scratch_.assign(std::make_move_iterator(tail),
-                          std::make_move_iterator(queue_.end()));
-  queue_.erase(tail, queue_.end());
-  requeued_ = 0;
-  for (PendingReq& p : requeue_scratch_) {
-    InsertInPolicyOrder(policy, queue_, std::move(p));
+  if (requeued_ > 0) {
+    const auto tail = queue_.end() - static_cast<std::ptrdiff_t>(requeued_);
+    requeue_scratch_.assign(std::make_move_iterator(tail),
+                            std::make_move_iterator(queue_.end()));
+    queue_.erase(tail, queue_.end());
+    requeued_ = 0;
+    for (PendingReq& p : requeue_scratch_) {
+      InsertInPolicyOrder(policy, queue_, std::move(p));
+    }
   }
   while (!arrivals_.empty() && arrivals_.front().arrival_s <= now) {
     PendingReq p;
@@ -102,13 +104,17 @@ double ServeLoop::MinServiceS(PendingReq& p) const {
 
 // Admission control (off by default): sheds every queued request whose class
 // deadline is already unmeetable and refunds its tenant's DWFQ virtual time
-// for the tokens it will never receive.
+// for the tokens it will never receive. The kept requests' MeetableUntil
+// bounds the quiet stretch this round may start.
 void ServeLoop::Shed(double now) {
   if (!config_.scheduler.admission_control) {
     return;
   }
   for (auto it = queue_.begin(); it != queue_.end();) {
-    if (!DeadlineUnmeetable(config_.scheduler, it->req, now, MinServiceS(*it))) {
+    const double service_s = MinServiceS(*it);
+    if (!DeadlineUnmeetable(config_.scheduler, it->req, now, service_s)) {
+      quiet_until_s_ =
+          std::min(quiet_until_s_, MeetableUntil(config_.scheduler, it->req, service_s));
       ++it;
       continue;
     }
@@ -201,6 +207,23 @@ double ServeLoop::Iterate(double now) {
   return iter;
 }
 
+void ServeLoop::Decode() {
+  for (RunningReq& r : running_) {
+    if (r.prefilling) {
+      r.prefilling = false;
+      r.prefilled = true;
+      r.state.decoded = 1;  // prefill emits the first output token
+      if (!r.state.has_first_token) {
+        r.state.has_first_token = true;
+        r.state.first_token_s = now_;
+        observer_.On(RequestEvent(TraceEventType::kRequestFirstToken, now_, r.state.req));
+      }
+    } else if (r.prefilled) {
+      r.state.decoded += 1;
+    }
+  }
+}
+
 void ServeLoop::Complete(const PendingReq& s, double now) {
   // Latency/SLO clocks run from the original arrival for re-enqueued
   // (crash-rerouted) requests; identical to arrival_s on plain traces.
@@ -242,6 +265,14 @@ void ServeLoop::RunUntil(double t) {
           next_snapshot_s_ += config_.metrics.interval_s;
         }
         rounds_count_->Inc();
+        if (QuietRound()) {
+          --quiet_rounds_;
+          now_ += Iterate(now_);
+          Decode();
+          break;
+        }
+        quiet_rounds_ = 0;
+        quiet_until_s_ = kInf;
         Ingest(now_);
         Shed(now_);
         if (Retired() == offered_) {
@@ -249,8 +280,11 @@ void ServeLoop::RunUntil(double t) {
           return;
         }
         [[fallthrough]];
-      case Step::kAdmit:
+      case Step::kAdmit: {
         step_ = Step::kTop;
+        // Ingest and shed change what this admission sees, not what the next
+        // one would: only changes from here on end a quiet stretch.
+        const uint64_t stamp = ChangeStamp();
         admission_.Reset(n_models_);
         policy_->Admit(*this, now_, admission_);
         // Lookahead prefetch (§8): warm the next W distinct waiting variants
@@ -263,22 +297,11 @@ void ServeLoop::RunUntil(double t) {
           break;
         }
         if (!running_.empty()) {
+          const double admitted_s = now_;
           now_ += Iterate(now_);
-          for (RunningReq& r : running_) {
-            if (r.prefilling) {
-              r.prefilling = false;
-              r.prefilled = true;
-              r.state.decoded = 1;  // prefill emits the first output token
-              if (!r.state.has_first_token) {
-                r.state.has_first_token = true;
-                r.state.first_token_s = now_;
-                observer_.On(RequestEvent(TraceEventType::kRequestFirstToken, now_, r.state.req));
-              }
-            } else if (r.prefilled) {
-              r.state.decoded += 1;
-            }
-          }
+          Decode();
           finished_parents_.clear();
+          int fewest_left = std::numeric_limits<int>::max();  // tokens, over the kept
           size_t kept = 0;
           for (RunningReq& r : running_) {
             if (r.prefilled && r.state.decoded >= r.state.req.output_tokens) {
@@ -288,14 +311,23 @@ void ServeLoop::RunUntil(double t) {
                 finished_parents_.push_back(r.state.req.id);
               }
             } else {
+              if (r.prefilled) {
+                fewest_left = std::min(fewest_left, r.state.req.output_tokens - r.state.decoded);
+              }
               running_[kept++] = std::move(r);
             }
           }
           running_.resize(kept);
           policy_->AfterIteration(*this, now_, finished_parents_);
+          if (ChangeStamp() == stamp + 1) {  // its batch.round alone
+            quiet_rounds_ = fewest_left - 1;
+            quiet_until_s_ = std::min(quiet_until_s_, store_.NextChange(admitted_s));
+            quiet_version_ = store_.version();
+          }
           break;
         }
         [[fallthrough]];
+      }
       case Step::kIdle: {
         // Idle: jump to the next load completion or arrival, pausing here
         // instead when it lies at or past t (a later offer may come first).

@@ -7,9 +7,30 @@
 // admit, iteration-cost and post-iteration-preemption hooks. A loop is live:
 // requests are offered to it over time and RunUntil steps it, so one loop
 // serves a cluster worker for its whole lifetime (src/cluster/elastic.h).
+//
+// One round per decode iteration: ingest, shed, admit, prefetch, iterate,
+// complete. Most rounds change nothing but the decoded tokens, so a full round
+// whose admission onwards emitted no event besides its batch.round and moved
+// no store state starts a quiet stretch (what else a round changes, a park, a
+// warm-hint pop or a first sched_attempt_s, leaves the next round's walk the
+// same; what its ingest and shed changed, its own admission already saw). The
+// rounds after it only iterate and decode, which is exactly what full rounds
+// would do until the first of these bounds (each checked before a quiet
+// round):
+//   * an offered arrival is due (checked live: offers come between calls);
+//   * the RunUntil target is reached (the loop pauses as usual);
+//   * a load lands or a disk, PCIe or net channel goes idle, measured at the
+//     round's admission time: admission and prefetch read exactly these;
+//   * a queued request's shed deadline nears (MeetableUntil: a margin keeps
+//     the exact DeadlineUnmeetable test in full rounds);
+//   * the next round would complete a request (and so could preempt);
+//   * the store changed (ArtifactStore::version: an outage or a registry
+//     change between calls; the latter also re-queues parked requests).
+// A SetSpeed needs no bound: each quiet round prices its iteration afresh.
 #ifndef SRC_SERVING_SERVE_LOOP_H_
 #define SRC_SERVING_SERVE_LOOP_H_
 
+#include <cstdint>
 #include <deque>
 #include <limits>
 #include <memory>
@@ -186,6 +207,14 @@ class ServeLoop {
   size_t Retired() const {
     return report_.records.size() + shed_total_ + parked_.size();
   }
+  // Moves on every event and every store change.
+  uint64_t ChangeStamp() const { return observer_.events() + store_.version(); }
+  // The next round may be quiet (see the file comment).
+  bool QuietRound() const {
+    return quiet_rounds_ > 0 && now_ < quiet_until_s_ &&
+           store_.version() == quiet_version_ &&
+           (arrivals_.empty() || arrivals_.front().arrival_s > now_);
+  }
   // The idle fast-forward's target: the next load landing or offered arrival.
   double NextEventS() const;
   // Re-inserts the preempted tail, then inserts the arrivals due by `now`.
@@ -193,6 +222,7 @@ class ServeLoop {
   double MinServiceS(PendingReq& p) const;
   void Shed(double now);
   double Iterate(double now);  // returns the iteration's duration
+  void Decode();               // the tokens of the iteration Iterate priced
   void Complete(const PendingReq& s, double now);
 
   const EngineConfig config_;
@@ -230,6 +260,12 @@ class ServeLoop {
   double until_ = 0.0;  // the last RunUntil target
   double speed_ = 1.0;
   Step step_ = Step::kTop;
+  // The quiet stretch: rounds left before one completes a request, the clock
+  // bound of the shed deadlines (set by Shed), loads and channels, and the
+  // store version it was planned at.
+  int quiet_rounds_ = 0;
+  double quiet_until_s_ = 0.0;
+  uint64_t quiet_version_ = 0;
 };
 
 // The PolicyFactory of a policy type.

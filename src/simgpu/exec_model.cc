@@ -6,11 +6,6 @@
 
 namespace dz {
 
-ExecModel::ExecModel(const ExecModelConfig& config)
-    : config_(config), kernels_(config.gpu) {
-  DZ_CHECK_GE(config_.tp, 1);
-}
-
 namespace {
 
 // Launches per transformer block in an unfused engine: 7 projections + ~3 attention /
@@ -18,6 +13,27 @@ namespace {
 constexpr double kLaunchesPerLayer = 10.0;
 
 }  // namespace
+
+ExecModel::ExecModel(const ExecModelConfig& config)
+    : config_(config), kernels_(config.gpu) {
+  DZ_CHECK_GE(config_.tp, 1);
+  const ModelShape& s = config_.shape;
+  const GpuSpec& gpu = config_.gpu;
+  // All linear layers as one aggregate GEMM of k = d_model, divided across tp.
+  linear_n_ = static_cast<long long>(s.LinearParams() / s.d_model) / config_.tp;
+  kv_bytes_per_token_ = static_cast<double>(s.KvBytesPerToken());
+  launch_s_ = kernels_.LaunchOverhead(
+      static_cast<int>(s.n_layers * kLaunchesPerLayer * config_.launch_fusion));
+  const int bits = config_.delta_format == WeightFormat::kSparseInt2 ? 2 : 4;
+  delta_bytes_per_gpu_ =
+      s.DeltaBytes(bits, IsSparseFormat(config_.delta_format), 128) / config_.tp;
+  kv_bytes_per_token_per_gpu_ = s.KvBytesPerToken() / config_.tp;
+  // Sparse tensor cores at 92% of peak (the SBMM kernels, paper §5.2).
+  sbmm_rate_ = gpu.peak_fp16_tflops * 1e12 * 0.92 *
+               (IsSparseFormat(config_.delta_format) ? gpu.sparse_speedup : 1.0);
+  sbmm_sites_ = s.n_layers * 7.0 * config_.launch_fusion;
+  linear_flops_per_token_ = s.LinearFlopsPerToken();
+}
 
 double ExecModel::PerLayerAllReduce(int batch) const {
   if (config_.tp <= 1) {
@@ -33,17 +49,14 @@ double ExecModel::PrefillTime(long long tokens) const {
     return 0.0;
   }
   const ModelShape& s = config_.shape;
-  // All linear layers as one aggregate GEMM of m=tokens rows, divided across tp.
-  const long long k = s.d_model;
-  const long long n = static_cast<long long>(s.LinearParams() / s.d_model) / config_.tp;
-  double t = kernels_.GemmTime(tokens, n, k, WeightFormat::kFp16);
+  // All linear layers as one aggregate GEMM of m=tokens rows.
+  double t = kernels_.GemmTime(tokens, linear_n_, s.d_model, WeightFormat::kFp16);
   // Attention score/value math: 2 · tokens² · d per layer (causal half), usually minor
   // for our prompt lengths; modeled compute-only.
   const double attn_flops = 2.0 * static_cast<double>(tokens) * tokens * s.d_model *
                             s.n_layers / config_.tp;
   t += attn_flops / (config_.gpu.peak_fp16_tflops * 1e12);
-  t += kernels_.LaunchOverhead(static_cast<int>(
-      s.n_layers * kLaunchesPerLayer * config_.launch_fusion));
+  t += launch_s_;
   t += s.n_layers * PerLayerAllReduce(static_cast<int>(std::min<long long>(tokens, 512)));
   return t;
 }
@@ -53,16 +66,13 @@ double ExecModel::DecodeIterTime(int batch, double avg_ctx) const {
     return 0.0;
   }
   const ModelShape& s = config_.shape;
-  const long long k = s.d_model;
-  const long long n = static_cast<long long>(s.LinearParams() / s.d_model) / config_.tp;
   // Weight-read-bound GEMM over all linear layers (decode is memory-bound, §2.1).
-  double t = kernels_.GemmTime(batch, n, k, WeightFormat::kFp16);
+  double t = kernels_.GemmTime(batch, linear_n_, s.d_model, WeightFormat::kFp16);
   // KV-cache reads: every request streams its context's K/V once per iteration.
-  const double kv_bytes = static_cast<double>(batch) * avg_ctx *
-                          static_cast<double>(s.KvBytesPerToken()) / config_.tp;
+  const double kv_bytes =
+      static_cast<double>(batch) * avg_ctx * kv_bytes_per_token_ / config_.tp;
   t += kv_bytes / (config_.gpu.hbm_gbps * 1e9);
-  t += kernels_.LaunchOverhead(static_cast<int>(
-      s.n_layers * kLaunchesPerLayer * config_.launch_fusion));
+  t += launch_s_;
   t += s.n_layers * PerLayerAllReduce(batch);
   return t;
 }
@@ -79,22 +89,18 @@ double ExecModel::DeltaDecodeIterTime(const std::vector<int>& reqs_per_delta) co
   if (total == 0) {
     return 0.0;
   }
-  const ModelShape& s = config_.shape;
   const GpuSpec& gpu = config_.gpu;
   // Memory: every active delta's packed weights stream through once per iteration.
-  const double delta_bytes = static_cast<double>(active) * DeltaBytesPerGpu();
+  const double delta_bytes = static_cast<double>(active) * delta_bytes_per_gpu_;
   const double mem_s = delta_bytes / (gpu.hbm_gbps * 1e9);
   // Compute: 2·P·m FLOPs per request, on sparse tensor cores.
   const double flops =
-      static_cast<double>(total) * s.LinearFlopsPerToken() / config_.tp;
-  const double rate = gpu.peak_fp16_tflops * 1e12 * 0.92 *
-                      (IsSparseFormat(config_.delta_format) ? gpu.sparse_speedup : 1.0);
-  const double compute_s = flops / rate;
+      static_cast<double>(total) * linear_flops_per_token_ / config_.tp;
+  const double compute_s = flops / sbmm_rate_;
   // SBMM launches: one host launch pair per projection per layer; per-delta blocked
   // matmuls are device-side dynamic-parallelism launches (paper §5.2).
-  const double sbmm_sites = s.n_layers * 7.0 * config_.launch_fusion;
   const double overhead_s =
-      sbmm_sites * (2.0 * gpu.kernel_launch_us + active * gpu.dyn_parallel_launch_us) *
+      sbmm_sites_ * (2.0 * gpu.kernel_launch_us + active * gpu.dyn_parallel_launch_us) *
       1e-6;
   return std::max(mem_s, compute_s) + overhead_s;
 }
@@ -103,10 +109,7 @@ double ExecModel::DeltaPrefillTime(long long tokens) const {
   if (tokens <= 0) {
     return 0.0;
   }
-  const ModelShape& s = config_.shape;
-  const long long k = s.d_model;
-  const long long n = static_cast<long long>(s.LinearParams() / s.d_model) / config_.tp;
-  return kernels_.GemmTime(tokens, n, k, config_.delta_format);
+  return kernels_.GemmTime(tokens, linear_n_, config_.shape.d_model, config_.delta_format);
 }
 
 double ExecModel::LoraDecodeIterTime(const std::vector<int>& reqs_per_adapter,
@@ -172,27 +175,19 @@ double ExecModel::LoadLoraFromHost(int rank) const {
 }
 
 double ExecModel::KvSwapTime(long long ctx_tokens) const {
-  const size_t bytes =
-      static_cast<size_t>(ctx_tokens) * KvBytesPerTokenPerGpu();
-  return kernels_.H2DTime(bytes);
+  return kernels_.H2DTime(static_cast<size_t>(ctx_tokens) * kv_bytes_per_token_per_gpu_);
 }
 
 size_t ExecModel::BaseWeightBytesPerGpu() const {
   return config_.shape.Fp16Bytes() / config_.tp;
 }
 
-size_t ExecModel::DeltaBytesPerGpu() const {
-  const int bits = config_.delta_format == WeightFormat::kSparseInt2 ? 2 : 4;
-  return config_.shape.DeltaBytes(bits, IsSparseFormat(config_.delta_format), 128) /
-         config_.tp;
-}
+size_t ExecModel::DeltaBytesPerGpu() const { return delta_bytes_per_gpu_; }
 
 size_t ExecModel::LoraBytesPerGpu(int rank) const {
   return config_.shape.LoraBytes(rank) / config_.tp;
 }
 
-size_t ExecModel::KvBytesPerTokenPerGpu() const {
-  return config_.shape.KvBytesPerToken() / config_.tp;
-}
+size_t ExecModel::KvBytesPerTokenPerGpu() const { return kv_bytes_per_token_per_gpu_; }
 
 }  // namespace dz

@@ -69,6 +69,16 @@ class ExecModel {
 
   ExecModelConfig config_;
   KernelModel kernels_;
+  // Shape-only terms of the per-iteration costs, computed once at
+  // construction (exec_model_test pins every cost output bit for bit).
+  long long linear_n_ = 0;           // columns of the aggregate linear GEMM, per GPU
+  double kv_bytes_per_token_ = 0.0;  // K+V bytes per context token, all GPUs
+  double launch_s_ = 0.0;            // the fused per-iteration launch overhead
+  size_t delta_bytes_per_gpu_ = 0;
+  size_t kv_bytes_per_token_per_gpu_ = 0;
+  double sbmm_rate_ = 0.0;   // sustained FLOP/s of the delta path's matmuls
+  double sbmm_sites_ = 0.0;  // fused SBMM launch sites per iteration
+  double linear_flops_per_token_ = 0.0;
 };
 
 }  // namespace dz

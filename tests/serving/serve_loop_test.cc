@@ -7,7 +7,9 @@
 // loop: a run cut at random points, with arrivals offered only up to each
 // cut, equals one uncut run bit for bit. The per-engine metric key sets stay
 // as they were before the loop was shared: only a preempting policy registers
-// `engine.preemptions`.
+// `engine.preemptions`. Runs with an arrival, a load, a prefetch, a shed or
+// cuts inside a long decode-only stretch are pinned to values recorded when
+// every round ran in full (no quiet rounds).
 #include "src/serving/serve_loop.h"
 
 #include <algorithm>
@@ -274,8 +276,10 @@ void ExpectSameRun(const ServeReport& got, const ServeReport& want, const std::s
 }
 
 // The executable spec of RunUntil: k ∈ {1..8} seeded cut points (half of them
-// exactly at an arrival, where an idle loop must pause inside its idle step),
-// arrivals offered only up to each cut, then the rest and RunUntil(inf).
+// exactly at an arrival, where an idle loop must pause inside its idle step)
+// plus k more in the middle of a batch round of the uncut run (most rounds are
+// quiet, so these cut quiet stretches), arrivals offered only up to each cut,
+// then the rest and RunUntil(inf).
 TEST_P(ServeLoopTest, ChunkedRunEqualsUncutRun) {
   const Trace trace = MakeTrace();
   RegistryConfig rc;
@@ -299,13 +303,22 @@ TEST_P(ServeLoopTest, ChunkedRunEqualsUncutRun) {
     ASSERT_GT(uncut.metrics.Value("engine.preemptions"), 0.0);
   }
 
+  std::vector<double> mid_round;
+  for (const TraceEvent& e : uncut.trace_events) {
+    if (e.type == TraceEventType::kBatchRound) {
+      mid_round.push_back(e.ts_s + 0.5 * e.dur_s);
+    }
+  }
+  ASSERT_FALSE(mid_round.empty());
   Rng rng(77);
+  Rng mid_rng(78);
   for (int k = 1; k <= 8; ++k) {
     std::vector<double> cuts;
     for (int c = 0; c < k; ++c) {
       cuts.push_back(c % 2 == 0 ? rng.Uniform(0.0, uncut.makespan_s)
                                 : trace.requests[rng.NextBelow(trace.requests.size())]
                                       .arrival_s);
+      cuts.push_back(mid_round[mid_rng.NextBelow(mid_round.size())]);
     }
     std::sort(cuts.begin(), cuts.end());
     const std::unique_ptr<ServeLoop> loop = engine->Start(trace.n_models, trace.n_tenants);
@@ -323,6 +336,175 @@ TEST_P(ServeLoopTest, ChunkedRunEqualsUncutRun) {
     ExpectSameRun(loop->Finish(), uncut, "k=" + std::to_string(k));
   }
 }
+
+// ---- quiet-stretch boundaries ----------------------------------------------
+// Each test puts one event that changes admission inside a long decode-only
+// stretch (a few requests decoding 8000 tokens, from ~2 s under DeltaZip and
+// from ~33 s, after the first full-model swap, under vLLM-SCB) and pins the
+// run: its records, engine.rounds and traced event stream, recorded before
+// quiet rounds existed, when every round ran in full. vLLM-SCB's demand swap
+// stalls the worker, so there the load lands at the end of a stall.
+
+TraceRequest StretchReq(int id, double arrival_s, int model, int output_tokens,
+                        SloClass slo = SloClass::kStandard) {
+  TraceRequest r;
+  r.id = id;
+  r.model_id = model;
+  r.slo = slo;
+  r.arrival_s = arrival_s;
+  r.prompt_tokens = 200;
+  r.output_tokens = output_tokens;
+  return r;
+}
+
+Trace StretchTrace(std::vector<TraceRequest> requests) {
+  Trace trace;
+  trace.requests = std::move(requests);
+  trace.n_models = 8;
+  return trace;
+}
+
+// FNV-1a over every record's id, times and preemptions.
+uint64_t HashRecords(const std::vector<RequestRecord>& records) {
+  uint64_t h = 1469598103934665603ull;
+  for (const RequestRecord& r : records) {
+    const double fields[] = {static_cast<double>(r.id), r.sched_attempt_s, r.start_s,
+                             r.first_token_s, r.finish_s,
+                             static_cast<double>(r.preemptions)};
+    const unsigned char* b = reinterpret_cast<const unsigned char*>(fields);
+    for (size_t i = 0; i < sizeof fields; ++i) {
+      h = (h ^ b[i]) * 1099511628211ull;
+    }
+  }
+  return h;
+}
+
+// What a boundary test pins, per engine case (deltazip, vllm_scb).
+struct RunPin {
+  uint64_t records;
+  double rounds;
+  uint64_t events;
+};
+
+void ExpectPinned(const ServeReport& r, const RunPin (&pins)[2], const EngineCase& engine) {
+  const RunPin& want = pins[std::string(engine.name) == "deltazip" ? 0 : 1];
+  EXPECT_TRUE(r.unfinished.empty());
+  EXPECT_EQ(HashRecords(r.records), want.records);
+  EXPECT_EQ(r.metrics.Value("engine.rounds"), want.rounds);
+  EXPECT_EQ(HashEvents(r.trace_events), want.events);
+}
+
+class QuietStretchTest : public ServeLoopTest {
+ protected:
+  EngineConfig StretchConfig() const {
+    EngineConfig cfg;
+    cfg.exec.shape = ModelShape::Llama13B();
+    cfg.exec.gpu = GpuSpec::A800();
+    cfg.exec.tp = 4;
+    cfg.artifact = GetParam().artifact;
+    cfg.tracing.enabled = true;
+    return cfg;
+  }
+};
+
+TEST_P(QuietStretchTest, ArrivalInsideStretch) {
+  const Trace trace = StretchTrace({StretchReq(0, 0.0, 0, 8000), StretchReq(1, 0.0, 0, 8000),
+                                    StretchReq(2, 45.3, 0, 300)});
+  const RunPin pins[2] = {{4353902977092685538ull, 8001, 12068258567396403433ull},
+                          {11738898002277910584ull, 8001, 17413689218276672937ull}};
+  ExpectPinned(Serve(StretchConfig(), trace), pins, GetParam());
+}
+
+TEST_P(QuietStretchTest, DemandLoadLandsInsideStretch) {
+  const Trace trace = StretchTrace({StretchReq(0, 0.0, 0, 8000), StretchReq(1, 45.3, 1, 300)});
+  const RunPin pins[2] = {{15821965563197827250ull, 8001, 16822864450988883220ull},
+                          {15116775436413834116ull, 8002, 16181814253586691170ull}};
+  ExpectPinned(Serve(StretchConfig(), trace), pins, GetParam());
+}
+
+TEST_P(QuietStretchTest, PrefetchChannelIdlesInsideStretch) {
+  EngineConfig cfg = StretchConfig();
+  cfg.prefetch.enabled = true;
+  cfg.prefetch.staging_slots = 4;
+  cfg.prefetch.warm_hints = {1, 2, 3, 4};
+  const Trace trace = StretchTrace({StretchReq(0, 0.0, 0, 8000), StretchReq(1, 100.0, 3, 300)});
+  const ServeReport r = Serve(cfg, trace);
+  EXPECT_GT(r.PrefetchIssued(), 1);
+  const RunPin pins[2] = {{18359001093457390364ull, 8302, 11977757758853927042ull},
+                          {11385939296039926976ull, 8304, 11615430471988507615ull}};
+  ExpectPinned(r, pins, GetParam());
+}
+
+TEST_P(QuietStretchTest, ShedDeadlineInsideStretch) {
+  EngineConfig cfg = StretchConfig();
+  cfg.max_batch = 1;  // the late requests wait behind the long one
+  cfg.scheduler.admission_control = true;
+  cfg.scheduler.slo.per_class[static_cast<int>(SloClass::kInteractive)] = {1.0, 5.0};
+  const Trace trace = StretchTrace({StretchReq(0, 0.0, 0, 8000),
+                                    StretchReq(1, 45.3, 0, 200, SloClass::kInteractive),
+                                    StretchReq(2, 46.0, 0, 100, SloClass::kBatch)});
+  const ServeReport r = Serve(cfg, trace);
+  EXPECT_EQ(r.TotalShed(), 1);
+  const RunPin pins[2] = {{3085124775665637620ull, 8101, 2159459557646752672ull},
+                          {16380669367507599925ull, 8101, 14497976452533803776ull}};
+  ExpectPinned(r, pins, GetParam());
+}
+
+// Cuts inside the stretch, a slow-node window between two of them, and a
+// registry change at another that brings back the holder a late request
+// parked on: the loop resumes each time with a full round or a quiet one, and
+// the pinned run is the one in which every round ran in full.
+TEST_P(QuietStretchTest, CutsWithSpeedAndRegistryChanges) {
+  RegistryConfig rc;
+  rc.enabled = true;  // one full copy per artifact on its primary node
+  ArtifactRegistry registry(rc, /*n_artifacts=*/8, /*n_nodes=*/2);
+  int late_model = 1;
+  while (registry.PrimaryHolder(late_model, 0) == registry.PrimaryHolder(0, 0)) {
+    ++late_model;
+  }
+  const int late_holder = registry.PrimaryHolder(late_model, 0);
+  registry.SetNodeLive(late_holder, false);
+  const Trace trace = StretchTrace({StretchReq(0, 0.0, 0, 8000), StretchReq(1, 0.0, 0, 8000),
+                                    StretchReq(2, 40.0, late_model, 500)});
+  EngineConfig cfg = StretchConfig();
+  cfg.registry = &registry;
+  cfg.registry_node = 2;  // a live node that holds nothing
+  const std::unique_ptr<ServeLoop> loop =
+      GetParam().make(cfg)->Start(trace.n_models, trace.n_tenants);
+  size_t offered = 0;
+  const auto run_until = [&](double cut) {
+    while (offered < trace.requests.size() && trace.requests[offered].arrival_s < cut) {
+      loop->Offer(trace.requests[offered++]);
+    }
+    loop->RunUntil(cut);
+  };
+  run_until(10.01);
+  loop->SetSpeed(0.5);
+  run_until(37.3);
+  loop->SetSpeed(1.0);
+  run_until(45.5);
+  ASSERT_FALSE(loop->Drained()) << "the late request waits, parked";
+  registry.SetNodeLive(late_holder, true);
+  loop->OnRegistryChange(45.5);
+  run_until(51.7);
+  run_until(kInf);
+  const ServeReport r = loop->Finish();
+  const auto late = std::find_if(r.records.begin(), r.records.end(),
+                                 [](const RequestRecord& rec) { return rec.id == 2; });
+  ASSERT_NE(late, r.records.end());
+  EXPECT_GT(late->start_s, 45.5);
+  const RunPin pins[2] = {{8340475401582373217ull, 8001, 12066987130214054822ull},
+                          {17265510362788622873ull, 8002, 16159657673059253798ull}};
+  ExpectPinned(r, pins, GetParam());
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Engines, QuietStretchTest,
+    ::testing::Values(EngineCase{"deltazip", &MakeDeltaZipEngine,
+                                 ArtifactKind::kCompressedDelta, 20.0, true},
+                      EngineCase{"vllm_scb", &MakeVllmScbEngine, ArtifactKind::kFullModel,
+                                 1.0, false}),
+    [](const ::testing::TestParamInfo<EngineCase>& info) { return info.param.name; });
 
 INSTANTIATE_TEST_SUITE_P(
     Engines, ServeLoopTest,

@@ -1,5 +1,9 @@
 #include "src/simgpu/exec_model.h"
 
+#include <string>
+#include <utility>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 namespace dz {
@@ -132,6 +136,112 @@ TEST(ExecModelTest, DeltaFormatAffectsFootprintAndLoad) {
   EXPECT_LT(em2.DeltaBytesPerGpu(), em4.DeltaBytesPerGpu());
   EXPECT_LT(em2.LoadDeltaFromDisk(), em4.LoadDeltaFromDisk());
   EXPECT_LT(em2.LoadDeltaFromHost(), em4.LoadDeltaFromHost());
+}
+
+}  // namespace
+}  // namespace dz
+
+namespace dz {
+namespace {
+
+// Every cost entry point over a spread of batch and context sizes, in a fixed
+// order: the golden tables below list them in the same order.
+std::vector<double> CostOutputs(const ExecModel& em) {
+  std::vector<double> out;
+  for (long long tokens : {1LL, 128LL, 1000LL, 4096LL}) {
+    out.push_back(em.PrefillTime(tokens));
+  }
+  const std::pair<int, double> decode[] = {{1, 64.0}, {8, 300.5}, {32, 1500.25}, {96, 777.0}};
+  for (const auto& [batch, ctx] : decode) {
+    out.push_back(em.DecodeIterTime(batch, ctx));
+  }
+  const std::vector<int> spreads[] = {{8}, {2, 2, 2, 2}, {1, 0, 5, 0, 0, 3}, {0, 0}};
+  for (const std::vector<int>& reqs : spreads) {
+    out.push_back(em.DeltaDecodeIterTime(reqs));
+  }
+  for (long long tokens : {1LL, 512LL, 3000LL}) {
+    out.push_back(em.DeltaPrefillTime(tokens));
+  }
+  out.push_back(em.LoraDecodeIterTime({8}, 16));
+  out.push_back(em.LoraDecodeIterTime({2, 2, 2, 2}, 64));
+  for (long long ctx : {1LL, 2048LL, 70000LL}) {
+    out.push_back(em.KvSwapTime(ctx));
+  }
+  return out;
+}
+
+// The cost model's outputs, bit for bit: every serving golden rests on them,
+// so a refactor of the formulas (hoisting shape constants, reordering terms)
+// must reproduce each value exactly, not approximately.
+struct CostGolden {
+  const char* shape;
+  int tp;
+  std::vector<double> outputs;  // CostOutputs order
+};
+
+TEST(ExecModelTest, CostOutputsStayGolden) {
+  const CostGolden goldens[] = {
+    {"Llama13B", 1,
+     {0.01294752735499805, 0.013278369673057433, 0.083144676923076921,
+      0.35566075716923079, 0.012973239038744483, 0.01393042040215792,
+      0.032310994409024033, 0.043147415399705735, 0.0031763748896517898,
+      0.01060549955860716, 0.00812912466895537, 0,
+      0.0023358901422265818, 0.028289341360089187, 0.16575785953177258,
+      0.00076138977930358012, 0.001682236468857283, 4.2768000000000001e-05,
+      0.067118864, 2.2937699999999999}},
+    {"Llama13B", 2,
+     {0.0073678621885338458, 0.008053794248985802, 0.04455949046153846,
+      0.18081753058461539, 0.0073807180304070619, 0.0078879982893575295,
+      0.017176649557626291, 0.022857164759195685, 0.0019731874448258948,
+      0.0057927497793035798, 0.0045195623344776855, 0,
+      0.0011679475821481117, 0.014144670680044593, 0.082878929765886289,
+      0.00073069488965179011, 0.0011911182344286416, 2.6384e-05,
+      0.033564432000000005, 1.14689}},
+    {"Llama13B", 4,
+     {0.0042580296053017445, 0.0051215065369499884, 0.024946897230769229,
+      0.0930759172923077, 0.0042644575262383525, 0.0045467872329573323,
+      0.0092894771319274143, 0.012392039438940659, 0.0013715937224129475,
+      0.0033863748896517899, 0.0027147811672388429, 0,
+      0.00058397630210887692, 0.0070723353400222967, 0.041439464882943144,
+      0.00071534744482589505, 0.00094555911721432072, 1.8191999999999998e-05,
+      0.016787216000000001, 0.5734499999999999}},
+    {"Llama70B", 1,
+     {0.068149984889598475, 0.06926072501950227, 0.44398975179487182,
+      1.8687601369271793, 0.068160265887199617, 0.068593746832761163,
+      0.076119490950465912, 0.080916764719960774, 0.014522491966650319,
+      0.053889967866601274, 0.040767475899950958, 0,
+      0.012597287172143208, 0.1526221656187291, 0.89427050167224076,
+      0.0016031326728788622, 0.0046501227660617952, 2.3107200000000001e-05,
+      0.026853545600000001, 0.91751399999999994}},
+    {"Llama70B", 2,
+     {0.035868103662454943, 0.038088598369682473, 0.23048576229743592,
+      0.94287095486358974, 0.035873244161255514, 0.036181763157626286,
+      0.04025930444021579, 0.043497059254928888, 0.0080312459833251602,
+      0.027924983933300639, 0.021293737949975477, 0,
+      0.0062986476037273174, 0.07631108280936455, 0.44713525083612038,
+      0.0015015663364394312, 0.0030250613830308977, 1.65536e-05,
+      0.0134317728, 0.458762}},
+    {"Llama70B", 4,
+     {0.01908716304888319, 0.021862535044772577, 0.12309376754871795,
+      0.47928636383179485, 0.019089733298283475, 0.019335771320058856,
+      0.021689211185090731, 0.024147206522412951, 0.00478562299166258,
+      0.014942491966650319, 0.01155686897498774, 0,
+      0.0031493278195193724, 0.038155541404682275, 0.22356762541806019,
+      0.0014507831682197155, 0.0022125306915154489, 1.32768e-05,
+      0.0067208863999999998, 0.22938600000000001}},
+  };
+  for (const CostGolden& g : goldens) {
+    ExecModelConfig cfg;
+    cfg.shape = std::string(g.shape) == "Llama13B" ? ModelShape::Llama13B()
+                                                   : ModelShape::Llama70B();
+    cfg.gpu = GpuSpec::A800();
+    cfg.tp = g.tp;
+    const std::vector<double> got = CostOutputs(ExecModel(cfg));
+    ASSERT_EQ(got.size(), g.outputs.size());
+    for (size_t i = 0; i < got.size(); ++i) {
+      EXPECT_EQ(got[i], g.outputs[i]) << g.shape << " tp" << g.tp << " output " << i;
+    }
+  }
 }
 
 }  // namespace

@@ -1,0 +1,37 @@
+#!/usr/bin/env bash
+# Runs dz_e2e --smoke --digest for every line of tools/e2e_digests.txt and
+# fails when a digest differs: serving reports (records, metrics, makespan)
+# must stay bit-identical across refactors and speedups of the simulator.
+# Each run takes well under a second.
+# Usage: tools/check_e2e_digests.sh [path/to/dz_e2e]
+#   (default: ${CARGO_TARGET_DIR:-.bench_build}/e2e/dz_e2e, where
+#   bench/e2e/run.py builds it)
+set -u
+
+bin="${1:-${CARGO_TARGET_DIR:-.bench_build}/e2e/dz_e2e}"
+digests="$(dirname "$0")/e2e_digests.txt"
+if [ ! -x "$bin" ]; then
+  echo "usage: tools/check_e2e_digests.sh [path/to/dz_e2e] (no executable at $bin)" >&2
+  exit 1
+fi
+
+fail=0
+runs=0
+while read -r workload seed want; do
+  case "$workload" in
+    ""|"#"*) continue ;;
+  esac
+  got=$(DZ_THREADS=2 "$bin" --workload "$workload" --seed "$seed" --seconds 1 --trace 0 \
+          --smoke --digest < /dev/null 2>/dev/null | awk '$1 == "digest" { print $2 }')
+  runs=$((runs + 1))
+  if [ "$got" != "$want" ]; then
+    echo "DIGEST MISMATCH: $workload seed $seed: got '${got}', want $want"
+    fail=1
+  fi
+done < "$digests"
+
+if [ "$fail" -ne 0 ] || [ "$runs" -eq 0 ]; then
+  echo "e2e digest check FAILED"
+  exit 1
+fi
+echo "e2e digest check OK ($runs runs match tools/e2e_digests.txt)"
