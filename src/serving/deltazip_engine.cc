@@ -88,21 +88,14 @@ class DeltaZipPolicy : public ServePolicy {
   // deltas, SGMV for LoRA), summed as: overhead + swaps, prefill, decode.
   double IterationCost(const ServeLoop& loop, long long prefill_tokens,
                        double iter_s) override {
-    int decode_batch = 0;
-    double ctx_sum = 0.0;
-    reqs_per_variant_.assign(static_cast<size_t>(loop.n_models()), 0);
-    for (const RunningReq& r : loop.running()) {
-      if (r.prefilled) {
-        ++decode_batch;
-        ctx_sum += r.state.req.prompt_tokens + r.state.decoded;
-        ++reqs_per_variant_[static_cast<size_t>(r.state.req.model_id)];
-      }
-    }
     iter_s += exec_.PrefillTime(prefill_tokens) + ArtifactPrefillS(prefill_tokens);
-    if (decode_batch > 0) {
-      iter_s += exec_.DecodeIterTime(decode_batch, ctx_sum / decode_batch);
-      iter_s += lora() ? exec_.LoraDecodeIterTime(reqs_per_variant_, config_.lora_rank)
-                       : exec_.DeltaDecodeIterTime(reqs_per_variant_);
+    const BatchLedger& batch = loop.batch();
+    if (batch.total > 0) {
+      const int active = static_cast<int>(batch.ids.size());
+      iter_s += exec_.DecodeIterTime(batch.total,
+                                     static_cast<double>(batch.ctx_total) / batch.total);
+      iter_s += lora() ? exec_.LoraDecodeIterTime(batch.total, active, config_.lora_rank)
+                       : exec_.DeltaDecodeIterTime(batch.total, active);
     }
     return iter_s;
   }
@@ -134,7 +127,6 @@ class DeltaZipPolicy : public ServePolicy {
 
   const EngineConfig& config_;
   const ExecModel& exec_;
-  std::vector<int> reqs_per_variant_;  // iteration-cost scratch, reused every round
   // Admission scratch, reused every round: variant → request id of its running
   // parent (kNoParent between rounds), and the variants no load may evict.
   std::vector<int> parent_of_variant_;

@@ -13,6 +13,31 @@ namespace {
 constexpr double kInf = std::numeric_limits<double>::infinity();
 }  // namespace
 
+void BatchLedger::Join(int variant, long long tokens) {
+  if (count[static_cast<size_t>(variant)]++ == 0) {
+    ids.insert(std::lower_bound(ids.begin(), ids.end(), variant), variant);
+  }
+  ctx[static_cast<size_t>(variant)] += tokens;
+  ++total;
+  ctx_total += tokens;
+}
+
+void BatchLedger::Leave(int variant, long long tokens) {
+  if (--count[static_cast<size_t>(variant)] == 0) {
+    ids.erase(std::lower_bound(ids.begin(), ids.end(), variant));
+  }
+  ctx[static_cast<size_t>(variant)] -= tokens;
+  --total;
+  ctx_total -= tokens;
+}
+
+void BatchLedger::Advance() {
+  for (int variant : ids) {
+    ctx[static_cast<size_t>(variant)] += count[static_cast<size_t>(variant)];
+  }
+  ctx_total += total;
+}
+
 std::unique_ptr<ServeLoop> ServingEngine::Start(int n_models, int n_tenants) const {
   return std::make_unique<ServeLoop>(config_, name_, make_policy_, n_models, n_tenants);
 }
@@ -37,6 +62,7 @@ ServeLoop::ServeLoop(const EngineConfig& config, const char* engine_name,
       observer_(config.tracing),
       store_(policy_->StoreConfig(), n_models, &observer_),
       fair_queue_(config.scheduler),
+      batch_(n_models),
       now_(config.start_s),
       next_snapshot_s_(config.start_s + config.metrics.interval_s) {
   DZ_CHECK_GE(store_.GpuCapacity(), 1);
@@ -142,6 +168,10 @@ ServeLoop::QueueIt ServeLoop::Dispatch(QueueIt it, double now) {
   r.prefilled = r.state.decoded > 0;  // resumed requests keep their progress
   r.needs_kv_restore = r.state.decoded > 0;
   kv_in_use_ += KvTokens(r.state);
+  if (r.prefilled) {
+    batch_.Join(r.state.req.model_id, ContextTokens(r.state));
+    ++kv_restores_;
+  }
   running_.push_back(std::move(r));
   return queue_.erase(it);
 }
@@ -168,10 +198,16 @@ ServeLoop::RunIt ServeLoop::Preempt(RunIt it, double now, bool swap_out) {
   PendingReq back = it->state;
   ++back.preemptions;
   kv_in_use_ -= KvTokens(back);
+  if (it->prefilled) {
+    batch_.Leave(back.req.model_id, ContextTokens(back));
+  }
+  if (it->needs_kv_restore) {
+    --kv_restores_;
+  }
   observer_.On(RequestEvent(TraceEventType::kKvPreempt, now, back.req));
   back.min_service_s = -1.0;  // re-estimate from the banked progress
   if (swap_out) {
-    const double swap_s = exec_.KvSwapTime(back.req.prompt_tokens + back.decoded);
+    const double swap_s = exec_.KvSwapTime(ContextTokens(back));
     pending_swap_s_ += swap_s;
     observer_.On(RequestEvent(TraceEventType::kKvSwap, now, back.req, swap_s, /*aux=*/0));
   }
@@ -182,18 +218,25 @@ ServeLoop::RunIt ServeLoop::Preempt(RunIt it, double now, bool swap_out) {
 
 double ServeLoop::Iterate(double now) {
   long long prefill_tokens = 0;
-  for (RunningReq& r : running_) {
-    if (!r.prefilled &&
-        prefill_tokens + r.state.req.prompt_tokens <= config_.max_prefill_tokens) {
-      prefill_tokens += r.state.req.prompt_tokens;
-      r.prefilling = true;
-    }
-    if (r.needs_kv_restore) {
-      const double swap_s = exec_.KvSwapTime(r.state.req.prompt_tokens + r.state.decoded);
-      pending_swap_s_ += swap_s;
-      observer_.On(
-          RequestEvent(TraceEventType::kKvSwap, now, r.state.req, swap_s, /*aux=*/1));
-      r.needs_kv_restore = false;
+  // Only a request awaiting its prefill or a KV restore needs the scan.
+  if (batch_.total < static_cast<int>(running_.size()) || kv_restores_ > 0) {
+    for (RunningReq& r : running_) {
+      // Prompts fill the budget in batch order; one larger than the whole
+      // budget prefills alone, as its round's first.
+      const long long prompt = r.state.req.prompt_tokens;
+      if (!r.prefilled &&
+          (prefill_tokens == 0 || prefill_tokens + prompt <= config_.max_prefill_tokens)) {
+        prefill_tokens += prompt;
+        r.prefilling = true;
+      }
+      if (r.needs_kv_restore) {
+        const double swap_s = exec_.KvSwapTime(ContextTokens(r.state));
+        pending_swap_s_ += swap_s;
+        observer_.On(
+            RequestEvent(TraceEventType::kKvSwap, now, r.state.req, swap_s, /*aux=*/1));
+        r.needs_kv_restore = false;
+        --kv_restores_;
+      }
     }
   }
   double iter = policy_->IterationCost(*this, prefill_tokens,
@@ -208,11 +251,13 @@ double ServeLoop::Iterate(double now) {
 }
 
 void ServeLoop::Decode() {
+  batch_.Advance();
   for (RunningReq& r : running_) {
     if (r.prefilling) {
       r.prefilling = false;
       r.prefilled = true;
       r.state.decoded = 1;  // prefill emits the first output token
+      batch_.Join(r.state.req.model_id, ContextTokens(r.state));
       if (!r.state.has_first_token) {
         r.state.has_first_token = true;
         r.state.first_token_s = now_;
@@ -306,6 +351,7 @@ void ServeLoop::RunUntil(double t) {
           for (RunningReq& r : running_) {
             if (r.prefilled && r.state.decoded >= r.state.req.output_tokens) {
               kv_in_use_ -= KvTokens(r.state);
+              batch_.Leave(r.state.req.model_id, ContextTokens(r.state));
               Complete(r.state, now_);
               if (!r.is_skipper) {
                 finished_parents_.push_back(r.state.req.id);

@@ -27,6 +27,11 @@
 //   * the store changed (ArtifactStore::version: an outage or a registry
 //     change between calls; the latter also re-queues parked requests).
 // A SetSpeed needs no bound: each quiet round prices its iteration afresh.
+//
+// Pricing a round reads the batch ledger (BatchLedger), not the running batch:
+// the loop keeps it wherever running_ changes, as it keeps KvTokensInUse, so a
+// decode-only round costs O(variants in the batch). Iterate scans the running
+// requests only while one waits for its prefill or a KV restore.
 #ifndef SRC_SERVING_SERVE_LOOP_H_
 #define SRC_SERVING_SERVE_LOOP_H_
 
@@ -69,6 +74,35 @@ struct RunningReq {
   bool needs_kv_restore = false;
   bool is_skipper = false;  // admitted behind a running request of its variant
   int parent_id = -1;       // request id of the skipper's parent (for preemption)
+};
+
+// Context tokens a running request streams per iteration: prompt + decoded.
+inline long long ContextTokens(const PendingReq& p) {
+  return static_cast<long long>(p.req.prompt_tokens) + p.decoded;
+}
+
+// The decoding requests of the running batch (those past prefill), by variant:
+// what the policies price a round from. The loop updates it wherever running_
+// changes: a landing prefill joins with prompt + 1 tokens, a resumed dispatch
+// with prompt + decoded, each decoded round adds a token per member, and
+// completion and preemption leave. The token sums are integers, so they equal
+// bit for bit the double sums a scan of the batch would add up (exact below
+// 2^53).
+struct BatchLedger {
+  explicit BatchLedger(int n_variants)
+      : count(static_cast<size_t>(n_variants), 0),
+        ctx(static_cast<size_t>(n_variants), 0) {}
+
+  std::vector<int> count;      // per variant: its decoding requests
+  std::vector<long long> ctx;  // per variant: their context tokens
+  int total = 0;               // decoding requests
+  long long ctx_total = 0;     // their context tokens
+  std::vector<int> ids;        // the variants with a decoding request, ascending
+
+  void Join(int variant, long long tokens);
+  void Leave(int variant, long long tokens);
+  // Every member decoded one more token.
+  void Advance();
 };
 
 // What one admission pass hands back to the loop. The loop owns one and resets
@@ -134,7 +168,8 @@ class ServePolicy {
   virtual void Admit(ServeLoop& loop, double now, Admission& admission) = 0;
   // Iteration cost: adds the iteration's compute to `iter_s` (overhead plus
   // pending KV swaps) in the engine's own summation order. The requests
-  // marked `prefilling` hold `prefill_tokens` prompt tokens between them.
+  // marked `prefilling` hold `prefill_tokens` prompt tokens between them; the
+  // decoding ones are ServeLoop::batch().
   virtual double IterationCost(const ServeLoop& loop, long long prefill_tokens,
                                double iter_s) = 0;
   // Post-iteration preemption, given the ids of finished non-skippers.
@@ -188,6 +223,8 @@ class ServeLoop {
   const std::vector<RunningReq>& running() const { return running_; }
   // KV tokens the running batch reserves (prompt + full output per request).
   long long KvTokensInUse() const { return kv_in_use_; }
+  // The running batch's decoding requests, by variant.
+  const BatchLedger& batch() const { return batch_; }
   // Admits *it (Touch, dispatch event, DWFQ OnAdmit) to the back of the
   // running batch; returns the next queue position.
   QueueIt Dispatch(QueueIt it, double now);
@@ -247,6 +284,8 @@ class ServeLoop {
   std::vector<PendingReq> requeue_scratch_;
   std::vector<RunningReq> running_;
   long long kv_in_use_ = 0;  // KvTokensInUse(), kept as running_ changes
+  BatchLedger batch_;        // batch(), kept as running_ changes
+  int kv_restores_ = 0;      // running requests with needs_kv_restore set
   std::vector<PendingReq> parked_;
   std::vector<int> finished_parents_;
   Admission admission_;

@@ -7,6 +7,7 @@
 // loop around it lives in serve_loop.cc.
 #include <algorithm>
 #include <limits>
+#include <utility>
 
 #include "src/serving/serve_loop.h"
 #include "src/util/check.h"
@@ -52,50 +53,38 @@ class VllmScbPolicy : public ServePolicy {
 
   // One full-precision pass per resident model, in model-id order: per-model
   // prefill terms, then per-model decode terms.
-  double IterationCost(const ServeLoop& loop, long long /*prefill_tokens*/,
+  double IterationCost(const ServeLoop& loop, long long prefill_tokens,
                        double iter_s) override {
-    per_model_.clear();  // sorted by model id; a handful of resident models
-    for (const RunningReq& r : loop.running()) {
-      const int model = r.state.req.model_id;
-      auto m = std::lower_bound(per_model_.begin(), per_model_.end(), model,
-                                [](const ModelPass& p, int id) { return p.model < id; });
-      if (m == per_model_.end() || m->model != model) {
-        m = per_model_.insert(m, ModelPass{model});
+    if (prefill_tokens > 0) {
+      prefills_.clear();
+      for (const RunningReq& r : loop.running()) {
+        if (r.prefilling) {
+          prefills_.emplace_back(r.state.req.model_id, r.state.req.prompt_tokens);
+        }
       }
-      if (r.prefilling) {
-        m->prefilling = true;
-        m->prefill_tokens += r.state.req.prompt_tokens;
-      } else if (r.prefilled) {
-        ++m->decode_batch;
-        m->ctx_sum += r.state.req.prompt_tokens + r.state.decoded;
-      }
-    }
-    for (const ModelPass& m : per_model_) {
-      if (m.prefilling) {
-        iter_s += exec_.PrefillTime(m.prefill_tokens);
+      std::sort(prefills_.begin(), prefills_.end());
+      for (size_t i = 0; i < prefills_.size();) {
+        const int model = prefills_[i].first;
+        long long tokens = 0;
+        for (; i < prefills_.size() && prefills_[i].first == model; ++i) {
+          tokens += prefills_[i].second;
+        }
+        iter_s += exec_.PrefillTime(tokens);
       }
     }
-    for (const ModelPass& m : per_model_) {
-      if (m.decode_batch > 0) {
-        iter_s += exec_.DecodeIterTime(m.decode_batch, m.ctx_sum / m.decode_batch);
-      }
+    const BatchLedger& batch = loop.batch();
+    for (int model : batch.ids) {
+      const int n = batch.count[static_cast<size_t>(model)];
+      iter_s += exec_.DecodeIterTime(
+          n, static_cast<double>(batch.ctx[static_cast<size_t>(model)]) / n);
     }
     return iter_s;
   }
 
  private:
-  // One model's share of an iteration (scratch, reused every round).
-  struct ModelPass {
-    int model = -1;
-    bool prefilling = false;
-    long long prefill_tokens = 0;
-    int decode_batch = 0;
-    double ctx_sum = 0.0;
-  };
-
   const EngineConfig& config_;
   const ExecModel& exec_;
-  std::vector<ModelPass> per_model_;
+  std::vector<std::pair<int, long long>> prefills_;  // (model, prompt) scratch
   long long kv_capacity_tokens_ = 0;
   // Completion of the in-flight *demand* swap (-inf when none): it sits on the
   // worker's critical path, prefetch transfers do not.

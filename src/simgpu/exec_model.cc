@@ -33,6 +33,10 @@ ExecModel::ExecModel(const ExecModelConfig& config)
                (IsSparseFormat(config_.delta_format) ? gpu.sparse_speedup : 1.0);
   sbmm_sites_ = s.n_layers * 7.0 * config_.launch_fusion;
   linear_flops_per_token_ = s.LinearFlopsPerToken();
+  for (int b = 1; b <= kBatchTable; ++b) {
+    decode_gemm_s_[b] = kernels_.GemmTime(b, linear_n_, s.d_model, WeightFormat::kFp16);
+    decode_allreduce_s_[b] = s.n_layers * PerLayerAllReduce(b);
+  }
 }
 
 double ExecModel::PerLayerAllReduce(int batch) const {
@@ -66,27 +70,21 @@ double ExecModel::DecodeIterTime(int batch, double avg_ctx) const {
     return 0.0;
   }
   const ModelShape& s = config_.shape;
+  const bool tabulated = batch <= kBatchTable;
   // Weight-read-bound GEMM over all linear layers (decode is memory-bound, §2.1).
-  double t = kernels_.GemmTime(batch, linear_n_, s.d_model, WeightFormat::kFp16);
+  double t = tabulated ? decode_gemm_s_[batch]
+                       : kernels_.GemmTime(batch, linear_n_, s.d_model, WeightFormat::kFp16);
   // KV-cache reads: every request streams its context's K/V once per iteration.
   const double kv_bytes =
       static_cast<double>(batch) * avg_ctx * kv_bytes_per_token_ / config_.tp;
   t += kv_bytes / (config_.gpu.hbm_gbps * 1e9);
   t += launch_s_;
-  t += s.n_layers * PerLayerAllReduce(batch);
+  t += tabulated ? decode_allreduce_s_[batch] : s.n_layers * PerLayerAllReduce(batch);
   return t;
 }
 
-double ExecModel::DeltaDecodeIterTime(const std::vector<int>& reqs_per_delta) const {
-  int total = 0;
-  int active = 0;
-  for (int m : reqs_per_delta) {
-    total += m;
-    if (m > 0) {
-      ++active;
-    }
-  }
-  if (total == 0) {
+double ExecModel::DeltaDecodeIterTime(int total, int active) const {
+  if (total <= 0) {
     return 0.0;
   }
   const GpuSpec& gpu = config_.gpu;
@@ -112,17 +110,8 @@ double ExecModel::DeltaPrefillTime(long long tokens) const {
   return kernels_.GemmTime(tokens, linear_n_, config_.shape.d_model, config_.delta_format);
 }
 
-double ExecModel::LoraDecodeIterTime(const std::vector<int>& reqs_per_adapter,
-                                     int rank) const {
-  int total = 0;
-  int active = 0;
-  for (int m : reqs_per_adapter) {
-    total += m;
-    if (m > 0) {
-      ++active;
-    }
-  }
-  if (total == 0) {
+double ExecModel::LoraDecodeIterTime(int total, int active, int rank) const {
+  if (total <= 0) {
     return 0.0;
   }
   const ModelShape& s = config_.shape;

@@ -4,7 +4,8 @@
 #ifndef SRC_SIMGPU_EXEC_MODEL_H_
 #define SRC_SIMGPU_EXEC_MODEL_H_
 
-#include <vector>
+#include <array>
+#include <cstddef>
 
 #include "src/simgpu/kernel_model.h"
 #include "src/simgpu/model_shape.h"
@@ -38,15 +39,16 @@ class ExecModel {
 
   // --- delta path (ΔCompress artifacts, SBMM execution, §5.2) ---
 
-  // One decode iteration of the delta computation: reqs_per_delta[i] requests ride
-  // delta i. Uses the SBMM launch model across every linear layer.
-  double DeltaDecodeIterTime(const std::vector<int>& reqs_per_delta) const;
+  // One decode iteration of the delta computation: `total` requests riding
+  // `active` distinct deltas. Uses the SBMM launch model across every linear layer.
+  double DeltaDecodeIterTime(int total, int active) const;
 
   // Delta-path prefill for `tokens` tokens of one variant (sparse low-precision GEMM).
   double DeltaPrefillTime(long long tokens) const;
 
   // --- LoRA path (Punica/S-LoRA-style SGMV, §6.4) ---
-  double LoraDecodeIterTime(const std::vector<int>& reqs_per_adapter, int rank) const;
+  // `total` requests riding `active` distinct adapters of rank `rank`.
+  double LoraDecodeIterTime(int total, int active, int rank) const;
   double LoraPrefillTime(long long tokens, int rank) const;
 
   // --- weights movement ---
@@ -79,6 +81,11 @@ class ExecModel {
   double sbmm_rate_ = 0.0;   // sustained FLOP/s of the delta path's matmuls
   double sbmm_sites_ = 0.0;  // fused SBMM launch sites per iteration
   double linear_flops_per_token_ = 0.0;
+  // DecodeIterTime's batch-only terms for batches 1..kBatchTable, at index
+  // batch: the aggregate GEMM and the n_layers all-reduces.
+  static constexpr int kBatchTable = 64;
+  std::array<double, kBatchTable + 1> decode_gemm_s_{};
+  std::array<double, kBatchTable + 1> decode_allreduce_s_{};
 };
 
 }  // namespace dz

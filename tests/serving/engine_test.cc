@@ -1,7 +1,10 @@
 #include "src/serving/engine.h"
 
+#include <memory>
+
 #include <gtest/gtest.h>
 
+#include "src/serving/serve_loop.h"
 #include "src/util/stats.h"
 
 namespace dz {
@@ -170,6 +173,44 @@ TEST(EngineTest, SaturatingArrivalRateRaisesLatency) {
   const ServeReport r_sat =
       MakeDeltaZipEngine(Default13BConfig())->Serve(GenerateTrace(saturated));
   EXPECT_GT(r_sat.MeanE2e(), r_mod.MeanE2e());
+}
+
+// A prompt larger than the whole per-iteration prefill budget prefills alone,
+// as the first prefill of a round, instead of waiting forever (a run that
+// never finished). The prompts around it still share a round's budget.
+TEST(EngineTest, OversizedPromptPrefillsAloneOnBothEngines) {
+  Trace trace;
+  trace.n_models = 2;
+  const int prompts[] = {500, 3000, 100};
+  for (int id = 0; id < 3; ++id) {
+    TraceRequest r;
+    r.id = id;
+    r.model_id = 0;
+    r.arrival_s = 0.0;
+    r.prompt_tokens = prompts[id];
+    r.output_tokens = 20;
+    trace.requests.push_back(r);
+  }
+  for (auto make : {&MakeDeltaZipEngine, &MakeVllmScbEngine}) {
+    EngineConfig cfg = Default13BConfig();
+    ASSERT_LT(cfg.max_prefill_tokens, 3000);
+    // A bounded run, so a livelock fails here instead of hanging the test.
+    const std::unique_ptr<ServeLoop> loop = make(cfg)->Start(trace.n_models, 1);
+    for (const TraceRequest& req : trace.requests) {
+      loop->Offer(req);
+    }
+    loop->RunUntil(600.0);
+    const ServeReport r = loop->Finish();
+    EXPECT_TRUE(r.unfinished.empty()) << r.engine_name;
+    ASSERT_EQ(r.records.size(), 3u) << r.engine_name;
+    double first_token[3] = {};
+    for (const RequestRecord& rec : r.records) {
+      first_token[rec.id] = rec.first_token_s;
+    }
+    // 500 + 100 fit one round; 3000 takes the next one alone.
+    EXPECT_EQ(first_token[0], first_token[2]) << r.engine_name;
+    EXPECT_GT(first_token[1], first_token[0]) << r.engine_name;
+  }
 }
 
 }  // namespace

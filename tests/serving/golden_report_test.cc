@@ -4,9 +4,11 @@
 // below were captured from the engines as of PR 2 (commit a78d406) on the fixed
 // scenarios here; any scheduling, artifact-store, or merge change that shifts a
 // single double breaks this test.
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -706,6 +708,115 @@ TEST(GoldenReportTest, ElasticErasureCrashAutoscaleStaysGolden) {
   EXPECT_EQ(r.merged.metrics.Value("registry.reads.remote"), 183.0);
   EXPECT_EQ(r.merged.metrics.Value("registry.reads.degraded"), 40.0);
   EXPECT_EQ(r.TotalPrefetchIssued(), 27);
+}
+
+// ---- pricing paths the goldens above leave uncovered ----------------------
+// A LoRA batch, and batches in which prompts wait unprefilled behind a tight
+// prefill budget (with preempted requests resuming and restoring KV). The
+// pins were recorded before rounds were priced from the loop's batch ledger,
+// when every iteration cost came from a scan of the running batch.
+
+// FNV-1a over every record's id, times and preemptions.
+uint64_t HashRecords(const std::vector<RequestRecord>& records) {
+  uint64_t h = 1469598103934665603ull;
+  for (const RequestRecord& r : records) {
+    const double fields[] = {static_cast<double>(r.id), r.arrival_s, r.sched_attempt_s,
+                             r.start_s, r.first_token_s, r.finish_s,
+                             static_cast<double>(r.preemptions)};
+    unsigned char b[sizeof fields];
+    std::memcpy(b, fields, sizeof fields);
+    for (unsigned char c : b) {
+      h = (h ^ c) * 1099511628211ull;
+    }
+  }
+  return h;
+}
+
+// Requests whose prefill waited: a round started after their dispatch and
+// before their first token.
+int WaitedForPrefill(const ServeReport& r) {
+  std::vector<double> rounds;
+  for (const TraceEvent& e : r.trace_events) {
+    if (e.type == TraceEventType::kBatchRound) {
+      rounds.push_back(e.ts_s);
+    }
+  }
+  int waited = 0;
+  for (const RequestRecord& rec : r.records) {
+    const auto first = std::upper_bound(rounds.begin(), rounds.end(), rec.start_s);
+    if (first != rounds.end() && *first < rec.first_token_s) {
+      ++waited;
+    }
+  }
+  return waited;
+}
+
+struct PricingPin {
+  size_t records;
+  uint64_t records_hash;
+  double rounds;
+  uint64_t events_hash;
+};
+
+void ExpectPricingPin(const ServeReport& r, const PricingPin& want) {
+  ASSERT_EQ(r.records.size(), want.records);
+  EXPECT_TRUE(r.unfinished.empty());
+  EXPECT_EQ(HashRecords(r.records), want.records_hash);
+  EXPECT_EQ(r.metrics.Value("engine.rounds"), want.rounds);
+  EXPECT_EQ(HashEvents(r.trace_events), want.events_hash);
+}
+
+TEST(GoldenReportTest, DeltaZipLoraZipfStaysGolden) {
+  TraceConfig tc = GoldenTraceConfig();
+  tc.n_models = 24;
+  tc.dist = PopularityDist::kZipf;
+  tc.zipf_alpha = 0.9;
+  tc.arrival_rate = 8.0;
+  tc.duration_s = 60.0;
+  tc.seed = 1616;
+  const Trace trace = GenerateTrace(tc);
+  EngineConfig cfg = GoldenEngineConfig();
+  cfg.artifact = ArtifactKind::kLoraAdapter;
+  cfg.lora_rank = 16;
+  cfg.tracing.enabled = true;
+  const ServeReport r = MakeDeltaZipEngine(cfg)->Serve(trace);
+  EXPECT_EQ(r.engine_name, "deltazip-lora");
+  ExpectPricingPin(r, {446u, 17070358852269689647ull, 7863, 0x7df21579543867e2ull});
+}
+
+TEST(GoldenReportTest, DeltaZipTightPrefillBudgetWithPreemptionStaysGolden) {
+  TraceConfig tc = MultiTenantGoldenTrace(TenantScenario::kFlashCrowd);
+  tc.n_models = 16;
+  tc.arrival_rate = 12.0;
+  tc.duration_s = 60.0;
+  tc.prompt_mean_tokens = 300.0;
+  tc.prompt_max_tokens = 512;  // every prompt fits the budget
+  tc.tenants.flash_boost = 10.0;
+  tc.seed = 1717;
+  const Trace trace = GenerateTrace(tc);
+  EngineConfig cfg = GoldenEngineConfig();
+  cfg.max_prefill_tokens = 512;
+  cfg.scheduler.policy = SchedPolicy::kPriority;
+  cfg.scheduler.class_preemption = true;  // parent-finish preemption is on by default
+  cfg.tracing.enabled = true;
+  const ServeReport r = MakeDeltaZipEngine(cfg)->Serve(trace);
+  EXPECT_GT(WaitedForPrefill(r), 0);
+  EXPECT_GT(r.metrics.Value("engine.preemptions"), 0.0);
+  ExpectPricingPin(r, {1015u, 6485895888481155258ull, 3588, 0x6f7062a642f1c91aull});
+}
+
+TEST(GoldenReportTest, VllmScbTightPrefillBudgetStaysGolden) {
+  TraceConfig tc = GoldenTraceConfig();
+  tc.prompt_mean_tokens = 250.0;
+  tc.prompt_max_tokens = 384;  // every prompt fits the budget
+  const Trace trace = GenerateTrace(tc);
+  EngineConfig cfg = GoldenEngineConfig();
+  cfg.artifact = ArtifactKind::kFullModel;
+  cfg.max_prefill_tokens = 384;
+  cfg.tracing.enabled = true;
+  const ServeReport r = MakeVllmScbEngine(cfg)->Serve(trace);
+  EXPECT_GT(WaitedForPrefill(r), 0);
+  ExpectPricingPin(r, {89u, 1602125413277074849ull, 365, 0xe7704227ca47587bull});
 }
 
 }  // namespace

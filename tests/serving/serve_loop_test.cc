@@ -9,7 +9,9 @@
 // as they were before the loop was shared: only a preempting policy registers
 // `engine.preemptions`. Runs with an arrival, a load, a prefetch, a shed or
 // cuts inside a long decode-only stretch are pinned to values recorded when
-// every round ran in full (no quiet rounds).
+// every round ran in full (no quiet rounds). The batch ledger that rounds are
+// priced from equals a recount of the running batch after every step of runs
+// cut finer than one iteration.
 #include "src/serving/serve_loop.h"
 
 #include <algorithm>
@@ -497,6 +499,173 @@ TEST_P(QuietStretchTest, CutsWithSpeedAndRegistryChanges) {
                           {17265510362788622873ull, 8002, 16159657673059253798ull}};
   ExpectPinned(r, pins, GetParam());
 }
+
+// ---- the batch ledger --------------------------------------------------------
+// Rounds are priced from ServeLoop::batch(), which the loop keeps as running_
+// changes. After every RunUntil call of a run stepped in increments shorter
+// than one iteration, the ledger must equal a recount of the running batch,
+// and the stepped run must equal the unstepped one bit for bit. The runs mix
+// parent-finish and class preemption (with KV restores), a prefill budget
+// that prompts queue behind and some prompts exceed, and requests parked on a
+// dead registry holder until it comes back.
+
+// Empty when loop.batch() equals a recount of loop.running(), else the first
+// difference.
+std::string LedgerMismatch(const ServeLoop& loop) {
+  const size_t n = static_cast<size_t>(loop.n_models());
+  std::vector<int> count(n, 0);
+  std::vector<long long> ctx(n, 0);
+  int total = 0;
+  long long ctx_total = 0;
+  for (const RunningReq& r : loop.running()) {
+    if (r.prefilled) {
+      const size_t v = static_cast<size_t>(r.state.req.model_id);
+      const long long tokens = r.state.req.prompt_tokens + r.state.decoded;
+      ++count[v];
+      ctx[v] += tokens;
+      ++total;
+      ctx_total += tokens;
+    }
+  }
+  std::vector<int> ids;
+  for (size_t v = 0; v < n; ++v) {
+    if (count[v] > 0) {
+      ids.push_back(static_cast<int>(v));
+    }
+  }
+  const BatchLedger& b = loop.batch();
+  if (b.total != total) {
+    return "total " + std::to_string(b.total) + " != " + std::to_string(total);
+  }
+  if (b.ctx_total != ctx_total) {
+    return "ctx_total " + std::to_string(b.ctx_total) + " != " + std::to_string(ctx_total);
+  }
+  if (b.count != count) {
+    return "per-variant counts differ";
+  }
+  if (b.ctx != ctx) {
+    return "per-variant context tokens differ";
+  }
+  if (b.ids != ids) {
+    return "variant ids differ";
+  }
+  return "";
+}
+
+class BatchLedgerTest : public ServeLoopTest {};
+
+TEST_P(BatchLedgerTest, BatchLedgerMatchesRecount) {
+  const EngineCase& engine_case = GetParam();
+  for (uint64_t seed = 1; seed <= 3; ++seed) {
+    TraceConfig tc;
+    tc.n_models = 12;
+    tc.arrival_rate = engine_case.arrival_rate;
+    tc.duration_s = 20.0;
+    tc.dist = PopularityDist::kZipf;
+    tc.zipf_alpha = 1.0;
+    tc.prompt_mean_tokens = 300.0;
+    tc.prompt_max_tokens = 1200;  // above the budget: prefills alone
+    tc.output_mean_tokens = 60.0;
+    tc.output_max_tokens = 200;
+    tc.seed = 4000 + seed;
+    tc.tenants.n_tenants = 3;
+    tc.tenants.interactive_frac = 0.3;
+    tc.tenants.batch_frac = 0.4;
+    const Trace trace = GenerateTrace(tc);
+    EngineConfig cfg;
+    cfg.exec.shape = ModelShape::Llama13B();
+    cfg.exec.gpu = GpuSpec::A800();
+    cfg.exec.tp = 4;
+    cfg.artifact = engine_case.artifact;
+    cfg.max_prefill_tokens = 512;
+    cfg.scheduler.policy = SchedPolicy::kPriority;
+    cfg.scheduler.class_preemption = true;
+    cfg.tracing.enabled = true;
+    ASSERT_TRUE(std::any_of(trace.requests.begin(), trace.requests.end(),
+                            [&cfg](const TraceRequest& r) {
+                              return r.prompt_tokens > cfg.max_prefill_tokens;
+                            }));
+
+    // Without a registry the stepped run must equal Serve(trace); with one,
+    // the node holding some artifacts is down until `recover_t`, where the
+    // reference run pauses for the same registry change.
+    for (const bool registry_outage : {false, true}) {
+      RegistryConfig rc;
+      rc.enabled = true;  // one full copy per artifact on its primary node
+      ArtifactRegistry registry(rc, trace.n_models, /*n_nodes=*/2);
+      const double recover_t = 6.0;
+      if (registry_outage) {
+        cfg.registry = &registry;
+        cfg.registry_node = 2;  // a live node that holds nothing
+      }
+      const std::unique_ptr<ServingEngine> engine = engine_case.make(cfg);
+      const auto run = [&](const std::vector<double>& cuts) {
+        registry.SetNodeLive(1, false);
+        const std::unique_ptr<ServeLoop> loop =
+            engine->Start(trace.n_models, trace.n_tenants);
+        size_t offered = 0;
+        bool recovered = false;
+        for (double cut : cuts) {
+          while (offered < trace.requests.size() && trace.requests[offered].arrival_s < cut) {
+            loop->Offer(trace.requests[offered++]);
+          }
+          loop->RunUntil(cut);
+          const std::string mismatch = LedgerMismatch(*loop);
+          if (!mismatch.empty()) {
+            ADD_FAILURE() << "seed " << seed << " t=" << cut << ": " << mismatch;
+            break;  // the first difference says enough
+          }
+          if (registry_outage && !recovered && cut >= recover_t) {
+            registry.SetNodeLive(1, true);
+            loop->OnRegistryChange(cut);
+            recovered = true;
+          }
+        }
+        while (offered < trace.requests.size()) {
+          loop->Offer(trace.requests[offered++]);
+        }
+        loop->RunUntil(kInf);
+        EXPECT_EQ(LedgerMismatch(*loop), "") << "seed " << seed << " end";
+        return loop->Finish();
+      };
+      // Cuts up to `horizon`, spaced closer than any iteration is long.
+      Rng rng(seed);
+      std::vector<double> cuts = {0.0};
+      const auto extend_cuts = [&](double horizon) {
+        while (cuts.back() < horizon) {
+          cuts.push_back(cuts.back() + rng.Uniform(0.0005, 0.004));
+        }
+      };
+      extend_cuts(recover_t);
+      const ServeReport want = registry_outage ? run({cuts.back()}) : engine->Serve(trace);
+      if (registry_outage) {
+        EXPECT_GT(want.metrics.Value("registry.unavailable"), 0.0) << "nothing parked";
+      } else if (engine_case.preempts) {
+        EXPECT_GT(want.metrics.Value("engine.preemptions"), 0.0);
+      }
+      if (::testing::Test::HasFailure()) {
+        return;
+      }
+      extend_cuts(want.makespan_s);
+      ExpectSameRun(run(cuts), want,
+                    "seed " + std::to_string(seed) +
+                        (registry_outage ? " registry outage" : " no registry"));
+      if (::testing::Test::HasFailure()) {
+        return;  // one failing run says enough
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Engines, BatchLedgerTest,
+    ::testing::Values(EngineCase{"deltazip", &MakeDeltaZipEngine,
+                                 ArtifactKind::kCompressedDelta, 20.0, true},
+                      EngineCase{"deltazip_lora", &MakeDeltaZipEngine,
+                                 ArtifactKind::kLoraAdapter, 20.0, true},
+                      EngineCase{"vllm_scb", &MakeVllmScbEngine, ArtifactKind::kFullModel,
+                                 1.0, false}),
+    [](const ::testing::TestParamInfo<EngineCase>& info) { return info.param.name; });
 
 INSTANTIATE_TEST_SUITE_P(
     Engines, QuietStretchTest,

@@ -30,14 +30,14 @@ TEST(ExecModelTest, DeltaIterMuchCheaperThanFullModelIter) {
   // The core serving win: a delta pass reads ~8x fewer weight bytes.
   const ExecModel em = Make13B();
   const double base_iter = em.DecodeIterTime(8, 256);
-  const double delta_iter = em.DeltaDecodeIterTime({8});
+  const double delta_iter = em.DeltaDecodeIterTime(8, 1);
   EXPECT_LT(delta_iter, base_iter);
 }
 
 TEST(ExecModelTest, DeltaIterGrowsWithActiveDeltas) {
   const ExecModel em = Make13B();
-  const double one = em.DeltaDecodeIterTime({8, 0, 0, 0});
-  const double four = em.DeltaDecodeIterTime({2, 2, 2, 2});
+  const double one = em.DeltaDecodeIterTime(8, 1);
+  const double four = em.DeltaDecodeIterTime(8, 4);
   EXPECT_GT(four, one);  // same total requests, more weight streams + launches
 }
 
@@ -78,8 +78,8 @@ TEST(ExecModelTest, SlowInterconnectHurtsTensorParallelism) {
 
 TEST(ExecModelTest, LoraCheaperThanDelta) {
   const ExecModel em = Make13B();
-  const double lora = em.LoraDecodeIterTime({8}, 16);
-  const double delta = em.DeltaDecodeIterTime({8});
+  const double lora = em.LoraDecodeIterTime(8, 1, 16);
+  const double delta = em.DeltaDecodeIterTime(8, 1);
   EXPECT_LT(lora, delta);
   EXPECT_LT(em.LoraBytesPerGpu(16), em.DeltaBytesPerGpu());
 }
@@ -120,7 +120,7 @@ TEST(ExecModelTest, DecoupledPathCostsMoreThanDedicatedModel) {
   cfg.tp = 1;
   const ExecModel em(cfg);
   const double dedicated = em.DecodeIterTime(4, 256);
-  const double decoupled = em.DecodeIterTime(4, 256) + em.DeltaDecodeIterTime({4});
+  const double decoupled = em.DecodeIterTime(4, 256) + em.DeltaDecodeIterTime(4, 1);
   EXPECT_GT(decoupled, dedicated);
 }
 
@@ -155,15 +155,16 @@ std::vector<double> CostOutputs(const ExecModel& em) {
   for (const auto& [batch, ctx] : decode) {
     out.push_back(em.DecodeIterTime(batch, ctx));
   }
-  const std::vector<int> spreads[] = {{8}, {2, 2, 2, 2}, {1, 0, 5, 0, 0, 3}, {0, 0}};
-  for (const std::vector<int>& reqs : spreads) {
-    out.push_back(em.DeltaDecodeIterTime(reqs));
+  // (total requests, active deltas) of the spreads {8}, {2,2,2,2}, {1,0,5,0,0,3}, {0,0}.
+  const std::pair<int, int> spreads[] = {{8, 1}, {8, 4}, {9, 3}, {0, 0}};
+  for (const auto& [total, active] : spreads) {
+    out.push_back(em.DeltaDecodeIterTime(total, active));
   }
   for (long long tokens : {1LL, 512LL, 3000LL}) {
     out.push_back(em.DeltaPrefillTime(tokens));
   }
-  out.push_back(em.LoraDecodeIterTime({8}, 16));
-  out.push_back(em.LoraDecodeIterTime({2, 2, 2, 2}, 64));
+  out.push_back(em.LoraDecodeIterTime(8, 1, 16));
+  out.push_back(em.LoraDecodeIterTime(8, 4, 64));
   for (long long ctx : {1LL, 2048LL, 70000LL}) {
     out.push_back(em.KvSwapTime(ctx));
   }
@@ -241,6 +242,32 @@ TEST(ExecModelTest, CostOutputsStayGolden) {
     for (size_t i = 0; i < got.size(); ++i) {
       EXPECT_EQ(got[i], g.outputs[i]) << g.shape << " tp" << g.tp << " output " << i;
     }
+  }
+}
+
+// DecodeIterTime on both sides of the largest tabulated batch (64): the table
+// and the direct computation above it must give the same bits.
+TEST(ExecModelTest, DecodeIterTimeAtTheBatchTableEdgeStaysGolden) {
+  struct EdgeGolden {
+    const char* shape;
+    int tp;
+    double at63, at64, at65;
+  };
+  const EdgeGolden goldens[] = {
+      {"Llama13B", 1, 0.033657587052476706, 0.033986356841589016, 0.034315126630701326},
+      {"Llama13B", 4, 0.0098167060559097609, 0.0099050462697400695, 0.0099933864835703781},
+      {"Llama70B", 2, 0.041047132173810695, 0.041129612235017161, 0.041212092296223642},
+  };
+  for (const EdgeGolden& g : goldens) {
+    ExecModelConfig cfg;
+    cfg.shape = std::string(g.shape) == "Llama13B" ? ModelShape::Llama13B()
+                                                   : ModelShape::Llama70B();
+    cfg.gpu = GpuSpec::A800();
+    cfg.tp = g.tp;
+    const ExecModel em(cfg);
+    EXPECT_EQ(em.DecodeIterTime(63, 812.25), g.at63) << g.shape << " tp" << g.tp;
+    EXPECT_EQ(em.DecodeIterTime(64, 812.25), g.at64) << g.shape << " tp" << g.tp;
+    EXPECT_EQ(em.DecodeIterTime(65, 812.25), g.at65) << g.shape << " tp" << g.tp;
   }
 }
 

@@ -3,8 +3,9 @@
 # job): malformed --metrics-interval / --trace-out values must fail fast with a
 # usage error instead of silently running a misconfigured simulation, and a
 # good --trace-out run must produce a Chrome trace JSON that passes
-# tools/check_trace.sh. Given a bench_soak binary too, it checks that bad
-# window counts exit 2 with a message instead of running.
+# tools/check_trace.sh. A trace with a prompt over the prefill budget must
+# still finish on both engines. Given a bench_soak binary too, it checks that
+# bad window counts exit 2 with a message instead of running.
 # Usage: tools/check_cli.sh path/to/dzip_cli [repo-root] [path/to/bench_soak]
 set -u
 
@@ -75,6 +76,24 @@ elif ! grep -q "kernel backend: scalar" "$tmp/out"; then
 else
   echo "ok: forced-scalar simulate run"
 fi
+
+# A prompt larger than the per-iteration prefill budget (2048 tokens by
+# default) prefills alone instead of waiting forever: both engines finish.
+sed '2s/"prompt":[0-9]*/"prompt":3000/' "$tmp/t.jsonl" >"$tmp/big.jsonl"
+if ! grep -q '"prompt":3000' "$tmp/big.jsonl"; then
+  echo "FAIL: could not write the oversized-prompt trace"
+  fail=1
+fi
+for engine in deltazip vllm-scb; do
+  timeout 30 "$cli" simulate --trace "$tmp/big.jsonl" --engine "$engine" >"$tmp/out" 2>&1
+  code=$?
+  if [ "$code" -ne 0 ]; then
+    echo "FAIL: $engine simulate with an oversized prompt exited $code (124: timed out)"
+    fail=1
+  else
+    echo "ok: $engine simulate with an oversized prompt"
+  fi
+done
 
 # Artifact-registry flags: malformed redundancy / net settings fail fast too.
 expect_reject "zero replication factor" "replication" \
