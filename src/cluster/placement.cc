@@ -179,7 +179,8 @@ int Placer::AssignAffinity(size_t idx, double cost) {
 
 int Placer::Assign(const TraceRequest& req) {
   DrainBacklogs(req.arrival_s);
-  const double cost = static_cast<double>(req.prompt_tokens + req.output_tokens);
+  const double cost =
+      static_cast<double>(static_cast<long long>(req.prompt_tokens) + req.output_tokens);
   int gpu = 0;
   switch (config_.policy) {
     case PlacementPolicy::kRoundRobin:

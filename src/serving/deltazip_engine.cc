@@ -76,6 +76,7 @@ class DeltaZipPolicy : public ServePolicy {
   }
 
   bool CanPreempt() const override { return true; }
+  long long KvCapacityTokens() const override { return kv_capacity_tokens_; }
 
   double ArtifactPrefillS(long long tokens) const override {
     return lora() ? exec_.LoraPrefillTime(tokens, config_.lora_rank)
@@ -85,19 +86,23 @@ class DeltaZipPolicy : public ServePolicy {
   void Admit(ServeLoop& loop, double now, Admission& admission) override;
 
   // Base-model GEMMs shared by the whole batch plus the variant path (SBMM for
-  // deltas, SGMV for LoRA), summed as: overhead + swaps, prefill, decode.
-  double IterationCost(const ServeLoop& loop, long long prefill_tokens,
-                       double iter_s) override {
+  // deltas, SGMV for LoRA), summed as: overhead + swaps, prefill, decode,
+  // variant path. Only the decode term changes from round to round.
+  void IterationCosts(const ServeLoop& loop, long long prefill_tokens, double iter_s,
+                      int rounds, double* out) override {
     iter_s += exec_.PrefillTime(prefill_tokens) + ArtifactPrefillS(prefill_tokens);
+    std::fill_n(out, rounds, iter_s);
     const BatchLedger& batch = loop.batch();
     if (batch.total > 0) {
       const int active = static_cast<int>(batch.ids.size());
-      iter_s += exec_.DecodeIterTime(batch.total,
-                                     static_cast<double>(batch.ctx_total) / batch.total);
-      iter_s += lora() ? exec_.LoraDecodeIterTime(batch.total, active, config_.lora_rank)
-                       : exec_.DeltaDecodeIterTime(batch.total, active);
+      exec_.AddDecodeIterTimes(batch.total, batch.ctx_total, rounds, out);
+      const double variant_s =
+          lora() ? exec_.LoraDecodeIterTime(batch.total, active, config_.lora_rank)
+                 : exec_.DeltaDecodeIterTime(batch.total, active);
+      for (int j = 0; j < rounds; ++j) {
+        out[j] += variant_s;
+      }
     }
-    return iter_s;
   }
 
   // Starvation control: preempt skippers whose parent finished (§5.4).

@@ -79,7 +79,8 @@ class FairQueue {
     const double weight =
         std::max(config_.class_weight[static_cast<int>(req.slo)], 1e-9);
     const double cost =
-        static_cast<double>(req.prompt_tokens + req.output_tokens) / weight;
+        static_cast<double>(static_cast<long long>(req.prompt_tokens) + req.output_tokens) /
+        weight;
     double& tenant_vtime = tenant_vtime_[req.tenant_id];
     const double tag = std::max(tenant_vtime, global_vtime_) + cost;
     tenant_vtime = tag;
@@ -96,12 +97,12 @@ class FairQueue {
   // tenant's surviving traffic — the opposite of fair queueing. (Going below
   // the global virtual time is harmless: TagFor floors the next start at
   // global_vtime_, so no credit can be banked.)
-  void OnShed(const TraceRequest& req, int unserved_tokens) {
+  void OnShed(const TraceRequest& req, long long unserved_tokens) {
     const double weight =
         std::max(config_.class_weight[static_cast<int>(req.slo)], 1e-9);
     const auto it = tenant_vtime_.find(req.tenant_id);
     if (it != tenant_vtime_.end()) {
-      it->second -= static_cast<double>(std::max(0, unserved_tokens)) / weight;
+      it->second -= static_cast<double>(std::max(0LL, unserved_tokens)) / weight;
     }
   }
 

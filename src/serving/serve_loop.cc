@@ -31,11 +31,11 @@ void BatchLedger::Leave(int variant, long long tokens) {
   ctx_total -= tokens;
 }
 
-void BatchLedger::Advance() {
+void BatchLedger::Advance(long long rounds) {
   for (int variant : ids) {
-    ctx[static_cast<size_t>(variant)] += count[static_cast<size_t>(variant)];
+    ctx[static_cast<size_t>(variant)] += rounds * count[static_cast<size_t>(variant)];
   }
-  ctx_total += total;
+  ctx_total += rounds * total;
 }
 
 std::unique_ptr<ServeLoop> ServingEngine::Start(int n_models, int n_tenants) const {
@@ -86,7 +86,7 @@ void ServeLoop::Offer(const TraceRequest& req) {
 // or unparked since the last ingest wait unsorted at the back. Re-inserting
 // them first, then each arrival (DWFQ-stamped in arrival order), lands every
 // request behind its equal keys: exactly the stable sort of queue + preempted
-// + arrivals.
+// + arrivals. A request the KV pool could never hold is shed on arrival.
 void ServeLoop::Ingest(double now) {
   const SchedPolicy policy = config_.scheduler.policy;
   if (requeued_ > 0) {
@@ -104,6 +104,11 @@ void ServeLoop::Ingest(double now) {
     p.req = arrivals_.front();
     arrivals_.pop_front();
     observer_.On(RequestEvent(TraceEventType::kRequestQueued, p.req.arrival_s, p.req));
+    if (KvTokens(p) > policy_->KvCapacityTokens()) {
+      ++shed_total_;
+      observer_.On(RequestEvent(TraceEventType::kAdmissionShed, now, p.req));
+      continue;
+    }
     if (policy == SchedPolicy::kDwfq) {
       p.fair_tag = fair_queue_.TagFor(p.req);
     }
@@ -117,7 +122,7 @@ void ServeLoop::Ingest(double now) {
 // its KV instead of prefilling and owes only its remaining tokens.
 double ServeLoop::MinServiceS(PendingReq& p) const {
   if (p.min_service_s < 0.0) {
-    const double ctx = static_cast<double>(p.req.prompt_tokens + p.decoded);
+    const double ctx = static_cast<double>(ContextTokens(p));
     const int steps = std::max(0, p.req.output_tokens - std::max(p.decoded, 1));
     const double decode_s = static_cast<double>(steps) * exec_.DecodeIterTime(1, ctx);
     p.min_service_s = p.decoded > 0 ? decode_s
@@ -148,7 +153,7 @@ void ServeLoop::Shed(double now) {
       // A resumed request already received prefill + `decoded` tokens.
       const TraceRequest& r = it->req;
       fair_queue_.OnShed(r, it->decoded > 0 ? r.output_tokens - it->decoded
-                                            : r.prompt_tokens + r.output_tokens);
+                                            : KvTokens(*it));
     }
     ++shed_total_;
     observer_.On(RequestEvent(TraceEventType::kAdmissionShed, now, it->req));
@@ -239,8 +244,9 @@ double ServeLoop::Iterate(double now) {
       }
     }
   }
-  double iter = policy_->IterationCost(*this, prefill_tokens,
-                                       config_.sched_overhead_s + pending_swap_s_);
+  double iter = 0.0;
+  policy_->IterationCosts(*this, prefill_tokens, config_.sched_overhead_s + pending_swap_s_,
+                          /*rounds=*/1, &iter);
   pending_swap_s_ = 0.0;
   if (speed_ != 1.0) {
     iter /= speed_;  // slow-node fault: everything stretches
@@ -251,7 +257,7 @@ double ServeLoop::Iterate(double now) {
 }
 
 void ServeLoop::Decode() {
-  batch_.Advance();
+  batch_.Advance(1);
   for (RunningReq& r : running_) {
     if (r.prefilling) {
       r.prefilling = false;
@@ -266,6 +272,46 @@ void ServeLoop::Decode() {
     } else if (r.prefilled) {
       r.state.decoded += 1;
     }
+  }
+}
+
+// Every running request decodes, none prefills or restores KV, and nothing is
+// owed for swaps: the quiet start condition implies all three. So round j of
+// the stretch costs what Iterate would price with the ledger advanced j rounds,
+// and Decode would only add a token to every request.
+void ServeLoop::QuietStretch(double t) {
+  DZ_CHECK_EQ(batch_.total, static_cast<int>(running_.size()));
+  DZ_CHECK_EQ(kv_restores_, 0);
+  DZ_CHECK(pending_swap_s_ == 0.0);
+  // QuietRound's clock bound, the target and the next snapshot, which reads
+  // the counters folded in below.
+  double bound = std::min(t, QuietUntilS());
+  if (config_.metrics.interval_s > 0.0) {
+    bound = std::min(bound, next_snapshot_s_);
+  }
+  const int batch_size = static_cast<int>(running_.size());
+  int ran = 0;
+  while (ran < quiet_rounds_ && now_ < bound) {
+    const int chunk = std::min(quiet_rounds_ - ran, kChunkRounds);
+    policy_->IterationCosts(*this, /*prefill_tokens=*/0, config_.sched_overhead_s, chunk,
+                            quiet_costs_.data());
+    int j = 0;
+    for (; j < chunk && now_ < bound; ++j) {
+      double iter = quiet_costs_[static_cast<size_t>(j)];
+      if (speed_ != 1.0) {
+        iter /= speed_;
+      }
+      observer_.On(WorkerEvent(TraceEventType::kBatchRound, now_, /*gpu=*/-1, iter,
+                               /*aux=*/batch_size));
+      now_ += iter;
+    }
+    batch_.Advance(j);
+    ran += j;
+  }
+  quiet_rounds_ -= ran;
+  rounds_count_->Inc(ran);
+  for (RunningReq& r : running_) {
+    r.state.decoded += ran;
   }
 }
 
@@ -309,13 +355,11 @@ void ServeLoop::RunUntil(double t) {
           report_.timeline.push_back(observer_.metrics().Snapshot(next_snapshot_s_));
           next_snapshot_s_ += config_.metrics.interval_s;
         }
-        rounds_count_->Inc();
         if (QuietRound()) {
-          --quiet_rounds_;
-          now_ += Iterate(now_);
-          Decode();
+          QuietStretch(t);
           break;
         }
+        rounds_count_->Inc();
         quiet_rounds_ = 0;
         quiet_until_s_ = kInf;
         Ingest(now_);

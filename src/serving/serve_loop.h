@@ -4,7 +4,7 @@
 // parking, dispatch, prefetch, the idle fast-forward, progress, records, and
 // the report tail, which checks records + shed + unavailable + unfinished ==
 // offered on every run. Each engine plugs in a ServePolicy: set-up plus
-// admit, iteration-cost and post-iteration-preemption hooks. A loop is live:
+// admit, iteration-costs and post-iteration-preemption hooks. A loop is live:
 // requests are offered to it over time and RunUntil steps it, so one loop
 // serves a cluster worker for its whole lifetime (src/cluster/elastic.h).
 //
@@ -14,11 +14,13 @@
 // no store state starts a quiet stretch (what else a round changes, a park, a
 // warm-hint pop or a first sched_attempt_s, leaves the next round's walk the
 // same; what its ingest and shed changed, its own admission already saw). The
-// rounds after it only iterate and decode, which is exactly what full rounds
-// would do until the first of these bounds (each checked before a quiet
-// round):
-//   * an offered arrival is due (checked live: offers come between calls);
+// rounds after it only price, emit their batch.round and advance the clock,
+// which is exactly what full rounds would do until the first of these bounds
+// (each checked before a quiet round):
+//   * an offered arrival is due (offers come between calls);
 //   * the RunUntil target is reached (the loop pauses as usual);
+//   * the next timeline snapshot is due (it reads the counters the stretch
+//     folds in at its end);
 //   * a load lands or a disk, PCIe or net channel goes idle, measured at the
 //     round's admission time: admission and prefetch read exactly these;
 //   * a queued request's shed deadline nears (MeetableUntil: a margin keeps
@@ -26,7 +28,17 @@
 //   * the next round would complete a request (and so could preempt);
 //   * the store changed (ArtifactStore::version: an outage or a registry
 //     change between calls; the latter also re-queues parked requests).
-// A SetSpeed needs no bound: each quiet round prices its iteration afresh.
+// A SetSpeed needs no bound: it comes between calls, and each call divides
+// by the speed it finds.
+//
+// A quiet stretch runs as one tight loop (QuietStretch). The policy prices up
+// to kChunkRounds rounds at a time into a loop-owned array, round j with the
+// batch advanced j tokens per request, and the loop adds each cost to the
+// clock, one batch.round each, while the bound allows. After each chunk the
+// ledger advances by the rounds that ran; at the end of the stretch
+// engine.rounds and every running request's decoded tokens take them in one
+// step. The operations and their order are those of rounds run one at a time,
+// so every output stays bit for bit the same.
 //
 // Pricing a round reads the batch ledger (BatchLedger), not the running batch:
 // the loop keeps it wherever running_ changes, as it keeps KvTokensInUse, so a
@@ -35,6 +47,8 @@
 #ifndef SRC_SERVING_SERVE_LOOP_H_
 #define SRC_SERVING_SERVE_LOOP_H_
 
+#include <algorithm>
+#include <array>
 #include <cstdint>
 #include <deque>
 #include <limits>
@@ -64,7 +78,7 @@ struct PendingReq {
 
 // KV tokens a request reserves while it runs: its prompt plus its full output.
 inline long long KvTokens(const PendingReq& p) {
-  return p.req.prompt_tokens + p.req.output_tokens;
+  return static_cast<long long>(p.req.prompt_tokens) + p.req.output_tokens;
 }
 
 struct RunningReq {
@@ -101,8 +115,8 @@ struct BatchLedger {
 
   void Join(int variant, long long tokens);
   void Leave(int variant, long long tokens);
-  // Every member decoded one more token.
-  void Advance();
+  // Every member decoded `rounds` more tokens.
+  void Advance(long long rounds);
 };
 
 // What one admission pass hands back to the loop. The loop owns one and resets
@@ -161,17 +175,21 @@ class ServePolicy {
   // Only a policy that can preempt gets a preemption counter (and may call
   // ServeLoop::Preempt).
   virtual bool CanPreempt() const { return false; }
+  // The KV pool, in tokens: a request reserving more (KvTokens) could never
+  // run, so ingest sheds it.
+  virtual long long KvCapacityTokens() const = 0;
   // Variant-path prefill seconds on top of the base model's.
   virtual double ArtifactPrefillS(long long /*tokens*/) const { return 0.0; }
   // Admit: moves queued requests into the batch via ServeLoop::Dispatch and
   // fills `admission`, which the loop has reset for this round.
   virtual void Admit(ServeLoop& loop, double now, Admission& admission) = 0;
-  // Iteration cost: adds the iteration's compute to `iter_s` (overhead plus
-  // pending KV swaps) in the engine's own summation order. The requests
-  // marked `prefilling` hold `prefill_tokens` prompt tokens between them; the
-  // decoding ones are ServeLoop::batch().
-  virtual double IterationCost(const ServeLoop& loop, long long prefill_tokens,
-                               double iter_s) = 0;
+  // Iteration costs of `rounds` rounds in a row: out[j] is `iter_s` (overhead
+  // plus pending KV swaps) plus round j's compute, in the engine's own
+  // summation order, with the decoding requests (ServeLoop::batch()) advanced
+  // j tokens each. The requests marked `prefilling` hold `prefill_tokens`
+  // prompt tokens between them, which is 0 unless rounds == 1.
+  virtual void IterationCosts(const ServeLoop& loop, long long prefill_tokens, double iter_s,
+                              int rounds, double* out) = 0;
   // Post-iteration preemption, given the ids of finished non-skippers.
   virtual void AfterIteration(ServeLoop& /*loop*/, double /*now*/,
                               const std::vector<int>& /*finished_parents*/) {}
@@ -179,6 +197,9 @@ class ServePolicy {
 
 class ServeLoop {
  public:
+  // The most rounds of a quiet stretch priced in one IterationCosts call.
+  static constexpr int kChunkRounds = 64;
+
   using QueueIt = std::deque<PendingReq>::iterator;
   using RunIt = std::vector<RunningReq>::iterator;
 
@@ -246,11 +267,15 @@ class ServeLoop {
   }
   // Moves on every event and every store change.
   uint64_t ChangeStamp() const { return observer_.events() + store_.version(); }
+  // The clock a quiet round must start below: the stretch's own bound and
+  // the next offered arrival.
+  double QuietUntilS() const {
+    return arrivals_.empty() ? quiet_until_s_
+                             : std::min(quiet_until_s_, arrivals_.front().arrival_s);
+  }
   // The next round may be quiet (see the file comment).
   bool QuietRound() const {
-    return quiet_rounds_ > 0 && now_ < quiet_until_s_ &&
-           store_.version() == quiet_version_ &&
-           (arrivals_.empty() || arrivals_.front().arrival_s > now_);
+    return quiet_rounds_ > 0 && now_ < QuietUntilS() && store_.version() == quiet_version_;
   }
   // The idle fast-forward's target: the next load landing or offered arrival.
   double NextEventS() const;
@@ -260,6 +285,8 @@ class ServeLoop {
   void Shed(double now);
   double Iterate(double now);  // returns the iteration's duration
   void Decode();               // the tokens of the iteration Iterate priced
+  // Runs the quiet rounds the bounds allow before RunUntil's target t.
+  void QuietStretch(double t);
   void Complete(const PendingReq& s, double now);
 
   const EngineConfig config_;
@@ -305,6 +332,7 @@ class ServeLoop {
   int quiet_rounds_ = 0;
   double quiet_until_s_ = 0.0;
   uint64_t quiet_version_ = 0;
+  std::array<double, kChunkRounds> quiet_costs_{};  // one chunk's round costs
 };
 
 // The PolicyFactory of a policy type.

@@ -49,12 +49,14 @@ class VllmScbPolicy : public ServePolicy {
   // path: they never trigger the blocking demand swap.
   PrefetchConfig Setup(const ArtifactStore&) override { return config_.prefetch; }
 
+  long long KvCapacityTokens() const override { return kv_capacity_tokens_; }
+
   void Admit(ServeLoop& loop, double now, Admission& admission) override;
 
   // One full-precision pass per resident model, in model-id order: per-model
   // prefill terms, then per-model decode terms.
-  double IterationCost(const ServeLoop& loop, long long prefill_tokens,
-                       double iter_s) override {
+  void IterationCosts(const ServeLoop& loop, long long prefill_tokens, double iter_s,
+                      int rounds, double* out) override {
     if (prefill_tokens > 0) {
       prefills_.clear();
       for (const RunningReq& r : loop.running()) {
@@ -72,13 +74,12 @@ class VllmScbPolicy : public ServePolicy {
         iter_s += exec_.PrefillTime(tokens);
       }
     }
+    std::fill_n(out, rounds, iter_s);
     const BatchLedger& batch = loop.batch();
     for (int model : batch.ids) {
-      const int n = batch.count[static_cast<size_t>(model)];
-      iter_s += exec_.DecodeIterTime(
-          n, static_cast<double>(batch.ctx[static_cast<size_t>(model)]) / n);
+      exec_.AddDecodeIterTimes(batch.count[static_cast<size_t>(model)],
+                               batch.ctx[static_cast<size_t>(model)], rounds, out);
     }
-    return iter_s;
   }
 
  private:

@@ -1,6 +1,7 @@
 #include "src/simgpu/exec_model.h"
 
 #include <algorithm>
+#include <limits>
 
 #include "src/util/check.h"
 
@@ -11,6 +12,22 @@ namespace {
 // Launches per transformer block in an unfused engine: 7 projections + ~3 attention /
 // norm kernels.
 constexpr double kLaunchesPerLayer = 10.0;
+
+// One decode iteration from its batch-only terms. DecodeIterTime and
+// AddDecodeIterTimes both run it, so the two forms do the same operations in
+// the same order.
+inline double DecodeIterFormula(double gemm_s, double allreduce_s, double launch_s,
+                                int batch, double avg_ctx, double kv_bytes_per_token,
+                                int tp, double hbm_bytes_per_s) {
+  // Weight-read-bound GEMM over all linear layers (decode is memory-bound, §2.1).
+  double t = gemm_s;
+  // KV-cache reads: every request streams its context's K/V once per iteration.
+  const double kv_bytes = static_cast<double>(batch) * avg_ctx * kv_bytes_per_token / tp;
+  t += kv_bytes / hbm_bytes_per_s;
+  t += launch_s;
+  t += allreduce_s;
+  return t;
+}
 
 }  // namespace
 
@@ -65,22 +82,46 @@ double ExecModel::PrefillTime(long long tokens) const {
   return t;
 }
 
+double ExecModel::DecodeGemmS(int batch) const {
+  return batch <= kBatchTable ? decode_gemm_s_[batch]
+                              : kernels_.GemmTime(batch, linear_n_, config_.shape.d_model,
+                                                  WeightFormat::kFp16);
+}
+
+double ExecModel::DecodeAllReduceS(int batch) const {
+  return batch <= kBatchTable ? decode_allreduce_s_[batch]
+                              : config_.shape.n_layers * PerLayerAllReduce(batch);
+}
+
 double ExecModel::DecodeIterTime(int batch, double avg_ctx) const {
   if (batch <= 0) {
     return 0.0;
   }
-  const ModelShape& s = config_.shape;
-  const bool tabulated = batch <= kBatchTable;
-  // Weight-read-bound GEMM over all linear layers (decode is memory-bound, §2.1).
-  double t = tabulated ? decode_gemm_s_[batch]
-                       : kernels_.GemmTime(batch, linear_n_, s.d_model, WeightFormat::kFp16);
-  // KV-cache reads: every request streams its context's K/V once per iteration.
-  const double kv_bytes =
-      static_cast<double>(batch) * avg_ctx * kv_bytes_per_token_ / config_.tp;
-  t += kv_bytes / (config_.gpu.hbm_gbps * 1e9);
-  t += launch_s_;
-  t += tabulated ? decode_allreduce_s_[batch] : s.n_layers * PerLayerAllReduce(batch);
-  return t;
+  return DecodeIterFormula(DecodeGemmS(batch), DecodeAllReduceS(batch), launch_s_, batch,
+                           avg_ctx, kv_bytes_per_token_, config_.tp,
+                           config_.gpu.hbm_gbps * 1e9);
+}
+
+void ExecModel::AddDecodeIterTimes(int batch, long long ctx0, int rounds, double* out) const {
+  if (batch <= 0) {
+    return;
+  }
+  // Locals, not members, inside the loop: `out` may alias none of them.
+  const double gemm_s = DecodeGemmS(batch);
+  const double allreduce_s = DecodeAllReduceS(batch);
+  const double launch_s = launch_s_;
+  const double kv_bytes_per_token = kv_bytes_per_token_;
+  const int tp = config_.tp;
+  const double hbm_bytes_per_s = config_.gpu.hbm_gbps * 1e9;
+  // double(ctx0 + j * batch) as ctx0 + double(j * batch): both exact while
+  // contexts stay below 2^53, and int-to-double conversions vectorize.
+  DZ_CHECK_LE(static_cast<long long>(rounds) * batch, std::numeric_limits<int>::max());
+  const double ctx0_d = static_cast<double>(ctx0);
+  for (int j = 0; j < rounds; ++j) {
+    const double avg_ctx = (ctx0_d + static_cast<double>(j * batch)) / batch;
+    out[j] += DecodeIterFormula(gemm_s, allreduce_s, launch_s, batch, avg_ctx,
+                                kv_bytes_per_token, tp, hbm_bytes_per_s);
+  }
 }
 
 double ExecModel::DeltaDecodeIterTime(int total, int active) const {

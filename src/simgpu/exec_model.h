@@ -1,6 +1,7 @@
 // Iteration-level execution-time model for transformer serving, binding a paper-scale
 // ModelShape to a GpuSpec (and a tensor-parallel degree). The serving engines call
-// these entry points once per continuous-batching iteration.
+// these entry points once per continuous-batching iteration, or, for a run of
+// decode-only iterations, once per run (AddDecodeIterTimes).
 #ifndef SRC_SIMGPU_EXEC_MODEL_H_
 #define SRC_SIMGPU_EXEC_MODEL_H_
 
@@ -36,6 +37,12 @@ class ExecModel {
 
   // One decode iteration for `batch` requests with mean context length `avg_ctx`.
   double DecodeIterTime(int batch, double avg_ctx) const;
+  // `rounds` decode iterations in a row of `batch` requests holding `ctx0`
+  // context tokens, each adding one token per request: adds
+  // DecodeIterTime(batch, double(ctx0 + j * batch) / batch) to out[j], bit for
+  // bit while contexts stay below 2^53. The rounds do not depend on each
+  // other, so their divisions pipeline.
+  void AddDecodeIterTimes(int batch, long long ctx0, int rounds, double* out) const;
 
   // --- delta path (ΔCompress artifacts, SBMM execution, §5.2) ---
 
@@ -68,6 +75,10 @@ class ExecModel {
 
  private:
   double PerLayerAllReduce(int batch) const;
+  // DecodeIterTime's batch-only terms: the aggregate GEMM and the n_layers
+  // all-reduces, from the table when it covers `batch`.
+  double DecodeGemmS(int batch) const;
+  double DecodeAllReduceS(int batch) const;
 
   ExecModelConfig config_;
   KernelModel kernels_;

@@ -1,6 +1,7 @@
 #include "src/serving/engine.h"
 
 #include <memory>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -210,6 +211,58 @@ TEST(EngineTest, OversizedPromptPrefillsAloneOnBothEngines) {
     // 500 + 100 fit one round; 3000 takes the next one alone.
     EXPECT_EQ(first_token[0], first_token[2]) << r.engine_name;
     EXPECT_GT(first_token[1], first_token[0]) << r.engine_name;
+  }
+}
+
+// A request that reserves more KV than the whole pool (prompt + output) could
+// never be admitted. Ingest sheds it on arrival, right after its
+// request.queued, so the run finishes, and the requests behind it run even
+// under vLLM-SCB's head-of-line blocking. Token counts near the int limit must
+// not overflow their sum.
+TEST(EngineTest, RequestLargerThanKvPoolIsShedOnBothEngines) {
+  Trace trace;
+  trace.n_models = 2;
+  const int prompts[] = {200, 100, 2000000000, 300};
+  const int outputs[] = {5000000, 20, 2000000000, 30};
+  for (int id = 0; id < 4; ++id) {
+    TraceRequest r;
+    r.id = id;
+    r.model_id = id % 2;
+    r.arrival_s = 0.5 * id;
+    r.prompt_tokens = prompts[id];
+    r.output_tokens = outputs[id];
+    trace.requests.push_back(r);
+  }
+  for (auto make : {&MakeDeltaZipEngine, &MakeVllmScbEngine}) {
+    EngineConfig cfg = Default13BConfig();
+    cfg.tracing.enabled = true;
+    // A bounded run, so a request that blocks the rest fails here instead of
+    // ending in the idle step's stuck-run check.
+    const std::unique_ptr<ServeLoop> loop = make(cfg)->Start(trace.n_models, 1);
+    for (const TraceRequest& req : trace.requests) {
+      loop->Offer(req);
+    }
+    loop->RunUntil(600.0);
+    const ServeReport r = loop->Finish();
+    EXPECT_TRUE(r.unfinished.empty()) << r.engine_name;
+    EXPECT_EQ(r.TotalShed(), 2) << r.engine_name;
+    ASSERT_EQ(r.records.size(), 2u) << r.engine_name;
+    EXPECT_EQ(r.records[0].id + r.records[1].id, 1 + 3) << r.engine_name;
+    // Each oversized request is queued, then shed at the ingest that takes
+    // it, and nothing else.
+    for (const int id : {0, 2}) {
+      std::vector<TraceEventType> types;
+      for (const TraceEvent& e : r.trace_events) {
+        if (e.request_id == id) {
+          types.push_back(e.type);
+          EXPECT_GE(e.ts_s, trace.requests[static_cast<size_t>(id)].arrival_s)
+              << r.engine_name << " request " << id;
+        }
+      }
+      EXPECT_EQ(types, (std::vector<TraceEventType>{TraceEventType::kRequestQueued,
+                                                    TraceEventType::kAdmissionShed}))
+          << r.engine_name << " request " << id;
+    }
   }
 }
 

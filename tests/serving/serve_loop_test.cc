@@ -7,11 +7,11 @@
 // loop: a run cut at random points, with arrivals offered only up to each
 // cut, equals one uncut run bit for bit. The per-engine metric key sets stay
 // as they were before the loop was shared: only a preempting policy registers
-// `engine.preemptions`. Runs with an arrival, a load, a prefetch, a shed or
-// cuts inside a long decode-only stretch are pinned to values recorded when
-// every round ran in full (no quiet rounds). The batch ledger that rounds are
-// priced from equals a recount of the running batch after every step of runs
-// cut finer than one iteration.
+// `engine.preemptions`. Runs with an arrival, a load, a prefetch, a shed,
+// timeline snapshots or cuts inside a long decode-only stretch are pinned to
+// values recorded while quiet rounds ran one at a time or not at all. The
+// batch ledger that rounds are priced from equals a recount of the running
+// batch after every step of runs cut finer than one iteration.
 #include "src/serving/serve_loop.h"
 
 #include <algorithm>
@@ -280,8 +280,10 @@ void ExpectSameRun(const ServeReport& got, const ServeReport& want, const std::s
 // The executable spec of RunUntil: k ∈ {1..8} seeded cut points (half of them
 // exactly at an arrival, where an idle loop must pause inside its idle step)
 // plus k more in the middle of a batch round of the uncut run (most rounds are
-// quiet, so these cut quiet stretches), arrivals offered only up to each cut,
-// then the rest and RunUntil(inf).
+// quiet, so these cut quiet stretches) and k more exactly at the end of one
+// deep inside a stretch, where the clock reaches the target with no round cut
+// and the loop must stop there, also past the first chunk it priced, arrivals
+// offered only up to each cut, then the rest and RunUntil(inf).
 TEST_P(ServeLoopTest, ChunkedRunEqualsUncutRun) {
   const Trace trace = MakeTrace();
   RegistryConfig rc;
@@ -305,15 +307,31 @@ TEST_P(ServeLoopTest, ChunkedRunEqualsUncutRun) {
     ASSERT_GT(uncut.metrics.Value("engine.preemptions"), 0.0);
   }
 
+  // Round ends deep inside a decode-only stretch: after more than one chunk of
+  // rounds with no other event between them. DeltaZip's arrivals come too
+  // often here for such stretches, so there any round end will do.
   std::vector<double> mid_round;
+  std::vector<double> round_end;
+  std::vector<double> deep_round_end;
+  int rounds_in_a_row = 0;
   for (const TraceEvent& e : uncut.trace_events) {
-    if (e.type == TraceEventType::kBatchRound) {
-      mid_round.push_back(e.ts_s + 0.5 * e.dur_s);
+    if (e.type != TraceEventType::kBatchRound) {
+      rounds_in_a_row = 0;
+      continue;
+    }
+    mid_round.push_back(e.ts_s + 0.5 * e.dur_s);
+    round_end.push_back(e.ts_s + e.dur_s);
+    if (++rounds_in_a_row > ServeLoop::kChunkRounds) {
+      deep_round_end.push_back(round_end.back());
     }
   }
   ASSERT_FALSE(mid_round.empty());
+  if (!deep_round_end.empty()) {
+    round_end = deep_round_end;
+  }
   Rng rng(77);
   Rng mid_rng(78);
+  Rng end_rng(79);
   for (int k = 1; k <= 8; ++k) {
     std::vector<double> cuts;
     for (int c = 0; c < k; ++c) {
@@ -321,6 +339,7 @@ TEST_P(ServeLoopTest, ChunkedRunEqualsUncutRun) {
                                 : trace.requests[rng.NextBelow(trace.requests.size())]
                                       .arrival_s);
       cuts.push_back(mid_round[mid_rng.NextBelow(mid_round.size())]);
+      cuts.push_back(round_end[end_rng.NextBelow(round_end.size())]);
     }
     std::sort(cuts.begin(), cuts.end());
     const std::unique_ptr<ServeLoop> loop = engine->Start(trace.n_models, trace.n_tenants);
@@ -343,9 +362,11 @@ TEST_P(ServeLoopTest, ChunkedRunEqualsUncutRun) {
 // Each test puts one event that changes admission inside a long decode-only
 // stretch (a few requests decoding 8000 tokens, from ~2 s under DeltaZip and
 // from ~33 s, after the first full-model swap, under vLLM-SCB) and pins the
-// run: its records, engine.rounds and traced event stream, recorded before
-// quiet rounds existed, when every round ran in full. vLLM-SCB's demand swap
-// stalls the worker, so there the load lands at the end of a stall.
+// run: its records, engine.rounds and traced event stream. The deltazip and
+// vllm_scb pins were recorded before quiet rounds existed, when every round
+// ran in full; the deltazip_lora pins and the timeline test's when every
+// quiet round still ran one at a time. vLLM-SCB's demand swap stalls the
+// worker, so there the load lands at the end of a stall.
 
 TraceRequest StretchReq(int id, double arrival_s, int model, int output_tokens,
                         SloClass slo = SloClass::kStandard) {
@@ -381,15 +402,21 @@ uint64_t HashRecords(const std::vector<RequestRecord>& records) {
   return h;
 }
 
-// What a boundary test pins, per engine case (deltazip, vllm_scb).
+// What a boundary test pins, per engine case (deltazip, vllm_scb,
+// deltazip_lora).
 struct RunPin {
   uint64_t records;
   double rounds;
   uint64_t events;
 };
 
-void ExpectPinned(const ServeReport& r, const RunPin (&pins)[2], const EngineCase& engine) {
-  const RunPin& want = pins[std::string(engine.name) == "deltazip" ? 0 : 1];
+size_t PinIndex(const EngineCase& engine) {
+  const std::string name = engine.name;
+  return name == "deltazip" ? 0 : name == "vllm_scb" ? 1 : 2;
+}
+
+void ExpectPinned(const ServeReport& r, const RunPin (&pins)[3], const EngineCase& engine) {
+  const RunPin& want = pins[PinIndex(engine)];
   EXPECT_TRUE(r.unfinished.empty());
   EXPECT_EQ(HashRecords(r.records), want.records);
   EXPECT_EQ(r.metrics.Value("engine.rounds"), want.rounds);
@@ -412,15 +439,17 @@ class QuietStretchTest : public ServeLoopTest {
 TEST_P(QuietStretchTest, ArrivalInsideStretch) {
   const Trace trace = StretchTrace({StretchReq(0, 0.0, 0, 8000), StretchReq(1, 0.0, 0, 8000),
                                     StretchReq(2, 45.3, 0, 300)});
-  const RunPin pins[2] = {{4353902977092685538ull, 8001, 12068258567396403433ull},
-                          {11738898002277910584ull, 8001, 17413689218276672937ull}};
+  const RunPin pins[3] = {{4353902977092685538ull, 8001, 12068258567396403433ull},
+                          {11738898002277910584ull, 8001, 17413689218276672937ull},
+                          {10578157705521116175ull, 8001, 16032059968866231879ull}};
   ExpectPinned(Serve(StretchConfig(), trace), pins, GetParam());
 }
 
 TEST_P(QuietStretchTest, DemandLoadLandsInsideStretch) {
   const Trace trace = StretchTrace({StretchReq(0, 0.0, 0, 8000), StretchReq(1, 45.3, 1, 300)});
-  const RunPin pins[2] = {{15821965563197827250ull, 8001, 16822864450988883220ull},
-                          {15116775436413834116ull, 8002, 16181814253586691170ull}};
+  const RunPin pins[3] = {{15821965563197827250ull, 8001, 16822864450988883220ull},
+                          {15116775436413834116ull, 8002, 16181814253586691170ull},
+                          {14061942563650596143ull, 8001, 3195149244261171076ull}};
   ExpectPinned(Serve(StretchConfig(), trace), pins, GetParam());
 }
 
@@ -432,8 +461,9 @@ TEST_P(QuietStretchTest, PrefetchChannelIdlesInsideStretch) {
   const Trace trace = StretchTrace({StretchReq(0, 0.0, 0, 8000), StretchReq(1, 100.0, 3, 300)});
   const ServeReport r = Serve(cfg, trace);
   EXPECT_GT(r.PrefetchIssued(), 1);
-  const RunPin pins[2] = {{18359001093457390364ull, 8302, 11977757758853927042ull},
-                          {11385939296039926976ull, 8304, 11615430471988507615ull}};
+  const RunPin pins[3] = {{18359001093457390364ull, 8302, 11977757758853927042ull},
+                          {11385939296039926976ull, 8304, 11615430471988507615ull},
+                          {2248973717191941647ull, 8302, 13479721156959324228ull}};
   ExpectPinned(r, pins, GetParam());
 }
 
@@ -447,8 +477,9 @@ TEST_P(QuietStretchTest, ShedDeadlineInsideStretch) {
                                     StretchReq(2, 46.0, 0, 100, SloClass::kBatch)});
   const ServeReport r = Serve(cfg, trace);
   EXPECT_EQ(r.TotalShed(), 1);
-  const RunPin pins[2] = {{3085124775665637620ull, 8101, 2159459557646752672ull},
-                          {16380669367507599925ull, 8101, 14497976452533803776ull}};
+  const RunPin pins[3] = {{3085124775665637620ull, 8101, 2159459557646752672ull},
+                          {16380669367507599925ull, 8101, 14497976452533803776ull},
+                          {16693828147092962626ull, 8101, 9989167673919759987ull}};
   ExpectPinned(r, pins, GetParam());
 }
 
@@ -495,9 +526,70 @@ TEST_P(QuietStretchTest, CutsWithSpeedAndRegistryChanges) {
                                  [](const RequestRecord& rec) { return rec.id == 2; });
   ASSERT_NE(late, r.records.end());
   EXPECT_GT(late->start_s, 45.5);
-  const RunPin pins[2] = {{8340475401582373217ull, 8001, 12066987130214054822ull},
-                          {17265510362788622873ull, 8002, 16159657673059253798ull}};
+  const RunPin pins[3] = {{8340475401582373217ull, 8001, 12066987130214054822ull},
+                          {17265510362788622873ull, 8002, 16159657673059253798ull},
+                          {4583006948139697773ull, 8001, 3985946964662340805ull}};
   ExpectPinned(r, pins, GetParam());
+}
+
+// A cut exactly at a round's end must pause where a cut inside that round
+// does: at that end, before the next round starts. A speed change at the pause
+// shows any round run past it. The rounds lie deep in the stretch, around a
+// whole number of chunks into it.
+TEST_P(QuietStretchTest, CutAtRoundEndPausesLikeCutInsideIt) {
+  const Trace trace = StretchTrace({StretchReq(0, 0.0, 0, 8000), StretchReq(1, 0.0, 0, 8000)});
+  const std::unique_ptr<ServingEngine> engine = GetParam().make(StretchConfig());
+  const ServeReport uncut = engine->Serve(trace);
+  std::vector<TraceEvent> rounds;
+  for (const TraceEvent& e : uncut.trace_events) {
+    if (e.type == TraceEventType::kBatchRound) {
+      rounds.push_back(e);
+    }
+  }
+  ASSERT_GT(rounds.size(), 4000u);
+  const auto run = [&](double cut) {
+    const std::unique_ptr<ServeLoop> loop = engine->Start(trace.n_models, trace.n_tenants);
+    for (const TraceRequest& req : trace.requests) {
+      loop->Offer(req);
+    }
+    loop->RunUntil(cut);
+    loop->SetSpeed(0.5);
+    loop->RunUntil(kInf);
+    return loop->Finish();
+  };
+  for (const size_t i : {size_t{3000}, size_t{3063}, size_t{3064}, size_t{3065}}) {
+    const TraceEvent& round = rounds[i];
+    ExpectSameRun(run(round.ts_s + round.dur_s), run(round.ts_s + 0.5 * round.dur_s),
+                  "round " + std::to_string(i));
+  }
+}
+
+// FNV-1a over every timeline snapshot's JSON line.
+uint64_t HashTimeline(const std::vector<MetricsSnapshot>& timeline) {
+  uint64_t h = 1469598103934665603ull;
+  for (const MetricsSnapshot& snap : timeline) {
+    for (const char c : snap.ToJsonLine() + "\n") {
+      h = (h ^ static_cast<unsigned char>(c)) * 1099511628211ull;
+    }
+  }
+  return h;
+}
+
+// A snapshot every simulated second: each falls due inside the stretch, and
+// must count every round before it and none after.
+TEST_P(QuietStretchTest, TimelineSnapshotsInsideStretch) {
+  EngineConfig cfg = StretchConfig();
+  cfg.metrics.interval_s = 1.0;
+  const Trace trace = StretchTrace({StretchReq(0, 0.0, 0, 8000), StretchReq(1, 0.0, 0, 8000)});
+  const ServeReport r = Serve(cfg, trace);
+  EXPECT_GT(r.timeline.size(), 60u);
+  const RunPin pins[3] = {{12558488511924969338ull, 8001, 8320776893676980501ull},
+                          {13842292428622998330ull, 8001, 748793897634221052ull},
+                          {5146104394399626622ull, 8001, 11496139405161274666ull}};
+  ExpectPinned(r, pins, GetParam());
+  const uint64_t timeline_pins[3] = {7782312011064919242ull, 6260064167444417616ull,
+                                     14938807053786870400ull};
+  EXPECT_EQ(HashTimeline(r.timeline), timeline_pins[PinIndex(GetParam())]);
 }
 
 // ---- the batch ledger --------------------------------------------------------
@@ -672,7 +764,9 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(EngineCase{"deltazip", &MakeDeltaZipEngine,
                                  ArtifactKind::kCompressedDelta, 20.0, true},
                       EngineCase{"vllm_scb", &MakeVllmScbEngine, ArtifactKind::kFullModel,
-                                 1.0, false}),
+                                 1.0, false},
+                      EngineCase{"deltazip_lora", &MakeDeltaZipEngine,
+                                 ArtifactKind::kLoraAdapter, 20.0, true}),
     [](const ::testing::TestParamInfo<EngineCase>& info) { return info.param.name; });
 
 INSTANTIATE_TEST_SUITE_P(

@@ -1,10 +1,13 @@
 #include "src/simgpu/exec_model.h"
 
+#include <array>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
+
+#include "src/util/rng.h"
 
 namespace dz {
 namespace {
@@ -268,6 +271,47 @@ TEST(ExecModelTest, DecodeIterTimeAtTheBatchTableEdgeStaysGolden) {
     EXPECT_EQ(em.DecodeIterTime(63, 812.25), g.at63) << g.shape << " tp" << g.tp;
     EXPECT_EQ(em.DecodeIterTime(64, 812.25), g.at64) << g.shape << " tp" << g.tp;
     EXPECT_EQ(em.DecodeIterTime(65, 812.25), g.at65) << g.shape << " tp" << g.tp;
+  }
+}
+
+// The batched form is the per-round one, bit for bit: round j of `rounds`
+// prices the batch with j more tokens per request, and adds to what `out`
+// already holds, leaving the entries past `rounds` alone. Batches on both
+// sides of the 64-batch table, every tp, both shapes, contexts up to 2^40.
+TEST(ExecModelTest, AddDecodeIterTimesMatchesPerRoundDecodeIterTime) {
+  Rng rng(2020);
+  for (const bool big : {false, true}) {
+    for (int tp : {1, 2, 4}) {
+      ExecModelConfig cfg;
+      cfg.shape = big ? ModelShape::Llama70B() : ModelShape::Llama13B();
+      cfg.gpu = GpuSpec::A800();
+      cfg.tp = tp;
+      const ExecModel em(cfg);
+      for (int batch = 1; batch <= 70; ++batch) {
+        const long long contexts[] = {batch, 200LL * batch + 17,
+                                      static_cast<long long>(rng.NextBelow(1ull << 30)),
+                                      (1LL << 40) - batch};
+        for (const long long ctx0 : contexts) {
+          for (int rounds = 1; rounds <= 64; ++rounds) {
+            std::array<double, 65> out;
+            for (size_t j = 0; j < out.size(); ++j) {
+              out[j] = 1e-3 * static_cast<double>(j + 1);
+            }
+            em.AddDecodeIterTimes(batch, ctx0, rounds, out.data());
+            for (int j = 0; j <= rounds; ++j) {
+              double want = 1e-3 * static_cast<double>(j + 1);
+              if (j < rounds) {
+                want += em.DecodeIterTime(
+                    batch, static_cast<double>(ctx0 + static_cast<long long>(j) * batch) / batch);
+              }
+              ASSERT_EQ(out[static_cast<size_t>(j)], want)
+                  << (big ? "Llama70B" : "Llama13B") << " tp" << tp << " batch " << batch
+                  << " ctx0 " << ctx0 << " rounds " << rounds << " round " << j;
+            }
+          }
+        }
+      }
+    }
   }
 }
 

@@ -4,7 +4,8 @@
 # usage error instead of silently running a misconfigured simulation, and a
 # good --trace-out run must produce a Chrome trace JSON that passes
 # tools/check_trace.sh. A trace with a prompt over the prefill budget must
-# still finish on both engines. Given a bench_soak binary too, it checks that
+# still finish on both engines, and one with a request larger than the KV pool
+# must finish with that request shed. Given a bench_soak binary too, it checks that
 # bad window counts exit 2 with a message instead of running.
 # Usage: tools/check_cli.sh path/to/dzip_cli [repo-root] [path/to/bench_soak]
 set -u
@@ -93,6 +94,36 @@ for engine in deltazip vllm-scb; do
   else
     echo "ok: $engine simulate with an oversized prompt"
   fi
+done
+
+# A request whose prompt + output exceeds the whole KV pool could never run:
+# both engines shed exactly that one and finish the rest, also when the two
+# counts sit near the int limit (their sum must not overflow).
+sed '2s/"output":[0-9]*/"output":5000000/' "$tmp/t.jsonl" >"$tmp/kv_out.jsonl"
+sed '2s/"prompt":[0-9]*/"prompt":2000000000/; 2s/"output":[0-9]*/"output":2000000000/' \
+  "$tmp/t.jsonl" >"$tmp/kv_both.jsonl"
+if ! grep -q '"output":5000000' "$tmp/kv_out.jsonl" ||
+    ! grep -q '"prompt":2000000000,"output":2000000000' "$tmp/kv_both.jsonl"; then
+  echo "FAIL: could not write the larger-than-KV-pool traces"
+  fail=1
+fi
+for trace in kv_out kv_both; do
+  for engine in deltazip vllm-scb; do
+    timeout 30 "$cli" simulate --trace "$tmp/$trace.jsonl" --engine "$engine" >"$tmp/out" 2>&1
+    code=$?
+    # The report's "shed (interactive/standard/batch)  a/b/c" row, summed.
+    shed=$(awk '$1 == "shed" { n = split($NF, c, "/"); s = 0;
+                               for (i = 1; i <= n; i++) s += c[i]; print s }' "$tmp/out")
+    if [ "$code" -ne 0 ]; then
+      echo "FAIL: $engine simulate of $trace exited $code (124: timed out)"
+      fail=1
+    elif [ "$shed" != "1" ]; then
+      echo "FAIL: $engine simulate of $trace shed '${shed}' requests, want 1"
+      fail=1
+    else
+      echo "ok: $engine simulate of $trace sheds the larger-than-KV-pool request"
+    fi
+  done
 done
 
 # Artifact-registry flags: malformed redundancy / net settings fail fast too.

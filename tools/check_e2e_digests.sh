@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
-# Runs dz_e2e --smoke --digest for every line of tools/e2e_digests.txt and
-# fails when a digest differs: serving reports (records, metrics, makespan)
-# must stay bit-identical across refactors and speedups of the simulator.
-# Each run takes well under a second.
+# Runs dz_e2e --smoke --digest for every line of tools/e2e_digests.txt, once
+# with DZ_THREADS=1 and once with DZ_THREADS=2, and fails when a digest
+# differs: serving reports (records, metrics, makespan) must stay
+# bit-identical across refactors and speedups of the simulator, and across
+# thread counts. Each run takes well under a second.
 # Usage: tools/check_e2e_digests.sh [path/to/dz_e2e]
 #   (default: ${CARGO_TARGET_DIR:-.bench_build}/e2e/dz_e2e, where
 #   bench/e2e/run.py builds it)
@@ -21,17 +22,20 @@ while read -r workload seed want; do
   case "$workload" in
     ""|"#"*) continue ;;
   esac
-  got=$(DZ_THREADS=2 "$bin" --workload "$workload" --seed "$seed" --seconds 1 --trace 0 \
-          --smoke --digest < /dev/null 2>/dev/null | awk '$1 == "digest" { print $2 }')
-  runs=$((runs + 1))
-  if [ "$got" != "$want" ]; then
-    echo "DIGEST MISMATCH: $workload seed $seed: got '${got}', want $want"
-    fail=1
-  fi
+  for threads in 1 2; do
+    got=$(DZ_THREADS=$threads "$bin" --workload "$workload" --seed "$seed" --seconds 1 \
+            --trace 0 --smoke --digest < /dev/null 2>/dev/null |
+          awk '$1 == "digest" { print $2 }')
+    runs=$((runs + 1))
+    if [ "$got" != "$want" ]; then
+      echo "DIGEST MISMATCH: $workload seed $seed DZ_THREADS=$threads: got '${got}', want $want"
+      fail=1
+    fi
+  done
 done < "$digests"
 
 if [ "$fail" -ne 0 ] || [ "$runs" -eq 0 ]; then
   echo "e2e digest check FAILED"
   exit 1
 fi
-echo "e2e digest check OK ($runs runs match tools/e2e_digests.txt)"
+echo "e2e digest check OK ($runs runs, DZ_THREADS 1 and 2, match tools/e2e_digests.txt)"
