@@ -4,6 +4,7 @@
 // with N and flattens or regresses once KV memory pressure bites — a short profiling
 // trace identifies a near-optimal N that transfers across settings.
 #include "bench/bench_common.h"
+#include "src/serving/profiler.h"
 
 namespace dz {
 namespace {
@@ -42,29 +43,24 @@ void Run() {
     tc.seed = seed;
     const Trace trace = GenerateTrace(tc);
 
+    // 7B on a 24 GB RTX 3090 with 2-bit deltas: every additional co-resident delta
+    // visibly shrinks the KV pool, which is the tension Fig. 10 studies.
+    EngineConfig cfg;
+    cfg.exec.shape = ModelShape::Llama7B();
+    cfg.exec.gpu = GpuSpec::Rtx3090();
+    cfg.exec.tp = 1;
+    cfg.exec.delta_format = WeightFormat::kSparseInt2;
+    cfg.max_batch = 32;
+    // The §5.4 profiler over the whole trace: the full-trace sweep per setting.
+    const NProfileResult profile =
+        ProfileConcurrentDeltas(cfg, trace, n_values, tc.duration_s);
+
     std::vector<std::string> row = {"ar=" + Table::Num(s.ar, 1) +
                                     ",zipf:" + Table::Num(s.alpha, 1)};
-    double best = 1e18;
-    int best_n = 0;
-    for (int n : n_values) {
-      // 7B on a 24 GB RTX 3090 with 2-bit deltas: every additional co-resident delta
-      // visibly shrinks the KV pool, which is the tension Fig. 10 studies.
-      EngineConfig cfg;
-      cfg.exec.shape = ModelShape::Llama7B();
-      cfg.exec.gpu = GpuSpec::Rtx3090();
-      cfg.exec.tp = 1;
-      cfg.exec.delta_format = WeightFormat::kSparseInt2;
-      cfg.max_concurrent_deltas = n;
-      cfg.max_batch = 32;
-      const ServeReport report = MakeDeltaZipEngine(cfg)->Serve(trace);
-      const double tpt = report.MeanTimePerToken();
-      if (tpt < best) {
-        best = tpt;
-        best_n = n;
-      }
-      row.push_back(Table::Num(tpt, 4));
+    for (const auto& sample : profile.samples) {
+      row.push_back(Table::Num(sample.second, 4));
     }
-    row.front() += " (best N=" + std::to_string(best_n) + ")";
+    row.front() += " (best N=" + std::to_string(profile.best_n) + ")";
     table.AddRow(row);
   }
   std::printf("mean time per token (s/token):\n\n%s\n", table.ToAscii().c_str());

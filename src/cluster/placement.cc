@@ -35,6 +35,11 @@ bool ParsePlacementPolicy(const std::string& name, PlacementPolicy& out) {
 
 namespace {
 
+// Delta- and tenant-affinity ring: replicas (virtual nodes) per GPU, and the
+// seed of the hash stream that places them and the keys.
+constexpr int kVirtualNodes = 64;
+constexpr uint64_t kHashSeed = 0x5EED5EEDULL;
+
 // SplitMix64 — cheap, well-mixed 64-bit hash; the standard choice for seeding
 // and consistent-hash rings.
 uint64_t SplitMix64(uint64_t x) {
@@ -71,17 +76,16 @@ Placer::Placer(const PlacerConfig& config, const std::vector<int>& worker_ids)
   DZ_CHECK_GE(config_.drain_tokens_per_s, 0.0);
   if (config_.policy == PlacementPolicy::kDeltaAffinity ||
       config_.policy == PlacementPolicy::kTenantAffinity) {
-    DZ_CHECK_GT(config_.virtual_nodes, 0);
     DZ_CHECK_GE(config_.bounded_load_factor, 1.0);
-    ring_.reserve(ids_.size() * static_cast<size_t>(config_.virtual_nodes));
+    ring_.reserve(ids_.size() * static_cast<size_t>(kVirtualNodes));
     // Ring points hash the GLOBAL worker id: a worker contributes the same
     // virtual nodes whatever the rest of the membership, so adding/removing a
     // worker only moves the keys that hashed to its arcs (bounded churn), and
     // ids {0..n-1} reproduce the static ring bit-for-bit.
     for (int gpu : ids_) {
-      for (int v = 0; v < config_.virtual_nodes; ++v) {
+      for (int v = 0; v < kVirtualNodes; ++v) {
         const uint64_t point = SplitMix64(
-            config_.hash_seed ^
+            kHashSeed ^
             (static_cast<uint64_t>(gpu) * 0x10001ULL + static_cast<uint64_t>(v) + 1));
         ring_.push_back({point, gpu});
       }
@@ -115,7 +119,7 @@ void Placer::DrainBacklogs(double now) {
 
 size_t Placer::RingHomeOfKey(uint64_t salted_key) const {
   // Home position: the first ring point at or after the key's hash.
-  const uint64_t h = SplitMix64(config_.hash_seed ^ salted_key);
+  const uint64_t h = SplitMix64(kHashSeed ^ salted_key);
   size_t idx = std::lower_bound(ring_.begin(), ring_.end(), h,
                                 [](const RingPoint& p, uint64_t key) {
                                   return p.hash < key;

@@ -49,12 +49,9 @@ struct PlacerConfig {
   // Load-aware policies model each GPU's backlog in token units, drained at this
   // rate between arrivals — a coarse stand-in for per-GPU decode throughput.
   double drain_tokens_per_s = 1000.0;
-  // Delta-affinity knobs: ring replicas per GPU, the bounded-load factor c
-  // (a GPU is skipped while its backlog exceeds c × cluster-mean backlog), and
-  // the hash-stream seed.
-  int virtual_nodes = 64;
+  // Delta-affinity's bounded-load factor c: a GPU is skipped while its backlog
+  // exceeds c × cluster-mean backlog.
   double bounded_load_factor = 1.25;
-  uint64_t hash_seed = 0x5EED5EEDULL;
 };
 
 // Online request→GPU placement: keeps per-GPU token-backlog estimates and, for

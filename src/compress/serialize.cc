@@ -163,8 +163,10 @@ class Reader {
   }
 
  private:
+  // n is read from the buffer: compared against what is left, so that no value
+  // of it can wrap the bound.
   bool Take(size_t n) {
-    if (!ok_ || pos_ + n > size_) {
+    if (!ok_ || n > size_ - pos_) {
       ok_ = false;
       return false;
     }
@@ -313,20 +315,17 @@ bool ReadDeltaFile(const std::string& path, CompressedDelta& out) {
   if (f == nullptr) {
     return false;
   }
-  std::fseek(f, 0, SEEK_END);
-  const long size = std::ftell(f);
-  std::fseek(f, 0, SEEK_SET);
-  if (size < 0) {
-    std::fclose(f);
-    return false;
+  // Read to EOF rather than trusting a size from fseek/ftell: on a directory
+  // ftell reports LONG_MAX and only the read itself fails.
+  ByteBuffer buffer;
+  uint8_t chunk[1 << 16];
+  size_t got = 0;
+  while ((got = std::fread(chunk, 1, sizeof(chunk), f)) > 0) {
+    buffer.insert(buffer.end(), chunk, chunk + got);
   }
-  ByteBuffer buffer(static_cast<size_t>(size));
-  const size_t read = std::fread(buffer.data(), 1, buffer.size(), f);
+  const bool failed = std::ferror(f) != 0;
   std::fclose(f);
-  if (read != buffer.size()) {
-    return false;
-  }
-  return DecodeDelta(buffer, out);
+  return !failed && DecodeDelta(buffer, out);
 }
 
 }  // namespace dz

@@ -20,8 +20,8 @@ namespace dz {
 // Encodes the artifact (including structure/metadata) into a self-describing buffer.
 ByteBuffer EncodeDelta(const CompressedDelta& delta);
 
-// Decodes a buffer produced by EncodeDelta. Check-fails on malformed input with a
-// wrong magic/version; returns false on truncated payloads.
+// Decodes a buffer produced by EncodeDelta. Returns false on a wrong magic or
+// version, a length field that overruns the buffer, or trailing bytes.
 bool DecodeDelta(const ByteBuffer& buffer, CompressedDelta& out);
 
 // File helpers (binary). Return false on I/O failure.

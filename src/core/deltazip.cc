@@ -98,12 +98,4 @@ Matrix DeltaZipService::Forward(int variant_id, const std::vector<int>& tokens) 
   return host.Forward(tokens, nullptr, &v.overlay);
 }
 
-ServeReport DeltaZipService::SimulateServing(const Trace& trace,
-                                             const EngineConfig& config) const {
-  const auto engine = config.artifact == ArtifactKind::kFullModel
-                          ? MakeVllmScbEngine(config)
-                          : MakeDeltaZipEngine(config);
-  return engine->Serve(trace);
-}
-
 }  // namespace dz

@@ -5,15 +5,16 @@
 //     (the Delta Compressor + Model Manager halves of Fig. 4), and
 //   * LoRA adapters, stored as-is.
 // Inference requests against a variant run the decoupled computation
-// (base GEMM + compressed-delta / adapter path) through a LinearOverlay, and the
-// serving-performance side is exposed through SimulateServing(), which runs a trace
-// against the iteration-level engine in simulated time.
+// (base GEMM + compressed-delta / adapter path) through a LinearOverlay. The
+// serving-performance side runs a trace against the iteration-level engines in
+// simulated time; this header brings in their entry points (MakeDeltaZipEngine,
+// MakeVllmScbEngine) and the trace generator alongside the service.
 //
 // Example:
 //   DeltaZipService service(base_transformer, options);
 //   int vid = service.RegisterFmtModel(finetuned_weights, calibration_tokens);
 //   auto tokens = service.Generate(vid, prompt, 16);
-//   ServeReport report = service.SimulateServing(trace, engine_config);
+//   ServeReport report = MakeDeltaZipEngine(engine_config)->Serve(trace);
 #ifndef SRC_CORE_DELTAZIP_H_
 #define SRC_CORE_DELTAZIP_H_
 
@@ -72,9 +73,6 @@ class DeltaZipService {
 
   // Full-sequence logits for a variant (for evaluation harnesses).
   Matrix Forward(int variant_id, const std::vector<int>& tokens) const;
-
-  // Serving-performance simulation of a multi-variant trace (paper §6.3).
-  ServeReport SimulateServing(const Trace& trace, const EngineConfig& config) const;
 
  private:
   struct Variant {

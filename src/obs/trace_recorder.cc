@@ -60,19 +60,6 @@ const char* TraceEventTypeName(TraceEventType type) {
   return "unknown";
 }
 
-const char* TraceChannelName(TraceChannel channel) {
-  switch (channel) {
-    case TraceChannel::kNone:
-      return "none";
-    case TraceChannel::kDisk:
-      return "disk";
-    case TraceChannel::kPcie:
-      return "pcie";
-    case TraceChannel::kNet:
-      return "net";
-  }
-  return "unknown";
-}
 
 TraceRecorder::TraceRecorder(const TracingConfig& config)
     : enabled_(config.enabled), ring_capacity_(config.ring_capacity) {

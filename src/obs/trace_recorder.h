@@ -74,8 +74,6 @@ const char* TraceEventTypeName(TraceEventType type);
 // Transfer channel a store span occupied (kNone for non-store events).
 enum class TraceChannel { kNone, kDisk, kPcie, kNet };
 
-const char* TraceChannelName(TraceChannel channel);
-
 // One typed event. Instant events have dur_s == 0; spans carry their length.
 // Attribution fields default to "not applicable" (-1) — store spans have a
 // model but no request; batch rounds have neither. `gpu` is stamped by the

@@ -14,6 +14,11 @@ namespace dz {
 
 namespace {
 
+// GPU memory fraction reserved for activations, outside the KV pool.
+constexpr double kKvReserveFraction = 0.05;
+// Host cache for artifacts (GB; the §5.4 disk → host → GPU hierarchy).
+constexpr double kCpuCacheGb = 256.0;
+
 class DeltaZipPolicy : public ServePolicy {
  public:
   DeltaZipPolicy(const EngineConfig& config, const ExecModel& exec)
@@ -24,7 +29,7 @@ class DeltaZipPolicy : public ServePolicy {
         lora() ? exec_.LoraBytesPerGpu(config_.lora_rank) : exec_.DeltaBytesPerGpu();
     const size_t total_mem =
         static_cast<size_t>(config_.exec.tp) * config_.exec.gpu.mem_bytes();
-    const size_t reserve = static_cast<size_t>(total_mem * config_.kv_reserve_fraction);
+    const size_t reserve = static_cast<size_t>(total_mem * kKvReserveFraction);
     const size_t base_bytes = exec_.BaseWeightBytesPerGpu() * config_.exec.tp;
     DZ_CHECK_GT(total_mem, base_bytes + reserve);
     const size_t after_base = total_mem - base_bytes - reserve;
@@ -52,7 +57,7 @@ class DeltaZipPolicy : public ServePolicy {
     ArtifactStoreConfig store;
     store.artifact_bytes = slot_bytes;
     store.gpu_budget_bytes = artifact_budget;
-    store.cpu_budget_bytes = static_cast<size_t>(config_.cpu_cache_gb * 1e9);
+    store.cpu_budget_bytes = static_cast<size_t>(kCpuCacheGb * 1e9);
     store.disk_read_s = lora() ? exec_.kernels().DiskReadTime(
                                      config_.exec.shape.LoraBytes(config_.lora_rank))
                                : exec_.LoadDeltaFromDisk();
@@ -117,7 +122,7 @@ class DeltaZipPolicy : public ServePolicy {
           it->is_skipper && std::find(finished_parents.begin(), finished_parents.end(),
                                       it->parent_id) != finished_parents.end();
       const int remaining = it->state.req.output_tokens - it->state.decoded;
-      if (orphaned && remaining > config_.preempt_min_remaining_tokens) {
+      if (orphaned && remaining > 0) {
         it = loop.Preempt(it, now, /*swap_out=*/true);
       } else {
         ++it;
@@ -234,7 +239,7 @@ void DeltaZipPolicy::Admit(ServeLoop& loop, double now, Admission& admission) {
     const bool yields = config_.scheduler.policy != SchedPolicy::kDwfq ||
                         it->state.fair_tag > min_blocked_tag;
     if (it->is_skipper && it->state.req.slo == SloClass::kBatch && yields &&
-        remaining > config_.preempt_min_remaining_tokens) {
+        remaining > 0) {
       // Only KV materialized on the GPU costs a swap-out: a skipper admitted
       // this round has none, a resumed one not yet restored is still on host.
       it = loop.Preempt(it, now, /*swap_out=*/it->prefilled && !it->needs_kv_restore);

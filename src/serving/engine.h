@@ -82,16 +82,9 @@ struct EngineConfig {
   int max_concurrent_deltas = 8;  // N artifacts co-resident per batch (§5.4, Fig. 10)
   bool skip_the_line = true;      // admit later requests of resident variants (§5.4)
   bool preemption = true;  // preempt skippers when their parent finishes (§5.4)
-  // Length-aware preemption (paper §8 future work): do not preempt a skipper that is
-  // within this many tokens of finishing — preempting nearly-done requests wastes the
-  // work and the KV swap. 0 preempts unconditionally (the paper's §5.4 mechanism).
-  int preempt_min_remaining_tokens = 0;
   ArtifactKind artifact = ArtifactKind::kCompressedDelta;
   int lora_rank = 16;               // LoRA rank when artifact == kLoraAdapter
-  double cpu_cache_gb = 256.0;      // host cache for artifacts (GB; §5.4 hierarchy)
-  double sched_overhead_s = 0.002;  // per-iteration scheduler/runner overhead (s)
   long long max_prefill_tokens = 2048;  // per-iteration prompt-token budget
-  double kv_reserve_fraction = 0.05;    // GPU memory fraction reserved for activations
   PrefetchConfig prefetch;              // async artifact prefetch (off by default)
   MetricsExportConfig metrics;          // in-run snapshot timeline (off by default)
   // Per-request tracing (src/obs/): off by default and bit-identical to the

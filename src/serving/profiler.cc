@@ -39,39 +39,4 @@ NProfileResult ProfileConcurrentDeltas(const EngineConfig& config, const Trace& 
   return result;
 }
 
-std::vector<int> PartitionGpus(int total_gpus, const std::vector<double>& load,
-                               const std::vector<int>& min_gpus) {
-  DZ_CHECK_EQ(load.size(), min_gpus.size());
-  DZ_CHECK(!load.empty());
-  int min_total = 0;
-  double load_total = 0.0;
-  for (size_t i = 0; i < load.size(); ++i) {
-    DZ_CHECK_GE(load[i], 0.0);
-    DZ_CHECK_GE(min_gpus[i], 1);
-    min_total += min_gpus[i];
-    load_total += load[i];
-  }
-  DZ_CHECK_LE(min_total, total_gpus);
-
-  std::vector<int> alloc(min_gpus.begin(), min_gpus.end());
-  int spare = total_gpus - min_total;
-  // Hand out spare GPUs one at a time to the group with the highest load per GPU —
-  // a greedy proportional-fairness rule.
-  while (spare > 0) {
-    size_t best = 0;
-    double best_score = -1.0;
-    for (size_t i = 0; i < load.size(); ++i) {
-      const double score =
-          (load_total > 0.0 ? load[i] : 1.0) / static_cast<double>(alloc[i]);
-      if (score > best_score) {
-        best_score = score;
-        best = i;
-      }
-    }
-    ++alloc[best];
-    --spare;
-  }
-  return alloc;
-}
-
 }  // namespace dz

@@ -1,7 +1,6 @@
-// Offline profiling utilities (paper §5.4): picking N, the number of co-resident
-// deltas, by replaying a short trace prefix for each candidate and choosing the lowest
-// mean time-per-token; and partitioning a GPU cluster across multiple base models
-// (paper §5.1: M base models → M serving groups).
+// Offline profiling (paper §5.4): picks N, the number of co-resident deltas, by
+// replaying a short trace prefix for each candidate and choosing the lowest mean
+// time-per-token.
 #ifndef SRC_SERVING_PROFILER_H_
 #define SRC_SERVING_PROFILER_H_
 
@@ -24,14 +23,6 @@ struct NProfileResult {
 NProfileResult ProfileConcurrentDeltas(const EngineConfig& config, const Trace& trace,
                                        const std::vector<int>& candidates,
                                        double profile_seconds);
-
-// Cluster partitioning across base models (paper §5.1: M base models → M serving
-// groups): splits `total_gpus` proportionally to each group's expected load
-// (relative weights, any unit), honoring a per-group minimum of min_gpus[i] (the
-// model's tensor-parallel footprint in GPUs). Returns GPUs per group; check-fails
-// if the minimums alone exceed the cluster.
-std::vector<int> PartitionGpus(int total_gpus, const std::vector<double>& load,
-                               const std::vector<int>& min_gpus);
 
 }  // namespace dz
 

@@ -52,10 +52,9 @@ struct SchedulerConfig {
   // interactive requests sort earlier at equal backlog.
   double class_weight[kNumSloClasses] = {4.0, 2.0, 1.0};
   // Shed requests whose class E2E deadline is already unmeetable even under an
-  // optimistic service estimate (scaled by admission_headroom; > 1 sheds more
-  // aggressively). Shed requests complete nothing and are counted per class.
+  // optimistic service estimate. Shed requests complete nothing and are counted
+  // per class.
   bool admission_control = false;
-  double admission_headroom = 1.0;
   // Let blocked interactive requests preempt running batch-class skippers
   // (DeltaZip engine only — the vLLM baseline has no skippers). Honored only
   // under kPriority / kDwfq: FCFS would livelock admit/evict.
@@ -154,8 +153,7 @@ void InsertInPolicyOrder(SchedPolicy policy, Queue& queue, Pending p) {
 inline bool DeadlineUnmeetable(const SchedulerConfig& config, const TraceRequest& req,
                                double now, double optimistic_service_s) {
   const SloSpec& spec = config.slo.Of(req.slo);
-  return now + config.admission_headroom * optimistic_service_s >
-         req.SloArrival() + spec.e2e_s;
+  return now + optimistic_service_s > req.SloArrival() + spec.e2e_s;
 }
 
 // A time before which DeadlineUnmeetable stays false: the crossing point less
@@ -164,8 +162,8 @@ inline bool DeadlineUnmeetable(const SchedulerConfig& config, const TraceRequest
 inline double MeetableUntil(const SchedulerConfig& config, const TraceRequest& req,
                             double optimistic_service_s) {
   const double deadline = req.SloArrival() + config.slo.Of(req.slo).e2e_s;
-  const double service = config.admission_headroom * optimistic_service_s;
-  return deadline - service - 1e-9 * (1.0 + std::abs(deadline) + std::abs(service));
+  return deadline - optimistic_service_s -
+         1e-9 * (1.0 + std::abs(deadline) + std::abs(optimistic_service_s));
 }
 
 }  // namespace dz

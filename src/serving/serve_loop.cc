@@ -11,6 +11,8 @@ namespace dz {
 
 namespace {
 constexpr double kInf = std::numeric_limits<double>::infinity();
+// Per-round scheduler/runner overhead (simulated seconds).
+constexpr double kSchedOverheadS = 0.002;
 }  // namespace
 
 void BatchLedger::Join(int variant, long long tokens) {
@@ -245,7 +247,7 @@ double ServeLoop::Iterate(double now) {
     }
   }
   double iter = 0.0;
-  policy_->IterationCosts(*this, prefill_tokens, config_.sched_overhead_s + pending_swap_s_,
+  policy_->IterationCosts(*this, prefill_tokens, kSchedOverheadS + pending_swap_s_,
                           /*rounds=*/1, &iter);
   pending_swap_s_ = 0.0;
   if (speed_ != 1.0) {
@@ -293,7 +295,7 @@ void ServeLoop::QuietStretch(double t) {
   int ran = 0;
   while (ran < quiet_rounds_ && now_ < bound) {
     const int chunk = std::min(quiet_rounds_ - ran, kChunkRounds);
-    policy_->IterationCosts(*this, /*prefill_tokens=*/0, config_.sched_overhead_s, chunk,
+    policy_->IterationCosts(*this, /*prefill_tokens=*/0, kSchedOverheadS, chunk,
                             quiet_costs_.data());
     int j = 0;
     for (; j < chunk && now_ < bound; ++j) {

@@ -12,6 +12,9 @@ namespace {
 // Launches per transformer block in an unfused engine: 7 projections + ~3 attention /
 // norm kernels.
 constexpr double kLaunchesPerLayer = 10.0;
+// Fraction of theoretical per-layer kernel launches that survive fusion/CUDA-graph
+// capture in a production engine.
+constexpr double kLaunchFusion = 0.25;
 
 // One decode iteration from its batch-only terms. DecodeIterTime and
 // AddDecodeIterTimes both run it, so the two forms do the same operations in
@@ -40,7 +43,7 @@ ExecModel::ExecModel(const ExecModelConfig& config)
   linear_n_ = static_cast<long long>(s.LinearParams() / s.d_model) / config_.tp;
   kv_bytes_per_token_ = static_cast<double>(s.KvBytesPerToken());
   launch_s_ = kernels_.LaunchOverhead(
-      static_cast<int>(s.n_layers * kLaunchesPerLayer * config_.launch_fusion));
+      static_cast<int>(s.n_layers * kLaunchesPerLayer * kLaunchFusion));
   const int bits = config_.delta_format == WeightFormat::kSparseInt2 ? 2 : 4;
   delta_bytes_per_gpu_ =
       s.DeltaBytes(bits, IsSparseFormat(config_.delta_format), 128) / config_.tp;
@@ -48,7 +51,7 @@ ExecModel::ExecModel(const ExecModelConfig& config)
   // Sparse tensor cores at 92% of peak (the SBMM kernels, paper §5.2).
   sbmm_rate_ = gpu.peak_fp16_tflops * 1e12 * 0.92 *
                (IsSparseFormat(config_.delta_format) ? gpu.sparse_speedup : 1.0);
-  sbmm_sites_ = s.n_layers * 7.0 * config_.launch_fusion;
+  sbmm_sites_ = s.n_layers * 7.0 * kLaunchFusion;
   linear_flops_per_token_ = s.LinearFlopsPerToken();
   for (int b = 1; b <= kBatchTable; ++b) {
     decode_gemm_s_[b] = kernels_.GemmTime(b, linear_n_, s.d_model, WeightFormat::kFp16);
@@ -163,7 +166,7 @@ double ExecModel::LoraDecodeIterTime(int total, int active, int rank) const {
   const double flops = static_cast<double>(total) * 2.0 *
                        static_cast<double>(s.LoraBytes(rank) / 2) / config_.tp;
   const double compute_s = flops / (gpu.peak_fp16_tflops * 1e12 * 0.5);
-  const double sgmv_sites = s.n_layers * 7.0 * config_.launch_fusion;
+  const double sgmv_sites = s.n_layers * 7.0 * kLaunchFusion;
   const double overhead_s = sgmv_sites * 2.0 * gpu.kernel_launch_us * 1e-6;
   return std::max(mem_s, compute_s) + overhead_s;
 }

@@ -18,9 +18,6 @@ struct ExecModelConfig {
   GpuSpec gpu;
   int tp = 1;  // tensor-parallel degree (Megatron-style, §5.3)
   WeightFormat delta_format = WeightFormat::kSparseInt4;
-  // Fraction of theoretical per-layer kernel launches that survive fusion/CUDA-graph
-  // capture in a production engine.
-  double launch_fusion = 0.25;
 };
 
 class ExecModel {

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <sstream>
 
 #include "src/tensor/half.h"
 #include "src/tensor/kernels.h"
@@ -24,8 +23,6 @@ Matrix Matrix::Identity(int n) {
   }
   return m;
 }
-
-void Matrix::Fill(float v) { std::fill(data_.begin(), data_.end(), v); }
 
 Matrix Matrix::Transposed() const { return kernels::Transpose(*this); }
 
@@ -80,12 +77,6 @@ double Matrix::MeanAbs() const {
     sum += std::abs(static_cast<double>(v));
   }
   return sum / static_cast<double>(data_.size());
-}
-
-std::string Matrix::ShapeString() const {
-  std::ostringstream os;
-  os << "[" << rows_ << "x" << cols_ << "]";
-  return os.str();
 }
 
 Matrix Matmul(const Matrix& a, const Matrix& b) { return kernels::GemmNN(a, b); }

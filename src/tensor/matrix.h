@@ -6,7 +6,6 @@
 #define SRC_TENSOR_MATRIX_H_
 
 #include <cstddef>
-#include <string>
 #include <vector>
 
 #include "src/util/check.h"
@@ -51,7 +50,6 @@ class Matrix {
   std::vector<float>& data() { return data_; }
   const std::vector<float>& data() const { return data_; }
 
-  void Fill(float v);
   Matrix Transposed() const;
 
   // Element-wise helpers.
@@ -65,8 +63,6 @@ class Matrix {
   double FrobeniusNorm() const;
   double MaxAbs() const;
   double MeanAbs() const;
-
-  std::string ShapeString() const;
 
  private:
   static size_t ElemCount(int rows, int cols) {

@@ -5,7 +5,6 @@
 
 #include "src/nn/ops.h"
 #include "src/util/check.h"
-#include "src/util/logging.h"
 
 namespace dz {
 
@@ -194,27 +193,6 @@ double EvaluateAccuracy(const Transformer& model, const Task& task, int n_exampl
     }
   }
   return static_cast<double>(correct) / n_examples;
-}
-
-VariantSuite BuildVariantSuite(const ModelConfig& config, const std::vector<TaskKind>& tasks,
-                               const PretrainConfig& pretrain_config,
-                               const FineTuneConfig& finetune_config, uint64_t seed) {
-  Rng rng(seed);
-  VariantSuite suite;
-  suite.base = std::make_unique<Transformer>(ModelWeights::RandomInit(config, rng));
-  const double pre_loss = Pretrain(*suite.base, pretrain_config, rng);
-  DZ_LOG(kInfo) << "pretrained base: loss=" << pre_loss;
-  for (TaskKind kind : tasks) {
-    const auto task = MakeTask(kind, config, seed ^ static_cast<uint64_t>(kind));
-    FineTunedVariant variant;
-    variant.task = kind;
-    variant.model = std::make_unique<Transformer>(suite.base->weights());
-    Rng ft_rng = rng.Fork();
-    const double ft_loss = FineTuneFmt(*variant.model, *task, finetune_config, ft_rng);
-    DZ_LOG(kInfo) << "fine-tuned variant on " << task->name() << ": loss=" << ft_loss;
-    suite.variants.push_back(std::move(variant));
-  }
-  return suite;
 }
 
 }  // namespace dz

@@ -4,7 +4,6 @@
 #ifndef SRC_TRAIN_FINETUNE_H_
 #define SRC_TRAIN_FINETUNE_H_
 
-#include <memory>
 #include <vector>
 
 #include "src/nn/transformer.h"
@@ -52,22 +51,6 @@ LoraAdapter FineTuneLora(const Transformer& base, const Task& task, int rank, fl
 // final position. `overlay` lets callers score compressed / adapter-backed variants.
 double EvaluateAccuracy(const Transformer& model, const Task& task, int n_examples,
                         uint64_t eval_seed, const LinearOverlay* overlay = nullptr);
-
-// Convenience container produced by fine-tuning runs.
-struct FineTunedVariant {
-  std::unique_ptr<Transformer> model;  // FMT weights
-  TaskKind task;
-};
-
-// Builds one base model plus one FMT variant per task in `tasks`. All variants share
-// the base, mirroring the paper's multi-variant serving setup.
-struct VariantSuite {
-  std::unique_ptr<Transformer> base;
-  std::vector<FineTunedVariant> variants;
-};
-VariantSuite BuildVariantSuite(const ModelConfig& config, const std::vector<TaskKind>& tasks,
-                               const PretrainConfig& pretrain_config,
-                               const FineTuneConfig& finetune_config, uint64_t seed);
 
 }  // namespace dz
 

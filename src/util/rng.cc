@@ -87,26 +87,6 @@ double Rng::Exponential(double rate) {
   return -std::log(u) / rate;
 }
 
-int Rng::Poisson(double mean) {
-  DZ_CHECK_GE(mean, 0.0);
-  if (mean == 0.0) {
-    return 0;
-  }
-  if (mean > 64.0) {
-    // Normal approximation with continuity correction; adequate for trace generation.
-    const double sample = Normal(mean, std::sqrt(mean));
-    return sample < 0.0 ? 0 : static_cast<int>(sample + 0.5);
-  }
-  const double limit = std::exp(-mean);
-  int count = 0;
-  double product = NextDouble();
-  while (product > limit) {
-    ++count;
-    product *= NextDouble();
-  }
-  return count;
-}
-
 int Rng::Zipf(int n, double alpha) {
   DZ_CHECK_GT(n, 0);
   // Direct inversion on the (small) normalized CDF; n is the number of model

@@ -2,7 +2,7 @@
 //
 // Rng wraps xoshiro256** (public-domain algorithm by Blackman & Vigna) and layers the
 // distributions the workload generators and trainers need: uniform, normal, exponential,
-// Poisson, Zipf, categorical, permutation. Every component takes an explicit seed so all
+// Zipf, categorical, permutation. Every component takes an explicit seed so all
 // experiments are reproducible bit-for-bit across runs.
 #ifndef SRC_UTIL_RNG_H_
 #define SRC_UTIL_RNG_H_
@@ -36,10 +36,6 @@ class Rng {
 
   // Exponential with the given rate (mean 1/rate).
   double Exponential(double rate);
-
-  // Poisson-distributed count with the given mean (Knuth for small mean,
-  // normal approximation above 64).
-  int Poisson(double mean);
 
   // Samples index in [0, n) with probability proportional to 1/(i+1)^alpha.
   // Used for skewed model-popularity distributions.

@@ -12,7 +12,6 @@ namespace dz {
 class RunningStats {
  public:
   void Add(double x);
-  void Merge(const RunningStats& other);
 
   size_t count() const { return count_; }
   double mean() const { return count_ > 0 ? mean_ : 0.0; }

@@ -31,16 +31,6 @@ const char* SloClassName(SloClass slo) {
   return "?";
 }
 
-bool ParseSloClass(const std::string& name, SloClass& out) {
-  for (SloClass s : {SloClass::kInteractive, SloClass::kStandard, SloClass::kBatch}) {
-    if (name == SloClassName(s)) {
-      out = s;
-      return true;
-    }
-  }
-  return false;
-}
-
 const char* TenantScenarioName(TenantScenario scenario) {
   switch (scenario) {
     case TenantScenario::kSteady:
@@ -111,6 +101,9 @@ void Trace::CheckWellFormed() const {
 
 namespace {
 
+// kHeavyTail's Zipf exponent over tenant rank.
+constexpr double kHeavyTailAlpha = 1.2;
+
 int SampleLognormalTokens(Rng& rng, double mean_tokens, double sigma, int max_tokens) {
   // Parameterize so the lognormal's mean equals mean_tokens: mu = ln(m) - sigma²/2.
   const double mu = std::log(mean_tokens) - sigma * sigma / 2.0;
@@ -144,10 +137,11 @@ BurstSchedule MakeBurstSchedule(const TraceConfig& config, Rng& rng) {
   return sched;
 }
 
-// Per-tenant traffic shares: ∝ 1/(rank+1)^alpha, normalized to sum 1. Equal
-// shares when alpha == 0.
+// Per-tenant traffic shares: ∝ 1/(rank+1)^alpha, normalized to sum 1, with
+// alpha = kHeavyTailAlpha under kHeavyTail and 0 (equal shares) otherwise.
 std::vector<double> TenantShares(const TenantConfig& config) {
-  const double alpha = EffectiveHeavyTailAlpha(config);
+  const double alpha =
+      config.scenario == TenantScenario::kHeavyTail ? kHeavyTailAlpha : 0.0;
   std::vector<double> shares(static_cast<size_t>(config.n_tenants));
   double total = 0.0;
   for (int t = 0; t < config.n_tenants; ++t) {
@@ -199,13 +193,6 @@ double RatePeakMultiplier(const TenantConfig& config, int tenant) {
 }
 
 }  // namespace
-
-double EffectiveHeavyTailAlpha(const TenantConfig& config) {
-  if (config.heavy_tail_alpha > 0.0) {
-    return config.heavy_tail_alpha;
-  }
-  return config.scenario == TenantScenario::kHeavyTail ? 1.2 : 0.0;
-}
 
 double TenantRateAt(const TraceConfig& config, int tenant, double t) {
   DZ_CHECK_GE(tenant, 0);

@@ -33,8 +33,6 @@ inline constexpr int kNumSloClasses = 3;
 
 // Stable CLI/report name ("interactive", "standard", "batch").
 const char* SloClassName(SloClass slo);
-// Parses the names printed by SloClassName. Returns false on unknown names.
-bool ParseSloClass(const std::string& name, SloClass& out);
 
 // Per-class deadlines, in simulated seconds from arrival.
 struct SloSpec {
@@ -131,9 +129,6 @@ bool ParseTenantScenario(const std::string& name, TenantScenario& out);
 struct TenantConfig {
   int n_tenants = 1;
   TenantScenario scenario = TenantScenario::kSteady;
-  // Tenant share skew: share ∝ 1/(rank+1)^heavy_tail_alpha (0 = equal shares).
-  // kHeavyTail defaults it to 1.2 when left at 0 (see EffectiveHeavyTailAlpha).
-  double heavy_tail_alpha = 0.0;
   // kDiurnal: rate multiplier 1 + amplitude·sin(2π·t/period), clamped at ≥ 0.
   double diurnal_period_s = 240.0;
   double diurnal_amplitude = 0.8;  // in [0, 1]
@@ -153,7 +148,7 @@ struct TenantConfig {
   // pre-tenant generator (test-enforced).
   bool Enabled() const {
     return n_tenants > 1 || scenario != TenantScenario::kSteady ||
-           heavy_tail_alpha > 0.0 || interactive_frac > 0.0 || batch_frac > 0.0;
+           interactive_frac > 0.0 || batch_frac > 0.0;
   }
 };
 
@@ -180,10 +175,6 @@ struct TraceConfig {
 };
 
 Trace GenerateTrace(const TraceConfig& config);
-
-// The heavy-tail exponent the generator actually uses: heavy_tail_alpha, or 1.2
-// when the kHeavyTail scenario is selected with the exponent left at 0.
-double EffectiveHeavyTailAlpha(const TenantConfig& config);
 
 // Expected instantaneous arrival rate (req/s) of `tenant` at time `t` under the
 // configured scenario — the envelope the generated trace's per-window counts

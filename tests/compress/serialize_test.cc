@@ -129,6 +129,48 @@ TEST_F(SerializeTest, ReadMissingFileFails) {
   EXPECT_FALSE(ReadDeltaFile("/nonexistent/dir/artifact.bin", decoded));
 }
 
+TEST_F(SerializeTest, ReadDirectoryFails) {
+  CompressedDelta decoded;
+  EXPECT_FALSE(ReadDeltaFile(::testing::TempDir(), decoded));
+}
+
+TEST_F(SerializeTest, RejectsLengthThatWrapsTheBound) {
+  // One dense layer with empty words and scales, then a zeros length n chosen
+  // so that position + n wraps to 1: a bound tested as pos + n > size passes
+  // it and rewinds the reader.
+  const ByteBuffer valid = EncodeDelta(*dense_delta_);
+  ByteBuffer crafted(valid.begin(), valid.begin() + 8);  // magic + version
+  auto u8 = [&](uint8_t v) { crafted.push_back(v); };
+  auto u32 = [&](uint32_t v) {
+    for (int i = 0; i < 4; ++i) {
+      u8(static_cast<uint8_t>(v >> (8 * i)));
+    }
+  };
+  auto u64 = [&](uint64_t v) {
+    u32(static_cast<uint32_t>(v));
+    u32(static_cast<uint32_t>(v >> 32));
+  };
+  u32(2);   // bits
+  u8(0);    // sparse24
+  u32(64);  // group_size
+  u8(0);    // lossless
+  u8(0);    // use_obs
+  u32(0);   // damp_ratio
+  u32(1);   // n_layers
+  u32(0);   // empty name
+  u8(0);    // dense layer
+  u32(0);   // rows
+  u32(0);   // cols
+  u32(2);   // bits
+  u64(0);   // packed words
+  u64(0);   // scales
+  const uint64_t pos_after_length = crafted.size() + 8;
+  u64(~uint64_t{0} - pos_after_length + 2);  // zeros: wraps pos + n to 1
+  crafted.resize(140, 0);
+  CompressedDelta decoded;
+  EXPECT_FALSE(DecodeDelta(crafted, decoded));
+}
+
 TEST_F(SerializeTest, LosslessComposesWithEncoding) {
   // The on-disk artifact can additionally ride the lossless codec.
   const ByteBuffer encoded = EncodeDelta(*delta_);

@@ -108,25 +108,6 @@ TEST_F(DeltaZipServiceTest, GenerateWorksForAllVariantKinds) {
   EXPECT_FALSE(lora_out.empty());
 }
 
-TEST_F(DeltaZipServiceTest, ServingSimulationRuns) {
-  TraceConfig tc;
-  tc.n_models = 8;
-  tc.arrival_rate = 0.5;
-  tc.duration_s = 60.0;
-  tc.output_mean_tokens = 50.0;
-  tc.output_max_tokens = 150;
-  const Trace trace = GenerateTrace(tc);
-  EngineConfig cfg;
-  cfg.exec.shape = ModelShape::Llama13B();
-  cfg.exec.gpu = GpuSpec::A800();
-  cfg.exec.tp = 4;
-  const ServeReport dz = service_->SimulateServing(trace, cfg);
-  EXPECT_EQ(dz.completed(), trace.requests.size());
-  cfg.artifact = ArtifactKind::kFullModel;
-  const ServeReport scb = service_->SimulateServing(trace, cfg);
-  EXPECT_EQ(scb.engine_name, "vllm-scb");
-}
-
 }  // namespace
 }  // namespace dz
 

@@ -140,9 +140,6 @@ TEST(TraceEventNamesTest, TypeNamesAreStableDottedStrings) {
   EXPECT_STREQ(TraceEventTypeName(TraceEventType::kRouterPlace), "router.place");
   EXPECT_STREQ(TraceEventTypeName(TraceEventType::kRouterWarmHint),
                "router.warm_hint");
-  EXPECT_STREQ(TraceChannelName(TraceChannel::kNone), "none");
-  EXPECT_STREQ(TraceChannelName(TraceChannel::kDisk), "disk");
-  EXPECT_STREQ(TraceChannelName(TraceChannel::kPcie), "pcie");
 }
 
 }  // namespace

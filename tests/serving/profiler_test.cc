@@ -66,63 +66,5 @@ TEST(ProfilerTest, ShortProfileTransfersToFullTrace) {
       << "profiled N should be near-optimal on the full trace";
 }
 
-TEST(PartitionGpusTest, ProportionalWithMinimums) {
-  // Two base models, one with 3x the load; 12 GPUs; TP minimums 2 and 2.
-  const auto alloc = PartitionGpus(12, {3.0, 1.0}, {2, 2});
-  ASSERT_EQ(alloc.size(), 2u);
-  EXPECT_EQ(alloc[0] + alloc[1], 12);
-  EXPECT_GE(alloc[0], alloc[1] * 2);
-  EXPECT_GE(alloc[1], 2);
-}
-
-TEST(PartitionGpusTest, ZeroLoadStillGetsMinimum) {
-  const auto alloc = PartitionGpus(8, {1.0, 0.0}, {1, 4});
-  EXPECT_GE(alloc[1], 4);
-  EXPECT_EQ(alloc[0] + alloc[1], 8);
-}
-
-TEST(PartitionGpusTest, ExactFitHonorsMinimums) {
-  const auto alloc = PartitionGpus(6, {5.0, 1.0}, {4, 2});
-  EXPECT_EQ(alloc[0], 4);
-  EXPECT_EQ(alloc[1], 2);
-}
-
-TEST(PartitionGpusDeathTest, OverSubscribedMinimumsFail) {
-  EXPECT_DEATH(PartitionGpus(3, {1.0, 1.0}, {2, 2}), "DZ_CHECK");
-}
-
-TEST(PreemptionGuardTest, LengthAwarePreemptionPreemptsLess) {
-  TraceConfig tc;
-  tc.n_models = 16;
-  tc.arrival_rate = 2.0;
-  tc.duration_s = 100.0;
-  tc.dist = PopularityDist::kZipf;
-  tc.zipf_alpha = 2.0;
-  tc.output_mean_tokens = 150;
-  tc.output_max_tokens = 300;
-  tc.seed = 4;
-  const Trace trace = GenerateTrace(tc);
-  EngineConfig cfg;
-  cfg.exec.shape = ModelShape::Llama13B();
-  cfg.exec.gpu = GpuSpec::A800();
-  cfg.exec.tp = 1;
-  cfg.max_batch = 16;
-  cfg.max_concurrent_deltas = 4;
-  auto count_preemptions = [&](int guard) {
-    EngineConfig c = cfg;
-    c.preempt_min_remaining_tokens = guard;
-    const ServeReport r = MakeDeltaZipEngine(c)->Serve(trace);
-    int total = 0;
-    for (const auto& rec : r.records) {
-      total += rec.preemptions;
-    }
-    return total;
-  };
-  const int unguarded = count_preemptions(0);
-  const int guarded = count_preemptions(64);
-  EXPECT_GT(unguarded, 0);
-  EXPECT_LT(guarded, unguarded) << "guard should spare nearly-finished requests";
-}
-
 }  // namespace
 }  // namespace dz

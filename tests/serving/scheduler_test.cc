@@ -28,16 +28,6 @@ TEST(SchedPolicyTest, NamesRoundTrip) {
   EXPECT_FALSE(ParseSchedPolicy("lifo", out));
 }
 
-TEST(SloClassTest, NamesRoundTrip) {
-  for (SloClass s : {SloClass::kInteractive, SloClass::kStandard, SloClass::kBatch}) {
-    SloClass parsed;
-    ASSERT_TRUE(ParseSloClass(SloClassName(s), parsed));
-    EXPECT_EQ(parsed, s);
-  }
-  SloClass out;
-  EXPECT_FALSE(ParseSloClass("premium", out));
-}
-
 TEST(TenantScenarioNamesTest, NamesRoundTrip) {
   for (TenantScenario s : {TenantScenario::kSteady, TenantScenario::kDiurnal,
                            TenantScenario::kFlashCrowd, TenantScenario::kHeavyTail}) {

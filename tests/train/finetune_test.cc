@@ -174,27 +174,6 @@ TEST(LoraTest, TrainingImprovesEasyTask) {
   EXPECT_GT(after, before) << "LoRA training did not improve accuracy";
 }
 
-TEST(VariantSuiteTest, BuildsSharedBaseVariants) {
-  PretrainConfig pre;
-  pre.steps = 10;
-  pre.batch = 2;
-  pre.seq_len = 8;
-  FineTuneConfig ft;
-  ft.steps = 5;
-  ft.batch = 2;
-  const VariantSuite suite = BuildVariantSuite(
-      ModelConfig::Tiny(), {TaskKind::kSentiment, TaskKind::kArithmetic}, pre, ft, 42);
-  ASSERT_NE(suite.base, nullptr);
-  ASSERT_EQ(suite.variants.size(), 2u);
-  // Variants share architecture with base but have diverged weights.
-  for (const auto& v : suite.variants) {
-    EXPECT_GT(
-        Sub(v.model->weights().layers[0].wq, suite.base->weights().layers[0].wq)
-            .FrobeniusNorm(),
-        0.0);
-  }
-}
-
 }  // namespace
 }  // namespace dz
 

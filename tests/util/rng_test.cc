@@ -73,18 +73,6 @@ TEST(RngTest, ExponentialMeanMatchesRate) {
   EXPECT_NEAR(sum / n, 1.0 / rate, 0.02);
 }
 
-TEST(RngTest, PoissonMeanMatches) {
-  Rng rng(17);
-  for (double mean : {0.5, 4.0, 30.0, 100.0}) {
-    double sum = 0.0;
-    const int n = 50000;
-    for (int i = 0; i < n; ++i) {
-      sum += rng.Poisson(mean);
-    }
-    EXPECT_NEAR(sum / n, mean, mean * 0.05 + 0.05) << "mean=" << mean;
-  }
-}
-
 TEST(RngTest, ZipfIsMonotoneSkewed) {
   Rng rng(19);
   const int n_models = 16;

@@ -25,26 +25,6 @@ TEST(RunningStatsTest, EmptyIsZero) {
   EXPECT_EQ(s.variance(), 0.0);
 }
 
-TEST(RunningStatsTest, MergeMatchesSequential) {
-  RunningStats a;
-  RunningStats b;
-  RunningStats all;
-  for (int i = 0; i < 10; ++i) {
-    a.Add(i);
-    all.Add(i);
-  }
-  for (int i = 10; i < 25; ++i) {
-    b.Add(i * 0.5);
-    all.Add(i * 0.5);
-  }
-  a.Merge(b);
-  EXPECT_EQ(a.count(), all.count());
-  EXPECT_NEAR(a.mean(), all.mean(), 1e-12);
-  EXPECT_NEAR(a.variance(), all.variance(), 1e-9);
-  EXPECT_EQ(a.min(), all.min());
-  EXPECT_EQ(a.max(), all.max());
-}
-
 TEST(PercentileTest, KnownValues) {
   std::vector<double> v = {1, 2, 3, 4, 5};
   EXPECT_DOUBLE_EQ(Percentile(v, 0), 1.0);

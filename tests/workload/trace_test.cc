@@ -345,7 +345,6 @@ TEST(TenantTraceTest, HeavyTailSharesAreSkewed) {
   cfg.duration_s = 400.0;
   cfg.tenants.n_tenants = 6;
   cfg.tenants.scenario = TenantScenario::kHeavyTail;
-  EXPECT_DOUBLE_EQ(EffectiveHeavyTailAlpha(cfg.tenants), 1.2);
   const Trace trace = GenerateTrace(cfg);
   const std::vector<int> counts = trace.TenantCounts();
   ASSERT_EQ(counts.size(), 6u);

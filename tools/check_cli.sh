@@ -5,7 +5,8 @@
 # good --trace-out run must produce a Chrome trace JSON that passes
 # tools/check_trace.sh. A trace with a prompt over the prefill budget must
 # still finish on both engines, and one with a request larger than the KV pool
-# must finish with that request shed. Given a bench_soak binary too, it checks that
+# must finish with that request shed. inspect on a directory or on a crafted
+# artifact must exit 1 with a message. Given a bench_soak binary too, it checks that
 # bad window counts exit 2 with a message instead of running.
 # Usage: tools/check_cli.sh path/to/dzip_cli [repo-root] [path/to/bench_soak]
 set -u
@@ -124,6 +125,27 @@ for trace in kv_out kv_both; do
       echo "ok: $engine simulate of $trace sheds the larger-than-KV-pool request"
     fi
   done
+done
+
+# inspect on something that is not an artifact exits 1 with a message, never
+# an abort: a directory, and a file whose zeros length wraps the reader's bound
+# (one dense layer, empty words and scales, length 2^64 - 67 at offset 60,
+# zero-padded to 140 bytes).
+printf 'DZIP\001\0\0\0\002\0\0\0\0\100\0\0\0\0\0\0\0\0\0\001\0\0\0' \
+  >"$tmp/wrap.bin"
+head -c 33 /dev/zero >>"$tmp/wrap.bin"
+printf '\275\377\377\377\377\377\377\377' >>"$tmp/wrap.bin"
+head -c 72 /dev/zero >>"$tmp/wrap.bin"
+for artifact in "$tmp" "$tmp/wrap.bin"; do
+  "$cli" inspect --artifact "$artifact" >"$tmp/out" 2>"$tmp/err"
+  code=$?
+  if [ "$code" -ne 1 ] || ! grep -q "not a valid DeltaZip artifact" "$tmp/err"; then
+    echo "FAIL: inspect of $artifact exited $code, want 1 and a message:"
+    cat "$tmp/err"
+    fail=1
+  else
+    echo "ok: inspect of $artifact rejected"
+  fi
 done
 
 # Artifact-registry flags: malformed redundancy / net settings fail fast too.
