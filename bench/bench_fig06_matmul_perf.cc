@@ -7,7 +7,10 @@
 // A second section measures THIS library's CPU kernels (blocked kernel layer vs
 // the retained naive reference) — dense NT, fused packed-quant, 2:4 sparse —
 // and, with `--json <path>`, emits the numbers for the perf trajectory
-// (tools/bench_json.sh; the CI gate compares the speedup ratios).
+// (tools/bench_json.sh; the CI gate compares the speedup ratios). A third
+// section checks the decode-shape half of the paper's claim on the CPU: at
+// m = 1 each compressed format must run at least 2x faster than dense on the
+// widest supported vector backend, or the bench exits 1.
 #include "bench/bench_common.h"
 #include "src/simgpu/kernel_model.h"
 #include "src/tensor/kernels.h"
@@ -88,7 +91,66 @@ void RunMeasuredKernels(bool quick, BenchJson* json) {
               table.ToAscii().c_str());
 }
 
-void Run(bool quick, const char* json_path) {
+// Decode shape (m = 1): dense time over compressed time per backend, the
+// Fig. 6 (left) trend. Returns false when the widest supported vector backend
+// has either ratio below kMinDecodeRatio.
+bool RunDecodeShapeRatios(bool quick, BenchJson* json) {
+  constexpr double kMinDecodeRatio = 2.0;
+  const int dim = quick ? 1024 : 4096;
+  Rng rng(607);
+  const Matrix x = Matrix::Random(1, dim, rng, 1.0f);
+  const Matrix w = Matrix::Random(dim, dim, rng, 0.02f);
+  const auto q = PackedQuantMatrix::Quantize(w, 4, 128);
+  const auto sp = Sparse24Matrix::Pack(MagnitudePrune24(w), 4, 128);
+  const double window = quick ? 0.05 : 0.2;
+  // Best of three windows: a ratio of two timings is gated, so damp the
+  // interference of other processes on either side.
+  const auto best_secs = [&](const auto& fn) {
+    double best = TimeSecsStable(fn, window);
+    for (int rep = 1; rep < 3; ++rep) {
+      best = std::min(best, TimeSecsStable(fn, window));
+    }
+    return best;
+  };
+  Table table({"isa", "dense us", "quant4 us", "sparse24 us",
+               "dense/quant4", "dense/sparse24"});
+  bool ok = true;
+  bool widest = true;  // probe order: the first supported backend is widest
+  for (const std::string& isa : kernels::CompiledBackends()) {
+    if (!kernels::BackendSupported(isa)) {
+      continue;
+    }
+    kernels::ForceBackend(isa);
+    const double dense_s = best_secs([&] { MatmulNT(x, w); });
+    const double q_s = best_secs([&] { q.MatmulNT(x); });
+    const double s_s = best_secs([&] { sp.MatmulNT(x); });
+    const double q_ratio = dense_s / q_s;
+    const double s_ratio = dense_s / s_s;
+    table.AddRow({isa, Table::Num(dense_s * 1e6, 1), Table::Num(q_s * 1e6, 1),
+                  Table::Num(s_s * 1e6, 1), Table::Num(q_ratio, 2),
+                  Table::Num(s_ratio, 2)});
+    if (json != nullptr) {
+      json->Add("quant4_vs_dense_m1_" + isa, q_ratio, "x", true, isa);
+      json->Add("sparse24_vs_dense_m1_" + isa, s_ratio, "x", true, isa);
+    }
+    if (widest && isa != "scalar" &&
+        (q_ratio < kMinDecodeRatio || s_ratio < kMinDecodeRatio)) {
+      std::fprintf(stderr,
+                   "FAIL: at m = 1 on %s, compressed must run >= %.0fx faster "
+                   "than dense (quant4 %.2fx, sparse24 %.2fx)\n",
+                   isa.c_str(), kMinDecodeRatio, q_ratio, s_ratio);
+      ok = false;
+    }
+    widest = false;
+  }
+  kernels::ResetBackend();
+  std::printf("\ndecode shape, m = 1, W = %dx%d (4-bit, group 128): dense time "
+              "over compressed time\n\n%s\n",
+              dim, dim, table.ToAscii().c_str());
+  return ok;
+}
+
+bool Run(bool quick, const char* json_path) {
   Banner("Figure 6 — compressed matmul performance", "Fig. 6", 0);
   const KernelModel km{GpuSpec::A800()};
   const long long n = 4096;
@@ -121,15 +183,20 @@ void Run(bool quick, const char* json_path) {
 
   BenchJson json("bench_fig06_matmul_perf");
   RunMeasuredKernels(quick, json_path != nullptr ? &json : nullptr);
+  const bool ok =
+      RunDecodeShapeRatios(quick, json_path != nullptr ? &json : nullptr);
   if (json_path != nullptr && json.WriteFile(json_path)) {
     std::printf("wrote %s\n", json_path);
   }
+  return ok;
 }
 
 }  // namespace
 }  // namespace dz
 
 int main(int argc, char** argv) {
-  dz::Run(dz::ParseQuickFlag(argc, argv), dz::ParseStringFlag(argc, argv, "--json"));
-  return 0;
+  return dz::Run(dz::ParseQuickFlag(argc, argv),
+                 dz::ParseStringFlag(argc, argv, "--json"))
+             ? 0
+             : 1;
 }

@@ -264,9 +264,13 @@ bool DecodeDelta(const ByteBuffer& buffer, CompressedDelta& out) {
       if (!r.ok()) {
         return false;
       }
-      layer.sparse = Sparse24Matrix::FromStorage(rows, cols, bits, out.config.group_size,
-                                                 std::move(packed), std::move(indices),
-                                                 std::move(scales), std::move(zeros));
+      auto sparse = Sparse24Matrix::FromStorage(rows, cols, bits, out.config.group_size,
+                                                std::move(packed), std::move(indices),
+                                                std::move(scales), std::move(zeros));
+      if (!sparse) {
+        return false;
+      }
+      layer.sparse = std::move(*sparse);
     } else {
       auto packed = r.Words();
       auto scales = r.Fp16Vec();
@@ -274,10 +278,13 @@ bool DecodeDelta(const ByteBuffer& buffer, CompressedDelta& out) {
       if (!r.ok()) {
         return false;
       }
-      layer.dense = PackedQuantMatrix::FromStorage(rows, cols, bits,
-                                                   out.config.group_size,
-                                                   std::move(packed), std::move(scales),
-                                                   std::move(zeros));
+      auto dense = PackedQuantMatrix::FromStorage(rows, cols, bits, out.config.group_size,
+                                                  std::move(packed), std::move(scales),
+                                                  std::move(zeros));
+      if (!dense) {
+        return false;
+      }
+      layer.dense = std::move(*dense);
     }
     out.layers.push_back(std::move(layer));
   }

@@ -21,7 +21,8 @@ namespace dz {
 ByteBuffer EncodeDelta(const CompressedDelta& delta);
 
 // Decodes a buffer produced by EncodeDelta. Returns false on a wrong magic or
-// version, a length field that overruns the buffer, or trailing bytes.
+// version, a length field that overruns the buffer, trailing bytes, or a layer
+// whose geometry its storage does not fit (see the FromStorage functions).
 bool DecodeDelta(const ByteBuffer& buffer, CompressedDelta& out);
 
 // File helpers (binary). Return false on I/O failure.

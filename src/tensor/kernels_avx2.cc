@@ -23,7 +23,7 @@ struct Avx2Ops {
   static constexpr int kWidth = 8;
   static constexpr size_t kQuantJr = 8;
   static constexpr size_t kSparseRows = 8;
-  static constexpr size_t kSparseCols = 8;
+  static constexpr size_t kDecodeLanes = 16;
 
   // 4x16 NT micro-kernel: 8 ymm accumulators, one per (row, 8-col half); each
   // output column is a single lane accumulating a0[p]*b[p] in ascending p.
@@ -291,20 +291,87 @@ struct Avx2Ops {
     _mm256_storeu_ps(acc, accv);
   }
 
-  // Column-path inner loop: 8 weight-row chains (lanes) over one activation
-  // row; per kept slot, gather x at the 8 rows' column indices and multiply by
-  // their interleaved dequantized values.
-  static void SparseInnerT(const float* xrow, const int* colsT,
-                           const float* valsT, size_t len, float* acc) {
-    __m256 accv = _mm256_loadu_ps(acc);
-    for (size_t s = 0; s < len; ++s) {
-      const __m256i idx = _mm256_loadu_si256(
-          reinterpret_cast<const __m256i*>(colsT + s * kSparseCols));
-      const __m256 xv = _mm256_i32gather_ps(xrow, idx, 4);
-      accv = _mm256_add_ps(
-          accv, _mm256_mul_ps(xv, _mm256_loadu_ps(valsT + s * kSparseCols)));
+  // Decode-shape lanes: 16 weight rows as two ymm halves, so each activation
+  // row runs two independent add chains (one ymm chain is latency-bound).
+  struct VecF {
+    __m256 lo, hi;
+  };
+  struct VecI {
+    __m256i lo, hi;
+  };
+  struct LaneIdx {
+    __m256i q[4];  // 64-bit element offsets, lanes 4i .. 4i+3
+  };
+
+  static LaneIdx LaneOffsets(size_t stride, size_t lanes) {
+    alignas(32) int64_t at[kDecodeLanes];
+    for (size_t t = 0; t < kDecodeLanes; ++t) {
+      at[t] = static_cast<int64_t>(std::min(t, lanes - 1) * stride);
     }
-    _mm256_storeu_ps(acc, accv);
+    LaneIdx idx;
+    for (int i = 0; i < 4; ++i) {
+      idx.q[i] =
+          _mm256_load_si256(reinterpret_cast<const __m256i*>(at + 4 * i));
+    }
+    return idx;
+  }
+  static __m256i Gather8(const int* p, __m256i lo, __m256i hi) {
+    const __m128i all = _mm_set1_epi32(-1);
+    const __m128i a =
+        _mm256_mask_i64gather_epi32(_mm_setzero_si128(), p, lo, all, 4);
+    const __m128i b =
+        _mm256_mask_i64gather_epi32(_mm_setzero_si128(), p, hi, all, 4);
+    return _mm256_inserti128_si256(_mm256_castsi128_si256(a), b, 1);
+  }
+  static VecI GatherWords(const uint32_t* base, const LaneIdx& idx) {
+    const int* p = reinterpret_cast<const int*>(base);
+    return {Gather8(p, idx.q[0], idx.q[1]), Gather8(p, idx.q[2], idx.q[3])};
+  }
+  static VecI LoadInts(const int32_t* p) {
+    const __m256i* v = reinterpret_cast<const __m256i*>(p);
+    return {_mm256_loadu_si256(v), _mm256_loadu_si256(v + 1)};
+  }
+  static VecF LoadFloats(const float* p) {
+    return {_mm256_loadu_ps(p), _mm256_loadu_ps(p + 8)};
+  }
+  static VecI SplatInt(uint32_t v) {
+    const __m256i s = _mm256_set1_epi32(static_cast<int>(v));
+    return {s, s};
+  }
+  static VecF Splat(float v) {
+    const __m256 s = _mm256_set1_ps(v);
+    return {s, s};
+  }
+  static VecF Zero() { return Splat(0.0f); }
+  static VecI ShiftRight(VecI v, VecI n) {
+    return {_mm256_srlv_epi32(v.lo, n.lo), _mm256_srlv_epi32(v.hi, n.hi)};
+  }
+  // The int subtract and convert are exact; the one mul is ValueAt()'s.
+  static __m256 Dequant8(__m256i word, __m256i mask, __m256i zero,
+                         __m256 scale) {
+    const __m256i q = _mm256_sub_epi32(_mm256_and_si256(word, mask), zero);
+    return _mm256_mul_ps(_mm256_cvtepi32_ps(q), scale);
+  }
+  static VecF Dequant(VecI word, VecI mask, VecI zero, VecF scale) {
+    return {Dequant8(word.lo, mask.lo, zero.lo, scale.lo),
+            Dequant8(word.hi, mask.hi, zero.hi, scale.hi)};
+  }
+  // vpermilps picks within each 128-bit lane by the low 2 bits of ctl, so
+  // with x4 in both 128-bit lanes it returns x4[ctl & 3] per lane.
+  static VecF SelectX4(const float* x4, VecI ctl) {
+    const __m128 q = _mm_loadu_ps(x4);
+    const __m256 x = _mm256_set_m128(q, q);
+    return {_mm256_permutevar_ps(x, ctl.lo), _mm256_permutevar_ps(x, ctl.hi)};
+  }
+  static VecF MulAdd(VecF acc, VecF a, VecF b) {
+    return {_mm256_add_ps(acc.lo, _mm256_mul_ps(a.lo, b.lo)),
+            _mm256_add_ps(acc.hi, _mm256_mul_ps(a.hi, b.hi))};
+  }
+  static void StoreLanes(float* y, VecF v, size_t lanes) {
+    alignas(32) float out[kDecodeLanes];
+    _mm256_store_ps(out, v.lo);
+    _mm256_store_ps(out + 8, v.hi);
+    std::memcpy(y, out, lanes * sizeof(float));
   }
 
   static size_t MatchLen(const uint8_t* a, const uint8_t* b, size_t max) {

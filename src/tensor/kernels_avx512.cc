@@ -21,7 +21,7 @@ struct Avx512Ops {
   static constexpr int kWidth = 16;
   static constexpr size_t kQuantJr = 16;
   static constexpr size_t kSparseRows = 16;
-  static constexpr size_t kSparseCols = 16;
+  static constexpr size_t kDecodeLanes = 16;
 
   // 4x16 NT micro-kernel: one zmm accumulator per output row.
   static void NTMicro4(const float* arow0, const float* arow1,
@@ -204,7 +204,8 @@ struct Avx512Ops {
     size_t i = 0;
     for (; i + 16 <= len; i += 16) {
       const __m512i c = _mm512_loadu_si512(codes + i);
-      const __m512 f = _mm512_cvtepi32_ps(_mm512_sub_epi32(c, zv));
+      const __m512 f =
+          _mm512_maskz_cvtepi32_ps(kAll, _mm512_sub_epi32(c, zv));
       _mm512_storeu_ps(out + i, _mm512_mul_ps(f, sv));
     }
     for (; i < len; ++i) {
@@ -251,21 +252,57 @@ struct Avx512Ops {
     _mm512_storeu_ps(acc, accv);
   }
 
-  // Column-path inner loop: 16 weight-row chains (lanes) over one activation
-  // row; per kept slot, gather x at the 16 rows' column indices and multiply
-  // by their interleaved dequantized values.
-  static void SparseInnerT(const float* xrow, const int* colsT,
-                           const float* valsT, size_t len, float* acc) {
-    __m512 accv = _mm512_loadu_ps(acc);
-    for (size_t s = 0; s < len; ++s) {
-      const __m512i idx = _mm512_loadu_si512(colsT + s * kSparseCols);
-      const __m512 xv = _mm512_mask_i32gather_ps(_mm512_setzero_ps(),
-                                                 static_cast<__mmask16>(0xFFFF),
-                                                 idx, xrow, 4);
-      accv = _mm512_add_ps(
-          accv, _mm512_mul_ps(xv, _mm512_loadu_ps(valsT + s * kSparseCols)));
+  // Decode-shape lanes: one weight row per zmm lane. The maskz forms with
+  // every lane set are the plain ops; GCC 12's plain forms start from an
+  // undefined register and trip -Wmaybe-uninitialized once inlined.
+  static constexpr __mmask16 kAll = 0xFFFF;
+  using VecF = __m512;
+  using VecI = __m512i;
+  struct LaneIdx {
+    __m512i lo, hi;  // 64-bit element offsets of lanes 0-7 and 8-15
+  };
+
+  static LaneIdx LaneOffsets(size_t stride, size_t lanes) {
+    alignas(64) int64_t at[kDecodeLanes];
+    for (size_t t = 0; t < kDecodeLanes; ++t) {
+      at[t] = static_cast<int64_t>(std::min(t, lanes - 1) * stride);
     }
-    _mm512_storeu_ps(acc, accv);
+    return {_mm512_load_si512(at), _mm512_load_si512(at + 8)};
+  }
+  static VecI GatherWords(const uint32_t* base, const LaneIdx& idx) {
+    const __m256i lo = _mm512_mask_i64gather_epi32(
+        _mm256_setzero_si256(), static_cast<__mmask8>(0xFF), idx.lo, base, 4);
+    const __m256i hi = _mm512_mask_i64gather_epi32(
+        _mm256_setzero_si256(), static_cast<__mmask8>(0xFF), idx.hi, base, 4);
+    return _mm512_maskz_inserti64x4(static_cast<__mmask8>(0xFF),
+                                    _mm512_castsi256_si512(lo), hi, 1);
+  }
+  static VecI LoadInts(const int32_t* p) { return _mm512_loadu_si512(p); }
+  static VecF LoadFloats(const float* p) { return _mm512_loadu_ps(p); }
+  static VecI SplatInt(uint32_t v) {
+    return _mm512_set1_epi32(static_cast<int>(v));
+  }
+  static VecF Splat(float v) { return _mm512_set1_ps(v); }
+  static VecF Zero() { return _mm512_setzero_ps(); }
+  static VecI ShiftRight(VecI v, VecI n) {
+    return _mm512_maskz_srlv_epi32(kAll, v, n);
+  }
+  // The int subtract and convert are exact; the one mul is ValueAt()'s.
+  static VecF Dequant(VecI word, VecI mask, VecI zero, VecF scale) {
+    const __m512i q = _mm512_sub_epi32(_mm512_and_si512(word, mask), zero);
+    return _mm512_mul_ps(_mm512_maskz_cvtepi32_ps(kAll, q), scale);
+  }
+  // vpermilps picks within each 128-bit lane by the low 2 bits of ctl, so
+  // with x4 in every 128-bit lane it returns x4[ctl & 3] per lane.
+  static VecF SelectX4(const float* x4, VecI ctl) {
+    const __m512 x = _mm512_maskz_broadcast_f32x4(kAll, _mm_loadu_ps(x4));
+    return _mm512_maskz_permutevar_ps(kAll, x, ctl);
+  }
+  static VecF MulAdd(VecF acc, VecF a, VecF b) {
+    return _mm512_add_ps(acc, _mm512_mul_ps(a, b));
+  }
+  static void StoreLanes(float* y, VecF v, size_t lanes) {
+    _mm512_mask_storeu_ps(y, static_cast<__mmask16>((1u << lanes) - 1u), v);
   }
 
   // Byte helpers use 256-bit ops (implied AVX2): cmpeq+movemask needs AVX512BW

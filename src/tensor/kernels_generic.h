@@ -14,7 +14,7 @@
 //     static constexpr int kWidth;          // fp32 lanes per vector
 //     static constexpr size_t kQuantJr;     // quant panel interleave width
 //     static constexpr size_t kSparseRows;  // sparse rows chained per pass
-//     static constexpr size_t kSparseCols;  // sparse cols gathered per pass
+//     static constexpr size_t kDecodeLanes; // weight rows per decode pass
 //     static void NTMicro4(a0,a1,a2,a3, panel, k, out);   // 4x16 NT micro
 //     static void NTMicro1(a, panel, k, out);             // 1x16 NT micro
 //     static void Axpy(v, x, y, n);                       // y[j] += v*x[j]
@@ -22,7 +22,17 @@
 //     static void Add/Sub(y, x, n); static void Scale(y, s, n);
 //     static void QuantInner(x, panel, len, acc);         // kQuantJr chains
 //     static void SparseInner(x0, stride, cols, vals, len, acc);
-//     static void SparseInnerT(xrow, colsT, valsT, len, acc);  // kSparseCols
+//     // Decode-shape lanes (m < kSparseRows), one weight row per lane:
+//     using VecF, VecI, LaneIdx;            // float / uint32 / row offsets
+//     static LaneIdx LaneOffsets(stride, lanes);
+//     static VecI GatherWords(base, idx);   // base[offset of each lane]
+//     static VecI LoadInts(p); static VecF LoadFloats(p);
+//     static VecI SplatInt(v); static VecF Splat(v); static VecF Zero();
+//     static VecI ShiftRight(v, n);         // v >> n per lane, logical
+//     static VecF Dequant(word, mask, zero, scale);  // ValueAt() affine
+//     static VecF SelectX4(x4, ctl);        // x4[ctl & 3] per lane
+//     static VecF MulAdd(acc, a, b);        // acc + a*b, two roundings
+//     static void StoreLanes(y, v, lanes);
 //     static size_t MatchLen(a, b, max);
 //     static void CopyMatch(dst, dist, len);
 //   };
@@ -36,7 +46,9 @@
 #define SRC_TENSOR_KERNELS_GENERIC_H_
 
 #include <algorithm>
+#include <cstdint>
 #include <cstring>
+#include <type_traits>
 #include <vector>
 
 #include "src/tensor/backend.h"
@@ -292,6 +304,17 @@ Matrix GemmTNImpl(const Matrix& a, const Matrix& b) {
 // Fused group-dequant GEMM.
 // ---------------------------------------------------------------------------
 
+// Runs rows [0, n) of a compressed-weight GEMM, split into tiles of at least
+// `grain` weight rows once the product is big enough to pay for tasks.
+template <typename Body>
+void LaunchRows(size_t n, size_t flops, size_t grain, const Body& body) {
+  if (flops < kParallelFlopThreshold) {
+    body(0, n, 0, 1);
+  } else {
+    ThreadPool::Global().ParallelFor2D(n, 1, grain, 1, body);
+  }
+}
+
 // Columns decoded per pass; panel (Jr rows interleaved) stays L1-resident.
 constexpr size_t kQuantBlockCols = 256;
 
@@ -306,7 +329,8 @@ constexpr size_t kQuantBlockCols = 256;
 // Pipeline: per row, unpack codes (scalar bit twiddling), per-group affine
 // into a contiguous row buffer (Arch::DequantAffine, vectorized), then one
 // Jr-wide transpose into the interleaved panel (Arch::InterleaveQuant). The
-// strided scatter this replaces dominated decode time at small m.
+// panel pays off once m >= kSparseRows activation rows share it; fewer rows
+// take the decode-shape path below, which builds no panel at all.
 template <typename Arch>
 void DecodeQuantPanel(const PackedQuantMatrix& w, size_t j, size_t jw,
                       size_t c0, size_t c1, int* codes, float* rowbuf,
@@ -366,6 +390,188 @@ void DecodeQuantPanel(const PackedQuantMatrix& w, size_t j, size_t jw,
   Arch::InterleaveQuant(rowbuf, kQuantBlockCols, len, panel);
 }
 
+// ---------------------------------------------------------------------------
+// Decode-shape path: m < kSparseRows activation rows (decode, token-by-token
+// prefill). Too few rows share a decoded panel to pay for it, so codes are
+// decoded in registers instead. Each vector lane owns one weight row
+// (kDecodeLanes rows per pass) and holds one accumulator per activation row.
+// Per lane, a code word is fetched once and shifted in a register; a group's
+// zero and scale are loaded once per group; every decoded value feeds all M
+// activation rows. Each output keeps the reference chain: 0.0f, then each
+// code in ascending order (k, or kept slot for 2:4), an explicit mul then add
+// of x times the ValueAt() value. Codes per word is a power of two, so word
+// and shift come from shifts and masks, never a division.
+//
+// Dead lanes (the n % kDecodeLanes tail) re-read the last live row, so every
+// load stays in bounds; StoreLanes drops their results.
+// ---------------------------------------------------------------------------
+
+// A packed weight as the decode-shape kernels read it: rows of `len` codes
+// (cols for quant, kept slots for 2:4) of `bits` each, packed from the low end
+// of uint32 words; a zero and a scale per group of `group_size` codes; for 2:4
+// also each kept slot's 2-bit position in its group of 4, 16 per word.
+struct PackedRows {
+  const uint32_t* codes = nullptr;
+  const uint32_t* positions = nullptr;  // 2:4 only
+  const uint8_t* zeros = nullptr;
+  const float* scales = nullptr;
+  size_t len = 0;
+  int bits = 0;
+  size_t word_shift = 0;  // log2(codes per word)
+  size_t words = 0;       // code words per row
+  size_t position_words = 0;
+  size_t group_size = 0;
+  size_t groups = 0;  // groups per row
+};
+
+PackedRows RowsOf(size_t len, int bits, int group_size) {
+  PackedRows r;
+  r.len = len;
+  r.bits = bits;
+  r.word_shift = bits == 2 ? 4 : bits == 4 ? 3 : 2;  // bits is 2, 4 or 8
+  r.words = ((len - 1) >> r.word_shift) + 1;
+  r.group_size = static_cast<size_t>(group_size);
+  r.groups = (len + r.group_size - 1) / r.group_size;
+  return r;
+}
+
+PackedRows RowsOf(const PackedQuantMatrix& w) {
+  PackedRows r =
+      RowsOf(static_cast<size_t>(w.cols()), w.bits(), w.group_size());
+  r.codes = w.packed().data();
+  r.zeros = w.zeros().data();
+  r.scales = w.scales().data();
+  return r;
+}
+
+PackedRows RowsOf(const Sparse24Matrix& w) {
+  PackedRows r =
+      RowsOf(static_cast<size_t>(w.cols()) / 2, w.bits(), w.group_size());
+  r.codes = w.packed_values().data();
+  r.positions = w.packed_indices().data();
+  r.position_words = ((r.len - 1) >> 4) + 1;
+  r.zeros = w.zeros().data();
+  r.scales = w.scales().data();
+  return r;
+}
+
+// Zero and scale of group g for every lane; rows are `stride` entries apart.
+template <typename Arch>
+void LoadGroupParams(const uint8_t* zeros, const float* scales, size_t stride,
+                     size_t lanes, typename Arch::VecI& zero,
+                     typename Arch::VecF& scale) {
+  constexpr size_t W = Arch::kDecodeLanes;
+  alignas(64) int32_t z[W];
+  alignas(64) float s[W];
+  for (size_t t = 0; t < W; ++t) {
+    const size_t at = std::min(t, lanes - 1) * stride;
+    z[t] = zeros[at];
+    s[t] = scales[at];
+  }
+  zero = Arch::LoadInts(z);
+  scale = Arch::LoadFloats(s);
+}
+
+// y[0..M) columns [j, j + lanes) = x[0..M) * W[j, j + lanes)^T. Quant code c
+// multiplies x column c. 2:4 slot kk multiplies column (kk / 2) * 4 + its
+// position, which each lane picks from the slot's group of 4 with one
+// in-register select; codes per word (4, 8 or 16) divides the 16 slots of a
+// position word, so a code word's slots never straddle two position words.
+template <typename Arch, size_t M, bool kSparse24>
+void DecodeRows(const Matrix& x, const PackedRows& w, size_t j, size_t lanes,
+                Matrix& y) {
+  using VecF = typename Arch::VecF;
+  using VecI = typename Arch::VecI;
+  const float* xr[M];
+  VecF acc[M];
+  for (size_t i = 0; i < M; ++i) {
+    xr[i] = x.row(static_cast<int>(i));
+    acc[i] = Arch::Zero();
+  }
+  const uint32_t* codes_base = w.codes + j * w.words;
+  const uint32_t* positions_base =
+      kSparse24 ? w.positions + j * w.position_words : nullptr;
+  const uint8_t* zeros = w.zeros + j * w.groups;
+  const float* scales = w.scales + j * w.groups;
+  const auto code_at = Arch::LaneOffsets(w.words, lanes);
+  const auto position_at = Arch::LaneOffsets(w.position_words, lanes);
+  const VecI mask = Arch::SplatInt((1u << w.bits) - 1u);
+  const VecI step = Arch::SplatInt(static_cast<uint32_t>(w.bits));
+  const VecI two = Arch::SplatInt(2);
+  const size_t in_word = (size_t{1} << w.word_shift) - 1;
+  size_t c = 0;
+  for (size_t g = 0; c < w.len; ++g) {
+    const size_t gend = std::min(w.len, c + w.group_size);
+    VecI zero;
+    VecF scale;
+    LoadGroupParams<Arch>(zeros + g, scales + g, w.groups, lanes, zero, scale);
+    while (c < gend) {
+      const size_t word = c >> w.word_shift;
+      const size_t wend = std::min(gend, (word + 1) << w.word_shift);
+      VecI codes = Arch::ShiftRight(
+          Arch::GatherWords(codes_base + word, code_at),
+          Arch::SplatInt(static_cast<uint32_t>((c & in_word) * w.bits)));
+      VecI pos;
+      if constexpr (kSparse24) {
+        pos = Arch::ShiftRight(
+            Arch::GatherWords(positions_base + (c >> 4), position_at),
+            Arch::SplatInt(static_cast<uint32_t>((c & 15) * 2)));
+      }
+      for (; c < wend; ++c) {
+        const VecF v = Arch::Dequant(codes, mask, zero, scale);
+        for (size_t i = 0; i < M; ++i) {
+          if constexpr (kSparse24) {
+            const float* group4 = xr[i] + ((c >> 1) << 2);
+            acc[i] = Arch::MulAdd(acc[i], Arch::SelectX4(group4, pos), v);
+          } else {
+            acc[i] = Arch::MulAdd(acc[i], Arch::Splat(xr[i][c]), v);
+          }
+        }
+        codes = Arch::ShiftRight(codes, step);
+        if constexpr (kSparse24) {
+          pos = Arch::ShiftRight(pos, two);
+        }
+      }
+    }
+  }
+  for (size_t i = 0; i < M; ++i) {
+    Arch::StoreLanes(y.row(static_cast<int>(i)) + j, acc[i], lanes);
+  }
+}
+
+// Calls body(std::integral_constant<size_t, m>()) for 1 <= m <= Max, so the
+// decode-shape kernels keep their M accumulators in registers.
+template <size_t Max, typename Body>
+void WithRowCount(size_t m, const Body& body) {
+  if constexpr (Max > 1) {
+    if (m < Max) {
+      WithRowCount<Max - 1>(m, body);
+      return;
+    }
+  }
+  body(std::integral_constant<size_t, Max>());
+}
+
+// y = x * W^T for the m < kSparseRows rows of x, over lane-aligned tiles of
+// W's rows.
+template <typename Arch, bool kSparse24>
+void DecodeShapeGemmNT(const Matrix& x, const PackedRows& w, Matrix& y) {
+  constexpr size_t W = Arch::kDecodeLanes;
+  const size_t m = static_cast<size_t>(x.rows());
+  const size_t n = static_cast<size_t>(y.cols());
+  const size_t grain = std::max<size_t>(
+      W, kTaskFlopTarget / std::max<size_t>(2 * m * w.len, 1));
+  LaunchRows(n, m * n * w.len, (grain + W - 1) / W * W,
+             [&](size_t j0, size_t j1, size_t, size_t) {
+               WithRowCount<Arch::kSparseRows - 1>(m, [&](auto rows) {
+                 for (size_t j = j0; j < j1; j += W) {
+                   DecodeRows<Arch, decltype(rows)::value, kSparse24>(
+                       x, w, j, std::min(W, j1 - j), y);
+                 }
+               });
+             });
+}
+
 template <typename Arch>
 Matrix QuantGemmNTImpl(const Matrix& x, const PackedQuantMatrix& w) {
   DZ_CHECK_EQ(x.cols(), w.cols());
@@ -375,6 +581,10 @@ Matrix QuantGemmNTImpl(const Matrix& x, const PackedQuantMatrix& w) {
   const size_t k = static_cast<size_t>(w.cols());
   Matrix y(static_cast<int>(m), static_cast<int>(n));
   if (m == 0 || n == 0 || k == 0) {
+    return y;
+  }
+  if (m < Arch::kSparseRows) {
+    DecodeShapeGemmNT<Arch, false>(x, RowsOf(w), y);
     return y;
   }
   const auto body = [&](size_t j0, size_t j1, size_t, size_t) {
@@ -404,14 +614,10 @@ Matrix QuantGemmNTImpl(const Matrix& x, const PackedQuantMatrix& w) {
       }
     }
   };
-  const size_t flops = m * n * k;
-  if (flops < kParallelFlopThreshold) {
-    body(0, n, 0, 1);
-  } else {
-    const size_t grain = std::max<size_t>(
-        Jr * 4, kTaskFlopTarget / std::max<size_t>(2 * m * k, 1));
-    ThreadPool::Global().ParallelFor2D(n, 1, grain, 1, body);
-  }
+  LaunchRows(n, m * n * k,
+             std::max<size_t>(
+                 Jr * 4, kTaskFlopTarget / std::max<size_t>(2 * m * k, 1)),
+             body);
   return y;
 }
 
@@ -423,12 +629,15 @@ template <typename Arch>
 Matrix Sparse24GemmNTImpl(const Matrix& x, const Sparse24Matrix& w) {
   DZ_CHECK_EQ(x.cols(), w.cols());
   constexpr size_t R = Arch::kSparseRows;
-  constexpr size_t Jc = Arch::kSparseCols;
   const size_t m = static_cast<size_t>(x.rows());
   const size_t n = static_cast<size_t>(w.rows());
   const size_t kept = static_cast<size_t>(w.cols()) / 2;
   Matrix y(static_cast<int>(m), static_cast<int>(n));
   if (m == 0 || n == 0 || kept == 0) {
+    return y;
+  }
+  if (m < R) {
+    DecodeShapeGemmNT<Arch, true>(x, RowsOf(w), y);
     return y;
   }
   const size_t xstride = static_cast<size_t>(x.cols());
@@ -442,11 +651,10 @@ Matrix Sparse24GemmNTImpl(const Matrix& x, const Sparse24Matrix& w) {
   constexpr size_t kBlock = 256;  // kept slots decoded per pass
 
   // Decodes kept-slot block [k0, k1) of weight row j into gather columns and
-  // dequantized values, `stride` floats apart (1 for the row path, kSparseCols
-  // for the column path's interleaved panel). Scalar on every backend, so the
-  // dequant affine rounds identically everywhere.
-  const auto decode_block = [&](size_t j, size_t k0, size_t k1, size_t stride,
-                                int* cols_out, float* vals_out) {
+  // dequantized values. Scalar on every backend, so the dequant affine rounds
+  // identically everywhere.
+  const auto decode_block = [&](size_t j, size_t k0, size_t k1, int* cols_out,
+                                float* vals_out) {
     const uint32_t* vwords = w.packed_values().data() + j * words_per_row;
     const uint32_t* iwords = w.packed_indices().data() + j * index_words_per_row;
     const float* scales = w.scales().data() + j * groups_per_row;
@@ -454,53 +662,23 @@ Matrix Sparse24GemmNTImpl(const Matrix& x, const Sparse24Matrix& w) {
     for (size_t kk = k0; kk < k1; ++kk) {
       const uint32_t iword = iwords[kk / 16];
       const int in_group = static_cast<int>((iword >> ((kk % 16) * 2)) & 0x3u);
-      cols_out[(kk - k0) * stride] = static_cast<int>((kk / 2) * 4) + in_group;
+      cols_out[kk - k0] = static_cast<int>((kk / 2) * 4) + in_group;
       const uint32_t vword = vwords[kk / codes_per_word];
       const int q =
           static_cast<int>((vword >> ((kk % codes_per_word) * bits)) & mask);
       const size_t gi = kk / group_size;
-      vals_out[(kk - k0) * stride] =
+      vals_out[kk - k0] =
           static_cast<float>(q - static_cast<int>(zeros[gi])) * scales[gi];
     }
   };
 
-  // When m < R the row path degenerates to scalar chains, so flip the
-  // vectorization axis: process kSparseCols weight rows per pass, one
-  // accumulator lane per output column, x values fetched by vector gather.
-  // 2:4 sparsity gives every weight row exactly kept slots, so the slot loop
-  // is uniform across lanes and each lane's chain stays ascending-k.
-  const bool column_path = Jc > 1 && m < R;
-
   const auto body = [&](size_t j0, size_t j1, size_t, size_t) {
-    std::vector<int> cols(kBlock * (column_path ? Jc : 1));
-    std::vector<float> vals(kBlock * (column_path ? Jc : 1));
-    size_t j = j0;
-    if (column_path) {
-      for (; j + Jc <= j1; j += Jc) {
-        for (size_t k0 = 0; k0 < kept; k0 += kBlock) {
-          const size_t k1 = std::min(kept, k0 + kBlock);
-          const size_t len = k1 - k0;
-          for (size_t t = 0; t < Jc; ++t) {
-            decode_block(j + t, k0, k1, Jc, cols.data() + t, vals.data() + t);
-          }
-          for (size_t i = 0; i < m; ++i) {
-            float acc[Jc];
-            for (size_t t = 0; t < Jc; ++t) {
-              acc[t] = y.at(static_cast<int>(i), static_cast<int>(j + t));
-            }
-            Arch::SparseInnerT(x.row(static_cast<int>(i)), cols.data(),
-                               vals.data(), len, acc);
-            for (size_t t = 0; t < Jc; ++t) {
-              y.at(static_cast<int>(i), static_cast<int>(j + t)) = acc[t];
-            }
-          }
-        }
-      }
-    }
-    for (; j < j1; ++j) {
+    std::vector<int> cols(kBlock);
+    std::vector<float> vals(kBlock);
+    for (size_t j = j0; j < j1; ++j) {
       for (size_t k0 = 0; k0 < kept; k0 += kBlock) {
         const size_t k1 = std::min(kept, k0 + kBlock);
-        decode_block(j, k0, k1, 1, cols.data(), vals.data());
+        decode_block(j, k0, k1, cols.data(), vals.data());
         const size_t len = k1 - k0;
         // R activation rows at a time: R independent chains share one pass
         // over cols/vals (gathered in the vector backends), each chain still
@@ -517,9 +695,9 @@ Matrix Sparse24GemmNTImpl(const Matrix& x, const Sparse24Matrix& w) {
             y.at(static_cast<int>(i + r), static_cast<int>(j)) = acc[r];
           }
         }
-        // Sub-R tail in interleaved groups of 4: four independent chains share
-        // one pass over cols/vals (each still ascending kept-slot order), so a
-        // wide backend's m < R case is never slower than the scalar backend.
+        // The m % R leftover rows in interleaved groups of 4: four independent
+        // chains share one pass over cols/vals (each still ascending kept-slot
+        // order).
         for (; i + 4 <= m; i += 4) {
           const float* x0 = x.row(static_cast<int>(i));
           const float* x1 = x0 + xstride;
@@ -553,17 +731,10 @@ Matrix Sparse24GemmNTImpl(const Matrix& x, const Sparse24Matrix& w) {
       }
     }
   };
-  const size_t flops = m * n * kept;
-  if (flops < kParallelFlopThreshold) {
-    body(0, n, 0, 1);
-  } else {
-    size_t grain = std::max<size_t>(
-        16, kTaskFlopTarget / std::max<size_t>(2 * m * kept, 1));
-    if (column_path) {
-      grain = (grain + Jc - 1) / Jc * Jc;  // keep partitions lane-aligned
-    }
-    ThreadPool::Global().ParallelFor2D(n, 1, grain, 1, body);
-  }
+  LaunchRows(n, m * n * kept,
+             std::max<size_t>(
+                 16, kTaskFlopTarget / std::max<size_t>(2 * m * kept, 1)),
+             body);
   return y;
 }
 
@@ -651,7 +822,7 @@ struct ScalarOps {
   static constexpr int kWidth = 1;
   static constexpr size_t kQuantJr = 4;
   static constexpr size_t kSparseRows = 4;
-  static constexpr size_t kSparseCols = 1;  // no gather: column path disabled
+  static constexpr size_t kDecodeLanes = 4;  // interleaved scalar chains
 
   static void NTMicro4(const float* arow0, const float* arow1,
                        const float* arow2, const float* arow3,
@@ -774,17 +945,73 @@ struct ScalarOps {
     acc[3] = a3;
   }
 
-  // Column-path inner loop: kSparseCols independent chains, one output column
-  // per lane, reading colsT/valsT interleaved kSparseCols apart. Width 1 here —
-  // defined so the driver instantiates, but the scalar backend never takes the
-  // column path.
-  static void SparseInnerT(const float* xrow, const int* colsT,
-                           const float* valsT, size_t len, float* acc) {
-    float a = acc[0];
-    for (size_t s = 0; s < len; ++s) {
-      a += xrow[colsT[s]] * valsT[s];
+  // Decode-shape lanes: kDecodeLanes independent scalar chains, one weight
+  // row each, as plain arrays the compiler may keep in registers.
+  struct VecF {
+    float v[kDecodeLanes];
+  };
+  struct VecI {
+    uint32_t v[kDecodeLanes];
+  };
+  struct LaneIdx {
+    size_t v[kDecodeLanes];
+  };
+  // The vector whose lane t is lane(t).
+  template <typename Vec, typename Lane>
+  static Vec PerLane(const Lane& lane) {
+    Vec r;
+    for (size_t t = 0; t < kDecodeLanes; ++t) {
+      r.v[t] = lane(t);
     }
-    acc[0] = a;
+    return r;
+  }
+
+  static LaneIdx LaneOffsets(size_t stride, size_t lanes) {
+    return PerLane<LaneIdx>(
+        [&](size_t t) { return std::min(t, lanes - 1) * stride; });
+  }
+  static VecI GatherWords(const uint32_t* base, const LaneIdx& idx) {
+    return PerLane<VecI>([&](size_t t) { return base[idx.v[t]]; });
+  }
+  static VecI LoadInts(const int32_t* p) {
+    return PerLane<VecI>([&](size_t t) { return static_cast<uint32_t>(p[t]); });
+  }
+  static VecF LoadFloats(const float* p) {
+    return PerLane<VecF>([&](size_t t) { return p[t]; });
+  }
+  static VecI SplatInt(uint32_t v) {
+    return PerLane<VecI>([&](size_t) { return v; });
+  }
+  static VecF Splat(float v) {
+    return PerLane<VecF>([&](size_t) { return v; });
+  }
+  static VecF Zero() { return Splat(0.0f); }
+  static VecI ShiftRight(const VecI& a, const VecI& n) {
+    return PerLane<VecI>([&](size_t t) { return a.v[t] >> n.v[t]; });
+  }
+  // (float)((word & mask) - zero) * scale: the exact ValueAt() expression.
+  static VecF Dequant(const VecI& word, const VecI& mask, const VecI& zero,
+                      const VecF& scale) {
+    return PerLane<VecF>([&](size_t t) {
+      return static_cast<float>(static_cast<int>(word.v[t] & mask.v[t]) -
+                                static_cast<int>(zero.v[t])) *
+             scale.v[t];
+    });
+  }
+  // A plain loop: GCC 12 codegen for the PerLane form of this one ran the
+  // m = 1 2:4 kernel about 1.5x slower.
+  static VecF SelectX4(const float* x4, const VecI& ctl) {
+    VecF r;
+    for (size_t t = 0; t < kDecodeLanes; ++t) {
+      r.v[t] = x4[ctl.v[t] & 3u];
+    }
+    return r;
+  }
+  static VecF MulAdd(const VecF& acc, const VecF& a, const VecF& b) {
+    return PerLane<VecF>([&](size_t t) { return acc.v[t] + a.v[t] * b.v[t]; });
+  }
+  static void StoreLanes(float* y, const VecF& v, size_t lanes) {
+    std::copy(v.v, v.v + lanes, y);
   }
 
   static void SparseInner(const float* x0, size_t stride, const int* cols,

@@ -109,25 +109,28 @@ Matrix PackedQuantMatrix::MatmulNT(const Matrix& x) const {
   return kernels::QuantGemmNT(x, *this);
 }
 
-PackedQuantMatrix PackedQuantMatrix::FromStorage(int rows, int cols, int bits,
-                                                 int group_size,
-                                                 std::vector<uint32_t> packed,
-                                                 std::vector<float> scales,
-                                                 std::vector<uint8_t> zeros) {
-  DZ_CHECK_GT(rows, 0);
-  DZ_CHECK_GT(cols, 0);
-  DZ_CHECK(bits == 2 || bits == 4 || bits == 8);
+std::optional<PackedQuantMatrix> PackedQuantMatrix::FromStorage(
+    int rows, int cols, int bits, int group_size, std::vector<uint32_t> packed,
+    std::vector<float> scales, std::vector<uint8_t> zeros) {
+  if (rows <= 0 || cols <= 0 || group_size <= 0 ||
+      (bits != 2 && bits != 4 && bits != 8)) {
+    return std::nullopt;
+  }
   PackedQuantMatrix out;
   out.rows_ = rows;
   out.cols_ = cols;
   out.bits_ = bits;
-  out.group_size_ = std::min(group_size, std::max(cols, 1));
-  out.groups_per_row_ = (cols + out.group_size_ - 1) / out.group_size_;
+  out.group_size_ = std::min(group_size, cols);
+  // Both quotients are at most cols, so they fit back into int.
+  const size_t n = static_cast<size_t>(cols);
+  out.groups_per_row_ = static_cast<int>((n + out.group_size_ - 1) / out.group_size_);
   out.codes_per_word_ = 32 / bits;
-  out.words_per_row_ = (cols + out.codes_per_word_ - 1) / out.codes_per_word_;
-  DZ_CHECK_EQ(packed.size(), static_cast<size_t>(rows) * out.words_per_row_);
-  DZ_CHECK_EQ(scales.size(), static_cast<size_t>(rows) * out.groups_per_row_);
-  DZ_CHECK_EQ(zeros.size(), scales.size());
+  out.words_per_row_ = static_cast<int>((n + out.codes_per_word_ - 1) / out.codes_per_word_);
+  if (packed.size() != static_cast<size_t>(rows) * out.words_per_row_ ||
+      scales.size() != static_cast<size_t>(rows) * out.groups_per_row_ ||
+      zeros.size() != scales.size()) {
+    return std::nullopt;
+  }
   out.packed_ = std::move(packed);
   out.scales_ = std::move(scales);
   out.zeros_ = std::move(zeros);

@@ -11,6 +11,7 @@
 #define SRC_TENSOR_PACKED_QUANT_H_
 
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "src/tensor/matrix.h"
@@ -49,11 +50,14 @@ class PackedQuantMatrix {
   const std::vector<float>& scales() const { return scales_; }
   const std::vector<uint8_t>& zeros() const { return zeros_; }
 
-  // Rebuilds a matrix from raw storage (deserialization).
-  static PackedQuantMatrix FromStorage(int rows, int cols, int bits, int group_size,
-                                       std::vector<uint32_t> packed,
-                                       std::vector<float> scales,
-                                       std::vector<uint8_t> zeros);
+  // Rebuilds a matrix from raw storage (deserialization). Returns nullopt
+  // unless rows, cols, group_size > 0, bits is 2, 4 or 8, and every vector has
+  // the size these imply: the kernels index by those sizes unchecked.
+  static std::optional<PackedQuantMatrix> FromStorage(int rows, int cols, int bits,
+                                                      int group_size,
+                                                      std::vector<uint32_t> packed,
+                                                      std::vector<float> scales,
+                                                      std::vector<uint8_t> zeros);
 
  private:
   int rows_ = 0;

@@ -168,27 +168,29 @@ Matrix Sparse24Matrix::MatmulNT(const Matrix& x) const {
   return kernels::Sparse24GemmNT(x, *this);
 }
 
-Sparse24Matrix Sparse24Matrix::FromStorage(int rows, int cols, int bits, int group_size,
-                                           std::vector<uint32_t> packed,
-                                           std::vector<uint32_t> indices,
-                                           std::vector<float> scales,
-                                           std::vector<uint8_t> zeros) {
-  DZ_CHECK_GT(rows, 0);
-  DZ_CHECK_EQ(cols % 4, 0);
-  DZ_CHECK(bits == 2 || bits == 4 || bits == 8);
+std::optional<Sparse24Matrix> Sparse24Matrix::FromStorage(
+    int rows, int cols, int bits, int group_size, std::vector<uint32_t> packed,
+    std::vector<uint32_t> indices, std::vector<float> scales,
+    std::vector<uint8_t> zeros) {
+  if (rows <= 0 || cols <= 0 || cols % 4 != 0 || group_size <= 0 ||
+      (bits != 2 && bits != 4 && bits != 8)) {
+    return std::nullopt;
+  }
   Sparse24Matrix out;
   out.rows_ = rows;
   out.cols_ = cols;
   out.bits_ = bits;
   out.kept_per_row_ = cols / 2;
-  out.group_size_ = std::min(group_size, std::max(out.kept_per_row_, 1));
+  out.group_size_ = std::min(group_size, out.kept_per_row_);
   out.groups_per_row_ = (out.kept_per_row_ + out.group_size_ - 1) / out.group_size_;
   out.codes_per_word_ = 32 / bits;
   out.words_per_row_ = (out.kept_per_row_ + out.codes_per_word_ - 1) / out.codes_per_word_;
-  DZ_CHECK_EQ(packed.size(), static_cast<size_t>(rows) * out.words_per_row_);
-  DZ_CHECK_EQ(indices.size(), static_cast<size_t>(rows) * ((out.kept_per_row_ + 15) / 16));
-  DZ_CHECK_EQ(scales.size(), static_cast<size_t>(rows) * out.groups_per_row_);
-  DZ_CHECK_EQ(zeros.size(), scales.size());
+  const size_t r = static_cast<size_t>(rows);
+  if (packed.size() != r * out.words_per_row_ ||
+      indices.size() != r * ((out.kept_per_row_ + 15) / 16) ||
+      scales.size() != r * out.groups_per_row_ || zeros.size() != scales.size()) {
+    return std::nullopt;
+  }
   out.packed_ = std::move(packed);
   out.indices_ = std::move(indices);
   out.scales_ = std::move(scales);

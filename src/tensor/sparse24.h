@@ -14,6 +14,7 @@
 #define SRC_TENSOR_SPARSE24_H_
 
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "src/tensor/matrix.h"
@@ -57,13 +58,16 @@ class Sparse24Matrix {
   const std::vector<float>& scales() const { return scales_; }
   const std::vector<uint8_t>& zeros() const { return zeros_; }
 
-  // Rebuilds a matrix from raw storage (deserialization). Sizes must be consistent
-  // with the dimensions; check-fails otherwise.
-  static Sparse24Matrix FromStorage(int rows, int cols, int bits, int group_size,
-                                    std::vector<uint32_t> packed,
-                                    std::vector<uint32_t> indices,
-                                    std::vector<float> scales,
-                                    std::vector<uint8_t> zeros);
+  // Rebuilds a matrix from raw storage (deserialization). Returns nullopt
+  // unless rows, cols, group_size > 0, cols % 4 == 0, bits is 2, 4 or 8, and
+  // every vector has the size these imply: the kernels index by those sizes
+  // unchecked.
+  static std::optional<Sparse24Matrix> FromStorage(int rows, int cols, int bits,
+                                                   int group_size,
+                                                   std::vector<uint32_t> packed,
+                                                   std::vector<uint32_t> indices,
+                                                   std::vector<float> scales,
+                                                   std::vector<uint8_t> zeros);
 
  private:
   float KeptValueAt(int r, int k) const;  // k-th kept value in row r

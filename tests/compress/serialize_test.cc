@@ -1,6 +1,9 @@
 #include "src/compress/serialize.h"
 
 #include <cstdio>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -169,6 +172,121 @@ TEST_F(SerializeTest, RejectsLengthThatWrapsTheBound) {
   crafted.resize(140, 0);
   CompressedDelta decoded;
   EXPECT_FALSE(DecodeDelta(crafted, decoded));
+}
+
+// A one-layer artifact written field by field, so that a test can break one
+// field: by default an 8x16 2:4 layer, 4-bit, group 4 (8 kept slots per row:
+// one code word, one index word and two groups), with zeroed contents.
+struct RawLayer {
+  uint32_t group_size = 4;
+  bool sparse = true;
+  uint32_t rows = 8;
+  uint32_t cols = 16;
+  uint32_t bits = 4;
+  uint64_t packed = 8;   // words
+  uint64_t indices = 8;  // words
+  uint64_t scales = 16;
+  uint64_t zeros = 16;
+};
+
+ByteBuffer EncodeRaw(const RawLayer& l) {
+  ByteBuffer out;
+  auto u8 = [&](uint8_t v) { out.push_back(v); };
+  auto u32 = [&](uint32_t v) {
+    for (int i = 0; i < 4; ++i) {
+      u8(static_cast<uint8_t>(v >> (8 * i)));
+    }
+  };
+  auto u64 = [&](uint64_t v) {
+    u32(static_cast<uint32_t>(v));
+    u32(static_cast<uint32_t>(v >> 32));
+  };
+  auto vec = [&](uint64_t n, size_t elem_bytes) {
+    u64(n);
+    out.insert(out.end(), n * elem_bytes, 0);
+  };
+  u32(0x50495A44);  // magic
+  u32(1);           // version
+  u32(l.bits);
+  u8(l.sparse ? 1 : 0);
+  u32(l.group_size);
+  u8(0);  // lossless
+  u8(0);  // use_obs
+  u32(0);  // damp_ratio
+  u32(1);  // n_layers
+  u32(0);  // empty name
+  u8(l.sparse ? 1 : 0);
+  u32(l.rows);
+  u32(l.cols);
+  u32(l.bits);
+  vec(l.packed, 4);
+  if (l.sparse) {
+    vec(l.indices, 4);
+  }
+  vec(l.scales, 2);
+  vec(l.zeros, 1);
+  u64(0);  // embedding delta: 0 x 0
+  u64(0);  // lm_head delta: 0 x 0
+  u64(0);  // final norm delta
+  u32(0);  // blocks
+  return out;
+}
+
+TEST(SerializeGeometryTest, AcceptsTheUnbrokenRawLayer) {
+  CompressedDelta decoded;
+  ASSERT_TRUE(DecodeDelta(EncodeRaw(RawLayer()), decoded));
+  ASSERT_EQ(decoded.layers.size(), 1u);
+  EXPECT_EQ(decoded.layers[0].sparse.rows(), 8);
+  EXPECT_EQ(decoded.layers[0].sparse.group_size(), 4);
+}
+
+// Each geometry the kernels cannot index safely is rejected, not aborted on.
+TEST(SerializeGeometryTest, RejectsGeometryTheStorageDoesNotFit) {
+  std::vector<std::pair<std::string, RawLayer>> cases;
+  RawLayer l;
+  l.group_size = 0;  // divided by when deriving the group count
+  cases.emplace_back("group_size 0", l);
+  l = RawLayer();
+  l.group_size = 3;  // 3 groups per row: scales and zeros are too short
+  cases.emplace_back("group_size 3", l);
+  l = RawLayer();
+  l.bits = 3;
+  cases.emplace_back("bits 3", l);
+  l = RawLayer();
+  l.cols = 6;  // not whole groups of 4
+  l.packed = 8;
+  cases.emplace_back("sparse cols 6", l);
+  l = RawLayer();
+  l.scales = 15;
+  cases.emplace_back("short scales", l);
+  l = RawLayer();
+  l.rows = 0;
+  l.packed = l.indices = l.scales = l.zeros = 0;
+  cases.emplace_back("rows 0", l);
+  l = RawLayer();
+  l.rows = 0x80000008u;  // negative as an int
+  cases.emplace_back("rows past INT_MAX", l);
+  l = RawLayer();
+  l.sparse = false;  // dense 8x16 4-bit group 4: 2 words, 4 groups per row
+  l.packed = 16;
+  l.scales = l.zeros = 32;
+  l.cols = 0x7FFFFFFFu;  // derived sizes overflow int arithmetic
+  cases.emplace_back("dense cols INT_MAX", l);
+  l.cols = 16;
+  l.group_size = 0;
+  cases.emplace_back("dense group_size 0", l);
+  l.group_size = 4;
+  l.bits = 3;
+  cases.emplace_back("dense bits 3", l);
+  l.bits = 4;
+  l.zeros = 31;
+  cases.emplace_back("dense short zeros", l);
+  l.zeros = 32;
+  CompressedDelta decoded;
+  ASSERT_TRUE(DecodeDelta(EncodeRaw(l), decoded)) << "unbroken dense layer";
+  for (const auto& [name, layer] : cases) {
+    EXPECT_FALSE(DecodeDelta(EncodeRaw(layer), decoded)) << name;
+  }
 }
 
 TEST_F(SerializeTest, LosslessComposesWithEncoding) {

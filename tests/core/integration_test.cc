@@ -66,8 +66,9 @@ TEST(IntegrationTest, Sparse24StorageAccessorsRoundTrip) {
   const auto rebuilt = Sparse24Matrix::FromStorage(
       original.rows(), original.cols(), original.bits(), 32, original.packed_values(),
       original.packed_indices(), original.scales(), original.zeros());
-  EXPECT_EQ(RelativeError(rebuilt.Dequantize(), original.Dequantize()), 0.0);
-  EXPECT_EQ(rebuilt.ByteSize(), original.ByteSize());
+  ASSERT_TRUE(rebuilt.has_value());
+  EXPECT_EQ(RelativeError(rebuilt->Dequantize(), original.Dequantize()), 0.0);
+  EXPECT_EQ(rebuilt->ByteSize(), original.ByteSize());
 }
 
 TEST(IntegrationTest, PackedQuantStorageAccessorsRoundTrip) {
@@ -78,7 +79,8 @@ TEST(IntegrationTest, PackedQuantStorageAccessorsRoundTrip) {
       PackedQuantMatrix::FromStorage(original.rows(), original.cols(), original.bits(),
                                      16, original.packed(), original.scales(),
                                      original.zeros());
-  EXPECT_EQ(RelativeError(rebuilt.Dequantize(), original.Dequantize()), 0.0);
+  ASSERT_TRUE(rebuilt.has_value());
+  EXPECT_EQ(RelativeError(rebuilt->Dequantize(), original.Dequantize()), 0.0);
 }
 
 class FormatSweepTest : public ::testing::TestWithParam<WeightFormat> {};

@@ -184,6 +184,65 @@ TEST_P(KernelParityTest, Sparse24GatherGemmBitIdentical) {
   }
 }
 
+// Decode shapes (fewer activation rows than the backend's row width R) take
+// the in-register decode path: every lane a weight row, n % lanes tail lanes,
+// groups that start mid-word, and kept-slot counts past one 256-slot block.
+// The m and n lists cover R - 1, R, W - 1, W and W + 1 for every backend
+// (R = 4, 8, 16 and W = 4, 16, 16 lanes for scalar, AVX2, AVX-512).
+TEST_P(KernelParityTest, DecodeShapeSweepBitIdentical) {
+  Rng rng(22);
+  const int ms[] = {1, 2, 3, 4, 7, 8, 15, 16};
+  const int ns[] = {1, 3, 4, 5, 7, 8, 9, 15, 16, 17, 172};
+  // k = 520 keeps 260 slots per 2:4 row.
+  const int ks[] = {4, 64, 68, 172, 520};
+  for (int k : ks) {
+    std::vector<Matrix> xs;
+    for (int m : ms) {
+      xs.push_back(RandomWithZeros(m, k, rng, 0.2));
+    }
+    for (int n : ns) {
+      Matrix w = RandomWithZeros(n, k, rng, 0.1);
+      const Matrix pruned = MagnitudePrune24(w);
+      for (int bits : {2, 4, 8}) {
+        for (int group_size : {1, 3, 48, 64, 1000}) {
+          const auto q = PackedQuantMatrix::Quantize(w, bits, group_size);
+          const auto sp = Sparse24Matrix::Pack(pruned, bits, group_size);
+          for (const Matrix& x : xs) {
+            const std::string tag = "m=" + std::to_string(x.rows()) +
+                                    " n=" + std::to_string(n) +
+                                    " k=" + std::to_string(k) +
+                                    " bits=" + std::to_string(bits) +
+                                    " gs=" + std::to_string(group_size);
+            ExpectBitIdentical(q.MatmulNT(x), kernels::ref::QuantGemmNT(x, q),
+                               "quant " + tag);
+            ExpectBitIdentical(sp.MatmulNT(x),
+                               kernels::ref::Sparse24GemmNT(x, sp),
+                               "sparse " + tag);
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST_P(KernelParityTest, DecodeShapeLargeParallelBitIdentical) {
+  // 4096 weight rows cross the parallel threshold (m * n * codes per row >=
+  // 2^22) at m = 1 for quant and at m = 2 for 2:4, so lane-aligned tiles run
+  // on several pool threads.
+  Rng rng(23);
+  const Matrix w = RandomWithZeros(4096, 1024, rng, 0.1);
+  const auto q = PackedQuantMatrix::Quantize(w, 4, 64);
+  const auto sp = Sparse24Matrix::Pack(MagnitudePrune24(w), 4, 64);
+  for (int m : {1, 2}) {
+    const Matrix x = RandomWithZeros(m, 1024, rng, 0.2);
+    const std::string tag = " m=" + std::to_string(m) + " n=4096 k=1024";
+    ExpectBitIdentical(q.MatmulNT(x), kernels::ref::QuantGemmNT(x, q),
+                       "quant" + tag);
+    ExpectBitIdentical(sp.MatmulNT(x), kernels::ref::Sparse24GemmNT(x, sp),
+                       "sparse" + tag);
+  }
+}
+
 TEST_P(KernelParityTest, TailShapesAndUnalignedRowsBitIdentical) {
   // m, n, k swept over {1, 3, w-1, w, w+1} for the active backend's vector
   // width w: every remainder path (scalar tails, partial panels, last-lane

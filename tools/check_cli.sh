@@ -136,7 +136,19 @@ printf 'DZIP\001\0\0\0\002\0\0\0\0\100\0\0\0\0\0\0\0\0\0\001\0\0\0' \
 head -c 33 /dev/zero >>"$tmp/wrap.bin"
 printf '\275\377\377\377\377\377\377\377' >>"$tmp/wrap.bin"
 head -c 72 /dev/zero >>"$tmp/wrap.bin"
-for artifact in "$tmp" "$tmp/wrap.bin"; do
+# And a well-formed 8x16 2:4 layer whose header says group_size 0, which
+# must not reach the division that derives the group count.
+printf 'DZIP\001\0\0\0\004\0\0\0\001\0\0\0\0\0\0\0\0\0\0\001\0\0\0' \
+  >"$tmp/group0.bin"
+{
+  printf '\0\0\0\0\001\010\0\0\0\020\0\0\0\004\0\0\0'  # name, 2:4, rows, cols, bits
+  printf '\010\0\0\0\0\0\0\0'; head -c 32 /dev/zero  # 8 code words
+  printf '\010\0\0\0\0\0\0\0'; head -c 32 /dev/zero  # 8 index words
+  printf '\020\0\0\0\0\0\0\0'; head -c 32 /dev/zero  # 16 fp16 scales
+  printf '\020\0\0\0\0\0\0\0'; head -c 16 /dev/zero  # 16 zeros
+  head -c 28 /dev/zero  # empty embedding, lm_head and norm deltas
+} >>"$tmp/group0.bin"
+for artifact in "$tmp" "$tmp/wrap.bin" "$tmp/group0.bin"; do
   "$cli" inspect --artifact "$artifact" >"$tmp/out" 2>"$tmp/err"
   code=$?
   if [ "$code" -ne 1 ] || ! grep -q "not a valid DeltaZip artifact" "$tmp/err"; then

@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
 # Runs dz_e2e --smoke --digest for every line of tools/e2e_digests.txt, once
 # with DZ_THREADS=1 and once with DZ_THREADS=2, and fails when a digest
-# differs: serving reports (records, metrics, makespan) must stay
-# bit-identical across refactors and speedups of the simulator, and across
-# thread counts. Each run takes well under a second.
+# differs: serving reports (records, metrics, makespan) and the tokens the
+# real-arithmetic delta-zoo path generates must stay bit-identical across
+# refactors and speedups of the simulator and the kernels, and across thread
+# counts. A serve-* run takes well under a second, a delta-zoo run about 2 s.
 # Usage: tools/check_e2e_digests.sh [path/to/dz_e2e]
 #   (default: ${CARGO_TARGET_DIR:-.bench_build}/e2e/dz_e2e, where
 #   bench/e2e/run.py builds it)
