@@ -21,9 +21,8 @@ namespace {
 
 struct Avx2Ops {
   static constexpr int kWidth = 8;
-  static constexpr size_t kQuantJr = 8;
-  static constexpr size_t kSparseRows = 8;
   static constexpr size_t kDecodeLanes = 16;
+  static constexpr size_t kDecodeRows = 4;
 
   // 4x16 NT micro-kernel: 8 ymm accumulators, one per (row, 8-col half); each
   // output column is a single lane accumulating a0[p]*b[p] in ascending p.
@@ -213,85 +212,7 @@ struct Avx2Ops {
     }
   }
 
-  // 8 weight-row chains (lanes) share each broadcast x[c]; panel rows are
-  // contiguous 8-lane groups, so this is one load + one mul-add per c.
-  // Vector affine decode: int subtract and int->float convert are exact, so
-  // the one mul rounds identically to the scalar expression.
-  static void DequantAffine(const int* codes, size_t len, int zero, float scale,
-                            float* out) {
-    const __m256i zv = _mm256_set1_epi32(zero);
-    const __m256 sv = _mm256_set1_ps(scale);
-    size_t i = 0;
-    for (; i + 8 <= len; i += 8) {
-      const __m256i c = _mm256_loadu_si256(
-          reinterpret_cast<const __m256i*>(codes + i));
-      const __m256 f = _mm256_cvtepi32_ps(_mm256_sub_epi32(c, zv));
-      _mm256_storeu_ps(out + i, _mm256_mul_ps(f, sv));
-    }
-    for (; i < len; ++i) {
-      out[i] = static_cast<float>(codes[i] - zero) * scale;
-    }
-  }
-
-  // Jr = 8 interleave as 8x8 in-register transposes; remainder scalar.
-  static void InterleaveQuant(const float* rowbuf, size_t stride, size_t len,
-                              float* panel) {
-    const size_t len8 = len & ~size_t{7};
-    for (size_t c = 0; c < len8; c += 8) {
-      __m256 r0 = _mm256_loadu_ps(rowbuf + c);
-      __m256 r1 = _mm256_loadu_ps(rowbuf + stride + c);
-      __m256 r2 = _mm256_loadu_ps(rowbuf + 2 * stride + c);
-      __m256 r3 = _mm256_loadu_ps(rowbuf + 3 * stride + c);
-      __m256 r4 = _mm256_loadu_ps(rowbuf + 4 * stride + c);
-      __m256 r5 = _mm256_loadu_ps(rowbuf + 5 * stride + c);
-      __m256 r6 = _mm256_loadu_ps(rowbuf + 6 * stride + c);
-      __m256 r7 = _mm256_loadu_ps(rowbuf + 7 * stride + c);
-      Transpose8x8(r0, r1, r2, r3, r4, r5, r6, r7);
-      float* dst = panel + c * kQuantJr;
-      _mm256_storeu_ps(dst + 0 * kQuantJr, r0);
-      _mm256_storeu_ps(dst + 1 * kQuantJr, r1);
-      _mm256_storeu_ps(dst + 2 * kQuantJr, r2);
-      _mm256_storeu_ps(dst + 3 * kQuantJr, r3);
-      _mm256_storeu_ps(dst + 4 * kQuantJr, r4);
-      _mm256_storeu_ps(dst + 5 * kQuantJr, r5);
-      _mm256_storeu_ps(dst + 6 * kQuantJr, r6);
-      _mm256_storeu_ps(dst + 7 * kQuantJr, r7);
-    }
-    for (size_t c = len8; c < len; ++c) {
-      for (size_t t = 0; t < kQuantJr; ++t) {
-        panel[c * kQuantJr + t] = rowbuf[t * stride + c];
-      }
-    }
-  }
-
-  static void QuantInner(const float* x, const float* panel, size_t len,
-                         float* acc) {
-    __m256 accv = _mm256_loadu_ps(acc);
-    for (size_t c = 0; c < len; ++c) {
-      const __m256 xv = _mm256_set1_ps(x[c]);
-      accv = _mm256_add_ps(
-          accv, _mm256_mul_ps(xv, _mm256_loadu_ps(panel + c * kQuantJr)));
-    }
-    _mm256_storeu_ps(acc, accv);
-  }
-
-  // 8 activation-row chains (lanes); per kept slot, gather the 8 rows' x
-  // values at column cols[kk] and broadcast the dequantized weight.
-  static void SparseInner(const float* x0, size_t stride, const int* cols,
-                          const float* vals, size_t len, float* acc) {
-    const __m256i roff =
-        _mm256_mullo_epi32(_mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7),
-                           _mm256_set1_epi32(static_cast<int>(stride)));
-    __m256 accv = _mm256_loadu_ps(acc);
-    for (size_t kk = 0; kk < len; ++kk) {
-      const __m256i idx = _mm256_add_epi32(roff, _mm256_set1_epi32(cols[kk]));
-      const __m256 xv = _mm256_i32gather_ps(x0, idx, 4);
-      accv = _mm256_add_ps(accv, _mm256_mul_ps(xv, _mm256_set1_ps(vals[kk])));
-    }
-    _mm256_storeu_ps(acc, accv);
-  }
-
-  // Decode-shape lanes: 16 weight rows as two ymm halves, so each activation
+  // Decode lanes: 16 weight rows as two ymm halves, so each activation
   // row runs two independent add chains (one ymm chain is latency-bound).
   struct VecF {
     __m256 lo, hi;
@@ -299,35 +220,25 @@ struct Avx2Ops {
   struct VecI {
     __m256i lo, hi;
   };
-  struct LaneIdx {
-    __m256i q[4];  // 64-bit element offsets, lanes 4i .. 4i+3
-  };
-
-  static LaneIdx LaneOffsets(size_t stride, size_t lanes) {
-    alignas(32) int64_t at[kDecodeLanes];
-    for (size_t t = 0; t < kDecodeLanes; ++t) {
-      at[t] = static_cast<int64_t>(std::min(t, lanes - 1) * stride);
+  // Two 8-lane halves, each eight 32-byte row loads and one 8x8 transpose.
+  static void InterleaveWords(const uint32_t* rows, const size_t* at,
+                              uint32_t* tile) {
+    static_assert(kTileWords == 8, "one 8x8 transpose per half");
+    for (size_t h = 0; h < kDecodeLanes; h += 8) {
+      __m256 r[8];
+      for (size_t t = 0; t < 8; ++t) {
+        r[t] = _mm256_castsi256_ps(_mm256_loadu_si256(
+            reinterpret_cast<const __m256i*>(rows + at[h + t])));
+      }
+      Transpose8x8(r[0], r[1], r[2], r[3], r[4], r[5], r[6], r[7]);
+      for (size_t w = 0; w < 8; ++w) {
+        _mm256_store_si256(
+            reinterpret_cast<__m256i*>(tile + w * kDecodeLanes + h),
+            _mm256_castps_si256(r[w]));
+      }
     }
-    LaneIdx idx;
-    for (int i = 0; i < 4; ++i) {
-      idx.q[i] =
-          _mm256_load_si256(reinterpret_cast<const __m256i*>(at + 4 * i));
-    }
-    return idx;
   }
-  static __m256i Gather8(const int* p, __m256i lo, __m256i hi) {
-    const __m128i all = _mm_set1_epi32(-1);
-    const __m128i a =
-        _mm256_mask_i64gather_epi32(_mm_setzero_si128(), p, lo, all, 4);
-    const __m128i b =
-        _mm256_mask_i64gather_epi32(_mm_setzero_si128(), p, hi, all, 4);
-    return _mm256_inserti128_si256(_mm256_castsi128_si256(a), b, 1);
-  }
-  static VecI GatherWords(const uint32_t* base, const LaneIdx& idx) {
-    const int* p = reinterpret_cast<const int*>(base);
-    return {Gather8(p, idx.q[0], idx.q[1]), Gather8(p, idx.q[2], idx.q[3])};
-  }
-  static VecI LoadInts(const int32_t* p) {
+  static VecI LoadInts(const uint32_t* p) {
     const __m256i* v = reinterpret_cast<const __m256i*>(p);
     return {_mm256_loadu_si256(v), _mm256_loadu_si256(v + 1)};
   }
@@ -346,15 +257,29 @@ struct Avx2Ops {
   static VecI ShiftRight(VecI v, VecI n) {
     return {_mm256_srlv_epi32(v.lo, n.lo), _mm256_srlv_epi32(v.hi, n.hi)};
   }
-  // The int subtract and convert are exact; the one mul is ValueAt()'s.
-  static __m256 Dequant8(__m256i word, __m256i mask, __m256i zero,
-                         __m256 scale) {
-    const __m256i q = _mm256_sub_epi32(_mm256_and_si256(word, mask), zero);
-    return _mm256_mul_ps(_mm256_cvtepi32_ps(q), scale);
+  static VecI And(VecI a, VecI b) {
+    return {_mm256_and_si256(a.lo, b.lo), _mm256_and_si256(a.hi, b.hi)};
   }
-  static VecF Dequant(VecI word, VecI mask, VecI zero, VecF scale) {
-    return {Dequant8(word.lo, mask.lo, zero.lo, scale.lo),
-            Dequant8(word.hi, mask.hi, zero.hi, scale.hi)};
+  // Byte b of each lane, zero-extended, by one vpshufb per half: no shift,
+  // and vpshufb leaves the ports the float ops need. The pick moves byte b of
+  // each 32-bit lane to its low byte; the negative entries zero the rest.
+  static VecI ByteOf(VecI v, size_t b) {
+    const __m256i pick = _mm256_add_epi8(
+        _mm256_setr_epi8(0, -128, -128, -128, 4, -128, -128, -128, 8, -128,
+                         -128, -128, 12, -128, -128, -128, 0, -128, -128, -128,
+                         4, -128, -128, -128, 8, -128, -128, -128, 12, -128,
+                         -128, -128),
+        _mm256_set1_epi8(static_cast<char>(b)));
+    return {_mm256_shuffle_epi8(v.lo, pick), _mm256_shuffle_epi8(v.hi, pick)};
+  }
+  // The int subtract and convert are exact; the one mul is ValueAt()'s.
+  static __m256 Dequant8(__m256i code, __m256i zero, __m256 scale) {
+    return _mm256_mul_ps(_mm256_cvtepi32_ps(_mm256_sub_epi32(code, zero)),
+                         scale);
+  }
+  static VecF Dequant(VecI code, VecI zero, VecF scale) {
+    return {Dequant8(code.lo, zero.lo, scale.lo),
+            Dequant8(code.hi, zero.hi, scale.hi)};
   }
   // vpermilps picks within each 128-bit lane by the low 2 bits of ctl, so
   // with x4 in both 128-bit lanes it returns x4[ctl & 3] per lane.

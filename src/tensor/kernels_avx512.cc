@@ -19,9 +19,8 @@ namespace {
 
 struct Avx512Ops {
   static constexpr int kWidth = 16;
-  static constexpr size_t kQuantJr = 16;
-  static constexpr size_t kSparseRows = 16;
   static constexpr size_t kDecodeLanes = 16;
+  static constexpr size_t kDecodeRows = 8;
 
   // 4x16 NT micro-kernel: one zmm accumulator per output row.
   static void NTMicro4(const float* arow0, const float* arow1,
@@ -194,90 +193,32 @@ struct Avx512Ops {
     }
   }
 
-  // 16 weight-row chains per pass over the decoded panel.
-  // Vector affine decode: int subtract and int->float convert are exact, so
-  // the one mul rounds identically to the scalar expression.
-  static void DequantAffine(const int* codes, size_t len, int zero, float scale,
-                            float* out) {
-    const __m512i zv = _mm512_set1_epi32(zero);
-    const __m512 sv = _mm512_set1_ps(scale);
-    size_t i = 0;
-    for (; i + 16 <= len; i += 16) {
-      const __m512i c = _mm512_loadu_si512(codes + i);
-      const __m512 f =
-          _mm512_maskz_cvtepi32_ps(kAll, _mm512_sub_epi32(c, zv));
-      _mm512_storeu_ps(out + i, _mm512_mul_ps(f, sv));
-    }
-    for (; i < len; ++i) {
-      out[i] = static_cast<float>(codes[i] - zero) * scale;
-    }
-  }
-
-  // Jr = 16 = kMicroCols, so the interleave IS the GEMM panel pack shape.
-  static void InterleaveQuant(const float* rowbuf, size_t stride, size_t len,
-                              float* panel) {
-    static_assert(kQuantJr == kMicroCols, "interleave reuses the strip pack");
-    PackStrip16(rowbuf, stride, static_cast<int>(len), panel);
-  }
-
-  static void QuantInner(const float* x, const float* panel, size_t len,
-                         float* acc) {
-    __m512 accv = _mm512_loadu_ps(acc);
-    for (size_t c = 0; c < len; ++c) {
-      accv = _mm512_add_ps(
-          accv, _mm512_mul_ps(_mm512_set1_ps(x[c]),
-                              _mm512_loadu_ps(panel + c * kQuantJr)));
-    }
-    _mm512_storeu_ps(acc, accv);
-  }
-
-  // 16 activation-row chains; per kept slot, gather rows' x[cols[kk]].
-  static void SparseInner(const float* x0, size_t stride, const int* cols,
-                          const float* vals, size_t len, float* acc) {
-    const __m512i roff = _mm512_mullo_epi32(
-        _mm512_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14,
-                          15),
-        _mm512_set1_epi32(static_cast<int>(stride)));
-    __m512 accv = _mm512_loadu_ps(acc);
-    for (size_t kk = 0; kk < len; ++kk) {
-      const __m512i idx = _mm512_add_epi32(roff, _mm512_set1_epi32(cols[kk]));
-      // Full-mask gather with an explicit zero merge source: the plain
-      // _mm512_i32gather_ps leaves its merge register undefined, which GCC
-      // flags with -Wmaybe-uninitialized.
-      const __m512 xv = _mm512_mask_i32gather_ps(_mm512_setzero_ps(),
-                                                 static_cast<__mmask16>(0xFFFF),
-                                                 idx, x0, 4);
-      accv = _mm512_add_ps(accv, _mm512_mul_ps(xv, _mm512_set1_ps(vals[kk])));
-    }
-    _mm512_storeu_ps(acc, accv);
-  }
-
-  // Decode-shape lanes: one weight row per zmm lane. The maskz forms with
+  // Decode lanes: one weight row per zmm lane. The maskz forms with
   // every lane set are the plain ops; GCC 12's plain forms start from an
   // undefined register and trip -Wmaybe-uninitialized once inlined.
   static constexpr __mmask16 kAll = 0xFFFF;
   using VecF = __m512;
   using VecI = __m512i;
-  struct LaneIdx {
-    __m512i lo, hi;  // 64-bit element offsets of lanes 0-7 and 8-15
-  };
 
-  static LaneIdx LaneOffsets(size_t stride, size_t lanes) {
-    alignas(64) int64_t at[kDecodeLanes];
-    for (size_t t = 0; t < kDecodeLanes; ++t) {
-      at[t] = static_cast<int64_t>(std::min(t, lanes - 1) * stride);
+  // Two 8-lane halves, each eight 32-byte row loads and one 8x8 transpose.
+  static void InterleaveWords(const uint32_t* rows, const size_t* at,
+                              uint32_t* tile) {
+    static_assert(kTileWords == 8, "one 8x8 transpose per half");
+    for (size_t h = 0; h < kDecodeLanes; h += 8) {
+      __m256 r[8];
+      for (size_t t = 0; t < 8; ++t) {
+        r[t] = _mm256_castsi256_ps(_mm256_loadu_si256(
+            reinterpret_cast<const __m256i*>(rows + at[h + t])));
+      }
+      Transpose8x8(r[0], r[1], r[2], r[3], r[4], r[5], r[6], r[7]);
+      for (size_t w = 0; w < 8; ++w) {
+        _mm256_store_si256(
+            reinterpret_cast<__m256i*>(tile + w * kDecodeLanes + h),
+            _mm256_castps_si256(r[w]));
+      }
     }
-    return {_mm512_load_si512(at), _mm512_load_si512(at + 8)};
   }
-  static VecI GatherWords(const uint32_t* base, const LaneIdx& idx) {
-    const __m256i lo = _mm512_mask_i64gather_epi32(
-        _mm256_setzero_si256(), static_cast<__mmask8>(0xFF), idx.lo, base, 4);
-    const __m256i hi = _mm512_mask_i64gather_epi32(
-        _mm256_setzero_si256(), static_cast<__mmask8>(0xFF), idx.hi, base, 4);
-    return _mm512_maskz_inserti64x4(static_cast<__mmask8>(0xFF),
-                                    _mm512_castsi256_si512(lo), hi, 1);
-  }
-  static VecI LoadInts(const int32_t* p) { return _mm512_loadu_si512(p); }
+  static VecI LoadInts(const uint32_t* p) { return _mm512_loadu_si512(p); }
   static VecF LoadFloats(const float* p) { return _mm512_loadu_ps(p); }
   static VecI SplatInt(uint32_t v) {
     return _mm512_set1_epi32(static_cast<int>(v));
@@ -287,9 +228,16 @@ struct Avx512Ops {
   static VecI ShiftRight(VecI v, VecI n) {
     return _mm512_maskz_srlv_epi32(kAll, v, n);
   }
+  static VecI And(VecI a, VecI b) { return _mm512_and_si512(a, b); }
+  // Byte b of each lane, zero-extended (vpshufb on zmm needs AVX512BW).
+  static VecI ByteOf(VecI v, size_t b) {
+    const __m128i shift = _mm_cvtsi32_si128(static_cast<int>(8 * b));
+    return _mm512_and_si512(_mm512_maskz_srl_epi32(kAll, v, shift),
+                            _mm512_set1_epi32(0xFF));
+  }
   // The int subtract and convert are exact; the one mul is ValueAt()'s.
-  static VecF Dequant(VecI word, VecI mask, VecI zero, VecF scale) {
-    const __m512i q = _mm512_sub_epi32(_mm512_and_si512(word, mask), zero);
+  static VecF Dequant(VecI code, VecI zero, VecF scale) {
+    const __m512i q = _mm512_sub_epi32(code, zero);
     return _mm512_mul_ps(_mm512_maskz_cvtepi32_ps(kAll, q), scale);
   }
   // vpermilps picks within each 128-bit lane by the low 2 bits of ctl, so

@@ -12,24 +12,23 @@
 //
 //   struct Arch {
 //     static constexpr int kWidth;          // fp32 lanes per vector
-//     static constexpr size_t kQuantJr;     // quant panel interleave width
-//     static constexpr size_t kSparseRows;  // sparse rows chained per pass
 //     static constexpr size_t kDecodeLanes; // weight rows per decode pass
+//     static constexpr size_t kDecodeRows;  // activation rows per decode pass
 //     static void NTMicro4(a0,a1,a2,a3, panel, k, out);   // 4x16 NT micro
 //     static void NTMicro1(a, panel, k, out);             // 1x16 NT micro
+//     static void PackStrip16(b0, ldb, k, panel);         // 16-row B pack
 //     static void Axpy(v, x, y, n);                       // y[j] += v*x[j]
 //     static void Rank1x4(v0..v3, b, c0..c3, n);          // 4 fused axpys
 //     static void Add/Sub(y, x, n); static void Scale(y, s, n);
-//     static void QuantInner(x, panel, len, acc);         // kQuantJr chains
-//     static void SparseInner(x0, stride, cols, vals, len, acc);
-//     // Decode-shape lanes (m < kSparseRows), one weight row per lane:
-//     using VecF, VecI, LaneIdx;            // float / uint32 / row offsets
-//     static LaneIdx LaneOffsets(stride, lanes);
-//     static VecI GatherWords(base, idx);   // base[offset of each lane]
+//     // Compressed-weight lanes, one weight row per lane:
+//     using VecF, VecI;                     // float / uint32 lanes
+//     static void InterleaveWords(rows, at, tile);  // kTileWords per lane
 //     static VecI LoadInts(p); static VecF LoadFloats(p);
 //     static VecI SplatInt(v); static VecF Splat(v); static VecF Zero();
 //     static VecI ShiftRight(v, n);         // v >> n per lane, logical
-//     static VecF Dequant(word, mask, zero, scale);  // ValueAt() affine
+//     static VecI And(a, b);
+//     static VecI ByteOf(v, b);             // byte b, zero-extended
+//     static VecF Dequant(code, zero, scale);  // the ValueAt() affine
 //     static VecF SelectX4(x4, ctl);        // x4[ctl & 3] per lane
 //     static VecF MulAdd(acc, a, b);        // acc + a*b, two roundings
 //     static void StoreLanes(y, v, lanes);
@@ -301,112 +300,23 @@ Matrix GemmTNImpl(const Matrix& a, const Matrix& b) {
 }
 
 // ---------------------------------------------------------------------------
-// Fused group-dequant GEMM.
-// ---------------------------------------------------------------------------
-
-// Runs rows [0, n) of a compressed-weight GEMM, split into tiles of at least
-// `grain` weight rows once the product is big enough to pay for tasks.
-template <typename Body>
-void LaunchRows(size_t n, size_t flops, size_t grain, const Body& body) {
-  if (flops < kParallelFlopThreshold) {
-    body(0, n, 0, 1);
-  } else {
-    ThreadPool::Global().ParallelFor2D(n, 1, grain, 1, body);
-  }
-}
-
-// Columns decoded per pass; panel (Jr rows interleaved) stays L1-resident.
-constexpr size_t kQuantBlockCols = 256;
-
-// Decodes w rows [j, j+jw) columns [c0, c1) into `panel` interleaved as
-// panel[(c - c0) * Jr + t]; dead lanes (t >= jw) are zero-padded. Values are
-// computed with exactly the ValueAt()/Dequantize() expression — the int
-// subtract and int->float convert are exact, so the single float multiply is
-// the only rounding step and every backend produces identical bits. The
-// interleave width Jr is a per-backend layout choice — each output element's
-// chain is unaffected by how many neighbors decode alongside it.
-//
-// Pipeline: per row, unpack codes (scalar bit twiddling), per-group affine
-// into a contiguous row buffer (Arch::DequantAffine, vectorized), then one
-// Jr-wide transpose into the interleaved panel (Arch::InterleaveQuant). The
-// panel pays off once m >= kSparseRows activation rows share it; fewer rows
-// take the decode-shape path below, which builds no panel at all.
-template <typename Arch>
-void DecodeQuantPanel(const PackedQuantMatrix& w, size_t j, size_t jw,
-                      size_t c0, size_t c1, int* codes, float* rowbuf,
-                      float* panel) {
-  constexpr size_t Jr = Arch::kQuantJr;
-  const int bits = w.bits();
-  const int codes_per_word = 32 / bits;
-  const uint32_t mask = (1u << bits) - 1u;
-  const size_t cols = static_cast<size_t>(w.cols());
-  const size_t words_per_row = (cols + codes_per_word - 1) / codes_per_word;
-  const int group_size = w.group_size();
-  const size_t groups_per_row =
-      (cols + static_cast<size_t>(group_size) - 1) / group_size;
-  const size_t len = c1 - c0;
-  for (size_t t = 0; t < Jr; ++t) {
-    float* out = rowbuf + t * kQuantBlockCols;
-    if (t >= jw) {
-      std::fill(out, out + len, 0.0f);
-      continue;
-    }
-    const size_t row = j + t;
-    const uint32_t* words = w.packed().data() + row * words_per_row;
-    // Step 1: unpack raw codes word-at-a-time into a register-friendly array.
-    {
-      size_t c = c0;
-      size_t wi = c0 / static_cast<size_t>(codes_per_word);
-      int idx = static_cast<int>(c0 % static_cast<size_t>(codes_per_word));
-      uint32_t word = words[wi] >> (idx * bits);
-      while (c < c1) {
-        if (idx == codes_per_word) {
-          ++wi;
-          word = words[wi];
-          idx = 0;
-        }
-        codes[c - c0] = static_cast<int>(word & mask);
-        word >>= bits;
-        ++idx;
-        ++c;
-      }
-    }
-    // Step 2: per-group affine, identical expression to ValueAt().
-    const float* scales = w.scales().data() + row * groups_per_row;
-    const uint8_t* zeros = w.zeros().data() + row * groups_per_row;
-    size_t g = c0 / static_cast<size_t>(group_size);
-    size_t c = c0;
-    while (c < c1) {
-      const size_t gend =
-          std::min(c1, (g + 1) * static_cast<size_t>(group_size));
-      Arch::DequantAffine(codes + (c - c0), gend - c,
-                          static_cast<int>(zeros[g]), scales[g],
-                          out + (c - c0));
-      c = gend;
-      ++g;
-    }
-  }
-  // Step 3: transpose the Jr contiguous rows into the interleaved panel.
-  Arch::InterleaveQuant(rowbuf, kQuantBlockCols, len, panel);
-}
-
-// ---------------------------------------------------------------------------
-// Decode-shape path: m < kSparseRows activation rows (decode, token-by-token
-// prefill). Too few rows share a decoded panel to pay for it, so codes are
-// decoded in registers instead. Each vector lane owns one weight row
-// (kDecodeLanes rows per pass) and holds one accumulator per activation row.
-// Per lane, a code word is fetched once and shifted in a register; a group's
-// zero and scale are loaded once per group; every decoded value feeds all M
+// Compressed-weight GEMM, y = x * W^T for group-quantized and 2:4 W. Codes are
+// decoded in registers: each vector lane owns one weight row (kDecodeLanes
+// rows per pass) and holds one accumulator per activation row (up to
+// kDecodeRows per pass). Per lane, a code word is read once, from a tile of
+// words transposed in registers, and decoded there; a group's zero and scale
+// are loaded once per group; every decoded value feeds all the pass's
 // activation rows. Each output keeps the reference chain: 0.0f, then each
 // code in ascending order (k, or kept slot for 2:4), an explicit mul then add
-// of x times the ValueAt() value. Codes per word is a power of two, so word
-// and shift come from shifts and masks, never a division.
+// of x times the ValueAt() value. The code width is a template argument, so
+// word and shift come from shifts and masks, never a division. No panel, row
+// buffer or heap scratch is built.
 //
 // Dead lanes (the n % kDecodeLanes tail) re-read the last live row, so every
 // load stays in bounds; StoreLanes drops their results.
 // ---------------------------------------------------------------------------
 
-// A packed weight as the decode-shape kernels read it: rows of `len` codes
+// A packed weight as the decode kernels read it: rows of `len` codes
 // (cols for quant, kept slots for 2:4) of `bits` each, packed from the low end
 // of uint32 words; a zero and a scale per group of `group_size` codes; for 2:4
 // also each kept slot's 2-bit position in its group of 4, 16 per word.
@@ -417,7 +327,6 @@ struct PackedRows {
   const float* scales = nullptr;
   size_t len = 0;
   int bits = 0;
-  size_t word_shift = 0;  // log2(codes per word)
   size_t words = 0;       // code words per row
   size_t position_words = 0;
   size_t group_size = 0;
@@ -428,8 +337,7 @@ PackedRows RowsOf(size_t len, int bits, int group_size) {
   PackedRows r;
   r.len = len;
   r.bits = bits;
-  r.word_shift = bits == 2 ? 4 : bits == 4 ? 3 : 2;  // bits is 2, 4 or 8
-  r.words = ((len - 1) >> r.word_shift) + 1;
+  r.words = (len + 32 / bits - 1) / (32 / bits);
   r.group_size = static_cast<size_t>(group_size);
   r.groups = (len + r.group_size - 1) / r.group_size;
   return r;
@@ -449,98 +357,164 @@ PackedRows RowsOf(const Sparse24Matrix& w) {
       RowsOf(static_cast<size_t>(w.cols()) / 2, w.bits(), w.group_size());
   r.codes = w.packed_values().data();
   r.positions = w.packed_indices().data();
-  r.position_words = ((r.len - 1) >> 4) + 1;
+  r.position_words = (r.len + 15) / 16;
   r.zeros = w.zeros().data();
   r.scales = w.scales().data();
   return r;
 }
 
-// Zero and scale of group g for every lane; rows are `stride` entries apart.
+// Words a decode tile holds per lane: one 32-byte row segment.
+constexpr size_t kTileWords = 8;
+
+// Word w of each lane's row for w in [w0, w0 + kTileWords), interleaved as
+// tile[(w - w0) * kDecodeLanes + t]; lane t's row starts at base + at[t]. A
+// whole tile is one Arch::InterleaveWords (in-register transposes on x86, no
+// gathers); a tile that would run past the row end copies only the row's
+// words, so no read leaves the row.
 template <typename Arch>
-void LoadGroupParams(const uint8_t* zeros, const float* scales, size_t stride,
-                     size_t lanes, typename Arch::VecI& zero,
+void LoadWordTile(const uint32_t* base, const size_t* at, size_t w0,
+                  size_t words, uint32_t* tile) {
+  constexpr size_t W = Arch::kDecodeLanes;
+  if (w0 + kTileWords <= words) {
+    Arch::InterleaveWords(base + w0, at, tile);
+    return;
+  }
+  for (size_t w = w0; w < words; ++w) {
+    for (size_t t = 0; t < W; ++t) {
+      tile[(w - w0) * W + t] = base[at[t] + w];
+    }
+  }
+}
+
+// Zero and scale of group g for every lane; lane t's are at at[t].
+template <typename Arch>
+void LoadGroupParams(const uint8_t* zeros, const float* scales,
+                     const size_t* at, typename Arch::VecI& zero,
                      typename Arch::VecF& scale) {
   constexpr size_t W = Arch::kDecodeLanes;
-  alignas(64) int32_t z[W];
+  alignas(64) uint32_t z[W];
   alignas(64) float s[W];
   for (size_t t = 0; t < W; ++t) {
-    const size_t at = std::min(t, lanes - 1) * stride;
-    z[t] = zeros[at];
-    s[t] = scales[at];
+    z[t] = zeros[at[t]];
+    s[t] = scales[at[t]];
   }
   zero = Arch::LoadInts(z);
   scale = Arch::LoadFloats(s);
 }
 
-// y[0..M) columns [j, j + lanes) = x[0..M) * W[j, j + lanes)^T. Quant code c
-// multiplies x column c. 2:4 slot kk multiplies column (kk / 2) * 4 + its
-// position, which each lane picks from the slot's group of 4 with one
-// in-register select; codes per word (4, 8 or 16) divides the 16 slots of a
-// position word, so a code word's slots never straddle two position words.
-template <typename Arch, size_t M, bool kSparse24>
-void DecodeRows(const Matrix& x, const PackedRows& w, size_t j, size_t lanes,
-                Matrix& y) {
+// Rows [i0, i0 + M) of y, columns [j, j + lanes): the same rows of x times
+// W[j, j + lanes)^T, for kBits-bit codes. Quant code c multiplies x column c.
+// 2:4 slot kk multiplies column (kk / 2) * 4 + its position, which each lane
+// picks from the slot's group of 4 with one in-register select; codes per
+// word (4, 8 or 16) divides the 16 slots of a position word, so a code word's
+// slots never straddle two position words.
+//
+// A code word that lies whole inside one group is split into 8 / kBits byte
+// planes (plane p holds code b * (8 / kBits) + p in byte b of each lane), so
+// each of its codes is one Arch::ByteOf pick, with no shift per code; a word
+// cut by a group edge or the row end is shifted code by code instead.
+template <typename Arch, size_t M, bool kSparse24, int kBits>
+void DecodeRows(const Matrix& x, const PackedRows& w, size_t i0, size_t j,
+                size_t lanes, Matrix& y) {
   using VecF = typename Arch::VecF;
   using VecI = typename Arch::VecI;
+  constexpr size_t W = Arch::kDecodeLanes;
+  constexpr size_t kPerWord = 32 / kBits;
+  constexpr size_t kPlanes = 8 / kBits;
   const float* xr[M];
   VecF acc[M];
   for (size_t i = 0; i < M; ++i) {
-    xr[i] = x.row(static_cast<int>(i));
+    xr[i] = x.row(static_cast<int>(i0 + i));
     acc[i] = Arch::Zero();
   }
-  const uint32_t* codes_base = w.codes + j * w.words;
-  const uint32_t* positions_base =
-      kSparse24 ? w.positions + j * w.position_words : nullptr;
-  const uint8_t* zeros = w.zeros + j * w.groups;
-  const float* scales = w.scales + j * w.groups;
-  const auto code_at = Arch::LaneOffsets(w.words, lanes);
-  const auto position_at = Arch::LaneOffsets(w.position_words, lanes);
-  const VecI mask = Arch::SplatInt((1u << w.bits) - 1u);
-  const VecI step = Arch::SplatInt(static_cast<uint32_t>(w.bits));
+  // Row offsets of each lane in the code, position and group arrays.
+  size_t code_at[W], position_at[W], group_at[W];
+  for (size_t t = 0; t < W; ++t) {
+    const size_t row = j + std::min(t, lanes - 1);
+    code_at[t] = row * w.words;
+    position_at[t] = row * w.position_words;
+    group_at[t] = row * w.groups;
+  }
+  alignas(64) uint32_t code_tile[kTileWords * W];
+  alignas(64) uint32_t position_tile[kTileWords * W];
+  size_t code_w0 = 0, position_w0 = 0;
+  LoadWordTile<Arch>(w.codes, code_at, 0, w.words, code_tile);
+  if constexpr (kSparse24) {
+    LoadWordTile<Arch>(w.positions, position_at, 0, w.position_words,
+                       position_tile);
+  }
+  const VecI mask = Arch::SplatInt((1u << kBits) - 1u);
+  const VecI byte_mask = Arch::SplatInt(((1u << kBits) - 1u) * 0x01010101u);
   const VecI two = Arch::SplatInt(2);
-  const size_t in_word = (size_t{1} << w.word_shift) - 1;
+  VecI zero;
+  VecF scale;
+  VecI pos;
+  // Code c's value times x, into every row's chain.
+  const auto feed = [&](VecI code, size_t c) {
+    const VecF v = Arch::Dequant(code, zero, scale);
+    for (size_t i = 0; i < M; ++i) {
+      if constexpr (kSparse24) {
+        const float* group4 = xr[i] + ((c >> 1) << 2);
+        acc[i] = Arch::MulAdd(acc[i], Arch::SelectX4(group4, pos), v);
+      } else {
+        acc[i] = Arch::MulAdd(acc[i], Arch::Splat(xr[i][c]), v);
+      }
+    }
+    if constexpr (kSparse24) {
+      pos = Arch::ShiftRight(pos, two);
+    }
+  };
   size_t c = 0;
   for (size_t g = 0; c < w.len; ++g) {
     const size_t gend = std::min(w.len, c + w.group_size);
-    VecI zero;
-    VecF scale;
-    LoadGroupParams<Arch>(zeros + g, scales + g, w.groups, lanes, zero, scale);
+    LoadGroupParams<Arch>(w.zeros + g, w.scales + g, group_at, zero, scale);
     while (c < gend) {
-      const size_t word = c >> w.word_shift;
-      const size_t wend = std::min(gend, (word + 1) << w.word_shift);
-      VecI codes = Arch::ShiftRight(
-          Arch::GatherWords(codes_base + word, code_at),
-          Arch::SplatInt(static_cast<uint32_t>((c & in_word) * w.bits)));
-      VecI pos;
-      if constexpr (kSparse24) {
-        pos = Arch::ShiftRight(
-            Arch::GatherWords(positions_base + (c >> 4), position_at),
-            Arch::SplatInt(static_cast<uint32_t>((c & 15) * 2)));
+      const size_t word = c / kPerWord;
+      const size_t wend = std::min(gend, (word + 1) * kPerWord);
+      if (word - code_w0 >= kTileWords) {
+        code_w0 = word & ~(kTileWords - 1);
+        LoadWordTile<Arch>(w.codes, code_at, code_w0, w.words, code_tile);
       }
-      for (; c < wend; ++c) {
-        const VecF v = Arch::Dequant(codes, mask, zero, scale);
-        for (size_t i = 0; i < M; ++i) {
-          if constexpr (kSparse24) {
-            const float* group4 = xr[i] + ((c >> 1) << 2);
-            acc[i] = Arch::MulAdd(acc[i], Arch::SelectX4(group4, pos), v);
-          } else {
-            acc[i] = Arch::MulAdd(acc[i], Arch::Splat(xr[i][c]), v);
+      const VecI codes = Arch::LoadInts(code_tile + (word - code_w0) * W);
+      if constexpr (kSparse24) {
+        const size_t pword = c / 16;
+        if (pword - position_w0 >= kTileWords) {
+          position_w0 = pword & ~(kTileWords - 1);
+          LoadWordTile<Arch>(w.positions, position_at, position_w0,
+                             w.position_words, position_tile);
+        }
+        pos = Arch::ShiftRight(
+            Arch::LoadInts(position_tile + (pword - position_w0) * W),
+            Arch::SplatInt(static_cast<uint32_t>((c % 16) * 2)));
+      }
+      if (wend - c == kPerWord) {
+        VecI plane[kPlanes];
+        for (size_t p = 0; p < kPlanes; ++p) {
+          plane[p] = Arch::And(
+              Arch::ShiftRight(codes, Arch::SplatInt(p * kBits)), byte_mask);
+        }
+        for (size_t b = 0; b < 4; ++b) {
+          for (size_t p = 0; p < kPlanes; ++p) {
+            feed(Arch::ByteOf(plane[p], b), c + b * kPlanes + p);
           }
         }
-        codes = Arch::ShiftRight(codes, step);
-        if constexpr (kSparse24) {
-          pos = Arch::ShiftRight(pos, two);
-        }
+        c = wend;
+        continue;
+      }
+      for (; c < wend; ++c) {
+        const uint32_t shift = static_cast<uint32_t>((c % kPerWord) * kBits);
+        feed(Arch::And(Arch::ShiftRight(codes, Arch::SplatInt(shift)), mask),
+             c);
       }
     }
   }
   for (size_t i = 0; i < M; ++i) {
-    Arch::StoreLanes(y.row(static_cast<int>(i)) + j, acc[i], lanes);
+    Arch::StoreLanes(y.row(static_cast<int>(i0 + i)) + j, acc[i], lanes);
   }
 }
 
 // Calls body(std::integral_constant<size_t, m>()) for 1 <= m <= Max, so the
-// decode-shape kernels keep their M accumulators in registers.
+// decode kernels keep their M accumulators in registers.
 template <size_t Max, typename Body>
 void WithRowCount(size_t m, const Body& body) {
   if constexpr (Max > 1) {
@@ -552,189 +526,64 @@ void WithRowCount(size_t m, const Body& body) {
   body(std::integral_constant<size_t, Max>());
 }
 
-// y = x * W^T for the m < kSparseRows rows of x, over lane-aligned tiles of
-// W's rows.
+// y = x * W^T over lane-aligned tiles of W's rows. Within a tile, x runs in
+// near-equal chunks of at most kDecodeRows activation rows; the tile's codes
+// stay in cache while each chunk decodes them again.
 template <typename Arch, bool kSparse24>
-void DecodeShapeGemmNT(const Matrix& x, const PackedRows& w, Matrix& y) {
+void DecodeGemmNT(const Matrix& x, const PackedRows& w, Matrix& y) {
   constexpr size_t W = Arch::kDecodeLanes;
+  constexpr size_t R = Arch::kDecodeRows;
   const size_t m = static_cast<size_t>(x.rows());
   const size_t n = static_cast<size_t>(y.cols());
+  const size_t chunks = (m + R - 1) / R;
+  const size_t chunk_rows = (m + chunks - 1) / chunks;
+  const auto tile = [&](size_t j0, size_t j1, size_t, size_t) {
+    for (size_t i0 = 0; i0 < m; i0 += chunk_rows) {
+      WithRowCount<R>(std::min(chunk_rows, m - i0), [&](auto rows) {
+        for (size_t j = j0; j < j1; j += W) {
+          switch (w.bits) {
+            case 2:
+              DecodeRows<Arch, decltype(rows)::value, kSparse24, 2>(
+                  x, w, i0, j, std::min(W, j1 - j), y);
+              break;
+            case 4:
+              DecodeRows<Arch, decltype(rows)::value, kSparse24, 4>(
+                  x, w, i0, j, std::min(W, j1 - j), y);
+              break;
+            default:
+              DecodeRows<Arch, decltype(rows)::value, kSparse24, 8>(
+                  x, w, i0, j, std::min(W, j1 - j), y);
+          }
+        }
+      });
+    }
+  };
+  if (m * n * w.len < kParallelFlopThreshold) {
+    tile(0, n, 0, 1);
+    return;
+  }
   const size_t grain = std::max<size_t>(
       W, kTaskFlopTarget / std::max<size_t>(2 * m * w.len, 1));
-  LaunchRows(n, m * n * w.len, (grain + W - 1) / W * W,
-             [&](size_t j0, size_t j1, size_t, size_t) {
-               WithRowCount<Arch::kSparseRows - 1>(m, [&](auto rows) {
-                 for (size_t j = j0; j < j1; j += W) {
-                   DecodeRows<Arch, decltype(rows)::value, kSparse24>(
-                       x, w, j, std::min(W, j1 - j), y);
-                 }
-               });
-             });
+  ThreadPool::Global().ParallelFor2D(n, 1, (grain + W - 1) / W * W, 1, tile);
 }
 
 template <typename Arch>
 Matrix QuantGemmNTImpl(const Matrix& x, const PackedQuantMatrix& w) {
   DZ_CHECK_EQ(x.cols(), w.cols());
-  constexpr size_t Jr = Arch::kQuantJr;
-  const size_t m = static_cast<size_t>(x.rows());
-  const size_t n = static_cast<size_t>(w.rows());
-  const size_t k = static_cast<size_t>(w.cols());
-  Matrix y(static_cast<int>(m), static_cast<int>(n));
-  if (m == 0 || n == 0 || k == 0) {
-    return y;
+  Matrix y(x.rows(), w.rows());
+  if (x.rows() > 0 && w.rows() > 0 && w.cols() > 0) {
+    DecodeGemmNT<Arch, false>(x, RowsOf(w), y);
   }
-  if (m < Arch::kSparseRows) {
-    DecodeShapeGemmNT<Arch, false>(x, RowsOf(w), y);
-    return y;
-  }
-  const auto body = [&](size_t j0, size_t j1, size_t, size_t) {
-    std::vector<int> codes(kQuantBlockCols);
-    std::vector<float> rowbuf(kQuantBlockCols * Jr);
-    std::vector<float> panel(kQuantBlockCols * Jr);
-    for (size_t j = j0; j < j1; j += Jr) {
-      const size_t jw = std::min(Jr, j1 - j);
-      for (size_t c0 = 0; c0 < k; c0 += kQuantBlockCols) {
-        const size_t c1 = std::min(k, c0 + kQuantBlockCols);
-        DecodeQuantPanel<Arch>(w, j, jw, c0, c1, codes.data(), rowbuf.data(),
-                               panel.data());
-        for (size_t i = 0; i < m; ++i) {
-          const float* xrow = x.row(static_cast<int>(i));
-          float* yrow = y.row(static_cast<int>(i));
-          // Left-fold continuation: each (i, j+t) chain extends across column
-          // blocks in ascending c, exactly the naive single-chain order.
-          float acc[Jr];
-          for (size_t t = 0; t < Jr; ++t) {
-            acc[t] = t < jw ? yrow[j + t] : 0.0f;
-          }
-          Arch::QuantInner(xrow + c0, panel.data(), c1 - c0, acc);
-          for (size_t t = 0; t < jw; ++t) {
-            yrow[j + t] = acc[t];
-          }
-        }
-      }
-    }
-  };
-  LaunchRows(n, m * n * k,
-             std::max<size_t>(
-                 Jr * 4, kTaskFlopTarget / std::max<size_t>(2 * m * k, 1)),
-             body);
   return y;
 }
-
-// ---------------------------------------------------------------------------
-// 2:4 sparse gather GEMM.
-// ---------------------------------------------------------------------------
 
 template <typename Arch>
 Matrix Sparse24GemmNTImpl(const Matrix& x, const Sparse24Matrix& w) {
   DZ_CHECK_EQ(x.cols(), w.cols());
-  constexpr size_t R = Arch::kSparseRows;
-  const size_t m = static_cast<size_t>(x.rows());
-  const size_t n = static_cast<size_t>(w.rows());
-  const size_t kept = static_cast<size_t>(w.cols()) / 2;
-  Matrix y(static_cast<int>(m), static_cast<int>(n));
-  if (m == 0 || n == 0 || kept == 0) {
-    return y;
+  Matrix y(x.rows(), w.rows());
+  if (x.rows() > 0 && w.rows() > 0 && w.cols() > 0) {
+    DecodeGemmNT<Arch, true>(x, RowsOf(w), y);
   }
-  if (m < R) {
-    DecodeShapeGemmNT<Arch, true>(x, RowsOf(w), y);
-    return y;
-  }
-  const size_t xstride = static_cast<size_t>(x.cols());
-  const int bits = w.bits();
-  const int codes_per_word = 32 / bits;
-  const uint32_t mask = (1u << bits) - 1u;
-  const size_t words_per_row = (kept + codes_per_word - 1) / codes_per_word;
-  const size_t index_words_per_row = (kept + 15) / 16;
-  const size_t group_size = static_cast<size_t>(w.group_size());
-  const size_t groups_per_row = (kept + group_size - 1) / group_size;
-  constexpr size_t kBlock = 256;  // kept slots decoded per pass
-
-  // Decodes kept-slot block [k0, k1) of weight row j into gather columns and
-  // dequantized values. Scalar on every backend, so the dequant affine rounds
-  // identically everywhere.
-  const auto decode_block = [&](size_t j, size_t k0, size_t k1, int* cols_out,
-                                float* vals_out) {
-    const uint32_t* vwords = w.packed_values().data() + j * words_per_row;
-    const uint32_t* iwords = w.packed_indices().data() + j * index_words_per_row;
-    const float* scales = w.scales().data() + j * groups_per_row;
-    const uint8_t* zeros = w.zeros().data() + j * groups_per_row;
-    for (size_t kk = k0; kk < k1; ++kk) {
-      const uint32_t iword = iwords[kk / 16];
-      const int in_group = static_cast<int>((iword >> ((kk % 16) * 2)) & 0x3u);
-      cols_out[kk - k0] = static_cast<int>((kk / 2) * 4) + in_group;
-      const uint32_t vword = vwords[kk / codes_per_word];
-      const int q =
-          static_cast<int>((vword >> ((kk % codes_per_word) * bits)) & mask);
-      const size_t gi = kk / group_size;
-      vals_out[kk - k0] =
-          static_cast<float>(q - static_cast<int>(zeros[gi])) * scales[gi];
-    }
-  };
-
-  const auto body = [&](size_t j0, size_t j1, size_t, size_t) {
-    std::vector<int> cols(kBlock);
-    std::vector<float> vals(kBlock);
-    for (size_t j = j0; j < j1; ++j) {
-      for (size_t k0 = 0; k0 < kept; k0 += kBlock) {
-        const size_t k1 = std::min(kept, k0 + kBlock);
-        decode_block(j, k0, k1, cols.data(), vals.data());
-        const size_t len = k1 - k0;
-        // R activation rows at a time: R independent chains share one pass
-        // over cols/vals (gathered in the vector backends), each chain still
-        // ascending kept-slot order with left-fold continuation across blocks.
-        size_t i = 0;
-        for (; i + R <= m; i += R) {
-          float acc[R];
-          for (size_t r = 0; r < R; ++r) {
-            acc[r] = y.at(static_cast<int>(i + r), static_cast<int>(j));
-          }
-          Arch::SparseInner(x.row(static_cast<int>(i)), xstride, cols.data(),
-                            vals.data(), len, acc);
-          for (size_t r = 0; r < R; ++r) {
-            y.at(static_cast<int>(i + r), static_cast<int>(j)) = acc[r];
-          }
-        }
-        // The m % R leftover rows in interleaved groups of 4: four independent
-        // chains share one pass over cols/vals (each still ascending kept-slot
-        // order).
-        for (; i + 4 <= m; i += 4) {
-          const float* x0 = x.row(static_cast<int>(i));
-          const float* x1 = x0 + xstride;
-          const float* x2 = x1 + xstride;
-          const float* x3 = x2 + xstride;
-          float a0 = y.at(static_cast<int>(i + 0), static_cast<int>(j));
-          float a1 = y.at(static_cast<int>(i + 1), static_cast<int>(j));
-          float a2 = y.at(static_cast<int>(i + 2), static_cast<int>(j));
-          float a3 = y.at(static_cast<int>(i + 3), static_cast<int>(j));
-          for (size_t kk = 0; kk < len; ++kk) {
-            const int c = cols[kk];
-            const float v = vals[kk];
-            a0 += x0[c] * v;
-            a1 += x1[c] * v;
-            a2 += x2[c] * v;
-            a3 += x3[c] * v;
-          }
-          y.at(static_cast<int>(i + 0), static_cast<int>(j)) = a0;
-          y.at(static_cast<int>(i + 1), static_cast<int>(j)) = a1;
-          y.at(static_cast<int>(i + 2), static_cast<int>(j)) = a2;
-          y.at(static_cast<int>(i + 3), static_cast<int>(j)) = a3;
-        }
-        for (; i < m; ++i) {
-          const float* xrow = x.row(static_cast<int>(i));
-          float acc = y.at(static_cast<int>(i), static_cast<int>(j));
-          for (size_t kk = 0; kk < len; ++kk) {
-            acc += xrow[cols[kk]] * vals[kk];
-          }
-          y.at(static_cast<int>(i), static_cast<int>(j)) = acc;
-        }
-      }
-    }
-  };
-  LaunchRows(n, m * n * kept,
-             std::max<size_t>(
-                 16, kTaskFlopTarget / std::max<size_t>(2 * m * kept, 1)),
-             body);
   return y;
 }
 
@@ -820,9 +669,8 @@ const Backend* MakeBackendTable(const char* name, const char* isa) {
 // don't specialize.
 struct ScalarOps {
   static constexpr int kWidth = 1;
-  static constexpr size_t kQuantJr = 4;
-  static constexpr size_t kSparseRows = 4;
-  static constexpr size_t kDecodeLanes = 4;  // interleaved scalar chains
+  static constexpr size_t kDecodeLanes = 4;
+  static constexpr size_t kDecodeRows = 6;
 
   static void NTMicro4(const float* arow0, const float* arow1,
                        const float* arow2, const float* arow3,
@@ -909,129 +757,56 @@ struct ScalarOps {
     }
   }
 
-  // out[i] = (float)(codes[i] - zero) * scale — the exact ValueAt() affine.
-  static void DequantAffine(const int* codes, size_t len, int zero, float scale,
-                            float* out) {
-    for (size_t i = 0; i < len; ++i) {
-      out[i] = static_cast<float>(codes[i] - zero) * scale;
-    }
-  }
+  // Decode lanes: kDecodeLanes independent chains, one weight row
+  // each, as GCC/Clang generic vectors. Their ops are element-wise IEEE ops
+  // that the compiler lowers to the target's SIMD or to scalar code, so the
+  // lanes never hinge on the auto-vectorizer.
+  typedef float VecF __attribute__((vector_size(kDecodeLanes * 4)));
+  typedef uint32_t VecI __attribute__((vector_size(kDecodeLanes * 4)));
+  typedef int32_t VecS __attribute__((vector_size(kDecodeLanes * 4)));
 
-  // panel[c * kQuantJr + t] = rowbuf[t * stride + c]: the decode transpose
-  // feeding QuantInner's interleaved loads. Pure data movement.
-  static void InterleaveQuant(const float* rowbuf, size_t stride, size_t len,
-                              float* panel) {
-    for (size_t c = 0; c < len; ++c) {
-      for (size_t t = 0; t < kQuantJr; ++t) {
-        panel[c * kQuantJr + t] = rowbuf[t * stride + c];
+  // tile[w * kDecodeLanes + t] = rows[at[t] + w] for w < kTileWords.
+  static void InterleaveWords(const uint32_t* rows, const size_t* at,
+                              uint32_t* tile) {
+    for (size_t w = 0; w < kTileWords; ++w) {
+      for (size_t t = 0; t < kDecodeLanes; ++t) {
+        tile[w * kDecodeLanes + t] = rows[at[t] + w];
       }
     }
   }
-
-  static void QuantInner(const float* x, const float* panel, size_t len,
-                         float* acc) {
-    float a0 = acc[0], a1 = acc[1], a2 = acc[2], a3 = acc[3];
-    const float* wp = panel;
-    for (size_t c = 0; c < len; ++c, wp += kQuantJr) {
-      const float xv = x[c];
-      a0 += xv * wp[0];
-      a1 += xv * wp[1];
-      a2 += xv * wp[2];
-      a3 += xv * wp[3];
-    }
-    acc[0] = a0;
-    acc[1] = a1;
-    acc[2] = a2;
-    acc[3] = a3;
-  }
-
-  // Decode-shape lanes: kDecodeLanes independent scalar chains, one weight
-  // row each, as plain arrays the compiler may keep in registers.
-  struct VecF {
-    float v[kDecodeLanes];
-  };
-  struct VecI {
-    uint32_t v[kDecodeLanes];
-  };
-  struct LaneIdx {
-    size_t v[kDecodeLanes];
-  };
-  // The vector whose lane t is lane(t).
-  template <typename Vec, typename Lane>
-  static Vec PerLane(const Lane& lane) {
-    Vec r;
-    for (size_t t = 0; t < kDecodeLanes; ++t) {
-      r.v[t] = lane(t);
-    }
-    return r;
-  }
-
-  static LaneIdx LaneOffsets(size_t stride, size_t lanes) {
-    return PerLane<LaneIdx>(
-        [&](size_t t) { return std::min(t, lanes - 1) * stride; });
-  }
-  static VecI GatherWords(const uint32_t* base, const LaneIdx& idx) {
-    return PerLane<VecI>([&](size_t t) { return base[idx.v[t]]; });
-  }
-  static VecI LoadInts(const int32_t* p) {
-    return PerLane<VecI>([&](size_t t) { return static_cast<uint32_t>(p[t]); });
+  static VecI LoadInts(const uint32_t* p) {
+    VecI v;
+    std::memcpy(&v, p, sizeof(v));
+    return v;
   }
   static VecF LoadFloats(const float* p) {
-    return PerLane<VecF>([&](size_t t) { return p[t]; });
+    VecF v;
+    std::memcpy(&v, p, sizeof(v));
+    return v;
   }
-  static VecI SplatInt(uint32_t v) {
-    return PerLane<VecI>([&](size_t) { return v; });
+  static VecI SplatInt(uint32_t v) { return VecI{} + v; }
+  static VecF Splat(float v) { return VecF{} + v; }
+  static VecF Zero() { return VecF{}; }
+  static VecI ShiftRight(VecI a, VecI n) { return a >> n; }
+  static VecI And(VecI a, VecI b) { return a & b; }
+  static VecI ByteOf(VecI v, size_t b) {
+    return (v >> static_cast<uint32_t>(8 * b)) & 0xFFu;
   }
-  static VecF Splat(float v) {
-    return PerLane<VecF>([&](size_t) { return v; });
+  // (float)(code - zero) * scale: the exact ValueAt() expression.
+  static VecF Dequant(VecI code, VecI zero, VecF scale) {
+    const VecS q = reinterpret_cast<VecS>(code - zero);
+    return __builtin_convertvector(q, VecF) * scale;
   }
-  static VecF Zero() { return Splat(0.0f); }
-  static VecI ShiftRight(const VecI& a, const VecI& n) {
-    return PerLane<VecI>([&](size_t t) { return a.v[t] >> n.v[t]; });
-  }
-  // (float)((word & mask) - zero) * scale: the exact ValueAt() expression.
-  static VecF Dequant(const VecI& word, const VecI& mask, const VecI& zero,
-                      const VecF& scale) {
-    return PerLane<VecF>([&](size_t t) {
-      return static_cast<float>(static_cast<int>(word.v[t] & mask.v[t]) -
-                                static_cast<int>(zero.v[t])) *
-             scale.v[t];
-    });
-  }
-  // A plain loop: GCC 12 codegen for the PerLane form of this one ran the
-  // m = 1 2:4 kernel about 1.5x slower.
-  static VecF SelectX4(const float* x4, const VecI& ctl) {
+  static VecF SelectX4(const float* x4, VecI ctl) {
     VecF r;
     for (size_t t = 0; t < kDecodeLanes; ++t) {
-      r.v[t] = x4[ctl.v[t] & 3u];
+      r[t] = x4[ctl[t] & 3u];
     }
     return r;
   }
-  static VecF MulAdd(const VecF& acc, const VecF& a, const VecF& b) {
-    return PerLane<VecF>([&](size_t t) { return acc.v[t] + a.v[t] * b.v[t]; });
-  }
-  static void StoreLanes(float* y, const VecF& v, size_t lanes) {
-    std::copy(v.v, v.v + lanes, y);
-  }
-
-  static void SparseInner(const float* x0, size_t stride, const int* cols,
-                          const float* vals, size_t len, float* acc) {
-    const float* x1 = x0 + stride;
-    const float* x2 = x1 + stride;
-    const float* x3 = x2 + stride;
-    float a0 = acc[0], a1 = acc[1], a2 = acc[2], a3 = acc[3];
-    for (size_t kk = 0; kk < len; ++kk) {
-      const int c = cols[kk];
-      const float v = vals[kk];
-      a0 += x0[c] * v;
-      a1 += x1[c] * v;
-      a2 += x2[c] * v;
-      a3 += x3[c] * v;
-    }
-    acc[0] = a0;
-    acc[1] = a1;
-    acc[2] = a2;
-    acc[3] = a3;
+  static VecF MulAdd(VecF acc, VecF a, VecF b) { return acc + a * b; }
+  static void StoreLanes(float* y, VecF v, size_t lanes) {
+    std::memcpy(y, &v, lanes * sizeof(float));
   }
 
   static size_t MatchLen(const uint8_t* a, const uint8_t* b, size_t max) {

@@ -184,14 +184,15 @@ TEST_P(KernelParityTest, Sparse24GatherGemmBitIdentical) {
   }
 }
 
-// Decode shapes (fewer activation rows than the backend's row width R) take
-// the in-register decode path: every lane a weight row, n % lanes tail lanes,
-// groups that start mid-word, and kept-slot counts past one 256-slot block.
-// The m and n lists cover R - 1, R, W - 1, W and W + 1 for every backend
-// (R = 4, 8, 16 and W = 4, 16, 16 lanes for scalar, AVX2, AVX-512).
+// The compressed kernels decode codes in registers: every lane a weight row,
+// n % lanes tail lanes, groups that start mid-word, tiles of 8 words per lane
+// and a partial last tile, and x in chunks of at most R activation rows. The
+// m list covers R - 1, R, R + 1 and 2R + 1, and the n list W - 1, W and W + 1,
+// for every backend (R = 6, 4, 8 and W = 4, 16, 16 for scalar, AVX2 and
+// AVX-512).
 TEST_P(KernelParityTest, DecodeShapeSweepBitIdentical) {
   Rng rng(22);
-  const int ms[] = {1, 2, 3, 4, 7, 8, 15, 16};
+  const int ms[] = {1, 2, 3, 4, 5, 6, 7, 8, 9, 13, 17};
   const int ns[] = {1, 3, 4, 5, 7, 8, 9, 15, 16, 17, 172};
   // k = 520 keeps 260 slots per 2:4 row.
   const int ks[] = {4, 64, 68, 172, 520};
