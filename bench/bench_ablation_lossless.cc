@@ -1,9 +1,11 @@
 // Ablation of pipeline step 4 (paper §4.1): optional lossless compression of the
-// packed delta artifact. Reports artifact sizes, codec ratio, and the disk-read
-// break-even: lossless pays off when disk bandwidth (e.g. NFS) is the bottleneck,
-// and is neutral-to-negative on fast NVMe — exactly the paper's guidance.
+// packed delta artifact, as its EncodeDelta bytes. Reports artifact sizes, codec
+// ratio, and the disk-read break-even: lossless pays off when disk bandwidth (e.g.
+// NFS) is the bottleneck, and is neutral-to-negative on fast NVMe — exactly the
+// paper's guidance.
 #include "bench/bench_common.h"
 #include "src/compress/lossless.h"
+#include "src/compress/serialize.h"
 #include "src/simgpu/kernel_model.h"
 
 namespace dz {
@@ -24,7 +26,7 @@ void Run() {
     cfg.bits = bits;
     const CompressedDelta delta = DeltaCompress(
         family.base->weights(), family.finetuned->weights(), family.calibration, cfg);
-    const ByteBuffer raw = delta.Serialize();
+    const ByteBuffer raw = EncodeDelta(delta);
     const SteadyTimer timer;
     const ByteBuffer gz = GdeflateCompress(raw);
     const double secs = timer.Seconds();

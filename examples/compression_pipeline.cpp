@@ -13,6 +13,7 @@
 #include "src/compress/delta.h"
 #include "src/compress/lossless.h"
 #include "src/compress/obs.h"
+#include "src/compress/serialize.h"
 #include "src/train/finetune.h"
 #include "src/util/table.h"
 #include "src/util/thread_pool.h"
@@ -79,7 +80,7 @@ int main() {
   cfg.bits = 2;
   const CompressedDelta artifact =
       DeltaCompress(base.weights(), finetuned.weights(), calib, cfg);
-  const ByteBuffer raw = artifact.Serialize();
+  const ByteBuffer raw = EncodeDelta(artifact);
   const ByteBuffer gz = GdeflateCompress(raw);
   std::printf("step 4 (lossless, whole artifact): %zu B -> %zu B (%.2fx, gdeflate-like)\n\n",
               raw.size(), gz.size(), CompressionRatio(raw.size(), gz.size()));
@@ -110,7 +111,7 @@ int main() {
     const double ms = std::chrono::duration<double, std::milli>(
                           std::chrono::steady_clock::now() - t0)
                           .count();
-    return std::make_pair(ms, d.Serialize());
+    return std::make_pair(ms, EncodeDelta(d));
   };
   ThreadPool serial(1);
   ThreadPool threaded;  // default: DZ_THREADS or capped hardware_concurrency

@@ -672,17 +672,9 @@ ClusterReport ServeElastic(const ClusterConfig& cfg, const Trace& trace) {
   if (cfg.registry.enabled) {
     run.registry = std::make_unique<ArtifactRegistry>(
         cfg.registry, trace.n_models, cfg.placer.n_gpus);
-    // Per-worker artifact payload, mirroring the engines' own
-    // store_config.artifact_bytes computation (repair jobs meter against it).
-    const ExecModel exec(cfg.engine.exec);
-    const size_t per_gpu =
-        cfg.vllm_baseline
-            ? exec.BaseWeightBytesPerGpu()
-            : (cfg.engine.artifact == ArtifactKind::kLoraAdapter
-                   ? exec.LoraBytesPerGpu(cfg.engine.lora_rank)
-                   : exec.DeltaBytesPerGpu());
-    run.artifact_bytes = static_cast<double>(
-        per_gpu * static_cast<size_t>(cfg.engine.exec.tp));
+    // Per-worker artifact payload (repair jobs meter against it).
+    run.artifact_bytes = static_cast<double>(WorkerArtifactBytes(
+        cfg.engine, ExecModel(cfg.engine.exec), cfg.vllm_baseline));
   }
 
   ClusterAutoscaler autoscaler(cfg.autoscale);

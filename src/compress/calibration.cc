@@ -9,14 +9,8 @@ Matrix CaptureLayerInput(const Transformer& model,
                          const std::vector<std::vector<int>>& calibration,
                          const std::string& layer_name, ThreadPool* pool) {
   DZ_CHECK(!calibration.empty());
-  // Find the weight so the overlay can still produce the layer's normal output.
-  const Matrix* weight = nullptr;
-  for (const auto& layer : model.weights().LinearLayers()) {
-    if (layer.name == layer_name) {
-      weight = layer.weight;
-      break;
-    }
-  }
+  // The weight lets the overlay still produce the layer's normal output.
+  const Matrix* weight = model.weights().LinearWeight(layer_name);
   DZ_CHECK(weight != nullptr);
 
   // Forward passes over the calibration sequences are independent; run them

@@ -1,8 +1,9 @@
 #include "src/compress/delta.h"
 
-#include <cstring>
+#include <functional>
 
 #include "src/compress/calibration.h"
+#include "src/compress/serialize.h"
 #include "src/tensor/half.h"
 #include "src/util/check.h"
 #include "src/util/logging.h"
@@ -28,21 +29,15 @@ size_t Fp16Bytes(const Matrix& m) { return m.size() * 2; }
 
 size_t Fp16Bytes(const std::vector<float>& v) { return v.size() * 2; }
 
-void AppendFp16(ByteBuffer& out, const float* data, size_t n) {
-  for (size_t i = 0; i < n; ++i) {
-    const uint16_t h = FloatToHalfBits(data[i]);
-    out.push_back(static_cast<uint8_t>(h & 0xFF));
-    out.push_back(static_cast<uint8_t>(h >> 8));
+void AddVec(std::vector<float>& dst, const std::vector<float>& delta) {
+  DZ_CHECK_EQ(dst.size(), delta.size());
+  for (size_t i = 0; i < dst.size(); ++i) {
+    dst[i] += delta[i];
   }
 }
 
-void AppendWords(ByteBuffer& out, const std::vector<uint32_t>& words) {
-  for (uint32_t w : words) {
-    out.push_back(static_cast<uint8_t>(w & 0xFF));
-    out.push_back(static_cast<uint8_t>((w >> 8) & 0xFF));
-    out.push_back(static_cast<uint8_t>((w >> 16) & 0xFF));
-    out.push_back(static_cast<uint8_t>((w >> 24) & 0xFF));
-  }
+bool SameShape(const Matrix& a, const Matrix& b) {
+  return a.rows() == b.rows() && a.cols() == b.cols();
 }
 
 }  // namespace
@@ -65,60 +60,39 @@ size_t CompressedDelta::PackedByteSize() const {
   return total;
 }
 
-ByteBuffer CompressedDelta::Serialize() const {
-  ByteBuffer out;
-  out.reserve(PackedByteSize());
-  // Dump codes, indices, and quantization parameters in layer order. The exact field
-  // order only needs to be deterministic for the lossless pass to be meaningful.
-  for (const auto& layer : layers) {
-    if (layer.is_sparse) {
-      AppendWords(out, layer.sparse.packed_values());
-      AppendWords(out, layer.sparse.packed_indices());
-      AppendFp16(out, layer.sparse.scales().data(), layer.sparse.scales().size());
-    } else {
-      AppendWords(out, layer.dense.packed());
-      AppendFp16(out, layer.dense.scales().data(), layer.dense.scales().size());
-    }
-  }
-  if (embedding_delta.FrobeniusNorm() != 0.0) {
-    AppendFp16(out, embedding_delta.data().data(), embedding_delta.size());
-  } else {
-    out.push_back(0);  // "unchanged" marker
-  }
-  if (lm_head_delta.FrobeniusNorm() != 0.0) {
-    AppendFp16(out, lm_head_delta.data().data(), lm_head_delta.size());
-  } else {
-    out.push_back(0);
-  }
-  AppendFp16(out, final_norm_delta.data(), final_norm_delta.size());
-  for (const auto& v : attn_norm_deltas) {
-    AppendFp16(out, v.data(), v.size());
-  }
-  for (const auto& v : mlp_norm_deltas) {
-    AppendFp16(out, v.data(), v.size());
-  }
-  return out;
+size_t CompressedDelta::StoredByteSize() const {
+  return config.lossless ? GdeflateCompress(EncodeDelta(*this)).size() : PackedByteSize();
 }
 
-void CompressedDelta::FinalizeStoredBytes() {
-  if (config.lossless) {
-    stored_bytes_ = GdeflateCompress(Serialize()).size();
-  } else {
-    stored_bytes_ = PackedByteSize();
+bool CompressedDelta::FitsBase(const ModelWeights& base) const {
+  for (const auto& layer : layers) {
+    const Matrix* w = base.LinearWeight(layer.name);
+    const int rows = layer.is_sparse ? layer.sparse.rows() : layer.dense.rows();
+    const int cols = layer.is_sparse ? layer.sparse.cols() : layer.dense.cols();
+    if (w == nullptr || w->rows() != rows || w->cols() != cols) {
+      return false;
+    }
   }
+  if (!SameShape(embedding_delta, base.embedding) ||
+      !SameShape(lm_head_delta, base.lm_head) ||
+      final_norm_delta.size() != base.final_norm.size() ||
+      attn_norm_deltas.size() != base.layers.size() ||
+      mlp_norm_deltas.size() != base.layers.size()) {
+    return false;
+  }
+  for (size_t i = 0; i < base.layers.size(); ++i) {
+    if (attn_norm_deltas[i].size() != base.layers[i].attn_norm.size() ||
+        mlp_norm_deltas[i].size() != base.layers[i].mlp_norm.size()) {
+      return false;
+    }
+  }
+  return true;
 }
 
 LinearOverlay CompressedDelta::MakeOverlay(const ModelWeights& base) const {
   LinearOverlay overlay;
   for (const auto& layer : layers) {
-    // Find the matching base weight.
-    const Matrix* base_w = nullptr;
-    for (const auto& named : base.LinearLayers()) {
-      if (named.name == layer.name) {
-        base_w = named.weight;
-        break;
-      }
-    }
+    const Matrix* base_w = base.LinearWeight(layer.name);
     DZ_CHECK(base_w != nullptr);
     const CompressedDeltaLayer* delta_layer = &layer;
     overlay.ops[layer.name] = [base_w, delta_layer](const Matrix& x) {
@@ -130,29 +104,25 @@ LinearOverlay CompressedDelta::MakeOverlay(const ModelWeights& base) const {
   return overlay;
 }
 
-ModelWeights CompressedDelta::ApplyTo(const ModelWeights& base) const {
-  ModelWeights merged = base;
-  for (const auto& layer : layers) {
-    for (auto& named : merged.LinearLayers()) {
-      if (named.name == layer.name) {
-        named.weight->AddInPlace(layer.Dequantize());
-        break;
-      }
-    }
+ModelWeights CompressedDelta::OverlayHost(const ModelWeights& base) const {
+  ModelWeights host = base;
+  host.embedding.AddInPlace(embedding_delta);
+  host.lm_head.AddInPlace(lm_head_delta);
+  AddVec(host.final_norm, final_norm_delta);
+  DZ_CHECK_EQ(attn_norm_deltas.size(), host.layers.size());
+  for (size_t i = 0; i < host.layers.size(); ++i) {
+    AddVec(host.layers[i].attn_norm, attn_norm_deltas[i]);
+    AddVec(host.layers[i].mlp_norm, mlp_norm_deltas[i]);
   }
-  auto add_vec = [](std::vector<float>& dst, const std::vector<float>& delta) {
-    DZ_CHECK_EQ(dst.size(), delta.size());
-    for (size_t i = 0; i < dst.size(); ++i) {
-      dst[i] += delta[i];
-    }
-  };
-  merged.embedding.AddInPlace(embedding_delta);
-  merged.lm_head.AddInPlace(lm_head_delta);
-  add_vec(merged.final_norm, final_norm_delta);
-  DZ_CHECK_EQ(attn_norm_deltas.size(), merged.layers.size());
-  for (size_t i = 0; i < merged.layers.size(); ++i) {
-    add_vec(merged.layers[i].attn_norm, attn_norm_deltas[i]);
-    add_vec(merged.layers[i].mlp_norm, mlp_norm_deltas[i]);
+  return host;
+}
+
+ModelWeights CompressedDelta::ApplyTo(const ModelWeights& base) const {
+  ModelWeights merged = OverlayHost(base);
+  for (const auto& layer : layers) {
+    Matrix* w = merged.LinearWeight(layer.name);
+    DZ_CHECK(w != nullptr);
+    w->AddInPlace(layer.Dequantize());
   }
   return merged;
 }
@@ -161,32 +131,80 @@ namespace {
 
 // The four intra-block groups of Alg. 1's execution order: layers in a group share the
 // same input activations, so one capture pass serves the whole group.
-struct LayerGroup {
-  std::vector<const char*> members;
-};
-
-const std::vector<LayerGroup>& BlockGroups() {
-  static const std::vector<LayerGroup> groups = {
-      {{"wq", "wk", "wv"}},
-      {{"wo"}},
-      {{"w_gate", "w_up"}},
-      {{"w_down"}},
+const std::vector<std::vector<const char*>>& BlockGroups() {
+  static const std::vector<std::vector<const char*>> groups = {
+      {"wq", "wk", "wv"},
+      {"wo"},
+      {"w_gate", "w_up"},
+      {"w_down"},
   };
   return groups;
 }
 
-Matrix* FindWeight(ModelWeights& w, const std::string& name) {
-  for (auto& named : w.LinearLayers()) {
-    if (named.name == name) {
-      return named.weight;
+// What a step makes of one linear layer: the weight that replaces it for the layers
+// after it, and the stored bytes of its compressed form.
+struct LayerResult {
+  Matrix weight;
+  size_t bytes = 0;
+};
+
+// Compresses linear layer `k` (LinearLayers() order) named `name`, whose fine-tuned
+// weight is `w_ft`, on its captured input `x`. Writes nothing shared but its own
+// slot k.
+using LayerStep = std::function<LayerResult(size_t k, const std::string& name,
+                                            const Matrix& w_ft, const Matrix& x)>;
+
+// Alg. 1's walk, the one driver behind ΔCompress and both baselines. A work model
+// starts as `finetuned`. For each block, and each group in execution order, the
+// group's input is captured on the work model, so it reflects every layer already
+// replaced (Alg. 1 lines 6-7). The members of a group share that input and are
+// independent of each other, so `step` runs them concurrently on `pool`; their
+// results land in per-member slots and are committed in member order, so the walk
+// is bit-identical for any thread count. The capture itself parallelizes across
+// calibration sequences. Returns the final work weights and, when `linear_bytes`
+// is set, the steps' total stored bytes.
+ModelWeights CompressLayerwise(const ModelWeights& finetuned,
+                               const std::vector<std::vector<int>>& calibration,
+                               ThreadPool* pool_override, size_t* linear_bytes,
+                               const LayerStep& step) {
+  ThreadPool& pool = pool_override != nullptr ? *pool_override : ThreadPool::Global();
+  Transformer work(finetuned);
+  size_t k = 0;
+  size_t bytes = 0;
+  for (int li = 0; li < finetuned.config.n_layers; ++li) {
+    for (const std::vector<const char*>& group : BlockGroups()) {
+      const Matrix x =
+          CaptureLayerInput(work, calibration, LinearLayerName(li, group.front()), &pool);
+      std::vector<LayerResult> results(group.size());
+      pool.ForEachTask(group.size(), [&](size_t mi) {
+        const std::string name = LinearLayerName(li, group[mi]);
+        results[mi] = step(k + mi, name, *finetuned.LinearWeight(name), x);
+      });
+      for (size_t mi = 0; mi < group.size(); ++mi) {
+        *work.mutable_weights().LinearWeight(LinearLayerName(li, group[mi])) =
+            std::move(results[mi].weight);
+        bytes += results[mi].bytes;
+      }
+      k += group.size();
     }
   }
-  DZ_CHECK(false);
-  return nullptr;
+  if (linear_bytes != nullptr) {
+    *linear_bytes = bytes;
+  }
+  return std::move(work.mutable_weights());
 }
 
-const Matrix* FindWeight(const ModelWeights& w, const std::string& name) {
-  return FindWeight(const_cast<ModelWeights&>(w), name);
+// Packs an OBS/RTN result into the storage it is served from.
+CompressedDeltaLayer PackLayer(const Matrix& compressed, bool sparse24, int bits,
+                               int group_size) {
+  CompressedDeltaLayer layer;
+  layer.is_sparse = sparse24;
+  if (sparse24) {
+    layer.sparse = Sparse24Matrix::Pack(compressed, bits, group_size);
+  } else {
+    layer.dense = PackedQuantMatrix::Quantize(compressed, bits, group_size);
+  }
+  return layer;
 }
 
 std::vector<float> VecDelta(const std::vector<float>& ft, const std::vector<float>& base) {
@@ -208,11 +226,11 @@ Matrix MatrixDeltaFp16(const Matrix& ft, const Matrix& base) {
 
 CompressedDelta DeltaCompress(const ModelWeights& base, const ModelWeights& finetuned,
                               const std::vector<std::vector<int>>& calibration,
-                              const DeltaCompressConfig& config,
-                              ThreadPool* pool_override) {
+                              const DeltaCompressConfig& config, ThreadPool* pool) {
   DZ_CHECK_EQ(base.config.n_layers, finetuned.config.n_layers);
   CompressedDelta out;
   out.config = config;
+  out.layers.resize(finetuned.LinearLayers().size());
 
   ObsConfig obs_config;
   obs_config.bits = config.bits;
@@ -220,61 +238,23 @@ CompressedDelta DeltaCompress(const ModelWeights& base, const ModelWeights& fine
   obs_config.prune24 = config.sparse24;
   obs_config.damp_ratio = config.damp_ratio;
 
-  // Work model starts as the fine-tuned model; every compressed layer is replaced by
-  // its reconstruction w_base + Δ̃ before later layers are calibrated (Alg. 1 line 6).
-  ModelWeights work = finetuned;
-
-  // Alg. 1 is sequential across groups (each group's calibration inputs depend
-  // on the reconstructions of everything before it), but the members of one
-  // group share the same input x and are independent of each other — compress
-  // them concurrently on the global pool. Results land in per-member slots and
-  // are committed in member order, so the artifact is bit-identical for any
-  // thread count. The capture itself parallelizes across calibration sequences
-  // inside CaptureLayerInput.
-  ThreadPool& pool =
-      pool_override != nullptr ? *pool_override : ThreadPool::Global();
-  for (int li = 0; li < base.config.n_layers; ++li) {
-    for (const LayerGroup& group : BlockGroups()) {
-      const std::string capture_name = LinearLayerName(li, group.members.front());
-      const Transformer snapshot(work);
-      const Matrix x = CaptureLayerInput(snapshot, calibration, capture_name, &pool);
-
-      const size_t n_members = group.members.size();
-      std::vector<CompressedDeltaLayer> group_layers(n_members);
-      std::vector<Matrix> group_reconstructed(n_members);
-      pool.ForEachTask(n_members, [&](size_t mi) {
-        const std::string name = LinearLayerName(li, group.members[mi]);
-        const Matrix* w_base = FindWeight(base, name);
-        const Matrix* w_ft = FindWeight(finetuned, name);
-        const Matrix delta = Sub(*w_ft, *w_base);
-
-        const Matrix compressed =
-            config.use_obs ? ObsCompress(delta, x, obs_config)
-                           : RtnCompress(delta, obs_config);
-
-        CompressedDeltaLayer layer;
-        layer.name = name;
-        layer.is_sparse = config.sparse24;
-        if (config.sparse24) {
-          layer.sparse =
-              Sparse24Matrix::Pack(compressed, config.bits, config.group_size);
-        } else {
-          layer.dense =
-              PackedQuantMatrix::Quantize(compressed, config.bits, config.group_size);
-        }
-        // Reconstruct with exactly what will be served (packed → dequantized).
-        Matrix reconstructed = layer.Dequantize();
-        reconstructed.AddInPlace(*w_base);
-        group_reconstructed[mi] = std::move(reconstructed);
-        group_layers[mi] = std::move(layer);
-      });
-      for (size_t mi = 0; mi < n_members; ++mi) {
-        *FindWeight(work, LinearLayerName(li, group.members[mi])) =
-            std::move(group_reconstructed[mi]);
-        out.layers.push_back(std::move(group_layers[mi]));
-      }
-    }
-  }
+  // Every compressed layer is replaced by its reconstruction w_base + Δ̃ before later
+  // layers are calibrated (Alg. 1 line 6).
+  auto step = [&](size_t k, const std::string& name, const Matrix& w_ft,
+                  const Matrix& x) {
+    const Matrix& w_base = *base.LinearWeight(name);
+    const Matrix delta = Sub(w_ft, w_base);
+    CompressedDeltaLayer& layer = out.layers[k];
+    layer = PackLayer(config.use_obs ? ObsCompress(delta, x, obs_config)
+                                     : RtnCompress(delta, obs_config),
+                      config.sparse24, config.bits, config.group_size);
+    layer.name = name;
+    // Reconstruct with exactly what will be served (packed → dequantized).
+    Matrix reconstructed = layer.Dequantize();
+    reconstructed.AddInPlace(w_base);
+    return LayerResult{std::move(reconstructed), layer.ByteSize()};
+  };
+  CompressLayerwise(finetuned, calibration, pool, nullptr, step);
 
   // Uncompressed fp16 deltas for the non-linear parameter groups.
   out.embedding_delta = MatrixDeltaFp16(finetuned.embedding, base.embedding);
@@ -286,65 +266,32 @@ CompressedDelta DeltaCompress(const ModelWeights& base, const ModelWeights& fine
     out.mlp_norm_deltas.push_back(
         VecDelta(finetuned.layers[i].mlp_norm, base.layers[i].mlp_norm));
   }
-  out.FinalizeStoredBytes();
   return out;
 }
 
 ModelWeights SparseGptCompressModel(const ModelWeights& finetuned,
                                     const std::vector<std::vector<int>>& calibration,
-                                    const ObsConfig& config, size_t* linear_bytes) {
-  ModelWeights work = finetuned;
-  size_t bytes = 0;
-  for (int li = 0; li < finetuned.config.n_layers; ++li) {
-    for (const LayerGroup& group : BlockGroups()) {
-      const std::string capture_name = LinearLayerName(li, group.members.front());
-      const Transformer snapshot(work);
-      const Matrix x = CaptureLayerInput(snapshot, calibration, capture_name);
-      for (const char* member : group.members) {
-        const std::string name = LinearLayerName(li, member);
-        const Matrix compressed = ObsCompress(*FindWeight(work, name), x, config);
-        if (config.prune24) {
-          const Sparse24Matrix packed =
-              Sparse24Matrix::Pack(compressed, config.bits, config.group_size);
-          bytes += packed.ByteSize();
-          *FindWeight(work, name) = packed.Dequantize();
-        } else {
-          const PackedQuantMatrix packed =
-              PackedQuantMatrix::Quantize(compressed, config.bits, config.group_size);
-          bytes += packed.ByteSize();
-          *FindWeight(work, name) = packed.Dequantize();
-        }
-      }
-    }
-  }
-  if (linear_bytes != nullptr) {
-    *linear_bytes = bytes;
-  }
-  return work;
+                                    const ObsConfig& config, size_t* linear_bytes,
+                                    ThreadPool* pool) {
+  return CompressLayerwise(
+      finetuned, calibration, pool, linear_bytes,
+      [&](size_t, const std::string&, const Matrix& w_ft, const Matrix& x) {
+        const CompressedDeltaLayer layer = PackLayer(
+            ObsCompress(w_ft, x, config), config.prune24, config.bits, config.group_size);
+        return LayerResult{layer.Dequantize(), layer.ByteSize()};
+      });
 }
 
 ModelWeights AwqCompressModel(const ModelWeights& finetuned,
                               const std::vector<std::vector<int>>& calibration,
-                              const AwqConfig& config, size_t* linear_bytes) {
-  ModelWeights work = finetuned;
-  size_t bytes = 0;
-  for (int li = 0; li < finetuned.config.n_layers; ++li) {
-    for (const LayerGroup& group : BlockGroups()) {
-      const std::string capture_name = LinearLayerName(li, group.members.front());
-      const Transformer snapshot(work);
-      const Matrix x = CaptureLayerInput(snapshot, calibration, capture_name);
-      for (const char* member : group.members) {
-        const std::string name = LinearLayerName(li, member);
-        AwqResult result = AwqQuantize(*FindWeight(work, name), x, config);
-        bytes += result.stored_bytes;
-        *FindWeight(work, name) = std::move(result.weights);
-      }
-    }
-  }
-  if (linear_bytes != nullptr) {
-    *linear_bytes = bytes;
-  }
-  return work;
+                              const AwqConfig& config, size_t* linear_bytes,
+                              ThreadPool* pool) {
+  return CompressLayerwise(
+      finetuned, calibration, pool, linear_bytes,
+      [&](size_t, const std::string&, const Matrix& w_ft, const Matrix& x) {
+        AwqResult result = AwqQuantize(w_ft, x, config);
+        return LayerResult{std::move(result.weights), result.stored_bytes};
+      });
 }
 
 }  // namespace dz

@@ -5,11 +5,13 @@
 // solver (structured 2:4 sparsity + 2/4-bit group quantization), then *reconstruct*
 // w̃ = pack(Δ̃) + w_base before computing inputs for subsequent layers — the detail that
 // prevents vanishing activations and distinguishes ΔCompress from naive per-layer delta
-// quantization.
+// quantization. The Table 1 baselines (SparseGPT, AWQ) run the same layer walk with a
+// different per-layer step.
 //
-// The resulting CompressedDelta is the serving artifact: it knows its exact serialized
-// byte size (optionally after lossless compression), can execute the decoupled form
-// y = x·w_baseᵀ + x·Δ̃ᵀ via a LinearOverlay, and can be merged back into full weights.
+// The resulting CompressedDelta is the serving artifact: it knows its stored byte size
+// (optionally after lossless compression of its EncodeDelta bytes), can execute the
+// decoupled form y = x·w_baseᵀ + x·Δ̃ᵀ via a LinearOverlay, and can be merged back into
+// full weights.
 //
 // Non-linear parameters (embeddings, norms, LM head) are stored as fp16 deltas, matching
 // the paper's note that embedding layers are not compressed (§6.2).
@@ -20,7 +22,6 @@
 #include <vector>
 
 #include "src/compress/awq.h"
-#include "src/compress/lossless.h"
 #include "src/compress/obs.h"
 #include "src/nn/transformer.h"
 #include "src/tensor/packed_quant.h"
@@ -65,25 +66,25 @@ struct CompressedDelta {
 
   // Packed size before any lossless pass.
   size_t PackedByteSize() const;
-  // Actual stored size: equals PackedByteSize() unless config.lossless, in which case
-  // it is the measured size of the losslessly compressed serialized artifact.
-  size_t StoredByteSize() const { return stored_bytes_; }
+  // Stored size: PackedByteSize() unless config.lossless, in which case it is the
+  // size of the EncodeDelta bytes after the lossless codec (run on every call).
+  size_t StoredByteSize() const;
 
-  // Deterministic binary serialization of the whole artifact.
-  ByteBuffer Serialize() const;
+  // True when every layer names a linear weight of `base` of the layer's shape and
+  // every non-linear delta has its base parameter's size: the artifact was made
+  // against a model of this architecture, so MakeOverlay and ApplyTo accept it.
+  bool FitsBase(const ModelWeights& base) const;
 
   // Decoupled execution against `base` (must outlive the overlay): every compressed
   // layer computes x·w_baseᵀ + x·Δ̃ᵀ.
   LinearOverlay MakeOverlay(const ModelWeights& base) const;
 
+  // `base` with only the fp16 non-linear deltas applied: the host model an overlay
+  // from MakeOverlay runs in, its linear weights left at base.
+  ModelWeights OverlayHost(const ModelWeights& base) const;
+
   // Merged full-precision weights (base + all deltas) — the "add delta back" path.
   ModelWeights ApplyTo(const ModelWeights& base) const;
-
-  // Set by DeltaCompress; exposed for tests constructing artifacts manually.
-  void FinalizeStoredBytes();
-
- private:
-  size_t stored_bytes_ = 0;
 };
 
 // Runs the ΔCompress pipeline. `calibration` holds token sequences (the paper uses a
@@ -97,14 +98,17 @@ CompressedDelta DeltaCompress(const ModelWeights& base, const ModelWeights& fine
 
 // Baselines (paper Table 1): compress the fine-tuned model itself, layer by layer with
 // reconstruction, no delta. Returns the resulting effective weights; the compressed
-// byte count of the linear layers is written to *linear_bytes.
+// byte count of the linear layers is written to *linear_bytes. Layers fan out on
+// `pool` as in DeltaCompress, with the same bit-identity for any thread count.
 ModelWeights SparseGptCompressModel(const ModelWeights& finetuned,
                                     const std::vector<std::vector<int>>& calibration,
-                                    const ObsConfig& config, size_t* linear_bytes);
+                                    const ObsConfig& config, size_t* linear_bytes,
+                                    ThreadPool* pool = nullptr);
 
 ModelWeights AwqCompressModel(const ModelWeights& finetuned,
                               const std::vector<std::vector<int>>& calibration,
-                              const AwqConfig& config, size_t* linear_bytes);
+                              const AwqConfig& config, size_t* linear_bytes,
+                              ThreadPool* pool = nullptr);
 
 }  // namespace dz
 

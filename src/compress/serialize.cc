@@ -299,11 +299,7 @@ bool DecodeDelta(const ByteBuffer& buffer, CompressedDelta& out) {
     out.attn_norm_deltas.push_back(r.Fp16Vec());
     out.mlp_norm_deltas.push_back(r.Fp16Vec());
   }
-  if (!r.ok() || !r.AtEnd()) {
-    return false;
-  }
-  out.FinalizeStoredBytes();
-  return true;
+  return r.ok() && r.AtEnd();
 }
 
 bool WriteDeltaFile(const std::string& path, const CompressedDelta& delta) {

@@ -4,16 +4,17 @@
 //
 //   [magic "DZIP"] [version u32] [config] [n_layers u32]
 //   per layer: [name] [kind u8] [dims] [packed words] [indices] [scales fp16] [zeros]
-//   [embedding delta | marker] [lm_head delta | marker] [norm deltas]
+//   [embedding delta] [lm_head delta] [norm deltas]
 //
-// Unlike CompressedDelta::Serialize() (payload-only dump feeding the lossless codec),
-// this format round-trips the complete artifact.
+// It is the artifact's one byte format: what is written, shipped and registered, and
+// what the optional lossless pass (CompressedDelta::StoredByteSize) is measured on.
 #ifndef SRC_COMPRESS_SERIALIZE_H_
 #define SRC_COMPRESS_SERIALIZE_H_
 
 #include <string>
 
 #include "src/compress/delta.h"
+#include "src/compress/lossless.h"
 
 namespace dz {
 

@@ -21,6 +21,11 @@ int DeltaZipService::RegisterFmtModel(const ModelWeights& finetuned,
 
 int DeltaZipService::RegisterCompressedDelta(CompressedDelta delta,
                                              const std::string& name) {
+  if (!delta.FitsBase(base_.weights())) {
+    DZ_LOG(kWarning) << "rejected artifact " << (name.empty() ? "(unnamed)" : name)
+                     << ": its layers or shapes do not match the base model";
+    return -1;
+  }
   const int id = static_cast<int>(variants_.size());
   Variant v;
   v.info.id = id;
@@ -33,16 +38,7 @@ int DeltaZipService::RegisterCompressedDelta(CompressedDelta delta,
 
   // Host model: fp16 non-linear deltas applied, linear weights kept at base so the
   // overlay's decoupled base+Δ path supplies the fine-tuned behaviour.
-  ModelWeights host = v.delta->ApplyTo(base_.weights());
-  for (auto& layer : host.LinearLayers()) {
-    for (const auto& base_layer : base_.weights().LinearLayers()) {
-      if (base_layer.name == layer.name) {
-        *layer.weight = *base_layer.weight;
-        break;
-      }
-    }
-  }
-  v.host = std::make_unique<Transformer>(std::move(host));
+  v.host = std::make_unique<Transformer>(v.delta->OverlayHost(base_.weights()));
   v.overlay = v.delta->MakeOverlay(v.host->weights());
   DZ_LOG(kInfo) << "registered " << v.info.name << ": artifact "
                 << v.info.artifact_bytes << " B, ratio "

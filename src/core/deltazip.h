@@ -56,8 +56,9 @@ class DeltaZipService {
   int RegisterLora(LoraAdapter adapter, const std::string& name = "");
 
   // Registers an already-compressed delta (e.g. loaded from the on-disk delta zoo via
-  // src/compress/serialize.h). The artifact must have been produced against this
-  // service's base model.
+  // src/compress/serialize.h). Returns the variant id, or -1 and registers nothing
+  // when the artifact does not fit this service's base model: a layer name it does
+  // not have, a layer shape, or a non-linear delta size differs (FitsBase).
   int RegisterCompressedDelta(CompressedDelta delta, const std::string& name = "");
 
   int variant_count() const { return static_cast<int>(variants_.size()); }

@@ -1,6 +1,8 @@
 #include "src/nn/transformer.h"
 
+#include <charconv>
 #include <cmath>
+#include <utility>
 
 #include "src/nn/ops.h"
 #include "src/tensor/kernels.h"
@@ -10,6 +12,18 @@ namespace dz {
 std::string LinearLayerName(int layer, const char* which) {
   return "layer" + std::to_string(layer) + "." + which;
 }
+
+namespace {
+
+// A block's linear layers in execution order, the order of LinearLayers().
+constexpr std::pair<const char*, Matrix LayerWeights::*> kBlockLinears[] = {
+    {"wq", &LayerWeights::wq},         {"wk", &LayerWeights::wk},
+    {"wv", &LayerWeights::wv},         {"wo", &LayerWeights::wo},
+    {"w_gate", &LayerWeights::w_gate}, {"w_up", &LayerWeights::w_up},
+    {"w_down", &LayerWeights::w_down},
+};
+
+}  // namespace
 
 ModelWeights ModelWeights::RandomInit(const ModelConfig& config, Rng& rng) {
   config.Validate();
@@ -44,13 +58,9 @@ ModelWeights ModelWeights::ZerosLike(const ModelWeights& other) {
   for (size_t i = 0; i < w.layers.size(); ++i) {
     const auto& src = other.layers[i];
     auto& dst = w.layers[i];
-    dst.wq = Matrix(src.wq.rows(), src.wq.cols());
-    dst.wk = Matrix(src.wk.rows(), src.wk.cols());
-    dst.wv = Matrix(src.wv.rows(), src.wv.cols());
-    dst.wo = Matrix(src.wo.rows(), src.wo.cols());
-    dst.w_gate = Matrix(src.w_gate.rows(), src.w_gate.cols());
-    dst.w_up = Matrix(src.w_up.rows(), src.w_up.cols());
-    dst.w_down = Matrix(src.w_down.rows(), src.w_down.cols());
+    for (const auto& [which, member] : kBlockLinears) {
+      dst.*member = Matrix((src.*member).rows(), (src.*member).cols());
+    }
     dst.attn_norm.assign(src.attn_norm.size(), 0.0f);
     dst.mlp_norm.assign(src.mlp_norm.size(), 0.0f);
   }
@@ -61,15 +71,10 @@ ModelWeights ModelWeights::ZerosLike(const ModelWeights& other) {
 
 std::vector<NamedLayer> ModelWeights::LinearLayers() {
   std::vector<NamedLayer> out;
-  for (int i = 0; i < static_cast<int>(layers.size()); ++i) {
-    auto& l = layers[static_cast<size_t>(i)];
-    out.push_back({LinearLayerName(i, "wq"), &l.wq});
-    out.push_back({LinearLayerName(i, "wk"), &l.wk});
-    out.push_back({LinearLayerName(i, "wv"), &l.wv});
-    out.push_back({LinearLayerName(i, "wo"), &l.wo});
-    out.push_back({LinearLayerName(i, "w_gate"), &l.w_gate});
-    out.push_back({LinearLayerName(i, "w_up"), &l.w_up});
-    out.push_back({LinearLayerName(i, "w_down"), &l.w_down});
+  for (size_t i = 0; i < layers.size(); ++i) {
+    for (const auto& [which, member] : kBlockLinears) {
+      out.push_back({LinearLayerName(static_cast<int>(i), which), &(layers[i].*member)});
+    }
   }
   return out;
 }
@@ -82,11 +87,37 @@ std::vector<NamedLayerConst> ModelWeights::LinearLayers() const {
   return out;
 }
 
+Matrix* ModelWeights::LinearWeight(const std::string& name) {
+  // Parses "layer{i}.{which}"; the round trip through LinearLayerName rejects every
+  // other spelling ("layer01.wq", "layer.wq").
+  constexpr size_t kPrefix = sizeof("layer") - 1;
+  const size_t dot = name.find('.');
+  if (dot == std::string::npos || dot < kPrefix) {
+    return nullptr;
+  }
+  size_t block = 0;
+  std::from_chars(name.data() + kPrefix, name.data() + dot, block);
+  for (const auto& [which, member] : kBlockLinears) {
+    if (block < layers.size() && name.compare(dot + 1, std::string::npos, which) == 0) {
+      return LinearLayerName(static_cast<int>(block), which) == name
+                 ? &(layers[block].*member)
+                 : nullptr;
+    }
+  }
+  return nullptr;
+}
+
+const Matrix* ModelWeights::LinearWeight(const std::string& name) const {
+  return const_cast<ModelWeights*>(this)->LinearWeight(name);
+}
+
 size_t ModelWeights::ParamCount() const {
   size_t n = embedding.size() + lm_head.size() + final_norm.size();
   for (const auto& l : layers) {
-    n += l.wq.size() + l.wk.size() + l.wv.size() + l.wo.size() + l.w_gate.size() +
-         l.w_up.size() + l.w_down.size() + l.attn_norm.size() + l.mlp_norm.size();
+    for (const auto& [which, member] : kBlockLinears) {
+      n += (l.*member).size();
+    }
+    n += l.attn_norm.size() + l.mlp_norm.size();
   }
   return n;
 }
@@ -116,13 +147,9 @@ void ModelWeights::Axpy(float alpha, const ModelWeights& other) {
   AxpyVec(alpha, other.final_norm, final_norm);
   DZ_CHECK_EQ(layers.size(), other.layers.size());
   for (size_t i = 0; i < layers.size(); ++i) {
-    dz::Axpy(alpha, other.layers[i].wq, layers[i].wq);
-    dz::Axpy(alpha, other.layers[i].wk, layers[i].wk);
-    dz::Axpy(alpha, other.layers[i].wv, layers[i].wv);
-    dz::Axpy(alpha, other.layers[i].wo, layers[i].wo);
-    dz::Axpy(alpha, other.layers[i].w_gate, layers[i].w_gate);
-    dz::Axpy(alpha, other.layers[i].w_up, layers[i].w_up);
-    dz::Axpy(alpha, other.layers[i].w_down, layers[i].w_down);
+    for (const auto& [which, member] : kBlockLinears) {
+      dz::Axpy(alpha, other.layers[i].*member, layers[i].*member);
+    }
     AxpyVec(alpha, other.layers[i].attn_norm, layers[i].attn_norm);
     AxpyVec(alpha, other.layers[i].mlp_norm, layers[i].mlp_norm);
   }
@@ -135,13 +162,9 @@ void ModelWeights::Scale(float s) {
     g *= s;
   }
   for (auto& l : layers) {
-    l.wq.ScaleInPlace(s);
-    l.wk.ScaleInPlace(s);
-    l.wv.ScaleInPlace(s);
-    l.wo.ScaleInPlace(s);
-    l.w_gate.ScaleInPlace(s);
-    l.w_up.ScaleInPlace(s);
-    l.w_down.ScaleInPlace(s);
+    for (const auto& [which, member] : kBlockLinears) {
+      (l.*member).ScaleInPlace(s);
+    }
     for (auto& g : l.attn_norm) {
       g *= s;
     }

@@ -55,6 +55,9 @@ struct ModelWeights {
   // the embedding layers are not compressed).
   std::vector<NamedLayer> LinearLayers();
   std::vector<NamedLayerConst> LinearLayers() const;
+  // The linear weight LinearLayerName names, or null for any other name.
+  Matrix* LinearWeight(const std::string& name);
+  const Matrix* LinearWeight(const std::string& name) const;
 
   size_t ParamCount() const;
   // fp16 serialized size of all parameters (the paper's FP16 baseline footprint).

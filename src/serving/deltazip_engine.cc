@@ -25,8 +25,6 @@ class DeltaZipPolicy : public ServePolicy {
       : config_(config), exec_(exec) {}
 
   ArtifactStoreConfig StoreConfig() override {
-    const size_t artifact_bytes =
-        lora() ? exec_.LoraBytesPerGpu(config_.lora_rank) : exec_.DeltaBytesPerGpu();
     const size_t total_mem =
         static_cast<size_t>(config_.exec.tp) * config_.exec.gpu.mem_bytes();
     const size_t reserve = static_cast<size_t>(total_mem * kKvReserveFraction);
@@ -41,7 +39,7 @@ class DeltaZipPolicy : public ServePolicy {
     const int staging_slots =
         config_.prefetch.enabled ? std::max(0, config_.prefetch.staging_slots) : 0;
     const int n = config_.max_concurrent_deltas;
-    const size_t slot_bytes = artifact_bytes * config_.exec.tp;
+    const size_t slot_bytes = WorkerArtifactBytes(config_, exec_, /*full_model=*/false);
     const size_t cap = static_cast<size_t>(after_base * 0.9);
     const size_t demand_budget = std::min(cap, static_cast<size_t>(n) * slot_bytes);
     const size_t staging_cap =

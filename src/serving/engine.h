@@ -140,6 +140,13 @@ class ServingEngine {
 std::unique_ptr<ServingEngine> MakeDeltaZipEngine(const EngineConfig& config);
 std::unique_ptr<ServingEngine> MakeVllmScbEngine(const EngineConfig& config);
 
+// Bytes one variant's artifact occupies on a worker, over all its TP shards: a whole
+// fp16 model for the vLLM-SCB baseline (`full_model`), otherwise the LoRA adapter or
+// compressed delta `config.artifact` names. The engines' stores hold artifacts of
+// this size, and the cluster meters registry repair against it.
+size_t WorkerArtifactBytes(const EngineConfig& config, const ExecModel& exec,
+                           bool full_model);
+
 }  // namespace dz
 
 #endif  // SRC_SERVING_ENGINE_H_

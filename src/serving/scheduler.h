@@ -47,10 +47,6 @@ bool ParseSchedPolicy(const std::string& name, SchedPolicy& out);
 
 struct SchedulerConfig {
   SchedPolicy policy = SchedPolicy::kFcfs;
-  // kDwfq class weights (interactive, standard, batch): a token of interactive
-  // work advances its tenant's virtual time 4× slower than a batch token, so
-  // interactive requests sort earlier at equal backlog.
-  double class_weight[kNumSloClasses] = {4.0, 2.0, 1.0};
   // Shed requests whose class E2E deadline is already unmeetable even under an
   // optimistic service estimate. Shed requests complete nothing and are counted
   // per class.
@@ -64,19 +60,22 @@ struct SchedulerConfig {
   SloSpecs slo;
 };
 
+// kDwfq class weights (interactive, standard, batch): a token of interactive
+// work advances its tenant's virtual time 4× slower than a batch token, so
+// interactive requests sort earlier at equal backlog.
+inline constexpr double kClassWeight[kNumSloClasses] = {4.0, 2.0, 1.0};
+
 // Per-tenant virtual-time state for kDwfq. Persists across scheduling rounds
 // inside one Serve() call; a fresh engine run starts from zero, keeping runs
 // deterministic.
 class FairQueue {
  public:
-  explicit FairQueue(const SchedulerConfig& config) : config_(config) {}
 
   // Stamps a newly queued request: its virtual finish tag is tokens/weight past
   // its tenant's virtual time, floored at the global virtual time so an idle
   // tenant re-enters at "now" rather than cashing in banked credit.
   double TagFor(const TraceRequest& req) {
-    const double weight =
-        std::max(config_.class_weight[static_cast<int>(req.slo)], 1e-9);
+    const double weight = kClassWeight[static_cast<int>(req.slo)];
     const double cost =
         static_cast<double>(static_cast<long long>(req.prompt_tokens) + req.output_tokens) /
         weight;
@@ -97,8 +96,7 @@ class FairQueue {
   // the global virtual time is harmless: TagFor floors the next start at
   // global_vtime_, so no credit can be banked.)
   void OnShed(const TraceRequest& req, long long unserved_tokens) {
-    const double weight =
-        std::max(config_.class_weight[static_cast<int>(req.slo)], 1e-9);
+    const double weight = kClassWeight[static_cast<int>(req.slo)];
     const auto it = tenant_vtime_.find(req.tenant_id);
     if (it != tenant_vtime_.end()) {
       it->second -= static_cast<double>(std::max(0LL, unserved_tokens)) / weight;
@@ -106,7 +104,6 @@ class FairQueue {
   }
 
  private:
-  SchedulerConfig config_;
   double global_vtime_ = 0.0;
   std::map<int, double> tenant_vtime_;  // tenant id → virtual time
 };

@@ -40,6 +40,15 @@ void BatchLedger::Advance(long long rounds) {
   ctx_total += rounds * total;
 }
 
+size_t WorkerArtifactBytes(const EngineConfig& config, const ExecModel& exec,
+                           bool full_model) {
+  const size_t per_gpu = full_model ? exec.BaseWeightBytesPerGpu()
+                         : config.artifact == ArtifactKind::kLoraAdapter
+                             ? exec.LoraBytesPerGpu(config.lora_rank)
+                             : exec.DeltaBytesPerGpu();
+  return per_gpu * static_cast<size_t>(config.exec.tp);
+}
+
 std::unique_ptr<ServeLoop> ServingEngine::Start(int n_models, int n_tenants) const {
   return std::make_unique<ServeLoop>(config_, name_, make_policy_, n_models, n_tenants);
 }
@@ -63,7 +72,6 @@ ServeLoop::ServeLoop(const EngineConfig& config, const char* engine_name,
       policy_(make_policy(config_, exec_)),
       observer_(config.tracing),
       store_(policy_->StoreConfig(), n_models, &observer_),
-      fair_queue_(config.scheduler),
       batch_(n_models),
       now_(config.start_s),
       next_snapshot_s_(config.start_s + config.metrics.interval_s) {

@@ -24,7 +24,7 @@ class VllmScbPolicy : public ServePolicy {
   ArtifactStoreConfig StoreConfig() override {
     const size_t total_mem =
         static_cast<size_t>(config_.exec.tp) * config_.exec.gpu.mem_bytes();
-    const size_t model_bytes = exec_.BaseWeightBytesPerGpu() * config_.exec.tp;
+    const size_t model_bytes = WorkerArtifactBytes(config_, exec_, /*full_model=*/true);
     // Reserve a KV pool (roughly one model's worth or 15%, whichever is larger).
     const size_t kv_pool =
         std::max(model_bytes / 2, static_cast<size_t>(total_mem * 0.15));

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "src/compress/calibration.h"
+#include "src/compress/serialize.h"
 #include "src/train/finetune.h"
 #include "src/util/rng.h"
 #include "src/util/thread_pool.h"
@@ -57,6 +58,38 @@ Transformer* DeltaCompressTest::finetuned_ = nullptr;
 Task* DeltaCompressTest::task_ = nullptr;
 std::vector<std::vector<int>>* DeltaCompressTest::calibration_ = nullptr;
 
+// FNV-1a over raw bytes: pins an output bit for bit.
+uint64_t Fnv1a(uint64_t h, const void* data, size_t n) {
+  const auto* p = static_cast<const uint8_t*>(data);
+  for (size_t i = 0; i < n; ++i) {
+    h = (h ^ p[i]) * 0x100000001b3ULL;
+  }
+  return h;
+}
+
+constexpr uint64_t kFnvOffset = 0xcbf29ce484222325ULL;
+
+uint64_t HashWeights(const ModelWeights& w) {
+  uint64_t h = kFnvOffset;
+  auto matrix = [&h](const Matrix& m) {
+    h = Fnv1a(h, m.data().data(), m.size() * sizeof(float));
+  };
+  auto vec = [&h](const std::vector<float>& v) {
+    h = Fnv1a(h, v.data(), v.size() * sizeof(float));
+  };
+  matrix(w.embedding);
+  for (const LayerWeights& l : w.layers) {
+    for (const Matrix* m : {&l.wq, &l.wk, &l.wv, &l.wo, &l.w_gate, &l.w_up, &l.w_down}) {
+      matrix(*m);
+    }
+    vec(l.attn_norm);
+    vec(l.mlp_norm);
+  }
+  vec(w.final_norm);
+  matrix(w.lm_head);
+  return h;
+}
+
 TEST_F(DeltaCompressTest, ArtifactCoversAllLinearLayers) {
   DeltaCompressConfig cfg;
   const CompressedDelta delta =
@@ -83,15 +116,12 @@ TEST_F(DeltaCompressTest, OverlayMatchesMergedWeights) {
   const Matrix via_overlay = base_->Forward(tokens, nullptr, &overlay);
   const Matrix via_merged = merged.Forward(tokens);
   // The overlay path does not apply the fp16 embedding/norm deltas, so compare through
-  // logits of a model whose non-linear params match the merged ones.
-  Transformer overlay_host(merged.weights());
-  // Restore base linears in the host so the overlay supplies the delta.
-  for (auto& layer : overlay_host.mutable_weights().LinearLayers()) {
-    for (const auto& base_layer : base_->weights().LinearLayers()) {
-      if (base_layer.name == layer.name) {
-        *layer.weight = *base_layer.weight;
-      }
-    }
+  // logits of a host whose non-linear params match the merged ones and whose linear
+  // weights stay at base, so the overlay supplies the delta.
+  const Transformer overlay_host(delta.OverlayHost(base_->weights()));
+  for (const NamedLayerConst& layer : overlay_host.weights().LinearLayers()) {
+    EXPECT_EQ(layer.weight->data(), base_->weights().LinearWeight(layer.name)->data())
+        << layer.name;
   }
   const LinearOverlay overlay2 = delta.MakeOverlay(overlay_host.weights());
   const Matrix via_decoupled = overlay_host.Forward(tokens, nullptr, &overlay2);
@@ -147,18 +177,21 @@ TEST_F(DeltaCompressTest, LosslessPassShrinksOrEqualsArtifact) {
   const CompressedDelta delta =
       DeltaCompress(base_->weights(), finetuned_->weights(), *calibration_, cfg);
   EXPECT_LE(delta.StoredByteSize(), delta.PackedByteSize() * 9 / 8 + 1024);
-  // Serialized artifact round-trips through the codec.
-  const ByteBuffer raw = delta.Serialize();
-  EXPECT_EQ(GdeflateDecompress(GdeflateCompress(raw)), raw);
+  // The stored size is the codec's output on the artifact's own bytes, which
+  // round-trip through it.
+  const ByteBuffer raw = EncodeDelta(delta);
+  const ByteBuffer packed = GdeflateCompress(raw);
+  EXPECT_EQ(delta.StoredByteSize(), packed.size());
+  EXPECT_EQ(GdeflateDecompress(packed), raw);
 }
 
 TEST_F(DeltaCompressTest, SerializeSizeMatchesAccounting) {
   DeltaCompressConfig cfg;
   const CompressedDelta delta =
       DeltaCompress(base_->weights(), finetuned_->weights(), *calibration_, cfg);
-  const ByteBuffer raw = delta.Serialize();
-  // Serialize dumps value words as 4-byte words (zeros byte in PackedByteSize is the
-  // only divergence allowed); sizes must be within a few percent.
+  const ByteBuffer raw = EncodeDelta(delta);
+  // EncodeDelta adds only names, shapes and length fields to the packed payload;
+  // sizes must be within a few percent.
   const double ratio =
       static_cast<double>(raw.size()) / static_cast<double>(delta.PackedByteSize());
   EXPECT_GT(ratio, 0.85);
@@ -209,7 +242,50 @@ TEST_F(DeltaCompressTest, ParallelCompressionIsBitIdentical) {
   }
   EXPECT_EQ(one.PackedByteSize(), many.PackedByteSize());
   EXPECT_EQ(one.StoredByteSize(), many.StoredByteSize());
-  EXPECT_EQ(one.Serialize(), many.Serialize());
+  EXPECT_EQ(EncodeDelta(one), EncodeDelta(many));
+
+  // The baselines run the same layer walk: same weights and bytes at any thread count.
+  const ObsConfig sg_cfg;
+  size_t sg_one = 0;
+  size_t sg_many = 0;
+  EXPECT_EQ(HashWeights(SparseGptCompressModel(finetuned_->weights(), *calibration_,
+                                               sg_cfg, &sg_one, &serial)),
+            HashWeights(SparseGptCompressModel(finetuned_->weights(), *calibration_,
+                                               sg_cfg, &sg_many, &threaded)));
+  EXPECT_EQ(sg_one, sg_many);
+  const AwqConfig awq_cfg;
+  size_t awq_one = 0;
+  size_t awq_many = 0;
+  EXPECT_EQ(HashWeights(AwqCompressModel(finetuned_->weights(), *calibration_, awq_cfg,
+                                         &awq_one, &serial)),
+            HashWeights(AwqCompressModel(finetuned_->weights(), *calibration_, awq_cfg,
+                                         &awq_many, &threaded)));
+  EXPECT_EQ(awq_one, awq_many);
+}
+
+// The Alg. 1 drivers' outputs, pinned bit for bit: a refactor of the layer walk
+// must give the same artifacts and the same baseline weights.
+TEST_F(DeltaCompressTest, DriverOutputsArePinned) {
+  DeltaCompressConfig sparse_cfg;
+  const ByteBuffer sparse = EncodeDelta(
+      DeltaCompress(base_->weights(), finetuned_->weights(), *calibration_, sparse_cfg));
+  EXPECT_EQ(Fnv1a(kFnvOffset, sparse.data(), sparse.size()), 0x41a1ca416babcbd0ULL);
+  DeltaCompressConfig dense_cfg;
+  dense_cfg.sparse24 = false;
+  const ByteBuffer dense = EncodeDelta(
+      DeltaCompress(base_->weights(), finetuned_->weights(), *calibration_, dense_cfg));
+  EXPECT_EQ(Fnv1a(kFnvOffset, dense.data(), dense.size()), 0xe0b8a6413d804786ULL);
+
+  size_t sg_bytes = 0;
+  const ModelWeights sg = SparseGptCompressModel(finetuned_->weights(), *calibration_,
+                                                 ObsConfig(), &sg_bytes);
+  EXPECT_EQ(HashWeights(sg), 0x1feedd57f222c424ULL);
+  EXPECT_EQ(sg_bytes, 9408u);
+  size_t awq_bytes = 0;
+  const ModelWeights awq =
+      AwqCompressModel(finetuned_->weights(), *calibration_, AwqConfig(), &awq_bytes);
+  EXPECT_EQ(HashWeights(awq), 0x76c0dd6a7ec7aeb6ULL);
+  EXPECT_EQ(awq_bytes, 12992u);
 }
 
 TEST(CalibrationTest, CapturesExpectedShape) {

@@ -1,5 +1,8 @@
 #include "src/core/deltazip.h"
 
+#include <algorithm>
+#include <string>
+
 #include <gtest/gtest.h>
 
 #include "src/compress/serialize.h"
@@ -130,6 +133,44 @@ TEST_F(DeltaZipServiceTest, RegisterArtifactFromDiskMatchesDirectRegistration) {
     EXPECT_LT(RelativeError(a, b), 1e-6) << i;
   }
   std::remove(path.c_str());
+}
+
+// Artifacts compressed against a different base are refused with -1, not an abort.
+TEST_F(DeltaZipServiceTest, RegisterRefusesArtifactOfAnotherArchitecture) {
+  const CompressedDelta& artifact = service_->delta(fmt_id_);
+  ModelConfig fewer_layers = ModelConfig::Tiny();
+  fewer_layers.n_layers -= 1;
+  ModelConfig more_layers = ModelConfig::Tiny();
+  more_layers.n_layers += 1;
+  ModelConfig wider_model = ModelConfig::Tiny();
+  wider_model.d_model *= 2;
+  ModelConfig wider_ff = ModelConfig::Tiny();
+  wider_ff.d_ff *= 2;
+  for (const ModelConfig& cfg : {fewer_layers, more_layers, wider_model, wider_ff}) {
+    Rng rng(3);
+    DeltaZipService other(Transformer(ModelWeights::RandomInit(cfg, rng)),
+                          DeltaZipOptions());
+    EXPECT_FALSE(artifact.FitsBase(other.base().weights()));
+    EXPECT_EQ(other.RegisterCompressedDelta(artifact, "foreign"), -1);
+    EXPECT_EQ(other.variant_count(), 0);
+  }
+}
+
+TEST_F(DeltaZipServiceTest, RegisterRefusesArtifactWithUnknownLayerName) {
+  // A well-formed EncodeDelta buffer whose first layer is renamed to a name the
+  // base has no weight for.
+  ByteBuffer bytes = EncodeDelta(service_->delta(fmt_id_));
+  const std::string from = "layer0.wq";
+  const std::string to = "layer0.wz";
+  const auto it = std::search(bytes.begin(), bytes.end(), from.begin(), from.end());
+  ASSERT_NE(it, bytes.end());
+  std::copy(to.begin(), to.end(), it);
+  CompressedDelta renamed;
+  ASSERT_TRUE(DecodeDelta(bytes, renamed));
+  EXPECT_EQ(renamed.layers.front().name, to);
+  const int before = service_->variant_count();
+  EXPECT_EQ(service_->RegisterCompressedDelta(std::move(renamed), "renamed"), -1);
+  EXPECT_EQ(service_->variant_count(), before);
 }
 
 }  // namespace

@@ -39,15 +39,7 @@ TEST(IntegrationTest, CompressedVariantDecodesLikeMergedModel) {
 
   const Transformer merged(delta.ApplyTo(base.weights()));
   // Host with base linears + merged non-linears, as the service builds it.
-  ModelWeights host_w = merged.weights();
-  for (auto& layer : host_w.LinearLayers()) {
-    for (const auto& base_layer : base.weights().LinearLayers()) {
-      if (base_layer.name == layer.name) {
-        *layer.weight = *base_layer.weight;
-      }
-    }
-  }
-  const Transformer host(std::move(host_w));
+  const Transformer host(delta.OverlayHost(base.weights()));
   const LinearOverlay overlay = delta.MakeOverlay(host.weights());
 
   for (uint64_t seed : {1ull, 2ull, 3ull}) {

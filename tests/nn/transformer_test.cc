@@ -176,6 +176,24 @@ TEST(ModelWeightsTest, LinearLayersEnumeration) {
             LinearLayerName(w.config.n_layers - 1, "w_down"));
 }
 
+TEST(ModelWeightsTest, LinearWeightResolvesExactlyTheEnumeratedNames) {
+  Rng rng(9);
+  ModelWeights w = ModelWeights::RandomInit(ModelConfig::Tiny(), rng);
+  for (const NamedLayer& layer : w.LinearLayers()) {
+    EXPECT_EQ(w.LinearWeight(layer.name), layer.weight) << layer.name;
+  }
+  const ModelWeights& cw = w;
+  EXPECT_EQ(cw.LinearWeight("layer1.w_up"), &w.layers[1].w_up);
+  const std::string past_end = LinearLayerName(w.config.n_layers, "wq");
+  for (const std::string& bad :
+       {std::string(), std::string("layer0"), std::string("layer.wq"),
+        std::string("layer01.wq"), std::string("layer+1.wq"), std::string("layer0.wx"),
+        std::string("layer0.wq.x"), std::string("Layer0.wq"), past_end,
+        std::string("layer99999999999999999999999.wq")}) {
+    EXPECT_EQ(w.LinearWeight(bad), nullptr) << "'" << bad << "'";
+  }
+}
+
 TEST(ModelWeightsTest, ByteSizeAccounting) {
   Rng rng(10);
   ModelWeights w = ModelWeights::RandomInit(ModelConfig::Tiny(), rng);

@@ -123,7 +123,7 @@ std::vector<int> Ids(const Queue& q) {
 
 TEST(OrderQueueTest, FcfsKeepsArrivalOrder) {
   SchedulerConfig cfg;
-  FairQueue fq(cfg);
+  FairQueue fq;
   Queue q;
   Ingest(cfg, fq, q, 0,
          {Req(0, 0, SloClass::kBatch, 2.0), Req(1, 0, SloClass::kInteractive, 1.0),
@@ -134,7 +134,7 @@ TEST(OrderQueueTest, FcfsKeepsArrivalOrder) {
 TEST(OrderQueueTest, PriorityOrdersByClassThenArrival) {
   SchedulerConfig cfg;
   cfg.policy = SchedPolicy::kPriority;
-  FairQueue fq(cfg);
+  FairQueue fq;
   Queue q;
   Ingest(cfg, fq, q, 0,
          {Req(0, 0, SloClass::kBatch, 1.0), Req(1, 0, SloClass::kStandard, 2.0),
@@ -147,7 +147,7 @@ TEST(OrderQueueTest, PriorityOrdersByClassThenArrival) {
 TEST(OrderQueueTest, DwfqKeepsLightTenantAheadOfFlood) {
   SchedulerConfig cfg;
   cfg.policy = SchedPolicy::kDwfq;
-  FairQueue fq(cfg);
+  FairQueue fq;
   // Tenant 0 floods 8 requests; tenant 1 submits one, last in arrival order.
   std::vector<PendingLike> arrivals;
   for (int i = 0; i < 8; ++i) {
@@ -177,7 +177,7 @@ TEST(OrderQueueTest, DwfqKeepsLightTenantAheadOfFlood) {
 TEST(OrderQueueTest, DwfqClassWeightsFavorInteractive) {
   SchedulerConfig cfg;
   cfg.policy = SchedPolicy::kDwfq;
-  FairQueue fq(cfg);
+  FairQueue fq;
   // Same tenant, same arrival, same size: the interactive request's cost is
   // divided by a 4× weight, so its finish tag lands earlier.
   Queue q;
@@ -196,8 +196,8 @@ TEST(OrderQueueTest, InsertPathEqualsStableSortOnRandomizedQueues) {
     for (uint64_t seed = 1; seed <= 20; ++seed) {
       SchedulerConfig cfg;
       cfg.policy = policy;
-      FairQueue fq_sort(cfg);
-      FairQueue fq_insert(cfg);
+      FairQueue fq_sort;
+      FairQueue fq_insert;
       Queue sorted;
       Queue inserted;
       std::vector<PendingLike> running;
