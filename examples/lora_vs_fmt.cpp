@@ -23,9 +23,9 @@ int main() {
   std::printf("pre-training shared base...\n");
   Pretrain(base, pre, rng);
 
-  DeltaZipOptions options;
-  options.compress.bits = 2;
-  DeltaZipService service(Transformer(base.weights()), options);
+  DeltaCompressConfig compress;
+  compress.bits = 2;
+  DeltaZipService service(Transformer(base.weights()), compress);
 
   Table table({"task", "variant", "accuracy%", "artifact bytes"});
   for (TaskKind kind : {TaskKind::kSentiment, TaskKind::kArithmetic}) {

@@ -37,10 +37,10 @@ int main() {
   FineTuneFmt(finetuned, *task, ft, rng);
 
   // 3. Register with the service: ΔCompress to 2-bit + 2:4 sparsity.
-  DeltaZipOptions options;
-  options.compress.bits = 2;
-  options.compress.sparse24 = true;
-  DeltaZipService service(Transformer(base.weights()), options);
+  DeltaCompressConfig compress;
+  compress.bits = 2;
+  compress.sparse24 = true;
+  DeltaZipService service(Transformer(base.weights()), compress);
   std::vector<std::vector<int>> calibration;
   for (int i = 0; i < 12; ++i) {
     calibration.push_back(task->Sample(rng).tokens);

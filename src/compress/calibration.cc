@@ -9,9 +9,10 @@ Matrix CaptureLayerInput(const Transformer& model,
                          const std::vector<std::vector<int>>& calibration,
                          const std::string& layer_name, ThreadPool* pool) {
   DZ_CHECK(!calibration.empty());
+  const int index = model.weights().LinearIndex(layer_name);
+  DZ_CHECK_GE(index, 0);
   // The weight lets the overlay still produce the layer's normal output.
   const Matrix* weight = model.weights().LinearWeight(layer_name);
-  DZ_CHECK(weight != nullptr);
 
   // Forward passes over the calibration sequences are independent; run them
   // across the pool, each with its own overlay capturing into its own slot so
@@ -23,7 +24,8 @@ Matrix CaptureLayerInput(const Transformer& model,
         for (size_t i = begin; i < end; ++i) {
           std::vector<Matrix>* slot = &captured[i];
           LinearOverlay overlay;
-          overlay.ops[layer_name] = [weight, slot](const Matrix& x) {
+          overlay.ops.resize(static_cast<size_t>(index) + 1);
+          overlay.ops.back() = [weight, slot](const Matrix& x) {
             slot->push_back(x);
             return MatmulNT(x, *weight);
           };

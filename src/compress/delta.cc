@@ -1,5 +1,6 @@
 #include "src/compress/delta.h"
 
+#include <algorithm>
 #include <functional>
 
 #include "src/compress/calibration.h"
@@ -92,10 +93,13 @@ bool CompressedDelta::FitsBase(const ModelWeights& base) const {
 LinearOverlay CompressedDelta::MakeOverlay(const ModelWeights& base) const {
   LinearOverlay overlay;
   for (const auto& layer : layers) {
+    const int index = base.LinearIndex(layer.name);
+    DZ_CHECK_GE(index, 0);
     const Matrix* base_w = base.LinearWeight(layer.name);
-    DZ_CHECK(base_w != nullptr);
     const CompressedDeltaLayer* delta_layer = &layer;
-    overlay.ops[layer.name] = [base_w, delta_layer](const Matrix& x) {
+    const size_t i = static_cast<size_t>(index);
+    overlay.ops.resize(std::max(overlay.ops.size(), i + 1));
+    overlay.ops[i] = [base_w, delta_layer](const Matrix& x) {
       Matrix y = MatmulNT(x, *base_w);          // batched base-path GEMM
       y.AddInPlace(delta_layer->MatmulNT(x));   // sparse low-precision delta path
       return y;

@@ -98,6 +98,10 @@ constexpr int kMaxCodeLen = 15;
 constexpr int kMinMatch = 4;
 constexpr int kMaxMatch = kMinMatch + 255;
 constexpr int kWindow = 1 << 15;
+// LZ77 effort: hash-chain search depth per position, and the match length that stops
+// the search (and skips the lazy peek).
+constexpr int kMaxChain = 32;
+constexpr int kNiceLength = 64;
 
 // Computes code lengths with a pairing heap; if the tree gets deeper than kMaxCodeLen,
 // frequencies are flattened and the build retried (classic length-limiting trick).
@@ -300,7 +304,7 @@ void PutCode(BitWriter& writer, uint32_t code, int len) {
 }
 
 // ---------------------------------------------------------------------------
-// LZ77 with hash chains and optional one-step lazy matching
+// LZ77 with hash chains and one-step lazy matching
 // ---------------------------------------------------------------------------
 
 struct Token {
@@ -326,8 +330,8 @@ struct Match {
 // evaluation revisits a position.
 class ChainMatcher {
  public:
-  ChainMatcher(const uint8_t* data, size_t n, const GdeflateOptions& opts)
-      : data_(data), n_(n), opts_(opts), head_(kHashSize, -1), prev_(n, -1) {}
+  ChainMatcher(const uint8_t* data, size_t n)
+      : data_(data), n_(n), head_(kHashSize, -1), prev_(n, -1) {}
 
   void InsertUpTo(size_t p) {
     const size_t limit = n_ >= kMinMatch ? n_ - kMinMatch + 1 : 0;
@@ -348,7 +352,7 @@ class ChainMatcher {
     const uint8_t* cur = data_ + i;
     int cand = head_[Hash4(cur)];
     int chain = 0;
-    while (cand >= 0 && chain < opts_.max_chain &&
+    while (cand >= 0 && chain < kMaxChain &&
            static_cast<size_t>(cand) + kWindow > i) {
       const uint8_t* c = data_ + cand;
       // Cheap reject: a longer match must extend past the current best.
@@ -358,7 +362,7 @@ class ChainMatcher {
         if (len >= kMinMatch && len > best.len) {
           best.len = len;
           best.dist = static_cast<int>(i) - cand;
-          if (len == max_len || len >= opts_.nice_length) {
+          if (len == max_len || len >= kNiceLength) {
             break;
           }
         }
@@ -373,7 +377,6 @@ class ChainMatcher {
   static constexpr uint32_t kHashSize = 1 << 13;
   const uint8_t* data_;
   size_t n_;
-  const GdeflateOptions& opts_;
   std::vector<int> head_;
   std::vector<int> prev_;
   size_t next_insert_ = 0;
@@ -383,16 +386,14 @@ class ChainMatcher {
       kernels::ActiveBackend().match_len;
 };
 
-std::vector<Token> Lz77Parse(const uint8_t* data, size_t n,
-                             const GdeflateOptions& opts) {
+std::vector<Token> Lz77Parse(const uint8_t* data, size_t n) {
   std::vector<Token> tokens;
-  ChainMatcher matcher(data, n, opts);
+  ChainMatcher matcher(data, n);
   size_t i = 0;
   while (i < n) {
     matcher.InsertUpTo(i);
     const Match cur = matcher.Find(i);
-    if (cur.len >= kMinMatch && opts.lazy && cur.len < opts.nice_length &&
-        i + 1 < n) {
+    if (cur.len >= kMinMatch && cur.len < kNiceLength && i + 1 < n) {
       // One-step lazy matching: when the next position hides a strictly longer
       // match, emit a literal and let it win.
       matcher.InsertUpTo(i + 1);
@@ -433,9 +434,8 @@ uint32_t GetU32(const uint8_t* p) {
 
 constexpr size_t kBlockHeader = 4 + kSymbols / 2;
 
-void CompressBlock(const uint8_t* data, size_t n, const GdeflateOptions& opts,
-                   ByteBuffer& out) {
-  const std::vector<Token> tokens = Lz77Parse(data, n, opts);
+void CompressBlock(const uint8_t* data, size_t n, ByteBuffer& out) {
+  const std::vector<Token> tokens = Lz77Parse(data, n);
 
   std::vector<uint64_t> freq(static_cast<size_t>(kSymbols), 0);
   for (const Token& t : tokens) {
@@ -517,13 +517,14 @@ size_t DecompressBlockTo(const uint8_t* p, size_t size, uint8_t* dst) {
 // Each block is an independent single-block stream (own window + code table),
 // so chunks compress and decompress in parallel and in any order. Legacy
 // whole-buffer streams are detected by the absence of the magic; a legacy
-// header starts with the original size, which the chunk_size clamp keeps well
-// below the magic value.
+// header starts with the original size, at most kChunkSize, far below the
+// magic value.
 // ---------------------------------------------------------------------------
 
 constexpr uint32_t kChunkMagic = 0x43475A44u;  // "DZGC" little-endian
-constexpr size_t kMinChunkSize = 4096;
-constexpr size_t kMaxChunkSize = (1u << 30) - 1;
+// 256 KiB (8x the LZ window) keeps the density loss from per-chunk windows small
+// while giving mid-sized tensor deltas enough chunks to spread across the pool.
+constexpr size_t kChunkSize = 1u << 18;
 
 template <typename Decoder>
 ByteBuffer DecompressImpl(const ByteBuffer& compressed, bool parallel) {
@@ -564,29 +565,19 @@ ByteBuffer DecompressImpl(const ByteBuffer& compressed, bool parallel) {
 
 }  // namespace
 
-ByteBuffer GdeflateCompress(const ByteBuffer& input, const GdeflateOptions& opts) {
-  DZ_CHECK_GE(opts.max_chain, 1);
-  const size_t chunk_size =
-      std::min(std::max(opts.chunk_size, kMinChunkSize), kMaxChunkSize);
-  if (input.size() <= chunk_size) {
+ByteBuffer GdeflateCompress(const ByteBuffer& input) {
+  if (input.size() <= kChunkSize) {
     ByteBuffer out;
-    CompressBlock(input.data(), input.size(), opts, out);
+    CompressBlock(input.data(), input.size(), out);
     return out;
   }
-  const size_t n_chunks = (input.size() + chunk_size - 1) / chunk_size;
+  const size_t n_chunks = (input.size() + kChunkSize - 1) / kChunkSize;
   std::vector<ByteBuffer> blobs(n_chunks);
-  const auto compress_chunk = [&](size_t c) {
-    const size_t begin = c * chunk_size;
-    const size_t len = std::min(chunk_size, input.size() - begin);
-    CompressBlock(input.data() + begin, len, opts, blobs[c]);
-  };
-  if (opts.parallel && n_chunks > 1) {
-    ThreadPool::Global().ForEachTask(n_chunks, compress_chunk);
-  } else {
-    for (size_t c = 0; c < n_chunks; ++c) {
-      compress_chunk(c);
-    }
-  }
+  ThreadPool::Global().ForEachTask(n_chunks, [&](size_t c) {
+    const size_t begin = c * kChunkSize;
+    const size_t len = std::min(kChunkSize, input.size() - begin);
+    CompressBlock(input.data() + begin, len, blobs[c]);
+  });
   ByteBuffer out;
   PutU32(out, kChunkMagic);
   PutU32(out, static_cast<uint32_t>(n_chunks));
@@ -597,10 +588,6 @@ ByteBuffer GdeflateCompress(const ByteBuffer& input, const GdeflateOptions& opts
     out.insert(out.end(), b.begin(), b.end());
   }
   return out;
-}
-
-ByteBuffer GdeflateCompress(const ByteBuffer& input) {
-  return GdeflateCompress(input, GdeflateOptions{});
 }
 
 ByteBuffer GdeflateDecompress(const ByteBuffer& compressed) {

@@ -2,7 +2,7 @@
 // (paper Fig. 5). The paper uses nvcomp's GDeflate for GPU-side decompression; we
 // implement the same algorithmic family from scratch:
 //
-//   * LZ77 matching (32 KiB window, min match 4, hash chains with optional
+//   * LZ77 matching (32 KiB window, min match 4, hash chains searched 32 deep,
 //     one-step lazy matching) over the input, producing a literal/match token
 //     stream,
 //   * a canonical Huffman code over the token alphabet (deflate-style), decoded
@@ -23,34 +23,11 @@ namespace dz {
 
 using ByteBuffer = std::vector<uint8_t>;
 
-// Tuning knobs for the LZ77 stage and the parallel chunk framing. The defaults
-// match the serving-path tradeoff: spend a little more compress-side effort
-// (lazy matching) for a denser stream, and never let one giant artifact
-// serialize the pipeline.
-struct GdeflateOptions {
-  // Hash-chain search depth per position. Larger = denser output, slower
-  // compression. Must be >= 1.
-  int max_chain = 32;
-  // One-step lazy matching: before emitting a match, peek at the next position
-  // and prefer a literal when the deferred match is strictly longer.
-  bool lazy = true;
-  // Stop extending the chain search once a match of this length is found.
-  int nice_length = 64;
-  // Inputs larger than this are split into independently-compressed chunks
-  // (own LZ window + Huffman table each) framed in a chunked container, so
-  // both directions can run across the thread pool. Must be >= 4 KiB; clamped
-  // below 1 GiB so the chunk magic cannot collide with a legacy size header.
-  // 256 KiB (8x the LZ window) keeps the density loss from per-chunk windows
-  // small while giving mid-sized tensor deltas enough chunks to spread across
-  // the pool — sub-MiB buffers used to decode on one thread.
-  size_t chunk_size = 1u << 18;
-  // Use the global thread pool for chunked compress/decompress.
-  bool parallel = true;
-};
-
 // Deflate-family codec (LZ77 + canonical Huffman).
+// Inputs above 256 KiB are split into independently compressed chunks (own LZ window
+// and code table each) framed in the chunked container, so both directions run
+// across the thread pool.
 ByteBuffer GdeflateCompress(const ByteBuffer& input);
-ByteBuffer GdeflateCompress(const ByteBuffer& input, const GdeflateOptions& opts);
 ByteBuffer GdeflateDecompress(const ByteBuffer& compressed);
 
 namespace internal {

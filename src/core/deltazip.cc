@@ -5,8 +5,8 @@
 
 namespace dz {
 
-DeltaZipService::DeltaZipService(Transformer base, const DeltaZipOptions& options)
-    : base_(std::move(base)), options_(options) {}
+DeltaZipService::DeltaZipService(Transformer base, const DeltaCompressConfig& compress)
+    : base_(std::move(base)), compress_(compress) {}
 
 int DeltaZipService::RegisterFmtModel(const ModelWeights& finetuned,
                                       const std::vector<std::vector<int>>& calibration,
@@ -15,7 +15,7 @@ int DeltaZipService::RegisterFmtModel(const ModelWeights& finetuned,
   // across ThreadPool::Global(); registration scales with cores (DZ_THREADS
   // overrides) and the artifact is bit-identical for any thread count.
   CompressedDelta delta =
-      DeltaCompress(base_.weights(), finetuned, calibration, options_.compress);
+      DeltaCompress(base_.weights(), finetuned, calibration, compress_);
   return RegisterCompressedDelta(std::move(delta), name);
 }
 
@@ -48,6 +48,11 @@ int DeltaZipService::RegisterCompressedDelta(CompressedDelta delta,
 }
 
 int DeltaZipService::RegisterLora(LoraAdapter adapter, const std::string& name) {
+  if (!adapter.FitsBase(base_.weights())) {
+    DZ_LOG(kWarning) << "rejected adapter " << (name.empty() ? "(unnamed)" : name)
+                     << ": its factors do not match the base model's linear layers";
+    return -1;
+  }
   const int id = static_cast<int>(variants_.size());
   Variant v;
   v.info.id = id;

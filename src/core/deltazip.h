@@ -11,7 +11,7 @@
 // MakeVllmScbEngine) and the trace generator alongside the service.
 //
 // Example:
-//   DeltaZipService service(base_transformer, options);
+//   DeltaZipService service(base_transformer, compress_config);
 //   int vid = service.RegisterFmtModel(finetuned_weights, calibration_tokens);
 //   auto tokens = service.Generate(vid, prompt, 16);
 //   ServeReport report = MakeDeltaZipEngine(engine_config)->Serve(trace);
@@ -30,10 +30,6 @@
 
 namespace dz {
 
-struct DeltaZipOptions {
-  DeltaCompressConfig compress;
-};
-
 struct VariantInfo {
   int id = 0;
   std::string name;
@@ -44,7 +40,8 @@ struct VariantInfo {
 
 class DeltaZipService {
  public:
-  DeltaZipService(Transformer base, const DeltaZipOptions& options);
+  // `compress` configures the ΔCompress run behind RegisterFmtModel.
+  DeltaZipService(Transformer base, const DeltaCompressConfig& compress);
 
   // Registers a fine-tuned model: extracts and compresses the delta against the given
   // calibration sequences. Returns the variant id.
@@ -52,7 +49,9 @@ class DeltaZipService {
                        const std::vector<std::vector<int>>& calibration,
                        const std::string& name = "");
 
-  // Registers a LoRA adapter directly (PEFT path).
+  // Registers a LoRA adapter directly (PEFT path). Returns the variant id, or -1 and
+  // registers nothing when the adapter does not fit this service's base model: it
+  // lacks one factor pair per linear layer, or a factor's shape differs (FitsBase).
   int RegisterLora(LoraAdapter adapter, const std::string& name = "");
 
   // Registers an already-compressed delta (e.g. loaded from the on-disk delta zoo via
@@ -87,7 +86,7 @@ class DeltaZipService {
   };
 
   Transformer base_;
-  DeltaZipOptions options_;
+  DeltaCompressConfig compress_;
   std::vector<Variant> variants_;
 };
 

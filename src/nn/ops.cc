@@ -104,18 +104,23 @@ void RopeApplyInverse(Matrix& x, int n_heads, float theta, int pos_offset) {
 Matrix AttentionForward(const Matrix& q, const Matrix& k, const Matrix& v, int n_heads,
                         std::vector<Matrix>& probs) {
   const int seq = q.rows();
+  const int len = k.rows();
+  const int offset = len - seq;
+  DZ_CHECK_GE(offset, 0);
+  DZ_CHECK_EQ(v.rows(), len);
   const int d = q.cols();
   const int hd = d / n_heads;
   const float scale = 1.0f / std::sqrt(static_cast<float>(hd));
   probs.assign(static_cast<size_t>(n_heads), Matrix());
   Matrix out(seq, d);
   for (int h = 0; h < n_heads; ++h) {
-    Matrix p(seq, seq);
+    Matrix p(seq, len);
     for (int i = 0; i < seq; ++i) {
+      const int last = offset + i;  // the query's own position
       const float* qr = q.row(i) + h * hd;
       float* pr = p.row(i);
       float max_s = -1e30f;
-      for (int j = 0; j <= i; ++j) {
+      for (int j = 0; j <= last; ++j) {
         const float* kr = k.row(j) + h * hd;
         float s = 0.0f;
         for (int t = 0; t < hd; ++t) {
@@ -126,16 +131,16 @@ Matrix AttentionForward(const Matrix& q, const Matrix& k, const Matrix& v, int n
         max_s = std::max(max_s, s);
       }
       float denom = 0.0f;
-      for (int j = 0; j <= i; ++j) {
+      for (int j = 0; j <= last; ++j) {
         pr[j] = std::exp(pr[j] - max_s);
         denom += pr[j];
       }
-      for (int j = 0; j <= i; ++j) {
+      for (int j = 0; j <= last; ++j) {
         pr[j] /= denom;
       }
-      // j > i stays zero (causal mask).
+      // j > last stays zero (causal mask).
       float* orow = out.row(i) + h * hd;
-      for (int j = 0; j <= i; ++j) {
+      for (int j = 0; j <= last; ++j) {
         const float* vr = v.row(j) + h * hd;
         const float pj = pr[j];
         for (int t = 0; t < hd; ++t) {
@@ -193,46 +198,6 @@ void AttentionBackward(const Matrix& q, const Matrix& k, const Matrix& v, int n_
       }
     }
   }
-}
-
-Matrix AttentionDecodeStep(const Matrix& q_row, const Matrix& k_cache,
-                           const Matrix& v_cache, int n_heads) {
-  DZ_CHECK_EQ(q_row.rows(), 1);
-  const int d = q_row.cols();
-  const int hd = d / n_heads;
-  const int len = k_cache.rows();
-  DZ_CHECK_GT(len, 0);
-  const float scale = 1.0f / std::sqrt(static_cast<float>(hd));
-  Matrix out(1, d);
-  std::vector<float> scores(static_cast<size_t>(len));
-  for (int h = 0; h < n_heads; ++h) {
-    const float* qr = q_row.row(0) + h * hd;
-    float max_s = -1e30f;
-    for (int j = 0; j < len; ++j) {
-      const float* kr = k_cache.row(j) + h * hd;
-      float s = 0.0f;
-      for (int t = 0; t < hd; ++t) {
-        s += qr[t] * kr[t];
-      }
-      s *= scale;
-      scores[static_cast<size_t>(j)] = s;
-      max_s = std::max(max_s, s);
-    }
-    float denom = 0.0f;
-    for (int j = 0; j < len; ++j) {
-      scores[static_cast<size_t>(j)] = std::exp(scores[static_cast<size_t>(j)] - max_s);
-      denom += scores[static_cast<size_t>(j)];
-    }
-    float* orow = out.row(0) + h * hd;
-    for (int j = 0; j < len; ++j) {
-      const float pj = scores[static_cast<size_t>(j)] / denom;
-      const float* vr = v_cache.row(j) + h * hd;
-      for (int t = 0; t < hd; ++t) {
-        orow[t] += pj * vr[t];
-      }
-    }
-  }
-  return out;
 }
 
 namespace {

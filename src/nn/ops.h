@@ -27,20 +27,19 @@ void RopeApply(Matrix& x, int n_heads, float theta, int pos_offset);
 void RopeApplyInverse(Matrix& x, int n_heads, float theta, int pos_offset);
 
 // Causal multi-head attention forward.
-//   q, k, v: [seq, d_model] (already RoPE'd q/k).
-// Saves per-head softmax probabilities (n_heads matrices of [seq, seq]) for backward.
+//   q: [n, d_model], k, v: [len, d_model] with n <= len (already RoPE'd q/k). The
+//   queries are the last n of the len positions: query row i attends to key rows
+//   [0, len - n + i]. n == len is a full sequence, n == 1 one decode step over a KV
+//   cache.
+// Saves per-head softmax probabilities (n_heads matrices of [n, len]) for backward.
 Matrix AttentionForward(const Matrix& q, const Matrix& k, const Matrix& v, int n_heads,
                         std::vector<Matrix>& probs);
 
-// Backprop through attention. Outputs dq, dk, dv.
+// Backprop through attention over a full sequence (q, k, v all [seq, d_model], probs
+// from AttentionForward on them). Outputs dq, dk, dv.
 void AttentionBackward(const Matrix& q, const Matrix& k, const Matrix& v, int n_heads,
                        const std::vector<Matrix>& probs, const Matrix& dout, Matrix& dq,
                        Matrix& dk, Matrix& dv);
-
-// Incremental decode attention: the query is a single row at position `pos`, attending
-// over k_cache/v_cache rows [0, pos]. Returns [1, d_model].
-Matrix AttentionDecodeStep(const Matrix& q_row, const Matrix& k_cache,
-                           const Matrix& v_cache, int n_heads);
 
 // h = silu(gate) * up, elementwise.
 Matrix SwiGluForward(const Matrix& gate, const Matrix& up);

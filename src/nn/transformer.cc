@@ -2,6 +2,7 @@
 
 #include <charconv>
 #include <cmath>
+#include <iterator>
 #include <utility>
 
 #include "src/nn/ops.h"
@@ -15,13 +16,16 @@ std::string LinearLayerName(int layer, const char* which) {
 
 namespace {
 
-// A block's linear layers in execution order, the order of LinearLayers().
+// A block's linear layers in execution order, the order of LinearLayers(): block b's
+// slot s sits at position b * kBlockLinearCount + s.
 constexpr std::pair<const char*, Matrix LayerWeights::*> kBlockLinears[] = {
     {"wq", &LayerWeights::wq},         {"wk", &LayerWeights::wk},
     {"wv", &LayerWeights::wv},         {"wo", &LayerWeights::wo},
     {"w_gate", &LayerWeights::w_gate}, {"w_up", &LayerWeights::w_up},
     {"w_down", &LayerWeights::w_down},
 };
+enum : size_t { kWq, kWk, kWv, kWo, kWGate, kWUp, kWDown, kBlockLinearCount };
+static_assert(std::size(kBlockLinears) == kBlockLinearCount);
 
 }  // namespace
 
@@ -87,24 +91,34 @@ std::vector<NamedLayerConst> ModelWeights::LinearLayers() const {
   return out;
 }
 
-Matrix* ModelWeights::LinearWeight(const std::string& name) {
+int ModelWeights::LinearIndex(const std::string& name) const {
   // Parses "layer{i}.{which}"; the round trip through LinearLayerName rejects every
   // other spelling ("layer01.wq", "layer.wq").
   constexpr size_t kPrefix = sizeof("layer") - 1;
   const size_t dot = name.find('.');
   if (dot == std::string::npos || dot < kPrefix) {
-    return nullptr;
+    return -1;
   }
   size_t block = 0;
   std::from_chars(name.data() + kPrefix, name.data() + dot, block);
-  for (const auto& [which, member] : kBlockLinears) {
+  for (size_t slot = 0; slot < kBlockLinearCount; ++slot) {
+    const char* which = kBlockLinears[slot].first;
     if (block < layers.size() && name.compare(dot + 1, std::string::npos, which) == 0) {
       return LinearLayerName(static_cast<int>(block), which) == name
-                 ? &(layers[block].*member)
-                 : nullptr;
+                 ? static_cast<int>(block * kBlockLinearCount + slot)
+                 : -1;
     }
   }
-  return nullptr;
+  return -1;
+}
+
+Matrix* ModelWeights::LinearWeight(const std::string& name) {
+  const int index = LinearIndex(name);
+  if (index < 0) {
+    return nullptr;
+  }
+  const size_t i = static_cast<size_t>(index);
+  return &(layers[i / kBlockLinearCount].*kBlockLinears[i % kBlockLinearCount].second);
 }
 
 const Matrix* ModelWeights::LinearWeight(const std::string& name) const {
@@ -178,23 +192,36 @@ Transformer::Transformer(ModelWeights weights) : weights_(std::move(weights)) {
   weights_.config.Validate();
 }
 
-Matrix Transformer::ApplyLinear(const std::string& name, const Matrix& w, const Matrix& x,
+Matrix Transformer::ApplyLinear(int block, size_t slot, const Matrix& x,
                                 const LinearOverlay* overlay) const {
-  if (overlay != nullptr) {
-    auto it = overlay->ops.find(name);
-    if (it != overlay->ops.end()) {
-      return it->second(x);
-    }
+  const size_t index = static_cast<size_t>(block) * kBlockLinearCount + slot;
+  if (overlay != nullptr && index < overlay->ops.size() && overlay->ops[index]) {
+    return overlay->ops[index](x);
   }
-  return MatmulNT(x, w);
+  const LayerWeights& lw = weights_.layers[static_cast<size_t>(block)];
+  return MatmulNT(x, lw.*kBlockLinears[slot].second);
 }
 
-Matrix Transformer::Forward(const std::vector<int>& tokens, ForwardCache* cache,
-                            const LinearOverlay* overlay) const {
+namespace {
+
+// Appends the rows of `rows` to `m` (empty, or of the same width).
+void AppendRows(Matrix& m, const Matrix& rows) {
+  Matrix grown(m.rows() + rows.rows(), rows.cols());
+  std::copy(m.data().begin(), m.data().end(), grown.data().begin());
+  std::copy(rows.data().begin(), rows.data().end(),
+            grown.data().begin() + static_cast<std::ptrdiff_t>(m.data().size()));
+  m = std::move(grown);
+}
+
+}  // namespace
+
+Matrix Transformer::Walk(const std::vector<int>& tokens, KVCache* kv, ForwardCache* cache,
+                         const LinearOverlay* overlay) const {
   const ModelConfig& cfg = weights_.config;
   const int seq = static_cast<int>(tokens.size());
+  const int pos = kv != nullptr ? kv->len : 0;
   DZ_CHECK_GT(seq, 0);
-  DZ_CHECK_LE(seq, cfg.max_seq);
+  DZ_CHECK_LE(pos + seq, cfg.max_seq);
 
   Matrix x(seq, cfg.d_model);
   for (int i = 0; i < seq; ++i) {
@@ -211,20 +238,26 @@ Matrix Transformer::Forward(const std::vector<int>& tokens, ForwardCache* cache,
   }
 
   for (int li = 0; li < cfg.n_layers; ++li) {
-    const LayerWeights& lw = weights_.layers[static_cast<size_t>(li)];
-    ForwardCache::Layer* lc = cache != nullptr ? &cache->layers[static_cast<size_t>(li)]
-                                               : nullptr;
+    const size_t l = static_cast<size_t>(li);
+    const LayerWeights& lw = weights_.layers[l];
+    ForwardCache::Layer* lc = cache != nullptr ? &cache->layers[l] : nullptr;
     // Attention block (pre-norm).
     std::vector<float> inv_rms;
     const Matrix normed = RmsNormForward(x, lw.attn_norm, cfg.norm_eps, inv_rms);
-    Matrix q = ApplyLinear(LinearLayerName(li, "wq"), lw.wq, normed, overlay);
-    Matrix k = ApplyLinear(LinearLayerName(li, "wk"), lw.wk, normed, overlay);
-    const Matrix v = ApplyLinear(LinearLayerName(li, "wv"), lw.wv, normed, overlay);
-    RopeApply(q, cfg.n_heads, cfg.rope_theta, 0);
-    RopeApply(k, cfg.n_heads, cfg.rope_theta, 0);
+    Matrix q = ApplyLinear(li, kWq, normed, overlay);
+    Matrix k = ApplyLinear(li, kWk, normed, overlay);
+    const Matrix v = ApplyLinear(li, kWv, normed, overlay);
+    RopeApply(q, cfg.n_heads, cfg.rope_theta, pos);
+    RopeApply(k, cfg.n_heads, cfg.rope_theta, pos);
+    if (kv != nullptr) {
+      AppendRows(kv->k[l], k);
+      AppendRows(kv->v[l], v);
+    }
     std::vector<Matrix> probs;
-    const Matrix attn = AttentionForward(q, k, v, cfg.n_heads, probs);
-    const Matrix o = ApplyLinear(LinearLayerName(li, "wo"), lw.wo, attn, overlay);
+    const Matrix attn = AttentionForward(q, kv != nullptr ? kv->k[l] : k,
+                                         kv != nullptr ? kv->v[l] : v, cfg.n_heads,
+                                         probs);
+    const Matrix o = ApplyLinear(li, kWo, attn, overlay);
     if (lc != nullptr) {
       lc->attn_in = x;
       lc->attn_inv_rms = inv_rms;
@@ -240,12 +273,10 @@ Matrix Transformer::Forward(const std::vector<int>& tokens, ForwardCache* cache,
     // MLP block.
     std::vector<float> mlp_inv_rms;
     const Matrix mlp_normed = RmsNormForward(x, lw.mlp_norm, cfg.norm_eps, mlp_inv_rms);
-    const Matrix gate =
-        ApplyLinear(LinearLayerName(li, "w_gate"), lw.w_gate, mlp_normed, overlay);
-    const Matrix up =
-        ApplyLinear(LinearLayerName(li, "w_up"), lw.w_up, mlp_normed, overlay);
+    const Matrix gate = ApplyLinear(li, kWGate, mlp_normed, overlay);
+    const Matrix up = ApplyLinear(li, kWUp, mlp_normed, overlay);
     const Matrix h = SwiGluForward(gate, up);
-    const Matrix down = ApplyLinear(LinearLayerName(li, "w_down"), lw.w_down, h, overlay);
+    const Matrix down = ApplyLinear(li, kWDown, h, overlay);
     if (lc != nullptr) {
       lc->mlp_in = x;
       lc->mlp_inv_rms = mlp_inv_rms;
@@ -255,6 +286,9 @@ Matrix Transformer::Forward(const std::vector<int>& tokens, ForwardCache* cache,
       lc->swiglu = h;
     }
     x.AddInPlace(down);
+  }
+  if (kv != nullptr) {
+    kv->len += seq;
   }
 
   std::vector<float> final_inv_rms;
@@ -266,6 +300,11 @@ Matrix Transformer::Forward(const std::vector<int>& tokens, ForwardCache* cache,
     cache->final_normed = final_normed;
   }
   return MatmulNT(final_normed, weights_.lm_head);
+}
+
+Matrix Transformer::Forward(const std::vector<int>& tokens, ForwardCache* cache,
+                            const LinearOverlay* overlay) const {
+  return Walk(tokens, nullptr, cache, overlay);
 }
 
 void Transformer::Backward(const ForwardCache& cache, const Matrix& dlogits,
@@ -337,64 +376,9 @@ KVCache Transformer::MakeKVCache() const {
   return kv;
 }
 
-namespace {
-
-// Appends a single row to a [len, d] matrix.
-void AppendRow(Matrix& m, const Matrix& row, int d) {
-  Matrix grown(m.rows() + 1, d);
-  if (m.rows() > 0) {
-    std::copy(m.data().begin(), m.data().end(), grown.data().begin());
-  }
-  std::copy(row.row(0), row.row(0) + d, grown.row(m.rows()));
-  m = std::move(grown);
-}
-
-}  // namespace
-
 Matrix Transformer::DecodeStep(int token, KVCache& kv,
                                const LinearOverlay* overlay) const {
-  const ModelConfig& cfg = weights_.config;
-  DZ_CHECK_GE(token, 0);
-  DZ_CHECK_LT(token, cfg.vocab_size);
-  DZ_CHECK_LT(kv.len, cfg.max_seq);
-  const int pos = kv.len;
-
-  Matrix x(1, cfg.d_model);
-  const float* emb = weights_.embedding.row(token);
-  std::copy(emb, emb + cfg.d_model, x.row(0));
-
-  for (int li = 0; li < cfg.n_layers; ++li) {
-    const LayerWeights& lw = weights_.layers[static_cast<size_t>(li)];
-    std::vector<float> inv_rms;
-    const Matrix normed = RmsNormForward(x, lw.attn_norm, cfg.norm_eps, inv_rms);
-    Matrix q = ApplyLinear(LinearLayerName(li, "wq"), lw.wq, normed, overlay);
-    Matrix k = ApplyLinear(LinearLayerName(li, "wk"), lw.wk, normed, overlay);
-    const Matrix v = ApplyLinear(LinearLayerName(li, "wv"), lw.wv, normed, overlay);
-    RopeApply(q, cfg.n_heads, cfg.rope_theta, pos);
-    RopeApply(k, cfg.n_heads, cfg.rope_theta, pos);
-    AppendRow(kv.k[static_cast<size_t>(li)], k, cfg.d_model);
-    AppendRow(kv.v[static_cast<size_t>(li)], v, cfg.d_model);
-    const Matrix attn = AttentionDecodeStep(q, kv.k[static_cast<size_t>(li)],
-                                            kv.v[static_cast<size_t>(li)], cfg.n_heads);
-    const Matrix o = ApplyLinear(LinearLayerName(li, "wo"), lw.wo, attn, overlay);
-    x.AddInPlace(o);
-
-    std::vector<float> mlp_inv_rms;
-    const Matrix mlp_normed = RmsNormForward(x, lw.mlp_norm, cfg.norm_eps, mlp_inv_rms);
-    const Matrix gate =
-        ApplyLinear(LinearLayerName(li, "w_gate"), lw.w_gate, mlp_normed, overlay);
-    const Matrix up =
-        ApplyLinear(LinearLayerName(li, "w_up"), lw.w_up, mlp_normed, overlay);
-    const Matrix h = SwiGluForward(gate, up);
-    const Matrix down = ApplyLinear(LinearLayerName(li, "w_down"), lw.w_down, h, overlay);
-    x.AddInPlace(down);
-  }
-  ++kv.len;
-
-  std::vector<float> final_inv_rms;
-  const Matrix final_normed = RmsNormForward(x, weights_.final_norm, cfg.norm_eps,
-                                             final_inv_rms);
-  return MatmulNT(final_normed, weights_.lm_head);
+  return Walk({token}, &kv, nullptr, overlay);
 }
 
 std::vector<int> Transformer::GenerateGreedy(const std::vector<int>& prompt, int max_new,

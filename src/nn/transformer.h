@@ -6,14 +6,15 @@
 //
 // Linear layers can be rerouted through a LinearOverlay, which is how the serving
 // engine's decoupled computation  (w_base + Δ)·x = w_base·x + Δ·x  (paper Eq. 2) is
-// executed and validated numerically: the overlay supplies a function per named layer
-// that computes y = x·Wᵀ from base weights plus a compressed delta.
+// executed and validated numerically: the overlay supplies a function per linear layer,
+// addressed by its LinearLayers() position, that computes y = x·Wᵀ from base weights
+// plus a compressed delta. Layer names appear only where they are data (artifacts,
+// LinearLayers(), calibration capture); one parser, LinearIndex, maps them back.
 #ifndef SRC_NN_TRANSFORMER_H_
 #define SRC_NN_TRANSFORMER_H_
 
 #include <functional>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "src/nn/config.h"
@@ -55,6 +56,9 @@ struct ModelWeights {
   // the embedding layers are not compressed).
   std::vector<NamedLayer> LinearLayers();
   std::vector<NamedLayerConst> LinearLayers() const;
+  // Position in LinearLayers() of the layer LinearLayerName names, or -1 for any
+  // other name.
+  int LinearIndex(const std::string& name) const;
   // The linear weight LinearLayerName names, or null for any other name.
   Matrix* LinearWeight(const std::string& name);
   const Matrix* LinearWeight(const std::string& name) const;
@@ -70,11 +74,11 @@ struct ModelWeights {
   void Scale(float s);
 };
 
-// Reroutes named linear layers through custom functions computing y = x·Wᵀ.
+// Reroutes linear layers through custom functions computing y = x·Wᵀ. ops[i] replaces
+// the layer at LinearLayers() position i; an empty function, or a position past the
+// end, leaves that layer on its own weight.
 struct LinearOverlay {
-  std::unordered_map<std::string, std::function<Matrix(const Matrix&)>> ops;
-
-  bool Has(const std::string& name) const { return ops.count(name) > 0; }
+  std::vector<std::function<Matrix(const Matrix&)>> ops;
 };
 
 // Per-layer KV cache for incremental decoding.
@@ -137,7 +141,16 @@ class Transformer {
                                   const LinearOverlay* overlay = nullptr) const;
 
  private:
-  Matrix ApplyLinear(const std::string& name, const Matrix& w, const Matrix& x,
+  // The pre-norm block walk behind Forward and DecodeStep. Embeds `tokens` at
+  // positions kv->len onward (0 when kv is null) and returns their logits. With kv
+  // set, each block appends its K/V rows to the cache and attends over all of it;
+  // otherwise over the call's own rows. With cache set, records what Backward needs.
+  Matrix Walk(const std::vector<int>& tokens, KVCache* kv, ForwardCache* cache,
+              const LinearOverlay* overlay) const;
+
+  // y = x·Wᵀ for linear `slot` (its place in the block, LinearLayers() order) of
+  // `block`, through the overlay when it has an op at that position.
+  Matrix ApplyLinear(int block, size_t slot, const Matrix& x,
                      const LinearOverlay* overlay) const;
 
   ModelWeights weights_;

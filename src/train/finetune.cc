@@ -134,13 +134,13 @@ LoraAdapter FineTuneLora(const Transformer& base, const Task& task, int rank, fl
   LoraAdapter adapter = LoraAdapter::Init(base.weights(), rank, alpha, rng);
   const float s = adapter.scale();
 
-  // Per-factor Adam states.
-  std::map<std::string, std::pair<AdamMatrix, AdamMatrix>> opt;
+  // Per-factor Adam states, in factor order.
+  std::vector<std::pair<AdamMatrix, AdamMatrix>> opt;
   AdamConfig adam_config;
   adam_config.lr = config.lr;
-  for (const auto& [name, f] : adapter.factors) {
-    opt.emplace(name, std::make_pair(AdamMatrix(f.a.rows(), f.a.cols(), adam_config),
-                                     AdamMatrix(f.b.rows(), f.b.cols(), adam_config)));
+  for (const LoraFactors& f : adapter.factors) {
+    opt.emplace_back(AdamMatrix(f.a.rows(), f.a.cols(), adam_config),
+                     AdamMatrix(f.b.rows(), f.b.cols(), adam_config));
   }
 
   for (int step = 0; step < config.steps; ++step) {
@@ -154,18 +154,15 @@ LoraAdapter FineTuneLora(const Transformer& base, const Task& task, int rank, fl
     }
     grads.Scale(1.0f / static_cast<float>(config.batch));
 
-    for (auto& grad_layer : grads.LinearLayers()) {
-      auto it = adapter.factors.find(grad_layer.name);
-      if (it == adapter.factors.end()) {
-        continue;
-      }
-      LoraFactors& f = it->second;
-      const Matrix& dw = *grad_layer.weight;                // [out, in]
+    const std::vector<NamedLayer> grad_layers = grads.LinearLayers();
+    for (size_t i = 0; i < grad_layers.size(); ++i) {
+      LoraFactors& f = adapter.factors[i];
+      const Matrix& dw = *grad_layers[i].weight;            // [out, in]
       Matrix db = MatmulNT(dw, f.a);                        // dW·Aᵀ → [out, r]
       db.ScaleInPlace(s);
       Matrix da = Matmul(f.b.Transposed(), dw);             // Bᵀ·dW → [r, in]
       da.ScaleInPlace(s);
-      auto& [opt_a, opt_b] = opt.at(grad_layer.name);
+      auto& [opt_a, opt_b] = opt[i];
       opt_a.Step(f.a, da);
       opt_b.Step(f.b, db);
     }

@@ -16,51 +16,62 @@ LoraAdapter LoraAdapter::Init(const ModelWeights& base, int rank, float alpha, R
     const float a_std = 1.0f / std::sqrt(static_cast<float>(rank));
     f.a = Matrix::Random(rank, layer.weight->cols(), rng, a_std);
     f.b = Matrix(layer.weight->rows(), rank);  // zero → identity at init
-    adapter.factors.emplace(layer.name, std::move(f));
+    adapter.factors.push_back(std::move(f));
   }
   return adapter;
 }
 
+bool LoraAdapter::FitsBase(const ModelWeights& base) const {
+  const std::vector<NamedLayerConst> linears = base.LinearLayers();
+  if (factors.size() != linears.size()) {
+    return false;
+  }
+  for (size_t i = 0; i < linears.size(); ++i) {
+    const Matrix& w = *linears[i].weight;
+    const LoraFactors& f = factors[i];
+    if (f.a.rows() != rank || f.a.cols() != w.cols() || f.b.rows() != w.rows() ||
+        f.b.cols() != rank) {
+      return false;
+    }
+  }
+  return true;
+}
+
 ModelWeights LoraAdapter::MergedWith(const ModelWeights& base) const {
+  DZ_CHECK(FitsBase(base));
   ModelWeights merged = base;
   const float s = scale();
-  for (auto& layer : merged.LinearLayers()) {
-    const auto it = factors.find(layer.name);
-    if (it == factors.end()) {
-      continue;
-    }
+  const std::vector<NamedLayer> linears = merged.LinearLayers();
+  for (size_t i = 0; i < linears.size(); ++i) {
     // W += s · B · A.
-    const Matrix ba = Matmul(it->second.b, it->second.a);
-    Axpy(s, ba, *layer.weight);
+    const Matrix ba = Matmul(factors[i].b, factors[i].a);
+    Axpy(s, ba, *linears[i].weight);
   }
   return merged;
 }
 
 LinearOverlay LoraAdapter::MakeOverlay(const ModelWeights& base) const {
+  DZ_CHECK(FitsBase(base));
   LinearOverlay overlay;
   const float s = scale();
-  for (const auto& layer : base.LinearLayers()) {
-    const auto it = factors.find(layer.name);
-    if (it == factors.end()) {
-      continue;
-    }
-    const Matrix* w = layer.weight;
-    const LoraFactors* f = &it->second;
-    overlay.ops[layer.name] = [w, f, s](const Matrix& x) {
+  const std::vector<NamedLayerConst> linears = base.LinearLayers();
+  for (size_t i = 0; i < linears.size(); ++i) {
+    const Matrix* w = linears[i].weight;
+    const LoraFactors* f = &factors[i];
+    overlay.ops.push_back([w, f, s](const Matrix& x) {
       Matrix y = MatmulNT(x, *w);
       const Matrix xa = MatmulNT(x, f->a);  // [tokens, rank]
       const Matrix delta = MatmulNT(xa, f->b);  // xa·Bᵀ → [tokens, out]
-      Matrix out = std::move(y);
-      Axpy(s, delta, out);
-      return out;
-    };
+      Axpy(s, delta, y);
+      return y;
+    });
   }
   return overlay;
 }
 
 size_t LoraAdapter::Fp16ByteSize() const {
   size_t params = 0;
-  for (const auto& [name, f] : factors) {
+  for (const LoraFactors& f : factors) {
     params += f.a.size() + f.b.size();
   }
   return params * 2;

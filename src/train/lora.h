@@ -7,8 +7,7 @@
 #ifndef SRC_TRAIN_LORA_H_
 #define SRC_TRAIN_LORA_H_
 
-#include <map>
-#include <string>
+#include <vector>
 
 #include "src/nn/transformer.h"
 #include "src/tensor/matrix.h"
@@ -24,9 +23,14 @@ struct LoraFactors {
 struct LoraAdapter {
   int rank = 8;
   float alpha = 16.0f;
-  std::map<std::string, LoraFactors> factors;  // keyed by linear-layer name
+  std::vector<LoraFactors> factors;  // one per linear layer, in LinearLayers() order
 
   float scale() const { return alpha / static_cast<float>(rank); }
+
+  // True when there is one factor pair per linear layer of `base`, with `a` of shape
+  // [rank, in] and `b` of shape [out, rank]: the adapter was made for a model of this
+  // architecture, so MergedWith and MakeOverlay accept it.
+  bool FitsBase(const ModelWeights& base) const;
 
   // Fresh adapter covering every linear layer of `base` (A ~ N(0, 1/r), B = 0).
   static LoraAdapter Init(const ModelWeights& base, int rank, float alpha, Rng& rng);

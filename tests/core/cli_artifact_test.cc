@@ -35,14 +35,14 @@ TEST(ArtifactWorkflowTest, CompressShipServeAcrossServices) {
   for (int i = 0; i < 5; ++i) {
     calib.push_back(task->Sample(rng).tokens);
   }
-  DeltaZipOptions options;
-  DeltaZipService developer_side(Transformer(base.weights()), options);
+  DeltaCompressConfig compress;
+  DeltaZipService developer_side(Transformer(base.weights()), compress);
   const int dev_vid = developer_side.RegisterFmtModel(finetuned.weights(), calib, "v1");
   const std::string path = ::testing::TempDir() + "/shipped_artifact.bin";
   ASSERT_TRUE(WriteDeltaFile(path, developer_side.delta(dev_vid)));
 
   // "Provider side": a fresh service with only the base model receives the artifact.
-  DeltaZipService provider_side(Transformer(base.weights()), options);
+  DeltaZipService provider_side(Transformer(base.weights()), compress);
   CompressedDelta shipped;
   ASSERT_TRUE(ReadDeltaFile(path, shipped));
   const int prod_vid = provider_side.RegisterCompressedDelta(std::move(shipped), "v1");

@@ -34,9 +34,9 @@ class DeltaZipServiceTest : public ::testing::Test {
     lora_ = new LoraAdapter(
         FineTuneLora(base, *task_, 8, 16.0f, ft, rng));
 
-    DeltaZipOptions options;
-    options.compress.bits = 4;
-    service_ = new DeltaZipService(std::move(base), options);
+    DeltaCompressConfig compress;
+    compress.bits = 4;
+    service_ = new DeltaZipService(std::move(base), compress);
 
     std::vector<std::vector<int>> calib;
     for (int i = 0; i < 8; ++i) {
@@ -149,11 +149,40 @@ TEST_F(DeltaZipServiceTest, RegisterRefusesArtifactOfAnotherArchitecture) {
   for (const ModelConfig& cfg : {fewer_layers, more_layers, wider_model, wider_ff}) {
     Rng rng(3);
     DeltaZipService other(Transformer(ModelWeights::RandomInit(cfg, rng)),
-                          DeltaZipOptions());
+                          DeltaCompressConfig());
     EXPECT_FALSE(artifact.FitsBase(other.base().weights()));
     EXPECT_EQ(other.RegisterCompressedDelta(artifact, "foreign"), -1);
     EXPECT_EQ(other.variant_count(), 0);
   }
+}
+
+// Adapters made for a different base are refused with -1 and register nothing.
+TEST_F(DeltaZipServiceTest, RegisterLoraRefusesAdapterOfAnotherBlockCount) {
+  for (const int delta_layers : {-1, 1}) {
+    ModelConfig cfg = ModelConfig::Tiny();
+    cfg.n_layers += delta_layers;
+    Rng rng(5);
+    const ModelWeights other = ModelWeights::RandomInit(cfg, rng);
+    LoraAdapter adapter = LoraAdapter::Init(other, 8, 16.0f, rng);
+    EXPECT_FALSE(adapter.FitsBase(service_->base().weights()));
+    const int before = service_->variant_count();
+    EXPECT_EQ(service_->RegisterLora(std::move(adapter), "foreign-lora"), -1);
+    EXPECT_EQ(service_->variant_count(), before);
+  }
+}
+
+TEST_F(DeltaZipServiceTest, RegisterLoraRefusesAdapterOfAnotherWidth) {
+  ModelConfig wider = ModelConfig::Tiny();
+  wider.d_model *= 2;
+  Rng rng(6);
+  const ModelWeights other = ModelWeights::RandomInit(wider, rng);
+  LoraAdapter adapter = LoraAdapter::Init(other, 8, 16.0f, rng);
+  EXPECT_FALSE(adapter.FitsBase(service_->base().weights()));
+  const int before = service_->variant_count();
+  EXPECT_EQ(service_->RegisterLora(std::move(adapter), "wide-lora"), -1);
+  EXPECT_EQ(service_->variant_count(), before);
+  // The adapter trained against this base fits it.
+  EXPECT_TRUE(lora_->FitsBase(service_->base().weights()));
 }
 
 TEST_F(DeltaZipServiceTest, RegisterRefusesArtifactWithUnknownLayerName) {

@@ -159,12 +159,22 @@ TEST(AttentionTest, DecodeStepMatchesFullForward) {
   const Matrix v = Matrix::Random(seq, d, rng, 1.0f);
   std::vector<Matrix> probs;
   const Matrix full = AttentionForward(q, k, v, heads, probs);
-  // Last row via the incremental path.
-  Matrix q_last(1, d);
-  std::copy(q.row(seq - 1), q.row(seq - 1) + d, q_last.row(0));
-  const Matrix step = AttentionDecodeStep(q_last, k, v, heads);
-  for (int j = 0; j < d; ++j) {
-    EXPECT_NEAR(step.at(0, j), full.at(seq - 1, j), 1e-5);
+  // The last n queries against all seq keys (n == 1 is a decode step over a KV cache)
+  // give the full pass's last n rows, bit for bit.
+  for (int n = 1; n <= seq; ++n) {
+    Matrix q_tail(n, d);
+    std::copy(q.row(seq - n), q.row(seq - n) + n * d, q_tail.row(0));
+    std::vector<Matrix> tail_probs;
+    const Matrix tail = AttentionForward(q_tail, k, v, heads, tail_probs);
+    ASSERT_EQ(tail.rows(), n);
+    ASSERT_EQ(tail_probs.size(), static_cast<size_t>(heads));
+    EXPECT_EQ(tail_probs[0].rows(), n);
+    EXPECT_EQ(tail_probs[0].cols(), seq);
+    for (int i = 0; i < n; ++i) {
+      for (int j = 0; j < d; ++j) {
+        EXPECT_EQ(tail.at(i, j), full.at(seq - n + i, j)) << n << ": " << i << "," << j;
+      }
+    }
   }
 }
 

@@ -4,7 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include "src/compress/delta.h"
 #include "src/nn/ops.h"
+#include "src/train/lora.h"
 #include "src/util/rng.h"
 
 namespace dz {
@@ -48,19 +50,49 @@ TEST(TransformerTest, CausalityPrefixInvariance) {
   }
 }
 
+// DecodeStep at position i must give Forward's row i bit for bit.
+void ExpectDecodeMatchesForward(const Transformer& model, const std::vector<int>& tokens,
+                                const LinearOverlay* overlay, const char* tag) {
+  const Matrix full = model.Forward(tokens, nullptr, overlay);
+  KVCache kv = model.MakeKVCache();
+  for (int i = 0; i < static_cast<int>(tokens.size()); ++i) {
+    const Matrix step = model.DecodeStep(tokens[static_cast<size_t>(i)], kv, overlay);
+    ASSERT_EQ(step.rows(), 1) << tag;
+    ASSERT_EQ(step.cols(), full.cols()) << tag;
+    for (int j = 0; j < full.cols(); ++j) {
+      EXPECT_EQ(step.at(0, j), full.at(i, j))
+          << tag << ": position " << i << ", logit " << j;
+    }
+  }
+  EXPECT_EQ(kv.len, static_cast<int>(tokens.size())) << tag;
+}
+
 TEST(TransformerTest, DecodeMatchesFullForward) {
   const Transformer model = MakeTinyModel(4);
-  const std::vector<int> tokens = {2, 11, 5, 8, 3};
-  const Matrix full = model.Forward(tokens);
-  KVCache kv = model.MakeKVCache();
-  Matrix last;
-  for (int t : tokens) {
-    last = model.DecodeStep(t, kv);
+  const std::vector<int> tokens = {2, 11, 5, 8, 3, 17, 9};
+  ExpectDecodeMatchesForward(model, tokens, nullptr, "base");
+
+  // A variant: base plus a small random delta, ΔCompressed and served as an overlay.
+  Rng rng(40);
+  ModelWeights finetuned = model.weights();
+  for (const NamedLayer& layer : finetuned.LinearLayers()) {
+    Axpy(1.0f,
+         Matrix::Random(layer.weight->rows(), layer.weight->cols(), rng, 0.01f),
+         *layer.weight);
   }
-  EXPECT_EQ(kv.len, 5);
-  for (int j = 0; j < full.cols(); ++j) {
-    EXPECT_NEAR(last.at(0, j), full.at(full.rows() - 1, j), 1e-4f) << j;
+  const CompressedDelta delta = DeltaCompress(model.weights(), finetuned,
+                                              {tokens, {1, 4, 9, 16, 25, 36}},
+                                              DeltaCompressConfig{});
+  const Transformer host(delta.OverlayHost(model.weights()));
+  const LinearOverlay delta_overlay = delta.MakeOverlay(model.weights());
+  ExpectDecodeMatchesForward(host, tokens, &delta_overlay, "compressed delta");
+
+  LoraAdapter adapter = LoraAdapter::Init(model.weights(), 4, 8.0f, rng);
+  for (LoraFactors& f : adapter.factors) {
+    f.b = Matrix::Random(f.b.rows(), f.b.cols(), rng, 0.05f);
   }
+  const LinearOverlay lora_overlay = adapter.MakeOverlay(model.weights());
+  ExpectDecodeMatchesForward(model, tokens, &lora_overlay, "lora");
 }
 
 TEST(TransformerTest, GradCheckSpotSamples) {
@@ -127,9 +159,8 @@ TEST(TransformerTest, OverlayIdentityMatchesBaseline) {
   // Overlay that recomputes the same dense matmul must not change results.
   LinearOverlay overlay;
   const Matrix& wq0 = model.weights().layers[0].wq;
-  overlay.ops[LinearLayerName(0, "wq")] = [&wq0](const Matrix& x) {
-    return MatmulNT(x, wq0);
-  };
+  overlay.ops.resize(1);  // position 0 is layer0.wq
+  overlay.ops[0] = [&wq0](const Matrix& x) { return MatmulNT(x, wq0); };
   const Matrix a = model.Forward(tokens);
   const Matrix b = model.Forward(tokens, nullptr, &overlay);
   EXPECT_LT(RelativeError(a, b), 1e-7);
@@ -138,14 +169,20 @@ TEST(TransformerTest, OverlayIdentityMatchesBaseline) {
 TEST(TransformerTest, OverlayIsActuallyInvoked) {
   const Transformer model = MakeTinyModel(7);
   const std::vector<int> tokens = {1, 2};
+  // An op at layer1.w_up's position runs for that layer only, and nowhere else.
+  const int index = model.weights().LinearIndex("layer1.w_up");
+  ASSERT_GE(index, 0);
   LinearOverlay overlay;
+  overlay.ops.resize(static_cast<size_t>(model.weights().LinearLayers().size()));
   int calls = 0;
-  const Matrix& wq0 = model.weights().layers[0].wq;
-  overlay.ops[LinearLayerName(0, "wq")] = [&](const Matrix& x) {
+  const Matrix& w_up = model.weights().layers[1].w_up;
+  overlay.ops[static_cast<size_t>(index)] = [&](const Matrix& x) {
     ++calls;
-    return MatmulNT(x, wq0);
+    EXPECT_EQ(x.cols(), w_up.cols());
+    return MatmulNT(x, w_up);
   };
-  model.Forward(tokens, nullptr, &overlay);
+  EXPECT_EQ(model.Forward(tokens, nullptr, &overlay).data(),
+            model.Forward(tokens).data());
   EXPECT_EQ(calls, 1);
   KVCache kv = model.MakeKVCache();
   model.DecodeStep(1, kv, &overlay);
@@ -179,8 +216,10 @@ TEST(ModelWeightsTest, LinearLayersEnumeration) {
 TEST(ModelWeightsTest, LinearWeightResolvesExactlyTheEnumeratedNames) {
   Rng rng(9);
   ModelWeights w = ModelWeights::RandomInit(ModelConfig::Tiny(), rng);
-  for (const NamedLayer& layer : w.LinearLayers()) {
-    EXPECT_EQ(w.LinearWeight(layer.name), layer.weight) << layer.name;
+  const std::vector<NamedLayer> layers = w.LinearLayers();
+  for (size_t i = 0; i < layers.size(); ++i) {
+    EXPECT_EQ(w.LinearWeight(layers[i].name), layers[i].weight) << layers[i].name;
+    EXPECT_EQ(w.LinearIndex(layers[i].name), static_cast<int>(i)) << layers[i].name;
   }
   const ModelWeights& cw = w;
   EXPECT_EQ(cw.LinearWeight("layer1.w_up"), &w.layers[1].w_up);
@@ -191,6 +230,7 @@ TEST(ModelWeightsTest, LinearWeightResolvesExactlyTheEnumeratedNames) {
         std::string("layer0.wq.x"), std::string("Layer0.wq"), past_end,
         std::string("layer99999999999999999999999.wq")}) {
     EXPECT_EQ(w.LinearWeight(bad), nullptr) << "'" << bad << "'";
+    EXPECT_EQ(w.LinearIndex(bad), -1) << "'" << bad << "'";
   }
 }
 

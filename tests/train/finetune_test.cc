@@ -132,7 +132,7 @@ TEST(LoraTest, OverlayMatchesMergedWeights) {
   const ModelWeights base = ModelWeights::RandomInit(ModelConfig::Tiny(), rng);
   LoraAdapter adapter = LoraAdapter::Init(base, 4, 8.0f, rng);
   // Give B nonzero values so the adapter does something.
-  for (auto& [name, f] : adapter.factors) {
+  for (LoraFactors& f : adapter.factors) {
     f.b = Matrix::Random(f.b.rows(), f.b.cols(), rng, 0.05f);
   }
   const Transformer base_model(base);
