@@ -104,38 +104,147 @@ namespace {
 // kHeavyTail's Zipf exponent over tenant rank.
 constexpr double kHeavyTailAlpha = 1.2;
 
-int SampleLognormalTokens(Rng& rng, double mean_tokens, double sigma, int max_tokens) {
-  // Parameterize so the lognormal's mean equals mean_tokens: mu = ln(m) - sigma²/2.
-  const double mu = std::log(mean_tokens) - sigma * sigma / 2.0;
-  const double v = std::exp(rng.Normal(mu, sigma));
-  return std::clamp(static_cast<int>(v), 4, max_tokens);
-}
+// Clamped lognormal token lengths.
+struct TokenLengths {
+  double mu = 0.0;
+  double sigma = 0.0;
+  int max_tokens = 0;
 
-// Azure-like per-model bursty arrival schedule: models alternate ON/OFF phases; while
-// ON their rate is boosted. Popularity across models is heavy-tailed (zipf-2).
-struct BurstSchedule {
-  std::vector<std::pair<double, double>> on_windows;  // [start, end)
-
-  bool IsOn(double t) const {
-    for (const auto& [s, e] : on_windows) {
-      if (t >= s && t < e) {
-        return true;
-      }
-    }
-    return false;
+  int Sample(Rng& rng) const {
+    const double v = std::exp(rng.Normal(mu, sigma));
+    return std::clamp(static_cast<int>(v), 4, max_tokens);
   }
 };
 
-BurstSchedule MakeBurstSchedule(const TraceConfig& config, Rng& rng) {
-  BurstSchedule sched;
+// mu = ln(m) - sigma²/2 makes the lognormal's mean equal mean_tokens.
+TokenLengths LognormalTokens(double mean_tokens, double sigma, int max_tokens) {
+  return {std::log(mean_tokens) - sigma * sigma / 2.0, sigma, max_tokens};
+}
+
+// At time_s, `model` starts (on) or stops bursting.
+struct BurstEdge {
+  double time_s;
+  int model;
+  bool on;
+};
+
+// What every arrival stream draws its models from. Popularity is static and,
+// under kAzure, heavy-tailed (zipf-2) with Markov-modulated on/off bursts per
+// model; a model's weight is `calm` off a burst and `bursting` in one.
+struct ModelMix {
+  std::vector<double> calm;      // by model id
+  std::vector<double> bursting;  // calm × burst_boost, by model id
+  // kAzure only, sorted by time. A model's windows never overlap (the next
+  // starts at or after the last ends) and its own edges keep their order, so
+  // after applying every edge at or before t it bursts iff a window holds t.
+  std::vector<BurstEdge> edges;
+};
+
+// Appends the on/off edges of one model's bursts: the model alternates ON/OFF
+// phases from a random phase offset, and a window [start, end) bursts.
+void AppendBurstEdges(const TraceConfig& config, Rng& rng, int model,
+                      std::vector<BurstEdge>& edges) {
   double t = -rng.Exponential(1.0 / config.burst_off_mean_s);  // random phase offset
   while (t < config.duration_s) {
     const double on = rng.Exponential(1.0 / config.burst_on_mean_s);
-    sched.on_windows.emplace_back(std::max(0.0, t), t + on);
+    const double start = std::max(0.0, t);
+    const double end = t + on;
+    if (start < end) {
+      edges.push_back({start, model, true});
+      edges.push_back({end, model, false});
+    }
     t += on + rng.Exponential(1.0 / config.burst_off_mean_s);
   }
-  return sched;
 }
+
+// Draws the bursts (in rank order), then shuffles model ranks so model_id 0 is
+// not always hot.
+ModelMix MakeModelMix(const TraceConfig& config, Rng& rng) {
+  const size_t n = static_cast<size_t>(config.n_models);
+  std::vector<double> popularity(n, 1.0);  // by rank
+  if (config.dist != PopularityDist::kUniform) {
+    const double alpha = config.dist == PopularityDist::kZipf ? config.zipf_alpha : 2.0;
+    for (size_t i = 0; i < n; ++i) {
+      popularity[i] = 1.0 / std::pow(static_cast<double>(i + 1), alpha);
+    }
+  }
+  ModelMix mix;
+  if (config.dist == PopularityDist::kAzure) {
+    for (int rank = 0; rank < config.n_models; ++rank) {
+      AppendBurstEdges(config, rng, rank, mix.edges);  // model = rank until mapped
+    }
+  }
+  std::vector<int> rank_of(n);
+  for (size_t m = 0; m < n; ++m) {
+    rank_of[m] = static_cast<int>(m);
+  }
+  rng.Shuffle(rank_of);
+
+  std::vector<int> model_of(n);
+  mix.calm.resize(n);
+  mix.bursting.resize(n);
+  for (size_t m = 0; m < n; ++m) {
+    const size_t rank = static_cast<size_t>(rank_of[m]);
+    model_of[rank] = static_cast<int>(m);
+    mix.calm[m] = popularity[rank];
+    mix.bursting[m] = popularity[rank] * config.burst_boost;
+  }
+  for (BurstEdge& e : mix.edges) {
+    e.model = model_of[static_cast<size_t>(e.model)];
+  }
+  std::stable_sort(mix.edges.begin(), mix.edges.end(),
+                   [](const BurstEdge& a, const BurstEdge& b) {
+                     return a.time_s < b.time_s;
+                   });
+  return mix;
+}
+
+// Draws each request's model from prefix sums over model ids, which AdvanceTo
+// keeps current by applying only the burst edges crossed since the last
+// request. The sums are taken left to right as Rng::Categorical takes them,
+// and a draw costs one NextDouble, so every draw returns the index Categorical
+// would over the same weights. Time must not decrease between calls, so each
+// arrival stream owns its chooser.
+class ModelChooser {
+ public:
+  explicit ModelChooser(const ModelMix& mix)
+      : mix_(mix), weights_(mix.calm), acc_(weights_.size()) {
+    Resum(0);
+  }
+
+  void AdvanceTo(double t) {
+    size_t lowest = acc_.size();
+    for (; next_edge_ < mix_.edges.size() && mix_.edges[next_edge_].time_s <= t;
+         ++next_edge_) {
+      const BurstEdge& e = mix_.edges[next_edge_];
+      const size_t m = static_cast<size_t>(e.model);
+      weights_[m] = e.on ? mix_.bursting[m] : mix_.calm[m];
+      lowest = std::min(lowest, m);
+    }
+    Resum(lowest);
+  }
+
+  int Draw(Rng& rng) const {
+    DZ_CHECK_GT(acc_.back(), 0.0);
+    const double u = rng.NextDouble() * acc_.back();
+    return static_cast<int>(std::lower_bound(acc_.begin(), acc_.end() - 1, u) -
+                            acc_.begin());
+  }
+
+ private:
+  void Resum(size_t from) {
+    double sum = from == 0 ? 0.0 : acc_[from - 1];
+    for (size_t m = from; m < acc_.size(); ++m) {
+      sum += weights_[m];
+      acc_[m] = sum;
+    }
+  }
+
+  const ModelMix& mix_;
+  std::vector<double> weights_;  // by model id, as of the last AdvanceTo
+  std::vector<double> acc_;      // acc_[m] = weights_[0] + ... + weights_[m]
+  size_t next_edge_ = 0;
+};
 
 // Per-tenant traffic shares: ∝ 1/(rank+1)^alpha, normalized to sum 1, with
 // alpha = kHeavyTailAlpha under kHeavyTail and 0 (equal shares) otherwise.
@@ -207,6 +316,15 @@ Trace GenerateTrace(const TraceConfig& config) {
   DZ_CHECK_GT(config.arrival_rate, 0.0);
   DZ_CHECK_GT(config.duration_s, 0.0);
   DZ_CHECK_GT(config.tenants.n_tenants, 0);
+  // Token lengths clamp to [4, max].
+  DZ_CHECK_GE(config.prompt_max_tokens, 4);
+  DZ_CHECK_GE(config.output_max_tokens, 4);
+  if (config.dist == PopularityDist::kAzure) {
+    // A phase of mean ≤ 0 never ends; a negative boost is a negative weight.
+    DZ_CHECK_GT(config.burst_on_mean_s, 0.0);
+    DZ_CHECK_GT(config.burst_off_mean_s, 0.0);
+    DZ_CHECK_GE(config.burst_boost, 0.0);
+  }
   Rng rng(config.seed);
 
   Trace trace;
@@ -214,54 +332,18 @@ Trace GenerateTrace(const TraceConfig& config) {
   trace.n_tenants = config.tenants.n_tenants;
   trace.duration_s = config.duration_s;
 
-  // Static popularity weights.
-  std::vector<double> popularity(static_cast<size_t>(config.n_models), 1.0);
-  if (config.dist == PopularityDist::kZipf) {
-    for (int i = 0; i < config.n_models; ++i) {
-      popularity[static_cast<size_t>(i)] =
-          1.0 / std::pow(static_cast<double>(i + 1), config.zipf_alpha);
-    }
-  } else if (config.dist == PopularityDist::kAzure) {
-    for (int i = 0; i < config.n_models; ++i) {
-      popularity[static_cast<size_t>(i)] =
-          1.0 / std::pow(static_cast<double>(i + 1), 2.0);
-    }
-  }
+  const ModelMix mix = MakeModelMix(config, rng);
+  const TokenLengths prompt_lengths = LognormalTokens(
+      config.prompt_mean_tokens, config.prompt_sigma, config.prompt_max_tokens);
+  const TokenLengths output_lengths = LognormalTokens(
+      config.output_mean_tokens, config.output_sigma, config.output_max_tokens);
 
-  std::vector<BurstSchedule> bursts;
-  if (config.dist == PopularityDist::kAzure) {
-    bursts.reserve(static_cast<size_t>(config.n_models));
-    for (int i = 0; i < config.n_models; ++i) {
-      bursts.push_back(MakeBurstSchedule(config, rng));
-    }
-  }
-
-  // Aggregate Poisson process; each arrival is assigned to a model by (possibly
-  // time-varying) weights. Model ranks are shuffled so model_id 0 is not always hot.
-  std::vector<int> rank_of(static_cast<size_t>(config.n_models));
-  for (int i = 0; i < config.n_models; ++i) {
-    rank_of[static_cast<size_t>(i)] = i;
-  }
-  rng.Shuffle(rank_of);
-
-  // Model choice at time t: static popularity, with Azure burst boosts applied
-  // on top. Shared by the single-tenant and multi-tenant arrival processes.
-  auto model_weights_at = [&](double t) {
-    std::vector<double> weights(static_cast<size_t>(config.n_models));
-    for (int m = 0; m < config.n_models; ++m) {
-      const int rank = rank_of[static_cast<size_t>(m)];
-      double w = popularity[static_cast<size_t>(rank)];
-      if (config.dist == PopularityDist::kAzure) {
-        w *= bursts[static_cast<size_t>(rank)].IsOn(t) ? config.burst_boost : 1.0;
-      }
-      weights[static_cast<size_t>(m)] = w;
-    }
-    return weights;
-  };
-
+  // Aggregate Poisson process; each arrival is assigned to a model by (under
+  // kAzure, time-varying) weights.
   if (!config.tenants.Enabled()) {
     // Single-tenant path: bit-identical to the pre-tenant generator (the RNG
     // consumption sequence is unchanged; test- and golden-enforced).
+    ModelChooser chooser(mix);
     double t = 0.0;
     int next_id = 0;
     while (true) {
@@ -271,12 +353,11 @@ Trace GenerateTrace(const TraceConfig& config) {
       }
       TraceRequest req;
       req.id = next_id++;
-      req.model_id = rng.Categorical(model_weights_at(t));
+      chooser.AdvanceTo(t);
+      req.model_id = chooser.Draw(rng);
       req.arrival_s = t;
-      req.prompt_tokens = SampleLognormalTokens(
-          rng, config.prompt_mean_tokens, config.prompt_sigma, config.prompt_max_tokens);
-      req.output_tokens = SampleLognormalTokens(
-          rng, config.output_mean_tokens, config.output_sigma, config.output_max_tokens);
+      req.prompt_tokens = prompt_lengths.Sample(rng);
+      req.output_tokens = output_lengths.Sample(rng);
       trace.requests.push_back(req);
     }
   } else {
@@ -300,6 +381,7 @@ Trace GenerateTrace(const TraceConfig& config) {
     const std::vector<double> shares = TenantShares(tc);
     for (int tenant = 0; tenant < tc.n_tenants; ++tenant) {
       Rng trng = rng.Fork();
+      ModelChooser chooser(mix);  // the tenant's clock restarts at 0
       const double peak = RatePeakMultiplier(tc, tenant);
       const double peak_rate =
           config.arrival_rate * shares[static_cast<size_t>(tenant)] * peak;
@@ -316,16 +398,15 @@ Trace GenerateTrace(const TraceConfig& config) {
         }
         TraceRequest req;
         req.tenant_id = tenant;
-        req.model_id = trng.Categorical(model_weights_at(t));
+        chooser.AdvanceTo(t);
+        req.model_id = chooser.Draw(trng);
         req.arrival_s = t;
         const double cls = trng.NextDouble();
         req.slo = cls < tc.interactive_frac ? SloClass::kInteractive
                   : cls < tc.interactive_frac + tc.batch_frac ? SloClass::kBatch
                                                               : SloClass::kStandard;
-        req.prompt_tokens = SampleLognormalTokens(
-            trng, config.prompt_mean_tokens, config.prompt_sigma, config.prompt_max_tokens);
-        req.output_tokens = SampleLognormalTokens(
-            trng, config.output_mean_tokens, config.output_sigma, config.output_max_tokens);
+        req.prompt_tokens = prompt_lengths.Sample(trng);
+        req.output_tokens = output_lengths.Sample(trng);
         trace.requests.push_back(req);
       }
     }

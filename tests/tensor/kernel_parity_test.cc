@@ -125,9 +125,11 @@ TEST_P(KernelParityTest, TransposeBitIdentical) {
 
 TEST_P(KernelParityTest, FusedQuantGemmMatchesDequantizePlusMatmul) {
   Rng rng(14);
-  // cols = 300 and 1000 exceed the fused kernel's 256-column decode block, so
-  // the left-fold continuation across blocks (and mid-group block starts) is
-  // exercised — the part of the contract where FP addition order could slip.
+  // At every width here a row's code words end in a partial word tile (fewer
+  // than kTileWords words, copied word by word), and group size 3 starts
+  // groups mid-word, so the register-decode kernels switch group parameters
+  // inside a word — the parts of the contract where FP addition order could
+  // slip.
   for (int cols : {100, 300, 1000}) {
     for (int bits : {2, 4, 8}) {
       for (int group_size : {3, 64, 1000}) {
@@ -159,8 +161,9 @@ TEST_P(KernelParityTest, FusedQuantGemmLargeParallel) {
 
 TEST_P(KernelParityTest, Sparse24GatherGemmBitIdentical) {
   Rng rng(16);
-  // cols = 1040 gives 520 kept slots > the 256-slot decode block, covering the
-  // blocked kernel's left-fold continuation across kept-slot blocks.
+  // cols = 1040 gives 520 kept slots, so at every width the code words and
+  // the 33 position words end in a partial word tile; group size 3 starts
+  // groups mid-word.
   for (int cols : {96, 1040}) {
     for (int bits : {2, 4, 8}) {
       for (int group_size : {3, 64, 1000}) {
@@ -275,7 +278,8 @@ TEST_P(KernelParityTest, TailShapesAndUnalignedRowsBitIdentical) {
                            kernels::ref::GemmTN(a_tn, b_nn), "TN " + tag);
       }
       // Fused quant path at the same tail widths (group size 3 tolerates any
-      // column count; n spans the panel-interleave remainder lanes).
+      // column count; n spans the n % kDecodeLanes tail, whose dead lanes
+      // re-read the last live row).
       for (int n : dims) {
         Matrix wq = RandomWithZeros(n, k, rng, 0.1);
         const auto q = PackedQuantMatrix::Quantize(wq, 4, 3);

@@ -2,6 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -391,6 +396,308 @@ TEST(TenantTraceTest, SplitAndMergePreserveTenantFields) {
     EXPECT_EQ(merged.requests[i].tenant_id, trace.requests[i].tenant_id);
     EXPECT_EQ(merged.requests[i].slo, trace.requests[i].slo);
   }
+}
+
+// ---- differential reference ------------------------------------------------
+
+// The generator as it chose models before the prefix-sum chooser: every request
+// rebuilt the weight vector, scanning each model's burst windows, and drew from
+// it with Rng::Categorical. GenerateTrace must reproduce it field for field.
+namespace reference {
+
+struct BurstSchedule {
+  std::vector<std::pair<double, double>> on_windows;  // [start, end)
+
+  bool IsOn(double t) const {
+    for (const auto& [s, e] : on_windows) {
+      if (t >= s && t < e) {
+        return true;
+      }
+    }
+    return false;
+  }
+};
+
+BurstSchedule MakeBurstSchedule(const TraceConfig& config, Rng& rng) {
+  BurstSchedule sched;
+  double t = -rng.Exponential(1.0 / config.burst_off_mean_s);
+  while (t < config.duration_s) {
+    const double on = rng.Exponential(1.0 / config.burst_on_mean_s);
+    sched.on_windows.emplace_back(std::max(0.0, t), t + on);
+    t += on + rng.Exponential(1.0 / config.burst_off_mean_s);
+  }
+  return sched;
+}
+
+int SampleLognormalTokens(Rng& rng, double mean_tokens, double sigma, int max_tokens) {
+  const double mu = std::log(mean_tokens) - sigma * sigma / 2.0;
+  const double v = std::exp(rng.Normal(mu, sigma));
+  return std::clamp(static_cast<int>(v), 4, max_tokens);
+}
+
+std::vector<double> TenantShares(const TenantConfig& config) {
+  const double alpha = config.scenario == TenantScenario::kHeavyTail ? 1.2 : 0.0;
+  std::vector<double> shares(static_cast<size_t>(config.n_tenants));
+  double total = 0.0;
+  for (int t = 0; t < config.n_tenants; ++t) {
+    shares[static_cast<size_t>(t)] = 1.0 / std::pow(static_cast<double>(t + 1), alpha);
+    total += shares[static_cast<size_t>(t)];
+  }
+  for (double& s : shares) {
+    s /= total;
+  }
+  return shares;
+}
+
+double RateMultiplierAt(const TenantConfig& config, int tenant, double t,
+                        double duration_s) {
+  switch (config.scenario) {
+    case TenantScenario::kSteady:
+    case TenantScenario::kHeavyTail:
+      return 1.0;
+    case TenantScenario::kDiurnal: {
+      constexpr double kTwoPi = 6.283185307179586;
+      const double phase = kTwoPi * t / config.diurnal_period_s;
+      return std::max(0.0, 1.0 + config.diurnal_amplitude * std::sin(phase));
+    }
+    case TenantScenario::kFlashCrowd: {
+      if (tenant != config.flash_tenant) {
+        return 1.0;
+      }
+      const double start = config.flash_start_frac * duration_s;
+      const double end = start + config.flash_duration_frac * duration_s;
+      return (t >= start && t < end) ? config.flash_boost : 1.0;
+    }
+  }
+  return 1.0;
+}
+
+double RatePeakMultiplier(const TenantConfig& config, int tenant) {
+  switch (config.scenario) {
+    case TenantScenario::kSteady:
+    case TenantScenario::kHeavyTail:
+      return 1.0;
+    case TenantScenario::kDiurnal:
+      return 1.0 + std::max(0.0, config.diurnal_amplitude);
+    case TenantScenario::kFlashCrowd:
+      return tenant == config.flash_tenant ? std::max(1.0, config.flash_boost) : 1.0;
+  }
+  return 1.0;
+}
+
+Trace GenerateTrace(const TraceConfig& config) {
+  Rng rng(config.seed);
+  Trace trace;
+  trace.n_models = config.n_models;
+  trace.n_tenants = config.tenants.n_tenants;
+  trace.duration_s = config.duration_s;
+
+  std::vector<double> popularity(static_cast<size_t>(config.n_models), 1.0);
+  if (config.dist == PopularityDist::kZipf) {
+    for (int i = 0; i < config.n_models; ++i) {
+      popularity[static_cast<size_t>(i)] =
+          1.0 / std::pow(static_cast<double>(i + 1), config.zipf_alpha);
+    }
+  } else if (config.dist == PopularityDist::kAzure) {
+    for (int i = 0; i < config.n_models; ++i) {
+      popularity[static_cast<size_t>(i)] =
+          1.0 / std::pow(static_cast<double>(i + 1), 2.0);
+    }
+  }
+  std::vector<BurstSchedule> bursts;
+  if (config.dist == PopularityDist::kAzure) {
+    for (int i = 0; i < config.n_models; ++i) {
+      bursts.push_back(MakeBurstSchedule(config, rng));
+    }
+  }
+  std::vector<int> rank_of(static_cast<size_t>(config.n_models));
+  for (int i = 0; i < config.n_models; ++i) {
+    rank_of[static_cast<size_t>(i)] = i;
+  }
+  rng.Shuffle(rank_of);
+
+  auto model_weights_at = [&](double t) {
+    std::vector<double> weights(static_cast<size_t>(config.n_models));
+    for (int m = 0; m < config.n_models; ++m) {
+      const int rank = rank_of[static_cast<size_t>(m)];
+      double w = popularity[static_cast<size_t>(rank)];
+      if (config.dist == PopularityDist::kAzure) {
+        w *= bursts[static_cast<size_t>(rank)].IsOn(t) ? config.burst_boost : 1.0;
+      }
+      weights[static_cast<size_t>(m)] = w;
+    }
+    return weights;
+  };
+
+  if (!config.tenants.Enabled()) {
+    double t = 0.0;
+    int next_id = 0;
+    while (true) {
+      t += rng.Exponential(config.arrival_rate);
+      if (t >= config.duration_s) {
+        break;
+      }
+      TraceRequest req;
+      req.id = next_id++;
+      req.model_id = rng.Categorical(model_weights_at(t));
+      req.arrival_s = t;
+      req.prompt_tokens = SampleLognormalTokens(
+          rng, config.prompt_mean_tokens, config.prompt_sigma, config.prompt_max_tokens);
+      req.output_tokens = SampleLognormalTokens(
+          rng, config.output_mean_tokens, config.output_sigma, config.output_max_tokens);
+      trace.requests.push_back(req);
+    }
+    return trace;
+  }
+  const TenantConfig& tc = config.tenants;
+  const std::vector<double> shares = TenantShares(tc);
+  for (int tenant = 0; tenant < tc.n_tenants; ++tenant) {
+    Rng trng = rng.Fork();
+    const double peak = RatePeakMultiplier(tc, tenant);
+    const double peak_rate =
+        config.arrival_rate * shares[static_cast<size_t>(tenant)] * peak;
+    double t = 0.0;
+    while (true) {
+      t += trng.Exponential(peak_rate);
+      if (t >= config.duration_s) {
+        break;
+      }
+      const double accept = RateMultiplierAt(tc, tenant, t, config.duration_s) / peak;
+      if (trng.NextDouble() >= accept) {
+        continue;
+      }
+      TraceRequest req;
+      req.tenant_id = tenant;
+      req.model_id = trng.Categorical(model_weights_at(t));
+      req.arrival_s = t;
+      const double cls = trng.NextDouble();
+      req.slo = cls < tc.interactive_frac ? SloClass::kInteractive
+                : cls < tc.interactive_frac + tc.batch_frac ? SloClass::kBatch
+                                                            : SloClass::kStandard;
+      req.prompt_tokens = SampleLognormalTokens(
+          trng, config.prompt_mean_tokens, config.prompt_sigma, config.prompt_max_tokens);
+      req.output_tokens = SampleLognormalTokens(
+          trng, config.output_mean_tokens, config.output_sigma, config.output_max_tokens);
+      trace.requests.push_back(req);
+    }
+  }
+  std::stable_sort(trace.requests.begin(), trace.requests.end(),
+                   [](const TraceRequest& a, const TraceRequest& b) {
+                     return a.arrival_s < b.arrival_s;
+                   });
+  for (size_t i = 0; i < trace.requests.size(); ++i) {
+    trace.requests[i].id = static_cast<int>(i);
+  }
+  return trace;
+}
+
+}  // namespace reference
+
+uint64_t Bits(double v) {
+  uint64_t bits = 0;
+  std::memcpy(&bits, &v, sizeof bits);
+  return bits;
+}
+
+// Compares every field of every request bit for bit; stops at the first
+// request that differs.
+void ExpectSameTrace(const Trace& want, const Trace& got) {
+  EXPECT_EQ(want.n_models, got.n_models);
+  EXPECT_EQ(want.n_tenants, got.n_tenants);
+  EXPECT_EQ(Bits(want.duration_s), Bits(got.duration_s));
+  ASSERT_EQ(want.requests.size(), got.requests.size());
+  for (size_t i = 0; i < want.requests.size(); ++i) {
+    const TraceRequest& w = want.requests[i];
+    const TraceRequest& g = got.requests[i];
+    const bool same = w.id == g.id && w.model_id == g.model_id &&
+                      w.tenant_id == g.tenant_id && w.slo == g.slo &&
+                      Bits(w.arrival_s) == Bits(g.arrival_s) &&
+                      w.prompt_tokens == g.prompt_tokens &&
+                      w.output_tokens == g.output_tokens &&
+                      Bits(w.first_arrival_s) == Bits(g.first_arrival_s);
+    ASSERT_TRUE(same) << "request " << i << ": want model " << w.model_id
+                      << " tenant " << w.tenant_id << " at " << w.arrival_s
+                      << ", got model " << g.model_id << " tenant " << g.tenant_id
+                      << " at " << g.arrival_s;
+  }
+}
+
+TEST(TraceReferenceTest, EveryRequestMatchesThePerRequestWeightScan) {
+  std::vector<std::pair<std::string, TenantConfig>> tenancies = {{"single", {}}};
+  for (TenantScenario scenario :
+       {TenantScenario::kSteady, TenantScenario::kDiurnal, TenantScenario::kFlashCrowd,
+        TenantScenario::kHeavyTail}) {
+    TenantConfig tc;
+    tc.n_tenants = 4;
+    tc.scenario = scenario;
+    tc.diurnal_period_s = 40.0;
+    tc.flash_tenant = 2;
+    tc.interactive_frac = 0.3;
+    tc.batch_frac = 0.2;
+    tenancies.emplace_back(TenantScenarioName(scenario), tc);
+  }
+  // Default bursts, and bursts much shorter than the gaps between arrivals.
+  const std::pair<double, double> burst_means[] = {{20.0, 60.0}, {0.05, 0.1}};
+  size_t requests = 0;
+  for (PopularityDist dist :
+       {PopularityDist::kUniform, PopularityDist::kZipf, PopularityDist::kAzure}) {
+    for (const auto& [tenancy, tc] : tenancies) {
+      for (int n_models : {1, 3, 64}) {
+        for (const auto& [on_s, off_s] : burst_means) {
+          if (dist != PopularityDist::kAzure && on_s != burst_means[0].first) {
+            continue;  // burst means only matter under kAzure
+          }
+          for (uint64_t seed : {1u, 7u, 2024u}) {
+            TraceConfig cfg;
+            cfg.n_models = n_models;
+            cfg.arrival_rate = 6.0;
+            cfg.duration_s = 90.0;
+            cfg.dist = dist;
+            cfg.burst_on_mean_s = on_s;
+            cfg.burst_off_mean_s = off_s;
+            cfg.seed = seed;
+            cfg.tenants = tc;
+            SCOPED_TRACE(std::string(PopularityDistName(dist)) + " " + tenancy +
+                         " n_models=" + std::to_string(n_models) +
+                         " on=" + std::to_string(on_s) + " seed=" + std::to_string(seed));
+            const Trace want = reference::GenerateTrace(cfg);
+            ExpectSameTrace(want, GenerateTrace(cfg));
+            requests += want.requests.size();
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(requests, 100000u);
+}
+
+// ---- input checks ----------------------------------------------------------
+
+TEST(TraceDeathTest, TokenCapsBelowTheClampFloorDie) {
+  TraceConfig cfg = BaseConfig();
+  cfg.prompt_max_tokens = 3;
+  EXPECT_DEATH(GenerateTrace(cfg), "prompt_max_tokens");
+  cfg = BaseConfig();
+  cfg.output_max_tokens = 3;
+  EXPECT_DEATH(GenerateTrace(cfg), "output_max_tokens");
+}
+
+TEST(TraceDeathTest, AzureBurstParametersAreChecked) {
+  TraceConfig cfg = BaseConfig();
+  cfg.dist = PopularityDist::kAzure;
+  cfg.burst_on_mean_s = 0.0;
+  EXPECT_DEATH(GenerateTrace(cfg), "burst_on_mean_s");
+  cfg.burst_on_mean_s = 20.0;
+  cfg.burst_off_mean_s = -1.0;
+  EXPECT_DEATH(GenerateTrace(cfg), "burst_off_mean_s");
+  cfg.burst_off_mean_s = 60.0;
+  cfg.burst_boost = -2.0;
+  EXPECT_DEATH(GenerateTrace(cfg), "burst_boost");
+  // Outside kAzure the burst parameters are unused.
+  cfg.dist = PopularityDist::kZipf;
+  cfg.burst_on_mean_s = 0.0;
+  cfg.burst_off_mean_s = 0.0;
+  EXPECT_FALSE(GenerateTrace(cfg).requests.empty());
 }
 
 }  // namespace
