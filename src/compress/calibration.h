@@ -15,10 +15,12 @@ namespace dz {
 class ThreadPool;
 
 // Stacks the activation rows observed at `layer_name` across all calibration
-// sequences. The model's own (possibly partially reconstructed) weights produce the
-// activations, which is exactly the "reconstruct then recompute inputs" discipline of
-// Alg. 1 lines 6–7. Sequences run concurrently on `pool` (ThreadPool::Global()
-// when null); the stacked result is in calibration order for any thread count.
+// sequences: each sequence runs one Forward, and the layer's input is read from the
+// ForwardCache it fills (ForwardCache::LinearInput). The model's own (possibly
+// partially reconstructed) weights produce the activations, which is exactly the
+// "reconstruct then recompute inputs" discipline of Alg. 1 lines 6–7. Sequences run
+// concurrently on `pool` (ThreadPool::Global() when null); the stacked result is in
+// calibration order for any thread count.
 Matrix CaptureLayerInput(const Transformer& model,
                          const std::vector<std::vector<int>>& calibration,
                          const std::string& layer_name, ThreadPool* pool = nullptr);

@@ -91,19 +91,16 @@ bool CompressedDelta::FitsBase(const ModelWeights& base) const {
 }
 
 LinearOverlay CompressedDelta::MakeOverlay(const ModelWeights& base) const {
-  LinearOverlay overlay;
+  DZ_CHECK(FitsBase(base));
+  LinearOverlay overlay{&base, {}};
   for (const auto& layer : layers) {
-    const int index = base.LinearIndex(layer.name);
-    DZ_CHECK_GE(index, 0);
-    const Matrix* base_w = base.LinearWeight(layer.name);
-    const CompressedDeltaLayer* delta_layer = &layer;
-    const size_t i = static_cast<size_t>(index);
-    overlay.ops.resize(std::max(overlay.ops.size(), i + 1));
-    overlay.ops[i] = [base_w, delta_layer](const Matrix& x) {
-      Matrix y = MatmulNT(x, *base_w);          // batched base-path GEMM
-      y.AddInPlace(delta_layer->MatmulNT(x));   // sparse low-precision delta path
-      return y;
-    };
+    const size_t i = static_cast<size_t>(base.LinearIndex(layer.name));
+    overlay.deltas.resize(std::max(overlay.deltas.size(), i + 1));
+    if (layer.is_sparse) {
+      overlay.deltas[i].sparse = &layer.sparse;
+    } else {
+      overlay.deltas[i].dense = &layer.dense;
+    }
   }
   return overlay;
 }

@@ -9,9 +9,10 @@
 // different per-layer step.
 //
 // The resulting CompressedDelta is the serving artifact: it knows its stored byte size
-// (optionally after lossless compression of its EncodeDelta bytes), can execute the
-// decoupled form y = x·w_baseᵀ + x·Δ̃ᵀ via a LinearOverlay, and can be merged back into
-// full weights.
+// (optionally after lossless compression of its EncodeDelta bytes), can be served in
+// the decoupled form y = x·w_baseᵀ + x·Δ̃ᵀ through a LinearOverlay that points at its
+// packed layers (Transformer::ApplyLinear runs it), and can be merged back into full
+// weights.
 //
 // Non-linear parameters (embeddings, norms, LM head) are stored as fp16 deltas, matching
 // the paper's note that embedding layers are not compressed (§6.2).
@@ -75,8 +76,9 @@ struct CompressedDelta {
   // against a model of this architecture, so MakeOverlay and ApplyTo accept it.
   bool FitsBase(const ModelWeights& base) const;
 
-  // Decoupled execution against `base` (must outlive the overlay): every compressed
-  // layer computes x·w_baseᵀ + x·Δ̃ᵀ.
+  // Decoupled execution against `base`: an overlay pointing at `base` and at this
+  // artifact's packed layers, so every compressed layer computes x·w_baseᵀ + x·Δ̃ᵀ.
+  // Both must outlive the overlay. Aborts unless FitsBase(base).
   LinearOverlay MakeOverlay(const ModelWeights& base) const;
 
   // `base` with only the fp16 non-linear deltas applied: the host model an overlay

@@ -36,10 +36,10 @@ int DeltaZipService::RegisterCompressedDelta(CompressedDelta delta,
   v.info.compression_ratio = static_cast<double>(base_.weights().Fp16ByteSize()) /
                              static_cast<double>(v.info.artifact_bytes);
 
-  // Host model: fp16 non-linear deltas applied, linear weights kept at base so the
-  // overlay's decoupled base+Δ path supplies the fine-tuned behaviour.
+  // Host model: fp16 non-linear deltas applied. The overlay reads base_'s linear
+  // weights and adds Δ, which supplies the fine-tuned behaviour.
   v.host = std::make_unique<Transformer>(v.delta->OverlayHost(base_.weights()));
-  v.overlay = v.delta->MakeOverlay(v.host->weights());
+  v.overlay = v.delta->MakeOverlay(base_.weights());
   DZ_LOG(kInfo) << "registered " << v.info.name << ": artifact "
                 << v.info.artifact_bytes << " B, ratio "
                 << v.info.compression_ratio << "x";

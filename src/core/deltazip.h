@@ -4,8 +4,8 @@
 //   * full-model-tuned (FMT) checkpoints, which are ΔCompressed at registration time
 //     (the Delta Compressor + Model Manager halves of Fig. 4), and
 //   * LoRA adapters, stored as-is.
-// Inference requests against a variant run the decoupled computation
-// (base GEMM + compressed-delta / adapter path) through a LinearOverlay. The
+// Inference requests against a variant run the decoupled computation (base GEMM +
+// compressed-delta / adapter path): a LinearOverlay over the service's base weights. The
 // serving-performance side runs a trace against the iteration-level engines in
 // simulated time; this header brings in their entry points (MakeDeltaZipEngine,
 // MakeVllmScbEngine) and the trace generator alongside the service.
@@ -42,6 +42,9 @@ class DeltaZipService {
  public:
   // `compress` configures the ΔCompress run behind RegisterFmtModel.
   DeltaZipService(Transformer base, const DeltaCompressConfig& compress);
+  // Variant overlays point into base_, so the service stays where it was built.
+  DeltaZipService(const DeltaZipService&) = delete;
+  DeltaZipService& operator=(const DeltaZipService&) = delete;
 
   // Registers a fine-tuned model: extracts and compresses the delta against the given
   // calibration sequences. Returns the variant id.
@@ -79,9 +82,9 @@ class DeltaZipService {
     VariantInfo info;
     std::unique_ptr<CompressedDelta> delta;
     std::unique_ptr<LoraAdapter> lora;
-    LinearOverlay overlay;
-    // FMT variants need the fp16 non-linear deltas applied; we keep a host model with
-    // merged embeddings/norms but *base* linear weights, so the overlay supplies Δ.
+    LinearOverlay overlay;  // reads base_'s linear weights, adds the variant's Δ
+    // FMT variants need the fp16 non-linear deltas applied: a host model with merged
+    // embeddings/norms, in which the overlay runs.
     std::unique_ptr<Transformer> host;
   };
 

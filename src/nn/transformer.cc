@@ -6,7 +6,8 @@
 #include <utility>
 
 #include "src/nn/ops.h"
-#include "src/tensor/kernels.h"
+#include "src/tensor/packed_quant.h"
+#include "src/tensor/sparse24.h"
 
 namespace dz {
 
@@ -26,6 +27,13 @@ constexpr std::pair<const char*, Matrix LayerWeights::*> kBlockLinears[] = {
 };
 enum : size_t { kWq, kWk, kWv, kWo, kWGate, kWUp, kWDown, kBlockLinearCount };
 static_assert(std::size(kBlockLinears) == kBlockLinearCount);
+// Where Walk records each slot's input in ForwardCache::Layer, in the same order.
+using CachedLayer = ForwardCache::Layer;
+constexpr Matrix CachedLayer::*kBlockLinearInputs[] = {
+    &CachedLayer::attn_normed, &CachedLayer::attn_normed, &CachedLayer::attn_normed,
+    &CachedLayer::attn_out,    &CachedLayer::mlp_normed,  &CachedLayer::mlp_normed,
+    &CachedLayer::swiglu};
+static_assert(std::size(kBlockLinearInputs) == kBlockLinearCount);
 
 }  // namespace
 
@@ -146,29 +154,6 @@ size_t ModelWeights::LinearFp16ByteSize() const {
   return n * 2;
 }
 
-namespace {
-
-void AxpyVec(float alpha, const std::vector<float>& x, std::vector<float>& y) {
-  DZ_CHECK_EQ(x.size(), y.size());
-  kernels::AxpySpan(alpha, x.data(), y.data(), x.size());
-}
-
-}  // namespace
-
-void ModelWeights::Axpy(float alpha, const ModelWeights& other) {
-  dz::Axpy(alpha, other.embedding, embedding);
-  dz::Axpy(alpha, other.lm_head, lm_head);
-  AxpyVec(alpha, other.final_norm, final_norm);
-  DZ_CHECK_EQ(layers.size(), other.layers.size());
-  for (size_t i = 0; i < layers.size(); ++i) {
-    for (const auto& [which, member] : kBlockLinears) {
-      dz::Axpy(alpha, other.layers[i].*member, layers[i].*member);
-    }
-    AxpyVec(alpha, other.layers[i].attn_norm, layers[i].attn_norm);
-    AxpyVec(alpha, other.layers[i].mlp_norm, layers[i].mlp_norm);
-  }
-}
-
 void ModelWeights::Scale(float s) {
   embedding.ScaleInPlace(s);
   lm_head.ScaleInPlace(s);
@@ -192,14 +177,28 @@ Transformer::Transformer(ModelWeights weights) : weights_(std::move(weights)) {
   weights_.config.Validate();
 }
 
+const Matrix& ForwardCache::LinearInput(size_t position) const {
+  return layers.at(position / kBlockLinearCount).*
+         kBlockLinearInputs[position % kBlockLinearCount];
+}
+
 Matrix Transformer::ApplyLinear(int block, size_t slot, const Matrix& x,
                                 const LinearOverlay* overlay) const {
   const size_t index = static_cast<size_t>(block) * kBlockLinearCount + slot;
-  if (overlay != nullptr && index < overlay->ops.size() && overlay->ops[index]) {
-    return overlay->ops[index](x);
+  const bool covered = overlay != nullptr && index < overlay->deltas.size();
+  const LinearDelta delta = covered ? overlay->deltas[index] : LinearDelta{};
+  DZ_CHECK(delta.empty() || overlay->base != nullptr);
+  const ModelWeights& w = delta.empty() ? weights_ : *overlay->base;
+  const LayerWeights& lw = w.layers[static_cast<size_t>(block)];
+  Matrix y = MatmulNT(x, lw.*kBlockLinears[slot].second);
+  if (delta.sparse != nullptr) {
+    y.AddInPlace(delta.sparse->MatmulNT(x));
+  } else if (delta.dense != nullptr) {
+    y.AddInPlace(delta.dense->MatmulNT(x));
+  } else if (delta.lora_a != nullptr) {
+    Axpy(delta.lora_scale, MatmulNT(MatmulNT(x, *delta.lora_a), *delta.lora_b), y);
   }
-  const LayerWeights& lw = weights_.layers[static_cast<size_t>(block)];
-  return MatmulNT(x, lw.*kBlockLinears[slot].second);
+  return y;
 }
 
 namespace {

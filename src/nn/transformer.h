@@ -4,16 +4,15 @@
 // models are randomly initialized, "pre-trained" and "fine-tuned" with real gradient
 // descent (src/train), and the resulting weight deltas feed ΔCompress (src/compress).
 //
-// Linear layers can be rerouted through a LinearOverlay, which is how the serving
-// engine's decoupled computation  (w_base + Δ)·x = w_base·x + Δ·x  (paper Eq. 2) is
-// executed and validated numerically: the overlay supplies a function per linear layer,
-// addressed by its LinearLayers() position, that computes y = x·Wᵀ from base weights
-// plus a compressed delta. Layer names appear only where they are data (artifacts,
-// LinearLayers(), calibration capture); one parser, LinearIndex, maps them back.
+// Linear layers can carry a LinearOverlay, which is how the serving engine's decoupled
+// computation  (w_base + Δ)·x = w_base·x + Δ·x  (paper Eq. 2) is executed and validated
+// numerically: plain data naming base weights and, per LinearLayers() position, a delta
+// that Transformer::ApplyLinear, the one place Eq. 2 runs, adds. Layer names appear
+// only where they are data (artifacts, LinearLayers(), calibration capture); one
+// parser, LinearIndex, maps them back.
 #ifndef SRC_NN_TRANSFORMER_H_
 #define SRC_NN_TRANSFORMER_H_
 
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -22,6 +21,9 @@
 #include "src/util/rng.h"
 
 namespace dz {
+
+class PackedQuantMatrix;
+class Sparse24Matrix;
 
 struct LayerWeights {
   Matrix wq, wk, wv, wo;  // [d_model, d_model]
@@ -69,16 +71,26 @@ struct ModelWeights {
   // fp16 size of just the delta-compressible linear layers.
   size_t LinearFp16ByteSize() const;
 
-  // this += alpha * other (all tensors).
-  void Axpy(float alpha, const ModelWeights& other);
   void Scale(float s);
 };
 
-// Reroutes linear layers through custom functions computing y = x·Wᵀ. ops[i] replaces
-// the layer at LinearLayers() position i; an empty function, or a position past the
-// end, leaves that layer on its own weight.
+// Eq. 2 as data. Where deltas[i] is set, the linear layer at LinearLayers() position i
+// computes y = x·w_baseᵀ + Δ·x with w_base read from `base`, so a host holding merged
+// weights still gets Δ once; every other position runs on the host's own weight. Δ is
+// a ΔCompress layer (`sparse` or `dense`) or a LoRA pair adding s·(x·Aᵀ)·Bᵀ, at most
+// one per position. `base` and the deltas must outlive the overlay.
+struct LinearDelta {
+  const Sparse24Matrix* sparse = nullptr;
+  const PackedQuantMatrix* dense = nullptr;
+  const Matrix* lora_a = nullptr;  // [rank, in]
+  const Matrix* lora_b = nullptr;  // [out, rank]
+  float lora_scale = 0.0f;
+
+  bool empty() const { return !sparse && !dense && !lora_a; }
+};
 struct LinearOverlay {
-  std::vector<std::function<Matrix(const Matrix&)>> ops;
+  const ModelWeights* base = nullptr;
+  std::vector<LinearDelta> deltas;
 };
 
 // Per-layer KV cache for incremental decoding.
@@ -88,7 +100,7 @@ struct KVCache {
   int len = 0;
 };
 
-// Activation cache captured by Forward for use by Backward.
+// Activation cache captured by Forward for Backward and for calibration capture.
 struct ForwardCache {
   std::vector<int> tokens;
   Matrix embedded;
@@ -108,6 +120,9 @@ struct ForwardCache {
   Matrix final_in;
   std::vector<float> final_inv_rms;
   Matrix final_normed;
+
+  // The input Forward fed the linear layer at LinearLayers() position `position`.
+  const Matrix& LinearInput(size_t position) const;
 };
 
 class Transformer {
@@ -149,7 +164,7 @@ class Transformer {
               const LinearOverlay* overlay) const;
 
   // y = x·Wᵀ for linear `slot` (its place in the block, LinearLayers() order) of
-  // `block`, through the overlay when it has an op at that position.
+  // `block`; with an overlay delta at that position, y = x·w_baseᵀ + Δ·x (Eq. 2).
   Matrix ApplyLinear(int block, size_t slot, const Matrix& x,
                      const LinearOverlay* overlay) const;
 

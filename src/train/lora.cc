@@ -52,19 +52,9 @@ ModelWeights LoraAdapter::MergedWith(const ModelWeights& base) const {
 
 LinearOverlay LoraAdapter::MakeOverlay(const ModelWeights& base) const {
   DZ_CHECK(FitsBase(base));
-  LinearOverlay overlay;
-  const float s = scale();
-  const std::vector<NamedLayerConst> linears = base.LinearLayers();
-  for (size_t i = 0; i < linears.size(); ++i) {
-    const Matrix* w = linears[i].weight;
-    const LoraFactors* f = &factors[i];
-    overlay.ops.push_back([w, f, s](const Matrix& x) {
-      Matrix y = MatmulNT(x, *w);
-      const Matrix xa = MatmulNT(x, f->a);  // [tokens, rank]
-      const Matrix delta = MatmulNT(xa, f->b);  // xa·Bᵀ → [tokens, out]
-      Axpy(s, delta, y);
-      return y;
-    });
+  LinearOverlay overlay{&base, {}};
+  for (const LoraFactors& f : factors) {
+    overlay.deltas.push_back({nullptr, nullptr, &f.a, &f.b, scale()});
   }
   return overlay;
 }

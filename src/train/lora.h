@@ -2,8 +2,9 @@
 //
 // W_eff = W + (alpha / r) · B · A  with A ∈ [r, in], B ∈ [out, r]. B starts at zero so
 // the adapter is a no-op before training (as in the LoRA paper). Serving attaches the
-// adapter through a LinearOverlay, computing  y = x·Wᵀ + s·(x·Aᵀ)·Bᵀ  — the Punica /
-// S-LoRA decoupled form the paper's engine inherits for PEFT models.
+// adapter through a LinearOverlay that points at its factors, so each linear layer
+// computes  y = x·Wᵀ + s·(x·Aᵀ)·Bᵀ  — the Punica / S-LoRA decoupled form the paper's
+// engine inherits for PEFT models.
 #ifndef SRC_TRAIN_LORA_H_
 #define SRC_TRAIN_LORA_H_
 
@@ -39,8 +40,9 @@ struct LoraAdapter {
   // equivalence tests).
   ModelWeights MergedWith(const ModelWeights& base) const;
 
-  // Overlay computing the decoupled form  x·Wᵀ + s·(x·Aᵀ)·Bᵀ  against `base`.
-  // `base` must outlive the overlay.
+  // Overlay computing the decoupled form  x·Wᵀ + s·(x·Aᵀ)·Bᵀ  against `base`: it
+  // points at `base` and at these factors, which must outlive it. Aborts unless
+  // FitsBase(base).
   LinearOverlay MakeOverlay(const ModelWeights& base) const;
 
   // fp16 footprint of the adapter parameters (the LoRA serving artifact size).

@@ -110,23 +110,33 @@ TEST_F(DeltaCompressTest, OverlayMatchesMergedWeights) {
   DeltaCompressConfig cfg;
   const CompressedDelta delta =
       DeltaCompress(base_->weights(), finetuned_->weights(), *calibration_, cfg);
-  const LinearOverlay overlay = delta.MakeOverlay(base_->weights());
   const Transformer merged(delta.ApplyTo(base_->weights()));
   const std::vector<int> tokens = (*calibration_)[0];
-  const Matrix via_overlay = base_->Forward(tokens, nullptr, &overlay);
   const Matrix via_merged = merged.Forward(tokens);
-  // The overlay path does not apply the fp16 embedding/norm deltas, so compare through
-  // logits of a host whose non-linear params match the merged ones and whose linear
-  // weights stay at base, so the overlay supplies the delta.
+  // The overlay does not carry the fp16 embedding/norm deltas, so it runs in a host
+  // whose non-linear params match the merged ones and whose linear weights stay at
+  // base; the overlay reads the base weights and supplies the delta.
   const Transformer overlay_host(delta.OverlayHost(base_->weights()));
   for (const NamedLayerConst& layer : overlay_host.weights().LinearLayers()) {
     EXPECT_EQ(layer.weight->data(), base_->weights().LinearWeight(layer.name)->data())
         << layer.name;
   }
-  const LinearOverlay overlay2 = delta.MakeOverlay(overlay_host.weights());
-  const Matrix via_decoupled = overlay_host.Forward(tokens, nullptr, &overlay2);
+  const LinearOverlay overlay = delta.MakeOverlay(base_->weights());
+  const Matrix via_decoupled = overlay_host.Forward(tokens, nullptr, &overlay);
   EXPECT_LT(RelativeError(via_decoupled, via_merged), 1e-4);
-  (void)via_overlay;
+}
+
+// An artifact made against another architecture is refused when the overlay is
+// built, not later inside a kernel.
+TEST_F(DeltaCompressTest, MakeOverlayRefusesArtifactOfAnotherArchitecture) {
+  const CompressedDelta delta = DeltaCompress(base_->weights(), finetuned_->weights(),
+                                              *calibration_, DeltaCompressConfig{});
+  ModelConfig wider_ff = ModelConfig::Tiny();
+  wider_ff.d_ff *= 2;
+  Rng rng(3);
+  const ModelWeights other = ModelWeights::RandomInit(wider_ff, rng);
+  ASSERT_FALSE(delta.FitsBase(other));
+  EXPECT_DEATH(delta.MakeOverlay(other), "FitsBase");
 }
 
 TEST_F(DeltaCompressTest, PreservesAccuracyVsDirectSparseGpt) {

@@ -6,6 +6,7 @@
 
 #include "src/compress/delta.h"
 #include "src/nn/ops.h"
+#include "src/tensor/packed_quant.h"
 #include "src/train/lora.h"
 #include "src/util/rng.h"
 
@@ -156,37 +157,54 @@ TEST(TransformerTest, GradCheckSpotSamples) {
 TEST(TransformerTest, OverlayIdentityMatchesBaseline) {
   const Transformer model = MakeTinyModel(6);
   const std::vector<int> tokens = {3, 1, 4, 1, 5};
-  // Overlay that recomputes the same dense matmul must not change results.
+  // An overlay with a slot for every linear layer but no deltas runs every layer on
+  // the model's own weight: the plain forward, bit for bit.
   LinearOverlay overlay;
-  const Matrix& wq0 = model.weights().layers[0].wq;
-  overlay.ops.resize(1);  // position 0 is layer0.wq
-  overlay.ops[0] = [&wq0](const Matrix& x) { return MatmulNT(x, wq0); };
-  const Matrix a = model.Forward(tokens);
-  const Matrix b = model.Forward(tokens, nullptr, &overlay);
-  EXPECT_LT(RelativeError(a, b), 1e-7);
+  overlay.base = &model.weights();
+  overlay.deltas.resize(model.weights().LinearLayers().size());
+  EXPECT_EQ(model.Forward(tokens, nullptr, &overlay).data(),
+            model.Forward(tokens).data());
+  KVCache plain = model.MakeKVCache();
+  KVCache through = model.MakeKVCache();
+  for (int t : tokens) {
+    EXPECT_EQ(model.DecodeStep(t, through, &overlay).data(),
+              model.DecodeStep(t, plain, nullptr).data());
+  }
 }
 
 TEST(TransformerTest, OverlayIsActuallyInvoked) {
   const Transformer model = MakeTinyModel(7);
-  const std::vector<int> tokens = {1, 2};
-  // An op at layer1.w_up's position runs for that layer only, and nowhere else.
+  const std::vector<int> tokens = {1, 2, 5};
+  // A delta at layer1.w_up's position changes that layer's output and what it feeds,
+  // and nothing computed before it.
   const int index = model.weights().LinearIndex("layer1.w_up");
   ASSERT_GE(index, 0);
-  LinearOverlay overlay;
-  overlay.ops.resize(static_cast<size_t>(model.weights().LinearLayers().size()));
-  int calls = 0;
   const Matrix& w_up = model.weights().layers[1].w_up;
-  overlay.ops[static_cast<size_t>(index)] = [&](const Matrix& x) {
-    ++calls;
-    EXPECT_EQ(x.cols(), w_up.cols());
-    return MatmulNT(x, w_up);
-  };
-  EXPECT_EQ(model.Forward(tokens, nullptr, &overlay).data(),
-            model.Forward(tokens).data());
-  EXPECT_EQ(calls, 1);
-  KVCache kv = model.MakeKVCache();
-  model.DecodeStep(1, kv, &overlay);
-  EXPECT_EQ(calls, 2);
+  Rng rng(70);
+  const PackedQuantMatrix delta = PackedQuantMatrix::Quantize(
+      Matrix::Random(w_up.rows(), w_up.cols(), rng, 0.05f), 4, 32);
+  LinearOverlay overlay;
+  overlay.base = &model.weights();
+  overlay.deltas.resize(static_cast<size_t>(index) + 1);
+  overlay.deltas.back().dense = &delta;
+
+  ForwardCache plain, through;
+  const Matrix plain_logits = model.Forward(tokens, &plain);
+  const Matrix through_logits = model.Forward(tokens, &through, &overlay);
+  for (size_t i = 0; i < model.weights().LinearLayers().size(); ++i) {
+    // The inputs of the layers after w_up depend on its output; the rest do not.
+    const bool fed_by_w_up = i > static_cast<size_t>(index);
+    EXPECT_EQ(plain.LinearInput(i).data() == through.LinearInput(i).data(), !fed_by_w_up)
+        << i;
+  }
+  EXPECT_EQ(plain.layers[1].gate.data(), through.layers[1].gate.data());
+  EXPECT_NE(plain.layers[1].up.data(), through.layers[1].up.data());
+  const Matrix expected_up =
+      Add(plain.layers[1].up, delta.MatmulNT(plain.layers[1].mlp_normed));
+  EXPECT_EQ(through.layers[1].up.data(), expected_up.data());
+  EXPECT_NE(plain_logits.data(), through_logits.data());
+  // A decode step takes the same path.
+  ExpectDecodeMatchesForward(model, tokens, &overlay, "layer1.w_up delta");
 }
 
 TEST(TransformerTest, GenerateGreedyRespectsLimitsAndEos) {
@@ -242,13 +260,9 @@ TEST(ModelWeightsTest, ByteSizeAccounting) {
   EXPECT_GT(w.LinearFp16ByteSize(), 0u);
 }
 
-TEST(ModelWeightsTest, AxpyAndScale) {
+TEST(ModelWeightsTest, Scale) {
   Rng rng(11);
-  ModelWeights a = ModelWeights::RandomInit(ModelConfig::Tiny(), rng);
-  ModelWeights b = a;
-  a.Axpy(-1.0f, b);
-  EXPECT_EQ(a.layers[0].wq.FrobeniusNorm(), 0.0);
-  EXPECT_EQ(a.embedding.FrobeniusNorm(), 0.0);
+  ModelWeights b = ModelWeights::RandomInit(ModelConfig::Tiny(), rng);
   b.Scale(0.0f);
   EXPECT_EQ(b.lm_head.FrobeniusNorm(), 0.0);
 }
