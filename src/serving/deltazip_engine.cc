@@ -5,6 +5,7 @@
 // skip-the-line admission and parent-finish preemption (§5.4). This file holds only
 // the policy; the loop around it lives in serve_loop.cc.
 #include <algorithm>
+#include <cstdint>
 #include <limits>
 
 #include "src/serving/serve_loop.h"
@@ -110,15 +111,19 @@ class DeltaZipPolicy : public ServePolicy {
 
   // Starvation control: preempt skippers whose parent finished (§5.4).
   void AfterIteration(ServeLoop& loop, double now,
-                      const std::vector<int>& finished_parents) override {
+                      const std::vector<TraceRequest>& finished_parents) override {
+    for (const TraceRequest& parent : finished_parents) {
+      parent_of_variant_[static_cast<size_t>(parent.model_id)] = kNoParent;
+    }
     if (!config_.preemption || finished_parents.empty()) {
       return;
     }
     std::vector<RunningReq>& running = loop.running();
     for (auto it = running.begin(); it != running.end();) {
       const bool orphaned =
-          it->is_skipper && std::find(finished_parents.begin(), finished_parents.end(),
-                                      it->parent_id) != finished_parents.end();
+          it->is_skipper &&
+          std::any_of(finished_parents.begin(), finished_parents.end(),
+                      [&it](const TraceRequest& parent) { return parent.id == it->parent_id; });
       const int remaining = it->state.req.output_tokens - it->state.decoded;
       if (orphaned && remaining > 0) {
         it = loop.Preempt(it, now, /*swap_out=*/true);
@@ -135,10 +140,15 @@ class DeltaZipPolicy : public ServePolicy {
 
   const EngineConfig& config_;
   const ExecModel& exec_;
-  // Admission scratch, reused every round: variant → request id of its running
-  // parent (kNoParent between rounds), and the variants no load may evict.
+  // Variant → request id of its running parent, or kNoParent. A request is
+  // its variant's parent when it was dispatched with none running, and stays
+  // so until it completes: only skippers are ever preempted.
   std::vector<int> parent_of_variant_;
+  // Admission scratch, reused every round: the variants no load may evict,
+  // and the round in which each variant was last claimed for loading.
   std::vector<int> pinned_;
+  std::vector<uint64_t> claimed_round_;
+  uint64_t round_ = 0;
   long long kv_capacity_tokens_ = 0;
   int granted_staging_ = 0;
   int effective_n_ = 0;
@@ -147,19 +157,16 @@ class DeltaZipPolicy : public ServePolicy {
 // Policy order + skip-the-line over at most N variants, then class preemption.
 // The batch's variants are `admission`'s active set.
 void DeltaZipPolicy::Admit(ServeLoop& loop, double now, Admission& admission) {
-  parent_of_variant_.resize(static_cast<size_t>(loop.n_models()), kNoParent);
-  pinned_.clear();
-  std::vector<RunningReq>& running = loop.running();
-  for (const RunningReq& r : running) {
-    const int variant = r.state.req.model_id;
-    if (admission.Activate(variant)) {
-      pinned_.push_back(variant);
-    }
-    int& parent = parent_of_variant_[static_cast<size_t>(variant)];
-    if (!r.is_skipper && parent == kNoParent) {
-      parent = r.state.req.id;
-    }
+  const size_t n_models = static_cast<size_t>(loop.n_models());
+  parent_of_variant_.resize(n_models, kNoParent);
+  claimed_round_.resize(n_models, 0);
+  ++round_;
+  const std::vector<int>& running_ids = loop.running_variants().ids;
+  pinned_.assign(running_ids.begin(), running_ids.end());
+  for (int variant : running_ids) {
+    admission.Activate(variant);
   }
+  std::vector<RunningReq>& running = loop.running();
   ArtifactStore& store = loop.store();
   std::deque<PendingReq>& queue = loop.queue();
   for (auto it = queue.begin();
@@ -180,14 +187,19 @@ void DeltaZipPolicy::Admit(ServeLoop& loop, double now, Admission& admission) {
       it->sched_attempt_s = now;
     }
     if (!store.IsResident(variant, now)) {
-      const ArtifactStore::LoadResult load = store.RequestLoad(variant, now, pinned_);
-      if (load.unavailable) {
-        it = loop.Park(it);  // no live holder can source this artifact
-        continue;
-      }
-      if (load.ok) {
-        admission.Activate(variant);  // the slot is claimed while loading
-        pinned_.push_back(variant);
+      // A variant claimed earlier this round is pinned and loading: asking
+      // again would change nothing.
+      if (claimed_round_[static_cast<size_t>(variant)] != round_) {
+        const ArtifactStore::LoadResult load = store.RequestLoad(variant, now, pinned_);
+        if (load.unavailable) {
+          it = loop.Park(it);  // no live holder can source this artifact
+          continue;
+        }
+        if (load.ok) {
+          admission.Activate(variant);  // the slot is claimed while loading
+          pinned_.push_back(variant);
+          claimed_round_[static_cast<size_t>(variant)] = round_;
+        }
       }
       ++it;  // admitted once the artifact lands (or a slot frees up)
       continue;
@@ -205,10 +217,6 @@ void DeltaZipPolicy::Admit(ServeLoop& loop, double now, Admission& admission) {
     }
     admission.Activate(variant);
   }
-  // Every variant with a parent is active: clearing those resets the array.
-  for (int variant : admission.active_ids) {
-    parent_of_variant_[static_cast<size_t>(variant)] = kNoParent;
-  }
   // Class preemption: each queued interactive request evicts one running
   // batch-class skipper (KV swap to host, re-queue, resume later); parents stay.
   // It needs a class-aware order: under FCFS the evicted skipper would re-sort
@@ -219,13 +227,19 @@ void DeltaZipPolicy::Admit(ServeLoop& loop, double now, Admission& admission) {
   }
   // Only interactive requests blocked on KV space or batch slots count: one
   // blocked on the N-variant cap gains nothing from evicting a skipper, whose
-  // variant slot stays pinned by its parent.
+  // variant slot stays pinned by its parent. The queue is in policy order, so
+  // under kPriority the interactive requests lead it.
   const bool batch_full = static_cast<int>(running.size()) >= config_.max_batch;
   int blocked_interactive = 0;
   double min_blocked_tag = std::numeric_limits<double>::infinity();
   for (const PendingReq& p : queue) {
-    if (p.req.slo == SloClass::kInteractive &&
-        (batch_full || admission.IsActive(p.req.model_id))) {
+    if (p.req.slo != SloClass::kInteractive) {
+      if (config_.scheduler.policy == SchedPolicy::kPriority) {
+        break;
+      }
+      continue;
+    }
+    if (batch_full || admission.IsActive(p.req.model_id)) {
       ++blocked_interactive;
       min_blocked_tag = std::min(min_blocked_tag, p.fair_tag);
     }

@@ -36,7 +36,8 @@ inline std::deque<int> PendingWarmHints(const PrefetchConfig& config, int n_mode
 
 // One scheduling round of the lookahead pass (paper §8 / MetaSys-style
 // pipelining): issues low-priority loads for the first `config.lookahead`
-// distinct variants waiting in `queue` that the admission did not mark active
+// distinct variants waiting in `queue` (counted by variant in `queued`) that
+// the admission did not mark active
 // (the variants the batch owns: running, claimed or admitted this round), then
 // drains leftover warm hints. A prefetch never evicts an active variant nor one
 // in that window: a near-head request can be resident-but-blocked (KV or batch
@@ -45,17 +46,26 @@ inline std::deque<int> PendingWarmHints(const PrefetchConfig& config, int n_mode
 // variant would starve the prefetcher of eviction candidates.
 template <typename PendingQueue>
 void RunPrefetchPass(ArtifactStore& store, const PrefetchConfig& config, double now,
-                     const PendingQueue& queue, const Admission& admission,
-                     std::deque<int>& pending_hints, PrefetchScratch& scratch) {
+                     const PendingQueue& queue, const VariantCounts& queued,
+                     const Admission& admission, std::deque<int>& pending_hints,
+                     PrefetchScratch& scratch) {
   if (!config.enabled) {
     return;
   }
   // The window (first `lookahead` distinct non-active variants, in queue order)
-  // is both the target list and the shield, so no target sits beyond it.
+  // is both the target list and the shield, so no target sits beyond it. The
+  // walk stops once the window is full or holds every such variant.
+  int waiting_variants = static_cast<int>(queued.ids.size());
+  for (int variant : admission.active_ids) {
+    if (queued.count[static_cast<size_t>(variant)] > 0) {
+      --waiting_variants;
+    }
+  }
+  const int window_size = std::min(config.lookahead, waiting_variants);
   std::vector<int>& window = scratch.window;
   window.clear();
   for (const auto& waiting : queue) {
-    if (static_cast<int>(window.size()) >= config.lookahead) {
+    if (static_cast<int>(window.size()) >= window_size) {
       break;
     }
     const int variant = waiting.req.model_id;

@@ -15,19 +15,27 @@ constexpr double kInf = std::numeric_limits<double>::infinity();
 constexpr double kSchedOverheadS = 0.002;
 }  // namespace
 
-void BatchLedger::Join(int variant, long long tokens) {
+void VariantCounts::Add(int variant) {
   if (count[static_cast<size_t>(variant)]++ == 0) {
     ids.insert(std::lower_bound(ids.begin(), ids.end(), variant), variant);
   }
+}
+
+void VariantCounts::Remove(int variant) {
+  if (--count[static_cast<size_t>(variant)] == 0) {
+    ids.erase(std::lower_bound(ids.begin(), ids.end(), variant));
+  }
+}
+
+void BatchLedger::Join(int variant, long long tokens) {
+  Add(variant);
   ctx[static_cast<size_t>(variant)] += tokens;
   ++total;
   ctx_total += tokens;
 }
 
 void BatchLedger::Leave(int variant, long long tokens) {
-  if (--count[static_cast<size_t>(variant)] == 0) {
-    ids.erase(std::lower_bound(ids.begin(), ids.end(), variant));
-  }
+  Remove(variant);
   ctx[static_cast<size_t>(variant)] -= tokens;
   --total;
   ctx_total -= tokens;
@@ -72,6 +80,8 @@ ServeLoop::ServeLoop(const EngineConfig& config, const char* engine_name,
       policy_(make_policy(config_, exec_)),
       observer_(config.tracing),
       store_(policy_->StoreConfig(), n_models, &observer_),
+      queued_(n_models),
+      running_set_(n_models),
       batch_(n_models),
       now_(config.start_s),
       next_snapshot_s_(config.start_s + config.metrics.interval_s) {
@@ -122,6 +132,7 @@ void ServeLoop::Ingest(double now) {
     if (policy == SchedPolicy::kDwfq) {
       p.fair_tag = fair_queue_.TagFor(p.req);
     }
+    OnQueued(p);
     InsertInPolicyOrder(policy, queue_, std::move(p));
   }
 }
@@ -143,19 +154,35 @@ double ServeLoop::MinServiceS(PendingReq& p) const {
   return p.min_service_s;
 }
 
+void ServeLoop::OnQueued(PendingReq& p) {
+  queued_.Add(p.req.model_id);
+  if (config_.scheduler.admission_control) {
+    shed_until_s_ =
+        std::min(shed_until_s_, MeetableUntil(config_.scheduler, p.req, MinServiceS(p)));
+  }
+}
+
 // Admission control (off by default): sheds every queued request whose class
 // deadline is already unmeetable and refunds its tenant's DWFQ virtual time
-// for the tokens it will never receive. The kept requests' MeetableUntil
-// bounds the quiet stretch this round may start.
+// for the tokens it will never receive. Before the shed bound no deadline is
+// unmeetable, so the walk waits for it; a walk resets the bound to the kept
+// requests' least MeetableUntil (a dispatch or park since then leaves it low,
+// which costs one early walk). The bound caps the quiet stretch this round
+// may start.
 void ServeLoop::Shed(double now) {
   if (!config_.scheduler.admission_control) {
     return;
   }
+  if (now < shed_until_s_) {
+    quiet_until_s_ = std::min(quiet_until_s_, shed_until_s_);
+    return;
+  }
+  shed_until_s_ = kInf;
   for (auto it = queue_.begin(); it != queue_.end();) {
     const double service_s = MinServiceS(*it);
     if (!DeadlineUnmeetable(config_.scheduler, it->req, now, service_s)) {
-      quiet_until_s_ =
-          std::min(quiet_until_s_, MeetableUntil(config_.scheduler, it->req, service_s));
+      shed_until_s_ =
+          std::min(shed_until_s_, MeetableUntil(config_.scheduler, it->req, service_s));
       ++it;
       continue;
     }
@@ -167,8 +194,10 @@ void ServeLoop::Shed(double now) {
     }
     ++shed_total_;
     observer_.On(RequestEvent(TraceEventType::kAdmissionShed, now, it->req));
+    queued_.Remove(it->req.model_id);
     it = queue_.erase(it);
   }
+  quiet_until_s_ = std::min(quiet_until_s_, shed_until_s_);
 }
 
 ServeLoop::QueueIt ServeLoop::Dispatch(QueueIt it, double now) {
@@ -177,6 +206,8 @@ ServeLoop::QueueIt ServeLoop::Dispatch(QueueIt it, double now) {
   if (config_.scheduler.policy == SchedPolicy::kDwfq) {
     fair_queue_.OnAdmit(it->fair_tag);
   }
+  queued_.Remove(it->req.model_id);
+  running_set_.Add(it->req.model_id);
   RunningReq r;
   r.state = std::move(*it);
   r.state.start_s = r.state.start_s < 0.0 ? now : r.state.start_s;
@@ -192,6 +223,7 @@ ServeLoop::QueueIt ServeLoop::Dispatch(QueueIt it, double now) {
 }
 
 ServeLoop::QueueIt ServeLoop::Park(QueueIt it) {
+  queued_.Remove(it->req.model_id);
   parked_.push_back(std::move(*it));
   return queue_.erase(it);
 }
@@ -199,6 +231,7 @@ ServeLoop::QueueIt ServeLoop::Park(QueueIt it) {
 void ServeLoop::OnRegistryChange(double now) {
   store_.OnRegistryChange();
   for (PendingReq& p : parked_) {
+    OnQueued(p);
     queue_.push_back(std::move(p));  // re-inserted in policy order next ingest
     ++requeued_;
   }
@@ -213,6 +246,7 @@ ServeLoop::RunIt ServeLoop::Preempt(RunIt it, double now, bool swap_out) {
   PendingReq back = it->state;
   ++back.preemptions;
   kv_in_use_ -= KvTokens(back);
+  running_set_.Remove(back.req.model_id);
   if (it->prefilled) {
     batch_.Leave(back.req.model_id, ContextTokens(back));
   }
@@ -226,6 +260,7 @@ ServeLoop::RunIt ServeLoop::Preempt(RunIt it, double now, bool swap_out) {
     pending_swap_s_ += swap_s;
     observer_.On(RequestEvent(TraceEventType::kKvSwap, now, back.req, swap_s, /*aux=*/0));
   }
+  OnQueued(back);
   queue_.push_back(std::move(back));  // keeps its fair_tag; re-inserted next ingest
   ++requeued_;
   return running_.erase(it);
@@ -384,12 +419,13 @@ void ServeLoop::RunUntil(double t) {
         // Ingest and shed change what this admission sees, not what the next
         // one would: only changes from here on end a quiet stretch.
         const uint64_t stamp = ChangeStamp();
+        DZ_CHECK_EQ(requeued_, 0u);  // Admit sees the queue fully in policy order
         admission_.Reset(n_models_);
         policy_->Admit(*this, now_, admission_);
         // Lookahead prefetch (§8): warm the next W distinct waiting variants
         // while the batch computes; the batch's own variants are never evicted
         // for it.
-        RunPrefetchPass(store_, prefetch_, now_, queue_, admission_, warm_hints_,
+        RunPrefetchPass(store_, prefetch_, now_, queue_, queued_, admission_, warm_hints_,
                         prefetch_scratch_);
         if (admission_.stall_until_s > now_) {
           now_ = admission_.stall_until_s;
@@ -405,10 +441,11 @@ void ServeLoop::RunUntil(double t) {
           for (RunningReq& r : running_) {
             if (r.prefilled && r.state.decoded >= r.state.req.output_tokens) {
               kv_in_use_ -= KvTokens(r.state);
+              running_set_.Remove(r.state.req.model_id);
               batch_.Leave(r.state.req.model_id, ContextTokens(r.state));
               Complete(r.state, now_);
               if (!r.is_skipper) {
-                finished_parents_.push_back(r.state.req.id);
+                finished_parents_.push_back(r.state.req);
               }
             } else {
               if (r.prefilled) {

@@ -44,6 +44,20 @@
 // the loop keeps it wherever running_ changes, as it keeps KvTokensInUse, so a
 // decode-only round costs O(variants in the batch). Iterate scans the running
 // requests only while one waits for its prefill or a KV restore.
+//
+// A full round's other walks cost what changed since the last one:
+//   * Shed walks the queue only once the clock reaches the shed bound, a
+//     lower bound on every queued request's MeetableUntil that each request
+//     lowers as it enters the queue and each walk resets; before it no
+//     deadline can be unmeetable;
+//   * the policies seed the round's active variants from the running set the
+//     loop keeps (running_variants(), per-variant counts updated wherever
+//     running_ changes), not from a scan of the batch, and DeltaZip keeps its
+//     variant → parent map across rounds (set at dispatch, cleared when the
+//     parent completes: only skippers are ever preempted);
+//   * the prefetch window stops walking the queue once it holds
+//     min(lookahead, distinct queued variants not active), counted from the
+//     per-variant queued counts the loop keeps (queued_variants()).
 #ifndef SRC_SERVING_SERVE_LOOP_H_
 #define SRC_SERVING_SERVE_LOOP_H_
 
@@ -95,6 +109,18 @@ inline long long ContextTokens(const PendingReq& p) {
   return static_cast<long long>(p.req.prompt_tokens) + p.decoded;
 }
 
+// Per-variant request counts, with the variants whose count is positive. The
+// loop keeps one for the running batch and one for the waiting queue.
+struct VariantCounts {
+  explicit VariantCounts(int n_variants) : count(static_cast<size_t>(n_variants), 0) {}
+
+  std::vector<int> count;  // per variant: its requests
+  std::vector<int> ids;    // the variants with a request, ascending
+
+  void Add(int variant);
+  void Remove(int variant);
+};
+
 // The decoding requests of the running batch (those past prefill), by variant:
 // what the policies price a round from. The loop updates it wherever running_
 // changes: a landing prefill joins with prompt + 1 tokens, a resumed dispatch
@@ -102,16 +128,13 @@ inline long long ContextTokens(const PendingReq& p) {
 // completion and preemption leave. The token sums are integers, so they equal
 // bit for bit the double sums a scan of the batch would add up (exact below
 // 2^53).
-struct BatchLedger {
+struct BatchLedger : VariantCounts {
   explicit BatchLedger(int n_variants)
-      : count(static_cast<size_t>(n_variants), 0),
-        ctx(static_cast<size_t>(n_variants), 0) {}
+      : VariantCounts(n_variants), ctx(static_cast<size_t>(n_variants), 0) {}
 
-  std::vector<int> count;      // per variant: its decoding requests
   std::vector<long long> ctx;  // per variant: their context tokens
   int total = 0;               // decoding requests
   long long ctx_total = 0;     // their context tokens
-  std::vector<int> ids;        // the variants with a decoding request, ascending
 
   void Join(int variant, long long tokens);
   void Leave(int variant, long long tokens);
@@ -190,9 +213,9 @@ class ServePolicy {
   // prompt tokens between them, which is 0 unless rounds == 1.
   virtual void IterationCosts(const ServeLoop& loop, long long prefill_tokens, double iter_s,
                               int rounds, double* out) = 0;
-  // Post-iteration preemption, given the ids of finished non-skippers.
+  // Post-iteration preemption, given the finished non-skippers.
   virtual void AfterIteration(ServeLoop& /*loop*/, double /*now*/,
-                              const std::vector<int>& /*finished_parents*/) {}
+                              const std::vector<TraceRequest>& /*finished_parents*/) {}
 };
 
 class ServeLoop {
@@ -238,10 +261,20 @@ class ServeLoop {
   int n_models() const { return n_models_; }
   ArtifactStore& store() { return store_; }
   // The waiting queue, in policy order (see Ingest) except for requests
-  // preempted or unparked since the last ingest, which wait at the back.
+  // preempted or unparked since the last ingest, which wait at the back. The
+  // round's ingest re-inserts those first, so the queue is fully in policy
+  // order when Admit starts.
   std::deque<PendingReq>& queue() { return queue_; }
+  const std::deque<PendingReq>& queue() const { return queue_; }
   std::vector<RunningReq>& running() { return running_; }
   const std::vector<RunningReq>& running() const { return running_; }
+  // The waiting queue's and the running batch's requests, by variant. The
+  // running set is running_variants().ids.
+  const VariantCounts& queued_variants() const { return queued_; }
+  const VariantCounts& running_variants() const { return running_set_; }
+  // A lower bound on every queued request's MeetableUntil under admission
+  // control (infinity otherwise): before it, Shed would shed nothing.
+  double shed_until_s() const { return shed_until_s_; }
   // KV tokens the running batch reserves (prompt + full output per request).
   long long KvTokensInUse() const { return kv_in_use_; }
   // The running batch's decoding requests, by variant.
@@ -282,6 +315,9 @@ class ServeLoop {
   // Re-inserts the preempted tail, then inserts the arrivals due by `now`.
   void Ingest(double now);
   double MinServiceS(PendingReq& p) const;
+  // Counts `p`, about to enter the queue, and lowers the shed bound to its
+  // MeetableUntil.
+  void OnQueued(PendingReq& p);
   void Shed(double now);
   double Iterate(double now);  // returns the iteration's duration
   void Decode();               // the tokens of the iteration Iterate priced
@@ -309,12 +345,15 @@ class ServeLoop {
   std::deque<PendingReq> queue_;
   size_t requeued_ = 0;  // preempted or unparked requests at the back of queue_
   std::vector<PendingReq> requeue_scratch_;
+  VariantCounts queued_;  // queued_variants(), kept as queue_ changes
+  double shed_until_s_ = std::numeric_limits<double>::infinity();
   std::vector<RunningReq> running_;
+  VariantCounts running_set_;  // running_variants(), kept as running_ changes
   long long kv_in_use_ = 0;  // KvTokensInUse(), kept as running_ changes
   BatchLedger batch_;        // batch(), kept as running_ changes
   int kv_restores_ = 0;      // running requests with needs_kv_restore set
   std::vector<PendingReq> parked_;
-  std::vector<int> finished_parents_;
+  std::vector<TraceRequest> finished_parents_;
   Admission admission_;
   PrefetchScratch prefetch_scratch_;
   std::deque<TraceRequest> arrivals_;  // offered, not yet ingested

@@ -96,10 +96,10 @@ class VllmScbPolicy : public ServePolicy {
 // of the line blocks on KV space. The models in use are `admission`'s active
 // set, which is also what no demand swap may evict.
 void VllmScbPolicy::Admit(ServeLoop& loop, double now, Admission& admission) {
-  const std::vector<RunningReq>& running = loop.running();
-  for (const RunningReq& r : running) {
-    admission.Activate(r.state.req.model_id);
+  for (int model : loop.running_variants().ids) {
+    admission.Activate(model);
   }
+  const std::vector<RunningReq>& running = loop.running();
   const std::vector<int>& pinned = admission.active_ids;
   ArtifactStore& store = loop.store();
   std::deque<PendingReq>& queue = loop.queue();

@@ -10,8 +10,10 @@
 // `engine.preemptions`. Runs with an arrival, a load, a prefetch, a shed,
 // timeline snapshots or cuts inside a long decode-only stretch are pinned to
 // values recorded while quiet rounds ran one at a time or not at all. The
-// batch ledger that rounds are priced from equals a recount of the running
-// batch after every step of runs cut finer than one iteration.
+// batch ledger that rounds are priced from, and the running set, queued
+// counts and shed bound the loop keeps across rounds, equal a recount of the
+// running batch and the queue after every step of runs cut finer than one
+// iteration.
 #include "src/serving/serve_loop.h"
 
 #include <algorithm>
@@ -116,21 +118,102 @@ void ExpectLedgerCloses(const ServeReport& r, const Trace& trace,
   }
 }
 
+// Empty when what the loop keeps across rounds agrees with a recount of its
+// queue and batch, else the first difference: the per-variant running counts
+// and the running set, the per-variant queued counts, and (under admission
+// control) a shed bound at or below every queued request's MeetableUntil.
+// `stale` is set when the bound lies strictly below all of them: the request
+// that held it has left the queue since the last shed walk.
+std::string KeptStateMismatch(const ServeLoop& loop, const SchedulerConfig& sched,
+                              bool* stale) {
+  const size_t n = static_cast<size_t>(loop.n_models());
+  std::vector<int> running(n, 0);
+  for (const RunningReq& r : loop.running()) {
+    ++running[static_cast<size_t>(r.state.req.model_id)];
+  }
+  std::vector<int> running_ids;
+  for (size_t v = 0; v < n; ++v) {
+    if (running[v] > 0) {
+      running_ids.push_back(static_cast<int>(v));
+    }
+  }
+  if (loop.running_variants().count != running) {
+    return "per-variant running counts differ";
+  }
+  if (loop.running_variants().ids != running_ids) {
+    return "running set differs";
+  }
+  std::vector<int> queued(n, 0);
+  double least_meetable = kInf;
+  for (const PendingReq& p : loop.queue()) {
+    ++queued[static_cast<size_t>(p.req.model_id)];
+    if (sched.admission_control) {
+      if (p.min_service_s < 0.0) {
+        return "request " + std::to_string(p.req.id) + " queued without a service estimate";
+      }
+      least_meetable = std::min(least_meetable, MeetableUntil(sched, p.req, p.min_service_s));
+    }
+  }
+  if (loop.queued_variants().count != queued) {
+    return "per-variant queued counts differ";
+  }
+  if (loop.shed_until_s() > least_meetable) {
+    return "shed bound " + std::to_string(loop.shed_until_s()) + " above a queued MeetableUntil " +
+           std::to_string(least_meetable);
+  }
+  *stale = !loop.queue().empty() && loop.shed_until_s() < least_meetable;
+  return "";
+}
+
 TEST_P(ServeLoopTest, LedgerHoldsAtEveryHaltTime) {
   const Trace trace = MakeTrace();
-  const ServeReport full = Serve(MakeConfig(), trace);
+  const EngineConfig cfg = MakeConfig();
+  const ServeReport full = Serve(cfg, trace);
   ExpectLedgerCloses(full, trace, "natural run");
   EXPECT_TRUE(full.unfinished.empty());
   EXPECT_FALSE(full.records.empty());
   EXPECT_GT(full.TotalShed(), 0) << "the scenario should exercise shedding";
 
+  bool stale = false;
   for (double halt : {0.0, 5.0, 20.0, 45.0, 0.5 * full.makespan_s}) {
-    const ServeReport r = ServeUntil(MakeConfig(), trace, halt);
     const std::string where = "halt " + std::to_string(halt);
+    const std::unique_ptr<ServeLoop> loop =
+        GetParam().make(cfg)->Start(trace.n_models, trace.n_tenants);
+    for (const TraceRequest& req : trace.requests) {
+      loop->Offer(req);
+    }
+    loop->RunUntil(halt);
+    EXPECT_EQ(KeptStateMismatch(*loop, cfg.scheduler, &stale), "") << where;
+    const ServeReport r = loop->Finish();
     ExpectLedgerCloses(r, trace, where);
     EXPECT_FALSE(r.unfinished.empty()) << where;
     EXPECT_LT(r.records.size(), full.records.size()) << where;
   }
+
+  // The kept state at every halt of a run stepped finer than a round. Some
+  // halts must find the bound stale-low: the request holding it was
+  // dispatched, and the bound waits for the next walk to rise.
+  const std::unique_ptr<ServeLoop> loop =
+      GetParam().make(cfg)->Start(trace.n_models, trace.n_tenants);
+  for (const TraceRequest& req : trace.requests) {
+    loop->Offer(req);
+  }
+  int stale_halts = 0;
+  for (double halt = 0.0; halt < full.makespan_s; halt += 0.01) {
+    loop->RunUntil(halt);
+    const std::string mismatch = KeptStateMismatch(*loop, cfg.scheduler, &stale);
+    if (!mismatch.empty()) {
+      ADD_FAILURE() << "halt " << halt << ": " << mismatch;
+      break;  // the first difference says enough
+    }
+    stale_halts += stale ? 1 : 0;
+  }
+  EXPECT_GT(stale_halts, 0) << "no halt found the shed bound stale";
+  loop->RunUntil(kInf);
+  const ServeReport stepped = loop->Finish();
+  ASSERT_EQ(stepped.records.size(), full.records.size());
+  EXPECT_EQ(stepped.makespan_s, full.makespan_s);
+  EXPECT_EQ(stepped.metrics.ToJsonLine(), full.metrics.ToJsonLine());
 }
 
 TEST_P(ServeLoopTest, InfiniteHaltIsBitIdenticalToNoHalt) {
@@ -595,7 +678,8 @@ TEST_P(QuietStretchTest, TimelineSnapshotsInsideStretch) {
 // ---- the batch ledger --------------------------------------------------------
 // Rounds are priced from ServeLoop::batch(), which the loop keeps as running_
 // changes. After every RunUntil call of a run stepped in increments shorter
-// than one iteration, the ledger must equal a recount of the running batch,
+// than one iteration, the ledger must equal a recount of the running batch
+// (and the running set and queued counts theirs, parking included),
 // and the stepped run must equal the unstepped one bit for bit. The runs mix
 // parent-finish and class preemption (with KV restores), a prefill budget
 // that prompts queue behind and some prompts exceed, and requests parked on a
@@ -702,7 +786,11 @@ TEST_P(BatchLedgerTest, BatchLedgerMatchesRecount) {
             loop->Offer(trace.requests[offered++]);
           }
           loop->RunUntil(cut);
-          const std::string mismatch = LedgerMismatch(*loop);
+          bool stale = false;
+          std::string mismatch = LedgerMismatch(*loop);
+          if (mismatch.empty()) {
+            mismatch = KeptStateMismatch(*loop, cfg.scheduler, &stale);
+          }
           if (!mismatch.empty()) {
             ADD_FAILURE() << "seed " << seed << " t=" << cut << ": " << mismatch;
             break;  // the first difference says enough
