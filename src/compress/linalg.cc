@@ -55,6 +55,4 @@ Matrix SpdInverse(const Matrix& a) {
   return inv;
 }
 
-Matrix CholeskyUpperFromLower(const Matrix& lower) { return lower.Transposed(); }
-
 }  // namespace dz

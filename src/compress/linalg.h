@@ -14,10 +14,6 @@ Matrix CholeskyLower(const Matrix& a);
 // Inverse of an SPD matrix via its Cholesky factor.
 Matrix SpdInverse(const Matrix& a);
 
-// Upper factor U with A = Uᵀ·U (i.e., transpose of the lower Cholesky factor).
-// This is the "Hinv in upper-Cholesky form" object the GPTQ/SparseGPT update uses.
-Matrix CholeskyUpperFromLower(const Matrix& lower);
-
 }  // namespace dz
 
 #endif  // SRC_COMPRESS_LINALG_H_

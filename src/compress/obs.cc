@@ -24,8 +24,9 @@ Matrix InverseHessianUpper(const Matrix& x, int in_dim, float damp_ratio) {
   for (int i = 0; i < in_dim; ++i) {
     h.at(i, i) += damp;
   }
-  const Matrix hinv = SpdInverse(h);
-  return CholeskyUpperFromLower(CholeskyLower(hinv));
+  // The transposed lower factor: "Hinv in upper-Cholesky form", as the
+  // GPTQ/SparseGPT update uses it.
+  return CholeskyLower(SpdInverse(h)).Transposed();
 }
 
 }  // namespace

@@ -196,24 +196,18 @@ ByteBuffer EncodeDelta(const CompressedDelta& delta) {
 
   w.U32(static_cast<uint32_t>(delta.layers.size()));
   for (const auto& layer : delta.layers) {
+    const PackedQuantMatrix& values = layer.is_sparse ? layer.sparse.values() : layer.dense;
     w.String(layer.name);
     w.U8(layer.is_sparse ? 1 : 0);
+    w.U32(static_cast<uint32_t>(values.rows()));
+    w.U32(static_cast<uint32_t>(layer.is_sparse ? layer.sparse.cols() : values.cols()));
+    w.U32(static_cast<uint32_t>(values.bits()));
+    w.Words(values.packed());
     if (layer.is_sparse) {
-      w.U32(static_cast<uint32_t>(layer.sparse.rows()));
-      w.U32(static_cast<uint32_t>(layer.sparse.cols()));
-      w.U32(static_cast<uint32_t>(layer.sparse.bits()));
-      w.Words(layer.sparse.packed_values());
-      w.Words(layer.sparse.packed_indices());
-      w.Fp16Vec(layer.sparse.scales());
-      w.Bytes(layer.sparse.zeros());
-    } else {
-      w.U32(static_cast<uint32_t>(layer.dense.rows()));
-      w.U32(static_cast<uint32_t>(layer.dense.cols()));
-      w.U32(static_cast<uint32_t>(layer.dense.bits()));
-      w.Words(layer.dense.packed());
-      w.Fp16Vec(layer.dense.scales());
-      w.Bytes(layer.dense.zeros());
+      w.Words(layer.sparse.positions());
     }
+    w.Fp16Vec(values.scales());
+    w.Bytes(values.zeros());
   }
   w.Fp16Matrix(delta.embedding_delta);
   w.Fp16Matrix(delta.lm_head_delta);
@@ -256,35 +250,29 @@ bool DecodeDelta(const ByteBuffer& buffer, CompressedDelta& out) {
     if (!r.ok()) {
       return false;
     }
+    auto packed = r.Words();
+    auto positions = layer.is_sparse ? r.Words() : std::vector<uint32_t>();
+    auto scales = r.Fp16Vec();
+    auto zeros = r.Bytes();
+    if (!r.ok()) {
+      return false;
+    }
+    // A 2:4 layer's codes are its cols / 2 kept values a row.
+    auto values = PackedQuantMatrix::FromStorage(
+        rows, layer.is_sparse ? cols / 2 : cols, bits, out.config.group_size,
+        std::move(packed), std::move(scales), std::move(zeros));
+    if (!values) {
+      return false;
+    }
     if (layer.is_sparse) {
-      auto packed = r.Words();
-      auto indices = r.Words();
-      auto scales = r.Fp16Vec();
-      auto zeros = r.Bytes();
-      if (!r.ok()) {
-        return false;
-      }
-      auto sparse = Sparse24Matrix::FromStorage(rows, cols, bits, out.config.group_size,
-                                                std::move(packed), std::move(indices),
-                                                std::move(scales), std::move(zeros));
+      auto sparse =
+          Sparse24Matrix::FromStorage(cols, std::move(*values), std::move(positions));
       if (!sparse) {
         return false;
       }
       layer.sparse = std::move(*sparse);
     } else {
-      auto packed = r.Words();
-      auto scales = r.Fp16Vec();
-      auto zeros = r.Bytes();
-      if (!r.ok()) {
-        return false;
-      }
-      auto dense = PackedQuantMatrix::FromStorage(rows, cols, bits, out.config.group_size,
-                                                  std::move(packed), std::move(scales),
-                                                  std::move(zeros));
-      if (!dense) {
-        return false;
-      }
-      layer.dense = std::move(*dense);
+      layer.dense = std::move(*values);
     }
     out.layers.push_back(std::move(layer));
   }

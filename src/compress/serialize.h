@@ -3,7 +3,8 @@
 // self-describing so artifacts written by one process can be registered by another:
 //
 //   [magic "DZIP"] [version u32] [config] [n_layers u32]
-//   per layer: [name] [kind u8] [dims] [packed words] [indices] [scales fp16] [zeros]
+//   per layer: [name] [kind u8] [rows cols bits] [packed words]
+//              [position words, 2:4 layers only] [scales fp16] [zeros]
 //   [embedding delta] [lm_head delta] [norm deltas]
 //
 // It is the artifact's one byte format: what is written, shipped and registered, and

@@ -36,7 +36,7 @@ struct ModelShape {
   size_t KvBytesPerToken() const;
 
   // Compressed-delta artifact size for the given configuration, mirroring the packing
-  // arithmetic of Sparse24Matrix/PackedQuantMatrix (values + 2-bit indices + group
+  // arithmetic of Sparse24Matrix/PackedQuantMatrix (values + 2-bit positions + group
   // parameters) plus fp16 embeddings when embeddings are part of the delta.
   size_t DeltaBytes(int bits, bool sparse24, int group_size,
                     bool include_embeddings = false) const;

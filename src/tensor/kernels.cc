@@ -107,34 +107,14 @@ Matrix QuantGemmNT(const Matrix& x, const PackedQuantMatrix& w) {
 Matrix Sparse24GemmNT(const Matrix& x, const Sparse24Matrix& w) {
   DZ_CHECK_EQ(x.cols(), w.cols());
   const int m = x.rows();
-  const int kept = w.cols() / 2;
+  const int kept = w.values().cols();
   Matrix y(m, w.rows());
-  if (m == 0 || w.rows() == 0 || kept == 0) {
-    return y;
-  }
-  const int index_words_per_row = (kept + 15) / 16;
-  const int bits = w.bits();
-  const int codes_per_word = 32 / bits;
-  const uint32_t mask = (1u << bits) - 1u;
-  const int words_per_row = (kept + codes_per_word - 1) / codes_per_word;
-  const size_t group_size = static_cast<size_t>(w.group_size());
-  const size_t groups_per_row =
-      (static_cast<size_t>(kept) + group_size - 1) / group_size;
   std::vector<int> col_of(static_cast<size_t>(kept));
   std::vector<float> val_of(static_cast<size_t>(kept));
   for (int j = 0; j < w.rows(); ++j) {
     for (int k = 0; k < kept; ++k) {
-      const size_t word = static_cast<size_t>(j) * index_words_per_row + k / 16;
-      const int shift = (k % 16) * 2;
-      const int in_group = static_cast<int>((w.packed_indices()[word] >> shift) & 0x3u);
-      col_of[static_cast<size_t>(k)] = (k / 2) * 4 + in_group;
-      const size_t vword = static_cast<size_t>(j) * words_per_row + k / codes_per_word;
-      const int q = static_cast<int>(
-          (w.packed_values()[vword] >> ((k % codes_per_word) * bits)) & mask);
-      const size_t gi =
-          static_cast<size_t>(j) * groups_per_row + static_cast<size_t>(k) / group_size;
-      val_of[static_cast<size_t>(k)] =
-          static_cast<float>(q - static_cast<int>(w.zeros()[gi])) * w.scales()[gi];
+      col_of[static_cast<size_t>(k)] = w.ColumnOf(j, k);
+      val_of[static_cast<size_t>(k)] = w.values().ValueAt(j, k);
     }
     for (int i = 0; i < m; ++i) {
       const float* xrow = x.row(i);

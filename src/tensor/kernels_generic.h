@@ -316,10 +316,11 @@ Matrix GemmTNImpl(const Matrix& a, const Matrix& b) {
 // load stays in bounds; StoreLanes drops their results.
 // ---------------------------------------------------------------------------
 
-// A packed weight as the decode kernels read it: rows of `len` codes
-// (cols for quant, kept slots for 2:4) of `bits` each, packed from the low end
-// of uint32 words; a zero and a scale per group of `group_size` codes; for 2:4
-// also each kept slot's 2-bit position in its group of 4, 16 per word.
+// A packed weight as the decode kernels read it: the PackedQuantMatrix code
+// layout, rows of `len` codes of `bits` each packed from the low end of uint32
+// words, with a zero and a scale per group of `group_size` codes. A 2:4 weight
+// is its kept values' PackedQuantMatrix (len = cols / 2) plus each kept slot's
+// 2-bit position in its group of 4, 16 per word.
 struct PackedRows {
   const uint32_t* codes = nullptr;
   const uint32_t* positions = nullptr;  // 2:4 only
@@ -333,33 +334,23 @@ struct PackedRows {
   size_t groups = 0;  // groups per row
 };
 
-PackedRows RowsOf(size_t len, int bits, int group_size) {
-  PackedRows r;
-  r.len = len;
-  r.bits = bits;
-  r.words = (len + 32 / bits - 1) / (32 / bits);
-  r.group_size = static_cast<size_t>(group_size);
-  r.groups = (len + r.group_size - 1) / r.group_size;
-  return r;
-}
-
 PackedRows RowsOf(const PackedQuantMatrix& w) {
-  PackedRows r =
-      RowsOf(static_cast<size_t>(w.cols()), w.bits(), w.group_size());
+  PackedRows r;
   r.codes = w.packed().data();
   r.zeros = w.zeros().data();
   r.scales = w.scales().data();
+  r.len = static_cast<size_t>(w.cols());
+  r.bits = w.bits();
+  r.words = static_cast<size_t>(w.words_per_row());
+  r.group_size = static_cast<size_t>(w.group_size());
+  r.groups = static_cast<size_t>(w.groups_per_row());
   return r;
 }
 
 PackedRows RowsOf(const Sparse24Matrix& w) {
-  PackedRows r =
-      RowsOf(static_cast<size_t>(w.cols()) / 2, w.bits(), w.group_size());
-  r.codes = w.packed_values().data();
-  r.positions = w.packed_indices().data();
-  r.position_words = (r.len + 15) / 16;
-  r.zeros = w.zeros().data();
-  r.scales = w.scales().data();
+  PackedRows r = RowsOf(w.values());
+  r.positions = w.positions().data();
+  r.position_words = static_cast<size_t>(w.position_words_per_row());
   return r;
 }
 

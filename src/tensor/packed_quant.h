@@ -4,9 +4,11 @@
 //     q = clamp(round(w / scale) + zero, 0, 2^bits - 1)
 //     w' = (q - zero) * scale
 // For the near-symmetric deltas ΔCompress produces, zero ≈ 2^(bits-1). Values are packed
-// (32 / bits) per uint32 word, which is exactly the "packed int2/int4 weight" layout the
-// paper stores; ByteSize() reports the true serialized footprint used for compression
-// ratios and for the serving-side transfer model.
+// (32 / bits) per uint32 word from the low end, each row starting a new word, which is
+// exactly the "packed int2/int4 weight" layout the paper stores; ByteSize() reports the
+// true serialized footprint used for compression ratios and for the serving-side
+// transfer model. This is the one code layout: a 2:4 matrix (sparse24.h) stores its
+// kept values as a PackedQuantMatrix too.
 #ifndef SRC_TENSOR_PACKED_QUANT_H_
 #define SRC_TENSOR_PACKED_QUANT_H_
 
@@ -23,7 +25,8 @@ class PackedQuantMatrix {
   PackedQuantMatrix() = default;
 
   // Quantizes `w` with the given bit width (2, 4, or 8) and group size.
-  // group_size must divide into cols or be larger (single group per row).
+  // The last group of a row may be short; a group_size above cols makes one group
+  // per row.
   static PackedQuantMatrix Quantize(const Matrix& w, int bits, int group_size);
 
   // Reconstructs the dense float matrix.
@@ -37,6 +40,8 @@ class PackedQuantMatrix {
   int cols() const { return cols_; }
   int bits() const { return bits_; }
   int group_size() const { return group_size_; }
+  int groups_per_row() const { return groups_per_row_; }
+  int words_per_row() const { return words_per_row_; }
   bool empty() const { return rows_ == 0; }
 
   // Serialized footprint: packed words + per-group scale (fp16) + zero (uint8).
@@ -60,6 +65,9 @@ class PackedQuantMatrix {
                                                       std::vector<uint8_t> zeros);
 
  private:
+  // Geometry of a rows x cols matrix (group_size clamped to the row), no storage.
+  static PackedQuantMatrix Shaped(int rows, int cols, int bits, int group_size);
+
   int rows_ = 0;
   int cols_ = 0;
   int bits_ = 0;

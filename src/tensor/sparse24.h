@@ -2,14 +2,17 @@
 // (paper Fig. 5, steps 2+3).
 //
 // In every group of 4 contiguous columns at most 2 values are non-zero. Storage keeps
-// exactly 2 quantized codes per group plus their 2-bit in-group positions, matching
-// NVIDIA sparse-tensor-core metadata layout: for an R×C matrix the footprint is
+// exactly 2 slots per group (step 2), so cols/2 kept values a row, and quantizes them
+// as a PackedQuantMatrix of rows x cols/2 with groups of `group_size` kept values
+// (step 3), next to each slot's 2-bit position in its group of 4, matching the NVIDIA
+// sparse-tensor-core metadata layout. For an R×C matrix the footprint is
 //   R * C/2 * bits        (packed codes)
-// + R * C/2 * 2 bits      (indices)
+// + R * C/2 * 2 bits      (positions)
 // + per-group quant params.
 //
 // Construction takes an already 2:4-pruned dense matrix (the mask search lives in
-// src/compress — magnitude- or Hessian-aware); this class is the packing/layout layer.
+// src/compress — magnitude- or Hessian-aware); this class is the gather/position layer
+// over the one code layout.
 #ifndef SRC_TENSOR_SPARSE24_H_
 #define SRC_TENSOR_SPARSE24_H_
 
@@ -18,6 +21,7 @@
 #include <vector>
 
 #include "src/tensor/matrix.h"
+#include "src/tensor/packed_quant.h"
 
 namespace dz {
 
@@ -32,7 +36,8 @@ class Sparse24Matrix {
   Sparse24Matrix() = default;
 
   // Packs a 2:4-sparse matrix, quantizing kept values to `bits` with per-row groups of
-  // `group_size` *kept* values. Requires Is24Sparse(w) and cols % 4 == 0.
+  // `group_size` *kept* values. Requires Is24Sparse(w) and cols % 4 == 0. A group of 4
+  // with fewer than 2 non-zeros is padded with zeros at its lowest unused positions.
   static Sparse24Matrix Pack(const Matrix& w, int bits, int group_size);
 
   Matrix Dequantize() const;
@@ -41,49 +46,36 @@ class Sparse24Matrix {
   // (software analogue of a sparse-tensor-core kernel).
   Matrix MatmulNT(const Matrix& x) const;
 
-  int rows() const { return rows_; }
+  int rows() const { return values_.rows(); }
   int cols() const { return cols_; }
-  int bits() const { return bits_; }
-  int group_size() const { return group_size_; }
-  bool empty() const { return rows_ == 0; }
+  int bits() const { return values_.bits(); }
+  int group_size() const { return values_.group_size(); }
+  bool empty() const { return values_.empty(); }
 
   size_t ByteSize() const;
 
-  // Fraction of stored slots (0.5 for 2:4).
-  double density() const { return 0.5; }
+  // The kept values: slot k of row r is values().ValueAt(r, k), in column ColumnOf(r, k).
+  const PackedQuantMatrix& values() const { return values_; }
+  // Each slot's 2-bit position in its group of 4, 16 per word from the low end,
+  // position_words_per_row() words a row.
+  const std::vector<uint32_t>& positions() const { return positions_; }
+  int position_words_per_row() const { return (cols_ / 2 + 15) / 16; }
+  int ColumnOf(int r, int k) const {
+    const uint32_t word =
+        positions_[static_cast<size_t>(r) * position_words_per_row() + k / 16];
+    return (k / 2) * 4 + static_cast<int>((word >> ((k % 16) * 2)) & 0x3u);
+  }
 
-  // Raw storage accessors (serialization).
-  const std::vector<uint32_t>& packed_values() const { return packed_; }
-  const std::vector<uint32_t>& packed_indices() const { return indices_; }
-  const std::vector<float>& scales() const { return scales_; }
-  const std::vector<uint8_t>& zeros() const { return zeros_; }
-
-  // Rebuilds a matrix from raw storage (deserialization). Returns nullopt
-  // unless rows, cols, group_size > 0, cols % 4 == 0, bits is 2, 4 or 8, and
-  // every vector has the size these imply: the kernels index by those sizes
-  // unchecked.
-  static std::optional<Sparse24Matrix> FromStorage(int rows, int cols, int bits,
-                                                   int group_size,
-                                                   std::vector<uint32_t> packed,
-                                                   std::vector<uint32_t> indices,
-                                                   std::vector<float> scales,
-                                                   std::vector<uint8_t> zeros);
+  // Rebuilds a matrix from raw storage (deserialization). Returns nullopt unless
+  // cols > 0, cols % 4 == 0, `values` holds cols/2 codes a row and `positions` has
+  // the size these imply: the kernels index by those sizes unchecked.
+  static std::optional<Sparse24Matrix> FromStorage(int cols, PackedQuantMatrix values,
+                                                   std::vector<uint32_t> positions);
 
  private:
-  float KeptValueAt(int r, int k) const;  // k-th kept value in row r
-
-  int rows_ = 0;
   int cols_ = 0;
-  int bits_ = 0;
-  int group_size_ = 0;      // group of *kept* values sharing quant params
-  int kept_per_row_ = 0;    // cols_ / 2
-  int groups_per_row_ = 0;
-  int codes_per_word_ = 0;
-  int words_per_row_ = 0;
-  std::vector<uint32_t> packed_;    // quantized kept values
-  std::vector<uint32_t> indices_;   // 2-bit positions, 16 per word
-  std::vector<float> scales_;
-  std::vector<uint8_t> zeros_;
+  PackedQuantMatrix values_;         // rows x cols/2 kept values
+  std::vector<uint32_t> positions_;  // rows x position_words_per_row()
 };
 
 }  // namespace dz

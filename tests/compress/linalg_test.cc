@@ -47,7 +47,7 @@ TEST(LinalgTest, IdentityFixedPoint) {
 TEST(LinalgTest, UpperFactorSatisfiesUtU) {
   Rng rng(3);
   const Matrix a = RandomSpd(10, rng);
-  const Matrix u = CholeskyUpperFromLower(CholeskyLower(a));
+  const Matrix u = CholeskyLower(a).Transposed();  // upper factor, as OBS builds it
   const Matrix rebuilt = MatmulTN(u, u);  // Uᵀ·U
   EXPECT_LT(RelativeError(rebuilt, a), 1e-4);
 }

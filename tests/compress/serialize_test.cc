@@ -257,6 +257,23 @@ TEST(SerializeGeometryTest, RejectsGeometryTheStorageDoesNotFit) {
   l.packed = 8;
   cases.emplace_back("sparse cols 6", l);
   l = RawLayer();
+  l.cols = 18;  // 9 kept slots a row, storage sized to fit them
+  l.packed = 16;
+  l.scales = l.zeros = 24;
+  cases.emplace_back("sparse cols 18", l);
+  l = RawLayer();
+  l.cols = 0;
+  l.packed = l.indices = l.scales = l.zeros = 0;
+  cases.emplace_back("sparse cols 0", l);
+  l = RawLayer();
+  l.indices = 7;
+  cases.emplace_back("position words one short", l);
+  l.indices = 9;
+  cases.emplace_back("position words one over", l);
+  l = RawLayer();
+  l.packed = 16;  // 16 codes a row, as if every column were kept
+  cases.emplace_back("sparse packed words for cols", l);
+  l = RawLayer();
   l.scales = 15;
   cases.emplace_back("short scales", l);
   l = RawLayer();

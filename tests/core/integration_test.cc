@@ -55,9 +55,13 @@ TEST(IntegrationTest, Sparse24StorageAccessorsRoundTrip) {
   Rng rng(5);
   const Matrix pruned = MagnitudePrune24(Matrix::Random(16, 64, rng, 0.02f));
   const auto original = Sparse24Matrix::Pack(pruned, 4, 32);
+  const PackedQuantMatrix& values = original.values();
+  auto raw_values = PackedQuantMatrix::FromStorage(
+      original.rows(), original.cols() / 2, original.bits(), 32, values.packed(),
+      values.scales(), values.zeros());
+  ASSERT_TRUE(raw_values.has_value());
   const auto rebuilt = Sparse24Matrix::FromStorage(
-      original.rows(), original.cols(), original.bits(), 32, original.packed_values(),
-      original.packed_indices(), original.scales(), original.zeros());
+      original.cols(), std::move(*raw_values), original.positions());
   ASSERT_TRUE(rebuilt.has_value());
   EXPECT_EQ(RelativeError(rebuilt->Dequantize(), original.Dequantize()), 0.0);
   EXPECT_EQ(rebuilt->ByteSize(), original.ByteSize());

@@ -6,7 +6,8 @@
 # tools/check_trace.sh. A trace with a prompt over the prefill budget must
 # still finish on both engines, and one with a request larger than the KV pool
 # must finish with that request shed. inspect on a directory or on a crafted
-# artifact must exit 1 with a message. Given a bench_soak binary too, it checks that
+# artifact must exit 1 with a message. Every numeric flag of trace, simulate
+# and cluster must reject a non-number and an out-of-range value with exit 1. Given a bench_soak binary too, it checks that
 # bad window counts exit 2 with a message instead of running.
 # Usage: tools/check_cli.sh path/to/dzip_cli [repo-root] [path/to/bench_soak]
 set -u
@@ -30,12 +31,15 @@ if ! "$cli" trace --out "$tmp/t.jsonl" --models 2 --rate 2.0 --duration 10 \
   exit 1
 fi
 
-# Each bad invocation must exit non-zero AND mention the offending flag.
+# Each bad invocation must exit 1 (not 0, nor an abort, a trap or a timeout)
+# AND mention the offending flag.
 expect_reject() {
   local what="$1" flag="$2"
   shift 2
-  if "$cli" "$@" >"$tmp/out" 2>"$tmp/err"; then
-    echo "FAIL: $what — expected a usage error, got exit 0"
+  timeout 60 "$cli" "$@" >"$tmp/out" 2>"$tmp/err"
+  local code=$?
+  if [ "$code" -ne 1 ]; then
+    echo "FAIL: $what — expected a usage error (exit 1), got exit $code"
     fail=1
   elif ! grep -q -- "$flag" "$tmp/err"; then
     echo "FAIL: $what — stderr does not mention $flag:"
@@ -58,6 +62,45 @@ expect_reject "cluster non-numeric metrics interval" "metrics-interval" \
   cluster --trace "$tmp/t.jsonl" --gpus 2 --metrics-interval abc
 expect_reject "cluster empty trace-out path" "trace-out" \
   cluster --trace "$tmp/t.jsonl" --gpus 2 --trace-out ""
+
+# Numeric flags that used to abort, trap or wrap.
+expect_reject "non-numeric model count" "--models" \
+  trace --out "$tmp/bad.jsonl" --models abc
+expect_reject "zero model count" "--models" trace --out "$tmp/bad.jsonl" --models 0
+expect_reject "model count past int" "--models" \
+  trace --out "$tmp/bad.jsonl" --models 1e12
+expect_reject "non-numeric duration" "--duration" \
+  trace --out "$tmp/bad.jsonl" --duration abc
+expect_reject "negative rate" "--rate" trace --out "$tmp/bad.jsonl" --rate -5
+expect_reject "non-numeric tensor parallelism" "--tp" \
+  simulate --trace "$tmp/t.jsonl" --tp abc
+expect_reject "zero concurrent deltas" "--n" simulate --trace "$tmp/t.jsonl" --n 0
+expect_reject "non-numeric concurrent deltas" "--n" \
+  simulate --trace "$tmp/t.jsonl" --n abc
+expect_reject "non-numeric LoRA rank" "--rank" \
+  simulate --trace "$tmp/t.jsonl" --engine lora --rank abc
+
+# Every flag a usage text shows with a number ("[--tp 4]", "--gpus 4",
+# "[--prefetch 0|1]") must reject 'abc' and '1e12', so a numeric flag added
+# later without validation fails here.
+for cmd in trace simulate cluster; do
+  flags=$("$cli" help "$cmd" | grep -oE -- '--[a-z0-9-]+ [0-9][0-9.|]*([] ]|$)' |
+    cut -d' ' -f1 | sort -u)
+  if [ "$(echo "$flags" | wc -l)" -lt 9 ]; then
+    echo "FAIL: found only these numeric flags in the $cmd usage: $flags"
+    fail=1
+  fi
+  for flag in $flags; do
+    for value in abc 1e12; do
+      case "$cmd" in
+        trace) set -- trace --out "$tmp/bad.jsonl" ;;
+        simulate) set -- simulate --trace "$tmp/t.jsonl" ;;
+        cluster) set -- cluster --trace "$tmp/t.jsonl" --gpus 2 ;;
+      esac
+      expect_reject "$cmd $flag $value" "$flag" "$@" "$flag" "$value"
+    done
+  done
+done
 
 # Kernel backend selection: unknown names must fail with the compiled list.
 expect_reject "unknown kernel isa" "isa" \

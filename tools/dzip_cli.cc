@@ -10,10 +10,13 @@
 // Exit status: 0 on success and on explicit --help; 1 on usage errors (unknown
 // subcommand/flag, missing required flag, bad value) or I/O failures.
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <cstring>
+#include <limits>
 #include <map>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "src/cluster/router.h"
@@ -184,35 +187,43 @@ std::string Get(const ArgMap& args, const std::string& key, const std::string& f
   return it == args.end() ? fallback : it->second;
 }
 
-double GetNum(const ArgMap& args, const std::string& key, double fallback) {
-  const auto it = args.find(key);
-  return it == args.end() ? fallback : std::strtod(it->second.c_str(), nullptr);
-}
+// Bounds of a numeric flag: [lo, hi], or (lo, hi] when `above`.
+struct Bounds {
+  double lo;
+  double hi;
+  bool above = false;
+};
 
-// Strict numeric flag parsing for flags where GetNum's silent strtod fallback
-// ("abc" → 0) would mask an operator typo as a valid configuration. The value
-// must parse in full as a number and (with `require_positive`) be > 0;
-// violations print a usage error and fail the subcommand.
-bool GetCheckedNum(const ArgMap& args, const std::string& key, double fallback,
-                   bool require_positive, double& out) {
+constexpr double kIntMax = std::numeric_limits<int>::max();
+// Simulated seconds and rates past these are typos, not configurations.
+constexpr double kMaxSeconds = 1e9;
+constexpr double kMaxRate = 1e6;
+
+// Reads numeric flag --key into `out`, which keeps its value when the flag is
+// absent. The value must parse in full as a finite number within `b`, and be
+// integral when `out` is an integer (the bounds keep it inside int); otherwise
+// this prints an error naming the flag and returns false.
+template <typename T>
+bool GetNum(const ArgMap& args, const std::string& key, Bounds b, T& out) {
   const auto it = args.find(key);
   if (it == args.end()) {
-    out = fallback;
     return true;
   }
+  const char* text = it->second.c_str();
   char* end = nullptr;
-  const double v = std::strtod(it->second.c_str(), &end);
-  if (end == it->second.c_str() || *end != '\0') {
-    std::fprintf(stderr, "error: --%s needs a number, got '%s'\n", key.c_str(),
-                 it->second.c_str());
+  const double v = std::strtod(text, &end);
+  constexpr bool kInt = std::is_integral_v<T>;
+  if (end == text || *end != '\0' || !std::isfinite(v) || (kInt && v != std::floor(v))) {
+    std::fprintf(stderr, "error: --%s needs %s, got '%s'\n", key.c_str(),
+                 kInt ? "an integer" : "a finite number", text);
     return false;
   }
-  if (require_positive && v <= 0.0) {
-    std::fprintf(stderr, "error: --%s must be > 0, got '%s'\n", key.c_str(),
-                 it->second.c_str());
+  if (v < b.lo || (b.above && v == b.lo) || v > b.hi) {
+    std::fprintf(stderr, "error: --%s must be %s %.17g and <= %.17g, got '%s'\n",
+                 key.c_str(), b.above ? ">" : ">=", b.lo, b.hi, text);
     return false;
   }
-  out = v;
+  out = static_cast<T>(v);
   return true;
 }
 
@@ -240,11 +251,18 @@ int CmdTrace(const ArgMap& args) {
     return 1;
   }
   TraceConfig cfg;
-  cfg.n_models = static_cast<int>(GetNum(args, "models", 32));
-  cfg.arrival_rate = GetNum(args, "rate", 1.0);
-  cfg.duration_s = GetNum(args, "duration", 300.0);
-  cfg.zipf_alpha = GetNum(args, "alpha", 1.5);
-  cfg.seed = static_cast<uint64_t>(GetNum(args, "seed", 7));
+  cfg.seed = 7;  // the usage text's default, not TraceConfig's
+  if (!GetNum(args, "models", {1, kIntMax}, cfg.n_models) ||
+      !GetNum(args, "rate", {0, kMaxRate, true}, cfg.arrival_rate) ||
+      !GetNum(args, "duration", {0, kMaxSeconds, true}, cfg.duration_s) ||
+      !GetNum(args, "alpha", {0, 100}, cfg.zipf_alpha) ||
+      !GetNum(args, "seed", {0, kIntMax}, cfg.seed) ||
+      !GetNum(args, "tenants", {1, kIntMax}, cfg.tenants.n_tenants) ||
+      !GetNum(args, "interactive-frac", {0, 1}, cfg.tenants.interactive_frac) ||
+      !GetNum(args, "batch-frac", {0, 1}, cfg.tenants.batch_frac) ||
+      !GetNum(args, "flash-boost", {0, kMaxRate, true}, cfg.tenants.flash_boost)) {
+    return 1;
+  }
   const std::string dist = Get(args, "dist", "zipf");
   if (dist == "uniform") {
     cfg.dist = PopularityDist::kUniform;
@@ -256,11 +274,6 @@ int CmdTrace(const ArgMap& args) {
     std::fprintf(stderr, "error: unknown --dist '%s'\n", dist.c_str());
     return 1;
   }
-  cfg.tenants.n_tenants = static_cast<int>(GetNum(args, "tenants", 1));
-  if (cfg.tenants.n_tenants < 1) {
-    std::fprintf(stderr, "error: --tenants must be >= 1\n");
-    return 1;
-  }
   const std::string scenario = Get(args, "scenario", "steady");
   if (!ParseTenantScenario(scenario, cfg.tenants.scenario)) {
     std::fprintf(stderr,
@@ -269,18 +282,8 @@ int CmdTrace(const ArgMap& args) {
                  scenario.c_str());
     return 1;
   }
-  cfg.tenants.interactive_frac = GetNum(args, "interactive-frac", 0.0);
-  cfg.tenants.batch_frac = GetNum(args, "batch-frac", 0.0);
-  cfg.tenants.flash_boost = GetNum(args, "flash-boost", cfg.tenants.flash_boost);
-  if (cfg.tenants.interactive_frac < 0.0 || cfg.tenants.batch_frac < 0.0 ||
-      cfg.tenants.interactive_frac + cfg.tenants.batch_frac > 1.0) {
-    std::fprintf(stderr,
-                 "error: --interactive-frac and --batch-frac must be >= 0 and sum "
-                 "to <= 1\n");
-    return 1;
-  }
-  if (cfg.tenants.flash_boost <= 0.0) {
-    std::fprintf(stderr, "error: --flash-boost must be > 0\n");
+  if (cfg.tenants.interactive_frac + cfg.tenants.batch_frac > 1.0) {
+    std::fprintf(stderr, "error: --interactive-frac and --batch-frac must sum to <= 1\n");
     return 1;
   }
   const Trace trace = GenerateTrace(cfg);
@@ -320,10 +323,23 @@ bool ParseEngineArgs(const ArgMap& args, EngineConfig& cfg, bool& vllm_baseline)
     std::fprintf(stderr, "error: unknown --gpu '%s'\n", gpu.c_str());
     return false;
   }
-  cfg.exec.tp = static_cast<int>(GetNum(args, "tp", 4));
-  cfg.max_concurrent_deltas = static_cast<int>(GetNum(args, "n", 8));
-  cfg.lora_rank = static_cast<int>(GetNum(args, "rank", 16));
-  if (static_cast<int>(GetNum(args, "bits", 4)) == 2) {
+  cfg.exec.tp = 4;  // the usage text's default, not ExecModelConfig's
+  int bits = 4;
+  if (!GetNum(args, "tp", {1, kIntMax}, cfg.exec.tp) ||
+      !GetNum(args, "n", {1, kIntMax}, cfg.max_concurrent_deltas) ||
+      !GetNum(args, "rank", {1, kIntMax}, cfg.lora_rank) ||
+      !GetNum(args, "bits", {2, 4}, bits) ||
+      !GetNum(args, "prefetch", {0, 1}, cfg.prefetch.enabled) ||
+      !GetNum(args, "lookahead", {0, kIntMax}, cfg.prefetch.lookahead) ||
+      !GetNum(args, "admission", {0, 1}, cfg.scheduler.admission_control) ||
+      !GetNum(args, "class-preempt", {0, 1}, cfg.scheduler.class_preemption)) {
+    return false;
+  }
+  if (bits == 3) {
+    std::fprintf(stderr, "error: --bits must be 2 or 4\n");
+    return false;
+  }
+  if (bits == 2) {
     cfg.exec.delta_format = WeightFormat::kSparseInt2;
   }
   const std::string engine_name = Get(args, "engine", "deltazip");
@@ -337,16 +353,12 @@ bool ParseEngineArgs(const ArgMap& args, EngineConfig& cfg, bool& vllm_baseline)
     std::fprintf(stderr, "error: unknown --engine '%s'\n", engine_name.c_str());
     return false;
   }
-  cfg.prefetch.enabled = GetNum(args, "prefetch", 0) != 0;
-  cfg.prefetch.lookahead = static_cast<int>(GetNum(args, "lookahead", 4));
   const std::string sched = Get(args, "sched", "fcfs");
   if (!ParseSchedPolicy(sched, cfg.scheduler.policy)) {
     std::fprintf(stderr, "error: unknown --sched '%s' (fcfs, priority, dwfq)\n",
                  sched.c_str());
     return false;
   }
-  cfg.scheduler.admission_control = GetNum(args, "admission", 0) != 0;
-  cfg.scheduler.class_preemption = GetNum(args, "class-preempt", 0) != 0;
   return true;
 }
 
@@ -426,8 +438,7 @@ int CmdSimulate(const ArgMap& args) {
     return 1;
   }
   const std::string metrics_out = Get(args, "metrics-out", "");
-  if (!GetCheckedNum(args, "metrics-interval", 0.0, /*require_positive=*/true,
-                     cfg.metrics.interval_s)) {
+  if (!GetNum(args, "metrics-interval", {0, kMaxSeconds, true}, cfg.metrics.interval_s)) {
     return 1;
   }
   std::string trace_out;
@@ -503,9 +514,7 @@ int CmdCluster(const ArgMap& args) {
     std::fprintf(stderr, "error: cluster requires --gpus <n>\n");
     return 1;
   }
-  cfg.placer.n_gpus = static_cast<int>(GetNum(args, "gpus", 0));
-  if (cfg.placer.n_gpus < 1) {
-    std::fprintf(stderr, "error: --gpus must be >= 1\n");
+  if (!GetNum(args, "gpus", {1, kIntMax}, cfg.placer.n_gpus)) {
     return 1;
   }
   const std::string policy = Get(args, "policy", "delta-affinity");
@@ -525,16 +534,14 @@ int CmdCluster(const ArgMap& args) {
                  fault_spec.c_str());
     return 1;
   }
-  cfg.autoscale.enabled = GetNum(args, "autoscale", 0.0) != 0.0;
-  cfg.autoscale.min_workers =
-      static_cast<int>(GetNum(args, "min-workers", cfg.autoscale.min_workers));
-  cfg.autoscale.max_workers =
-      static_cast<int>(GetNum(args, "max-workers", cfg.autoscale.max_workers));
-  if (cfg.autoscale.enabled &&
-      (cfg.autoscale.min_workers < 1 ||
-       cfg.autoscale.max_workers < cfg.autoscale.min_workers)) {
+  if (!GetNum(args, "autoscale", {0, 1}, cfg.autoscale.enabled) ||
+      !GetNum(args, "min-workers", {1, kIntMax}, cfg.autoscale.min_workers) ||
+      !GetNum(args, "max-workers", {1, kIntMax}, cfg.autoscale.max_workers)) {
+    return 1;
+  }
+  if (cfg.autoscale.enabled && cfg.autoscale.max_workers < cfg.autoscale.min_workers) {
     std::fprintf(stderr,
-                 "error: need 1 <= --min-workers <= --max-workers (got %d..%d)\n",
+                 "error: need --min-workers <= --max-workers (got %d..%d)\n",
                  cfg.autoscale.min_workers, cfg.autoscale.max_workers);
     return 1;
   }
@@ -560,14 +567,16 @@ int CmdCluster(const ArgMap& args) {
     }
     cfg.registry.enabled = true;
   }
-  cfg.registry.net_gbps = GetNum(args, "net-gbps", cfg.registry.net_gbps);
-  if (cfg.registry.net_gbps <= 0.0) {
-    std::fprintf(stderr, "error: --net-gbps must be > 0\n");
+  if (!GetNum(args, "net-gbps", {0, kMaxRate, true}, cfg.registry.net_gbps)) {
     return 1;
   }
   const std::string metrics_out = Get(args, "metrics-out", "");
-  if (!GetCheckedNum(args, "metrics-interval", 0.0, /*require_positive=*/true,
-                     cfg.engine.metrics.interval_s)) {
+  double slo_e2e_s = 120.0;
+  double slo_ttft_s = 30.0;
+  if (!GetNum(args, "metrics-interval", {0, kMaxSeconds, true},
+              cfg.engine.metrics.interval_s) ||
+      !GetNum(args, "slo-e2e", {0, kMaxSeconds, true}, slo_e2e_s) ||
+      !GetNum(args, "slo-ttft", {0, kMaxSeconds, true}, slo_ttft_s)) {
     return 1;
   }
   std::string trace_out;
@@ -602,8 +611,7 @@ int CmdCluster(const ArgMap& args) {
                 metrics_out.c_str());
   }
   std::printf("%s\n", KernelBackendLine().c_str());
-  std::printf("%s", report.Summary(GetNum(args, "slo-e2e", 120.0),
-                                   GetNum(args, "slo-ttft", 30.0)).c_str());
+  std::printf("%s", report.Summary(slo_e2e_s, slo_ttft_s).c_str());
   return 0;
 }
 
