@@ -16,6 +16,7 @@
 #include "src/tensor/backend.h"
 #include "src/train/finetune.h"
 #include "src/util/json.h"
+#include "src/util/parse.h"
 #include "src/util/table.h"
 #include "src/util/thread_pool.h"
 
@@ -129,13 +130,18 @@ inline std::string Pct(double frac) { return Table::Num(frac * 100.0, 2); }
 
 // Parses the shared `--quick` smoke-mode flag: bare `--quick` (or `--quick`
 // followed by another flag) means on; an explicit value ("--quick 0|1")
-// overrides. Unrelated arguments are ignored.
+// overrides, and any other value exits 2. Unrelated arguments are ignored.
 inline bool ParseQuickFlag(int argc, char** argv) {
   bool quick = false;
   for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--quick") == 0) {
-      quick = i + 1 >= argc || argv[i + 1][0] == '-' ||
-              std::strtol(argv[i + 1], nullptr, 10) != 0;
+    if (std::strcmp(argv[i], "--quick") != 0) {
+      continue;
+    }
+    quick = true;
+    if (i + 1 < argc && argv[i + 1][0] != '-' &&
+        !ParseNumber(argv[i + 1], {0, 1}, quick)) {
+      std::fprintf(stderr, "error: --quick needs 0 or 1, got '%s'\n", argv[i + 1]);
+      std::exit(2);
     }
   }
   return quick;

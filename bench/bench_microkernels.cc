@@ -13,6 +13,7 @@
 #include <string>
 #include <vector>
 
+#include "bench/bench_common.h"
 #include "src/compress/lossless.h"
 #include "src/compress/obs.h"
 #include "src/tensor/backend.h"
@@ -143,19 +144,13 @@ BENCHMARK(BM_QuantizePack);
 // Google Benchmark's flags, passing anything else through untouched.
 int main(int argc, char** argv) {
   std::vector<std::string> args = {argv[0]};
+  if (dz::ParseQuickFlag(argc, argv)) {
+    // Plain-double form: the "0.02s" suffix syntax needs benchmark >= 1.8.
+    args.push_back("--benchmark_min_time=0.02");
+  }
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--quick") == 0) {
-      // Shared ParseQuickFlag syntax: bare flag means on, an explicit 0/1
-      // value overrides.
-      bool quick = true;
-      if (i + 1 < argc && argv[i + 1][0] != '-') {
-        quick = std::strtol(argv[i + 1], nullptr, 10) != 0;
-        ++i;
-      }
-      if (quick) {
-        // Plain-double form: the "0.02s" suffix syntax needs benchmark >= 1.8.
-        args.push_back("--benchmark_min_time=0.02");
-      }
+      i += i + 1 < argc && argv[i + 1][0] != '-';  // skip its 0|1 value
     } else if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
       args.push_back(std::string("--benchmark_out=") + argv[i + 1]);
       args.push_back("--benchmark_out_format=json");

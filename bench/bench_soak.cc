@@ -20,7 +20,6 @@
 // `--quick` (CI smoke, ASan-friendly) still streams >= 1M requests; the full
 // run is 5M. `--metrics-out <path>` selects the JSONL path, `--json <path>`
 // writes the bench-summary JSON (dz-bench-v1 schema).
-#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -63,11 +62,8 @@ long long ParseCountFlag(int argc, char** argv, const char* flag, long long fall
       continue;
     }
     const char* v = i + 1 < argc ? argv[i + 1] : "";
-    char* end = nullptr;
-    errno = 0;
-    const long long n = std::strtoll(v, &end, 10);
-    if (end == v || *end != '\0' || errno != 0 || n <= 0 ||
-        n > std::numeric_limits<int>::max()) {
+    long long n = 0;
+    if (!ParseNumber(v, {1, std::numeric_limits<int>::max()}, n)) {
       std::fprintf(stderr, "bench_soak: %s needs a positive integer, got '%s'\n", flag, v);
       std::exit(2);
     }

@@ -652,6 +652,7 @@ ClusterReport ServeElastic(const ClusterConfig& cfg, const Trace& trace) {
   if (cfg.autoscale.enabled) {
     DZ_CHECK_GE(cfg.autoscale.min_workers, 1);
     DZ_CHECK_GE(cfg.autoscale.max_workers, cfg.autoscale.min_workers);
+    DZ_CHECK_LE(cfg.autoscale.max_workers, kMaxWorkers);
     DZ_CHECK_GT(cfg.autoscale.decision_interval_s, 0.0);
   }
 

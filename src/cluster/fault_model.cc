@@ -1,47 +1,23 @@
 #include "src/cluster/fault_model.h"
 
 #include <algorithm>
-#include <cctype>
 #include <cstdio>
-#include <cstdlib>
+#include <limits>
+#include <string_view>
 #include <utility>
 
-#include "src/registry/registry.h"
 #include "src/util/check.h"
+#include "src/util/parse.h"
 #include "src/util/rng.h"
 
 namespace dz {
 
 namespace {
 
-// Parses a strictly formatted non-negative double (digits with at most one
-// '.'), advancing `pos` past it.
-bool ParseNum(const std::string& s, size_t& pos, double& out) {
-  size_t end = pos;
-  int dots = 0;
-  while (end < s.size() &&
-         (std::isdigit(static_cast<unsigned char>(s[end])) || s[end] == '.')) {
-    dots += s[end] == '.' ? 1 : 0;
-    ++end;
-  }
-  if (end - pos == static_cast<size_t>(dots) || dots > 1) {
-    return false;  // no digit, or a second '.' (atof would stop at it)
-  }
-  out = std::atof(s.substr(pos, end - pos).c_str());
-  pos = end;
-  return true;
-}
-
 // One spec token, e.g. "crash@30:w2" or "slow@10-50:w1x0.5".
 bool ParseToken(const std::string& tok, FaultPlan& plan) {
   if (tok.rfind("detect=", 0) == 0) {
-    size_t pos = 7;
-    double v = 0.0;
-    if (!ParseNum(tok, pos, v) || pos != tok.size()) {
-      return false;
-    }
-    plan.detection_delay_s = v;
-    return true;
+    return ParseNumber(std::string_view(tok).substr(7), {0}, plan.detection_delay_s);
   }
   if (tok == "reroute=0" || tok == "reroute=1") {
     plan.reroute = tok.back() == '1';
@@ -54,14 +30,14 @@ bool ParseToken(const std::string& tok, FaultPlan& plan) {
   const std::string kind = tok.substr(0, at);
   size_t pos = at + 1;
   double t1 = 0.0;
-  if (!ParseNum(tok, pos, t1)) {
+  if (!ScanNumber(tok, pos, {0}, t1)) {
     return false;
   }
   double t2 = t1;
   const bool window = pos < tok.size() && tok[pos] == '-';
   if (window) {
     ++pos;
-    if (!ParseNum(tok, pos, t2) || t2 <= t1) {
+    if (!ScanNumber(tok, pos, {t1, std::numeric_limits<double>::max(), true}, t2)) {
       return false;
     }
   }
@@ -70,13 +46,13 @@ bool ParseToken(const std::string& tok, FaultPlan& plan) {
   }
   pos += 2;
   int worker = 0;
-  if (!ParseSpecInt(tok, pos, worker)) {
+  if (!ScanNumber(tok, pos, {0}, worker)) {
     return false;
   }
   double mult = 1.0;
   if (pos < tok.size() && tok[pos] == 'x') {
     ++pos;
-    if (!ParseNum(tok, pos, mult) || mult <= 0.0 || mult > 1.0) {
+    if (!ScanNumber(tok, pos, {0, 1, true}, mult)) {
       return false;
     }
   }
@@ -99,7 +75,7 @@ bool ParseToken(const std::string& tok, FaultPlan& plan) {
   return true;
 }
 
-// Plain decimal (ParseNum accepts only digits and '.', never exponents),
+// Plain decimal with nine places, the resolution the spec round-trip keeps,
 // trailing zeros trimmed so "30.000000000" prints as the "30" a user wrote.
 std::string FormatNum(double v) {
   char buf[64];

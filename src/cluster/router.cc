@@ -60,6 +60,7 @@ std::vector<std::vector<int>> Router::WarmHints(const Trace& trace,
 
 Cluster::Cluster(const ClusterConfig& config) : config_(config) {
   DZ_CHECK_GT(config_.placer.n_gpus, 0);
+  DZ_CHECK_LE(config_.placer.n_gpus, kMaxWorkers);
 }
 
 std::string Cluster::name() const {

@@ -46,6 +46,10 @@ class Router {
   PlacerConfig config_;
 };
 
+// Most workers a cluster runs, statically (placer.n_gpus) or under the
+// autoscaler (autoscale.max_workers).
+constexpr int kMaxWorkers = 1 << 12;
+
 struct ClusterConfig {
   // Cluster size, policy, and placement knobs (placer.n_gpus is the worker count).
   PlacerConfig placer;

@@ -1,14 +1,12 @@
 #include "src/registry/registry.h"
 
 #include <algorithm>
-#include <cctype>
-#include <cerrno>
 #include <climits>
 #include <cstdio>
-#include <cstdlib>
 #include <numeric>
 
 #include "src/util/check.h"
+#include "src/util/parse.h"
 
 namespace dz {
 
@@ -23,7 +21,7 @@ uint64_t Mix64(uint64_t x) {
   return x ^ (x >> 31);
 }
 
-// True when `spec` is exactly "name(n0,n1,...)" with `n_args` counts.
+// True when `spec` is exactly "name(n0,n1,...)" with `n_args` counts >= 0.
 bool MatchCall(const std::string& spec, const std::string& name, int* args,
                int n_args) {
   size_t pos = name.size();
@@ -32,7 +30,7 @@ bool MatchCall(const std::string& spec, const std::string& name, int* args,
   }
   for (int i = 0; i < n_args; ++i) {
     if (pos >= spec.size() || spec[pos++] != (i == 0 ? '(' : ',') ||
-        !ParseSpecInt(spec, pos, args[i])) {
+        !ScanNumber(spec, pos, {0}, args[i])) {
       return false;
     }
   }
@@ -70,20 +68,6 @@ bool ParseRedundancyPolicy(const std::string& spec, RedundancyPolicy& out) {
     return false;
   }
   out = p;
-  return true;
-}
-
-bool ParseSpecInt(const std::string& s, size_t& pos, int& out) {
-  const size_t start = pos;
-  while (pos < s.size() && std::isdigit(static_cast<unsigned char>(s[pos]))) {
-    ++pos;
-  }
-  errno = 0;
-  const long v = pos > start ? std::strtol(s.c_str() + start, nullptr, 10) : -1;
-  if (v < 0 || v > INT_MAX || errno == ERANGE) {
-    return false;
-  }
-  out = static_cast<int>(v);
   return true;
 }
 

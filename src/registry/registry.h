@@ -60,10 +60,6 @@ bool ParseRedundancyPolicy(const std::string& spec, RedundancyPolicy& out);
 // Canonical spec string (round-trips through ParseRedundancyPolicy).
 std::string RedundancyPolicyToSpec(const RedundancyPolicy& policy);
 
-// The integers of the redundancy and fault specs: parses the decimal digits at
-// s[pos] (no sign or space) as an int in [0, INT_MAX], advancing `pos`.
-bool ParseSpecInt(const std::string& s, size_t& pos, int& out);
-
 struct RegistryConfig {
   // Off (the default) means no registry is constructed anywhere and every
   // store keeps its PR 8 infinite-local-disk model (golden-enforced).

@@ -4,6 +4,7 @@
 #include <cstdlib>
 
 #include "src/util/check.h"
+#include "src/util/parse.h"
 
 namespace dz {
 
@@ -19,10 +20,9 @@ constexpr size_t kMaxEnvThreads = 256;
 
 size_t DefaultThreadCount() {
   if (const char* env = std::getenv("DZ_THREADS")) {
-    char* end = nullptr;
-    const long parsed = std::strtol(env, &end, 10);
-    if (end != env && *end == '\0' && parsed > 0) {
-      return std::min(static_cast<size_t>(parsed), kMaxEnvThreads);
+    size_t parsed = 0;
+    if (ParseNumber(env, {1}, parsed)) {
+      return std::min(parsed, kMaxEnvThreads);
     }
   }
   const size_t hw = std::thread::hardware_concurrency();

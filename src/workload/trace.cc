@@ -313,9 +313,11 @@ double TenantRateAt(const TraceConfig& config, int tenant, double t) {
 
 Trace GenerateTrace(const TraceConfig& config) {
   DZ_CHECK_GT(config.n_models, 0);
+  DZ_CHECK_LE(config.n_models, kMaxModels);
   DZ_CHECK_GT(config.arrival_rate, 0.0);
   DZ_CHECK_GT(config.duration_s, 0.0);
   DZ_CHECK_GT(config.tenants.n_tenants, 0);
+  DZ_CHECK_LE(config.tenants.n_tenants, kMaxTenants);
   // Token lengths clamp to [4, max].
   DZ_CHECK_GE(config.prompt_max_tokens, 4);
   DZ_CHECK_GE(config.output_max_tokens, 4);

@@ -78,6 +78,11 @@ struct TraceRequest {
   }
 };
 
+// Most models and tenants a trace may name. Larger counts are typos, and the
+// generator and the serving layers allocate per model and per tenant.
+constexpr int kMaxModels = 1 << 16;
+constexpr int kMaxTenants = 1 << 16;
+
 struct Trace {
   std::vector<TraceRequest> requests;  // sorted by arrival
   int n_models = 0;

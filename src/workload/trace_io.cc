@@ -1,48 +1,31 @@
 #include "src/workload/trace_io.h"
 
 #include <algorithm>
-#include <climits>
-#include <cmath>
 #include <cstdio>
 #include <iomanip>
 #include <sstream>
+
+#include "src/util/parse.h"
 
 namespace dz {
 
 namespace {
 
-// Minimal field extractor for our flat one-line JSON objects: finds "key": and
-// parses the number after it, which must be finite. An absent key is an error
-// unless `optional` (then `value` keeps its default); a malformed number
-// always is.
-bool ExtractNumber(const std::string& line, const std::string& key, double& value,
-                   bool optional = false) {
+// Minimal field extractor for our flat one-line JSON objects: finds "key":
+// and reads the number after it (JSON whitespace may precede it) within
+// `bounds`; a ',' or '}' must follow it. An absent key is an error unless
+// `optional` (then `value` keeps its default).
+template <typename T>
+bool Extract(const std::string& line, const std::string& key, NumberBounds bounds,
+             T& value, bool optional = false) {
   const std::string needle = "\"" + key + "\":";
-  const size_t pos = line.find(needle);
-  if (pos == std::string::npos) {
+  const size_t at = line.find(needle);
+  if (at == std::string::npos) {
     return optional;
   }
-  const char* start = line.c_str() + pos + needle.size();
-  char* end = nullptr;
-  const double parsed = std::strtod(start, &end);
-  if (end == start || !std::isfinite(parsed)) {
-    return false;
-  }
-  value = parsed;
-  return true;
-}
-
-// ExtractNumber for the integer fields: the number must also be integral and
-// fit in an int, so the cast is defined.
-bool ExtractInt(const std::string& line, const std::string& key, int& value,
-                bool optional = false) {
-  double parsed = value;
-  if (!ExtractNumber(line, key, parsed, optional) || parsed != std::trunc(parsed) ||
-      parsed < INT_MIN || parsed > INT_MAX) {
-    return false;
-  }
-  value = static_cast<int>(parsed);
-  return true;
+  size_t pos = line.find_first_not_of(" \t\r\n", at + needle.size());
+  return ScanNumber(line, pos, bounds, value) && pos < line.size() &&
+         (line[pos] == ',' || line[pos] == '}');
 }
 
 }  // namespace
@@ -86,14 +69,14 @@ bool TraceFromJsonl(const std::string& text, Trace& out) {
       if (line.find("\"dz-trace\"") == std::string::npos) {
         return false;
       }
-      double version = 0;
+      int version = 0;
       // The multi-tenant header field is optional (absent in pre-tenant files).
       out.n_tenants = 1;
-      if (!ExtractNumber(line, "version", version) || version != 1.0 ||
-          !ExtractInt(line, "n_models", out.n_models) ||
-          !ExtractNumber(line, "duration", out.duration_s) ||
-          !ExtractInt(line, "n_tenants", out.n_tenants, /*optional=*/true) ||
-          out.n_tenants < 1) {
+      if (!Extract(line, "version", {1, 1}, version) ||
+          !Extract(line, "n_models", {1, kMaxModels}, out.n_models) ||
+          !Extract(line, "duration", {}, out.duration_s) ||
+          !Extract(line, "n_tenants", {1, kMaxTenants}, out.n_tenants,
+                   /*optional=*/true)) {
         return false;
       }
       have_header = true;
@@ -102,17 +85,15 @@ bool TraceFromJsonl(const std::string& text, Trace& out) {
     TraceRequest r;
     // Optional per-request tenant/class fields (default: tenant 0, standard).
     int slo_class = static_cast<int>(SloClass::kStandard);
-    if (!ExtractInt(line, "id", r.id) || !ExtractInt(line, "model", r.model_id) ||
-        !ExtractNumber(line, "arrival", r.arrival_s) ||
-        !ExtractInt(line, "prompt", r.prompt_tokens) ||
-        !ExtractInt(line, "output", r.output_tokens) ||
-        !ExtractInt(line, "tenant", r.tenant_id, /*optional=*/true) ||
-        !ExtractInt(line, "class", slo_class, /*optional=*/true)) {
-      return false;
-    }
-    if (r.model_id < 0 || r.model_id >= out.n_models || r.prompt_tokens < 1 ||
-        r.output_tokens < 1 || r.arrival_s < 0 || r.tenant_id < 0 ||
-        r.tenant_id >= out.n_tenants || slo_class < 0 || slo_class >= kNumSloClasses) {
+    if (!Extract(line, "id", {}, r.id) ||
+        !Extract(line, "model", {0, out.n_models - 1.0}, r.model_id) ||
+        !Extract(line, "arrival", {0}, r.arrival_s) ||
+        !Extract(line, "prompt", {1}, r.prompt_tokens) ||
+        !Extract(line, "output", {1}, r.output_tokens) ||
+        !Extract(line, "tenant", {0, out.n_tenants - 1.0}, r.tenant_id,
+                 /*optional=*/true) ||
+        !Extract(line, "class", {0, kNumSloClasses - 1.0}, slo_class,
+                 /*optional=*/true)) {
       return false;
     }
     r.slo = static_cast<SloClass>(slo_class);

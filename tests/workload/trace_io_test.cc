@@ -1,6 +1,8 @@
 #include "src/workload/trace_io.h"
 
 #include <cstdio>
+#include <string>
+#include <utility>
 
 #include <gtest/gtest.h>
 
@@ -105,7 +107,14 @@ TEST(TraceIoTest, RejectsNonFiniteAndNonIntegralNumbers) {
         "{\"id\":0,\"model\":1,\"tenant\":1e30,\"arrival\":1,\"prompt\":10,\"output\":10}",
         "{\"id\":0,\"model\":1,\"tenant\":nan,\"arrival\":1,\"prompt\":10,\"output\":10}",
         "{\"id\":0,\"model\":1,\"class\":1e20,\"arrival\":1,\"prompt\":10,\"output\":10}",
-        "{\"id\":0,\"model\":1,\"class\":0.5,\"arrival\":1,\"prompt\":10,\"output\":10}"}) {
+        "{\"id\":0,\"model\":1,\"class\":0.5,\"arrival\":1,\"prompt\":10,\"output\":10}",
+        // One spelling: no hex, no '+', no trailing characters, no exponent
+        // for an integer field.
+        "{\"id\":0x10,\"model\":1,\"arrival\":1,\"prompt\":10,\"output\":10}",
+        "{\"id\":0,\"model\":1,\"arrival\":+1,\"prompt\":10,\"output\":10}",
+        "{\"id\":0,\"model\":1,\"arrival\":0x1p3,\"prompt\":10,\"output\":10}",
+        "{\"id\":0,\"model\":1,\"arrival\":1,\"prompt\":10abc,\"output\":10}",
+        "{\"id\":0,\"model\":1,\"arrival\":1,\"prompt\":1e1,\"output\":10}"}) {
     EXPECT_FALSE(TraceFromJsonl(header + bad_line + "\n", decoded)) << bad_line;
   }
   for (const char* bad_header :
@@ -118,6 +127,28 @@ TEST(TraceIoTest, RejectsNonFiniteAndNonIntegralNumbers) {
         "{\"type\":\"dz-trace\",\"version\":1,\"n_models\":2,\"n_tenants\":nan,\"duration\":10}"}) {
     EXPECT_FALSE(TraceFromJsonl(std::string(bad_header) + "\n" + good, decoded))
         << bad_header;
+  }
+}
+
+// Model and tenant counts stop at kMaxModels and kMaxTenants: a header past
+// them is refused before anything allocates per model or per tenant.
+TEST(TraceIoTest, RejectsCountsAboveTheCap) {
+  const std::string line =
+      "{\"id\":0,\"model\":1,\"tenant\":1,\"arrival\":1,\"prompt\":10,\"output\":10}\n";
+  const auto header = [](int n_models, int n_tenants) {
+    return "{\"type\":\"dz-trace\",\"version\":1,\"n_models\":" +
+           std::to_string(n_models) + ",\"n_tenants\":" + std::to_string(n_tenants) +
+           ",\"duration\":10}\n";
+  };
+  Trace decoded;
+  ASSERT_TRUE(TraceFromJsonl(header(kMaxModels, kMaxTenants) + line, decoded));
+  EXPECT_EQ(decoded.n_models, kMaxModels);
+  EXPECT_EQ(decoded.n_tenants, kMaxTenants);
+  for (const auto& [n_models, n_tenants] :
+       {std::pair{kMaxModels + 1, 2}, std::pair{2000000000, 2},
+        std::pair{2, kMaxTenants + 1}, std::pair{2, 2000000000}}) {
+    EXPECT_FALSE(TraceFromJsonl(header(n_models, n_tenants) + line, decoded))
+        << n_models << " models, " << n_tenants << " tenants";
   }
 }
 
@@ -205,6 +236,21 @@ TEST(TraceIoTest, PreTenantFilesDefaultToSingleTenant) {
   ASSERT_EQ(decoded.requests.size(), 1u);
   EXPECT_EQ(decoded.requests[0].tenant_id, 0);
   EXPECT_EQ(decoded.requests[0].slo, SloClass::kStandard);
+}
+
+// JSON whitespace may sit between a key's colon and its number.
+TEST(TraceIoTest, AcceptsWhitespaceBeforeANumber) {
+  const std::string text =
+      "{\"type\":\"dz-trace\",\"version\": 1,\"n_models\":\t3,\"duration\": 5}\n"
+      "{\"id\": 4,\"model\":  2,\"arrival\": 0.25,\"prompt\": 32,\"output\":\t16}\n";
+  Trace trace;
+  ASSERT_TRUE(TraceFromJsonl(text, trace));
+  EXPECT_EQ(trace.n_models, 3);
+  ASSERT_EQ(trace.requests.size(), 1u);
+  EXPECT_EQ(trace.requests[0].id, 4);
+  EXPECT_EQ(trace.requests[0].model_id, 2);
+  EXPECT_EQ(trace.requests[0].arrival_s, 0.25);
+  EXPECT_EQ(trace.requests[0].output_tokens, 16);
 }
 
 TEST(TraceIoTest, HandComposedTraceDrivesEngine) {

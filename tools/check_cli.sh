@@ -7,8 +7,11 @@
 # still finish on both engines, and one with a request larger than the KV pool
 # must finish with that request shed. inspect on a directory or on a crafted
 # artifact must exit 1 with a message. Every numeric flag of trace, simulate
-# and cluster must reject a non-number and an out-of-range value with exit 1. Given a bench_soak binary too, it checks that
-# bad window counts exit 2 with a message instead of running.
+# and cluster must reject a non-number, an out-of-range value, hex and a '+'
+# sign with exit 1; so must counts past their caps, a redundancy wider than
+# the cluster, and a trace header past the model cap. Given a bench_soak
+# binary too, it checks that bad window counts and a bad --quick value exit 2
+# with a message instead of running.
 # Usage: tools/check_cli.sh path/to/dzip_cli [repo-root] [path/to/bench_soak]
 set -u
 
@@ -81,8 +84,8 @@ expect_reject "non-numeric LoRA rank" "--rank" \
   simulate --trace "$tmp/t.jsonl" --engine lora --rank abc
 
 # Every flag a usage text shows with a number ("[--tp 4]", "--gpus 4",
-# "[--prefetch 0|1]") must reject 'abc' and '1e12', so a numeric flag added
-# later without validation fails here.
+# "[--prefetch 0|1]") must reject 'abc', '1e12', '0x10' and '+1', so a numeric
+# flag added later without validation fails here.
 for cmd in trace simulate cluster; do
   flags=$("$cli" help "$cmd" | grep -oE -- '--[a-z0-9-]+ [0-9][0-9.|]*([] ]|$)' |
     cut -d' ' -f1 | sort -u)
@@ -91,7 +94,7 @@ for cmd in trace simulate cluster; do
     fail=1
   fi
   for flag in $flags; do
-    for value in abc 1e12; do
+    for value in abc 1e12 0x10 +1; do
       case "$cmd" in
         trace) set -- trace --out "$tmp/bad.jsonl" ;;
         simulate) set -- simulate --trace "$tmp/t.jsonl" ;;
@@ -101,6 +104,30 @@ for cmd in trace simulate cluster; do
     done
   done
 done
+
+# Counts past their caps (2^16 models and tenants, 2^12 workers) used to
+# abort allocating, or run for minutes; the trace header has the same cap.
+expect_reject "model count past the cap" "--models" \
+  trace --out "$tmp/bad.jsonl" --models 2000000000
+expect_reject "tenant count past the cap" "--tenants" \
+  trace --out "$tmp/bad.jsonl" --tenants 2000000000
+expect_reject "worker count past the cap" "--gpus" \
+  cluster --trace "$tmp/t.jsonl" --gpus 2000000000
+expect_reject "autoscaler ceiling past the cap" "--max-workers" \
+  cluster --trace "$tmp/t.jsonl" --gpus 2 --autoscale 1 --max-workers 2000000000
+sed '1s/"n_models":[0-9]*/"n_models":2000000000/' "$tmp/t.jsonl" >"$tmp/huge.jsonl"
+if ! grep -q '"n_models":2000000000' "$tmp/huge.jsonl"; then
+  echo "FAIL: could not write the huge-header trace"
+  fail=1
+fi
+expect_reject "trace header model count past the cap" "trace" \
+  simulate --trace "$tmp/huge.jsonl"
+
+# A redundancy policy needs one worker per fragment.
+expect_reject "replication wider than the cluster" "--replication" \
+  cluster --trace "$tmp/t.jsonl" --gpus 4 --replication 7
+expect_reject "erasure stripe wider than the cluster" "--erasure" \
+  cluster --trace "$tmp/t.jsonl" --gpus 4 --erasure 4,2
 
 # Kernel backend selection: unknown names must fail with the compiled list.
 expect_reject "unknown kernel isa" "isa" \
@@ -336,6 +363,7 @@ if [ -n "$soak" ]; then
   expect_soak_reject "--requests-per-window" --windows 1 --requests-per-window 0
   expect_soak_reject "--requests-per-window" --windows 1 --requests-per-window 5x
   expect_soak_reject "--windows" --requests-per-window 10 --windows
+  expect_soak_reject "--quick" --quick abc --windows 1 --requests-per-window 10
 fi
 
 if [ "$fail" -ne 0 ]; then

@@ -10,7 +10,6 @@
 // Exit status: 0 on success and on explicit --help; 1 on usage errors (unknown
 // subcommand/flag, missing required flag, bad value) or I/O failures.
 #include <algorithm>
-#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <limits>
@@ -25,6 +24,7 @@
 #include "src/obs/trace_export.h"
 #include "src/serving/engine.h"
 #include "src/tensor/backend.h"
+#include "src/util/parse.h"
 #include "src/util/stats.h"
 #include "src/util/table.h"
 #include "src/workload/trace_io.h"
@@ -187,44 +187,25 @@ std::string Get(const ArgMap& args, const std::string& key, const std::string& f
   return it == args.end() ? fallback : it->second;
 }
 
-// Bounds of a numeric flag: [lo, hi], or (lo, hi] when `above`.
-struct Bounds {
-  double lo;
-  double hi;
-  bool above = false;
-};
-
 constexpr double kIntMax = std::numeric_limits<int>::max();
 // Simulated seconds and rates past these are typos, not configurations.
 constexpr double kMaxSeconds = 1e9;
 constexpr double kMaxRate = 1e6;
 
 // Reads numeric flag --key into `out`, which keeps its value when the flag is
-// absent. The value must parse in full as a finite number within `b`, and be
-// integral when `out` is an integer (the bounds keep it inside int); otherwise
-// this prints an error naming the flag and returns false.
+// absent. A value ParseNumber rejects prints an error naming the flag and
+// returns false.
 template <typename T>
-bool GetNum(const ArgMap& args, const std::string& key, Bounds b, T& out) {
+bool GetNum(const ArgMap& args, const std::string& key, NumberBounds b, T& out) {
   const auto it = args.find(key);
-  if (it == args.end()) {
+  if (it == args.end() || ParseNumber(it->second, b, out)) {
     return true;
   }
-  const char* text = it->second.c_str();
-  char* end = nullptr;
-  const double v = std::strtod(text, &end);
-  constexpr bool kInt = std::is_integral_v<T>;
-  if (end == text || *end != '\0' || !std::isfinite(v) || (kInt && v != std::floor(v))) {
-    std::fprintf(stderr, "error: --%s needs %s, got '%s'\n", key.c_str(),
-                 kInt ? "an integer" : "a finite number", text);
-    return false;
-  }
-  if (v < b.lo || (b.above && v == b.lo) || v > b.hi) {
-    std::fprintf(stderr, "error: --%s must be %s %.17g and <= %.17g, got '%s'\n",
-                 key.c_str(), b.above ? ">" : ">=", b.lo, b.hi, text);
-    return false;
-  }
-  out = static_cast<T>(v);
-  return true;
+  std::fprintf(stderr, "error: --%s needs %s %s %.17g and <= %.17g, got '%s'\n",
+               key.c_str(),
+               std::is_floating_point_v<T> ? "a finite number" : "an integer",
+               b.above ? ">" : ">=", b.lo, b.hi, it->second.c_str());
+  return false;
 }
 
 // --trace-out: an explicitly passed empty path would silently disable tracing;
@@ -252,12 +233,12 @@ int CmdTrace(const ArgMap& args) {
   }
   TraceConfig cfg;
   cfg.seed = 7;  // the usage text's default, not TraceConfig's
-  if (!GetNum(args, "models", {1, kIntMax}, cfg.n_models) ||
+  if (!GetNum(args, "models", {1, kMaxModels}, cfg.n_models) ||
       !GetNum(args, "rate", {0, kMaxRate, true}, cfg.arrival_rate) ||
       !GetNum(args, "duration", {0, kMaxSeconds, true}, cfg.duration_s) ||
       !GetNum(args, "alpha", {0, 100}, cfg.zipf_alpha) ||
       !GetNum(args, "seed", {0, kIntMax}, cfg.seed) ||
-      !GetNum(args, "tenants", {1, kIntMax}, cfg.tenants.n_tenants) ||
+      !GetNum(args, "tenants", {1, kMaxTenants}, cfg.tenants.n_tenants) ||
       !GetNum(args, "interactive-frac", {0, 1}, cfg.tenants.interactive_frac) ||
       !GetNum(args, "batch-frac", {0, 1}, cfg.tenants.batch_frac) ||
       !GetNum(args, "flash-boost", {0, kMaxRate, true}, cfg.tenants.flash_boost)) {
@@ -514,7 +495,7 @@ int CmdCluster(const ArgMap& args) {
     std::fprintf(stderr, "error: cluster requires --gpus <n>\n");
     return 1;
   }
-  if (!GetNum(args, "gpus", {1, kIntMax}, cfg.placer.n_gpus)) {
+  if (!GetNum(args, "gpus", {1, kMaxWorkers}, cfg.placer.n_gpus)) {
     return 1;
   }
   const std::string policy = Get(args, "policy", "delta-affinity");
@@ -535,8 +516,8 @@ int CmdCluster(const ArgMap& args) {
     return 1;
   }
   if (!GetNum(args, "autoscale", {0, 1}, cfg.autoscale.enabled) ||
-      !GetNum(args, "min-workers", {1, kIntMax}, cfg.autoscale.min_workers) ||
-      !GetNum(args, "max-workers", {1, kIntMax}, cfg.autoscale.max_workers)) {
+      !GetNum(args, "min-workers", {1, kMaxWorkers}, cfg.autoscale.min_workers) ||
+      !GetNum(args, "max-workers", {1, kMaxWorkers}, cfg.autoscale.max_workers)) {
     return 1;
   }
   if (cfg.autoscale.enabled && cfg.autoscale.max_workers < cfg.autoscale.min_workers) {
@@ -563,6 +544,14 @@ int CmdCluster(const ArgMap& args) {
                    "error: bad redundancy spec '%s' (--replication N>=1 or "
                    "--erasure k,m with k>=1, m>=0)\n",
                    spec.c_str());
+      return 1;
+    }
+    // Each fragment needs its own worker (ArtifactRegistry checks it).
+    if (cfg.registry.redundancy.FragmentCount() > cfg.placer.n_gpus) {
+      std::fprintf(stderr,
+                   "error: --%s needs %d workers, one per fragment; --gpus is %d\n",
+                   !replication.empty() ? "replication" : "erasure",
+                   cfg.registry.redundancy.FragmentCount(), cfg.placer.n_gpus);
       return 1;
     }
     cfg.registry.enabled = true;
