@@ -260,6 +260,7 @@ ArtifactStore::LoadResult ArtifactStore::IssueLoad(int id, double now,
   SetTier(e, Tier::kGpu);
   e.in_flight = true;
   e.ready_at = ready;
+  last_ready_at_ = std::max(last_ready_at_, ready);
   e.last_use = now;
   e.prefetched = is_prefetch;
   e.prefetch_cost_s = is_prefetch ? cost : 0.0;
@@ -302,6 +303,9 @@ std::vector<int> ArtifactStore::LocallyCached() const {
 
 double ArtifactStore::NextLoadReady(double now) const {
   double best = std::numeric_limits<double>::infinity();
+  if (now >= last_ready_at_) {
+    return best;  // every load ever issued has landed
+  }
   for (const Entry& e : entries_) {
     if (e.in_flight && e.ready_at > now) {
       best = std::min(best, e.ready_at);

@@ -15,6 +15,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <vector>
@@ -171,6 +172,9 @@ class ArtifactStore {
   double disk_free_at_ = 0.0;  // disk channel availability
   double pcie_free_at_ = 0.0;  // PCIe channel availability
   double net_free_at_ = 0.0;   // net (remote-fetch) channel availability
+  // The latest Entry::ready_at IssueLoad (its only writer) has set: from then
+  // on no load is in flight, and NextLoadReady needs no scan.
+  double last_ready_at_ = -std::numeric_limits<double>::infinity();
   // Node-local cache tier (registry mode): true once this node holds the full
   // artifact bytes locally — as a registry holder, via registry_warm carry, or
   // after a completed remote fetch. Local artifacts pay disk/PCIe only.

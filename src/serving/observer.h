@@ -3,9 +3,10 @@
 // once, through On(): it derives the counters and histograms the event backs
 // (the Register* calls and the switch in On are the only event-to-instrument
 // mapping), then records the event, a single branch when tracing is off. So a
-// run's metrics and its trace cannot disagree. Facts without an event type
-// (engine.rounds, prefetch hits, registry.unavailable, ...) stay plain updates
-// on metrics().
+// run's metrics and its trace cannot disagree. Batch rounds, which back no
+// instrument, may come in bulk through OnBatchRounds. Facts without an event
+// type (engine.rounds, prefetch hits, registry.unavailable, ...) stay plain
+// updates on metrics().
 //
 // Share-nothing like what it owns: one Observer per engine run (the
 // ServeLoop's, shared with its ArtifactStore) and one per cluster run (the
@@ -35,6 +36,11 @@ class Observer {
   void On(const TraceEvent& event);
   // Completion: the request's latencies and tokens, then its request.done.
   void On(const RequestRecord& record);
+  // `n` batch rounds of `batch` requests back to back from `t0`, round j
+  // lasting durs[j]: the same as On(batch.round) for each, with the clock
+  // summed in the same order, but a single add to events() when tracing is
+  // off.
+  void OnBatchRounds(double t0, const double* durs, int n, int batch);
 
   // What the events of `type` have added to the one counter they feed
   // (kv.preempt, fault.crash/recover, scale.up/down, router.reroute, repair);
@@ -139,6 +145,19 @@ inline TraceEvent ArtifactEvent(TraceEventType type, double ts, double dur, int 
                                 TraceChannel channel, double bytes, int aux = 0,
                                 int gpu = -1) {
   return {type, ts, dur, -1, model, -1, SloClass::kStandard, gpu, channel, bytes, aux};
+}
+
+inline void Observer::OnBatchRounds(double t0, const double* durs, int n, int batch) {
+  events_ += static_cast<uint64_t>(n);
+  if (!recorder_.enabled()) {
+    return;
+  }
+  double ts = t0;
+  for (int j = 0; j < n; ++j) {
+    recorder_.Emit(
+        WorkerEvent(TraceEventType::kBatchRound, ts, /*gpu=*/-1, durs[j], /*aux=*/batch));
+    ts += durs[j];
+  }
 }
 
 }  // namespace dz

@@ -296,8 +296,7 @@ double ServeLoop::Iterate(double now) {
   if (speed_ != 1.0) {
     iter /= speed_;  // slow-node fault: everything stretches
   }
-  observer_.On(WorkerEvent(TraceEventType::kBatchRound, now, /*gpu=*/-1, iter,
-                           /*aux=*/static_cast<int>(running_.size())));
+  observer_.OnBatchRounds(now, &iter, /*n=*/1, static_cast<int>(running_.size()));
   return iter;
 }
 
@@ -335,24 +334,27 @@ void ServeLoop::QuietStretch(double t) {
     bound = std::min(bound, next_snapshot_s_);
   }
   const int batch_size = static_cast<int>(running_.size());
+  double* const costs = quiet_costs_.data();
+  double now = now_;
   int ran = 0;
-  while (ran < quiet_rounds_ && now_ < bound) {
+  while (ran < quiet_rounds_ && now < bound) {
     const int chunk = std::min(quiet_rounds_ - ran, kChunkRounds);
-    policy_->IterationCosts(*this, /*prefill_tokens=*/0, kSchedOverheadS, chunk,
-                            quiet_costs_.data());
-    int j = 0;
-    for (; j < chunk && now_ < bound; ++j) {
-      double iter = quiet_costs_[static_cast<size_t>(j)];
-      if (speed_ != 1.0) {
-        iter /= speed_;
+    policy_->IterationCosts(*this, /*prefill_tokens=*/0, kSchedOverheadS, chunk, costs);
+    if (speed_ != 1.0) {
+      for (int j = 0; j < chunk; ++j) {
+        costs[j] /= speed_;
       }
-      observer_.On(WorkerEvent(TraceEventType::kBatchRound, now_, /*gpu=*/-1, iter,
-                               /*aux=*/batch_size));
-      now_ += iter;
     }
+    const double start = now;
+    int j = 0;
+    for (; j < chunk && now < bound; ++j) {
+      now += costs[j];
+    }
+    observer_.OnBatchRounds(start, costs, j, batch_size);
     batch_.Advance(j);
     ran += j;
   }
+  now_ = now;
   quiet_rounds_ -= ran;
   rounds_count_->Inc(ran);
   for (RunningReq& r : running_) {

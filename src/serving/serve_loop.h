@@ -33,12 +33,17 @@
 //
 // A quiet stretch runs as one tight loop (QuietStretch). The policy prices up
 // to kChunkRounds rounds at a time into a loop-owned array, round j with the
-// batch advanced j tokens per request, and the loop adds each cost to the
-// clock, one batch.round each, while the bound allows. After each chunk the
-// ledger advances by the rounds that ran; at the end of the stretch
+// batch advanced j tokens per request; under a slow-node speed the loop
+// divides the chunk by it once. Then a bare loop adds each cost to a local
+// clock while the bound allows, and one Observer::OnBatchRounds call reports
+// the rounds that ran: it adds them to events() and, only when tracing is on,
+// records one batch.round each, stamped with the same running sum. After each
+// chunk the ledger advances by the rounds that ran; at the end of the stretch
 // engine.rounds and every running request's decoded tokens take them in one
 // step. The operations and their order are those of rounds run one at a time,
-// so every output stays bit for bit the same.
+// so every output stays bit for bit the same. The stretch's start is cheap
+// too: once every load issued has landed, ArtifactStore::NextLoadReady (and so
+// NextChange) answers without scanning the artifacts.
 //
 // Pricing a round reads the batch ledger (BatchLedger), not the running batch:
 // the loop keeps it wherever running_ changes, as it keeps KvTokensInUse, so a

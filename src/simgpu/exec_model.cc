@@ -1,7 +1,6 @@
 #include "src/simgpu/exec_model.h"
 
 #include <algorithm>
-#include <limits>
 
 #include "src/util/check.h"
 
@@ -16,16 +15,40 @@ constexpr double kLaunchesPerLayer = 10.0;
 // capture in a production engine.
 constexpr double kLaunchFusion = 0.25;
 
-// One decode iteration from its batch-only terms. DecodeIterTime and
-// AddDecodeIterTimes both run it, so the two forms do the same operations in
-// the same order.
+// x -> x / d, as a division or, when d is a power of two, as a product with
+// its reciprocal: 1/d is then exact, and IEEE rounds x / d and x * (1/d) from
+// the same real number, so both give the same bits.
+struct Divide {
+  double d;
+  double operator()(double x) const { return x / d; }
+};
+struct Reciprocal {
+  double r;
+  double operator()(double x) const { return x * r; }
+};
+
+// Calls f with x -> x / d in the cheapest form that keeps the bits.
+template <typename F>
+void WithDivisor(int d, F&& f) {
+  if ((d & (d - 1)) == 0) {
+    f(Reciprocal{1.0 / d});
+  } else {
+    f(Divide{static_cast<double>(d)});
+  }
+}
+
+// One decode iteration from its batch-only terms; `per_gpu` divides by tp.
+// DecodeIterTime and AddDecodeIterTimes both run it, so the two forms do the
+// same operations in the same order.
+template <typename PerGpu>
 inline double DecodeIterFormula(double gemm_s, double allreduce_s, double launch_s,
                                 int batch, double avg_ctx, double kv_bytes_per_token,
-                                int tp, double hbm_bytes_per_s) {
+                                PerGpu per_gpu, double hbm_bytes_per_s) {
   // Weight-read-bound GEMM over all linear layers (decode is memory-bound, §2.1).
   double t = gemm_s;
   // KV-cache reads: every request streams its context's K/V once per iteration.
-  const double kv_bytes = static_cast<double>(batch) * avg_ctx * kv_bytes_per_token / tp;
+  const double kv_bytes =
+      per_gpu(static_cast<double>(batch) * avg_ctx * kv_bytes_per_token);
   t += kv_bytes / hbm_bytes_per_s;
   t += launch_s;
   t += allreduce_s;
@@ -101,7 +124,8 @@ double ExecModel::DecodeIterTime(int batch, double avg_ctx) const {
     return 0.0;
   }
   return DecodeIterFormula(DecodeGemmS(batch), DecodeAllReduceS(batch), launch_s_, batch,
-                           avg_ctx, kv_bytes_per_token_, config_.tp,
+                           avg_ctx, kv_bytes_per_token_,
+                           Divide{static_cast<double>(config_.tp)},
                            config_.gpu.hbm_gbps * 1e9);
 }
 
@@ -116,15 +140,20 @@ void ExecModel::AddDecodeIterTimes(int batch, long long ctx0, int rounds, double
   const double kv_bytes_per_token = kv_bytes_per_token_;
   const int tp = config_.tp;
   const double hbm_bytes_per_s = config_.gpu.hbm_gbps * 1e9;
-  // double(ctx0 + j * batch) as ctx0 + double(j * batch): both exact while
-  // contexts stay below 2^53, and int-to-double conversions vectorize.
-  DZ_CHECK_LE(static_cast<long long>(rounds) * batch, std::numeric_limits<int>::max());
+  // double(ctx0 + j * batch) as ctx0 + double(j) * batch: exact while contexts
+  // stay below 2^53, and int-to-double conversions vectorize.
+  DZ_CHECK_LT(ctx0 + static_cast<long long>(rounds) * batch, 1LL << 53);
   const double ctx0_d = static_cast<double>(ctx0);
-  for (int j = 0; j < rounds; ++j) {
-    const double avg_ctx = (ctx0_d + static_cast<double>(j * batch)) / batch;
-    out[j] += DecodeIterFormula(gemm_s, allreduce_s, launch_s, batch, avg_ctx,
-                                kv_bytes_per_token, tp, hbm_bytes_per_s);
-  }
+  const double batch_d = static_cast<double>(batch);
+  WithDivisor(batch, [=](auto per_request) {
+    WithDivisor(tp, [=](auto per_gpu) {
+      for (int j = 0; j < rounds; ++j) {
+        const double avg_ctx = per_request(ctx0_d + static_cast<double>(j) * batch_d);
+        out[j] += DecodeIterFormula(gemm_s, allreduce_s, launch_s, batch, avg_ctx,
+                                    kv_bytes_per_token, per_gpu, hbm_bytes_per_s);
+      }
+    });
+  });
 }
 
 double ExecModel::DeltaDecodeIterTime(int total, int active) const {

@@ -37,8 +37,11 @@ class ExecModel {
   // `rounds` decode iterations in a row of `batch` requests holding `ctx0`
   // context tokens, each adding one token per request: adds
   // DecodeIterTime(batch, double(ctx0 + j * batch) / batch) to out[j], bit for
-  // bit while contexts stay below 2^53. The rounds do not depend on each
-  // other, so their divisions pipeline.
+  // bit. Requires ctx0 + rounds * batch < 2^53 (checked), so every context is
+  // an exact double. A division by batch or tp that is a power of two runs as
+  // a product with its exact reciprocal, which IEEE rounds to the same bits,
+  // so most rounds pay only the division by HBM bandwidth. The rounds do not
+  // depend on each other, so their arithmetic pipelines.
   void AddDecodeIterTimes(int batch, long long ctx0, int rounds, double* out) const;
 
   // --- delta path (ΔCompress artifacts, SBMM execution, §5.2) ---

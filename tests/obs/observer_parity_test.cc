@@ -14,6 +14,8 @@
 #include "src/cluster/fault_model.h"
 #include "src/cluster/router.h"
 #include "src/registry/registry.h"
+#include "src/serving/observer.h"
+#include "src/util/rng.h"
 
 namespace dz {
 namespace {
@@ -309,6 +311,49 @@ TEST(ObserverParityTest, AutoscaledRunWithCrashRecoveryAndReroute) {
   ASSERT_EQ(r.elastic.recoveries, 1);
   ASSERT_GT(r.elastic.retried, 0);
   ExpectClusterMatchesEvents(r, cfg, trace);
+}
+
+// A quiet stretch reports its rounds in bulk: OnBatchRounds must count and
+// record exactly what one On(batch.round) per round would, with the clock
+// summed in the same order (t0 large against the durations, so a different
+// order or start would round differently).
+TEST(ObserverParityTest, BatchRoundsEqualPerRoundEvents) {
+  Rng rng(77);
+  std::vector<double> durs(64);
+  for (double& d : durs) {
+    d = rng.Uniform(1e-3, 5e-2) * (rng.NextBelow(4) == 0 ? 1e-6 : 1.0);
+  }
+  const double t0 = 12345.678901;
+  for (const bool traced : {false, true}) {
+    TracingConfig tracing;
+    tracing.enabled = traced;
+    Observer bulk(tracing);
+    Observer each(tracing);
+    double ts = t0;
+    int at = 0;
+    for (const int n : {0, 1, 7, 56}) {
+      bulk.OnBatchRounds(ts, durs.data() + at, n, /*batch=*/n + 3);
+      for (int j = at; j < at + n; ++j) {
+        each.On(WorkerEvent(TraceEventType::kBatchRound, ts, /*gpu=*/-1,
+                            durs[static_cast<size_t>(j)], /*aux=*/n + 3));
+        ts += durs[static_cast<size_t>(j)];
+      }
+      at += n;
+    }
+    EXPECT_EQ(bulk.events(), 64u);
+    EXPECT_EQ(bulk.events(), each.events());
+    const std::vector<TraceEvent> got = bulk.recorder().Drain();
+    const std::vector<TraceEvent> want = each.recorder().Drain();
+    ASSERT_EQ(got.size(), traced ? 64u : 0u);
+    ASSERT_EQ(got.size(), want.size());
+    for (size_t i = 0; i < got.size(); ++i) {
+      EXPECT_EQ(got[i].type, want[i].type) << i;
+      EXPECT_EQ(got[i].ts_s, want[i].ts_s) << i;
+      EXPECT_EQ(got[i].dur_s, want[i].dur_s) << i;
+      EXPECT_EQ(got[i].aux, want[i].aux) << i;
+      EXPECT_EQ(got[i].gpu, want[i].gpu) << i;
+    }
+  }
 }
 
 }  // namespace

@@ -1,11 +1,15 @@
 #include "src/serving/artifact_store.h"
 
+#include <algorithm>
 #include <cmath>
+#include <limits>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "src/serving/observer.h"
+#include "src/util/rng.h"
 
 namespace dz {
 namespace {
@@ -206,6 +210,68 @@ TEST(ArtifactStoreTest, NextLoadReadyTracksInFlight) {
   ASSERT_TRUE(load.ok);
   EXPECT_DOUBLE_EQ(store.NextLoadReady(0.0), load.ready_at);
   EXPECT_TRUE(std::isinf(store.NextLoadReady(load.ready_at + 0.01)));
+}
+
+// NextLoadReady skips its scan once every load issued has landed. Over random
+// loads, prefetches and touches at rising times, with evictions, it and
+// NextChange must equal a full scan: over the entries (IsLoading, with each
+// one's ready_at as its last successful load returned it) and over the
+// channels (each one idle from the end of its latest traced transfer span).
+TEST(ArtifactStoreTest, NextLoadReadyAndNextChangeMatchAFullScan) {
+  constexpr int kArtifacts = 8;
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  for (uint64_t seed = 1; seed <= 20; ++seed) {
+    Rng rng(seed);
+    TracingConfig tracing;
+    tracing.enabled = true;
+    Observer obs(tracing);
+    ArtifactStore store(SmallConfig(), kArtifacts, &obs);  // 3 GPU slots
+    std::vector<double> ready(kArtifacts, 0.0);
+    double channel_free[3] = {0.0, 0.0, 0.0};  // kDisk, kPcie, kNet
+    double now = 0.0;
+    int in_flight = 0;  // queries that found a load in flight
+    for (int step = 0; step < 300; ++step) {
+      now += rng.Uniform(0.0, 0.6);
+      const int id = static_cast<int>(rng.NextBelow(kArtifacts));
+      std::vector<int> pinned;
+      for (uint64_t p = rng.NextBelow(3); p > 0; --p) {
+        pinned.push_back(static_cast<int>(rng.NextBelow(kArtifacts)));
+      }
+      const uint64_t op = rng.NextBelow(3);
+      if (op == 0) {
+        store.Touch(id, now);
+      } else {
+        const ArtifactStore::LoadResult load =
+            op == 1 ? store.RequestLoad(id, now, pinned) : store.Prefetch(id, now, pinned);
+        if (load.ok) {
+          ready[static_cast<size_t>(id)] = load.ready_at;
+        }
+      }
+      for (const TraceEvent& e : obs.recorder().Drain()) {
+        double& free_at = channel_free[static_cast<int>(e.channel) - 1];
+        free_at = std::max(free_at, e.ts_s + e.dur_s);
+      }
+      for (const double at : {now, now + rng.Uniform(0.0, 2.0), rng.Uniform(0.0, now)}) {
+        double want = kInf;
+        for (int a = 0; a < kArtifacts; ++a) {
+          if (store.IsLoading(a, at)) {
+            want = std::min(want, ready[static_cast<size_t>(a)]);
+          }
+        }
+        ASSERT_EQ(store.NextLoadReady(at), want) << "seed " << seed << " step " << step;
+        in_flight += want < kInf ? 1 : 0;
+        for (const double free_at : channel_free) {
+          if (free_at > at) {
+            want = std::min(want, free_at);
+          }
+        }
+        ASSERT_EQ(store.NextChange(at), want) << "seed " << seed << " step " << step;
+      }
+    }
+    // Non-vacuous: with 3 slots, every load past the third evicted one.
+    EXPECT_GT(Stat(obs, "store.loads.total"), 30) << "seed " << seed;
+    EXPECT_GT(in_flight, 30) << "seed " << seed;
+  }
 }
 
 TEST(ArtifactStoreTest, InjectedRegistryBacksTheStats) {

@@ -277,11 +277,13 @@ TEST(ExecModelTest, DecodeIterTimeAtTheBatchTableEdgeStaysGolden) {
 // The batched form is the per-round one, bit for bit: round j of `rounds`
 // prices the batch with j more tokens per request, and adds to what `out`
 // already holds, leaving the entries past `rounds` alone. Batches on both
-// sides of the 64-batch table, every tp, both shapes, contexts up to 2^40.
+// sides of the 64-batch table, both shapes, and contexts up to just below the
+// 2^53 bound. Batch and tp each run through powers of two (a product with the
+// exact reciprocal) and other values (a division), in every pairing.
 TEST(ExecModelTest, AddDecodeIterTimesMatchesPerRoundDecodeIterTime) {
   Rng rng(2020);
   for (const bool big : {false, true}) {
-    for (int tp : {1, 2, 4}) {
+    for (int tp : {1, 2, 3, 4, 8}) {
       ExecModelConfig cfg;
       cfg.shape = big ? ModelShape::Llama70B() : ModelShape::Llama13B();
       cfg.gpu = GpuSpec::A800();
@@ -290,7 +292,8 @@ TEST(ExecModelTest, AddDecodeIterTimesMatchesPerRoundDecodeIterTime) {
       for (int batch = 1; batch <= 70; ++batch) {
         const long long contexts[] = {batch, 200LL * batch + 17,
                                       static_cast<long long>(rng.NextBelow(1ull << 30)),
-                                      (1LL << 40) - batch};
+                                      (1LL << 40) - batch,
+                                      (1LL << 53) - 64LL * batch - 1};
         for (const long long ctx0 : contexts) {
           for (int rounds = 1; rounds <= 64; ++rounds) {
             std::array<double, 65> out;
@@ -313,6 +316,16 @@ TEST(ExecModelTest, AddDecodeIterTimesMatchesPerRoundDecodeIterTime) {
       }
     }
   }
+}
+
+TEST(ExecModelTest, AddDecodeIterTimesRejectsContextsPastTwoToThe53) {
+  ExecModelConfig cfg;
+  cfg.shape = ModelShape::Llama13B();
+  cfg.gpu = GpuSpec::A800();
+  const ExecModel em(cfg);
+  std::array<double, 4> out{};
+  em.AddDecodeIterTimes(3, (1LL << 53) - 13, 4, out.data());  // last context 2^53 - 4
+  EXPECT_DEATH(em.AddDecodeIterTimes(3, (1LL << 53) - 12, 4, out.data()), "DZ_CHECK");
 }
 
 }  // namespace
