@@ -109,22 +109,30 @@ class DeltaZipPolicy : public ServePolicy {
     }
   }
 
-  // Starvation control: preempt skippers whose parent finished (§5.4).
+  // Starvation control: preempt skippers whose parent finished (§5.4). A
+  // skipper runs the variant of its parent, so with no request of a finished
+  // parent's variant left running there is none to preempt.
   void AfterIteration(ServeLoop& loop, double now,
                       const std::vector<TraceRequest>& finished_parents) override {
     for (const TraceRequest& parent : finished_parents) {
       parent_of_variant_[static_cast<size_t>(parent.model_id)] = kNoParent;
     }
-    if (!config_.preemption || finished_parents.empty()) {
+    const std::vector<int>& running_count = loop.running_variants().count;
+    if (!config_.preemption ||
+        std::none_of(finished_parents.begin(), finished_parents.end(),
+                     [&running_count](const TraceRequest& parent) {
+                       return running_count[static_cast<size_t>(parent.model_id)] > 0;
+                     })) {
       return;
     }
-    std::vector<RunningReq>& running = loop.running();
+    std::vector<int>& running = loop.running();
     for (auto it = running.begin(); it != running.end();) {
+      const RunningReq& r = loop.req(*it);
       const bool orphaned =
-          it->is_skipper &&
+          r.is_skipper &&
           std::any_of(finished_parents.begin(), finished_parents.end(),
-                      [&it](const TraceRequest& parent) { return parent.id == it->parent_id; });
-      const int remaining = it->state.req.output_tokens - it->state.decoded;
+                      [&r](const TraceRequest& parent) { return parent.id == r.parent_id; });
+      const int remaining = r.state.req.output_tokens - r.state.decoded;
       if (orphaned && remaining > 0) {
         it = loop.Preempt(it, now, /*swap_out=*/true);
       } else {
@@ -166,25 +174,26 @@ void DeltaZipPolicy::Admit(ServeLoop& loop, double now, Admission& admission) {
   for (int variant : running_ids) {
     admission.Activate(variant);
   }
-  std::vector<RunningReq>& running = loop.running();
+  std::vector<int>& running = loop.running();
   ArtifactStore& store = loop.store();
-  std::deque<PendingReq>& queue = loop.queue();
+  std::vector<int>& queue = loop.queue();
   for (auto it = queue.begin();
        it != queue.end() && static_cast<int>(running.size()) < config_.max_batch;) {
-    const int variant = it->req.model_id;
+    PendingReq& p = loop.pending(*it);
+    const int variant = p.req.model_id;
     const bool new_variant = !admission.IsActive(variant);
     // Blocked by the N-variant cap or by KV space: strict FCFS stops at the
     // head of the line, skip-the-line looks further back.
     if ((new_variant && admission.ActiveCount() >= effective_n_) ||
-        loop.KvTokensInUse() + KvTokens(*it) > kv_capacity_tokens_) {
+        loop.KvTokensInUse() + KvTokens(p) > kv_capacity_tokens_) {
       if (!config_.skip_the_line) {
         break;
       }
       ++it;
       continue;
     }
-    if (it->sched_attempt_s < 0.0) {
-      it->sched_attempt_s = now;
+    if (p.sched_attempt_s < 0.0) {
+      p.sched_attempt_s = now;
     }
     if (!store.IsResident(variant, now)) {
       // A variant claimed earlier this round is pinned and loading: asking
@@ -207,7 +216,7 @@ void DeltaZipPolicy::Admit(ServeLoop& loop, double now, Admission& admission) {
     // Dispatched variants join the active set but not `pinned_`, so a later
     // load this round may still evict one.
     it = loop.Dispatch(it, now);
-    RunningReq& r = running.back();
+    RunningReq& r = loop.req(running.back());
     int& parent = parent_of_variant_[static_cast<size_t>(variant)];
     if (parent == kNoParent) {
       parent = r.state.req.id;
@@ -232,7 +241,8 @@ void DeltaZipPolicy::Admit(ServeLoop& loop, double now, Admission& admission) {
   const bool batch_full = static_cast<int>(running.size()) >= config_.max_batch;
   int blocked_interactive = 0;
   double min_blocked_tag = std::numeric_limits<double>::infinity();
-  for (const PendingReq& p : queue) {
+  for (const int h : queue) {
+    const PendingReq& p = loop.pending(h);
     if (p.req.slo != SloClass::kInteractive) {
       if (config_.scheduler.policy == SchedPolicy::kPriority) {
         break;
@@ -245,16 +255,16 @@ void DeltaZipPolicy::Admit(ServeLoop& loop, double now, Admission& admission) {
     }
   }
   for (auto it = running.begin(); blocked_interactive > 0 && it != running.end();) {
-    const int remaining = it->state.req.output_tokens - it->state.decoded;
+    const RunningReq& r = loop.req(*it);
+    const int remaining = r.state.req.output_tokens - r.state.decoded;
     // An evicted skipper keeps its DWFQ tag, so under kDwfq only skippers that
     // re-sort behind the blocked request yield (else they reclaim the slot).
     const bool yields = config_.scheduler.policy != SchedPolicy::kDwfq ||
-                        it->state.fair_tag > min_blocked_tag;
-    if (it->is_skipper && it->state.req.slo == SloClass::kBatch && yields &&
-        remaining > 0) {
+                        r.state.fair_tag > min_blocked_tag;
+    if (r.is_skipper && r.state.req.slo == SloClass::kBatch && yields && remaining > 0) {
       // Only KV materialized on the GPU costs a swap-out: a skipper admitted
       // this round has none, a resumed one not yet restored is still on host.
-      it = loop.Preempt(it, now, /*swap_out=*/it->prefilled && !it->needs_kv_restore);
+      it = loop.Preempt(it, now, /*swap_out=*/r.prefilled && !r.needs_kv_restore);
       --blocked_interactive;
     } else {
       ++it;

@@ -1,6 +1,5 @@
 // Prefetch driver for the serve loop (the async artifact-prefetch pipeline):
-// warm-hint staging and the per-round lookahead pass. Header-only, templated on
-// the queue so any container whose elements expose `.req.model_id` works.
+// warm-hint staging and the per-round lookahead pass. Header-only.
 #ifndef SRC_SERVING_PREFETCHER_H_
 #define SRC_SERVING_PREFETCHER_H_
 
@@ -36,22 +35,21 @@ inline std::deque<int> PendingWarmHints(const PrefetchConfig& config, int n_mode
 
 // One scheduling round of the lookahead pass (paper §8 / MetaSys-style
 // pipelining): issues low-priority loads for the first `config.lookahead`
-// distinct variants waiting in `queue` (counted by variant in `queued`) that
-// the admission did not mark active
+// distinct variants waiting in `loop`'s queue (counted by variant in its
+// queued_variants()) that the admission did not mark active
 // (the variants the batch owns: running, claimed or admitted this round), then
 // drains leftover warm hints. A prefetch never evicts an active variant nor one
 // in that window: a near-head request can be resident-but-blocked (KV or batch
 // slots), and evicting its artifact for a speculation would re-pay the load it
 // was about to skip. The shield stops at the window — protecting every queued
 // variant would starve the prefetcher of eviction candidates.
-template <typename PendingQueue>
-void RunPrefetchPass(ArtifactStore& store, const PrefetchConfig& config, double now,
-                     const PendingQueue& queue, const VariantCounts& queued,
-                     const Admission& admission, std::deque<int>& pending_hints,
-                     PrefetchScratch& scratch) {
+inline void RunPrefetchPass(ArtifactStore& store, const PrefetchConfig& config, double now,
+                            const ServeLoop& loop, const Admission& admission,
+                            std::deque<int>& pending_hints, PrefetchScratch& scratch) {
   if (!config.enabled) {
     return;
   }
+  const VariantCounts& queued = loop.queued_variants();
   // The window (first `lookahead` distinct non-active variants, in queue order)
   // is both the target list and the shield, so no target sits beyond it. The
   // walk stops once the window is full or holds every such variant.
@@ -64,11 +62,11 @@ void RunPrefetchPass(ArtifactStore& store, const PrefetchConfig& config, double 
   const int window_size = std::min(config.lookahead, waiting_variants);
   std::vector<int>& window = scratch.window;
   window.clear();
-  for (const auto& waiting : queue) {
+  for (const int h : loop.queue()) {
     if (static_cast<int>(window.size()) >= window_size) {
       break;
     }
-    const int variant = waiting.req.model_id;
+    const int variant = loop.pending(h).req.model_id;
     if (!admission.IsActive(variant) &&
         std::find(window.begin(), window.end(), variant) == window.end()) {
       window.push_back(variant);

@@ -20,7 +20,8 @@
 //
 // Header-only ordering machinery: a template over any element exposing `.req`
 // (TraceRequest) and `.fair_tag` (double, < 0 until assigned) — the serve
-// loop's PendingReq, or scheduler_test's minimal fake.
+// loop's PendingReq, or scheduler_test's minimal fake. Queues hold int handles
+// that a lookup resolves to those elements.
 #ifndef SRC_SERVING_SCHEDULER_H_
 #define SRC_SERVING_SCHEDULER_H_
 
@@ -28,7 +29,7 @@
 #include <cmath>
 #include <map>
 #include <string>
-#include <utility>
+#include <vector>
 
 #include "src/workload/trace.h"
 
@@ -129,16 +130,20 @@ bool PolicyBefore(SchedPolicy policy, const Pending& a, const Pending& b) {
   return a.req.arrival_s < b.req.arrival_s;
 }
 
-// Inserts `p` into a queue already in policy order, behind every request with
-// an equal key: inserting a batch one by one gives exactly the stable sort of
-// queue + batch, ties in queue order then batch order (scheduler_test checks
-// this against the sort; the goldens pin the resulting schedules).
-template <typename Queue, typename Pending>
-void InsertInPolicyOrder(SchedPolicy policy, Queue& queue, Pending p) {
+// Inserts handle `h` into a queue of handles already in policy order, where
+// `pending(handle)` returns a reference to the handle's request, behind every
+// request with an equal key: inserting a batch one by one gives exactly the
+// stable sort of queue + batch, ties in queue order then batch order
+// (scheduler_test checks this against the sort; the goldens pin the resulting
+// schedules).
+template <typename Lookup>
+void InsertInPolicyOrder(SchedPolicy policy, std::vector<int>& queue, int h,
+                         const Lookup& pending) {
+  const auto& p = pending(h);
   const auto pos = std::upper_bound(
-      queue.begin(), queue.end(), p,
-      [policy](const Pending& a, const auto& b) { return PolicyBefore(policy, a, b); });
-  queue.insert(pos, std::move(p));
+      queue.begin(), queue.end(), h,
+      [policy, &p, &pending](int, int b) { return PolicyBefore(policy, p, pending(b)); });
+  queue.insert(pos, h);
 }
 
 // True when the request's class E2E deadline can no longer be met, even if the

@@ -1,7 +1,6 @@
 #include "src/serving/serve_loop.h"
 
 #include <algorithm>
-#include <iterator>
 #include <utility>
 
 #include "src/serving/prefetcher.h"
@@ -22,6 +21,7 @@ void VariantCounts::Add(int variant) {
 }
 
 void VariantCounts::Remove(int variant) {
+  DZ_CHECK_GT(count[static_cast<size_t>(variant)], 0);
   if (--count[static_cast<size_t>(variant)] == 0) {
     ids.erase(std::lower_bound(ids.begin(), ids.end(), variant));
   }
@@ -109,31 +109,41 @@ void ServeLoop::Offer(const TraceRequest& req) {
 // + arrivals. A request the KV pool could never hold is shed on arrival.
 void ServeLoop::Ingest(double now) {
   const SchedPolicy policy = config_.scheduler.policy;
+  const auto lookup = [this](int h) -> const PendingReq& { return pending(h); };
   if (requeued_ > 0) {
     const auto tail = queue_.end() - static_cast<std::ptrdiff_t>(requeued_);
-    requeue_scratch_.assign(std::make_move_iterator(tail),
-                            std::make_move_iterator(queue_.end()));
+    requeue_scratch_.assign(tail, queue_.end());
     queue_.erase(tail, queue_.end());
     requeued_ = 0;
-    for (PendingReq& p : requeue_scratch_) {
-      InsertInPolicyOrder(policy, queue_, std::move(p));
+    for (int h : requeue_scratch_) {
+      InsertInPolicyOrder(policy, queue_, h, lookup);
     }
   }
   while (!arrivals_.empty() && arrivals_.front().arrival_s <= now) {
-    PendingReq p;
+    // A free slot, else a new one: the only place the slab grows.
+    int h = static_cast<int>(slab_.size());
+    if (free_.empty()) {
+      slab_.emplace_back();
+    } else {
+      h = free_.back();
+      free_.pop_back();
+      slab_[static_cast<size_t>(h)] = RunningReq();
+    }
+    PendingReq& p = pending(h);
     p.req = arrivals_.front();
     arrivals_.pop_front();
     observer_.On(RequestEvent(TraceEventType::kRequestQueued, p.req.arrival_s, p.req));
     if (KvTokens(p) > policy_->KvCapacityTokens()) {
       ++shed_total_;
       observer_.On(RequestEvent(TraceEventType::kAdmissionShed, now, p.req));
+      free_.push_back(h);
       continue;
     }
     if (policy == SchedPolicy::kDwfq) {
       p.fair_tag = fair_queue_.TagFor(p.req);
     }
     OnQueued(p);
-    InsertInPolicyOrder(policy, queue_, std::move(p));
+    InsertInPolicyOrder(policy, queue_, h, lookup);
   }
 }
 
@@ -179,60 +189,64 @@ void ServeLoop::Shed(double now) {
   }
   shed_until_s_ = kInf;
   for (auto it = queue_.begin(); it != queue_.end();) {
-    const double service_s = MinServiceS(*it);
-    if (!DeadlineUnmeetable(config_.scheduler, it->req, now, service_s)) {
+    PendingReq& p = pending(*it);
+    const double service_s = MinServiceS(p);
+    if (!DeadlineUnmeetable(config_.scheduler, p.req, now, service_s)) {
       shed_until_s_ =
-          std::min(shed_until_s_, MeetableUntil(config_.scheduler, it->req, service_s));
+          std::min(shed_until_s_, MeetableUntil(config_.scheduler, p.req, service_s));
       ++it;
       continue;
     }
-    if (config_.scheduler.policy == SchedPolicy::kDwfq && it->fair_tag >= 0.0) {
+    if (config_.scheduler.policy == SchedPolicy::kDwfq && p.fair_tag >= 0.0) {
       // A resumed request already received prefill + `decoded` tokens.
-      const TraceRequest& r = it->req;
-      fair_queue_.OnShed(r, it->decoded > 0 ? r.output_tokens - it->decoded
-                                            : KvTokens(*it));
+      const TraceRequest& r = p.req;
+      fair_queue_.OnShed(r, p.decoded > 0 ? r.output_tokens - p.decoded : KvTokens(p));
     }
     ++shed_total_;
-    observer_.On(RequestEvent(TraceEventType::kAdmissionShed, now, it->req));
-    queued_.Remove(it->req.model_id);
+    observer_.On(RequestEvent(TraceEventType::kAdmissionShed, now, p.req));
+    queued_.Remove(p.req.model_id);
+    free_.push_back(*it);
     it = queue_.erase(it);
   }
   quiet_until_s_ = std::min(quiet_until_s_, shed_until_s_);
 }
 
 ServeLoop::QueueIt ServeLoop::Dispatch(QueueIt it, double now) {
-  store_.Touch(it->req.model_id, now);
-  observer_.On(RequestEvent(TraceEventType::kSchedDispatch, now, it->req));
+  RunningReq& r = req(*it);
+  PendingReq& s = r.state;
+  store_.Touch(s.req.model_id, now);
+  observer_.On(RequestEvent(TraceEventType::kSchedDispatch, now, s.req));
   if (config_.scheduler.policy == SchedPolicy::kDwfq) {
-    fair_queue_.OnAdmit(it->fair_tag);
+    fair_queue_.OnAdmit(s.fair_tag);
   }
-  queued_.Remove(it->req.model_id);
-  running_set_.Add(it->req.model_id);
-  RunningReq r;
-  r.state = std::move(*it);
-  r.state.start_s = r.state.start_s < 0.0 ? now : r.state.start_s;
-  r.prefilled = r.state.decoded > 0;  // resumed requests keep their progress
-  r.needs_kv_restore = r.state.decoded > 0;
-  kv_in_use_ += KvTokens(r.state);
+  queued_.Remove(s.req.model_id);
+  running_set_.Add(s.req.model_id);
+  s.start_s = s.start_s < 0.0 ? now : s.start_s;
+  r.prefilled = s.decoded > 0;  // resumed requests keep their progress
+  r.prefilling = false;
+  r.needs_kv_restore = s.decoded > 0;
+  r.is_skipper = false;
+  r.parent_id = -1;
+  kv_in_use_ += KvTokens(s);
   if (r.prefilled) {
-    batch_.Join(r.state.req.model_id, ContextTokens(r.state));
+    batch_.Join(s.req.model_id, ContextTokens(s));
     ++kv_restores_;
   }
-  running_.push_back(std::move(r));
+  running_.push_back(*it);
   return queue_.erase(it);
 }
 
 ServeLoop::QueueIt ServeLoop::Park(QueueIt it) {
-  queued_.Remove(it->req.model_id);
-  parked_.push_back(std::move(*it));
+  queued_.Remove(pending(*it).req.model_id);
+  parked_.push_back(*it);
   return queue_.erase(it);
 }
 
 void ServeLoop::OnRegistryChange(double now) {
   store_.OnRegistryChange();
-  for (PendingReq& p : parked_) {
-    OnQueued(p);
-    queue_.push_back(std::move(p));  // re-inserted in policy order next ingest
+  for (int h : parked_) {
+    OnQueued(pending(h));
+    queue_.push_back(h);  // re-inserted in policy order next ingest
     ++requeued_;
   }
   parked_.clear();
@@ -243,14 +257,15 @@ void ServeLoop::OnRegistryChange(double now) {
 
 ServeLoop::RunIt ServeLoop::Preempt(RunIt it, double now, bool swap_out) {
   DZ_CHECK(policy_->CanPreempt());
-  PendingReq back = it->state;
+  const RunningReq& r = req(*it);
+  PendingReq& back = pending(*it);
   ++back.preemptions;
   kv_in_use_ -= KvTokens(back);
   running_set_.Remove(back.req.model_id);
-  if (it->prefilled) {
+  if (r.prefilled) {
     batch_.Leave(back.req.model_id, ContextTokens(back));
   }
-  if (it->needs_kv_restore) {
+  if (r.needs_kv_restore) {
     --kv_restores_;
   }
   observer_.On(RequestEvent(TraceEventType::kKvPreempt, now, back.req));
@@ -261,7 +276,7 @@ ServeLoop::RunIt ServeLoop::Preempt(RunIt it, double now, bool swap_out) {
     observer_.On(RequestEvent(TraceEventType::kKvSwap, now, back.req, swap_s, /*aux=*/0));
   }
   OnQueued(back);
-  queue_.push_back(std::move(back));  // keeps its fair_tag; re-inserted next ingest
+  queue_.push_back(*it);  // keeps its fair_tag; re-inserted next ingest
   ++requeued_;
   return running_.erase(it);
 }
@@ -270,7 +285,8 @@ double ServeLoop::Iterate(double now) {
   long long prefill_tokens = 0;
   // Only a request awaiting its prefill or a KV restore needs the scan.
   if (batch_.total < static_cast<int>(running_.size()) || kv_restores_ > 0) {
-    for (RunningReq& r : running_) {
+    for (int h : running_) {
+      RunningReq& r = req(h);
       // Prompts fill the budget in batch order; one larger than the whole
       // budget prefills alone, as its round's first.
       const long long prompt = r.state.req.prompt_tokens;
@@ -300,29 +316,59 @@ double ServeLoop::Iterate(double now) {
   return iter;
 }
 
-void ServeLoop::Decode() {
+// Completing after the walk, not in it, keeps every first-token event of the
+// round ahead of every request.done.
+int ServeLoop::AdvanceAndComplete() {
   batch_.Advance(1);
-  for (RunningReq& r : running_) {
+  finished_.clear();
+  int fewest_left = std::numeric_limits<int>::max();  // tokens, over the kept
+  size_t kept = 0;
+  for (const int h : running_) {
+    RunningReq& r = req(h);
+    PendingReq& s = r.state;
     if (r.prefilling) {
       r.prefilling = false;
       r.prefilled = true;
-      r.state.decoded = 1;  // prefill emits the first output token
-      batch_.Join(r.state.req.model_id, ContextTokens(r.state));
-      if (!r.state.has_first_token) {
-        r.state.has_first_token = true;
-        r.state.first_token_s = now_;
-        observer_.On(RequestEvent(TraceEventType::kRequestFirstToken, now_, r.state.req));
+      s.decoded = 1;  // prefill emits the first output token
+      batch_.Join(s.req.model_id, ContextTokens(s));
+      if (!s.has_first_token) {
+        s.has_first_token = true;
+        s.first_token_s = now_;
+        observer_.On(RequestEvent(TraceEventType::kRequestFirstToken, now_, s.req));
       }
     } else if (r.prefilled) {
-      r.state.decoded += 1;
+      s.decoded += 1;
     }
+    if (r.prefilled && s.decoded >= s.req.output_tokens) {
+      finished_.push_back(h);
+      continue;
+    }
+    if (r.prefilled) {
+      fewest_left = std::min(fewest_left, s.req.output_tokens - s.decoded);
+    }
+    running_[kept++] = h;
   }
+  running_.resize(kept);
+  finished_parents_.clear();
+  for (const int h : finished_) {
+    const RunningReq& r = req(h);
+    const PendingReq& s = r.state;
+    kv_in_use_ -= KvTokens(s);
+    running_set_.Remove(s.req.model_id);
+    batch_.Leave(s.req.model_id, ContextTokens(s));
+    Complete(s, now_);
+    if (!r.is_skipper) {
+      finished_parents_.push_back(s.req);
+    }
+    free_.push_back(h);
+  }
+  return fewest_left;
 }
 
 // Every running request decodes, none prefills or restores KV, and nothing is
 // owed for swaps: the quiet start condition implies all three. So round j of
 // the stretch costs what Iterate would price with the ledger advanced j rounds,
-// and Decode would only add a token to every request.
+// and the batch walk would only add a token to every request.
 void ServeLoop::QuietStretch(double t) {
   DZ_CHECK_EQ(batch_.total, static_cast<int>(running_.size()));
   DZ_CHECK_EQ(kv_restores_, 0);
@@ -357,8 +403,8 @@ void ServeLoop::QuietStretch(double t) {
   now_ = now;
   quiet_rounds_ -= ran;
   rounds_count_->Inc(ran);
-  for (RunningReq& r : running_) {
-    r.state.decoded += ran;
+  for (const int h : running_) {
+    pending(h).decoded += ran;
   }
 }
 
@@ -427,7 +473,7 @@ void ServeLoop::RunUntil(double t) {
         // Lookahead prefetch (§8): warm the next W distinct waiting variants
         // while the batch computes; the batch's own variants are never evicted
         // for it.
-        RunPrefetchPass(store_, prefetch_, now_, queue_, queued_, admission_, warm_hints_,
+        RunPrefetchPass(store_, prefetch_, now_, *this, admission_, warm_hints_,
                         prefetch_scratch_);
         if (admission_.stall_until_s > now_) {
           now_ = admission_.stall_until_s;
@@ -436,27 +482,7 @@ void ServeLoop::RunUntil(double t) {
         if (!running_.empty()) {
           const double admitted_s = now_;
           now_ += Iterate(now_);
-          Decode();
-          finished_parents_.clear();
-          int fewest_left = std::numeric_limits<int>::max();  // tokens, over the kept
-          size_t kept = 0;
-          for (RunningReq& r : running_) {
-            if (r.prefilled && r.state.decoded >= r.state.req.output_tokens) {
-              kv_in_use_ -= KvTokens(r.state);
-              running_set_.Remove(r.state.req.model_id);
-              batch_.Leave(r.state.req.model_id, ContextTokens(r.state));
-              Complete(r.state, now_);
-              if (!r.is_skipper) {
-                finished_parents_.push_back(r.state.req);
-              }
-            } else {
-              if (r.prefilled) {
-                fewest_left = std::min(fewest_left, r.state.req.output_tokens - r.state.decoded);
-              }
-              running_[kept++] = std::move(r);
-            }
-          }
-          running_.resize(kept);
+          const int fewest_left = AdvanceAndComplete();
           policy_->AfterIteration(*this, now_, finished_parents_);
           if (ChangeStamp() == stamp + 1) {  // its batch.round alone
             quiet_rounds_ = fewest_left - 1;
@@ -489,24 +515,34 @@ ServeReport ServeLoop::Finish() {
   report_.engine_name = name_;
   // Requests the run did not resolve: queued, running (a crashed worker's are
   // re-served from scratch) and never arrived. All are empty on a natural run.
-  for (const PendingReq& p : queue_) {
-    report_.unfinished.push_back(p.req);
+  for (const int h : queue_) {
+    report_.unfinished.push_back(pending(h).req);
   }
-  for (const RunningReq& r : running_) {
-    report_.unfinished.push_back(r.state.req);
+  for (const int h : running_) {
+    report_.unfinished.push_back(pending(h).req);
   }
   report_.unfinished.insert(report_.unfinished.end(), arrivals_.begin(), arrivals_.end());
   // A halted run hands parked requests on (holders may recover or be
   // repaired); a natural run declares them unavailable.
   std::vector<TraceRequest>& parked_to =
       until_ < kInf ? report_.unfinished : report_.unavailable;
-  for (const PendingReq& p : parked_) {
-    parked_to.push_back(p.req);
+  for (const int h : parked_) {
+    parked_to.push_back(pending(h).req);
   }
   // The conservation ledger: every offered request ends in exactly one bucket.
   DZ_CHECK_EQ(report_.records.size() + shed_total_ + report_.unavailable.size() +
                   report_.unfinished.size(),
               offered_);
+  // The slab's: every slot is free, queued, running or parked, on one list.
+  DZ_CHECK_EQ(slab_.size(), free_.size() + queue_.size() + running_.size() + parked_.size());
+  std::vector<char> listed(slab_.size(), 0);
+  for (const std::vector<int>* handles : {&free_, &queue_, &running_, &parked_}) {
+    for (const int h : *handles) {
+      DZ_CHECK_LT(static_cast<size_t>(h), slab_.size());
+      DZ_CHECK(!listed[static_cast<size_t>(h)]);
+      listed[static_cast<size_t>(h)] = 1;
+    }
+  }
 
   if (config_.registry != nullptr) {
     report_.cached_artifacts = store_.LocallyCached();

@@ -8,10 +8,26 @@
 // requests are offered to it over time and RunUntil steps it, so one loop
 // serves a cluster worker for its whole lifetime (src/cluster/elastic.h).
 //
+// Every queued, running or parked request lives in one loop-owned slab of
+// RunningReq slots, and the queue, the running batch and the parked list are
+// vectors of int handles into it (queue(), running(), pending(h), req(h)).
+// Ingest takes a slot (from a free list, else a new one) when it queues an
+// arrival; completion and shedding return it; a preempted or parked request
+// keeps its slot. Inserting, dispatching, parking, preempting and completing
+// thus move a handle, never the request. The slab grows only in Ingest, so no
+// reference into it is held across an Ingest.
+//
 // One round per decode iteration: ingest, shed, admit, prefetch, iterate,
-// complete. Most rounds change nothing but the decoded tokens, so a full round
-// whose admission onwards emitted no event besides its batch.round and moved
-// no store state starts a quiet stretch (what else a round changes, a park, a
+// advance and complete. After Iterate prices a full round, one walk over the
+// batch advances every request (a landing prefill joins the ledger with its
+// first token and emits its first-token event, any other request decodes one
+// more) and keeps the unfinished handles in order; the finished then complete
+// in batch order, so every first-token event of a round precedes every
+// request.done.
+//
+// Most rounds change nothing but the decoded tokens, so a full round whose
+// admission onwards emitted no event besides its batch.round and moved no
+// store state starts a quiet stretch (what else a round changes, a park, a
 // warm-hint pop or a first sched_attempt_s, leaves the next round's walk the
 // same; what its ingest and shed changed, its own admission already saw). The
 // rounds after it only price, emit their batch.round and advance the clock,
@@ -100,6 +116,8 @@ inline long long KvTokens(const PendingReq& p) {
   return static_cast<long long>(p.req.prompt_tokens) + p.req.output_tokens;
 }
 
+// A slab slot: a request's progress plus its batch-only fields, which
+// ServeLoop::Dispatch resets each time the request enters the batch.
 struct RunningReq {
   PendingReq state;
   bool prefilled = false;   // resumed requests skip prefill (KV restored instead)
@@ -228,8 +246,8 @@ class ServeLoop {
   // The most rounds of a quiet stretch priced in one IterationCosts call.
   static constexpr int kChunkRounds = 64;
 
-  using QueueIt = std::deque<PendingReq>::iterator;
-  using RunIt = std::vector<RunningReq>::iterator;
+  using QueueIt = std::vector<int>::iterator;
+  using RunIt = std::vector<int>::iterator;
 
   // A loop over `n_models` variants and `n_tenants` tenants whose clock starts
   // at config.start_s.
@@ -265,14 +283,23 @@ class ServeLoop {
   // ---- what policies read and do ----
   int n_models() const { return n_models_; }
   ArtifactStore& store() { return store_; }
-  // The waiting queue, in policy order (see Ingest) except for requests
-  // preempted or unparked since the last ingest, which wait at the back. The
-  // round's ingest re-inserts those first, so the queue is fully in policy
-  // order when Admit starts.
-  std::deque<PendingReq>& queue() { return queue_; }
-  const std::deque<PendingReq>& queue() const { return queue_; }
-  std::vector<RunningReq>& running() { return running_; }
-  const std::vector<RunningReq>& running() const { return running_; }
+  // The waiting queue's handles, in policy order (see Ingest) except for
+  // requests preempted or unparked since the last ingest, which wait at the
+  // back. The round's ingest re-inserts those first, so the queue is fully in
+  // policy order when Admit starts.
+  std::vector<int>& queue() { return queue_; }
+  const std::vector<int>& queue() const { return queue_; }
+  // The running batch's handles, in batch order.
+  std::vector<int>& running() { return running_; }
+  const std::vector<int>& running() const { return running_; }
+  // The slot a queued, running or parked request's handle names. A reference
+  // stays valid until the next ingest, which may grow the slab.
+  PendingReq& pending(int h) { return slab_[static_cast<size_t>(h)].state; }
+  const PendingReq& pending(int h) const { return slab_[static_cast<size_t>(h)].state; }
+  RunningReq& req(int h) { return slab_[static_cast<size_t>(h)]; }
+  const RunningReq& req(int h) const { return slab_[static_cast<size_t>(h)]; }
+  // The slab's unused slots.
+  const std::vector<int>& free_slots() const { return free_; }
   // The waiting queue's and the running batch's requests, by variant. The
   // running set is running_variants().ids.
   const VariantCounts& queued_variants() const { return queued_; }
@@ -285,7 +312,8 @@ class ServeLoop {
   // The running batch's decoding requests, by variant.
   const BatchLedger& batch() const { return batch_; }
   // Admits *it (Touch, dispatch event, DWFQ OnAdmit) to the back of the
-  // running batch; returns the next queue position.
+  // running batch, its batch-only fields reset; returns the next queue
+  // position.
   QueueIt Dispatch(QueueIt it, double now);
   // Parks *it on a typed-unavailable artifact until the registry changes
   // (OnRegistryChange): until then retrying would spin.
@@ -325,7 +353,10 @@ class ServeLoop {
   void OnQueued(PendingReq& p);
   void Shed(double now);
   double Iterate(double now);  // returns the iteration's duration
-  void Decode();               // the tokens of the iteration Iterate priced
+  // The batch walk after Iterate: advances every request by the round's
+  // token and completes the finished; returns the fewest tokens any kept
+  // decoding request has left.
+  int AdvanceAndComplete();
   // Runs the quiet rounds the bounds allow before RunUntil's target t.
   void QuietStretch(double t);
   void Complete(const PendingReq& s, double now);
@@ -347,17 +378,22 @@ class ServeLoop {
 
   Counter* rounds_count_;
 
-  std::deque<PendingReq> queue_;
+  // Every queued, running or parked request, by handle; free_ lists the
+  // unused slots.
+  std::vector<RunningReq> slab_;
+  std::vector<int> free_;
+  std::vector<int> queue_;
   size_t requeued_ = 0;  // preempted or unparked requests at the back of queue_
-  std::vector<PendingReq> requeue_scratch_;
+  std::vector<int> requeue_scratch_;
   VariantCounts queued_;  // queued_variants(), kept as queue_ changes
   double shed_until_s_ = std::numeric_limits<double>::infinity();
-  std::vector<RunningReq> running_;
+  std::vector<int> running_;
   VariantCounts running_set_;  // running_variants(), kept as running_ changes
   long long kv_in_use_ = 0;  // KvTokensInUse(), kept as running_ changes
   BatchLedger batch_;        // batch(), kept as running_ changes
   int kv_restores_ = 0;      // running requests with needs_kv_restore set
-  std::vector<PendingReq> parked_;
+  std::vector<int> parked_;
+  std::vector<int> finished_;  // the round's completed handles, in batch order
   std::vector<TraceRequest> finished_parents_;
   Admission admission_;
   PrefetchScratch prefetch_scratch_;

@@ -59,7 +59,8 @@ class VllmScbPolicy : public ServePolicy {
                       int rounds, double* out) override {
     if (prefill_tokens > 0) {
       prefills_.clear();
-      for (const RunningReq& r : loop.running()) {
+      for (const int h : loop.running()) {
+        const RunningReq& r = loop.req(h);
         if (r.prefilling) {
           prefills_.emplace_back(r.state.req.model_id, r.state.req.prompt_tokens);
         }
@@ -99,19 +100,20 @@ void VllmScbPolicy::Admit(ServeLoop& loop, double now, Admission& admission) {
   for (int model : loop.running_variants().ids) {
     admission.Activate(model);
   }
-  const std::vector<RunningReq>& running = loop.running();
+  const std::vector<int>& running = loop.running();
   const std::vector<int>& pinned = admission.active_ids;
   ArtifactStore& store = loop.store();
-  std::deque<PendingReq>& queue = loop.queue();
+  std::vector<int>& queue = loop.queue();
   bool load_in_flight = demand_ready_ > now;
   for (auto it = queue.begin();
        it != queue.end() && static_cast<int>(running.size()) < config_.max_batch;) {
-    const int model = it->req.model_id;
-    if (loop.KvTokensInUse() + KvTokens(*it) > kv_capacity_tokens_) {
+    PendingReq& p = loop.pending(*it);
+    const int model = p.req.model_id;
+    if (loop.KvTokensInUse() + KvTokens(p) > kv_capacity_tokens_) {
       break;
     }
-    if (it->sched_attempt_s < 0.0) {
-      it->sched_attempt_s = now;
+    if (p.sched_attempt_s < 0.0) {
+      p.sched_attempt_s = now;
     }
     if (!store.IsResident(model, now)) {
       // vLLM loads checkpoints synchronously in the serving process, so at most

@@ -59,22 +59,43 @@ PendingLike Req(int id, int tenant, SloClass slo, double arrival, int tokens = 1
 
 using Queue = std::deque<PendingLike>;
 
+// The serve loop's queue: handles into a store of requests (each request
+// queued, re-queued ones included, takes a new slot).
+struct HandleQueue {
+  std::vector<PendingLike> store;
+  std::vector<int> handles;
+
+  size_t size() const { return handles.size(); }
+  const PendingLike& operator[](size_t i) const {
+    return store[static_cast<size_t>(handles[i])];
+  }
+  void push_back(const PendingLike& p) {
+    store.push_back(p);
+    handles.push_back(static_cast<int>(store.size() - 1));
+  }
+  void erase(size_t i) { handles.erase(handles.begin() + static_cast<std::ptrdiff_t>(i)); }
+};
+
 // The serve loop's ingest on a queue kept in policy order: the `requeued`
 // requests preempted since the last ingest wait at the back and are re-inserted
 // first, then each arrival is DWFQ-stamped and inserted, in arrival order.
-void Ingest(const SchedulerConfig& cfg, FairQueue& fq, Queue& q, size_t requeued,
+void Ingest(const SchedulerConfig& cfg, FairQueue& fq, HandleQueue& q, size_t requeued,
             std::vector<PendingLike> arrivals) {
-  const auto tail = q.end() - static_cast<std::ptrdiff_t>(requeued);
-  const std::vector<PendingLike> preempted(tail, q.end());
-  q.erase(tail, q.end());
-  for (const PendingLike& p : preempted) {
-    InsertInPolicyOrder(cfg.policy, q, p);
+  const auto pending = [&q](int h) -> const PendingLike& {
+    return q.store[static_cast<size_t>(h)];
+  };
+  const auto tail = q.handles.end() - static_cast<std::ptrdiff_t>(requeued);
+  const std::vector<int> preempted(tail, q.handles.end());
+  q.handles.erase(tail, q.handles.end());
+  for (const int h : preempted) {
+    InsertInPolicyOrder(cfg.policy, q.handles, h, pending);
   }
   for (PendingLike& p : arrivals) {
     if (cfg.policy == SchedPolicy::kDwfq) {
       p.fair_tag = fq.TagFor(p.req);
     }
-    InsertInPolicyOrder(cfg.policy, q, p);
+    q.store.push_back(p);
+    InsertInPolicyOrder(cfg.policy, q.handles, static_cast<int>(q.store.size() - 1), pending);
   }
 }
 
@@ -113,10 +134,11 @@ void OrderQueueForPolicy(const SchedulerConfig& config, FairQueue& fair_queue,
   }
 }
 
-std::vector<int> Ids(const Queue& q) {
+template <typename AnyQueue>
+std::vector<int> Ids(const AnyQueue& q) {
   std::vector<int> ids;
-  for (const PendingLike& p : q) {
-    ids.push_back(p.req.id);
+  for (size_t i = 0; i < q.size(); ++i) {
+    ids.push_back(q[i].req.id);
   }
   return ids;
 }
@@ -124,7 +146,7 @@ std::vector<int> Ids(const Queue& q) {
 TEST(OrderQueueTest, FcfsKeepsArrivalOrder) {
   SchedulerConfig cfg;
   FairQueue fq;
-  Queue q;
+  HandleQueue q;
   Ingest(cfg, fq, q, 0,
          {Req(0, 0, SloClass::kBatch, 2.0), Req(1, 0, SloClass::kInteractive, 1.0),
           Req(2, 1, SloClass::kStandard, 3.0)});
@@ -135,7 +157,7 @@ TEST(OrderQueueTest, PriorityOrdersByClassThenArrival) {
   SchedulerConfig cfg;
   cfg.policy = SchedPolicy::kPriority;
   FairQueue fq;
-  Queue q;
+  HandleQueue q;
   Ingest(cfg, fq, q, 0,
          {Req(0, 0, SloClass::kBatch, 1.0), Req(1, 0, SloClass::kStandard, 2.0),
           Req(2, 0, SloClass::kInteractive, 3.0), Req(3, 0, SloClass::kInteractive, 2.5),
@@ -154,7 +176,7 @@ TEST(OrderQueueTest, DwfqKeepsLightTenantAheadOfFlood) {
     arrivals.push_back(Req(i, 0, SloClass::kStandard, 0.1 * i));
   }
   arrivals.push_back(Req(100, 1, SloClass::kStandard, 0.9));
-  Queue q;
+  HandleQueue q;
   Ingest(cfg, fq, q, 0, arrivals);
   size_t pos_light = 0;
   for (size_t i = 0; i < q.size(); ++i) {
@@ -180,7 +202,7 @@ TEST(OrderQueueTest, DwfqClassWeightsFavorInteractive) {
   FairQueue fq;
   // Same tenant, same arrival, same size: the interactive request's cost is
   // divided by a 4× weight, so its finish tag lands earlier.
-  Queue q;
+  HandleQueue q;
   Ingest(cfg, fq, q, 0,
          {Req(0, 0, SloClass::kBatch, 0.0), Req(1, 1, SloClass::kInteractive, 0.0)});
   EXPECT_EQ(q[0].req.id, 1);
@@ -199,7 +221,7 @@ TEST(OrderQueueTest, InsertPathEqualsStableSortOnRandomizedQueues) {
       FairQueue fq_sort;
       FairQueue fq_insert;
       Queue sorted;
-      Queue inserted;
+      HandleQueue inserted;
       std::vector<PendingLike> running;
       size_t requeued = 0;
       Rng rng(seed);
@@ -235,7 +257,7 @@ TEST(OrderQueueTest, InsertPathEqualsStableSortOnRandomizedQueues) {
           fq_sort.OnAdmit(sorted[at].fair_tag);
           fq_insert.OnAdmit(inserted[at].fair_tag);
           sorted.erase(sorted.begin() + static_cast<std::ptrdiff_t>(at));
-          inserted.erase(inserted.begin() + static_cast<std::ptrdiff_t>(at));
+          inserted.erase(at);
         }
         // Preempt a few running requests back to the queue tail, tags kept.
         while (!running.empty() && rng.NextDouble() < 0.4) {

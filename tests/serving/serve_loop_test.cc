@@ -13,7 +13,8 @@
 // batch ledger that rounds are priced from, and the running set, queued
 // counts and shed bound the loop keeps across rounds, equal a recount of the
 // running batch and the queue after every step of runs cut finer than one
-// iteration.
+// iteration, and the queue's and batch's slab handles are distinct and live.
+// Within a round, every first-token event precedes every completion.
 #include "src/serving/serve_loop.h"
 
 #include <algorithm>
@@ -119,17 +120,26 @@ void ExpectLedgerCloses(const ServeReport& r, const Trace& trace,
 }
 
 // Empty when what the loop keeps across rounds agrees with a recount of its
-// queue and batch, else the first difference: the per-variant running counts
-// and the running set, the per-variant queued counts, and (under admission
-// control) a shed bound at or below every queued request's MeetableUntil.
+// queue and batch, else the first difference: distinct live handles in the
+// queue and the batch, the per-variant running counts and the running set,
+// the per-variant queued counts, and (under admission control) a shed bound at
+// or below every queued request's MeetableUntil.
 // `stale` is set when the bound lies strictly below all of them: the request
 // that held it has left the queue since the last shed walk.
 std::string KeptStateMismatch(const ServeLoop& loop, const SchedulerConfig& sched,
                               bool* stale) {
+  std::set<int> handles(loop.free_slots().begin(), loop.free_slots().end());
+  for (const std::vector<int>* list : {&loop.queue(), &loop.running()}) {
+    for (const int h : *list) {
+      if (!handles.insert(h).second) {
+        return "handle " + std::to_string(h) + " free or listed twice";
+      }
+    }
+  }
   const size_t n = static_cast<size_t>(loop.n_models());
   std::vector<int> running(n, 0);
-  for (const RunningReq& r : loop.running()) {
-    ++running[static_cast<size_t>(r.state.req.model_id)];
+  for (const int h : loop.running()) {
+    ++running[static_cast<size_t>(loop.pending(h).req.model_id)];
   }
   std::vector<int> running_ids;
   for (size_t v = 0; v < n; ++v) {
@@ -145,7 +155,8 @@ std::string KeptStateMismatch(const ServeLoop& loop, const SchedulerConfig& sche
   }
   std::vector<int> queued(n, 0);
   double least_meetable = kInf;
-  for (const PendingReq& p : loop.queue()) {
+  for (const int h : loop.queue()) {
+    const PendingReq& p = loop.pending(h);
     ++queued[static_cast<size_t>(p.req.model_id)];
     if (sched.admission_control) {
       if (p.min_service_s < 0.0) {
@@ -675,6 +686,46 @@ TEST_P(QuietStretchTest, TimelineSnapshotsInsideStretch) {
   EXPECT_EQ(HashTimeline(r.timeline), timeline_pins[PinIndex(GetParam())]);
 }
 
+// ---- one round's event order -------------------------------------------------
+// A round advances the whole batch before any request completes: every
+// first-token event of a round precedes every request.done it records.
+
+TEST_P(ServeLoopTest, FirstTokensPrecedeTheRoundsCompletions) {
+  EngineConfig cfg;
+  cfg.exec.shape = ModelShape::Llama13B();
+  cfg.exec.gpu = GpuSpec::A800();
+  cfg.exec.tp = 4;
+  cfg.artifact = GetParam().artifact;
+  cfg.tracing.enabled = true;
+  // Both are dispatched and prefill in one round; request 0, first in the
+  // batch, completes with the token its prefill emits.
+  const ServeReport r = Serve(cfg, StretchTrace({StretchReq(0, 0.0, 0, /*output_tokens=*/1),
+                                                 StretchReq(1, 0.0, 0, 50)}));
+  ASSERT_EQ(r.records.size(), 2u);
+  const auto find = [&r](TraceEventType type, int id) {
+    return std::find_if(r.trace_events.begin(), r.trace_events.end(),
+                        [type, id](const TraceEvent& e) {
+                          return e.type == type && e.request_id == id;
+                        });
+  };
+  const auto first_token = find(TraceEventType::kRequestFirstToken, 1);
+  const auto done = find(TraceEventType::kRequestDone, 0);
+  ASSERT_NE(first_token, r.trace_events.end());
+  ASSERT_NE(done, r.trace_events.end());
+  EXPECT_EQ(first_token->ts_s, done->ts_s) << "not one round";
+  EXPECT_LT(first_token - r.trace_events.begin(), done - r.trace_events.begin());
+}
+
+// Removing a request a count does not hold would leave the count negative and
+// its variant listed apart from it.
+TEST(VariantCountsTest, RemoveOfAnAbsentRequestDies) {
+  VariantCounts counts(3);
+  counts.Add(1);
+  counts.Remove(1);
+  EXPECT_DEATH(counts.Remove(1), "DZ_CHECK");
+  EXPECT_DEATH(counts.Remove(2), "DZ_CHECK");
+}
+
 // ---- the batch ledger --------------------------------------------------------
 // Rounds are priced from ServeLoop::batch(), which the loop keeps as running_
 // changes. After every RunUntil call of a run stepped in increments shorter
@@ -693,7 +744,8 @@ std::string LedgerMismatch(const ServeLoop& loop) {
   std::vector<long long> ctx(n, 0);
   int total = 0;
   long long ctx_total = 0;
-  for (const RunningReq& r : loop.running()) {
+  for (const int h : loop.running()) {
+    const RunningReq& r = loop.req(h);
     if (r.prefilled) {
       const size_t v = static_cast<size_t>(r.state.req.model_id);
       const long long tokens = r.state.req.prompt_tokens + r.state.decoded;
