@@ -157,10 +157,6 @@ ClusterReport BuildClusterReport(std::string cluster_name, PlacementPolicy polic
   report.n_gpus = static_cast<int>(per_gpu.size());
   report.merged.engine_name = per_gpu.front().engine_name;
 
-  // Merge the per-GPU records by finish time: concatenate in GPU order, then
-  // stable-sort, so ties resolve to the lowest GPU index and each worker's
-  // finish order is preserved — a single-GPU cluster reproduces its worker's
-  // report verbatim.
   report.merged.slo_spec = per_gpu.front().slo_spec;
   size_t total = 0;
   for (const ServeReport& r : per_gpu) {
@@ -173,15 +169,41 @@ ClusterReport BuildClusterReport(std::string cluster_name, PlacementPolicy polic
     report.merged.metrics.MergeFrom(r.metrics);
   }
   report.merged.metrics.sim_time_s = report.merged.makespan_s;
-  report.merged.records.reserve(total);
+  // Merge the per-GPU record runs, each already in finish order, by finish
+  // time: repeatedly take the earliest head, the lowest GPU index at ties, so
+  // each worker keeps its own order and a single-GPU cluster reproduces its
+  // worker's report verbatim. Runs are few (one per worker), so a scan of the
+  // heads beats a heap.
+  struct Run {
+    double finish_s;  // of `next`
+    const RequestRecord* next;
+    const RequestRecord* end;
+  };
+  std::vector<Run> runs;  // runs with records left, in GPU order
   for (const ServeReport& r : per_gpu) {
-    report.merged.records.insert(report.merged.records.end(), r.records.begin(),
-                                 r.records.end());
+    DZ_CHECK(std::is_sorted(r.records.begin(), r.records.end(),
+                            [](const RequestRecord& a, const RequestRecord& b) {
+                              return a.finish_s < b.finish_s;
+                            }));
+    if (!r.records.empty()) {
+      runs.push_back({r.records.front().finish_s, r.records.data(),
+                      r.records.data() + r.records.size()});
+    }
   }
-  std::stable_sort(report.merged.records.begin(), report.merged.records.end(),
-                   [](const RequestRecord& a, const RequestRecord& b) {
-                     return a.finish_s < b.finish_s;
-                   });
+  report.merged.records.reserve(total);
+  while (!runs.empty()) {
+    size_t best = 0;
+    for (size_t k = 1; k < runs.size(); ++k) {
+      best = runs[k].finish_s < runs[best].finish_s ? k : best;
+    }
+    Run& run = runs[best];
+    report.merged.records.push_back(*run.next);
+    if (++run.next == run.end) {
+      runs.erase(runs.begin() + static_cast<std::ptrdiff_t>(best));
+    } else {
+      run.finish_s = run.next->finish_s;
+    }
+  }
   report.per_gpu = std::move(per_gpu);
   // Trace views: each worker ran share-nothing with gpu left -1; stamp the
   // owning GPU now, and fold per-GPU critical-path attributions and ring-drop

@@ -115,6 +115,8 @@ struct ClusterReport {
 };
 
 // Builds the merged view from per-GPU worker reports (per_gpu[i] belongs to GPU i).
+// Each worker's records must be in finish order (DZ_CHECKed), as engines emit
+// them: the merged records are one k-way merge of those runs.
 ClusterReport BuildClusterReport(std::string cluster_name, PlacementPolicy policy,
                                  std::vector<ServeReport> per_gpu);
 

@@ -6,6 +6,7 @@
 #include <limits>
 #include <map>
 #include <memory>
+#include <numeric>
 #include <queue>
 #include <string>
 #include <utility>
@@ -100,7 +101,15 @@ void Accumulate(ServeReport& acc, ServeReport&& r) {
     acc = std::move(r);
     return;
   }
+  // Each lifetime's records are in finish order; merging them (earlier
+  // lifetime first at ties) keeps the worker's run in finish order, as
+  // BuildClusterReport requires.
+  const auto mid = static_cast<std::ptrdiff_t>(acc.records.size());
   acc.records.insert(acc.records.end(), r.records.begin(), r.records.end());
+  std::inplace_merge(acc.records.begin(), acc.records.begin() + mid, acc.records.end(),
+                     [](const RequestRecord& a, const RequestRecord& b) {
+                       return a.finish_s < b.finish_s;
+                     });
   acc.metrics.MergeFrom(r.metrics);
   acc.timeline.insert(acc.timeline.end(), r.timeline.begin(), r.timeline.end());
   acc.makespan_s = std::max(acc.makespan_s, r.makespan_s);
@@ -219,10 +228,14 @@ struct ElasticRun {
   // Starts a serving worker's engine, clocked from `t`, and offers it the
   // carry, which also seeds its warm hints unless `hints` is given.
   void StartEngine(WorkerSlot& w, double t, const std::vector<int>* hints) {
-    std::stable_sort(w.carry.begin(), w.carry.end(),
-                     [](const TraceRequest& x, const TraceRequest& y) {
-                       return x.arrival_s < y.arrival_s;
-                     });
+    const auto by_arrival = [](const TraceRequest& x, const TraceRequest& y) {
+      return x.arrival_s < y.arrival_s;
+    };
+    // Routing appends in arrival order; only a crashed engine's leftovers can
+    // break it.
+    if (!std::is_sorted(w.carry.begin(), w.carry.end(), by_arrival)) {
+      std::stable_sort(w.carry.begin(), w.carry.end(), by_arrival);
+    }
     EngineConfig ec = cfg.engine;
     ec.start_s = t;
     if (registry != nullptr) {
@@ -268,10 +281,14 @@ struct ElasticRun {
   // `next`, start engines for serving workers without one, and run every
   // live engine until `next`.
   void Step(double t, double next) {
+    // Tokens routed to each worker (by id) in this step: the pool's job sizes.
+    std::vector<long long> routed(workers.size(), 0);
     // A request goes to its worker's engine, or to its carry while it has none.
     const auto route = [&](TraceRequest r) {
       if (placer != nullptr) {
         const int gpu = placer->Assign(r);
+        routed[static_cast<size_t>(gpu)] +=
+            static_cast<long long>(r.prompt_tokens) + r.output_tokens;
         WorkerSlot& w = workers[static_cast<size_t>(gpu)];
         if (w.loop != nullptr) {
           w.loop->Offer(r);
@@ -333,7 +350,16 @@ struct ElasticRun {
     for (WorkerSlot* w : live) {
       net_busy_s -= net_busy(w);
     }
-    const auto run_one = [&](size_t k) { live[k]->loop->RunUntil(next); };
+    // The pool takes the workers longest-first, by tokens routed in this step
+    // (ties in id order), so the biggest job does not start last. Only the
+    // run order changes: `live` and every sum over it stay in id order.
+    std::vector<size_t> order(live.size());
+    std::iota(order.begin(), order.end(), size_t{0});
+    std::stable_sort(order.begin(), order.end(), [&](size_t a, size_t b) {
+      return routed[static_cast<size_t>(live[a]->id)] >
+             routed[static_cast<size_t>(live[b]->id)];
+    });
+    const auto run_one = [&](size_t k) { live[order[k]]->loop->RunUntil(next); };
     if (cfg.parallel_workers && live.size() > 1) {
       ThreadPool::Global().ForEachTask(live.size(), run_one);
     } else {

@@ -82,28 +82,20 @@ Placer::Placer(const PlacerConfig& config, const std::vector<int>& worker_ids)
     // virtual nodes whatever the rest of the membership, so adding/removing a
     // worker only moves the keys that hashed to its arcs (bounded churn), and
     // ids {0..n-1} reproduce the static ring bit-for-bit.
-    for (int gpu : ids_) {
+    for (size_t slot = 0; slot < ids_.size(); ++slot) {
+      const uint64_t gpu = static_cast<uint64_t>(ids_[slot]);
       for (int v = 0; v < kVirtualNodes; ++v) {
-        const uint64_t point = SplitMix64(
-            kHashSeed ^
-            (static_cast<uint64_t>(gpu) * 0x10001ULL + static_cast<uint64_t>(v) + 1));
-        ring_.push_back({point, gpu});
+        const uint64_t point =
+            SplitMix64(kHashSeed ^ (gpu * 0x10001ULL + static_cast<uint64_t>(v) + 1));
+        ring_.push_back({point, static_cast<int>(slot)});
       }
     }
+    // Slots ascend with ids, so hash ties break by global id.
     std::sort(ring_.begin(), ring_.end(), [](const RingPoint& a, const RingPoint& b) {
-      return a.hash != b.hash ? a.hash < b.hash : a.gpu < b.gpu;
+      return a.hash != b.hash ? a.hash < b.hash : a.slot < b.slot;
     });
+    walk_of_home_.assign(ring_.size(), -1);
   }
-}
-
-size_t Placer::SlotOf(int gpu) const {
-  for (size_t i = 0; i < ids_.size(); ++i) {
-    if (ids_[i] == gpu) {
-      return i;
-    }
-  }
-  DZ_CHECK(false);  // ring/backlog only ever hold known members
-  return 0;
 }
 
 void Placer::DrainBacklogs(double now) {
@@ -143,69 +135,85 @@ size_t Placer::RingHomeTenant(int tenant_id) const {
 
 int Placer::HomeGpu(int model_id) const {
   DZ_CHECK(config_.policy == PlacementPolicy::kDeltaAffinity);
-  return ring_[RingHome(model_id)].gpu;
+  return ids_[static_cast<size_t>(ring_[RingHome(model_id)].slot)];
 }
 
-int Placer::HomeGpuForTenant(int tenant_id) const {
-  DZ_CHECK(config_.policy == PlacementPolicy::kTenantAffinity);
-  return ring_[RingHomeTenant(tenant_id)].gpu;
+const int* Placer::Walk(int key) {
+  DZ_CHECK_GE(key, 0);
+  DZ_CHECK_LT(key, std::max(kMaxModels, kMaxTenants));
+  if (static_cast<size_t>(key) >= home_of_key_.size()) {
+    home_of_key_.resize(static_cast<size_t>(key) + 1, -1);
+  }
+  int& home = home_of_key_[static_cast<size_t>(key)];
+  if (home < 0) {
+    home = static_cast<int>(config_.policy == PlacementPolicy::kDeltaAffinity
+                                ? RingHome(key)
+                                : RingHomeTenant(key));
+  }
+  int& walk = walk_of_home_[static_cast<size_t>(home)];
+  if (walk < 0) {
+    // Walk the ring from the home and keep each slot the first time it shows;
+    // every slot owns kVirtualNodes points, so one lap meets them all.
+    walk = static_cast<int>(walks_.size());
+    std::vector<bool> met(ids_.size(), false);
+    for (size_t step = 0; step < ring_.size(); ++step) {
+      const int slot = ring_[(static_cast<size_t>(home) + step) % ring_.size()].slot;
+      if (!met[static_cast<size_t>(slot)]) {
+        met[static_cast<size_t>(slot)] = true;
+        walks_.push_back(slot);
+      }
+    }
+  }
+  return walks_.data() + walk;
 }
 
-int Placer::AssignAffinity(size_t idx, double cost) {
-  // Bounded load: walk the ring until a GPU whose *existing* backlog is under
+size_t Placer::AssignAffinity(const int* walk, double cost) {
+  // Bounded load: the first slot on the walk whose *existing* backlog is under
   // c × cluster-mean (mean includes the new request, so the least-loaded GPU
   // always qualifies and an idle cluster never spills).
-  const int n = static_cast<int>(ids_.size());
+  const size_t n = ids_.size();
   double total = cost;
   for (double b : backlog_) {
     total += b;
   }
   const double bound = config_.bounded_load_factor * total / static_cast<double>(n);
-  int tried = 0;
-  std::vector<bool> seen(ids_.size(), false);
-  for (size_t step = 0; step < ring_.size() && tried < n; ++step) {
-    const int gpu = ring_[(idx + step) % ring_.size()].gpu;
-    const size_t slot = SlotOf(gpu);
-    if (seen[slot]) {
-      continue;
-    }
-    seen[slot] = true;
-    ++tried;
+  for (size_t i = 0; i < n; ++i) {
+    const size_t slot = static_cast<size_t>(walk[i]);
     if (backlog_[slot] <= bound) {
-      return gpu;
+      return slot;
     }
   }
   // Unreachable in practice (the argmin backlog is always ≤ mean ≤ bound), but
   // keep a deterministic fallback rather than an invariant crash.
-  return ids_[static_cast<size_t>(
-      std::min_element(backlog_.begin(), backlog_.end()) - backlog_.begin())];
+  return static_cast<size_t>(std::min_element(backlog_.begin(), backlog_.end()) -
+                             backlog_.begin());
 }
 
 int Placer::Assign(const TraceRequest& req) {
   DrainBacklogs(req.arrival_s);
   const double cost =
       static_cast<double>(static_cast<long long>(req.prompt_tokens) + req.output_tokens);
-  int gpu = 0;
+  size_t slot = 0;
   switch (config_.policy) {
     case PlacementPolicy::kRoundRobin:
-      gpu = ids_[static_cast<size_t>(rr_next_)];
+      slot = static_cast<size_t>(rr_next_);
       rr_next_ = (rr_next_ + 1) % static_cast<int>(ids_.size());
       break;
     case PlacementPolicy::kLeastOutstanding:
       // Slot order is ascending-id order, so ties pick the lowest worker id —
       // the static behavior, independent of membership history.
-      gpu = ids_[static_cast<size_t>(
-          std::min_element(backlog_.begin(), backlog_.end()) - backlog_.begin())];
+      slot = static_cast<size_t>(std::min_element(backlog_.begin(), backlog_.end()) -
+                                 backlog_.begin());
       break;
     case PlacementPolicy::kDeltaAffinity:
-      gpu = AssignAffinity(RingHome(req.model_id), cost);
+      slot = AssignAffinity(Walk(req.model_id), cost);
       break;
     case PlacementPolicy::kTenantAffinity:
-      gpu = AssignAffinity(RingHomeTenant(req.tenant_id), cost);
+      slot = AssignAffinity(Walk(req.tenant_id), cost);
       break;
   }
-  backlog_[SlotOf(gpu)] += cost;
-  return gpu;
+  backlog_[slot] += cost;
+  return ids_[slot];
 }
 
 std::vector<int> AssignTrace(const Trace& trace, const PlacerConfig& config) {

@@ -73,6 +73,9 @@ class Placer {
   // Assigns one request to a worker, returning its GLOBAL id (one of
   // worker_ids; [0, n_gpus) for the static ctor). Must be called in trace
   // order (non-decreasing arrival_s): the placer maintains backlog online.
+  // The affinity policies cache each key's ring home and each home's walk on
+  // first use, so a repeat key costs a backlog drain and sum and a scan of at
+  // most one entry per worker.
   int Assign(const TraceRequest& req);
 
   // The variant's home GPU on the consistent-hash ring, ignoring bounded load —
@@ -80,10 +83,6 @@ class Placer {
   // meaningful for kDeltaAffinity (check-fails otherwise). Stateless: does not
   // consume or update backlog, so it is safe to call for prefetch hinting.
   int HomeGpu(int model_id) const;
-
-  // The tenant's home GPU on the ring, ignoring bounded load. Only meaningful
-  // for kTenantAffinity (check-fails otherwise). Stateless, like HomeGpu.
-  int HomeGpuForTenant(int tenant_id) const;
 
   // Current per-worker backlog estimates (token units), aligned with
   // worker_ids(); exposed for tests and for elastic rebuild seeding.
@@ -94,16 +93,18 @@ class Placer {
  private:
   struct RingPoint {
     uint64_t hash = 0;
-    int gpu = 0;  // GLOBAL worker id
+    int slot = 0;  // index into ids_/backlog_ (slot order is ascending-id order)
   };
 
   void DrainBacklogs(double now);
-  // backlog_/seen slot of a global worker id (linear scan; membership is tiny).
-  size_t SlotOf(int gpu) const;
   size_t RingHomeOfKey(uint64_t salted_key) const;
   size_t RingHome(int model_id) const;
   size_t RingHomeTenant(int tenant_id) const;
-  int AssignAffinity(size_t home_idx, double cost);
+  // The cached ring walk of `key` (a variant or tenant id): the slots in the
+  // order a walk from the key's home meets them, each once. Valid until the
+  // next call, which may grow the cache.
+  const int* Walk(int key);
+  size_t AssignAffinity(const int* walk, double cost);
 
   PlacerConfig config_;
   std::vector<int> ids_;         // global worker ids, ascending
@@ -111,6 +112,12 @@ class Placer {
   double last_now_ = 0.0;
   int rr_next_ = 0;              // round-robin cursor over slots
   std::vector<RingPoint> ring_;  // sorted by hash; empty unless affinity policies
+  // Affinity caches, filled on first use: a key's ring home (-1 until known),
+  // and per ring index the offset of its walk in walks_ (-1 until walked).
+  // Each walk holds every slot once.
+  std::vector<int> home_of_key_;
+  std::vector<int> walk_of_home_;
+  std::vector<int> walks_;
 };
 
 // Convenience: per-request GPU assignments for a whole trace, aligned with

@@ -146,36 +146,57 @@ const LogHistogram* MetricsSnapshot::Hist(const std::string& name,
   return p != nullptr && p->kind == MetricKind::kHistogram ? &p->hist : nullptr;
 }
 
+namespace {
+
+// Each point's key, DZ_CHECKed strictly ascending: the order MergeFrom's
+// linear pass relies on.
+std::vector<std::string> SortedKeys(const std::vector<MetricPoint>& points) {
+  std::vector<std::string> keys;
+  keys.reserve(points.size());
+  for (const MetricPoint& p : points) {
+    keys.push_back(p.Key());
+    DZ_CHECK(keys.size() == 1 || keys[keys.size() - 2] < keys.back());
+  }
+  return keys;
+}
+
+}  // namespace
+
 void MetricsSnapshot::MergeFrom(const MetricsSnapshot& other) {
   sim_time_s = std::max(sim_time_s, other.sim_time_s);
-  for (const MetricPoint& theirs : other.points) {
-    const std::string key = theirs.Key();
-    // Points are few (tens) and merges are per-window, so the linear probe
-    // beats maintaining a side index.
-    auto it = std::find_if(points.begin(), points.end(), [&](const MetricPoint& p) {
-      return p.Key() == key;
-    });
-    if (it == points.end()) {
-      // Keep global key order so merged snapshots serialize deterministically
-      // regardless of which worker contributed which instrument.
-      auto pos = std::find_if(points.begin(), points.end(), [&](const MetricPoint& p) {
-        return p.Key() > key;
-      });
-      points.insert(pos, theirs);
+  const std::vector<std::string> mine = SortedKeys(points);
+  const std::vector<std::string> theirs = SortedKeys(other.points);
+  // One pass over both key-sorted lists: a key on one side only keeps its
+  // point, a key on both combines them, and the result stays key-sorted.
+  std::vector<MetricPoint> merged;
+  merged.reserve(points.size() + other.points.size());
+  size_t i = 0;
+  size_t j = 0;
+  while (i < mine.size() || j < theirs.size()) {
+    if (j == theirs.size() || (i < mine.size() && mine[i] < theirs[j])) {
+      merged.push_back(std::move(points[i++]));
       continue;
     }
-    DZ_CHECK(it->kind == theirs.kind);
-    switch (theirs.kind) {
+    if (i == mine.size() || theirs[j] < mine[i]) {
+      merged.push_back(other.points[j++]);
+      continue;
+    }
+    MetricPoint& p = points[i++];
+    const MetricPoint& q = other.points[j++];
+    DZ_CHECK(p.kind == q.kind);
+    switch (q.kind) {
       case MetricKind::kCounter:
       case MetricKind::kGauge:
-        it->value += theirs.value;  // gauges sum: per-worker totals aggregate
+        p.value += q.value;  // gauges sum: per-worker totals aggregate
         break;
       case MetricKind::kHistogram:
-        it->hist.Merge(theirs.hist);
-        it->value = static_cast<double>(it->hist.count());
+        p.hist.Merge(q.hist);
+        p.value = static_cast<double>(p.hist.count());
         break;
     }
+    merged.push_back(std::move(p));
   }
+  points = std::move(merged);
 }
 
 void MetricsSnapshot::SetValue(const std::string& name, MetricKind kind, double value,

@@ -141,7 +141,10 @@ struct MetricsSnapshot {
                            const MetricLabels& labels = {}) const;
 
   // Adds `other` into this snapshot: matching keys combine per kind, unmatched
-  // points are inserted (key order preserved). sim_time_s takes the max.
+  // points are inserted (key order preserved). sim_time_s takes the max. Both
+  // point lists must be strictly key-sorted (DZ_CHECKed), as Snapshot(),
+  // SetValue() and MergeFrom() leave them: the merge is one linear pass that
+  // builds each key once.
   void MergeFrom(const MetricsSnapshot& other);
 
   // Upserts a scalar point (benches attach derived values, e.g. process RSS).

@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include "tests/cluster/reference_placer.h"
+
 namespace dz {
 namespace {
 
@@ -38,6 +40,7 @@ TEST(PlacerTest, TenantAffinityIsStickyPerTenantNotPerModel) {
   // Generous bound so nothing spills: placement is pure ring homing.
   cfg.bounded_load_factor = 100.0;
   Placer placer(cfg);
+  const testing_ref::ReferencePlacer ref(cfg);
   std::map<int, std::set<int>> gpus_of_tenant;
   for (int i = 0; i < 80; ++i) {
     TraceRequest r = Req(i, i % 8, 0.05 * i);
@@ -46,7 +49,7 @@ TEST(PlacerTest, TenantAffinityIsStickyPerTenantNotPerModel) {
   }
   for (const auto& [tenant, gpus] : gpus_of_tenant) {
     EXPECT_EQ(gpus.size(), 1u) << "tenant " << tenant << " was split";
-    EXPECT_EQ(*gpus.begin(), placer.HomeGpuForTenant(tenant));
+    EXPECT_EQ(*gpus.begin(), ref.HomeGpuForTenant(tenant));
   }
 }
 

@@ -2,12 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
 #include <string>
 #include <vector>
+
+#include "src/util/rng.h"
 
 namespace dz {
 namespace {
@@ -272,6 +275,108 @@ TEST(SnapshotTest, SetValueUpsertsDerivedPoints) {
   snap.SetValue("soak.rss_mb", MetricKind::kGauge, 150.0);
   EXPECT_DOUBLE_EQ(snap.Value("soak.rss_mb"), 150.0);
   EXPECT_EQ(snap.points.size(), 1u);
+}
+
+// ---- MergeFrom against the probe merge it replaced --------------------------
+
+// The old MergeFrom: for each incoming point, probe the existing points for
+// its key (building every existing key again), and insert unmatched points
+// before the first larger key.
+void ProbeMerge(MetricsSnapshot& into, const MetricsSnapshot& other) {
+  into.sim_time_s = std::max(into.sim_time_s, other.sim_time_s);
+  for (const MetricPoint& theirs : other.points) {
+    const std::string key = theirs.Key();
+    auto it = std::find_if(into.points.begin(), into.points.end(),
+                           [&](const MetricPoint& p) { return p.Key() == key; });
+    if (it == into.points.end()) {
+      auto pos = std::find_if(into.points.begin(), into.points.end(),
+                              [&](const MetricPoint& p) { return p.Key() > key; });
+      into.points.insert(pos, theirs);
+      continue;
+    }
+    switch (theirs.kind) {
+      case MetricKind::kCounter:
+      case MetricKind::kGauge:
+        it->value += theirs.value;
+        break;
+      case MetricKind::kHistogram:
+        it->hist.Merge(theirs.hist);
+        it->value = static_cast<double>(it->hist.count());
+        break;
+    }
+  }
+}
+
+// A random registry over a fixed pool of instruments. Names and labels are
+// picked so key order differs from name order ("a{...}" sorts after "a.b");
+// each key has one kind everywhere, as real registries do.
+MetricsSnapshot RandomSnapshot(Rng& rng, double keep) {
+  const char* names[] = {"a", "a.b", "engine.rounds", "lat", "store.busy_s"};
+  const MetricLabels labels[] = {
+      {}, {{"class", "interactive"}}, {{"channel", "pcie"}, {"k", "v"}}};
+  MetricsRegistry reg;
+  for (int n = 0; n < 5; ++n) {
+    for (int l = 0; l < 3; ++l) {
+      if (rng.NextDouble() >= keep) {
+        continue;
+      }
+      switch ((n + 2 * l) % 3) {
+        case 0:
+          reg.GetCounter(names[n], labels[l])->Inc(rng.Uniform(0.0, 100.0));
+          break;
+        case 1:
+          reg.GetGauge(names[n], labels[l])->Set(rng.Uniform(-5.0, 5.0));
+          break;
+        default: {
+          LogHistogram* h = reg.GetHistogram(names[n], labels[l]);
+          const int samples = static_cast<int>(rng.NextBelow(6));
+          for (int i = 0; i < samples; ++i) {
+            h->Record(rng.Exponential(1.0));
+          }
+        }
+      }
+    }
+  }
+  return reg.Snapshot(rng.Uniform(0.0, 10.0));
+}
+
+TEST(SnapshotMergeTest, LinearMergeMatchesProbeMerge) {
+  Rng rng(42);
+  for (int trial = 0; trial < 200; ++trial) {
+    // keep 0 gives an empty side; 1 gives identical key sets.
+    const double keeps[] = {0.0, 0.3, 0.7, 1.0};
+    MetricsSnapshot merged = RandomSnapshot(rng, keeps[rng.NextBelow(4)]);
+    MetricsSnapshot probe = merged;
+    for (int worker = 0; worker < 4; ++worker) {
+      const MetricsSnapshot other = RandomSnapshot(rng, keeps[rng.NextBelow(4)]);
+      merged.MergeFrom(other);
+      ProbeMerge(probe, other);
+    }
+    ASSERT_EQ(merged.points.size(), probe.points.size()) << "trial " << trial;
+    for (size_t i = 0; i < probe.points.size(); ++i) {
+      const MetricPoint& a = merged.points[i];
+      const MetricPoint& b = probe.points[i];
+      ASSERT_EQ(a.Key(), b.Key()) << "trial " << trial;
+      ASSERT_EQ(a.kind, b.kind);
+      ASSERT_EQ(a.value, b.value) << a.Key();  // bit for bit
+      ASSERT_EQ(a.hist.count(), b.hist.count());
+      ASSERT_EQ(a.hist.sum(), b.hist.sum());
+      for (int k = 0; k < LogHistogram::kNumBuckets; ++k) {
+        ASSERT_EQ(a.hist.bucket_count(k), b.hist.bucket_count(k));
+      }
+    }
+    ASSERT_EQ(merged.ToJsonLine(), probe.ToJsonLine()) << "trial " << trial;
+  }
+}
+
+TEST(SnapshotMergeDeathTest, RefusesUnsortedPoints) {
+  MetricsRegistry reg;
+  reg.GetCounter("a")->Inc();
+  reg.GetCounter("b")->Inc();
+  MetricsSnapshot unsorted = reg.Snapshot();
+  std::swap(unsorted.points[0], unsorted.points[1]);
+  MetricsSnapshot merged = reg.Snapshot();
+  EXPECT_DEATH(merged.MergeFrom(unsorted), "DZ_CHECK");
 }
 
 }  // namespace

@@ -14,6 +14,7 @@
 #include "src/serving/scheduler.h"
 #include "src/util/rng.h"
 #include "src/workload/trace.h"
+#include "tests/cluster/reference_placer.h"
 
 namespace dz {
 namespace {
@@ -509,10 +510,10 @@ TEST(SchedulerClusterTest, TenantAffinityKeepsTenantsTogether) {
   // Absent bounded-load spill every request of a tenant lands on its ring
   // home; with spill allowed, the dominant GPU should still carry the vast
   // majority of each tenant's traffic.
-  Placer placer(pc);
+  const testing_ref::ReferencePlacer ref(pc);
   size_t on_home = 0;
   for (size_t i = 0; i < trace.requests.size(); ++i) {
-    if (shard_of[i] == placer.HomeGpuForTenant(trace.requests[i].tenant_id)) {
+    if (shard_of[i] == ref.HomeGpuForTenant(trace.requests[i].tenant_id)) {
       ++on_home;
     }
   }
