@@ -2,11 +2,13 @@
 //
 // The kernel layer compiles one translation unit per ISA (scalar always, the
 // portable path on every target; AVX2/AVX-512 on x86-64) with that ISA's -m
-// flags, each instantiating the same blocked drivers from kernels_generic.h around its own
-// vector micro-kernels. At first use the dispatcher probes the CPU
-// (__builtin_cpu_supports on x86) and selects the widest compiled-and-supported
-// backend; every public kernel entry point in kernels.h then forwards through
-// the selected table, so call sites never name an ISA.
+// flags, each instantiating the same blocked drivers from kernels_generic.h
+// around its micro-kernels: ScalarOps for scalar, and for the vector ISAs one
+// generic-vector VecOps<W> (kernels_vector.h) at W = 8 and 16. At first use
+// the dispatcher probes the CPU (__builtin_cpu_supports on x86) and selects
+// the widest compiled-and-supported backend; every public kernel entry point
+// in kernels.h then forwards through the selected table, so call sites never
+// name an ISA.
 //
 // Selection order (first hit wins):
 //   1. ForceBackend(name)       — programmatic, used by tests/benches/CLI --isa

@@ -1,13 +1,15 @@
-// Naive reference kernels. The blocked/vectorized implementations moved to
-// per-ISA translation units (kernels_scalar/avx2/avx512.cc, all built
-// from kernels_generic.h) behind the runtime dispatcher in
-// kernels_dispatch.cc; the public free functions in kernels.h are inline
-// forwarders through kernels::ActiveBackend().
+// Naive reference kernels. The blocked/vectorized implementations live in
+// per-ISA translation units (kernels_scalar.cc over ScalarOps, and
+// kernels_avx2/avx512.cc over kernels_vector.h's VecOps<W>, all built from
+// kernels_generic.h) behind the runtime dispatcher in kernels_dispatch.cc;
+// the public free functions in kernels.h are inline forwarders through
+// kernels::ActiveBackend().
 //
-// What remains here is kernels::ref — the exact pre-kernel-layer loops, kept
-// serial and scalar forever. They are the ground truth for the bit-identity
-// contract: every backend must match them byte-for-byte
-// (tests/tensor/kernel_parity_test.cc).
+// What remains here is the part of kernels::ref that bench_fig06_matmul_perf
+// times as its naive baseline: the exact pre-kernel-layer loops, kept serial
+// and scalar forever. Every backend must match them byte-for-byte
+// (tests/tensor/kernel_parity_test.cc; the dense NN/TN and transpose
+// references are test-local, in tests/tensor/kernel_ref.h).
 #include "src/tensor/kernels.h"
 
 #include <vector>
@@ -15,29 +17,6 @@
 namespace dz {
 namespace kernels {
 namespace ref {
-
-Matrix GemmNN(const Matrix& a, const Matrix& b) {
-  DZ_CHECK_EQ(a.cols(), b.rows());
-  const int m = a.rows();
-  const int k = a.cols();
-  const int n = b.cols();
-  Matrix c(m, n);
-  for (int i = 0; i < m; ++i) {
-    const float* arow = a.row(i);
-    float* crow = c.row(i);
-    for (int p = 0; p < k; ++p) {
-      const float av = arow[p];
-      if (av == 0.0f) {
-        continue;
-      }
-      const float* brow = b.row(p);
-      for (int j = 0; j < n; ++j) {
-        crow[j] += av * brow[j];
-      }
-    }
-  }
-  return c;
-}
 
 Matrix GemmNT(const Matrix& a, const Matrix& b) {
   DZ_CHECK_EQ(a.cols(), b.cols());
@@ -55,28 +34,6 @@ Matrix GemmNT(const Matrix& a, const Matrix& b) {
         acc += arow[p] * brow[p];
       }
       crow[j] = acc;
-    }
-  }
-  return c;
-}
-
-Matrix GemmTN(const Matrix& a, const Matrix& b) {
-  DZ_CHECK_EQ(a.rows(), b.rows());
-  const int m = a.cols();
-  const int k = a.rows();
-  const int n = b.cols();
-  Matrix c(m, n);
-  for (int i = 0; i < m; ++i) {
-    float* crow = c.row(i);
-    for (int p = 0; p < k; ++p) {
-      const float av = a.at(p, i);
-      if (av == 0.0f) {
-        continue;
-      }
-      const float* brow = b.row(p);
-      for (int j = 0; j < n; ++j) {
-        crow[j] += av * brow[j];
-      }
     }
   }
   return c;
@@ -126,17 +83,6 @@ Matrix Sparse24GemmNT(const Matrix& x, const Sparse24Matrix& w) {
     }
   }
   return y;
-}
-
-Matrix Transpose(const Matrix& m) {
-  Matrix t(m.cols(), m.rows());
-  for (int r = 0; r < m.rows(); ++r) {
-    const float* src = m.row(r);
-    for (int c = 0; c < m.cols(); ++c) {
-      t.data()[static_cast<size_t>(c) * m.rows() + r] = src[c];
-    }
-  }
-  return t;
 }
 
 }  // namespace ref

@@ -2,9 +2,10 @@
 // backend (see backend.h).
 //
 // Every dense, packed-quant, and 2:4-sparse matmul in the library routes
-// through here. Since ISSUE 10 the actual implementations live in per-ISA
-// translation units (kernels_scalar/avx2/avx512.cc), all instantiating
-// the same cache-blocked drivers from kernels_generic.h; the free functions
+// through here. The actual implementations live in per-ISA translation units
+// (kernels_scalar.cc over ScalarOps, kernels_avx2/avx512.cc over
+// kernels_vector.h's VecOps<8>/<16>), all instantiating the same
+// cache-blocked drivers from kernels_generic.h; the free functions
 // below just forward through kernels::ActiveBackend(), so call sites never
 // changed and never name an ISA.
 //
@@ -14,7 +15,8 @@
 // skipped) order as the retained naive reference in kernels::ref; SIMD lanes
 // only span independent output elements, and the ISA TUs build with
 // -ffp-contract=off so nothing fuses into an FMA. Every compiled backend is
-// enforced bitwise against kernels::ref by tests/tensor/kernel_parity_test.
+// enforced bitwise against the naive loops (kernels::ref below and
+// tests/tensor/kernel_ref.h) by tests/tensor/kernel_parity_test.
 //
 // Parallelism uses ThreadPool::ParallelFor2D over output tiles; the partition
 // never affects results because output elements are independent.
@@ -114,16 +116,15 @@ inline Matrix Transpose(const Matrix& m) {
 
 // ---------------------------------------------------------------------------
 // Retained naive reference kernels (the exact pre-kernel-layer loops). Slow;
-// exist so the parity tests can prove bit-identity of every backend.
+// the parity tests prove every backend bit-identical to them, and
+// bench_fig06_matmul_perf times them as the naive baseline. The dense NN/TN
+// and transpose references are test-local (tests/tensor/kernel_ref.h).
 // ---------------------------------------------------------------------------
 namespace ref {
 
-Matrix GemmNN(const Matrix& a, const Matrix& b);
 Matrix GemmNT(const Matrix& a, const Matrix& b);
-Matrix GemmTN(const Matrix& a, const Matrix& b);
 Matrix QuantGemmNT(const Matrix& x, const PackedQuantMatrix& w);
 Matrix Sparse24GemmNT(const Matrix& x, const Sparse24Matrix& w);
-Matrix Transpose(const Matrix& m);
 
 }  // namespace ref
 

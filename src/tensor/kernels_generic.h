@@ -1,7 +1,8 @@
 // Shared blocked-kernel drivers for the per-ISA backend translation units.
 //
-// This header is included ONLY by kernels_scalar.cc / kernels_avx2.cc /
-// kernels_avx512.cc. Everything lives in an anonymous
+// This header is included ONLY by kernels_scalar.cc and kernels_vector.h
+// (itself included only by kernels_avx2.cc / kernels_avx512.cc). Everything
+// lives in an anonymous
 // namespace on purpose: each backend TU gets its own internal-linkage copy of
 // the drivers, compiled under that TU's -m flags, so no symbol can collide
 // across TUs and no ISA instruction can leak into another backend through a
@@ -9,6 +10,8 @@
 // factory (declared in kernels_dispatch.cc).
 //
 // The drivers are templated on an Arch policy providing the innermost loops:
+// ScalarOps below for the scalar backend, VecOps<8> and VecOps<16>
+// (kernels_vector.h, GCC/Clang generic vectors) for AVX2 and AVX-512.
 //
 //   struct Arch {
 //     static constexpr int kWidth;          // fp32 lanes per vector
@@ -656,8 +659,8 @@ const Backend* MakeBackendTable(const char* name, const char* isa) {
 }
 
 // Portable scalar inner loops — the exact pre-dispatch arithmetic. The scalar
-// backend uses these wholesale; vector backends reuse the byte helpers they
-// don't specialize.
+// backend uses these wholesale; VecOps finishes its span tails and short
+// match copies with them.
 struct ScalarOps {
   static constexpr int kWidth = 1;
   static constexpr size_t kDecodeLanes = 4;

@@ -1,6 +1,7 @@
 // Bit-exactness contract of the kernel layer (ISSUE 4, extended by ISSUE 10):
 // every blocked/fused kernel must produce outputs bit-identical to the retained
-// naive reference in kernels::ref across odd shapes, and the LUT Huffman
+// naive references (kernels::ref, and the test-local testing_ref in
+// kernel_ref.h) across odd shapes, and the LUT Huffman
 // decoder must invert streams exactly like the per-bit tree decoder.
 //
 // Since ISSUE 10 the whole suite is value-parameterized over every kernel
@@ -11,6 +12,7 @@
 #include "src/tensor/kernels.h"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdlib>
 #include <cstring>
 #include <string>
@@ -20,6 +22,7 @@
 
 #include "src/compress/lossless.h"
 #include "src/util/rng.h"
+#include "tests/tensor/kernel_ref.h"
 
 namespace dz {
 namespace {
@@ -94,9 +97,9 @@ TEST_P(KernelParityTest, DenseGemmFamilyBitIdentical) {
                               " zf=" + std::to_string(zero_frac);
       ExpectBitIdentical(kernels::GemmNT(a, b_nt), kernels::ref::GemmNT(a, b_nt),
                          "NT " + tag);
-      ExpectBitIdentical(kernels::GemmNN(a, b_nn), kernels::ref::GemmNN(a, b_nn),
+      ExpectBitIdentical(kernels::GemmNN(a, b_nn), testing_ref::GemmNN(a, b_nn),
                          "NN " + tag);
-      ExpectBitIdentical(kernels::GemmTN(a_tn, b_nn), kernels::ref::GemmTN(a_tn, b_nn),
+      ExpectBitIdentical(kernels::GemmTN(a_tn, b_nn), testing_ref::GemmTN(a_tn, b_nn),
                          "TN " + tag);
     }
   }
@@ -110,14 +113,14 @@ TEST_P(KernelParityTest, LargeParallelGemmBitIdentical) {
   ExpectBitIdentical(kernels::GemmNT(a, b), kernels::ref::GemmNT(a, b), "NT large");
   Matrix b_nn = RandomWithZeros(300, 270, rng, 0.3);
   ExpectBitIdentical(kernels::GemmNN(a, b_nn.Transposed().Transposed()),
-                     kernels::ref::GemmNN(a, b_nn), "NN large");
+                     testing_ref::GemmNN(a, b_nn), "NN large");
 }
 
 TEST_P(KernelParityTest, TransposeBitIdentical) {
   Rng rng(13);
   for (const Shape& s : kShapes) {
     Matrix m = RandomWithZeros(s.m, s.k, rng, 0.2);
-    ExpectBitIdentical(m.Transposed(), kernels::ref::Transpose(m), "transpose");
+    ExpectBitIdentical(m.Transposed(), testing_ref::Transpose(m), "transpose");
     // Blocked transpose must stay an involution.
     ExpectBitIdentical(m.Transposed().Transposed(), m, "transpose-involution");
   }
@@ -273,9 +276,9 @@ TEST_P(KernelParityTest, TailShapesAndUnalignedRowsBitIdentical) {
         ExpectBitIdentical(kernels::GemmNT(a, b_nt),
                            kernels::ref::GemmNT(a, b_nt), "NT " + tag);
         ExpectBitIdentical(kernels::GemmNN(a, b_nn),
-                           kernels::ref::GemmNN(a, b_nn), "NN " + tag);
+                           testing_ref::GemmNN(a, b_nn), "NN " + tag);
         ExpectBitIdentical(kernels::GemmTN(a_tn, b_nn),
-                           kernels::ref::GemmTN(a_tn, b_nn), "TN " + tag);
+                           testing_ref::GemmTN(a_tn, b_nn), "TN " + tag);
       }
       // Fused quant path at the same tail widths (group size 3 tolerates any
       // column count; n spans the n % kDecodeLanes tail, whose dead lanes
@@ -338,6 +341,25 @@ TEST_P(KernelParityTest, SpanHelpersBitIdentical) {
     kernels::AxpySpan(-1.7f, x.data(), y.data(), n);
     for (size_t i = 0; i < n; ++i) y2[i] += -1.7f * x[i];
     expect_same("axpy");
+    // Signed-zero scalars: a broadcast that loses -0.0's sign (0.0f + s)
+    // flips the sign of zero products, and of -0.0 + -0.0, in the vector
+    // lanes. Every third y is -0.0, so -0.0 sits at vector-lane and tail
+    // positions at every width.
+    for (float s : {-0.0f, 0.0f}) {
+      const auto reset = [&] {
+        for (size_t i = 0; i < n; ++i) {
+          y[i] = y2[i] = i % 3 == 0 ? -0.0f : static_cast<float>(rng.Normal(0.0, 1.0));
+        }
+      };
+      reset();
+      kernels::ScaleSpan(y.data(), s, n);
+      for (size_t i = 0; i < n; ++i) y2[i] *= s;
+      expect_same(std::signbit(s) ? "scale -0.0" : "scale +0.0");
+      reset();
+      kernels::AxpySpan(s, x.data(), y.data(), n);
+      for (size_t i = 0; i < n; ++i) y2[i] += s * x[i];
+      expect_same(std::signbit(s) ? "axpy -0.0" : "axpy +0.0");
+    }
   }
 }
 
@@ -373,6 +395,20 @@ TEST_P(KernelParityTest, HuffmanLutMatchesTreeDecode) {
 
   // Adversarial: maximum-length runs (match tokens back to back).
   ExpectCodecParity(ByteBuffer(100000, 0xAB), "max-run");
+
+  // Long matches at distances 3 to 40, on both sides of each backend's copy
+  // chunk (8 bytes scalar, 32 vector): a random p-byte block repeated.
+  ByteBuffer periodic;
+  for (size_t period : {3, 9, 20, 31, 40}) {
+    ByteBuffer block(period);
+    for (auto& b : block) {
+      b = static_cast<uint8_t>(rng.NextBelow(256));
+    }
+    for (size_t i = 0; i < 2000; ++i) {
+      periodic.push_back(block[i % period]);
+    }
+  }
+  ExpectCodecParity(periodic, "periodic");
 
   // Adversarial: literal-only tiny inputs incl. empty and single byte.
   ExpectCodecParity(ByteBuffer{}, "empty");
