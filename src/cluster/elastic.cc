@@ -2,12 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
-#include <functional>
 #include <limits>
 #include <map>
 #include <memory>
 #include <numeric>
-#include <queue>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -48,12 +47,28 @@ struct WorkerSlot {
   double detect_at = kInf;   // when the router notices a crash
   bool joined_mid_run = false;  // the engine started cold after t = 0
   // The live engine while serving (one per serving lifetime) and how many of
-  // its records the cluster has read.
+  // its records the worker's pool task has read.
   std::unique_ptr<ServeLoop> loop;
   size_t seen = 0;
   // Requests homed here that no engine holds yet: a crashed engine's
   // unfinished ones and arrivals routed while the worker had no engine.
   std::vector<TraceRequest> carry;
+  // Arrivals routed to the live engine in this step; its pool task offers them.
+  std::vector<TraceRequest> inbox;
+  // What the worker's pool task read off its engine in the last step, for the
+  // serial part to sum in id order: the engine's net busy time before and
+  // after RunUntil (when repairs meter it), the latest finish among its new
+  // records, their autoscaler samples (as ElasticRun::unobserved holds them),
+  // and whether the engine has drained.
+  double net_busy_before = 0.0;
+  double net_busy_after = 0.0;
+  double step_max_finish = 0.0;
+  std::vector<std::pair<double, double>> samples;
+  bool drained = false;
+  // An engine the pool task ended (the final step, or a drained drain victim)
+  // is dropped: its report waits here for EndEngine, and `drained` is its
+  // drain state.
+  std::optional<ServeReport> ended;
   double drain_start_t = 0.0;  // scale-down time
   // The reports of this worker's ended engines. Its `cached_artifacts`
   // (registry runs only) is the node-local cache tier when the last engine
@@ -65,6 +80,9 @@ struct WorkerSlot {
 bool Serving(const WorkerSlot& w) {
   return w.s == WState::kActive || w.s == WState::kDraining;
 }
+
+// A live engine, or a finished one whose report EndEngine has not taken yet.
+bool HasEngine(const WorkerSlot& w) { return w.loop != nullptr || w.ended.has_value(); }
 
 bool Routable(const WorkerSlot& w, bool reroute) {
   if (w.partitioned) {
@@ -163,7 +181,11 @@ struct ElasticRun {
   const bool trace_hints;
   std::vector<int> shard_of;
   std::vector<WorkerSlot> workers;
-  std::unique_ptr<Placer> placer;  // routes across the current routable set
+  // Routes across the current routable set (none: `routable` is false). Its
+  // ring covers every worker id the run can use, so a membership change only
+  // narrows the placer to the new set (Placer::SetMembers).
+  Placer placer;
+  bool routable = false;
   size_t next_arrival = 0;
   std::vector<TraceRequest> retry_pool;  // routed at the next boundary
   // Router, fault, scale and repair events, and the cluster.* counters they
@@ -173,12 +195,11 @@ struct ElasticRun {
   double max_finish = 0.0;
   // Autoscaler inputs, kept incrementally: trace arrivals and finished records
   // counted so far, and the records not yet counted as (finish_s, TTFT of an
-  // interactive request or -1), earliest finish on top.
+  // interactive request or -1), in no particular order: ObserveAt counts
+  // those finished by its tick and keeps the rest.
   size_t arrived = 0;
   size_t finished = 0;
-  std::priority_queue<std::pair<double, double>, std::vector<std::pair<double, double>>,
-                      std::greater<>>
-      unobserved;
+  std::vector<std::pair<double, double>> unobserved;
   // Artifact registry (null unless cfg.registry.enabled). Mutated ONLY
   // between steps; live stores hear of a change at the next boundary.
   std::unique_ptr<ArtifactRegistry> registry;
@@ -188,7 +209,18 @@ struct ElasticRun {
 
   ElasticRun(const ClusterConfig& c, const Trace& t, bool elastic)
       : cfg(c), trace(t), trace_hints(!elastic && c.engine.prefetch.enabled),
-        obs(c.engine.tracing) {}
+        placer(RingConfig(c)), obs(c.engine.tracing) {}
+
+  // The placer over every id the run can use: the initial workers and, with
+  // the autoscaler, up to max_workers active ones (a scale-up while workers
+  // are dead or draining takes a higher id; the placer then grows its ring).
+  static PlacerConfig RingConfig(const ClusterConfig& c) {
+    PlacerConfig pc = c.placer;
+    if (c.autoscale.enabled) {
+      pc.n_gpus = std::max(pc.n_gpus, c.autoscale.max_workers);
+    }
+    return pc;
+  }
 
   int ActiveCount() const {
     int n = 0;
@@ -198,10 +230,12 @@ struct ElasticRun {
     return n;
   }
 
-  // Rebuilds the placer iff the routable membership changed. Backlogs reset on
-  // a rebuild — accepted: a membership change invalidates the old load picture
-  // anyway, and ring arcs (the part that matters for affinity) are keyed by
-  // global id so they survive (bounded churn).
+  // Narrows the placer to the routable membership iff it changed (after a
+  // stretch with none routable, any membership is a change). Backlogs reset
+  // then, as in a fresh placer — accepted: a membership change invalidates the
+  // old load picture anyway, and ring arcs (the part that matters for
+  // affinity) are keyed by global id so they survive (bounded churn). The
+  // ring and its cached walks stay.
   void SyncPlacer() {
     std::vector<int> ids;
     for (const WorkerSlot& w : workers) {
@@ -209,16 +243,15 @@ struct ElasticRun {
         ids.push_back(w.id);
       }
     }
-    if (ids.empty()) {
-      placer.reset();
-    } else if (placer == nullptr || placer->worker_ids() != ids) {
-      placer = std::make_unique<Placer>(cfg.placer, ids);
+    if (!ids.empty() && (!routable || placer.worker_ids() != ids)) {
+      placer.SetMembers(ids);
     }
+    routable = !ids.empty();
   }
 
   // A request waits for routing or an engine, or a live engine can progress.
   bool Busy() const {
-    bool busy = !retry_pool.empty() && placer != nullptr;
+    bool busy = !retry_pool.empty() && routable;
     for (const WorkerSlot& w : workers) {
       busy = busy || (w.loop != nullptr ? w.loop->Busy() : Serving(w) && !w.carry.empty());
     }
@@ -261,7 +294,8 @@ struct ElasticRun {
   // Ends a worker's engine: its report joins the worker's, and what it left
   // unfinished (a halted finish: the worker crashed) waits in the carry.
   void EndEngine(WorkerSlot& w) {
-    ServeReport r = w.loop->Finish();
+    ServeReport r = w.ended ? std::move(*w.ended) : w.loop->Finish();
+    w.ended.reset();
     w.loop.reset();
     stats.shed += r.TotalShed();
     if (w.joined_mid_run) {  // a recovered or scaled-up worker warming from cold
@@ -278,23 +312,20 @@ struct ElasticRun {
   }
 
   // One step [t, next): route the retries and the trace's arrivals before
-  // `next`, start engines for serving workers without one, and run every
-  // live engine until `next`.
+  // `next`, then run each serving worker's part of the step as one pool task
+  // (StepWorker) and sum what the tasks read in id order.
   void Step(double t, double next) {
     // Tokens routed to each worker (by id) in this step: the pool's job sizes.
     std::vector<long long> routed(workers.size(), 0);
-    // A request goes to its worker's engine, or to its carry while it has none.
+    // Routing only picks the worker: a request waits in its inbox for the
+    // worker's pool task, or in its carry while it has no engine.
     const auto route = [&](TraceRequest r) {
-      if (placer != nullptr) {
-        const int gpu = placer->Assign(r);
+      if (routable) {
+        const int gpu = placer.Assign(r);
         routed[static_cast<size_t>(gpu)] +=
             static_cast<long long>(r.prompt_tokens) + r.output_tokens;
         WorkerSlot& w = workers[static_cast<size_t>(gpu)];
-        if (w.loop != nullptr) {
-          w.loop->Offer(r);
-        } else {
-          w.carry.push_back(r);
-        }
+        (w.loop != nullptr ? w.inbox : w.carry).push_back(r);
         obs.On(RequestEvent(TraceEventType::kRouterPlace, r.arrival_s, r,
                             /*dur=*/0.0, /*aux=*/0, gpu));
         if (trace_hints) {
@@ -330,26 +361,15 @@ struct ElasticRun {
         }
       }
     }
+    // Every serving worker steps; one without an engine starts it first.
     std::vector<WorkerSlot*> live;
     for (WorkerSlot& w : workers) {
-      if (Serving(w) && w.loop == nullptr) {
-        StartEngine(w, t, hints.empty() ? nullptr : &hints[static_cast<size_t>(w.id)]);
-      }
-      if (w.loop != nullptr) {
+      if (w.loop != nullptr || Serving(w)) {
         live.push_back(&w);
       }
     }
-
     // The foreground net time over the step, which repairs must leave alone.
     const bool meter_net = registry != nullptr && !repairs.empty();
-    const auto net_busy = [&](WorkerSlot* w) {
-      return meter_net ? w->loop->observer().metrics().GetCounter(metric::kNetBusyS)->value()
-                       : 0.0;
-    };
-    double net_busy_s = 0.0;
-    for (WorkerSlot* w : live) {
-      net_busy_s -= net_busy(w);
-    }
     // The pool takes the workers longest-first, by tokens routed in this step
     // (ties in id order), so the biggest job does not start last. Only the
     // run order changes: `live` and every sum over it stay in id order.
@@ -359,7 +379,11 @@ struct ElasticRun {
       return routed[static_cast<size_t>(live[a]->id)] >
              routed[static_cast<size_t>(live[b]->id)];
     });
-    const auto run_one = [&](size_t k) { live[order[k]]->loop->RunUntil(next); };
+    const auto run_one = [&](size_t k) {
+      WorkerSlot& w = *live[order[k]];
+      StepWorker(w, t, next, meter_net,
+                 hints.empty() ? nullptr : &hints[static_cast<size_t>(w.id)]);
+    };
     if (cfg.parallel_workers && live.size() > 1) {
       ThreadPool::Global().ForEachTask(live.size(), run_one);
     } else {
@@ -367,20 +391,60 @@ struct ElasticRun {
         run_one(k);
       }
     }
+    double net_busy_s = 0.0;
     for (WorkerSlot* w : live) {
-      net_busy_s += net_busy(w);
-      const std::vector<RequestRecord>& recs = w->loop->records();
-      for (; w->seen < recs.size(); ++w->seen) {
-        const RequestRecord& rec = recs[w->seen];
-        max_finish = std::max(max_finish, rec.finish_s);
-        if (cfg.autoscale.enabled) {
-          unobserved.emplace(rec.finish_s,
-                             rec.slo == SloClass::kInteractive ? rec.Ttft() : -1.0);
-        }
-      }
+      net_busy_s -= w->net_busy_before;
+    }
+    for (WorkerSlot* w : live) {
+      net_busy_s += w->net_busy_after;
+      max_finish = std::max(max_finish, w->step_max_finish);
+      unobserved.insert(unobserved.end(), w->samples.begin(), w->samples.end());
     }
     FinishDrains();
     AdvanceRepairs(t, next, net_busy_s);
+  }
+
+  // One worker's part of step [t, next), run as its pool task: it touches only
+  // `w` and reads the run's config, trace and registry, which change only
+  // between steps. Starts the engine if the worker has none (`hints` as in
+  // StartEngine), offers the inbox, runs the engine until `next` and reads
+  // its new records; on the final step (next = inf), or once a draining
+  // worker has drained, it also ends the engine.
+  void StepWorker(WorkerSlot& w, double t, double next, bool meter_net,
+                  const std::vector<int>* hints) {
+    if (w.loop == nullptr) {
+      StartEngine(w, t, hints);
+    }
+    for (const TraceRequest& r : w.inbox) {
+      w.loop->Offer(r);
+    }
+    w.inbox.clear();
+    const auto net_busy = [&] {
+      return meter_net ? w.loop->observer().metrics().GetCounter(metric::kNetBusyS)->value()
+                       : 0.0;
+    };
+    w.net_busy_before = net_busy();
+    w.loop->RunUntil(next);
+    w.net_busy_after = net_busy();
+    w.step_max_finish = 0.0;
+    w.samples.clear();
+    const std::vector<RequestRecord>& recs = w.loop->records();
+    for (; w.seen < recs.size(); ++w.seen) {
+      const RequestRecord& rec = recs[w.seen];
+      w.step_max_finish = std::max(w.step_max_finish, rec.finish_s);
+      if (cfg.autoscale.enabled) {
+        w.samples.emplace_back(rec.finish_s,
+                               rec.slo == SloClass::kInteractive ? rec.Ttft() : -1.0);
+      }
+    }
+    w.drained = w.loop->Drained();
+    // The serial part ends the engine right after the step when the run ends
+    // or a draining worker has served its backlog (FinishDrains): finish it
+    // here.
+    if (next == kInf || (w.s == WState::kDraining && w.drained)) {
+      w.ended = w.loop->Finish();
+      w.loop.reset();
+    }
   }
 
   // Retires every draining worker whose backlog is fully served, emitting the
@@ -388,10 +452,10 @@ struct ElasticRun {
   // ordering the autoscaler property test enforces).
   void FinishDrains() {
     for (WorkerSlot& w : workers) {
-      if (w.s != WState::kDraining || (w.loop != nullptr && !w.loop->Drained())) {
+      if (w.s != WState::kDraining || (HasEngine(w) && !w.drained)) {
         continue;
       }
-      if (w.loop != nullptr) {
+      if (HasEngine(w)) {
         EndEngine(w);
       }
       // Records come in finish order: the last one is the engine's last finish.
@@ -613,16 +677,22 @@ struct ElasticRun {
     while (arrived < trace.requests.size() && trace.requests[arrived].arrival_s <= t) {
       ++arrived;
     }
+    // Percentile sorts its input, so the samples' order cannot matter.
     std::vector<double> ttfts;
     const double window = cfg.autoscale.decision_interval_s;
-    while (!unobserved.empty() && unobserved.top().first <= t) {
-      const auto [finish_s, ttft] = unobserved.top();
-      unobserved.pop();
+    size_t kept = 0;
+    for (size_t i = 0; i < unobserved.size(); ++i) {
+      const auto [finish_s, ttft] = unobserved[i];
+      if (finish_s > t) {
+        unobserved[kept++] = unobserved[i];
+        continue;
+      }
       ++finished;
       if (ttft >= 0.0 && finish_s > t - window) {
         ttfts.push_back(ttft);
       }
     }
+    unobserved.resize(kept);
     const double backlog = static_cast<double>(arrived) - static_cast<double>(finished);
     s.backlog_per_worker = std::max(0.0, backlog) / static_cast<double>(s.active_workers);
     s.interactive_ttft_p99_s = ttfts.empty() ? 0.0 : Percentile(ttfts, 99);
@@ -749,12 +819,12 @@ ClusterReport ServeElastic(const ClusterConfig& cfg, const Trace& trace) {
     t = next;
   }
 
-  // Terminal accounting: every engine still live finished naturally; whatever
-  // is still stranded on never-recovered dead workers (reroute=false) or was
-  // unroutable while every worker was down has failed — it will never be
-  // served.
+  // Terminal accounting: every engine still live finished naturally in the
+  // final step; whatever is still stranded on never-recovered dead workers
+  // (reroute=false) or was unroutable while every worker was down has failed —
+  // it will never be served.
   for (WorkerSlot& w : run.workers) {
-    if (w.loop != nullptr) {
+    if (HasEngine(w)) {
       run.EndEngine(w);
     }
   }

@@ -7,10 +7,14 @@
 // starts serving until it crashes or finishes draining. The loop steps every
 // live engine between boundaries: fault events, crash detections (crash +
 // detection_delay_s) and, with the autoscaler on, decision-grid ticks. At a
-// boundary the router offers each engine the arrivals before the next one,
-// and faults change workers in place (speed, partition outages, registry
+// boundary the router assigns each arrival before the next one a worker, and
+// faults change workers in place (speed, partition outages, registry
 // liveness and repaired holders, membership), so a boundary that changes
-// nothing changes nothing. The autoscaler decides online at each tick from
+// nothing changes nothing. Each serving worker's part of a step (engine
+// start, offers, RunUntil, reading its new records; on the last step or once
+// a drain victim has drained, also Finish) is one thread-pool task; every sum
+// across workers stays serial and in id order, so the report does not depend
+// on the pool. The autoscaler decides online at each tick from
 // incremental counters (arrivals, finishes by the tick, the window's
 // interactive TTFTs); a scale-up starts a fresh engine, a scale-down's victim
 // keeps its engine until its backlog is served.

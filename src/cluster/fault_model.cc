@@ -8,7 +8,6 @@
 
 #include "src/util/check.h"
 #include "src/util/parse.h"
-#include "src/util/rng.h"
 
 namespace dz {
 
@@ -165,53 +164,6 @@ std::string FaultPlanToSpec(const FaultPlan& plan) {
     append("reroute=0");
   }
   return spec;
-}
-
-FaultPlan RandomFaultPlan(uint64_t seed, int n_workers, double duration_s,
-                          int n_events) {
-  DZ_CHECK_GT(n_workers, 0);
-  DZ_CHECK_GT(duration_s, 0.0);
-  Rng rng(seed);
-  FaultPlan plan;
-  for (int i = 0; i < n_events; ++i) {
-    FaultEvent ev;
-    ev.worker = static_cast<int>(rng.NextBelow(static_cast<uint64_t>(n_workers)));
-    // Leave the tail of the run fault-free so late faults cannot strand work
-    // past the last arrival forever (recoveries land within the duration too).
-    ev.t_s = rng.Uniform(0.05, 0.7) * duration_s;
-    const double kind = rng.NextDouble();
-    if (kind < 0.4) {
-      ev.type = FaultType::kCrash;
-      plan.events.push_back(ev);
-      if (rng.NextDouble() < 0.5) {
-        FaultEvent rec = ev;
-        rec.type = FaultType::kRecover;
-        rec.t_s = ev.t_s + rng.Uniform(0.05, 0.2) * duration_s;
-        plan.events.push_back(rec);
-      }
-    } else if (kind < 0.7) {
-      ev.type = FaultType::kSlowStart;
-      ev.multiplier = rng.Uniform(0.25, 0.75);
-      plan.events.push_back(ev);
-      FaultEvent end = ev;
-      end.type = FaultType::kSlowEnd;
-      end.multiplier = 1.0;
-      end.t_s = ev.t_s + rng.Uniform(0.05, 0.25) * duration_s;
-      plan.events.push_back(end);
-    } else {
-      ev.type = FaultType::kPartitionStart;
-      plan.events.push_back(ev);
-      FaultEvent end = ev;
-      end.type = FaultType::kPartitionEnd;
-      end.t_s = ev.t_s + rng.Uniform(0.02, 0.15) * duration_s;
-      plan.events.push_back(end);
-    }
-  }
-  std::stable_sort(plan.events.begin(), plan.events.end(),
-                   [](const FaultEvent& a, const FaultEvent& b) {
-                     return a.t_s < b.t_s;
-                   });
-  return plan;
 }
 
 }  // namespace dz

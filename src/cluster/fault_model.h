@@ -11,7 +11,6 @@
 #ifndef SRC_CLUSTER_FAULT_MODEL_H_
 #define SRC_CLUSTER_FAULT_MODEL_H_
 
-#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -63,17 +62,10 @@ bool ParseFaultPlan(const std::string& spec, FaultPlan& out);
 // Serializes a plan back to the spec grammar above, pairing each slow/part
 // start event with its matching end into the window form. The round trip
 // ParseFaultPlan(FaultPlanToSpec(plan)) reproduces `plan` exactly for any plan
-// ParseFaultPlan or RandomFaultPlan can produce (test-enforced, up to 1e-9
-// timestamp formatting). Elastic runs stamp this into their report so the
+// ParseFaultPlan or the chaos tests' random schedules can produce
+// (test-enforced, up to 1e-9 timestamp formatting). Elastic runs stamp this into their report so the
 // active schedule survives into logs and flight-recorder dumps.
 std::string FaultPlanToSpec(const FaultPlan& plan);
-
-// A seeded random schedule of `n_events` faults over [0, duration_s) against
-// workers [0, n_workers): a mix of crash (with a later recover for some),
-// slow, and partition windows. Deterministic per seed — the chaos test's
-// schedule generator.
-FaultPlan RandomFaultPlan(uint64_t seed, int n_workers, double duration_s,
-                          int n_events);
 
 }  // namespace dz
 

@@ -1,7 +1,6 @@
 #include "src/cluster/placement.h"
 
 #include <algorithm>
-#include <cstring>
 
 #include "src/util/check.h"
 
@@ -49,10 +48,6 @@ uint64_t SplitMix64(uint64_t x) {
   return x ^ (x >> 31);
 }
 
-}  // namespace
-
-namespace {
-
 std::vector<int> IotaIds(int n) {
   std::vector<int> ids(static_cast<size_t>(std::max(0, n)));
   for (int i = 0; i < n; ++i) {
@@ -63,39 +58,61 @@ std::vector<int> IotaIds(int n) {
 
 }  // namespace
 
-Placer::Placer(const PlacerConfig& config)
-    : Placer(config, IotaIds(config.n_gpus)) {}
-
-Placer::Placer(const PlacerConfig& config, const std::vector<int>& worker_ids)
-    : config_(config), ids_(worker_ids), backlog_(worker_ids.size(), 0.0) {
-  DZ_CHECK_GT(ids_.size(), 0u);
-  DZ_CHECK_GE(ids_.front(), 0);
-  for (size_t i = 1; i < ids_.size(); ++i) {
-    DZ_CHECK_GT(ids_[i], ids_[i - 1]);  // strictly ascending → slots well-defined
-  }
+Placer::Placer(const PlacerConfig& config) : config_(config) {
+  DZ_CHECK_GT(config_.n_gpus, 0);
   DZ_CHECK_GE(config_.drain_tokens_per_s, 0.0);
-  if (config_.policy == PlacementPolicy::kDeltaAffinity ||
-      config_.policy == PlacementPolicy::kTenantAffinity) {
+  if (Affinity()) {
     DZ_CHECK_GE(config_.bounded_load_factor, 1.0);
-    ring_.reserve(ids_.size() * static_cast<size_t>(kVirtualNodes));
-    // Ring points hash the GLOBAL worker id: a worker contributes the same
-    // virtual nodes whatever the rest of the membership, so adding/removing a
-    // worker only moves the keys that hashed to its arcs (bounded churn), and
-    // ids {0..n-1} reproduce the static ring bit-for-bit.
-    for (size_t slot = 0; slot < ids_.size(); ++slot) {
-      const uint64_t gpu = static_cast<uint64_t>(ids_[slot]);
-      for (int v = 0; v < kVirtualNodes; ++v) {
-        const uint64_t point =
-            SplitMix64(kHashSeed ^ (gpu * 0x10001ULL + static_cast<uint64_t>(v) + 1));
-        ring_.push_back({point, static_cast<int>(slot)});
-      }
-    }
-    // Slots ascend with ids, so hash ties break by global id.
-    std::sort(ring_.begin(), ring_.end(), [](const RingPoint& a, const RingPoint& b) {
-      return a.hash != b.hash ? a.hash < b.hash : a.slot < b.slot;
-    });
-    walk_of_home_.assign(ring_.size(), -1);
   }
+  SetMembers(IotaIds(config_.n_gpus));  // builds the ring over them
+}
+
+bool Placer::Affinity() const {
+  return config_.policy == PlacementPolicy::kDeltaAffinity ||
+         config_.policy == PlacementPolicy::kTenantAffinity;
+}
+
+void Placer::BuildRing(int n_ids) {
+  ring_ids_ = n_ids;
+  ring_.clear();
+  ring_.reserve(static_cast<size_t>(n_ids) * static_cast<size_t>(kVirtualNodes));
+  // Ring points hash the GLOBAL worker id: a worker contributes the same
+  // virtual nodes whatever the rest of the membership, so adding/removing a
+  // worker only moves the keys that hashed to its arcs (bounded churn).
+  for (int id = 0; id < n_ids; ++id) {
+    const uint64_t gpu = static_cast<uint64_t>(id);
+    for (int v = 0; v < kVirtualNodes; ++v) {
+      const uint64_t point =
+          SplitMix64(kHashSeed ^ (gpu * 0x10001ULL + static_cast<uint64_t>(v) + 1));
+      ring_.push_back({point, id});
+    }
+  }
+  // Hash ties break by global id, as in the ring of any membership.
+  std::sort(ring_.begin(), ring_.end(), [](const RingPoint& a, const RingPoint& b) {
+    return a.hash != b.hash ? a.hash < b.hash : a.id < b.id;
+  });
+  home_of_key_.clear();
+  walk_of_home_.assign(ring_.size(), -1);
+  walks_.clear();
+}
+
+void Placer::SetMembers(const std::vector<int>& worker_ids) {
+  DZ_CHECK_GT(worker_ids.size(), 0u);
+  DZ_CHECK_GE(worker_ids.front(), 0);
+  for (size_t i = 1; i < worker_ids.size(); ++i) {
+    DZ_CHECK_GT(worker_ids[i], worker_ids[i - 1]);  // strictly ascending → slots well-defined
+  }
+  if (Affinity() && worker_ids.back() >= ring_ids_) {
+    BuildRing(worker_ids.back() + 1);
+  }
+  ids_ = worker_ids;
+  slot_of_.assign(static_cast<size_t>(std::max(ring_ids_, ids_.back() + 1)), -1);
+  for (size_t slot = 0; slot < ids_.size(); ++slot) {
+    slot_of_[static_cast<size_t>(ids_[slot])] = static_cast<int>(slot);
+  }
+  backlog_.assign(ids_.size(), 0.0);
+  last_now_ = 0.0;
+  rr_next_ = 0;
 }
 
 void Placer::DrainBacklogs(double now) {
@@ -135,7 +152,15 @@ size_t Placer::RingHomeTenant(int tenant_id) const {
 
 int Placer::HomeGpu(int model_id) const {
   DZ_CHECK(config_.policy == PlacementPolicy::kDeltaAffinity);
-  return ids_[static_cast<size_t>(ring_[RingHome(model_id)].slot)];
+  // The first member point at or after the key's home: every member owns
+  // points, so the scan ends within a lap.
+  const size_t home = RingHome(model_id);
+  for (size_t step = 0;; ++step) {
+    const int id = ring_[(home + step) % ring_.size()].id;
+    if (slot_of_[static_cast<size_t>(id)] >= 0) {
+      return id;
+    }
+  }
 }
 
 const int* Placer::Walk(int key) {
@@ -152,15 +177,15 @@ const int* Placer::Walk(int key) {
   }
   int& walk = walk_of_home_[static_cast<size_t>(home)];
   if (walk < 0) {
-    // Walk the ring from the home and keep each slot the first time it shows;
-    // every slot owns kVirtualNodes points, so one lap meets them all.
+    // Walk the ring from the home and keep each id the first time it shows;
+    // every id owns kVirtualNodes points, so one lap meets them all.
     walk = static_cast<int>(walks_.size());
-    std::vector<bool> met(ids_.size(), false);
+    std::vector<bool> met(static_cast<size_t>(ring_ids_), false);
     for (size_t step = 0; step < ring_.size(); ++step) {
-      const int slot = ring_[(static_cast<size_t>(home) + step) % ring_.size()].slot;
-      if (!met[static_cast<size_t>(slot)]) {
-        met[static_cast<size_t>(slot)] = true;
-        walks_.push_back(slot);
+      const int id = ring_[(static_cast<size_t>(home) + step) % ring_.size()].id;
+      if (!met[static_cast<size_t>(id)]) {
+        met[static_cast<size_t>(id)] = true;
+        walks_.push_back(id);
       }
     }
   }
@@ -168,19 +193,20 @@ const int* Placer::Walk(int key) {
 }
 
 size_t Placer::AssignAffinity(const int* walk, double cost) {
-  // Bounded load: the first slot on the walk whose *existing* backlog is under
-  // c × cluster-mean (mean includes the new request, so the least-loaded GPU
-  // always qualifies and an idle cluster never spills).
+  // Bounded load: the first member on the walk whose *existing* backlog is
+  // under c × cluster-mean (mean includes the new request, so the least-loaded
+  // GPU always qualifies and an idle cluster never spills). The walk filtered
+  // to the members is the walk of the members' own ring.
   const size_t n = ids_.size();
   double total = cost;
   for (double b : backlog_) {
     total += b;
   }
   const double bound = config_.bounded_load_factor * total / static_cast<double>(n);
-  for (size_t i = 0; i < n; ++i) {
-    const size_t slot = static_cast<size_t>(walk[i]);
-    if (backlog_[slot] <= bound) {
-      return slot;
+  for (int i = 0; i < ring_ids_; ++i) {
+    const int slot = slot_of_[static_cast<size_t>(walk[i])];
+    if (slot >= 0 && backlog_[static_cast<size_t>(slot)] <= bound) {
+      return static_cast<size_t>(slot);
     }
   }
   // Unreachable in practice (the argmin backlog is always ≤ mean ≤ bound), but

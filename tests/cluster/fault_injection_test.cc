@@ -17,6 +17,7 @@
 #include <gtest/gtest.h>
 
 #include "src/cluster/router.h"
+#include "tests/cluster/random_fault_plan.h"
 
 namespace dz {
 namespace {

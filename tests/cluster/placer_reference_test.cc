@@ -1,7 +1,9 @@
 // Placer's cached ring walks against the reference walk (reference_placer.h):
-// seeded random memberships, both affinity policies, several bounded-load
-// factors and hot-key streams that force spills. Every assignment and every
-// backlog must match bit for bit.
+// seeded random memberships read off one ring over ids 0..12, both affinity
+// policies, several bounded-load factors and hot-key streams that force
+// spills. Every assignment, every backlog and every ring home must match the
+// reference's per-membership ring bit for bit, also when one placer switches
+// membership mid-stream as the elastic cluster's SyncPlacer does.
 #include <string>
 #include <vector>
 
@@ -89,7 +91,9 @@ TEST(PlacerReferenceTest, CachedWalksMatchTheReferenceWalk) {
         cfg.policy = policy;
         cfg.bounded_load_factor = c;
         cfg.drain_tokens_per_s = trial % 3 == 0 ? 0.0 : 2000.0;
-        Placer placer(cfg, ids);
+        cfg.n_gpus = 13;  // the ring covers ids 0..12
+        Placer placer(cfg);
+        placer.SetMembers(ids);
         testing_ref::ReferencePlacer ref(cfg, ids);
         const std::string where = "trial " + std::to_string(trial) + " " +
                                   PlacementPolicyName(policy) + " c=" + std::to_string(c);
@@ -103,6 +107,66 @@ TEST(PlacerReferenceTest, CachedWalksMatchTheReferenceWalk) {
   }
   // The hot streams walked past their homes, so the cached walk's tail ran.
   EXPECT_GT(hot_spills, 0);
+}
+
+// Ring homes among the members: Placer::HomeGpu against the reference ring.
+void ExpectSameHomes(const Placer& placer, const testing_ref::ReferencePlacer& ref,
+                     const std::string& where) {
+  for (int model = 0; model < 64; ++model) {
+    EXPECT_EQ(placer.HomeGpu(model), ref.HomeGpu(model)) << where << " model " << model;
+  }
+}
+
+// One placer over a ring of ids 0..12 switches membership every few hundred
+// requests; each membership must place exactly as a fresh reference placer
+// over that membership's own ring. Some placers start over a smaller ring, so
+// a membership past it grows the ring mid-stream.
+TEST(PlacerReferenceTest, MembershipSwitchesMatchFreshReferencePlacers) {
+  Rng rng(20261019);
+  int hot_spills = 0;
+  int grown = 0;
+  for (int trial = 0; trial < 12; ++trial) {
+    const bool hot = trial % 2 == 0;
+    const int ring_ids = trial % 3 == 0 ? 1 + static_cast<int>(rng.NextBelow(12)) : 13;
+    std::vector<std::vector<int>> memberships;
+    std::vector<std::vector<TraceRequest>> streams;
+    for (int epoch = 0; epoch < 6; ++epoch) {
+      memberships.push_back(RandomMembership(rng));
+      grown += memberships.back().back() >= ring_ids ? 1 : 0;
+      streams.push_back(RandomStream(rng, 100 + static_cast<int>(rng.NextBelow(300)), hot));
+    }
+    for (PlacementPolicy policy :
+         {PlacementPolicy::kDeltaAffinity, PlacementPolicy::kTenantAffinity}) {
+      for (double c : {1.0, 1.25, 2.0}) {
+        PlacerConfig cfg;
+        cfg.n_gpus = ring_ids;
+        cfg.policy = policy;
+        cfg.bounded_load_factor = c;
+        cfg.drain_tokens_per_s = trial % 4 == 1 ? 0.0 : 2000.0;
+        Placer placer(cfg);
+        for (size_t epoch = 0; epoch < memberships.size(); ++epoch) {
+          const std::vector<int>& ids = memberships[epoch];
+          placer.SetMembers(ids);
+          testing_ref::ReferencePlacer ref(cfg, ids);
+          const std::string where = "trial " + std::to_string(trial) + " epoch " +
+                                    std::to_string(epoch) + " " +
+                                    PlacementPolicyName(policy) + " c=" + std::to_string(c);
+          EXPECT_EQ(placer.worker_ids(), ids) << where;
+          if (policy == PlacementPolicy::kDeltaAffinity) {
+            ExpectSameHomes(placer, ref, where);
+          }
+          const int spilled = ExpectSamePlacement(cfg, placer, ref, streams[epoch], where);
+          if (::testing::Test::HasFailure()) {
+            return;
+          }
+          hot_spills += hot ? spilled : 0;
+        }
+      }
+    }
+  }
+  EXPECT_GT(hot_spills, 0);
+  // Some membership outgrew its placer's first ring.
+  EXPECT_GT(grown, 0);
 }
 
 TEST(PlacerReferenceTest, StaticConstructorMatchesTheReference) {
@@ -119,9 +183,7 @@ TEST(PlacerReferenceTest, StaticConstructorMatchesTheReference) {
       ExpectSamePlacement(cfg, placer, ref, RandomStream(rng, 400, /*hot=*/true),
                           "n=" + std::to_string(n));
       if (policy == PlacementPolicy::kDeltaAffinity) {
-        for (int model = 0; model < 64; ++model) {
-          EXPECT_EQ(placer.HomeGpu(model), ref.HomeGpu(model)) << "model " << model;
-        }
+        ExpectSameHomes(placer, ref, "n=" + std::to_string(n));
       }
     }
   }

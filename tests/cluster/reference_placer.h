@@ -1,5 +1,6 @@
 // Test-local reference for Placer's affinity policies: the ring walk as it was
-// before Placer cached homes and walks. Every request hashes its key to a ring
+// before Placer cached homes and walks and read one shared ring. It builds
+// the ring of its own membership; every request hashes its key to a ring
 // home, then walks the ring with a fresh `seen` bitmap, mapping each point's
 // global id to its slot by a linear scan. PlacerReferenceTest checks Placer
 // against it bit for bit; tests that need a key's ring home ask it too.

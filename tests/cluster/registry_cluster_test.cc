@@ -11,6 +11,7 @@
 
 #include "src/cluster/fault_model.h"
 #include "src/cluster/router.h"
+#include "tests/cluster/random_fault_plan.h"
 #include "src/registry/registry.h"
 
 namespace dz {

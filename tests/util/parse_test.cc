@@ -12,6 +12,7 @@
 #include "src/registry/registry.h"
 #include "src/util/json.h"
 #include "src/workload/trace_io.h"
+#include "tests/cluster/random_fault_plan.h"
 
 namespace dz {
 namespace {

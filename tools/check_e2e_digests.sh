@@ -7,8 +7,8 @@
 # counts. A line runs at smoke size (--smoke) unless its optional fourth
 # column says full. A smoke serve-* run takes well under a second, a
 # delta-zoo run about 2 s, a full serve-swap run (two seeds) about 1.5 s, a
-# full serve-elastic run about 2 s, a full serve-burst run about 4 s: the
-# whole check, 32 runs, about 25 s on a 4-core x86 box.
+# full serve-elastic run (two seeds) about 1.3 s, a full serve-burst run
+# about 4 s: the whole check, 34 runs, about 22 s on a 4-core x86 box.
 # Usage: tools/check_e2e_digests.sh [path/to/dz_e2e]
 #   (default: ${CARGO_TARGET_DIR:-.bench_build}/e2e/dz_e2e, where
 #   bench/e2e/run.py builds it)
