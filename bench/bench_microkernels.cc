@@ -1,7 +1,7 @@
 // Google-benchmark microbenchmarks of the real (CPU-executed) primitives: dense GEMM,
-// packed dequant-GEMM, 2:4 sparse GEMM, the OBS solver, and the lossless codec. These
-// measure this library's own kernels (not the simulated GPU model) and back the
-// relative-cost assumptions used elsewhere.
+// packed dequant-GEMM, 2:4 sparse GEMM, the OBS solver, the lossless codec, and one
+// fork-join call of the thread pool. These measure this library's own code (not the
+// simulated GPU model) and back the relative-cost assumptions used elsewhere.
 //
 // Flags (shared bench conventions, translated to Google Benchmark flags by the
 // custom main below):
@@ -136,6 +136,39 @@ void BM_QuantizePack(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * static_cast<long long>(w.size()));
 }
 BENCHMARK(BM_QuantizePack);
+
+void SpinFor(double seconds) {
+  const SteadyTimer timer;
+  while (timer.Seconds() < seconds) {
+  }
+}
+
+// One ForEachTask call on a 2-worker pool after a 50 us serial gap, the shape
+// of a cluster step: a short serial phase, then one pool phase. Args: task
+// count, and microseconds each task spins (0 = empty tasks). Reports
+// microseconds per call, gap excluded; the gap lets workers park, so this
+// measures wake-up latency as well as the claim path. An absolute time, so
+// tools/check_bench_regression.sh does not gate it.
+void BM_ForkJoin(benchmark::State& state) {
+  const size_t tasks = static_cast<size_t>(state.range(0));
+  const double task_s = static_cast<double>(state.range(1)) * 1e-6;
+  ThreadPool pool(2);
+  double total_s = 0;
+  for (auto _ : state) {
+    SpinFor(50e-6);
+    const SteadyTimer timer;
+    pool.ForEachTask(tasks, [task_s](size_t) { SpinFor(task_s); });
+    const double call_s = timer.Seconds();
+    state.SetIterationTime(call_s);
+    total_s += call_s;
+  }
+  state.counters["us_per_call"] =
+      benchmark::Counter(total_s * 1e6, benchmark::Counter::kAvgIterations);
+}
+BENCHMARK(BM_ForkJoin)
+    ->ArgsProduct({{2, 8}, {0, 20}})
+    ->UseManualTime()
+    ->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 }  // namespace dz

@@ -49,51 +49,59 @@ ThreadPool::~ThreadPool() {
     std::lock_guard<std::mutex> lock(mu_);
     shutdown_ = true;
   }
-  task_available_.notify_all();
+  work_available_.notify_all();
   for (auto& worker : workers_) {
     worker.join();
   }
 }
 
-void ThreadPool::Submit(std::function<void()> task) {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    DZ_CHECK(!shutdown_);
-    tasks_.push(std::move(task));
-    ++in_flight_;
+size_t ThreadPool::Claim(Job& job) {
+  const size_t i = job.next++;
+  if (job.next == job.n) {
+    open_.erase(std::find(open_.begin(), open_.end(), &job));
   }
-  task_available_.notify_one();
-  // Wake helping waiters too: a thread blocked in Wait() must see new work,
-  // otherwise a task submitted from inside a pool task can strand a nested Wait.
-  all_done_.notify_all();
+  return i;
 }
 
-void ThreadPool::Wait() {
-  // Waiting for everything is the pending-counter wait applied to the global
-  // in-flight count (helping included).
-  HelpUntil(&in_flight_);
-}
-
-void ThreadPool::HelpUntil(const size_t* pending) {
+void ThreadPool::Run(size_t n, const std::function<void(size_t)>& fn) {
+  Job job{fn, n};
   std::unique_lock<std::mutex> lock(mu_);
-  while (*pending > 0) {
-    if (!tasks_.empty()) {
-      // Execute queued work (ours or anyone's) while our jobs are outstanding.
-      // Waiting only on *pending — never the global in-flight count — is what
-      // makes nested use safe: a pool task's own in-flight entry can't retire
-      // until this returns, so it must not be part of the wait condition.
-      std::function<void()> task = std::move(tasks_.front());
-      tasks_.pop();
-      lock.unlock();
-      task();
-      lock.lock();
-      --in_flight_;
-      if (in_flight_ == 0) {
-        all_done_.notify_all();
-      }
-      continue;
+  DZ_CHECK(!shutdown_);
+  open_.push_back(&job);
+  lock.unlock();
+  // Wake one worker per index beyond the caller's first.
+  for (size_t k = 1; k < n && k <= workers_.size(); ++k) {
+    work_available_.notify_one();
+  }
+  lock.lock();
+  while (job.next < n) {
+    const size_t i = Claim(job);
+    lock.unlock();
+    fn(i);
+    lock.lock();
+    ++job.done;
+  }
+  // Every index is claimed; the ones still running belong to other threads.
+  job.finished.wait(lock, [&job] { return job.done == job.n; });
+}
+
+void ThreadPool::WorkerLoop() {
+  std::unique_lock<std::mutex> lock(mu_);
+  for (;;) {
+    work_available_.wait(lock, [this] { return shutdown_ || !open_.empty(); });
+    if (open_.empty()) {
+      return;  // shutdown, and no caller is waiting on an unclaimed index
     }
-    all_done_.wait(lock, [this, pending] { return *pending == 0 || !tasks_.empty(); });
+    Job& job = *open_.front();
+    const size_t i = Claim(job);
+    lock.unlock();
+    job.fn(i);
+    lock.lock();
+    // Notify under mu_: the caller cannot see done == n, return and destroy
+    // the job until this thread lets go of the mutex.
+    if (++job.done == job.n) {
+      job.finished.notify_one();
+    }
   }
 }
 
@@ -107,18 +115,10 @@ void ThreadPool::ParallelFor(size_t n, const std::function<void(size_t, size_t)>
     return;
   }
   const size_t chunk = (n + workers - 1) / workers;
-  size_t pending = (n + chunk - 1) / chunk;
-  for (size_t begin = 0; begin < n; begin += chunk) {
-    const size_t end = std::min(n, begin + chunk);
-    Submit([this, &body, &pending, begin, end] {
-      body(begin, end);
-      std::lock_guard<std::mutex> lock(mu_);
-      if (--pending == 0) {
-        all_done_.notify_all();
-      }
-    });
-  }
-  HelpUntil(&pending);
+  Run((n + chunk - 1) / chunk, [&](size_t k) {
+    const size_t begin = k * chunk;
+    body(begin, std::min(n, begin + chunk));
+  });
 }
 
 void ThreadPool::ForEachTask(size_t n, const std::function<void(size_t)>& fn) {
@@ -129,17 +129,7 @@ void ThreadPool::ForEachTask(size_t n, const std::function<void(size_t)>& fn) {
     fn(0);
     return;
   }
-  size_t pending = n;
-  for (size_t i = 0; i < n; ++i) {
-    Submit([this, &fn, &pending, i] {
-      fn(i);
-      std::lock_guard<std::mutex> lock(mu_);
-      if (--pending == 0) {
-        all_done_.notify_all();
-      }
-    });
-  }
-  HelpUntil(&pending);
+  Run(n, fn);
 }
 
 void ThreadPool::ParallelFor2D(
@@ -155,9 +145,8 @@ void ThreadPool::ParallelFor2D(
   const size_t workers = thread_count();
   size_t nr = (rows + tile_r - 1) / tile_r;
   size_t nc = (cols + tile_c - 1) / tile_c;
-  // Coarsen toward kMaxTilesPerExecutor tiles per executor. The caller helps
-  // drain the queue (HelpUntil), so it counts as an executor alongside the
-  // pool workers.
+  // Coarsen toward kMaxTilesPerExecutor tiles per executor. The caller claims
+  // tiles too, so it counts as an executor alongside the pool workers.
   const size_t executors = std::max<size_t>(workers, 1) + 1;
   const size_t max_tiles = kMaxTilesPerExecutor * executors;
   while (nr * nc > max_tiles && (nr > 1 || nc > 1)) {
@@ -173,49 +162,16 @@ void ThreadPool::ParallelFor2D(
     body(0, rows, 0, cols);
     return;
   }
-  size_t pending = nr * nc;
-  for (size_t r0 = 0; r0 < rows; r0 += tile_r) {
-    const size_t r1 = std::min(rows, r0 + tile_r);
-    for (size_t c0 = 0; c0 < cols; c0 += tile_c) {
-      const size_t c1 = std::min(cols, c0 + tile_c);
-      Submit([this, &body, &pending, r0, r1, c0, c1] {
-        body(r0, r1, c0, c1);
-        std::lock_guard<std::mutex> lock(mu_);
-        if (--pending == 0) {
-          all_done_.notify_all();
-        }
-      });
-    }
-  }
-  HelpUntil(&pending);
+  Run(nr * nc, [&](size_t k) {
+    const size_t r0 = k / nc * tile_r;
+    const size_t c0 = k % nc * tile_c;
+    body(r0, std::min(rows, r0 + tile_r), c0, std::min(cols, c0 + tile_c));
+  });
 }
 
 ThreadPool& ThreadPool::Global() {
   static ThreadPool pool;
   return pool;
-}
-
-void ThreadPool::WorkerLoop() {
-  for (;;) {
-    std::function<void()> task;
-    {
-      std::unique_lock<std::mutex> lock(mu_);
-      task_available_.wait(lock, [this] { return shutdown_ || !tasks_.empty(); });
-      if (tasks_.empty()) {
-        return;  // shutdown with drained queue
-      }
-      task = std::move(tasks_.front());
-      tasks_.pop();
-    }
-    task();
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      --in_flight_;
-      if (in_flight_ == 0) {
-        all_done_.notify_all();
-      }
-    }
-  }
 }
 
 }  // namespace dz

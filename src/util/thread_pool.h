@@ -1,7 +1,22 @@
-// Fixed-size thread pool with a ParallelFor helper.
+// Fixed-size fork-join thread pool.
 //
-// Used by the compressor (per-layer jobs) and by GEMM sharding in the tensor library.
-// Work items must not throw; failures should be reported through captured state.
+// Everything in the repo that runs in parallel goes through it: the cluster's
+// serving workers (one task per worker per step), DZGC chunk encode/decode,
+// ΔCompress's per-member jobs and calibration, and GEMM output tiles. There is
+// one primitive underneath, a private Run(n, fn) that runs fn(i) for every i in
+// [0, n) on the caller and any idle workers and returns when all n are done;
+// ParallelFor, ForEachTask and ParallelFor2D only map an index to a range.
+//
+// Nesting is safe by construction: a call may come from inside another call's
+// task, on any thread. A caller claims every index no other thread has
+// claimed, and then waits only for indices that other threads are executing
+// right now. Those threads took their index while idle, so anything they wait
+// on in turn is a call made inside that index, one level deeper; every chain
+// of waits ends at a running thread, whatever the worker count. A waiting
+// caller does not run other calls' indices.
+//
+// Tasks must not throw: an exception escaping a task terminates the process.
+// Report failures through captured state.
 #ifndef SRC_UTIL_THREAD_POOL_H_
 #define SRC_UTIL_THREAD_POOL_H_
 
@@ -9,7 +24,6 @@
 #include <cstddef>
 #include <functional>
 #include <mutex>
-#include <queue>
 #include <thread>
 #include <vector>
 
@@ -26,46 +40,35 @@ class ThreadPool {
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
 
-  // Enqueues a task for asynchronous execution.
-  void Submit(std::function<void()> task);
-
-  // Blocks until ALL submitted tasks have completed. The waiting thread helps
-  // drain the queue. Must not be called from inside a pool task: the caller's
-  // own task counts as in-flight and can never retire while it waits. Inside a
-  // task, use ParallelFor/ForEachTask, which wait only on their own work.
-  void Wait();
-
-  // Splits [0, n) into contiguous chunks and runs body(begin, end) across the pool,
-  // blocking until completion. Falls back to inline execution for tiny n. Waits
-  // only on its own chunks (helping with queued work meanwhile), so it is safe
-  // to call from inside a pool task.
+  // Splits [0, n) into one contiguous chunk per worker and runs body(begin, end)
+  // for each, blocking until all complete. Runs inline for a single worker or
+  // when n < 2 * workers.
   void ParallelFor(size_t n, const std::function<void(size_t, size_t)>& body);
 
-  // Runs fn(i) for each i in [0, n) as one task per index, blocking until all
-  // complete. Unlike ParallelFor there is no inline fallback for small n — this
-  // is for a handful of heavy, independent jobs that must actually overlap.
-  // Safe to call from inside a pool task (same helping wait as ParallelFor).
+  // Runs fn(i) for each i in [0, n), blocking until all complete. Unlike
+  // ParallelFor there is no inline fallback for small n (only n == 1 runs
+  // inline) — this is for a handful of heavy, independent jobs that must
+  // actually overlap.
   void ForEachTask(size_t n, const std::function<void(size_t)>& fn);
 
   // Tiles [0, rows) x [0, cols) into rectangular blocks of at least
   // (grain_rows x grain_cols) elements and runs body(r0, r1, c0, c1) for each
   // tile across the pool, blocking until completion. The grain is a lower
   // bound, not an exact tile size: when the grid would produce far more tiles
-  // than workers can usefully chew (task overhead would dominate), tiles are
-  // coarsened until the count is a small multiple of the worker count. A
-  // single-tile or single-worker problem runs inline on the caller. Safe to
-  // call from inside a pool task (same helping wait as ParallelFor).
+  // than workers can usefully chew (per-tile overhead would dominate), tiles
+  // are coarsened until the count is a small multiple of the worker count. A
+  // single-tile or single-worker problem runs inline on the caller.
   void ParallelFor2D(size_t rows, size_t cols, size_t grain_rows, size_t grain_cols,
                      const std::function<void(size_t, size_t, size_t, size_t)>& body);
 
   size_t thread_count() const { return workers_.size(); }
 
   // Tile-coarsening target for ParallelFor2D: aim for at most this many tiles
-  // per executor (pool workers plus the helping caller). Small enough that
-  // per-task queue overhead stays negligible next to the grain, large enough
-  // to absorb load imbalance from uneven tiles. The SIMD kernel backends lean
-  // on this: their per-tile work shrank by the vector width, so tile count —
-  // not tile size — is what keeps task overhead amortized.
+  // per executor (pool workers plus the caller). Small enough that per-tile
+  // claim overhead stays negligible next to the grain, large enough to absorb
+  // load imbalance from uneven tiles. The SIMD kernel backends lean on this:
+  // their per-tile work shrank by the vector width, so tile count — not tile
+  // size — is what keeps the overhead amortized.
   static constexpr size_t kMaxTilesPerExecutor = 8;
 
   // Process-wide shared pool (default-sized: DZ_THREADS when set, otherwise
@@ -73,17 +76,28 @@ class ThreadPool {
   static ThreadPool& Global();
 
  private:
+  // One Run call. It lives on the caller's stack; every field but fn and n is
+  // guarded by mu_.
+  struct Job {
+    Job(const std::function<void(size_t)>& fn, size_t n) : fn(fn), n(n) {}
+    const std::function<void(size_t)>& fn;
+    const size_t n;
+    size_t next = 0;  // first unclaimed index
+    size_t done = 0;  // indices whose fn has returned
+    std::condition_variable finished;  // signalled when done reaches n
+  };
+
+  // Runs fn(i) for each i in [0, n) on the caller and idle workers; returns
+  // when all n have returned.
+  void Run(size_t n, const std::function<void(size_t)>& fn);
+  // Takes job's next index; the job leaves open_ with its last one. Needs mu_.
+  size_t Claim(Job& job);
   void WorkerLoop();
-  // Runs queued tasks until *pending drops to 0 (pending is decremented by the
-  // submitted tasks themselves, under mu_). Blocks when the queue is empty.
-  void HelpUntil(const size_t* pending);
 
   std::vector<std::thread> workers_;
-  std::queue<std::function<void()>> tasks_;
   std::mutex mu_;
-  std::condition_variable task_available_;
-  std::condition_variable all_done_;
-  size_t in_flight_ = 0;
+  std::vector<Job*> open_;  // jobs with unclaimed indices, oldest first
+  std::condition_variable work_available_;
   bool shutdown_ = false;
 };
 

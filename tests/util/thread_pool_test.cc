@@ -1,9 +1,14 @@
 #include "src/util/thread_pool.h"
 
+#include <algorithm>
+#include <array>
 #include <atomic>
+#include <chrono>
 #include <cstdlib>
-#include <numeric>
+#include <mutex>
 #include <string>
+#include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -11,14 +16,45 @@
 namespace dz {
 namespace {
 
-TEST(ThreadPoolTest, RunsAllSubmittedTasks) {
-  ThreadPool pool(4);
-  std::atomic<int> counter{0};
-  for (int i = 0; i < 100; ++i) {
-    pool.Submit([&counter] { counter.fetch_add(1); });
+using Chunk = std::pair<size_t, size_t>;
+using Tile = std::array<size_t, 4>;  // r0, r1, c0, c1
+
+// The chunks ParallelFor hands out, sorted (they run in any order).
+std::vector<Chunk> ChunksOf(ThreadPool& pool, size_t n) {
+  std::mutex mu;
+  std::vector<Chunk> chunks;
+  pool.ParallelFor(n, [&](size_t begin, size_t end) {
+    std::lock_guard<std::mutex> lock(mu);
+    chunks.emplace_back(begin, end);
+  });
+  std::sort(chunks.begin(), chunks.end());
+  return chunks;
+}
+
+// The tiles ParallelFor2D hands out, sorted.
+std::vector<Tile> TilesOf(ThreadPool& pool, size_t rows, size_t cols, size_t grain_rows,
+                          size_t grain_cols) {
+  std::mutex mu;
+  std::vector<Tile> tiles;
+  pool.ParallelFor2D(rows, cols, grain_rows, grain_cols,
+                     [&](size_t r0, size_t r1, size_t c0, size_t c1) {
+                       std::lock_guard<std::mutex> lock(mu);
+                       tiles.push_back({r0, r1, c0, c1});
+                     });
+  std::sort(tiles.begin(), tiles.end());
+  return tiles;
+}
+
+// Row-major grid of tile_rows x tile_cols tiles over rows x cols, the last row
+// and column of tiles clipped.
+std::vector<Tile> Grid(size_t rows, size_t cols, size_t tile_rows, size_t tile_cols) {
+  std::vector<Tile> tiles;
+  for (size_t r0 = 0; r0 < rows; r0 += tile_rows) {
+    for (size_t c0 = 0; c0 < cols; c0 += tile_cols) {
+      tiles.push_back({r0, std::min(rows, r0 + tile_rows), c0, std::min(cols, c0 + tile_cols)});
+    }
   }
-  pool.Wait();
-  EXPECT_EQ(counter.load(), 100);
+  return tiles;
 }
 
 TEST(ThreadPoolTest, ParallelForCoversRangeExactlyOnce) {
@@ -33,6 +69,17 @@ TEST(ThreadPoolTest, ParallelForCoversRangeExactlyOnce) {
   for (size_t i = 0; i < n; ++i) {
     EXPECT_EQ(hits[i].load(), 1) << i;
   }
+  // The exact chunks, recorded from the earlier task-queue pool: changing the
+  // primitive underneath must not move them.
+  ThreadPool two(2);
+  EXPECT_EQ(ChunksOf(two, 5), (std::vector<Chunk>{{0, 3}, {3, 5}}));
+  EXPECT_EQ(ChunksOf(two, 37), (std::vector<Chunk>{{0, 19}, {19, 37}}));
+  EXPECT_EQ(ChunksOf(two, 1000), (std::vector<Chunk>{{0, 500}, {500, 1000}}));
+  ThreadPool four(4);
+  EXPECT_EQ(ChunksOf(four, 5), (std::vector<Chunk>{{0, 5}}));
+  EXPECT_EQ(ChunksOf(four, 37), (std::vector<Chunk>{{0, 10}, {10, 20}, {20, 30}, {30, 37}}));
+  EXPECT_EQ(ChunksOf(four, 1000),
+            (std::vector<Chunk>{{0, 250}, {250, 500}, {500, 750}, {750, 1000}}));
 }
 
 TEST(ThreadPoolTest, ParallelForSmallRangeInline) {
@@ -51,12 +98,6 @@ TEST(ThreadPoolTest, ParallelForZeroIsNoop) {
   bool called = false;
   pool.ParallelFor(0, [&](size_t, size_t) { called = true; });
   EXPECT_FALSE(called);
-}
-
-TEST(ThreadPoolTest, WaitWithNothingPendingReturns) {
-  ThreadPool pool(2);
-  pool.Wait();  // must not deadlock
-  SUCCEED();
 }
 
 // Saves and restores DZ_THREADS so these tests cannot leak a mutated (or
@@ -109,7 +150,7 @@ TEST_F(DzThreadsEnvTest, DefaultThreadCountIsCapped) {
 
 TEST(ThreadPoolTest, NestedParallelForDoesNotDeadlock) {
   // ParallelFor from inside a pool task must complete even when every worker is
-  // occupied by an outer task: Wait() helps drain the queue.
+  // occupied by an outer task: the nested caller claims whatever no worker has.
   ThreadPool pool(2);
   std::atomic<int> total{0};
   pool.ParallelFor(8, [&](size_t begin, size_t end) {
@@ -142,16 +183,63 @@ TEST(ThreadPoolTest, ForEachTaskNestsInsideParallelFor) {
   EXPECT_EQ(total.load(), 24);
 }
 
-TEST(ThreadPoolTest, SubmitFromTaskWithConcurrentWait) {
-  ThreadPool pool(2);
-  std::atomic<int> counter{0};
-  for (int i = 0; i < 16; ++i) {
-    pool.Submit([&pool, &counter] {
-      pool.Submit([&counter] { counter.fetch_add(1); });
-    });
+TEST(ThreadPoolTest, ConcurrentCallersNestThreeDeep) {
+  // Four outside threads share one pool; each index of their ForEachTask runs a
+  // ParallelFor2D whose every cell runs a ForEachTask. Every innermost index
+  // must run exactly once, on pools smaller than, equal to and larger than
+  // the number of callers.
+  constexpr size_t kCallers = 4, kOuter = 3, kSide = 8, kInner = 2;
+  for (size_t threads : {1, 2, 4}) {
+    ThreadPool pool(threads);
+    std::vector<std::atomic<int>> hits(kCallers * kOuter * kSide * kSide * kInner);
+    std::vector<std::thread> callers;
+    for (size_t t = 0; t < kCallers; ++t) {
+      callers.emplace_back([&, t] {
+        pool.ForEachTask(kOuter, [&](size_t o) {
+          pool.ParallelFor2D(kSide, kSide, 2, 2, [&](size_t r0, size_t r1, size_t c0, size_t c1) {
+            for (size_t r = r0; r < r1; ++r) {
+              for (size_t c = c0; c < c1; ++c) {
+                pool.ForEachTask(kInner, [&](size_t i) {
+                  hits[(((t * kOuter + o) * kSide + r) * kSide + c) * kInner + i].fetch_add(1);
+                });
+              }
+            }
+          });
+        });
+      });
+    }
+    for (auto& caller : callers) {
+      caller.join();
+    }
+    for (size_t i = 0; i < hits.size(); ++i) {
+      ASSERT_EQ(hits[i].load(), 1) << "threads " << threads << " index " << i;
+    }
   }
-  pool.Wait();
-  EXPECT_EQ(counter.load(), 16);
+}
+
+TEST(ThreadPoolTest, ForEachTaskReturnsOnlyAfterEveryIndexFinished) {
+  // Two indices that must overlap: whichever starts first waits for the other
+  // to start and returns at once; the second sleeps, then sets a plain flag.
+  // The caller usually claims first, so the slow index runs on a worker and
+  // ForEachTask must wait for it, not just for the caller's own claims. The
+  // flag is not atomic: the wait must also order the worker's write before
+  // the caller's read (TSan checks that).
+  ThreadPool pool(2);
+  for (int round = 0; round < 10; ++round) {
+    std::atomic<int> started{0};
+    bool slow_done = false;
+    pool.ForEachTask(2, [&](size_t) {
+      if (started.fetch_add(1) == 0) {
+        while (started.load() < 2) {
+          std::this_thread::yield();
+        }
+        return;
+      }
+      std::this_thread::sleep_for(std::chrono::milliseconds(5));
+      slow_done = true;
+    });
+    ASSERT_TRUE(slow_done) << "round " << round;
+  }
 }
 
 TEST(ThreadPoolTest, ParallelFor2DCoversEveryCellOnce) {
@@ -169,6 +257,16 @@ TEST(ThreadPoolTest, ParallelFor2DCoversEveryCellOnce) {
   for (size_t i = 0; i < hits.size(); ++i) {
     ASSERT_EQ(hits[i].load(), 1) << "cell " << i;
   }
+  // The exact tiles, coarsening included, recorded from the earlier task-queue
+  // pool: GEMM tile shapes follow from them.
+  ThreadPool two(2);
+  EXPECT_EQ(TilesOf(two, 37, 53, 8, 8), Grid(37, 53, 8, 16));
+  EXPECT_EQ(TilesOf(two, 64, 64, 0, 0), Grid(64, 64, 16, 16));
+  EXPECT_EQ(TilesOf(two, 1, 200, 1, 4), Grid(1, 200, 1, 16));
+  ThreadPool four(4);
+  EXPECT_EQ(TilesOf(four, 37, 53, 8, 8), Grid(37, 53, 8, 8));
+  EXPECT_EQ(TilesOf(four, 64, 64, 0, 0), Grid(64, 64, 16, 8));
+  EXPECT_EQ(TilesOf(four, 1, 200, 1, 4), Grid(1, 200, 1, 8));
 }
 
 TEST(ThreadPoolTest, ParallelFor2DDegenerateAndTinyGrains) {

@@ -52,6 +52,9 @@ for path in sys.argv[2:]:
                 if key in b:
                     metrics.append({"name": b["name"], "value": b[key],
                                     "unit": unit, "higher_is_better": True})
+            if "us_per_call" in b:  # BM_ForkJoin: a latency, recorded ungated
+                metrics.append({"name": b["name"], "value": b["us_per_call"],
+                                "unit": "us", "higher_is_better": False})
         # AddCustomContext entries land in "context" as strings.
         ctx = data.get("context", {})
         bench = {"bench": "bench_microkernels", "metrics": metrics}
