@@ -146,8 +146,10 @@ void SpinFor(double seconds) {
 // One ForEachTask call on a 2-worker pool after a 50 us serial gap, the shape
 // of a cluster step: a short serial phase, then one pool phase. Args: task
 // count, and microseconds each task spins (0 = empty tasks). Reports
-// microseconds per call, gap excluded; the gap lets workers park, so this
-// measures wake-up latency as well as the claim path. An absolute time, so
+// microseconds per call, gap excluded. Where the pool spins (two workers and
+// the caller fit the affinity mask), the gap ends inside a worker's spin and
+// this times the claim path and the spinning hand-off; on a smaller box the
+// workers park and it times a futex wake as well. An absolute time, so
 // tools/check_bench_regression.sh does not gate it.
 void BM_ForkJoin(benchmark::State& state) {
   const size_t tasks = static_cast<size_t>(state.range(0));

@@ -1,5 +1,7 @@
 #include "src/util/thread_pool.h"
 
+#include <sched.h>
+
 #include <algorithm>
 #include <cstdlib>
 
@@ -10,34 +12,63 @@ namespace dz {
 
 namespace {
 
-// Container CI runners routinely report either 0 (unknown) or the host's full
-// core count while the cgroup only grants a couple of cores; an uncapped
-// default then oversubscribes badly. The cap applies only to the inferred
-// default — an explicit constructor argument or DZ_THREADS is honored as-is
-// (modulo a sanity clamp).
+// A cgroup's CPU quota can grant fewer cores than the affinity mask names; the
+// cap keeps an inferred default from oversubscribing badly there. It applies
+// only to the inferred default — an explicit constructor argument or
+// DZ_THREADS is honored as-is (modulo a sanity clamp).
 constexpr size_t kMaxDefaultThreads = 16;
 constexpr size_t kMaxEnvThreads = 256;
 
-size_t DefaultThreadCount() {
+// The CPUs this process may run on. Inside a pinned container or under
+// taskset this is fewer than hardware_concurrency(), which reports the host.
+size_t AllowedCpus() {
+  cpu_set_t set;
+  if (sched_getaffinity(0, sizeof(set), &set) == 0) {
+    return std::max(CPU_COUNT(&set), 1);
+  }
+  return std::max(std::thread::hardware_concurrency(), 1u);
+}
+
+size_t DefaultThreadCount(size_t cpus) {
   if (const char* env = std::getenv("DZ_THREADS")) {
     size_t parsed = 0;
     if (ParseNumber(env, {1}, parsed)) {
       return std::min(parsed, kMaxEnvThreads);
     }
   }
-  const size_t hw = std::thread::hardware_concurrency();
-  if (hw == 0) {
-    return 1;
+  return std::min(cpus, kMaxDefaultThreads);
+}
+
+void CpuRelax() {
+#if defined(__x86_64__) || defined(__i386__)
+  __builtin_ia32_pause();
+#elif defined(__aarch64__)
+  asm volatile("yield");
+#endif
+}
+
+// Calls done() until it returns true or kSpinBeforePark passes; returns
+// whether it did.
+template <typename Done>
+bool SpinUntil(Done done) {
+  const auto deadline = std::chrono::steady_clock::now() + ThreadPool::kSpinBeforePark;
+  while (!done()) {
+    if (std::chrono::steady_clock::now() >= deadline) {
+      return false;
+    }
+    CpuRelax();
   }
-  return std::min(hw, kMaxDefaultThreads);
+  return true;
 }
 
 }  // namespace
 
 ThreadPool::ThreadPool(size_t threads) {
+  const size_t cpus = AllowedCpus();
   if (threads == 0) {
-    threads = DefaultThreadCount();
+    threads = DefaultThreadCount(cpus);
   }
+  spin_ = threads + 1 <= cpus;
   workers_.reserve(threads);
   for (size_t i = 0; i < threads; ++i) {
     workers_.emplace_back([this] { WorkerLoop(); });
@@ -59,6 +90,7 @@ size_t ThreadPool::Claim(Job& job) {
   const size_t i = job.next++;
   if (job.next == job.n) {
     open_.erase(std::find(open_.begin(), open_.end(), &job));
+    --open_count_;
   }
   return i;
 }
@@ -68,6 +100,7 @@ void ThreadPool::Run(size_t n, const std::function<void(size_t)>& fn) {
   std::unique_lock<std::mutex> lock(mu_);
   DZ_CHECK(!shutdown_);
   open_.push_back(&job);
+  ++open_count_;
   lock.unlock();
   // Wake one worker per index beyond the caller's first.
   for (size_t k = 1; k < n && k <= workers_.size(); ++k) {
@@ -82,12 +115,27 @@ void ThreadPool::Run(size_t n, const std::function<void(size_t)>& fn) {
     ++job.done;
   }
   // Every index is claimed; the ones still running belong to other threads.
+  if (spin_ && job.done != n) {
+    lock.unlock();
+    SpinUntil([&job] { return job.done == job.n; });
+    // Even when the spin saw done == n, take mu_ (the wait below): the worker
+    // that counted the last index notifies under it, and job dies on return.
+    lock.lock();
+  }
   job.finished.wait(lock, [&job] { return job.done == job.n; });
 }
 
 void ThreadPool::WorkerLoop() {
   std::unique_lock<std::mutex> lock(mu_);
   for (;;) {
+    // Spin while work keeps turning up (another thread may claim it first);
+    // park after one whole spin that saw none.
+    bool saw_work = true;
+    while (spin_ && saw_work && open_.empty() && !shutdown_) {
+      lock.unlock();
+      saw_work = SpinUntil([this] { return open_count_ != 0 || shutdown_; });
+      lock.lock();
+    }
     work_available_.wait(lock, [this] { return shutdown_ || !open_.empty(); });
     if (open_.empty()) {
       return;  // shutdown, and no caller is waiting on an unclaimed index

@@ -13,13 +13,30 @@
 // right now. Those threads took their index while idle, so anything they wait
 // on in turn is a call made inside that index, one level deeper; every chain
 // of waits ends at a running thread, whatever the worker count. A waiting
-// caller does not run other calls' indices.
+// caller does not run other calls' indices. Spinning (below) does not change
+// this: it changes when a thread notices work or a finished job, not which
+// thread waits on which, and every spin ends by itself after kSpinBeforePark.
+//
+// Spin before parking. The cluster's epoch loop forks its workers' steps
+// again after a serial gap of tens of microseconds, and a futex wake per fork
+// costs about as much as the gap. So an idle worker first spins on an atomic
+// count of open jobs (and on shutdown) for kSpinBeforePark, and only then
+// waits on the condition variable; a caller whose indices are all claimed
+// spins on its job's done count for as long before it waits. A caller that
+// saw the count reach n still takes the mutex once before returning: the
+// worker that finished the last index notifies under the mutex, so the job on
+// the caller's stack outlives that notify. Spinning only pays when nothing
+// else wants the CPU, so a pool spins only when its workers plus one caller
+// fit in the CPUs the process may run on (its affinity mask, read once at
+// construction); an oversubscribed pool parks at once.
 //
 // Tasks must not throw: an exception escaping a task terminates the process.
 // Report failures through captured state.
 #ifndef SRC_UTIL_THREAD_POOL_H_
 #define SRC_UTIL_THREAD_POOL_H_
 
+#include <atomic>
+#include <chrono>
 #include <condition_variable>
 #include <cstddef>
 #include <functional>
@@ -32,8 +49,9 @@ namespace dz {
 class ThreadPool {
  public:
   // threads == 0 picks a default: the DZ_THREADS environment variable when set
-  // to a positive integer, otherwise hardware_concurrency() capped to a sane
-  // bound (containers report 0 or the host's full core count).
+  // to a positive integer, otherwise the number of CPUs in the process's
+  // affinity mask (what a pinned container may use, not the host's cores),
+  // capped at 16.
   explicit ThreadPool(size_t threads = 0);
   ~ThreadPool();
 
@@ -71,19 +89,26 @@ class ThreadPool {
   // size — is what keeps the overhead amortized.
   static constexpr size_t kMaxTilesPerExecutor = 8;
 
+  // How long an idle thread spins before it parks: about twice the mean
+  // serial gap between the elastic epoch loop's fork-joins (~77 us on a 4-core
+  // x86 VM), so about three in four of a worker's waits for the next job end
+  // inside a spin, while an idle pool burns at most this much CPU per thread
+  // before it sleeps.
+  static constexpr std::chrono::microseconds kSpinBeforePark{150};
+
   // Process-wide shared pool (default-sized: DZ_THREADS when set, otherwise
-  // hardware_concurrency() capped to a sane bound — see the constructor).
+  // the affinity mask's CPU count capped at 16 — see the constructor).
   static ThreadPool& Global();
 
  private:
-  // One Run call. It lives on the caller's stack; every field but fn and n is
-  // guarded by mu_.
+  // One Run call. It lives on the caller's stack; next is guarded by mu_, and
+  // done is only incremented under mu_ (the caller may read it without).
   struct Job {
     Job(const std::function<void(size_t)>& fn, size_t n) : fn(fn), n(n) {}
     const std::function<void(size_t)>& fn;
     const size_t n;
     size_t next = 0;  // first unclaimed index
-    size_t done = 0;  // indices whose fn has returned
+    std::atomic<size_t> done{0};  // indices whose fn has returned
     std::condition_variable finished;  // signalled when done reaches n
   };
 
@@ -97,8 +122,12 @@ class ThreadPool {
   std::vector<std::thread> workers_;
   std::mutex mu_;
   std::vector<Job*> open_;  // jobs with unclaimed indices, oldest first
+  std::atomic<size_t> open_count_{0};  // open_.size(), written under mu_
   std::condition_variable work_available_;
-  bool shutdown_ = false;
+  std::atomic<bool> shutdown_{false};  // written under mu_
+  // Workers plus one caller fit the affinity mask. Set before any worker
+  // starts, never changed after.
+  bool spin_ = false;
 };
 
 }  // namespace dz

@@ -1,5 +1,8 @@
 #include "src/util/thread_pool.h"
 
+#include <sched.h>
+#include <time.h>
+
 #include <algorithm>
 #include <array>
 #include <atomic>
@@ -43,6 +46,21 @@ std::vector<Tile> TilesOf(ThreadPool& pool, size_t rows, size_t cols, size_t gra
                      });
   std::sort(tiles.begin(), tiles.end());
   return tiles;
+}
+
+// The CPUs in this process's affinity mask, counted here rather than through
+// the pool.
+size_t AffinityCpus() {
+  cpu_set_t set;
+  EXPECT_EQ(sched_getaffinity(0, sizeof(set), &set), 0);
+  return static_cast<size_t>(CPU_COUNT(&set));
+}
+
+// CPU time of every thread in the process so far.
+std::chrono::nanoseconds ProcessCpuTime() {
+  timespec ts{};
+  EXPECT_EQ(clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &ts), 0);
+  return std::chrono::seconds(ts.tv_sec) + std::chrono::nanoseconds(ts.tv_nsec);
 }
 
 // Row-major grid of tile_rows x tile_cols tiles over rows x cols, the last row
@@ -131,21 +149,20 @@ TEST_F(DzThreadsEnvTest, DzThreadsEnvOverridesDefault) {
 }
 
 TEST_F(DzThreadsEnvTest, InvalidDzThreadsFallsBackToCappedDefault) {
+  const size_t expected = std::min<size_t>(AffinityCpus(), 16);
   for (const char* bad : {"not-a-number", "-4", "0", "7seven"}) {
     setenv("DZ_THREADS", bad, 1);
     ThreadPool pool;
-    EXPECT_GE(pool.thread_count(), 1u) << bad;
-    EXPECT_LE(pool.thread_count(), 16u) << bad;
+    EXPECT_EQ(pool.thread_count(), expected) << bad;
   }
 }
 
 TEST_F(DzThreadsEnvTest, DefaultThreadCountIsCapped) {
   unsetenv("DZ_THREADS");
-  // Whatever hardware_concurrency() reports (including 0 in containers), the
-  // inferred default must land in [1, 16].
+  // The inferred default is the affinity mask's CPU count (what taskset or a
+  // pinned container allows, not the host's cores), capped at 16.
   ThreadPool pool;
-  EXPECT_GE(pool.thread_count(), 1u);
-  EXPECT_LE(pool.thread_count(), 16u);
+  EXPECT_EQ(pool.thread_count(), std::min<size_t>(AffinityCpus(), 16));
 }
 
 TEST(ThreadPoolTest, NestedParallelForDoesNotDeadlock) {
@@ -299,6 +316,63 @@ TEST(ThreadPoolTest, ParallelFor2DNestsInsidePoolTask) {
     });
   });
   EXPECT_EQ(total.load(), 3 * 16 * 16);
+}
+
+TEST(ThreadPoolTest, IdlePoolParks) {
+  // Workers spin for at most kSpinBeforePark after a call, then sleep: over
+  // an idle stretch far longer than a spin, the process burns far less CPU
+  // than wall time. (Where two workers and a caller do not fit the affinity
+  // mask, the pool parks at once and this holds trivially.)
+  ThreadPool pool(2);
+  pool.ForEachTask(3, [](size_t) {});
+  const auto cpu0 = ProcessCpuTime();
+  const auto wall0 = std::chrono::steady_clock::now();
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  const auto cpu = ProcessCpuTime() - cpu0;
+  const auto wall = std::chrono::steady_clock::now() - wall0;
+  EXPECT_LT(cpu, wall / 4) << "cpu " << cpu.count() << " ns, wall " << wall.count() << " ns";
+}
+
+TEST(ThreadPoolTest, OversubscribedPoolDoesNotSpin) {
+  // More workers than the affinity mask has CPUs: spinning would only steal
+  // CPU from threads with work, so the pool parks at once. Right after a call
+  // the idle pool burns, in the median call, less than half of one spin (a
+  // spinning pool burns at least one whole spin per call). Every index
+  // waits until all have started, so every worker is awake and done with its
+  // index by the time the call returns; what follows is only parking.
+  const size_t threads = AffinityCpus() + 1;
+  ThreadPool pool(threads);
+  std::vector<std::chrono::nanoseconds> idle_cpu;
+  for (int round = 0; round < 21; ++round) {
+    std::atomic<size_t> started{0};
+    pool.ForEachTask(threads + 1, [&](size_t) {
+      started.fetch_add(1);
+      while (started.load() < threads + 1) {
+        std::this_thread::yield();
+      }
+    });
+    const auto cpu0 = ProcessCpuTime();
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    idle_cpu.push_back(ProcessCpuTime() - cpu0);
+  }
+  std::nth_element(idle_cpu.begin(), idle_cpu.begin() + 10, idle_cpu.end());
+  EXPECT_LT(idle_cpu[10], ThreadPool::kSpinBeforePark / 2)
+      << "median idle cpu " << idle_cpu[10].count() << " ns after a call";
+}
+
+TEST(ThreadPoolTest, DestroyRightAfterCallDoesNotWaitOutSpin) {
+  // A pool destroyed right after a call, while its workers spin or have just
+  // parked, shuts down promptly: the spin watches shutdown. 3,000 pools take
+  // under a second natively and a few seconds under TSan; the loose bound
+  // catches a shutdown that stalls, not one that waits out a single spin.
+  const auto start = std::chrono::steady_clock::now();
+  for (size_t threads : {1, 2, 4}) {
+    for (int round = 0; round < 1000; ++round) {
+      ThreadPool pool(threads);
+      pool.ForEachTask(threads + 1, [](size_t) {});
+    }
+  }
+  EXPECT_LT(std::chrono::steady_clock::now() - start, std::chrono::seconds(30));
 }
 
 TEST(ThreadPoolTest, GlobalPoolIsUsable) {
