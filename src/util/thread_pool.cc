@@ -120,7 +120,11 @@ void ThreadPool::Run(size_t n, const std::function<void(size_t)>& fn) {
     SpinUntil([&job] { return job.done == job.n; });
     // Even when the spin saw done == n, take mu_ (the wait below): the worker
     // that counted the last index notifies under it, and job dies on return.
-    lock.lock();
+    // That worker usually still holds mu_ for a few instructions, so retry
+    // rather than sleep on it.
+    if (!SpinUntil([&lock] { return lock.try_lock(); })) {
+      lock.lock();
+    }
   }
   job.finished.wait(lock, [&job] { return job.done == job.n; });
 }

@@ -25,7 +25,9 @@
 // spins on its job's done count for as long before it waits. A caller that
 // saw the count reach n still takes the mutex once before returning: the
 // worker that finished the last index notifies under the mutex, so the job on
-// the caller's stack outlives that notify. Spinning only pays when nothing
+// the caller's stack outlives that notify. That worker usually still holds the
+// mutex when the caller sees the count, so the caller retries it for as long
+// as a spin rather than sleep on it. Spinning only pays when nothing
 // else wants the CPU, so a pool spins only when its workers plus one caller
 // fit in the CPUs the process may run on (its affinity mask, read once at
 // construction); an oversubscribed pool parks at once.
