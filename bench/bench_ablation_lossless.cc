@@ -32,6 +32,7 @@ void Run() {
     const double secs = timer.Seconds();
     DZ_CHECK(GdeflateDecompress(gz) == raw);
     const ByteBuffer rle = RleCompress(raw);
+    DZ_CHECK(RleDecompress(rle) == raw);
     measured_ratio = CompressionRatio(raw.size(), gz.size());
     table.AddRow({std::to_string(bits), std::to_string(raw.size()),
                   std::to_string(gz.size()),

@@ -34,9 +34,8 @@ void Run() {
       tc.seed = seed;
       const Trace trace = GenerateTrace(tc);
 
-      EngineConfig scb = BaseEngineConfig();
-      scb.artifact = ArtifactKind::kFullModel;
-      const double thr_scb = MakeVllmScbEngine(scb)->Serve(trace).ThroughputRps();
+      const double thr_scb =
+          MakeVllmScbEngine(BaseEngineConfig())->Serve(trace).ThroughputRps();
 
       EngineConfig dz8 = BaseEngineConfig();
       dz8.max_concurrent_deltas = 8;

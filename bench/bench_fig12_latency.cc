@@ -32,9 +32,7 @@ void Run() {
       tc.seed = seed;
       const Trace trace = GenerateTrace(tc);
 
-      EngineConfig scb = BaseEngineConfig();
-      scb.artifact = ArtifactKind::kFullModel;
-      const ServeReport r_scb = MakeVllmScbEngine(scb)->Serve(trace);
+      const ServeReport r_scb = MakeVllmScbEngine(BaseEngineConfig())->Serve(trace);
       EngineConfig dz8 = BaseEngineConfig();
       dz8.max_concurrent_deltas = 8;
       const ServeReport r8 = MakeDeltaZipEngine(dz8)->Serve(trace);

@@ -74,9 +74,7 @@ void Run(bool quick) {
     base.exec.shape = ModelShape::Llama13B();
     base.exec.gpu = GpuSpec::A800();
     base.exec.tp = 4;
-    EngineConfig scb = base;
-    scb.artifact = ArtifactKind::kFullModel;
-    const ServeReport r_scb = MakeVllmScbEngine(scb)->Serve(trace);
+    const ServeReport r_scb = MakeVllmScbEngine(base)->Serve(trace);
     EngineConfig dz8 = base;
     dz8.max_concurrent_deltas = 8;
     const ServeReport r8 = MakeDeltaZipEngine(dz8)->Serve(trace);

@@ -34,9 +34,7 @@ void Run() {
   const ServeReport lora_dz = MakeDeltaZipEngine(lora_cfg)->Serve(trace);
 
   // FMT node: baseline swaps full models; DeltaZip serves compressed deltas.
-  EngineConfig fmt_scb = node;
-  fmt_scb.artifact = ArtifactKind::kFullModel;
-  const ServeReport fmt_vllm = MakeVllmScbEngine(fmt_scb)->Serve(trace);
+  const ServeReport fmt_vllm = MakeVllmScbEngine(node)->Serve(trace);
   EngineConfig fmt_dz = node;
   const ServeReport fmt_dz_r = MakeDeltaZipEngine(fmt_dz)->Serve(trace);
 

@@ -30,9 +30,7 @@ void Run() {
 
     EngineConfig delta_cfg = node;
     const ServeReport r_delta = MakeDeltaZipEngine(delta_cfg)->Serve(trace);
-    EngineConfig full_cfg = node;
-    full_cfg.artifact = ArtifactKind::kFullModel;
-    const ServeReport r_full = MakeVllmScbEngine(full_cfg)->Serve(trace);
+    const ServeReport r_full = MakeVllmScbEngine(node)->Serve(trace);
     EngineConfig l16 = node;
     l16.artifact = ArtifactKind::kLoraAdapter;
     l16.lora_rank = 16;

@@ -92,9 +92,7 @@ void Run() {
   cfg.tracing.enabled = true;
 
   std::printf("--- (a) vLLM+SCB ---\n");
-  EngineConfig scb = cfg;
-  scb.artifact = ArtifactKind::kFullModel;
-  PrintBreakdown(MakeVllmScbEngine(scb)->Serve(trace));
+  PrintBreakdown(MakeVllmScbEngine(cfg)->Serve(trace));
 
   std::printf("--- (b) DeltaZip ---\n");
   PrintBreakdown(MakeDeltaZipEngine(cfg)->Serve(trace));

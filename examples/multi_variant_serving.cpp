@@ -31,9 +31,7 @@ int main() {
   cfg.exec.tp = 4;
   cfg.max_concurrent_deltas = 8;
 
-  EngineConfig baseline = cfg;
-  baseline.artifact = ArtifactKind::kFullModel;
-  const ServeReport r_scb = MakeVllmScbEngine(baseline)->Serve(trace);
+  const ServeReport r_scb = MakeVllmScbEngine(cfg)->Serve(trace);
   const ServeReport r_dz = MakeDeltaZipEngine(cfg)->Serve(trace);
 
   Table table({"metric", "vLLM+SCB", "DeltaZip", "improvement"});

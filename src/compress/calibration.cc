@@ -12,20 +12,17 @@ Matrix CaptureLayerInput(const Transformer& model,
   const int index = model.weights().LinearIndex(layer_name);
   DZ_CHECK_GE(index, 0);
 
-  // Forward passes over the calibration sequences are independent; run them
-  // across the pool, each recording its activations in its own ForwardCache and
-  // keeping the layer's input in its own slot, so the stacked result is in
+  // Forward passes over the calibration sequences are independent; run one
+  // task per sequence, each recording its activations in its own ForwardCache
+  // and keeping the layer's input in its own slot, so the stacked result is in
   // calibration order regardless of thread count.
   std::vector<Matrix> captured(calibration.size());
   ThreadPool& workers = pool != nullptr ? *pool : ThreadPool::Global();
-  workers.ParallelFor(
-      calibration.size(), [&](size_t begin, size_t end) {
-        for (size_t i = begin; i < end; ++i) {
-          ForwardCache cache;
-          model.Forward(calibration[i], &cache);
-          captured[i] = cache.LinearInput(static_cast<size_t>(index));
-        }
-      });
+  workers.ForEachTask(calibration.size(), [&](size_t i) {
+    ForwardCache cache;
+    model.Forward(calibration[i], &cache);
+    captured[i] = cache.LinearInput(static_cast<size_t>(index));
+  });
 
   int total_rows = 0;
   for (const Matrix& m : captured) {

@@ -290,17 +290,6 @@ bool DecodeDelta(const ByteBuffer& buffer, CompressedDelta& out) {
   return r.ok() && r.AtEnd();
 }
 
-bool WriteDeltaFile(const std::string& path, const CompressedDelta& delta) {
-  const ByteBuffer buffer = EncodeDelta(delta);
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  if (f == nullptr) {
-    return false;
-  }
-  const size_t written = std::fwrite(buffer.data(), 1, buffer.size(), f);
-  std::fclose(f);
-  return written == buffer.size();
-}
-
 bool ReadDeltaFile(const std::string& path, CompressedDelta& out) {
   std::FILE* f = std::fopen(path.c_str(), "rb");
   if (f == nullptr) {

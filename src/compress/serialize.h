@@ -27,8 +27,8 @@ ByteBuffer EncodeDelta(const CompressedDelta& delta);
 // whose geometry its storage does not fit (see the FromStorage functions).
 bool DecodeDelta(const ByteBuffer& buffer, CompressedDelta& out);
 
-// File helpers (binary). Return false on I/O failure.
-bool WriteDeltaFile(const std::string& path, const CompressedDelta& delta);
+// Reads and decodes an artifact file. Returns false on I/O failure or when
+// DecodeDelta rejects the bytes.
 bool ReadDeltaFile(const std::string& path, CompressedDelta& out);
 
 }  // namespace dz

@@ -71,13 +71,6 @@ VariantInfo DeltaZipService::variant_info(int id) const {
   return variants_[static_cast<size_t>(id)].info;
 }
 
-const CompressedDelta& DeltaZipService::delta(int id) const {
-  DZ_CHECK_GE(id, 0);
-  DZ_CHECK_LT(id, variant_count());
-  DZ_CHECK(!variants_[static_cast<size_t>(id)].info.is_lora);
-  return *variants_[static_cast<size_t>(id)].delta;
-}
-
 std::vector<int> DeltaZipService::Generate(int variant_id, const std::vector<int>& prompt,
                                            int max_new, int eos_token) const {
   if (variant_id < 0) {

@@ -65,7 +65,6 @@ class DeltaZipService {
 
   int variant_count() const { return static_cast<int>(variants_.size()); }
   VariantInfo variant_info(int id) const;
-  const CompressedDelta& delta(int id) const;
 
   const Transformer& base() const { return base_; }
 

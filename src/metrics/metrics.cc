@@ -31,12 +31,14 @@ int LogHistogram::BucketIndex(double v) {
   if (!(v > kMinValue)) {  // NaN, negatives, 0, and sub-resolution values
     return 0;
   }
-  const int geometric = static_cast<int>(
-      std::log2(v / kMinValue) * static_cast<double>(kBucketsPerOctave));
+  // Compare before the cast: +inf (and any value whose bucket exceeds an int)
+  // belongs to the overflow bucket.
+  const double geometric =
+      std::log2(v / kMinValue) * static_cast<double>(kBucketsPerOctave);
   if (geometric >= kGeometricBuckets) {
     return kNumBuckets - 1;  // overflow
   }
-  return 1 + std::max(0, geometric);
+  return 1 + std::max(0, static_cast<int>(geometric));
 }
 
 double LogHistogram::BucketLowerBound(int i) {

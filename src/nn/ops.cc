@@ -282,9 +282,4 @@ double CrossEntropy(const Matrix& logits, const std::vector<int>& targets,
   return loss / counted;
 }
 
-double CrossEntropyLoss(const Matrix& logits, const std::vector<int>& targets) {
-  Matrix scratch;
-  return CrossEntropy(logits, targets, scratch);
-}
-
 }  // namespace dz

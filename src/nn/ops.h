@@ -56,9 +56,6 @@ void SoftmaxRows(Matrix& x);
 double CrossEntropy(const Matrix& logits, const std::vector<int>& targets,
                     Matrix& dlogits);
 
-// Loss only (no gradient) — used by evaluation.
-double CrossEntropyLoss(const Matrix& logits, const std::vector<int>& targets);
-
 }  // namespace dz
 
 #endif  // SRC_NN_OPS_H_

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <climits>
-#include <cstdio>
 #include <numeric>
 
 #include "src/util/check.h"
@@ -69,21 +68,6 @@ bool ParseRedundancyPolicy(const std::string& spec, RedundancyPolicy& out) {
   }
   out = p;
   return true;
-}
-
-std::string RedundancyPolicyToSpec(const RedundancyPolicy& policy) {
-  char buf[64];
-  switch (policy.mode) {
-    case RedundancyMode::kNone:
-      return "none";
-    case RedundancyMode::kReplicate:
-      std::snprintf(buf, sizeof(buf), "replicate(%d)", policy.replicas);
-      return buf;
-    case RedundancyMode::kErasure:
-      std::snprintf(buf, sizeof(buf), "erasure(%d,%d)", policy.k, policy.m);
-      return buf;
-  }
-  return "none";
 }
 
 ArtifactRegistry::ArtifactRegistry(const RegistryConfig& config, int n_artifacts,

@@ -57,9 +57,6 @@ struct RedundancyPolicy {
 // "erasure(4,2)"). Returns false on malformed specs or out-of-range counts.
 bool ParseRedundancyPolicy(const std::string& spec, RedundancyPolicy& out);
 
-// Canonical spec string (round-trips through ParseRedundancyPolicy).
-std::string RedundancyPolicyToSpec(const RedundancyPolicy& policy);
-
 struct RegistryConfig {
   // Off (the default) means no registry is constructed anywhere and every
   // store keeps its PR 8 infinite-local-disk model (golden-enforced).

@@ -275,8 +275,6 @@ void DeltaZipPolicy::Admit(ServeLoop& loop, double now, Admission& admission) {
 }  // namespace
 
 std::unique_ptr<ServingEngine> MakeDeltaZipEngine(const EngineConfig& config) {
-  DZ_CHECK_NE(static_cast<int>(config.artifact),
-              static_cast<int>(ArtifactKind::kFullModel));
   const char* name =
       config.artifact == ArtifactKind::kLoraAdapter ? "deltazip-lora" : "deltazip";
   return std::make_unique<ServingEngine>(config, name, &MakePolicy<DeltaZipPolicy>);

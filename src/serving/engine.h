@@ -27,12 +27,12 @@
 
 namespace dz {
 
-// What the per-variant artifact is — decides its byte size, its load times, and
-// which ExecModel code path serves it.
+// What the per-variant artifact of a DeltaZip engine is — decides its byte size,
+// its load times, and which ExecModel code path serves it. The vLLM-SCB baseline
+// swaps entire fp16 fine-tuned models (§6.1) whatever this says.
 enum class ArtifactKind {
   kCompressedDelta,  // ΔCompress artifact (§4)
   kLoraAdapter,      // low-rank adapter, Punica-style SGMV (§6.4)
-  kFullModel,        // baseline: swap entire fp16 fine-tuned models (§6.1)
 };
 
 // Asynchronous artifact prefetch (beyond the paper, §8 future work; MetaSys-style

@@ -16,14 +16,6 @@ Matrix Matrix::Random(int rows, int cols, Rng& rng, float stddev) {
   return m;
 }
 
-Matrix Matrix::Identity(int n) {
-  Matrix m(n, n);
-  for (int i = 0; i < n; ++i) {
-    m.at(i, i) = 1.0f;
-  }
-  return m;
-}
-
 Matrix Matrix::Transposed() const { return kernels::Transpose(*this); }
 
 Matrix& Matrix::AddInPlace(const Matrix& other) {
@@ -94,12 +86,6 @@ void Axpy(float alpha, const Matrix& x, Matrix& y) {
 Matrix Sub(const Matrix& a, const Matrix& b) {
   Matrix out = a;
   out.SubInPlace(b);
-  return out;
-}
-
-Matrix Add(const Matrix& a, const Matrix& b) {
-  Matrix out = a;
-  out.AddInPlace(b);
   return out;
 }
 

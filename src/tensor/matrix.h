@@ -21,7 +21,6 @@ class Matrix {
       : rows_(rows), cols_(cols), data_(ElemCount(rows, cols), fill) {}
 
   static Matrix Random(int rows, int cols, Rng& rng, float stddev);
-  static Matrix Identity(int n);
 
   int rows() const { return rows_; }
   int cols() const { return cols_; }
@@ -90,8 +89,6 @@ void Axpy(float alpha, const Matrix& x, Matrix& y);
 
 // Returns a - b.
 Matrix Sub(const Matrix& a, const Matrix& b);
-// Returns a + b.
-Matrix Add(const Matrix& a, const Matrix& b);
 
 // Relative Frobenius error ||a-b|| / max(||b||, eps).
 double RelativeError(const Matrix& a, const Matrix& b);

@@ -61,17 +61,12 @@ Histogram::Histogram(double lo, double hi, int bins) : lo_(lo), hi_(hi), counts_
 }
 
 void Histogram::Add(double x) {
+  DZ_CHECK(!std::isnan(x));  // a NaN sample has no bin
   const int n = static_cast<int>(counts_.size());
-  int bin = static_cast<int>((x - lo_) / (hi_ - lo_) * n);
-  bin = std::clamp(bin, 0, n - 1);
-  ++counts_[bin];
+  // Clamp before the cast: a value far outside [lo, hi] does not fit an int.
+  const double pos = (x - lo_) / (hi_ - lo_) * n;
+  ++counts_[static_cast<int>(std::clamp(pos, 0.0, static_cast<double>(n - 1)))];
   ++total_;
-}
-
-int Histogram::bin_count(int i) const {
-  DZ_CHECK_GE(i, 0);
-  DZ_CHECK_LT(i, bins());
-  return counts_[i];
 }
 
 double Histogram::bin_lo(int i) const {

@@ -35,13 +35,13 @@ double Percentile(std::vector<double> values, double p);
 // Fraction of values <= threshold; used for SLO attainment curves.
 double FractionWithin(const std::vector<double>& values, double threshold);
 
-// Fixed-bin histogram over [lo, hi]; values outside are clamped into edge bins.
+// Fixed-bin histogram over [lo, hi]; values outside, infinities included, are
+// clamped into edge bins. Adding NaN fails a DZ_CHECK.
 class Histogram {
  public:
   Histogram(double lo, double hi, int bins);
 
   void Add(double x);
-  int bin_count(int i) const;
   int bins() const { return static_cast<int>(counts_.size()); }
   double bin_lo(int i) const;
   double bin_hi(int i) const;

@@ -157,22 +157,6 @@ void ThreadPool::WorkerLoop() {
   }
 }
 
-void ThreadPool::ParallelFor(size_t n, const std::function<void(size_t, size_t)>& body) {
-  if (n == 0) {
-    return;
-  }
-  const size_t workers = thread_count();
-  if (n < 2 * workers || workers == 1) {
-    body(0, n);
-    return;
-  }
-  const size_t chunk = (n + workers - 1) / workers;
-  Run((n + chunk - 1) / chunk, [&](size_t k) {
-    const size_t begin = k * chunk;
-    body(begin, std::min(n, begin + chunk));
-  });
-}
-
 void ThreadPool::ForEachTask(size_t n, const std::function<void(size_t)>& fn) {
   if (n == 0) {
     return;

@@ -5,7 +5,7 @@
 // ΔCompress's per-member jobs and calibration, and GEMM output tiles. There is
 // one primitive underneath, a private Run(n, fn) that runs fn(i) for every i in
 // [0, n) on the caller and any idle workers and returns when all n are done;
-// ParallelFor, ForEachTask and ParallelFor2D only map an index to a range.
+// ForEachTask hands it on as is, and ParallelFor2D maps an index to a tile.
 //
 // Nesting is safe by construction: a call may come from inside another call's
 // task, on any thread. A caller claims every index no other thread has
@@ -60,15 +60,9 @@ class ThreadPool {
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
 
-  // Splits [0, n) into one contiguous chunk per worker and runs body(begin, end)
-  // for each, blocking until all complete. Runs inline for a single worker or
-  // when n < 2 * workers.
-  void ParallelFor(size_t n, const std::function<void(size_t, size_t)>& body);
-
-  // Runs fn(i) for each i in [0, n), blocking until all complete. Unlike
-  // ParallelFor there is no inline fallback for small n (only n == 1 runs
-  // inline) — this is for a handful of heavy, independent jobs that must
-  // actually overlap.
+  // Runs fn(i) for each i in [0, n), blocking until all complete. Only n == 1
+  // runs inline: every index is a task the caller or an idle worker may claim,
+  // so this is for independent jobs heavy enough to be worth one task each.
   void ForEachTask(size_t n, const std::function<void(size_t)>& fn);
 
   // Tiles [0, rows) x [0, cols) into rectangular blocks of at least

@@ -65,14 +65,6 @@ std::vector<int> Trace::ModelCounts() const {
   return counts;
 }
 
-std::vector<int> Trace::TenantCounts() const {
-  std::vector<int> counts(static_cast<size_t>(std::max(1, n_tenants)), 0);
-  for (const auto& r : requests) {
-    ++counts[static_cast<size_t>(r.tenant_id)];
-  }
-  return counts;
-}
-
 bool Trace::IsArrivalSorted() const {
   for (size_t i = 1; i < requests.size(); ++i) {
     if (requests[i].arrival_s < requests[i - 1].arrival_s) {
@@ -303,14 +295,6 @@ double RatePeakMultiplier(const TenantConfig& config, int tenant) {
 
 }  // namespace
 
-double TenantRateAt(const TraceConfig& config, int tenant, double t) {
-  DZ_CHECK_GE(tenant, 0);
-  DZ_CHECK_LT(tenant, config.tenants.n_tenants);
-  const std::vector<double> shares = TenantShares(config.tenants);
-  return config.arrival_rate * shares[static_cast<size_t>(tenant)] *
-         RateMultiplierAt(config.tenants, tenant, t, config.duration_s);
-}
-
 Trace GenerateTrace(const TraceConfig& config) {
   DZ_CHECK_GT(config.n_models, 0);
   DZ_CHECK_LE(config.n_models, kMaxModels);
@@ -366,7 +350,7 @@ Trace GenerateTrace(const TraceConfig& config) {
     // Multi-tenant path: each tenant is an independent Poisson process thinned
     // against its scenario envelope (generate at the peak rate, accept with
     // probability multiplier(t)/peak), so per-window arrival counts track
-    // TenantRateAt within sampling noise. Per-tenant forked RNG streams keep the
+    // arrival_rate x share x multiplier(t) within sampling noise. Per-tenant forked RNG streams keep the
     // result deterministic under a fixed seed regardless of tenant count order.
     const TenantConfig& tc = config.tenants;
     DZ_CHECK_GE(tc.flash_tenant, 0);
@@ -456,34 +440,6 @@ std::vector<Trace> SplitTrace(const Trace& trace, const std::vector<int>& shard_
   return shards;
 }
 
-Trace MergeTraces(const std::vector<Trace>& shards) {
-  DZ_CHECK(!shards.empty());
-  Trace merged;
-  merged.n_models = shards.front().n_models;
-  merged.n_tenants = shards.front().n_tenants;
-  size_t total = 0;
-  for (const Trace& shard : shards) {
-    DZ_CHECK_EQ(shard.n_models, merged.n_models);
-    DZ_CHECK_EQ(shard.n_tenants, merged.n_tenants);
-    DZ_CHECK(shard.IsArrivalSorted());
-    merged.duration_s = std::max(merged.duration_s, shard.duration_s);
-    total += shard.requests.size();
-  }
-  merged.requests.reserve(total);
-  // Concatenate in shard order, then stable-sort by arrival: ties resolve to the
-  // lowest shard index and each shard's internal order is preserved.
-  for (const Trace& shard : shards) {
-    merged.requests.insert(merged.requests.end(), shard.requests.begin(),
-                           shard.requests.end());
-  }
-  std::stable_sort(merged.requests.begin(), merged.requests.end(),
-                   [](const TraceRequest& a, const TraceRequest& b) {
-                     return a.arrival_s < b.arrival_s;
-                   });
-  merged.CheckWellFormed();
-  return merged;
-}
-
 std::vector<std::vector<int>> InvocationMatrix(const Trace& trace, double window_s) {
   DZ_CHECK_GT(window_s, 0.0);
   const int windows =
@@ -494,20 +450,6 @@ std::vector<std::vector<int>> InvocationMatrix(const Trace& trace, double window
   for (const auto& r : trace.requests) {
     const int w = std::min(windows - 1, static_cast<int>(r.arrival_s / window_s));
     ++counts[static_cast<size_t>(r.model_id)][static_cast<size_t>(w)];
-  }
-  return counts;
-}
-
-std::vector<std::vector<int>> TenantInvocationMatrix(const Trace& trace,
-                                                     double window_s) {
-  DZ_CHECK_GT(window_s, 0.0);
-  const int windows = static_cast<int>(std::ceil(trace.duration_s / window_s));
-  std::vector<std::vector<int>> counts(
-      static_cast<size_t>(std::max(1, trace.n_tenants)),
-      std::vector<int>(static_cast<size_t>(std::max(windows, 1)), 0));
-  for (const auto& r : trace.requests) {
-    const int w = std::min(windows - 1, static_cast<int>(r.arrival_s / window_s));
-    ++counts[static_cast<size_t>(r.tenant_id)][static_cast<size_t>(w)];
   }
   return counts;
 }

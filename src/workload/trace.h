@@ -92,8 +92,6 @@ struct Trace {
   double TotalRequests() const { return static_cast<double>(requests.size()); }
   // Requests per model (histogram over model ids).
   std::vector<int> ModelCounts() const;
-  // Requests per tenant (histogram over tenant ids).
-  std::vector<int> TenantCounts() const;
   // True when requests are non-decreasing in arrival time.
   bool IsArrivalSorted() const;
   // DZ_CHECKs the trace invariants every producer must uphold: arrival-sorted,
@@ -181,16 +179,6 @@ struct TraceConfig {
 
 Trace GenerateTrace(const TraceConfig& config);
 
-// Expected instantaneous arrival rate (req/s) of `tenant` at time `t` under the
-// configured scenario — the envelope the generated trace's per-window counts
-// must match (test-enforced within sampling tolerance).
-double TenantRateAt(const TraceConfig& config, int tenant, double t);
-
-// Invocation counts per tenant per time window (the tenant-axis sibling of
-// InvocationMatrix), for envelope checks and the fairness bench.
-std::vector<std::vector<int>> TenantInvocationMatrix(const Trace& trace,
-                                                     double window_s);
-
 // Invocation counts per model per time window — regenerates the paper's Fig. 1 view.
 std::vector<std::vector<int>> InvocationMatrix(const Trace& trace, double window_s);
 
@@ -209,11 +197,6 @@ std::vector<int> ModelsByPopularity(const Trace& trace, int k);
 // hence every shard is arrival-sorted by construction (checked).
 std::vector<Trace> SplitTrace(const Trace& trace, const std::vector<int>& shard_of,
                               int n_shards);
-
-// Merges arrival-sorted shards (as produced by SplitTrace) back into one
-// arrival-sorted trace with the original ids untouched. All shards must agree on
-// n_models; the merge is stable across shards at equal arrival times.
-Trace MergeTraces(const std::vector<Trace>& shards);
 
 }  // namespace dz
 

@@ -19,16 +19,13 @@
 namespace dz {
 namespace {
 
-EngineConfig WorkerConfig(bool vllm) {
+EngineConfig WorkerConfig() {
   EngineConfig cfg;
   cfg.exec.shape = ModelShape::Llama13B();
   cfg.exec.gpu = GpuSpec::A800();
   cfg.exec.tp = 4;
   cfg.max_batch = 32;
   cfg.max_concurrent_deltas = 8;
-  if (vllm) {
-    cfg.artifact = ArtifactKind::kFullModel;
-  }
   return cfg;
 }
 
@@ -50,7 +47,7 @@ ClusterConfig ParityClusterConfig(PlacementPolicy policy, bool vllm, bool prefet
   ClusterConfig cfg;
   cfg.placer.n_gpus = 4;
   cfg.placer.policy = policy;
-  cfg.engine = WorkerConfig(vllm);
+  cfg.engine = WorkerConfig();
   cfg.engine.prefetch.enabled = prefetch;
   cfg.vllm_baseline = vllm;
   return cfg;

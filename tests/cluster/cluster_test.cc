@@ -319,7 +319,6 @@ TEST(ClusterTest, VllmBaselineClusterRuns) {
   cfg.placer.n_gpus = 2;
   cfg.placer.policy = PlacementPolicy::kLeastOutstanding;
   cfg.engine = WorkerConfig();
-  cfg.engine.artifact = ArtifactKind::kFullModel;
   cfg.vllm_baseline = true;
   const ClusterReport report = Cluster(cfg).Serve(trace);
   EXPECT_EQ(report.completed(), trace.requests.size());

@@ -213,9 +213,6 @@ TEST_P(NoOpBoundaryTest, FullSpeedSlowWindowMatchesStaticCluster) {
   const Trace trace = GenerateTrace(tcfg);
   ClusterConfig base = ChaosClusterConfig(GetParam().policy);
   base.vllm_baseline = GetParam().vllm;
-  if (GetParam().vllm) {
-    base.engine.artifact = ArtifactKind::kFullModel;
-  }
   base.engine.tracing.enabled = true;
   base.engine.metrics.interval_s = 5.0;
   ASSERT_FALSE(base.engine.prefetch.enabled);  // static and elastic hint differently

@@ -151,9 +151,6 @@ RandomElasticConfig MakeRandomConfig(uint64_t seed) {
   ec.prefetch.enabled = Coin(rng, 0.6);
   ec.tracing.enabled = Coin(rng, 0.5);
   cc.vllm_baseline = Coin(rng, 0.25);
-  if (cc.vllm_baseline) {
-    ec.artifact = ArtifactKind::kFullModel;
-  }
 
   const bool autoscale = Coin(rng, 0.6);
   if (autoscale) {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "src/util/rng.h"
+#include "tests/tensor/matrix_fixtures.h"
 
 namespace dz {
 namespace {
@@ -35,11 +36,11 @@ TEST(LinalgTest, SpdInverseIsInverse) {
   const Matrix a = RandomSpd(16, rng);
   const Matrix inv = SpdInverse(a);
   const Matrix prod = Matmul(a, inv);
-  EXPECT_LT(RelativeError(prod, Matrix::Identity(16)), 1e-3);
+  EXPECT_LT(RelativeError(prod, IdentityMatrix(16)), 1e-3);
 }
 
 TEST(LinalgTest, IdentityFixedPoint) {
-  const Matrix eye = Matrix::Identity(8);
+  const Matrix eye = IdentityMatrix(8);
   EXPECT_LT(RelativeError(CholeskyLower(eye), eye), 1e-7);
   EXPECT_LT(RelativeError(SpdInverse(eye), eye), 1e-6);
 }

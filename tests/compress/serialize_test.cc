@@ -9,6 +9,7 @@
 
 #include "src/train/finetune.h"
 #include "src/util/rng.h"
+#include "tests/compress/delta_file.h"
 
 namespace dz {
 namespace {

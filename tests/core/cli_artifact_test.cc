@@ -10,6 +10,7 @@
 #include "src/core/deltazip.h"
 #include "src/train/finetune.h"
 #include "src/workload/trace_io.h"
+#include "tests/compress/delta_file.h"
 
 namespace dz {
 namespace {
@@ -30,7 +31,9 @@ TEST(ArtifactWorkflowTest, CompressShipServeAcrossServices) {
   ft.batch = 4;
   FineTuneFmt(finetuned, *task, ft, rng);
 
-  // "Developer side": compress and ship the artifact.
+  // "Developer side": compress and ship the artifact. ΔCompress is
+  // bit-identical for any thread count, so the shipped file holds the artifact
+  // RegisterFmtModel built.
   std::vector<std::vector<int>> calib;
   for (int i = 0; i < 5; ++i) {
     calib.push_back(task->Sample(rng).tokens);
@@ -39,7 +42,8 @@ TEST(ArtifactWorkflowTest, CompressShipServeAcrossServices) {
   DeltaZipService developer_side(Transformer(base.weights()), compress);
   const int dev_vid = developer_side.RegisterFmtModel(finetuned.weights(), calib, "v1");
   const std::string path = ::testing::TempDir() + "/shipped_artifact.bin";
-  ASSERT_TRUE(WriteDeltaFile(path, developer_side.delta(dev_vid)));
+  ASSERT_TRUE(WriteDeltaFile(
+      path, DeltaCompress(base.weights(), finetuned.weights(), calib, compress)));
 
   // "Provider side": a fresh service with only the base model receives the artifact.
   DeltaZipService provider_side(Transformer(base.weights()), compress);

@@ -7,6 +7,7 @@
 
 #include "src/compress/serialize.h"
 #include "src/train/finetune.h"
+#include "tests/compress/delta_file.h"
 
 namespace dz {
 namespace {
@@ -44,9 +45,14 @@ class DeltaZipServiceTest : public ::testing::Test {
     }
     fmt_id_ = service_->RegisterFmtModel(finetuned_->weights(), calib, "sentiment-fmt");
     lora_id_ = service_->RegisterLora(*lora_, "sentiment-lora");
+    // The artifact RegisterFmtModel built, rebuilt here: ΔCompress is
+    // bit-identical for any thread count.
+    artifact_ = new CompressedDelta(
+        DeltaCompress(service_->base().weights(), finetuned_->weights(), calib, compress));
   }
 
   static void TearDownTestSuite() {
+    delete artifact_;
     delete service_;
     delete finetuned_;
     delete task_;
@@ -54,6 +60,7 @@ class DeltaZipServiceTest : public ::testing::Test {
   }
 
   static DeltaZipService* service_;
+  static CompressedDelta* artifact_;
   static Transformer* finetuned_;
   static Task* task_;
   static LoraAdapter* lora_;
@@ -62,6 +69,7 @@ class DeltaZipServiceTest : public ::testing::Test {
 };
 
 DeltaZipService* DeltaZipServiceTest::service_ = nullptr;
+CompressedDelta* DeltaZipServiceTest::artifact_ = nullptr;
 Transformer* DeltaZipServiceTest::finetuned_ = nullptr;
 Task* DeltaZipServiceTest::task_ = nullptr;
 LoraAdapter* DeltaZipServiceTest::lora_ = nullptr;
@@ -121,7 +129,7 @@ TEST_F(DeltaZipServiceTest, RegisterArtifactFromDiskMatchesDirectRegistration) {
   // Delta-zoo round trip: write the compressed artifact to disk, read it back, register
   // the decoded copy, and verify it behaves identically to the directly-registered one.
   const std::string path = ::testing::TempDir() + "/zoo_artifact.bin";
-  ASSERT_TRUE(WriteDeltaFile(path, service_->delta(fmt_id_)));
+  ASSERT_TRUE(WriteDeltaFile(path, *artifact_));
   CompressedDelta loaded;
   ASSERT_TRUE(ReadDeltaFile(path, loaded));
   const int vid = service_->RegisterCompressedDelta(std::move(loaded), "from-disk");
@@ -137,7 +145,7 @@ TEST_F(DeltaZipServiceTest, RegisterArtifactFromDiskMatchesDirectRegistration) {
 
 // Artifacts compressed against a different base are refused with -1, not an abort.
 TEST_F(DeltaZipServiceTest, RegisterRefusesArtifactOfAnotherArchitecture) {
-  const CompressedDelta& artifact = service_->delta(fmt_id_);
+  const CompressedDelta& artifact = *artifact_;
   ModelConfig fewer_layers = ModelConfig::Tiny();
   fewer_layers.n_layers -= 1;
   ModelConfig more_layers = ModelConfig::Tiny();
@@ -188,7 +196,7 @@ TEST_F(DeltaZipServiceTest, RegisterLoraRefusesAdapterOfAnotherWidth) {
 TEST_F(DeltaZipServiceTest, RegisterRefusesArtifactWithUnknownLayerName) {
   // A well-formed EncodeDelta buffer whose first layer is renamed to a name the
   // base has no weight for.
-  ByteBuffer bytes = EncodeDelta(service_->delta(fmt_id_));
+  ByteBuffer bytes = EncodeDelta(*artifact_);
   const std::string from = "layer0.wq";
   const std::string to = "layer0.wz";
   const auto it = std::search(bytes.begin(), bytes.end(), from.begin(), from.end());

@@ -6,6 +6,7 @@
 #include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -103,6 +104,8 @@ TEST(LogHistogramTest, OverflowBucketCatchesHugeValues) {
   EXPECT_DOUBLE_EQ(h.Quantile(0.5), huge);   // overflow quantile = observed max
   EXPECT_DOUBLE_EQ(h.Quantile(0.999), huge);
   EXPECT_DOUBLE_EQ(h.max(), huge);
+  h.Record(std::numeric_limits<double>::infinity());  // no int cast on the way
+  EXPECT_EQ(h.bucket_count(LogHistogram::kNumBuckets - 1), 2);
 }
 
 TEST(LogHistogramTest, QuantilesNeverNanAcrossMixedSigns) {

@@ -9,6 +9,7 @@
 #include "src/tensor/packed_quant.h"
 #include "src/train/lora.h"
 #include "src/util/rng.h"
+#include "tests/tensor/matrix_fixtures.h"
 
 namespace dz {
 namespace {
@@ -113,7 +114,8 @@ TEST(TransformerTest, GradCheckSpotSamples) {
 
   auto loss_at = [&](Transformer& m) {
     const Matrix l = m.Forward(tokens);
-    return CrossEntropyLoss(l, targets);
+    Matrix scratch;
+    return CrossEntropy(l, targets, scratch);
   };
 
   struct Probe {

@@ -260,7 +260,6 @@ TEST(ObserverParityTest, VllmScbAdmission) {
   tc.duration_s = 120.0;
   const Trace trace = GenerateTrace(tc);
   EngineConfig cfg = TracedEngine();
-  cfg.artifact = ArtifactKind::kFullModel;
   TightenSlo(cfg.scheduler);
   cfg.scheduler.admission_control = true;
   const ServeReport r = MakeVllmScbEngine(cfg)->Serve(trace);

@@ -174,7 +174,6 @@ TEST(PreemptTraceTest, VllmShedEventsMatchRegistryToo) {
   tc.duration_s = 120.0;
   const Trace trace = GenerateTrace(tc);
   EngineConfig cfg = SmallEngine();
-  cfg.artifact = ArtifactKind::kFullModel;
   TightenSlo(cfg.scheduler);
   cfg.scheduler.policy = SchedPolicy::kPriority;
   cfg.scheduler.admission_control = true;

@@ -9,6 +9,7 @@
 #include <cstdint>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -23,12 +24,31 @@ RegistryConfig Config(const std::string& spec) {
   return cfg;
 }
 
+void ExpectSamePolicy(const RedundancyPolicy& got, const RedundancyPolicy& want,
+                      const std::string& spec) {
+  EXPECT_EQ(got.mode, want.mode) << spec;
+  EXPECT_EQ(got.replicas, want.replicas) << spec;
+  EXPECT_EQ(got.k, want.k) << spec;
+  EXPECT_EQ(got.m, want.m) << spec;
+}
+
 TEST(RedundancyPolicyTest, ParsesAndRoundTripsCanonicalSpecs) {
-  for (const char* spec : {"none", "replicate(1)", "replicate(3)",
-                           "erasure(4,2)", "erasure(2,0)"}) {
+  // Fields a spec does not name keep RedundancyPolicy's defaults (1, 4, 2).
+  const std::pair<const char*, RedundancyPolicy> cases[] = {
+      {"none", {RedundancyMode::kNone, 1, 4, 2}},
+      {"replicate(1)", {RedundancyMode::kReplicate, 1, 4, 2}},
+      {"replicate(3)", {RedundancyMode::kReplicate, 3, 4, 2}},
+      {"erasure(4,2)", {RedundancyMode::kErasure, 1, 4, 2}},
+      {"erasure(2,0)", {RedundancyMode::kErasure, 1, 2, 0}},
+  };
+  for (const auto& [spec, want] : cases) {
     RedundancyPolicy p;
+    p.mode = RedundancyMode::kReplicate;
+    p.replicas = 9;
+    p.k = 7;
+    p.m = 5;
     ASSERT_TRUE(ParseRedundancyPolicy(spec, p)) << spec;
-    EXPECT_EQ(RedundancyPolicyToSpec(p), spec);
+    ExpectSamePolicy(p, want, spec);
   }
   RedundancyPolicy p;
   ASSERT_TRUE(ParseRedundancyPolicy("none", p));

@@ -10,17 +10,21 @@
 namespace dz {
 namespace {
 
+// DeltaZip serving compressed deltas or LoRA adapters, or the vLLM-SCB
+// baseline swapping full models.
+enum class Serving { kDelta, kLora, kFullModel };
+
 struct PropertyCase {
   PopularityDist dist;
-  ArtifactKind artifact;
+  Serving serving;
   double rate;
 };
 
 std::string CaseName(const ::testing::TestParamInfo<PropertyCase>& info) {
   std::string name = PopularityDistName(info.param.dist);
-  name += info.param.artifact == ArtifactKind::kFullModel       ? "_full"
-          : info.param.artifact == ArtifactKind::kLoraAdapter   ? "_lora"
-                                                                : "_delta";
+  name += info.param.serving == Serving::kFullModel ? "_full"
+          : info.param.serving == Serving::kLora    ? "_lora"
+                                                    : "_delta";
   name += "_r" + std::to_string(static_cast<int>(info.param.rate * 10));
   return name;
 }
@@ -43,10 +47,11 @@ TEST_P(EnginePropertyTest, ReportInvariantsHold) {
   cfg.exec.shape = ModelShape::Llama7B();
   cfg.exec.gpu = GpuSpec::A800();
   cfg.exec.tp = 1;
-  cfg.artifact = param.artifact;
-  const auto engine = param.artifact == ArtifactKind::kFullModel
-                          ? MakeVllmScbEngine(cfg)
-                          : MakeDeltaZipEngine(cfg);
+  if (param.serving == Serving::kLora) {
+    cfg.artifact = ArtifactKind::kLoraAdapter;
+  }
+  const auto engine = param.serving == Serving::kFullModel ? MakeVllmScbEngine(cfg)
+                                                           : MakeDeltaZipEngine(cfg);
   const ServeReport report = engine->Serve(trace);
 
   // Conservation: every request finishes exactly once.
@@ -76,13 +81,13 @@ TEST_P(EnginePropertyTest, ReportInvariantsHold) {
 INSTANTIATE_TEST_SUITE_P(
     Grid, EnginePropertyTest,
     ::testing::Values(
-        PropertyCase{PopularityDist::kUniform, ArtifactKind::kCompressedDelta, 0.5},
-        PropertyCase{PopularityDist::kZipf, ArtifactKind::kCompressedDelta, 1.5},
-        PropertyCase{PopularityDist::kAzure, ArtifactKind::kCompressedDelta, 1.0},
-        PropertyCase{PopularityDist::kZipf, ArtifactKind::kLoraAdapter, 1.5},
-        PropertyCase{PopularityDist::kUniform, ArtifactKind::kLoraAdapter, 0.5},
-        PropertyCase{PopularityDist::kZipf, ArtifactKind::kFullModel, 0.5},
-        PropertyCase{PopularityDist::kAzure, ArtifactKind::kFullModel, 0.5}),
+        PropertyCase{PopularityDist::kUniform, Serving::kDelta, 0.5},
+        PropertyCase{PopularityDist::kZipf, Serving::kDelta, 1.5},
+        PropertyCase{PopularityDist::kAzure, Serving::kDelta, 1.0},
+        PropertyCase{PopularityDist::kZipf, Serving::kLora, 1.5},
+        PropertyCase{PopularityDist::kUniform, Serving::kLora, 0.5},
+        PropertyCase{PopularityDist::kZipf, Serving::kFullModel, 0.5},
+        PropertyCase{PopularityDist::kAzure, Serving::kFullModel, 0.5}),
     CaseName);
 
 class KvPressureTest : public ::testing::TestWithParam<int> {};

@@ -206,7 +206,6 @@ TEST(GoldenReportTest, DeltaZipTracingOnStaysGoldenAndSumsExactly) {
 TEST(GoldenReportTest, VllmScbTracingOnStaysGoldenAndSumsExactly) {
   const Trace trace = GenerateTrace(GoldenTraceConfig());
   EngineConfig cfg = GoldenEngineConfig();
-  cfg.artifact = ArtifactKind::kFullModel;
   cfg.tracing.enabled = true;
   const ServeReport r = MakeVllmScbEngine(cfg)->Serve(trace);
   ASSERT_EQ(r.records.size(), 89u);
@@ -368,7 +367,6 @@ TEST(GoldenReportTest, SchedulerDefaultsAndDegeneratePriorityStayGolden) {
 TEST(GoldenReportTest, VllmScbEngineMatchesPrePrefetchBehavior) {
   const Trace trace = GenerateTrace(GoldenTraceConfig());
   EngineConfig cfg = GoldenEngineConfig();
-  cfg.artifact = ArtifactKind::kFullModel;
   const ServeReport r = MakeVllmScbEngine(cfg)->Serve(trace);
   ASSERT_EQ(r.records.size(), 89u);
   EXPECT_DOUBLE_EQ(r.makespan_s, 335.98768124384088);
@@ -811,7 +809,6 @@ TEST(GoldenReportTest, VllmScbTightPrefillBudgetStaysGolden) {
   tc.prompt_max_tokens = 384;  // every prompt fits the budget
   const Trace trace = GenerateTrace(tc);
   EngineConfig cfg = GoldenEngineConfig();
-  cfg.artifact = ArtifactKind::kFullModel;
   cfg.max_prefill_tokens = 384;
   cfg.tracing.enabled = true;
   const ServeReport r = MakeVllmScbEngine(cfg)->Serve(trace);

@@ -241,7 +241,6 @@ TEST(EnginePrefetchTest, VllmBaselinePrefetchOverlapsSwaps) {
   // load with generation removes whole swap stalls from the critical path.
   const Trace trace = GenerateTrace(LightAzureTrace());
   EngineConfig off = BaseConfig();
-  off.artifact = ArtifactKind::kFullModel;
   EngineConfig on = off;
   on.prefetch.enabled = true;
   on.prefetch.lookahead = 2;

@@ -230,10 +230,9 @@ RandomConfig MakeRandomConfig(uint64_t seed) {
 
 // Serves `trace` on a live loop cut at rc.cuts, arrivals offered only up to
 // each cut, then the rest and RunUntil(inf).
-ServeReport ServeCut(const RandomConfig& rc, const EngineConfig& cfg, const Trace& trace,
-                     bool vllm) {
+ServeReport ServeCut(const RandomConfig& rc, const Trace& trace, bool vllm) {
   std::unique_ptr<ArtifactRegistry> registry;
-  EngineConfig run_cfg = cfg;
+  EngineConfig run_cfg = rc.engine;
   if (rc.registry) {
     registry = std::make_unique<ArtifactRegistry>(rc.registry_config, trace.n_models,
                                                   rc.registry_nodes);
@@ -297,10 +296,8 @@ TEST(RandomConfigDigestTest, EveryConfigMatchesItsPin) {
   for (int i = 0; i < kConfigs; ++i) {
     const RandomConfig rc = MakeRandomConfig(0x5eed0000u + static_cast<uint64_t>(i));
     const Trace trace = GenerateTrace(rc.trace);
-    EngineConfig vllm_cfg = rc.engine;
-    vllm_cfg.artifact = ArtifactKind::kFullModel;
-    const Digest got[2] = {DigestOf(ServeCut(rc, rc.engine, trace, /*vllm=*/false)),
-                           DigestOf(ServeCut(rc, vllm_cfg, trace, /*vllm=*/true))};
+    const Digest got[2] = {DigestOf(ServeCut(rc, trace, /*vllm=*/false)),
+                           DigestOf(ServeCut(rc, trace, /*vllm=*/true))};
     for (int e = 0; e < 2; ++e) {
       const Digest& want = kPins[i][e];
       if (got[e].records != want.records || got[e].metrics != want.metrics ||

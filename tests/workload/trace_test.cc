@@ -22,6 +22,66 @@ TraceConfig BaseConfig() {
   return cfg;
 }
 
+uint64_t Bits(double v) {
+  uint64_t bits = 0;
+  std::memcpy(&bits, &v, sizeof bits);
+  return bits;
+}
+
+// Compares every field of every request bit for bit; stops at the first
+// request that differs.
+void ExpectSameTrace(const Trace& want, const Trace& got) {
+  EXPECT_EQ(want.n_models, got.n_models);
+  EXPECT_EQ(want.n_tenants, got.n_tenants);
+  EXPECT_EQ(Bits(want.duration_s), Bits(got.duration_s));
+  ASSERT_EQ(want.requests.size(), got.requests.size());
+  for (size_t i = 0; i < want.requests.size(); ++i) {
+    const TraceRequest& w = want.requests[i];
+    const TraceRequest& g = got.requests[i];
+    const bool same = w.id == g.id && w.model_id == g.model_id &&
+                      w.tenant_id == g.tenant_id && w.slo == g.slo &&
+                      Bits(w.arrival_s) == Bits(g.arrival_s) &&
+                      w.prompt_tokens == g.prompt_tokens &&
+                      w.output_tokens == g.output_tokens &&
+                      Bits(w.first_arrival_s) == Bits(g.first_arrival_s);
+    ASSERT_TRUE(same) << "request " << i << ": want model " << w.model_id
+                      << " tenant " << w.tenant_id << " at " << w.arrival_s
+                      << ", got model " << g.model_id << " tenant " << g.tenant_id
+                      << " at " << g.arrival_s;
+  }
+}
+
+// Requests per tenant id.
+std::vector<int> TenantCounts(const Trace& trace) {
+  std::vector<int> counts(static_cast<size_t>(trace.n_tenants), 0);
+  for (const auto& r : trace.requests) {
+    ++counts[static_cast<size_t>(r.tenant_id)];
+  }
+  return counts;
+}
+
+// SplitTrace's contract, checked directly: shard g holds exactly the requests
+// with shard_of == g, in trace order, every field intact, under the trace's
+// n_models, n_tenants and duration.
+void ExpectSplitKeepsSubsequences(const Trace& trace, const std::vector<int>& shard_of,
+                                  int n_shards) {
+  const std::vector<Trace> shards = SplitTrace(trace, shard_of, n_shards);
+  ASSERT_EQ(shards.size(), static_cast<size_t>(n_shards));
+  for (int g = 0; g < n_shards; ++g) {
+    Trace want;
+    want.n_models = trace.n_models;
+    want.n_tenants = trace.n_tenants;
+    want.duration_s = trace.duration_s;
+    for (size_t i = 0; i < trace.requests.size(); ++i) {
+      if (shard_of[i] == g) {
+        want.requests.push_back(trace.requests[i]);
+      }
+    }
+    SCOPED_TRACE("shard " + std::to_string(g));
+    ExpectSameTrace(want, shards[static_cast<size_t>(g)]);
+  }
+}
+
 class TraceDistTest : public ::testing::TestWithParam<PopularityDist> {};
 
 TEST_P(TraceDistTest, WellFormedAndSorted) {
@@ -163,28 +223,20 @@ TEST(TraceTest, SplitPreservesIdsOrderAndMetadata) {
   }
 }
 
-TEST(TraceTest, SplitThenMergeRoundTrips) {
+TEST(TraceTest, SplitShardsAreOrderedSubsequences) {
   const Trace trace = GenerateTrace(BaseConfig());
   std::vector<int> shard_of(trace.requests.size());
   for (size_t i = 0; i < shard_of.size(); ++i) {
     shard_of[i] = trace.requests[i].model_id % 4;
   }
-  const Trace merged = MergeTraces(SplitTrace(trace, shard_of, 4));
-  ASSERT_EQ(merged.requests.size(), trace.requests.size());
-  EXPECT_EQ(merged.n_models, trace.n_models);
-  EXPECT_TRUE(merged.IsArrivalSorted());
-  for (size_t i = 0; i < trace.requests.size(); ++i) {
-    EXPECT_EQ(merged.requests[i].id, trace.requests[i].id) << i;
-    EXPECT_DOUBLE_EQ(merged.requests[i].arrival_s, trace.requests[i].arrival_s);
-  }
+  ExpectSplitKeepsSubsequences(trace, shard_of, 4);
 }
 
-TEST(TraceTest, MergeEmptyShardsIsFine) {
+TEST(TraceTest, SplitKeepsEmptyShards) {
   const Trace trace = GenerateTrace(BaseConfig());
-  // Everything to shard 0; shards 1..2 stay empty.
+  // Everything to shard 0; shards 1..2 stay empty but keep the metadata.
   const std::vector<int> shard_of(trace.requests.size(), 0);
-  const Trace merged = MergeTraces(SplitTrace(trace, shard_of, 3));
-  EXPECT_EQ(merged.requests.size(), trace.requests.size());
+  ExpectSplitKeepsSubsequences(trace, shard_of, 3);
 }
 
 TEST(TraceTest, InvocationMatrixCountsEverything) {
@@ -240,7 +292,7 @@ TEST_P(TenantScenarioTest, WellFormedTenantsInRangeIdsSequential) {
     EXPECT_LT(r.arrival_s, cfg.duration_s);
   }
   // Every tenant shows up, and so does every class of the configured mix.
-  for (int count : trace.TenantCounts()) {
+  for (int count : TenantCounts(trace)) {
     EXPECT_GT(count, 0);
   }
   size_t per_class[kNumSloClasses] = {0, 0, 0};
@@ -301,6 +353,13 @@ TEST(TenantTraceTest, DiurnalCountsFollowEnvelope) {
               4.0 * std::sqrt(cfg.arrival_rate * cfg.duration_s));
 }
 
+// The tenant envelope of the differential reference below.
+namespace reference {
+std::vector<double> TenantShares(const TenantConfig& config);
+double RateMultiplierAt(const TenantConfig& config, int tenant, double t,
+                        double duration_s);
+}  // namespace reference
+
 TEST(TenantTraceTest, FlashCrowdCountsFollowEnvelope) {
   TraceConfig cfg = BaseConfig();
   cfg.arrival_rate = 8.0;
@@ -337,11 +396,17 @@ TEST(TenantTraceTest, FlashCrowdCountsFollowEnvelope) {
   const double others_ratio = (others_in / in_secs) / (others_out / out_secs);
   EXPECT_GT(others_ratio, 0.7);
   EXPECT_LT(others_ratio, 1.4);
-  // The envelope helper agrees with what the generator did.
-  EXPECT_DOUBLE_EQ(TenantRateAt(cfg, cfg.tenants.flash_tenant, (start + end) / 2),
-                   cfg.arrival_rate / 4.0 * cfg.tenants.flash_boost);
-  EXPECT_DOUBLE_EQ(TenantRateAt(cfg, cfg.tenants.flash_tenant, start - 1.0),
-                   cfg.arrival_rate / 4.0);
+  // The reference envelope (arrival_rate x share x multiplier) agrees: four
+  // equal shares, boosted inside the window only.
+  const double share =
+      reference::TenantShares(cfg.tenants)[static_cast<size_t>(cfg.tenants.flash_tenant)];
+  EXPECT_DOUBLE_EQ(share, 0.25);
+  EXPECT_DOUBLE_EQ(reference::RateMultiplierAt(cfg.tenants, cfg.tenants.flash_tenant,
+                                               (start + end) / 2, cfg.duration_s),
+                   cfg.tenants.flash_boost);
+  EXPECT_DOUBLE_EQ(reference::RateMultiplierAt(cfg.tenants, cfg.tenants.flash_tenant,
+                                               start - 1.0, cfg.duration_s),
+                   1.0);
 }
 
 TEST(TenantTraceTest, HeavyTailSharesAreSkewed) {
@@ -351,7 +416,7 @@ TEST(TenantTraceTest, HeavyTailSharesAreSkewed) {
   cfg.tenants.n_tenants = 6;
   cfg.tenants.scenario = TenantScenario::kHeavyTail;
   const Trace trace = GenerateTrace(cfg);
-  const std::vector<int> counts = trace.TenantCounts();
+  const std::vector<int> counts = TenantCounts(trace);
   ASSERT_EQ(counts.size(), 6u);
   // Tenant 0 is the whale: zipf-1.2 gives it ~8.6× tenant 5's traffic.
   EXPECT_GT(counts[0], 3 * std::max(1, counts[5]));
@@ -360,42 +425,17 @@ TEST(TenantTraceTest, HeavyTailSharesAreSkewed) {
   EXPECT_GT(counts[1], counts[5]);
 }
 
-TEST(TenantTraceTest, TenantInvocationMatrixCountsEverything) {
-  TraceConfig cfg = BaseConfig();
-  cfg.tenants.n_tenants = 4;
-  cfg.tenants.scenario = TenantScenario::kFlashCrowd;
-  const Trace trace = GenerateTrace(cfg);
-  const auto matrix = TenantInvocationMatrix(trace, 10.0);
-  ASSERT_EQ(matrix.size(), 4u);
-  size_t total = 0;
-  for (const auto& row : matrix) {
-    for (int c : row) {
-      total += static_cast<size_t>(c);
-    }
-  }
-  EXPECT_EQ(total, trace.requests.size());
-}
-
-TEST(TenantTraceTest, SplitAndMergePreserveTenantFields) {
+TEST(TenantTraceTest, SplitPreservesTenantFields) {
   TraceConfig cfg = BaseConfig();
   cfg.tenants.n_tenants = 3;
   cfg.tenants.interactive_frac = 0.4;
   const Trace trace = GenerateTrace(cfg);
+  ASSERT_EQ(trace.n_tenants, 3);
   std::vector<int> shard_of(trace.requests.size());
   for (size_t i = 0; i < shard_of.size(); ++i) {
     shard_of[i] = trace.requests[i].tenant_id % 2;
   }
-  const std::vector<Trace> shards = SplitTrace(trace, shard_of, 2);
-  for (const Trace& shard : shards) {
-    EXPECT_EQ(shard.n_tenants, 3);
-  }
-  const Trace merged = MergeTraces(shards);
-  EXPECT_EQ(merged.n_tenants, 3);
-  ASSERT_EQ(merged.requests.size(), trace.requests.size());
-  for (size_t i = 0; i < trace.requests.size(); ++i) {
-    EXPECT_EQ(merged.requests[i].tenant_id, trace.requests[i].tenant_id);
-    EXPECT_EQ(merged.requests[i].slo, trace.requests[i].slo);
-  }
+  ExpectSplitKeepsSubsequences(trace, shard_of, 2);
 }
 
 // ---- differential reference ------------------------------------------------
@@ -592,35 +632,6 @@ Trace GenerateTrace(const TraceConfig& config) {
 }
 
 }  // namespace reference
-
-uint64_t Bits(double v) {
-  uint64_t bits = 0;
-  std::memcpy(&bits, &v, sizeof bits);
-  return bits;
-}
-
-// Compares every field of every request bit for bit; stops at the first
-// request that differs.
-void ExpectSameTrace(const Trace& want, const Trace& got) {
-  EXPECT_EQ(want.n_models, got.n_models);
-  EXPECT_EQ(want.n_tenants, got.n_tenants);
-  EXPECT_EQ(Bits(want.duration_s), Bits(got.duration_s));
-  ASSERT_EQ(want.requests.size(), got.requests.size());
-  for (size_t i = 0; i < want.requests.size(); ++i) {
-    const TraceRequest& w = want.requests[i];
-    const TraceRequest& g = got.requests[i];
-    const bool same = w.id == g.id && w.model_id == g.model_id &&
-                      w.tenant_id == g.tenant_id && w.slo == g.slo &&
-                      Bits(w.arrival_s) == Bits(g.arrival_s) &&
-                      w.prompt_tokens == g.prompt_tokens &&
-                      w.output_tokens == g.output_tokens &&
-                      Bits(w.first_arrival_s) == Bits(g.first_arrival_s);
-    ASSERT_TRUE(same) << "request " << i << ": want model " << w.model_id
-                      << " tenant " << w.tenant_id << " at " << w.arrival_s
-                      << ", got model " << g.model_id << " tenant " << g.tenant_id
-                      << " at " << g.arrival_s;
-  }
-}
 
 TEST(TraceReferenceTest, EveryRequestMatchesThePerRequestWeightScan) {
   std::vector<std::pair<std::string, TenantConfig>> tenancies = {{"single", {}}};

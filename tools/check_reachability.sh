@@ -1,9 +1,8 @@
 #!/usr/bin/env bash
 # Reachability gate: fails when a dz:: function compiled into the src/ module
 # libraries is kept by no shipped executable (the benches, the examples,
-# dzip_cli and bench/e2e's dz_e2e), unless tools/reachability_allowlist.txt
-# names it. It also fails on a stale allowlist entry: one that an executable
-# now keeps, or that no library defines any more.
+# dzip_cli and bench/e2e's dz_e2e). There are no exceptions: code that only a
+# test needs lives under tests/.
 #
 # The build is -O0 with one section per function, linked with --gc-sections:
 # nothing is inlined, so a function an executable calls stays in it, and one
@@ -16,7 +15,6 @@ set -euo pipefail
 
 root="$(cd "$(dirname "$0")/.." && pwd)"
 build="${1:-$root/build-reach}"
-allowlist="$root/tools/reachability_allowlist.txt"
 jobs="$(nproc 2>/dev/null || echo 2)"
 
 flags=(-DCMAKE_BUILD_TYPE=Debug
@@ -57,7 +55,7 @@ text_symbols() {
   nm --defined-only "$@" 2> /dev/null |
     awk '$2 ~ /^[TtWw]$/ && $3 ~ /^_ZN?K?2dz/ { print $3 }' | sort -u
 }
-# Demangled, without parameter lists or ABI tags: the allowlist's spelling.
+# Demangled, without parameter lists or ABI tags.
 readable() {
   c++filt -p | sed -E 's/\[abi:[a-z0-9]+\]//g' | sort -u
 }
@@ -74,27 +72,11 @@ if [ ! -s "$tmp/defined_names" ]; then
   exit 1
 fi
 
-# Allowlist lines are "<name> <reason>", the reason one word; '#' starts a
-# comment. Names may hold spaces ("(anonymous namespace)"), reasons may not.
-sed -E 's/#.*//; s/[[:space:]]+$//; /^$/d; s/[[:space:]]+[^[:space:]]+$//' \
-  "$allowlist" | sort -u > "$tmp/allowed"
-
-fail=0
-while IFS= read -r name; do
-  echo "ORPHAN: $name (no executable keeps it; delete it, or allowlist it with a reason)"
-  fail=1
-done < <(comm -23 "$tmp/orphans" "$tmp/allowed")
-while IFS= read -r name; do
-  if grep -qxF "$name" "$tmp/defined_names"; then
-    echo "STALE ALLOWLIST ENTRY: $name (an executable keeps it now)"
-  else
-    echo "STALE ALLOWLIST ENTRY: $name (no library defines it)"
-  fi
-  fail=1
-done < <(comm -13 "$tmp/orphans" "$tmp/allowed")
-
-if [ "$fail" -ne 0 ]; then
+if [ -s "$tmp/orphans" ]; then
+  while IFS= read -r name; do
+    echo "ORPHAN: $name (no executable keeps it; delete it, or move it under tests/)"
+  done < "$tmp/orphans"
   echo "reachability check FAILED"
   exit 1
 fi
-echo "reachability check OK (${#exes[@]} executables, $(wc -l < "$tmp/defined_names") dz:: functions, $(wc -l < "$tmp/allowed") allowlisted)"
+echo "reachability check OK (${#exes[@]} executables, $(wc -l < "$tmp/defined_names") dz:: functions)"

@@ -280,7 +280,7 @@ int CmdTrace(const ArgMap& args) {
 
 // Shared --model/--gpu/--tp/--n/--rank/--bits/--engine parsing for the simulate
 // and cluster subcommands. On success `vllm_baseline` says which engine family
-// the name selected (cfg.artifact is set to match).
+// the name selected ("lora" also sets cfg.artifact).
 bool ParseEngineArgs(const ArgMap& args, EngineConfig& cfg, bool& vllm_baseline) {
   const std::string model = Get(args, "model", "13b");
   if (model == "7b") {
@@ -328,7 +328,6 @@ bool ParseEngineArgs(const ArgMap& args, EngineConfig& cfg, bool& vllm_baseline)
   if (engine_name == "lora") {
     cfg.artifact = ArtifactKind::kLoraAdapter;
   } else if (engine_name == "vllm-scb") {
-    cfg.artifact = ArtifactKind::kFullModel;
     vllm_baseline = true;
   } else if (engine_name != "deltazip") {
     std::fprintf(stderr, "error: unknown --engine '%s'\n", engine_name.c_str());
@@ -534,8 +533,8 @@ int CmdCluster(const ArgMap& args) {
     return 1;
   }
   if (!replication.empty() || !erasure.empty()) {
-    // Both route through the registry's spec parser, so the CLI accepts
-    // exactly what RedundancyPolicyToSpec prints.
+    // Both become a "replicate(N)" or "erasure(k,m)" spec for the registry's
+    // own parser, so the flags accept exactly the counts it does.
     const std::string spec = !replication.empty()
                                  ? "replicate(" + replication + ")"
                                  : "erasure(" + erasure + ")";
