@@ -156,72 +156,80 @@ ClusterReport BuildClusterReport(std::string cluster_name, PlacementPolicy polic
   report.policy = policy;
   report.n_gpus = static_cast<int>(per_gpu.size());
   report.merged.engine_name = per_gpu.front().engine_name;
-
   report.merged.slo_spec = per_gpu.front().slo_spec;
-  size_t total = 0;
+  std::vector<const ServeReport*> parts;
   for (const ServeReport& r : per_gpu) {
-    total += r.records.size();
-    report.merged.makespan_s = std::max(report.merged.makespan_s, r.makespan_s);
     report.merged.n_tenants = std::max(report.merged.n_tenants, r.n_tenants);
-    // Snapshot-level merge in GPU order: counters add in the same order the old
-    // per-field `+=` loop did, so the merged totals stay bit-identical
-    // (golden-enforced); histograms merge bucket-wise.
-    report.merged.metrics.MergeFrom(r.metrics);
+    parts.push_back(&r);
   }
+  // A single-GPU cluster reproduces its worker's report verbatim.
+  MergeReports(report.merged, parts);
   report.merged.metrics.sim_time_s = report.merged.makespan_s;
-  // Merge the per-GPU record runs, each already in finish order, by finish
-  // time: repeatedly take the earliest head, the lowest GPU index at ties, so
-  // each worker keeps its own order and a single-GPU cluster reproduces its
-  // worker's report verbatim. Runs are few (one per worker), so a scan of the
-  // heads beats a heap.
+  report.per_gpu = std::move(per_gpu);
+  // Each worker ran share-nothing with gpu left -1: stamp the owning GPU now.
+  // Events stay per-GPU; MergedTraceEvents() builds the flat stream on demand
+  // so merged reports don't double the event memory.
+  for (size_t g = 0; g < report.per_gpu.size(); ++g) {
+    for (TraceEvent& e : report.per_gpu[g].trace_events) {
+      e.gpu = static_cast<int>(g);
+    }
+  }
+  return report;
+}
+
+void MergeReports(ServeReport& into, const std::vector<const ServeReport*>& parts) {
+  // Everything folds in part order, fixed whatever thread ran each part, so
+  // the floating-point sums are deterministic (golden-enforced); histograms
+  // merge bucket-wise.
+  for (const ServeReport* r : parts) {
+    into.metrics.MergeFrom(r->metrics);
+    into.makespan_s = std::max(into.makespan_s, r->makespan_s);
+    into.trace_events_dropped += r->trace_events_dropped;
+    for (int c = 0; c < kNumSloClasses; ++c) {
+      into.path_by_class[static_cast<size_t>(c)].Merge(
+          r->path_by_class[static_cast<size_t>(c)]);
+    }
+  }
+  // Repeatedly take the earliest head, the lowest run at ties. Runs are few
+  // (one per worker or engine lifetime), so a scan of the heads beats a heap.
   struct Run {
     double finish_s;  // of `next`
     const RequestRecord* next;
     const RequestRecord* end;
   };
-  std::vector<Run> runs;  // runs with records left, in GPU order
-  for (const ServeReport& r : per_gpu) {
-    DZ_CHECK(std::is_sorted(r.records.begin(), r.records.end(),
+  std::vector<Run> runs;  // runs with records left, in order
+  size_t total = 0;
+  const auto add_run = [&](const std::vector<RequestRecord>& records) {
+    DZ_CHECK(std::is_sorted(records.begin(), records.end(),
                             [](const RequestRecord& a, const RequestRecord& b) {
                               return a.finish_s < b.finish_s;
                             }));
-    if (!r.records.empty()) {
-      runs.push_back({r.records.front().finish_s, r.records.data(),
-                      r.records.data() + r.records.size()});
+    total += records.size();
+    if (!records.empty()) {
+      runs.push_back({records.front().finish_s, records.data(),
+                      records.data() + records.size()});
     }
+  };
+  add_run(into.records);
+  for (const ServeReport* r : parts) {
+    add_run(r->records);
   }
-  report.merged.records.reserve(total);
+  std::vector<RequestRecord> merged;
+  merged.reserve(total);
   while (!runs.empty()) {
     size_t best = 0;
     for (size_t k = 1; k < runs.size(); ++k) {
       best = runs[k].finish_s < runs[best].finish_s ? k : best;
     }
     Run& run = runs[best];
-    report.merged.records.push_back(*run.next);
+    merged.push_back(*run.next);
     if (++run.next == run.end) {
       runs.erase(runs.begin() + static_cast<std::ptrdiff_t>(best));
     } else {
       run.finish_s = run.next->finish_s;
     }
   }
-  report.per_gpu = std::move(per_gpu);
-  // Trace views: each worker ran share-nothing with gpu left -1; stamp the
-  // owning GPU now, and fold per-GPU critical-path attributions and ring-drop
-  // counts into the merged view in GPU order (deterministic like the snapshot
-  // merge above). Events themselves stay per-GPU; MergedTraceEvents() builds
-  // the flat stream on demand so merged reports don't double the event memory.
-  for (size_t g = 0; g < report.per_gpu.size(); ++g) {
-    ServeReport& r = report.per_gpu[g];
-    for (TraceEvent& e : r.trace_events) {
-      e.gpu = static_cast<int>(g);
-    }
-    report.merged.trace_events_dropped += r.trace_events_dropped;
-    for (int c = 0; c < kNumSloClasses; ++c) {
-      report.merged.path_by_class[static_cast<size_t>(c)].Merge(
-          r.path_by_class[static_cast<size_t>(c)]);
-    }
-  }
-  return report;
+  into.records = std::move(merged);
 }
 
 std::vector<TraceEvent> ClusterReport::MergedTraceEvents() const {

@@ -88,13 +88,8 @@ struct ClusterReport {
     return merged.SloAttainmentTtft(slo_s);
   }
 
-  // --- multi-tenant / per-class views (all delegate to `merged`) ------------
   // Admission-control sheds summed over GPUs (0 when shedding is disabled).
   int TotalShed() const { return merged.TotalShed(); }
-  // Cluster-wide per-class SLO attainment against the classes' own deadlines.
-  double ClassAttainment(SloClass slo) const { return merged.ClassAttainment(slo); }
-  // Jain fairness over per-tenant served tokens, cluster-wide.
-  double JainFairnessIndex() const { return merged.JainFairnessIndex(); }
 
   // max / mean per-GPU served output tokens; 1.0 is perfectly balanced. GPUs that
   // served nothing count toward the mean. 0 when the cluster served nothing.
@@ -114,11 +109,19 @@ struct ClusterReport {
   std::string Summary(double slo_e2e_s, double slo_ttft_s) const;
 };
 
-// Builds the merged view from per-GPU worker reports (per_gpu[i] belongs to GPU i).
-// Each worker's records must be in finish order (DZ_CHECKed), as engines emit
-// them: the merged records are one k-way merge of those runs.
+// Builds the merged view from per-GPU worker reports (per_gpu[i] belongs to GPU i)
+// with MergeReports, in GPU order.
 ClusterReport BuildClusterReport(std::string cluster_name, PlacementPolicy policy,
                                  std::vector<ServeReport> per_gpu);
+
+// Merges `parts` into `into`, in order. Records: `into`'s own and each part's
+// are runs in finish order (DZ_CHECKed), as engines emit them; they become one
+// run in finish order, the earliest head first and the earlier run at ties,
+// so every run keeps its own order. Scalars fold part by part: the metrics
+// snapshot (MergeFrom), the makespan (max), the ring-dropped event count and
+// the critical-path attribution (sums). BuildClusterReport merges its workers
+// with it, and the cluster loop a worker's engine lifetimes.
+void MergeReports(ServeReport& into, const std::vector<const ServeReport*>& parts);
 
 }  // namespace dz
 

@@ -27,7 +27,8 @@ namespace {
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
 // Lifecycle of one worker slot. Global ids are stable forever; a retired slot
-// can be reactivated by a later scale-up (lowest retired id first).
+// can be reactivated by a later scale-up (lowest retired id first). Every
+// change goes through ElasticRun::SetState, which keeps the active count.
 enum class WState {
   kActive,          // serving and routable
   kDeadUndetected,  // crashed, router unaware: routable, NOT serving
@@ -40,7 +41,7 @@ enum class WState {
 
 struct WorkerSlot {
   int id = 0;
-  WState s = WState::kActive;
+  WState s = WState::kRetired;  // until SetState activates it
   double speed = 1.0;        // slow-node throughput factor (1 = healthy)
   bool partitioned = false;  // disk+PCIe+net blackout; serving but not routable
   double partition_end_s = 0.0;
@@ -113,34 +114,22 @@ std::unique_ptr<ServingEngine> MakeWorkerEngine(const ClusterConfig& cfg,
 
 // Folds an ended engine's report into a worker's accumulated report. The
 // first one moves in whole, so a worker with one engine lifetime reports
-// exactly what its engine returned.
+// exactly what its engine returned. Later ones merge their records and
+// scalars as one more run (MergeReports: the earlier lifetime first at ties);
+// the timeline, trace events and unavailable requests append in lifetime
+// order, and the node-local cache is the later lifetime's.
 void Accumulate(ServeReport& acc, ServeReport&& r) {
   if (acc.engine_name.empty()) {
     acc = std::move(r);
     return;
   }
-  // Each lifetime's records are in finish order; merging them (earlier
-  // lifetime first at ties) keeps the worker's run in finish order, as
-  // BuildClusterReport requires.
-  const auto mid = static_cast<std::ptrdiff_t>(acc.records.size());
-  acc.records.insert(acc.records.end(), r.records.begin(), r.records.end());
-  std::inplace_merge(acc.records.begin(), acc.records.begin() + mid, acc.records.end(),
-                     [](const RequestRecord& a, const RequestRecord& b) {
-                       return a.finish_s < b.finish_s;
-                     });
-  acc.metrics.MergeFrom(r.metrics);
+  MergeReports(acc, {&r});
   acc.timeline.insert(acc.timeline.end(), r.timeline.begin(), r.timeline.end());
-  acc.makespan_s = std::max(acc.makespan_s, r.makespan_s);
   acc.trace_events.insert(acc.trace_events.end(), r.trace_events.begin(),
                           r.trace_events.end());
-  acc.trace_events_dropped += r.trace_events_dropped;
   acc.unavailable.insert(acc.unavailable.end(), r.unavailable.begin(),
                          r.unavailable.end());
   acc.cached_artifacts = std::move(r.cached_artifacts);
-  for (int c = 0; c < kNumSloClasses; ++c) {
-    acc.path_by_class[static_cast<size_t>(c)].Merge(
-        r.path_by_class[static_cast<size_t>(c)]);
-  }
 }
 
 // Blacks out a live worker's disk, PCIe and net channels over [start, end).
@@ -192,6 +181,7 @@ struct ElasticRun {
   // back (registered only for elastic runs).
   Observer obs;
   ElasticStats stats;
+  int active = 0;  // workers in WState::kActive (SetState keeps it)
   double max_finish = 0.0;
   // Autoscaler inputs, kept incrementally: trace arrivals and finished records
   // counted so far, and the records not yet counted as (finish_s, TTFT of an
@@ -222,12 +212,12 @@ struct ElasticRun {
     return pc;
   }
 
-  int ActiveCount() const {
-    int n = 0;
-    for (const WorkerSlot& w : workers) {
-      n += w.s == WState::kActive ? 1 : 0;
-    }
-    return n;
+  // Moves `w` to state `s`, keeping the count of kActive workers and its
+  // peak: every rise of the count (start, scale-up or recovery) can be one.
+  void SetState(WorkerSlot& w, WState s) {
+    active += (s == WState::kActive ? 1 : 0) - (w.s == WState::kActive ? 1 : 0);
+    w.s = s;
+    stats.peak_workers = std::max(stats.peak_workers, active);
   }
 
   // Narrows the placer to the routable membership iff it changed (after a
@@ -463,7 +453,7 @@ struct ElasticRun {
           w.drain_start_t, w.acc.records.empty() ? 0.0 : w.acc.records.back().finish_s);
       obs.On(WorkerEvent(TraceEventType::kScaleDrainDone, done_t, w.id));
       obs.On(WorkerEvent(TraceEventType::kScaleRemove, done_t, w.id));
-      w.s = WState::kRetired;
+      SetState(w, WState::kRetired);
     }
   }
 
@@ -582,7 +572,7 @@ struct ElasticRun {
           // Killing a draining victim is legal chaos: the death path wins
           // (no drain-done; its backlog fails or re-routes like any crash).
           if (w.s == WState::kActive || w.s == WState::kDraining) {
-            w.s = WState::kDeadUndetected;
+            SetState(w, WState::kDeadUndetected);
             obs.On(WorkerEvent(TraceEventType::kFaultCrash, ev.t_s, w.id));
             if (w.loop != nullptr) {  // null when it (re)joined at this very boundary
               EndEngine(w);
@@ -592,7 +582,7 @@ struct ElasticRun {
           break;
         case FaultType::kRecover:
           if (w.s == WState::kDeadUndetected || w.s == WState::kDeadDetected) {
-            w.s = WState::kActive;
+            SetState(w, WState::kActive);
             obs.On(WorkerEvent(TraceEventType::kFaultRecover, ev.t_s, w.id));
             // Repair-vs-recovery race: the recovered node still has its chunks
             // (node-local disk survives a process crash), so rebuilds queued
@@ -647,7 +637,7 @@ struct ElasticRun {
       if (w.s != WState::kDeadUndetected) {
         continue;  // recovered before detection: nothing to do
       }
-      w.s = WState::kDeadDetected;
+      SetState(w, WState::kDeadDetected);
       obs.On(WorkerEvent(TraceEventType::kFaultDetect, t, w.id));
       // Detection is also when repair planning starts: queue rebuilds for the
       // dead node's fragments (partitions never enqueue — the data is intact
@@ -673,7 +663,7 @@ struct ElasticRun {
   AutoscalerStats ObserveAt(double t) {
     AutoscalerStats s;
     s.t = t;
-    s.active_workers = std::max(1, ActiveCount());
+    s.active_workers = std::max(1, active);
     while (arrived < trace.requests.size() && trace.requests[arrived].arrival_s <= t) {
       ++arrived;
     }
@@ -714,12 +704,11 @@ struct ElasticRun {
         slot = &workers.back();
         slot->id = static_cast<int>(workers.size()) - 1;
       }
-      slot->s = WState::kActive;
+      SetState(*slot, WState::kActive);
       slot->speed = 1.0;
       slot->partitioned = false;
-      stats.peak_workers = std::max(stats.peak_workers, ActiveCount());
       obs.On(WorkerEvent(TraceEventType::kScaleUp, t, slot->id,
-                         /*dur=*/0.0, /*aux=*/ActiveCount()));
+                         /*dur=*/0.0, /*aux=*/active));
     } else if (d == ScaleDecision::kDown) {
       WorkerSlot* victim = nullptr;  // highest-id active worker
       for (WorkerSlot& w : workers) {
@@ -728,10 +717,10 @@ struct ElasticRun {
         }
       }
       DZ_CHECK(victim != nullptr);
-      victim->s = WState::kDraining;
+      SetState(*victim, WState::kDraining);
       victim->drain_start_t = t;
       obs.On(WorkerEvent(TraceEventType::kScaleDown, t, victim->id,
-                         /*dur=*/0.0, /*aux=*/ActiveCount()));
+                         /*dur=*/0.0, /*aux=*/active));
       obs.On(WorkerEvent(TraceEventType::kScaleDrainStart, t, victim->id));
     }
   }
@@ -761,8 +750,8 @@ ClusterReport ServeElastic(const ClusterConfig& cfg, const Trace& trace) {
   run.workers.resize(static_cast<size_t>(cfg.placer.n_gpus));
   for (size_t i = 0; i < run.workers.size(); ++i) {
     run.workers[i].id = static_cast<int>(i);
+    run.SetState(run.workers[i], WState::kActive);
   }
-  run.stats.peak_workers = run.ActiveCount();
   if (cfg.faults.Enabled()) {
     run.stats.fault_spec = FaultPlanToSpec(cfg.faults);
   }
@@ -843,7 +832,7 @@ ClusterReport ServeElastic(const ClusterConfig& cfg, const Trace& trace) {
   for (const WorkerSlot& w : run.workers) {
     run.stats.completed += static_cast<long long>(w.acc.records.size());
   }
-  run.stats.final_workers = run.ActiveCount();
+  run.stats.final_workers = run.active;
   DZ_CHECK_EQ(run.stats.completed + run.stats.shed + run.stats.failed,
               run.stats.offered);
 

@@ -242,15 +242,4 @@ int Placer::Assign(const TraceRequest& req) {
   return ids_[slot];
 }
 
-std::vector<int> AssignTrace(const Trace& trace, const PlacerConfig& config) {
-  DZ_CHECK(trace.IsArrivalSorted());
-  Placer placer(config);
-  std::vector<int> shard_of;
-  shard_of.reserve(trace.requests.size());
-  for (const TraceRequest& req : trace.requests) {
-    shard_of.push_back(placer.Assign(req));
-  }
-  return shard_of;
-}
-
 }  // namespace dz

@@ -138,10 +138,6 @@ class Placer {
   std::vector<int> walks_;
 };
 
-// Convenience: per-request GPU assignments for a whole trace, aligned with
-// trace.requests (the shard_of vector SplitTrace expects).
-std::vector<int> AssignTrace(const Trace& trace, const PlacerConfig& config);
-
 }  // namespace dz
 
 #endif  // SRC_CLUSTER_PLACEMENT_H_

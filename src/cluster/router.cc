@@ -12,7 +12,14 @@ Router::Router(const PlacerConfig& config) : config_(config) {
 }
 
 std::vector<int> Router::Assign(const Trace& trace) const {
-  return AssignTrace(trace, config_);
+  DZ_CHECK(trace.IsArrivalSorted());
+  Placer placer(config_);
+  std::vector<int> shard_of;
+  shard_of.reserve(trace.requests.size());
+  for (const TraceRequest& req : trace.requests) {
+    shard_of.push_back(placer.Assign(req));
+  }
+  return shard_of;
 }
 
 std::vector<std::vector<int>> Router::WarmHints(const Trace& trace,

@@ -20,7 +20,7 @@ struct Interval {
 // dropped by a flight-recorder ring): a valid chain has exactly
 // preemptions + 1 dispatches interleaved d0 <= p0 <= d1 <= ... <= d_last,
 // with d0 == start_s and every timestamp inside [arrival, finish].
-bool BuildIntervals(const RequestTimes& r, const std::vector<double>& dispatches,
+bool BuildIntervals(const RequestRecord& r, const std::vector<double>& dispatches,
                     const std::vector<double>& preempts,
                     std::vector<Interval>& out) {
   if (dispatches.size() != preempts.size() + 1 ||
@@ -46,7 +46,7 @@ bool BuildIntervals(const RequestTimes& r, const std::vector<double>& dispatches
 // Record-only fallback (also the exact split when a request was never
 // preempted): queue/load from the record, everything after admission counted
 // as compute. Telescopes to E2E just like the event-derived chain.
-void BuildFallbackIntervals(const RequestTimes& r, std::vector<Interval>& out) {
+void BuildFallbackIntervals(const RequestRecord& r, std::vector<Interval>& out) {
   out.push_back({r.arrival_s, r.sched_attempt_s, &PathSegments::queue_s});
   out.push_back({r.sched_attempt_s, r.start_s, &PathSegments::load_s});
   out.push_back({r.start_s, r.finish_s, &PathSegments::compute_s});
@@ -55,7 +55,7 @@ void BuildFallbackIntervals(const RequestTimes& r, std::vector<Interval>& out) {
 }  // namespace
 
 std::vector<RequestPathBreakdown> AttributeRequests(
-    const std::vector<RequestTimes>& requests,
+    const std::vector<RequestRecord>& requests,
     const std::vector<TraceEvent>& events) {
   // Collect each request's dispatch and preempt timestamps. `events` is
   // timestamp-ordered, so per-request vectors come out sorted.
@@ -72,7 +72,7 @@ std::vector<RequestPathBreakdown> AttributeRequests(
   std::vector<RequestPathBreakdown> out;
   out.reserve(requests.size());
   static const std::vector<double> kNone;
-  for (const RequestTimes& r : requests) {
+  for (const RequestRecord& r : requests) {
     RequestPathBreakdown b;
     b.id = r.id;
     b.slo = r.slo;

@@ -28,18 +28,33 @@
 
 namespace dz {
 
-// The timestamps the analyzer needs from a served request — a view over
-// serving's RequestRecord (dz_obs sits below dz_serving in the link graph, so
-// it cannot see the real struct; report.cc adapts).
-struct RequestTimes {
-  int id = -1;
-  SloClass slo = SloClass::kStandard;
+// Lifecycle timestamps of one served request (all in simulated seconds on the
+// trace's global clock) plus its token counts. Serving fills these; the
+// analyzer below reads them.
+struct RequestRecord {
+  int id = 0;
+  int model_id = 0;        // fine-tuned variant the request targets
+  int tenant_id = 0;       // tenant the request belongs to
+  SloClass slo = SloClass::kStandard;  // SLO class it was promised
+  int prompt_tokens = 0;   // prompt length (tokens)
+  int output_tokens = 0;   // generated length (tokens)
   double arrival_s = 0.0;
-  double sched_attempt_s = 0.0;
-  double start_s = 0.0;  // first dispatch (admission into the batch)
-  double first_token_s = 0.0;
+  double sched_attempt_s = 0.0;  // reached the scheduler (queue head / skip-the-line)
+  double start_s = 0.0;          // admitted to the running batch (artifact resident)
+  double first_token_s = 0.0;    // end of prefill iteration
   double finish_s = 0.0;
-  int preemptions = 0;
+  int preemptions = 0;  // times this request was parent-finish preempted (§5.4)
+
+  double E2eLatency() const { return finish_s - arrival_s; }
+  double Ttft() const { return first_token_s - arrival_s; }
+  double QueueingTime() const { return sched_attempt_s - arrival_s; }
+  // Cold-start stall: time between first scheduler consideration and admission,
+  // dominated by waiting for the variant's artifact to reach the GPU.
+  double LoadingTime() const { return start_s - sched_attempt_s; }
+  double InferenceTime() const { return finish_s - start_s; }
+  double TimePerToken() const {
+    return output_tokens > 0 ? E2eLatency() / output_tokens : E2eLatency();
+  }
 };
 
 struct PathSegments {
@@ -99,7 +114,7 @@ using ClassPathAttribution = std::array<PathAttribution, kNumSloClasses>;
 // events from `events` (which must be timestamp-ordered, as Drain() returns
 // them). Returns one breakdown per request, in `requests` order.
 std::vector<RequestPathBreakdown> AttributeRequests(
-    const std::vector<RequestTimes>& requests,
+    const std::vector<RequestRecord>& requests,
     const std::vector<TraceEvent>& events);
 
 // Rolls per-request breakdowns up into the per-class table embedded in

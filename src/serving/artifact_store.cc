@@ -8,17 +8,12 @@
 namespace dz {
 
 ArtifactStore::ArtifactStore(const ArtifactStoreConfig& config, int n_artifacts,
-                             Observer* observer)
-    : config_(config), entries_(static_cast<size_t>(n_artifacts)),
-      observer_(observer) {
+                             Observer& observer)
+    : config_(config), entries_(static_cast<size_t>(n_artifacts)), observer_(observer) {
   DZ_CHECK_GT(config_.artifact_bytes, 0u);
   tier_count_[static_cast<int>(Tier::kDisk)] = n_artifacts;
-  if (observer_ == nullptr) {
-    owned_observer_ = std::make_unique<Observer>();
-    observer_ = owned_observer_.get();
-  }
-  observer_->RegisterStore(config_.registry != nullptr);
-  MetricsRegistry& metrics = observer_->metrics();
+  observer_.RegisterStore(config_.registry != nullptr);
+  MetricsRegistry& metrics = observer_.metrics();
   prefetch_hits_ = metrics.GetCounter("store.prefetch.hits");
   prefetch_wasted_ = metrics.GetCounter("store.prefetch.wasted");
   stall_hidden_s_ = metrics.GetCounter("store.prefetch.stall_hidden_s");
@@ -237,24 +232,24 @@ ArtifactStore::LoadResult ArtifactStore::IssueLoad(int id, double now,
     net_free_at_ = ready;
     cost += net_s;
     local_[static_cast<size_t>(id)] = 1;
-    observer_->On(ArtifactEvent(TraceEventType::kStoreRemote, start, net_s, id,
-                                TraceChannel::kNet, plan.remote_bytes,
-                                /*aux=*/plan.degraded ? 1 : 0));
+    observer_.On(ArtifactEvent(TraceEventType::kStoreRemote, start, net_s, id,
+                               TraceChannel::kNet, plan.remote_bytes,
+                               /*aux=*/plan.degraded ? 1 : 0));
   } else if (e.tier == Tier::kDisk) {
     const double start =
         DeferPastOutages(TraceChannel::kDisk, std::max(now, disk_free_at_));
     ready = start + config_.disk_read_s;
     disk_free_at_ = ready;
     cost += config_.disk_read_s;
-    observer_->On(ArtifactEvent(span_type, start, config_.disk_read_s, id,
-                                TraceChannel::kDisk, bytes));
+    observer_.On(ArtifactEvent(span_type, start, config_.disk_read_s, id,
+                               TraceChannel::kDisk, bytes));
   }
   const double h2d_start =
       DeferPastOutages(TraceChannel::kPcie, std::max(ready, pcie_free_at_));
   ready = h2d_start + config_.h2d_s;
   pcie_free_at_ = ready;
   cost += config_.h2d_s;
-  observer_->On(
+  observer_.On(
       ArtifactEvent(span_type, h2d_start, config_.h2d_s, id, TraceChannel::kPcie, bytes));
 
   SetTier(e, Tier::kGpu);

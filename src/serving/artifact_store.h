@@ -16,7 +16,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <limits>
-#include <memory>
 #include <optional>
 #include <vector>
 
@@ -61,10 +60,8 @@ class ArtifactStore {
   // The store keeps no counters: it reports every transfer segment to
   // `observer` (the engine run's, observer.h) as a store.load / store.prefetch
   // / store.remote event, and updates what has no event (prefetch hits and
-  // waste, residency, unavailable loads) on its registry. Without an observer
-  // it owns a private, untraced one.
-  ArtifactStore(const ArtifactStoreConfig& config, int n_artifacts,
-                Observer* observer = nullptr);
+  // waste, residency, unavailable loads) on its registry.
+  ArtifactStore(const ArtifactStoreConfig& config, int n_artifacts, Observer& observer);
 
   // True when artifact is on the GPU and usable now.
   bool IsResident(int id, double now) const;
@@ -181,9 +178,7 @@ class ArtifactStore {
   std::vector<char> local_;
   // PlanFetch results per artifact (registry mode), empty until first use.
   std::vector<std::optional<FetchPlan>> plans_;
-  // `owned_observer_` backs the stand-alone (no injection) case.
-  std::unique_ptr<Observer> owned_observer_;
-  Observer* observer_ = nullptr;
+  Observer& observer_;
   // Instruments for facts without an event, resolved once at construction;
   // `unavailable_` only when a registry is attached, so registry-off
   // snapshots carry no registry.* keys (default-output bit-identity).

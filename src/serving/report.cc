@@ -137,24 +137,6 @@ bool ServeReport::HasPathAttribution() const {
   return false;
 }
 
-std::vector<RequestPathBreakdown> ComputeCriticalPaths(const ServeReport& report) {
-  std::vector<RequestTimes> times;
-  times.reserve(report.records.size());
-  for (const RequestRecord& r : report.records) {
-    RequestTimes t;
-    t.id = r.id;
-    t.slo = r.slo;
-    t.arrival_s = r.arrival_s;
-    t.sched_attempt_s = r.sched_attempt_s;
-    t.start_s = r.start_s;
-    t.first_token_s = r.first_token_s;
-    t.finish_s = r.finish_s;
-    t.preemptions = r.preemptions;
-    times.push_back(t);
-  }
-  return AttributeRequests(times, report.trace_events);
-}
-
 void AppendTenantRows(Table& table, const ServeReport& report) {
   if (report.n_tenants <= 1 && report.TotalShed() == 0) {
     return;  // single-tenant output matches the pre-tenant rendering

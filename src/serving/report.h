@@ -24,34 +24,6 @@ inline constexpr char kPrefetchIssued[] = "store.prefetch.issued";
 inline constexpr char kNetBusyS[] = "registry.net.busy_s";
 }  // namespace metric
 
-// Lifecycle timestamps of one served request (all in simulated seconds on the
-// trace's global clock) plus its token counts.
-struct RequestRecord {
-  int id = 0;
-  int model_id = 0;        // fine-tuned variant the request targets
-  int tenant_id = 0;       // tenant the request belongs to
-  SloClass slo = SloClass::kStandard;  // SLO class it was promised
-  int prompt_tokens = 0;   // prompt length (tokens)
-  int output_tokens = 0;   // generated length (tokens)
-  double arrival_s = 0.0;
-  double sched_attempt_s = 0.0;  // reached the scheduler (queue head / skip-the-line)
-  double start_s = 0.0;          // admitted to the running batch (artifact resident)
-  double first_token_s = 0.0;    // end of prefill iteration
-  double finish_s = 0.0;
-  int preemptions = 0;  // times this request was parent-finish preempted (§5.4)
-
-  double E2eLatency() const { return finish_s - arrival_s; }
-  double Ttft() const { return first_token_s - arrival_s; }
-  double QueueingTime() const { return sched_attempt_s - arrival_s; }
-  // Cold-start stall: time between first scheduler consideration and admission,
-  // dominated by waiting for the variant's artifact to reach the GPU.
-  double LoadingTime() const { return start_s - sched_attempt_s; }
-  double InferenceTime() const { return finish_s - start_s; }
-  double TimePerToken() const {
-    return output_tokens > 0 ? E2eLatency() / output_tokens : E2eLatency();
-  }
-};
-
 // One engine run over one trace: per-request records plus the run's metrics
 // registry snapshot. Scalar stats (loads, prefetch, channel busy time, sheds)
 // are accessors over that snapshot — it is their only copy.
@@ -177,12 +149,6 @@ class Table;
 // so single-tenant renderings stay unchanged. Shared by `dzip_cli simulate`
 // and ClusterReport::Summary.
 void AppendTenantRows(Table& table, const ServeReport& report);
-
-// Per-request critical-path breakdowns of the report's records against its
-// trace_events (record-only fallback when events are missing/ring-dropped).
-// Engines call this at the end of a traced Serve() to fill path_by_class;
-// tests call it directly to check the 1e-9 segment-sum contract.
-std::vector<RequestPathBreakdown> ComputeCriticalPaths(const ServeReport& report);
 
 // Appends the per-class critical-path attribution rows (mean seconds in
 // queue / load / compute / preempt for E2E, plus the TTFT split) to a

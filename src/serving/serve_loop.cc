@@ -79,7 +79,7 @@ ServeLoop::ServeLoop(const EngineConfig& config, const char* engine_name,
       n_tenants_(n_tenants),
       policy_(make_policy(config_, exec_)),
       observer_(config.tracing),
-      store_(policy_->StoreConfig(), n_models, &observer_),
+      store_(policy_->StoreConfig(), n_models, observer_),
       queued_(n_models),
       running_set_(n_models),
       batch_(n_models),
@@ -553,7 +553,8 @@ ServeReport ServeLoop::Finish() {
   if (observer_.recorder().enabled()) {
     report_.trace_events = observer_.recorder().Drain();
     report_.trace_events_dropped = observer_.recorder().dropped();
-    report_.path_by_class = BuildClassAttribution(ComputeCriticalPaths(report_));
+    report_.path_by_class = BuildClassAttribution(
+        AttributeRequests(report_.records, report_.trace_events));
   }
   return std::move(report_);
 }

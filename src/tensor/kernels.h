@@ -57,22 +57,6 @@ inline void AxpySpan(float alpha, const float* x, float* y, size_t n) {
 }
 
 // ---------------------------------------------------------------------------
-// Byte span helpers for the lossless codec (LZ77 match search / match copy).
-// ---------------------------------------------------------------------------
-
-// Length of the common prefix of a and b; both must be readable for `max`
-// bytes.
-inline size_t MatchLenSpan(const uint8_t* a, const uint8_t* b, size_t max) {
-  return ActiveBackend().match_len(a, b, max);
-}
-
-// LZ77 overlapped copy dst[i] = dst[i - dist] for i in [0, len), with
-// byte-sequential semantics (dist shorter than the copy replicates).
-inline void CopyMatchSpan(uint8_t* dst, size_t dist, size_t len) {
-  ActiveBackend().copy_match(dst, dist, len);
-}
-
-// ---------------------------------------------------------------------------
 // Dense GEMM family. Shapes follow the free functions in matrix.h.
 // ---------------------------------------------------------------------------
 

@@ -30,8 +30,6 @@ class AdamModel {
   // One update: w -= lr * m̂ / (sqrt(v̂) + eps), with bias correction.
   void Step(ModelWeights& weights, ModelWeights& grads);
 
-  int step_count() const { return t_; }
-
  private:
   AdamConfig config_;
   ModelWeights m_;

@@ -89,7 +89,6 @@ struct Trace {
   int n_tenants = 1;
   double duration_s = 0.0;
 
-  double TotalRequests() const { return static_cast<double>(requests.size()); }
   // Requests per model (histogram over model ids).
   std::vector<int> ModelCounts() const;
   // True when requests are non-decreasing in arrival time.

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include "src/cluster/router.h"
 #include "tests/cluster/reference_placer.h"
 
 namespace dz {
@@ -158,7 +159,7 @@ TEST(PlacerTest, DeltaAffinityBoundedLoadSpillsHotModel) {
   EXPECT_LE(max_b, cfg.bounded_load_factor * total / cfg.n_gpus * 1.5);
 }
 
-TEST(PlacerTest, AssignTraceMatchesOnlinePlacer) {
+TEST(PlacerTest, RouterAssignMatchesOnlinePlacer) {
   TraceConfig tc;
   tc.n_models = 8;
   tc.arrival_rate = 4.0;
@@ -168,7 +169,7 @@ TEST(PlacerTest, AssignTraceMatchesOnlinePlacer) {
   PlacerConfig cfg;
   cfg.n_gpus = 3;
   cfg.policy = PlacementPolicy::kDeltaAffinity;
-  const std::vector<int> batch = AssignTrace(trace, cfg);
+  const std::vector<int> batch = Router(cfg).Assign(trace);
   Placer online(cfg);
   ASSERT_EQ(batch.size(), trace.requests.size());
   for (size_t i = 0; i < trace.requests.size(); ++i) {

@@ -10,11 +10,18 @@
 // The table was recorded before the epoch loop routed through one shared
 // ring, ran each worker's engine start and record scan in its pool task and
 // observed finishes without a heap. A change that moves one double, one event
-// or one record of any run breaks it.
+// or one record of any run breaks it. One field was re-pinned since: config
+// 36's ledger, when the peak worker count started counting a recovery that
+// lifts the active count above the autoscaler's max_workers.
+//
+// A second, traced pass replays each run's crash, recovery and scale events
+// per worker id and checks the ledger's peak and final worker counts against
+// the replay, a source that shares none of the loop's bookkeeping.
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <initializer_list>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -221,6 +228,35 @@ TEST(RandomElasticDigestTest, EveryConfigMatchesItsPin) {
   EXPECT_EQ(mismatches, 0);
 }
 
+// Config 36's peak is set by a recovery: w2 crashes, the autoscaler replaces
+// it with w3, and w2 then recovers, so 4 workers are active under a
+// max_workers of 3.
+TEST(RandomElasticDigestTest, WorkerCountsMatchAReplayOfTheEvents) {
+  for (int i = 0; i < kConfigs; ++i) {
+    RandomElasticConfig rc = MakeRandomConfig(0xe1a50000u + static_cast<uint64_t>(i));
+    rc.cluster.engine.tracing.enabled = true;
+    const Trace trace = GenerateTrace(rc.trace);
+    const ClusterReport report = Cluster(rc.cluster).Serve(trace);
+    std::set<int> active;
+    for (int w = 0; w < rc.cluster.placer.n_gpus; ++w) {
+      active.insert(w);
+    }
+    size_t peak = active.size();
+    for (const TraceEvent& ev : report.router_events) {
+      if (ev.type == TraceEventType::kFaultCrash || ev.type == TraceEventType::kScaleDown) {
+        active.erase(ev.gpu);
+      } else if (ev.type == TraceEventType::kFaultRecover ||
+                 ev.type == TraceEventType::kScaleUp) {
+        active.insert(ev.gpu);
+        peak = std::max(peak, active.size());
+      }
+    }
+    EXPECT_EQ(static_cast<size_t>(report.elastic.peak_workers), peak) << "config " << i;
+    EXPECT_EQ(static_cast<size_t>(report.elastic.final_workers), active.size())
+        << "config " << i;
+  }
+}
+
 const Digest kPins[kConfigs] = {
     {0x32ad18d4d5a90dcaull, 0x5e754fa37351fa45ull, 0x819e085cfd771027ull},  // 0
     {0x64d39aa756ad0c67ull, 0xb66f490e44fc0c52ull, 0x4d61367e555d7240ull},  // 1
@@ -258,7 +294,7 @@ const Digest kPins[kConfigs] = {
     {0x6cb89fd2b24b4f92ull, 0x60314c236a4134e7ull, 0x06c5c9111a2c3905ull},  // 33
     {0x84cffdf12779c6d1ull, 0xb4ee0191e8871828ull, 0x7c55f42525cf646aull},  // 34
     {0x95b7f9fc877d1a83ull, 0x96687e5b6ba98e3full, 0xd54302c7898c64f6ull},  // 35
-    {0x063caffeab9eedb0ull, 0x5a426204dd20f732ull, 0x8db9ee4d0d3a12b1ull},  // 36
+    {0x063caffeab9eedb0ull, 0x5a426204dd20f732ull, 0x138bf20a46ec823aull},  // 36
     {0x29b4ba54fc05f791ull, 0x617a1c3a368899a4ull, 0x36c2412b9a2cf778ull},  // 37
     {0xa4f9effd71ec2b7dull, 0x88d79cd86d936385ull, 0xd547fb3dce9c6260ull},  // 38
     {0xcb3afe17bd98ab76ull, 0x6f29730f1317279bull, 0xd75b963e29e246a2ull},  // 39

@@ -20,10 +20,10 @@ TraceEvent Ev(TraceEventType type, double ts, int request_id) {
   return e;
 }
 
-RequestTimes Req(int id, double arrival, double sched, double start,
-                 double first_token, double finish, int preemptions,
-                 SloClass slo = SloClass::kStandard) {
-  RequestTimes r;
+RequestRecord Req(int id, double arrival, double sched, double start,
+                  double first_token, double finish, int preemptions,
+                  SloClass slo = SloClass::kStandard) {
+  RequestRecord r;
   r.id = id;
   r.slo = slo;
   r.arrival_s = arrival;
@@ -36,7 +36,7 @@ RequestTimes Req(int id, double arrival, double sched, double start,
 }
 
 TEST(CriticalPathTest, NoPreemptionSplitsQueueLoadCompute) {
-  const RequestTimes r = Req(1, 10.0, 10.5, 11.25, 11.5, 14.0, 0);
+  const RequestRecord r = Req(1, 10.0, 10.5, 11.25, 11.5, 14.0, 0);
   const std::vector<TraceEvent> events = {
       Ev(TraceEventType::kSchedDispatch, 11.25, 1),
   };
@@ -59,7 +59,7 @@ TEST(CriticalPathTest, NoPreemptionSplitsQueueLoadCompute) {
 TEST(CriticalPathTest, PreemptionChainChargesEvictedGaps) {
   // dispatch 2.0, preempted 3.0, resumed 4.5, preempted 5.0, resumed 6.0,
   // finished 8.0 — compute 1.0 + 0.5 + 2.0, preempt 1.5 + 1.0.
-  const RequestTimes r = Req(7, 1.0, 1.5, 2.0, 2.5, 8.0, 2);
+  const RequestRecord r = Req(7, 1.0, 1.5, 2.0, 2.5, 8.0, 2);
   const std::vector<TraceEvent> events = {
       Ev(TraceEventType::kSchedDispatch, 2.0, 7),
       Ev(TraceEventType::kKvPreempt, 3.0, 7),
@@ -85,7 +85,7 @@ TEST(CriticalPathTest, PreemptionChainChargesEvictedGaps) {
 TEST(CriticalPathTest, SameInstantDispatchAndPreemptIsValid) {
   // A request admitted and class-preempted in the same scheduling round shares
   // one timestamp; the chain validation allows d_i <= p_i <= d_{i+1} equality.
-  const RequestTimes r = Req(3, 0.0, 0.0, 1.0, 3.5, 4.0, 1);
+  const RequestRecord r = Req(3, 0.0, 0.0, 1.0, 3.5, 4.0, 1);
   const std::vector<TraceEvent> events = {
       Ev(TraceEventType::kSchedDispatch, 1.0, 3),
       Ev(TraceEventType::kKvPreempt, 1.0, 3),
@@ -102,7 +102,7 @@ TEST(CriticalPathTest, SameInstantDispatchAndPreemptIsValid) {
 TEST(CriticalPathTest, BrokenChainFallsBackToRecordSplit) {
   // The record says one preemption but the ring kept no events: fall back to
   // queue/load from the record with preempt folded into compute.
-  const RequestTimes r = Req(9, 0.0, 1.0, 2.0, 2.25, 6.0, 1);
+  const RequestRecord r = Req(9, 0.0, 1.0, 2.0, 2.25, 6.0, 1);
   const auto out = AttributeRequests({r}, {});
   ASSERT_EQ(out.size(), 1u);
   const RequestPathBreakdown& b = out[0];
@@ -117,7 +117,7 @@ TEST(CriticalPathTest, BrokenChainFallsBackToRecordSplit) {
 
 TEST(CriticalPathTest, MismatchedDispatchCountFallsBack) {
   // Two dispatches but the record claims zero preemptions: invalid chain.
-  const RequestTimes r = Req(4, 0.0, 0.5, 1.0, 1.5, 5.0, 0);
+  const RequestRecord r = Req(4, 0.0, 0.5, 1.0, 1.5, 5.0, 0);
   const std::vector<TraceEvent> events = {
       Ev(TraceEventType::kSchedDispatch, 1.0, 4),
       Ev(TraceEventType::kSchedDispatch, 2.0, 4),
@@ -129,7 +129,7 @@ TEST(CriticalPathTest, MismatchedDispatchCountFallsBack) {
 }
 
 TEST(CriticalPathTest, EventsForOtherRequestsAreIgnored) {
-  const RequestTimes r = Req(5, 0.0, 0.0, 1.0, 1.5, 2.0, 0);
+  const RequestRecord r = Req(5, 0.0, 0.0, 1.0, 1.5, 2.0, 0);
   const std::vector<TraceEvent> events = {
       Ev(TraceEventType::kSchedDispatch, 0.5, 99),  // someone else
       Ev(TraceEventType::kSchedDispatch, 1.0, 5),
@@ -143,9 +143,9 @@ TEST(CriticalPathTest, EventsForOtherRequestsAreIgnored) {
 }
 
 TEST(CriticalPathTest, ClassRollupAndMergeSumPerClass) {
-  const RequestTimes a = Req(1, 0.0, 1.0, 2.0, 2.5, 4.0, 0, SloClass::kInteractive);
-  const RequestTimes b = Req(2, 0.0, 2.0, 3.0, 3.5, 7.0, 0, SloClass::kInteractive);
-  const RequestTimes c = Req(3, 0.0, 0.5, 1.0, 1.5, 2.0, 1, SloClass::kBatch);
+  const RequestRecord a = Req(1, 0.0, 1.0, 2.0, 2.5, 4.0, 0, SloClass::kInteractive);
+  const RequestRecord b = Req(2, 0.0, 2.0, 3.0, 3.5, 7.0, 0, SloClass::kInteractive);
+  const RequestRecord c = Req(3, 0.0, 0.5, 1.0, 1.5, 2.0, 1, SloClass::kBatch);
   const auto breakdowns = AttributeRequests({a, b, c}, {
       Ev(TraceEventType::kSchedDispatch, 2.0, 1),
       Ev(TraceEventType::kSchedDispatch, 3.0, 2),

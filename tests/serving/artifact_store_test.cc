@@ -30,7 +30,8 @@ double Stat(Observer& obs, const std::string& name, const MetricLabels& labels =
 }
 
 TEST(ArtifactStoreTest, InitiallyNothingResident) {
-  ArtifactStore store(SmallConfig(), 8);
+  Observer obs;
+  ArtifactStore store(SmallConfig(), 8, obs);
   for (int i = 0; i < 8; ++i) {
     EXPECT_FALSE(store.IsResident(i, 0.0));
   }
@@ -38,7 +39,8 @@ TEST(ArtifactStoreTest, InitiallyNothingResident) {
 }
 
 TEST(ArtifactStoreTest, LoadFromDiskTakesDiskPlusH2D) {
-  ArtifactStore store(SmallConfig(), 8);
+  Observer obs;
+  ArtifactStore store(SmallConfig(), 8, obs);
   const ArtifactStore::LoadResult load = store.RequestLoad(0, 0.0, {});
   ASSERT_TRUE(load.ok);
   EXPECT_DOUBLE_EQ(load.ready_at, 1.1);
@@ -48,7 +50,8 @@ TEST(ArtifactStoreTest, LoadFromDiskTakesDiskPlusH2D) {
 }
 
 TEST(ArtifactStoreTest, LoadsSerializeOnChannels) {
-  ArtifactStore store(SmallConfig(), 8);
+  Observer obs;
+  ArtifactStore store(SmallConfig(), 8, obs);
   const ArtifactStore::LoadResult r0 = store.RequestLoad(0, 0.0, {});
   const ArtifactStore::LoadResult r1 = store.RequestLoad(1, 0.0, {});
   ASSERT_TRUE(r0.ok);
@@ -58,7 +61,8 @@ TEST(ArtifactStoreTest, LoadsSerializeOnChannels) {
 }
 
 TEST(ArtifactStoreTest, RepeatLoadRequestIsIdempotent) {
-  ArtifactStore store(SmallConfig(), 8);
+  Observer obs;
+  ArtifactStore store(SmallConfig(), 8, obs);
   const ArtifactStore::LoadResult r0 = store.RequestLoad(0, 0.0, {});
   ASSERT_TRUE(r0.ok);
   const ArtifactStore::LoadResult again = store.RequestLoad(0, 0.5, {});
@@ -71,7 +75,8 @@ TEST(ArtifactStoreTest, RepeatLoadRequestIsIdempotent) {
 }
 
 TEST(ArtifactStoreTest, EvictsLruWhenFull) {
-  ArtifactStore store(SmallConfig(), 8);
+  Observer obs;
+  ArtifactStore store(SmallConfig(), 8, obs);
   double t = 0.0;
   for (int i = 0; i < 3; ++i) {
     t = store.RequestLoad(i, t, {}).ready_at;
@@ -89,7 +94,8 @@ TEST(ArtifactStoreTest, EvictsLruWhenFull) {
 }
 
 TEST(ArtifactStoreTest, PinnedArtifactsSurviveEviction) {
-  ArtifactStore store(SmallConfig(), 8);
+  Observer obs;
+  ArtifactStore store(SmallConfig(), 8, obs);
   double t = 0.0;
   for (int i = 0; i < 3; ++i) {
     t = store.RequestLoad(i, t, {}).ready_at;
@@ -104,7 +110,8 @@ TEST(ArtifactStoreTest, PinnedArtifactsSurviveEviction) {
 }
 
 TEST(ArtifactStoreTest, PartialPinStillEvictsTheUnpinned) {
-  ArtifactStore store(SmallConfig(), 8);
+  Observer obs;
+  ArtifactStore store(SmallConfig(), 8, obs);
   double t = 0.0;
   for (int i = 0; i < 3; ++i) {
     t = store.RequestLoad(i, t, {}).ready_at;
@@ -123,7 +130,8 @@ TEST(ArtifactStoreTest, PartialPinStillEvictsTheUnpinned) {
 TEST(ArtifactStoreTest, InFlightLoadsAreNotEvictable) {
   // Fill 2 of 3 slots, then start a third load that is still in flight. With the
   // two landed artifacts pinned, the in-flight one must not be chosen as victim.
-  ArtifactStore store(SmallConfig(), 8);
+  Observer obs;
+  ArtifactStore store(SmallConfig(), 8, obs);
   double t = 0.0;
   for (int i = 0; i < 2; ++i) {
     t = store.RequestLoad(i, t, {}).ready_at;
@@ -140,7 +148,8 @@ TEST(ArtifactStoreTest, InFlightLoadsAreNotEvictable) {
 }
 
 TEST(ArtifactStoreTest, LruVictimFollowsInterleavedTouches) {
-  ArtifactStore store(SmallConfig(), 8);
+  Observer obs;
+  ArtifactStore store(SmallConfig(), 8, obs);
   double t = 0.0;
   for (int i = 0; i < 3; ++i) {
     t = store.RequestLoad(i, t, {}).ready_at;
@@ -166,7 +175,7 @@ TEST(ArtifactStoreTest, LruVictimFollowsInterleavedTouches) {
 
 TEST(ArtifactStoreTest, EvictedToHostReloadsWithoutDisk) {
   Observer obs;
-  ArtifactStore store(SmallConfig(), 8, &obs);
+  ArtifactStore store(SmallConfig(), 8, obs);
   double t = store.RequestLoad(0, 0.0, {}).ready_at;
   store.Touch(0, t);
   for (int i = 1; i <= 3; ++i) {
@@ -188,7 +197,7 @@ TEST(ArtifactStoreTest, ZeroCpuBudgetDemotesToDisk) {
   ArtifactStoreConfig cfg = SmallConfig();
   cfg.cpu_budget_bytes = 0;
   Observer obs;
-  ArtifactStore store(cfg, 8, &obs);
+  ArtifactStore store(cfg, 8, obs);
   double t = store.RequestLoad(0, 0.0, {}).ready_at;
   store.Touch(0, t);
   for (int i = 1; i <= 3; ++i) {
@@ -204,7 +213,8 @@ TEST(ArtifactStoreTest, ZeroCpuBudgetDemotesToDisk) {
 }
 
 TEST(ArtifactStoreTest, NextLoadReadyTracksInFlight) {
-  ArtifactStore store(SmallConfig(), 8);
+  Observer obs;
+  ArtifactStore store(SmallConfig(), 8, obs);
   EXPECT_TRUE(std::isinf(store.NextLoadReady(0.0)));
   const ArtifactStore::LoadResult load = store.RequestLoad(0, 0.0, {});
   ASSERT_TRUE(load.ok);
@@ -225,7 +235,7 @@ TEST(ArtifactStoreTest, NextLoadReadyAndNextChangeMatchAFullScan) {
     TracingConfig tracing;
     tracing.enabled = true;
     Observer obs(tracing);
-    ArtifactStore store(SmallConfig(), kArtifacts, &obs);  // 3 GPU slots
+    ArtifactStore store(SmallConfig(), kArtifacts, obs);  // 3 GPU slots
     std::vector<double> ready(kArtifacts, 0.0);
     double channel_free[3] = {0.0, 0.0, 0.0};  // kDisk, kPcie, kNet
     double now = 0.0;
@@ -278,7 +288,7 @@ TEST(ArtifactStoreTest, InjectedRegistryBacksTheStats) {
   // The store keeps no counters of its own: every statistic is a "store.*"
   // instrument in the registry of the observer it reports to.
   Observer obs;
-  ArtifactStore store(SmallConfig(), 8, &obs);
+  ArtifactStore store(SmallConfig(), 8, obs);
   const double first = store.RequestLoad(0, 0.0, {}).ready_at;
   store.RequestLoad(1, first, {});
   EXPECT_EQ(Stat(obs, "store.loads.total"), 2);
@@ -286,10 +296,13 @@ TEST(ArtifactStoreTest, InjectedRegistryBacksTheStats) {
   EXPECT_GT(Stat(obs, "store.channel.busy_s", {{"channel", "disk"}}), 0.0);
   EXPECT_GT(Stat(obs, "store.channel.busy_s", {{"channel", "pcie"}}), 0.0);
   EXPECT_EQ(Stat(obs, "store.gpu.resident"), 2);
-  // Without an injected observer the store reports to a private one and
-  // behaves identically (every test above without an Observer runs that way).
-  ArtifactStore standalone(SmallConfig(), 8);
-  EXPECT_DOUBLE_EQ(standalone.RequestLoad(0, 0.0, {}).ready_at, first);
+  // The observer only listens: a store reporting to a traced one times the
+  // same load identically.
+  TracingConfig tracing;
+  tracing.enabled = true;
+  Observer traced_obs(tracing);
+  ArtifactStore traced(SmallConfig(), 8, traced_obs);
+  EXPECT_DOUBLE_EQ(traced.RequestLoad(0, 0.0, {}).ready_at, first);
 }
 
 }  // namespace

@@ -116,7 +116,8 @@ void ExpectExactAttribution(const ServeReport& r) {
   ASSERT_FALSE(r.trace_events.empty());
   EXPECT_EQ(r.trace_events_dropped, 0);  // full-trace mode drops nothing
   EXPECT_TRUE(r.HasPathAttribution());
-  const std::vector<RequestPathBreakdown> breakdowns = ComputeCriticalPaths(r);
+  const std::vector<RequestPathBreakdown> breakdowns =
+      AttributeRequests(r.records, r.trace_events);
   ASSERT_EQ(breakdowns.size(), r.records.size());
   for (size_t i = 0; i < breakdowns.size(); ++i) {
     const RequestPathBreakdown& b = breakdowns[i];

@@ -31,7 +31,7 @@ double Stat(Observer& obs, const std::string& name, const MetricLabels& labels =
 
 TEST(ArtifactPrefetchTest, PrefetchOnlyClaimsIdleChannels) {
   Observer obs;
-  ArtifactStore store(SmallStoreConfig(), 8, &obs);
+  ArtifactStore store(SmallStoreConfig(), 8, obs);
   // A demand load occupies disk until 1.0 and PCIe until 1.1.
   ASSERT_TRUE(store.RequestLoad(0, 0.0, {}).ok);
   EXPECT_FALSE(store.Prefetch(1, 0.5, {}).ok);   // disk busy
@@ -44,7 +44,7 @@ TEST(ArtifactPrefetchTest, PrefetchOnlyClaimsIdleChannels) {
 
 TEST(ArtifactPrefetchTest, DemandUseOfLandedPrefetchIsAFullHit) {
   Observer obs;
-  ArtifactStore store(SmallStoreConfig(), 8, &obs);
+  ArtifactStore store(SmallStoreConfig(), 8, obs);
   ASSERT_TRUE(store.Prefetch(0, 0.0, {}).ok);  // lands at 1.1, cost 1.1
   store.Touch(0, 2.0);                         // first demand use
   EXPECT_EQ(Stat(obs, "store.prefetch.hits"), 1);
@@ -56,7 +56,7 @@ TEST(ArtifactPrefetchTest, DemandUseOfLandedPrefetchIsAFullHit) {
 
 TEST(ArtifactPrefetchTest, DemandHitMidFlightCreditsOnlyElapsedTransfer) {
   Observer obs;
-  ArtifactStore store(SmallStoreConfig(), 8, &obs);
+  ArtifactStore store(SmallStoreConfig(), 8, obs);
   ASSERT_TRUE(store.Prefetch(0, 0.0, {}).ok);  // lands at 1.1, cost 1.1
   const ArtifactStore::LoadResult r = store.RequestLoad(0, 0.6, {});
   ASSERT_TRUE(r.ok);
@@ -69,7 +69,7 @@ TEST(ArtifactPrefetchTest, DemandHitMidFlightCreditsOnlyElapsedTransfer) {
 
 TEST(ArtifactPrefetchTest, EvictionGuardNeverDropsRunningBatchArtifacts) {
   Observer obs;
-  ArtifactStore store(SmallStoreConfig(), 8, &obs);
+  ArtifactStore store(SmallStoreConfig(), 8, obs);
   double t = 0.0;
   for (int i = 0; i < 3; ++i) {
     t = store.RequestLoad(i, t, {}).ready_at;
@@ -86,7 +86,7 @@ TEST(ArtifactPrefetchTest, EvictionGuardNeverDropsRunningBatchArtifacts) {
 
 TEST(ArtifactPrefetchTest, PrefetchNeverEvictsAnUnusedPrefetch) {
   Observer obs;
-  ArtifactStore store(SmallStoreConfig(), 8, &obs);
+  ArtifactStore store(SmallStoreConfig(), 8, obs);
   double t = 0.0;
   for (int i = 0; i < 2; ++i) {
     t = store.RequestLoad(i, t, {}).ready_at;
@@ -106,7 +106,7 @@ TEST(ArtifactPrefetchTest, PrefetchNeverEvictsAnUnusedPrefetch) {
 
 TEST(ArtifactPrefetchTest, ChannelBusyAccounting) {
   Observer obs;
-  ArtifactStore store(SmallStoreConfig(), 8, &obs);
+  ArtifactStore store(SmallStoreConfig(), 8, obs);
   double t = store.RequestLoad(0, 0.0, {}).ready_at;  // disk + h2d
   t = store.Prefetch(1, t, {}).ready_at;              // disk + h2d
   EXPECT_DOUBLE_EQ(Stat(obs, "store.channel.busy_s", {{"channel", "disk"}}), 2.0);

@@ -64,7 +64,7 @@ TEST(RegistryStoreTest, RemoteFetchPaysNetThenCachesOnLocalDisk) {
   cfg.registry = &reg;
   cfg.registry_node = 0;
   Observer obs;
-  ArtifactStore store(cfg, reg.n_artifacts(), &obs);
+  ArtifactStore store(cfg, reg.n_artifacts(), obs);
   const int remote_art = FindArtifact(reg, 0, /*held=*/false);
   const int local_art = FindArtifact(reg, 0, /*held=*/true);
   ASSERT_GE(remote_art, 0);
@@ -112,7 +112,7 @@ TEST(RegistryStoreTest, WarmCarryArtifactsSkipTheNetwork) {
   ASSERT_GE(remote_art, 0);
   cfg.registry_warm = {remote_art};  // previous epoch already fetched it
   Observer obs;
-  ArtifactStore store(cfg, reg.n_artifacts(), &obs);
+  ArtifactStore store(cfg, reg.n_artifacts(), obs);
 
   const auto r = store.RequestLoad(remote_art, 0.0, {});
   ASSERT_TRUE(r.ok);
@@ -142,7 +142,7 @@ TEST(RegistryStoreTest, FailoverReplicaReadCountsAsDegraded) {
   cfg.registry = &reg;
   cfg.registry_node = reader;
   Observer obs;
-  ArtifactStore store(cfg, reg.n_artifacts(), &obs);
+  ArtifactStore store(cfg, reg.n_artifacts(), obs);
   const auto r = store.RequestLoad(art, 0.0, {});
   ASSERT_TRUE(r.ok);
   EXPECT_DOUBLE_EQ(r.ready_at, 2.1);  // full copy over the wire, no decode
@@ -160,7 +160,7 @@ TEST(RegistryStoreTest, ErasureParityReadAddsDecodeTime) {
   cfg.registry = &reg;
   cfg.registry_node = ranked[3];  // holds no fragment of `art`
   Observer obs;
-  ArtifactStore store(cfg, reg.n_artifacts(), &obs);
+  ArtifactStore store(cfg, reg.n_artifacts(), obs);
   const auto r = store.RequestLoad(art, 0.0, {});
   ASSERT_TRUE(r.ok);
   // k fragments (B bytes total) over the wire + 1.0 s reconstruct + H2D.
@@ -174,7 +174,7 @@ TEST(RegistryStoreTest, UnavailableIsTypedAndEvictsNothing) {
   cfg.registry = &reg;
   cfg.registry_node = 0;
   Observer obs;
-  ArtifactStore store(cfg, reg.n_artifacts(), &obs);
+  ArtifactStore store(cfg, reg.n_artifacts(), obs);
   const int remote_art = FindArtifact(reg, 0, /*held=*/false);
   const int local_art = FindArtifact(reg, 0, /*held=*/true);
   ASSERT_GE(remote_art, 0);
@@ -226,14 +226,14 @@ TEST(RegistryStoreTest, FetchPlansAreRememberedPerStoreNotAcrossEpochs) {
 
   reg.SetNodeLive(primary, false);
   Observer epoch1_obs;
-  ArtifactStore epoch1(cfg, reg.n_artifacts(), &epoch1_obs);
+  ArtifactStore epoch1(cfg, reg.n_artifacts(), epoch1_obs);
   EXPECT_TRUE(epoch1.RequestLoad(art, 0.0, {}).unavailable);
   EXPECT_TRUE(epoch1.RequestLoad(art, 1.0, {}).unavailable);
   EXPECT_EQ(Stat(epoch1_obs, "registry.unavailable"), 2);
 
   reg.SetNodeLive(primary, true);  // between epochs: the holder recovers
   Observer epoch2_obs;
-  ArtifactStore epoch2(cfg, reg.n_artifacts(), &epoch2_obs);
+  ArtifactStore epoch2(cfg, reg.n_artifacts(), epoch2_obs);
   const auto recovered = epoch2.RequestLoad(art, 0.0, {});
   ASSERT_TRUE(recovered.ok);
   EXPECT_DOUBLE_EQ(recovered.ready_at, 2.1);  // 2.0 s net + 0.1 s H2D
@@ -242,7 +242,7 @@ TEST(RegistryStoreTest, FetchPlansAreRememberedPerStoreNotAcrossEpochs) {
   reg.SetNodeLive(primary, false);  // lost again, but repair rebuilt a copy
   reg.AddHolder(art, 0, spare);
   Observer epoch3_obs;
-  ArtifactStore epoch3(cfg, reg.n_artifacts(), &epoch3_obs);
+  ArtifactStore epoch3(cfg, reg.n_artifacts(), epoch3_obs);
   const auto repaired = epoch3.RequestLoad(art, 0.0, {});
   ASSERT_TRUE(repaired.ok);
   EXPECT_DOUBLE_EQ(repaired.ready_at, 2.1);
@@ -256,7 +256,7 @@ TEST(RegistryStoreTest, NetOutageDefersRemoteFetches) {
   cfg.registry = &reg;
   cfg.registry_node = 0;
   Observer obs;
-  ArtifactStore store(cfg, reg.n_artifacts(), &obs);
+  ArtifactStore store(cfg, reg.n_artifacts(), obs);
   store.AddOutage({TraceChannel::kNet, 1.0, 5.0});
   const int remote_art = FindArtifact(reg, 0, /*held=*/false);
   ASSERT_GE(remote_art, 0);
@@ -271,13 +271,16 @@ TEST(RegistryStoreTest, NetOutageDefersRemoteFetches) {
 // --- Outage-window validation and overlap (registry-independent) ---
 
 TEST(OutageNormalizationTest, RejectsInvertedWindows) {
-  ArtifactStore store(SmallConfig(), 2);
+  Observer obs;
+  ArtifactStore store(SmallConfig(), 2, obs);
   EXPECT_DEATH(store.AddOutage({TraceChannel::kDisk, 5.0, 2.0}), "DZ_CHECK");
 }
 
 TEST(OutageNormalizationTest, ZeroLengthWindowIsDroppedAsNoOp) {
-  ArtifactStore ref(SmallConfig(), 2);
-  ArtifactStore store(SmallConfig(), 2);
+  Observer ref_obs;
+  ArtifactStore ref(SmallConfig(), 2, ref_obs);
+  Observer obs;
+  ArtifactStore store(SmallConfig(), 2, obs);
   store.AddOutage({TraceChannel::kDisk, 5.0, 5.0});
   // A load issued exactly at the empty window's instant is untouched: the
   // window covers start <= t < end, which is no instant at all.
@@ -288,7 +291,8 @@ TEST(OutageNormalizationTest, ZeroLengthWindowIsDroppedAsNoOp) {
 }
 
 TEST(OutageNormalizationTest, OverlappingWindowsActAsTheirUnion) {
-  ArtifactStore store(SmallConfig(), 2);
+  Observer obs;
+  ArtifactStore store(SmallConfig(), 2, obs);
   store.AddOutage({TraceChannel::kDisk, 2.0, 6.0});
   store.AddOutage({TraceChannel::kDisk, 1.0, 3.0});
   const auto r = store.RequestLoad(0, 2.0, {});
@@ -300,7 +304,8 @@ TEST(OutageNormalizationTest, OutageAtDeferredStartDefersAgain) {
   // Regression: a transfer pushed by one window must re-check the list — a
   // second window covering the deferred start (abutting on the same channel,
   // or on the next channel segment) defers it again.
-  ArtifactStore store(SmallConfig(), 2);
+  Observer obs;
+  ArtifactStore store(SmallConfig(), 2, obs);
   store.AddOutage({TraceChannel::kDisk, 1.0, 3.0});
   store.AddOutage({TraceChannel::kDisk, 3.0, 4.0});
   const auto r = store.RequestLoad(0, 2.0, {});
@@ -309,7 +314,8 @@ TEST(OutageNormalizationTest, OutageAtDeferredStartDefersAgain) {
 
   // Cross-channel flavor: the disk read lands exactly inside a PCIe window,
   // so the H2D leg (not the disk leg) is the one that defers.
-  ArtifactStore store2(SmallConfig(), 2);
+  Observer store2_obs;
+  ArtifactStore store2(SmallConfig(), 2, store2_obs);
   store2.AddOutage({TraceChannel::kDisk, 1.0, 3.0});
   store2.AddOutage({TraceChannel::kPcie, 3.5, 6.0});
   const auto r2 = store2.RequestLoad(0, 2.0, {});

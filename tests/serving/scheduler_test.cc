@@ -474,11 +474,11 @@ TEST(SchedulerClusterTest, ClusterMergesTenantMetrics) {
   EXPECT_EQ(r.TotalShed(), shed_sum);
   EXPECT_EQ(r.merged.records.size() + static_cast<size_t>(r.TotalShed()),
             trace.requests.size());
-  const double jain = r.JainFairnessIndex();
+  const double jain = r.merged.JainFairnessIndex();
   EXPECT_GT(jain, 0.0);
   EXPECT_LE(jain, 1.0);
   for (int c = 0; c < kNumSloClasses; ++c) {
-    const double att = r.ClassAttainment(static_cast<SloClass>(c));
+    const double att = r.merged.ClassAttainment(static_cast<SloClass>(c));
     EXPECT_GE(att, 0.0);
     EXPECT_LE(att, 1.0);
   }
@@ -498,7 +498,7 @@ TEST(SchedulerClusterTest, TenantAffinityKeepsTenantsTogether) {
   PlacerConfig pc;
   pc.n_gpus = 4;
   pc.policy = PlacementPolicy::kTenantAffinity;
-  const std::vector<int> shard_of = AssignTrace(trace, pc);
+  const std::vector<int> shard_of = Router(pc).Assign(trace);
 
   // Absent bounded-load spill every request of a tenant lands on its ring
   // home; with spill allowed, the dominant GPU should still carry the vast

@@ -9,6 +9,14 @@
 # no executable calls is dropped. Tests are not built; a function only a test
 # calls is an orphan.
 #
+# Blind spot: a function defined in a header (inline, a member defined in its
+# class, a template) emits no symbol in a translation unit that does not use
+# it, so an unused one never reaches nm and this gate cannot see it. To audit
+# those, run a copy of this script whose CMAKE_CXX_FLAGS add
+# -fkeep-inline-functions (every inline function then gets a symbol). That
+# audit lists dozens more orphans, most of them compiler-generated
+# constructors or accessors only tests call; it is not part of the gate.
+#
 # Usage: tools/check_reachability.sh [build-dir]   (default: build-reach)
 # bench/e2e is configured into <build-dir>/e2e; its sources are only read.
 set -euo pipefail
