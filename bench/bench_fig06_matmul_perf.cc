@@ -13,6 +13,7 @@
 // widest supported vector backend, or the bench exits 1.
 #include "bench/bench_common.h"
 #include "src/simgpu/kernel_model.h"
+#include "src/tensor/backend.h"
 #include "src/tensor/kernels.h"
 
 namespace dz {

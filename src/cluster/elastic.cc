@@ -374,13 +374,7 @@ struct ElasticRun {
       StepWorker(w, t, next, meter_net,
                  hints.empty() ? nullptr : &hints[static_cast<size_t>(w.id)]);
     };
-    if (cfg.parallel_workers && live.size() > 1) {
-      ThreadPool::Global().ForEachTask(live.size(), run_one);
-    } else {
-      for (size_t k = 0; k < live.size(); ++k) {
-        run_one(k);
-      }
-    }
+    ThreadPool::Global().ForEachTask(live.size(), run_one);
     double net_busy_s = 0.0;
     for (WorkerSlot* w : live) {
       net_busy_s -= w->net_busy_before;

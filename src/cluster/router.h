@@ -60,8 +60,7 @@ struct ClusterConfig {
   // placement prediction (Router::WarmHints) — or, in fault/autoscale runs,
   // with each worker engine's first input (see elastic.h).
   EngineConfig engine;
-  bool vllm_baseline = false;    // use the vLLM+SCB engine instead of DeltaZip
-  bool parallel_workers = true;  // simulate workers on the global thread pool
+  bool vllm_baseline = false;  // use the vLLM+SCB engine instead of DeltaZip
   // Fault injection and elastic autoscaling (src/cluster/elastic.cc). Both off
   // by default: the cluster loop then runs one step [0, inf), byte-identical
   // to the pre-fault static cluster (golden-enforced).

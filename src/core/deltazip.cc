@@ -38,11 +38,12 @@ int DeltaZipService::RegisterCompressedDelta(CompressedDelta delta,
 
   // Host model: fp16 non-linear deltas applied. The overlay reads base_'s linear
   // weights and adds Δ, which supplies the fine-tuned behaviour.
-  v.host = std::make_unique<Transformer>(v.delta->OverlayHost(base_.weights()));
+  v.fmt_host = std::make_unique<Transformer>(v.delta->OverlayHost(base_.weights()));
   v.overlay = v.delta->MakeOverlay(base_.weights());
   DZ_LOG(kInfo) << "registered " << v.info.name << ": artifact "
                 << v.info.artifact_bytes << " B, ratio "
                 << v.info.compression_ratio << "x";
+  v.host = v.fmt_host.get();
   variants_.push_back(std::move(v));
   return id;
 }
@@ -61,6 +62,7 @@ int DeltaZipService::RegisterLora(LoraAdapter adapter, const std::string& name) 
   v.lora = std::make_unique<LoraAdapter>(std::move(adapter));
   v.info.artifact_bytes = v.lora->Fp16ByteSize();
   v.overlay = v.lora->MakeOverlay(base_.weights());
+  v.host = &base_;
   variants_.push_back(std::move(v));
   return id;
 }
@@ -78,8 +80,7 @@ std::vector<int> DeltaZipService::Generate(int variant_id, const std::vector<int
   }
   DZ_CHECK_LT(variant_id, variant_count());
   const Variant& v = variants_[static_cast<size_t>(variant_id)];
-  const Transformer& host = v.info.is_lora ? base_ : *v.host;
-  return host.GenerateGreedy(prompt, max_new, eos_token, &v.overlay);
+  return v.host->GenerateGreedy(prompt, max_new, eos_token, &v.overlay);
 }
 
 Matrix DeltaZipService::Forward(int variant_id, const std::vector<int>& tokens) const {
@@ -88,8 +89,7 @@ Matrix DeltaZipService::Forward(int variant_id, const std::vector<int>& tokens) 
   }
   DZ_CHECK_LT(variant_id, variant_count());
   const Variant& v = variants_[static_cast<size_t>(variant_id)];
-  const Transformer& host = v.info.is_lora ? base_ : *v.host;
-  return host.Forward(tokens, nullptr, &v.overlay);
+  return v.host->Forward(tokens, nullptr, &v.overlay);
 }
 
 }  // namespace dz

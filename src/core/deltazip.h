@@ -84,7 +84,8 @@ class DeltaZipService {
     LinearOverlay overlay;  // reads base_'s linear weights, adds the variant's Δ
     // FMT variants need the fp16 non-linear deltas applied: a host model with merged
     // embeddings/norms, in which the overlay runs.
-    std::unique_ptr<Transformer> host;
+    std::unique_ptr<Transformer> fmt_host;
+    const Transformer* host = nullptr;  // where the overlay runs: fmt_host or &base_
   };
 
   Transformer base_;

@@ -62,9 +62,6 @@ class DeltaZipPolicy : public ServePolicy {
                                : exec_.LoadDeltaFromDisk();
     store.h2d_s =
         lora() ? exec_.LoadLoraFromHost(config_.lora_rank) : exec_.LoadDeltaFromHost();
-    store.registry = config_.registry;
-    store.registry_node = config_.registry_node;
-    store.registry_warm = config_.registry_warm;
     return store;
   }
 

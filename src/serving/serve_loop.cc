@@ -12,6 +12,14 @@ namespace {
 constexpr double kInf = std::numeric_limits<double>::infinity();
 // Per-round scheduler/runner overhead (simulated seconds).
 constexpr double kSchedOverheadS = 0.002;
+
+// The policy's store geometry and timings, on the engine's registry node.
+ArtifactStoreConfig WithRegistry(ArtifactStoreConfig store, const EngineConfig& config) {
+  store.registry = config.registry;
+  store.registry_node = config.registry_node;
+  store.registry_warm = config.registry_warm;
+  return store;
+}
 }  // namespace
 
 void VariantCounts::Add(int variant) {
@@ -79,7 +87,7 @@ ServeLoop::ServeLoop(const EngineConfig& config, const char* engine_name,
       n_tenants_(n_tenants),
       policy_(make_policy(config_, exec_)),
       observer_(config.tracing),
-      store_(policy_->StoreConfig(), n_models, observer_),
+      store_(WithRegistry(policy_->StoreConfig(), config_), n_models, observer_),
       queued_(n_models),
       running_set_(n_models),
       batch_(n_models),

@@ -214,7 +214,8 @@ class ServeLoop;
 class ServePolicy {
  public:
   virtual ~ServePolicy() = default;
-  // Set-up, before the store exists: its geometry (and the policy's KV pool).
+  // Set-up, before the store exists: its geometry and timings (and the
+  // policy's KV pool). The loop attaches the engine's registry.
   virtual ArtifactStoreConfig StoreConfig() = 0;
   // Set-up, once the store exists: the prefetch settings the run uses.
   virtual PrefetchConfig Setup(const ArtifactStore& store) = 0;

@@ -39,9 +39,6 @@ class VllmScbPolicy : public ServePolicy {
     store.cpu_budget_bytes = 0;
     store.disk_read_s = exec_.LoadFullModelFromDisk();
     store.h2d_s = exec_.LoadFullModelFromHost();
-    store.registry = config_.registry;
-    store.registry_node = config_.registry_node;
-    store.registry_warm = config_.registry_warm;
     return store;
   }
 

@@ -6,9 +6,9 @@
 // around its micro-kernels: ScalarOps for scalar, and for the vector ISAs one
 // generic-vector VecOps<W> (kernels_vector.h) at W = 8 and 16. At first use
 // the dispatcher probes the CPU (__builtin_cpu_supports on x86) and selects
-// the widest compiled-and-supported backend; every public kernel entry point
-// in kernels.h then forwards through the selected table, so call sites never
-// name an ISA.
+// the widest compiled-and-supported backend. The GEMM and span entry points
+// in matrix.h and the packed types' MatmulNT call through the selected table,
+// so no call site names an ISA.
 //
 // Selection order (first hit wins):
 //   1. ForceBackend(name)       — programmatic, used by tests/benches/CLI --isa
@@ -21,7 +21,9 @@
 // per-ISA TUs compile with -ffp-contract=off so no mul+add pair is fused into
 // an FMA. Switching backends therefore never changes a single output bit —
 // enforced bitwise by tests/tensor/kernel_parity_test.cc for every compiled
-// backend.
+// backend. The GEMMs split their output into tiles on
+// ThreadPool::ParallelFor2D; output elements are independent, so the
+// partition never shows in a result.
 #ifndef SRC_TENSOR_BACKEND_H_
 #define SRC_TENSOR_BACKEND_H_
 
@@ -38,21 +40,15 @@ class Sparse24Matrix;
 
 namespace kernels {
 
-// Bumped whenever a pointer is added/removed/retyped; the dispatcher refuses a
-// table whose version does not match, so a stale out-of-tree backend can never
-// be entered through a misshapen struct.
-inline constexpr int kBackendAbiVersion = 1;
-
 // One ISA's kernel implementations as a flat dispatch table. Instances are
 // immutable statics owned by their translation unit; callers hold `const
 // Backend&` from ActiveBackend() and never copy or mutate.
 struct Backend {
-  int abi_version;
   const char* name;  // dispatch key: "scalar" | "avx2" | "avx512"
   const char* isa;   // human-readable ISA description for report headers
   int vector_width;  // fp32 lanes per vector register (1 for scalar)
 
-  // Dense GEMM family (shapes as in kernels.h).
+  // Dense GEMM family: C = A·B, A·Bᵀ and Aᵀ·B (Matmul, MatmulNT, MatmulTN).
   Matrix (*gemm_nn)(const Matrix&, const Matrix&);
   Matrix (*gemm_nt)(const Matrix&, const Matrix&);
   Matrix (*gemm_tn)(const Matrix&, const Matrix&);

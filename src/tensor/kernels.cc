@@ -1,15 +1,7 @@
-// Naive reference kernels. The blocked/vectorized implementations live in
-// per-ISA translation units (kernels_scalar.cc over ScalarOps, and
+// Naive reference kernels (kernels.h). The blocked/vectorized implementations
+// live in per-ISA translation units (kernels_scalar.cc over ScalarOps, and
 // kernels_avx2/avx512.cc over kernels_vector.h's VecOps<W>, all built from
-// kernels_generic.h) behind the runtime dispatcher in kernels_dispatch.cc;
-// the public free functions in kernels.h are inline forwarders through
-// kernels::ActiveBackend().
-//
-// What remains here is the part of kernels::ref that bench_fig06_matmul_perf
-// times as its naive baseline: the exact pre-kernel-layer loops, kept serial
-// and scalar forever. Every backend must match them byte-for-byte
-// (tests/tensor/kernel_parity_test.cc; the dense NN/TN and transpose
-// references are test-local, in tests/tensor/kernel_ref.h).
+// kernels_generic.h) behind the runtime dispatcher in kernels_dispatch.cc.
 #include "src/tensor/kernels.h"
 
 #include <vector>

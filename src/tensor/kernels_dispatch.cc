@@ -58,13 +58,6 @@ const std::vector<Entry>& Registry() {
   return entries;
 }
 
-const Backend* Materialize(const Entry& entry) {
-  const Backend* b = entry.get();
-  DZ_CHECK(b != nullptr);
-  DZ_CHECK_EQ(b->abi_version, kBackendAbiVersion);
-  return b;
-}
-
 // Runs the DZ_ISA / probe selection. Warns (once) on stderr when DZ_ISA names
 // a backend that is not compiled in or not supported by this CPU.
 const Backend* ProbeSelect() {
@@ -86,7 +79,7 @@ const Backend* ProbeSelect() {
   }
   for (const Entry& e : Registry()) {
     if (chosen == e.name) {
-      return Materialize(e);
+      return e.get();
     }
   }
   DZ_CHECK(false);  // SelectBackendName only returns names from the list
@@ -131,7 +124,7 @@ const Backend& ActiveBackend() {
 bool ForceBackend(const std::string& name) {
   for (const Entry& e : Registry()) {
     if (name == e.name && e.supported) {
-      g_active.store(Materialize(e), std::memory_order_release);
+      g_active.store(e.get(), std::memory_order_release);
       return true;
     }
   }

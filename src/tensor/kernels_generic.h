@@ -638,7 +638,6 @@ void CopyMatchImpl(uint8_t* dst, size_t dist, size_t len) {
 template <typename Arch>
 const Backend* MakeBackendTable(const char* name, const char* isa) {
   static const Backend table = {
-      kBackendAbiVersion,
       name,
       isa,
       Arch::kWidth,

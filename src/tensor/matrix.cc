@@ -3,8 +3,8 @@
 #include <algorithm>
 #include <cmath>
 
+#include "src/tensor/backend.h"
 #include "src/tensor/half.h"
-#include "src/tensor/kernels.h"
 
 namespace dz {
 
@@ -16,24 +16,24 @@ Matrix Matrix::Random(int rows, int cols, Rng& rng, float stddev) {
   return m;
 }
 
-Matrix Matrix::Transposed() const { return kernels::Transpose(*this); }
+Matrix Matrix::Transposed() const { return kernels::ActiveBackend().transpose(*this); }
 
 Matrix& Matrix::AddInPlace(const Matrix& other) {
   DZ_CHECK_EQ(rows_, other.rows_);
   DZ_CHECK_EQ(cols_, other.cols_);
-  kernels::AddSpan(data_.data(), other.data_.data(), data_.size());
+  kernels::ActiveBackend().add_span(data_.data(), other.data_.data(), data_.size());
   return *this;
 }
 
 Matrix& Matrix::SubInPlace(const Matrix& other) {
   DZ_CHECK_EQ(rows_, other.rows_);
   DZ_CHECK_EQ(cols_, other.cols_);
-  kernels::SubSpan(data_.data(), other.data_.data(), data_.size());
+  kernels::ActiveBackend().sub_span(data_.data(), other.data_.data(), data_.size());
   return *this;
 }
 
 Matrix& Matrix::ScaleInPlace(float s) {
-  kernels::ScaleSpan(data_.data(), s, data_.size());
+  kernels::ActiveBackend().scale_span(data_.data(), s, data_.size());
   return *this;
 }
 
@@ -71,16 +71,23 @@ double Matrix::MeanAbs() const {
   return sum / static_cast<double>(data_.size());
 }
 
-Matrix Matmul(const Matrix& a, const Matrix& b) { return kernels::GemmNN(a, b); }
+Matrix Matmul(const Matrix& a, const Matrix& b) {
+  return kernels::ActiveBackend().gemm_nn(a, b);
+}
 
-Matrix MatmulNT(const Matrix& a, const Matrix& b) { return kernels::GemmNT(a, b); }
+Matrix MatmulNT(const Matrix& a, const Matrix& b) {
+  return kernels::ActiveBackend().gemm_nt(a, b);
+}
 
-Matrix MatmulTN(const Matrix& a, const Matrix& b) { return kernels::GemmTN(a, b); }
+Matrix MatmulTN(const Matrix& a, const Matrix& b) {
+  return kernels::ActiveBackend().gemm_tn(a, b);
+}
 
 void Axpy(float alpha, const Matrix& x, Matrix& y) {
   DZ_CHECK_EQ(x.rows(), y.rows());
   DZ_CHECK_EQ(x.cols(), y.cols());
-  kernels::AxpySpan(alpha, x.data().data(), y.data().data(), x.data().size());
+  kernels::ActiveBackend().axpy_span(alpha, x.data().data(), y.data().data(),
+                                     x.data().size());
 }
 
 Matrix Sub(const Matrix& a, const Matrix& b) {

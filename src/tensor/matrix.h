@@ -1,7 +1,7 @@
 // Dense row-major float matrix plus the GEMM entry points the transformer and
-// the compression solvers are built on. The implementations route through the
-// blocked kernel layer in kernels.h (bit-identical to the naive loops by the
-// parity contract documented there).
+// the compression solvers are built on. The implementations call the active
+// kernel backend (bit-identical to the naive loops by the contract documented
+// in backend.h).
 #ifndef SRC_TENSOR_MATRIX_H_
 #define SRC_TENSOR_MATRIX_H_
 

@@ -3,8 +3,8 @@
 #include <algorithm>
 #include <cmath>
 
+#include "src/tensor/backend.h"
 #include "src/tensor/half.h"
-#include "src/tensor/kernels.h"
 
 namespace dz {
 
@@ -126,7 +126,7 @@ Matrix PackedQuantMatrix::Dequantize() const {
 }
 
 Matrix PackedQuantMatrix::MatmulNT(const Matrix& x) const {
-  return kernels::QuantGemmNT(x, *this);
+  return kernels::ActiveBackend().quant_gemm_nt(x, *this);
 }
 
 std::optional<PackedQuantMatrix> PackedQuantMatrix::FromStorage(

@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
-#include "src/tensor/kernels.h"
+#include "src/tensor/backend.h"
 
 namespace dz {
 
@@ -98,7 +98,7 @@ Matrix Sparse24Matrix::Dequantize() const {
 }
 
 Matrix Sparse24Matrix::MatmulNT(const Matrix& x) const {
-  return kernels::Sparse24GemmNT(x, *this);
+  return kernels::ActiveBackend().sparse24_gemm_nt(x, *this);
 }
 
 std::optional<Sparse24Matrix> Sparse24Matrix::FromStorage(

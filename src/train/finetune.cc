@@ -67,7 +67,7 @@ double Pretrain(Transformer& model, const PretrainConfig& config, Rng& rng) {
   MarkovCorpus corpus(cfg.vocab_size, rng);
   AdamConfig adam_config;
   adam_config.lr = config.lr;
-  AdamModel adam(model.weights(), adam_config);
+  Adam adam(ParamSpans(model.mutable_weights()), adam_config);
 
   // Mix in task-formatted examples so the label-token subspace is pre-trained too
   // (analogous to instruction data in a real pre-training mix).
@@ -94,7 +94,7 @@ double Pretrain(Transformer& model, const PretrainConfig& config, Rng& rng) {
       }
     }
     grads.Scale(1.0f / static_cast<float>(config.batch));
-    adam.Step(model.mutable_weights(), grads);
+    adam.Step(ParamSpans(model.mutable_weights()), ParamSpans(grads));
     last_loss = loss / config.batch;
   }
   return last_loss;
@@ -105,7 +105,7 @@ double FineTuneFmt(Transformer& model, const Task& task, const FineTuneConfig& c
   AdamConfig adam_config;
   adam_config.lr = config.lr;
   adam_config.weight_decay = config.weight_decay;
-  AdamModel adam(model.weights(), adam_config);
+  Adam adam(ParamSpans(model.mutable_weights()), adam_config);
   const Matrix frozen_embedding = model.weights().embedding;
   const Matrix frozen_lm_head = model.weights().lm_head;
   double last_loss = 0.0;
@@ -117,7 +117,7 @@ double FineTuneFmt(Transformer& model, const Task& task, const FineTuneConfig& c
       loss += AccumulateGrads(model, ex.tokens, LastPositionTargets(ex), grads);
     }
     grads.Scale(1.0f / static_cast<float>(config.batch));
-    adam.Step(model.mutable_weights(), grads);
+    adam.Step(ParamSpans(model.mutable_weights()), ParamSpans(grads));
     if (config.freeze_embeddings) {
       // Keeping the restore inside the loop (rather than zeroing grads) also blocks
       // the optimizer's decoupled weight decay from drifting these tensors.
@@ -134,14 +134,15 @@ LoraAdapter FineTuneLora(const Transformer& base, const Task& task, int rank, fl
   LoraAdapter adapter = LoraAdapter::Init(base.weights(), rank, alpha, rng);
   const float s = adapter.scale();
 
-  // Per-factor Adam states, in factor order.
-  std::vector<std::pair<AdamMatrix, AdamMatrix>> opt;
+  // One optimizer over every factor's a and b, in factor order.
+  FloatSpans factor_spans;
+  for (LoraFactors& f : adapter.factors) {
+    factor_spans.emplace_back(f.a.data().data(), f.a.data().size());
+    factor_spans.emplace_back(f.b.data().data(), f.b.data().size());
+  }
   AdamConfig adam_config;
   adam_config.lr = config.lr;
-  for (const LoraFactors& f : adapter.factors) {
-    opt.emplace_back(AdamMatrix(f.a.rows(), f.a.cols(), adam_config),
-                     AdamMatrix(f.b.rows(), f.b.cols(), adam_config));
-  }
+  Adam adam(factor_spans, adam_config);
 
   for (int step = 0; step < config.steps; ++step) {
     // Materialize W_eff = W + s·B·A, take dense gradients, then project them onto the
@@ -154,18 +155,25 @@ LoraAdapter FineTuneLora(const Transformer& base, const Task& task, int rank, fl
     }
     grads.Scale(1.0f / static_cast<float>(config.batch));
 
+    // dA and dB for every factor, in factor_spans' order; every projection reads
+    // the factors before any of them steps.
     const std::vector<NamedLayer> grad_layers = grads.LinearLayers();
+    std::vector<Matrix> factor_grads;
     for (size_t i = 0; i < grad_layers.size(); ++i) {
-      LoraFactors& f = adapter.factors[i];
+      const LoraFactors& f = adapter.factors[i];
       const Matrix& dw = *grad_layers[i].weight;            // [out, in]
       Matrix db = MatmulNT(dw, f.a);                        // dW·Aᵀ → [out, r]
       db.ScaleInPlace(s);
       Matrix da = Matmul(f.b.Transposed(), dw);             // Bᵀ·dW → [r, in]
       da.ScaleInPlace(s);
-      auto& [opt_a, opt_b] = opt[i];
-      opt_a.Step(f.a, da);
-      opt_b.Step(f.b, db);
+      factor_grads.push_back(std::move(da));
+      factor_grads.push_back(std::move(db));
     }
+    FloatSpans grad_spans;
+    for (Matrix& g : factor_grads) {
+      grad_spans.emplace_back(g.data().data(), g.data().size());
+    }
+    adam.Step(factor_spans, grad_spans);
   }
   return adapter;
 }

@@ -6,8 +6,8 @@
 
 namespace dz {
 
-std::vector<std::pair<float*, size_t>> ParamSpans(ModelWeights& w) {
-  std::vector<std::pair<float*, size_t>> spans;
+FloatSpans ParamSpans(ModelWeights& w) {
+  FloatSpans spans;
   auto add_matrix = [&spans](Matrix& m) {
     spans.emplace_back(m.data().data(), m.data().size());
   };
@@ -29,27 +29,30 @@ std::vector<std::pair<float*, size_t>> ParamSpans(ModelWeights& w) {
   return spans;
 }
 
-AdamModel::AdamModel(const ModelWeights& shape, const AdamConfig& config)
-    : config_(config),
-      m_(ModelWeights::ZerosLike(shape)),
-      v_(ModelWeights::ZerosLike(shape)) {}
+Adam::Adam(const FloatSpans& params, const AdamConfig& config) : config_(config) {
+  size_t total = 0;
+  for (const auto& [ptr, n] : params) {
+    sizes_.push_back(n);
+    total += n;
+  }
+  m_.assign(total, 0.0f);
+  v_.assign(total, 0.0f);
+}
 
-void AdamModel::Step(ModelWeights& weights, ModelWeights& grads) {
+void Adam::Step(const FloatSpans& params, const FloatSpans& grads) {
+  DZ_CHECK_EQ(params.size(), sizes_.size());
+  DZ_CHECK_EQ(grads.size(), sizes_.size());
   ++t_;
   const float bc1 = 1.0f - std::pow(config_.beta1, static_cast<float>(t_));
   const float bc2 = 1.0f - std::pow(config_.beta2, static_cast<float>(t_));
-  auto w_spans = ParamSpans(weights);
-  auto g_spans = ParamSpans(grads);
-  auto m_spans = ParamSpans(m_);
-  auto v_spans = ParamSpans(v_);
-  DZ_CHECK_EQ(w_spans.size(), g_spans.size());
-  for (size_t s = 0; s < w_spans.size(); ++s) {
-    float* w = w_spans[s].first;
-    const float* g = g_spans[s].first;
-    float* m = m_spans[s].first;
-    float* v = v_spans[s].first;
-    const size_t n = w_spans[s].second;
-    DZ_CHECK_EQ(n, g_spans[s].second);
+  float* m = m_.data();
+  float* v = v_.data();
+  for (size_t s = 0; s < sizes_.size(); ++s) {
+    float* w = params[s].first;
+    const float* g = grads[s].first;
+    const size_t n = sizes_[s];
+    DZ_CHECK_EQ(params[s].second, n);
+    DZ_CHECK_EQ(grads[s].second, n);
     for (size_t i = 0; i < n; ++i) {
       m[i] = config_.beta1 * m[i] + (1.0f - config_.beta1) * g[i];
       v[i] = config_.beta2 * v[i] + (1.0f - config_.beta2) * g[i] * g[i];
@@ -58,26 +61,8 @@ void AdamModel::Step(ModelWeights& weights, ModelWeights& grads) {
       w[i] -= config_.lr * (mhat / (std::sqrt(vhat) + config_.eps) +
                             config_.weight_decay * w[i]);
     }
-  }
-}
-
-AdamMatrix::AdamMatrix(int rows, int cols, const AdamConfig& config)
-    : config_(config), m_(rows, cols), v_(rows, cols) {}
-
-void AdamMatrix::Step(Matrix& w, const Matrix& grad) {
-  DZ_CHECK_EQ(w.rows(), m_.rows());
-  DZ_CHECK_EQ(w.cols(), m_.cols());
-  ++t_;
-  const float bc1 = 1.0f - std::pow(config_.beta1, static_cast<float>(t_));
-  const float bc2 = 1.0f - std::pow(config_.beta2, static_cast<float>(t_));
-  for (size_t i = 0; i < w.data().size(); ++i) {
-    const float g = grad.data()[i];
-    m_.data()[i] = config_.beta1 * m_.data()[i] + (1.0f - config_.beta1) * g;
-    v_.data()[i] = config_.beta2 * v_.data()[i] + (1.0f - config_.beta2) * g * g;
-    const float mhat = m_.data()[i] / bc1;
-    const float vhat = v_.data()[i] / bc2;
-    w.data()[i] -= config_.lr * (mhat / (std::sqrt(vhat) + config_.eps) +
-                                 config_.weight_decay * w.data()[i]);
+    m += n;
+    v += n;
   }
 }
 

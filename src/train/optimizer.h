@@ -1,4 +1,5 @@
-// Adam optimizer over whole models and over individual matrices (for LoRA factors).
+// Adam optimizer over a fixed list of float spans: a model's parameters
+// (ParamSpans) or a LoRA adapter's factors.
 #ifndef SRC_TRAIN_OPTIMIZER_H_
 #define SRC_TRAIN_OPTIMIZER_H_
 
@@ -7,7 +8,6 @@
 #include <vector>
 
 #include "src/nn/transformer.h"
-#include "src/tensor/matrix.h"
 
 namespace dz {
 
@@ -19,34 +19,27 @@ struct AdamConfig {
   float weight_decay = 0.0f;  // decoupled (AdamW-style)
 };
 
+using FloatSpans = std::vector<std::pair<float*, size_t>>;
+
 // Enumerates every trainable float span of a model (weights and norm gains) in a fixed
-// order; the optimizer walks parameter/gradient/moment structures in lockstep.
-std::vector<std::pair<float*, size_t>> ParamSpans(ModelWeights& w);
+// order; the optimizer walks parameter/gradient/moment spans in lockstep.
+FloatSpans ParamSpans(ModelWeights& w);
 
-class AdamModel {
+class Adam {
  public:
-  AdamModel(const ModelWeights& shape, const AdamConfig& config);
+  // Zeroed moments for spans of the sizes of `params`, which every Step passes
+  // again in the same order.
+  Adam(const FloatSpans& params, const AdamConfig& config);
 
-  // One update: w -= lr * m̂ / (sqrt(v̂) + eps), with bias correction.
-  void Step(ModelWeights& weights, ModelWeights& grads);
+  // One update of every span: w -= lr * m̂ / (sqrt(v̂) + eps), with bias
+  // correction; grads[s] is the gradient of params[s].
+  void Step(const FloatSpans& params, const FloatSpans& grads);
 
  private:
   AdamConfig config_;
-  ModelWeights m_;
-  ModelWeights v_;
-  int t_ = 0;
-};
-
-class AdamMatrix {
- public:
-  AdamMatrix(int rows, int cols, const AdamConfig& config);
-
-  void Step(Matrix& w, const Matrix& grad);
-
- private:
-  AdamConfig config_;
-  Matrix m_;
-  Matrix v_;
+  std::vector<size_t> sizes_;
+  std::vector<float> m_;  // every span's moments, concatenated in span order
+  std::vector<float> v_;
   int t_ = 0;
 };
 

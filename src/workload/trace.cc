@@ -324,35 +324,18 @@ Trace GenerateTrace(const TraceConfig& config) {
   const TokenLengths output_lengths = LognormalTokens(
       config.output_mean_tokens, config.output_sigma, config.output_max_tokens);
 
-  // Aggregate Poisson process; each arrival is assigned to a model by (under
-  // kAzure, time-varying) weights.
-  if (!config.tenants.Enabled()) {
-    // Single-tenant path: bit-identical to the pre-tenant generator (the RNG
-    // consumption sequence is unchanged; test- and golden-enforced).
-    ModelChooser chooser(mix);
-    double t = 0.0;
-    int next_id = 0;
-    while (true) {
-      t += rng.Exponential(config.arrival_rate);
-      if (t >= config.duration_s) {
-        break;
-      }
-      TraceRequest req;
-      req.id = next_id++;
-      chooser.AdvanceTo(t);
-      req.model_id = chooser.Draw(rng);
-      req.arrival_s = t;
-      req.prompt_tokens = prompt_lengths.Sample(rng);
-      req.output_tokens = output_lengths.Sample(rng);
-      trace.requests.push_back(req);
-    }
-  } else {
-    // Multi-tenant path: each tenant is an independent Poisson process thinned
-    // against its scenario envelope (generate at the peak rate, accept with
-    // probability multiplier(t)/peak), so per-window arrival counts track
-    // arrival_rate x share x multiplier(t) within sampling noise. Per-tenant forked RNG streams keep the
-    // result deterministic under a fixed seed regardless of tenant count order.
-    const TenantConfig& tc = config.tenants;
+  // Each tenant is an independent Poisson process thinned against its scenario
+  // envelope (generate at the peak rate, accept with probability
+  // multiplier(t)/peak), so per-window arrival counts track arrival_rate x share
+  // x multiplier(t) within sampling noise; each arrival is assigned to a model
+  // by (under kAzure, time-varying) weights. Per-tenant forked RNG streams keep
+  // the result deterministic under a fixed seed regardless of tenant count
+  // order. A single-tenant trace is the one tenant at share and peak 1.0 that
+  // draws straight from `rng` with no thinning or SLO-class draw, so its RNG
+  // consumption is the pre-tenant generator's (test- and golden-enforced).
+  const TenantConfig& tc = config.tenants;
+  const bool multi_tenant = tc.Enabled();
+  if (multi_tenant) {
     DZ_CHECK_GE(tc.flash_tenant, 0);
     DZ_CHECK_LT(tc.flash_tenant, tc.n_tenants);
     DZ_CHECK_GE(tc.interactive_frac, 0.0);
@@ -364,54 +347,53 @@ Trace GenerateTrace(const TraceConfig& config) {
     DZ_CHECK_GE(tc.diurnal_amplitude, 0.0);
     DZ_CHECK_LE(tc.diurnal_amplitude, 1.0);
     DZ_CHECK_GT(tc.flash_boost, 0.0);
-    const std::vector<double> shares = TenantShares(tc);
-    for (int tenant = 0; tenant < tc.n_tenants; ++tenant) {
-      Rng trng = rng.Fork();
-      ModelChooser chooser(mix);  // the tenant's clock restarts at 0
-      const double peak = RatePeakMultiplier(tc, tenant);
-      const double peak_rate =
-          config.arrival_rate * shares[static_cast<size_t>(tenant)] * peak;
-      double t = 0.0;
-      while (true) {
-        t += trng.Exponential(peak_rate);
-        if (t >= config.duration_s) {
-          break;
-        }
+  }
+  const std::vector<double> shares = TenantShares(tc);
+  for (int tenant = 0; tenant < tc.n_tenants; ++tenant) {
+    Rng trng = multi_tenant ? rng.Fork() : rng;
+    ModelChooser chooser(mix);  // the tenant's clock restarts at 0
+    const double peak = RatePeakMultiplier(tc, tenant);
+    const double peak_rate =
+        config.arrival_rate * shares[static_cast<size_t>(tenant)] * peak;
+    double t = 0.0;
+    while (true) {
+      t += trng.Exponential(peak_rate);
+      if (t >= config.duration_s) {
+        break;
+      }
+      if (multi_tenant) {
         const double accept =
             RateMultiplierAt(tc, tenant, t, config.duration_s) / peak;
         if (trng.NextDouble() >= accept) {
           continue;  // thinned: outside the envelope's share of the peak rate
         }
-        TraceRequest req;
-        req.tenant_id = tenant;
-        chooser.AdvanceTo(t);
-        req.model_id = chooser.Draw(trng);
-        req.arrival_s = t;
+      }
+      TraceRequest req;
+      req.tenant_id = tenant;
+      chooser.AdvanceTo(t);
+      req.model_id = chooser.Draw(trng);
+      req.arrival_s = t;
+      if (multi_tenant) {
         const double cls = trng.NextDouble();
         req.slo = cls < tc.interactive_frac ? SloClass::kInteractive
                   : cls < tc.interactive_frac + tc.batch_frac ? SloClass::kBatch
                                                               : SloClass::kStandard;
-        req.prompt_tokens = prompt_lengths.Sample(trng);
-        req.output_tokens = output_lengths.Sample(trng);
-        trace.requests.push_back(req);
       }
+      req.prompt_tokens = prompt_lengths.Sample(trng);
+      req.output_tokens = output_lengths.Sample(trng);
+      trace.requests.push_back(req);
     }
   }
-  // Arrival times are generated increasing (per tenant in the multi-tenant
-  // path), but guarantee global order regardless of the arrival process (a
-  // stable sort of sorted input is the identity, so this is bit-identical for
-  // the single-tenant Poisson path) and enforce the shared invariants. Ties
-  // resolve to the lower tenant id (concatenation order).
+  // Arrival times are generated increasing per tenant; the stable sort merges
+  // the tenants (the identity on one tenant), ties resolving to the lower
+  // tenant id (concatenation order). Ids are assigned 0..n-1 in merged arrival
+  // order.
   std::stable_sort(trace.requests.begin(), trace.requests.end(),
                    [](const TraceRequest& a, const TraceRequest& b) {
                      return a.arrival_s < b.arrival_s;
                    });
-  if (config.tenants.Enabled()) {
-    // Ids are assigned 0..n-1 in (merged) arrival order, matching the
-    // single-tenant generator's contract.
-    for (size_t i = 0; i < trace.requests.size(); ++i) {
-      trace.requests[i].id = static_cast<int>(i);
-    }
+  for (size_t i = 0; i < trace.requests.size(); ++i) {
+    trace.requests[i].id = static_cast<int>(i);
   }
   trace.CheckWellFormed();
   return trace;

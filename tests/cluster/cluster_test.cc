@@ -5,9 +5,6 @@
 
 #include <gtest/gtest.h>
 
-#include "src/cluster/fault_model.h"
-#include "src/registry/registry.h"
-
 namespace dz {
 namespace {
 
@@ -106,71 +103,6 @@ TEST(ClusterTest, EveryRequestServedExactlyOnce) {
   }
 }
 
-TEST(ClusterTest, DeterministicAcrossWorkerParallelism) {
-  const Trace trace = GenerateTrace(SmallTraceConfig());
-  ClusterConfig cfg;
-  cfg.placer.n_gpus = 3;
-  cfg.placer.policy = PlacementPolicy::kDeltaAffinity;
-  cfg.engine = WorkerConfig();
-  cfg.parallel_workers = true;
-  const ClusterReport parallel = Cluster(cfg).Serve(trace);
-  cfg.parallel_workers = false;
-  const ClusterReport serial = Cluster(cfg).Serve(trace);
-  ExpectRecordsIdentical(parallel.merged.records, serial.merged.records);
-  EXPECT_DOUBLE_EQ(parallel.makespan_s(), serial.makespan_s());
-
-  // The elastic loop: faults, autoscaling and an erasure-coded registry. The
-  // pool runs workers longest-first, but every cross-worker sum (the repair
-  // meter's net time included) stays in id order, so nothing may move.
-  TraceConfig tc = SmallTraceConfig();
-  tc.n_models = 16;
-  tc.arrival_rate = 3.0;
-  tc.duration_s = 80.0;
-  const Trace busy = GenerateTrace(tc);
-  cfg.placer.n_gpus = 6;
-  cfg.engine.prefetch.enabled = true;
-  cfg.registry.enabled = true;
-  ASSERT_TRUE(ParseRedundancyPolicy("erasure(4,2)", cfg.registry.redundancy));
-  ASSERT_TRUE(ParseFaultPlan(
-      "crash@12:w1,recover@30:w1,slow@5-40:w2x0.5,part@20-35:w3,detect=2", cfg.faults));
-  cfg.autoscale.enabled = true;
-  cfg.autoscale.min_workers = 4;
-  cfg.autoscale.max_workers = 8;
-  cfg.autoscale.decision_interval_s = 5.0;
-  cfg.autoscale.cooldown_s = 10.0;
-  cfg.autoscale.scale_up_backlog_per_worker = 2.0;
-  cfg.autoscale.scale_down_backlog_per_worker = 1.0;
-  cfg.parallel_workers = true;
-  const ClusterReport elastic_parallel = Cluster(cfg).Serve(busy);
-  cfg.parallel_workers = false;
-  const ClusterReport elastic_serial = Cluster(cfg).Serve(busy);
-  ASSERT_TRUE(elastic_parallel.elastic.active);
-  EXPECT_EQ(elastic_parallel.elastic.crashes, 1);
-  EXPECT_GT(elastic_parallel.elastic.repair_bytes, 0.0);
-  ExpectRecordsIdentical(elastic_parallel.merged.records, elastic_serial.merged.records);
-  EXPECT_EQ(elastic_parallel.merged.metrics.ToJsonLine(),
-            elastic_serial.merged.metrics.ToJsonLine());
-  const ElasticStats& a = elastic_parallel.elastic;
-  const ElasticStats& b = elastic_serial.elastic;
-  EXPECT_EQ(a.offered, b.offered);
-  EXPECT_EQ(a.completed, b.completed);
-  EXPECT_EQ(a.shed, b.shed);
-  EXPECT_EQ(a.failed, b.failed);
-  EXPECT_EQ(a.retried, b.retried);
-  EXPECT_EQ(a.crashes, b.crashes);
-  EXPECT_EQ(a.recoveries, b.recoveries);
-  EXPECT_EQ(a.scale_ups, b.scale_ups);
-  EXPECT_EQ(a.scale_downs, b.scale_downs);
-  EXPECT_EQ(a.peak_workers, b.peak_workers);
-  EXPECT_EQ(a.final_workers, b.final_workers);
-  EXPECT_EQ(a.rewarm_loads, b.rewarm_loads);
-  EXPECT_EQ(a.rewarm_s, b.rewarm_s);
-  EXPECT_EQ(a.unavailable, b.unavailable);
-  EXPECT_EQ(a.repair_jobs, b.repair_jobs);
-  EXPECT_EQ(a.repair_bytes, b.repair_bytes);
-  EXPECT_EQ(a.fault_spec, b.fault_spec);
-}
-
 TEST(ClusterTest, DeltaAffinityShrinksPerGpuModelSets) {
   TraceConfig tc = SmallTraceConfig();
   tc.n_models = 24;
@@ -223,25 +155,6 @@ TEST(ClusterPrefetchTest, SingleGpuParityHoldsWithPrefetchEnabled) {
   EXPECT_EQ(report.TotalPrefetchHits(), direct.PrefetchHits());
   EXPECT_DOUBLE_EQ(report.TotalStallHiddenS(), direct.StallHiddenS());
   ExpectRecordsIdentical(report.merged.records, direct.records);
-}
-
-TEST(ClusterPrefetchTest, DeterministicAcrossWorkerParallelism) {
-  // Prefetch decisions live entirely inside each worker's simulated clock, so
-  // thread count must not change a single record or counter.
-  const Trace trace = GenerateTrace(SmallTraceConfig());
-  ClusterConfig cfg;
-  cfg.placer.n_gpus = 3;
-  cfg.placer.policy = PlacementPolicy::kDeltaAffinity;
-  cfg.engine = WorkerConfig();
-  cfg.engine.prefetch.enabled = true;
-  cfg.parallel_workers = true;
-  const ClusterReport parallel = Cluster(cfg).Serve(trace);
-  cfg.parallel_workers = false;
-  const ClusterReport serial = Cluster(cfg).Serve(trace);
-  ExpectRecordsIdentical(parallel.merged.records, serial.merged.records);
-  EXPECT_EQ(parallel.TotalPrefetchIssued(), serial.TotalPrefetchIssued());
-  EXPECT_EQ(parallel.TotalPrefetchHits(), serial.TotalPrefetchHits());
-  EXPECT_DOUBLE_EQ(parallel.TotalStallHiddenS(), serial.TotalStallHiddenS());
 }
 
 TEST(ClusterPrefetchTest, AffinityWarmHintsFollowRingHomes) {

@@ -4,8 +4,8 @@
 // and rates, a registry redundancy policy (or none), an engine and a
 // placement policy. Each run hashes its merged records, the merged metrics
 // (ToJsonLine), the per-worker metrics, the router's events and the elastic
-// ledger against the table at the bottom, once with the workers on the
-// thread pool and once serially.
+// ledger against the table at the bottom. CTest runs the pins twice: at the
+// default pool size and on a one-thread pool (DZ_THREADS=1).
 //
 // The table was recorded before the epoch loop routed through one shared
 // ring, ran each worker's engine start and record scan in its pool task and
@@ -213,16 +213,13 @@ TEST(RandomElasticDigestTest, EveryConfigMatchesItsPin) {
     RandomElasticConfig rc = MakeRandomConfig(0xe1a50000u + static_cast<uint64_t>(i));
     ASSERT_TRUE(rc.cluster.faults.Enabled() || rc.cluster.autoscale.Enabled()) << i;
     const Trace trace = GenerateTrace(rc.trace);
-    for (bool parallel : {true, false}) {
-      rc.cluster.parallel_workers = parallel;
-      const ClusterReport report = Cluster(rc.cluster).Serve(trace);
-      ASSERT_TRUE(report.elastic.active) << i;
-      const Digest got = DigestOf(report);
-      if (!SameDigest(got, kPins[i])) {
-        ++mismatches;
-        ADD_FAILURE() << "config " << i << (parallel ? " parallel" : " serial") << ": got "
-                      << PinLine(got) << ", pinned " << PinLine(kPins[i]);
-      }
+    const ClusterReport report = Cluster(rc.cluster).Serve(trace);
+    ASSERT_TRUE(report.elastic.active) << i;
+    const Digest got = DigestOf(report);
+    if (!SameDigest(got, kPins[i])) {
+      ++mismatches;
+      ADD_FAILURE() << "config " << i << ": got " << PinLine(got) << ", pinned "
+                    << PinLine(kPins[i]);
     }
   }
   EXPECT_EQ(mismatches, 0);

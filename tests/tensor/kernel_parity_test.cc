@@ -21,6 +21,7 @@
 #include <gtest/gtest.h>
 
 #include "src/compress/lossless.h"
+#include "src/tensor/backend.h"
 #include "src/util/rng.h"
 #include "tests/tensor/kernel_ref.h"
 
@@ -95,11 +96,11 @@ TEST_P(KernelParityTest, DenseGemmFamilyBitIdentical) {
       const std::string tag = "m=" + std::to_string(s.m) + " k=" + std::to_string(s.k) +
                               " n=" + std::to_string(s.n) +
                               " zf=" + std::to_string(zero_frac);
-      ExpectBitIdentical(kernels::GemmNT(a, b_nt), kernels::ref::GemmNT(a, b_nt),
+      ExpectBitIdentical(MatmulNT(a, b_nt), kernels::ref::GemmNT(a, b_nt),
                          "NT " + tag);
-      ExpectBitIdentical(kernels::GemmNN(a, b_nn), testing_ref::GemmNN(a, b_nn),
+      ExpectBitIdentical(Matmul(a, b_nn), testing_ref::GemmNN(a, b_nn),
                          "NN " + tag);
-      ExpectBitIdentical(kernels::GemmTN(a_tn, b_nn), testing_ref::GemmTN(a_tn, b_nn),
+      ExpectBitIdentical(MatmulTN(a_tn, b_nn), testing_ref::GemmTN(a_tn, b_nn),
                          "TN " + tag);
     }
   }
@@ -110,9 +111,9 @@ TEST_P(KernelParityTest, LargeParallelGemmBitIdentical) {
   Rng rng(12);
   Matrix a = RandomWithZeros(130, 300, rng, 0.3);
   Matrix b = RandomWithZeros(270, 300, rng, 0.3);
-  ExpectBitIdentical(kernels::GemmNT(a, b), kernels::ref::GemmNT(a, b), "NT large");
+  ExpectBitIdentical(MatmulNT(a, b), kernels::ref::GemmNT(a, b), "NT large");
   Matrix b_nn = RandomWithZeros(300, 270, rng, 0.3);
-  ExpectBitIdentical(kernels::GemmNN(a, b_nn.Transposed().Transposed()),
+  ExpectBitIdentical(Matmul(a, b_nn.Transposed().Transposed()),
                      testing_ref::GemmNN(a, b_nn), "NN large");
 }
 
@@ -273,11 +274,11 @@ TEST_P(KernelParityTest, TailShapesAndUnalignedRowsBitIdentical) {
         const std::string tag = "tail m=" + std::to_string(m) +
                                 " k=" + std::to_string(k) +
                                 " n=" + std::to_string(n);
-        ExpectBitIdentical(kernels::GemmNT(a, b_nt),
+        ExpectBitIdentical(MatmulNT(a, b_nt),
                            kernels::ref::GemmNT(a, b_nt), "NT " + tag);
-        ExpectBitIdentical(kernels::GemmNN(a, b_nn),
+        ExpectBitIdentical(Matmul(a, b_nn),
                            testing_ref::GemmNN(a, b_nn), "NN " + tag);
-        ExpectBitIdentical(kernels::GemmTN(a_tn, b_nn),
+        ExpectBitIdentical(MatmulTN(a_tn, b_nn),
                            testing_ref::GemmTN(a_tn, b_nn), "TN " + tag);
       }
       // Fused quant path at the same tail widths (group size 3 tolerates any
@@ -318,6 +319,7 @@ TEST_P(KernelParityTest, CodecBytesBackendInvariant) {
 
 TEST_P(KernelParityTest, SpanHelpersBitIdentical) {
   Rng rng(17);
+  const kernels::Backend& be = kernels::ActiveBackend();
   for (size_t n : {size_t{0}, size_t{1}, size_t{7}, size_t{1024}, size_t{1037}}) {
     std::vector<float> x(n), y(n), y2(n);
     for (size_t i = 0; i < n; ++i) {
@@ -329,16 +331,16 @@ TEST_P(KernelParityTest, SpanHelpersBitIdentical) {
                 true)
           << tag << " n=" << n;
     };
-    kernels::AddSpan(y.data(), x.data(), n);
+    be.add_span(y.data(), x.data(), n);
     for (size_t i = 0; i < n; ++i) y2[i] += x[i];
     expect_same("add");
-    kernels::SubSpan(y.data(), x.data(), n);
+    be.sub_span(y.data(), x.data(), n);
     for (size_t i = 0; i < n; ++i) y2[i] -= x[i];
     expect_same("sub");
-    kernels::ScaleSpan(y.data(), 0.37f, n);
+    be.scale_span(y.data(), 0.37f, n);
     for (size_t i = 0; i < n; ++i) y2[i] *= 0.37f;
     expect_same("scale");
-    kernels::AxpySpan(-1.7f, x.data(), y.data(), n);
+    be.axpy_span(-1.7f, x.data(), y.data(), n);
     for (size_t i = 0; i < n; ++i) y2[i] += -1.7f * x[i];
     expect_same("axpy");
     // Signed-zero scalars: a broadcast that loses -0.0's sign (0.0f + s)
@@ -352,11 +354,11 @@ TEST_P(KernelParityTest, SpanHelpersBitIdentical) {
         }
       };
       reset();
-      kernels::ScaleSpan(y.data(), s, n);
+      be.scale_span(y.data(), s, n);
       for (size_t i = 0; i < n; ++i) y2[i] *= s;
       expect_same(std::signbit(s) ? "scale -0.0" : "scale +0.0");
       reset();
-      kernels::AxpySpan(s, x.data(), y.data(), n);
+      be.axpy_span(s, x.data(), y.data(), n);
       for (size_t i = 0; i < n; ++i) y2[i] += s * x[i];
       expect_same(std::signbit(s) ? "axpy -0.0" : "axpy +0.0");
     }

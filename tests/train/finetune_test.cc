@@ -1,6 +1,8 @@
 #include "src/train/finetune.h"
 
 #include <cmath>
+#include <cstring>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -10,17 +12,25 @@
 namespace dz {
 namespace {
 
+FloatSpans SpansOf(std::vector<Matrix*> ms) {
+  FloatSpans spans;
+  for (Matrix* m : ms) {
+    spans.emplace_back(m->data().data(), m->data().size());
+  }
+  return spans;
+}
+
 TEST(OptimizerTest, AdamReducesQuadraticLoss) {
-  // Minimize ||W||² on a single matrix via AdamMatrix.
+  // Minimize ||W||² on a single matrix.
   Rng rng(1);
   Matrix w = Matrix::Random(4, 4, rng, 1.0f);
   AdamConfig cfg;
   cfg.lr = 0.05f;
-  AdamMatrix opt(4, 4, cfg);
+  Adam opt(SpansOf({&w}), cfg);
   const double before = w.FrobeniusNorm();
   for (int i = 0; i < 200; ++i) {
     Matrix grad = w;  // d(||W||²/2)/dW = W
-    opt.Step(w, grad);
+    opt.Step(SpansOf({&w}), SpansOf({&grad}));
   }
   EXPECT_LT(w.FrobeniusNorm(), before * 0.05);
 }
@@ -48,8 +58,8 @@ TEST(OptimizerTest, AdamModelStepChangesAllSpans) {
     }
   }
   AdamConfig cfg;
-  AdamModel adam(w, cfg);
-  adam.Step(w, grads);
+  Adam adam(ParamSpans(w), cfg);
+  adam.Step(ParamSpans(w), ParamSpans(grads));
   auto before_spans = ParamSpans(const_cast<ModelWeights&>(before));
   auto after_spans = ParamSpans(w);
   for (size_t s = 0; s < after_spans.size(); ++s) {
@@ -61,6 +71,157 @@ TEST(OptimizerTest, AdamModelStepChangesAllSpans) {
       }
     }
     EXPECT_TRUE(changed) << "span " << s << " untouched by optimizer";
+  }
+}
+
+// Test-local copies of the two optimizers that Adam replaced: one over a whole
+// model's ParamSpans, one per LoRA factor matrix. Adam must step parameters
+// exactly as they did, bit for bit.
+class ReferenceAdamModel {
+ public:
+  ReferenceAdamModel(const ModelWeights& shape, const AdamConfig& config)
+      : config_(config),
+        m_(ModelWeights::ZerosLike(shape)),
+        v_(ModelWeights::ZerosLike(shape)) {}
+
+  void Step(ModelWeights& weights, ModelWeights& grads) {
+    ++t_;
+    const float bc1 = 1.0f - std::pow(config_.beta1, static_cast<float>(t_));
+    const float bc2 = 1.0f - std::pow(config_.beta2, static_cast<float>(t_));
+    auto w_spans = ParamSpans(weights);
+    auto g_spans = ParamSpans(grads);
+    auto m_spans = ParamSpans(m_);
+    auto v_spans = ParamSpans(v_);
+    for (size_t s = 0; s < w_spans.size(); ++s) {
+      float* w = w_spans[s].first;
+      const float* g = g_spans[s].first;
+      float* m = m_spans[s].first;
+      float* v = v_spans[s].first;
+      for (size_t i = 0; i < w_spans[s].second; ++i) {
+        m[i] = config_.beta1 * m[i] + (1.0f - config_.beta1) * g[i];
+        v[i] = config_.beta2 * v[i] + (1.0f - config_.beta2) * g[i] * g[i];
+        const float mhat = m[i] / bc1;
+        const float vhat = v[i] / bc2;
+        w[i] -= config_.lr * (mhat / (std::sqrt(vhat) + config_.eps) +
+                              config_.weight_decay * w[i]);
+      }
+    }
+  }
+
+ private:
+  AdamConfig config_;
+  ModelWeights m_;
+  ModelWeights v_;
+  int t_ = 0;
+};
+
+class ReferenceAdamMatrix {
+ public:
+  ReferenceAdamMatrix(int rows, int cols, const AdamConfig& config)
+      : config_(config), m_(rows, cols), v_(rows, cols) {}
+
+  void Step(Matrix& w, const Matrix& grad) {
+    ++t_;
+    const float bc1 = 1.0f - std::pow(config_.beta1, static_cast<float>(t_));
+    const float bc2 = 1.0f - std::pow(config_.beta2, static_cast<float>(t_));
+    for (size_t i = 0; i < w.data().size(); ++i) {
+      const float g = grad.data()[i];
+      m_.data()[i] = config_.beta1 * m_.data()[i] + (1.0f - config_.beta1) * g;
+      v_.data()[i] = config_.beta2 * v_.data()[i] + (1.0f - config_.beta2) * g * g;
+      const float mhat = m_.data()[i] / bc1;
+      const float vhat = v_.data()[i] / bc2;
+      w.data()[i] -= config_.lr * (mhat / (std::sqrt(vhat) + config_.eps) +
+                                   config_.weight_decay * w.data()[i]);
+    }
+  }
+
+ private:
+  AdamConfig config_;
+  Matrix m_;
+  Matrix v_;
+  int t_ = 0;
+};
+
+void FillNormal(const FloatSpans& spans, Rng& rng) {
+  for (const auto& [ptr, n] : spans) {
+    for (size_t i = 0; i < n; ++i) {
+      ptr[i] = static_cast<float>(rng.Normal(0.0, 0.5));
+    }
+  }
+}
+
+bool SameBits(const FloatSpans& a, const FloatSpans& b) {
+  if (a.size() != b.size()) {
+    return false;
+  }
+  for (size_t s = 0; s < a.size(); ++s) {
+    if (a[s].second != b[s].second ||
+        std::memcmp(a[s].first, b[s].first, a[s].second * sizeof(float)) != 0) {
+      return false;
+    }
+  }
+  return true;
+}
+
+TEST(OptimizerReferenceTest, ModelStepsMatchTheWholeModelOptimizer) {
+  Rng rng(6);
+  ModelWeights w = ModelWeights::RandomInit(ModelConfig::Tiny(), rng);
+  ModelWeights ref_w = w;
+  AdamConfig cfg;
+  cfg.lr = 0.01f;
+  cfg.weight_decay = 0.05f;
+  Adam adam(ParamSpans(w), cfg);
+  ReferenceAdamModel ref(w, cfg);
+  for (int step = 0; step < 6; ++step) {
+    ModelWeights grads = ModelWeights::ZerosLike(w);
+    FillNormal(ParamSpans(grads), rng);
+    adam.Step(ParamSpans(w), ParamSpans(grads));
+    ref.Step(ref_w, grads);
+    ASSERT_TRUE(SameBits(ParamSpans(w), ParamSpans(ref_w))) << "step " << step;
+  }
+}
+
+// Every factor's a and b, in factor order: the spans FineTuneLora steps.
+FloatSpans FactorSpans(LoraAdapter& adapter) {
+  std::vector<Matrix*> ms;
+  for (LoraFactors& f : adapter.factors) {
+    ms.push_back(&f.a);
+    ms.push_back(&f.b);
+  }
+  return SpansOf(ms);
+}
+
+TEST(OptimizerReferenceTest, LoraStepsMatchThePerFactorOptimizers) {
+  Rng rng(7);
+  const ModelWeights base = ModelWeights::RandomInit(ModelConfig::Tiny(), rng);
+  LoraAdapter adapter = LoraAdapter::Init(base, 4, 8.0f, rng);
+  LoraAdapter ref_adapter = adapter;
+  AdamConfig cfg;
+  cfg.lr = 0.02f;
+  Adam adam(FactorSpans(adapter), cfg);
+  std::vector<std::pair<ReferenceAdamMatrix, ReferenceAdamMatrix>> ref;
+  for (const LoraFactors& f : adapter.factors) {
+    ref.emplace_back(ReferenceAdamMatrix(f.a.rows(), f.a.cols(), cfg),
+                     ReferenceAdamMatrix(f.b.rows(), f.b.cols(), cfg));
+  }
+  for (int step = 0; step < 6; ++step) {
+    std::vector<Matrix> grads;
+    std::vector<Matrix*> grad_ptrs;
+    for (const LoraFactors& f : adapter.factors) {
+      grads.emplace_back(f.a.rows(), f.a.cols());
+      grads.emplace_back(f.b.rows(), f.b.cols());
+    }
+    for (Matrix& g : grads) {
+      grad_ptrs.push_back(&g);
+    }
+    FillNormal(SpansOf(grad_ptrs), rng);
+    adam.Step(FactorSpans(adapter), SpansOf(grad_ptrs));
+    for (size_t i = 0; i < ref.size(); ++i) {
+      ref[i].first.Step(ref_adapter.factors[i].a, grads[2 * i]);
+      ref[i].second.Step(ref_adapter.factors[i].b, grads[2 * i + 1]);
+    }
+    ASSERT_TRUE(SameBits(FactorSpans(adapter), FactorSpans(ref_adapter)))
+        << "step " << step;
   }
 }
 
