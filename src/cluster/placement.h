@@ -95,13 +95,12 @@ class Placer {
   // consume or update backlog, so it is safe to call for prefetch hinting.
   int HomeGpu(int model_id) const;
 
-  // Current per-member backlog estimates (token units), aligned with
-  // worker_ids(); exposed for tests.
-  const std::vector<double>& backlogs() const { return backlog_; }
   // The global worker ids this placer routes across, ascending.
   const std::vector<int>& worker_ids() const { return ids_; }
 
  private:
+  friend struct PlacerTestPeer;
+
   struct RingPoint {
     uint64_t hash = 0;
     int id = 0;  // global worker id

@@ -40,8 +40,6 @@ class Router {
   std::vector<std::vector<int>> WarmHints(const Trace& trace,
                                           const std::vector<int>& shard_of) const;
 
-  const PlacerConfig& config() const { return config_; }
-
  private:
   PlacerConfig config_;
 };

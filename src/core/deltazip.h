@@ -66,8 +66,6 @@ class DeltaZipService {
   int variant_count() const { return static_cast<int>(variants_.size()); }
   VariantInfo variant_info(int id) const;
 
-  const Transformer& base() const { return base_; }
-
   // Greedy generation against a variant (id < 0 → the base model itself), executing
   // the decoupled base+delta (or base+adapter) computation.
   std::vector<int> Generate(int variant_id, const std::vector<int>& prompt, int max_new,

@@ -89,18 +89,17 @@ class LogHistogram {
   double sum() const { return sum_; }
   double min() const { return count_ > 0 ? min_ : 0.0; }
   double max() const { return count_ > 0 ? max_ : 0.0; }
-  double mean() const { return count_ > 0 ? sum_ / static_cast<double>(count_) : 0.0; }
 
   // q in [0, 1] (0.5 = p50). Defined for every state (see class comment).
   double Quantile(double q) const;
 
-  // Raw bucket access (tests, sparse serialization). Bucket i spans
-  // [BucketLowerBound(i), BucketUpperBound(i)).
-  long long bucket_count(int i) const { return counts_[static_cast<size_t>(i)]; }
+  // Bucket i spans [BucketLowerBound(i), BucketUpperBound(i)).
   static double BucketLowerBound(int i);
   static double BucketUpperBound(int i);
 
  private:
+  friend struct LogHistogramTestPeer;
+
   static int BucketIndex(double v);
 
   std::vector<long long> counts_ = std::vector<long long>(kNumBuckets, 0);

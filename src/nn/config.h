@@ -37,22 +37,10 @@ struct ModelConfig {
   // mirror the paper's model families (Pythia-2.8B, Llama 7B/13B/70B, Gemma-2) but at
   // simulation scale; the *serving-side* footprint of the paper-scale models is handled
   // separately by simgpu::ModelShape.
-  static ModelConfig Tiny();     // unit tests
   static ModelConfig Small();    // "pythia-sim"
   static ModelConfig Medium();   // "llama-sim"
   static ModelConfig Large();    // "llama-13b-sim" class
 };
-
-inline ModelConfig ModelConfig::Tiny() {
-  ModelConfig c;
-  c.vocab_size = 128;  // big enough for the shared task vocabulary layout
-  c.d_model = 32;
-  c.n_layers = 2;
-  c.n_heads = 4;
-  c.d_ff = 64;
-  c.max_seq = 32;
-  return c;
-}
 
 inline ModelConfig ModelConfig::Small() {
   ModelConfig c;

@@ -63,8 +63,6 @@ struct PathSegments {
   double compute_s = 0.0;
   double preempt_s = 0.0;
 
-  double Sum() const { return queue_s + load_s + compute_s + preempt_s; }
-
   void Add(const PathSegments& other) {
     queue_s += other.queue_s;
     load_s += other.load_s;

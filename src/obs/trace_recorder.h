@@ -121,9 +121,6 @@ class TraceRecorder {
     EmitEnabled(event);
   }
 
-  // Events currently held (<= ring_capacity in ring mode).
-  size_t size() const { return events_.size(); }
-
   // Events overwritten in ring mode (0 in full mode).
   long long dropped() const { return dropped_; }
 

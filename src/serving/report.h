@@ -88,9 +88,6 @@ struct ServeReport {
   int PrefetchHits() const { return Count("store.prefetch.hits"); }
   int PrefetchWasted() const { return Count("store.prefetch.wasted"); }
   double StallHiddenS() const { return metrics.Value("store.prefetch.stall_hidden_s"); }
-  // Cumulative busy seconds per transfer channel (utilization = busy / makespan).
-  double DiskBusyS() const { return ChannelBusyS("disk"); }
-  double PcieBusyS() const { return ChannelBusyS("pcie"); }
 
   size_t completed() const { return records.size(); }
   double ThroughputRps() const;    // completed requests / makespan
@@ -135,9 +132,6 @@ struct ServeReport {
  private:
   int Count(const char* name, const MetricLabels& labels = {}) const {
     return static_cast<int>(metrics.Value(name, labels));
-  }
-  double ChannelBusyS(const char* channel) const {
-    return metrics.Value(metric::kChannelBusyS, {{"channel", channel}});
   }
 };
 

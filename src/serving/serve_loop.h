@@ -299,15 +299,10 @@ class ServeLoop {
   const PendingReq& pending(int h) const { return slab_[static_cast<size_t>(h)].state; }
   RunningReq& req(int h) { return slab_[static_cast<size_t>(h)]; }
   const RunningReq& req(int h) const { return slab_[static_cast<size_t>(h)]; }
-  // The slab's unused slots.
-  const std::vector<int>& free_slots() const { return free_; }
   // The waiting queue's and the running batch's requests, by variant. The
   // running set is running_variants().ids.
   const VariantCounts& queued_variants() const { return queued_; }
   const VariantCounts& running_variants() const { return running_set_; }
-  // A lower bound on every queued request's MeetableUntil under admission
-  // control (infinity otherwise): before it, Shed would shed nothing.
-  double shed_until_s() const { return shed_until_s_; }
   // KV tokens the running batch reserves (prompt + full output per request).
   long long KvTokensInUse() const { return kv_in_use_; }
   // The running batch's decoding requests, by variant.
@@ -324,6 +319,8 @@ class ServeLoop {
   RunIt Preempt(RunIt it, double now, bool swap_out);
 
  private:
+  friend struct ServeLoopTestPeer;
+
   // Where RunUntil resumes: the loop top, admission (after an ingest that left
   // nothing outstanding), or the idle fast-forward.
   enum class Step { kTop, kAdmit, kIdle };
@@ -387,6 +384,8 @@ class ServeLoop {
   size_t requeued_ = 0;  // preempted or unparked requests at the back of queue_
   std::vector<int> requeue_scratch_;
   VariantCounts queued_;  // queued_variants(), kept as queue_ changes
+  // A lower bound on every queued request's MeetableUntil under admission
+  // control (infinity otherwise): before it, Shed would shed nothing.
   double shed_until_s_ = std::numeric_limits<double>::infinity();
   std::vector<int> running_;
   VariantCounts running_set_;  // running_variants(), kept as running_ changes

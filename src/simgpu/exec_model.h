@@ -24,7 +24,6 @@ class ExecModel {
  public:
   explicit ExecModel(const ExecModelConfig& config);
 
-  const ExecModelConfig& config() const { return config_; }
   const KernelModel& kernels() const { return kernels_; }
 
   // --- base-model path (dense fp16, shared across variants) ---

@@ -30,7 +30,6 @@ struct ModelShape {
   size_t TotalParams() const;
 
   size_t Fp16Bytes() const { return TotalParams() * 2; }
-  size_t LinearFp16Bytes() const { return LinearParams() * 2; }
 
   // KV-cache bytes per token (fp16 K and V across layers).
   size_t KvBytesPerToken() const;

@@ -17,27 +17,6 @@ uint16_t FloatToHalfBits(float f);
 // Converts a binary16 bit pattern to float (exact).
 float HalfBitsToFloat(uint16_t h);
 
-// Value type wrapper. Arithmetic happens in float; storage is 16 bits.
-class Half {
- public:
-  Half() = default;
-  explicit Half(float f) : bits_(FloatToHalfBits(f)) {}
-
-  static Half FromBits(uint16_t bits) {
-    Half h;
-    h.bits_ = bits;
-    return h;
-  }
-
-  float ToFloat() const { return HalfBitsToFloat(bits_); }
-  uint16_t bits() const { return bits_; }
-
-  friend bool operator==(Half a, Half b) { return a.bits_ == b.bits_; }
-
- private:
-  uint16_t bits_ = 0;
-};
-
 // Rounds a float through fp16 precision (the common "store in half" operation).
 inline float RoundToHalf(float f) { return HalfBitsToFloat(FloatToHalfBits(f)); }
 

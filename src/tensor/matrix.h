@@ -17,15 +17,12 @@ class Matrix {
  public:
   Matrix() = default;
   Matrix(int rows, int cols) : rows_(rows), cols_(cols), data_(ElemCount(rows, cols), 0.0f) {}
-  Matrix(int rows, int cols, float fill)
-      : rows_(rows), cols_(cols), data_(ElemCount(rows, cols), fill) {}
 
   static Matrix Random(int rows, int cols, Rng& rng, float stddev);
 
   int rows() const { return rows_; }
   int cols() const { return cols_; }
   size_t size() const { return data_.size(); }
-  bool empty() const { return data_.empty(); }
 
   float& at(int r, int c) {
     DZ_CHECK_GE(r, 0);

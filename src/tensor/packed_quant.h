@@ -42,7 +42,6 @@ class PackedQuantMatrix {
   int group_size() const { return group_size_; }
   int groups_per_row() const { return groups_per_row_; }
   int words_per_row() const { return words_per_row_; }
-  bool empty() const { return rows_ == 0; }
 
   // Serialized footprint: packed words + per-group scale (fp16) + zero (uint8).
   size_t ByteSize() const;

@@ -48,9 +48,6 @@ class Sparse24Matrix {
 
   int rows() const { return values_.rows(); }
   int cols() const { return cols_; }
-  int bits() const { return values_.bits(); }
-  int group_size() const { return values_.group_size(); }
-  bool empty() const { return values_.empty(); }
 
   size_t ByteSize() const;
 

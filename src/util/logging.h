@@ -1,7 +1,7 @@
 // Minimal leveled logger used across the library.
 //
 // Usage:  DZ_LOG(kInfo) << "loaded delta " << id << " in " << ms << " ms";
-// The global threshold is settable via SetLogLevel(); default prints kInfo and above.
+// The global threshold is GlobalLogLevel(); default prints kInfo and above.
 #ifndef SRC_UTIL_LOGGING_H_
 #define SRC_UTIL_LOGGING_H_
 
@@ -21,8 +21,6 @@ enum class LogLevel : int {
 
 // Returns the mutable global log threshold.
 LogLevel& GlobalLogLevel();
-
-inline void SetLogLevel(LogLevel level) { GlobalLogLevel() = level; }
 
 const char* LogLevelName(LogLevel level);
 

@@ -9,13 +9,6 @@
 namespace dz {
 
 void RunningStats::Add(double x) {
-  if (count_ == 0) {
-    min_ = x;
-    max_ = x;
-  } else {
-    min_ = std::min(min_, x);
-    max_ = std::max(max_, x);
-  }
   ++count_;
   const double delta = x - mean_;
   mean_ += delta / static_cast<double>(count_);
@@ -66,7 +59,6 @@ void Histogram::Add(double x) {
   // Clamp before the cast: a value far outside [lo, hi] does not fit an int.
   const double pos = (x - lo_) / (hi_ - lo_) * n;
   ++counts_[static_cast<int>(std::clamp(pos, 0.0, static_cast<double>(n - 1)))];
-  ++total_;
 }
 
 double Histogram::bin_lo(int i) const {

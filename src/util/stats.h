@@ -8,25 +8,19 @@
 
 namespace dz {
 
-// Streaming mean/variance/min/max accumulator (Welford's algorithm).
+// Streaming mean/variance accumulator (Welford's algorithm).
 class RunningStats {
  public:
   void Add(double x);
 
-  size_t count() const { return count_; }
   double mean() const { return count_ > 0 ? mean_ : 0.0; }
   double variance() const;  // population variance
   double stddev() const;
-  double min() const { return count_ > 0 ? min_ : 0.0; }
-  double max() const { return count_ > 0 ? max_ : 0.0; }
-  double sum() const { return mean_ * static_cast<double>(count_); }
 
  private:
   size_t count_ = 0;
   double mean_ = 0.0;
   double m2_ = 0.0;
-  double min_ = 0.0;
-  double max_ = 0.0;
 };
 
 // Percentile of a sample set (linear interpolation). p in [0, 100].
@@ -45,7 +39,6 @@ class Histogram {
   int bins() const { return static_cast<int>(counts_.size()); }
   double bin_lo(int i) const;
   double bin_hi(int i) const;
-  size_t total() const { return total_; }
 
   // Renders a compact ASCII bar chart (for bench output).
   std::string ToAscii(int width = 40) const;
@@ -54,7 +47,6 @@ class Histogram {
   double lo_;
   double hi_;
   std::vector<int> counts_;
-  size_t total_ = 0;
 };
 
 }  // namespace dz

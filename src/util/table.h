@@ -21,8 +21,6 @@ class Table {
   std::string ToAscii() const;
   std::string ToCsv() const;
 
-  size_t rows() const { return rows_.size(); }
-
  private:
   std::vector<std::string> header_;
   std::vector<std::vector<std::string>> rows_;

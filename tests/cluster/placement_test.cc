@@ -106,7 +106,7 @@ TEST(PlacerTest, LeastOutstandingDrainsBacklogOverTime) {
   // 20 s later GPU 0 drained 1000 − 2000 → 0, GPU 1 still holds nothing either;
   // the argmin tie goes back to GPU 0.
   EXPECT_EQ(placer.Assign(Req(2, 2, 20.0, 10, 10)), 0);
-  const auto& backlogs = placer.backlogs();
+  const auto& backlogs = PlacerTestPeer::Backlogs(placer);
   EXPECT_DOUBLE_EQ(backlogs[0], 20.0);
   EXPECT_DOUBLE_EQ(backlogs[1], 0.0);
 }
@@ -149,7 +149,7 @@ TEST(PlacerTest, DeltaAffinityBoundedLoadSpillsHotModel) {
   }
   EXPECT_GT(used.size(), 1u) << "bounded load must spill a hot variant";
   // And the spill keeps the max/mean backlog ratio near the bound.
-  const auto& backlogs = placer.backlogs();
+  const auto& backlogs = PlacerTestPeer::Backlogs(placer);
   double total = 0.0;
   double max_b = 0.0;
   for (double b : backlogs) {

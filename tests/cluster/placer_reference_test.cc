@@ -64,10 +64,10 @@ int ExpectSamePlacement(const PlacerConfig& cfg, Placer& placer,
                          ? ref.HomeGpu(r.model_id)
                          : ref.HomeGpuForTenant(r.tenant_id);
     spilled += gpu != home ? 1 : 0;
-    EXPECT_EQ(placer.backlogs().size(), ref.backlogs().size()) << where;
+    EXPECT_EQ(PlacerTestPeer::Backlogs(placer).size(), ref.backlogs().size()) << where;
     for (size_t s = 0; s < ref.backlogs().size(); ++s) {
       // Bit for bit: the sums run in the same order.
-      EXPECT_EQ(placer.backlogs()[s], ref.backlogs()[s])
+      EXPECT_EQ(PlacerTestPeer::Backlogs(placer)[s], ref.backlogs()[s])
           << where << " request " << r.id << " slot " << s;
     }
     if (::testing::Test::HasFailure()) {

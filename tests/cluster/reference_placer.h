@@ -15,6 +15,13 @@
 #include "src/util/check.h"
 
 namespace dz {
+
+// Reads Placer's per-member backlog estimates (token units, aligned with
+// worker_ids()), which no shipped caller needs.
+struct PlacerTestPeer {
+  static const std::vector<double>& Backlogs(const Placer& placer) { return placer.backlog_; }
+};
+
 namespace testing_ref {
 
 class ReferencePlacer {

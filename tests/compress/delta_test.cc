@@ -7,6 +7,7 @@
 #include "src/train/finetune.h"
 #include "src/util/rng.h"
 #include "src/util/thread_pool.h"
+#include "tests/nn/tiny_config.h"
 
 namespace dz {
 namespace {
@@ -15,7 +16,7 @@ namespace {
 class DeltaCompressTest : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
-    const ModelConfig cfg = ModelConfig::Tiny();
+    const ModelConfig cfg = TinyModelConfig();
     Rng rng(42);
     base_ = new Transformer(ModelWeights::RandomInit(cfg, rng));
     PretrainConfig pre;
@@ -131,7 +132,7 @@ TEST_F(DeltaCompressTest, OverlayMatchesMergedWeights) {
 TEST_F(DeltaCompressTest, MakeOverlayRefusesArtifactOfAnotherArchitecture) {
   const CompressedDelta delta = DeltaCompress(base_->weights(), finetuned_->weights(),
                                               *calibration_, DeltaCompressConfig{});
-  ModelConfig wider_ff = ModelConfig::Tiny();
+  ModelConfig wider_ff = TinyModelConfig();
   wider_ff.d_ff *= 2;
   Rng rng(3);
   const ModelWeights other = ModelWeights::RandomInit(wider_ff, rng);
@@ -300,7 +301,7 @@ TEST_F(DeltaCompressTest, DriverOutputsArePinned) {
 
 TEST(CalibrationTest, CapturesExpectedShape) {
   Rng rng(9);
-  const ModelConfig cfg = ModelConfig::Tiny();
+  const ModelConfig cfg = TinyModelConfig();
   const Transformer model(ModelWeights::RandomInit(cfg, rng));
   const std::vector<std::vector<int>> calib = {{1, 2, 3}, {4, 5, 6, 7}};
   const Matrix x = CaptureLayerInput(model, calib, "layer0.wq");

@@ -10,6 +10,7 @@
 #include "src/train/finetune.h"
 #include "src/util/rng.h"
 #include "tests/compress/delta_file.h"
+#include "tests/nn/tiny_config.h"
 
 namespace dz {
 namespace {
@@ -18,7 +19,7 @@ namespace {
 class SerializeTest : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
-    const ModelConfig cfg = ModelConfig::Tiny();
+    const ModelConfig cfg = TinyModelConfig();
     Rng rng(321);
     base_ = new Transformer(ModelWeights::RandomInit(cfg, rng));
     PretrainConfig pre;
@@ -238,7 +239,7 @@ TEST(SerializeGeometryTest, AcceptsTheUnbrokenRawLayer) {
   ASSERT_TRUE(DecodeDelta(EncodeRaw(RawLayer()), decoded));
   ASSERT_EQ(decoded.layers.size(), 1u);
   EXPECT_EQ(decoded.layers[0].sparse.rows(), 8);
-  EXPECT_EQ(decoded.layers[0].sparse.group_size(), 4);
+  EXPECT_EQ(decoded.layers[0].sparse.values().group_size(), 4);
 }
 
 // Each geometry the kernels cannot index safely is rejected, not aborted on.

@@ -11,12 +11,13 @@
 #include "src/train/finetune.h"
 #include "src/workload/trace_io.h"
 #include "tests/compress/delta_file.h"
+#include "tests/nn/tiny_config.h"
 
 namespace dz {
 namespace {
 
 TEST(ArtifactWorkflowTest, CompressShipServeAcrossServices) {
-  const ModelConfig cfg = ModelConfig::Tiny();
+  const ModelConfig cfg = TinyModelConfig();
   Rng rng(808);
   Transformer base(ModelWeights::RandomInit(cfg, rng));
   PretrainConfig pre;

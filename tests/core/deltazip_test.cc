@@ -8,6 +8,7 @@
 #include "src/compress/serialize.h"
 #include "src/train/finetune.h"
 #include "tests/compress/delta_file.h"
+#include "tests/nn/tiny_config.h"
 
 namespace dz {
 namespace {
@@ -15,7 +16,7 @@ namespace {
 class DeltaZipServiceTest : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
-    const ModelConfig cfg = ModelConfig::Tiny();
+    const ModelConfig cfg = TinyModelConfig();
     Rng rng(99);
     auto base = Transformer(ModelWeights::RandomInit(cfg, rng));
     PretrainConfig pre;
@@ -37,6 +38,7 @@ class DeltaZipServiceTest : public ::testing::Test {
 
     DeltaCompressConfig compress;
     compress.bits = 4;
+    base_weights_ = new ModelWeights(base.weights());
     service_ = new DeltaZipService(std::move(base), compress);
 
     std::vector<std::vector<int>> calib;
@@ -48,18 +50,20 @@ class DeltaZipServiceTest : public ::testing::Test {
     // The artifact RegisterFmtModel built, rebuilt here: ΔCompress is
     // bit-identical for any thread count.
     artifact_ = new CompressedDelta(
-        DeltaCompress(service_->base().weights(), finetuned_->weights(), calib, compress));
+        DeltaCompress(*base_weights_, finetuned_->weights(), calib, compress));
   }
 
   static void TearDownTestSuite() {
     delete artifact_;
     delete service_;
+    delete base_weights_;
     delete finetuned_;
     delete task_;
     delete lora_;
   }
 
   static DeltaZipService* service_;
+  static ModelWeights* base_weights_;  // the weights service_ was built on
   static CompressedDelta* artifact_;
   static Transformer* finetuned_;
   static Task* task_;
@@ -69,6 +73,7 @@ class DeltaZipServiceTest : public ::testing::Test {
 };
 
 DeltaZipService* DeltaZipServiceTest::service_ = nullptr;
+ModelWeights* DeltaZipServiceTest::base_weights_ = nullptr;
 CompressedDelta* DeltaZipServiceTest::artifact_ = nullptr;
 Transformer* DeltaZipServiceTest::finetuned_ = nullptr;
 Task* DeltaZipServiceTest::task_ = nullptr;
@@ -146,19 +151,19 @@ TEST_F(DeltaZipServiceTest, RegisterArtifactFromDiskMatchesDirectRegistration) {
 // Artifacts compressed against a different base are refused with -1, not an abort.
 TEST_F(DeltaZipServiceTest, RegisterRefusesArtifactOfAnotherArchitecture) {
   const CompressedDelta& artifact = *artifact_;
-  ModelConfig fewer_layers = ModelConfig::Tiny();
+  ModelConfig fewer_layers = TinyModelConfig();
   fewer_layers.n_layers -= 1;
-  ModelConfig more_layers = ModelConfig::Tiny();
+  ModelConfig more_layers = TinyModelConfig();
   more_layers.n_layers += 1;
-  ModelConfig wider_model = ModelConfig::Tiny();
+  ModelConfig wider_model = TinyModelConfig();
   wider_model.d_model *= 2;
-  ModelConfig wider_ff = ModelConfig::Tiny();
+  ModelConfig wider_ff = TinyModelConfig();
   wider_ff.d_ff *= 2;
   for (const ModelConfig& cfg : {fewer_layers, more_layers, wider_model, wider_ff}) {
     Rng rng(3);
-    DeltaZipService other(Transformer(ModelWeights::RandomInit(cfg, rng)),
-                          DeltaCompressConfig());
-    EXPECT_FALSE(artifact.FitsBase(other.base().weights()));
+    const ModelWeights weights = ModelWeights::RandomInit(cfg, rng);
+    DeltaZipService other(Transformer(weights), DeltaCompressConfig{});
+    EXPECT_FALSE(artifact.FitsBase(weights));
     EXPECT_EQ(other.RegisterCompressedDelta(artifact, "foreign"), -1);
     EXPECT_EQ(other.variant_count(), 0);
   }
@@ -167,12 +172,12 @@ TEST_F(DeltaZipServiceTest, RegisterRefusesArtifactOfAnotherArchitecture) {
 // Adapters made for a different base are refused with -1 and register nothing.
 TEST_F(DeltaZipServiceTest, RegisterLoraRefusesAdapterOfAnotherBlockCount) {
   for (const int delta_layers : {-1, 1}) {
-    ModelConfig cfg = ModelConfig::Tiny();
+    ModelConfig cfg = TinyModelConfig();
     cfg.n_layers += delta_layers;
     Rng rng(5);
     const ModelWeights other = ModelWeights::RandomInit(cfg, rng);
     LoraAdapter adapter = LoraAdapter::Init(other, 8, 16.0f, rng);
-    EXPECT_FALSE(adapter.FitsBase(service_->base().weights()));
+    EXPECT_FALSE(adapter.FitsBase(*base_weights_));
     const int before = service_->variant_count();
     EXPECT_EQ(service_->RegisterLora(std::move(adapter), "foreign-lora"), -1);
     EXPECT_EQ(service_->variant_count(), before);
@@ -180,17 +185,17 @@ TEST_F(DeltaZipServiceTest, RegisterLoraRefusesAdapterOfAnotherBlockCount) {
 }
 
 TEST_F(DeltaZipServiceTest, RegisterLoraRefusesAdapterOfAnotherWidth) {
-  ModelConfig wider = ModelConfig::Tiny();
+  ModelConfig wider = TinyModelConfig();
   wider.d_model *= 2;
   Rng rng(6);
   const ModelWeights other = ModelWeights::RandomInit(wider, rng);
   LoraAdapter adapter = LoraAdapter::Init(other, 8, 16.0f, rng);
-  EXPECT_FALSE(adapter.FitsBase(service_->base().weights()));
+  EXPECT_FALSE(adapter.FitsBase(*base_weights_));
   const int before = service_->variant_count();
   EXPECT_EQ(service_->RegisterLora(std::move(adapter), "wide-lora"), -1);
   EXPECT_EQ(service_->variant_count(), before);
   // The adapter trained against this base fits it.
-  EXPECT_TRUE(lora_->FitsBase(service_->base().weights()));
+  EXPECT_TRUE(lora_->FitsBase(*base_weights_));
 }
 
 TEST_F(DeltaZipServiceTest, RegisterRefusesArtifactWithUnknownLayerName) {

@@ -7,6 +7,7 @@
 #include "src/simgpu/kernel_model.h"
 #include "src/tensor/sparse24.h"
 #include "src/train/finetune.h"
+#include "tests/nn/tiny_config.h"
 
 namespace dz {
 namespace {
@@ -15,7 +16,7 @@ TEST(IntegrationTest, CompressedVariantDecodesLikeMergedModel) {
   // Greedy generation through the KV-cache decode path with the decoupled overlay must
   // match generation from the merged dense weights — i.e., serving a compressed
   // variant token-by-token is equivalent to serving the reconstructed model.
-  const ModelConfig cfg = ModelConfig::Tiny();
+  const ModelConfig cfg = TinyModelConfig();
   Rng rng(2024);
   Transformer base(ModelWeights::RandomInit(cfg, rng));
   PretrainConfig pre;
@@ -57,7 +58,7 @@ TEST(IntegrationTest, Sparse24StorageAccessorsRoundTrip) {
   const auto original = Sparse24Matrix::Pack(pruned, 4, 32);
   const PackedQuantMatrix& values = original.values();
   auto raw_values = PackedQuantMatrix::FromStorage(
-      original.rows(), original.cols() / 2, original.bits(), 32, values.packed(),
+      original.rows(), original.cols() / 2, values.bits(), 32, values.packed(),
       values.scales(), values.zeros());
   ASSERT_TRUE(raw_values.has_value());
   const auto rebuilt = Sparse24Matrix::FromStorage(

@@ -182,7 +182,9 @@ TEST(SwiGluTest, ForwardMatchesFormula) {
   Matrix gate(1, 2);
   gate.at(0, 0) = 1.0f;
   gate.at(0, 1) = -2.0f;
-  Matrix up(1, 2, 3.0f);
+  Matrix up(1, 2);
+  up.at(0, 0) = 3.0f;
+  up.at(0, 1) = 3.0f;
   const Matrix h = SwiGluForward(gate, up);
   auto silu = [](float x) { return x / (1.0f + std::exp(-x)); };
   EXPECT_NEAR(h.at(0, 0), silu(1.0f) * 3.0f, 1e-6);

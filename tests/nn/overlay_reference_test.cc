@@ -21,6 +21,7 @@
 #include "src/nn/transformer.h"
 #include "src/train/lora.h"
 #include "src/util/rng.h"
+#include "tests/nn/tiny_config.h"
 
 namespace dz {
 namespace {
@@ -175,7 +176,7 @@ class OverlayReferenceTest : public ::testing::Test {
 
   static Transformer MakeBase() {
     Rng rng(11);
-    return Transformer(ModelWeights::RandomInit(ModelConfig::Tiny(), rng));
+    return Transformer(ModelWeights::RandomInit(TinyModelConfig(), rng));
   }
 
   // Forward and every DecodeStep of `host` through `overlay` equal the closure walk.

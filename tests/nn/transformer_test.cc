@@ -9,6 +9,7 @@
 #include "src/tensor/packed_quant.h"
 #include "src/train/lora.h"
 #include "src/util/rng.h"
+#include "tests/nn/tiny_config.h"
 #include "tests/tensor/matrix_fixtures.h"
 
 namespace dz {
@@ -16,7 +17,7 @@ namespace {
 
 Transformer MakeTinyModel(uint64_t seed) {
   Rng rng(seed);
-  return Transformer(ModelWeights::RandomInit(ModelConfig::Tiny(), rng));
+  return Transformer(ModelWeights::RandomInit(TinyModelConfig(), rng));
 }
 
 TEST(TransformerTest, ForwardShapeAndFiniteness) {
@@ -225,7 +226,7 @@ TEST(TransformerTest, GenerateGreedyRespectsLimitsAndEos) {
 
 TEST(ModelWeightsTest, LinearLayersEnumeration) {
   Rng rng(9);
-  ModelWeights w = ModelWeights::RandomInit(ModelConfig::Tiny(), rng);
+  ModelWeights w = ModelWeights::RandomInit(TinyModelConfig(), rng);
   const auto layers = w.LinearLayers();
   EXPECT_EQ(layers.size(), 7u * static_cast<size_t>(w.config.n_layers));
   EXPECT_EQ(layers[0].name, "layer0.wq");
@@ -235,7 +236,7 @@ TEST(ModelWeightsTest, LinearLayersEnumeration) {
 
 TEST(ModelWeightsTest, LinearWeightResolvesExactlyTheEnumeratedNames) {
   Rng rng(9);
-  ModelWeights w = ModelWeights::RandomInit(ModelConfig::Tiny(), rng);
+  ModelWeights w = ModelWeights::RandomInit(TinyModelConfig(), rng);
   const std::vector<NamedLayer> layers = w.LinearLayers();
   for (size_t i = 0; i < layers.size(); ++i) {
     EXPECT_EQ(w.LinearWeight(layers[i].name), layers[i].weight) << layers[i].name;
@@ -256,7 +257,7 @@ TEST(ModelWeightsTest, LinearWeightResolvesExactlyTheEnumeratedNames) {
 
 TEST(ModelWeightsTest, ByteSizeAccounting) {
   Rng rng(10);
-  ModelWeights w = ModelWeights::RandomInit(ModelConfig::Tiny(), rng);
+  ModelWeights w = ModelWeights::RandomInit(TinyModelConfig(), rng);
   EXPECT_EQ(w.Fp16ByteSize(), w.ParamCount() * 2);
   EXPECT_LT(w.LinearFp16ByteSize(), w.Fp16ByteSize());
   EXPECT_GT(w.LinearFp16ByteSize(), 0u);
@@ -264,7 +265,7 @@ TEST(ModelWeightsTest, ByteSizeAccounting) {
 
 TEST(ModelWeightsTest, Scale) {
   Rng rng(11);
-  ModelWeights b = ModelWeights::RandomInit(ModelConfig::Tiny(), rng);
+  ModelWeights b = ModelWeights::RandomInit(TinyModelConfig(), rng);
   b.Scale(0.0f);
   EXPECT_EQ(b.lm_head.FrobeniusNorm(), 0.0);
 }

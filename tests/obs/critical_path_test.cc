@@ -9,6 +9,8 @@
 
 #include <gtest/gtest.h>
 
+#include "tests/obs/segment_sum.h"
+
 namespace dz {
 namespace {
 
@@ -48,12 +50,12 @@ TEST(CriticalPathTest, NoPreemptionSplitsQueueLoadCompute) {
   EXPECT_DOUBLE_EQ(b.e2e.load_s, 0.75);
   EXPECT_DOUBLE_EQ(b.e2e.compute_s, 2.75);
   EXPECT_DOUBLE_EQ(b.e2e.preempt_s, 0.0);
-  EXPECT_DOUBLE_EQ(b.e2e.Sum(), r.finish_s - r.arrival_s);
+  EXPECT_DOUBLE_EQ(SegmentSum(b.e2e), r.finish_s - r.arrival_s);
   // TTFT clips compute at the first-token stamp.
   EXPECT_DOUBLE_EQ(b.ttft.queue_s, 0.5);
   EXPECT_DOUBLE_EQ(b.ttft.load_s, 0.75);
   EXPECT_DOUBLE_EQ(b.ttft.compute_s, 0.25);
-  EXPECT_DOUBLE_EQ(b.ttft.Sum(), r.first_token_s - r.arrival_s);
+  EXPECT_DOUBLE_EQ(SegmentSum(b.ttft), r.first_token_s - r.arrival_s);
 }
 
 TEST(CriticalPathTest, PreemptionChainChargesEvictedGaps) {
@@ -75,11 +77,11 @@ TEST(CriticalPathTest, PreemptionChainChargesEvictedGaps) {
   EXPECT_DOUBLE_EQ(b.e2e.load_s, 0.5);
   EXPECT_DOUBLE_EQ(b.e2e.compute_s, 3.5);
   EXPECT_DOUBLE_EQ(b.e2e.preempt_s, 2.5);
-  EXPECT_DOUBLE_EQ(b.e2e.Sum(), r.finish_s - r.arrival_s);
+  EXPECT_DOUBLE_EQ(SegmentSum(b.e2e), r.finish_s - r.arrival_s);
   // First token arrived before the first preemption: nothing after it counts.
   EXPECT_DOUBLE_EQ(b.ttft.compute_s, 0.5);
   EXPECT_DOUBLE_EQ(b.ttft.preempt_s, 0.0);
-  EXPECT_DOUBLE_EQ(b.ttft.Sum(), r.first_token_s - r.arrival_s);
+  EXPECT_DOUBLE_EQ(SegmentSum(b.ttft), r.first_token_s - r.arrival_s);
 }
 
 TEST(CriticalPathTest, SameInstantDispatchAndPreemptIsValid) {
@@ -96,7 +98,7 @@ TEST(CriticalPathTest, SameInstantDispatchAndPreemptIsValid) {
   EXPECT_TRUE(out[0].complete);
   EXPECT_DOUBLE_EQ(out[0].e2e.compute_s, 1.0);  // 0 at ts 1.0, plus [3, 4]
   EXPECT_DOUBLE_EQ(out[0].e2e.preempt_s, 2.0);  // [1, 3]
-  EXPECT_DOUBLE_EQ(out[0].e2e.Sum(), r.finish_s - r.arrival_s);
+  EXPECT_DOUBLE_EQ(SegmentSum(out[0].e2e), r.finish_s - r.arrival_s);
 }
 
 TEST(CriticalPathTest, BrokenChainFallsBackToRecordSplit) {
@@ -111,8 +113,8 @@ TEST(CriticalPathTest, BrokenChainFallsBackToRecordSplit) {
   EXPECT_DOUBLE_EQ(b.e2e.load_s, 1.0);
   EXPECT_DOUBLE_EQ(b.e2e.compute_s, 4.0);
   EXPECT_DOUBLE_EQ(b.e2e.preempt_s, 0.0);
-  EXPECT_DOUBLE_EQ(b.e2e.Sum(), r.finish_s - r.arrival_s);
-  EXPECT_DOUBLE_EQ(b.ttft.Sum(), r.first_token_s - r.arrival_s);
+  EXPECT_DOUBLE_EQ(SegmentSum(b.e2e), r.finish_s - r.arrival_s);
+  EXPECT_DOUBLE_EQ(SegmentSum(b.ttft), r.first_token_s - r.arrival_s);
 }
 
 TEST(CriticalPathTest, MismatchedDispatchCountFallsBack) {
@@ -125,7 +127,7 @@ TEST(CriticalPathTest, MismatchedDispatchCountFallsBack) {
   const auto out = AttributeRequests({r}, events);
   ASSERT_EQ(out.size(), 1u);
   EXPECT_FALSE(out[0].complete);
-  EXPECT_DOUBLE_EQ(out[0].e2e.Sum(), r.finish_s - r.arrival_s);
+  EXPECT_DOUBLE_EQ(SegmentSum(out[0].e2e), r.finish_s - r.arrival_s);
 }
 
 TEST(CriticalPathTest, EventsForOtherRequestsAreIgnored) {
@@ -157,7 +159,7 @@ TEST(CriticalPathTest, ClassRollupAndMergeSumPerClass) {
   EXPECT_EQ(inter.n, 2);
   EXPECT_EQ(inter.incomplete, 0);
   EXPECT_DOUBLE_EQ(inter.e2e.queue_s, 3.0);
-  EXPECT_DOUBLE_EQ(inter.e2e.Sum(), 4.0 + 7.0);
+  EXPECT_DOUBLE_EQ(SegmentSum(inter.e2e), 4.0 + 7.0);
   const PathAttribution& batch = by_class[static_cast<size_t>(SloClass::kBatch)];
   EXPECT_EQ(batch.n, 1);
   EXPECT_EQ(batch.incomplete, 1);
@@ -171,7 +173,7 @@ TEST(CriticalPathTest, ClassRollupAndMergeSumPerClass) {
   }
   EXPECT_EQ(merged[static_cast<size_t>(SloClass::kInteractive)].n, 4);
   EXPECT_DOUBLE_EQ(
-      merged[static_cast<size_t>(SloClass::kInteractive)].e2e.Sum(), 22.0);
+      SegmentSum(merged[static_cast<size_t>(SloClass::kInteractive)].e2e), 22.0);
   EXPECT_EQ(merged[static_cast<size_t>(SloClass::kBatch)].incomplete, 2);
 }
 

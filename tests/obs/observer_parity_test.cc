@@ -168,8 +168,10 @@ void ExpectRunMatchesEvents(const ServeReport& r, const Trace& trace, bool regis
   EXPECT_EQ(m.Value("store.loads.disk"), disk_segments) << where;
   EXPECT_EQ(m.Value("store.loads.total"), pcie_segments) << where;
   EXPECT_EQ(m.Value("store.prefetch.issued"), pcie_prefetches) << where;
-  ExpectSumNear(r.DiskBusyS(), disk_busy, where + " disk busy");
-  ExpectSumNear(r.PcieBusyS(), pcie_busy, where + " pcie busy");
+  ExpectSumNear(m.Value(metric::kChannelBusyS, {{"channel", "disk"}}), disk_busy,
+                where + " disk busy");
+  ExpectSumNear(m.Value(metric::kChannelBusyS, {{"channel", "pcie"}}), pcie_busy,
+                where + " pcie busy");
 
   for (const char* name : {"registry.reads.local", "registry.reads.remote",
                            "registry.reads.degraded", "registry.net.busy_s",

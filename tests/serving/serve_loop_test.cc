@@ -35,6 +35,14 @@
 #include "src/workload/trace.h"
 
 namespace dz {
+
+// Reads ServeLoop state no shipped caller needs: the slab's unused slots and
+// the shed bound.
+struct ServeLoopTestPeer {
+  static const std::vector<int>& FreeSlots(const ServeLoop& loop) { return loop.free_; }
+  static double ShedUntilS(const ServeLoop& loop) { return loop.shed_until_s_; }
+};
+
 namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
@@ -128,7 +136,8 @@ void ExpectLedgerCloses(const ServeReport& r, const Trace& trace,
 // that held it has left the queue since the last shed walk.
 std::string KeptStateMismatch(const ServeLoop& loop, const SchedulerConfig& sched,
                               bool* stale) {
-  std::set<int> handles(loop.free_slots().begin(), loop.free_slots().end());
+  const std::vector<int>& free_slots = ServeLoopTestPeer::FreeSlots(loop);
+  std::set<int> handles(free_slots.begin(), free_slots.end());
   for (const std::vector<int>* list : {&loop.queue(), &loop.running()}) {
     for (const int h : *list) {
       if (!handles.insert(h).second) {
@@ -168,11 +177,12 @@ std::string KeptStateMismatch(const ServeLoop& loop, const SchedulerConfig& sche
   if (loop.queued_variants().count != queued) {
     return "per-variant queued counts differ";
   }
-  if (loop.shed_until_s() > least_meetable) {
-    return "shed bound " + std::to_string(loop.shed_until_s()) + " above a queued MeetableUntil " +
+  const double shed_until_s = ServeLoopTestPeer::ShedUntilS(loop);
+  if (shed_until_s > least_meetable) {
+    return "shed bound " + std::to_string(shed_until_s) + " above a queued MeetableUntil " +
            std::to_string(least_meetable);
   }
-  *stale = !loop.queue().empty() && loop.shed_until_s() < least_meetable;
+  *stale = !loop.queue().empty() && shed_until_s < least_meetable;
   return "";
 }
 

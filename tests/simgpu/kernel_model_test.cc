@@ -109,7 +109,7 @@ TEST(ModelShapeTest, ParameterCountsMatchPublished) {
 TEST(ModelShapeTest, DeltaCompressionRatiosMatchFig5Arithmetic) {
   const ModelShape s = ModelShape::Llama7B();
   // Paper Fig. 5: 4-bit+2:4 ≈ 5.33x, 2-bit+2:4 ≈ 8.53x on the weight payload.
-  const double fp16 = static_cast<double>(s.LinearFp16Bytes());
+  const double fp16 = static_cast<double>(s.LinearParams() * 2);
   const double r4 = fp16 / s.DeltaBytes(4, true, 128);
   const double r2 = fp16 / s.DeltaBytes(2, true, 128);
   // Our accounting also counts per-group scale/zero metadata, so ratios land slightly

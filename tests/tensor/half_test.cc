@@ -66,10 +66,10 @@ TEST(HalfTest, RelativeErrorBounded) {
   }
 }
 
-TEST(HalfTest, HalfValueType) {
-  Half h(3.5f);
-  EXPECT_EQ(h.ToFloat(), 3.5f);
-  EXPECT_EQ(Half::FromBits(h.bits()), h);
+TEST(HalfTest, BitsRoundTrip) {
+  const uint16_t bits = FloatToHalfBits(3.5f);
+  EXPECT_EQ(HalfBitsToFloat(bits), 3.5f);
+  EXPECT_EQ(FloatToHalfBits(HalfBitsToFloat(bits)), bits);
 }
 
 }  // namespace

@@ -208,8 +208,8 @@ TEST(Sparse24PackReferenceTest, StorageAndOutputsMatchTheStandAlonePacker) {
         const Storage now = StorageOf(s);
         EXPECT_EQ(s.rows(), old.rows);
         EXPECT_EQ(s.cols(), old.cols);
-        EXPECT_EQ(s.bits(), old.bits);
-        EXPECT_EQ(s.group_size(), old.group_size);
+        EXPECT_EQ(s.values().bits(), old.bits);
+        EXPECT_EQ(s.values().group_size(), old.group_size);
         EXPECT_EQ(now.positions, old.s.positions);
         EXPECT_EQ(now.packed, old.s.packed);
         EXPECT_EQ(now.zeros, old.s.zeros);

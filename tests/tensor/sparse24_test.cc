@@ -115,7 +115,8 @@ TEST(Sparse24Test, SingleNonzeroPerGroup) {
 }
 
 TEST(Sparse24Test, Is24SparseRejectsBadPattern) {
-  Matrix w(1, 4, 1.0f);  // 4 nonzeros in one group
+  Matrix w(1, 4);
+  w.data().assign(4, 1.0f);  // 4 nonzeros in one group
   EXPECT_FALSE(Is24Sparse(w));
   Matrix odd(1, 6);  // cols not divisible by 4
   EXPECT_FALSE(Is24Sparse(odd));

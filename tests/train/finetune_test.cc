@@ -8,6 +8,7 @@
 
 #include "src/nn/ops.h"
 #include "src/train/optimizer.h"
+#include "tests/nn/tiny_config.h"
 
 namespace dz {
 namespace {
@@ -37,7 +38,7 @@ TEST(OptimizerTest, AdamReducesQuadraticLoss) {
 
 TEST(OptimizerTest, ParamSpansCoverAllParams) {
   Rng rng(2);
-  ModelWeights w = ModelWeights::RandomInit(ModelConfig::Tiny(), rng);
+  ModelWeights w = ModelWeights::RandomInit(TinyModelConfig(), rng);
   size_t total = 0;
   for (const auto& [ptr, n] : ParamSpans(w)) {
     EXPECT_NE(ptr, nullptr);
@@ -48,7 +49,7 @@ TEST(OptimizerTest, ParamSpansCoverAllParams) {
 
 TEST(OptimizerTest, AdamModelStepChangesAllSpans) {
   Rng rng(3);
-  ModelWeights w = ModelWeights::RandomInit(ModelConfig::Tiny(), rng);
+  ModelWeights w = ModelWeights::RandomInit(TinyModelConfig(), rng);
   const ModelWeights before = w;
   ModelWeights grads = ModelWeights::ZerosLike(w);
   // Nonzero gradient everywhere.
@@ -165,7 +166,7 @@ bool SameBits(const FloatSpans& a, const FloatSpans& b) {
 
 TEST(OptimizerReferenceTest, ModelStepsMatchTheWholeModelOptimizer) {
   Rng rng(6);
-  ModelWeights w = ModelWeights::RandomInit(ModelConfig::Tiny(), rng);
+  ModelWeights w = ModelWeights::RandomInit(TinyModelConfig(), rng);
   ModelWeights ref_w = w;
   AdamConfig cfg;
   cfg.lr = 0.01f;
@@ -193,7 +194,7 @@ FloatSpans FactorSpans(LoraAdapter& adapter) {
 
 TEST(OptimizerReferenceTest, LoraStepsMatchThePerFactorOptimizers) {
   Rng rng(7);
-  const ModelWeights base = ModelWeights::RandomInit(ModelConfig::Tiny(), rng);
+  const ModelWeights base = ModelWeights::RandomInit(TinyModelConfig(), rng);
   LoraAdapter adapter = LoraAdapter::Init(base, 4, 8.0f, rng);
   LoraAdapter ref_adapter = adapter;
   AdamConfig cfg;
@@ -227,7 +228,7 @@ TEST(OptimizerReferenceTest, LoraStepsMatchThePerFactorOptimizers) {
 
 TEST(TrainTest, PretrainReducesLoss) {
   Rng rng(4);
-  Transformer model(ModelWeights::RandomInit(ModelConfig::Tiny(), rng));
+  Transformer model(ModelWeights::RandomInit(TinyModelConfig(), rng));
   PretrainConfig cfg;
   cfg.steps = 40;
   cfg.batch = 4;
@@ -239,7 +240,7 @@ TEST(TrainTest, PretrainReducesLoss) {
 
 TEST(TrainTest, FmtFineTuningImprovesTaskAccuracy) {
   Rng rng(5);
-  const ModelConfig cfg = ModelConfig::Tiny();
+  const ModelConfig cfg = TinyModelConfig();
   Transformer model(ModelWeights::RandomInit(cfg, rng));
   PretrainConfig pre;
   pre.steps = 30;
@@ -262,7 +263,7 @@ TEST(TrainTest, FineTuningKeepsDeltasSmall) {
   // The paper's core observation (Fig. 3): FMT deltas have much smaller magnitude than
   // the weights themselves.
   Rng rng(6);
-  const ModelConfig cfg = ModelConfig::Tiny();
+  const ModelConfig cfg = TinyModelConfig();
   Transformer model(ModelWeights::RandomInit(cfg, rng));
   PretrainConfig pre;
   pre.steps = 30;
@@ -281,7 +282,7 @@ TEST(TrainTest, FineTuningKeepsDeltasSmall) {
 
 TEST(LoraTest, InitIsIdentity) {
   Rng rng(7);
-  const ModelWeights base = ModelWeights::RandomInit(ModelConfig::Tiny(), rng);
+  const ModelWeights base = ModelWeights::RandomInit(TinyModelConfig(), rng);
   const LoraAdapter adapter = LoraAdapter::Init(base, 4, 8.0f, rng);
   const ModelWeights merged = adapter.MergedWith(base);
   // B = 0 → merged == base.
@@ -290,7 +291,7 @@ TEST(LoraTest, InitIsIdentity) {
 
 TEST(LoraTest, OverlayMatchesMergedWeights) {
   Rng rng(8);
-  const ModelWeights base = ModelWeights::RandomInit(ModelConfig::Tiny(), rng);
+  const ModelWeights base = ModelWeights::RandomInit(TinyModelConfig(), rng);
   LoraAdapter adapter = LoraAdapter::Init(base, 4, 8.0f, rng);
   // Give B nonzero values so the adapter does something.
   for (LoraFactors& f : adapter.factors) {
@@ -307,7 +308,7 @@ TEST(LoraTest, OverlayMatchesMergedWeights) {
 
 TEST(LoraTest, ByteSizeScalesWithRank) {
   Rng rng(9);
-  const ModelWeights base = ModelWeights::RandomInit(ModelConfig::Tiny(), rng);
+  const ModelWeights base = ModelWeights::RandomInit(TinyModelConfig(), rng);
   const auto r4 = LoraAdapter::Init(base, 4, 8.0f, rng);
   const auto r16 = LoraAdapter::Init(base, 16, 8.0f, rng);
   EXPECT_EQ(r16.Fp16ByteSize(), r4.Fp16ByteSize() * 4);
@@ -316,7 +317,7 @@ TEST(LoraTest, ByteSizeScalesWithRank) {
 
 TEST(LoraTest, TrainingImprovesEasyTask) {
   Rng rng(10);
-  const ModelConfig cfg = ModelConfig::Tiny();
+  const ModelConfig cfg = TinyModelConfig();
   Transformer base(ModelWeights::RandomInit(cfg, rng));
   PretrainConfig pre;
   pre.steps = 30;
@@ -343,7 +344,7 @@ namespace {
 
 TEST(TrainTest, FreezeEmbeddingsKeepsEmbeddingAndHead) {
   Rng rng(20);
-  const ModelConfig cfg = ModelConfig::Tiny();
+  const ModelConfig cfg = TinyModelConfig();
   Transformer model(ModelWeights::RandomInit(cfg, rng));
   const Matrix emb_before = model.weights().embedding;
   const Matrix head_before = model.weights().lm_head;

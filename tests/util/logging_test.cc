@@ -22,7 +22,7 @@ TEST_F(LoggingTest, LevelNames) {
 }
 
 TEST_F(LoggingTest, SuppressedBelowThreshold) {
-  SetLogLevel(LogLevel::kError);
+  GlobalLogLevel() = LogLevel::kError;
   ::testing::internal::CaptureStderr();
   DZ_LOG(kInfo) << "should not appear";
   DZ_LOG(kError) << "should appear";
@@ -32,7 +32,7 @@ TEST_F(LoggingTest, SuppressedBelowThreshold) {
 }
 
 TEST_F(LoggingTest, MessageIncludesFileTag) {
-  SetLogLevel(LogLevel::kDebug);
+  GlobalLogLevel() = LogLevel::kDebug;
   ::testing::internal::CaptureStderr();
   DZ_LOG(kWarning) << "tagged";
   const std::string err = ::testing::internal::GetCapturedStderr();
@@ -41,7 +41,7 @@ TEST_F(LoggingTest, MessageIncludesFileTag) {
 }
 
 TEST_F(LoggingTest, OffSilencesEverything) {
-  SetLogLevel(LogLevel::kOff);
+  GlobalLogLevel() = LogLevel::kOff;
   ::testing::internal::CaptureStderr();
   DZ_LOG(kError) << "silent";
   EXPECT_EQ(::testing::internal::GetCapturedStderr(), "");
