@@ -8,6 +8,8 @@
 
 namespace dz {
 
+constexpr float kAwqAlpha = 0.5f;  // the exponent α of the header's s_c = (mean|X_c|)^α
+
 AwqResult AwqQuantize(const Matrix& w, const Matrix& x, const AwqConfig& config) {
   DZ_CHECK_EQ(w.cols(), x.cols());
   DZ_CHECK_GT(x.rows(), 0);
@@ -32,8 +34,7 @@ AwqResult AwqQuantize(const Matrix& w, const Matrix& x, const AwqConfig& config)
   for (int c = 0; c < in; ++c) {
     // Normalized so a flat activation profile gives scale 1 everywhere.
     const float rel = act[static_cast<size_t>(c)] / std::max(mean_act, 1e-12f);
-    scale[static_cast<size_t>(c)] =
-        std::clamp(std::pow(rel, config.alpha), 0.25f, 4.0f);
+    scale[static_cast<size_t>(c)] = std::clamp(std::pow(rel, kAwqAlpha), 0.25f, 4.0f);
   }
 
   Matrix scaled = w;

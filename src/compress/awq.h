@@ -15,7 +15,6 @@ namespace dz {
 struct AwqConfig {
   int bits = 4;
   int group_size = 64;
-  float alpha = 0.5f;  // scale exponent; 0 disables activation awareness
 };
 
 struct AwqResult {

@@ -17,8 +17,6 @@ struct ModelConfig {
   int n_heads = 4;
   int d_ff = 172;        // SwiGLU hidden dim (~8/3 * d_model, like Llama)
   int max_seq = 64;
-  float rope_theta = 10000.0f;
-  float norm_eps = 1e-5f;
 
   int head_dim() const { return d_model / n_heads; }
 

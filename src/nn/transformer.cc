@@ -17,6 +17,10 @@ std::string LinearLayerName(int layer, const char* which) {
 
 namespace {
 
+// RoPE's base frequency and RMSNorm's variance guard (Llama's values).
+constexpr float kRopeTheta = 10000.0f;
+constexpr float kNormEps = 1e-5f;
+
 // A block's linear layers in execution order, the order of LinearLayers(): block b's
 // slot s sits at position b * kBlockLinearCount + s.
 constexpr std::pair<const char*, Matrix LayerWeights::*> kBlockLinears[] = {
@@ -242,12 +246,12 @@ Matrix Transformer::Walk(const std::vector<int>& tokens, KVCache* kv, ForwardCac
     ForwardCache::Layer* lc = cache != nullptr ? &cache->layers[l] : nullptr;
     // Attention block (pre-norm).
     std::vector<float> inv_rms;
-    const Matrix normed = RmsNormForward(x, lw.attn_norm, cfg.norm_eps, inv_rms);
+    const Matrix normed = RmsNormForward(x, lw.attn_norm, kNormEps, inv_rms);
     Matrix q = ApplyLinear(li, kWq, normed, overlay);
     Matrix k = ApplyLinear(li, kWk, normed, overlay);
     const Matrix v = ApplyLinear(li, kWv, normed, overlay);
-    RopeApply(q, cfg.n_heads, cfg.rope_theta, pos);
-    RopeApply(k, cfg.n_heads, cfg.rope_theta, pos);
+    RopeApply(q, cfg.n_heads, kRopeTheta, pos);
+    RopeApply(k, cfg.n_heads, kRopeTheta, pos);
     if (kv != nullptr) {
       AppendRows(kv->k[l], k);
       AppendRows(kv->v[l], v);
@@ -271,7 +275,7 @@ Matrix Transformer::Walk(const std::vector<int>& tokens, KVCache* kv, ForwardCac
 
     // MLP block.
     std::vector<float> mlp_inv_rms;
-    const Matrix mlp_normed = RmsNormForward(x, lw.mlp_norm, cfg.norm_eps, mlp_inv_rms);
+    const Matrix mlp_normed = RmsNormForward(x, lw.mlp_norm, kNormEps, mlp_inv_rms);
     const Matrix gate = ApplyLinear(li, kWGate, mlp_normed, overlay);
     const Matrix up = ApplyLinear(li, kWUp, mlp_normed, overlay);
     const Matrix h = SwiGluForward(gate, up);
@@ -291,8 +295,8 @@ Matrix Transformer::Walk(const std::vector<int>& tokens, KVCache* kv, ForwardCac
   }
 
   std::vector<float> final_inv_rms;
-  const Matrix final_normed = RmsNormForward(x, weights_.final_norm, cfg.norm_eps,
-                                             final_inv_rms);
+  const Matrix final_normed =
+      RmsNormForward(x, weights_.final_norm, kNormEps, final_inv_rms);
   if (cache != nullptr) {
     cache->final_in = x;
     cache->final_inv_rms = final_inv_rms;
@@ -343,8 +347,8 @@ void Transformer::Backward(const ForwardCache& cache, const Matrix& dlogits,
     Matrix dq, dk, dv;
     AttentionBackward(lc.q_rope, lc.k_rope, lc.v, cfg.n_heads, lc.probs, dattn, dq, dk,
                       dv);
-    RopeApplyInverse(dq, cfg.n_heads, cfg.rope_theta, 0);
-    RopeApplyInverse(dk, cfg.n_heads, cfg.rope_theta, 0);
+    RopeApplyInverse(dq, cfg.n_heads, kRopeTheta, 0);
+    RopeApplyInverse(dk, cfg.n_heads, kRopeTheta, 0);
     gw.wq.AddInPlace(MatmulTN(dq, lc.attn_normed));
     gw.wk.AddInPlace(MatmulTN(dk, lc.attn_normed));
     gw.wv.AddInPlace(MatmulTN(dv, lc.attn_normed));

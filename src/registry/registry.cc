@@ -11,6 +11,9 @@ namespace dz {
 
 namespace {
 
+constexpr double kDecodeGbps = 40.0;  // parity reconstruct, Gb/s of full artifact
+constexpr uint64_t kPlacementSeed = 0x5eedc0de;  // rendezvous hash seed
+
 // splitmix64 finalizer: the avalanche quality is what makes rendezvous ranks
 // statistically independent across artifacts.
 uint64_t Mix64(uint64_t x) {
@@ -77,7 +80,6 @@ ArtifactRegistry::ArtifactRegistry(const RegistryConfig& config, int n_artifacts
   DZ_CHECK_GT(n_artifacts, 0);
   DZ_CHECK_GT(n_nodes, 0);
   DZ_CHECK_GT(config_.net_gbps, 0.0);
-  DZ_CHECK_GT(config_.decode_gbps, 0.0);
   // Placement must fit the initial node set: a fragment has exactly one
   // primary home.
   DZ_CHECK_LE(config_.redundancy.FragmentCount(), n_nodes);
@@ -96,8 +98,8 @@ ArtifactRegistry::ArtifactRegistry(const RegistryConfig& config, int n_artifacts
 }
 
 uint64_t ArtifactRegistry::Score(int artifact, int node) const {
-  return Mix64(config_.seed ^ Mix64(static_cast<uint64_t>(artifact) * 0x9e3779b1ull ^
-                                    Mix64(static_cast<uint64_t>(node))));
+  return Mix64(kPlacementSeed ^ Mix64(static_cast<uint64_t>(artifact) * 0x9e3779b1ull ^
+                                      Mix64(static_cast<uint64_t>(node))));
 }
 
 std::vector<int> ArtifactRegistry::RankedNodes(int artifact) const {
@@ -275,7 +277,7 @@ double ArtifactRegistry::NetSeconds(double bytes) const {
 }
 
 double ArtifactRegistry::DecodeSeconds(double artifact_bytes) const {
-  return artifact_bytes * 8.0 / (config_.decode_gbps * 1e9);
+  return artifact_bytes * 8.0 / (kDecodeGbps * 1e9);
 }
 
 }  // namespace dz

@@ -65,11 +65,6 @@ struct RegistryConfig {
   // Per-node NIC bandwidth for remote fetches and repair traffic (gigabits/s,
   // the networking convention: 25 Gb/s ≈ 3.1 GB/s).
   double net_gbps = 25.0;
-  // Erasure decode throughput when a read reconstructs through parity
-  // (gigabits/s over the full artifact).
-  double decode_gbps = 40.0;
-  // Placement hash seed (same seed + node set ⇒ same placement everywhere).
-  uint64_t seed = 0x5eedc0de;
 };
 
 // Resolution of one read attempt (node-local view at plan time).

@@ -10,6 +10,8 @@ namespace dz {
 
 namespace {
 
+constexpr float kFineTuneWeightDecay = 0.01f;  // gently anchors weights near the base
+
 // Synthetic pre-training corpus: a seeded Markov chain over the vocabulary. The chain
 // gives the base model generic sequence structure to learn, so fine-tuning sits on top
 // of real learned weights (not noise) — important for the delta-statistics claims.
@@ -104,7 +106,7 @@ double FineTuneFmt(Transformer& model, const Task& task, const FineTuneConfig& c
                    Rng& rng) {
   AdamConfig adam_config;
   adam_config.lr = config.lr;
-  adam_config.weight_decay = config.weight_decay;
+  adam_config.weight_decay = kFineTuneWeightDecay;
   Adam adam(ParamSpans(model.mutable_weights()), adam_config);
   const Matrix frozen_embedding = model.weights().embedding;
   const Matrix frozen_lm_head = model.weights().lm_head;

@@ -26,12 +26,11 @@ struct PretrainConfig {
 double Pretrain(Transformer& model, const PretrainConfig& config, Rng& rng);
 
 struct FineTuneConfig {
+  // Small LR + few steps keeps deltas small-magnitude, matching the paper's key
+  // observation (Fig. 3).
   int steps = 120;
   int batch = 8;
   float lr = 1e-3f;
-  // Small LR + few steps keeps deltas small-magnitude, matching the paper's key
-  // observation (Fig. 3). weight_decay gently anchors weights near the base.
-  float weight_decay = 0.01f;
   // Keep embedding and LM-head at base values (a common FMT recipe; it also makes the
   // variant's delta zero on those tensors, so the artifact stores only linear deltas —
   // the regime behind the paper's headline compression ratios).

@@ -6,6 +6,11 @@
 
 namespace dz {
 
+// Moment decay rates and the denominator guard: Kingma & Ba's defaults.
+constexpr float kAdamBeta1 = 0.9f;
+constexpr float kAdamBeta2 = 0.999f;
+constexpr float kAdamEps = 1e-8f;
+
 FloatSpans ParamSpans(ModelWeights& w) {
   FloatSpans spans;
   auto add_matrix = [&spans](Matrix& m) {
@@ -43,8 +48,8 @@ void Adam::Step(const FloatSpans& params, const FloatSpans& grads) {
   DZ_CHECK_EQ(params.size(), sizes_.size());
   DZ_CHECK_EQ(grads.size(), sizes_.size());
   ++t_;
-  const float bc1 = 1.0f - std::pow(config_.beta1, static_cast<float>(t_));
-  const float bc2 = 1.0f - std::pow(config_.beta2, static_cast<float>(t_));
+  const float bc1 = 1.0f - std::pow(kAdamBeta1, static_cast<float>(t_));
+  const float bc2 = 1.0f - std::pow(kAdamBeta2, static_cast<float>(t_));
   float* m = m_.data();
   float* v = v_.data();
   for (size_t s = 0; s < sizes_.size(); ++s) {
@@ -54,11 +59,11 @@ void Adam::Step(const FloatSpans& params, const FloatSpans& grads) {
     DZ_CHECK_EQ(params[s].second, n);
     DZ_CHECK_EQ(grads[s].second, n);
     for (size_t i = 0; i < n; ++i) {
-      m[i] = config_.beta1 * m[i] + (1.0f - config_.beta1) * g[i];
-      v[i] = config_.beta2 * v[i] + (1.0f - config_.beta2) * g[i] * g[i];
+      m[i] = kAdamBeta1 * m[i] + (1.0f - kAdamBeta1) * g[i];
+      v[i] = kAdamBeta2 * v[i] + (1.0f - kAdamBeta2) * g[i] * g[i];
       const float mhat = m[i] / bc1;
       const float vhat = v[i] / bc2;
-      w[i] -= config_.lr * (mhat / (std::sqrt(vhat) + config_.eps) +
+      w[i] -= config_.lr * (mhat / (std::sqrt(vhat) + kAdamEps) +
                             config_.weight_decay * w[i]);
     }
     m += n;

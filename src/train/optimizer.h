@@ -13,9 +13,6 @@ namespace dz {
 
 struct AdamConfig {
   float lr = 1e-3f;
-  float beta1 = 0.9f;
-  float beta2 = 0.999f;
-  float eps = 1e-8f;
   float weight_decay = 0.0f;  // decoupled (AdamW-style)
 };
 

@@ -95,6 +95,11 @@ namespace {
 
 // kHeavyTail's Zipf exponent over tenant rank.
 constexpr double kHeavyTailAlpha = 1.2;
+constexpr double kBurstBoost = 20.0;  // kAzure: a model's rate multiplier in a burst
+// kFlashCrowd: tenant 0 surges during [0.4, 0.65) × duration_s.
+constexpr int kFlashTenant = 0;
+constexpr double kFlashStartFrac = 0.4;
+constexpr double kFlashDurationFrac = 0.25;
 
 // Clamped lognormal token lengths.
 struct TokenLengths {
@@ -125,7 +130,7 @@ struct BurstEdge {
 // model; a model's weight is `calm` off a burst and `bursting` in one.
 struct ModelMix {
   std::vector<double> calm;      // by model id
-  std::vector<double> bursting;  // calm × burst_boost, by model id
+  std::vector<double> bursting;  // calm × kBurstBoost, by model id
   // kAzure only, sorted by time. A model's windows never overlap (the next
   // starts at or after the last ends) and its own edges keep their order, so
   // after applying every edge at or before t it bursts iff a window holds t.
@@ -179,7 +184,7 @@ ModelMix MakeModelMix(const TraceConfig& config, Rng& rng) {
     const size_t rank = static_cast<size_t>(rank_of[m]);
     model_of[rank] = static_cast<int>(m);
     mix.calm[m] = popularity[rank];
-    mix.bursting[m] = popularity[rank] * config.burst_boost;
+    mix.bursting[m] = popularity[rank] * kBurstBoost;
   }
   for (BurstEdge& e : mix.edges) {
     e.model = model_of[static_cast<size_t>(e.model)];
@@ -269,11 +274,11 @@ double RateMultiplierAt(const TenantConfig& config, int tenant, double t,
       return std::max(0.0, 1.0 + config.diurnal_amplitude * std::sin(phase));
     }
     case TenantScenario::kFlashCrowd: {
-      if (tenant != config.flash_tenant) {
+      if (tenant != kFlashTenant) {
         return 1.0;
       }
-      const double start = config.flash_start_frac * duration_s;
-      const double end = start + config.flash_duration_frac * duration_s;
+      const double start = kFlashStartFrac * duration_s;
+      const double end = start + kFlashDurationFrac * duration_s;
       return (t >= start && t < end) ? config.flash_boost : 1.0;
     }
   }
@@ -288,7 +293,7 @@ double RatePeakMultiplier(const TenantConfig& config, int tenant) {
     case TenantScenario::kDiurnal:
       return 1.0 + std::max(0.0, config.diurnal_amplitude);
     case TenantScenario::kFlashCrowd:
-      return tenant == config.flash_tenant ? std::max(1.0, config.flash_boost) : 1.0;
+      return tenant == kFlashTenant ? std::max(1.0, config.flash_boost) : 1.0;
   }
   return 1.0;
 }
@@ -306,10 +311,9 @@ Trace GenerateTrace(const TraceConfig& config) {
   DZ_CHECK_GE(config.prompt_max_tokens, 4);
   DZ_CHECK_GE(config.output_max_tokens, 4);
   if (config.dist == PopularityDist::kAzure) {
-    // A phase of mean ≤ 0 never ends; a negative boost is a negative weight.
+    // A phase of mean ≤ 0 never ends.
     DZ_CHECK_GT(config.burst_on_mean_s, 0.0);
     DZ_CHECK_GT(config.burst_off_mean_s, 0.0);
-    DZ_CHECK_GE(config.burst_boost, 0.0);
   }
   Rng rng(config.seed);
 
@@ -336,8 +340,6 @@ Trace GenerateTrace(const TraceConfig& config) {
   const TenantConfig& tc = config.tenants;
   const bool multi_tenant = tc.Enabled();
   if (multi_tenant) {
-    DZ_CHECK_GE(tc.flash_tenant, 0);
-    DZ_CHECK_LT(tc.flash_tenant, tc.n_tenants);
     DZ_CHECK_GE(tc.interactive_frac, 0.0);
     DZ_CHECK_GE(tc.batch_frac, 0.0);
     DZ_CHECK_LE(tc.interactive_frac + tc.batch_frac, 1.0);

@@ -134,20 +134,16 @@ struct TenantConfig {
   // kDiurnal: rate multiplier 1 + amplitude·sin(2π·t/period), clamped at ≥ 0.
   double diurnal_period_s = 240.0;
   double diurnal_amplitude = 0.8;  // in [0, 1]
-  // kFlashCrowd: `flash_tenant`'s rate × flash_boost during
-  // [flash_start_frac, flash_start_frac + flash_duration_frac) × duration_s.
-  int flash_tenant = 0;
-  double flash_start_frac = 0.4;
-  double flash_duration_frac = 0.25;
+  // kFlashCrowd: tenant 0's rate × flash_boost during [0.4, 0.65) × duration_s.
   double flash_boost = 8.0;
   // SLO class mix, identical across tenants: fractions of interactive and batch
   // requests (the rest is standard). Both 0 keeps every request kStandard.
   double interactive_frac = 0.0;
   double batch_frac = 0.0;
 
-  // True when any multi-tenant machinery is active. False (the default) keeps
-  // GenerateTrace on the single-tenant code path, bit-identical to the
-  // pre-tenant generator (test-enforced).
+  // True when any multi-tenant machinery is active. False (the default) runs
+  // GenerateTrace's one loop with one tenant that draws like the pre-tenant
+  // generator, bit-identically (test-enforced).
   bool Enabled() const {
     return n_tenants > 1 || scenario != TenantScenario::kSteady ||
            interactive_frac > 0.0 || batch_frac > 0.0;
@@ -160,10 +156,9 @@ struct TraceConfig {
   double duration_s = 300.0;
   PopularityDist dist = PopularityDist::kZipf;
   double zipf_alpha = 1.5;
-  // Azure-like burst parameters.
+  // Azure-like burst parameters; a burst multiplies its model's rate by 20.
   double burst_on_mean_s = 20.0;
   double burst_off_mean_s = 60.0;
-  double burst_boost = 20.0;  // rate multiplier while a model is bursting
   // Length distributions (lognormal, clamped).
   double prompt_mean_tokens = 160.0;
   double prompt_sigma = 0.8;

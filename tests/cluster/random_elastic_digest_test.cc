@@ -4,8 +4,9 @@
 // and rates, a registry redundancy policy (or none), an engine and a
 // placement policy. Each run hashes its merged records, the merged metrics
 // (ToJsonLine), the per-worker metrics, the router's events and the elastic
-// ledger against the table at the bottom. CTest runs the pins twice: at the
-// default pool size and on a one-thread pool (DZ_THREADS=1).
+// ledger against the table at the bottom, and checks every merged record's
+// timestamp order. CTest runs the pins twice: at the default pool size and on
+// a one-thread pool (DZ_THREADS=1).
 //
 // The table was recorded before the epoch loop routed through one shared
 // ring, ran each worker's engine start and record scan in its pool task and
@@ -32,6 +33,7 @@
 #include "src/util/rng.h"
 #include "src/workload/trace.h"
 #include "tests/cluster/random_fault_plan.h"
+#include "tests/serving/record_order.h"
 
 namespace dz {
 namespace {
@@ -215,6 +217,7 @@ TEST(RandomElasticDigestTest, EveryConfigMatchesItsPin) {
     const Trace trace = GenerateTrace(rc.trace);
     const ClusterReport report = Cluster(rc.cluster).Serve(trace);
     ASSERT_TRUE(report.elastic.active) << i;
+    ExpectRecordsOrdered(report.merged, "config " + std::to_string(i));
     const Digest got = DigestOf(report);
     if (!SameDigest(got, kPins[i])) {
       ++mismatches;

@@ -75,6 +75,7 @@ void AppendRows(Matrix& m, const Matrix& rows) {
 
 // The block walk as it ran closures: a linear layer with an op calls it, any other
 // runs on `w`'s own weight. With kv set it decodes from the cache, as DecodeStep.
+// RMSNorm's eps (1e-5) and RoPE's theta (10000) are written out.
 Matrix ClosureWalk(const ModelWeights& w, const std::vector<int>& tokens, KVCache* kv,
                    const ClosureOverlay& ops) {
   const ModelConfig& cfg = w.config;
@@ -97,12 +98,12 @@ Matrix ClosureWalk(const ModelWeights& w, const std::vector<int>& tokens, KVCach
       return MatmulNT(in, *linears[index].weight);
     };
     std::vector<float> inv_rms;
-    const Matrix normed = RmsNormForward(x, lw.attn_norm, cfg.norm_eps, inv_rms);
+    const Matrix normed = RmsNormForward(x, lw.attn_norm, 1e-5f, inv_rms);
     Matrix q = linear(0, normed);
     Matrix k = linear(1, normed);
     const Matrix v = linear(2, normed);
-    RopeApply(q, cfg.n_heads, cfg.rope_theta, pos);
-    RopeApply(k, cfg.n_heads, cfg.rope_theta, pos);
+    RopeApply(q, cfg.n_heads, 10000.0f, pos);
+    RopeApply(k, cfg.n_heads, 10000.0f, pos);
     if (kv != nullptr) {
       AppendRows(kv->k[l], k);
       AppendRows(kv->v[l], v);
@@ -113,7 +114,7 @@ Matrix ClosureWalk(const ModelWeights& w, const std::vector<int>& tokens, KVCach
                                          probs);
     x.AddInPlace(linear(3, attn));
     std::vector<float> mlp_inv_rms;
-    const Matrix mlp_normed = RmsNormForward(x, lw.mlp_norm, cfg.norm_eps, mlp_inv_rms);
+    const Matrix mlp_normed = RmsNormForward(x, lw.mlp_norm, 1e-5f, mlp_inv_rms);
     const Matrix h = SwiGluForward(linear(4, mlp_normed), linear(5, mlp_normed));
     x.AddInPlace(linear(6, h));
   }
@@ -122,7 +123,7 @@ Matrix ClosureWalk(const ModelWeights& w, const std::vector<int>& tokens, KVCach
   }
   std::vector<float> final_inv_rms;
   const Matrix final_normed =
-      RmsNormForward(x, w.final_norm, cfg.norm_eps, final_inv_rms);
+      RmsNormForward(x, w.final_norm, 1e-5f, final_inv_rms);
   return MatmulNT(final_normed, w.lm_head);
 }
 

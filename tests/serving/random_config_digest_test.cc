@@ -2,12 +2,13 @@
 // served by both engines (DeltaZip, with a compressed delta or a LoRA adapter,
 // and vLLM-SCB), hash their records, final metrics (ToJsonLine, plus the
 // timeline when one is sampled) and traced event stream against the table at
-// the bottom. The configs vary everything the loop's fast paths depend on: the
-// scheduler policy, admission control, class preemption, skip-the-line,
-// parent-finish preemption, prefetch (lookahead, staging slots, warm hints),
-// max_batch, N, the prefill budget, a tight KV pool, SLO deadlines, registry
-// outages that park and unpark requests, channel partitions, RunUntil cuts
-// with arrivals offered only up to each cut, and SetSpeed between cuts.
+// the bottom, and check every record's timestamp order. The configs vary
+// everything the loop's fast paths depend on: the scheduler policy, admission
+// control, class preemption, skip-the-line, parent-finish preemption, prefetch
+// (lookahead, staging slots, warm hints), max_batch, N, the prefill budget, a
+// tight KV pool, SLO deadlines, registry outages that park and unpark
+// requests, channel partitions, RunUntil cuts with arrivals offered only up to
+// each cut, and SetSpeed between cuts.
 //
 // The table was recorded before the loop kept a shed bound, a running set, a
 // parent map and queued counts across rounds, when every full round walked
@@ -28,6 +29,7 @@
 #include "src/serving/serve_loop.h"
 #include "src/util/rng.h"
 #include "src/workload/trace.h"
+#include "tests/serving/record_order.h"
 
 namespace dz {
 namespace {
@@ -296,9 +298,12 @@ TEST(RandomConfigDigestTest, EveryConfigMatchesItsPin) {
   for (int i = 0; i < kConfigs; ++i) {
     const RandomConfig rc = MakeRandomConfig(0x5eed0000u + static_cast<uint64_t>(i));
     const Trace trace = GenerateTrace(rc.trace);
-    const Digest got[2] = {DigestOf(ServeCut(rc, trace, /*vllm=*/false)),
-                           DigestOf(ServeCut(rc, trace, /*vllm=*/true))};
+    const ServeReport reports[2] = {ServeCut(rc, trace, /*vllm=*/false),
+                                    ServeCut(rc, trace, /*vllm=*/true)};
+    const Digest got[2] = {DigestOf(reports[0]), DigestOf(reports[1])};
     for (int e = 0; e < 2; ++e) {
+      ExpectRecordsOrdered(reports[e],
+                           "config " + std::to_string(i) + (e == 0 ? " deltazip" : " vllm-scb"));
       const Digest& want = kPins[i][e];
       if (got[e].records != want.records || got[e].metrics != want.metrics ||
           got[e].events != want.events) {

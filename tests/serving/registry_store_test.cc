@@ -20,26 +20,25 @@ namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
-// 100-byte artifacts, 1 GPU slot, no host cache: evictions demote straight to
+// 5 GB artifacts, 1 GPU slot, no host cache: evictions demote straight to
 // disk, so the local-cache tier is observable through re-read timing.
 ArtifactStoreConfig SmallConfig() {
   ArtifactStoreConfig cfg;
-  cfg.artifact_bytes = 100;
-  cfg.gpu_budget_bytes = 100;
+  cfg.artifact_bytes = 5'000'000'000;
+  cfg.gpu_budget_bytes = 5'000'000'000;
   cfg.cpu_budget_bytes = 0;
   cfg.disk_read_s = 1.0;
   cfg.h2d_s = 0.1;
   return cfg;
 }
 
-// Bandwidths sized so one 100-byte artifact takes exactly 2.0 s on the wire
-// and 1.0 s to reconstruct through parity.
+// One 5 GB (40 Gb) artifact takes exactly 2.0 s on a 20 Gb/s wire and 1.0 s
+// to reconstruct through parity at the registry's 40 Gb/s.
 RegistryConfig RegConfig(const std::string& spec) {
   RegistryConfig cfg;
   cfg.enabled = true;
   EXPECT_TRUE(ParseRedundancyPolicy(spec, cfg.redundancy)) << spec;
-  cfg.net_gbps = 4e-7;
-  cfg.decode_gbps = 8e-7;
+  cfg.net_gbps = 20.0;
   return cfg;
 }
 

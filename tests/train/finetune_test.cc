@@ -76,8 +76,8 @@ TEST(OptimizerTest, AdamModelStepChangesAllSpans) {
 }
 
 // Test-local copies of the two optimizers that Adam replaced: one over a whole
-// model's ParamSpans, one per LoRA factor matrix. Adam must step parameters
-// exactly as they did, bit for bit.
+// model's ParamSpans, one per LoRA factor matrix, with β1 = 0.9, β2 = 0.999 and
+// eps = 1e-8 written out. Adam must step parameters exactly as they did, bit for bit.
 class ReferenceAdamModel {
  public:
   ReferenceAdamModel(const ModelWeights& shape, const AdamConfig& config)
@@ -87,8 +87,8 @@ class ReferenceAdamModel {
 
   void Step(ModelWeights& weights, ModelWeights& grads) {
     ++t_;
-    const float bc1 = 1.0f - std::pow(config_.beta1, static_cast<float>(t_));
-    const float bc2 = 1.0f - std::pow(config_.beta2, static_cast<float>(t_));
+    const float bc1 = 1.0f - std::pow(0.9f, static_cast<float>(t_));
+    const float bc2 = 1.0f - std::pow(0.999f, static_cast<float>(t_));
     auto w_spans = ParamSpans(weights);
     auto g_spans = ParamSpans(grads);
     auto m_spans = ParamSpans(m_);
@@ -99,11 +99,11 @@ class ReferenceAdamModel {
       float* m = m_spans[s].first;
       float* v = v_spans[s].first;
       for (size_t i = 0; i < w_spans[s].second; ++i) {
-        m[i] = config_.beta1 * m[i] + (1.0f - config_.beta1) * g[i];
-        v[i] = config_.beta2 * v[i] + (1.0f - config_.beta2) * g[i] * g[i];
+        m[i] = 0.9f * m[i] + (1.0f - 0.9f) * g[i];
+        v[i] = 0.999f * v[i] + (1.0f - 0.999f) * g[i] * g[i];
         const float mhat = m[i] / bc1;
         const float vhat = v[i] / bc2;
-        w[i] -= config_.lr * (mhat / (std::sqrt(vhat) + config_.eps) +
+        w[i] -= config_.lr * (mhat / (std::sqrt(vhat) + 1e-8f) +
                               config_.weight_decay * w[i]);
       }
     }
@@ -123,15 +123,15 @@ class ReferenceAdamMatrix {
 
   void Step(Matrix& w, const Matrix& grad) {
     ++t_;
-    const float bc1 = 1.0f - std::pow(config_.beta1, static_cast<float>(t_));
-    const float bc2 = 1.0f - std::pow(config_.beta2, static_cast<float>(t_));
+    const float bc1 = 1.0f - std::pow(0.9f, static_cast<float>(t_));
+    const float bc2 = 1.0f - std::pow(0.999f, static_cast<float>(t_));
     for (size_t i = 0; i < w.data().size(); ++i) {
       const float g = grad.data()[i];
-      m_.data()[i] = config_.beta1 * m_.data()[i] + (1.0f - config_.beta1) * g;
-      v_.data()[i] = config_.beta2 * v_.data()[i] + (1.0f - config_.beta2) * g * g;
+      m_.data()[i] = 0.9f * m_.data()[i] + (1.0f - 0.9f) * g;
+      v_.data()[i] = 0.999f * v_.data()[i] + (1.0f - 0.999f) * g * g;
       const float mhat = m_.data()[i] / bc1;
       const float vhat = v_.data()[i] / bc2;
-      w.data()[i] -= config_.lr * (mhat / (std::sqrt(vhat) + config_.eps) +
+      w.data()[i] -= config_.lr * (mhat / (std::sqrt(vhat) + 1e-8f) +
                                    config_.weight_decay * w.data()[i]);
     }
   }

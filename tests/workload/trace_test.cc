@@ -366,21 +366,20 @@ TEST(TenantTraceTest, FlashCrowdCountsFollowEnvelope) {
   cfg.duration_s = 600.0;
   cfg.tenants.n_tenants = 4;
   cfg.tenants.scenario = TenantScenario::kFlashCrowd;
-  cfg.tenants.flash_tenant = 1;
-  cfg.tenants.flash_start_frac = 0.4;
-  cfg.tenants.flash_duration_frac = 0.25;
   cfg.tenants.flash_boost = 8.0;
   const Trace trace = GenerateTrace(cfg);
 
-  const double start = cfg.tenants.flash_start_frac * cfg.duration_s;
-  const double end = start + cfg.tenants.flash_duration_frac * cfg.duration_s;
+  // Tenant 0 surges during [0.4, 0.65) × duration_s.
+  const int flash_tenant = 0;
+  const double start = 0.4 * cfg.duration_s;
+  const double end = start + 0.25 * cfg.duration_s;
   double flash_in = 0.0;
   double flash_out = 0.0;
   double others_in = 0.0;
   double others_out = 0.0;
   for (const auto& r : trace.requests) {
     const bool inside = r.arrival_s >= start && r.arrival_s < end;
-    if (r.tenant_id == cfg.tenants.flash_tenant) {
+    if (r.tenant_id == flash_tenant) {
       (inside ? flash_in : flash_out) += 1.0;
     } else {
       (inside ? others_in : others_out) += 1.0;
@@ -398,15 +397,14 @@ TEST(TenantTraceTest, FlashCrowdCountsFollowEnvelope) {
   EXPECT_LT(others_ratio, 1.4);
   // The reference envelope (arrival_rate x share x multiplier) agrees: four
   // equal shares, boosted inside the window only.
-  const double share =
-      reference::TenantShares(cfg.tenants)[static_cast<size_t>(cfg.tenants.flash_tenant)];
+  const double share = reference::TenantShares(cfg.tenants)[static_cast<size_t>(flash_tenant)];
   EXPECT_DOUBLE_EQ(share, 0.25);
-  EXPECT_DOUBLE_EQ(reference::RateMultiplierAt(cfg.tenants, cfg.tenants.flash_tenant,
+  EXPECT_DOUBLE_EQ(reference::RateMultiplierAt(cfg.tenants, flash_tenant,
                                                (start + end) / 2, cfg.duration_s),
                    cfg.tenants.flash_boost);
-  EXPECT_DOUBLE_EQ(reference::RateMultiplierAt(cfg.tenants, cfg.tenants.flash_tenant,
-                                               start - 1.0, cfg.duration_s),
-                   1.0);
+  EXPECT_DOUBLE_EQ(
+      reference::RateMultiplierAt(cfg.tenants, flash_tenant, start - 1.0, cfg.duration_s),
+      1.0);
 }
 
 TEST(TenantTraceTest, HeavyTailSharesAreSkewed) {
@@ -442,7 +440,9 @@ TEST(TenantTraceTest, SplitPreservesTenantFields) {
 
 // The generator as it chose models before the prefix-sum chooser: every request
 // rebuilt the weight vector, scanning each model's burst windows, and drew from
-// it with Rng::Categorical. GenerateTrace must reproduce it field for field.
+// it with Rng::Categorical. GenerateTrace must reproduce it field for field. The
+// burst boost (20) and the flash window (tenant 0, [0.4, 0.65) × duration) are
+// written out.
 namespace reference {
 
 struct BurstSchedule {
@@ -501,11 +501,11 @@ double RateMultiplierAt(const TenantConfig& config, int tenant, double t,
       return std::max(0.0, 1.0 + config.diurnal_amplitude * std::sin(phase));
     }
     case TenantScenario::kFlashCrowd: {
-      if (tenant != config.flash_tenant) {
+      if (tenant != 0) {
         return 1.0;
       }
-      const double start = config.flash_start_frac * duration_s;
-      const double end = start + config.flash_duration_frac * duration_s;
+      const double start = 0.4 * duration_s;
+      const double end = start + 0.25 * duration_s;
       return (t >= start && t < end) ? config.flash_boost : 1.0;
     }
   }
@@ -520,7 +520,7 @@ double RatePeakMultiplier(const TenantConfig& config, int tenant) {
     case TenantScenario::kDiurnal:
       return 1.0 + std::max(0.0, config.diurnal_amplitude);
     case TenantScenario::kFlashCrowd:
-      return tenant == config.flash_tenant ? std::max(1.0, config.flash_boost) : 1.0;
+      return tenant == 0 ? std::max(1.0, config.flash_boost) : 1.0;
   }
   return 1.0;
 }
@@ -562,7 +562,7 @@ Trace GenerateTrace(const TraceConfig& config) {
       const int rank = rank_of[static_cast<size_t>(m)];
       double w = popularity[static_cast<size_t>(rank)];
       if (config.dist == PopularityDist::kAzure) {
-        w *= bursts[static_cast<size_t>(rank)].IsOn(t) ? config.burst_boost : 1.0;
+        w *= bursts[static_cast<size_t>(rank)].IsOn(t) ? 20.0 : 1.0;
       }
       weights[static_cast<size_t>(m)] = w;
     }
@@ -642,7 +642,6 @@ TEST(TraceReferenceTest, EveryRequestMatchesThePerRequestWeightScan) {
     tc.n_tenants = 4;
     tc.scenario = scenario;
     tc.diurnal_period_s = 40.0;
-    tc.flash_tenant = 2;
     tc.interactive_frac = 0.3;
     tc.batch_frac = 0.2;
     tenancies.emplace_back(TenantScenarioName(scenario), tc);
@@ -702,8 +701,6 @@ TEST(TraceDeathTest, AzureBurstParametersAreChecked) {
   cfg.burst_off_mean_s = -1.0;
   EXPECT_DEATH(GenerateTrace(cfg), "burst_off_mean_s");
   cfg.burst_off_mean_s = 60.0;
-  cfg.burst_boost = -2.0;
-  EXPECT_DEATH(GenerateTrace(cfg), "burst_boost");
   // Outside kAzure the burst parameters are unused.
   cfg.dist = PopularityDist::kZipf;
   cfg.burst_on_mean_s = 0.0;
