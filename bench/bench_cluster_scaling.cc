@@ -59,15 +59,14 @@ void Run(bool quick) {
         cfg.engine.exec.tp = 4;
         cfg.engine.max_concurrent_deltas = 8;
         const ClusterReport r = Cluster(cfg).Serve(trace);
+        const ServeReport& m = r.merged;
         table.AddRow({PopularityDistName(dist), std::to_string(n_gpus),
-                      PlacementPolicyName(policy),
-                      Table::Num(r.AggregateTokenThroughput(), 1),
-                      Table::Num(r.AggregateThroughputRps(), 3),
-                      Table::Num(r.SloAttainmentE2e(120.0), 3),
-                      Table::Num(r.SloAttainmentTtft(30.0), 3),
-                      Table::Num(r.LoadImbalance(), 2),
-                      std::to_string(r.TotalLoads()),
-                      std::to_string(r.TotalDiskLoads())});
+                      PlacementPolicyName(policy), Table::Num(m.TokenThroughput(), 1),
+                      Table::Num(m.ThroughputRps(), 3),
+                      Table::Num(m.SloAttainmentE2e(120.0), 3),
+                      Table::Num(m.SloAttainmentTtft(30.0), 3),
+                      Table::Num(r.LoadImbalance(), 2), std::to_string(m.TotalLoads()),
+                      std::to_string(m.DiskLoads())});
       }
     }
   }
@@ -91,14 +90,13 @@ void Run(bool quick) {
       cfg.engine.exec.tp = 4;
       cfg.engine.max_concurrent_deltas = 8;
       cfg.engine.prefetch.enabled = on != 0;
-      const ClusterReport r = Cluster(cfg).Serve(trace);
-      pf.AddRow({on ? "on" : "off", Table::Num(r.merged.TotalLoadingTime(), 2),
-                 Table::Num(r.TotalStallHiddenS(), 2),
-                 std::to_string(r.TotalPrefetchIssued()) + "/" +
-                     std::to_string(r.TotalPrefetchHits()) + "/" +
-                     std::to_string(r.TotalPrefetchWasted()),
-                 Table::Num(r.SloAttainmentE2e(120.0), 3),
-                 Table::Num(r.AggregateTokenThroughput(), 1)});
+      const ServeReport m = Cluster(cfg).Serve(trace).merged;
+      pf.AddRow({on ? "on" : "off", Table::Num(m.TotalLoadingTime(), 2),
+                 Table::Num(m.StallHiddenS(), 2),
+                 std::to_string(m.PrefetchIssued()) + "/" + std::to_string(m.PrefetchHits()) +
+                     "/" + std::to_string(m.PrefetchWasted()),
+                 Table::Num(m.SloAttainmentE2e(120.0), 3),
+                 Table::Num(m.TokenThroughput(), 1)});
     }
     std::printf("Prefetch ablation (%d GPUs, delta-affinity, %s trace):\n%s\n", n_gpus,
                 PopularityDistName(dists.front()), pf.ToAscii().c_str());

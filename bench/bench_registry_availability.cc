@@ -139,7 +139,7 @@ void Run(int argc, char** argv) {
   base_cfg.registry.enabled = false;
   const ClusterReport base_run = Cluster(base_cfg).Serve(trace);
   std::printf("  no registry  fault-free   mean TTFT %6.3fs  (reference)\n",
-              base_run.MeanTtft());
+              base_run.merged.MeanTtft());
 
   std::vector<RunResult> results;
   for (const auto& pol : kPolicies) {
@@ -161,7 +161,7 @@ void Run(int argc, char** argv) {
       r.policy = pol.name;
       r.scenario = sc.name;
       r.report = Cluster(cfg).Serve(trace);
-      r.mean_ttft = r.report.MeanTtft();
+      r.mean_ttft = r.report.merged.MeanTtft();
       r.failed = r.report.elastic.failed;
       r.remote_reads = static_cast<long long>(
           r.report.merged.metrics.Value("registry.reads.remote"));
@@ -240,7 +240,7 @@ void Run(int argc, char** argv) {
   const double total_wall = total_timer.Seconds();
   Table summary({"metric", "value"});
   summary.AddRow({"cold-start mean TTFT, no registry (s)",
-                  Table::Num(base_run.MeanTtft(), 3)});
+                  Table::Num(base_run.merged.MeanTtft(), 3)});
   for (const auto& pol : kPolicies) {
     summary.AddRow({"cold-start mean TTFT, " + std::string(pol.name) + " (s)",
                     Table::Num(find(pol.name, "fault-free").mean_ttft, 3)});
@@ -264,7 +264,7 @@ void Run(int argc, char** argv) {
 
   if (const char* json_path = ParseStringFlag(argc, argv, "--json")) {
     BenchJson json("bench_registry_availability");
-    json.Add("ttft_no_registry", base_run.MeanTtft(), "s",
+    json.Add("ttft_no_registry", base_run.merged.MeanTtft(), "s",
              /*higher_is_better=*/false);
     json.Add("ttft_replicate2", find("replicate(2)", "fault-free").mean_ttft,
              "s", /*higher_is_better=*/false);

@@ -54,28 +54,31 @@ std::string ClusterReport::Summary(double slo_e2e_s, double slo_ttft_s) const {
   Table agg({"metric", "value"});
   agg.AddRow({"cluster", cluster_name});
   agg.AddRow({"policy", PlacementPolicyName(policy)});
-  agg.AddRow({"GPUs", std::to_string(n_gpus)});
+  agg.AddRow({"GPUs", std::to_string(per_gpu.size())});
   agg.AddRow({"requests", std::to_string(completed())});
   agg.AddRow({"makespan (s)", Table::Num(makespan_s(), 1)});
-  agg.AddRow({"throughput (req/s)", Table::Num(AggregateThroughputRps(), 3)});
-  agg.AddRow({"token throughput (tok/s)", Table::Num(AggregateTokenThroughput(), 1)});
-  agg.AddRow({"mean E2E (s)", Table::Num(MeanE2e(), 2)});
+  agg.AddRow({"throughput (req/s)", Table::Num(merged.ThroughputRps(), 3)});
+  agg.AddRow({"token throughput (tok/s)", Table::Num(merged.TokenThroughput(), 1)});
+  agg.AddRow({"mean E2E (s)", Table::Num(merged.MeanE2e(), 2)});
   agg.AddRow({"P90 E2E (s)", Table::Num(Percentile(merged.E2es(), 90), 2)});
-  agg.AddRow({"mean TTFT (s)", Table::Num(MeanTtft(), 3)});
+  agg.AddRow({"mean TTFT (s)", Table::Num(merged.MeanTtft(), 3)});
   agg.AddRow({"SLO attain E2E<=" + Table::Num(slo_e2e_s, 0) + "s",
-              Table::Num(SloAttainmentE2e(slo_e2e_s), 3)});
+              Table::Num(merged.SloAttainmentE2e(slo_e2e_s), 3)});
   agg.AddRow({"SLO attain TTFT<=" + Table::Num(slo_ttft_s, 0) + "s",
-              Table::Num(SloAttainmentTtft(slo_ttft_s), 3)});
+              Table::Num(merged.SloAttainmentTtft(slo_ttft_s), 3)});
   agg.AddRow({"load imbalance (max/mean)", Table::Num(LoadImbalance(), 2)});
   agg.AddRow({"mean GPU utilization", Table::Num(MeanUtilization(), 3)});
-  agg.AddRow({"artifact loads (PCIe)", std::to_string(TotalLoads())});
-  agg.AddRow({"artifact loads (disk)", std::to_string(TotalDiskLoads())});
-  if (TotalPrefetchIssued() > 0) {
+  agg.AddRow({"artifact loads (PCIe)", std::to_string(merged.TotalLoads())});
+  agg.AddRow({"artifact loads (disk)", std::to_string(merged.DiskLoads())});
+  // Prefetch rows and per-GPU columns appear only when prefetch actually ran,
+  // so prefetch-off output matches the pre-prefetch rendering.
+  const bool show_prefetch = merged.PrefetchIssued() > 0;
+  if (show_prefetch) {
     agg.AddRow({"prefetch issued/hits/wasted",
-                std::to_string(TotalPrefetchIssued()) + "/" +
-                    std::to_string(TotalPrefetchHits()) + "/" +
-                    std::to_string(TotalPrefetchWasted())});
-    agg.AddRow({"stall hidden by prefetch (s)", Table::Num(TotalStallHiddenS(), 1)});
+                std::to_string(merged.PrefetchIssued()) + "/" +
+                    std::to_string(merged.PrefetchHits()) + "/" +
+                    std::to_string(merged.PrefetchWasted())});
+    agg.AddRow({"stall hidden by prefetch (s)", Table::Num(merged.StallHiddenS(), 1)});
   }
   // Fault/elasticity rows appear only for elastic runs, following the
   // prefetch-row gating above, so static output matches the pre-fault
@@ -121,10 +124,6 @@ std::string ClusterReport::Summary(double slo_e2e_s, double slo_ttft_s) const {
   // in AppendAttributionRows), so untraced output is unchanged.
   AppendAttributionRows(agg, merged);
 
-  // The per-GPU prefetch column appears only when prefetch actually ran, like
-  // the aggregate rows above, so prefetch-off output matches the pre-prefetch
-  // rendering.
-  const bool show_prefetch = TotalPrefetchIssued() > 0;
   std::vector<std::string> header = {"gpu",  "requests", "out tokens", "busy (s)",
                                      "util", "loads",    "disk"};
   if (show_prefetch) {
@@ -154,7 +153,6 @@ ClusterReport BuildClusterReport(std::string cluster_name, PlacementPolicy polic
   ClusterReport report;
   report.cluster_name = std::move(cluster_name);
   report.policy = policy;
-  report.n_gpus = static_cast<int>(per_gpu.size());
   report.merged.engine_name = per_gpu.front().engine_name;
   report.merged.slo_spec = per_gpu.front().slo_spec;
   std::vector<const ServeReport*> parts;

@@ -58,14 +58,14 @@ struct ElasticStats {
 struct ClusterReport {
   std::string cluster_name;  // e.g. "deltazip x4 [delta-affinity]"
   PlacementPolicy policy = PlacementPolicy::kRoundRobin;
-  int n_gpus = 1;
   // Fault/elasticity ledger; `elastic.active` is false (and every field 0) on
   // the default static path, which leaves Summary() output unchanged.
   ElasticStats elastic;
-  std::vector<ServeReport> per_gpu;  // indexed by GPU id
+  std::vector<ServeReport> per_gpu;  // indexed by GPU id; its size is the GPU count
   // All per-GPU records merged by finish time (stable by GPU at ties). For a
   // 1-GPU cluster this is exactly the worker's report, so cluster and direct
-  // engine runs compare bit-identically.
+  // engine runs compare bit-identically. Cluster-wide throughput, latency,
+  // SLO attainment and artifact traffic are its ServeReport accessors.
   ServeReport merged;
   // Router-side trace events (router.place / router.warm_hint), empty unless
   // tracing is on. Worker events stay in per_gpu[g].trace_events (tagged with
@@ -79,14 +79,6 @@ struct ClusterReport {
 
   size_t completed() const { return merged.records.size(); }
   double makespan_s() const { return merged.makespan_s; }
-  double AggregateThroughputRps() const { return merged.ThroughputRps(); }
-  double AggregateTokenThroughput() const { return merged.TokenThroughput(); }
-  double MeanE2e() const { return merged.MeanE2e(); }
-  double MeanTtft() const { return merged.MeanTtft(); }
-  double SloAttainmentE2e(double slo_s) const { return merged.SloAttainmentE2e(slo_s); }
-  double SloAttainmentTtft(double slo_s) const {
-    return merged.SloAttainmentTtft(slo_s);
-  }
 
   // Admission-control sheds summed over GPUs (0 when shedding is disabled).
   int TotalShed() const { return merged.TotalShed(); }
@@ -95,14 +87,6 @@ struct ClusterReport {
   // served nothing count toward the mean. 0 when the cluster served nothing.
   double LoadImbalance() const;
   double MeanUtilization() const;
-  // Artifact traffic summed over GPUs (views of the merged snapshot).
-  int TotalLoads() const { return merged.TotalLoads(); }  // PCIe (H2D) transfers
-  int TotalDiskLoads() const { return merged.DiskLoads(); }  // disk→host reads
-  // Prefetch effectiveness (all 0 when prefetch is disabled).
-  int TotalPrefetchIssued() const { return merged.PrefetchIssued(); }
-  int TotalPrefetchHits() const { return merged.PrefetchHits(); }
-  int TotalPrefetchWasted() const { return merged.PrefetchWasted(); }
-  double TotalStallHiddenS() const { return merged.StallHiddenS(); }
 
   // Aligned ASCII rendering: cluster aggregates plus a per-GPU breakdown
   // (shared by `dzip_cli cluster` and the scaling bench).

@@ -107,11 +107,6 @@ std::vector<int> InputHints(const std::vector<TraceRequest>& input) {
   return order;
 }
 
-std::unique_ptr<ServingEngine> MakeWorkerEngine(const ClusterConfig& cfg,
-                                                const EngineConfig& ec) {
-  return cfg.vllm_baseline ? MakeVllmScbEngine(ec) : MakeDeltaZipEngine(ec);
-}
-
 // Folds an ended engine's report into a worker's accumulated report. The
 // first one moves in whole, so a worker with one engine lifetime reports
 // exactly what its engine returned. Later ones merge their records and
@@ -262,14 +257,12 @@ struct ElasticRun {
     EngineConfig ec = cfg.engine;
     ec.start_s = t;
     if (registry != nullptr) {
-      ec.registry = registry.get();
-      ec.registry_node = w.id;
-      ec.registry_warm = w.acc.cached_artifacts;
+      ec.registry = {registry.get(), w.id, w.acc.cached_artifacts};
     }
     if (ec.prefetch.enabled) {
       ec.prefetch.warm_hints = hints != nullptr ? *hints : InputHints(w.carry);
     }
-    w.loop = MakeWorkerEngine(cfg, ec)->Start(trace.n_models, trace.n_tenants);
+    w.loop = MakeEngine(ec, cfg.vllm_baseline)->Start(trace.n_models, trace.n_tenants);
     w.loop->SetSpeed(w.speed);
     if (w.partitioned) {
       BlackOut(*w.loop, t, std::max(t, w.partition_end_s));
@@ -837,7 +830,7 @@ ClusterReport ServeElastic(const ClusterConfig& cfg, const Trace& trace) {
   per_gpu.reserve(run.workers.size());
   for (WorkerSlot& w : run.workers) {
     if (w.acc.engine_name.empty()) {
-      w.acc.engine_name = MakeWorkerEngine(cfg, cfg.engine)->name();
+      w.acc.engine_name = MakeEngine(cfg.engine, cfg.vllm_baseline)->name();
       w.acc.n_tenants = std::max(1, trace.n_tenants);
       w.acc.slo_spec = cfg.engine.scheduler.slo;
     }

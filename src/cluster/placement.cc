@@ -20,18 +20,6 @@ const char* PlacementPolicyName(PlacementPolicy policy) {
   return "?";
 }
 
-bool ParsePlacementPolicy(const std::string& name, PlacementPolicy& out) {
-  for (PlacementPolicy p :
-       {PlacementPolicy::kRoundRobin, PlacementPolicy::kLeastOutstanding,
-        PlacementPolicy::kDeltaAffinity, PlacementPolicy::kTenantAffinity}) {
-    if (name == PlacementPolicyName(p)) {
-      out = p;
-      return true;
-    }
-  }
-  return false;
-}
-
 namespace {
 
 // Delta- and tenant-affinity ring: replicas (virtual nodes) per GPU, and the

@@ -22,7 +22,6 @@
 #define SRC_CLUSTER_PLACEMENT_H_
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "src/workload/trace.h"
@@ -36,12 +35,13 @@ enum class PlacementPolicy {
   kTenantAffinity,
 };
 
+inline constexpr PlacementPolicy kPlacementPolicies[] = {
+    PlacementPolicy::kRoundRobin, PlacementPolicy::kLeastOutstanding,
+    PlacementPolicy::kDeltaAffinity, PlacementPolicy::kTenantAffinity};
 // Stable CLI/report name of a policy ("round-robin", "least-outstanding",
-// "delta-affinity", "tenant-affinity").
+// "delta-affinity", "tenant-affinity"); ParseName (src/util/parse.h) reads it
+// back over kPlacementPolicies.
 const char* PlacementPolicyName(PlacementPolicy policy);
-// Parses the names printed by PlacementPolicyName. Returns false on unknown
-// names.
-bool ParsePlacementPolicy(const std::string& name, PlacementPolicy& out);
 
 struct PlacerConfig {
   int n_gpus = 1;

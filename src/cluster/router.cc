@@ -71,8 +71,8 @@ Cluster::Cluster(const ClusterConfig& config) : config_(config) {
 }
 
 std::string Cluster::name() const {
-  const char* engine = config_.vllm_baseline ? "vllm-scb" : "deltazip";
-  return std::string(engine) + " x" + std::to_string(config_.placer.n_gpus) + " [" +
+  return std::string(MakeEngine(config_.engine, config_.vllm_baseline)->name()) + " x" +
+         std::to_string(config_.placer.n_gpus) + " [" +
          PlacementPolicyName(config_.placer.policy) + "]";
 }
 

@@ -83,7 +83,8 @@ class Cluster {
   // reports — all through the cluster loop (ServeElastic, src/cluster/elastic.h).
   ClusterReport Serve(const Trace& trace) const;
 
-  // e.g. "deltazip x4 [delta-affinity]".
+  // The worker engine's name, the worker count and the placement policy,
+  // e.g. "deltazip x4 [delta-affinity]" or "deltazip-lora x2 [round-robin]".
   std::string name() const;
 
  private:

@@ -12,18 +12,18 @@ ArtifactStore::ArtifactStore(const ArtifactStoreConfig& config, int n_artifacts,
     : config_(config), entries_(static_cast<size_t>(n_artifacts)), observer_(observer) {
   DZ_CHECK_GT(config_.artifact_bytes, 0u);
   tier_count_[static_cast<int>(Tier::kDisk)] = n_artifacts;
-  observer_.RegisterStore(config_.registry != nullptr);
+  observer_.RegisterStore(config_.registry.source != nullptr);
   MetricsRegistry& metrics = observer_.metrics();
   prefetch_hits_ = metrics.GetCounter("store.prefetch.hits");
   prefetch_wasted_ = metrics.GetCounter("store.prefetch.wasted");
   stall_hidden_s_ = metrics.GetCounter("store.prefetch.stall_hidden_s");
   gpu_resident_ = metrics.GetGauge("store.gpu.resident");
-  if (config_.registry != nullptr) {
+  if (config_.registry.source != nullptr) {
     unavailable_ = metrics.GetCounter("registry.unavailable");
     // The local tier starts with what this node durably holds (full copies it
     // is a registry holder of) plus the carried cache contents.
     local_.assign(static_cast<size_t>(n_artifacts), 0);
-    for (int id : config_.registry_warm) {
+    for (int id : config_.registry.warm) {
       DZ_CHECK_GE(id, 0);
       DZ_CHECK_LT(id, n_artifacts);
       local_[static_cast<size_t>(id)] = 1;
@@ -34,13 +34,14 @@ ArtifactStore::ArtifactStore(const ArtifactStoreConfig& config, int n_artifacts,
 
 void ArtifactStore::OnRegistryChange() {
   ++version_;
-  if (config_.registry == nullptr) {
+  if (config_.registry.source == nullptr) {
     return;
   }
   // The local tier gains what this node now durably holds (full copies it is a
   // holder of, repair-installed ones included); plans are recomputed lazily.
   for (size_t id = 0; id < local_.size(); ++id) {
-    if (config_.registry->NodeHoldsFullCopy(static_cast<int>(id), config_.registry_node)) {
+    if (config_.registry.source->NodeHoldsFullCopy(static_cast<int>(id),
+                                                   config_.registry.node)) {
       local_[id] = 1;
     }
   }
@@ -77,8 +78,8 @@ const FetchPlan& ArtifactStore::PlanFetch(int id) {
   // The registry is constant between OnRegistryChange calls, so a plan is too.
   std::optional<FetchPlan>& plan = plans_[static_cast<size_t>(id)];
   if (!plan) {
-    plan = config_.registry->PlanFetch(id, config_.registry_node,
-                                       static_cast<double>(config_.artifact_bytes));
+    plan = config_.registry.source->PlanFetch(id, config_.registry.node,
+                                              static_cast<double>(config_.artifact_bytes));
   }
   return *plan;
 }
@@ -168,7 +169,7 @@ ArtifactStore::LoadResult ArtifactStore::IssueLoad(int id, double now,
   // resident one its slot.
   FetchPlan plan;
   bool remote = false;
-  if (e.tier == Tier::kDisk && config_.registry != nullptr &&
+  if (e.tier == Tier::kDisk && config_.registry.source != nullptr &&
       local_[static_cast<size_t>(id)] == 0) {
     plan = PlanFetch(id);
     if (!plan.available) {
@@ -225,7 +226,7 @@ ArtifactStore::LoadResult ArtifactStore::IssueLoad(int id, double now,
     // participate). The bytes land in the local cache tier, so every later
     // load of this artifact pays disk/PCIe only.
     const double net_s =
-        config_.registry->NetSeconds(plan.remote_bytes) + plan.decode_s;
+        config_.registry.source->NetSeconds(plan.remote_bytes) + plan.decode_s;
     const double start =
         DeferPastOutages(TraceChannel::kNet, std::max(now, net_free_at_));
     ready = start + net_s;

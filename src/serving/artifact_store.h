@@ -36,22 +36,29 @@ struct ChannelOutage {
   double end_s = 0.0;
 };
 
+// A worker's attachment to the cluster-shared artifact registry
+// (src/registry/); EngineConfig holds one and the engine's store the same.
+// Null `source` (the default) keeps the infinite-local-disk store and is
+// bit-identical (golden-enforced). When attached, artifacts this node does not
+// hold locally are fetched over a bounded-bandwidth net channel from the
+// registry's live holders (possibly degraded through failover replicas or
+// erasure decode) and cached on the local disk tier afterwards.
+struct RegistryAttachment {
+  const ArtifactRegistry* source = nullptr;
+  int node = 0;  // this worker's node id in the registry
+  // Artifacts already sitting in this node's local cache tier when the engine
+  // starts (the elastic loop carries a worker's previous engine's cache
+  // through here).
+  std::vector<int> warm;
+};
+
 struct ArtifactStoreConfig {
   size_t artifact_bytes = 0;      // per-artifact GPU footprint (bytes)
   size_t gpu_budget_bytes = 0;    // GPU bytes available for artifacts (after base/kv)
   size_t cpu_budget_bytes = 0;    // host-memory cache capacity (bytes)
   double disk_read_s = 0.0;       // disk → host time for one artifact (seconds)
   double h2d_s = 0.0;             // host → device time for one artifact (seconds)
-  // Cluster-shared artifact registry (null, the default, keeps the PR 8
-  // infinite-local-disk model). When attached, artifacts this node does not
-  // hold locally are fetched over a bounded-bandwidth net channel from the
-  // registry's live holders (possibly degraded through failover replicas or
-  // erasure decode) and cached on the local disk tier afterwards.
-  const ArtifactRegistry* registry = nullptr;
-  int registry_node = 0;  // this store's node id in the registry
-  // Artifacts already sitting in this node's local cache tier at t = 0 (the
-  // elastic loop carries a worker's previous engine's cache through here).
-  std::vector<int> registry_warm;
+  RegistryAttachment registry;  // the worker's, from its EngineConfig
 };
 
 class ArtifactStore {
@@ -123,7 +130,7 @@ class ArtifactStore {
 
   // Artifact ids currently in this node's local cache tier (registry-attached
   // stores only; empty otherwise). The elastic loop snapshots this when a
-  // worker's engine ends and replays it into its next engine's `registry_warm`.
+  // worker's engine ends and replays it into its next engine's `registry.warm`.
   std::vector<int> LocallyCached() const;
 
   // Adds a channel blackout window (a partition); transfers already issued keep
@@ -173,7 +180,7 @@ class ArtifactStore {
   // on no load is in flight, and NextLoadReady needs no scan.
   double last_ready_at_ = -std::numeric_limits<double>::infinity();
   // Node-local cache tier (registry mode): true once this node holds the full
-  // artifact bytes locally — as a registry holder, via registry_warm carry, or
+  // artifact bytes locally — as a registry holder, via registry.warm carry, or
   // after a completed remote fetch. Local artifacts pay disk/PCIe only.
   std::vector<char> local_;
   // PlanFetch results per artifact (registry mode), empty until first use.

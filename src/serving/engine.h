@@ -101,15 +101,8 @@ struct EngineConfig {
   // running loop (serve_loop.h): halting is the RunUntil argument, a slow node
   // ServeLoop::SetSpeed, a partition ArtifactStore::AddOutage.
   double start_s = 0.0;
-  // --- Artifact-registry attachment (src/registry/). Null (the default) keeps
-  // the PR 8 infinite-local-disk store and is bit-identical (golden-enforced).
-  // When set, the worker's ArtifactStore sources non-local artifacts from the
-  // registry's live holders over the net channel; `registry_node` is this
-  // worker's node id, `registry_warm` the artifacts already in its local cache
-  // tier at start_s (carried over from the worker's previous engine). ---
-  const ArtifactRegistry* registry = nullptr;
-  int registry_node = 0;
-  std::vector<int> registry_warm;
+  // Artifact-registry attachment (artifact_store.h); detached by default.
+  RegistryAttachment registry;
 };
 
 class ServeLoop;
@@ -139,6 +132,9 @@ class ServingEngine {
 
 std::unique_ptr<ServingEngine> MakeDeltaZipEngine(const EngineConfig& config);
 std::unique_ptr<ServingEngine> MakeVllmScbEngine(const EngineConfig& config);
+// The one choice between the two: the vLLM-SCB baseline when `vllm_baseline`,
+// else DeltaZip (which `config.artifact` names "deltazip" or "deltazip-lora").
+std::unique_ptr<ServingEngine> MakeEngine(const EngineConfig& config, bool vllm_baseline);
 
 // Bytes one variant's artifact occupies on a worker, over all its TP shards: a whole
 // fp16 model for the vLLM-SCB baseline (`full_model`), otherwise the LoRA adapter or

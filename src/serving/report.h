@@ -64,7 +64,7 @@ struct ServeReport {
   // without a registry. The elastic ledger counts them under `failed`.
   std::vector<TraceRequest> unavailable;
   // Artifact ids in the store's node-local cache tier at the end of the run
-  // (registry runs only; empty otherwise). Carried into `registry_warm` of the
+  // (registry runs only; empty otherwise). Carried into `registry.warm` of the
   // worker's next engine.
   std::vector<int> cached_artifacts;
   // Critical-path attribution per SLO class (all zero when tracing is off):

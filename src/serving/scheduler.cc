@@ -14,14 +14,4 @@ const char* SchedPolicyName(SchedPolicy policy) {
   return "?";
 }
 
-bool ParseSchedPolicy(const std::string& name, SchedPolicy& out) {
-  for (SchedPolicy p : {SchedPolicy::kFcfs, SchedPolicy::kPriority, SchedPolicy::kDwfq}) {
-    if (name == SchedPolicyName(p)) {
-      out = p;
-      return true;
-    }
-  }
-  return false;
-}
-
 }  // namespace dz

@@ -28,7 +28,6 @@
 #include <algorithm>
 #include <cmath>
 #include <map>
-#include <string>
 #include <vector>
 
 #include "src/workload/trace.h"
@@ -41,10 +40,11 @@ enum class SchedPolicy {
   kDwfq,
 };
 
-// Stable CLI/report name of a policy ("fcfs", "priority", "dwfq").
+inline constexpr SchedPolicy kSchedPolicies[] = {SchedPolicy::kFcfs, SchedPolicy::kPriority,
+                                                 SchedPolicy::kDwfq};
+// Stable CLI/report name of a policy ("fcfs", "priority", "dwfq"); ParseName
+// (src/util/parse.h) reads it back over kSchedPolicies.
 const char* SchedPolicyName(SchedPolicy policy);
-// Parses the names printed by SchedPolicyName. Returns false on unknown names.
-bool ParseSchedPolicy(const std::string& name, SchedPolicy& out);
 
 struct SchedulerConfig {
   SchedPolicy policy = SchedPolicy::kFcfs;

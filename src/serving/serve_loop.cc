@@ -13,11 +13,9 @@ constexpr double kInf = std::numeric_limits<double>::infinity();
 // Per-round scheduler/runner overhead (simulated seconds).
 constexpr double kSchedOverheadS = 0.002;
 
-// The policy's store geometry and timings, on the engine's registry node.
+// The policy's store geometry and timings, attached as the engine is.
 ArtifactStoreConfig WithRegistry(ArtifactStoreConfig store, const EngineConfig& config) {
   store.registry = config.registry;
-  store.registry_node = config.registry_node;
-  store.registry_warm = config.registry_warm;
   return store;
 }
 }  // namespace
@@ -67,6 +65,10 @@ size_t WorkerArtifactBytes(const EngineConfig& config, const ExecModel& exec,
 
 std::unique_ptr<ServeLoop> ServingEngine::Start(int n_models, int n_tenants) const {
   return std::make_unique<ServeLoop>(config_, name_, make_policy_, n_models, n_tenants);
+}
+
+std::unique_ptr<ServingEngine> MakeEngine(const EngineConfig& config, bool vllm_baseline) {
+  return vllm_baseline ? MakeVllmScbEngine(config) : MakeDeltaZipEngine(config);
 }
 
 ServeReport ServingEngine::Serve(const Trace& trace) const {
@@ -552,7 +554,7 @@ ServeReport ServeLoop::Finish() {
     }
   }
 
-  if (config_.registry != nullptr) {
+  if (config_.registry.source != nullptr) {
     report_.cached_artifacts = store_.LocallyCached();
   }
   report_.n_tenants = std::max(1, n_tenants_);

@@ -1,5 +1,7 @@
 // The one reader for numbers that arrive as text: dzip_cli and bench flags,
-// DZ_THREADS, trace JSONL fields, and the fault and redundancy specs.
+// DZ_THREADS, trace JSONL fields, and the fault and redundancy specs. Also the
+// one reader for enum names (ParseName) and the one printer of their lists
+// (NameList).
 //
 // There is one spelling, the one std::from_chars reads. An integer is decimal
 // digits after an optional '-', and must fit its type. A bool is an integer in
@@ -14,6 +16,7 @@
 #include <cmath>
 #include <cstddef>
 #include <limits>
+#include <string>
 #include <string_view>
 #include <system_error>
 #include <type_traits>
@@ -72,6 +75,37 @@ bool ParseNumber(std::string_view text, NumberBounds bounds, T& out) {
   }
   out = v;
   return true;
+}
+
+// Enum names. Each enum with a stable CLI/report spelling keeps, next to its
+// `*Name()` function, an array of every enumerator in declaration order (e.g.
+// kSchedPolicies); these read and list the names over that array.
+
+// Sets `out` to the enumerator of `values` that `name_of` spells `text` and
+// returns true; on an unknown name returns false and leaves `out` alone.
+template <typename E, size_t N>
+bool ParseName(std::string_view text, const E (&values)[N], const char* (*name_of)(E),
+               E& out) {
+  for (const E v : values) {
+    if (text == name_of(v)) {
+      out = v;
+      return true;
+    }
+  }
+  return false;
+}
+
+// Every name of `values` in order, comma-separated: "fcfs, priority, dwfq".
+template <typename E, size_t N>
+std::string NameList(const E (&values)[N], const char* (*name_of)(E)) {
+  std::string list;
+  for (const E v : values) {
+    if (!list.empty()) {
+      list += ", ";
+    }
+    list += name_of(v);
+  }
+  return list;
 }
 
 }  // namespace dz

@@ -45,18 +45,6 @@ const char* TenantScenarioName(TenantScenario scenario) {
   return "?";
 }
 
-bool ParseTenantScenario(const std::string& name, TenantScenario& out) {
-  for (TenantScenario s :
-       {TenantScenario::kSteady, TenantScenario::kDiurnal, TenantScenario::kFlashCrowd,
-        TenantScenario::kHeavyTail}) {
-    if (name == TenantScenarioName(s)) {
-      out = s;
-      return true;
-    }
-  }
-  return false;
-}
-
 std::vector<int> Trace::ModelCounts() const {
   std::vector<int> counts(static_cast<size_t>(n_models), 0);
   for (const auto& r : requests) {

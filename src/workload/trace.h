@@ -14,7 +14,6 @@
 #define SRC_WORKLOAD_TRACE_H_
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "src/util/rng.h"
@@ -105,6 +104,10 @@ enum class PopularityDist {
   kAzure,
 };
 
+inline constexpr PopularityDist kPopularityDists[] = {
+    PopularityDist::kUniform, PopularityDist::kZipf, PopularityDist::kAzure};
+// Stable CLI/report name ("uniform", "zipf", "azure"); ParseName
+// (src/util/parse.h) reads it back over kPopularityDists.
 const char* PopularityDistName(PopularityDist dist);
 
 // Multi-tenant traffic shape layered on top of the per-model popularity
@@ -123,10 +126,12 @@ enum class TenantScenario {
   kHeavyTail,
 };
 
-// Stable CLI/report name ("steady", "diurnal", "flash-crowd", "heavy-tail").
+inline constexpr TenantScenario kTenantScenarios[] = {
+    TenantScenario::kSteady, TenantScenario::kDiurnal, TenantScenario::kFlashCrowd,
+    TenantScenario::kHeavyTail};
+// Stable CLI/report name ("steady", "diurnal", "flash-crowd", "heavy-tail");
+// ParseName (src/util/parse.h) reads it back over kTenantScenarios.
 const char* TenantScenarioName(TenantScenario scenario);
-// Parses the names printed by TenantScenarioName. Returns false on unknowns.
-bool ParseTenantScenario(const std::string& name, TenantScenario& out);
 
 struct TenantConfig {
   int n_tenants = 1;

@@ -281,7 +281,7 @@ TEST(ElasticAutoscaleTest, HoldOnlyRunMatchesStaticClusterBitIdentically) {
     EXPECT_DOUBLE_EQ(a.finish_s, b.finish_s) << i;
   }
   EXPECT_DOUBLE_EQ(elastic.makespan_s(), baseline.makespan_s());
-  EXPECT_EQ(elastic.TotalLoads(), baseline.TotalLoads());
+  EXPECT_EQ(elastic.merged.TotalLoads(), baseline.merged.TotalLoads());
 }
 
 }  // namespace

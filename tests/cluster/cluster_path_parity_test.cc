@@ -74,12 +74,9 @@ ClusterReport DecomposedServe(const ClusterConfig& cfg, const Trace& trace) {
       ec.prefetch.warm_hints = hints[gpu];
     }
     if (registry != nullptr) {
-      ec.registry = registry.get();
-      ec.registry_node = static_cast<int>(gpu);
+      ec.registry = {registry.get(), static_cast<int>(gpu), {}};
     }
-    const std::unique_ptr<ServingEngine> engine =
-        cfg.vllm_baseline ? MakeVllmScbEngine(ec) : MakeDeltaZipEngine(ec);
-    reports.push_back(engine->Serve(shards[gpu]));
+    reports.push_back(MakeEngine(ec, cfg.vllm_baseline)->Serve(shards[gpu]));
   }
   ClusterReport report =
       BuildClusterReport(Cluster(cfg).name(), cfg.placer.policy, std::move(reports));
@@ -158,7 +155,6 @@ void ExpectEventsEqual(const std::vector<TraceEvent>& got,
 void ExpectSameReport(const ClusterReport& got, const ClusterReport& want) {
   EXPECT_FALSE(got.elastic.active);
   EXPECT_EQ(got.cluster_name, want.cluster_name);
-  EXPECT_EQ(got.n_gpus, want.n_gpus);
   EXPECT_EQ(got.merged.engine_name, want.merged.engine_name);
   EXPECT_EQ(got.merged.makespan_s, want.merged.makespan_s);
   ExpectRecordsEqual(got.merged.records, want.merged.records, "merged");

@@ -61,8 +61,8 @@ TEST_P(SingleGpuParityTest, MatchesDirectEngineRunBitIdentically) {
 
   EXPECT_EQ(report.merged.engine_name, direct.engine_name);
   EXPECT_DOUBLE_EQ(report.makespan_s(), direct.makespan_s);
-  EXPECT_EQ(report.TotalLoads(), direct.TotalLoads());
-  EXPECT_EQ(report.TotalDiskLoads(), direct.DiskLoads());
+  EXPECT_EQ(report.merged.TotalLoads(), direct.TotalLoads());
+  EXPECT_EQ(report.merged.DiskLoads(), direct.DiskLoads());
   ExpectRecordsIdentical(report.merged.records, direct.records);
   EXPECT_DOUBLE_EQ(report.LoadImbalance(), 1.0);
   EXPECT_DOUBLE_EQ(report.MeanUtilization(), 1.0);
@@ -150,10 +150,10 @@ TEST(ClusterPrefetchTest, SingleGpuParityHoldsWithPrefetchEnabled) {
   const ServeReport direct = MakeDeltaZipEngine(direct_cfg)->Serve(trace);
 
   EXPECT_DOUBLE_EQ(report.makespan_s(), direct.makespan_s);
-  EXPECT_EQ(report.TotalLoads(), direct.TotalLoads());
-  EXPECT_EQ(report.TotalPrefetchIssued(), direct.PrefetchIssued());
-  EXPECT_EQ(report.TotalPrefetchHits(), direct.PrefetchHits());
-  EXPECT_DOUBLE_EQ(report.TotalStallHiddenS(), direct.StallHiddenS());
+  EXPECT_EQ(report.merged.TotalLoads(), direct.TotalLoads());
+  EXPECT_EQ(report.merged.PrefetchIssued(), direct.PrefetchIssued());
+  EXPECT_EQ(report.merged.PrefetchHits(), direct.PrefetchHits());
+  EXPECT_DOUBLE_EQ(report.merged.StallHiddenS(), direct.StallHiddenS());
   ExpectRecordsIdentical(report.merged.records, direct.records);
 }
 
@@ -219,9 +219,9 @@ TEST(ClusterPrefetchTest, PrefetchShrinksClusterStallsAtScale) {
   cfg.engine.prefetch.enabled = true;
   const ClusterReport on = Cluster(cfg).Serve(trace);
   EXPECT_LT(on.merged.TotalLoadingTime(), off.merged.TotalLoadingTime());
-  EXPECT_GT(on.TotalPrefetchHits(), 0);
-  EXPECT_GT(on.TotalStallHiddenS(), 0.0);
-  EXPECT_GE(on.SloAttainmentE2e(120.0), off.SloAttainmentE2e(120.0));
+  EXPECT_GT(on.merged.PrefetchHits(), 0);
+  EXPECT_GT(on.merged.StallHiddenS(), 0.0);
+  EXPECT_GE(on.merged.SloAttainmentE2e(120.0), off.merged.SloAttainmentE2e(120.0));
 }
 
 TEST(ClusterTest, VllmBaselineClusterRuns) {
@@ -236,7 +236,37 @@ TEST(ClusterTest, VllmBaselineClusterRuns) {
   const ClusterReport report = Cluster(cfg).Serve(trace);
   EXPECT_EQ(report.completed(), trace.requests.size());
   EXPECT_EQ(report.merged.engine_name, "vllm-scb");
-  EXPECT_GT(report.AggregateTokenThroughput(), 0.0);
+  EXPECT_GT(report.merged.TokenThroughput(), 0.0);
+}
+
+// The label's engine part is the workers' engine name: a LoRA cluster reads
+// "deltazip-lora x2 [...]", like every worker in it.
+TEST(ClusterTest, LabelBeginsWithTheWorkersEngineName) {
+  const Trace trace = GenerateTrace(SmallTraceConfig());
+  struct Case {
+    bool vllm_baseline;
+    ArtifactKind artifact;
+    const char* label;
+  };
+  for (const Case& c :
+       {Case{false, ArtifactKind::kCompressedDelta, "deltazip x2 [delta-affinity]"},
+        Case{false, ArtifactKind::kLoraAdapter, "deltazip-lora x2 [delta-affinity]"},
+        Case{true, ArtifactKind::kCompressedDelta, "vllm-scb x2 [delta-affinity]"}}) {
+    ClusterConfig cfg;
+    cfg.placer.n_gpus = 2;
+    cfg.placer.policy = PlacementPolicy::kDeltaAffinity;
+    cfg.engine = WorkerConfig();
+    cfg.engine.artifact = c.artifact;
+    cfg.vllm_baseline = c.vllm_baseline;
+    const ClusterReport report = Cluster(cfg).Serve(trace);
+    EXPECT_EQ(Cluster(cfg).name(), c.label);
+    EXPECT_EQ(report.cluster_name, c.label);
+    EXPECT_EQ(report.cluster_name.rfind(report.merged.engine_name + " x", 0), 0u)
+        << report.cluster_name << " vs " << report.merged.engine_name;
+    for (const ServeReport& worker : report.per_gpu) {
+      EXPECT_EQ(worker.engine_name, report.merged.engine_name) << c.label;
+    }
+  }
 }
 
 TEST(ClusterTest, SummaryRendersAllSections) {

@@ -22,18 +22,6 @@ TraceRequest Req(int id, int model, double arrival, int prompt = 100, int output
   return r;
 }
 
-TEST(PlacementPolicyTest, NamesRoundTrip) {
-  for (PlacementPolicy p :
-       {PlacementPolicy::kRoundRobin, PlacementPolicy::kLeastOutstanding,
-        PlacementPolicy::kDeltaAffinity, PlacementPolicy::kTenantAffinity}) {
-    PlacementPolicy parsed;
-    ASSERT_TRUE(ParsePlacementPolicy(PlacementPolicyName(p), parsed));
-    EXPECT_EQ(parsed, p);
-  }
-  PlacementPolicy unused;
-  EXPECT_FALSE(ParsePlacementPolicy("zigzag", unused));
-}
-
 TEST(PlacerTest, TenantAffinityIsStickyPerTenantNotPerModel) {
   PlacerConfig cfg;
   cfg.n_gpus = 4;

@@ -5,7 +5,7 @@
 // placement policy. Each run hashes its merged records, the merged metrics
 // (ToJsonLine), the per-worker metrics, the router's events and the elastic
 // ledger against the table at the bottom, and checks every merged record's
-// timestamp order. CTest runs the pins twice: at the default pool size and on
+// timestamp order and cost-model latency lower bounds (latency_bounds.h). CTest runs the pins twice: at the default pool size and on
 // a one-thread pool (DZ_THREADS=1).
 //
 // The table was recorded before the epoch loop routed through one shared
@@ -33,6 +33,7 @@
 #include "src/util/rng.h"
 #include "src/workload/trace.h"
 #include "tests/cluster/random_fault_plan.h"
+#include "tests/serving/latency_bounds.h"
 #include "tests/serving/record_order.h"
 
 namespace dz {
@@ -218,6 +219,8 @@ TEST(RandomElasticDigestTest, EveryConfigMatchesItsPin) {
     const ClusterReport report = Cluster(rc.cluster).Serve(trace);
     ASSERT_TRUE(report.elastic.active) << i;
     ExpectRecordsOrdered(report.merged, "config " + std::to_string(i));
+    ExpectLatencyLowerBounds(report.merged, rc.cluster.engine, rc.cluster.vllm_baseline,
+                             "config " + std::to_string(i));
     const Digest got = DigestOf(report);
     if (!SameDigest(got, kPins[i])) {
       ++mismatches;

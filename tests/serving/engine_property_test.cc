@@ -51,9 +51,8 @@ TEST_P(EnginePropertyTest, ReportInvariantsHold) {
   if (param.serving == Serving::kLora) {
     cfg.artifact = ArtifactKind::kLoraAdapter;
   }
-  const auto engine = param.serving == Serving::kFullModel ? MakeVllmScbEngine(cfg)
-                                                           : MakeDeltaZipEngine(cfg);
-  const ServeReport report = engine->Serve(trace);
+  const ServeReport report =
+      MakeEngine(cfg, /*vllm_baseline=*/param.serving == Serving::kFullModel)->Serve(trace);
 
   // Conservation: every request finishes exactly once.
   ASSERT_EQ(report.records.size(), trace.requests.size());

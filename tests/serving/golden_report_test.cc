@@ -238,8 +238,8 @@ TEST(GoldenReportTest, EightGpuClusterTracingOnStaysGoldenAndMerges) {
   EXPECT_DOUBLE_EQ(s.sum_start, 24782.342195479043);
   EXPECT_DOUBLE_EQ(s.sum_first, 24789.924368478765);
   EXPECT_DOUBLE_EQ(s.sum_finish, 25123.902618151558);
-  EXPECT_EQ(r.TotalLoads(), 50);
-  EXPECT_EQ(r.TotalDiskLoads(), 50);
+  EXPECT_EQ(r.merged.TotalLoads(), 50);
+  EXPECT_EQ(r.merged.DiskLoads(), 50);
 
   // Per-worker recorders are share-nothing: each GPU's report attributes its
   // own requests exactly, and the merged table is their GPU-order sum.
@@ -398,10 +398,10 @@ TEST(GoldenReportTest, EightGpuClusterMatchesPrePrefetchBehavior) {
   EXPECT_DOUBLE_EQ(s.sum_start, 24782.342195479043);
   EXPECT_DOUBLE_EQ(s.sum_first, 24789.924368478765);
   EXPECT_DOUBLE_EQ(s.sum_finish, 25123.902618151558);
-  EXPECT_EQ(r.TotalLoads(), 50);
-  EXPECT_EQ(r.TotalDiskLoads(), 50);
+  EXPECT_EQ(r.merged.TotalLoads(), 50);
+  EXPECT_EQ(r.merged.DiskLoads(), 50);
   ExpectNoPrefetchActivity(r.merged);
-  EXPECT_EQ(r.TotalPrefetchIssued(), 0);
+  EXPECT_EQ(r.merged.PrefetchIssued(), 0);
   ExpectNoTenantActivity(r.merged);
   EXPECT_EQ(r.TotalShed(), 0);
   // The merged snapshot (per-GPU MergeFrom in GPU order) must back the merged
@@ -506,9 +506,7 @@ TEST(GoldenReportTest, ElasticOneCrashRunStaysGolden) {
 TEST(GoldenReportTest, RegistryOffStaysGoldenAndLeavesNoTrace) {
   const Trace trace = GenerateTrace(GoldenTraceConfig());
   EngineConfig ecfg = GoldenEngineConfig();
-  ecfg.registry = nullptr;
-  ecfg.registry_node = 0;
-  ecfg.registry_warm.clear();
+  ecfg.registry = {};
   const ServeReport r = MakeDeltaZipEngine(ecfg)->Serve(trace);
   ASSERT_EQ(r.records.size(), 89u);
   EXPECT_DOUBLE_EQ(r.makespan_s, 90.574333173805186);
@@ -636,10 +634,10 @@ TEST(GoldenReportTest, EightGpuPriorityPreemptionPrefetchStaysGolden) {
   EXPECT_DOUBLE_EQ(s.sum_finish, 296488.3932138696);
   EXPECT_EQ(r.TotalShed(), 0);
   EXPECT_EQ(r.merged.metrics.Value("engine.preemptions"), 17721.0);
-  EXPECT_EQ(r.TotalLoads(), 175);
-  EXPECT_EQ(r.TotalPrefetchIssued(), 51);
-  EXPECT_EQ(r.TotalPrefetchHits(), 33);
-  EXPECT_EQ(r.TotalPrefetchWasted(), 17);
+  EXPECT_EQ(r.merged.TotalLoads(), 175);
+  EXPECT_EQ(r.merged.PrefetchIssued(), 51);
+  EXPECT_EQ(r.merged.PrefetchHits(), 33);
+  EXPECT_EQ(r.merged.PrefetchWasted(), 17);
 }
 
 TEST(GoldenReportTest, DwfqClassPreemptionMultiTenantStaysGolden) {
@@ -705,7 +703,7 @@ TEST(GoldenReportTest, ElasticErasureCrashAutoscaleStaysGolden) {
   EXPECT_EQ(r.elastic.repair_jobs, 64);
   EXPECT_EQ(r.merged.metrics.Value("registry.reads.remote"), 183.0);
   EXPECT_EQ(r.merged.metrics.Value("registry.reads.degraded"), 40.0);
-  EXPECT_EQ(r.TotalPrefetchIssued(), 27);
+  EXPECT_EQ(r.merged.PrefetchIssued(), 27);
 }
 
 // ---- pricing paths the goldens above leave uncovered ----------------------

@@ -2,7 +2,8 @@
 // served by both engines (DeltaZip, with a compressed delta or a LoRA adapter,
 // and vLLM-SCB), hash their records, final metrics (ToJsonLine, plus the
 // timeline when one is sampled) and traced event stream against the table at
-// the bottom, and check every record's timestamp order. The configs vary
+// the bottom, and check every record's timestamp order and its cost-model
+// latency lower bounds (latency_bounds.h). The configs vary
 // everything the loop's fast paths depend on: the scheduler policy, admission
 // control, class preemption, skip-the-line, parent-finish preemption, prefetch
 // (lookahead, staging slots, warm hints), max_batch, N, the prefill budget, a
@@ -14,6 +15,7 @@
 // parent map and queued counts across rounds, when every full round walked
 // the whole queue and the whole batch. A change that moves one double, one
 // event or one record of any run breaks it.
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <initializer_list>
@@ -29,6 +31,7 @@
 #include "src/serving/serve_loop.h"
 #include "src/util/rng.h"
 #include "src/workload/trace.h"
+#include "tests/serving/latency_bounds.h"
 #include "tests/serving/record_order.h"
 
 namespace dz {
@@ -199,7 +202,7 @@ RandomConfig MakeRandomConfig(uint64_t seed) {
                                : Pick<std::string>(rng, {"none", "replicate(2)"});
     EXPECT_TRUE(ParseRedundancyPolicy(spec, rc.registry_config.redundancy)) << spec;
     // The worker's node holds nothing unless it is one of the registry's.
-    cfg.registry_node = static_cast<int>(rng.NextBelow(rc.registry_nodes + 1));
+    cfg.registry.node = static_cast<int>(rng.NextBelow(rc.registry_nodes + 1));
     for (int node = 0; node < rc.registry_nodes; ++node) {
       if (Coin(rng, 0.3)) {
         rc.down_at_start.push_back(node);
@@ -241,11 +244,10 @@ ServeReport ServeCut(const RandomConfig& rc, const Trace& trace, bool vllm) {
     for (int node : rc.down_at_start) {
       registry->SetNodeLive(node, false);
     }
-    run_cfg.registry = registry.get();
+    run_cfg.registry.source = registry.get();
   }
-  const std::unique_ptr<ServingEngine> engine =
-      vllm ? MakeVllmScbEngine(run_cfg) : MakeDeltaZipEngine(run_cfg);
-  const std::unique_ptr<ServeLoop> loop = engine->Start(trace.n_models, trace.n_tenants);
+  const std::unique_ptr<ServeLoop> loop =
+      MakeEngine(run_cfg, vllm)->Start(trace.n_models, trace.n_tenants);
   std::vector<char> live(static_cast<size_t>(rc.registry_nodes), 1);
   for (int node : rc.down_at_start) {
     live[static_cast<size_t>(node)] = 0;
@@ -301,9 +303,16 @@ TEST(RandomConfigDigestTest, EveryConfigMatchesItsPin) {
     const ServeReport reports[2] = {ServeCut(rc, trace, /*vllm=*/false),
                                     ServeCut(rc, trace, /*vllm=*/true)};
     const Digest got[2] = {DigestOf(reports[0]), DigestOf(reports[1])};
+    double max_speed = 1.0;  // the cuts may speed a loop up past 1
+    for (const Cut& cut : rc.cuts) {
+      if (cut.action == CutAction::kSpeed) {
+        max_speed = std::max(max_speed, cut.speed);
+      }
+    }
     for (int e = 0; e < 2; ++e) {
-      ExpectRecordsOrdered(reports[e],
-                           "config " + std::to_string(i) + (e == 0 ? " deltazip" : " vllm-scb"));
+      const std::string run = "config " + std::to_string(i) + (e == 0 ? " deltazip" : " vllm-scb");
+      ExpectRecordsOrdered(reports[e], run);
+      ExpectLatencyLowerBounds(reports[e], rc.engine, /*vllm_baseline=*/e == 1, run, max_speed);
       const Digest& want = kPins[i][e];
       if (got[e].records != want.records || got[e].metrics != want.metrics ||
           got[e].events != want.events) {

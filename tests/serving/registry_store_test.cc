@@ -60,8 +60,8 @@ double Stat(Observer& obs, const std::string& name, const MetricLabels& labels =
 TEST(RegistryStoreTest, RemoteFetchPaysNetThenCachesOnLocalDisk) {
   const ArtifactRegistry reg(RegConfig("none"), 8, 2);
   ArtifactStoreConfig cfg = SmallConfig();
-  cfg.registry = &reg;
-  cfg.registry_node = 0;
+  cfg.registry.source = &reg;
+  cfg.registry.node = 0;
   Observer obs;
   ArtifactStore store(cfg, reg.n_artifacts(), obs);
   const int remote_art = FindArtifact(reg, 0, /*held=*/false);
@@ -105,11 +105,11 @@ TEST(RegistryStoreTest, RemoteFetchPaysNetThenCachesOnLocalDisk) {
 TEST(RegistryStoreTest, WarmCarryArtifactsSkipTheNetwork) {
   const ArtifactRegistry reg(RegConfig("none"), 8, 2);
   ArtifactStoreConfig cfg = SmallConfig();
-  cfg.registry = &reg;
-  cfg.registry_node = 0;
+  cfg.registry.source = &reg;
+  cfg.registry.node = 0;
   const int remote_art = FindArtifact(reg, 0, /*held=*/false);
   ASSERT_GE(remote_art, 0);
-  cfg.registry_warm = {remote_art};  // previous epoch already fetched it
+  cfg.registry.warm = {remote_art};  // previous epoch already fetched it
   Observer obs;
   ArtifactStore store(cfg, reg.n_artifacts(), obs);
 
@@ -138,8 +138,8 @@ TEST(RegistryStoreTest, FailoverReplicaReadCountsAsDegraded) {
   reg.SetNodeLive(primary, false);
 
   ArtifactStoreConfig cfg = SmallConfig();
-  cfg.registry = &reg;
-  cfg.registry_node = reader;
+  cfg.registry.source = &reg;
+  cfg.registry.node = reader;
   Observer obs;
   ArtifactStore store(cfg, reg.n_artifacts(), obs);
   const auto r = store.RequestLoad(art, 0.0, {});
@@ -156,8 +156,8 @@ TEST(RegistryStoreTest, ErasureParityReadAddsDecodeTime) {
   reg.SetNodeLive(ranked[1], false);  // lose one data fragment
 
   ArtifactStoreConfig cfg = SmallConfig();
-  cfg.registry = &reg;
-  cfg.registry_node = ranked[3];  // holds no fragment of `art`
+  cfg.registry.source = &reg;
+  cfg.registry.node = ranked[3];  // holds no fragment of `art`
   Observer obs;
   ArtifactStore store(cfg, reg.n_artifacts(), obs);
   const auto r = store.RequestLoad(art, 0.0, {});
@@ -170,8 +170,8 @@ TEST(RegistryStoreTest, ErasureParityReadAddsDecodeTime) {
 TEST(RegistryStoreTest, UnavailableIsTypedAndEvictsNothing) {
   ArtifactRegistry reg(RegConfig("none"), 8, 2);
   ArtifactStoreConfig cfg = SmallConfig();
-  cfg.registry = &reg;
-  cfg.registry_node = 0;
+  cfg.registry.source = &reg;
+  cfg.registry.node = 0;
   Observer obs;
   ArtifactStore store(cfg, reg.n_artifacts(), obs);
   const int remote_art = FindArtifact(reg, 0, /*held=*/false);
@@ -220,8 +220,8 @@ TEST(RegistryStoreTest, FetchPlansAreRememberedPerStoreNotAcrossEpochs) {
   const int primary = reg.PrimaryHolder(art, 0);
   const int spare = 3 - primary;  // of nodes 0..2, neither the reader nor the primary
   ArtifactStoreConfig cfg = SmallConfig();
-  cfg.registry = &reg;
-  cfg.registry_node = 0;
+  cfg.registry.source = &reg;
+  cfg.registry.node = 0;
 
   reg.SetNodeLive(primary, false);
   Observer epoch1_obs;
@@ -252,8 +252,8 @@ TEST(RegistryStoreTest, FetchPlansAreRememberedPerStoreNotAcrossEpochs) {
 TEST(RegistryStoreTest, NetOutageDefersRemoteFetches) {
   const ArtifactRegistry reg(RegConfig("none"), 8, 2);
   ArtifactStoreConfig cfg = SmallConfig();
-  cfg.registry = &reg;
-  cfg.registry_node = 0;
+  cfg.registry.source = &reg;
+  cfg.registry.node = 0;
   Observer obs;
   ArtifactStore store(cfg, reg.n_artifacts(), obs);
   store.AddOutage({TraceChannel::kNet, 1.0, 5.0});

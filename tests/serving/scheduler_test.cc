@@ -19,27 +19,6 @@
 namespace dz {
 namespace {
 
-TEST(SchedPolicyTest, NamesRoundTrip) {
-  for (SchedPolicy p : {SchedPolicy::kFcfs, SchedPolicy::kPriority, SchedPolicy::kDwfq}) {
-    SchedPolicy parsed;
-    ASSERT_TRUE(ParseSchedPolicy(SchedPolicyName(p), parsed));
-    EXPECT_EQ(parsed, p);
-  }
-  SchedPolicy out;
-  EXPECT_FALSE(ParseSchedPolicy("lifo", out));
-}
-
-TEST(TenantScenarioNamesTest, NamesRoundTrip) {
-  for (TenantScenario s : {TenantScenario::kSteady, TenantScenario::kDiurnal,
-                           TenantScenario::kFlashCrowd, TenantScenario::kHeavyTail}) {
-    TenantScenario parsed;
-    ASSERT_TRUE(ParseTenantScenario(TenantScenarioName(s), parsed));
-    EXPECT_EQ(parsed, s);
-  }
-  TenantScenario out;
-  EXPECT_FALSE(ParseTenantScenario("weekend", out));
-}
-
 // Minimal queue element for the ordering templates (mirrors the engines'
 // PendingReq surface).
 struct PendingLike {

@@ -269,8 +269,8 @@ TEST_P(ServeLoopTest, DeadRegistryParksUnavailableOrUnfinished) {
   registry.SetNodeLive(1, false);
   EngineConfig cfg = MakeConfig();
   cfg.scheduler.admission_control = false;  // every request reaches admission
-  cfg.registry = &registry;
-  cfg.registry_node = 2;  // a live node that holds nothing
+  cfg.registry.source = &registry;
+  cfg.registry.node = 2;  // a live node that holds nothing
 
   const ServeReport natural = Serve(cfg, trace);
   EXPECT_TRUE(natural.records.empty());
@@ -300,8 +300,8 @@ TEST_P(ServeLoopTest, ParkedRequestRunsAfterHolderRecovers) {
   registry.SetNodeLive(holder, false);
   EngineConfig cfg = MakeConfig();
   cfg.scheduler.admission_control = false;
-  cfg.registry = &registry;
-  cfg.registry_node = 2;  // a live node that holds nothing
+  cfg.registry.source = &registry;
+  cfg.registry.node = 2;  // a live node that holds nothing
 
   const std::unique_ptr<ServeLoop> loop =
       GetParam().make(cfg)->Start(trace.n_models, trace.n_tenants);
@@ -398,8 +398,8 @@ TEST_P(ServeLoopTest, ChunkedRunEqualsUncutRun) {
   EngineConfig cfg = MakeConfig();
   cfg.prefetch.enabled = true;
   cfg.prefetch.warm_hints = {3, 1, 4};
-  cfg.registry = &registry;
-  cfg.registry_node = 0;
+  cfg.registry.source = &registry;
+  cfg.registry.node = 0;
   cfg.metrics.interval_s = 2.5;
   cfg.tracing.enabled = true;
   const std::unique_ptr<ServingEngine> engine = GetParam().make(cfg);
@@ -604,8 +604,8 @@ TEST_P(QuietStretchTest, CutsWithSpeedAndRegistryChanges) {
   const Trace trace = StretchTrace({StretchReq(0, 0.0, 0, 8000), StretchReq(1, 0.0, 0, 8000),
                                     StretchReq(2, 40.0, late_model, 500)});
   EngineConfig cfg = StretchConfig();
-  cfg.registry = &registry;
-  cfg.registry_node = 2;  // a live node that holds nothing
+  cfg.registry.source = &registry;
+  cfg.registry.node = 2;  // a live node that holds nothing
   const std::unique_ptr<ServeLoop> loop =
       GetParam().make(cfg)->Start(trace.n_models, trace.n_tenants);
   size_t offered = 0;
@@ -833,8 +833,8 @@ TEST_P(BatchLedgerTest, BatchLedgerMatchesRecount) {
       ArtifactRegistry registry(rc, trace.n_models, /*n_nodes=*/2);
       const double recover_t = 6.0;
       if (registry_outage) {
-        cfg.registry = &registry;
-        cfg.registry_node = 2;  // a live node that holds nothing
+        cfg.registry.source = &registry;
+        cfg.registry.node = 2;  // a live node that holds nothing
       }
       const std::unique_ptr<ServingEngine> engine = engine_case.make(cfg);
       const auto run = [&](const std::vector<double>& cuts) {

@@ -10,8 +10,11 @@
 #include <gtest/gtest.h>
 
 #include "src/cluster/fault_model.h"
+#include "src/cluster/placement.h"
 #include "src/registry/registry.h"
+#include "src/serving/scheduler.h"
 #include "src/util/json.h"
+#include "src/workload/trace.h"
 #include "src/workload/trace_io.h"
 #include "tests/cluster/random_fault_plan.h"
 
@@ -213,6 +216,52 @@ TEST(ScanNumberTest, PrefixScanStopsWhereTheNumberEnds) {
   pos = 0;
   ASSERT_TRUE(ScanNumber("30e:w1", pos, {}, mult));
   EXPECT_EQ(pos, 2u);
+}
+
+// `values` lists every enumerator of E in declaration order (the enums count
+// from 0, and the value past the last one has no name), and each name reads
+// back through ParseName to its enumerator. An unknown name fails and leaves
+// the output alone.
+template <typename E, size_t N>
+void ExpectNamesRoundTrip(const E (&values)[N], const char* (*name_of)(E),
+                          const char* unknown) {
+  for (size_t i = 0; i < N; ++i) {
+    EXPECT_EQ(values[i], static_cast<E>(i));
+    E parsed = values[(i + 1) % N];
+    ASSERT_TRUE(ParseName(name_of(values[i]), values, name_of, parsed)) << name_of(values[i]);
+    EXPECT_EQ(parsed, values[i]);
+  }
+  EXPECT_STREQ(name_of(static_cast<E>(N)), "?");
+  E out = values[N - 1];
+  EXPECT_FALSE(ParseName(unknown, values, name_of, out));
+  EXPECT_EQ(out, values[N - 1]);
+  EXPECT_FALSE(ParseName("", values, name_of, out));
+}
+
+TEST(ParseNameTest, SchedPolicyNamesRoundTrip) {
+  ExpectNamesRoundTrip(kSchedPolicies, SchedPolicyName, "lifo");
+}
+
+TEST(ParseNameTest, PlacementPolicyNamesRoundTrip) {
+  ExpectNamesRoundTrip(kPlacementPolicies, PlacementPolicyName, "zigzag");
+}
+
+TEST(ParseNameTest, TenantScenarioNamesRoundTrip) {
+  ExpectNamesRoundTrip(kTenantScenarios, TenantScenarioName, "weekend");
+}
+
+TEST(ParseNameTest, PopularityDistNamesRoundTrip) {
+  ExpectNamesRoundTrip(kPopularityDists, PopularityDistName, "pareto");
+}
+
+// The lists the CLI's unknown-name errors print.
+TEST(NameListTest, ListsEveryNameInDeclarationOrder) {
+  EXPECT_EQ(NameList(kSchedPolicies, SchedPolicyName), "fcfs, priority, dwfq");
+  EXPECT_EQ(NameList(kPlacementPolicies, PlacementPolicyName),
+            "round-robin, least-outstanding, delta-affinity, tenant-affinity");
+  EXPECT_EQ(NameList(kTenantScenarios, TenantScenarioName),
+            "steady, diurnal, flash-crowd, heavy-tail");
+  EXPECT_EQ(NameList(kPopularityDists, PopularityDistName), "uniform, zipf, azure");
 }
 
 // Every number token a printer emits reads in full, to the value strtod (the

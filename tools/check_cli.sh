@@ -6,7 +6,9 @@
 # tools/check_trace.sh. A trace with a prompt over the prefill budget must
 # still finish on both engines, and one with a request larger than the KV pool
 # must finish with that request shed. inspect on a directory or on a crafted
-# artifact must exit 1 with a message. Every numeric flag of trace, simulate
+# artifact must exit 1 with a message. An unknown --dist, --scenario, --sched
+# or --policy name must exit 1 listing every accepted name, and a LoRA
+# cluster's label must name its engine. Every numeric flag of trace, simulate
 # and cluster must reject a non-number, an out-of-range value, hex and a '+'
 # sign with exit 1; so must counts past their caps, a redundancy wider than
 # the cluster, and a trace header past the model cap. Given a bench_soak
@@ -229,6 +231,33 @@ for artifact in "$tmp" "$tmp/wrap.bin" "$tmp/group0.bin"; do
     echo "ok: inspect of $artifact rejected"
   fi
 done
+
+# An unknown enum name exits 1 and lists every accepted one.
+expect_reject "unknown --dist" "(uniform, zipf, azure)" \
+  trace --out "$tmp/x.jsonl" --dist pareto
+expect_reject "unknown --scenario" "(steady, diurnal, flash-crowd, heavy-tail)" \
+  trace --out "$tmp/x.jsonl" --scenario weekend
+expect_reject "unknown --sched" "(fcfs, priority, dwfq)" \
+  simulate --trace "$tmp/t.jsonl" --sched lifo
+expect_reject "unknown cluster --sched" "(fcfs, priority, dwfq)" \
+  cluster --trace "$tmp/t.jsonl" --gpus 2 --sched lifo
+expect_reject "unknown --policy" \
+  "(round-robin, least-outstanding, delta-affinity, tenant-affinity)" \
+  cluster --trace "$tmp/t.jsonl" --gpus 2 --policy zigzag
+
+# The cluster label names the workers' engine: a LoRA cluster is
+# "deltazip-lora x2", not "deltazip x2".
+if ! "$cli" cluster --trace "$tmp/t.jsonl" --gpus 2 --engine lora >"$tmp/out" 2>&1; then
+  echo "FAIL: LoRA cluster run"
+  cat "$tmp/out"
+  fail=1
+elif ! grep -q "deltazip-lora x2 \[" "$tmp/out"; then
+  echo "FAIL: LoRA cluster label does not name its engine:"
+  grep "cluster" "$tmp/out"
+  fail=1
+else
+  echo "ok: LoRA cluster label names deltazip-lora"
+fi
 
 # Artifact-registry flags: malformed redundancy / net settings fail fast too.
 expect_reject "zero replication factor" "replication" \

@@ -2,7 +2,14 @@
 # Documentation checks (CI "docs" job and the docs/check ctest):
 #   1. Every relative markdown link in README.md, ROADMAP.md, and docs/*.md
 #      resolves to an existing file.
-#   2. docs/REPRODUCE.md mentions every bench target registered in
+#   2. Every backticked repository path in README.md and docs/*.md names a
+#      file or directory that exists: each whitespace-separated word of a
+#      `code span` that starts with a source directory (src/, tests/, tools/,
+#      bench/, examples/, docs/, .github/), with a leading ./, a trailing
+#      :line and trailing punctuation dropped. Words holding a glob or a
+#      placeholder (* < { $) are skipped. ROADMAP.md is left out: it names
+#      files that are still planned.
+#   3. docs/REPRODUCE.md mentions every bench target registered in
 #      bench/CMakeLists.txt, so a new bench cannot land undocumented.
 # Usage: tools/check_docs.sh [repo-root]   (defaults to the script's parent)
 set -u
@@ -34,7 +41,29 @@ for f in "${docs[@]}"; do
   done < <(grep -oE '\]\([^)]+\)' "$f" | sed -E 's/^\]\(//; s/\)$//')
 done
 
-# --- 2. REPRODUCE.md covers every bench target ------------------------------
+# --- 2. dead code-path references ------------------------------------------
+code_docs=("$root/README.md")
+for f in "$root"/docs/*.md; do
+  [ -e "$f" ] && code_docs+=("$f")
+done
+paths=0
+for f in "${code_docs[@]}"; do
+  [ -f "$f" ] || continue
+  while IFS= read -r path; do
+    case "$path" in
+      *'*'*|*'<'*|*'{'*|*'$'*) continue ;;
+    esac
+    paths=$((paths + 1))
+    if [ ! -e "$root/$path" ]; then
+      echo "DEAD PATH: $f -> $path"
+      fail=1
+    fi
+  done < <(grep -oE '`[^`]+`' "$f" | tr -d '`' | tr -s ' \t' '\n' |
+           sed -E 's/^\.\///; s/[,;:.)]+$//; s/:[0-9]+(-[0-9]+)?$//' |
+           grep -E '^(src|tests|tools|bench|examples|docs|\.github)/' | sort -u)
+done
+
+# --- 3. REPRODUCE.md covers every bench target ------------------------------
 reproduce="$root/docs/REPRODUCE.md"
 if [ ! -f "$reproduce" ]; then
   echo "MISSING: docs/REPRODUCE.md"
@@ -54,4 +83,5 @@ if [ "$fail" -ne 0 ]; then
   echo "docs check FAILED"
   exit 1
 fi
-echo "docs check OK (${#docs[@]} files, all links resolve, all benches documented)"
+echo "docs check OK (${#docs[@]} files, all links resolve, $paths code paths exist," \
+  "all benches documented)"

@@ -208,6 +208,21 @@ bool GetNum(const ArgMap& args, const std::string& key, NumberBounds b, T& out) 
   return false;
 }
 
+// Reads enum flag --key into `out` with ParseName; `out` keeps its value when
+// the flag is absent. An unknown name prints an error listing every accepted
+// one and returns false.
+template <typename E, size_t N>
+bool GetName(const ArgMap& args, const std::string& key, const E (&values)[N],
+             const char* (*name_of)(E), E& out) {
+  const auto it = args.find(key);
+  if (it == args.end() || ParseName(it->second, values, name_of, out)) {
+    return true;
+  }
+  std::fprintf(stderr, "error: unknown --%s '%s' (%s)\n", key.c_str(), it->second.c_str(),
+               NameList(values, name_of).c_str());
+  return false;
+}
+
 // --trace-out: an explicitly passed empty path would silently disable tracing;
 // reject it instead. Returns false only on that usage error; `out` is empty
 // when the flag is absent (tracing off).
@@ -244,23 +259,9 @@ int CmdTrace(const ArgMap& args) {
       !GetNum(args, "flash-boost", {0, kMaxRate, true}, cfg.tenants.flash_boost)) {
     return 1;
   }
-  const std::string dist = Get(args, "dist", "zipf");
-  if (dist == "uniform") {
-    cfg.dist = PopularityDist::kUniform;
-  } else if (dist == "zipf") {
-    cfg.dist = PopularityDist::kZipf;
-  } else if (dist == "azure") {
-    cfg.dist = PopularityDist::kAzure;
-  } else {
-    std::fprintf(stderr, "error: unknown --dist '%s'\n", dist.c_str());
-    return 1;
-  }
-  const std::string scenario = Get(args, "scenario", "steady");
-  if (!ParseTenantScenario(scenario, cfg.tenants.scenario)) {
-    std::fprintf(stderr,
-                 "error: unknown --scenario '%s' (steady, diurnal, flash-crowd, "
-                 "heavy-tail)\n",
-                 scenario.c_str());
+  if (!GetName(args, "dist", kPopularityDists, PopularityDistName, cfg.dist) ||
+      !GetName(args, "scenario", kTenantScenarios, TenantScenarioName,
+               cfg.tenants.scenario)) {
     return 1;
   }
   if (cfg.tenants.interactive_frac + cfg.tenants.batch_frac > 1.0) {
@@ -274,7 +275,8 @@ int CmdTrace(const ArgMap& args) {
   }
   std::printf("wrote %zu requests over %.0f s (%d models, %d tenants, %s, %s) to %s\n",
               trace.requests.size(), trace.duration_s, trace.n_models, trace.n_tenants,
-              dist.c_str(), scenario.c_str(), out.c_str());
+              PopularityDistName(cfg.dist), TenantScenarioName(cfg.tenants.scenario),
+              out.c_str());
   return 0;
 }
 
@@ -333,13 +335,7 @@ bool ParseEngineArgs(const ArgMap& args, EngineConfig& cfg, bool& vllm_baseline)
     std::fprintf(stderr, "error: unknown --engine '%s'\n", engine_name.c_str());
     return false;
   }
-  const std::string sched = Get(args, "sched", "fcfs");
-  if (!ParseSchedPolicy(sched, cfg.scheduler.policy)) {
-    std::fprintf(stderr, "error: unknown --sched '%s' (fcfs, priority, dwfq)\n",
-                 sched.c_str());
-    return false;
-  }
-  return true;
+  return GetName(args, "sched", kSchedPolicies, SchedPolicyName, cfg.scheduler.policy);
 }
 
 // Applies --isa by forcing the named kernel backend before any work runs.
@@ -426,10 +422,7 @@ int CmdSimulate(const ArgMap& args) {
     return 1;
   }
   cfg.tracing.enabled = !trace_out.empty();
-  std::unique_ptr<ServingEngine> engine =
-      vllm_baseline ? MakeVllmScbEngine(cfg) : MakeDeltaZipEngine(cfg);
-
-  const ServeReport report = engine->Serve(trace);
+  const ServeReport report = MakeEngine(cfg, vllm_baseline)->Serve(trace);
   if (!trace_out.empty()) {
     if (!WriteChromeTrace(trace_out, report.trace_events)) {
       std::fprintf(stderr, "error: cannot write trace to %s\n", trace_out.c_str());
@@ -497,12 +490,8 @@ int CmdCluster(const ArgMap& args) {
   if (!GetNum(args, "gpus", {1, kMaxWorkers}, cfg.placer.n_gpus)) {
     return 1;
   }
-  const std::string policy = Get(args, "policy", "delta-affinity");
-  if (!ParsePlacementPolicy(policy, cfg.placer.policy)) {
-    std::fprintf(stderr,
-                 "error: unknown --policy '%s' (round-robin, least-outstanding, "
-                 "delta-affinity, tenant-affinity)\n",
-                 policy.c_str());
+  cfg.placer.policy = PlacementPolicy::kDeltaAffinity;  // the usage text's, not PlacerConfig's
+  if (!GetName(args, "policy", kPlacementPolicies, PlacementPolicyName, cfg.placer.policy)) {
     return 1;
   }
   const std::string fault_spec = Get(args, "faults", "");
