@@ -214,9 +214,10 @@ double TimeSecsStable(Fn&& fn, double min_secs = 0.05) {
 // The top-level isa/threads record what the process ran with; a metric measured
 // under a forced backend (fig06 sweeps every supported one) carries its own
 // per-metric "isa" so the regression gate can skip backends the gating machine
-// cannot execute. Dimensionless "x" ratio metrics (e.g. blocked-vs-naive
-// speedups) are the ones the CI gate compares — they are stable across
-// machines, unlike absolute GFLOP/s.
+// cannot execute. Dimensionless "x" metrics are the ones the CI gate compares,
+// and each must be one kernel's speedup over its own kernels::ref reference
+// (never one kernel against another) — they are stable across machines,
+// unlike absolute GFLOP/s.
 class BenchJson {
  public:
   explicit BenchJson(std::string bench) : bench_(std::move(bench)) {}

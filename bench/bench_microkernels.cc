@@ -1,7 +1,9 @@
-// Google-benchmark microbenchmarks of the real (CPU-executed) primitives: dense GEMM,
-// packed dequant-GEMM, 2:4 sparse GEMM, the OBS solver, the lossless codec, and one
-// fork-join call of the thread pool. These measure this library's own code (not the
-// simulated GPU model) and back the relative-cost assumptions used elsewhere.
+// Google-benchmark microbenchmarks of the real (CPU-executed) primitives: a large
+// dense GEMM, the OBS solver, the lossless codec, transpose, quantize-and-pack, and
+// one fork-join call of the thread pool. These measure this library's own code (not
+// the simulated GPU model) and back the relative-cost assumptions used elsewhere.
+// The small-m dense, packed-quant and 2:4 GEMMs are timed against their references
+// in bench_fig06_matmul_perf, whose rows the regression gate compares.
 //
 // Flags (shared bench conventions, translated to Google Benchmark flags by the
 // custom main below):
@@ -18,50 +20,11 @@
 #include "src/compress/obs.h"
 #include "src/tensor/backend.h"
 #include "src/tensor/packed_quant.h"
-#include "src/tensor/sparse24.h"
 #include "src/util/rng.h"
 #include "src/util/thread_pool.h"
 
 namespace dz {
 namespace {
-
-void BM_DenseGemmNT(benchmark::State& state) {
-  const int m = static_cast<int>(state.range(0));
-  Rng rng(1);
-  const Matrix x = Matrix::Random(m, 256, rng, 1.0f);
-  const Matrix w = Matrix::Random(256, 256, rng, 0.02f);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(MatmulNT(x, w));
-  }
-  state.SetItemsProcessed(state.iterations() * 2ll * m * 256 * 256);
-}
-BENCHMARK(BM_DenseGemmNT)->Arg(1)->Arg(8)->Arg(64);
-
-void BM_PackedQuantGemm(benchmark::State& state) {
-  const int m = static_cast<int>(state.range(0));
-  Rng rng(2);
-  const Matrix x = Matrix::Random(m, 256, rng, 1.0f);
-  const auto w = PackedQuantMatrix::Quantize(Matrix::Random(256, 256, rng, 0.02f), 4, 64);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(w.MatmulNT(x));
-  }
-  state.SetItemsProcessed(state.iterations() * 2ll * m * 256 * 256);
-}
-BENCHMARK(BM_PackedQuantGemm)->Arg(1)->Arg(8)->Arg(64);
-
-void BM_Sparse24Gemm(benchmark::State& state) {
-  const int m = static_cast<int>(state.range(0));
-  Rng rng(3);
-  const Matrix x = Matrix::Random(m, 256, rng, 1.0f);
-  const auto w =
-      Sparse24Matrix::Pack(MagnitudePrune24(Matrix::Random(256, 256, rng, 0.02f)), 4, 64);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(w.MatmulNT(x));
-  }
-  // Counted at dense FLOPs so throughput is comparable with the dense kernels.
-  state.SetItemsProcessed(state.iterations() * 2ll * m * 256 * 256);
-}
-BENCHMARK(BM_Sparse24Gemm)->Arg(1)->Arg(8)->Arg(64);
 
 void BM_ObsCompress(benchmark::State& state) {
   Rng rng(4);

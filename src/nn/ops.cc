@@ -71,21 +71,27 @@ void RopeRotate(Matrix& x, int n_heads, float theta, int pos_offset, float direc
   DZ_CHECK_EQ(d % n_heads, 0);
   const int hd = d / n_heads;
   DZ_CHECK_EQ(hd % 2, 0);
+  // Every head of a position turns by the same angles.
+  const size_t half = static_cast<size_t>(hd / 2);
+  std::vector<float> cos_p(half);
+  std::vector<float> sin_p(half);
   for (int i = 0; i < seq; ++i) {
     float* row = x.row(i);
     const float pos = static_cast<float>(pos_offset + i);
+    for (size_t p = 0; p < half; ++p) {
+      const float freq =
+          std::pow(theta, -2.0f * static_cast<float>(p) / static_cast<float>(hd));
+      const float angle = direction * pos * freq;
+      cos_p[p] = std::cos(angle);
+      sin_p[p] = std::sin(angle);
+    }
     for (int h = 0; h < n_heads; ++h) {
       float* head = row + h * hd;
-      for (int p = 0; p < hd / 2; ++p) {
-        const float freq =
-            std::pow(theta, -2.0f * static_cast<float>(p) / static_cast<float>(hd));
-        const float angle = direction * pos * freq;
-        const float c = std::cos(angle);
-        const float s = std::sin(angle);
+      for (size_t p = 0; p < half; ++p) {
         const float a = head[2 * p];
         const float b = head[2 * p + 1];
-        head[2 * p] = a * c - b * s;
-        head[2 * p + 1] = a * s + b * c;
+        head[2 * p] = a * cos_p[p] - b * sin_p[p];
+        head[2 * p + 1] = a * sin_p[p] + b * cos_p[p];
       }
     }
   }

@@ -205,19 +205,6 @@ Matrix Transformer::ApplyLinear(int block, size_t slot, const Matrix& x,
   return y;
 }
 
-namespace {
-
-// Appends the rows of `rows` to `m` (empty, or of the same width).
-void AppendRows(Matrix& m, const Matrix& rows) {
-  Matrix grown(m.rows() + rows.rows(), rows.cols());
-  std::copy(m.data().begin(), m.data().end(), grown.data().begin());
-  std::copy(rows.data().begin(), rows.data().end(),
-            grown.data().begin() + static_cast<std::ptrdiff_t>(m.data().size()));
-  m = std::move(grown);
-}
-
-}  // namespace
-
 Matrix Transformer::Walk(const std::vector<int>& tokens, KVCache* kv, ForwardCache* cache,
                          const LinearOverlay* overlay) const {
   const ModelConfig& cfg = weights_.config;
@@ -253,8 +240,8 @@ Matrix Transformer::Walk(const std::vector<int>& tokens, KVCache* kv, ForwardCac
     RopeApply(q, cfg.n_heads, kRopeTheta, pos);
     RopeApply(k, cfg.n_heads, kRopeTheta, pos);
     if (kv != nullptr) {
-      AppendRows(kv->k[l], k);
-      AppendRows(kv->v[l], v);
+      kv->k[l].AppendRows(k);
+      kv->v[l].AppendRows(v);
     }
     std::vector<Matrix> probs;
     const Matrix attn = AttentionForward(q, kv != nullptr ? kv->k[l] : k,
@@ -373,8 +360,9 @@ void Transformer::Backward(const ForwardCache& cache, const Matrix& dlogits,
 
 KVCache Transformer::MakeKVCache() const {
   KVCache kv;
-  kv.k.assign(static_cast<size_t>(weights_.config.n_layers), Matrix());
-  kv.v.assign(static_cast<size_t>(weights_.config.n_layers), Matrix());
+  const Matrix empty(0, weights_.config.d_model);
+  kv.k.assign(static_cast<size_t>(weights_.config.n_layers), empty);
+  kv.v.assign(static_cast<size_t>(weights_.config.n_layers), empty);
   kv.len = 0;
   return kv;
 }

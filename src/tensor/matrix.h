@@ -48,6 +48,14 @@ class Matrix {
 
   Matrix Transposed() const;
 
+  // Appends the rows of `rows`, of the same width, in place; the storage
+  // grows geometrically.
+  void AppendRows(const Matrix& rows) {
+    DZ_CHECK_EQ(rows.cols_, cols_);
+    data_.insert(data_.end(), rows.data_.begin(), rows.data_.end());
+    rows_ += rows.rows_;
+  }
+
   // Element-wise helpers.
   Matrix& AddInPlace(const Matrix& other);
   Matrix& SubInPlace(const Matrix& other);

@@ -2,7 +2,9 @@
 # Runs the kernel-layer perf benches with --json and merges their outputs into
 # one trajectory file (default BENCH_kernels.json in the repo root). This is
 # the entry point the CI perf-smoke step uses; run it locally to refresh the
-# checked-in baseline (bench/BENCH_kernels_baseline.json).
+# checked-in baseline (bench/BENCH_kernels_baseline.json). The gated rows are
+# fig06's `<kernel>_m<m>_<isa>_speedup`: one kernel timed against its own
+# kernels::ref reference at m = 1 and two larger m, per SIMD backend.
 #
 # Usage: tools/bench_json.sh [build_dir] [out.json]
 set -eu
@@ -13,10 +15,10 @@ out="${2:-$root/BENCH_kernels.json}"
 tmp="$(mktemp -d)"
 trap 'rm -rf "$tmp"' EXIT
 
-# Force a single-threaded pool: the gated blocked-vs-naive speedup ratios must
-# measure kernel quality, not how many cores this host happens to have (the
-# naive references are serial, so a multi-thread pool would inflate — and
-# core-count-skew — every ratio vs the checked-in baseline).
+# Force a single-threaded pool: every gated row is one kernel's speedup over
+# its own serial kernels::ref reference, so it must measure kernel quality, not
+# how many cores this host happens to have (a multi-thread pool would inflate,
+# and core-count-skew, every ratio vs the checked-in baseline).
 export DZ_THREADS=1
 
 fig06="$build/bench/bench_fig06_matmul_perf"
