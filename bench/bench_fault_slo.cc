@@ -61,7 +61,7 @@ ClusterConfig BaseCluster(int n_gpus) {
   cfg.engine.max_concurrent_deltas = 8;
   // FCFS, not priority: this bench measures what capacity loss does to the
   // interactive class. The priority scheduler would shield interactive by
-  // sacrificing standard/batch (bench_ablation_scheduler's story); FCFS lets
+  // sacrificing standard/batch (bench_tenant_fairness's story); FCFS lets
   // a growing backlog hit every class, so attainment tracks capacity.
   cfg.engine.scheduler.policy = SchedPolicy::kFcfs;
   cfg.engine.scheduler.slo = SloSpecs();

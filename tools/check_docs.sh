@@ -10,7 +10,9 @@
 #      placeholder (* < { $) are skipped. ROADMAP.md is left out: it names
 #      files that are still planned.
 #   3. docs/REPRODUCE.md mentions every bench target registered in
-#      bench/CMakeLists.txt, so a new bench cannot land undocumented.
+#      bench/CMakeLists.txt, and shows every figure id registered in
+#      bench/bench_figures.cc as `bench_figures --figure <id>`, so neither a
+#      new bench nor a new figure can land undocumented.
 # Usage: tools/check_docs.sh [repo-root]   (defaults to the script's parent)
 set -u
 
@@ -70,13 +72,23 @@ if [ ! -f "$reproduce" ]; then
   fail=1
 else
   while IFS= read -r bench; do
-    # Word-anchored so e.g. a new target "bench_fig13" is not satisfied by the
-    # existing "bench_fig13_slo" row ("_" counts as a word character).
+    # Word-anchored so e.g. a new target "bench_fig06" is not satisfied by the
+    # existing "bench_fig06_matmul_perf" row ("_" counts as a word character).
     if ! grep -qE "\b${bench}\b" "$reproduce"; then
       echo "UNDOCUMENTED BENCH: $bench missing from docs/REPRODUCE.md"
       fail=1
     fi
   done < <(grep -oE 'bench_[a-z0-9_]+' "$root/bench/CMakeLists.txt" | sort -u)
+  # A figure is registered by a `Figure{"<id>", ...}` initializer in the
+  # registry table; the pattern takes the quoted id that follows `Figure{`.
+  # Word-anchored so "fig1" is not satisfied by "fig10".
+  while IFS= read -r id; do
+    if ! grep -qE "bench_figures --figure ${id}\b" "$reproduce"; then
+      echo "UNDOCUMENTED FIGURE: 'bench_figures --figure $id' missing from docs/REPRODUCE.md"
+      fail=1
+    fi
+  done < <(grep -oE 'Figure\{"[a-z0-9-]+"' "$root/bench/bench_figures.cc" |
+           sed -E 's/^Figure\{"//; s/"$//')
 fi
 
 if [ "$fail" -ne 0 ]; then
@@ -84,4 +96,4 @@ if [ "$fail" -ne 0 ]; then
   exit 1
 fi
 echo "docs check OK (${#docs[@]} files, all links resolve, $paths code paths exist," \
-  "all benches documented)"
+  "all benches and figures documented)"
