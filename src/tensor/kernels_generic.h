@@ -101,10 +101,10 @@ void Launch2D(size_t m, size_t n, size_t k, size_t flops, const Body& body) {
 // (the naive kernel never skipped here).
 // ---------------------------------------------------------------------------
 
-// Pointer variant for short i-ranges where panel packing would not amortize.
-// Each accumulator chain reads a different B row, so the p-loop cannot
-// vectorize without reordering the reduction — it stays scalar in every
-// backend (wide shapes take the packed-panel path below instead).
+// Pointer variant for the scalar backend's short i-ranges, where panel packing
+// would not amortize. Each accumulator chain reads a different B row, so the
+// p-loop cannot vectorize without reordering the reduction; the vector
+// backends send every i-range through the packed panel below instead.
 void GemmNTPointerStrip(const Matrix& a, const Matrix& b, Matrix& c, size_t i,
                         size_t j0, size_t j1) {
   const int k = a.cols();
@@ -143,14 +143,21 @@ template <typename Arch>
 void GemmNTTile(const Matrix& a, const Matrix& b, Matrix& c, size_t i0,
                 size_t i1, size_t j0, size_t j1) {
   const int k = a.cols();
-  if (i1 - i0 < kMicroRows) {
-    // Too few rows to amortize panel packing; multi-accumulator pointer strips.
+  if (Arch::kWidth == 1 && i1 - i0 < kMicroRows) {
+    // Scalar backend: too few rows to amortize panel packing. A vector pack
+    // pays for itself at m = 1 (decode), so the vector backends go on.
     for (size_t i = i0; i < i1; ++i) {
       GemmNTPointerStrip(a, b, c, i, j0, j1);
     }
     return;
   }
-  std::vector<float> panel(static_cast<size_t>(k) * kMicroCols);
+  // Per-thread scratch: every decode linear layer lands here, and each panel
+  // entry is written by the pack below before NTMicro reads it.
+  thread_local std::vector<float> scratch;
+  if (scratch.size() < static_cast<size_t>(k) * kMicroCols) {
+    scratch.resize(static_cast<size_t>(k) * kMicroCols);
+  }
+  float* const panel = scratch.data();
   float out[kMicroRows * kMicroCols];
   const float* brows[kMicroCols];
   for (size_t jb = j0; jb < j1; jb += kMicroCols) {
@@ -160,14 +167,14 @@ void GemmNTTile(const Matrix& a, const Matrix& b, Matrix& c, size_t i0,
       // per-backend vector op (in-register 8x8 transposes on x86). At small m
       // the pack dominates the whole GEMM, so this path is hot.
       Arch::PackStrip16(b.row(static_cast<int>(jb)),
-                        static_cast<size_t>(b.cols()), k, panel.data());
+                        static_cast<size_t>(b.cols()), k, panel);
     } else {
       // Remainder stripe: pack scalar; pad dead lanes with zeros.
       for (size_t t = 0; t < kMicroCols; ++t) {
         brows[t] = b.row(static_cast<int>(jb + (t < width ? t : 0)));
       }
       for (int p = 0; p < k; ++p) {
-        float* dst = panel.data() + static_cast<size_t>(p) * kMicroCols;
+        float* dst = panel + static_cast<size_t>(p) * kMicroCols;
         for (size_t t = 0; t < kMicroCols; ++t) {
           dst[t] = t < width ? brows[t][p] : 0.0f;
         }
@@ -177,7 +184,7 @@ void GemmNTTile(const Matrix& a, const Matrix& b, Matrix& c, size_t i0,
     for (; i + kMicroRows <= i1; i += kMicroRows) {
       Arch::NTMicro4(a.row(static_cast<int>(i)), a.row(static_cast<int>(i + 1)),
                      a.row(static_cast<int>(i + 2)),
-                     a.row(static_cast<int>(i + 3)), panel.data(), k, out);
+                     a.row(static_cast<int>(i + 3)), panel, k, out);
       for (size_t t = 0; t < kMicroRows; ++t) {
         float* crow = c.row(static_cast<int>(i + t));
         for (size_t jj = 0; jj < width; ++jj) {
@@ -186,7 +193,7 @@ void GemmNTTile(const Matrix& a, const Matrix& b, Matrix& c, size_t i0,
       }
     }
     for (; i < i1; ++i) {
-      Arch::NTMicro1(a.row(static_cast<int>(i)), panel.data(), k, out);
+      Arch::NTMicro1(a.row(static_cast<int>(i)), panel, k, out);
       float* crow = c.row(static_cast<int>(i));
       for (size_t jj = 0; jj < width; ++jj) {
         crow[jb + jj] = out[jj];

@@ -93,7 +93,7 @@ struct VecOps {
   using S8 = VecTypes<8>::S;
 
   static constexpr int kWidth = W;
-  static constexpr size_t kDecodeLanes = 16;
+  static constexpr size_t kDecodeLanes = 2 * W;
   static constexpr size_t kDecodeRows = W == 8 ? 4 : 8;
   // Registers per 16-column panel row and per decode vector.
   static constexpr size_t kPanelRegs = kMicroCols / W;
@@ -249,9 +249,9 @@ struct VecOps {
                            panel + static_cast<size_t>(k8) * kMicroCols);
   }
 
-  // Decode lanes: kDecodeLanes weight rows in kLaneRegs registers, so at
-  // W = 8 each activation row runs two independent add chains (one chain is
-  // latency-bound).
+  // Decode lanes: kDecodeLanes weight rows in kLaneRegs = 2 registers, so
+  // each activation row runs two independent add chains at both widths (one
+  // chain is latency-bound). Each output still has one ascending chain.
   struct VecF {
     F r[kLaneRegs];
   };

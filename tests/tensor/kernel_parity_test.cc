@@ -106,6 +106,26 @@ TEST_P(KernelParityTest, DenseGemmFamilyBitIdentical) {
   }
 }
 
+// Decode-shape dense NT: fewer rows than the 4-row micro-kernel. The vector
+// backends pack each 16-row stripe of B into a per-thread panel and run the
+// 1-row micro-kernel; the scalar backend runs pointer strips. n covers the
+// 16-column stripe's remainder (n % 16 dead lanes) and k the pack's k % 8 tail.
+TEST_P(KernelParityTest, DenseSmallMNTBitIdentical) {
+  Rng rng(24);
+  for (int m : {1, 2, 3}) {
+    for (int k : {1, 7, 8, 9, 64, 172}) {
+      for (int n : {1, 15, 16, 17, 33, 172}) {
+        const Matrix a = RandomWithZeros(m, k, rng, 0.2);
+        const Matrix b = RandomWithZeros(n, k, rng, 0.2);
+        ExpectBitIdentical(MatmulNT(a, b), kernels::ref::GemmNT(a, b),
+                           "NT small-m m=" + std::to_string(m) +
+                               " k=" + std::to_string(k) +
+                               " n=" + std::to_string(n));
+      }
+    }
+  }
+}
+
 TEST_P(KernelParityTest, LargeParallelGemmBitIdentical) {
   // Big enough to cross the parallel-dispatch threshold with several tiles.
   Rng rng(12);
@@ -115,6 +135,13 @@ TEST_P(KernelParityTest, LargeParallelGemmBitIdentical) {
   Matrix b_nn = RandomWithZeros(300, 270, rng, 0.3);
   ExpectBitIdentical(Matmul(a, b_nn.Transposed().Transposed()),
                      testing_ref::GemmNN(a, b_nn), "NN large");
+  // One activation row just over the threshold (1 * 1024 * 4099 flops): the
+  // column split runs pool threads on their own panels, and the last column
+  // range ends mid-stripe.
+  const Matrix x = RandomWithZeros(1, 1024, rng, 0.2);
+  const Matrix w = RandomWithZeros(4099, 1024, rng, 0.1);
+  ExpectBitIdentical(MatmulNT(x, w), kernels::ref::GemmNT(x, w),
+                     "NT large m=1 n=4099 k=1024");
 }
 
 TEST_P(KernelParityTest, TransposeBitIdentical) {
@@ -194,13 +221,14 @@ TEST_P(KernelParityTest, Sparse24GatherGemmBitIdentical) {
 // The compressed kernels decode codes in registers: every lane a weight row,
 // n % lanes tail lanes, groups that start mid-word, tiles of 8 words per lane
 // and a partial last tile, and x in chunks of at most R activation rows. The
-// m list covers R - 1, R, R + 1 and 2R + 1, and the n list W - 1, W and W + 1,
-// for every backend (R = 6, 4, 8 and W = 4, 16, 16 for scalar, AVX2 and
-// AVX-512).
+// m list covers R - 1, R, R + 1 and 2R + 1, and the n list W - 1, W, W + 1,
+// 2W - 1, 2W and 2W + 1, for every backend (R = 6, 4, 8 and W = 4, 16, 32 for
+// scalar, AVX2 and AVX-512).
 TEST_P(KernelParityTest, DecodeShapeSweepBitIdentical) {
   Rng rng(22);
   const int ms[] = {1, 2, 3, 4, 5, 6, 7, 8, 9, 13, 17};
-  const int ns[] = {1, 3, 4, 5, 7, 8, 9, 15, 16, 17, 172};
+  const int ns[] = {1,  3,  4,  5,  7,  8,  9,  15, 16,
+                    17, 31, 32, 33, 63, 64, 65, 172};
   // k = 520 keeps 260 slots per 2:4 row.
   const int ks[] = {4, 64, 68, 172, 520};
   for (int k : ks) {

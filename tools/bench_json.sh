@@ -7,6 +7,7 @@
 # kernels::ref reference at m = 1 and two larger m, per SIMD backend.
 #
 # Usage: tools/bench_json.sh [build_dir] [out.json]
+# Also writes fig06's stdout to out.fig06.txt (out.json minus ".json").
 set -eu
 
 root="$(cd "$(dirname "$0")/.." && pwd)"
@@ -26,7 +27,9 @@ micro="$build/bench/bench_microkernels"
 
 [ -x "$fig06" ] || { echo "missing $fig06 (build the bench targets first)"; exit 1; }
 
-"$fig06" --quick --json "$tmp/fig06.json" > /dev/null
+# fig06's printed tables go beside the JSON, so a failed decode-shape exit
+# (dense vs compressed at m = 1) leaves its numbers behind, not just the FAIL.
+"$fig06" --quick --json "$tmp/fig06.json" > "${out%.json}.fig06.txt"
 
 micro_json=""
 if [ -x "$micro" ]; then
