@@ -47,7 +47,7 @@ void Run() {
   // Break-even analysis at paper scale: when does the smaller on-disk artifact beat
   // the added decompression step?
   const ModelShape shape = ModelShape::Llama13B();
-  const size_t packed = shape.DeltaBytes(2, true, 128);
+  const size_t packed = shape.DeltaBytes(2);
   Table be({"storage", "bandwidth (GB/s)", "load packed (s)", "load lossless (s)",
             "lossless wins?"});
   for (const auto& [name, gbps] :

@@ -321,8 +321,7 @@ EngineConfig A800Node() {
 
 EngineConfig Lora(int rank) {
   EngineConfig cfg = A800Node();
-  cfg.artifact = ArtifactKind::kLoraAdapter;
-  cfg.lora_rank = rank;
+  cfg.exec.lora_rank = rank;
   return cfg;
 }
 

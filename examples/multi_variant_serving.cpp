@@ -54,6 +54,6 @@ int main() {
               "loader, while DeltaZip swaps %.2f GB compressed deltas and batches all\n"
               "variants' requests against one resident base model.\n",
               ModelShape::Llama13B().Fp16Bytes() / 1e9,
-              ModelShape::Llama13B().DeltaBytes(4, true, 128) / 1e9);
+              ModelShape::Llama13B().DeltaBytes(4) / 1e9);
   return 0;
 }

@@ -746,8 +746,9 @@ ClusterReport ServeElastic(const ClusterConfig& cfg, const Trace& trace) {
     run.registry = std::make_unique<ArtifactRegistry>(
         cfg.registry, trace.n_models, cfg.placer.n_gpus);
     // Per-worker artifact payload (repair jobs meter against it).
-    run.artifact_bytes = static_cast<double>(WorkerArtifactBytes(
-        cfg.engine, ExecModel(cfg.engine.exec), cfg.vllm_baseline));
+    run.artifact_bytes = static_cast<double>(
+        PlanWorkerMemory(cfg.engine, ExecModel(cfg.engine.exec), cfg.vllm_baseline)
+            .slot_bytes);
   }
 
   ClusterAutoscaler autoscaler(cfg.autoscale);

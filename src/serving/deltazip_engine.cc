@@ -15,8 +15,6 @@ namespace dz {
 
 namespace {
 
-// GPU memory fraction reserved for activations, outside the KV pool.
-constexpr double kKvReserveFraction = 0.05;
 // Host cache for artifacts (GB; the §5.4 disk → host → GPU hierarchy).
 constexpr double kCpuCacheGb = 256.0;
 
@@ -26,25 +24,21 @@ class DeltaZipPolicy : public ServePolicy {
       : config_(config), exec_(exec) {}
 
   ArtifactStoreConfig StoreConfig() override {
-    const size_t total_mem =
-        static_cast<size_t>(config_.exec.tp) * config_.exec.gpu.mem_bytes();
-    const size_t reserve = static_cast<size_t>(total_mem * kKvReserveFraction);
-    const size_t base_bytes = exec_.BaseWeightBytesPerGpu() * config_.exec.tp;
-    DZ_CHECK_GT(total_mem, base_bytes + reserve);
-    const size_t after_base = total_mem - base_bytes - reserve;
+    const WorkerMemory mem = PlanWorkerMemory(config_, exec_, /*full_model=*/false);
+    DZ_CHECK(mem.fit == WorkerFit::kFits);
+    const size_t after_base = mem.total - mem.reserved;
     // Artifact budget: up to N slots, but always leave a KV floor, so on small GPUs
     // the effective N is capacity-clamped (the pressure paper Fig. 10 explores).
     // Prefetch staging slots add double-buffering headroom on top of N, paid for
-    // out of the KV pool; when the 0.9 cap already clamps the budget the staging
+    // out of the KV pool; when the slot cap already clamps the budget the staging
     // request is (partially) denied, and only granted slots leave scheduling.
     const int staging_slots =
         config_.prefetch.enabled ? std::max(0, config_.prefetch.staging_slots) : 0;
     const int n = config_.max_concurrent_deltas;
-    const size_t slot_bytes = WorkerArtifactBytes(config_, exec_, /*full_model=*/false);
-    const size_t cap = static_cast<size_t>(after_base * 0.9);
-    const size_t demand_budget = std::min(cap, static_cast<size_t>(n) * slot_bytes);
+    const size_t slot_bytes = mem.slot_bytes;
+    const size_t demand_budget = std::min(mem.slot_cap, static_cast<size_t>(n) * slot_bytes);
     const size_t staging_cap =
-        std::min(cap, static_cast<size_t>(n + staging_slots) * slot_bytes);
+        std::min(mem.slot_cap, static_cast<size_t>(n + staging_slots) * slot_bytes);
     // Whole slots only: a fractional remainder would never fit an artifact.
     granted_staging_ = static_cast<int>((staging_cap - demand_budget) / slot_bytes);
     const size_t artifact_budget =
@@ -57,11 +51,8 @@ class DeltaZipPolicy : public ServePolicy {
     store.artifact_bytes = slot_bytes;
     store.gpu_budget_bytes = artifact_budget;
     store.cpu_budget_bytes = static_cast<size_t>(kCpuCacheGb * 1e9);
-    store.disk_read_s = lora() ? exec_.kernels().DiskReadTime(
-                                     config_.exec.shape.LoraBytes(config_.lora_rank))
-                               : exec_.LoadDeltaFromDisk();
-    store.h2d_s =
-        lora() ? exec_.LoadLoraFromHost(config_.lora_rank) : exec_.LoadDeltaFromHost();
+    store.disk_read_s = exec_.LoadArtifactFromDisk();
+    store.h2d_s = exec_.LoadArtifactFromHost();
     return store;
   }
 
@@ -80,8 +71,7 @@ class DeltaZipPolicy : public ServePolicy {
   long long KvCapacityTokens() const override { return kv_capacity_tokens_; }
 
   double ArtifactPrefillS(long long tokens) const override {
-    return lora() ? exec_.LoraPrefillTime(tokens, config_.lora_rank)
-                  : exec_.DeltaPrefillTime(tokens);
+    return exec_.ArtifactPrefillTime(tokens);
   }
 
   void Admit(ServeLoop& loop, double now, Admission& admission) override;
@@ -97,9 +87,7 @@ class DeltaZipPolicy : public ServePolicy {
     if (batch.total > 0) {
       const int active = static_cast<int>(batch.ids.size());
       exec_.AddDecodeIterTimes(batch.total, batch.ctx_total, rounds, out);
-      const double variant_s =
-          lora() ? exec_.LoraDecodeIterTime(batch.total, active, config_.lora_rank)
-                 : exec_.DeltaDecodeIterTime(batch.total, active);
+      const double variant_s = exec_.ArtifactDecodeIterTime(batch.total, active);
       for (int j = 0; j < rounds; ++j) {
         out[j] += variant_s;
       }
@@ -140,8 +128,6 @@ class DeltaZipPolicy : public ServePolicy {
 
  private:
   static constexpr int kNoParent = std::numeric_limits<int>::min();
-
-  bool lora() const { return config_.artifact == ArtifactKind::kLoraAdapter; }
 
   const EngineConfig& config_;
   const ExecModel& exec_;
@@ -272,8 +258,7 @@ void DeltaZipPolicy::Admit(ServeLoop& loop, double now, Admission& admission) {
 }  // namespace
 
 std::unique_ptr<ServingEngine> MakeDeltaZipEngine(const EngineConfig& config) {
-  const char* name =
-      config.artifact == ArtifactKind::kLoraAdapter ? "deltazip-lora" : "deltazip";
+  const char* name = config.exec.lora_rank > 0 ? "deltazip-lora" : "deltazip";
   return std::make_unique<ServingEngine>(config, name, &MakePolicy<DeltaZipPolicy>);
 }
 

@@ -27,14 +27,6 @@
 
 namespace dz {
 
-// What the per-variant artifact of a DeltaZip engine is — decides its byte size,
-// its load times, and which ExecModel code path serves it. The vLLM-SCB baseline
-// swaps entire fp16 fine-tuned models (§6.1) whatever this says.
-enum class ArtifactKind {
-  kCompressedDelta,  // ΔCompress artifact (§4)
-  kLoraAdapter,      // low-rank adapter, Punica-style SGMV (§6.4)
-};
-
 // Asynchronous artifact prefetch (beyond the paper, §8 future work; MetaSys-style
 // cross-layer pipelining): each scheduling round the engine scans its waiting queue
 // and warms the artifacts of the next `lookahead` distinct variants on the
@@ -77,13 +69,13 @@ struct MetricsExportConfig {
 // One worker's configuration. Units: times in (simulated) seconds, sizes in GB
 // where named so, token budgets in tokens.
 struct EngineConfig {
-  ExecModelConfig exec;           // model shape × GPU spec × tensor-parallel degree
+  // Model shape × GPU spec × tensor-parallel degree, and the per-variant artifact
+  // (`exec.lora_rank`); the vLLM-SCB baseline swaps whole fp16 models (§6.1) instead.
+  ExecModelConfig exec;
   int max_batch = 32;             // K concurrently served requests (§5.4)
   int max_concurrent_deltas = 8;  // N artifacts co-resident per batch (§5.4, Fig. 10)
   bool skip_the_line = true;      // admit later requests of resident variants (§5.4)
   bool preemption = true;  // preempt skippers when their parent finishes (§5.4)
-  ArtifactKind artifact = ArtifactKind::kCompressedDelta;
-  int lora_rank = 16;               // LoRA rank when artifact == kLoraAdapter
   long long max_prefill_tokens = 2048;  // per-iteration prompt-token budget
   PrefetchConfig prefetch;              // async artifact prefetch (off by default)
   MetricsExportConfig metrics;          // in-run snapshot timeline (off by default)
@@ -133,15 +125,29 @@ class ServingEngine {
 std::unique_ptr<ServingEngine> MakeDeltaZipEngine(const EngineConfig& config);
 std::unique_ptr<ServingEngine> MakeVllmScbEngine(const EngineConfig& config);
 // The one choice between the two: the vLLM-SCB baseline when `vllm_baseline`,
-// else DeltaZip (which `config.artifact` names "deltazip" or "deltazip-lora").
+// else DeltaZip ("deltazip", or "deltazip-lora" when `config.exec.lora_rank` > 0).
 std::unique_ptr<ServingEngine> MakeEngine(const EngineConfig& config, bool vllm_baseline);
 
-// Bytes one variant's artifact occupies on a worker, over all its TP shards: a whole
-// fp16 model for the vLLM-SCB baseline (`full_model`), otherwise the LoRA adapter or
-// compressed delta `config.artifact` names. The engines' stores hold artifacts of
-// this size, and the cluster meters registry repair against it.
-size_t WorkerArtifactBytes(const EngineConfig& config, const ExecModel& exec,
-                           bool full_model);
+// Whether a worker's GPU memory holds what its engine needs before it can serve:
+// the resident weights plus their reserve leave memory over, and one artifact fits
+// in the share left for artifacts.
+enum class WorkerFit { kFits, kBaseTooLarge, kNoArtifactSlot };
+
+// One worker's GPU memory over all its TP shards, as its engine divides it: resident
+// weights plus a reserve (DeltaZip: the base model and an activation reserve; the
+// vLLM-SCB baseline, `full_model`, whose models are all artifacts: the KV pool),
+// then at most `slot_cap` bytes of the rest for artifact slots of `slot_bytes`: a
+// whole fp16 model on vLLM-SCB, else the ExecModel's artifact. The engines' stores
+// hold artifacts of that size, and the cluster meters registry repair against it.
+struct WorkerMemory {
+  size_t total = 0;
+  size_t reserved = 0;
+  size_t slot_bytes = 0;
+  size_t slot_cap = 0;
+  WorkerFit fit = WorkerFit::kFits;
+};
+WorkerMemory PlanWorkerMemory(const EngineConfig& config, const ExecModel& exec,
+                              bool full_model);
 
 }  // namespace dz
 

@@ -12,6 +12,13 @@ namespace {
 constexpr double kInf = std::numeric_limits<double>::infinity();
 // Per-round scheduler/runner overhead (simulated seconds).
 constexpr double kSchedOverheadS = 0.002;
+// DeltaZip: GPU memory fraction reserved for activations, outside the KV pool, and
+// the most of what the base model and reserve leave that artifact slots may take
+// (the rest is the KV floor).
+constexpr double kActivationReserveFraction = 0.05;
+constexpr double kArtifactShare = 0.9;
+// vLLM-SCB: the KV pool's least share of GPU memory (and at least half a model).
+constexpr double kKvPoolFraction = 0.15;
 
 // The policy's store geometry and timings, attached as the engine is.
 ArtifactStoreConfig WithRegistry(ArtifactStoreConfig store, const EngineConfig& config) {
@@ -54,13 +61,27 @@ void BatchLedger::Advance(long long rounds) {
   ctx_total += rounds * total;
 }
 
-size_t WorkerArtifactBytes(const EngineConfig& config, const ExecModel& exec,
-                           bool full_model) {
-  const size_t per_gpu = full_model ? exec.BaseWeightBytesPerGpu()
-                         : config.artifact == ArtifactKind::kLoraAdapter
-                             ? exec.LoraBytesPerGpu(config.lora_rank)
-                             : exec.DeltaBytesPerGpu();
-  return per_gpu * static_cast<size_t>(config.exec.tp);
+WorkerMemory PlanWorkerMemory(const EngineConfig& config, const ExecModel& exec,
+                              bool full_model) {
+  WorkerMemory mem;
+  const size_t tp = static_cast<size_t>(config.exec.tp);
+  mem.total = tp * config.exec.gpu.mem_bytes();
+  mem.slot_bytes =
+      (full_model ? exec.BaseWeightBytesPerGpu() : exec.ArtifactBytesPerGpu()) * tp;
+  mem.reserved =
+      full_model ? std::max(mem.slot_bytes / 2, static_cast<size_t>(mem.total * kKvPoolFraction))
+                 : exec.BaseWeightBytesPerGpu() * tp +
+                       static_cast<size_t>(mem.total * kActivationReserveFraction);
+  if (mem.total <= mem.reserved) {
+    mem.fit = WorkerFit::kBaseTooLarge;
+    return mem;
+  }
+  const size_t rest = mem.total - mem.reserved;
+  mem.slot_cap = full_model ? rest : static_cast<size_t>(rest * kArtifactShare);
+  if (mem.slot_cap < mem.slot_bytes) {
+    mem.fit = WorkerFit::kNoArtifactSlot;
+  }
+  return mem;
 }
 
 std::unique_ptr<ServeLoop> ServingEngine::Start(int n_models, int n_tenants) const {

@@ -22,19 +22,15 @@ class VllmScbPolicy : public ServePolicy {
       : config_(config), exec_(exec) {}
 
   ArtifactStoreConfig StoreConfig() override {
-    const size_t total_mem =
-        static_cast<size_t>(config_.exec.tp) * config_.exec.gpu.mem_bytes();
-    const size_t model_bytes = WorkerArtifactBytes(config_, exec_, /*full_model=*/true);
-    // Reserve a KV pool (roughly one model's worth or 15%, whichever is larger).
-    const size_t kv_pool =
-        std::max(model_bytes / 2, static_cast<size_t>(total_mem * 0.15));
-    DZ_CHECK_GT(total_mem, kv_pool + model_bytes);
+    // The reserve is the KV pool; every other byte holds whole models.
+    const WorkerMemory mem = PlanWorkerMemory(config_, exec_, /*full_model=*/true);
+    DZ_CHECK(mem.fit == WorkerFit::kFits);
     kv_capacity_tokens_ = static_cast<long long>(
-        kv_pool / std::max<size_t>(1, exec_.KvBytesPerTokenPerGpu() * config_.exec.tp));
+        mem.reserved / std::max<size_t>(1, exec_.KvBytesPerTokenPerGpu() * config_.exec.tp));
 
     ArtifactStoreConfig store;
-    store.artifact_bytes = model_bytes;
-    store.gpu_budget_bytes = total_mem - kv_pool;
+    store.artifact_bytes = mem.slot_bytes;
+    store.gpu_budget_bytes = mem.slot_cap;
     // No host-side weight cache: every swap re-runs the checkpoint load path.
     store.cpu_budget_bytes = 0;
     store.disk_read_s = exec_.LoadFullModelFromDisk();

@@ -67,15 +67,27 @@ ExecModel::ExecModel(const ExecModelConfig& config)
   kv_bytes_per_token_ = static_cast<double>(s.KvBytesPerToken());
   launch_s_ = kernels_.LaunchOverhead(
       static_cast<int>(s.n_layers * kLaunchesPerLayer * kLaunchFusion));
-  const int bits = config_.delta_format == WeightFormat::kSparseInt2 ? 2 : 4;
-  delta_bytes_per_gpu_ =
-      s.DeltaBytes(bits, IsSparseFormat(config_.delta_format), 128) / config_.tp;
   kv_bytes_per_token_per_gpu_ = s.KvBytesPerToken() / config_.tp;
-  // Sparse tensor cores at 92% of peak (the SBMM kernels, paper §5.2).
-  sbmm_rate_ = gpu.peak_fp16_tflops * 1e12 * 0.92 *
-               (IsSparseFormat(config_.delta_format) ? gpu.sparse_speedup : 1.0);
-  sbmm_sites_ = s.n_layers * 7.0 * kLaunchFusion;
-  linear_flops_per_token_ = s.LinearFlopsPerToken();
+  DZ_CHECK_GE(config_.lora_rank, 0);
+  size_t artifact_bytes = 0;
+  if (config_.lora_rank > 0) {
+    artifact_bytes = s.LoraBytes(config_.lora_rank);
+    // Two GEMVs per projection: 2 · rank · (in + out) FLOPs a token, summed.
+    artifact_flops_per_token_ = 2.0 * static_cast<double>(artifact_bytes / 2);
+    artifact_rate_ = gpu.peak_fp16_tflops * 1e12 * 0.5;
+  } else {
+    DZ_CHECK(IsSparseFormat(config_.delta_format));
+    artifact_bytes = s.DeltaBytes(config_.delta_format == WeightFormat::kSparseInt2 ? 2 : 4);
+    artifact_flops_per_token_ = s.LinearFlopsPerToken();
+    // Sparse tensor cores at 92% of peak (the SBMM kernels, paper §5.2).
+    artifact_rate_ = gpu.peak_fp16_tflops * 1e12 * 0.92 * gpu.sparse_speedup;
+    // Per-delta blocked matmuls are device-side dynamic-parallelism launches (§5.2).
+    artifact_launch_us_ = gpu.dyn_parallel_launch_us;
+  }
+  artifact_bytes_per_gpu_ = artifact_bytes / config_.tp;
+  artifact_h2d_s_ = kernels_.H2DTime(artifact_bytes_per_gpu_);
+  artifact_disk_s_ = kernels_.DiskReadTime(artifact_bytes);
+  artifact_sites_ = s.n_layers * 7.0 * kLaunchFusion;
   for (int b = 1; b <= kBatchTable; ++b) {
     decode_gemm_s_[b] = kernels_.GemmTime(b, linear_n_, s.d_model, WeightFormat::kFp16);
     decode_allreduce_s_[b] = s.n_layers * PerLayerAllReduce(b);
@@ -156,58 +168,31 @@ void ExecModel::AddDecodeIterTimes(int batch, long long ctx0, int rounds, double
   });
 }
 
-double ExecModel::DeltaDecodeIterTime(int total, int active) const {
+double ExecModel::ArtifactDecodeIterTime(int total, int active) const {
   if (total <= 0) {
     return 0.0;
   }
   const GpuSpec& gpu = config_.gpu;
-  // Memory: every active delta's packed weights stream through once per iteration.
-  const double delta_bytes = static_cast<double>(active) * delta_bytes_per_gpu_;
-  const double mem_s = delta_bytes / (gpu.hbm_gbps * 1e9);
-  // Compute: 2·P·m FLOPs per request, on sparse tensor cores.
-  const double flops =
-      static_cast<double>(total) * linear_flops_per_token_ / config_.tp;
-  const double compute_s = flops / sbmm_rate_;
-  // SBMM launches: one host launch pair per projection per layer; per-delta blocked
-  // matmuls are device-side dynamic-parallelism launches (paper §5.2).
+  // Memory: every active artifact's weights stream through once per iteration.
+  const double artifact_bytes = static_cast<double>(active) * artifact_bytes_per_gpu_;
+  const double mem_s = artifact_bytes / (gpu.hbm_gbps * 1e9);
+  const double flops = static_cast<double>(total) * artifact_flops_per_token_ / config_.tp;
+  const double compute_s = flops / artifact_rate_;
+  // One host launch pair per projection per layer, plus the per-artifact launches.
   const double overhead_s =
-      sbmm_sites_ * (2.0 * gpu.kernel_launch_us + active * gpu.dyn_parallel_launch_us) *
-      1e-6;
+      artifact_sites_ * (2.0 * gpu.kernel_launch_us + active * artifact_launch_us_) * 1e-6;
   return std::max(mem_s, compute_s) + overhead_s;
 }
 
-double ExecModel::DeltaPrefillTime(long long tokens) const {
+double ExecModel::ArtifactPrefillTime(long long tokens) const {
   if (tokens <= 0) {
     return 0.0;
+  }
+  if (config_.lora_rank > 0) {
+    return static_cast<double>(tokens) * artifact_flops_per_token_ / config_.tp /
+           artifact_rate_;
   }
   return kernels_.GemmTime(tokens, linear_n_, config_.shape.d_model, config_.delta_format);
-}
-
-double ExecModel::LoraDecodeIterTime(int total, int active, int rank) const {
-  if (total <= 0) {
-    return 0.0;
-  }
-  const ModelShape& s = config_.shape;
-  const GpuSpec& gpu = config_.gpu;
-  const double adapter_bytes = static_cast<double>(active) * LoraBytesPerGpu(rank);
-  const double mem_s = adapter_bytes / (gpu.hbm_gbps * 1e9);
-  // Per token: 2 GEMVs per projection, FLOPs = 2 · 2 · rank · (in + out) summed.
-  const double flops = static_cast<double>(total) * 2.0 *
-                       static_cast<double>(s.LoraBytes(rank) / 2) / config_.tp;
-  const double compute_s = flops / (gpu.peak_fp16_tflops * 1e12 * 0.5);
-  const double sgmv_sites = s.n_layers * 7.0 * kLaunchFusion;
-  const double overhead_s = sgmv_sites * 2.0 * gpu.kernel_launch_us * 1e-6;
-  return std::max(mem_s, compute_s) + overhead_s;
-}
-
-double ExecModel::LoraPrefillTime(long long tokens, int rank) const {
-  if (tokens <= 0) {
-    return 0.0;
-  }
-  const double flops = static_cast<double>(tokens) * 2.0 *
-                       static_cast<double>(config_.shape.LoraBytes(rank) / 2) /
-                       config_.tp;
-  return flops / (config_.gpu.peak_fp16_tflops * 1e12 * 0.5);
 }
 
 double ExecModel::LoadFullModelFromHost() const {
@@ -222,32 +207,12 @@ double ExecModel::LoadFullModelFromDisk() const {
              (config_.gpu.checkpoint_load_gbps * 1e9);
 }
 
-double ExecModel::LoadDeltaFromHost() const {
-  return kernels_.H2DTime(DeltaBytesPerGpu());
-}
-
-double ExecModel::LoadDeltaFromDisk() const {
-  const int bits = config_.delta_format == WeightFormat::kSparseInt2 ? 2 : 4;
-  return kernels_.DiskReadTime(
-      config_.shape.DeltaBytes(bits, IsSparseFormat(config_.delta_format), 128));
-}
-
-double ExecModel::LoadLoraFromHost(int rank) const {
-  return kernels_.H2DTime(LoraBytesPerGpu(rank));
-}
-
 double ExecModel::KvSwapTime(long long ctx_tokens) const {
   return kernels_.H2DTime(static_cast<size_t>(ctx_tokens) * kv_bytes_per_token_per_gpu_);
 }
 
 size_t ExecModel::BaseWeightBytesPerGpu() const {
   return config_.shape.Fp16Bytes() / config_.tp;
-}
-
-size_t ExecModel::DeltaBytesPerGpu() const { return delta_bytes_per_gpu_; }
-
-size_t ExecModel::LoraBytesPerGpu(int rank) const {
-  return config_.shape.LoraBytes(rank) / config_.tp;
 }
 
 size_t ExecModel::KvBytesPerTokenPerGpu() const { return kv_bytes_per_token_per_gpu_; }

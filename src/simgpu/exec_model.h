@@ -17,14 +17,16 @@ struct ExecModelConfig {
   ModelShape shape;
   GpuSpec gpu;
   int tp = 1;  // tensor-parallel degree (Megatron-style, §5.3)
+  // The per-variant artifact a DeltaZip worker swaps and batches: a LoRA adapter of
+  // this rank (Punica-style SGMV, §6.4), or at 0 the ΔCompress delta (§4) stored in
+  // `delta_format`, one of the 2:4 sparse formats.
+  int lora_rank = 0;
   WeightFormat delta_format = WeightFormat::kSparseInt4;
 };
 
 class ExecModel {
  public:
   explicit ExecModel(const ExecModelConfig& config);
-
-  const KernelModel& kernels() const { return kernels_; }
 
   // --- base-model path (dense fp16, shared across variants) ---
 
@@ -43,33 +45,27 @@ class ExecModel {
   // depend on each other, so their arithmetic pipelines.
   void AddDecodeIterTimes(int batch, long long ctx0, int rounds, double* out) const;
 
-  // --- delta path (ΔCompress artifacts, SBMM execution, §5.2) ---
+  // --- artifact path (`lora_rank`: SBMM over deltas §5.2, or SGMV over adapters) ---
 
-  // One decode iteration of the delta computation: `total` requests riding
-  // `active` distinct deltas. Uses the SBMM launch model across every linear layer.
-  double DeltaDecodeIterTime(int total, int active) const;
+  // One decode iteration of the artifact computation: `total` requests riding
+  // `active` distinct artifacts, each streaming its weights once, plus the launch
+  // model across every linear layer.
+  double ArtifactDecodeIterTime(int total, int active) const;
 
-  // Delta-path prefill for `tokens` tokens of one variant (sparse low-precision GEMM).
-  double DeltaPrefillTime(long long tokens) const;
-
-  // --- LoRA path (Punica/S-LoRA-style SGMV, §6.4) ---
-  // `total` requests riding `active` distinct adapters of rank `rank`.
-  double LoraDecodeIterTime(int total, int active, int rank) const;
-  double LoraPrefillTime(long long tokens, int rank) const;
+  // Artifact-path prefill for `tokens` tokens of one variant.
+  double ArtifactPrefillTime(long long tokens) const;
 
   // --- weights movement ---
   double LoadFullModelFromHost() const;   // swap a full fp16 model H2D
   double LoadFullModelFromDisk() const;   // disk → host
-  double LoadDeltaFromHost() const;
-  double LoadDeltaFromDisk() const;
-  double LoadLoraFromHost(int rank) const;
+  double LoadArtifactFromHost() const { return artifact_h2d_s_; }  // one shard H2D
+  double LoadArtifactFromDisk() const { return artifact_disk_s_; }  // all shards
   // KV state swap for preempted requests (bytes of ctx tokens), one direction.
   double KvSwapTime(long long ctx_tokens) const;
 
   // --- sizes (per GPU, i.e., already divided by tp) ---
   size_t BaseWeightBytesPerGpu() const;
-  size_t DeltaBytesPerGpu() const;
-  size_t LoraBytesPerGpu(int rank) const;
+  size_t ArtifactBytesPerGpu() const { return artifact_bytes_per_gpu_; }
   size_t KvBytesPerTokenPerGpu() const;
 
  private:
@@ -86,11 +82,15 @@ class ExecModel {
   long long linear_n_ = 0;           // columns of the aggregate linear GEMM, per GPU
   double kv_bytes_per_token_ = 0.0;  // K+V bytes per context token, all GPUs
   double launch_s_ = 0.0;            // the fused per-iteration launch overhead
-  size_t delta_bytes_per_gpu_ = 0;
   size_t kv_bytes_per_token_per_gpu_ = 0;
-  double sbmm_rate_ = 0.0;   // sustained FLOP/s of the delta path's matmuls
-  double sbmm_sites_ = 0.0;  // fused SBMM launch sites per iteration
-  double linear_flops_per_token_ = 0.0;
+  // The artifact's size and load times, and the terms of its per-iteration costs.
+  size_t artifact_bytes_per_gpu_ = 0;
+  double artifact_h2d_s_ = 0.0;
+  double artifact_disk_s_ = 0.0;
+  double artifact_flops_per_token_ = 0.0;  // over all GPUs
+  double artifact_rate_ = 0.0;       // sustained FLOP/s of the artifact path's matmuls
+  double artifact_launch_us_ = 0.0;  // device-side launch per active artifact
+  double artifact_sites_ = 0.0;      // fused launch sites per iteration
   // DecodeIterTime's batch-only terms for batches 1..kBatchTable, at index
   // batch: the aggregate GEMM and the n_layers all-reduces.
   static constexpr int kBatchTable = 64;

@@ -1,5 +1,9 @@
 #include "src/simgpu/model_shape.h"
 
+#include <array>
+
+#include "src/tensor/sparse24.h"
+
 namespace dz {
 
 ModelShape ModelShape::Llama7B() {
@@ -50,13 +54,30 @@ ModelShape ModelShape::Pythia2p8B() {
   return s;
 }
 
+namespace {
+
+// One transformer block's linear layers as [out, in], 2:4 sparse along the inputs:
+// q, k, v, o, then gate, up, down.
+std::array<std::array<int, 2>, 7> Projections(const ModelShape& s) {
+  const int kv_dim = static_cast<int>(static_cast<size_t>(s.d_model) * s.n_kv_heads /
+                                      s.n_heads);
+  return {{{s.d_model, s.d_model},
+           {kv_dim, s.d_model},
+           {kv_dim, s.d_model},
+           {s.d_model, s.d_model},
+           {s.d_ff, s.d_model},
+           {s.d_ff, s.d_model},
+           {s.d_model, s.d_ff}}};
+}
+
+}  // namespace
+
 size_t ModelShape::LinearParams() const {
-  const size_t d = static_cast<size_t>(d_model);
-  const size_t ff = static_cast<size_t>(d_ff);
-  const size_t kv_dim = d * n_kv_heads / n_heads;
-  const size_t attn = d * d /*q*/ + 2 * d * kv_dim /*k,v*/ + d * d /*o*/;
-  const size_t mlp = 3 * d * ff;  // gate, up, down
-  return static_cast<size_t>(n_layers) * (attn + mlp);
+  size_t per_layer = 0;
+  for (const auto& [out, in] : Projections(*this)) {
+    per_layer += static_cast<size_t>(out) * static_cast<size_t>(in);
+  }
+  return static_cast<size_t>(n_layers) * per_layer;
 }
 
 size_t ModelShape::TotalParams() const {
@@ -69,39 +90,21 @@ size_t ModelShape::KvBytesPerToken() const {
   return 2 /*K,V*/ * static_cast<size_t>(n_layers) * kv_dim * 2 /*fp16*/;
 }
 
-size_t ModelShape::DeltaBytes(int bits, bool sparse24, int group_size,
-                              bool include_embeddings) const {
-  const size_t params = LinearParams();
-  size_t bytes = 0;
-  if (sparse24) {
-    const size_t kept = params / 2;
-    bytes += kept * bits / 8;       // packed codes
-    bytes += kept * 2 / 8;          // 2-bit indices
-    const size_t groups = (kept + group_size - 1) / group_size;
-    bytes += groups * 3;            // fp16 scale + uint8 zero per group
-  } else {
-    bytes += params * bits / 8;
-    const size_t groups = (params + group_size - 1) / group_size;
-    bytes += groups * 3;
+size_t ModelShape::DeltaBytes(int bits) const {
+  size_t per_layer = 0;
+  for (const auto& [out, in] : Projections(*this)) {
+    per_layer += Sparse24Matrix::Shaped(out, in, bits, kDeltaGroupSize).ByteSize();
   }
-  if (include_embeddings) {
-    bytes += 2 * static_cast<size_t>(vocab) * d_model * 2;
-  }
-  return bytes;
+  return static_cast<size_t>(n_layers) * per_layer;
 }
 
 size_t ModelShape::LoraBytes(int rank) const {
-  // Factors A [r, in] and B [out, r] for each of the 7 projections per layer.
-  const size_t d = static_cast<size_t>(d_model);
-  const size_t ff = static_cast<size_t>(d_ff);
-  const size_t kv_dim = d * n_kv_heads / n_heads;
+  // Factors A [r, in] and B [out, r] of each projection, in fp16.
   size_t per_layer = 0;
-  per_layer += static_cast<size_t>(rank) * (d + d);        // q
-  per_layer += 2 * static_cast<size_t>(rank) * (d + kv_dim);  // k, v
-  per_layer += static_cast<size_t>(rank) * (d + d);        // o
-  per_layer += 2 * static_cast<size_t>(rank) * (d + ff);   // gate, up
-  per_layer += static_cast<size_t>(rank) * (ff + d);       // down
-  return static_cast<size_t>(n_layers) * per_layer * 2;    // fp16
+  for (const auto& [out, in] : Projections(*this)) {
+    per_layer += static_cast<size_t>(rank) * (static_cast<size_t>(in) + out);
+  }
+  return static_cast<size_t>(n_layers) * per_layer * 2;
 }
 
 }  // namespace dz

@@ -34,11 +34,16 @@ struct ModelShape {
   // KV-cache bytes per token (fp16 K and V across layers).
   size_t KvBytesPerToken() const;
 
-  // Compressed-delta artifact size for the given configuration, mirroring the packing
-  // arithmetic of Sparse24Matrix/PackedQuantMatrix (values + 2-bit positions + group
-  // parameters) plus fp16 embeddings when embeddings are part of the delta.
-  size_t DeltaBytes(int bits, bool sparse24, int group_size,
-                    bool include_embeddings = false) const;
+  // Quantization group size, in kept values, of the deltas the simulator prices: 128,
+  // as GPTQ-style quantizers commonly use for billion-parameter checkpoints.
+  // ΔCompress's DeltaCompressConfig defaults to 64 for the laptop-scale models of
+  // src/nn, whose rows hold only 32 to 86 kept values. At every preset here each
+  // row's kept values divide 128.
+  static constexpr int kDeltaGroupSize = 128;
+
+  // Bytes of the ΔCompress delta over all linear layers at `bits` (2:4 sparse, groups
+  // of kDeltaGroupSize): the sum of each layer's Sparse24Matrix::ByteSize().
+  size_t DeltaBytes(int bits) const;
 
   // LoRA adapter bytes at rank r over all linear layers.
   size_t LoraBytes(int rank) const;

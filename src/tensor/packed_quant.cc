@@ -149,10 +149,8 @@ std::optional<PackedQuantMatrix> PackedQuantMatrix::FromStorage(
 }
 
 size_t PackedQuantMatrix::ByteSize() const {
-  const size_t packed_bytes = packed_.size() * sizeof(uint32_t);
-  const size_t scale_bytes = scales_.size() * 2;  // stored as fp16
-  const size_t zero_bytes = zeros_.size();
-  return packed_bytes + scale_bytes + zero_bytes;
+  // Each row's packed words, then per group an fp16 scale and a uint8 zero.
+  return static_cast<size_t>(rows_) * (words_per_row_ * sizeof(uint32_t) + groups_per_row_ * 3);
 }
 
 }  // namespace dz

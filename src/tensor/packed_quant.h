@@ -43,7 +43,8 @@ class PackedQuantMatrix {
   int groups_per_row() const { return groups_per_row_; }
   int words_per_row() const { return words_per_row_; }
 
-  // Serialized footprint: packed words + per-group scale (fp16) + zero (uint8).
+  // Serialized footprint: packed words + per-group scale (fp16) + zero (uint8),
+  // from the geometry alone, so a Shaped matrix has it too.
   size_t ByteSize() const;
 
   // Raw quantized code at (r, c), in [0, 2^bits).
@@ -63,10 +64,11 @@ class PackedQuantMatrix {
                                                       std::vector<float> scales,
                                                       std::vector<uint8_t> zeros);
 
- private:
-  // Geometry of a rows x cols matrix (group_size clamped to the row), no storage.
+  // Geometry of a rows x cols matrix (group_size clamped to the row), no storage:
+  // enough for the shape accessors and ByteSize().
   static PackedQuantMatrix Shaped(int rows, int cols, int bits, int group_size);
 
+ private:
   int rows_ = 0;
   int cols_ = 0;
   int bits_ = 0;

@@ -118,7 +118,15 @@ std::optional<Sparse24Matrix> Sparse24Matrix::FromStorage(
 }
 
 size_t Sparse24Matrix::ByteSize() const {
-  return values_.ByteSize() + positions_.size() * sizeof(uint32_t);
+  return values_.ByteSize() +
+         static_cast<size_t>(rows()) * position_words_per_row() * sizeof(uint32_t);
+}
+
+Sparse24Matrix Sparse24Matrix::Shaped(int rows, int cols, int bits, int group_size) {
+  Sparse24Matrix out;
+  out.cols_ = cols;
+  out.values_ = PackedQuantMatrix::Shaped(rows, cols / 2, bits, group_size);
+  return out;
 }
 
 }  // namespace dz

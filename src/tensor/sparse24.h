@@ -49,7 +49,12 @@ class Sparse24Matrix {
   int rows() const { return values_.rows(); }
   int cols() const { return cols_; }
 
+  // Serialized footprint: the kept values' ByteSize() plus the position words, from
+  // the geometry alone, so a Shaped matrix has it too.
   size_t ByteSize() const;
+  // Geometry of a packed rows x cols matrix, no storage: enough for rows(), cols()
+  // and ByteSize(). The serving simulator sizes paper-scale deltas with it.
+  static Sparse24Matrix Shaped(int rows, int cols, int bits, int group_size);
 
   // The kept values: slot k of row r is values().ValueAt(r, k), in column ColumnOf(r, k).
   const PackedQuantMatrix& values() const { return values_; }

@@ -245,18 +245,18 @@ TEST(ClusterTest, LabelBeginsWithTheWorkersEngineName) {
   const Trace trace = GenerateTrace(SmallTraceConfig());
   struct Case {
     bool vllm_baseline;
-    ArtifactKind artifact;
+    int lora_rank;
     const char* label;
   };
   for (const Case& c :
-       {Case{false, ArtifactKind::kCompressedDelta, "deltazip x2 [delta-affinity]"},
-        Case{false, ArtifactKind::kLoraAdapter, "deltazip-lora x2 [delta-affinity]"},
-        Case{true, ArtifactKind::kCompressedDelta, "vllm-scb x2 [delta-affinity]"}}) {
+       {Case{false, 0, "deltazip x2 [delta-affinity]"},
+        Case{false, 16, "deltazip-lora x2 [delta-affinity]"},
+        Case{true, 0, "vllm-scb x2 [delta-affinity]"}}) {
     ClusterConfig cfg;
     cfg.placer.n_gpus = 2;
     cfg.placer.policy = PlacementPolicy::kDeltaAffinity;
     cfg.engine = WorkerConfig();
-    cfg.engine.artifact = c.artifact;
+    cfg.engine.exec.lora_rank = c.lora_rank;
     cfg.vllm_baseline = c.vllm_baseline;
     const ClusterReport report = Cluster(cfg).Serve(trace);
     EXPECT_EQ(Cluster(cfg).name(), c.label);

@@ -49,7 +49,7 @@ TEST_P(EnginePropertyTest, ReportInvariantsHold) {
   cfg.exec.gpu = GpuSpec::A800();
   cfg.exec.tp = 1;
   if (param.serving == Serving::kLora) {
-    cfg.artifact = ArtifactKind::kLoraAdapter;
+    cfg.exec.lora_rank = 16;
   }
   const ServeReport report =
       MakeEngine(cfg, /*vllm_baseline=*/param.serving == Serving::kFullModel)->Serve(trace);

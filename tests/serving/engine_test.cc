@@ -91,8 +91,7 @@ TEST(DeltaZipEngineTest, LoraArtifactsServeFasterThanDeltas) {
   const Trace trace = GenerateTrace(tc);
   EngineConfig delta_cfg = Default13BConfig();
   EngineConfig lora_cfg = Default13BConfig();
-  lora_cfg.artifact = ArtifactKind::kLoraAdapter;
-  lora_cfg.lora_rank = 16;
+  lora_cfg.exec.lora_rank = 16;
   const ServeReport dz = MakeDeltaZipEngine(delta_cfg)->Serve(trace);
   const ServeReport lora = MakeDeltaZipEngine(lora_cfg)->Serve(trace);
   EXPECT_LE(lora.MeanE2e(), dz.MeanE2e() * 1.05);

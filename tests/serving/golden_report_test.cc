@@ -772,8 +772,7 @@ TEST(GoldenReportTest, DeltaZipLoraZipfStaysGolden) {
   tc.seed = 1616;
   const Trace trace = GenerateTrace(tc);
   EngineConfig cfg = GoldenEngineConfig();
-  cfg.artifact = ArtifactKind::kLoraAdapter;
-  cfg.lora_rank = 16;
+  cfg.exec.lora_rank = 16;
   cfg.tracing.enabled = true;
   const ServeReport r = MakeDeltaZipEngine(cfg)->Serve(trace);
   EXPECT_EQ(r.engine_name, "deltazip-lora");

@@ -2,8 +2,7 @@
 // alone. For a request of P prompt and O output tokens on a worker whose
 // engine and ExecModel are given:
 //   TTFT >= PrefillTime(P) + variant prefill, where the variant prefill is
-//           DeltaPrefillTime(P) on a DeltaZip delta engine,
-//           LoraPrefillTime(P, rank) on a LoRA engine, and 0 on vLLM-SCB;
+//           ArtifactPrefillTime(P) on DeltaZip (delta or LoRA) and 0 on vLLM-SCB;
 //   E2E  >= that bound + sum over j = 1 .. O-1 of DecodeIterTime(1, P + j).
 // The formula is spelled out here from ExecModel's public calls; it shares no
 // code with the serve loop's own optimistic estimate (ServeLoop::MinServiceS).
@@ -50,13 +49,11 @@ inline void ExpectLatencyLowerBounds(const ServeReport& report, const EngineConf
                                      bool vllm_baseline, const std::string& run,
                                      double max_speed = 1.0) {
   const ExecModel exec(config.exec);
-  const bool lora = config.artifact == ArtifactKind::kLoraAdapter;
   for (const RequestRecord& r : report.records) {
     const long long prompt = r.prompt_tokens;
     double ttft_bound = exec.PrefillTime(prompt);
     if (!vllm_baseline) {
-      ttft_bound +=
-          lora ? exec.LoraPrefillTime(prompt, config.lora_rank) : exec.DeltaPrefillTime(prompt);
+      ttft_bound += exec.ArtifactPrefillTime(prompt);
     }
     double e2e_bound = ttft_bound;
     for (int j = 1; j < r.output_tokens; ++j) {

@@ -165,7 +165,7 @@ RandomConfig MakeRandomConfig(uint64_t seed) {
     cfg.exec.gpu = GpuSpec::A800();
     cfg.exec.tp = static_cast<int>(Pick(rng, {1, 2, 4}));
   }
-  cfg.artifact = Coin(rng, 0.3) ? ArtifactKind::kLoraAdapter : ArtifactKind::kCompressedDelta;
+  cfg.exec.lora_rank = Coin(rng, 0.3) ? 16 : 0;
   cfg.max_batch = static_cast<int>(Pick(rng, {2, 4, 8, 16, 32}));
   cfg.max_concurrent_deltas = static_cast<int>(1 + rng.NextBelow(8));
   cfg.skip_the_line = Coin(rng, 0.75);

@@ -50,7 +50,7 @@ constexpr double kInf = std::numeric_limits<double>::infinity();
 struct EngineCase {
   const char* name;
   std::unique_ptr<ServingEngine> (*make)(const EngineConfig&);
-  ArtifactKind artifact;  // vllm_scb swaps full models whatever this says
+  int lora_rank;  // 0: the compressed delta; vllm_scb swaps full models whatever this says
   double arrival_rate;  // full-model swapping saturates far earlier
   bool preempts;
 };
@@ -83,7 +83,7 @@ class ServeLoopTest : public ::testing::TestWithParam<EngineCase> {
     cfg.exec.shape = ModelShape::Llama13B();
     cfg.exec.gpu = GpuSpec::A800();
     cfg.exec.tp = 4;
-    cfg.artifact = GetParam().artifact;
+    cfg.exec.lora_rank = GetParam().lora_rank;
     cfg.scheduler.policy = SchedPolicy::kPriority;
     cfg.scheduler.admission_control = true;
     cfg.scheduler.class_preemption = true;
@@ -534,7 +534,7 @@ class QuietStretchTest : public ServeLoopTest {
     cfg.exec.shape = ModelShape::Llama13B();
     cfg.exec.gpu = GpuSpec::A800();
     cfg.exec.tp = 4;
-    cfg.artifact = GetParam().artifact;
+    cfg.exec.lora_rank = GetParam().lora_rank;
     cfg.tracing.enabled = true;
     return cfg;
   }
@@ -705,7 +705,7 @@ TEST_P(ServeLoopTest, FirstTokensPrecedeTheRoundsCompletions) {
   cfg.exec.shape = ModelShape::Llama13B();
   cfg.exec.gpu = GpuSpec::A800();
   cfg.exec.tp = 4;
-  cfg.artifact = GetParam().artifact;
+  cfg.exec.lora_rank = GetParam().lora_rank;
   cfg.tracing.enabled = true;
   // Both are dispatched and prefill in one round; request 0, first in the
   // batch, completes with the token its prefill emits.
@@ -814,7 +814,7 @@ TEST_P(BatchLedgerTest, BatchLedgerMatchesRecount) {
     cfg.exec.shape = ModelShape::Llama13B();
     cfg.exec.gpu = GpuSpec::A800();
     cfg.exec.tp = 4;
-    cfg.artifact = engine_case.artifact;
+    cfg.exec.lora_rank = engine_case.lora_rank;
     cfg.max_prefill_tokens = 512;
     cfg.scheduler.policy = SchedPolicy::kPriority;
     cfg.scheduler.class_preemption = true;
@@ -901,30 +901,22 @@ TEST_P(BatchLedgerTest, BatchLedgerMatchesRecount) {
 
 INSTANTIATE_TEST_SUITE_P(
     Engines, BatchLedgerTest,
-    ::testing::Values(EngineCase{"deltazip", &MakeDeltaZipEngine,
-                                 ArtifactKind::kCompressedDelta, 20.0, true},
-                      EngineCase{"deltazip_lora", &MakeDeltaZipEngine,
-                                 ArtifactKind::kLoraAdapter, 20.0, true},
-                      EngineCase{"vllm_scb", &MakeVllmScbEngine, ArtifactKind::kCompressedDelta,
-                                 1.0, false}),
+    ::testing::Values(EngineCase{"deltazip", &MakeDeltaZipEngine, 0, 20.0, true},
+                      EngineCase{"deltazip_lora", &MakeDeltaZipEngine, 16, 20.0, true},
+                      EngineCase{"vllm_scb", &MakeVllmScbEngine, 0, 1.0, false}),
     [](const ::testing::TestParamInfo<EngineCase>& info) { return info.param.name; });
 
 INSTANTIATE_TEST_SUITE_P(
     Engines, QuietStretchTest,
-    ::testing::Values(EngineCase{"deltazip", &MakeDeltaZipEngine,
-                                 ArtifactKind::kCompressedDelta, 20.0, true},
-                      EngineCase{"vllm_scb", &MakeVllmScbEngine, ArtifactKind::kCompressedDelta,
-                                 1.0, false},
-                      EngineCase{"deltazip_lora", &MakeDeltaZipEngine,
-                                 ArtifactKind::kLoraAdapter, 20.0, true}),
+    ::testing::Values(EngineCase{"deltazip", &MakeDeltaZipEngine, 0, 20.0, true},
+                      EngineCase{"vllm_scb", &MakeVllmScbEngine, 0, 1.0, false},
+                      EngineCase{"deltazip_lora", &MakeDeltaZipEngine, 16, 20.0, true}),
     [](const ::testing::TestParamInfo<EngineCase>& info) { return info.param.name; });
 
 INSTANTIATE_TEST_SUITE_P(
     Engines, ServeLoopTest,
-    ::testing::Values(EngineCase{"deltazip", &MakeDeltaZipEngine,
-                                 ArtifactKind::kCompressedDelta, 20.0, true},
-                      EngineCase{"vllm_scb", &MakeVllmScbEngine, ArtifactKind::kCompressedDelta,
-                                 1.0, false}),
+    ::testing::Values(EngineCase{"deltazip", &MakeDeltaZipEngine, 0, 20.0, true},
+                      EngineCase{"vllm_scb", &MakeVllmScbEngine, 0, 1.0, false}),
     [](const ::testing::TestParamInfo<EngineCase>& info) { return info.param.name; });
 
 }  // namespace

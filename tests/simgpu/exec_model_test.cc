@@ -12,11 +12,12 @@
 namespace dz {
 namespace {
 
-ExecModel Make13B(int tp = 4) {
+ExecModel Make13B(int tp = 4, int lora_rank = 0) {
   ExecModelConfig cfg;
   cfg.shape = ModelShape::Llama13B();
   cfg.gpu = GpuSpec::A800();
   cfg.tp = tp;
+  cfg.lora_rank = lora_rank;
   return ExecModel(cfg);
 }
 
@@ -33,14 +34,14 @@ TEST(ExecModelTest, DeltaIterMuchCheaperThanFullModelIter) {
   // The core serving win: a delta pass reads ~8x fewer weight bytes.
   const ExecModel em = Make13B();
   const double base_iter = em.DecodeIterTime(8, 256);
-  const double delta_iter = em.DeltaDecodeIterTime(8, 1);
+  const double delta_iter = em.ArtifactDecodeIterTime(8, 1);
   EXPECT_LT(delta_iter, base_iter);
 }
 
 TEST(ExecModelTest, DeltaIterGrowsWithActiveDeltas) {
   const ExecModel em = Make13B();
-  const double one = em.DeltaDecodeIterTime(8, 1);
-  const double four = em.DeltaDecodeIterTime(8, 4);
+  const double one = em.ArtifactDecodeIterTime(8, 1);
+  const double four = em.ArtifactDecodeIterTime(8, 4);
   EXPECT_GT(four, one);  // same total requests, more weight streams + launches
 }
 
@@ -80,19 +81,32 @@ TEST(ExecModelTest, SlowInterconnectHurtsTensorParallelism) {
 }
 
 TEST(ExecModelTest, LoraCheaperThanDelta) {
-  const ExecModel em = Make13B();
-  const double lora = em.LoraDecodeIterTime(8, 1, 16);
-  const double delta = em.DeltaDecodeIterTime(8, 1);
-  EXPECT_LT(lora, delta);
-  EXPECT_LT(em.LoraBytesPerGpu(16), em.DeltaBytesPerGpu());
+  const ExecModel delta = Make13B();
+  const ExecModel lora = Make13B(4, 16);
+  EXPECT_LT(lora.ArtifactDecodeIterTime(8, 1), delta.ArtifactDecodeIterTime(8, 1));
+  EXPECT_LT(lora.ArtifactBytesPerGpu(), delta.ArtifactBytesPerGpu());
+}
+
+// The artifact is the one lora_rank names, sized and loaded from its shape's bytes:
+// the whole artifact from disk, one TP shard of it over PCIe.
+TEST(ExecModelTest, ArtifactIsTheConfiguredOne) {
+  const ModelShape s = ModelShape::Llama13B();
+  const KernelModel a800(GpuSpec::A800());
+  for (const int rank : {0, 16, 64}) {
+    const ExecModel em = Make13B(4, rank);
+    const size_t bytes = rank > 0 ? s.LoraBytes(rank) : s.DeltaBytes(4);
+    EXPECT_EQ(em.ArtifactBytesPerGpu(), bytes / 4) << "rank " << rank;
+    EXPECT_EQ(em.LoadArtifactFromDisk(), a800.DiskReadTime(bytes)) << "rank " << rank;
+    EXPECT_EQ(em.LoadArtifactFromHost(), a800.H2DTime(bytes / 4)) << "rank " << rank;
+  }
 }
 
 TEST(ExecModelTest, LoadTimesOrdering) {
   const ExecModel em = Make13B();
   // Full-model swap must dwarf delta swap (the paper's 5–10x loading reduction).
-  EXPECT_GT(em.LoadFullModelFromHost() / em.LoadDeltaFromHost(), 4.0);
+  EXPECT_GT(em.LoadFullModelFromHost() / em.LoadArtifactFromHost(), 4.0);
   EXPECT_GT(em.LoadFullModelFromDisk(), em.LoadFullModelFromHost());
-  EXPECT_GT(em.LoadLoraFromHost(64), em.LoadLoraFromHost(16) / 8.0);
+  EXPECT_GT(Make13B(4, 64).LoadArtifactFromHost(), Make13B(4, 16).LoadArtifactFromHost() / 8.0);
 }
 
 TEST(ExecModelTest, KvSwapScalesWithContext) {
@@ -104,7 +118,7 @@ TEST(ExecModelTest, MemoryAccountingDividesByTp) {
   const ExecModel tp1 = Make13B(1);
   const ExecModel tp4 = Make13B(4);
   EXPECT_EQ(tp1.BaseWeightBytesPerGpu(), tp4.BaseWeightBytesPerGpu() * 4);
-  EXPECT_EQ(tp1.DeltaBytesPerGpu(), tp4.DeltaBytesPerGpu() * 4);
+  EXPECT_EQ(tp1.ArtifactBytesPerGpu(), tp4.ArtifactBytesPerGpu() * 4);
 }
 
 }  // namespace
@@ -123,7 +137,7 @@ TEST(ExecModelTest, DecoupledPathCostsMoreThanDedicatedModel) {
   cfg.tp = 1;
   const ExecModel em(cfg);
   const double dedicated = em.DecodeIterTime(4, 256);
-  const double decoupled = em.DecodeIterTime(4, 256) + em.DeltaDecodeIterTime(4, 1);
+  const double decoupled = em.DecodeIterTime(4, 256) + em.ArtifactDecodeIterTime(4, 1);
   EXPECT_GT(decoupled, dedicated);
 }
 
@@ -136,9 +150,9 @@ TEST(ExecModelTest, DeltaFormatAffectsFootprintAndLoad) {
   cfg2.delta_format = WeightFormat::kSparseInt2;
   const ExecModel em4(cfg4);
   const ExecModel em2(cfg2);
-  EXPECT_LT(em2.DeltaBytesPerGpu(), em4.DeltaBytesPerGpu());
-  EXPECT_LT(em2.LoadDeltaFromDisk(), em4.LoadDeltaFromDisk());
-  EXPECT_LT(em2.LoadDeltaFromHost(), em4.LoadDeltaFromHost());
+  EXPECT_LT(em2.ArtifactBytesPerGpu(), em4.ArtifactBytesPerGpu());
+  EXPECT_LT(em2.LoadArtifactFromDisk(), em4.LoadArtifactFromDisk());
+  EXPECT_LT(em2.LoadArtifactFromHost(), em4.LoadArtifactFromHost());
 }
 
 }  // namespace
@@ -148,8 +162,10 @@ namespace dz {
 namespace {
 
 // Every cost entry point over a spread of batch and context sizes, in a fixed
-// order: the golden tables below list them in the same order.
-std::vector<double> CostOutputs(const ExecModel& em) {
+// order: the golden tables below list them in the same order. The artifact rows
+// price the compressed delta of `cfg`, then LoRA adapters of rank 16 and 64.
+std::vector<double> CostOutputs(const ExecModelConfig& cfg) {
+  const ExecModel em(cfg);
   std::vector<double> out;
   for (long long tokens : {1LL, 128LL, 1000LL, 4096LL}) {
     out.push_back(em.PrefillTime(tokens));
@@ -161,13 +177,16 @@ std::vector<double> CostOutputs(const ExecModel& em) {
   // (total requests, active deltas) of the spreads {8}, {2,2,2,2}, {1,0,5,0,0,3}, {0,0}.
   const std::pair<int, int> spreads[] = {{8, 1}, {8, 4}, {9, 3}, {0, 0}};
   for (const auto& [total, active] : spreads) {
-    out.push_back(em.DeltaDecodeIterTime(total, active));
+    out.push_back(em.ArtifactDecodeIterTime(total, active));
   }
   for (long long tokens : {1LL, 512LL, 3000LL}) {
-    out.push_back(em.DeltaPrefillTime(tokens));
+    out.push_back(em.ArtifactPrefillTime(tokens));
   }
-  out.push_back(em.LoraDecodeIterTime(8, 1, 16));
-  out.push_back(em.LoraDecodeIterTime(8, 4, 64));
+  for (const auto& [rank, active] : {std::pair{16, 1}, std::pair{64, 4}}) {
+    ExecModelConfig lora = cfg;
+    lora.lora_rank = rank;
+    out.push_back(ExecModel(lora).ArtifactDecodeIterTime(8, active));
+  }
   for (long long ctx : {1LL, 2048LL, 70000LL}) {
     out.push_back(em.KvSwapTime(ctx));
   }
@@ -240,7 +259,7 @@ TEST(ExecModelTest, CostOutputsStayGolden) {
                                                    : ModelShape::Llama70B();
     cfg.gpu = GpuSpec::A800();
     cfg.tp = g.tp;
-    const std::vector<double> got = CostOutputs(ExecModel(cfg));
+    const std::vector<double> got = CostOutputs(cfg);
     ASSERT_EQ(got.size(), g.outputs.size());
     for (size_t i = 0; i < got.size(); ++i) {
       EXPECT_EQ(got[i], g.outputs[i]) << g.shape << " tp" << g.tp << " output " << i;

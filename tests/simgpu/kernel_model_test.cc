@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include "src/nn/config.h"
 #include "src/simgpu/model_shape.h"
+#include "src/tensor/sparse24.h"
+#include "src/util/rng.h"
 
 namespace dz {
 namespace {
@@ -110,8 +113,8 @@ TEST(ModelShapeTest, DeltaCompressionRatiosMatchFig5Arithmetic) {
   const ModelShape s = ModelShape::Llama7B();
   // Paper Fig. 5: 4-bit+2:4 ≈ 5.33x, 2-bit+2:4 ≈ 8.53x on the weight payload.
   const double fp16 = static_cast<double>(s.LinearParams() * 2);
-  const double r4 = fp16 / s.DeltaBytes(4, true, 128);
-  const double r2 = fp16 / s.DeltaBytes(2, true, 128);
+  const double r4 = fp16 / s.DeltaBytes(4);
+  const double r2 = fp16 / s.DeltaBytes(2);
   // Our accounting also counts per-group scale/zero metadata, so ratios land slightly
   // below the pure-payload arithmetic.
   EXPECT_NEAR(r4, 5.33, 0.40);
@@ -126,9 +129,39 @@ TEST(ModelShapeTest, KvBytesPerTokenSensible) {
   EXPECT_EQ(s70.KvBytesPerToken(), 2u * 80 * (8192 / 8) * 2);
 }
 
+// The simulator's delta bytes are what the packer writes. At ModelConfig::Small()
+// dimensions a row holds 32 or 86 kept values, less than one 128-value group, and
+// 86 fills neither its last code word nor its last position word: the per-row
+// groups and padding the packer stores must be priced too.
+TEST(ModelShapeTest, DeltaBytesMatchThePackedLayers) {
+  const ModelConfig small = ModelConfig::Small();
+  ModelShape s;
+  s.n_layers = small.n_layers;
+  s.d_model = small.d_model;
+  s.d_ff = small.d_ff;
+  s.n_heads = small.n_heads;
+  s.n_kv_heads = small.n_heads;
+  s.vocab = small.vocab_size;
+  const int d = s.d_model;
+  const int ff = s.d_ff;
+  // q, k, v, o, gate, up, down as [out, in].
+  const int projections[][2] = {{d, d}, {d, d}, {d, d}, {d, d}, {ff, d}, {ff, d}, {d, ff}};
+  Rng rng(48);
+  for (const int bits : {2, 4}) {
+    size_t packed = 0;
+    for (int layer = 0; layer < s.n_layers; ++layer) {
+      for (const auto& [out, in] : projections) {
+        const Matrix w = MagnitudePrune24(Matrix::Random(out, in, rng, 0.02f));
+        packed += Sparse24Matrix::Pack(w, bits, ModelShape::kDeltaGroupSize).ByteSize();
+      }
+    }
+    EXPECT_EQ(s.DeltaBytes(bits), packed) << bits << "-bit";
+  }
+}
+
 TEST(ModelShapeTest, LoraBytesMuchSmallerThanDelta) {
   const ModelShape s = ModelShape::Llama13B();
-  EXPECT_LT(s.LoraBytes(16), s.DeltaBytes(2, true, 128) / 10);
+  EXPECT_LT(s.LoraBytes(16), s.DeltaBytes(2) / 10);
   EXPECT_GT(s.LoraBytes(64), s.LoraBytes(16));
 }
 

@@ -3,9 +3,10 @@
 #include <cstdint>
 #include <cstdlib>
 #include <limits>
-#include <regex>
 #include <string>
+#include <string_view>
 #include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -264,19 +265,48 @@ TEST(NameListTest, ListsEveryNameInDeclarationOrder) {
   EXPECT_EQ(NameList(kPopularityDists, PopularityDistName), "uniform, zipf, azure");
 }
 
+// The number tokens of `text`, left to right: each longest run of [0-9.], with
+// the exponent ([eE][-+]?[0-9]+) right after it when there is one.
+std::vector<std::string> NumberTokens(const std::string& text) {
+  // Whether text[i] exists and is one of `chars`.
+  const auto in = [&text](size_t i, std::string_view chars) {
+    return i < text.size() && chars.find(text[i]) != std::string_view::npos;
+  };
+  constexpr std::string_view kDigits = "0123456789";
+  std::vector<std::string> tokens;
+  for (size_t i = 0; i < text.size();) {
+    if (!in(i, "0123456789.")) {
+      ++i;
+      continue;
+    }
+    const size_t start = i;
+    while (in(i, "0123456789.")) {
+      ++i;
+    }
+    if (in(i, "eE")) {
+      size_t j = in(i + 1, "+-") ? i + 2 : i + 1;
+      if (in(j, kDigits)) {
+        while (in(j, kDigits)) {
+          ++j;
+        }
+        i = j;
+      }
+    }
+    tokens.push_back(text.substr(start, i - start));
+  }
+  return tokens;
+}
+
 // Every number token a printer emits reads in full, to the value strtod (the
 // reader the printers were written against) gives.
 void ExpectTokensReadAsStrtod(const std::string& printed) {
-  static const std::regex kToken("[0-9.]+([eE][-+]?[0-9]+)?");
-  int tokens = 0;
-  for (std::sregex_iterator it(printed.begin(), printed.end(), kToken), end; it != end;
-       ++it, ++tokens) {
-    const std::string tok = it->str();
+  const std::vector<std::string> tokens = NumberTokens(printed);
+  for (const std::string& tok : tokens) {
     double v = 0.0;
     ASSERT_TRUE(ParseNumber(tok, {}, v)) << tok << " in " << printed;
     EXPECT_EQ(v, std::strtod(tok.c_str(), nullptr)) << tok;
   }
-  EXPECT_GT(tokens, 0) << printed;
+  EXPECT_GT(tokens.size(), 0u) << printed;
 }
 
 TEST(ParsePrinterRoundTripTest, JsonNumReadsBackExactly) {

@@ -85,6 +85,16 @@ expect_reject "non-numeric concurrent deltas" "--n" \
 expect_reject "non-numeric LoRA rank" "--rank" \
   simulate --trace "$tmp/t.jsonl" --engine lora --rank abc
 
+# A worker whose base model, reserve and one artifact overflow its GPUs used to
+# abort on a DZ_CHECK; it is a usage error naming the flags to change.
+expect_reject "13B on one 3090" "--model" \
+  simulate --trace "$tmp/t.jsonl" --gpu 3090 --model 13b --tp 1
+expect_reject "70B on one A800" "--model" simulate --trace "$tmp/t.jsonl" --model 70b --tp 1
+expect_reject "LoRA adapter past GPU memory" "--rank" \
+  simulate --trace "$tmp/t.jsonl" --engine lora --rank 100000
+expect_reject "vLLM-SCB 70B on one A800 per worker" "--model" \
+  cluster --trace "$tmp/t.jsonl" --gpus 2 --engine vllm-scb --model 70b --tp 1
+
 # Every flag a usage text shows with a number ("[--tp 4]", "--gpus 4",
 # "[--prefetch 0|1]") must reject 'abc', '1e12', '0x10' and '+1', so a numeric
 # flag added later without validation fails here.

@@ -282,7 +282,9 @@ int CmdTrace(const ArgMap& args) {
 
 // Shared --model/--gpu/--tp/--n/--rank/--bits/--engine parsing for the simulate
 // and cluster subcommands. On success `vllm_baseline` says which engine family
-// the name selected ("lora" also sets cfg.artifact).
+// the name selected ("lora" also sets cfg.exec.lora_rank to --rank), and a worker
+// of `cfg` fits its GPU memory: a model or adapter too large for it is a usage
+// error naming the flags to change.
 bool ParseEngineArgs(const ArgMap& args, EngineConfig& cfg, bool& vllm_baseline) {
   const std::string model = Get(args, "model", "13b");
   if (model == "7b") {
@@ -308,9 +310,10 @@ bool ParseEngineArgs(const ArgMap& args, EngineConfig& cfg, bool& vllm_baseline)
   }
   cfg.exec.tp = 4;  // the usage text's default, not ExecModelConfig's
   int bits = 4;
+  int rank = 16;
   if (!GetNum(args, "tp", {1, kIntMax}, cfg.exec.tp) ||
       !GetNum(args, "n", {1, kIntMax}, cfg.max_concurrent_deltas) ||
-      !GetNum(args, "rank", {1, kIntMax}, cfg.lora_rank) ||
+      !GetNum(args, "rank", {1, kIntMax}, rank) ||
       !GetNum(args, "bits", {2, 4}, bits) ||
       !GetNum(args, "prefetch", {0, 1}, cfg.prefetch.enabled) ||
       !GetNum(args, "lookahead", {0, kIntMax}, cfg.prefetch.lookahead) ||
@@ -328,14 +331,33 @@ bool ParseEngineArgs(const ArgMap& args, EngineConfig& cfg, bool& vllm_baseline)
   const std::string engine_name = Get(args, "engine", "deltazip");
   vllm_baseline = false;
   if (engine_name == "lora") {
-    cfg.artifact = ArtifactKind::kLoraAdapter;
+    cfg.exec.lora_rank = rank;
   } else if (engine_name == "vllm-scb") {
     vllm_baseline = true;
   } else if (engine_name != "deltazip") {
     std::fprintf(stderr, "error: unknown --engine '%s'\n", engine_name.c_str());
     return false;
   }
-  return GetName(args, "sched", kSchedPolicies, SchedPolicyName, cfg.scheduler.policy);
+  if (!GetName(args, "sched", kSchedPolicies, SchedPolicyName, cfg.scheduler.policy)) {
+    return false;
+  }
+  const WorkerMemory mem = PlanWorkerMemory(cfg, ExecModel(cfg.exec), vllm_baseline);
+  if (mem.fit == WorkerFit::kNoArtifactSlot && cfg.exec.lora_rank > 0) {
+    std::fprintf(stderr,
+                 "error: a --rank %d adapter (%.1f GB) does not fit beside --model %s on "
+                 "--tp %d x --gpu %s; lower --rank\n",
+                 rank, mem.slot_bytes / 1e9, model.c_str(), cfg.exec.tp, gpu.c_str());
+    return false;
+  }
+  if (mem.fit != WorkerFit::kFits) {
+    std::fprintf(stderr,
+                 "error: --model %s with its memory reserve and one artifact does not fit "
+                 "in --tp %d x --gpu %s (%.0f GB); raise --tp, or pick a smaller --model "
+                 "or a larger --gpu\n",
+                 model.c_str(), cfg.exec.tp, gpu.c_str(), mem.total / 1e9);
+    return false;
+  }
+  return true;
 }
 
 // Applies --isa by forcing the named kernel backend before any work runs.
