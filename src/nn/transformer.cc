@@ -39,6 +39,22 @@ constexpr Matrix CachedLayer::*kBlockLinearInputs[] = {
     &CachedLayer::swiglu};
 static_assert(std::size(kBlockLinearInputs) == kBlockLinearCount);
 
+// The delta at LinearLayers() position `index` of `overlay`; empty when it has none.
+LinearDelta DeltaAt(const LinearOverlay* overlay, size_t index) {
+  return overlay != nullptr && index < overlay->deltas.size() ? overlay->deltas[index]
+                                                              : LinearDelta{};
+}
+
+// y = x·wᵀ. Decoding (kv set), from the panels kv packed at `index`, which must hold w
+// (KVCache's contract); otherwise the per-call GEMM.
+Matrix LinearNT(const Matrix& x, const Matrix& w, const KVCache* kv, size_t index) {
+  if (kv == nullptr) {
+    return MatmulNT(x, w);
+  }
+  DZ_CHECK(index < kv->sources.size() && kv->sources[index] == &w);
+  return kv->panels[index].MatmulNT(x);
+}
+
 }  // namespace
 
 ModelWeights ModelWeights::RandomInit(const ModelConfig& config, Rng& rng) {
@@ -186,15 +202,18 @@ const Matrix& ForwardCache::LinearInput(size_t position) const {
          kBlockLinearInputs[position % kBlockLinearCount];
 }
 
+const Matrix& Transformer::LinearSource(size_t index, const LinearOverlay* overlay) const {
+  const bool delta = !DeltaAt(overlay, index).empty();
+  DZ_CHECK(!delta || overlay->base != nullptr);
+  const ModelWeights& w = delta ? *overlay->base : weights_;
+  return w.layers[index / kBlockLinearCount].*kBlockLinears[index % kBlockLinearCount].second;
+}
+
 Matrix Transformer::ApplyLinear(int block, size_t slot, const Matrix& x,
-                                const LinearOverlay* overlay) const {
+                                const LinearOverlay* overlay, const KVCache* kv) const {
   const size_t index = static_cast<size_t>(block) * kBlockLinearCount + slot;
-  const bool covered = overlay != nullptr && index < overlay->deltas.size();
-  const LinearDelta delta = covered ? overlay->deltas[index] : LinearDelta{};
-  DZ_CHECK(delta.empty() || overlay->base != nullptr);
-  const ModelWeights& w = delta.empty() ? weights_ : *overlay->base;
-  const LayerWeights& lw = w.layers[static_cast<size_t>(block)];
-  Matrix y = MatmulNT(x, lw.*kBlockLinears[slot].second);
+  const LinearDelta delta = DeltaAt(overlay, index);
+  Matrix y = LinearNT(x, LinearSource(index, overlay), kv, index);
   if (delta.sparse != nullptr) {
     y.AddInPlace(delta.sparse->MatmulNT(x));
   } else if (delta.dense != nullptr) {
@@ -234,9 +253,9 @@ Matrix Transformer::Walk(const std::vector<int>& tokens, KVCache* kv, ForwardCac
     // Attention block (pre-norm).
     std::vector<float> inv_rms;
     const Matrix normed = RmsNormForward(x, lw.attn_norm, kNormEps, inv_rms);
-    Matrix q = ApplyLinear(li, kWq, normed, overlay);
-    Matrix k = ApplyLinear(li, kWk, normed, overlay);
-    const Matrix v = ApplyLinear(li, kWv, normed, overlay);
+    Matrix q = ApplyLinear(li, kWq, normed, overlay, kv);
+    Matrix k = ApplyLinear(li, kWk, normed, overlay, kv);
+    const Matrix v = ApplyLinear(li, kWv, normed, overlay, kv);
     RopeApply(q, cfg.n_heads, kRopeTheta, pos);
     RopeApply(k, cfg.n_heads, kRopeTheta, pos);
     if (kv != nullptr) {
@@ -247,7 +266,7 @@ Matrix Transformer::Walk(const std::vector<int>& tokens, KVCache* kv, ForwardCac
     const Matrix attn = AttentionForward(q, kv != nullptr ? kv->k[l] : k,
                                          kv != nullptr ? kv->v[l] : v, cfg.n_heads,
                                          probs);
-    const Matrix o = ApplyLinear(li, kWo, attn, overlay);
+    const Matrix o = ApplyLinear(li, kWo, attn, overlay, kv);
     if (lc != nullptr) {
       lc->attn_in = x;
       lc->attn_inv_rms = inv_rms;
@@ -263,10 +282,10 @@ Matrix Transformer::Walk(const std::vector<int>& tokens, KVCache* kv, ForwardCac
     // MLP block.
     std::vector<float> mlp_inv_rms;
     const Matrix mlp_normed = RmsNormForward(x, lw.mlp_norm, kNormEps, mlp_inv_rms);
-    const Matrix gate = ApplyLinear(li, kWGate, mlp_normed, overlay);
-    const Matrix up = ApplyLinear(li, kWUp, mlp_normed, overlay);
+    const Matrix gate = ApplyLinear(li, kWGate, mlp_normed, overlay, kv);
+    const Matrix up = ApplyLinear(li, kWUp, mlp_normed, overlay, kv);
     const Matrix h = SwiGluForward(gate, up);
-    const Matrix down = ApplyLinear(li, kWDown, h, overlay);
+    const Matrix down = ApplyLinear(li, kWDown, h, overlay, kv);
     if (lc != nullptr) {
       lc->mlp_in = x;
       lc->mlp_inv_rms = mlp_inv_rms;
@@ -289,7 +308,8 @@ Matrix Transformer::Walk(const std::vector<int>& tokens, KVCache* kv, ForwardCac
     cache->final_inv_rms = final_inv_rms;
     cache->final_normed = final_normed;
   }
-  return MatmulNT(final_normed, weights_.lm_head);
+  return LinearNT(final_normed, weights_.lm_head, kv,
+                  weights_.layers.size() * kBlockLinearCount);
 }
 
 Matrix Transformer::Forward(const std::vector<int>& tokens, ForwardCache* cache,
@@ -369,6 +389,14 @@ KVCache Transformer::MakeKVCache() const {
 
 Matrix Transformer::DecodeStep(int token, KVCache& kv,
                                const LinearOverlay* overlay) const {
+  if (kv.sources.empty()) {
+    // The request's first step: pack what every later step reads.
+    const size_t linears = weights_.layers.size() * kBlockLinearCount;
+    for (size_t i = 0; i <= linears; ++i) {
+      kv.sources.push_back(i < linears ? &LinearSource(i, overlay) : &weights_.lm_head);
+      kv.panels.push_back(PanelMatrix::Pack(*kv.sources.back()));
+    }
+  }
   return Walk({token}, &kv, nullptr, overlay);
 }
 

@@ -18,6 +18,7 @@
 
 #include "src/nn/config.h"
 #include "src/tensor/matrix.h"
+#include "src/tensor/panel_matrix.h"
 #include "src/util/rng.h"
 
 namespace dz {
@@ -93,11 +94,26 @@ struct LinearOverlay {
   std::vector<LinearDelta> deltas;
 };
 
-// Per-layer KV cache for incremental decoding.
+// One request's incremental-decoding state: the per-layer KV cache, and the weights
+// its linear layers read, packed once into panels.
+//
+// Contract: a KVCache is valid only for the weights that filled it. The request's first
+// DecodeStep packs, for each LinearLayers() position, the weight that position reads
+// (the overlay's base where the overlay has a delta there, the host's own weight
+// otherwise), plus lm_head. Every later step of the request reads those panels, and
+// its base GEMMs skip MatmulNT's per-call pack. A later step whose position reads any
+// other weight (an overlay over another base, another host) is a DZ_CHECK failure, not
+// a silent re-pack. The panels live per request, not per overlay: one live request
+// holds one copy of the base, where per-overlay copies would keep one per resident
+// variant alive.
 struct KVCache {
   std::vector<Matrix> k;  // per layer, [len, d_model]
   std::vector<Matrix> v;
   int len = 0;
+  // Set by the first DecodeStep: panels[i] holds *sources[i], position i of
+  // LinearLayers(), and the last entry lm_head.
+  std::vector<const Matrix*> sources;
+  std::vector<PanelMatrix> panels;
 };
 
 // Activation cache captured by Forward for Backward and for calibration capture.
@@ -144,7 +160,8 @@ class Transformer {
                 ModelWeights& grads) const;
 
   // Incremental decoding: feeds one token, appends to the KV cache, and returns the
-  // next-token logits [1, vocab].
+  // next-token logits [1, vocab], bit-identical to Forward's row. `kv` must come from
+  // MakeKVCache and, after its first step, see the same weights (KVCache's contract).
   Matrix DecodeStep(int token, KVCache& kv, const LinearOverlay* overlay = nullptr) const;
 
   KVCache MakeKVCache() const;
@@ -158,15 +175,20 @@ class Transformer {
  private:
   // The pre-norm block walk behind Forward and DecodeStep. Embeds `tokens` at
   // positions kv->len onward (0 when kv is null) and returns their logits. With kv
-  // set, each block appends its K/V rows to the cache and attends over all of it;
-  // otherwise over the call's own rows. With cache set, records what Backward needs.
+  // set, each block appends its K/V rows to the cache and attends over all of it, and
+  // the linear layers read kv's panels; otherwise it attends over the call's own rows.
+  // With cache set, records what Backward needs.
   Matrix Walk(const std::vector<int>& tokens, KVCache* kv, ForwardCache* cache,
               const LinearOverlay* overlay) const;
 
   // y = x·Wᵀ for linear `slot` (its place in the block, LinearLayers() order) of
   // `block`; with an overlay delta at that position, y = x·w_baseᵀ + Δ·x (Eq. 2).
-  Matrix ApplyLinear(int block, size_t slot, const Matrix& x,
-                     const LinearOverlay* overlay) const;
+  // With kv set, W comes from kv's panels.
+  Matrix ApplyLinear(int block, size_t slot, const Matrix& x, const LinearOverlay* overlay,
+                     const KVCache* kv) const;
+
+  // The weight LinearLayers() position `index` reads under `overlay`.
+  const Matrix& LinearSource(size_t index, const LinearOverlay* overlay) const;
 
   ModelWeights weights_;
 };

@@ -7,8 +7,8 @@
 // generic-vector VecOps<W> (kernels_vector.h) at W = 8 and 16. At first use
 // the dispatcher probes the CPU (__builtin_cpu_supports on x86) and selects
 // the widest compiled-and-supported backend. The GEMM and span entry points
-// in matrix.h and the packed types' MatmulNT call through the selected table,
-// so no call site names an ISA.
+// in matrix.h and the packed and panel types' MatmulNT call through the
+// selected table, so no call site names an ISA.
 //
 // Selection order (first hit wins):
 //   1. ForceBackend(name)       — programmatic, used by tests/benches/CLI --isa
@@ -36,6 +36,7 @@ namespace dz {
 
 class Matrix;
 class PackedQuantMatrix;
+class PanelMatrix;
 class Sparse24Matrix;
 
 namespace kernels {
@@ -52,6 +53,12 @@ struct Backend {
   Matrix (*gemm_nn)(const Matrix&, const Matrix&);
   Matrix (*gemm_nt)(const Matrix&, const Matrix&);
   Matrix (*gemm_tn)(const Matrix&, const Matrix&);
+
+  // A dense weight stored in the NT micro-kernel's panel layout
+  // (panel_matrix.h): pack_panels writes w's panels into storage sized by
+  // PanelMatrix, panel_gemm_nt is x * w^T read from them.
+  void (*pack_panels)(const Matrix& w, float* panels);
+  Matrix (*panel_gemm_nt)(const Matrix&, const PanelMatrix&);
 
   // Compressed-format GEMMs.
   Matrix (*quant_gemm_nt)(const Matrix&, const PackedQuantMatrix&);

@@ -17,8 +17,9 @@
 //     static constexpr int kWidth;          // fp32 lanes per vector
 //     static constexpr size_t kDecodeLanes; // weight rows per decode pass
 //     static constexpr size_t kDecodeRows;  // activation rows per decode pass
-//     static void NTMicro4(a0,a1,a2,a3, panel, k, out);   // 4x16 NT micro
-//     static void NTMicro1(a, panel, k, out);             // 1x16 NT micro
+//     static constexpr size_t kPanelStripes; // stored stripes per pass, m < 4
+//     template <size_t R, size_t S>         // R x (S * 16) NT micro over S
+//     static void NTMicro(a, panel, stride, k, out);  // panels stride apart
 //     static void PackStrip16(b0, ldb, k, panel);         // 16-row B pack
 //     static void Axpy(v, x, y, n);                       // y[j] += v*x[j]
 //     static void Rank1x4(v0..v3, b, c0..c3, n);          // 4 fused axpys
@@ -56,6 +57,7 @@
 #include "src/tensor/backend.h"
 #include "src/tensor/matrix.h"
 #include "src/tensor/packed_quant.h"
+#include "src/tensor/panel_matrix.h"
 #include "src/tensor/sparse24.h"
 #include "src/util/check.h"
 #include "src/util/thread_pool.h"
@@ -77,9 +79,14 @@ constexpr size_t kTaskFlopTarget = 1u << 21;
 constexpr size_t kMicroRows = 4;
 constexpr size_t kMicroCols = 16;
 
+static_assert(kMicroCols == PanelMatrix::kStripeRows,
+              "a stored stripe is one micro-kernel panel");
+
+// Whole stripes, so every column tile starts on a PanelMatrix stripe.
 size_t GrainCols(size_t grain_rows, size_t k) {
   const size_t denom = std::max<size_t>(2 * k * grain_rows, 1);
-  return std::max<size_t>(kMicroCols * 8, kTaskFlopTarget / denom);
+  const size_t cols = std::max<size_t>(kMicroCols * 8, kTaskFlopTarget / denom);
+  return (cols + kMicroCols - 1) / kMicroCols * kMicroCols;
 }
 
 template <typename Body>
@@ -94,6 +101,19 @@ void Launch2D(size_t m, size_t n, size_t k, size_t flops, const Body& body) {
   const size_t grain_rows = 64;
   ThreadPool::Global().ParallelFor2D(m, n, grain_rows, GrainCols(grain_rows, k),
                                      body);
+}
+
+// Calls body(std::integral_constant<size_t, m>()) for 1 <= m <= Max, so the
+// small-m kernels keep their M rows' accumulators in registers.
+template <size_t Max, typename Body>
+void WithRowCount(size_t m, const Body& body) {
+  if constexpr (Max > 1) {
+    if (m < Max) {
+      WithRowCount<Max - 1>(m, body);
+      return;
+    }
+  }
+  body(std::integral_constant<size_t, Max>());
 }
 
 // ---------------------------------------------------------------------------
@@ -139,65 +159,85 @@ void GemmNTPointerStrip(const Matrix& a, const Matrix& b, Matrix& c, size_t i,
   }
 }
 
+// Packs rows [jb, jb + width) of B, width <= 16, into one k-major stripe:
+// panel[p * kMicroCols + t] = B[jb + t][p], with lanes t >= width at +0.0.
+// Pure data movement, so every backend writes the same bytes.
 template <typename Arch>
-void GemmNTTile(const Matrix& a, const Matrix& b, Matrix& c, size_t i0,
-                size_t i1, size_t j0, size_t j1) {
-  const int k = a.cols();
-  if (Arch::kWidth == 1 && i1 - i0 < kMicroRows) {
-    // Scalar backend: too few rows to amortize panel packing. A vector pack
-    // pays for itself at m = 1 (decode), so the vector backends go on.
-    for (size_t i = i0; i < i1; ++i) {
-      GemmNTPointerStrip(a, b, c, i, j0, j1);
-    }
+void PackStripe(const Matrix& b, size_t jb, size_t width, float* panel) {
+  const int k = b.cols();
+  if (width == kMicroCols) {
+    // Full stripe: B's rows are evenly strided, so the transpose pack is a
+    // per-backend vector op (in-register 8x8 transposes on x86).
+    Arch::PackStrip16(b.row(static_cast<int>(jb)), static_cast<size_t>(k), k,
+                      panel);
     return;
   }
-  // Per-thread scratch: every decode linear layer lands here, and each panel
-  // entry is written by the pack below before NTMicro reads it.
-  thread_local std::vector<float> scratch;
-  if (scratch.size() < static_cast<size_t>(k) * kMicroCols) {
-    scratch.resize(static_cast<size_t>(k) * kMicroCols);
-  }
-  float* const panel = scratch.data();
-  float out[kMicroRows * kMicroCols];
   const float* brows[kMicroCols];
-  for (size_t jb = j0; jb < j1; jb += kMicroCols) {
-    const size_t width = std::min(kMicroCols, j1 - jb);
-    if (width == kMicroCols) {
-      // Full stripe: B's rows are evenly strided, so the transpose pack is a
-      // per-backend vector op (in-register 8x8 transposes on x86). At small m
-      // the pack dominates the whole GEMM, so this path is hot.
-      Arch::PackStrip16(b.row(static_cast<int>(jb)),
-                        static_cast<size_t>(b.cols()), k, panel);
-    } else {
-      // Remainder stripe: pack scalar; pad dead lanes with zeros.
-      for (size_t t = 0; t < kMicroCols; ++t) {
-        brows[t] = b.row(static_cast<int>(jb + (t < width ? t : 0)));
-      }
-      for (int p = 0; p < k; ++p) {
-        float* dst = panel + static_cast<size_t>(p) * kMicroCols;
-        for (size_t t = 0; t < kMicroCols; ++t) {
-          dst[t] = t < width ? brows[t][p] : 0.0f;
+  for (size_t t = 0; t < kMicroCols; ++t) {
+    brows[t] = b.row(static_cast<int>(jb + (t < width ? t : 0)));
+  }
+  for (int p = 0; p < k; ++p) {
+    float* dst = panel + static_cast<size_t>(p) * kMicroCols;
+    for (size_t t = 0; t < kMicroCols; ++t) {
+      dst[t] = t < width ? brows[t][p] : 0.0f;
+    }
+  }
+}
+
+// C rows [i, i + R) x columns [jb, min(j1, jb + S * 16)): A's rows times the S
+// stripes at panel, panel + stride, ...; dead lanes are dropped on store.
+template <typename Arch, size_t R, size_t S>
+void NTPass(const Matrix& a, size_t i, const float* panel, size_t stride,
+            size_t jb, size_t j1, Matrix& c) {
+  constexpr size_t kOutCols = S * kMicroCols;
+  const float* arows[R];
+  for (size_t r = 0; r < R; ++r) {
+    arows[r] = a.row(static_cast<int>(i + r));
+  }
+  float out[R * kOutCols];
+  Arch::template NTMicro<R, S>(arows, panel, stride, a.cols(), out);
+  const size_t width = std::min(kOutCols, j1 - jb);
+  for (size_t r = 0; r < R; ++r) {
+    std::copy(out + r * kOutCols, out + r * kOutCols + width,
+              c.row(static_cast<int>(i + r)) + jb);
+  }
+}
+
+// The one NT tile driver: C[i0, i1) x [j0, j1) = A's rows times B's 16-row
+// stripes, j0 on a stripe edge. MatmulNT and PanelMatrix::MatmulNT differ only
+// in where a stripe's k-major panel comes from: panel_of(jb) packs it now into
+// per-thread scratch, or points into stored panels. Stored stripes sit
+// `stride` floats apart, so a tile of fewer than 4 rows (decode) runs
+// kStripes of them per pass: each output lane is one add chain, and the
+// pass's chains overlap. Packed scratch holds one stripe (kStripes = 1).
+template <typename Arch, size_t kStripes, typename PanelOf>
+void NTTile(const Matrix& a, Matrix& c, size_t i0, size_t i1, size_t j0,
+            size_t j1, size_t stride, const PanelOf& panel_of) {
+  constexpr size_t kPassCols = kStripes * kMicroCols;
+  if (i1 - i0 < kMicroRows) {
+    WithRowCount<kMicroRows - 1>(i1 - i0, [&](auto rows) {
+      constexpr size_t R = decltype(rows)::value;
+      size_t jb = j0;
+      if constexpr (kStripes > 1) {
+        // A pass may end in the matrix's last, padded stripe.
+        for (; jb + kPassCols - kMicroCols < j1; jb += kPassCols) {
+          NTPass<Arch, R, kStripes>(a, i0, panel_of(jb), stride, jb, j1, c);
         }
       }
-    }
+      for (; jb < j1; jb += kMicroCols) {
+        NTPass<Arch, R, 1>(a, i0, panel_of(jb), stride, jb, j1, c);
+      }
+    });
+    return;
+  }
+  for (size_t jb = j0; jb < j1; jb += kMicroCols) {
+    const float* panel = panel_of(jb);
     size_t i = i0;
     for (; i + kMicroRows <= i1; i += kMicroRows) {
-      Arch::NTMicro4(a.row(static_cast<int>(i)), a.row(static_cast<int>(i + 1)),
-                     a.row(static_cast<int>(i + 2)),
-                     a.row(static_cast<int>(i + 3)), panel, k, out);
-      for (size_t t = 0; t < kMicroRows; ++t) {
-        float* crow = c.row(static_cast<int>(i + t));
-        for (size_t jj = 0; jj < width; ++jj) {
-          crow[jb + jj] = out[t * kMicroCols + jj];
-        }
-      }
+      NTPass<Arch, kMicroRows, 1>(a, i, panel, stride, jb, j1, c);
     }
     for (; i < i1; ++i) {
-      Arch::NTMicro1(a.row(static_cast<int>(i)), panel, k, out);
-      float* crow = c.row(static_cast<int>(i));
-      for (size_t jj = 0; jj < width; ++jj) {
-        crow[jb + jj] = out[jj];
-      }
+      NTPass<Arch, 1, 1>(a, i, panel, stride, jb, j1, c);
     }
   }
 }
@@ -281,7 +321,52 @@ Matrix GemmNTImpl(const Matrix& a, const Matrix& b) {
   const size_t n = static_cast<size_t>(b.rows());
   Matrix c(static_cast<int>(m), static_cast<int>(n));
   Launch2D(m, n, k, m * k * n, [&](size_t i0, size_t i1, size_t j0, size_t j1) {
-    GemmNTTile<Arch>(a, b, c, i0, i1, j0, j1);
+    if (Arch::kWidth == 1 && i1 - i0 < kMicroRows) {
+      // Scalar backend: too few rows to amortize panel packing. A vector pack
+      // pays for itself at m = 1 (decode), so the vector backends go on.
+      for (size_t i = i0; i < i1; ++i) {
+        GemmNTPointerStrip(a, b, c, i, j0, j1);
+      }
+      return;
+    }
+    // Per-thread scratch: every per-call decode GEMM lands here, and each
+    // panel entry is written by the pack before the micro-kernel reads it.
+    thread_local std::vector<float> scratch;
+    if (scratch.size() < k * kMicroCols) {
+      scratch.resize(k * kMicroCols);
+    }
+    NTTile<Arch, 1>(a, c, i0, i1, j0, j1, 0, [&](size_t jb) {
+      PackStripe<Arch>(b, jb, std::min(kMicroCols, j1 - jb), scratch.data());
+      return static_cast<const float*>(scratch.data());
+    });
+  });
+  return c;
+}
+
+// Every 16-row stripe of w into its PanelMatrix slot.
+template <typename Arch>
+void PackPanelsImpl(const Matrix& w, float* panels) {
+  const size_t n = static_cast<size_t>(w.rows());
+  const size_t stride = static_cast<size_t>(w.cols()) * kMicroCols;
+  for (size_t jb = 0; jb < n; jb += kMicroCols) {
+    PackStripe<Arch>(w, jb, std::min(kMicroCols, n - jb),
+                     panels + jb / kMicroCols * stride);
+  }
+}
+
+template <typename Arch>
+Matrix PanelGemmNTImpl(const Matrix& x, const PanelMatrix& w) {
+  DZ_CHECK_EQ(x.cols(), w.cols());
+  const size_t m = static_cast<size_t>(x.rows());
+  const size_t k = static_cast<size_t>(x.cols());
+  const size_t n = static_cast<size_t>(w.rows());
+  const size_t stride = k * kMicroCols;
+  Matrix c(static_cast<int>(m), static_cast<int>(n));
+  Launch2D(m, n, k, m * k * n, [&](size_t i0, size_t i1, size_t j0, size_t j1) {
+    NTTile<Arch, Arch::kPanelStripes>(
+        x, c, i0, i1, j0, j1, stride, [&](size_t jb) {
+          return w.panels().data() + jb / kMicroCols * stride;
+        });
   });
   return c;
 }
@@ -514,19 +599,6 @@ void DecodeRows(const Matrix& x, const PackedRows& w, size_t i0, size_t j,
   }
 }
 
-// Calls body(std::integral_constant<size_t, m>()) for 1 <= m <= Max, so the
-// decode kernels keep their M accumulators in registers.
-template <size_t Max, typename Body>
-void WithRowCount(size_t m, const Body& body) {
-  if constexpr (Max > 1) {
-    if (m < Max) {
-      WithRowCount<Max - 1>(m, body);
-      return;
-    }
-  }
-  body(std::integral_constant<size_t, Max>());
-}
-
 // y = x * W^T over lane-aligned tiles of W's rows. Within a tile, x runs in
 // near-equal chunks of at most kDecodeRows activation rows; the tile's codes
 // stay in cache while each chunk decodes them again.
@@ -651,6 +723,8 @@ const Backend* MakeBackendTable(const char* name, const char* isa) {
       &GemmNNImpl<Arch>,
       &GemmNTImpl<Arch>,
       &GemmTNImpl<Arch>,
+      &PackPanelsImpl<Arch>,
+      &PanelGemmNTImpl<Arch>,
       &QuantGemmNTImpl<Arch>,
       &Sparse24GemmNTImpl<Arch>,
       &TransposeImpl<Arch>,
@@ -672,43 +746,53 @@ struct ScalarOps {
   static constexpr size_t kDecodeLanes = 4;
   static constexpr size_t kDecodeRows = 6;
 
-  static void NTMicro4(const float* arow0, const float* arow1,
-                       const float* arow2, const float* arow3,
-                       const float* panel, int k, float* out) {
-    float acc[kMicroRows][kMicroCols] = {};
-    for (int p = 0; p < k; ++p) {
-      const float* brow = panel + static_cast<size_t>(p) * kMicroCols;
-      const float a0 = arow0[p];
-      const float a1 = arow1[p];
-      const float a2 = arow2[p];
-      const float a3 = arow3[p];
-      for (size_t jj = 0; jj < kMicroCols; ++jj) {
-        const float bv = brow[jj];
-        acc[0][jj] += a0 * bv;
-        acc[1][jj] += a1 * bv;
-        acc[2][jj] += a2 * bv;
-        acc[3][jj] += a3 * bv;
-      }
-    }
-    for (size_t t = 0; t < kMicroRows; ++t) {
-      for (size_t jj = 0; jj < kMicroCols; ++jj) {
-        out[t * kMicroCols + jj] = acc[t][jj];
-      }
-    }
-  }
+  // One stripe's 16 lanes are already four 4-lane chains.
+  static constexpr size_t kPanelStripes = 1;
 
-  static void NTMicro1(const float* arow, const float* panel, int k,
-                       float* out) {
-    float acc[kMicroCols] = {};
-    for (int p = 0; p < k; ++p) {
-      const float* brow = panel + static_cast<size_t>(p) * kMicroCols;
-      const float av = arow[p];
-      for (size_t jj = 0; jj < kMicroCols; ++jj) {
-        acc[jj] += av * brow[jj];
+  // R x (S * 16) NT micro-kernel: stripe s's panel starts at panel + s *
+  // stride; out[r * S * 16 + s * 16 + t] accumulates a[r][p] * panel[p][t]
+  // over p ascending. The auto-vectorizer handles the 4-row block well, but
+  // interleaves p and shuffles below 4 rows, so those run in 4-lane generic
+  // vectors (SSE on x86-64).
+  typedef float V4 __attribute__((vector_size(16)));
+  template <size_t R, size_t S>
+  static void NTMicro(const float* const* a, const float* panel, size_t stride,
+                      int k, float* out) {
+    if constexpr (R == kMicroRows) {
+      static_assert(S == 1, "4-row blocks run one stripe per pass");
+      float acc[R][kMicroCols] = {};
+      for (int p = 0; p < k; ++p) {
+        const float* brow = panel + static_cast<size_t>(p) * kMicroCols;
+        float av[R];
+        for (size_t r = 0; r < R; ++r) {
+          av[r] = a[r][p];
+        }
+        for (size_t jj = 0; jj < kMicroCols; ++jj) {
+          const float bv = brow[jj];
+          for (size_t r = 0; r < R; ++r) {
+            acc[r][jj] += av[r] * bv;
+          }
+        }
       }
-    }
-    for (size_t jj = 0; jj < kMicroCols; ++jj) {
-      out[jj] = acc[jj];
+      std::memcpy(out, acc, sizeof(acc));
+    } else {
+      constexpr size_t kQuads = S * kMicroCols / 4;
+      V4 acc[R][kQuads] = {};
+      for (int p = 0; p < k; ++p) {
+        V4 b[kQuads];
+        for (size_t s = 0; s < S; ++s) {
+          std::memcpy(&b[s * kMicroCols / 4],
+                      panel + s * stride + static_cast<size_t>(p) * kMicroCols,
+                      kMicroCols * sizeof(float));
+        }
+        for (size_t r = 0; r < R; ++r) {
+          const V4 av = a[r][p] - V4{};  // exact broadcast, -0.0 included
+          for (size_t q = 0; q < kQuads; ++q) {
+            acc[r][q] += av * b[q];
+          }
+        }
+      }
+      std::memcpy(out, acc, sizeof(acc));
     }
   }
 

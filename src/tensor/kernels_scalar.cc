@@ -5,8 +5,9 @@
 //
 // Built WITHOUT any -m flags so the binary runs on any CPU the toolchain
 // targets. Inner loops are the ScalarOps defaults from kernels_generic.h:
-// plain loops with multi-accumulator interleaving (pure ILP, no reordering of
-// any per-element reduction chain).
+// plain loops with multi-accumulator interleaving, and GCC/Clang generic
+// vectors for the NT micro-kernel and the decode lanes (independent lanes,
+// no reordering of any per-element reduction chain).
 #include "src/tensor/kernels_generic.h"
 
 namespace dz {

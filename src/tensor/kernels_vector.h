@@ -111,40 +111,39 @@ struct VecOps {
   }
   static F Broadcast(float v) { return v - F{}; }
 
-  // R x 16 NT micro-kernel: one accumulator per (row, W-column block); each
-  // output column is one lane accumulating a[r][p] * b[p] in ascending p.
-  template <size_t R>
-  static void NTMicro(const float* const* a, const float* panel, int k,
-                      float* out) {
-    F acc[R][kPanelRegs] = {};
+  // Stored stripes per decode pass: four registers per activation row, so
+  // four add chains overlap at both widths.
+  static constexpr size_t kPanelStripes = 4 / kPanelRegs;
+
+  // R x (S * 16) NT micro-kernel over S stripes `stride` floats apart: one
+  // accumulator per (row, W-column block); each output column is one lane
+  // accumulating a[r][p] * b[p] in ascending p.
+  template <size_t R, size_t S>
+  static void NTMicro(const float* const* a, const float* panel, size_t stride,
+                      int k, float* out) {
+    constexpr size_t kRegs = S * kPanelRegs;
+    F acc[R][kRegs] = {};
     for (int p = 0; p < k; ++p) {
-      const float* brow = panel + static_cast<size_t>(p) * kMicroCols;
-      F b[kPanelRegs];
-      for (size_t h = 0; h < kPanelRegs; ++h) {
-        b[h] = Load<F>(brow + h * W);
+      F b[kRegs];
+      for (size_t s = 0; s < S; ++s) {
+        const float* brow =
+            panel + s * stride + static_cast<size_t>(p) * kMicroCols;
+        for (size_t h = 0; h < kPanelRegs; ++h) {
+          b[s * kPanelRegs + h] = Load<F>(brow + h * W);
+        }
       }
       for (size_t r = 0; r < R; ++r) {
         const F av = Broadcast(a[r][p]);
-        for (size_t h = 0; h < kPanelRegs; ++h) {
+        for (size_t h = 0; h < kRegs; ++h) {
           acc[r][h] += av * b[h];
         }
       }
     }
     for (size_t r = 0; r < R; ++r) {
-      for (size_t h = 0; h < kPanelRegs; ++h) {
-        Store(out + r * kMicroCols + h * W, acc[r][h]);
+      for (size_t h = 0; h < kRegs; ++h) {
+        Store(out + r * S * kMicroCols + h * W, acc[r][h]);
       }
     }
-  }
-  static void NTMicro4(const float* arow0, const float* arow1,
-                       const float* arow2, const float* arow3,
-                       const float* panel, int k, float* out) {
-    const float* const a[4] = {arow0, arow1, arow2, arow3};
-    NTMicro<4>(a, panel, k, out);
-  }
-  static void NTMicro1(const float* arow, const float* panel, int k,
-                       float* out) {
-    NTMicro<1>(&arow, panel, k, out);
   }
 
   // Whole registers first; ScalarOps finishes the tail with the same ops.

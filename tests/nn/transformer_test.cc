@@ -98,6 +98,69 @@ TEST(TransformerTest, DecodeMatchesFullForward) {
   ExpectDecodeMatchesForward(model, tokens, &lora_overlay, "lora");
 }
 
+// A variant host with its ΔCompress overlay over `base` (a small random fine-tune).
+struct CompressedVariant {
+  CompressedDelta delta;
+  Transformer host;
+  LinearOverlay overlay;
+};
+CompressedVariant MakeCompressedVariant(const ModelWeights& base, uint64_t seed) {
+  Rng rng(seed);
+  ModelWeights finetuned = base;
+  for (const NamedLayer& layer : finetuned.LinearLayers()) {
+    Axpy(1.0f, Matrix::Random(layer.weight->rows(), layer.weight->cols(), rng, 0.01f),
+         *layer.weight);
+  }
+  CompressedDelta delta = DeltaCompress(base, finetuned, {{2, 11, 5, 8}, {1, 4, 9, 16}},
+                                        DeltaCompressConfig{});
+  Transformer host(delta.OverlayHost(base));
+  LinearOverlay overlay = delta.MakeOverlay(base);
+  return {std::move(delta), std::move(host), std::move(overlay)};
+}
+
+// Each KVCache carries its own request's panels: two requests on one host, one
+// through the overlay (its delta positions read the base) and one plain (every
+// position reads the host's merged weight), decoded in alternating steps, give the
+// logits each gives decoded alone.
+TEST(TransformerTest, InterleavedRequestsMatchRequestsDecodedAlone) {
+  const Transformer model = MakeTinyModel(8);
+  const CompressedVariant variant = MakeCompressedVariant(model.weights(), 80);
+  const Transformer& host = variant.host;
+  const std::vector<int> tokens_a = {2, 11, 5, 8, 3, 17};
+  const std::vector<int> tokens_b = {9, 4, 4, 1, 20, 6};
+  auto alone = [&](const std::vector<int>& tokens, const LinearOverlay* overlay) {
+    KVCache kv = host.MakeKVCache();
+    std::vector<std::vector<float>> logits;
+    for (int t : tokens) {
+      logits.push_back(host.DecodeStep(t, kv, overlay).data());
+    }
+    return logits;
+  };
+  const auto want_a = alone(tokens_a, &variant.overlay);
+  const auto want_b = alone(tokens_b, nullptr);
+  KVCache kv_a = host.MakeKVCache();
+  KVCache kv_b = host.MakeKVCache();
+  for (size_t i = 0; i < tokens_a.size(); ++i) {
+    EXPECT_EQ(host.DecodeStep(tokens_a[i], kv_a, &variant.overlay).data(), want_a[i])
+        << "overlay request, step " << i;
+    EXPECT_EQ(host.DecodeStep(tokens_b[i], kv_b, nullptr).data(), want_b[i])
+        << "plain request, step " << i;
+  }
+}
+
+// A KVCache is valid only for the weights that filled it: a step through an overlay
+// over another base is a DZ_CHECK failure, not a silent re-pack.
+TEST(TransformerDeathTest, StepOverAnotherBaseFails) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  const Transformer model = MakeTinyModel(9);
+  const CompressedVariant variant = MakeCompressedVariant(model.weights(), 90);
+  const ModelWeights other_base = model.weights();
+  const LinearOverlay other = variant.delta.MakeOverlay(other_base);
+  KVCache kv = variant.host.MakeKVCache();
+  variant.host.DecodeStep(3, kv, &variant.overlay);
+  EXPECT_DEATH(variant.host.DecodeStep(4, kv, &other), "DZ_CHECK failed");
+}
+
 TEST(TransformerTest, GradCheckSpotSamples) {
   // Finite-difference validation of the full backward pass through every op type.
   Transformer model = MakeTinyModel(5);

@@ -22,6 +22,7 @@
 
 #include "src/compress/lossless.h"
 #include "src/tensor/backend.h"
+#include "src/tensor/panel_matrix.h"
 #include "src/util/rng.h"
 #include "tests/tensor/kernel_ref.h"
 
@@ -126,6 +127,39 @@ TEST_P(KernelParityTest, DenseSmallMNTBitIdentical) {
   }
 }
 
+// Stored panels (PanelMatrix): packed once, then reused for several x. m covers
+// the decode passes (m < 4, several stripes in flight) and the 4-row micro-kernel
+// with a remainder row; n the stripe remainder (dead lanes) and the stripes left
+// over after the widest pass; k the pack's k % 8 tail. The packed bytes must be
+// the documented layout on every backend: packing only moves data.
+TEST_P(KernelParityTest, PanelGemmNTBitIdentical) {
+  Rng rng(25);
+  for (int k : {1, 7, 8, 9, 64, 172}) {
+    for (int n : {1, 15, 16, 17, 33, 172}) {
+      const Matrix w = RandomWithZeros(n, k, rng, 0.2);
+      const PanelMatrix panels = PanelMatrix::Pack(w);
+      const std::string shape = " k=" + std::to_string(k) + " n=" + std::to_string(n);
+      const int stripes = (n + 15) / 16;
+      std::vector<float> layout(static_cast<size_t>(stripes) * k * 16, 0.0f);
+      for (int j = 0; j < n; ++j) {
+        for (int p = 0; p < k; ++p) {
+          layout[(static_cast<size_t>(j / 16) * k + p) * 16 + j % 16] = w.at(j, p);
+        }
+      }
+      ASSERT_EQ(panels.panels().size(), layout.size()) << shape;
+      EXPECT_EQ(std::memcmp(panels.panels().data(), layout.data(),
+                            layout.size() * sizeof(float)),
+                0)
+          << "panel bytes differ from the documented layout:" << shape;
+      for (int m : {1, 2, 3, 4, 5}) {
+        const Matrix x = RandomWithZeros(m, k, rng, 0.2);
+        ExpectBitIdentical(panels.MatmulNT(x), kernels::ref::GemmNT(x, w),
+                           "panel NT m=" + std::to_string(m) + shape);
+      }
+    }
+  }
+}
+
 TEST_P(KernelParityTest, LargeParallelGemmBitIdentical) {
   // Big enough to cross the parallel-dispatch threshold with several tiles.
   Rng rng(12);
@@ -142,6 +176,11 @@ TEST_P(KernelParityTest, LargeParallelGemmBitIdentical) {
   const Matrix w = RandomWithZeros(4099, 1024, rng, 0.1);
   ExpectBitIdentical(MatmulNT(x, w), kernels::ref::GemmNT(x, w),
                      "NT large m=1 n=4099 k=1024");
+  // The same split over stored panels: every column tile starts on a stripe.
+  ExpectBitIdentical(PanelMatrix::Pack(w).MatmulNT(x), kernels::ref::GemmNT(x, w),
+                     "panel NT large m=1 n=4099 k=1024");
+  ExpectBitIdentical(PanelMatrix::Pack(b).MatmulNT(a), kernels::ref::GemmNT(a, b),
+                     "panel NT large");
 }
 
 TEST_P(KernelParityTest, TransposeBitIdentical) {
