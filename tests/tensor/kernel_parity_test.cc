@@ -99,6 +99,8 @@ TEST_P(KernelParityTest, DenseGemmFamilyBitIdentical) {
                               " zf=" + std::to_string(zero_frac);
       ExpectBitIdentical(MatmulNT(a, b_nt), kernels::ref::GemmNT(a, b_nt),
                          "NT " + tag);
+      ExpectBitIdentical(PanelMatrix::Pack(b_nt).MatmulNT(a),
+                         kernels::ref::GemmNT(a, b_nt), "panel NT " + tag);
       ExpectBitIdentical(Matmul(a, b_nn), testing_ref::GemmNN(a, b_nn),
                          "NN " + tag);
       ExpectBitIdentical(MatmulTN(a_tn, b_nn), testing_ref::GemmTN(a_tn, b_nn),
