@@ -13,9 +13,10 @@
 // decode-shape half of the paper's claim on the CPU: at m = 1 each compressed
 // format must run at least 2x faster than dense on the widest supported vector
 // backend, or the bench exits 1. It prints a table and writes no JSON. The
-// table also times dense over stored panels (PanelMatrix), the form decode
-// reads its base weights in, and its ratios to the compressed formats; those
-// columns are printed, not gated.
+// table also times the forms decode reads its weights in: dense over stored
+// panels (PanelMatrix) and the compressed formats over stored lane tiles
+// (LaneTiles), and stored dense over stored compressed; those columns are
+// printed, not gated.
 #include <functional>
 #include <limits>
 
@@ -23,6 +24,7 @@
 #include "src/simgpu/kernel_model.h"
 #include "src/tensor/backend.h"
 #include "src/tensor/kernels.h"
+#include "src/tensor/lane_tiles.h"
 #include "src/tensor/panel_matrix.h"
 
 namespace dz {
@@ -142,8 +144,8 @@ void RunMeasuredKernels(bool quick, BenchJson* json) {
 
 // Decode shape (m = 1): dense time over compressed time per backend, the
 // Fig. 6 (left) trend. Returns false when the widest supported vector backend
-// has either per-call dense ratio below kMinDecodeRatio. The stored-panel
-// dense ratios are printed beside them, ungated.
+// has either per-call dense ratio below kMinDecodeRatio. The stored forms'
+// times and ratios are printed beside them, ungated.
 bool RunDecodeShapeRatios(bool quick) {
   constexpr double kMinDecodeRatio = 2.0;
   const int dim = quick ? 1024 : 4096;
@@ -153,31 +155,34 @@ bool RunDecodeShapeRatios(bool quick) {
   const auto q = PackedQuantMatrix::Quantize(w, 4, 128);
   const auto sp = Sparse24Matrix::Pack(MagnitudePrune24(w), 4, 128);
   const PanelMatrix stored = PanelMatrix::Pack(w);
+  const LaneTiles q_tiles = LaneTiles::Pack(q);
+  const LaneTiles sp_tiles = LaneTiles::Pack(sp);
   const std::vector<std::string> isas = SupportedBackends();
+  constexpr size_t kPerIsa = 6;
   std::vector<Timed> timed;
   for (const std::string& isa : isas) {
     timed.push_back({isa, [&] { MatmulNT(x, w); }});
     timed.push_back({isa, [&] { q.MatmulNT(x); }});
     timed.push_back({isa, [&] { sp.MatmulNT(x); }});
     timed.push_back({isa, [&] { stored.MatmulNT(x); }});
+    timed.push_back({isa, [&] { q_tiles.MatmulNT(x); }});
+    timed.push_back({isa, [&] { sp_tiles.MatmulNT(x); }});
   }
   const std::vector<double> secs = BestSecs(timed, quick ? 0.005 : 0.02);
 
-  Table table({"isa", "dense us", "quant4 us", "sparse24 us",
-               "dense/quant4", "dense/sparse24", "stored us", "stored/quant4",
-               "stored/sparse24"});
+  Table table({"isa", "dense us", "quant4 us", "sparse24 us", "dense/quant4",
+               "dense/sparse24", "stored: dense us", "quant4 us", "sparse24 us",
+               "dense/quant4", "dense/sparse24"});
   bool ok = true;
   for (size_t b = 0; b < isas.size(); ++b) {
-    const double dense_s = secs[4 * b];
-    const double q_s = secs[4 * b + 1];
-    const double s_s = secs[4 * b + 2];
-    const double stored_s = secs[4 * b + 3];
-    const double q_ratio = dense_s / q_s;
-    const double s_ratio = dense_s / s_s;
-    table.AddRow({isas[b], Table::Num(dense_s * 1e6, 1), Table::Num(q_s * 1e6, 1),
-                  Table::Num(s_s * 1e6, 1), Table::Num(q_ratio, 2),
-                  Table::Num(s_ratio, 2), Table::Num(stored_s * 1e6, 1),
-                  Table::Num(stored_s / q_s, 2), Table::Num(stored_s / s_s, 2)});
+    const double* s = &secs[kPerIsa * b];
+    const double q_ratio = s[0] / s[1];
+    const double s_ratio = s[0] / s[2];
+    table.AddRow({isas[b], Table::Num(s[0] * 1e6, 1), Table::Num(s[1] * 1e6, 1),
+                  Table::Num(s[2] * 1e6, 1), Table::Num(q_ratio, 2),
+                  Table::Num(s_ratio, 2), Table::Num(s[3] * 1e6, 1),
+                  Table::Num(s[4] * 1e6, 1), Table::Num(s[5] * 1e6, 1),
+                  Table::Num(s[3] / s[4], 2), Table::Num(s[3] / s[5], 2)});
     if (b == 0 && isas[b] != "scalar" &&
         (q_ratio < kMinDecodeRatio || s_ratio < kMinDecodeRatio)) {
       std::fprintf(stderr,
@@ -188,8 +193,9 @@ bool RunDecodeShapeRatios(bool quick) {
     }
   }
   std::printf("\ndecode shape, m = 1, W = %dx%d (4-bit, group 128): dense time "
-              "over compressed time; dense is MatmulNT (gated), stored the same "
-              "weight in stored panels (not gated)\n\n%s\n",
+              "over compressed time; per call (MatmulNT and the packed matrices' "
+              "own MatmulNT, gated) and stored, the forms a decode step reads: "
+              "dense in panels, compressed in lane tiles (not gated)\n\n%s\n",
               dim, dim, table.ToAscii().c_str());
   return ok;
 }

@@ -45,14 +45,35 @@ LinearDelta DeltaAt(const LinearOverlay* overlay, size_t index) {
                                                               : LinearDelta{};
 }
 
-// y = x·wᵀ. Decoding (kv set), from the panels kv packed at `index`, which must hold w
-// (KVCache's contract); otherwise the per-call GEMM.
-Matrix LinearNT(const Matrix& x, const Matrix& w, const KVCache* kv, size_t index) {
-  if (kv == nullptr) {
-    return MatmulNT(x, w);
+bool SameDelta(const LinearDelta& a, const LinearDelta& b) {
+  return a.sparse == b.sparse && a.dense == b.dense && a.lora_a == b.lora_a &&
+         a.lora_b == b.lora_b && a.lora_scale == b.lora_scale;
+}
+
+// What kv packed at `index`, which must be `base` and `delta` (KVCache's contract).
+const KVCache::Linear& PackedAt(const KVCache& kv, size_t index, const Matrix& base,
+                                const LinearDelta& delta) {
+  DZ_CHECK(index < kv.linears.size());
+  const KVCache::Linear& packed = kv.linears[index];
+  DZ_CHECK(packed.base == &base && SameDelta(packed.delta, delta));
+  return packed;
+}
+
+// Packs everything a position reading `base` and `delta` reads.
+KVCache::Linear Pack(const Matrix& base, const LinearDelta& delta) {
+  KVCache::Linear packed;
+  packed.base = &base;
+  packed.delta = delta;
+  packed.panels = PanelMatrix::Pack(base);
+  if (delta.sparse != nullptr) {
+    packed.delta_tiles = LaneTiles::Pack(*delta.sparse);
+  } else if (delta.dense != nullptr) {
+    packed.delta_tiles = LaneTiles::Pack(*delta.dense);
+  } else if (delta.lora_a != nullptr) {
+    packed.lora_a = PanelMatrix::Pack(*delta.lora_a);
+    packed.lora_b = PanelMatrix::Pack(*delta.lora_b);
   }
-  DZ_CHECK(index < kv->sources.size() && kv->sources[index] == &w);
-  return kv->panels[index].MatmulNT(x);
+  return packed;
 }
 
 }  // namespace
@@ -213,7 +234,19 @@ Matrix Transformer::ApplyLinear(int block, size_t slot, const Matrix& x,
                                 const LinearOverlay* overlay, const KVCache* kv) const {
   const size_t index = static_cast<size_t>(block) * kBlockLinearCount + slot;
   const LinearDelta delta = DeltaAt(overlay, index);
-  Matrix y = LinearNT(x, LinearSource(index, overlay), kv, index);
+  const Matrix& base = LinearSource(index, overlay);
+  if (kv != nullptr) {
+    // Decoding: every weight from what kv packed, the same products bit for bit.
+    const KVCache::Linear& packed = PackedAt(*kv, index, base, delta);
+    Matrix y = packed.panels.MatmulNT(x);
+    if (delta.sparse != nullptr || delta.dense != nullptr) {
+      y.AddInPlace(packed.delta_tiles.MatmulNT(x));
+    } else if (delta.lora_a != nullptr) {
+      Axpy(delta.lora_scale, packed.lora_b.MatmulNT(packed.lora_a.MatmulNT(x)), y);
+    }
+    return y;
+  }
+  Matrix y = MatmulNT(x, base);
   if (delta.sparse != nullptr) {
     y.AddInPlace(delta.sparse->MatmulNT(x));
   } else if (delta.dense != nullptr) {
@@ -308,8 +341,11 @@ Matrix Transformer::Walk(const std::vector<int>& tokens, KVCache* kv, ForwardCac
     cache->final_inv_rms = final_inv_rms;
     cache->final_normed = final_normed;
   }
-  return LinearNT(final_normed, weights_.lm_head, kv,
-                  weights_.layers.size() * kBlockLinearCount);
+  if (kv == nullptr) {
+    return MatmulNT(final_normed, weights_.lm_head);
+  }
+  return PackedAt(*kv, weights_.layers.size() * kBlockLinearCount, weights_.lm_head, {})
+      .panels.MatmulNT(final_normed);
 }
 
 Matrix Transformer::Forward(const std::vector<int>& tokens, ForwardCache* cache,
@@ -389,13 +425,13 @@ KVCache Transformer::MakeKVCache() const {
 
 Matrix Transformer::DecodeStep(int token, KVCache& kv,
                                const LinearOverlay* overlay) const {
-  if (kv.sources.empty()) {
+  if (kv.linears.empty()) {
     // The request's first step: pack what every later step reads.
     const size_t linears = weights_.layers.size() * kBlockLinearCount;
-    for (size_t i = 0; i <= linears; ++i) {
-      kv.sources.push_back(i < linears ? &LinearSource(i, overlay) : &weights_.lm_head);
-      kv.panels.push_back(PanelMatrix::Pack(*kv.sources.back()));
+    for (size_t i = 0; i < linears; ++i) {
+      kv.linears.push_back(Pack(LinearSource(i, overlay), DeltaAt(overlay, i)));
     }
+    kv.linears.push_back(Pack(weights_.lm_head, {}));
   }
   return Walk({token}, &kv, nullptr, overlay);
 }
@@ -403,14 +439,23 @@ Matrix Transformer::DecodeStep(int token, KVCache& kv,
 std::vector<int> Transformer::GenerateGreedy(const std::vector<int>& prompt, int max_new,
                                              int eos_token,
                                              const LinearOverlay* overlay) const {
-  DZ_CHECK(!prompt.empty());
   KVCache kv = MakeKVCache();
+  return GenerateGreedy(prompt, max_new, eos_token, overlay, kv);
+}
+
+std::vector<int> Transformer::GenerateGreedy(const std::vector<int>& prompt, int max_new,
+                                             int eos_token, const LinearOverlay* overlay,
+                                             KVCache& kv) const {
+  DZ_CHECK(!prompt.empty());
   Matrix logits;
   for (int t : prompt) {
     logits = DecodeStep(t, kv, overlay);
   }
+  const int max_seq = weights_.config.max_seq;
   std::vector<int> out;
-  for (int step = 0; step < max_new && kv.len < weights_.config.max_seq; ++step) {
+  // Token i is read from the logits over prompt + i tokens, while that count is below
+  // max_seq. No step runs on the last token: its logits would go unread.
+  while (static_cast<int>(out.size()) < max_new && kv.len < max_seq) {
     int best = 0;
     const float* row = logits.row(0);
     for (int j = 1; j < logits.cols(); ++j) {
@@ -419,12 +464,11 @@ std::vector<int> Transformer::GenerateGreedy(const std::vector<int>& prompt, int
       }
     }
     out.push_back(best);
-    if (best == eos_token) {
+    if (best == eos_token || static_cast<int>(out.size()) == max_new ||
+        kv.len + 1 == max_seq) {
       break;
     }
-    if (kv.len < weights_.config.max_seq) {
-      logits = DecodeStep(best, kv, overlay);
-    }
+    logits = DecodeStep(best, kv, overlay);
   }
   return out;
 }

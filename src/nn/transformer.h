@@ -17,14 +17,12 @@
 #include <vector>
 
 #include "src/nn/config.h"
+#include "src/tensor/lane_tiles.h"
 #include "src/tensor/matrix.h"
 #include "src/tensor/panel_matrix.h"
 #include "src/util/rng.h"
 
 namespace dz {
-
-class PackedQuantMatrix;
-class Sparse24Matrix;
 
 struct LayerWeights {
   Matrix wq, wk, wv, wo;  // [d_model, d_model]
@@ -94,26 +92,35 @@ struct LinearOverlay {
   std::vector<LinearDelta> deltas;
 };
 
-// One request's incremental-decoding state: the per-layer KV cache, and the weights
-// its linear layers read, packed once into panels.
+// One request's incremental-decoding state: the per-layer KV cache, and every weight
+// its linear layers read, packed once.
 //
 // Contract: a KVCache is valid only for the weights that filled it. The request's first
-// DecodeStep packs, for each LinearLayers() position, the weight that position reads
-// (the overlay's base where the overlay has a delta there, the host's own weight
-// otherwise), plus lm_head. Every later step of the request reads those panels, and
-// its base GEMMs skip MatmulNT's per-call pack. A later step whose position reads any
-// other weight (an overlay over another base, another host) is a DZ_CHECK failure, not
-// a silent re-pack. The panels live per request, not per overlay: one live request
-// holds one copy of the base, where per-overlay copies would keep one per resident
-// variant alive.
+// DecodeStep packs, for each LinearLayers() position, every weight that position reads:
+// the base weight (the overlay's base where the overlay has a delta there, the host's
+// own weight otherwise) into panels, a ΔCompress delta into lane tiles, a LoRA pair's
+// two factors into panels; plus lm_head. Every later step of the request reads those,
+// and no decode GEMM packs a weight per call. A later step whose position reads any
+// other weight or delta (an overlay over another base, another variant's overlay over
+// the same base, no overlay, another host) is a DZ_CHECK failure, not a silent
+// re-pack. The packed weights live per request, not per overlay: one live request holds
+// one copy of the base, where per-overlay copies would keep one per resident variant
+// alive.
 struct KVCache {
   std::vector<Matrix> k;  // per layer, [len, d_model]
   std::vector<Matrix> v;
   int len = 0;
-  // Set by the first DecodeStep: panels[i] holds *sources[i], position i of
-  // LinearLayers(), and the last entry lm_head.
-  std::vector<const Matrix*> sources;
-  std::vector<PanelMatrix> panels;
+  // What one linear position reads, as the first DecodeStep found it, and packed.
+  struct Linear {
+    const Matrix* base = nullptr;
+    LinearDelta delta;
+    PanelMatrix panels;          // *base
+    LaneTiles delta_tiles;       // *delta.sparse or *delta.dense
+    PanelMatrix lora_a, lora_b;  // *delta.lora_a, *delta.lora_b
+  };
+  // Set by the first DecodeStep: position i of LinearLayers(), and the last entry
+  // lm_head.
+  std::vector<Linear> linears;
 };
 
 // Activation cache captured by Forward for Backward and for calibration capture.
@@ -173,17 +180,26 @@ class Transformer {
                                   const LinearOverlay* overlay = nullptr) const;
 
  private:
+  friend struct TransformerTestPeer;
+
+  // GenerateGreedy over the fresh cache `kv`, which it leaves holding every token a
+  // step fed.
+  std::vector<int> GenerateGreedy(const std::vector<int>& prompt, int max_new,
+                                  int eos_token, const LinearOverlay* overlay,
+                                  KVCache& kv) const;
+
   // The pre-norm block walk behind Forward and DecodeStep. Embeds `tokens` at
   // positions kv->len onward (0 when kv is null) and returns their logits. With kv
   // set, each block appends its K/V rows to the cache and attends over all of it, and
-  // the linear layers read kv's panels; otherwise it attends over the call's own rows.
+  // the linear layers read the weights kv packed; otherwise it attends over the call's
+  // own rows.
   // With cache set, records what Backward needs.
   Matrix Walk(const std::vector<int>& tokens, KVCache* kv, ForwardCache* cache,
               const LinearOverlay* overlay) const;
 
   // y = x·Wᵀ for linear `slot` (its place in the block, LinearLayers() order) of
   // `block`; with an overlay delta at that position, y = x·w_baseᵀ + Δ·x (Eq. 2).
-  // With kv set, W comes from kv's panels.
+  // With kv set, W and Δ come from what kv packed.
   Matrix ApplyLinear(int block, size_t slot, const Matrix& x, const LinearOverlay* overlay,
                      const KVCache* kv) const;
 

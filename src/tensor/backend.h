@@ -7,7 +7,7 @@
 // generic-vector VecOps<W> (kernels_vector.h) at W = 8 and 16. At first use
 // the dispatcher probes the CPU (__builtin_cpu_supports on x86) and selects
 // the widest compiled-and-supported backend. The GEMM and span entry points
-// in matrix.h and the packed and panel types' MatmulNT call through the
+// in matrix.h and the packed, panel and tile types' MatmulNT call through the
 // selected table, so no call site names an ISA.
 //
 // Selection order (first hit wins):
@@ -34,6 +34,7 @@
 
 namespace dz {
 
+class LaneTiles;
 class Matrix;
 class PackedQuantMatrix;
 class PanelMatrix;
@@ -60,9 +61,11 @@ struct Backend {
   void (*pack_panels)(const Matrix& w, float* panels);
   Matrix (*panel_gemm_nt)(const Matrix&, const PanelMatrix&);
 
-  // Compressed-format GEMMs.
+  // Compressed-format GEMMs, and either format stored in the decoder's register
+  // layout (lane_tiles.h), read from the tiles.
   Matrix (*quant_gemm_nt)(const Matrix&, const PackedQuantMatrix&);
   Matrix (*sparse24_gemm_nt)(const Matrix&, const Sparse24Matrix&);
+  Matrix (*tile_gemm_nt)(const Matrix&, const LaneTiles&);
 
   Matrix (*transpose)(const Matrix&);
 

@@ -28,6 +28,8 @@
 //     using VecF, VecI;                     // float / uint32 lanes
 //     static void InterleaveWords(rows, at, tile);  // kTileWords per lane
 //     static VecI LoadInts(p); static VecF LoadFloats(p);
+//     static VecI LoadTileInts(p, stride);  // lane l at p[l / 16 * stride
+//     static VecF LoadTileFloats(p, stride); //   + l % 16]: LaneTiles reads
 //     static VecI SplatInt(v); static VecF Splat(v); static VecF Zero();
 //     static VecI ShiftRight(v, n);         // v >> n per lane, logical
 //     static VecI And(a, b);
@@ -55,6 +57,7 @@
 #include <vector>
 
 #include "src/tensor/backend.h"
+#include "src/tensor/lane_tiles.h"
 #include "src/tensor/matrix.h"
 #include "src/tensor/packed_quant.h"
 #include "src/tensor/panel_matrix.h"
@@ -398,34 +401,35 @@ Matrix GemmTNImpl(const Matrix& a, const Matrix& b) {
 // Compressed-weight GEMM, y = x * W^T for group-quantized and 2:4 W. Codes are
 // decoded in registers: each vector lane owns one weight row (kDecodeLanes
 // rows per pass) and holds one accumulator per activation row (up to
-// kDecodeRows per pass). Per lane, a code word is read once, from a tile of
-// words transposed in registers, and decoded there; a group's zero and scale
-// are loaded once per group; every decoded value feeds all the pass's
-// activation rows. Each output keeps the reference chain: 0.0f, then each
-// code in ascending order (k, or kept slot for 2:4), an explicit mul then add
-// of x times the ValueAt() value. The code width is a template argument, so
-// word and shift come from shifts and masks, never a division. No panel, row
-// buffer or heap scratch is built.
+// kDecodeRows per pass). Per lane, a code word is read once and decoded in
+// registers; a group's zero and scale are loaded once per group; every
+// decoded value feeds all the pass's activation rows. Each output keeps the
+// reference chain: 0.0f, then each code in ascending order (k, or kept slot
+// for 2:4), an explicit mul then add of x times the ValueAt() value. The code
+// width is a template argument, so word and shift come from shifts and masks,
+// never a division.
+//
+// One driver serves both forms of W, which differ only in where a pass's
+// code, position and param registers come from: a packed matrix's pass
+// interleaves its lanes' words now into per-pass tiles and gathers each
+// group's params lane by lane (InterleavedPass, no heap scratch); a LaneTiles
+// pass loads them from the stored tiles (StoredPass).
 //
 // Dead lanes (the n % kDecodeLanes tail) re-read the last live row, so every
 // load stays in bounds; StoreLanes drops their results.
 // ---------------------------------------------------------------------------
 
-// A packed weight as the decode kernels read it: the PackedQuantMatrix code
-// layout, rows of `len` codes of `bits` each packed from the low end of uint32
-// words, with a zero and a scale per group of `group_size` codes. A 2:4 weight
-// is its kept values' PackedQuantMatrix (len = cols / 2) plus each kept slot's
-// 2-bit position in its group of 4, 16 per word.
+// A packed weight as stored, row-major: the PackedQuantMatrix code layout,
+// `words` uint32 words a row, with a zero and a scale per group, `groups` a
+// row. A 2:4 weight is its kept values' PackedQuantMatrix plus each kept
+// slot's 2-bit position in its group of 4, 16 per word.
 struct PackedRows {
   const uint32_t* codes = nullptr;
   const uint32_t* positions = nullptr;  // 2:4 only
   const uint8_t* zeros = nullptr;
   const float* scales = nullptr;
-  size_t len = 0;
-  int bits = 0;
-  size_t words = 0;       // code words per row
+  size_t words = 0;  // code words per row
   size_t position_words = 0;
-  size_t group_size = 0;
   size_t groups = 0;  // groups per row
 };
 
@@ -434,10 +438,7 @@ PackedRows RowsOf(const PackedQuantMatrix& w) {
   r.codes = w.packed().data();
   r.zeros = w.zeros().data();
   r.scales = w.scales().data();
-  r.len = static_cast<size_t>(w.cols());
-  r.bits = w.bits();
   r.words = static_cast<size_t>(w.words_per_row());
-  r.group_size = static_cast<size_t>(w.group_size());
   r.groups = static_cast<size_t>(w.groups_per_row());
   return r;
 }
@@ -449,7 +450,7 @@ PackedRows RowsOf(const Sparse24Matrix& w) {
   return r;
 }
 
-// Words a decode tile holds per lane: one 32-byte row segment.
+// Words a per-pass tile holds per lane: one 32-byte row segment.
 constexpr size_t kTileWords = 8;
 
 // Word w of each lane's row for w in [w0, w0 + kTileWords), interleaved as
@@ -488,9 +489,118 @@ void LoadGroupParams(const uint8_t* zeros, const float* scales,
   scale = Arch::LoadFloats(s);
 }
 
+// The registers of the pass over rows [j, j + lanes) of a packed matrix,
+// built now: code (and position) words interleaved kTileWords at a time into
+// per-pass tiles, group params gathered lane by lane.
+template <typename Arch, bool kSparse24>
+class InterleavedPass {
+ public:
+  using VecF = typename Arch::VecF;
+  using VecI = typename Arch::VecI;
+  static constexpr size_t W = Arch::kDecodeLanes;
+
+  InterleavedPass(const PackedRows& w, size_t j, size_t lanes) : w_(w) {
+    for (size_t t = 0; t < W; ++t) {
+      const size_t row = j + std::min(t, lanes - 1);
+      code_at_[t] = row * w.words;
+      position_at_[t] = row * w.position_words;
+      group_at_[t] = row * w.groups;
+    }
+    LoadWordTile<Arch>(w.codes, code_at_, 0, w.words, code_tile_);
+    if constexpr (kSparse24) {
+      LoadWordTile<Arch>(w.positions, position_at_, 0, w.position_words,
+                         position_tile_);
+    }
+  }
+
+  // Code word `word` of every lane; words are asked for in ascending order.
+  VecI Codes(size_t word) {
+    if (word - code_w0_ >= kTileWords) {
+      code_w0_ = word & ~(kTileWords - 1);
+      LoadWordTile<Arch>(w_.codes, code_at_, code_w0_, w_.words, code_tile_);
+    }
+    return Arch::LoadInts(code_tile_ + (word - code_w0_) * W);
+  }
+  VecI Positions(size_t word) {
+    if (word - position_w0_ >= kTileWords) {
+      position_w0_ = word & ~(kTileWords - 1);
+      LoadWordTile<Arch>(w_.positions, position_at_, position_w0_,
+                         w_.position_words, position_tile_);
+    }
+    return Arch::LoadInts(position_tile_ + (word - position_w0_) * W);
+  }
+  // Zero and scale of group g for every lane.
+  void GroupParams(size_t g, VecI& zero, VecF& scale) const {
+    LoadGroupParams<Arch>(w_.zeros + g, w_.scales + g, group_at_, zero, scale);
+  }
+
+ private:
+  const PackedRows& w_;
+  // Row offsets of each lane in the code, position and group arrays.
+  size_t code_at_[W], position_at_[W], group_at_[W];
+  alignas(64) uint32_t code_tile_[kTileWords * W];
+  alignas(64) uint32_t position_tile_[kTileWords * W];
+  size_t code_w0_ = 0, position_w0_ = 0;
+};
+
+// The registers of the pass over rows [j, j + kDecodeLanes) of a LaneTiles:
+// lane l is lane (j + l) % 16 of tile (j + l) / 16, and Arch::LoadTileInts
+// reads each register's lanes from one tile. A pass that spans two tiles
+// where the second holds no row reads the first again: its lanes are dead.
+template <typename Arch>
+class StoredPass {
+ public:
+  using VecF = typename Arch::VecF;
+  using VecI = typename Arch::VecI;
+  static constexpr size_t kLanes = LaneTiles::kTileRows;
+  static constexpr size_t W = Arch::kDecodeLanes;
+  static_assert(W % kLanes == 0 || kLanes % W == 0,
+                "a pass is whole tiles or part of one");
+  static_assert(W <= 2 * kLanes, "a pass spans at most two tiles");
+
+  StoredPass(const LaneTiles& w, size_t j) {
+    const size_t tile = j / kLanes;
+    const bool second = j + kLanes < static_cast<size_t>(w.rows());
+    const size_t words = static_cast<size_t>(w.values().words_per_row());
+    const size_t position_words =
+        static_cast<size_t>(w.position_words_per_row());
+    const size_t groups = static_cast<size_t>(w.values().groups_per_row());
+    const size_t lane = j % kLanes;
+    codes_ = w.codes().data() + tile * words * kLanes + lane;
+    positions_ =
+        w.sparse24()
+            ? w.positions().data() + tile * position_words * kLanes + lane
+            : nullptr;
+    zeros_ = w.zeros().data() + tile * groups * kLanes + lane;
+    scales_ = w.scales().data() + tile * groups * kLanes + lane;
+    code_stride_ = second ? words * kLanes : 0;
+    position_stride_ = second ? position_words * kLanes : 0;
+    group_stride_ = second ? groups * kLanes : 0;
+  }
+
+  VecI Codes(size_t word) const {
+    return Arch::LoadTileInts(codes_ + word * kLanes, code_stride_);
+  }
+  VecI Positions(size_t word) const {
+    return Arch::LoadTileInts(positions_ + word * kLanes, position_stride_);
+  }
+  void GroupParams(size_t g, VecI& zero, VecF& scale) const {
+    zero = Arch::LoadTileInts(zeros_ + g * kLanes, group_stride_);
+    scale = Arch::LoadTileFloats(scales_ + g * kLanes, group_stride_);
+  }
+
+ private:
+  const uint32_t* codes_;
+  const uint32_t* positions_;
+  const uint32_t* zeros_;
+  const float* scales_;
+  size_t code_stride_, position_stride_, group_stride_;
+};
+
 // Rows [i0, i0 + M) of y, columns [j, j + lanes): the same rows of x times
-// W[j, j + lanes)^T, for kBits-bit codes. Quant code c multiplies x column c.
-// 2:4 slot kk multiplies column (kk / 2) * 4 + its position, which each lane
+// W[j, j + lanes)^T, for kBits-bit codes in `values`' layout, the pass's
+// registers from pass_of(j, lanes). Quant code c multiplies x column c. 2:4
+// slot kk multiplies column (kk / 2) * 4 + its position, which each lane
 // picks from the slot's group of 4 with one in-register select; codes per
 // word (4, 8 or 16) divides the 16 slots of a position word, so a code word's
 // slots never straddle two position words.
@@ -499,36 +609,23 @@ void LoadGroupParams(const uint8_t* zeros, const float* scales,
 // planes (plane p holds code b * (8 / kBits) + p in byte b of each lane), so
 // each of its codes is one Arch::ByteOf pick, with no shift per code; a word
 // cut by a group edge or the row end is shifted code by code instead.
-template <typename Arch, size_t M, bool kSparse24, int kBits>
-void DecodeRows(const Matrix& x, const PackedRows& w, size_t i0, size_t j,
-                size_t lanes, Matrix& y) {
+template <typename Arch, size_t M, bool kSparse24, int kBits, typename PassOf>
+void DecodeRows(const Matrix& x, const PackedQuantMatrix& values,
+                const PassOf& pass_of, size_t i0, size_t j, size_t lanes,
+                Matrix& y) {
   using VecF = typename Arch::VecF;
   using VecI = typename Arch::VecI;
-  constexpr size_t W = Arch::kDecodeLanes;
   constexpr size_t kPerWord = 32 / kBits;
   constexpr size_t kPlanes = 8 / kBits;
+  const size_t len = static_cast<size_t>(values.cols());
+  const size_t group_size = static_cast<size_t>(values.group_size());
   const float* xr[M];
   VecF acc[M];
   for (size_t i = 0; i < M; ++i) {
     xr[i] = x.row(static_cast<int>(i0 + i));
     acc[i] = Arch::Zero();
   }
-  // Row offsets of each lane in the code, position and group arrays.
-  size_t code_at[W], position_at[W], group_at[W];
-  for (size_t t = 0; t < W; ++t) {
-    const size_t row = j + std::min(t, lanes - 1);
-    code_at[t] = row * w.words;
-    position_at[t] = row * w.position_words;
-    group_at[t] = row * w.groups;
-  }
-  alignas(64) uint32_t code_tile[kTileWords * W];
-  alignas(64) uint32_t position_tile[kTileWords * W];
-  size_t code_w0 = 0, position_w0 = 0;
-  LoadWordTile<Arch>(w.codes, code_at, 0, w.words, code_tile);
-  if constexpr (kSparse24) {
-    LoadWordTile<Arch>(w.positions, position_at, 0, w.position_words,
-                       position_tile);
-  }
+  auto pass = pass_of(j, lanes);
   const VecI mask = Arch::SplatInt((1u << kBits) - 1u);
   const VecI byte_mask = Arch::SplatInt(((1u << kBits) - 1u) * 0x01010101u);
   const VecI two = Arch::SplatInt(2);
@@ -551,26 +648,16 @@ void DecodeRows(const Matrix& x, const PackedRows& w, size_t i0, size_t j,
     }
   };
   size_t c = 0;
-  for (size_t g = 0; c < w.len; ++g) {
-    const size_t gend = std::min(w.len, c + w.group_size);
-    LoadGroupParams<Arch>(w.zeros + g, w.scales + g, group_at, zero, scale);
+  for (size_t g = 0; c < len; ++g) {
+    const size_t gend = std::min(len, c + group_size);
+    pass.GroupParams(g, zero, scale);
     while (c < gend) {
       const size_t word = c / kPerWord;
       const size_t wend = std::min(gend, (word + 1) * kPerWord);
-      if (word - code_w0 >= kTileWords) {
-        code_w0 = word & ~(kTileWords - 1);
-        LoadWordTile<Arch>(w.codes, code_at, code_w0, w.words, code_tile);
-      }
-      const VecI codes = Arch::LoadInts(code_tile + (word - code_w0) * W);
+      const VecI codes = pass.Codes(word);
       if constexpr (kSparse24) {
-        const size_t pword = c / 16;
-        if (pword - position_w0 >= kTileWords) {
-          position_w0 = pword & ~(kTileWords - 1);
-          LoadWordTile<Arch>(w.positions, position_at, position_w0,
-                             w.position_words, position_tile);
-        }
         pos = Arch::ShiftRight(
-            Arch::LoadInts(position_tile + (pword - position_w0) * W),
+            pass.Positions(c / 16),
             Arch::SplatInt(static_cast<uint32_t>((c % 16) * 2)));
       }
       if (wend - c == kPerWord) {
@@ -599,63 +686,94 @@ void DecodeRows(const Matrix& x, const PackedRows& w, size_t i0, size_t j,
   }
 }
 
-// y = x * W^T over lane-aligned tiles of W's rows. Within a tile, x runs in
-// near-equal chunks of at most kDecodeRows activation rows; the tile's codes
-// stay in cache while each chunk decodes them again.
-template <typename Arch, bool kSparse24>
-void DecodeGemmNT(const Matrix& x, const PackedRows& w, Matrix& y) {
+// y = x * W^T over lane-aligned tiles of W's rows, W's codes in `values`'
+// layout and pass_of(j, lanes) the registers of the pass over rows [j, j +
+// lanes). Within a tile, x runs in near-equal chunks of at most kDecodeRows
+// activation rows; the tile's codes stay in cache while each chunk decodes
+// them again.
+template <typename Arch, bool kSparse24, typename PassOf>
+void DecodeGemmNT(const Matrix& x, const PackedQuantMatrix& values,
+                  const PassOf& pass_of, Matrix& y) {
   constexpr size_t W = Arch::kDecodeLanes;
   constexpr size_t R = Arch::kDecodeRows;
   const size_t m = static_cast<size_t>(x.rows());
   const size_t n = static_cast<size_t>(y.cols());
+  const size_t len = static_cast<size_t>(values.cols());
   const size_t chunks = (m + R - 1) / R;
   const size_t chunk_rows = (m + chunks - 1) / chunks;
   const auto tile = [&](size_t j0, size_t j1, size_t, size_t) {
     for (size_t i0 = 0; i0 < m; i0 += chunk_rows) {
       WithRowCount<R>(std::min(chunk_rows, m - i0), [&](auto rows) {
+        constexpr size_t kRows = decltype(rows)::value;
         for (size_t j = j0; j < j1; j += W) {
-          switch (w.bits) {
+          const size_t lanes = std::min(W, j1 - j);
+          switch (values.bits()) {
             case 2:
-              DecodeRows<Arch, decltype(rows)::value, kSparse24, 2>(
-                  x, w, i0, j, std::min(W, j1 - j), y);
+              DecodeRows<Arch, kRows, kSparse24, 2>(x, values, pass_of, i0, j,
+                                                    lanes, y);
               break;
             case 4:
-              DecodeRows<Arch, decltype(rows)::value, kSparse24, 4>(
-                  x, w, i0, j, std::min(W, j1 - j), y);
+              DecodeRows<Arch, kRows, kSparse24, 4>(x, values, pass_of, i0, j,
+                                                    lanes, y);
               break;
             default:
-              DecodeRows<Arch, decltype(rows)::value, kSparse24, 8>(
-                  x, w, i0, j, std::min(W, j1 - j), y);
+              DecodeRows<Arch, kRows, kSparse24, 8>(x, values, pass_of, i0, j,
+                                                    lanes, y);
           }
         }
       });
     }
   };
-  if (m * n * w.len < kParallelFlopThreshold) {
+  if (m * n * len < kParallelFlopThreshold) {
     tile(0, n, 0, 1);
     return;
   }
   const size_t grain = std::max<size_t>(
-      W, kTaskFlopTarget / std::max<size_t>(2 * m * w.len, 1));
+      W, kTaskFlopTarget / std::max<size_t>(2 * m * len, 1));
   ThreadPool::Global().ParallelFor2D(n, 1, (grain + W - 1) / W * W, 1, tile);
 }
 
-template <typename Arch>
-Matrix QuantGemmNTImpl(const Matrix& x, const PackedQuantMatrix& w) {
+// The packed matrix's own MatmulNT: passes built now.
+template <typename Arch, bool kSparse24, typename Packed>
+Matrix PackedGemmNT(const Matrix& x, const Packed& w,
+                    const PackedQuantMatrix& values) {
   DZ_CHECK_EQ(x.cols(), w.cols());
   Matrix y(x.rows(), w.rows());
   if (x.rows() > 0 && w.rows() > 0 && w.cols() > 0) {
-    DecodeGemmNT<Arch, false>(x, RowsOf(w), y);
+    const PackedRows rows = RowsOf(w);
+    DecodeGemmNT<Arch, kSparse24>(
+        x, values,
+        [&](size_t j, size_t lanes) {
+          return InterleavedPass<Arch, kSparse24>(rows, j, lanes);
+        },
+        y);
   }
   return y;
 }
 
 template <typename Arch>
+Matrix QuantGemmNTImpl(const Matrix& x, const PackedQuantMatrix& w) {
+  return PackedGemmNT<Arch, false>(x, w, w);
+}
+
+template <typename Arch>
 Matrix Sparse24GemmNTImpl(const Matrix& x, const Sparse24Matrix& w) {
+  return PackedGemmNT<Arch, true>(x, w, w.values());
+}
+
+template <typename Arch>
+Matrix TileGemmNTImpl(const Matrix& x, const LaneTiles& w) {
   DZ_CHECK_EQ(x.cols(), w.cols());
   Matrix y(x.rows(), w.rows());
   if (x.rows() > 0 && w.rows() > 0 && w.cols() > 0) {
-    DecodeGemmNT<Arch, true>(x, RowsOf(w), y);
+    const auto pass_of = [&](size_t j, size_t) {
+      return StoredPass<Arch>(w, j);
+    };
+    if (w.sparse24()) {
+      DecodeGemmNT<Arch, true>(x, w.values(), pass_of, y);
+    } else {
+      DecodeGemmNT<Arch, false>(x, w.values(), pass_of, y);
+    }
   }
   return y;
 }
@@ -727,6 +845,7 @@ const Backend* MakeBackendTable(const char* name, const char* isa) {
       &PanelGemmNTImpl<Arch>,
       &QuantGemmNTImpl<Arch>,
       &Sparse24GemmNTImpl<Arch>,
+      &TileGemmNTImpl<Arch>,
       &TransposeImpl<Arch>,
       &AddSpanImpl<Arch>,
       &SubSpanImpl<Arch>,
@@ -868,6 +987,9 @@ struct ScalarOps {
     std::memcpy(&v, p, sizeof(v));
     return v;
   }
+  // A pass's 4 lanes lie inside one 16-lane tile.
+  static VecI LoadTileInts(const uint32_t* p, size_t) { return LoadInts(p); }
+  static VecF LoadTileFloats(const float* p, size_t) { return LoadFloats(p); }
   static VecI SplatInt(uint32_t v) { return VecI{} + v; }
   static VecF Splat(float v) { return VecF{} + v; }
   static VecF Zero() { return VecF{}; }

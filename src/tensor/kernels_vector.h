@@ -23,9 +23,13 @@
 //  3. Widening 128 to 512 bits through memcpy, a vector constructor or
 //     __builtin_shufflevector goes through the stack under -mavx512f, and the
 //     store-forwarding stall made the AVX-512 2:4 GEMMs 6-10x slower.
-//     VecTypes<16>::Repeat4 is therefore the one intrinsic left, in its maskz
-//     form: GCC 12's plain form starts from an undefined register and trips
-//     -Wmaybe-uninitialized once inlined.
+//     VecTypes<16>::Repeat4 is therefore an intrinsic, in its maskz form:
+//     GCC 12's plain form starts from an undefined register and trips
+//     -Wmaybe-uninitialized once inlined. At 256 bits the 8-element vector
+//     constructor compiled to one vbroadcastf128 until the decode driver
+//     took its registers from a pass object; GCC then built each from four
+//     scalar loads and inserts and spilled them, and the AVX2 2:4 GEMV ran
+//     1.2x slower. VecTypes<8>::Repeat4 is therefore an intrinsic too.
 #ifndef SRC_TENSOR_KERNELS_VECTOR_H_
 #define SRC_TENSOR_KERNELS_VECTOR_H_
 
@@ -34,9 +38,7 @@
 
 #include "src/tensor/kernels_generic.h"
 
-#if defined(__AVX512F__)
 #include <immintrin.h>
-#endif
 
 namespace dz {
 namespace kernels {
@@ -53,10 +55,11 @@ struct VecTypes<8> {
   typedef uint32_t U __attribute__((vector_size(32)));
   typedef int32_t S __attribute__((vector_size(32)));
 
-  // One vbroadcastf128 from memory. A 16-byte load widened by
+  // One vbroadcastf128 from memory (trap 3). A 16-byte load widened by
   // __builtin_shufflevector adds a vperm2f128 on the shuffle port instead.
   static F Repeat4(const float* x4) {
-    return F{x4[0], x4[1], x4[2], x4[3], x4[0], x4[1], x4[2], x4[3]};
+    const __m128 q = _mm_loadu_ps(x4);
+    return reinterpret_cast<F>(_mm256_set_m128(q, q));
   }
 };
 static_assert(sizeof(VecTypes<8>::F) == 32 && sizeof(VecTypes<8>::U) == 32 &&
@@ -287,6 +290,20 @@ struct VecOps {
   }
   static VecF LoadFloats(const float* p) {
     return Lanes<VecF>([&](size_t h) { return Load<F>(p + h * W); });
+  }
+  // Register h holds lanes [h * W, h * W + W), which lie inside one 16-lane
+  // tile: two tiles `stride` words apart at W = 16, halves of one at W = 8.
+  static VecI LoadTileInts(const uint32_t* p, size_t stride) {
+    return Lanes<VecI>(
+        [&](size_t h) { return Load<U>(p + TileAt(h, stride)); });
+  }
+  static VecF LoadTileFloats(const float* p, size_t stride) {
+    return Lanes<VecF>(
+        [&](size_t h) { return Load<F>(p + TileAt(h, stride)); });
+  }
+  // Where register h's first lane sits, from the pass's first lane.
+  static size_t TileAt(size_t h, size_t stride) {
+    return h * W / 16 * stride + h * W % 16;
   }
   static VecI SplatInt(uint32_t v) {
     return Lanes<VecI>([&](size_t) { return v + U{}; });

@@ -1,5 +1,6 @@
 #include "src/nn/transformer.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include <gtest/gtest.h>
@@ -90,6 +91,17 @@ TEST(TransformerTest, DecodeMatchesFullForward) {
   const LinearOverlay delta_overlay = delta.MakeOverlay(model.weights());
   ExpectDecodeMatchesForward(host, tokens, &delta_overlay, "compressed delta");
 
+  // The same fine-tune without 2:4 pruning: dense group-quantized deltas, decoded from
+  // the lane tiles of a PackedQuantMatrix.
+  DeltaCompressConfig dense_config;
+  dense_config.sparse24 = false;
+  const CompressedDelta dense = DeltaCompress(model.weights(), finetuned,
+                                              {tokens, {1, 4, 9, 16, 25, 36}},
+                                              dense_config);
+  const Transformer dense_host(dense.OverlayHost(model.weights()));
+  const LinearOverlay dense_overlay = dense.MakeOverlay(model.weights());
+  ExpectDecodeMatchesForward(dense_host, tokens, &dense_overlay, "dense-quant delta");
+
   LoraAdapter adapter = LoraAdapter::Init(model.weights(), 4, 8.0f, rng);
   for (LoraFactors& f : adapter.factors) {
     f.b = Matrix::Random(f.b.rows(), f.b.cols(), rng, 0.05f);
@@ -148,6 +160,35 @@ TEST(TransformerTest, InterleavedRequestsMatchRequestsDecodedAlone) {
   }
 }
 
+// Two variants of one base on one host, each request with its own cache, decoded in
+// alternating steps over the same tokens: each cache reads only its own variant's
+// packed deltas, so each request's logits equal those it gives decoded alone.
+TEST(TransformerTest, InterleavedVariantsMatchVariantsDecodedAlone) {
+  const Transformer model = MakeTinyModel(10);
+  const CompressedVariant a = MakeCompressedVariant(model.weights(), 100);
+  const CompressedVariant b = MakeCompressedVariant(model.weights(), 101);
+  const std::vector<int> tokens = {2, 11, 5, 8, 3, 17};
+  auto alone = [&](const LinearOverlay& overlay) {
+    KVCache kv = model.MakeKVCache();
+    std::vector<std::vector<float>> logits;
+    for (int t : tokens) {
+      logits.push_back(model.DecodeStep(t, kv, &overlay).data());
+    }
+    return logits;
+  };
+  const auto want_a = alone(a.overlay);
+  const auto want_b = alone(b.overlay);
+  ASSERT_NE(want_a, want_b);
+  KVCache kv_a = model.MakeKVCache();
+  KVCache kv_b = model.MakeKVCache();
+  for (size_t i = 0; i < tokens.size(); ++i) {
+    EXPECT_EQ(model.DecodeStep(tokens[i], kv_a, &a.overlay).data(), want_a[i])
+        << "variant a, step " << i;
+    EXPECT_EQ(model.DecodeStep(tokens[i], kv_b, &b.overlay).data(), want_b[i])
+        << "variant b, step " << i;
+  }
+}
+
 // A KVCache is valid only for the weights that filled it: a step through an overlay
 // over another base is a DZ_CHECK failure, not a silent re-pack.
 TEST(TransformerDeathTest, StepOverAnotherBaseFails) {
@@ -159,6 +200,20 @@ TEST(TransformerDeathTest, StepOverAnotherBaseFails) {
   KVCache kv = variant.host.MakeKVCache();
   variant.host.DecodeStep(3, kv, &variant.overlay);
   EXPECT_DEATH(variant.host.DecodeStep(4, kv, &other), "DZ_CHECK failed");
+}
+
+// The cache also holds the deltas it packed: another variant's overlay over the *same*
+// base fails too, where comparing base weights alone would read stale delta tiles.
+TEST(TransformerDeathTest, StepThroughAnotherVariantOverTheSameBaseFails) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  const Transformer model = MakeTinyModel(11);
+  const CompressedVariant a = MakeCompressedVariant(model.weights(), 110);
+  const CompressedVariant b = MakeCompressedVariant(model.weights(), 111);
+  KVCache kv = model.MakeKVCache();
+  model.DecodeStep(3, kv, &a.overlay);
+  model.DecodeStep(4, kv, &a.overlay);
+  EXPECT_DEATH(model.DecodeStep(5, kv, &b.overlay), "DZ_CHECK failed");
+  EXPECT_DEATH(model.DecodeStep(5, kv, nullptr), "DZ_CHECK failed");
 }
 
 TEST(TransformerTest, GradCheckSpotSamples) {
@@ -285,6 +340,53 @@ TEST(TransformerTest, GenerateGreedyRespectsLimitsAndEos) {
   }
   // Greedy decode is deterministic.
   EXPECT_EQ(model.GenerateGreedy(prompt, 5), out);
+}
+
+}  // namespace
+
+struct TransformerTestPeer {
+  static std::vector<int> GenerateGreedy(const Transformer& model,
+                                         const std::vector<int>& prompt, int max_new,
+                                         KVCache& kv) {
+    return model.GenerateGreedy(prompt, max_new, -1, nullptr, kv);
+  }
+};
+
+namespace {
+
+// Greedy generation feeds every token but the last: the last token's step would
+// compute logits nobody reads. The cache ends at prompt + n - 1 tokens, and the tokens
+// equal those of a loop that steps after every token.
+TEST(TransformerTest, GenerateGreedySkipsTheStepAfterTheLastToken) {
+  const Transformer model = MakeTinyModel(12);
+  const std::vector<int> prompt = {1, 2, 3};
+  for (int n : {1, 2, 5}) {
+    KVCache kv = model.MakeKVCache();
+    const std::vector<int> out = TransformerTestPeer::GenerateGreedy(model, prompt, n, kv);
+    ASSERT_EQ(static_cast<int>(out.size()), n);
+    EXPECT_EQ(kv.len, static_cast<int>(prompt.size()) + n - 1) << "n=" << n;
+
+    KVCache every = model.MakeKVCache();
+    Matrix logits;
+    for (int t : prompt) {
+      logits = model.DecodeStep(t, every, nullptr);
+    }
+    std::vector<int> want;
+    for (int i = 0; i < n; ++i) {
+      const std::vector<float>& row = logits.data();
+      want.push_back(static_cast<int>(std::max_element(row.begin(), row.end()) -
+                                      row.begin()));
+      logits = model.DecodeStep(want.back(), every, nullptr);
+    }
+    EXPECT_EQ(out, want) << "n=" << n;
+  }
+  // A prompt that leaves room for fewer tokens than asked stops where the old loop
+  // stopped: token i is read while prompt + i < max_seq.
+  const int max_seq = model.config().max_seq;
+  const std::vector<int> long_prompt(static_cast<size_t>(max_seq - 2), 1);
+  KVCache kv = model.MakeKVCache();
+  EXPECT_EQ(TransformerTestPeer::GenerateGreedy(model, long_prompt, 5, kv).size(), 2u);
+  EXPECT_EQ(kv.len, max_seq - 1);
 }
 
 TEST(ModelWeightsTest, LinearLayersEnumeration) {

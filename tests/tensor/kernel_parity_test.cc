@@ -22,6 +22,7 @@
 
 #include "src/compress/lossless.h"
 #include "src/tensor/backend.h"
+#include "src/tensor/lane_tiles.h"
 #include "src/tensor/panel_matrix.h"
 #include "src/util/rng.h"
 #include "tests/tensor/kernel_ref.h"
@@ -317,6 +318,101 @@ TEST_P(KernelParityTest, DecodeShapeLargeParallelBitIdentical) {
                        "quant" + tag);
     ExpectBitIdentical(sp.MatmulNT(x), kernels::ref::Sparse24GemmNT(x, sp),
                        "sparse" + tag);
+  }
+}
+
+// LaneTiles' documented layout built from row-major entries, `per_row` a row:
+// entry (t, w, l) is row 16t + l's entry w, the lanes past the last row
+// repeating it.
+template <typename T>
+std::vector<uint32_t> TileLayout(const std::vector<T>& rows_major, int rows,
+                                 int per_row) {
+  const int tiles = (rows + 15) / 16;
+  std::vector<uint32_t> out;
+  for (int t = 0; t < tiles; ++t) {
+    for (int w = 0; w < per_row; ++w) {
+      for (int l = 0; l < 16; ++l) {
+        const int r = std::min(16 * t + l, rows - 1);
+        out.push_back(rows_major[static_cast<size_t>(r) * per_row + w]);
+      }
+    }
+  }
+  return out;
+}
+
+void ExpectTileBytes(const LaneTiles& tiles, const PackedQuantMatrix& values,
+                     const std::string& tag) {
+  const int rows = values.rows();
+  EXPECT_EQ(tiles.codes(), TileLayout(values.packed(), rows, values.words_per_row()))
+      << "code tiles differ from the documented layout: " << tag;
+  EXPECT_EQ(tiles.zeros(), TileLayout(values.zeros(), rows, values.groups_per_row()))
+      << "zero tiles differ from the documented layout: " << tag;
+  std::vector<uint32_t> scale_bits(values.scales().size());
+  std::memcpy(scale_bits.data(), values.scales().data(),
+              scale_bits.size() * sizeof(float));
+  const std::vector<uint32_t> want = TileLayout(scale_bits, rows, values.groups_per_row());
+  ASSERT_EQ(tiles.scales().size(), want.size()) << tag;
+  EXPECT_EQ(std::memcmp(tiles.scales().data(), want.data(), want.size() * sizeof(float)),
+            0)
+      << "scale tiles differ from the documented layout: " << tag;
+}
+
+// Stored lane tiles (LaneTiles): packed once, then reused for several x. n
+// covers a part of one tile, one tile, a tile and one row, and the two-tile
+// passes with a dead second tile; k rows shorter than the 8-word per-pass
+// tile and longer ones with a partial last tile, and group sizes 3 and 20
+// put group edges mid-word at every width. The tile bytes must be the
+// documented layout on every backend: packing only moves data.
+TEST_P(KernelParityTest, LaneTilesGemmNTBitIdentical) {
+  Rng rng(26);
+  for (int k : {4, 20, 64, 172, 520}) {
+    std::vector<Matrix> xs;
+    for (int m = 1; m <= 9; ++m) {
+      xs.push_back(RandomWithZeros(m, k, rng, 0.2));
+    }
+    for (int n : {1, 15, 16, 17, 31, 32, 33, 172}) {
+      const Matrix w = RandomWithZeros(n, k, rng, 0.1);
+      const Matrix pruned = MagnitudePrune24(w);
+      for (int bits : {2, 4, 8}) {
+        for (int group_size : {3, 20, 64}) {
+          const std::string shape = " n=" + std::to_string(n) + " k=" + std::to_string(k) +
+                                    " bits=" + std::to_string(bits) +
+                                    " gs=" + std::to_string(group_size);
+          const auto q = PackedQuantMatrix::Quantize(w, bits, group_size);
+          const auto sp = Sparse24Matrix::Pack(pruned, bits, group_size);
+          const LaneTiles q_tiles = LaneTiles::Pack(q);
+          const LaneTiles sp_tiles = LaneTiles::Pack(sp);
+          ExpectTileBytes(q_tiles, q, "quant" + shape);
+          ExpectTileBytes(sp_tiles, sp.values(), "sparse" + shape);
+          EXPECT_TRUE(q_tiles.positions().empty()) << shape;
+          EXPECT_EQ(sp_tiles.positions(),
+                    TileLayout(sp.positions(), n, sp.position_words_per_row()))
+              << "position tiles differ from the documented layout:" << shape;
+          for (const Matrix& x : xs) {
+            const std::string tag = "m=" + std::to_string(x.rows()) + shape;
+            ExpectBitIdentical(q_tiles.MatmulNT(x), kernels::ref::QuantGemmNT(x, q),
+                               "tiles quant " + tag);
+            ExpectBitIdentical(sp_tiles.MatmulNT(x),
+                               kernels::ref::Sparse24GemmNT(x, sp),
+                               "tiles sparse " + tag);
+          }
+        }
+      }
+    }
+  }
+  // Across the parallel split: every task's column range starts on a pass.
+  const Matrix w = RandomWithZeros(4099, 1024, rng, 0.1);
+  const auto q = PackedQuantMatrix::Quantize(w, 4, 64);
+  const auto sp = Sparse24Matrix::Pack(MagnitudePrune24(w), 4, 64);
+  const LaneTiles q_tiles = LaneTiles::Pack(q);
+  const LaneTiles sp_tiles = LaneTiles::Pack(sp);
+  for (int m : {1, 2}) {
+    const Matrix x = RandomWithZeros(m, 1024, rng, 0.2);
+    const std::string tag = " m=" + std::to_string(m) + " n=4099 k=1024";
+    ExpectBitIdentical(q_tiles.MatmulNT(x), kernels::ref::QuantGemmNT(x, q),
+                       "tiles quant large" + tag);
+    ExpectBitIdentical(sp_tiles.MatmulNT(x), kernels::ref::Sparse24GemmNT(x, sp),
+                       "tiles sparse large" + tag);
   }
 }
 
